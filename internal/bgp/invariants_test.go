@@ -242,3 +242,55 @@ func TestConcurrentPropagateSafe(t *testing.T) {
 		}
 	}
 }
+
+// TestDataPathVariantsAgree ties the allocation-free walks to DataPath:
+// DataPathLen is its length, AppendDataPath extends a caller's buffer by
+// exactly it (and leaves the buffer alone for an unrouted AS), and
+// ASPath ends in the announcement's initial path, built in one
+// allocation.
+func TestDataPathVariantsAgree(t *testing.T) {
+	g, o := worldForTest(t, 46, 600)
+	e := newEngine(t, g, o, noiseless())
+	poison := []topo.ASN{g.ASN(0), g.ASN(1)}
+	cfg := Config{Anns: []Announcement{{Link: 0, Prepend: 2, Poison: poison}, {Link: 1, Poison: poison}}}
+	out := propagate(t, e, cfg)
+	buf := []int{-7}
+	routed := 0
+	for i := 0; i < g.NumASes(); i++ {
+		dp := out.DataPath(i)
+		if n := out.DataPathLen(i); n != len(dp) {
+			t.Fatalf("AS%d: DataPathLen %d, DataPath has %d hops", g.ASN(i), n, len(dp))
+		}
+		buf = out.AppendDataPath(buf[:1], i)
+		if buf[0] != -7 || len(buf) != 1+len(dp) {
+			t.Fatalf("AS%d: AppendDataPath gave %v for path %v", g.ASN(i), buf, dp)
+		}
+		for k := range dp {
+			if buf[1+k] != dp[k] {
+				t.Fatalf("AS%d: AppendDataPath gave %v for path %v", g.ASN(i), buf, dp)
+			}
+		}
+		if dp == nil {
+			continue
+		}
+		routed++
+		ap := out.ASPath(i)
+		stuffing := cfg.Anns[out.CatchmentOf(i)].InitialPath(o.ASN)
+		tail := ap[len(dp):]
+		if len(tail) != len(stuffing) {
+			t.Fatalf("AS%d: ASPath tail %v, want %v", g.ASN(i), tail, stuffing)
+		}
+		for k := range stuffing {
+			if tail[k] != stuffing[k] {
+				t.Fatalf("AS%d: ASPath tail %v, want %v", g.ASN(i), tail, stuffing)
+			}
+		}
+	}
+	if routed == 0 || routed == g.NumASes() {
+		t.Fatalf("%d of %d ASes routed; want both routed and unrouted ASes covered", routed, g.NumASes())
+	}
+	last := g.NumASes() - 1
+	if n := testing.AllocsPerRun(10, func() { out.ASPath(last) }); out.HasRoute(last) && n != 1 {
+		t.Fatalf("ASPath: %.0f allocs, want 1", n)
+	}
+}

@@ -134,17 +134,16 @@ func (o *Outcome) NextHop(i int) int {
 // announcement's initial path (origin prepends and poison sentinels).
 // It returns nil if i has no route.
 func (o *Outcome) ASPath(i int) []topo.ASN {
-	s := o.sel[i]
-	if s.class == classInvalid {
+	hops := o.DataPathLen(i)
+	if hops == 0 {
 		return nil
 	}
-	var path []topo.ASN
-	hop := i
-	for hop != -1 {
+	ann := o.cfg.Anns[o.sel[i].ann]
+	path := make([]topo.ASN, 0, hops+ann.PathLen())
+	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
 		path = append(path, o.engine.g.ASN(hop))
-		hop = int(o.sel[hop].nextHop)
 	}
-	return append(path, o.cfg.Anns[o.sel[i].ann].InitialPath(o.engine.origin.ASN)...)
+	return ann.appendInitialPath(path, o.engine.origin.ASN)
 }
 
 // DataPath returns the AS-level data-plane path from the AS at dense
@@ -154,17 +153,34 @@ func (o *Outcome) ASPath(i int) []topo.ASN {
 // (external to the topology) is implicitly the final hop. It returns nil
 // if i has no route.
 func (o *Outcome) DataPath(i int) []int {
-	s := o.sel[i]
-	if s.class == classInvalid {
-		return nil
+	return o.AppendDataPath(nil, i)
+}
+
+// AppendDataPath appends DataPath(i) to dst and returns the extended
+// slice, so a caller walking many paths can reuse one buffer. dst comes
+// back unchanged if i has no route.
+func (o *Outcome) AppendDataPath(dst []int, i int) []int {
+	if o.sel[i].class == classInvalid {
+		return dst
 	}
-	var path []int
-	hop := i
-	for hop != -1 {
-		path = append(path, hop)
-		hop = int(o.sel[hop].nextHop)
+	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
+		dst = append(dst, hop)
 	}
-	return path
+	return dst
+}
+
+// DataPathLen returns len(DataPath(i)) without building the path: the
+// number of topology ASes a packet from i traverses, i included, and 0
+// if i has no route.
+func (o *Outcome) DataPathLen(i int) int {
+	if o.sel[i].class == classInvalid {
+		return 0
+	}
+	n := 0
+	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
+		n++
+	}
+	return n
 }
 
 // PathLen returns the AS-path length of the route as received by i —

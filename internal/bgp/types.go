@@ -88,7 +88,11 @@ func (a Announcement) PathLen() int {
 // origin^(1+prepend) then (poison, origin) per poisoned AS, matching
 // PEERING's sentinel-wrapping requirement.
 func (a Announcement) InitialPath(origin topo.ASN) []topo.ASN {
-	path := make([]topo.ASN, 0, a.PathLen())
+	return a.appendInitialPath(make([]topo.ASN, 0, a.PathLen()), origin)
+}
+
+// appendInitialPath appends InitialPath(origin) to path.
+func (a Announcement) appendInitialPath(path []topo.ASN, origin topo.ASN) []topo.ASN {
 	for i := 0; i <= a.Prepend; i++ {
 		path = append(path, origin)
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spooftrack/internal/bgp"
@@ -26,7 +25,8 @@ type CampaignOptions struct {
 	// algorithmic behaviour from measurement noise (and much faster).
 	UseTruth bool
 	// Progress, if non-nil, is called after each deployed configuration
-	// with the number of configurations completed.
+	// with the number of configurations completed. Calls never overlap
+	// and done rises by one from each to the next, whatever Parallelism.
 	Progress func(done, total int)
 	// ConcurrentPrefixes deploys the plan over this many dedicated
 	// prefixes in parallel time slots (§V-C's first speedup: "use
@@ -276,7 +276,8 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		errs := make([]error, len(plan))
 		lost := make([]bool, len(plan))
 		masker, _ := opts.MeasureFault.(MeasureMasker)
-		var done int32
+		var progressMu sync.Mutex // serializes Progress across workers
+		done := 0
 		measureStart := time.Now()
 		runPoolSpans(csp, "campaign.measure.worker", workers, len(plan), func(i int, wsp *trace.Span) {
 			if ctx.Err() != nil {
@@ -344,7 +345,10 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 			c.Measurements[i] = m
 			errs[i] = err
 			if opts.Progress != nil {
-				opts.Progress(int(atomic.AddInt32(&done, 1)), len(plan))
+				progressMu.Lock()
+				done++
+				opts.Progress(done, len(plan))
+				progressMu.Unlock()
 			}
 		})
 		if err := ctx.Err(); err != nil {

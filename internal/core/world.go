@@ -217,12 +217,6 @@ func (w *World) rngFor(label uint64) *stats.RNG {
 // codec), noisy traceroutes, repair, and catchment inference. configIdx
 // stamps the simulated capture time of wire feeds.
 func (w *World) MeasureOutcome(out *bgp.Outcome, configIdx int, rng *stats.RNG) (*measure.CatchmentMeasurement, error) {
-	obs := measure.Collect(out, w.Vantages, w.Space, w.Params.Noise, rng)
-	if w.Params.WireFeeds {
-		ts := uint32(configIdx) * 70 * 60
-		if err := measure.RoundTripMRT(&obs, w.Graph, ts); err != nil {
-			return nil, fmt.Errorf("feed round-trip: %w", err)
-		}
-	}
-	return measure.Infer(obs, w.Infer), nil
+	feedTime := uint32(configIdx) * 70 * 60
+	return measure.Measure(out, w.Vantages, w.Space, w.Params.Noise, rng, w.Infer, w.Params.WireFeeds, feedTime)
 }

@@ -19,6 +19,11 @@ var AnnouncedPrefix = netip.PrefixFrom(netip.MustParseAddr("198.51.100.0"), 24)
 // records; collectors in the simulation do not model next-hop IPs.
 var feedNextHop = netip.MustParseAddr("203.0.113.1")
 
+// feedRecordOverhead bounds what one exported record takes on top of
+// four bytes per path ASN (MRT, BGP4MP and UPDATE framing, the other
+// attributes and the /24 NLRI come to 75); it only sizes a buffer.
+const feedRecordOverhead = 80
+
 // ExportMRT serializes the observation's collector paths as an MRT
 // BGP4MP stream, one UPDATE per collector, in ascending collector order
 // (deterministic output). This is the wire format RouteViews and RIS
@@ -71,17 +76,30 @@ func ImportMRT(r io.Reader, g *topo.Graph) (map[int][]topo.ASN, error) {
 // format and back, replacing them in place. Enabled by the world's
 // WireFeeds option so campaigns exercise the real encode/decode path.
 func RoundTripMRT(obs *Observation, g *topo.Graph, timestamp uint32) error {
-	var buf bytes.Buffer
-	if err := ExportMRT(&buf, *obs, g, timestamp); err != nil {
-		return err
-	}
-	paths, err := ImportMRT(&buf, g)
+	paths, err := roundTripPaths(obs.BGPPaths, g, timestamp)
 	if err != nil {
 		return err
 	}
-	if len(paths) != len(obs.BGPPaths) {
-		return fmt.Errorf("measure: feed round-trip lost paths: %d -> %d", len(obs.BGPPaths), len(paths))
-	}
 	obs.BGPPaths = paths
 	return nil
+}
+
+// roundTripPaths returns paths as decoded from their own MRT export.
+func roundTripPaths(paths map[int][]topo.ASN, g *topo.Graph, timestamp uint32) (map[int][]topo.ASN, error) {
+	size := 0
+	for _, p := range paths {
+		size += feedRecordOverhead + 4*len(p)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := ExportMRT(buf, Observation{BGPPaths: paths}, g, timestamp); err != nil {
+		return nil, err
+	}
+	decoded, err := ImportMRT(buf, g)
+	if err != nil {
+		return nil, err
+	}
+	if len(decoded) != len(paths) {
+		return nil, fmt.Errorf("measure: feed round-trip lost paths: %d -> %d", len(paths), len(decoded))
+	}
+	return decoded, nil
 }

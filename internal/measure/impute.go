@@ -61,8 +61,9 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 	// as link+1 in a byte (0 = unobserved). Catchment ids fit a byte for
 	// any realistic peering footprint.
 	sig := make([][]byte, s)
+	sigCells := make([]byte, s*c)
 	for k, src := range sources {
-		row := make([]byte, c)
+		row := sigCells[k*c : (k+1)*c : (k+1)*c]
 		for cc := 0; cc < c; cc++ {
 			if l := ms[cc].Catchment[src]; l != bgp.NoLink {
 				row[cc] = byte(l) + 1
@@ -104,8 +105,9 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		return best
 	}
 
+	cells := make([]bgp.LinkID, c*s)
 	for cc := 0; cc < c; cc++ {
-		filled := make([]bgp.LinkID, s)
+		filled := cells[cc*s : (cc+1)*s : (cc+1)*s]
 		for k, src := range sources {
 			if l := ms[cc].Catchment[src]; l != bgp.NoLink {
 				filled[k] = l

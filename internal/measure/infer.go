@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"slices"
 	"strings"
 
 	"spooftrack/internal/addr"
@@ -66,46 +67,54 @@ type InferInput struct {
 // from BGP paths (high priority) and traceroutes (low priority), and
 // resolves conflicts by priority then majority vote.
 func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
-	n := in.Graph.NumASes()
-	m := &CatchmentMeasurement{
-		Catchment: make([]bgp.LinkID, n),
-		Observed:  make([]bool, n),
-	}
-	for i := range m.Catchment {
-		m.Catchment[i] = bgp.NoLink
-	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return s.infer(obs.BGPPaths, obs.Traceroutes, in)
+}
 
-	// evidence[i] counts observations per link, separately by source
-	// type; small fixed-size maps keyed by link.
-	type votes map[bgp.LinkID]int
-	bgpVotes := make(map[int]votes)
-	trVotes := make(map[int]votes)
-	add := func(dst map[int]votes, as int, l bgp.LinkID) {
-		v, ok := dst[as]
-		if !ok {
-			v = make(votes, 2)
-			dst[as] = v
+// vote is one observation of an AS behind a link.
+type vote struct {
+	as   int32
+	link int32
+	// bgp marks collector evidence, which outranks traceroutes.
+	bgp bool
+}
+
+func (s *scratch) infer(paths map[int][]topo.ASN, trs []Traceroute, in InferInput) *CatchmentMeasurement {
+	n := in.Graph.NumASes()
+	m := Unobserved(n)
+
+	// Evidence is listed first and tallied after: the tally table is
+	// dense per AS and per link, and the number of links is only known
+	// once every provider has been resolved.
+	s.evidence = s.evidence[:0]
+	numLinks := 0
+	add := func(as int, l bgp.LinkID, fromBGP bool) {
+		s.evidence = append(s.evidence, vote{as: int32(as), link: int32(l), bgp: fromBGP})
+		if int(l) >= numLinks {
+			numLinks = int(l) + 1
 		}
-		v[l]++
 	}
 
 	// BGP evidence: every AS on a collector's path up to the provider is
 	// routed via that path's link.
-	seqIdx := newASSeqIndex(obs.BGPPaths, in.OriginASN)
-	for _, path := range obs.BGPPaths {
-		prefix, provider, ok := splitPath(path, in.OriginASN, in.Graph, in.LinkOf)
+	s.seqs.build(paths, in.OriginASN)
+	for _, path := range paths {
+		cut, link, ok := splitPath(path, in.OriginASN, in.Graph, in.LinkOf)
 		if !ok {
 			continue
 		}
-		for _, as := range prefix {
-			add(bgpVotes, as, provider)
+		for _, asn := range path[:cut] {
+			if as, ok := in.Graph.Index(asn); ok {
+				add(as, link, true)
+			}
 		}
 	}
 
 	// Traceroute evidence, after the three repair stages.
-	repaired := RepairUnresponsive(obs.Traceroutes)
-	for _, tr := range repaired {
-		asPath := ASLevelPath(tr, in.Graph, in.Mapper, seqIdx)
+	s.gaps.build(trs)
+	for _, tr := range trs {
+		asPath := s.asLevelPath(s.repairOne(tr.Hops), in.Graph, in.Mapper, s.seqs)
 		if len(asPath) == 0 {
 			continue
 		}
@@ -115,42 +124,56 @@ func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
 			continue // mapping noise garbled the provider; unattributable
 		}
 		for _, as := range asPath {
-			add(trVotes, as, link)
+			add(as, link, false)
 		}
 	}
 
+	// counts holds, per AS, a row of BGP tallies then a row of
+	// traceroute tallies, one cell per link.
+	row := 2 * numLinks
+	if need := n * row; cap(s.counts) < need {
+		s.counts = make([]int32, need)
+	} else {
+		s.counts = s.counts[:need]
+		clear(s.counts)
+	}
+	for _, v := range s.evidence {
+		cell := int(v.as)*row + int(v.link)
+		if !v.bgp {
+			cell += numLinks
+		}
+		s.counts[cell]++
+	}
+
 	// Resolution: BGP beats traceroute; within a type, majority vote
-	// with deterministic tie-breaking toward the lowest link id.
-	resolve := func(v votes) bgp.LinkID {
-		best, bestN := bgp.NoLink, 0
-		for l, c := range v {
-			if c > bestN || (c == bestN && l < best) {
-				best, bestN = l, c
+	// with deterministic tie-breaking toward the lowest link id (the
+	// scan is ascending and only a strictly larger tally displaces).
+	for i := 0; i < n; i++ {
+		bv, tv := s.counts[i*row:i*row+numLinks], s.counts[i*row+numLinks:(i+1)*row]
+		bestB, bestBN, bestT, bestTN := bgp.NoLink, int32(0), bgp.NoLink, int32(0)
+		links := 0
+		for l := 0; l < numLinks; l++ {
+			if bv[l] > bestBN {
+				bestB, bestBN = bgp.LinkID(l), bv[l]
+			}
+			if tv[l] > bestTN {
+				bestT, bestTN = bgp.LinkID(l), tv[l]
+			}
+			if bv[l] > 0 || tv[l] > 0 {
+				links++
 			}
 		}
-		return best
-	}
-	for i := 0; i < n; i++ {
-		bv, hasB := bgpVotes[i]
-		tv, hasT := trVotes[i]
-		if !hasB && !hasT {
+		if links == 0 {
 			continue
 		}
 		m.Observed[i] = true
-		if hasB {
-			m.Catchment[i] = resolve(bv)
+		if bestBN > 0 {
+			m.Catchment[i] = bestB
 		} else {
-			m.Catchment[i] = resolve(tv)
+			m.Catchment[i] = bestT
 		}
 		// Conflict accounting across all evidence.
-		links := make(map[bgp.LinkID]bool, 2)
-		for l := range bv {
-			links[l] = true
-		}
-		for l := range tv {
-			links[l] = true
-		}
-		if len(links) > 1 {
+		if links > 1 {
 			m.MultiCatchment++
 		}
 	}
@@ -158,11 +181,10 @@ func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
 }
 
 // splitPath cuts an AS-path at the first occurrence of the origin ASN
-// and resolves the provider (last topology AS before it) to a link. The
-// returned prefix contains dense indices of all topology ASes before the
-// origin.
-func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int) (bgp.LinkID, bool)) ([]int, bgp.LinkID, bool) {
-	cut := -1
+// and resolves the provider (last topology AS before it) to a link.
+// path[:cut] are the ASNs before the origin.
+func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int) (bgp.LinkID, bool)) (cut int, link bgp.LinkID, ok bool) {
+	cut = -1
 	for k, asn := range path {
 		if asn == origin {
 			cut = k
@@ -170,38 +192,44 @@ func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int)
 		}
 	}
 	if cut <= 0 {
-		return nil, bgp.NoLink, false
+		return 0, bgp.NoLink, false
 	}
 	provIdx, ok := g.Index(path[cut-1])
 	if !ok {
-		return nil, bgp.NoLink, false
+		return 0, bgp.NoLink, false
 	}
-	link, ok := linkOf(provIdx)
+	link, ok = linkOf(provIdx)
 	if !ok {
-		return nil, bgp.NoLink, false
+		return 0, bgp.NoLink, false
 	}
-	prefix := make([]int, 0, cut)
-	for _, asn := range path[:cut] {
-		if i, ok := g.Index(asn); ok {
-			prefix = append(prefix, i)
-		}
-	}
-	return prefix, link, true
+	return cut, link, true
+}
+
+// maxASSeq is the longest intermediate AS sequence indexed between a
+// pair, for the same reason as maxGapSeq.
+const maxASSeq = 3
+
+// asSeqVal is the AS sequence first seen between a pair of ASNs
+// (seq[:n]); conflict is set, for good, once a different one shows up.
+type asSeqVal struct {
+	seq      [maxASSeq]topo.ASN
+	n        uint8
+	conflict bool
 }
 
 // asSeqIndex indexes, for pairs of ASNs seen on BGP paths, the unique
-// intermediate AS sequence between them (repair stage 3 of §IV-b). A nil
-// entry marks a conflicting pair.
-type asSeqIndex struct {
-	seqs map[[2]topo.ASN][]topo.ASN
-	conf map[[2]topo.ASN]bool
+// intermediate AS sequence between them (repair stage 3 of §IV-b).
+type asSeqIndex map[[2]topo.ASN]asSeqVal
+
+func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) asSeqIndex {
+	idx := make(asSeqIndex)
+	idx.build(paths, origin)
+	return idx
 }
 
-func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) *asSeqIndex {
-	idx := &asSeqIndex{
-		seqs: make(map[[2]topo.ASN][]topo.ASN),
-		conf: make(map[[2]topo.ASN]bool),
-	}
+// build refills the index from the collector paths.
+func (idx asSeqIndex) build(paths map[int][]topo.ASN, origin topo.ASN) {
+	clear(idx)
 	for _, path := range paths {
 		// Only the part before announcement stuffing is a real AS chain.
 		end := len(path)
@@ -213,42 +241,29 @@ func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) *asSeqIndex {
 		}
 		p := path[:end]
 		for i := 0; i < len(p); i++ {
-			for j := i + 2; j < len(p) && j-i <= 4; j++ {
+			for j := i + 2; j < len(p) && j-i <= maxASSeq+1; j++ {
 				key := [2]topo.ASN{p[i], p[j]}
-				if idx.conf[key] {
-					continue
-				}
 				seq := p[i+1 : j]
-				if prev, ok := idx.seqs[key]; ok {
-					if !asnSeqEqual(prev, seq) {
-						idx.conf[key] = true
-						delete(idx.seqs, key)
-					}
+				v, seen := idx[key]
+				if !seen {
+					v.n = uint8(copy(v.seq[:], seq))
+					idx[key] = v
 					continue
 				}
-				idx.seqs[key] = append([]topo.ASN(nil), seq...)
+				if !v.conflict && !slices.Equal(v.seq[:v.n], seq) {
+					v.conflict = true
+					idx[key] = v
+				}
 			}
 		}
 	}
-	return idx
 }
 
-// lookup returns the unique sequence between a and b, or ok=false.
-func (idx *asSeqIndex) lookup(a, b topo.ASN) ([]topo.ASN, bool) {
-	seq, ok := idx.seqs[[2]topo.ASN{a, b}]
-	return seq, ok
-}
-
-func asnSeqEqual(a, b []topo.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// lookup returns the unique sequence between a and b (v.seq[:v.n]);
+// ok=false when the pair was never seen or conflicts.
+func (idx asSeqIndex) lookup(a, b topo.ASN) (v asSeqVal, ok bool) {
+	v, ok = idx[[2]topo.ASN{a, b}]
+	return v, ok && !v.conflict
 }
 
 // ASLevelPath maps a traceroute to an AS-level path of dense indices,
@@ -256,25 +271,34 @@ func asnSeqEqual(a, b []topo.ASN) bool {
 // single AS collapse into it; unmapped hops between two different ASes
 // are bridged by the unique BGP AS sequence when one exists; remaining
 // unmapped hops are dropped. Consecutive duplicate ASes collapse.
-func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeqIndex) []int {
+func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	return append([]int(nil), s.asLevelPath(tr.Hops, g, mapper, seqIdx)...)
+}
+
+// asLevelPath is ASLevelPath on the scratch; the result is valid until
+// the next call.
+func (s *scratch) asLevelPath(hops []Hop, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
 	// First map every hop: >=0 AS index, -1 unmapped, -2 destination.
-	mapped := make([]int, len(tr.Hops))
-	for k, h := range tr.Hops {
+	mapped := s.mapped[:0]
+	for _, h := range hops {
 		switch {
 		case !h.Responsive:
-			mapped[k] = -1
+			mapped = append(mapped, -1)
 		case h.Addr == TargetAddr:
-			mapped[k] = -2
+			mapped = append(mapped, -2)
 		default:
 			if i, ok := mapper.Map(h.Addr); ok {
-				mapped[k] = i
+				mapped = append(mapped, i)
 			} else {
-				mapped[k] = -1
+				mapped = append(mapped, -1)
 			}
 		}
 	}
+	s.mapped = mapped
 	// Collapse consecutive duplicates, keeping unmapped markers.
-	var seq []int
+	seq := s.collapsed[:0]
 	for _, v := range mapped {
 		if v == -2 {
 			break // destination reached; stuffing after is impossible
@@ -288,8 +312,9 @@ func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeq
 		}
 		seq = append(seq, v)
 	}
+	s.collapsed = seq
 	// Stage 2 + 3: resolve unmapped runs using surrounding ASes.
-	var out []int
+	out := s.asPath[:0]
 	for i := 0; i < len(seq); i++ {
 		v := seq[i]
 		if v >= 0 {
@@ -312,7 +337,7 @@ func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeq
 		case prev >= 0 && next >= 0:
 			// Different ASes: bridge via unique BGP sequence if known.
 			if bridge, ok := seqIdx.lookup(g.ASN(prev), g.ASN(next)); ok {
-				for _, asn := range bridge {
+				for _, asn := range bridge.seq[:bridge.n] {
 					if bi, ok := g.Index(asn); ok && (len(out) == 0 || out[len(out)-1] != bi) {
 						out = append(out, bi)
 					}
@@ -323,6 +348,7 @@ func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx *asSeq
 			// Gap at the edges: drop.
 		}
 	}
+	s.asPath = out
 	return out
 }
 

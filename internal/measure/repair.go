@@ -2,19 +2,22 @@ package measure
 
 import (
 	"net/netip"
-	"strings"
+	"slices"
 )
 
 // RepairUnresponsive implements the first repair stage of §IV-b: for each
 // run of unresponsive hops surrounded by responsive hops (a ... b), look
-// across all other traceroutes for responsive hop sequences observed
-// between a and b; if exactly one distinct sequence exists, substitute
-// it. Returns repaired copies; inputs are not modified.
+// across all traceroutes for responsive hop sequences observed between a
+// and b; if exactly one distinct sequence exists, substitute it. Returns
+// repaired copies; inputs are not modified.
 func RepairUnresponsive(trs []Traceroute) []Traceroute {
-	idx := buildGapIndex(trs)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.gaps.build(trs)
 	out := make([]Traceroute, len(trs))
 	for i, tr := range trs {
-		out[i] = repairOne(tr, idx)
+		out[i] = tr
+		out[i].Hops = append([]Hop(nil), s.repairOne(tr.Hops)...)
 	}
 	return out
 }
@@ -23,13 +26,32 @@ func RepairUnresponsive(trs []Traceroute) []Traceroute {
 // gap.
 type gapKey struct{ a, b netip.Addr }
 
-// gapIndex maps a surrounding pair to the set of distinct responsive
-// sequences observed between them. Sequences are encoded as strings for
-// set semantics; "" marks a conflicting (non-unique) entry.
-type gapIndex map[gapKey]map[string][]Hop
+// maxGapSeq is the longest responsive sequence the index records between
+// a pair: windows span at most four hops end to end, which leaves one to
+// three in between.
+const maxGapSeq = 3
 
-func buildGapIndex(trs []Traceroute) gapIndex {
-	idx := make(gapIndex)
+// gapVal is what has been seen between one pair: the first sequence
+// observed (seq[:n], all responsive hops, so addresses suffice), and
+// whether any later observation differed from it. Once set, conflict
+// stays set — the pair has at least two distinct sequences and repairs
+// nothing.
+type gapVal struct {
+	seq      [maxGapSeq]netip.Addr
+	n        uint8
+	conflict bool
+}
+
+// gapIndex maps a surrounding pair to the responsive sequences observed
+// between its two addresses. One map with fixed-size values: it is
+// cleared and refilled per configuration without allocating.
+type gapIndex map[gapKey]gapVal
+
+// build refills the index from every run of three to five consecutive
+// responsive hops in trs — a pair and the one to three hops between it —
+// including the traceroutes that will later be repaired against it.
+func (idx gapIndex) build(trs []Traceroute) {
+	clear(idx)
 	for _, tr := range trs {
 		hops := tr.Hops
 		for i := 0; i < len(hops); i++ {
@@ -37,41 +59,41 @@ func buildGapIndex(trs []Traceroute) gapIndex {
 				continue
 			}
 			// Extend a window of fully responsive hops after i.
-			for j := i + 1; j < len(hops) && j-i <= 4; j++ {
+			for j := i + 1; j < len(hops) && j-i <= maxGapSeq+1; j++ {
 				if !hops[j].Responsive {
 					break
 				}
 				if j-i >= 2 { // at least one intermediate hop
-					key := gapKey{hops[i].Addr, hops[j].Addr}
-					seq := hops[i+1 : j]
-					enc := encodeHops(seq)
-					m, ok := idx[key]
-					if !ok {
-						m = make(map[string][]Hop)
-						idx[key] = m
-					}
-					if _, dup := m[enc]; !dup {
-						m[enc] = append([]Hop(nil), seq...)
-					}
+					idx.add(gapKey{hops[i].Addr, hops[j].Addr}, hops[i+1:j])
 				}
 			}
 		}
 	}
-	return idx
 }
 
-func encodeHops(hops []Hop) string {
-	var sb strings.Builder
-	for _, h := range hops {
-		sb.WriteString(h.Addr.String())
-		sb.WriteByte('|')
+// add records one observation of seq (1..maxGapSeq responsive hops)
+// between the pair.
+func (idx gapIndex) add(key gapKey, seq []Hop) {
+	v, seen := idx[key]
+	if !seen {
+		v.n = uint8(len(seq))
+		for k, h := range seq {
+			v.seq[k] = h.Addr
+		}
+		idx[key] = v
+		return
 	}
-	return sb.String()
+	if !v.conflict && !slices.EqualFunc(v.seq[:v.n], seq, func(a netip.Addr, h Hop) bool { return a == h.Addr }) {
+		v.conflict = true
+		idx[key] = v
+	}
 }
 
-func repairOne(tr Traceroute, idx gapIndex) Traceroute {
-	hops := tr.Hops
-	var out []Hop
+// repairOne returns hops with every repairable unresponsive run replaced
+// by its pair's unique sequence. The result lives in the scratch and is
+// valid until the next call.
+func (s *scratch) repairOne(hops []Hop) []Hop {
+	out := s.repaired[:0]
 	i := 0
 	for i < len(hops) {
 		h := hops[i]
@@ -88,9 +110,9 @@ func repairOne(tr Traceroute, idx gapIndex) Traceroute {
 		// Surrounded by responsive hops?
 		if len(out) > 0 && j < len(hops) {
 			key := gapKey{out[len(out)-1].Addr, hops[j].Addr}
-			if m, ok := idx[key]; ok && len(m) == 1 {
-				for _, seq := range m {
-					out = append(out, seq...)
+			if v, ok := s.gaps[key]; ok && !v.conflict {
+				for _, a := range v.seq[:v.n] {
+					out = append(out, Hop{Addr: a, Responsive: true})
 				}
 				i = j
 				continue
@@ -100,7 +122,6 @@ func repairOne(tr Traceroute, idx gapIndex) Traceroute {
 		out = append(out, hops[i:j]...)
 		i = j
 	}
-	repaired := tr
-	repaired.Hops = out
-	return repaired
+	s.repaired = out
+	return out
 }

@@ -70,24 +70,45 @@ func DefaultNoise() NoiseParams {
 // unresponsive hops. Returns ok=false when the probe measurement is lost
 // entirely or the probe has no route.
 func SynthesizeTraceroute(out *bgp.Outcome, space *addr.Space, probe int, noise NoiseParams, rng *stats.RNG) (Traceroute, bool) {
-	if rng.Bool(noise.PrProbeFail) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.hops = s.hops[:0]
+	reached, ok := s.synthesize(out, space, probe, noise, rng)
+	if !ok {
 		return Traceroute{}, false
 	}
-	dp := out.DataPath(probe)
-	if dp == nil {
-		return Traceroute{ProbeAS: probe, Reached: false}, true
+	tr := Traceroute{ProbeAS: probe, Reached: reached}
+	if reached {
+		tr.Hops = append([]Hop(nil), s.hops...)
+	}
+	return tr, true
+}
+
+// synthesize appends one traceroute's hops to the arena. ok=false means
+// the measurement was lost; reached=false that the probe has no route
+// (nothing appended in either case). The rng is drawn from in a fixed
+// order — probe failure, then per AS on the data path: router choice
+// before the hop's responsiveness, the IXP coin before the ingress hop —
+// which is what keeps measurements reproducible from a config's seed.
+func (s *scratch) synthesize(out *bgp.Outcome, space *addr.Space, probe int, noise NoiseParams, rng *stats.RNG) (reached, ok bool) {
+	if rng.Bool(noise.PrProbeFail) {
+		return false, false
+	}
+	s.path = out.AppendDataPath(s.path[:0], probe)
+	dp := s.path
+	if len(dp) == 0 {
+		return false, true
 	}
 	routers := noise.RoutersPerAS
 	if routers < 1 {
 		routers = 1
 	}
-	tr := Traceroute{ProbeAS: probe, Reached: true}
 	emit := func(a netip.Addr) {
 		if rng.Bool(noise.PrUnresponsive) {
-			tr.Hops = append(tr.Hops, Hop{})
+			s.hops = append(s.hops, Hop{})
 			return
 		}
-		tr.Hops = append(tr.Hops, Hop{Addr: a, Responsive: true})
+		s.hops = append(s.hops, Hop{Addr: a, Responsive: true})
 	}
 	for k, asIdx := range dp {
 		if k == 0 {
@@ -106,8 +127,8 @@ func SynthesizeTraceroute(out *bgp.Outcome, space *addr.Space, probe int, noise 
 		}
 	}
 	// Destination inside the announced prefix.
-	tr.Hops = append(tr.Hops, Hop{Addr: TargetAddr, Responsive: true})
-	return tr, true
+	s.hops = append(s.hops, Hop{Addr: TargetAddr, Responsive: true})
+	return true, true
 }
 
 // Observation is everything the origin can measure for one deployed
@@ -124,24 +145,54 @@ type Observation struct {
 // Collect simulates one configuration's measurements for a routing
 // outcome: the collector paths plus noise.Rounds rounds of traceroutes
 // from every probe. The rng is advanced deterministically; pass a child
-// generator per config for reproducibility.
+// generator per config for reproducibility. The observation is the
+// caller's to keep and modify.
 func Collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG) Observation {
-	obs := Observation{BGPPaths: make(map[int][]topo.ASN, len(v.Collectors))}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	obs := Observation{BGPPaths: s.collect(out, v, space, noise, rng)}
+	if len(s.trs) > 0 {
+		obs.Traceroutes = append([]Traceroute(nil), s.trs...)
+		sliceHops(obs.Traceroutes, append([]Hop(nil), s.hops...))
+	}
+	return obs
+}
+
+// collect is Collect into the scratch: the traceroutes land in s.trs,
+// their hops in s.hops; only the collector-path map is allocated.
+func (s *scratch) collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG) map[int][]topo.ASN {
+	paths := make(map[int][]topo.ASN, len(v.Collectors))
 	for _, c := range v.Collectors {
 		if p := out.ASPath(c); p != nil {
-			obs.BGPPaths[c] = p
+			paths[c] = p
 		}
 	}
 	rounds := noise.Rounds
 	if rounds < 1 {
 		rounds = 1
 	}
+	s.hops, s.trs = s.hops[:0], s.trs[:0]
 	for round := 0; round < rounds; round++ {
 		for _, probe := range v.Probes {
-			if tr, ok := SynthesizeTraceroute(out, space, probe, noise, rng); ok && tr.Reached {
-				obs.Traceroutes = append(obs.Traceroutes, tr)
+			start := len(s.hops)
+			if reached, ok := s.synthesize(out, space, probe, noise, rng); ok && reached {
+				s.trs = append(s.trs, Traceroute{ProbeAS: probe, Hops: s.hops[start:], Reached: true})
 			}
 		}
 	}
-	return obs
+	// The arena may have moved while it grew; point every traceroute at
+	// its final position.
+	sliceHops(s.trs, s.hops)
+	return paths
+}
+
+// sliceHops re-points trs[k].Hops, keeping each length, at consecutive
+// runs of arena.
+func sliceHops(trs []Traceroute, arena []Hop) {
+	off := 0
+	for k := range trs {
+		end := off + len(trs[k].Hops)
+		trs[k].Hops = arena[off:end:end]
+		off = end
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"sync"
 
 	"spooftrack/internal/topo"
 )
@@ -44,6 +45,10 @@ const (
 	mrtTypeBGP4MP        = 16
 	mrtSubtypeMessageAS4 = 4
 	afiIPv4              = 1
+	// bgp4mpHeaderLen is the BGP4MP_MESSAGE_AS4 header in front of the
+	// BGP message: peer AS(4) local AS(4) ifindex(2) afi(2) peer IP(4)
+	// local IP(4).
+	bgp4mpHeaderLen = 20
 )
 
 // Update is one simplified BGP UPDATE: an announcement of Prefix with
@@ -71,9 +76,9 @@ var bgpMarker = func() [16]byte {
 	return m
 }()
 
-// marshalBGPUpdate encodes the BGP UPDATE message body (RFC 4271 §4.3)
-// with four-octet ASNs in AS_PATH.
-func marshalBGPUpdate(u *Update) ([]byte, error) {
+// appendBGPUpdate appends the BGP UPDATE message (RFC 4271 §4.3) with
+// four-octet ASNs in AS_PATH to dst.
+func appendBGPUpdate(dst []byte, u *Update) ([]byte, error) {
 	if len(u.Path) == 0 {
 		return nil, fmt.Errorf("mrt: empty AS path")
 	}
@@ -87,49 +92,46 @@ func marshalBGPUpdate(u *Update) ([]byte, error) {
 		return nil, fmt.Errorf("mrt: prefix %v is not IPv4", u.Prefix)
 	}
 
-	// Path attributes.
-	var attrs []byte
+	start := len(dst)
+	dst = append(dst, bgpMarker[:]...)
+	dst = append(dst, 0, 0) // message length, patched below
+	dst = append(dst, bgpTypeUpdate)
+	dst = append(dst, 0, 0) // withdrawn routes length
+	dst = append(dst, 0, 0) // path attributes length, patched below
+	attrStart := len(dst)
+
 	// ORIGIN: flags 0x40 (well-known transitive), len 1.
-	attrs = append(attrs, 0x40, attrOrigin, 1, originIGP)
+	dst = append(dst, 0x40, attrOrigin, 1, originIGP)
 	// AS_PATH: one AS_SEQUENCE segment of 4-byte ASNs.
 	pathLen := 2 + 4*len(u.Path)
 	if pathLen > 255 {
 		// Extended length attribute.
-		attrs = append(attrs, 0x50, attrASPath, byte(pathLen>>8), byte(pathLen))
+		dst = append(dst, 0x50, attrASPath, byte(pathLen>>8), byte(pathLen))
 	} else {
-		attrs = append(attrs, 0x40, attrASPath, byte(pathLen))
+		dst = append(dst, 0x40, attrASPath, byte(pathLen))
 	}
-	attrs = append(attrs, asSequence, byte(len(u.Path)))
+	dst = append(dst, asSequence, byte(len(u.Path)))
 	for _, asn := range u.Path {
-		attrs = binary.BigEndian.AppendUint32(attrs, uint32(asn))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(asn))
 	}
 	// NEXT_HOP.
 	nh := u.NextHop.As4()
-	attrs = append(attrs, 0x40, attrNextHop, 4)
-	attrs = append(attrs, nh[:]...)
+	dst = append(dst, 0x40, attrNextHop, 4)
+	dst = append(dst, nh[:]...)
+	binary.BigEndian.PutUint16(dst[attrStart-2:], uint16(len(dst)-attrStart))
 
 	// NLRI: one prefix.
 	bits := u.Prefix.Bits()
-	nBytes := (bits + 7) / 8
 	addr := u.Prefix.Addr().As4()
-	nlri := append([]byte{byte(bits)}, addr[:nBytes]...)
+	dst = append(dst, byte(bits))
+	dst = append(dst, addr[:(bits+7)/8]...)
 
-	body := make([]byte, 0, 4+len(attrs)+len(nlri))
-	body = append(body, 0, 0) // withdrawn routes length
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
-	body = append(body, attrs...)
-	body = append(body, nlri...)
-
-	msgLen := bgpHeaderLen + len(body)
+	msgLen := len(dst) - start
 	if msgLen > bgpMaxMsgLen {
 		return nil, fmt.Errorf("mrt: UPDATE of %d bytes exceeds maximum", msgLen)
 	}
-	msg := make([]byte, 0, msgLen)
-	msg = append(msg, bgpMarker[:]...)
-	msg = binary.BigEndian.AppendUint16(msg, uint16(msgLen))
-	msg = append(msg, bgpTypeUpdate)
-	msg = append(msg, body...)
-	return msg, nil
+	binary.BigEndian.PutUint16(dst[start+16:], uint16(msgLen))
+	return dst, nil
 }
 
 // parseBGPUpdate decodes an UPDATE message produced by marshalBGPUpdate
@@ -226,6 +228,9 @@ func parseASPath(val []byte) ([]topo.ASN, error) {
 		if len(val) < 2+4*n {
 			return nil, fmt.Errorf("mrt: truncated AS_PATH")
 		}
+		if path == nil && n > 0 {
+			path = make([]topo.ASN, 0, n)
+		}
 		for i := 0; i < n; i++ {
 			path = append(path, topo.ASN(binary.BigEndian.Uint32(val[2+4*i:])))
 		}
@@ -234,82 +239,58 @@ func parseASPath(val []byte) ([]topo.ASN, error) {
 	return path, nil
 }
 
+// recordBufs recycles the buffer WriteUpdate assembles a record in.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteUpdate frames the update as one MRT BGP4MP_MESSAGE_AS4 record
-// and writes it to w.
+// and writes it to w in a single Write.
 func WriteUpdate(w io.Writer, u *Update) error {
-	bgpMsg, err := marshalBGPUpdate(u)
+	bp := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(bp)
+	rec, err := appendRecord((*bp)[:0], u)
 	if err != nil {
 		return err
 	}
-	// BGP4MP_MESSAGE_AS4 body: peer AS(4) local AS(4) ifindex(2) afi(2)
-	// peer IP(4) local IP(4) then the BGP message.
-	body := make([]byte, 0, 20+len(bgpMsg))
-	body = binary.BigEndian.AppendUint32(body, uint32(u.PeerAS))
-	body = binary.BigEndian.AppendUint32(body, uint32(u.LocalAS))
-	body = binary.BigEndian.AppendUint16(body, 0) // interface index
-	body = binary.BigEndian.AppendUint16(body, afiIPv4)
-	body = append(body, 0, 0, 0, 0) // peer IP (unused in simulation)
-	body = append(body, 0, 0, 0, 0) // local IP
-	body = append(body, bgpMsg...)
-
-	hdr := make([]byte, 0, mrtHeaderLen)
-	hdr = binary.BigEndian.AppendUint32(hdr, u.Timestamp)
-	hdr = binary.BigEndian.AppendUint16(hdr, mrtTypeBGP4MP)
-	hdr = binary.BigEndian.AppendUint16(hdr, mrtSubtypeMessageAS4)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	*bp = rec
+	_, err = w.Write(rec)
 	return err
+}
+
+// appendRecord appends the update's MRT record — common header, BGP4MP
+// header, BGP message — to dst.
+func appendRecord(dst []byte, u *Update) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint32(dst, u.Timestamp)
+	dst = binary.BigEndian.AppendUint16(dst, mrtTypeBGP4MP)
+	dst = binary.BigEndian.AppendUint16(dst, mrtSubtypeMessageAS4)
+	dst = append(dst, 0, 0, 0, 0) // record length, patched below
+	bodyStart := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(u.PeerAS))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(u.LocalAS))
+	dst = binary.BigEndian.AppendUint16(dst, 0) // interface index
+	dst = binary.BigEndian.AppendUint16(dst, afiIPv4)
+	dst = append(dst, 0, 0, 0, 0) // peer IP (unused in simulation)
+	dst = append(dst, 0, 0, 0, 0) // local IP
+	dst, err := appendBGPUpdate(dst, u)
+	if err != nil {
+		return nil, err
+	}
+	binary.BigEndian.PutUint32(dst[bodyStart-4:], uint32(len(dst)-bodyStart))
+	return dst, nil
 }
 
 // ReadUpdate reads one MRT record. It returns io.EOF at a clean end of
 // stream.
 func ReadUpdate(r io.Reader) (*Update, error) {
-	hdr := make([]byte, mrtHeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("mrt: reading header: %w", err)
-	}
-	ts := binary.BigEndian.Uint32(hdr[0:])
-	typ := binary.BigEndian.Uint16(hdr[4:])
-	sub := binary.BigEndian.Uint16(hdr[6:])
-	blen := int(binary.BigEndian.Uint32(hdr[8:]))
-	if typ != mrtTypeBGP4MP || sub != mrtSubtypeMessageAS4 {
-		return nil, fmt.Errorf("mrt: unsupported record type %d/%d", typ, sub)
-	}
-	if blen < 20 || blen > 1<<20 {
-		return nil, fmt.Errorf("mrt: implausible record length %d", blen)
-	}
-	body := make([]byte, blen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("mrt: reading body: %w", err)
-	}
-	u := &Update{
-		Timestamp: ts,
-		PeerAS:    topo.ASN(binary.BigEndian.Uint32(body[0:])),
-		LocalAS:   topo.ASN(binary.BigEndian.Uint32(body[4:])),
-	}
-	if afi := binary.BigEndian.Uint16(body[10:]); afi != afiIPv4 {
-		return nil, fmt.Errorf("mrt: unsupported AFI %d", afi)
-	}
-	path, prefix, err := parseBGPUpdate(body[20:])
-	if err != nil {
-		return nil, err
-	}
-	u.Path = path
-	u.Prefix = prefix
-	return u, nil
+	d := decoder{r: r}
+	return d.next()
 }
 
 // ReadAll parses a whole MRT stream.
 func ReadAll(r io.Reader) ([]*Update, error) {
+	d := decoder{r: r}
 	var out []*Update
 	for {
-		u, err := ReadUpdate(r)
+		u, err := d.next()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -318,4 +299,52 @@ func ReadAll(r io.Reader) ([]*Update, error) {
 		}
 		out = append(out, u)
 	}
+}
+
+// decoder reads the records of one stream through a header and a body
+// buffer it keeps between records; an Update references neither.
+type decoder struct {
+	r    io.Reader
+	hdr  [mrtHeaderLen]byte
+	body []byte
+}
+
+func (d *decoder) next() (*Update, error) {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("mrt: reading header: %w", err)
+	}
+	ts := binary.BigEndian.Uint32(d.hdr[0:])
+	typ := binary.BigEndian.Uint16(d.hdr[4:])
+	sub := binary.BigEndian.Uint16(d.hdr[6:])
+	blen := int(binary.BigEndian.Uint32(d.hdr[8:]))
+	if typ != mrtTypeBGP4MP || sub != mrtSubtypeMessageAS4 {
+		return nil, fmt.Errorf("mrt: unsupported record type %d/%d", typ, sub)
+	}
+	if blen < bgp4mpHeaderLen || blen > 1<<20 {
+		return nil, fmt.Errorf("mrt: implausible record length %d", blen)
+	}
+	if cap(d.body) < blen {
+		d.body = make([]byte, blen)
+	}
+	body := d.body[:blen]
+	if _, err := io.ReadFull(d.r, body); err != nil {
+		return nil, fmt.Errorf("mrt: reading body: %w", err)
+	}
+	if afi := binary.BigEndian.Uint16(body[10:]); afi != afiIPv4 {
+		return nil, fmt.Errorf("mrt: unsupported AFI %d", afi)
+	}
+	path, prefix, err := parseBGPUpdate(body[bgp4mpHeaderLen:])
+	if err != nil {
+		return nil, err
+	}
+	return &Update{
+		Timestamp: ts,
+		PeerAS:    topo.ASN(binary.BigEndian.Uint32(body[0:])),
+		LocalAS:   topo.ASN(binary.BigEndian.Uint32(body[4:])),
+		Path:      path,
+		Prefix:    prefix,
+	}, nil
 }

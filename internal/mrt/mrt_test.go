@@ -2,6 +2,8 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/hex"
+	"hash/fnv"
 	"io"
 	"net/netip"
 	"testing"
@@ -230,5 +232,36 @@ func TestReadAllPropagatesErrors(t *testing.T) {
 	buf.Write([]byte{9, 9, 9})
 	if _, err := ReadAll(&buf); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestWriteUpdateWireBytes pins the encoder's output to bytes captured
+// from the implementation that assembled header, body and message in
+// separate buffers: a short path, and an extended-length AS_PATH with a
+// prefix that does not end on a byte boundary.
+func TestWriteUpdateWireBytes(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteUpdate(&buf, sampleUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	const short = "0012d687001000040000004b0000fbf40000fbf5000000010000000000000000" +
+		"ffffffffffffffffffffffffffffffff0037020000001c4001010040020e0203" +
+		"0000fbf400000d1c0000b7d9400304cb00710118c63364"
+	if got := hex.EncodeToString(buf.Bytes()); got != short {
+		t.Fatalf("short record\n got %s\nwant %s", got, short)
+	}
+	long := sampleUpdate()
+	long.Path = make([]topo.ASN, 100)
+	for i := range long.Path {
+		long.Path[i] = topo.ASN(65000 + 7*i)
+	}
+	long.Prefix = netip.PrefixFrom(netip.MustParseAddr("10.128.0.0"), 9)
+	if err := WriteUpdate(&buf, long); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if buf.Len() != 562 || h.Sum64() != 0x1419f29b9e0529 {
+		t.Fatalf("stream of both records: %d bytes, fnv %#x; want 562, 0x1419f29b9e0529", buf.Len(), h.Sum64())
 	}
 }

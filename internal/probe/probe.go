@@ -181,7 +181,7 @@ func (s *SimNet) Send(p Probe) Response {
 	if t < 0 || t >= s.outcome.Graph().NumASes() || !s.outcome.HasRoute(t) {
 		return Response{}
 	}
-	hops := len(s.outcome.DataPath(t))
+	hops := s.outcome.DataPathLen(t)
 	link := s.outcome.CatchmentOf(t)
 	switch p.Kind {
 	case KindControl:
