@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -96,13 +95,8 @@ func runController(ctx context.Context, a controllerArgs) {
 
 	cv := &clusterView{status: ct.Status}
 	mux := newMux(nil, a.reg, a.tracer, nil, a.tracker.Fault, platform.Health(), nil, a.led, a.db, cv)
-	srv := &http.Server{Addr: a.listen, Handler: mux}
-	httpErr := make(chan error, 1)
-	go func() {
-		slog.Info("http listening", "addr", a.listen,
-			"endpoints", "/cluster /faults /metrics /query /dash /explain /trace /debug/pprof/ /healthz /readyz")
-		httpErr <- srv.ListenAndServe()
-	}()
+	stopHTTP := serveHTTP(a.listen, mux,
+		"/cluster /faults /metrics /query /dash /explain /trace /debug/pprof/ /healthz /readyz")
 
 	<-ctx.Done()
 	// Fold whatever the shards still hold, then release the lease so a
@@ -113,18 +107,8 @@ func runController(ctx context.Context, a controllerArgs) {
 		}
 	}
 	ct.Stop()
-	cs := ct.Status()
-	slog.Info("final cluster state", "leader", cs.Leader, "term", cs.Term,
-		"epoch", cs.Epoch, "rounds", cs.Rounds, "deferred", cs.DeferredRounds,
-		"discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
-		"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates)
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutCtx)
-	if err := <-httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		slog.Warn("http server error", "err", err)
-	}
+	logClusterState(ct.Status())
+	stopHTTP()
 }
 
 // parseShardPeers parses the -controller spec: comma-separated

@@ -664,13 +664,8 @@ func main() {
 	if node != nil {
 		mux.Handle("/shard/", shard.NodeHandler(node))
 	}
-	srv := &http.Server{Addr: *listen, Handler: mux}
-	httpErr := make(chan error, 1)
-	go func() {
-		slog.Info("http listening", "addr", *listen,
-			"endpoints", "/status /faults /probe /metrics /query /dash /evidence /explain /trace /slo /cluster /debug/pprof/ /debug/bundle /healthz /readyz")
-		httpErr <- srv.ListenAndServe()
-	}()
+	stopHTTP := serveHTTP(*listen, mux,
+		"/status /faults /probe /metrics /query /dash /evidence /explain /trace /slo /cluster /debug/pprof/ /debug/bundle /healthz /readyz")
 	slog.Info("packet plane up: point spoofed traffic at the border",
 		"honeypot", hp.Addr().String(), "border", border.Addr().String())
 
@@ -812,20 +807,11 @@ func main() {
 		}
 	}
 
+	defer stopHTTP()
 	if cl != nil {
-		cs := cl.Controller().Status()
-		slog.Info("final cluster state", "leader", cs.Leader, "term", cs.Term,
-			"epoch", cs.Epoch, "rounds", cs.Rounds, "deferred", cs.DeferredRounds,
-			"discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
-			"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates)
+		logClusterState(cl.Controller().Status())
 	}
 	if pipe == nil {
-		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(shutCtx)
-		if err := <-httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			slog.Warn("http server error", "err", err)
-		}
 		return
 	}
 	st := pipe.Status(5)
@@ -843,13 +829,34 @@ func main() {
 				"cluster_size", c.ClusterSize)
 		}
 	}
+}
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutCtx)
-	if err := <-httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		slog.Warn("http server error", "err", err)
+// serveHTTP starts the daemon's HTTP server — every mode has exactly
+// one — and returns the function that shuts it down gracefully and
+// reports how serving ended.
+func serveHTTP(addr string, h http.Handler, endpoints string) (stop func()) {
+	srv := &http.Server{Addr: addr, Handler: h}
+	httpErr := make(chan error, 1)
+	go func() {
+		slog.Info("http listening", "addr", addr, "endpoints", endpoints)
+		httpErr <- srv.ListenAndServe()
+	}()
+	return func() {
+		shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(shutCtx)
+		if err := <-httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+			slog.Warn("http server error", "err", err)
+		}
 	}
+}
+
+// logClusterState is the sharded modes' shutdown summary.
+func logClusterState(cs shard.ClusterStatus) {
+	slog.Info("final cluster state", "leader", cs.Leader, "term", cs.Term,
+		"epoch", cs.Epoch, "rounds", cs.Rounds, "deferred", cs.DeferredRounds,
+		"discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
+		"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates)
 }
 
 // newLogger builds the daemon's slog logger at the requested level.

@@ -334,7 +334,7 @@ func TestConfigKeyCanonical(t *testing.T) {
 
 // BenchmarkPropagateReference measures the retained pre-optimization
 // implementation on the same workload as BenchmarkPropagateFullScale,
-// for an on-hardware before/after comparison (scripts/bench.sh records
+// for an on-hardware before/after comparison (scripts/bench.sh runs
 // both).
 func BenchmarkPropagateReference(b *testing.B) {
 	g, o := worldForTest(b, 42, 4000)

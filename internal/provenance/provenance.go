@@ -31,6 +31,7 @@ import (
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/metrics"
+	"spooftrack/internal/sched"
 )
 
 // Kind tags an event with its evidence type.
@@ -190,11 +191,9 @@ type RoundEvent struct {
 }
 
 // CandidateScore is one scheduling candidate and the score it achieved
-// in a greedy reconfiguration decision (lower is better).
-type CandidateScore struct {
-	Config int     `json:"config"`
-	Score  float64 `json:"score"`
-}
+// in a greedy reconfiguration decision (lower is better) — the
+// scheduler's own type, so a decision is recorded as it was computed.
+type CandidateScore = sched.ConfigScore
 
 // ReconfigEvent records one online reconfiguration decision: what was
 // chosen, why, and the full candidate set it beat.
@@ -425,6 +424,16 @@ func (l *Ledger) RecordVerdict(v VerdictEvent) {
 	}
 	v.Candidates = append([]int(nil), v.Candidates...)
 	v.Assign = append([]int32(nil), v.Assign...)
+	l.RecordVerdictShared(v)
+}
+
+// RecordVerdictShared is RecordVerdict without the defensive copies: the
+// ledger retains the caller's slices, so the caller must never mutate
+// them afterwards.
+func (l *Ledger) RecordVerdictShared(v VerdictEvent) {
+	if l == nil {
+		return
+	}
 	l.append(Event{Kind: KindVerdict, Verdict: &v})
 }
 

@@ -120,16 +120,14 @@ func Replay(e *Export) (*ReplayResult, error) {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"round %d: %d candidates recorded, replay got %d", r.Round, r.Candidates, got))
 			}
-			// Fold-time decision inputs, exactly as the controller
-			// computed them (before any reconfiguration marks a
-			// configuration used).
-			st.estVol = estimateVolumes(row, st.candidates, r.Volumes)
-			topID, topSize := topVolumeCluster(st.part, st.candidates, st.estVol)
+			// Fold-time decision inputs, through the functions the
+			// controller computed them with (before any reconfiguration
+			// marks a configuration used).
+			st.estVol = sched.EstimateVolumes(row, st.candidates, r.Volumes)
+			topID, topSize := sched.TopVolumeCluster(st.part, st.candidates, st.estVol)
 			st.topSize = topSize
-			st.canSplit = false
-			if topSize > st.meta.SplitThreshold {
-				st.canSplit = splittable(st.rows, st.used, st.part.MembersOf(topID))
-			}
+			st.canSplit = topSize > st.meta.SplitThreshold &&
+				sched.Splittable(st.rows, st.used, st.part.MembersOf(topID))
 
 		case ev.Reconfig != nil:
 			st := state("stream")
@@ -144,8 +142,8 @@ func Replay(e *Export) (*ReplayResult, error) {
 			case "remeasure":
 				next = sched.NextRemeasure(st.rows, rc.Hints, st.used, blocked)
 			default:
-				var scores []sched.ConfigScore
-				next, scores = sched.NextGreedyVolumeScored(st.part, st.rows, st.estVol, st.used, blocked)
+				var scores []CandidateScore
+				next, scores = sched.NextGreedyVolumeScored(st.part, st.rows, st.estVol, st.used, blocked, true)
 				if rc.Beaten != nil {
 					if diff := diffScores(rc.Beaten, scores); diff != "" {
 						res.Mismatches = append(res.Mismatches, fmt.Sprintf(
@@ -229,67 +227,6 @@ func rowTable(rows map[int][]bgp.LinkID, numConfigs, numSources int) [][]bgp.Lin
 	return table
 }
 
-// estimateVolumes mirrors stream.estimateVolumesLocked: each candidate
-// whose catchment under the folded configuration is link l receives an
-// equal share of volumes[l].
-func estimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
-	onLink := make([]int, len(volumes))
-	for _, k := range candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(onLink) {
-			onLink[l]++
-		}
-	}
-	est := make([]float64, len(row))
-	for _, k := range candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) && onLink[l] > 0 {
-			est[k] = volumes[l] / float64(onLink[l])
-		}
-	}
-	return est
-}
-
-// topVolumeCluster mirrors stream.topVolumeClusterLocked: the candidate
-// cluster carrying the most estimated volume (ties toward the lowest
-// cluster id), or (-1, -1) when no candidate carries volume.
-func topVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) (clusterID, size int) {
-	volByCluster := make(map[int]float64)
-	for _, k := range candidates {
-		if estVol[k] > 0 {
-			volByCluster[p.ClusterOf(k)] += estVol[k]
-		}
-	}
-	best, bestVol := -1, 0.0
-	for c, v := range volByCluster {
-		if best == -1 || v > bestVol || (v == bestVol && c < best) {
-			best, bestVol = c, v
-		}
-	}
-	if best == -1 {
-		return -1, -1
-	}
-	return best, len(p.MembersOf(best))
-}
-
-// splittable mirrors stream.splittableLocked: does any unused
-// configuration map the cluster members to more than one ingress link?
-func splittable(rows [][]bgp.LinkID, used []bool, members []int) bool {
-	if len(members) < 2 {
-		return false
-	}
-	for cfg, row := range rows {
-		if used[cfg] {
-			continue
-		}
-		first := row[members[0]]
-		for _, k := range members[1:] {
-			if row[k] != first {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // campaignVerdict refines a fresh partition over the campaign's rows in
 // configuration order — exactly Campaign.FinalPartition.
 func campaignVerdict(st *replayState, rows map[int][]bgp.LinkID) *VerdictEvent {
@@ -344,12 +281,12 @@ func diffVerdicts(recorded, recomputed *VerdictEvent) string {
 
 // diffScores compares a recorded candidate-score set against the
 // replayed one.
-func diffScores(recorded []CandidateScore, replayed []sched.ConfigScore) string {
+func diffScores(recorded, replayed []CandidateScore) string {
 	if len(recorded) != len(replayed) {
 		return fmt.Sprintf("%d candidates recorded, %d replayed", len(recorded), len(replayed))
 	}
 	for i := range recorded {
-		if recorded[i].Config != replayed[i].Config || recorded[i].Score != replayed[i].Score {
+		if recorded[i] != replayed[i] {
 			return fmt.Sprintf("candidate %d: recorded {%d %g}, replayed {%d %g}",
 				i, recorded[i].Config, recorded[i].Score, replayed[i].Config, replayed[i].Score)
 		}

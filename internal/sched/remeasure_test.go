@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"reflect"
 	"testing"
 
 	"spooftrack/internal/bgp"
@@ -12,7 +13,7 @@ func TestNextGreedyVolumeScoredMatchesMasked(t *testing.T) {
 	vol := []float64{4, 1, 1, 2}
 	used := make([]bool, 3)
 	want := NextGreedyVolumeMasked(p, maskCatchments, vol, used, nil)
-	got, scores := NextGreedyVolumeScored(p, maskCatchments, vol, used, nil)
+	got, scores := NextGreedyVolumeScored(p, maskCatchments, vol, used, nil, true)
 	if got != want {
 		t.Fatalf("scored winner %d != masked winner %d", got, want)
 	}
@@ -32,14 +33,106 @@ func TestNextGreedyVolumeScoredMatchesMasked(t *testing.T) {
 	}
 
 	// Used and blocked configurations drop out of the candidate set.
-	got2, scores2 := NextGreedyVolumeScored(p, maskCatchments, vol, []bool{false, true, false}, []bool{true, false, false})
+	got2, scores2 := NextGreedyVolumeScored(p, maskCatchments, vol, []bool{false, true, false}, []bool{true, false, false}, true)
 	if got2 != 2 || len(scores2) != 1 || scores2[0].Config != 2 {
 		t.Fatalf("filtered: winner %d scores %+v, want only config 2", got2, scores2)
 	}
 	// Nothing eligible → -1 and no scores.
-	got3, scores3 := NextGreedyVolumeScored(p, maskCatchments, vol, []bool{true, true, true}, nil)
+	got3, scores3 := NextGreedyVolumeScored(p, maskCatchments, vol, []bool{true, true, true}, nil, true)
 	if got3 != -1 || len(scores3) != 0 {
 		t.Fatalf("exhausted: winner %d scores %+v", got3, scores3)
+	}
+
+	// The unscored path is the same loop minus the score slice: it
+	// allocates only what its WeightedMeanSizeAfter calls allocate.
+	scoring := testing.AllocsPerRun(100, func() {
+		for c := range maskCatchments {
+			p.WeightedMeanSizeAfter(maskCatchments[c], vol)
+		}
+	})
+	if got := testing.AllocsPerRun(100, func() {
+		NextGreedyVolumeMasked(p, maskCatchments, vol, used, nil)
+	}); got != scoring {
+		t.Fatalf("unscored greedy step allocates %v, its %d scoring passes alone %v", got, len(maskCatchments), scoring)
+	}
+}
+
+func TestEstimateVolumes(t *testing.T) {
+	row := []bgp.LinkID{0, 0, 1, bgp.NoLink, 2, 1}
+	// Source 1 is eliminated; link 2 has no volume entry (index >=
+	// len(volumes)); source 3 is unobserved.
+	got := EstimateVolumes(row, []int{0, 2, 3, 4, 5}, []float64{6, 8})
+	want := []float64{6, 0, 4, 0, 0, 4}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("EstimateVolumes = %v, want %v", got, want)
+	}
+	if got := EstimateVolumes(row, nil, []float64{6, 8}); !reflect.DeepEqual(got, make([]float64, len(row))) {
+		t.Fatalf("no candidates: EstimateVolumes = %v, want all zero", got)
+	}
+}
+
+func TestTopVolumeCluster(t *testing.T) {
+	p := cluster.New(6)
+	p.Refine([]bgp.LinkID{0, 0, 1, 1, 2, 2}) // clusters {0,1} {2,3} {4,5}
+	all := []int{0, 1, 2, 3, 4, 5}
+	if id, size := TopVolumeCluster(p, nil, make([]float64, 6)); id != -1 || size != -1 {
+		t.Fatalf("no candidates: got (%d, %d), want (-1, -1)", id, size)
+	}
+	if id, size := TopVolumeCluster(p, all, make([]float64, 6)); id != -1 || size != -1 {
+		t.Fatalf("no volume: got (%d, %d), want (-1, -1)", id, size)
+	}
+	// Cluster 1 carries 5, clusters 0 and 2 carry 3 each.
+	if id, size := TopVolumeCluster(p, all, []float64{1, 2, 5, 0, 3, 0}); id != 1 || size != 2 {
+		t.Fatalf("heaviest: got (%d, %d), want (1, 2)", id, size)
+	}
+	// Equal volumes tie toward the lowest cluster id, whatever order the
+	// candidates come in.
+	for _, cands := range [][]int{{0, 2, 4}, {4, 2, 0}} {
+		if id, _ := TopVolumeCluster(p, cands, []float64{2, 0, 2, 0, 2, 0}); id != 0 {
+			t.Fatalf("tie over candidates %v: got cluster %d, want 0", cands, id)
+		}
+	}
+	// Volume on a non-candidate is not counted.
+	if id, _ := TopVolumeCluster(p, []int{0, 1}, []float64{1, 0, 9, 9, 0, 0}); id != 0 {
+		t.Fatalf("eliminated volume counted: got cluster %d, want 0", id)
+	}
+}
+
+func TestSplittable(t *testing.T) {
+	unused := make([]bool, 3)
+	if Splittable(maskCatchments, unused, nil) || Splittable(maskCatchments, unused, []int{2}) {
+		t.Fatal("a cluster of fewer than two members cannot be split")
+	}
+	if !Splittable(maskCatchments, unused, []int{2, 3}) {
+		t.Fatal("config 1 separates sources 2 and 3")
+	}
+	if Splittable(maskCatchments, []bool{false, true, false}, []int{2, 3}) {
+		t.Fatal("only the used config 1 separates sources 2 and 3")
+	}
+	if Splittable(maskCatchments, []bool{true, true, true}, []int{0, 3}) {
+		t.Fatal("nothing left to deploy")
+	}
+}
+
+// TestEveryUnusedConfigBlocked: a cluster only quarantined
+// configurations can split stays splittable (the loop waits for the
+// links to heal) while the greedy step itself has nothing to deploy.
+func TestEveryUnusedConfigBlocked(t *testing.T) {
+	p := cluster.New(4)
+	used := []bool{true, false, false}
+	blocked := []bool{false, true, true}
+	if !Splittable(maskCatchments, used, []int{0, 1, 2, 3}) {
+		t.Fatal("blocked configurations must still count as able to split")
+	}
+	vol := []float64{1, 1, 1, 1}
+	if got := NextGreedyVolumeMasked(p, maskCatchments, vol, used, blocked); got != -1 {
+		t.Fatalf("NextGreedyVolumeMasked = %d, want -1", got)
+	}
+	if got, scores := NextGreedyVolumeScored(p, maskCatchments, vol, used, blocked, true); got != -1 || scores != nil {
+		t.Fatalf("NextGreedyVolumeScored = %d %v, want -1 and no scores", got, scores)
+	}
+	if got := NextRemeasure(maskCatchments, []int{0}, used, blocked); got != -1 {
+		t.Fatalf("NextRemeasure = %d, want -1", got)
 	}
 }
 

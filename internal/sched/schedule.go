@@ -220,22 +220,9 @@ func NextGreedyVolume(p *cluster.Partition, catchments [][]bgp.LinkID, volume []
 
 // NextGreedyVolumeMasked is NextGreedyVolume with a quarantine mask:
 // blocked configurations are skipped as if used. A nil mask is
-// NextGreedyVolume. Candidate scoring rides the incremental path
-// (cluster.WeightedMeanSizeAfter): each candidate is scored through one
-// flat-table pass instead of cloning and refining the partition per
-// configuration.
+// NextGreedyVolume.
 func NextGreedyVolumeMasked(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool) int {
-	best := -1
-	bestScore := 0.0
-	for c := range catchments {
-		if used[c] || (blocked != nil && blocked[c]) {
-			continue
-		}
-		score := p.WeightedMeanSizeAfter(catchments[c], volume)
-		if best == -1 || score < bestScore {
-			best, bestScore = c, score
-		}
-	}
+	best, _ := NextGreedyVolumeScored(p, catchments, volume, used, blocked, false)
 	return best
 }
 
@@ -246,12 +233,17 @@ type ConfigScore struct {
 	Score  float64 `json:"score"`
 }
 
-// NextGreedyVolumeScored is NextGreedyVolumeMasked returning, alongside
-// the winner, the score of every eligible candidate in ascending
+// NextGreedyVolumeScored is the greedy volume step itself. Candidate
+// scoring rides the incremental path (cluster.WeightedMeanSizeAfter):
+// each candidate is scored through one flat-table pass instead of
+// cloning and refining the partition per configuration. With keep set
+// it also returns the score of every eligible candidate in ascending
 // configuration order — the candidate set the chosen configuration
 // beat, which the provenance ledger records so a replay can re-derive
-// the decision. The winner is identical to NextGreedyVolumeMasked's.
-func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool) (int, []ConfigScore) {
+// the decision; without it the slice is nil and the step allocates
+// nothing beyond the scoring passes. The winner does not depend on
+// keep.
+func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool, keep bool) (int, []ConfigScore) {
 	best := -1
 	bestScore := 0.0
 	var scores []ConfigScore
@@ -260,12 +252,79 @@ func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, vol
 			continue
 		}
 		score := p.WeightedMeanSizeAfter(catchments[c], volume)
-		scores = append(scores, ConfigScore{Config: c, Score: score})
+		if keep {
+			scores = append(scores, ConfigScore{Config: c, Score: score})
+		}
 		if best == -1 || score < bestScore {
 			best, bestScore = c, score
 		}
 	}
 	return best, scores
+}
+
+// EstimateVolumes attributes a round's per-link volumes to sources
+// (§III-C attribution at round granularity): each candidate whose
+// catchment under the folded configuration (row) is link l gets an
+// equal share of volumes[l]; eliminated and unobserved sources get
+// zero.
+func EstimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
+	onLink := make([]int, len(volumes))
+	for _, k := range candidates {
+		if l := row[k]; l != bgp.NoLink && int(l) < len(onLink) {
+			onLink[l]++
+		}
+	}
+	est := make([]float64, len(row))
+	for _, k := range candidates {
+		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) && onLink[l] > 0 {
+			est[k] = volumes[l] / float64(onLink[l])
+		}
+	}
+	return est
+}
+
+// TopVolumeCluster returns the candidate cluster carrying the most
+// estimated volume (ties toward the lowest cluster id) and its size, or
+// (-1, -1) when no candidate carries volume.
+func TopVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) (clusterID, size int) {
+	volByCluster := make(map[int]float64)
+	for _, k := range candidates {
+		if estVol[k] > 0 {
+			volByCluster[p.ClusterOf(k)] += estVol[k]
+		}
+	}
+	best, bestVol := -1, 0.0
+	for c, v := range volByCluster {
+		if best == -1 || v > bestVol || (v == bestVol && c < best) {
+			best, bestVol = c, v
+		}
+	}
+	if best == -1 {
+		return -1, -1
+	}
+	return best, len(p.MembersOf(best))
+}
+
+// Splittable reports whether any unused configuration maps the given
+// cluster members to more than one ingress link. Quarantined
+// configurations count: they are routed around, not consumed, so a
+// cluster only they can split is still worth waiting for.
+func Splittable(catchments [][]bgp.LinkID, used []bool, members []int) bool {
+	if len(members) < 2 {
+		return false
+	}
+	for cfg, row := range catchments {
+		if used[cfg] {
+			continue
+		}
+		first := row[members[0]]
+		for _, k := range members[1:] {
+			if row[k] != first {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // NextRemeasure picks the configuration to deploy for probe-conflict

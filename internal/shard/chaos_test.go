@@ -108,6 +108,7 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 	}
 	if cfgHook != nil {
 		cfgHook(&cc)
+		attr = cc.Attr
 	}
 	cl, err := NewCluster(cc)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
-	"spooftrack/internal/sched"
 	"spooftrack/internal/stream"
 )
 
@@ -289,7 +288,11 @@ func (ct *Controller) recoverLocked() {
 	led := ct.cfg.Ledger
 	var best *EpochUpdate
 	for _, m := range ct.members {
-		resp, err := ct.helloLocked(m)
+		var resp HelloResponse
+		err := ct.retryLocked("hello", m, func() (err error) {
+			resp, err = ct.cfg.Transport.Hello(m, HelloRequest{Term: ct.term, Leader: ct.cfg.ID})
+			return err
+		})
 		if err != nil {
 			continue
 		}
@@ -323,25 +326,10 @@ func (ct *Controller) recoverLocked() {
 		})
 	}
 	// Fresh cluster (no shard has applied an epoch yet): open the
-	// provenance chain exactly like stream.New does, so the merged
-	// loop's ledger replays with provenance.Replay unchanged.
+	// provenance chain through the call stream.New opens it with, so the
+	// merged loop's ledger replays with provenance.Replay unchanged.
 	if !ct.opened && led.Enabled() {
-		attr := ct.cfg.Attr
-		par := ct.eval.Params() // defaults resolved
-		led.RecordMeta(provenance.MetaEvent{
-			Component:      "stream",
-			NumSources:     len(attr.Catchments[0]),
-			NumConfigs:     len(attr.Catchments),
-			NumLinks:       attr.NumLinks,
-			MaxMisses:      par.MaxMisses,
-			SplitThreshold: par.SplitThreshold,
-			NoiseFloor:     par.NoiseFloor,
-			InitialConfig:  attr.InitialConfig,
-		})
-		for c, row := range attr.Catchments {
-			led.RecordRowShared(provenance.RowEvent{Config: c, Catchment: row})
-		}
-		led.RecordDeploy(provenance.DeployEvent{Config: attr.InitialConfig, Attempts: 1, Phase: "initial"})
+		ct.eval.OpenLedger(led)
 		for _, m := range ct.members {
 			led.RecordMembership(provenance.MembershipEvent{
 				Node: m, Action: "join", Epoch: ct.epoch, Term: ct.term,
@@ -476,8 +464,8 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		return res, nil
 	}
 
-	// Fold through the shared evaluator — the same code path, in the
-	// same order, with the same inputs a single-node pipeline folds.
+	// Fold, decide and record through the shared evaluator — the same
+	// call, with the same inputs, a single-node pipeline makes.
 	var blocked []bool
 	if ct.cfg.Blocked != nil {
 		blocked = ct.cfg.Blocked()
@@ -486,44 +474,10 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	if ct.cfg.Remeasure != nil {
 		hints = ct.cfg.Remeasure()
 	}
-	noDeploy := final || ct.frozen
-	out := ct.eval.Step(merged, noDeploy, blocked, hints, led.Enabled())
+	out := ct.eval.StepRecorded(led, merged, final || ct.frozen, blocked, hints)
 	ct.mRounds.Inc()
 	res.Folded = true
 	res.Outcome = out
-
-	led.RecordRound(provenance.RoundEvent{
-		Round:      out.Round,
-		Config:     out.Config,
-		Packets:    total,
-		Volumes:    out.Volumes,
-		Clusters:   out.Clusters,
-		Candidates: out.Candidates,
-	})
-	switch {
-	case out.Deploy >= 0 && out.Reason == "split":
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round: out.Round, Chosen: out.Deploy, Reason: "split",
-			Beaten:  reconfigScores(out.Scores),
-			Blocked: blockedConfigs(blocked),
-		})
-	case out.Deploy >= 0 && out.Reason == "remeasure":
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round: out.Round, Chosen: out.Deploy, Reason: "remeasure",
-			Blocked: blockedConfigs(blocked),
-			Hints:   append([]int(nil), hints...),
-		})
-	}
-	if led.Enabled() {
-		led.RecordVerdict(provenance.VerdictEvent{
-			Origin:     "stream",
-			Round:      out.Round,
-			Candidates: ct.eval.Candidates(),
-			Assign:     ct.eval.Assignments(),
-			Clusters:   out.Clusters,
-			Converged:  out.Converged,
-		})
-	}
 
 	// Advance and broadcast: every live shard resets its round counters
 	// and deploys the (possibly new) configuration. A shard that misses
@@ -544,82 +498,65 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	return res, nil
 }
 
-// collectLocked runs one shard's collect with the full retry budget.
-func (ct *Controller) collectLocked(m string) (CollectResponse, error) {
+// errLagging marks a collect that found the shard behind the
+// controller's epoch: retryable, the shard was just re-applied.
+var errLagging = errors.New("shard: lagging epoch")
+
+// retryLocked runs one RPC to shard m under the retry/backoff schedule:
+// call is tried until it succeeds, fails with a non-retryable error
+// (returned as is), or the attempt budget is spent.
+func (ct *Controller) retryLocked(op, m string, call func() error) error {
 	rp := ct.cfg.Retry
-	var lastErr error
+	var err error
 	for attempt := 1; attempt <= rp.Attempts; attempt++ {
 		if attempt > 1 {
 			ct.cfg.Sleep(rp.Backoff(attempt - 1))
 			ct.mRetries.Inc()
 		}
-		resp, err := ct.cfg.Transport.Collect(m, CollectRequest{Term: ct.term, Epoch: ct.epoch})
-		if err != nil {
-			if !Retryable(err) {
-				return resp, err
-			}
-			lastErr = err
-			continue
+		if err = call(); err == nil || !Retryable(err) {
+			return err
 		}
+	}
+	return fmt.Errorf("shard: %s %s exhausted %d attempts: %w", op, m, rp.Attempts, err)
+}
+
+// collectLocked runs one shard's collect with the full retry budget.
+func (ct *Controller) collectLocked(m string) (CollectResponse, error) {
+	var resp CollectResponse
+	err := ct.retryLocked("collect", m, func() error {
+		r, err := ct.cfg.Transport.Collect(m, CollectRequest{Term: ct.term, Epoch: ct.epoch})
 		switch {
-		case resp.Harvest.Epoch == ct.epoch:
-			return resp, nil
-		case resp.Harvest.Epoch < ct.epoch:
+		case err != nil:
+			return err
+		case r.Harvest.Epoch == ct.epoch:
+			resp = r
+			return nil
+		case r.Harvest.Epoch < ct.epoch:
 			// Lagging shard (missed an apply): bring it to the current
 			// epoch, then re-collect.
 			if _, err := ct.cfg.Transport.Apply(m, ct.mkUpdateLocked()); err != nil {
-				if !Retryable(err) {
-					return CollectResponse{}, err
-				}
-				lastErr = err
+				return err
 			}
-			continue
+			return errLagging
 		default:
 			// A shard ahead of us means a newer controller advanced it:
 			// our lease is gone even if we have not noticed yet.
-			return CollectResponse{}, fmt.Errorf("%w: shard %s at epoch %d, controller at %d",
-				ErrStaleTerm, m, resp.Harvest.Epoch, ct.epoch)
+			return fmt.Errorf("%w: shard %s at epoch %d, controller at %d",
+				ErrStaleTerm, m, r.Harvest.Epoch, ct.epoch)
 		}
-	}
-	return CollectResponse{}, fmt.Errorf("shard: collect %s exhausted %d attempts: %w", m, rp.Attempts, lastErr)
-}
-
-// helloLocked runs one shard's hello with the retry budget.
-func (ct *Controller) helloLocked(m string) (HelloResponse, error) {
-	rp := ct.cfg.Retry
-	var lastErr error
-	for attempt := 1; attempt <= rp.Attempts; attempt++ {
-		if attempt > 1 {
-			ct.cfg.Sleep(rp.Backoff(attempt - 1))
-			ct.mRetries.Inc()
-		}
-		resp, err := ct.cfg.Transport.Hello(m, HelloRequest{Term: ct.term, Leader: ct.cfg.ID})
-		if err == nil {
-			return resp, nil
-		}
-		if !Retryable(err) {
-			return resp, err
-		}
-		lastErr = err
-	}
-	return HelloResponse{}, fmt.Errorf("shard: hello %s: %w", m, lastErr)
+	})
+	return resp, err
 }
 
 // broadcastLocked applies an epoch update to every live member with
 // retries; failures are tolerated (the shard is re-applied at its next
 // collect, or eventually evicted).
 func (ct *Controller) broadcastLocked(u EpochUpdate) {
-	rp := ct.cfg.Retry
 	for _, m := range ct.members {
-		for attempt := 1; attempt <= rp.Attempts; attempt++ {
-			if attempt > 1 {
-				ct.cfg.Sleep(rp.Backoff(attempt - 1))
-				ct.mRetries.Inc()
-			}
-			if _, err := ct.cfg.Transport.Apply(m, u); err == nil || !Retryable(err) {
-				break
-			}
-		}
+		_ = ct.retryLocked("apply", m, func() error {
+			_, err := ct.cfg.Transport.Apply(m, u)
+			return err
+		})
 	}
 }
 
@@ -751,28 +688,4 @@ func (ct *Controller) Stop() {
 		ct.leading = false
 	}
 	ct.mu.Unlock()
-}
-
-// reconfigScores converts scheduler candidate scores to the ledger's
-// representation (mirrors the stream controller).
-func reconfigScores(scores []sched.ConfigScore) []provenance.CandidateScore {
-	if len(scores) == 0 {
-		return nil
-	}
-	out := make([]provenance.CandidateScore, len(scores))
-	for i, s := range scores {
-		out[i] = provenance.CandidateScore{Config: s.Config, Score: s.Score}
-	}
-	return out
-}
-
-// blockedConfigs lists the set configurations of a quarantine mask.
-func blockedConfigs(blocked []bool) []int {
-	var out []int
-	for c, b := range blocked {
-		if b {
-			out = append(out, c)
-		}
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package stream
 import (
 	"time"
 
-	"spooftrack/internal/provenance"
-	"spooftrack/internal/sched"
 	"spooftrack/internal/trace"
 )
 
@@ -90,13 +88,10 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	}
 	esp := trace.StartChild(parent, "stream.eval")
 
-	// Fold the round and decide the next deployment — the Evaluator is
-	// the shared fold-and-decide core (also run by internal/shard's
-	// controller over merged per-shard counters). With the ledger on,
-	// the scored greedy variant captures the candidate set the chosen
-	// configuration beat.
-	led := p.cfg.Ledger
-	out := st.eval.Step(st.roundPkts, final, blocked, hints, led.Enabled())
+	// Fold the round, decide the next deployment and record both — the
+	// Evaluator is the one fold-decide-record step, also run by
+	// internal/shard's controller over merged per-shard counters.
+	out := st.eval.StepRecorded(p.cfg.Ledger, st.roundPkts, final, blocked, hints)
 
 	roundBytes := int64(0)
 	for _, n := range st.roundBytes {
@@ -118,65 +113,19 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	p.mClusters.Set(float64(out.Clusters))
 	p.mMeanSize.Set(out.MeanSize)
 	p.mCands.Set(float64(out.Candidates))
-
-	led.RecordRound(provenance.RoundEvent{
-		Round:      out.Round,
-		Config:     out.Config,
-		Packets:    roundPackets,
-		Volumes:    out.Volumes,
-		Clusters:   out.Clusters,
-		Candidates: out.Candidates,
-	})
-	switch {
-	case out.Deploy >= 0 && out.Reason == "split":
+	switch out.Reason {
+	case "split":
 		p.mReconfig.Inc()
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round:   out.Round,
-			Chosen:  out.Deploy,
-			Reason:  "split",
-			Beaten:  candidateScores(out.Scores),
-			Blocked: blockedConfigs(blocked),
-		})
-	case out.Deploy >= 0 && out.Reason == "remeasure":
+	case "remeasure":
 		p.mRemeasure.Inc()
-		led.RecordReconfig(provenance.ReconfigEvent{
-			Round:   out.Round,
-			Chosen:  out.Deploy,
-			Reason:  "remeasure",
-			Blocked: blockedConfigs(blocked),
-			Hints:   append([]int(nil), hints...),
-		})
-	}
-	if led.Enabled() {
-		led.RecordVerdict(provenance.VerdictEvent{
-			Origin:     "stream",
-			Round:      out.Round,
-			Candidates: st.eval.candidates,
-			Assign:     st.eval.part.Assignments(),
-			Clusters:   out.Clusters,
-			Converged:  out.Converged,
-		})
 	}
 
-	// Start the next round (same config if nothing new to deploy). The
-	// epoch bump invalidates worker batches accumulated before this
-	// fold — flushed late, they would otherwise leak the old round's
-	// per-link counts into the new one. The settle deadline is
-	// published before the lock drops so no event produced under the
-	// old configuration can observe a stale value.
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
-	}
-	st.epoch++
-	p.epoch.Store(st.epoch)
-	st.roundStart = time.Now()
-	if out.Deploy >= 0 && p.cfg.Settle > 0 {
-		p.settleUntil.Store(time.Now().Add(p.cfg.Settle).UnixNano())
-	}
+	// Start the next round (same config if nothing new to deploy).
+	p.advanceLocked(st.epoch+1, out.Deploy >= 0)
 	p.mu.Unlock()
 
-	if out.Deploy >= 0 && p.cfg.Deploy != nil {
-		p.cfg.Deploy(out.Deploy, p.table(out.Deploy))
+	if out.Deploy >= 0 {
+		p.deploy(out.Deploy)
 	}
 	p.hEval.Observe(time.Since(t0).Seconds())
 	if esp != nil {
@@ -190,28 +139,25 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	}
 }
 
-// candidateScores converts the scheduler's candidate scores to the
-// ledger's representation.
-func candidateScores(scores []sched.ConfigScore) []provenance.CandidateScore {
-	if len(scores) == 0 {
-		return nil
+// advanceLocked starts the round accumulated under the given epoch:
+// zero the round counters, publish the epoch, and — when a new
+// configuration is about to be deployed — arm the settle window. The
+// epoch bump invalidates worker batches accumulated before it — flushed
+// late, they would otherwise leak the old round's per-link counts into
+// the new one. The settle deadline is published before the caller drops
+// p.mu so no event produced under the old configuration can observe a
+// stale value.
+func (p *Pipeline) advanceLocked(epoch int64, settle bool) {
+	st := &p.st
+	for l := range st.roundPkts {
+		st.roundPkts[l], st.roundBytes[l] = 0, 0
 	}
-	out := make([]provenance.CandidateScore, len(scores))
-	for i, s := range scores {
-		out[i] = provenance.CandidateScore{Config: s.Config, Score: s.Score}
+	st.epoch = epoch
+	p.epoch.Store(epoch)
+	st.roundStart = time.Now()
+	if settle && p.cfg.Settle > 0 {
+		p.settleUntil.Store(time.Now().Add(p.cfg.Settle).UnixNano())
 	}
-	return out
-}
-
-// blockedConfigs lists the set configurations of a quarantine mask.
-func blockedConfigs(blocked []bool) []int {
-	var out []int
-	for c, b := range blocked {
-		if b {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // queueDepth sums the occupancy of every shard channel (approximate).

@@ -3,8 +3,8 @@ package stream
 import (
 	"fmt"
 
-	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
+	"spooftrack/internal/provenance"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/spoof"
 )
@@ -120,8 +120,8 @@ func NewEvaluator(attr Attribution, par EvalParams) *Evaluator {
 // volume-ranked split when the top candidate cluster is still too
 // coarse, else a re-measurement of hinted sources. blocked is the
 // per-configuration quarantine mask (nil = nothing blocked); scored
-// selects the scored greedy variant that also returns the beaten
-// candidate set (for provenance).
+// also returns the candidate set the chosen split beat (for
+// provenance).
 func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []int, scored bool) Outcome {
 	roundPackets := int64(0)
 	for _, n := range roundPkts {
@@ -139,10 +139,8 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	}
 
 	cur := e.current
-	e.loc.AddRound(e.attr.Catchments[cur], volumes)
-	e.part.Refine(e.attr.Catchments[cur])
+	e.fold(cur, volumes)
 	e.candidates = e.loc.Candidates(e.par.MaxMisses)
-	e.rounds = append(e.rounds, EvalRound{Config: cur, Volumes: volumes})
 
 	m := e.part.Summarize()
 	out := Outcome{
@@ -155,53 +153,39 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 		Deploy:     -1,
 	}
 
-	// Volume-ranked clusters: estimate per-source volume by splitting
-	// each link's round volume evenly across the candidates it hosts
-	// (§III-C attribution at round granularity), then find the heaviest
-	// candidate cluster still above the split threshold.
-	estVol := e.estimateVolumes(volumes)
-	topID, topSize := e.topVolumeCluster(estVol)
+	// Volume-ranked clusters: estimate per-source volume, then find the
+	// heaviest candidate cluster still above the split threshold.
+	estVol := sched.EstimateVolumes(e.attr.Catchments[cur], e.candidates, volumes)
+	topID, topSize := sched.TopVolumeCluster(e.part, e.candidates, estVol)
 
 	// The loop is done when the heaviest cluster is small enough, or
 	// when no remaining configuration separates its members — clusters
 	// bound localization precision (§V), so deploying further would
 	// burn configurations without refining anything.
-	canSplit := false
-	if topSize > e.par.SplitThreshold {
-		canSplit = e.splittable(e.part.MembersOf(topID))
-	}
+	canSplit := topSize > e.par.SplitThreshold &&
+		sched.Splittable(e.attr.Catchments, e.used, e.part.MembersOf(topID))
 	budgetLeft := e.par.MaxOnlineConfigs == 0 || len(e.deployed)-1 < e.par.MaxOnlineConfigs
-	if !final && canSplit && budgetLeft {
-		// Quarantined configurations are routed around, not consumed:
-		// if every useful configuration is blocked the loop simply waits
-		// (converged stays false) and retries them once their links heal.
-		var next int
-		var scores []sched.ConfigScore
-		if scored {
-			next, scores = sched.NextGreedyVolumeScored(e.part, e.attr.Catchments, estVol, e.used, blocked)
-		} else {
-			next = sched.NextGreedyVolumeMasked(e.part, e.attr.Catchments, estVol, e.used, blocked)
+	if !final && budgetLeft {
+		if canSplit {
+			// Quarantined configurations are routed around, not consumed:
+			// if every useful configuration is blocked the loop simply waits
+			// (converged stays false) and retries them once their links heal.
+			next, scores := sched.NextGreedyVolumeScored(e.part, e.attr.Catchments, estVol, e.used, blocked, scored)
+			if next >= 0 {
+				out.Deploy, out.Reason, out.Scores = next, "split", scores
+			}
 		}
-		if next >= 0 {
-			e.used[next] = true
-			e.current = next
-			e.deployed = append(e.deployed, next)
-			out.Deploy = next
-			out.Reason = "split"
-			out.Scores = scores
+		// Probe-conflict re-measurement: when no split is pending but the
+		// probe channel disagrees with the catchment evidence for some
+		// sources, spend the round re-observing them under the unused
+		// configuration that covers the most conflicted sources.
+		if out.Deploy < 0 && len(hints) > 0 {
+			if next := sched.NextRemeasure(e.attr.Catchments, hints, e.used, blocked); next >= 0 {
+				out.Deploy, out.Reason = next, "remeasure"
+			}
 		}
-	}
-	// Probe-conflict re-measurement: when no split is pending but the
-	// probe channel disagrees with the catchment evidence for some
-	// sources, spend the round re-observing them under the unused
-	// configuration that covers the most conflicted sources.
-	if out.Deploy < 0 && !final && budgetLeft && len(hints) > 0 {
-		if next := sched.NextRemeasure(e.attr.Catchments, hints, e.used, blocked); next >= 0 {
-			e.used[next] = true
-			e.current = next
-			e.deployed = append(e.deployed, next)
-			out.Deploy = next
-			out.Reason = "remeasure"
+		if out.Deploy >= 0 {
+			e.deploy(out.Deploy)
 		}
 	}
 	e.converged = topSize >= 0 && !canSplit
@@ -209,71 +193,94 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	return out
 }
 
-// estimateVolumes attributes the round's per-link volume to sources:
-// each candidate whose current catchment is link l gets an equal share
-// of volumes[l]; eliminated sources get zero.
-func (e *Evaluator) estimateVolumes(volumes []float64) []float64 {
-	row := e.attr.Catchments[e.current]
-	onLink := make([]int, len(volumes))
-	for _, k := range e.candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(onLink) {
-			onLink[l]++
-		}
-	}
-	est := make([]float64, len(row))
-	for _, k := range e.candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) && onLink[l] > 0 {
-			est[k] = volumes[l] / float64(onLink[l])
-		}
-	}
-	return est
+// fold adds one round, measured under configuration cfg, to the
+// localizer, the partition and the transcript. It retains volumes.
+func (e *Evaluator) fold(cfg int, volumes []float64) {
+	row := e.attr.Catchments[cfg]
+	e.loc.AddRound(row, volumes)
+	e.part.Refine(row)
+	e.rounds = append(e.rounds, EvalRound{Config: cfg, Volumes: volumes})
 }
 
-// topVolumeCluster returns the candidate cluster carrying the most
-// estimated volume and its size, or (-1, -1) when no candidate carries
-// volume.
-func (e *Evaluator) topVolumeCluster(estVol []float64) (clusterID, size int) {
-	volByCluster := make(map[int]float64)
-	for _, k := range e.candidates {
-		if estVol[k] > 0 {
-			volByCluster[e.part.ClusterOf(k)] += estVol[k]
-		}
-	}
-	best, bestVol := -1, 0.0
-	for c, v := range volByCluster {
-		if best == -1 || v > bestVol || (v == bestVol && c < best) {
-			best, bestVol = c, v
-		}
-	}
-	if best == -1 {
-		return -1, -1
-	}
-	return best, len(e.part.MembersOf(best))
+// deploy makes cfg the configuration the next round is measured under.
+func (e *Evaluator) deploy(cfg int) {
+	e.used[cfg] = true
+	e.current = cfg
+	e.deployed = append(e.deployed, cfg)
 }
 
-// splittable reports whether any unused configuration maps the given
-// cluster members to more than one ingress link.
-func (e *Evaluator) splittable(members []int) bool {
-	if len(members) < 2 {
-		return false
+// OpenLedger opens the provenance chain: the loop's decision
+// parameters, the full catchment evidence table (one row per
+// configuration — the leaves every verdict chain must account for), and
+// the initial deployment. The rows are recorded shared: the attribution
+// matrix is immutable by contract. A nil ledger records nothing.
+func (e *Evaluator) OpenLedger(led *provenance.Ledger) {
+	if !led.Enabled() {
+		return
 	}
-	for cfg, row := range e.attr.Catchments {
-		if e.used[cfg] {
-			continue
-		}
-		first := row[members[0]]
-		for _, k := range members[1:] {
-			if row[k] != first {
-				return true
+	led.RecordMeta(provenance.MetaEvent{
+		Component:      "stream",
+		NumSources:     len(e.attr.Catchments[0]),
+		NumConfigs:     len(e.attr.Catchments),
+		NumLinks:       e.attr.NumLinks,
+		MaxMisses:      e.par.MaxMisses,
+		SplitThreshold: e.par.SplitThreshold,
+		NoiseFloor:     e.par.NoiseFloor,
+		InitialConfig:  e.attr.InitialConfig,
+	})
+	for c, row := range e.attr.Catchments {
+		led.RecordRowShared(provenance.RowEvent{Config: c, Catchment: row})
+	}
+	led.RecordDeploy(provenance.DeployEvent{Config: e.attr.InitialConfig, Attempts: 1, Phase: "initial"})
+}
+
+// StepRecorded is Step plus its provenance record: the round fold, the
+// reconfiguration decision (with the candidate set it beat, the
+// configurations quarantine routed around and the hints that drove a
+// re-measurement) and the verdict after the fold, in the order
+// provenance.Replay re-executes them. With a nil ledger it is exactly
+// Step unscored and builds no event.
+func (e *Evaluator) StepRecorded(led *provenance.Ledger, roundPkts []int64, final bool, blocked []bool, hints []int) Outcome {
+	out := e.Step(roundPkts, final, blocked, hints, led.Enabled())
+	if !led.Enabled() {
+		return out
+	}
+	packets := int64(0)
+	for _, n := range roundPkts {
+		packets += n
+	}
+	led.RecordRound(provenance.RoundEvent{
+		Round:      out.Round,
+		Config:     out.Config,
+		Packets:    packets,
+		Volumes:    out.Volumes,
+		Clusters:   out.Clusters,
+		Candidates: out.Candidates,
+	})
+	if out.Deploy >= 0 {
+		rc := provenance.ReconfigEvent{Round: out.Round, Chosen: out.Deploy, Reason: out.Reason, Beaten: out.Scores}
+		for c, b := range blocked {
+			if b {
+				rc.Blocked = append(rc.Blocked, c)
 			}
 		}
+		if out.Reason == "remeasure" {
+			rc.Hints = append([]int(nil), hints...)
+		}
+		led.RecordReconfig(rc)
 	}
-	return false
+	// The candidate list is replaced, never edited, by the next fold and
+	// Assignments is already a copy, so the ledger can keep both.
+	led.RecordVerdictShared(provenance.VerdictEvent{
+		Origin:     "stream",
+		Round:      out.Round,
+		Candidates: e.candidates,
+		Assign:     e.part.Assignments(),
+		Clusters:   out.Clusters,
+		Converged:  out.Converged,
+	})
+	return out
 }
-
-// Params returns the evaluator's resolved decision parameters (defaults
-// applied).
-func (e *Evaluator) Params() EvalParams { return e.par }
 
 // Current returns the configuration the evaluator expects the next
 // round to be measured under.
@@ -339,21 +346,17 @@ func RestoreEvaluator(attr Attribution, par EvalParams, s EvalSnapshot) (*Evalua
 	if s.Deployed[0] != attr.InitialConfig {
 		return nil, fmt.Errorf("stream: snapshot initial config %d, attribution says %d", s.Deployed[0], attr.InitialConfig)
 	}
-	for _, c := range s.Deployed {
+	for _, c := range s.Deployed[1:] {
 		if c < 0 || c >= len(attr.Catchments) {
 			return nil, fmt.Errorf("stream: snapshot deploys config %d out of range", c)
 		}
-		e.used[c] = true
+		e.deploy(c)
 	}
-	e.deployed = append([]int(nil), s.Deployed...)
 	for _, r := range s.Rounds {
 		if r.Config < 0 || r.Config >= len(attr.Catchments) {
 			return nil, fmt.Errorf("stream: snapshot round folds config %d out of range", r.Config)
 		}
-		vols := append([]float64(nil), r.Volumes...)
-		e.loc.AddRound(attr.Catchments[r.Config], vols)
-		e.part.Refine(attr.Catchments[r.Config])
-		e.rounds = append(e.rounds, EvalRound{Config: r.Config, Volumes: vols})
+		e.fold(r.Config, append([]float64(nil), r.Volumes...))
 	}
 	e.candidates = e.loc.Candidates(par.MaxMisses)
 	e.current = s.Current

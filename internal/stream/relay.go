@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Harvest is one relay pipeline's round-counter snapshot: the per-link
 // packet/byte counters accumulated since the last epoch advance, tagged
@@ -69,23 +66,13 @@ func (p *Pipeline) AdvanceEpoch(epoch int64, cfgIdx int) error {
 		return nil
 	}
 	changed := cfgIdx != st.eval.current
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
-	}
-	st.epoch = epoch
-	p.epoch.Store(epoch)
-	st.roundStart = time.Now()
 	if changed {
-		st.eval.current = cfgIdx
-		st.eval.used[cfgIdx] = true
-		st.eval.deployed = append(st.eval.deployed, cfgIdx)
-		if p.cfg.Settle > 0 {
-			p.settleUntil.Store(time.Now().Add(p.cfg.Settle).UnixNano())
-		}
+		st.eval.deploy(cfgIdx)
 	}
+	p.advanceLocked(epoch, changed)
 	p.mu.Unlock()
-	if changed && p.cfg.Deploy != nil {
-		p.cfg.Deploy(cfgIdx, p.table(cfgIdx))
+	if changed {
+		p.deploy(cfgIdx)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spooftrack/internal/report"
+	"spooftrack/internal/sched"
 	"spooftrack/internal/topo"
 )
 
@@ -112,7 +113,10 @@ func (p *Pipeline) Status(topN int) Status {
 	for l, n := range st.roundPkts {
 		volumes[l] = float64(n)
 	}
-	est := st.eval.estimateVolumes(volumes)
+	est := sched.EstimateVolumes(p.attr.Catchments[st.eval.current], st.eval.candidates, volumes)
+	// One size table per call: this runs under p.mu, where a table per
+	// candidate would stall every worker flush.
+	sizes := st.eval.part.Sizes()
 	for _, k := range st.eval.candidates {
 		if est[k] <= 0 {
 			continue
@@ -121,7 +125,7 @@ func (p *Pipeline) Status(topN int) Status {
 		as := AttributedSource{
 			ASN:         p.attr.SourceASNs[k],
 			Cluster:     cl,
-			ClusterSize: st.eval.part.SizeOfSource(k),
+			ClusterSize: sizes[cl],
 		}
 		if totalRound > 0 {
 			as.VolumeShare = est[k] / totalRound

@@ -360,30 +360,8 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	p.mCands.Set(float64(n))
 	p.mMeanSize.Set(float64(n))
 
-	// Open the provenance chain: the stream's decision parameters, the
-	// full catchment evidence table (one row per configuration — the
-	// leaves every verdict chain must account for), and the initial
-	// deployment. All no-ops when the ledger is nil.
-	if led := cfg.Ledger; led.Enabled() {
-		led.RecordMeta(provenance.MetaEvent{
-			Component:      "stream",
-			NumSources:     n,
-			NumConfigs:     len(attr.Catchments),
-			NumLinks:       attr.NumLinks,
-			MaxMisses:      p.st.eval.par.MaxMisses,
-			SplitThreshold: p.st.eval.par.SplitThreshold,
-			NoiseFloor:     p.st.eval.par.NoiseFloor,
-			InitialConfig:  attr.InitialConfig,
-		})
-		for c, row := range attr.Catchments {
-			led.RecordRow(provenance.RowEvent{Config: c, Catchment: row})
-		}
-		led.RecordDeploy(provenance.DeployEvent{Config: attr.InitialConfig, Attempts: 1, Phase: "initial"})
-	}
-
-	if cfg.Deploy != nil {
-		cfg.Deploy(attr.InitialConfig, p.table(attr.InitialConfig))
-	}
+	p.st.eval.OpenLedger(cfg.Ledger)
+	p.deploy(attr.InitialConfig)
 
 	p.shards = make([]chan amp.Event, cfg.Workers)
 	for i := range p.shards {
@@ -404,8 +382,12 @@ func allSources(n int) []int {
 	return out
 }
 
-// table renders configuration cfgIdx as a border catchment table.
-func (p *Pipeline) table(cfgIdx int) map[uint32]uint8 {
+// deploy materializes configuration cfgIdx through the Deploy callback,
+// rendered as a border catchment table. Call it outside p.mu.
+func (p *Pipeline) deploy(cfgIdx int) {
+	if p.cfg.Deploy == nil {
+		return
+	}
 	row := p.attr.Catchments[cfgIdx]
 	t := make(map[uint32]uint8, len(row))
 	for k, l := range row {
@@ -413,7 +395,7 @@ func (p *Pipeline) table(cfgIdx int) map[uint32]uint8 {
 			t[uint32(p.attr.SourceASNs[k])] = uint8(l)
 		}
 	}
-	return t
+	p.cfg.Deploy(cfgIdx, t)
 }
 
 // Ingest feeds one per-packet event into the pipeline. By default a

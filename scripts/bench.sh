@@ -1,32 +1,24 @@
 #!/bin/sh
-# Benchmark-regression harness: runs the propagation-engine
+# Benchmark-regression gates: runs the propagation-engine
 # micro-benchmarks (optimized engine, reference implementation,
 # poison-heavy, parallel, traced on/off variants — the latter pair
 # guards the tracing-disabled overhead budget — and the delta-propagation
 # benchmarks with their 1/5-of-full regression budget), the probe-scan
 # benchmarks (pinning that a concurrent SAV scan loop does not perturb
 # propagation beyond a 3x budget), the sharded-ingest benchmarks (ring
-# routing must stay within 10% of a bare pipeline), the per-configuration
-# measurement benchmark with its allocs/op ceiling, and the figure
-# benchmarks, then
-# records every result — ns/op, B/op, allocs/op, and the figures' custom
-# metrics — in BENCH_<date>.json for before/after comparison across
-# commits.
+# routing must stay within 10% of a bare pipeline), the scrape and
+# ledger overhead pairs (5% each) and the per-configuration measurement
+# benchmark with its allocs/op ceiling, and fails when a gate is
+# exceeded. It records nothing: recorded, comparable numbers come from
+# `go run ./bench` (BENCHMARK.json).
 #
 # Environment knobs:
 #   ENGINE_BENCHTIME  -benchtime for the engine micro-benchmarks
 #                     (default 20x; raise for stabler numbers)
-#   FIGURE_BENCHTIME  -benchtime for the paper-figure benchmarks
-#                     (default 1x; each iteration replays a full
-#                     campaign, so keep this low)
-#   BENCH_OUT         output path (default BENCH_<date>.json)
 set -eu
 cd "$(dirname "$0")/.."
 
-DATE=$(date +%F)
-OUT=${BENCH_OUT:-BENCH_${DATE}.json}
 ENGINE_BENCHTIME=${ENGINE_BENCHTIME:-20x}
-FIGURE_BENCHTIME=${FIGURE_BENCHTIME:-1x}
 
 TMP=$(mktemp)
 PROBE_TMP=$(mktemp)
@@ -54,28 +46,27 @@ END {
 
 echo "==> topology-generation benchmarks (internet-scale tiers)"
 go test ./internal/topo/ -run '^$' -bench 'Generate' -benchmem \
-	-benchtime "$ENGINE_BENCHTIME" | tee -a "$TMP"
+	-benchtime "$ENGINE_BENCHTIME"
 
 echo "==> metrics hot-path benchmarks (labeled vector vs plain counter)"
 go test ./internal/metrics/ -run '^$' -bench 'PlainCounter|VecObserve' -benchmem \
-	-benchtime "$ENGINE_BENCHTIME" | tee -a "$TMP"
+	-benchtime "$ENGINE_BENCHTIME"
 
 echo "==> fault-tolerance overhead benchmarks (fault-off vs baseline must stay within ~5%)"
 go test ./internal/peering/ -run '^$' -bench 'PlatformPropagate' -benchmem \
-	-benchtime "$ENGINE_BENCHTIME" | tee -a "$TMP"
+	-benchtime "$ENGINE_BENCHTIME"
 go test ./internal/stream/ -run '^$' -bench 'StreamIngestShed' -benchmem \
-	-benchtime "$ENGINE_BENCHTIME" | tee -a "$TMP"
+	-benchtime "$ENGINE_BENCHTIME"
 
 echo "==> metric-history benchmarks (scrape + range-query cost; scrape-on ingest must stay within 5%)"
 go test ./internal/tsdb/ -run '^$' -bench 'TsdbScrape|TsdbQueryRange|TsdbSnapshotAt' -benchmem \
-	-benchtime "$ENGINE_BENCHTIME" | tee -a "$TMP"
+	-benchtime "$ENGINE_BENCHTIME"
 SCRAPE_TMP=$(mktemp)
 # The ingest op is ~100ns, so ENGINE_BENCHTIME's 20x default would
 # measure timer noise; pin an iteration count long enough to overlap
 # thousands of real scrapes (~0.2s per run).
 go test ./internal/stream/ -run '^$' -bench 'StreamIngestScrape' -benchmem \
 	-benchtime 2000000x -count 5 | tee "$SCRAPE_TMP"
-cat "$SCRAPE_TMP" >>"$TMP"
 # History-engine budget: ingest with the tsdb scraping the pipeline's
 # registry at a 1ms cadence (1000x production) may cost at most 1.05x
 # the scrape-off baseline — scrapes only read the hot path's atomics,
@@ -103,7 +94,6 @@ SHARD_TMP=$(mktemp)
 # scrape gate) rather than using the wall-clock default.
 go test ./internal/shard/ -run '^$' -bench 'ShardIngest|ShardMergeRound' -benchmem \
 	-benchtime 1000000x -count 5 | tee "$SHARD_TMP"
-cat "$SHARD_TMP" >>"$TMP"
 # Sharding budget: routing an event through the consistent-hash ring
 # into one of four relay shards may cost at most 1.10x a bare
 # single-node pipeline Ingest on the same stream — the ring lookup is
@@ -128,7 +118,6 @@ rm -f "$SHARD_TMP"
 echo "==> probe-scan benchmarks (scan round cost; probe scans must not perturb propagation)"
 go test ./internal/probe/ -run '^$' -bench 'ProbeRound|PropagateQuiet|PropagateDuringProbeScan' -benchmem \
 	-benchtime "$ENGINE_BENCHTIME" | tee "$PROBE_TMP"
-cat "$PROBE_TMP" >>"$TMP"
 # Perturbation budget: propagation with a concurrent probe-scan loop may
 # cost at most 3x the quiet baseline (generous enough for CI-runner
 # scheduling noise, tight enough to catch a lock leaking across the
@@ -151,7 +140,6 @@ echo "==> provenance-ledger overhead benchmarks (ledger-on must stay within 5% o
 LEDGER_TMP=$(mktemp)
 go test ./internal/core/ -run '^$' -bench 'CampaignLedger' -benchmem \
 	-benchtime "$ENGINE_BENCHTIME" -count 3 | tee "$LEDGER_TMP"
-cat "$LEDGER_TMP" >>"$TMP"
 # Ledger budget: a campaign with full decision-provenance recording may
 # cost at most 1.05x the ledger-off baseline — the ledger is a nil check
 # per event site when off and lock-sharded appends when on, so anything
@@ -177,7 +165,6 @@ echo "==> measurement benchmark (one warm configuration, wire feeds on; allocs/o
 MEASURE_TMP=$(mktemp)
 go test ./internal/core/ -run '^$' -bench 'MeasureOutcome' -benchmem \
 	-benchtime 500x | tee "$MEASURE_TMP"
-cat "$MEASURE_TMP" >>"$TMP"
 # Allocation ceiling: a warm configuration measurement allocates its
 # result, the collector-path map, one AS-path per collector and the MRT
 # round trip's updates — 113 allocs on this 30-collector world, against
@@ -196,27 +183,3 @@ END {
 	}
 }' "$MEASURE_TMP"
 rm -f "$MEASURE_TMP"
-
-echo "==> figure benchmarks (-benchtime $FIGURE_BENCHTIME)"
-go test . -run '^$' -bench '.' -benchmem \
-	-benchtime "$FIGURE_BENCHTIME" -timeout 60m | tee -a "$TMP"
-
-awk -v date="$DATE" -v goversion="$(go version | sed 's/"/\\"/g')" '
-BEGIN {
-	printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"results\": [\n", date, goversion
-	n = 0
-}
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	if (n++) printf ",\n"
-	printf "    {\"name\": \"%s\", \"iterations\": %s", name, $2
-	for (i = 3; i + 1 <= NF; i += 2) {
-		printf ", \"%s\": %s", $(i + 1), $i
-	}
-	printf "}"
-}
-END { print "\n  ]\n}" }
-' "$TMP" >"$OUT"
-
-echo "bench: wrote $OUT"
