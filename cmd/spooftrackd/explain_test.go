@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 )
 
@@ -39,7 +38,7 @@ func testLedger() *provenance.Ledger {
 
 // explainMux is a mux with only the provenance surface live.
 func explainMux(led *provenance.Ledger) *http.ServeMux {
-	return newMux(nil, metrics.NewRegistry(), nil, nil, nil, nil, nil, led, nil, nil)
+	return componentMux(func(mux *http.ServeMux) { provenanceRoutes(mux, led) })
 }
 
 // goldenBody compares body against testdata/<name>, rewriting the file

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -21,7 +22,7 @@ import (
 )
 
 // testMux builds the daemon's HTTP surface over a tiny two-source
-// pipeline, without a packet plane.
+// single-node placement, without a packet plane.
 func testMux(t *testing.T) *http.ServeMux {
 	mux, _ := testMuxWatch(t, nil, "")
 	return mux
@@ -32,15 +33,11 @@ func testMux(t *testing.T) *http.ServeMux {
 func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.ServeMux, *watch.Watchdog) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	pipe, err := stream.New(stream.Attribution{
+	place := testPlacement(t, reg, stream.Attribution{
 		Catchments: [][]bgp.LinkID{{0, 1}, {0, bgp.NoLink}},
 		SourceASNs: []topo.ASN{64500, 64501},
 		NumLinks:   2,
-	}, stream.Config{Workers: 1, Metrics: reg})
-	if err != nil {
-		t.Fatalf("stream.New: %v", err)
-	}
-	t.Cleanup(pipe.Close)
+	}, "-workers", "1")
 	tr := trace.New(trace.Options{Enabled: true, JournalCap: 64})
 	sp := tr.Start("test.root")
 	sp.End()
@@ -50,7 +47,42 @@ func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.Ser
 		Tracer:    tr,
 		BundleDir: bundleDir,
 	})
-	return newMux(pipe, reg, tr, dog, nil, peering.NewLinkHealth(2, 0, 0), nil, nil, nil, nil), dog
+	return surface{
+		obs:    observability{reg: reg, tracer: tr},
+		dog:    dog,
+		health: peering.NewLinkHealth(2, 0, 0),
+		place:  place,
+	}.mux(), dog
+}
+
+// testPlacement builds the placement args select over attr through the
+// daemon's own constructor, and drains it when the test ends.
+func testPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) placement {
+	t.Helper()
+	cfg, err := parseFlags(args, io.Discard)
+	if err != nil {
+		t.Fatalf("parseFlags(%q): %v", args, err)
+	}
+	w := wiring{attr: attr, pipe: cfg.pipe, ready: func() bool { return true }}
+	w.pipe.Metrics = reg
+	ctx, cancel := context.WithCancel(context.Background())
+	place, err := newPlacement(ctx, cfg.place, w)
+	if err != nil {
+		cancel()
+		t.Fatalf("newPlacement(%q): %v", args, err)
+	}
+	t.Cleanup(func() {
+		cancel()
+		place.drain(time.Second)
+	})
+	return place
+}
+
+// componentMux serves only the routes register adds.
+func componentMux(register func(mux *http.ServeMux)) *http.ServeMux {
+	mux := http.NewServeMux()
+	register(mux)
+	return mux
 }
 
 func get(t *testing.T, mux *http.ServeMux, path string) (*http.Response, string) {
@@ -372,7 +404,7 @@ func TestProbeEndpointNoProber(t *testing.T) {
 func TestProbeEndpointReportsScanAndAudit(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pv := testProbeView(t, reg, false)
-	mux := newMux(nil, reg, nil, nil, nil, nil, pv, nil, nil, nil)
+	mux := componentMux(pv.routes)
 	for i := 0; i < 2; i++ {
 		pv.prober.Round(nil)
 	}
@@ -416,7 +448,10 @@ func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 			For:       1,
 		}},
 	})
-	mux := newMux(nil, reg, nil, dog, nil, nil, pv, nil, nil, nil)
+	mux := componentMux(func(mux *http.ServeMux) {
+		pv.routes(mux)
+		sloRoutes(mux, dog, func() (bool, int64) { return false, 0 })
+	})
 	for i := 0; i < 2; i++ {
 		pv.prober.Round(nil)
 	}

@@ -33,7 +33,7 @@ func queryMux(t *testing.T) *http.ServeMux {
 		h.Observe(0.05)
 		db.ScrapeOnce(queryBase.Add(time.Duration(i) * time.Second))
 	}
-	return newMux(nil, reg, nil, nil, nil, nil, nil, nil, db, nil)
+	return componentMux(observability{reg: reg, db: db}.routes)
 }
 
 // rangeParams pins from/to to the fixture's scrape window (unix

@@ -148,7 +148,7 @@ func runShard(id, dir string) {
 		fmt.Fprintf(w, "%d", len(batch))
 	})
 	mux.HandleFunc("/total", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "%d", n.Pipeline().TotalEvents())
+		fmt.Fprintf(w, "%d", n.Intake().TotalEvents())
 	})
 	serveChild(id, dir, mux)
 }

@@ -67,7 +67,7 @@ func BenchmarkShardIngest(b *testing.B) {
 		}
 		total := int64(0)
 		for _, id := range cl.Nodes() {
-			total += cl.nodes[id].Pipeline().TotalEvents()
+			total += cl.nodes[id].Intake().TotalEvents()
 		}
 		cl.Close()
 		if total != int64(b.N) {

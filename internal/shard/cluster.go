@@ -14,7 +14,7 @@ import (
 	"spooftrack/internal/stream"
 )
 
-// ClusterConfig builds an in-process sharded-ingest cluster: N relay
+// ClusterConfig builds an in-process sharded-ingest cluster: N intake
 // nodes, a LocalTransport network (with injected faults), a MemLease
 // election substrate on a controllable clock, and 1+Standbys
 // controllers competing for it. It is both the chaos harness and the
@@ -27,8 +27,8 @@ type ClusterConfig struct {
 	Attr            stream.Attribution
 	Eval            stream.EvalParams
 	MinRoundPackets int64
-	// Pipe is the per-node pipeline base configuration (Relay is forced,
-	// Ledger is stripped — only the controller writes provenance).
+	// Pipe is the per-node intake configuration (see NodeConfig.Pipe);
+	// only the controller decides and writes provenance.
 	Pipe stream.Config
 	// Standbys is how many extra controllers wait on the lease (default 1).
 	Standbys int
@@ -55,7 +55,7 @@ type ClusterConfig struct {
 
 // Cluster wires nodes, transport, lease, and controllers together and
 // drives them in rounds: Ingest routes events through the live ring,
-// Quiesce drains the pipelines, Step runs one controller round
+// Quiesce drains the intakes, Step runs one controller round
 // (electing a leader as needed), and the Kill*/Isolate hooks inject the
 // permanent failures the chaos suite asserts against.
 type Cluster struct {
@@ -74,7 +74,7 @@ type Cluster struct {
 	// counter slices in ring-member order, refreshed after every
 	// controller step, when membership can change) keeps the sharded
 	// ingest path lock-free and string-free — within a few percent of a
-	// bare pipeline Ingest.
+	// bare Intake.Ingest.
 	route   atomic.Pointer[ingestRoute]
 	routed  map[string]*atomic.Int64
 	dropped atomic.Int64
@@ -118,13 +118,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		pc := cfg.Pipe
-		pc.Ledger = nil // only the controller writes provenance
 		var ready func() bool
 		if cfg.Ready != nil {
 			ready = cfg.Ready(id)
 		}
-		n, err := NewNode(NodeConfig{ID: id, Attr: cfg.Attr, Pipe: pc, Ready: ready})
+		n, err := NewNode(NodeConfig{ID: id, Attr: cfg.Attr, Pipe: cfg.Pipe, Ready: ready})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -220,7 +218,7 @@ func (c *Cluster) Quiesce(timeout time.Duration) error {
 				continue
 			}
 			want := c.routed[id].Load()
-			if n.Pipeline().TotalEvents() < want {
+			if n.Intake().TotalEvents() < want {
 				lagging = id
 				break
 			}

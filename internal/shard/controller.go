@@ -33,8 +33,6 @@ type ControllerConfig struct {
 	// LeaseTTL is the leadership lease duration (default 2s); a Step
 	// renews it, and a refused renewal abdicates.
 	LeaseTTL time.Duration
-	// EvalInterval is Run's round cadence (default 200ms).
-	EvalInterval time.Duration
 	// Retry is the per-RPC retry/backoff schedule.
 	Retry RetryPolicy
 	// EvictAfter is how many consecutive failed-collect rounds evict a
@@ -65,9 +63,6 @@ func (c *ControllerConfig) setDefaults() {
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * time.Second
-	}
-	if c.EvalInterval <= 0 {
-		c.EvalInterval = 200 * time.Millisecond
 	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 3
@@ -171,14 +166,10 @@ type Controller struct {
 	deferred  int64
 	discarded int64
 	opened    bool
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// NewController validates the configuration and builds a follower (call
-// TryLead or Run to elect).
+// NewController validates the configuration and builds a follower: the
+// owner drives it round by round — TryLead while not Leading, else Step.
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("shard: controller needs an ID")
@@ -202,7 +193,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		members:  members,
 		notReady: make(map[string]int),
 		failed:   make(map[string]int),
-		stop:     make(chan struct{}),
 	}
 	reg := cfg.Metrics
 	ct.mRounds = reg.Counter("shard_rounds_total")
@@ -653,35 +643,9 @@ func (ct *Controller) Status() ClusterStatus {
 	return s
 }
 
-// Start runs the controller loop on a ticker: acquire (or re-acquire)
-// the lease when not leading, otherwise step a round. Stop with Stop.
-func (ct *Controller) Start() {
-	ct.wg.Add(1)
-	go func() {
-		defer ct.wg.Done()
-		ticker := time.NewTicker(ct.cfg.EvalInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ct.stop:
-				return
-			case <-ticker.C:
-				if !ct.Leading() {
-					_ = ct.TryLead()
-					continue
-				}
-				if _, err := ct.Step(false); err != nil && !errors.Is(err, ErrNotLeader) {
-					return
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the loop and releases the lease if held.
+// Stop releases the lease if held, so a replacement elects immediately
+// instead of waiting out the TTL.
 func (ct *Controller) Stop() {
-	ct.stopOnce.Do(func() { close(ct.stop) })
-	ct.wg.Wait()
 	ct.mu.Lock()
 	if ct.leading {
 		ct.cfg.Lease.Release(ct.cfg.ID, ct.term)

@@ -1,9 +1,9 @@
 // Package shard is the horizontally sharded ingest tier: N shard nodes
-// — each wrapping the existing stream.Pipeline in relay mode,
+// — each wrapping a stream.Intake, the count half of the loop,
 // consistent-hashed by true source AS — feed one lease-elected
 // controller that merges per-shard link counters into the same greedy
-// reconfiguration loop the single-node pipeline runs (stream.Evaluator)
-// and broadcasts catchment-table epochs back out.
+// reconfiguration loop the single-node pipeline runs (stream.Evaluator,
+// the decide half) and broadcasts catchment-table epochs back out.
 //
 // The design leans on three invariants:
 //
@@ -17,8 +17,8 @@
 //     single-node run at any shard count.
 //
 //  2. Epochs gate everything and terms fence everyone. A worker batch
-//     flushed under a stale epoch is excluded (the pipeline's existing
-//     snapshot protocol); a shard collected at the wrong epoch is
+//     flushed under a stale epoch is excluded (the intake's snapshot
+//     protocol); a shard collected at the wrong epoch is
 //     re-applied and re-collected; an RPC from a controller whose lease
 //     term is below the highest a shard has seen is rejected outright
 //     (ErrStaleTerm), so a deposed controller cannot rewind the tier.

@@ -16,9 +16,9 @@ type NodeConfig struct {
 	// Attr is the shared attribution matrix — identical on every node
 	// and on the controller.
 	Attr stream.Attribution
-	// Pipe tunes the wrapped pipeline. Relay is forced on: a shard never
-	// folds locally. Deploy, Shed, DegradedRecovery, Metrics, and Ledger
-	// wire through unchanged.
+	// Pipe tunes the wrapped intake: Workers, QueueDepth, BatchSize, the
+	// intervals, Settle, Deploy, Shed, DegradedRecovery and Metrics. A
+	// shard never folds, so the decide-side fields are not consulted.
 	Pipe stream.Config
 	// Ready is the membership gate the controller polls on every
 	// collect: false asks to be drained. Wire it to
@@ -27,13 +27,12 @@ type NodeConfig struct {
 	Ready func() bool
 }
 
-// Node is one ingest shard: the existing stream.Pipeline in relay mode
-// plus the RPC surface the controller drives (collect / apply / hello)
-// with lease-term fencing.
+// Node is one ingest shard: a stream.Intake plus the RPC surface the
+// controller drives (collect / apply / hello) with lease-term fencing.
 type Node struct {
-	id    string
-	pipe  *stream.Pipeline
-	ready func() bool
+	id     string
+	intake *stream.Intake
+	ready  func() bool
 
 	mu   sync.Mutex
 	term uint64 // highest lease term seen; lower terms are rejected
@@ -42,32 +41,30 @@ type Node struct {
 	crashed atomic.Bool
 }
 
-// NewNode builds a shard node and starts its relay pipeline.
+// NewNode builds a shard node and starts its intake.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("shard: node needs an ID")
 	}
-	pc := cfg.Pipe
-	pc.Relay = true
-	pipe, err := stream.New(cfg.Attr, pc)
+	in, err := stream.NewIntake(cfg.Attr, cfg.Pipe)
 	if err != nil {
 		return nil, fmt.Errorf("shard: node %s: %w", cfg.ID, err)
 	}
-	return &Node{id: cfg.ID, pipe: pipe, ready: cfg.Ready}, nil
+	return &Node{id: cfg.ID, intake: in, ready: cfg.Ready}, nil
 }
 
 // ID returns the shard id.
 func (n *Node) ID() string { return n.id }
 
-// Pipeline exposes the wrapped relay pipeline (ingest wiring, status).
-func (n *Node) Pipeline() *stream.Pipeline { return n.pipe }
+// Intake exposes the wrapped intake (accounting, status).
+func (n *Node) Intake() *stream.Intake { return n.intake }
 
-// Ingest feeds one event into the shard's pipeline.
+// Ingest feeds one event into the shard's intake.
 func (n *Node) Ingest(ev amp.Event) bool {
 	if n.crashed.Load() {
 		return false
 	}
-	return n.pipe.Ingest(ev)
+	return n.intake.Ingest(ev)
 }
 
 // Crash simulates a permanent shard death: RPCs stop answering and
@@ -78,8 +75,8 @@ func (n *Node) Crash() { n.crashed.Store(true) }
 // Crashed reports whether the node has been crashed.
 func (n *Node) Crashed() bool { return n.crashed.Load() }
 
-// Close shuts the pipeline down.
-func (n *Node) Close() { n.pipe.Close() }
+// Close drains and stops the intake.
+func (n *Node) Close() { n.intake.Close() }
 
 // isReady evaluates the membership gate.
 func (n *Node) isReady() bool {
@@ -92,8 +89,12 @@ func (n *Node) isReady() bool {
 	return n.ready()
 }
 
-// fence rejects terms below the highest seen and adopts higher ones.
+// fence admits an RPC: a crashed node answers nothing, terms below the
+// highest seen are rejected and higher ones adopted.
 func (n *Node) fence(term uint64) error {
+	if n.crashed.Load() {
+		return fmt.Errorf("%w: node %s crashed", ErrUnavailable, n.id)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if term < n.term {
@@ -105,15 +106,12 @@ func (n *Node) fence(term uint64) error {
 
 // HandleCollect serves the controller's counter collection.
 func (n *Node) HandleCollect(req CollectRequest) (CollectResponse, error) {
-	if n.crashed.Load() {
-		return CollectResponse{}, fmt.Errorf("%w: node %s crashed", ErrUnavailable, n.id)
-	}
 	if err := n.fence(req.Term); err != nil {
 		return CollectResponse{}, err
 	}
 	return CollectResponse{
 		Node:    n.id,
-		Harvest: n.pipe.HarvestRound(),
+		Harvest: n.intake.HarvestRound(),
 		Ready:   n.isReady(),
 	}, nil
 }
@@ -122,13 +120,10 @@ func (n *Node) HandleCollect(req CollectRequest) (CollectResponse, error) {
 // bump the epoch (invalidating in-flight worker batches), deploy the
 // configuration, and remember the update for failover recovery.
 func (n *Node) HandleApply(u EpochUpdate) (ApplyResponse, error) {
-	if n.crashed.Load() {
-		return ApplyResponse{}, fmt.Errorf("%w: node %s crashed", ErrUnavailable, n.id)
-	}
 	if err := n.fence(u.Term); err != nil {
 		return ApplyResponse{}, err
 	}
-	if err := n.pipe.AdvanceEpoch(u.Epoch, u.Config); err != nil {
+	if err := n.intake.AdvanceEpoch(u.Epoch, u.Config); err != nil {
 		return ApplyResponse{}, fmt.Errorf("shard: node %s: %w", n.id, err)
 	}
 	n.mu.Lock()
@@ -140,13 +135,10 @@ func (n *Node) HandleApply(u EpochUpdate) (ApplyResponse, error) {
 
 // HandleHello serves failover recovery: the shard's last applied update.
 func (n *Node) HandleHello(req HelloRequest) (HelloResponse, error) {
-	if n.crashed.Load() {
-		return HelloResponse{}, fmt.Errorf("%w: node %s crashed", ErrUnavailable, n.id)
-	}
 	if err := n.fence(req.Term); err != nil {
 		return HelloResponse{}, err
 	}
-	resp := HelloResponse{Node: n.id, Ready: n.isReady(), Epoch: n.pipe.Epoch()}
+	resp := HelloResponse{Node: n.id, Ready: n.isReady(), Epoch: n.intake.Epoch()}
 	n.mu.Lock()
 	if n.last != nil {
 		resp.HasUpdate = true

@@ -246,7 +246,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	for {
 		total := int64(0)
 		for _, n := range nodes {
-			total += n.Pipeline().TotalEvents()
+			total += n.Intake().TotalEvents()
 		}
 		if total == 60 {
 			break

@@ -305,10 +305,6 @@ func (e *Evaluator) Assignments() []int32 { return e.part.Assignments() }
 // NumClusters returns the current cluster count.
 func (e *Evaluator) NumClusters() int { return e.part.NumClusters() }
 
-// Partition returns the evaluator's live cluster partition. Callers
-// must treat it as read-only.
-func (e *Evaluator) Partition() *cluster.Partition { return e.part }
-
 // EvalSnapshot is the Evaluator's complete serializable state: the
 // deployment transcript plus every folded round. Restoring replays the
 // rounds through the same fold code, so a snapshot shipped across the

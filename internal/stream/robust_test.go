@@ -98,19 +98,19 @@ func TestShedOverload(t *testing.T) {
 	}
 	defer p.Close()
 
-	// Wedge the worker: it needs p.mu to flush its single-event batches,
+	// Wedge the worker: it needs in.mu to flush its single-event batches,
 	// so holding the mutex backs the shard queue up.
-	p.mu.Lock()
+	p.in.mu.Lock()
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Dropped() == 0 {
 		if time.Now().After(deadline) {
-			p.mu.Unlock()
+			p.in.mu.Unlock()
 			t.Fatal("no drops despite a wedged consumer")
 		}
 		p.Ingest(testEvent(0))
 	}
 	dropped := p.Dropped()
-	p.mu.Unlock()
+	p.in.mu.Unlock()
 
 	if !p.Degraded() {
 		t.Fatal("drops must raise the degraded flag")
@@ -158,23 +158,23 @@ func TestDegradedRecoveryHook(t *testing.T) {
 
 	// Force drops the same way TestShedOverload does: wedge the worker
 	// behind the state mutex until the tiny shard queue overflows.
-	p.mu.Lock()
+	p.in.mu.Lock()
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Dropped() == 0 {
 		if time.Now().After(deadline) {
-			p.mu.Unlock()
+			p.in.mu.Unlock()
 			t.Fatal("no drops despite a wedged consumer")
 		}
 		p.Ingest(testEvent(0))
 	}
-	p.mu.Unlock()
+	p.in.mu.Unlock()
 	if !p.Degraded() {
 		t.Fatal("drops must raise the degraded flag")
 	}
 
 	// Queues drain and drops stop, but the oracle still says no: the
 	// flag must hold across many controller evaluations.
-	evals := p.cfg.Metrics.Counter("stream_evals_total")
+	evals := p.in.cfg.Metrics.Counter("stream_evals_total")
 	base := evals.Value()
 	deadline = time.Now().Add(5 * time.Second)
 	for evals.Value() < base+5 {

@@ -60,34 +60,35 @@ type Status struct {
 	History          []RoundRecord      `json:"history"`
 }
 
-// Status snapshots the pipeline. topN caps the TopSources and
-// TopVictims lists (0 means 10).
+// Status snapshots the pipeline: the intake's counters plus the local
+// verdict. topN caps the TopSources and TopVictims lists (0 means 10).
 func (p *Pipeline) Status(topN int) Status {
 	if topN <= 0 {
 		topN = 10
 	}
 	now := time.Now()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := &p.st
+	in, e := p.in, p.eval
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	st := &in.st
 
 	s := Status{
-		UptimeSec:        now.Sub(p.start).Seconds(),
-		Workers:          p.cfg.Workers,
-		CurrentConfig:    st.eval.current,
-		DeployedConfigs:  append([]int(nil), st.eval.deployed...),
-		Reconfigurations: len(st.eval.deployed) - 1,
-		Rounds:           len(st.history),
+		UptimeSec:        now.Sub(in.start).Seconds(),
+		Workers:          in.cfg.Workers,
+		CurrentConfig:    e.current,
+		DeployedConfigs:  append([]int(nil), e.deployed...),
+		Reconfigurations: len(e.deployed) - 1,
+		Rounds:           len(p.history),
 		TotalEvents:      st.total,
 		TotalBytes:       st.totalBytes,
-		NumSources:       st.eval.part.NumSources(),
-		NumClusters:      st.eval.part.NumClusters(),
-		MeanClusterSize:  st.eval.part.Summarize().MeanSize,
-		Candidates:       len(st.eval.candidates),
-		Converged:        st.eval.converged,
-		Degraded:         p.degraded.Load(),
-		DroppedEvents:    p.droppedN.Load(),
-		History:          append([]RoundRecord(nil), st.history...),
+		NumSources:       e.part.NumSources(),
+		NumClusters:      e.part.NumClusters(),
+		MeanClusterSize:  e.part.Summarize().MeanSize,
+		Candidates:       len(e.candidates),
+		Converged:        e.converged,
+		Degraded:         in.degraded.Load(),
+		DroppedEvents:    in.droppedN.Load(),
+		History:          append([]RoundRecord(nil), p.history...),
 	}
 	if s.UptimeSec > 0 {
 		s.EventsPerSec = float64(st.total) / s.UptimeSec
@@ -113,17 +114,17 @@ func (p *Pipeline) Status(topN int) Status {
 	for l, n := range st.roundPkts {
 		volumes[l] = float64(n)
 	}
-	est := sched.EstimateVolumes(p.attr.Catchments[st.eval.current], st.eval.candidates, volumes)
-	// One size table per call: this runs under p.mu, where a table per
+	est := sched.EstimateVolumes(in.attr.Catchments[e.current], e.candidates, volumes)
+	// One size table per call: this runs under in.mu, where a table per
 	// candidate would stall every worker flush.
-	sizes := st.eval.part.Sizes()
-	for _, k := range st.eval.candidates {
+	sizes := e.part.Sizes()
+	for _, k := range e.candidates {
 		if est[k] <= 0 {
 			continue
 		}
-		cl := st.eval.part.ClusterOf(k)
+		cl := e.part.ClusterOf(k)
 		as := AttributedSource{
-			ASN:         p.attr.SourceASNs[k],
+			ASN:         in.attr.SourceASNs[k],
 			Cluster:     cl,
 			ClusterSize: sizes[cl],
 		}
@@ -161,51 +162,52 @@ func (p *Pipeline) Status(topN int) Status {
 
 // Candidates returns the current candidate source positions.
 func (p *Pipeline) Candidates() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.st.eval.candidates...)
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	return append([]int(nil), p.eval.candidates...)
 }
 
 // Deployed returns the configurations deployed so far, in order.
 func (p *Pipeline) Deployed() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.st.eval.deployed...)
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	return append([]int(nil), p.eval.deployed...)
 }
 
 // History returns the completed rounds.
 func (p *Pipeline) History() []RoundRecord {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]RoundRecord(nil), p.st.history...)
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	return append([]RoundRecord(nil), p.history...)
 }
 
 // Converged reports whether the top volume-ranked candidate cluster is
 // within the split threshold.
 func (p *Pipeline) Converged() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st.eval.converged
+	p.in.mu.Lock()
+	defer p.in.mu.Unlock()
+	return p.eval.converged
 }
 
 // Evidence assembles the operator notification report (internal/report)
 // from every completed round — the per-candidate volume shares and
 // corroborating configurations §I's adoption-driving use case needs.
 func (p *Pipeline) Evidence() (*report.Report, error) {
-	p.mu.Lock()
-	history := append([]RoundRecord(nil), p.st.history...)
-	candidates := append([]int(nil), p.st.eval.candidates...)
-	part := p.st.eval.part.Clone()
-	p.mu.Unlock()
+	p.in.mu.Lock()
+	history := append([]RoundRecord(nil), p.history...)
+	candidates := append([]int(nil), p.eval.candidates...)
+	part := p.eval.part.Clone()
+	p.in.mu.Unlock()
+	attr := p.in.attr
 
 	in := report.Input{
 		Sources:          allSources(part.NumSources()),
-		ASNOf:            func(i int) topo.ASN { return p.attr.SourceASNs[i] },
+		ASNOf:            func(i int) topo.ASN { return attr.SourceASNs[i] },
 		Partition:        part,
 		CandidateIndexes: candidates,
 	}
 	for _, rec := range history {
-		in.Catchments = append(in.Catchments, p.attr.Catchments[rec.Config])
+		in.Catchments = append(in.Catchments, attr.Catchments[rec.Config])
 		in.Volumes = append(in.Volumes, rec.Volumes)
 	}
 	return report.Build(in)

@@ -3,16 +3,19 @@
 // the closed loop the paper's operational story describes (§I, §V-C) —
 // an origin AS localizing spoofers *while an attack is in progress*.
 //
-// Per-packet events tapped from the amp honeypot are sharded across N
-// worker goroutines over bounded channels; workers accumulate batched
-// per-link and per-victim counters and flush them into shared round
-// state by count or tick. A controller goroutine periodically folds the
-// current round into an incremental localizer (spoof) and cluster
-// partition (cluster); when the volume-ranked top candidate cluster
-// still exceeds the split threshold, it asks the greedy scheduler
-// (sched.NextGreedyVolume) for the next announcement configuration and
-// applies the resulting catchment split online through a deploy
-// callback — in cmd/spooftrackd, amp.Border.SetCatchments.
+// The loop has two halves and each is a type. Intake counts: per-packet
+// events tapped from the amp honeypot are sharded across N worker
+// goroutines over bounded channels; workers accumulate batched per-link
+// and per-victim counters and flush them into shared round state by
+// count or tick. Evaluator decides: it folds a round into an incremental
+// localizer (spoof) and cluster partition (cluster), and when the
+// volume-ranked top candidate cluster still exceeds the split threshold
+// it asks the greedy scheduler (sched.NextGreedyVolume) for the next
+// announcement configuration. Pipeline is the two in one process — an
+// Intake whose control goroutine folds each round through an Evaluator
+// and applies the resulting catchment split online through a deploy
+// callback (in cmd/spooftrackd, amp.Border.SetCatchments); internal/shard
+// places them in different processes.
 //
 // Backpressure, not loss: Ingest blocks when a shard's queue is full,
 // so a slow consumer stalls the producer instead of silently dropping
@@ -21,12 +24,7 @@
 package stream
 
 import (
-	"fmt"
-	"net/netip"
 	"runtime"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"spooftrack/internal/amp"
@@ -101,13 +99,6 @@ type Config struct {
 	// tracked but not materialized (useful in tests feeding Ingest
 	// directly).
 	Deploy DeployFunc
-	// Relay runs the pipeline as a sharded-ingest relay (internal/shard):
-	// workers still batch and flush per-link round counters, but the
-	// local controller never folds or deploys — a remote controller
-	// harvests the counters (HarvestRound) and advances epochs
-	// (AdvanceEpoch) instead. Overload shedding, degraded recovery, and
-	// queue metrics keep working; localization state stays empty.
-	Relay bool
 	// Shed switches intake from backpressure to overload shedding: when
 	// a shard's queue is full, Ingest drops the event instead of
 	// blocking, counts it (stream_dropped_total), and raises the
@@ -196,181 +187,59 @@ type RoundRecord struct {
 	Candidates  int       `json:"candidates"`
 }
 
-// Pipeline is the running live-attribution loop. Create with New, feed
-// with Ingest (wire it as an amp tap), stop with Close.
+// Pipeline is the running live-attribution loop on one node: an Intake
+// plus the local decide loop over it. Create with New, feed with Ingest
+// (wire it as an amp tap), stop with Close. It does not expose the
+// intake's HarvestRound/AdvanceEpoch: only the local fold may take a
+// Pipeline's round.
 type Pipeline struct {
-	cfg  Config
-	attr Attribution
+	in *Intake
 
-	shards []chan amp.Event
-	wg     sync.WaitGroup
-	stop   chan struct{}
+	// Guarded by in.mu: a fold takes and resets the round in the critical
+	// section the workers flush under, so no event falls between a round
+	// and the next.
+	eval    *Evaluator
+	history []RoundRecord
 
-	intakeMu  sync.RWMutex
-	closed    bool
-	closeOnce sync.Once
-
-	// shed is Config.Shed, copied for the hot path (one branch when off).
-	// droppedN counts shed events; degraded is raised on any drop and
-	// cleared by the controller once queues drain with no new drops.
-	shed     bool
-	droppedN atomic.Int64
-	degraded atomic.Bool
-
-	// settleUntil is the unix-nano time before which events are
-	// excluded from round accounting (read on the hot path).
-	settleUntil atomic.Int64
-	// epoch mirrors loopState.epoch for lock-free reads on the hot
-	// path: it increments at every round fold, and a worker batch
-	// flushed under a different epoch than it was accumulated in is
-	// excluded from round counters (its round has already been folded).
-	epoch atomic.Int64
-
-	mu sync.Mutex
-	st loopState
-
-	// metrics (resolved once; hot-path friendly)
-	mEvents    *metrics.Counter
-	mBytes     *metrics.Counter
-	mDropped   *metrics.Counter
-	mBatches   *metrics.Counter
 	mRounds    *metrics.Counter
 	mReconfig  *metrics.Counter
 	mRemeasure *metrics.Counter
-	mSettle    *metrics.Counter
-	mEvals     *metrics.Counter
 	mClusters  *metrics.Gauge
 	mCands     *metrics.Gauge
 	mMeanSize  *metrics.Gauge
-	mQueue     *metrics.Gauge
-	mWater     *metrics.Gauge
-	hBatch     *metrics.Histogram
 	hEval      *metrics.Histogram
-	hLag       *metrics.Histogram
-
-	// labeled vectors: per-link children are resolved once at New into
-	// dense slices (the hot path indexes, never formats or hashes);
-	// per-shard children are resolved once per worker.
-	linkPktC      []*metrics.Counter
-	linkByteC     []*metrics.Counter
-	vShardEvents  *metrics.CounterVec
-	vShardBatches *metrics.CounterVec
-
-	// span is the pipeline's root trace span (nil when tracing is off at
-	// construction); workers and the controller hang their tracks off it.
-	span *trace.Span
-
-	start time.Time
-}
-
-// loopState is the controller-owned attribution state, guarded by
-// Pipeline.mu (workers touch it only inside flush).
-type loopState struct {
-	epoch      int64
-	eval       *Evaluator
-	roundPkts  []int64
-	roundBytes []int64
-	roundStart time.Time
-	bySource   map[netip.Addr]int64
-	total      int64
-	totalBytes int64
-	settled    int64 // events excluded from rounds while settling
-	history    []RoundRecord
-	// lastDropped is the shed counter at the previous evaluation; the
-	// degraded flag clears when it stops moving and queues are drained.
-	lastDropped int64
 }
 
 // New validates the attribution input, deploys the initial
 // configuration, and starts the workers and the control loop.
 func New(attr Attribution, cfg Config) (*Pipeline, error) {
-	if len(attr.Catchments) == 0 {
-		return nil, fmt.Errorf("stream: no configurations")
+	in, err := newIntake(attr, cfg)
+	if err != nil {
+		return nil, err
 	}
-	n := len(attr.Catchments[0])
-	for c, row := range attr.Catchments {
-		if len(row) != n {
-			return nil, fmt.Errorf("stream: config %d has %d catchments, config 0 has %d", c, len(row), n)
-		}
-	}
-	if len(attr.SourceASNs) != n {
-		return nil, fmt.Errorf("stream: %d source ASNs for %d sources", len(attr.SourceASNs), n)
-	}
-	if attr.NumLinks <= 0 {
-		return nil, fmt.Errorf("stream: NumLinks must be positive")
-	}
-	if attr.InitialConfig < 0 || attr.InitialConfig >= len(attr.Catchments) {
-		return nil, fmt.Errorf("stream: initial config %d out of range", attr.InitialConfig)
-	}
-	cfg.setDefaults()
-
-	p := &Pipeline{cfg: cfg, attr: attr, stop: make(chan struct{}), start: time.Now(), shed: cfg.Shed}
-	reg := cfg.Metrics
-	p.mEvents = reg.Counter("stream_events_total")
-	p.mBytes = reg.Counter("stream_bytes_total")
-	p.mDropped = reg.Counter("stream_dropped_total")
-	p.mBatches = reg.Counter("stream_batches_total")
-	p.mRounds = reg.Counter("stream_rounds_total")
-	p.mReconfig = reg.Counter("stream_reconfigs_total")
-	p.mRemeasure = reg.Counter("stream_remeasure_total")
-	p.mSettle = reg.Counter("stream_settle_excluded_total")
-	p.mEvals = reg.Counter("stream_evals_total")
-	p.mClusters = reg.Gauge("stream_clusters")
-	p.mCands = reg.Gauge("stream_candidates")
-	p.mMeanSize = reg.Gauge("stream_mean_cluster_size")
-	p.mQueue = reg.Gauge("stream_queue_depth")
-	p.hBatch = reg.Histogram("stream_batch_events", 1, 4, 16, 64, 256, 1024, 4096)
-	p.hEval = reg.Histogram("stream_eval_seconds", 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1)
-	p.hLag = reg.Histogram("stream_flush_lag_seconds", 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5)
-	p.mWater = reg.Gauge("stream_watermark_unix_s")
-	vLinkPkts := reg.CounterVec("stream_link_packets_total", "link")
-	vLinkBytes := reg.CounterVec("stream_link_bytes_total", "link")
-	p.vShardEvents = reg.CounterVec("stream_shard_events_total", "shard")
-	p.vShardBatches = reg.CounterVec("stream_shard_batches_total", "shard")
-	p.linkPktC = make([]*metrics.Counter, attr.NumLinks)
-	p.linkByteC = make([]*metrics.Counter, attr.NumLinks)
-	for l := 0; l < attr.NumLinks; l++ {
-		lbl := strconv.Itoa(l)
-		p.linkPktC[l] = vLinkPkts.With(lbl)
-		p.linkByteC[l] = vLinkBytes.With(lbl)
-	}
-
-	p.span = trace.Start("stream.pipeline")
-	if p.span != nil {
-		p.span.Set(
-			trace.Int("workers", int64(cfg.Workers)),
-			trace.Int("links", int64(attr.NumLinks)),
-			trace.Int("sources", int64(n)),
-		)
-	}
-
-	p.st = loopState{
+	cfg, reg := in.cfg, in.cfg.Metrics
+	p := &Pipeline{
+		in: in,
 		eval: NewEvaluator(attr, EvalParams{
 			SplitThreshold:   cfg.SplitThreshold,
 			MaxMisses:        cfg.MaxMisses,
 			NoiseFloor:       cfg.NoiseFloor,
 			MaxOnlineConfigs: cfg.MaxOnlineConfigs,
 		}),
-		roundPkts:  make([]int64, attr.NumLinks),
-		roundBytes: make([]int64, attr.NumLinks),
-		roundStart: time.Now(),
-		bySource:   make(map[netip.Addr]int64),
+		mRounds:    reg.Counter("stream_rounds_total"),
+		mReconfig:  reg.Counter("stream_reconfigs_total"),
+		mRemeasure: reg.Counter("stream_remeasure_total"),
+		mClusters:  reg.Gauge("stream_clusters"),
+		mCands:     reg.Gauge("stream_candidates"),
+		mMeanSize:  reg.Gauge("stream_mean_cluster_size"),
+		hEval:      reg.Histogram("stream_eval_seconds", 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1),
 	}
+	n := len(attr.Catchments[0])
 	p.mClusters.Set(1)
 	p.mCands.Set(float64(n))
 	p.mMeanSize.Set(float64(n))
-
-	p.st.eval.OpenLedger(cfg.Ledger)
-	p.deploy(attr.InitialConfig)
-
-	p.shards = make([]chan amp.Event, cfg.Workers)
-	for i := range p.shards {
-		p.shards[i] = make(chan amp.Event, cfg.QueueDepth)
-		p.wg.Add(1)
-		go p.worker(i, p.shards[i])
-	}
-	p.wg.Add(1)
-	go p.controller()
+	p.eval.OpenLedger(cfg.Ledger)
+	in.run(func(parent *trace.Span) { p.evaluate(false, parent) })
 	return p, nil
 }
 
@@ -382,244 +251,18 @@ func allSources(n int) []int {
 	return out
 }
 
-// deploy materializes configuration cfgIdx through the Deploy callback,
-// rendered as a border catchment table. Call it outside p.mu.
-func (p *Pipeline) deploy(cfgIdx int) {
-	if p.cfg.Deploy == nil {
-		return
-	}
-	row := p.attr.Catchments[cfgIdx]
-	t := make(map[uint32]uint8, len(row))
-	for k, l := range row {
-		if l != bgp.NoLink {
-			t[uint32(p.attr.SourceASNs[k])] = uint8(l)
-		}
-	}
-	p.cfg.Deploy(cfgIdx, t)
-}
+// Ingest feeds one per-packet event into the pipeline (Intake.Ingest).
+func (p *Pipeline) Ingest(ev amp.Event) bool { return p.in.Ingest(ev) }
 
-// Ingest feeds one per-packet event into the pipeline. By default a
-// full shard queue blocks the caller (backpressure instead of loss);
-// with Config.Shed the event is dropped instead, counted, and the
-// pipeline marked degraded. It returns false once the pipeline is
-// closed. Wire it as an amp tap:
-//
-//	hp.SetTap(func(ev amp.Event) { p.Ingest(ev) })
-func (p *Pipeline) Ingest(ev amp.Event) bool {
-	p.intakeMu.RLock()
-	defer p.intakeMu.RUnlock()
-	if p.closed {
-		return false
-	}
-	ch := p.shards[shardOf(ev, len(p.shards))]
-	if p.shed {
-		select {
-		case ch <- ev:
-		default:
-			// Overload: shed rather than stall the packet path. The event
-			// is acknowledged (the pipeline is open) but unaccounted.
-			p.droppedN.Add(1)
-			p.mDropped.Inc()
-			p.degraded.Store(true)
-		}
-		return true
-	}
-	ch <- ev
-	return true
-}
-
-// Degraded reports whether the pipeline is shedding load: at least one
-// event was dropped since the controller last saw drained queues and a
-// quiet drop counter. Surfaced through spooftrackd's /readyz.
-func (p *Pipeline) Degraded() bool { return p.degraded.Load() }
+// Degraded reports whether the pipeline is shedding load (Intake.Degraded).
+func (p *Pipeline) Degraded() bool { return p.in.Degraded() }
 
 // Dropped returns how many events overload shedding has discarded.
-func (p *Pipeline) Dropped() int64 { return p.droppedN.Load() }
+func (p *Pipeline) Dropped() int64 { return p.in.Dropped() }
 
-// shardOf spreads events across workers by FNV-1a over the spoofed
-// source and ingress link, keeping any one flow on one worker.
-func shardOf(ev amp.Event, n int) int {
-	if n == 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	if ev.SpoofedSrc.Is4() {
-		b := ev.SpoofedSrc.As4()
-		for _, c := range b {
-			h = (h ^ uint32(c)) * 16777619
-		}
-	}
-	h = (h ^ uint32(ev.IngressLink)) * 16777619
-	return int(h % uint32(n))
-}
-
-// batch is a worker's local accumulator: counters batched per link and
-// per victim so the shared mutex is taken once per BatchSize events,
-// not per packet.
-type batch struct {
-	epoch    int64
-	events   int
-	pkts     []int64
-	bytes    []int64
-	bySource map[netip.Addr]int64
-	settled  int64
-	total    int64
-	totalB   int64
-	// first/last are the event timestamps bounding the batch: at flush,
-	// now-first is the stage lag (oldest unflushed event's age) and last
-	// is the shard's watermark.
-	first time.Time
-	last  time.Time
-	// shardEvents/shardBatches are the owning worker's pre-resolved
-	// per-shard vector children, bumped once per flush (nil in tests
-	// that build batches directly).
-	shardEvents  *metrics.Counter
-	shardBatches *metrics.Counter
-}
-
-func newBatch(links int) *batch {
-	return &batch{
-		pkts:     make([]int64, links),
-		bytes:    make([]int64, links),
-		bySource: make(map[netip.Addr]int64),
-	}
-}
-
-func (b *batch) reset() {
-	b.events = 0
-	for i := range b.pkts {
-		b.pkts[i], b.bytes[i] = 0, 0
-	}
-	clear(b.bySource)
-	b.settled, b.total, b.totalB = 0, 0, 0
-}
-
-func (p *Pipeline) worker(shard int, ch chan amp.Event) {
-	defer p.wg.Done()
-	var wsp *trace.Span
-	if p.span != nil {
-		// Each worker gets its own track so concurrent flush spans render
-		// as parallel flame-chart rows.
-		wsp = p.span.ChildTrack("stream.worker")
-		wsp.Set(trace.Int("shard", int64(shard)))
-		defer wsp.End()
-	}
-	ticker := time.NewTicker(p.cfg.FlushInterval)
-	defer ticker.Stop()
-	b := newBatch(p.attr.NumLinks)
-	shardLbl := strconv.Itoa(shard)
-	b.shardEvents = p.vShardEvents.With(shardLbl)
-	b.shardBatches = p.vShardBatches.With(shardLbl)
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				p.flush(b, wsp)
-				return
-			}
-			p.accumulate(b, ev, wsp)
-			if b.events >= p.cfg.BatchSize {
-				p.flush(b, wsp)
-			}
-		case <-ticker.C:
-			if b.events > 0 {
-				p.flush(b, wsp)
-			}
-		}
-	}
-}
-
-func (p *Pipeline) accumulate(b *batch, ev amp.Event, wsp *trace.Span) {
-	if e := p.epoch.Load(); b.events == 0 {
-		b.epoch = e
-	} else if b.epoch != e {
-		// The round this batch belongs to has been folded; hand the
-		// batch over before starting one in the new epoch.
-		p.flush(b, wsp)
-		b.epoch = e
-	}
-	b.events++
-	if b.events == 1 {
-		b.first = ev.Time
-	}
-	b.last = ev.Time
-	b.total++
-	b.totalB += int64(ev.WireLen)
-	if su := p.settleUntil.Load(); su != 0 && ev.Time.UnixNano() < su {
-		b.settled++
-		return
-	}
-	if int(ev.IngressLink) < len(b.pkts) {
-		b.pkts[ev.IngressLink]++
-		b.bytes[ev.IngressLink] += int64(ev.WireLen)
-	}
-	b.bySource[ev.SpoofedSrc]++
-}
-
-// flush merges a worker batch into the shared round state.
-func (p *Pipeline) flush(b *batch, wsp *trace.Span) {
-	if b.events == 0 {
-		return
-	}
-	var fsp *trace.Span
-	if wsp != nil {
-		fsp = wsp.Child("stream.flush")
-	}
-	excluded := b.settled
-	p.mu.Lock()
-	st := &p.st
-	if b.epoch == st.epoch {
-		for l := range b.pkts {
-			st.roundPkts[l] += b.pkts[l]
-			st.roundBytes[l] += b.bytes[l]
-		}
-	} else {
-		// Stale batch: accumulated before the last fold, so its round
-		// no longer exists. Keep it out of the new round's counters.
-		for _, n := range b.pkts {
-			excluded += n
-		}
-	}
-	for src, n := range b.bySource {
-		st.bySource[src] += n
-	}
-	st.total += b.total
-	st.totalBytes += b.totalB
-	st.settled += excluded
-	p.mu.Unlock()
-
-	p.mEvents.Add(b.total)
-	p.mBytes.Add(b.totalB)
-	p.mSettle.Add(excluded)
-	p.mBatches.Inc()
-	for l, n := range b.pkts {
-		if n != 0 {
-			p.linkPktC[l].Add(n)
-			p.linkByteC[l].Add(b.bytes[l])
-		}
-	}
-	if b.shardEvents != nil {
-		b.shardEvents.Add(b.total)
-		b.shardBatches.Inc()
-	}
-	p.hBatch.Observe(float64(b.events))
-	// Stage lag is the age of the batch's oldest event at flush time; the
-	// watermark is the newest event time this shard has pushed downstream.
-	lag := time.Since(b.first)
-	watermark := float64(b.last.UnixNano()) / 1e9
-	p.hLag.Observe(lag.Seconds())
-	p.mWater.Set(watermark)
-	if fsp != nil {
-		fsp.Count("events", int64(b.events))
-		fsp.Count("excluded", excluded)
-		fsp.Set(
-			trace.Float("lag_s", lag.Seconds()),
-			trace.Float("watermark_unix_s", watermark),
-		)
-		fsp.End()
-	}
-	b.reset()
-}
+// TotalEvents returns how many events have been flushed into the shared
+// state so far.
+func (p *Pipeline) TotalEvents() int64 { return p.in.TotalEvents() }
 
 // Close stops intake, drains and flushes every shard, folds the final
 // round into the localizer, and shuts the control loop down. It is the
@@ -628,25 +271,5 @@ func (p *Pipeline) flush(b *batch, wsp *trace.Span) {
 // idempotent and safe for concurrent callers: exactly one caller runs
 // the shutdown, the rest wait for it to finish.
 func (p *Pipeline) Close() {
-	p.closeOnce.Do(func() {
-		p.intakeMu.Lock()
-		p.closed = true
-		p.intakeMu.Unlock()
-
-		close(p.stop)
-		for _, ch := range p.shards {
-			close(ch)
-		}
-		p.wg.Wait()
-		p.evaluate(true, p.span)
-		p.span.End()
-	})
-}
-
-// TotalEvents returns how many events have been flushed into the shared
-// state so far.
-func (p *Pipeline) TotalEvents() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.st.total
+	p.in.shutdown(func() { p.evaluate(true, p.in.span) })
 }

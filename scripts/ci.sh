@@ -2,7 +2,8 @@
 # CI entry point: vet, build, and test the whole module, then run the
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
-# scratch, pooled propagation engine),
+# scratch, pooled propagation engine, the daemon's placements and
+# ticker loops),
 # and smoke-test the benchmark harness so a perf regression in the
 # engine fast path cannot land silently broken.
 set -eu
@@ -17,8 +18,8 @@ go build ./...
 echo "==> go test"
 go test ./...
 
-echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard)"
-go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/...
+echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, spooftrackd)"
+go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./cmd/spooftrackd/...
 
 echo "==> chaos smoke (fixed-seed fault profiles, campaigns must converge)"
 go test ./internal/core/ -run 'Chaos' -count=1
