@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strconv"
 	"time"
@@ -40,13 +41,21 @@ type queryResult struct {
 	Series []tsdb.SeriesData `json:"series"`
 }
 
-// parseQueryTime accepts unix seconds (integer or fractional) or
-// RFC3339.
-func parseQueryTime(s string) (time.Time, error) {
+// queryTime reads a /query time parameter — unix seconds (integer or
+// fractional) or RFC3339 — answering def when it is absent.
+func queryTime(qs url.Values, key string, def time.Time) (time.Time, error) {
+	s := qs.Get(key)
+	if s == "" {
+		return def, nil
+	}
 	if sec, err := strconv.ParseFloat(s, 64); err == nil {
 		return time.UnixMilli(int64(sec * 1000)), nil
 	}
-	return time.Parse(time.RFC3339, s)
+	t, err := time.Parse(time.RFC3339, s)
+	if err != nil {
+		return t, fmt.Errorf("bad %s %q: want unix seconds or RFC3339", key, s)
+	}
+	return t, nil
 }
 
 // queryHandler serves range queries over the embedded metric history:
@@ -81,23 +90,15 @@ func queryHandler(db *tsdb.DB) http.HandlerFunc {
 			}
 			window = d
 		}
-		to := time.Now()
-		if ts := qs.Get("to"); ts != "" {
-			t, err := parseQueryTime(ts)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad to %q: want unix seconds or RFC3339", ts), http.StatusBadRequest)
-				return
-			}
-			to = t
+		to, err := queryTime(qs, "to", time.Now())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
-		from := to.Add(-window)
-		if fs := qs.Get("from"); fs != "" {
-			t, err := parseQueryTime(fs)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad from %q: want unix seconds or RFC3339", fs), http.StatusBadRequest)
-				return
-			}
-			from = t
+		from, err := queryTime(qs, "from", to.Add(-window))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		if !from.Before(to) {
 			http.Error(w, "from must precede to", http.StatusBadRequest)

@@ -27,9 +27,9 @@ func testLedger() *provenance.Ledger {
 	led.RecordMeta(provenance.MetaEvent{Component: "campaign", NumSources: 3, NumConfigs: 2, NumLinks: 2, UseTruth: true})
 	led.RecordRetry(provenance.RetryEvent{Config: 0, Phase: "deploy", Attempt: 1, Error: "mux flap"})
 	led.RecordDeploy(provenance.DeployEvent{Config: 0, Key: "k0", Attempts: 2, Phase: "isolation"})
-	led.RecordRow(provenance.RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
+	led.RecordRowShared(provenance.RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
 	led.RecordDegrade(provenance.DegradeEvent{Config: 1, Phase: "measure", Error: "gone"})
-	led.RecordRow(provenance.RowEvent{Config: 1, Catchment: []bgp.LinkID{-1, -1, -1}, Incomplete: true})
+	led.RecordRowShared(provenance.RowEvent{Config: 1, Catchment: []bgp.LinkID{-1, -1, -1}, Incomplete: true})
 	led.RecordQuarantine(provenance.QuarantineEvent{Link: 1, From: "closed", To: "open"})
 	led.RecordProbe(provenance.ProbeEvent{AS: 7, Source: 2, Link: 1, Signal: "can_spoof", Confidence: 0.97, Round: 1})
 	led.RecordVerdict(provenance.VerdictEvent{Origin: "campaign", Assign: []int32{0, 0, 1}, Clusters: 2})

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"strings"
 	"time"
 
+	"spooftrack"
 	"spooftrack/internal/shard"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/trace"
@@ -99,7 +101,7 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.Float64Var(&c.slo.dropRate, "slo-drop-rate", 100, "border drop-rate SLO in packets/second")
 	fs.Float64Var(&c.slo.cacheHit, "slo-cache-hit", 0.10, "outcome-cache hit-rate floor (0..1)")
 	fs.Float64Var(&c.slo.shedRate, "slo-shed-rate", 50, "pipeline shed-rate SLO in events/second")
-	fs.StringVar(&c.world.faultProfile, "fault-profile", "", "fault-injection scenario (flaky-mux, slow-converge, feed-gap, tap-drop, probe-storm, chaos; empty = off)")
+	fs.StringVar(&c.world.faultProfile, "fault-profile", "", "fault-injection scenario ("+strings.Join(spooftrack.FaultProfileNames(), ", ")+"; empty = off)")
 	fs.Uint64Var(&c.world.faultSeed, "fault-seed", 1, "deterministic fault-injection seed")
 	fs.IntVar(&c.world.deployRetries, "deploy-retries", 4, "max deploy/measure attempts per configuration")
 	fs.BoolVar(&c.pipe.Shed, "shed", false, "shed events when ingest queues overflow instead of applying backpressure")

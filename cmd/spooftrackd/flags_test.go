@@ -6,11 +6,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"spooftrack/internal/fault"
 )
 
 // TestFlagSurface pins the daemon's flag names against a golden
 // captured from the pre-skeleton binary's -h: restructuring how flags
-// are parsed must not add, drop or rename one.
+// are parsed must not add, drop or rename one. The -fault-profile help
+// is built from the profile catalogue, so it names every profile.
 func TestFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if _, err := parseFlags([]string{"-h"}, &usage); err == nil {
@@ -24,6 +27,11 @@ func TestFlagSurface(t *testing.T) {
 		t.Errorf("%d flags, want 44", len(names))
 	}
 	goldenBody(t, "flags.golden", strings.Join(names, "\n")+"\n")
+	for _, profile := range fault.Names() {
+		if !strings.Contains(usage.String(), profile) {
+			t.Errorf("-h does not name fault profile %q", profile)
+		}
+	}
 }
 
 // TestParseFlagsRejects: a bad invocation is an error for main to

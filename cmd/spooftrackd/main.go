@@ -359,18 +359,9 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 			"incomplete", camp.Incomplete)
 	}
 
-	// Outcome-cache effectiveness, read on demand at /metrics scrapes.
-	reg.GaugeFunc("bgp_outcome_cache_hits", func() float64 {
-		h, _ := platform.CacheStats()
-		return float64(h)
-	})
-	reg.GaugeFunc("bgp_outcome_cache_misses", func() float64 {
-		_, m := platform.CacheStats()
-		return float64(m)
-	})
-	// Labeled family (bgp_outcome_cache_requests_total{result}) and the
-	// size gauge, counted at the cache itself; the watchdog's hit-rate
-	// floor reads the family.
+	// Outcome-cache effectiveness: bgp_outcome_cache_requests_total{result}
+	// and the size gauge, counted at the cache itself; the watchdog's
+	// hit-rate floor reads the family.
 	platform.InstrumentCache(reg)
 	return tracker, led, nil
 }

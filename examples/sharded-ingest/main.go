@@ -303,7 +303,7 @@ func orchestrate() {
 	// rounds. The surviving controller's final state must match it
 	// byte-for-byte — that is the tentpole's correctness contract.
 	ref := stream.NewEvaluator(attr, stream.EvalParams{})
-	ring := shard.NewRing(shardIDs, 0)
+	ring := shard.NewRing(shardIDs)
 	routed := make(map[string]int64)
 	leader := 0
 

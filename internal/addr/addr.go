@@ -204,6 +204,3 @@ func (m *NoisyMapper) Map(ip netip.Addr) (int, bool) {
 	i, ok := m.space.owner[blk]
 	return i, ok
 }
-
-// NumErrBlocks returns how many blocks are mis-attributed (for tests).
-func (m *NoisyMapper) NumErrBlocks() int { return len(m.wrong) }

@@ -144,7 +144,7 @@ func TestNoisyMapperErrRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := len(s.owner)
-	frac := float64(m.NumErrBlocks()) / float64(total)
+	frac := float64(len(m.wrong)) / float64(total)
 	if frac < 0.05 || frac > 0.15 {
 		t.Fatalf("error fraction %.3f, want ~0.1", frac)
 	}

@@ -206,11 +206,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		return v[0].Packets == 20 && v[1].Packets == 10
 	})
 
-	// Per-victim accounting.
-	if got := hp.VictimPackets()[victimAddr]; got != 30 {
-		t.Fatalf("victim packets %d, want 30", got)
-	}
-
 	// The rate limiter caps reflection well below the 30 requests.
 	waitFor(t, func() bool { return hp.Reflected() >= 1 })
 	time.Sleep(50 * time.Millisecond)

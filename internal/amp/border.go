@@ -3,7 +3,6 @@ package amp
 import (
 	"net"
 	"sync"
-	"time"
 
 	"spooftrack/internal/trace"
 )
@@ -30,8 +29,6 @@ type Border struct {
 	filter func(*Packet) bool
 	// filtered counts packets dropped by the filter.
 	filtered int64
-	// tap, when set, observes every forwarded packet.
-	tap Tap
 	// metrics, when set, receives labeled per-outcome and per-link
 	// counters for every packet.
 	metrics *borderMetrics
@@ -102,7 +99,7 @@ func (b *Border) Close() error {
 func (b *Border) serve() {
 	defer b.wg.Done()
 	// One span covers the serve loop's lifetime; per-packet outcomes are
-	// its counters (drop/filter/forward and tap fan-out).
+	// its counters (drop/filter/forward).
 	sp := trace.Start("amp.border.serve")
 	defer sp.End()
 	buf := make([]byte, 2048)
@@ -127,7 +124,6 @@ func (b *Border) serve() {
 			b.dropped++
 		}
 		filter := b.filter
-		tap := b.tap
 		m := b.metrics
 		b.mu.Unlock()
 		if !ok {
@@ -148,16 +144,6 @@ func (b *Border) serve() {
 			continue
 		}
 		pkt.IngressLink = link
-		if tap != nil {
-			tap(Event{
-				Time:        time.Now(),
-				IngressLink: link,
-				TrueSrcAS:   pkt.TrueSrcAS,
-				SpoofedSrc:  pkt.SpoofedSrc,
-				WireLen:     n,
-			})
-			sp.Count("tap_events", 1)
-		}
 		if m != nil {
 			m.packets.With("forwarded").Inc()
 			m.linkPkts.With(linkLabels[link]).Inc()

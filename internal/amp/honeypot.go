@@ -56,8 +56,6 @@ type Honeypot struct {
 	tap        Tap
 	metrics    *hpMetrics
 	byLink     map[uint8]*LinkStats
-	bySource   map[netip.Addr]int64 // victim (spoofed) address -> packets
-	byService  map[string]int64     // emulated protocol -> requests
 	malformed  int64
 	reflected  int64
 	rateWindow map[netip.Addr]*rateState
@@ -82,8 +80,6 @@ func NewHoneypot(addr string, cfg HoneypotConfig) (*Honeypot, error) {
 		cfg:        cfg,
 		conn:       conn,
 		byLink:     make(map[uint8]*LinkStats),
-		bySource:   make(map[netip.Addr]int64),
-		byService:  make(map[string]int64),
 		rateWindow: make(map[netip.Addr]*rateState),
 	}
 	h.wg.Add(1)
@@ -157,10 +153,6 @@ func (h *Honeypot) handleRequest(pkt *Packet, wireLen int, sp *trace.Span) {
 	}
 	ls.Packets++
 	ls.Bytes += int64(wireLen)
-	h.bySource[pkt.SpoofedSrc]++
-	if svc != nil {
-		h.byService[svc.Name()]++
-	}
 	allowed := h.allowReflectLocked(pkt.SpoofedSrc)
 	tap := h.tap
 	m := h.metrics
@@ -256,29 +248,6 @@ func (h *Honeypot) VolumeByLink() map[uint8]LinkStats {
 	return out
 }
 
-// VictimPackets returns how many requests claimed each victim address.
-func (h *Honeypot) VictimPackets() map[netip.Addr]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[netip.Addr]int64, len(h.bySource))
-	for a, n := range h.bySource {
-		out[a] = n
-	}
-	return out
-}
-
-// VolumeByService returns per-protocol request counts (protocol
-// emulation mode only).
-func (h *Honeypot) VolumeByService() map[string]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]int64, len(h.byService))
-	for s, n := range h.byService {
-		out[s] = n
-	}
-	return out
-}
-
 // Malformed returns the count of dropped undecodable packets.
 func (h *Honeypot) Malformed() int64 {
 	h.mu.Lock()
@@ -291,11 +260,4 @@ func (h *Honeypot) Reflected() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.reflected
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

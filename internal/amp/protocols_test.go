@@ -3,6 +3,7 @@ package amp
 import (
 	"net"
 	"net/netip"
+	"sync/atomic"
 	"testing"
 )
 
@@ -157,10 +158,16 @@ func TestHoneypotProtocolEmulation(t *testing.T) {
 	defer a.Close()
 
 	// NTP monlist flood: recognized, accounted, amplified.
+	var ntp atomic.Int64
+	hp.SetTap(func(ev Event) {
+		if ev.Service == "ntp" {
+			ntp.Add(1)
+		}
+	})
 	if _, err := a.FloodPayload(border.Addr(), 5, BuildMonlistRequest()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return hp.VolumeByService()["ntp"] == 5 })
+	waitFor(t, func() bool { return ntp.Load() == 5 })
 
 	// Garbage payload: dropped as unrecognized, not accounted per link.
 	if _, err := a.FloodPayload(border.Addr(), 3, []byte("not a protocol")); err != nil {

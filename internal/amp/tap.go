@@ -15,9 +15,13 @@ type Event struct {
 	// IngressLink is the peering link the packet was stamped with
 	// (LinkUnset if the border had not stamped it).
 	IngressLink uint8
-	// TrueSrcAS is the packet's actual origin AS. Border taps know it;
-	// honeypot taps report 0 — the honeypot never learns true sources,
-	// which is the whole reason the paper's technique exists.
+	// TrueSrcAS is the packet's actual origin AS — simulator ground
+	// truth. No tap in the program sets it: the honeypot tap reports 0,
+	// because the honeypot never learns true sources, which is the whole
+	// reason the paper's technique exists. Only code that builds events
+	// by hand from the attacker wire format does (bench/, tests, the
+	// sharded-ingest demo's ingest API), and shard routing still keys on
+	// it; fencing it off the attribution path is ROADMAP aim 3(a).
 	TrueSrcAS uint32
 	// SpoofedSrc is the forged source (victim) address.
 	SpoofedSrc netip.Addr
@@ -41,13 +45,4 @@ func (h *Honeypot) SetTap(t Tap) {
 	h.mu.Lock()
 	h.tap = t
 	h.mu.Unlock()
-}
-
-// SetTap installs (or clears, with nil) the border's per-packet event
-// tap. It observes every forwarded request (after catchment resolution
-// and filtering), with the true source AS filled in.
-func (b *Border) SetTap(t Tap) {
-	b.mu.Lock()
-	b.tap = t
-	b.mu.Unlock()
 }

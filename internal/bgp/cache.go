@@ -30,12 +30,12 @@ const DefaultOutcomeCacheCapacity = 1024
 // The cache is bounded: beyond its capacity the least-recently-used
 // outcome is evicted (hits refresh recency). It also keeps a small
 // window of recently resolved outcomes and hands the closest one
-// (fewest dirty announcements by DiffConfigs) to Engine.PropagateDelta
+// (fewest dirty announcements by DiffConfigs) to Engine.PropagateDeltaInfo
 // on a miss, so consumers that replay near-identical configurations —
 // the campaign runner, the scheduler's predictor, the greedy volume
 // scoring loop, which interleaves candidate families rather than
 // stepping through adjacent configs — ride the incremental path without
-// code changes; PropagateDelta transparently falls back to a full run
+// code changes; PropagateDeltaInfo transparently falls back to a full run
 // whenever the seed outcome cannot help.
 type OutcomeCache struct {
 	mu   sync.Mutex
@@ -44,7 +44,7 @@ type OutcomeCache struct {
 	head *cacheEntry // most recently used
 	tail *cacheEntry // least recently used
 	// recent is the delta-seed window: the most recently resolved
-	// outcomes, newest first. A miss seeds PropagateDelta from the
+	// outcomes, newest first. A miss seeds PropagateDeltaInfo from the
 	// window entry whose configuration is nearest the requested one
 	// (minimum ConfigDiff.NumDirty), not merely the last resolved — the
 	// difference between a full recomputation and a one-link delta when
@@ -102,15 +102,6 @@ func NewOutcomeCache() *OutcomeCache {
 // capacity <= 0 means unbounded.
 func NewOutcomeCacheCap(capacity int) *OutcomeCache {
 	return &OutcomeCache{m: make(map[string]*cacheEntry), cap: capacity}
-}
-
-// SetCapacity rebounds the cache (<= 0 means unbounded), evicting from
-// the LRU end if the current contents exceed the new capacity.
-func (c *OutcomeCache) SetCapacity(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	c.evictOver()
 }
 
 // touch moves an entry to the MRU position. Caller holds mu.

@@ -100,29 +100,6 @@ func TestOutcomeCacheLRUTouch(t *testing.T) {
 	}
 }
 
-// TestOutcomeCacheSetCapacity shrinks a populated cache and checks the
-// overflow is evicted immediately; capacity 0 lifts the bound.
-func TestOutcomeCacheSetCapacity(t *testing.T) {
-	g, o := worldForTest(t, 9, 600)
-	e := newEngine(t, g, o, noiseless())
-	cache := NewOutcomeCacheCap(0)
-	for _, cfg := range distinctConfigs(8) {
-		if _, err := cache.Propagate(e, cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Len() != 8 {
-		t.Fatalf("unbounded cache holds %d, want 8", cache.Len())
-	}
-	cache.SetCapacity(2)
-	if cache.Len() != 2 {
-		t.Fatalf("after shrink cache holds %d, want 2", cache.Len())
-	}
-	if st := cache.StatsSnapshot(); st.Evictions != 6 {
-		t.Fatalf("evictions=%d, want 6", st.Evictions)
-	}
-}
-
 // TestOutcomeCacheDeltaSeeding checks that consecutive misses ride the
 // delta path off the previous outcome and still produce the same
 // pointer-stable, byte-identical outcomes as direct propagation.

@@ -61,16 +61,13 @@ func (c Community) String() string {
 
 // communityTables precomputes, per announcement, the (operator, target)
 // pairs for each action. The zero value (nil maps) is valid and means no
-// announcement carries communities; the propagation hot path checks
-// active() once per offer and skips all community lookups for the common
-// community-free configuration.
+// announcement carries communities; the propagation hot path checks the
+// context's anyComm flag once per offer and skips all community lookups
+// for the common community-free configuration.
 type communityTables struct {
 	noExport map[int]map[[2]topo.ASN]bool
 	prepend  map[int]map[[2]topo.ASN]bool
 }
-
-// active reports whether any community table was built.
-func (t communityTables) active() bool { return t.noExport != nil || t.prepend != nil }
 
 func buildCommunityTables(cfg Config) communityTables {
 	t := communityTables{

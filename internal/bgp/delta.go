@@ -8,10 +8,10 @@ import (
 // (the ASes that must be seeded into the event queue) exceeds this
 // fraction of the topology, an incremental pass would approach the cost
 // of a full propagation while paying extra bookkeeping, so
-// PropagateDelta re-runs Propagate instead.
+// PropagateDeltaInfo re-runs Propagate instead.
 const deltaFrontierFrac = 0.25
 
-// DeltaMode reports which path a PropagateDelta call took.
+// DeltaMode reports which path a PropagateDeltaInfo call took.
 type DeltaMode int8
 
 const (
@@ -53,7 +53,7 @@ func (m DeltaMode) String() string {
 	}
 }
 
-// DeltaInfo describes how a PropagateDelta call executed, for tests and
+// DeltaInfo describes how a PropagateDeltaInfo call executed, for tests and
 // instrumentation.
 type DeltaInfo struct {
 	Mode DeltaMode
@@ -67,7 +67,7 @@ type DeltaInfo struct {
 	Events int
 }
 
-// PropagateDelta computes the routing outcome of cfg incrementally from
+// PropagateDeltaInfo computes the routing outcome of cfg incrementally from
 // a previously converged outcome: it diffs the two configurations,
 // carries every selection the diff cannot affect, and seeds the event
 // queue only with the dirty frontier — ASes whose current best route is
@@ -80,19 +80,14 @@ type DeltaInfo struct {
 //
 // prev must be the outcome this engine computed for prevCfg. When prev
 // is unusable, the diff touches too much of the topology, or the
-// incremental pass fails to converge, PropagateDelta transparently falls
-// back to a full Propagate — callers never need to special-case.
-func (e *Engine) PropagateDelta(prev *Outcome, prevCfg, cfg Config) (Outcome, error) {
-	out, _, err := e.PropagateDeltaTraced(prev, prevCfg, cfg, nil)
-	return out, err
-}
-
-// PropagateDeltaInfo is PropagateDelta plus the execution report.
+// incremental pass fails to converge, PropagateDeltaInfo transparently falls
+// back to a full Propagate — callers never need to special-case. The
+// DeltaInfo reports which of those paths ran.
 func (e *Engine) PropagateDeltaInfo(prev *Outcome, prevCfg, cfg Config) (Outcome, DeltaInfo, error) {
 	return e.PropagateDeltaTraced(prev, prevCfg, cfg, nil)
 }
 
-// PropagateDeltaTraced is PropagateDelta with trace-span parentage; a
+// PropagateDeltaTraced is PropagateDeltaInfo with trace-span parentage; a
 // fallback's full "bgp.propagate" span nests under the delta span.
 func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent *trace.Span) (Outcome, DeltaInfo, error) {
 	if err := cfg.Validate(e.origin); err != nil {
@@ -360,7 +355,7 @@ func (e *Engine) endDeltaSpan(sp *trace.Span, info DeltaInfo, ases, anns int) {
 
 // configsIndexIdentical reports whether two configurations are the same
 // announcement-for-announcement at the same indices (the strict sense
-// PropagateDelta needs: prev.sel's ann indices must mean in prevCfg what
+// PropagateDeltaInfo needs: prev.sel's ann indices must mean in prevCfg what
 // they meant in the config that produced prev).
 func configsIndexIdentical(a, b Config) bool {
 	if len(a.Anns) != len(b.Anns) {

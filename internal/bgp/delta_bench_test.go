@@ -50,7 +50,7 @@ func internetWorldForBench(b *testing.B, seed uint64, numASes int) (*topo.Graph,
 	return g, Origin{ASN: orig, Links: links}
 }
 
-// benchDelta measures PropagateDelta for a fixed prev -> cfg transition,
+// benchDelta measures PropagateDeltaInfo for a fixed prev -> cfg transition,
 // in the campaign-loop usage pattern: each step's outcome is inspected
 // and then released back to the engine's array pool. It fails the
 // benchmark if the delta path falls back to full propagation: these
@@ -72,7 +72,7 @@ func benchDelta(b *testing.B, e *Engine, prevCfg, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := e.PropagateDelta(&prev, prevCfg, cfg)
+		out, _, err := e.PropagateDeltaInfo(&prev, prevCfg, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

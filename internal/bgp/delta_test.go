@@ -37,7 +37,7 @@ func randomPoison(rng *stats.RNG, g *topo.Graph, o Origin, l LinkID) topo.ASN {
 // of prev with one (or, a quarter of the time, several) field-level
 // edits — announcement add/remove, prepend change, poison toggle,
 // community change — plus occasional verbatim no-ops. This is exactly
-// the near-identical-consecutive-configs workload PropagateDelta exists
+// the near-identical-consecutive-configs workload PropagateDeltaInfo exists
 // for, while multi-field edits and announcement removals exercise the
 // frontier-explosion fallback.
 func mutateConfig(rng *stats.RNG, g *topo.Graph, o Origin, prev Config) Config {
@@ -118,7 +118,7 @@ func mutateConfig(rng *stats.RNG, g *topo.Graph, o Origin, prev Config) Config {
 
 // TestPropagateDeltaMatchesFull is the randomized full-vs-delta
 // equivalence suite: a campaign-style mutation walk where every step's
-// PropagateDelta outcome must be byte-identical to a from-scratch
+// PropagateDeltaInfo outcome must be byte-identical to a from-scratch
 // Propagate of the same config. Each delta chains off the previous
 // *delta* outcome, so errors would compound if any crept in, and the
 // walk runs under both noiseless and noisy engine parameters (pinned
@@ -322,7 +322,7 @@ func TestPropagateDeltaScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			got, err := e.PropagateDelta(&prev, cfg, next)
+			got, _, err := e.PropagateDeltaInfo(&prev, cfg, next)
 			if err != nil {
 				t.Fatal(err)
 			}

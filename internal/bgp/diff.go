@@ -32,7 +32,7 @@ const (
 
 // ConfigDiff is the structured difference between a previous and a new
 // announcement configuration, matched per peering link (configurations
-// hold at most one announcement per link). It drives PropagateDelta's
+// hold at most one announcement per link). It drives PropagateDeltaInfo's
 // frontier seeding and is also a cheap standalone answer to "what
 // changed between consecutive campaign configs".
 type ConfigDiff struct {
@@ -72,10 +72,6 @@ type ConfigDiff struct {
 	// announcements — a quick "how much changed" scalar.
 	NumDirty int
 }
-
-// Carried reports whether routes selected through previous announcement
-// ai survive into the new configuration (possibly length-shifted).
-func (d *ConfigDiff) Carried(prevAi int) bool { return d.PrevToNew[prevAi] >= 0 }
 
 // DiffConfigs computes the structured difference from prev to next.
 // Announcements are matched by peering link; both configurations must be

@@ -224,10 +224,6 @@ func (e *Engine) Perturbed(frac float64, seed uint64) (*Engine, error) {
 // Origin returns the origin AS definition.
 func (e *Engine) Origin() Origin { return e.origin }
 
-// IgnoresPoison reports whether the AS at dense index i has loop
-// prevention disabled.
-func (e *Engine) IgnoresPoison(i int) bool { return e.ignorePoison[i] }
-
 // PinnedNeighbor returns the dense index of the neighbor AS i pins its
 // LocalPref to, or -1 if i follows Gao-Rexford preferences.
 func (e *Engine) PinnedNeighbor(i int) int { return e.pinned[i] }
@@ -358,7 +354,7 @@ func (e *Engine) PropagateTraced(cfg Config, parent *trace.Span) (Outcome, error
 // caller's putScratch drains it) and sel freezes mid-oscillation.
 //
 // Both Propagate (empty initial state, seeded with the direct-
-// announcement providers) and PropagateDelta (carried previous state,
+// announcement providers) and PropagateDeltaInfo (carried previous state,
 // seeded with the diff's dirty frontier) converge through this one
 // loop, so the two paths cannot drift apart in decision semantics.
 func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, traced bool) (events, highWater int, converged bool) {

@@ -396,14 +396,3 @@ func TestConfigString(t *testing.T) {
 		t.Fatalf("unhelpful String: %q", s)
 	}
 }
-
-func TestActiveLinksSorted(t *testing.T) {
-	cfg := Config{Anns: []Announcement{{Link: 3}, {Link: 0}, {Link: 2}}}
-	ls := cfg.ActiveLinks()
-	want := []LinkID{0, 2, 3}
-	for i := range want {
-		if ls[i] != want[i] {
-			t.Fatalf("ActiveLinks = %v, want %v", ls, want)
-		}
-	}
-}

@@ -13,11 +13,11 @@ type Outcome struct {
 	// second[i] is the runner-up of AS i's last decision: the best offer
 	// that lost to sel[i] (noRoute when no alternative existed). It is an
 	// upper bound on every alternative offer at i, which is what lets
-	// PropagateDelta prune worsened-but-still-winning routes from the
+	// PropagateDeltaInfo prune worsened-but-still-winning routes from the
 	// dirty frontier without re-deciding them.
 	second []selection
 	// sendCls[i] is the export class of sel[i] (trueClass, resolving
-	// pinned overrides), persisted so PropagateDelta can carry it with
+	// pinned overrides), persisted so PropagateDeltaInfo can carry it with
 	// one copy instead of an O(n) recomputation. Entries are meaningful
 	// only where sel[i] is valid.
 	sendCls []int8
@@ -36,7 +36,7 @@ type outcomeArrays struct {
 // newOutcome builds an Outcome whose arrays come from the engine's
 // release pool when one is available. Pooled arrays are NOT zeroed —
 // every propagation path overwrites them in full (Propagate's noRoute
-// init sweep, PropagateDelta's carry copy) before any read.
+// init sweep, PropagateDeltaInfo's carry copy) before any read.
 func (e *Engine) newOutcome(cfg Config) Outcome {
 	out := Outcome{engine: e, cfg: cfg}
 	if a, ok := e.outArrs.Get().(*outcomeArrays); ok {
@@ -57,7 +57,7 @@ func (e *Engine) newOutcome(cfg Config) Outcome {
 //
 // The caller must be completely done with the Outcome: after Release it
 // must not be used again — not as a source of route queries, and not as
-// the prev of a PropagateDelta call. Outcomes held in an OutcomeCache
+// the prev of a PropagateDeltaInfo call. Outcomes held in an OutcomeCache
 // must not be released while cached. Releasing a zero or already
 // released Outcome is a no-op.
 func (o *Outcome) Release() {

@@ -42,7 +42,7 @@ type propScratch struct {
 	// an array read. Entries are only consulted for ASes with a valid
 	// selection. The array is NOT pooled: each propagation aliases it to
 	// its Outcome's sendCls so the final classes persist with the outcome
-	// (PropagateDelta carries them with one copy), and putScratch drops
+	// (PropagateDeltaInfo carries them with one copy), and putScratch drops
 	// the alias.
 	sendClass []int8
 

@@ -108,17 +108,6 @@ type Config struct {
 	Anns []Announcement
 }
 
-// ActiveLinks returns the set of links the configuration announces from,
-// sorted ascending.
-func (c Config) ActiveLinks() []LinkID {
-	ls := make([]LinkID, len(c.Anns))
-	for i, a := range c.Anns {
-		ls[i] = a.Link
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	return ls
-}
-
 // Validate checks the configuration against the origin: links in range,
 // no duplicate links, non-negative prepending, and at least one
 // announcement.

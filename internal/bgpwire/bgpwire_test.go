@@ -332,7 +332,12 @@ func TestRouteServerCollectsRoutes(t *testing.T) {
 	if len(rs.Routes(47065)) != 0 {
 		t.Fatal("withdrawal not applied")
 	}
-	if peers := rs.Peers(); len(peers) != 1 || peers[0] != 47065 {
-		t.Fatalf("peers %v", peers)
+	// The withdrawing peer keeps its (now empty) RIB.
+	rs.mu.Lock()
+	_, known := rs.ribs[47065]
+	peers := len(rs.ribs)
+	rs.mu.Unlock()
+	if !known || peers != 1 {
+		t.Fatalf("route server tracks %d peers (47065 known: %v), want just 47065", peers, known)
 	}
 }

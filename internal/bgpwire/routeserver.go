@@ -102,14 +102,3 @@ func (rs *RouteServer) Routes(peer topo.ASN) map[netip.Prefix][]topo.ASN {
 	}
 	return out
 }
-
-// Peers lists ASes that have announced at least one route.
-func (rs *RouteServer) Peers() []topo.ASN {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	var out []topo.ASN
-	for p := range rs.ribs {
-		out = append(out, p)
-	}
-	return out
-}

@@ -263,7 +263,7 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 			}
 			return nil, fmt.Errorf("core: config %d (%v): %w", i, plan[i].Config, err)
 		}
-		w.Platform.RecordTraced(plan[i].Config, csp)
+		w.Platform.Record(csp)
 	}
 	if phaseH != nil {
 		phaseH.With("deploy").Observe(time.Since(deployStart).Seconds())
@@ -449,13 +449,8 @@ func (c *Campaign) recordProvenance(led *provenance.Ledger, useTruth bool) {
 	})
 }
 
-// runPool executes fn(0..n-1) across a bounded pool of workers and waits
-// for all of them. fn must write only to its own index's slots.
-func runPool(workers, n int, fn func(i int)) {
-	runPoolSpans(nil, "", workers, n, func(i int, _ *trace.Span) { fn(i) })
-}
-
-// runPoolSpans is runPool with per-worker trace spans: when parent is a
+// runPoolSpans executes fn(0..n-1) across a bounded pool of workers and
+// waits for all of them, with per-worker trace spans: when parent is a
 // live span, each worker goroutine gets its own child span on a fresh
 // track (so concurrent work renders as parallel flame-chart rows) and
 // passes it to fn. The sequential path hands fn the parent itself. The

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/sched"
 	"spooftrack/internal/topo"
 )
 
@@ -159,18 +158,4 @@ func (d *Dataset) CatchmentMatrix() [][]bgp.LinkID {
 		out[i] = row
 	}
 	return out
-}
-
-// PhaseOf parses a record's phase label back to the sched constant.
-func (rec *DatasetConfig) PhaseOf() (sched.Phase, error) {
-	switch rec.Phase {
-	case sched.PhaseLocations.String():
-		return sched.PhaseLocations, nil
-	case sched.PhasePrepending.String():
-		return sched.PhasePrepending, nil
-	case sched.PhasePoisoning.String():
-		return sched.PhasePoisoning, nil
-	default:
-		return 0, fmt.Errorf("core: unknown phase %q", rec.Phase)
-	}
 }

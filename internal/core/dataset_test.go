@@ -75,24 +75,6 @@ func TestDatasetMatrixMatchesCampaign(t *testing.T) {
 	}
 }
 
-func TestDatasetPhaseOf(t *testing.T) {
-	camp := datasetCampaign(t)
-	d := camp.Dataset()
-	for i := range d.Configs {
-		ph, err := d.Configs[i].PhaseOf()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ph != camp.Plan[i].Phase {
-			t.Fatalf("config %d phase %v, want %v", i, ph, camp.Plan[i].Phase)
-		}
-	}
-	bad := DatasetConfig{Phase: "quantum"}
-	if _, err := bad.PhaseOf(); err == nil {
-		t.Fatal("unknown phase accepted")
-	}
-}
-
 func TestReadDatasetRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"",           // no header

@@ -33,8 +33,6 @@ type WorldParams struct {
 	// build byte-identical worlds, which is what lets a sharded
 	// deployment agree on one attribution matrix.
 	Graph *topo.Graph
-	// Muxes lists the PoPs to deploy; nil means peering.TableI.
-	Muxes []peering.MuxSpec
 	// Engine configures routing realism; zero value means
 	// bgp.DefaultParams(Seed).
 	Engine *bgp.Params
@@ -106,7 +104,6 @@ func BuildWorld(p WorldParams) (*World, error) {
 		ep = *p.Engine
 	}
 	plat, err := peering.New(g, peering.Options{
-		Muxes:                p.Muxes,
 		EngineParams:         ep,
 		OutcomeCacheCapacity: p.OutcomeCacheCap,
 	})

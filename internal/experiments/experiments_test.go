@@ -172,7 +172,7 @@ func TestFig8Shapes(t *testing.T) {
 func TestFig9Shapes(t *testing.T) {
 	l := lab(t)
 	r := Fig9(l)
-	if r.Survey.Len() != l.Campaign.NumConfigs() {
+	if len(r.Survey.BestRel) != l.Campaign.NumConfigs() {
 		t.Fatal("survey length mismatch")
 	}
 	if r.MeanGaoRexford > r.MeanBestRel {

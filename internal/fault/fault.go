@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seed-driven fault injector for the
 // campaign and streaming paths: probabilistic deploy and measurement
-// errors, injected deployment latency, peering-link flaps, dark
-// collector feeds, lost traceroute batches, partial catchment
-// visibility, and event-tap drops.
+// errors, injected deployment latency, peering-link flaps, lost active
+// probes, partial catchment visibility, event-tap drops, and ingest-tier
+// partitions and lease loss.
 //
 // The paper's method only works if the origin AS keeps deploying
 // configurations and measuring catchments while the real Internet
@@ -35,10 +35,13 @@ import (
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/measure"
 	"spooftrack/internal/metrics"
-	"spooftrack/internal/topo"
 )
 
-// Kind enumerates the injectable fault classes.
+// Kind enumerates the injectable fault classes. roll mixes the kind's
+// number into every decision, so the numbers are part of each profile's
+// fault schedule: 4 and 9 belonged to injection sites that were never
+// wired and have been removed, and they stay unassigned rather than
+// renumbering (and so rescheduling) the kinds after them.
 type Kind int
 
 const (
@@ -54,11 +57,9 @@ const (
 	// KindTapDrop is a per-packet event lost between the honeypot tap
 	// and the streaming pipeline.
 	KindTapDrop
-	// KindFeedGap is a route collector whose feed is dark for a
-	// configuration's capture window.
-	KindFeedGap
-	// KindProbeLoss is a traceroute dropped from an observation beyond
-	// the measurement model's own noise.
+	_
+	// KindProbeLoss is an active spoof probe lost beyond the probe
+	// network's own loss model.
 	KindProbeLoss
 	// KindLatency is injected deployment latency (slow convergence).
 	KindLatency
@@ -70,10 +71,7 @@ const (
 	// retried. Rolled per ordered node pair and attempt, so retries
 	// heal transient partitions deterministically.
 	KindPartition
-	// KindShardCrash is an ingest shard dying permanently at a round
-	// boundary: its pipeline stops answering and its round counters are
-	// lost, forcing the controller to discard the round and degrade.
-	KindShardCrash
+	_
 	// KindSplitBrain is a controller spuriously losing its leadership
 	// lease at renewal — the lease store's answer diverges from the
 	// controller's belief, forcing abdication and re-election at a
@@ -83,34 +81,26 @@ const (
 	numKinds
 )
 
+// kindNames names each kind as used in metrics labels and /faults
+// output; the unassigned numbers have no name and are skipped there.
+var kindNames = [numKinds]string{
+	KindDeployFail:  "deploy_fail",
+	KindMeasureFail: "measure_fail",
+	KindLinkFlap:    "link_flap",
+	KindTapDrop:     "tap_drop",
+	KindProbeLoss:   "probe_loss",
+	KindLatency:     "latency",
+	KindHidden:      "hidden_source",
+	KindPartition:   "partition",
+	KindSplitBrain:  "split_brain",
+}
+
 // String names the kind as used in metrics labels and /faults output.
 func (k Kind) String() string {
-	switch k {
-	case KindDeployFail:
-		return "deploy_fail"
-	case KindMeasureFail:
-		return "measure_fail"
-	case KindLinkFlap:
-		return "link_flap"
-	case KindTapDrop:
-		return "tap_drop"
-	case KindFeedGap:
-		return "feed_gap"
-	case KindProbeLoss:
-		return "probe_loss"
-	case KindLatency:
-		return "latency"
-	case KindHidden:
-		return "hidden_source"
-	case KindPartition:
-		return "partition"
-	case KindShardCrash:
-		return "shard_crash"
-	case KindSplitBrain:
-		return "split_brain"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && k < numKinds && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Injector injects the faults described by a Profile. All methods are
@@ -135,12 +125,6 @@ type Injector struct {
 func New(p Profile, seed uint64, numLinks int) *Injector {
 	return &Injector{profile: p, seed: seed, numLinks: numLinks, sleep: time.Sleep}
 }
-
-// Profile returns the profile the injector was built with.
-func (inj *Injector) Profile() Profile { return inj.profile }
-
-// Seed returns the injector's seed.
-func (inj *Injector) Seed() uint64 { return inj.seed }
 
 // roll returns a uniform [0,1) value that is a pure function of the
 // injector seed, the fault kind, the site key, and the salt.
@@ -176,8 +160,10 @@ func (inj *Injector) Instrument(reg *metrics.Registry) {
 	}
 	vec := reg.CounterVec("fault_injected_total", "kind")
 	var cs [numKinds]*metrics.Counter
-	for k := Kind(0); k < numKinds; k++ {
-		cs[k] = vec.With(k.String())
+	for k, name := range kindNames {
+		if name != "" {
+			cs[k] = vec.With(name)
+		}
 	}
 	inj.counters.Store(&cs)
 }
@@ -271,46 +257,6 @@ func (inj *Injector) Probe(link int, target int, seq uint64) bool {
 	return false
 }
 
-// FilterFeeds deletes collector feeds that are dark for configuration
-// cfgIdx under the profile's feed-gap probability, returning how many
-// were dropped. Decisions are per (config, collector), so a collector
-// dark for one configuration is dark on every retry of it — feed gaps
-// are capture-window outages, not per-read races.
-func (inj *Injector) FilterFeeds(cfgIdx int, paths map[int][]topo.ASN) (dropped int) {
-	p := inj.profile.PrFeedGap
-	if p <= 0 {
-		return 0
-	}
-	for c := range paths {
-		if inj.roll(KindFeedGap, "", uint64(cfgIdx)<<20|uint64(c)) < p {
-			delete(paths, c)
-			inj.count(KindFeedGap)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// PerturbObservation applies the profile's measurement-plane faults to
-// one configuration's observation in place: dark collector feeds and
-// lost traceroutes. It returns how many of each were dropped.
-func (inj *Injector) PerturbObservation(cfgIdx int, obs *measure.Observation) (feedsDropped, probesDropped int) {
-	feedsDropped = inj.FilterFeeds(cfgIdx, obs.BGPPaths)
-	if p := inj.profile.PrProbeLoss; p > 0 && len(obs.Traceroutes) > 0 {
-		kept := obs.Traceroutes[:0]
-		for i := range obs.Traceroutes {
-			if inj.roll(KindProbeLoss, "", uint64(cfgIdx)<<24|uint64(i)) < p {
-				inj.count(KindProbeLoss)
-				probesDropped++
-				continue
-			}
-			kept = append(kept, obs.Traceroutes[i])
-		}
-		obs.Traceroutes = kept
-	}
-	return feedsDropped, probesDropped
-}
-
 // HideSource reports whether source src is hidden from configuration
 // cfgIdx's catchment measurement (partial catchment visibility).
 func (inj *Injector) HideSource(cfgIdx, src int) bool {
@@ -366,22 +312,6 @@ func (inj *Injector) Partitioned(from, to string, attempt int) bool {
 	return false
 }
 
-// ShardCrash reports whether ingest shard node crashes permanently at
-// the given round boundary. Unlike a partition the decision is not
-// salted per attempt: once a shard has crashed it stays dead, so the
-// controller's retries exhaust and the round is discarded.
-func (inj *Injector) ShardCrash(node string, round int) bool {
-	p := inj.profile.PrShardCrash
-	if p <= 0 {
-		return false
-	}
-	if inj.roll(KindShardCrash, node, uint64(round)) < p {
-		inj.count(KindShardCrash)
-		return true
-	}
-	return false
-}
-
 // SplitBrain reports whether the lease holder spuriously loses its
 // leadership lease when renewing at the given term — the injected
 // moment where the controller's belief and the lease store diverge.
@@ -421,8 +351,10 @@ type Stats struct {
 // armed but quiet) before the first trigger.
 func (inj *Injector) Stats() Stats {
 	s := Stats{Profile: inj.profile.Name, Seed: inj.seed, Counts: make(map[string]int64, numKinds)}
-	for k := Kind(0); k < numKinds; k++ {
-		s.Counts[k.String()] = inj.counts[k].Load()
+	for k, name := range kindNames {
+		if name != "" {
+			s.Counts[name] = inj.counts[k].Load()
+		}
 	}
 	return s
 }

@@ -26,11 +26,8 @@ type Profile struct {
 	// PrTapDrop is the per-packet probability an event-tap delivery is
 	// lost.
 	PrTapDrop float64 `json:"pr_tap_drop,omitempty"`
-	// PrFeedGap is the per-collector probability its feed is dark for a
-	// configuration's capture window.
-	PrFeedGap float64 `json:"pr_feed_gap,omitempty"`
-	// PrProbeLoss is the per-traceroute probability it is lost beyond
-	// the measurement model's own noise.
+	// PrProbeLoss is the per-probe probability an active spoof probe is
+	// lost beyond the probe network's own loss model.
 	PrProbeLoss float64 `json:"pr_probe_loss,omitempty"`
 	// DeployLatency is the mean injected per-attempt deployment delay
 	// (each attempt sleeps 0.5–1.5× this; slow BGP convergence).
@@ -46,9 +43,6 @@ type Profile struct {
 	// sharded-ingest nodes is blackholed (retries re-roll and heal
 	// transient partitions).
 	PrPartition float64 `json:"pr_partition,omitempty"`
-	// PrShardCrash is the per-round probability an ingest shard dies
-	// permanently at a round boundary.
-	PrShardCrash float64 `json:"pr_shard_crash,omitempty"`
 	// PrSplitBrain is the per-term probability the controller spuriously
 	// loses its leadership lease at renewal, forcing abdication and a
 	// fenced re-election.
@@ -72,9 +66,8 @@ var builtins = []Profile{
 	},
 	{
 		Name:           "feed-gap",
-		Desc:           "collector feeds go dark and traceroute batches are lost",
+		Desc:           "catchment measurements are lost or miss sources, and half the active spoof probes go unanswered",
 		PrMeasureFail:  0.15,
-		PrFeedGap:      0.35,
 		PrProbeLoss:    0.50,
 		HideVisibility: 0.15,
 	},
@@ -97,12 +90,11 @@ var builtins = []Profile{
 	},
 	{
 		Name:           "chaos",
-		Desc:           "everything at once, at moderate rates",
+		Desc:           "deploy, measurement, probe and tap faults at once, at moderate rates (ingest-tier faults are netsplit's)",
 		PrDeployFail:   0.20,
 		PrMeasureFail:  0.15,
 		PrLinkFlap:     0.08,
 		PrTapDrop:      0.10,
-		PrFeedGap:      0.15,
 		PrProbeLoss:    0.30,
 		DeployLatency:  300 * time.Microsecond,
 		HideVisibility: 0.05,

@@ -262,9 +262,6 @@ func NewTable(rules []Rule) *Table {
 	return t
 }
 
-// Len returns the number of installed rules.
-func (t *Table) Len() int { return len(t.rules) }
-
 // Match returns the first matching rule, or nil.
 func (t *Table) Match(p Packet) *Rule {
 	for i := range t.rules {

@@ -158,7 +158,7 @@ func TestTableOrderingAndMatch(t *testing.T) {
 	if table.Match(Packet{Src: ip("99.9.9.9")}) != nil {
 		t.Fatal("unmatched packet matched")
 	}
-	if table.Len() != 2 {
+	if len(table.rules) != 2 {
 		t.Fatal("table size wrong")
 	}
 }

@@ -140,10 +140,13 @@ func TestModalityLossScenarios(t *testing.T) {
 	}
 }
 
-// TestFeedGapProfileDegradesWithoutCorrupting: the feed-gap scenario
-// starves inference of collector feeds and traceroutes. Coverage may
-// shrink; the cells that survive must stay correct within the normal
-// noise budget.
+// TestFeedGapProfileDegradesWithoutCorrupting: starving inference of
+// collector feeds and traceroutes may shrink coverage, and the feed-gap
+// scenario then hides sources from the measurement that did succeed; the
+// cells that survive both must stay correct within the normal noise
+// budget. (The profile itself only injects at the measurement level —
+// lost rounds and hidden sources — so the evidence is dropped here, at
+// the rates a dark-feed window would.)
 func TestFeedGapProfileDegradesWithoutCorrupting(t *testing.T) {
 	w := newFailureWorld(t, 76, 800, 100, 300)
 	out, err := w.platform.Deploy(anycastAll(7))
@@ -154,20 +157,38 @@ func TestFeedGapProfileDegradesWithoutCorrupting(t *testing.T) {
 	base := measure.Infer(clean, w.input)
 
 	faulty := measure.Collect(out, w.vantages, w.space, measure.DefaultNoise(), stats.NewRNG(6))
-	inj := fault.New(scenario(t, "feed-gap"), 9, w.platform.NumLinks())
-	feeds, probes := inj.PerturbObservation(0, &faulty)
-	if feeds == 0 || probes == 0 {
-		t.Fatalf("feed-gap injected nothing (feeds=%d probes=%d)", feeds, probes)
+	drop := stats.NewRNG(9)
+	for c := 0; c < w.g.NumASes(); c++ { // index order: map iteration would unseed the draw
+		if _, ok := faulty.BGPPaths[c]; ok && drop.Bool(0.35) {
+			delete(faulty.BGPPaths, c)
+		}
 	}
-	if inj.Count(fault.KindFeedGap) != int64(feeds) || inj.Count(fault.KindProbeLoss) != int64(probes) {
-		t.Fatal("injector counters disagree with reported drops")
+	kept := faulty.Traceroutes[:0]
+	for _, tr := range faulty.Traceroutes {
+		if !drop.Bool(0.50) {
+			kept = append(kept, tr)
+		}
+	}
+	faulty.Traceroutes = kept
+	if len(faulty.BGPPaths) == len(clean.BGPPaths) || len(faulty.Traceroutes) == len(clean.Traceroutes) {
+		t.Fatal("no evidence dropped")
 	}
 	m := measure.Infer(faulty, w.input)
-	if m.ObservedCount() == 0 {
-		t.Fatal("feed-gap must degrade coverage, not erase it")
-	}
 	if m.ObservedCount() > base.ObservedCount() {
 		t.Fatalf("dropping evidence grew coverage: %d > %d", m.ObservedCount(), base.ObservedCount())
+	}
+
+	inj := fault.New(scenario(t, "feed-gap"), 9, w.platform.NumLinks())
+	before := m.ObservedCount()
+	hidden := inj.Mask(0, m)
+	if hidden == 0 {
+		t.Fatal("feed-gap hid nothing")
+	}
+	if inj.Count(fault.KindHidden) != int64(hidden) || m.ObservedCount() != before-hidden {
+		t.Fatal("injector counters disagree with reported hides")
+	}
+	if m.ObservedCount() == 0 {
+		t.Fatal("feed-gap must degrade coverage, not erase it")
 	}
 	if frac := wrongFraction(m, out); frac > 0.05 {
 		t.Fatalf("feed-gap corrupted %.1f%% of surviving observations", frac*100)
@@ -176,7 +197,7 @@ func TestFeedGapProfileDegradesWithoutCorrupting(t *testing.T) {
 
 // TestFeedGapStableAcrossRetries: the profile's fault schedule is a
 // function of (seed, config, site), not of time or call order — two
-// identical collections perturbed by two identically-seeded injectors
+// identical measurements masked by two identically-seeded injectors
 // end up byte-identical, which is what makes campaign retries
 // reproducible.
 func TestFeedGapStableAcrossRetries(t *testing.T) {
@@ -185,24 +206,21 @@ func TestFeedGapStableAcrossRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed := func() measure.Observation {
+	masked := func(cfgIdx int) *measure.CatchmentMeasurement {
 		obs := measure.Collect(out, w.vantages, w.space, measure.DefaultNoise(), stats.NewRNG(4))
+		m := measure.Infer(obs, w.input)
 		inj := fault.New(scenario(t, "feed-gap"), 21, w.platform.NumLinks())
-		inj.PerturbObservation(3, &obs)
-		return obs
+		if inj.Mask(cfgIdx, m) == 0 {
+			t.Fatal("feed-gap hid nothing")
+		}
+		return m
 	}
-	a, b := perturbed(), perturbed()
-	if !reflect.DeepEqual(a.BGPPaths, b.BGPPaths) {
-		t.Fatal("feed gaps differ across retries of the same configuration")
-	}
-	if !reflect.DeepEqual(a.Traceroutes, b.Traceroutes) {
-		t.Fatal("probe losses differ across retries of the same configuration")
+	a, b := masked(3), masked(3)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("hidden sources differ across retries of the same configuration")
 	}
 	// A different configuration draws a different schedule.
-	obs := measure.Collect(out, w.vantages, w.space, measure.DefaultNoise(), stats.NewRNG(4))
-	inj := fault.New(scenario(t, "feed-gap"), 21, w.platform.NumLinks())
-	inj.PerturbObservation(4, &obs)
-	if reflect.DeepEqual(a.BGPPaths, obs.BGPPaths) && reflect.DeepEqual(a.Traceroutes, obs.Traceroutes) {
+	if reflect.DeepEqual(a.Observed, masked(4).Observed) {
 		t.Fatal("different configurations drew identical fault schedules")
 	}
 }

@@ -2,7 +2,6 @@ package measure
 
 import (
 	"slices"
-	"strings"
 
 	"spooftrack/internal/addr"
 	"spooftrack/internal/bgp"
@@ -350,18 +349,4 @@ func (s *scratch) asLevelPath(hops []Hop, g *topo.Graph, mapper addr.Mapper, seq
 	}
 	s.asPath = out
 	return out
-}
-
-// debugString renders a traceroute for test failure messages.
-func (tr Traceroute) debugString() string {
-	var sb strings.Builder
-	for _, h := range tr.Hops {
-		if !h.Responsive {
-			sb.WriteString("* ")
-			continue
-		}
-		sb.WriteString(h.Addr.String())
-		sb.WriteByte(' ')
-	}
-	return sb.String()
 }

@@ -18,7 +18,7 @@ func TestRepairSubstitutesUniqueSequence(t *testing.T) {
 	out := RepairUnresponsive([]Traceroute{ref, broken})
 	got := out[1].Hops
 	if len(got) != 3 || !got[1].Responsive || got[1].Addr != a("2.2.2.2") {
-		t.Fatalf("repair failed: %v", out[1].debugString())
+		t.Fatalf("repair failed: %v", out[1].Hops)
 	}
 	// Reference must be untouched.
 	if len(out[0].Hops) != 3 || out[0].Hops[1].Addr != a("2.2.2.2") {
@@ -35,7 +35,7 @@ func TestRepairSkipsConflictingSequences(t *testing.T) {
 	out := RepairUnresponsive([]Traceroute{ref1, ref2, broken})
 	got := out[2].Hops
 	if len(got) != 3 || got[1].Responsive {
-		t.Fatalf("conflicting repair applied: %v", out[2].debugString())
+		t.Fatalf("conflicting repair applied: %v", out[2].Hops)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestRepairMultiHopGap(t *testing.T) {
 	out := RepairUnresponsive([]Traceroute{ref, broken})
 	got := out[1].Hops
 	if len(got) != 4 || got[1].Addr != a("2.2.2.2") || got[2].Addr != a("4.4.4.4") {
-		t.Fatalf("multi-hop repair failed: %v", out[1].debugString())
+		t.Fatalf("multi-hop repair failed: %v", out[1].Hops)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestRepairLeavesEdgeGaps(t *testing.T) {
 	out := RepairUnresponsive([]Traceroute{tr})
 	got := out[0].Hops
 	if len(got) != 4 || got[0].Responsive || got[3].Responsive {
-		t.Fatalf("edge gaps modified: %v", out[0].debugString())
+		t.Fatalf("edge gaps modified: %v", out[0].Hops)
 	}
 }
 

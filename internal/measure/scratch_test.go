@@ -200,7 +200,7 @@ func TestRepairUsesOwnHops(t *testing.T) {
 	}}
 	got := RepairUnresponsive([]Traceroute{loop})[0].Hops
 	if len(got) != 7 || !got[5].Responsive || got[5].Addr != a("1.0.0.2") {
-		t.Fatalf("gap not repaired from the traceroute's own hops: %v", Traceroute{Hops: got}.debugString())
+		t.Fatalf("gap not repaired from the traceroute's own hops: %v", got)
 	}
 }
 

@@ -137,42 +137,44 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile estimates the q-quantile (0..1) by linear interpolation
-// within the containing bucket. Overflow-bucket answers clamp to the
-// last bound. A histogram with no buckets (possible only by
-// constructing the zero value directly — NewHistogram substitutes
-// DefBuckets) answers with the observed maximum rather than indexing an
-// empty bounds slice.
+// Quantile estimates the q-quantile (0..1) of the observations so far;
+// see BucketQuantile for the interpolation rule.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
+	return BucketQuantile(q, h.bounds, func(i int) float64 { return float64(h.counts[i].Load()) },
+		float64(h.Count()), h.Max())
+}
+
+// BucketQuantile estimates the q-quantile (0..1) of a bucketed
+// distribution by linear interpolation within the containing bucket —
+// exported so quantiles taken from a snapshot or from scraped bucket
+// series (watch, tsdb) answer exactly what the live histogram does.
+// bounds are the finite buckets' ascending upper bounds and count(i)
+// the weight of the bucket ending at bounds[i]; total is the weight the
+// rank is taken over, overflow (+inf) bucket included. Empty buckets
+// advance the interpolation base, and a rank that falls in the overflow
+// bucket clamps to the last bound, so that bucket's own weight is never
+// read. No weight answers 0; a layout with no bounds (possible only by
+// constructing a zero Histogram directly — NewHistogram substitutes
+// DefBuckets) answers max, the largest observation, rather than
+// indexing an empty bounds slice.
+func BucketQuantile(q float64, bounds []float64, count func(i int) float64, total, max float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	if len(h.bounds) == 0 {
-		return h.Max()
+	if len(bounds) == 0 {
+		return max
 	}
-	rank := q * float64(total)
-	acc := int64(0)
-	lo := 0.0
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			if i < len(h.bounds) {
-				lo = h.bounds[i]
-			}
-			continue
-		}
-		if float64(acc+n) >= rank {
-			if i >= len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			frac := (rank - float64(acc)) / float64(n)
-			return lo + frac*(h.bounds[i]-lo)
+	rank := q * total
+	acc, lo := 0.0, 0.0
+	for i, hi := range bounds {
+		n := count(i)
+		if n > 0 && acc+n >= rank {
+			return lo + (rank-acc)/n*(hi-lo)
 		}
 		acc += n
-		lo = h.bounds[i]
+		lo = hi
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram, the shape

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 )
@@ -98,6 +99,64 @@ func TestQuantileEdgeCases(t *testing.T) {
 			}
 			if got := h.Quantile(tc.q); got != tc.want {
 				t.Fatalf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestBucketQuantile pins the shared interpolation rule on bucket
+// weights directly — the form the tsdb (float windowed increases) and
+// the watchdog (snapshot bucket maps) feed it — and checks each
+// integer-weight row against a live Histogram holding the same counts.
+func TestBucketQuantile(t *testing.T) {
+	tests := []struct {
+		name   string
+		bounds []float64
+		counts []float64 // len(bounds)+1, overflow last
+		max    float64
+		want   map[float64]float64 // q -> quantile
+	}{
+		{"empty histogram", []float64{1, 2}, []float64{0, 0, 0}, 0,
+			map[float64]float64{0: 0, 0.5: 0, 0.99: 0, 1: 0}},
+		{"zero-bounds histogram answers max", nil, []float64{2}, 7,
+			map[float64]float64{0: 7, 0.5: 7, 0.99: 7, 1: 7}},
+		{"all mass in overflow clamps to the last bound", []float64{1, 2}, []float64{0, 0, 3}, 300,
+			map[float64]float64{0: 2, 0.5: 2, 0.99: 2, 1: 2}},
+		{"empty buckets advance the interpolation base", []float64{1, 2, 4, 8}, []float64{0, 0, 2, 0, 0}, 3,
+			map[float64]float64{0: 2, 0.5: 3, 0.99: 3.98, 1: 4}},
+		{"rank walks occupied buckets and skips gaps", []float64{1, 2, 4, 8}, []float64{1, 0, 2, 1, 0}, 5,
+			map[float64]float64{0: 0, 0.5: 3, 0.99: 7.84, 1: 8}},
+		{"overflow tail clamps the high quantiles only", []float64{1, 2}, []float64{1, 0, 1}, 100,
+			map[float64]float64{0: 0, 0.5: 1, 0.99: 2, 1: 2}},
+		{"fractional weights interpolate like counts", []float64{10, 20}, []float64{0.5, 0.25, 0.25}, 0,
+			map[float64]float64{0: 0, 0.5: 10, 0.625: 15, 1: 20}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			total, whole := 0.0, true
+			for _, n := range tc.counts {
+				total += n
+				whole = whole && n == float64(int64(n))
+			}
+			count := func(i int) float64 { return tc.counts[i] }
+			var h *Histogram
+			if whole {
+				h = &Histogram{bounds: tc.bounds, counts: make([]atomic.Int64, len(tc.counts))}
+				for i, n := range tc.counts {
+					h.counts[i].Store(int64(n))
+				}
+				h.count.Store(int64(total))
+				h.maxBig.Store(math.Float64bits(tc.max))
+			}
+			for q, want := range tc.want {
+				if got := BucketQuantile(q, tc.bounds, count, total, tc.max); got != want {
+					t.Errorf("BucketQuantile(%v) = %v, want %v", q, got, want)
+				}
+				if h != nil {
+					if got := h.Quantile(q); got != want {
+						t.Errorf("Histogram.Quantile(%v) = %v, want %v", q, got, want)
+					}
+				}
 			}
 		})
 	}

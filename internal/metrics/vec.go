@@ -137,9 +137,6 @@ func (v *vec[M]) children() []*vecChild[M] {
 	return out
 }
 
-// LabelNames returns the vector's label names in order.
-func (v *vec[M]) LabelNames() []string { return append([]string(nil), v.labels...) }
-
 // childKey renders a child's identity as "label=value,label=value" — the
 // key the JSON export and watch rules address children by.
 func childKey(labels, values []string) string {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 )
 
 // BreakerState is a per-link circuit-breaker state.
@@ -59,8 +58,6 @@ type LinkHealth struct {
 	tick      int64
 	links     []linkState
 
-	transitions [3]*metrics.Counter // indexed by BreakerState, nil until Instrument
-
 	// onTransition, if set, observes every breaker state change (the
 	// provenance ledger's quarantine hook). Called with h.mu held — it
 	// must be fast and must not call back into LinkHealth.
@@ -107,9 +104,6 @@ func (h *LinkHealth) transition(link bgp.LinkID, st *linkState, to BreakerState)
 	st.state = to
 	if to == BreakerOpen {
 		st.openedAt = h.tick
-	}
-	if c := h.transitions[to]; c != nil {
-		c.Inc()
 	}
 	if h.onTransition != nil {
 		h.onTransition(link, from, to)
@@ -218,22 +212,4 @@ func (h *LinkHealth) Snapshot() []LinkHealthStat {
 		}
 	}
 	return out
-}
-
-// Instrument mirrors breaker transitions into the registry as
-// peering_link_breaker_transitions_total{state=...} plus a
-// peering_links_quarantined gauge. Call once, before reports start.
-func (h *LinkHealth) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	vec := reg.CounterVec("peering_link_breaker_transitions_total", "state")
-	h.mu.Lock()
-	for s := BreakerClosed; s <= BreakerHalfOpen; s++ {
-		h.transitions[s] = vec.With(s.String())
-	}
-	h.mu.Unlock()
-	reg.GaugeFunc("peering_links_quarantined", func() float64 {
-		return float64(len(h.Quarantined()))
-	})
 }

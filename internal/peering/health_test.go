@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 )
 
 func TestBreakerTripsAndCoolsDown(t *testing.T) {
@@ -80,30 +79,6 @@ func TestBreakerOutOfRangeLinkIgnored(t *testing.T) {
 	h.ReportSuccess(bgp.NoLink)
 	if h.IsQuarantined(9) || len(h.Quarantined()) != 0 {
 		t.Fatal("out-of-range links must be ignored")
-	}
-}
-
-func TestBreakerInstrument(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := NewLinkHealth(2, 2, 2)
-	h.Instrument(reg)
-	h.ReportFailure(0)
-	h.ReportFailure(0) // → open
-	h.ReportSuccess(1)
-	h.ReportSuccess(1) // cooldown → half-open
-	h.ReportSuccess(0) // trial → closed
-	snap := reg.Snapshot()
-	vec, ok := snap["peering_link_breaker_transitions_total"].(map[string]any)
-	if !ok {
-		t.Fatalf("transitions vec missing: %+v", snap)
-	}
-	for state, want := range map[string]int64{"state=open": 1, "state=half_open": 1, "state=closed": 1} {
-		if got, _ := vec[state].(int64); got != want {
-			t.Fatalf("transitions[%s] = %v, want %d (vec %v)", state, got, want, vec)
-		}
-	}
-	if g, _ := snap["peering_links_quarantined"].(float64); g != 0 {
-		t.Fatalf("quarantined gauge = %v, want 0", g)
 	}
 }
 

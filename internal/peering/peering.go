@@ -79,13 +79,13 @@ func DefaultConstraints() Constraints {
 // Propagation is split from bookkeeping so campaigns can fan
 // configurations out across CPUs: Propagate is safe for concurrent use
 // (and consults the outcome cache), while Record — which advances the
-// simulated clock and the deployment history, both ordered state — must
+// simulated clock and the convergence sampler, both ordered state — must
 // be called sequentially in deployment order.
 type Platform struct {
 	muxes       []Mux
 	constraints Constraints
 	engine      *bgp.Engine
-	cache       *bgp.OutcomeCache // nil when disabled
+	cache       *bgp.OutcomeCache
 
 	// conv models per-deployment BGP convergence delay; convRNG drives
 	// its sampling. Both belong to the sequential Record path.
@@ -95,7 +95,6 @@ type Platform struct {
 	elapsed   time.Duration
 	converged time.Duration
 	deployed  int
-	history   []bgp.Config
 
 	// hook, when set, injects deployment faults (latency, link flaps,
 	// failed attempts); health is the per-link breaker the hook's flap
@@ -118,16 +117,8 @@ type FaultHook interface {
 type Options struct {
 	// Muxes to deploy; defaults to TableI.
 	Muxes []MuxSpec
-	// Constraints default to DefaultConstraints.
-	Constraints *Constraints
 	// EngineParams configures the routing engine realism knobs.
 	EngineParams bgp.Params
-	// DisableOutcomeCache turns off outcome memoization: every
-	// Propagate/Deploy re-runs the routing engine even for a
-	// configuration seen before. Outcomes are immutable, so the cache
-	// never changes results — disable it only to bound memory or to
-	// benchmark raw propagation.
-	DisableOutcomeCache bool
 	// OutcomeCacheCapacity bounds the outcome cache (LRU eviction past
 	// the bound). 0 uses bgp.DefaultOutcomeCacheCapacity; negative means
 	// unbounded. At internet scale an Outcome is ~16 bytes per AS, so
@@ -148,10 +139,6 @@ func New(g *topo.Graph, opts Options) (*Platform, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("peering: no muxes requested")
 	}
-	cons := DefaultConstraints()
-	if opts.Constraints != nil {
-		cons = *opts.Constraints
-	}
 	providers, err := chooseProviders(g, len(specs))
 	if err != nil {
 		return nil, err
@@ -168,20 +155,18 @@ func New(g *topo.Graph, opts Options) (*Platform, error) {
 	}
 	p := &Platform{
 		muxes:       muxes,
-		constraints: cons,
+		constraints: DefaultConstraints(),
 		engine:      engine,
 		conv:        DefaultConvergenceModel(),
 		convRNG:     stats.NewRNG(opts.EngineParams.Seed ^ 0xc09e4ce5ead),
 	}
-	if !opts.DisableOutcomeCache {
-		switch {
-		case opts.OutcomeCacheCapacity > 0:
-			p.cache = bgp.NewOutcomeCacheCap(opts.OutcomeCacheCapacity)
-		case opts.OutcomeCacheCapacity < 0:
-			p.cache = bgp.NewOutcomeCacheCap(0)
-		default:
-			p.cache = bgp.NewOutcomeCache()
-		}
+	switch {
+	case opts.OutcomeCacheCapacity > 0:
+		p.cache = bgp.NewOutcomeCacheCap(opts.OutcomeCacheCapacity)
+	case opts.OutcomeCacheCapacity < 0:
+		p.cache = bgp.NewOutcomeCacheCap(0)
+	default:
+		p.cache = bgp.NewOutcomeCache()
 	}
 	p.health = NewLinkHealth(len(muxes), 0, 0)
 	return p, nil
@@ -316,24 +301,10 @@ func (p *Platform) CheckConstraints(cfg bgp.Config) error {
 }
 
 // Propagate computes the converged routing outcome for the configuration
-// without touching the platform's clock or history. It consults the
-// outcome cache when enabled and is safe for concurrent use.
+// without touching the platform's clock. It consults the outcome cache
+// and is safe for concurrent use.
 func (p *Platform) Propagate(cfg bgp.Config) (*bgp.Outcome, error) {
-	return p.PropagateTraced(cfg, nil)
-}
-
-// PropagateTraced is Propagate with trace-span parentage: the cache
-// lookup (or raw propagation) span nests under parent. With tracing
-// disabled the extra cost is a few atomic loads.
-func (p *Platform) PropagateTraced(cfg bgp.Config, parent *trace.Span) (*bgp.Outcome, error) {
-	if p.cache != nil {
-		return p.cache.PropagateTraced(p.engine, cfg, parent)
-	}
-	out, err := p.engine.PropagateTraced(cfg, parent)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return p.cache.PropagateTraced(p.engine, cfg, nil)
 }
 
 // SetFaultHook installs a deployment fault injector. Call before the
@@ -348,10 +319,10 @@ func (p *Platform) Health() *LinkHealth { return p.health }
 // the fault hook (if any) first injects convergence latency, link
 // flaps, and attempt failures — flaps and failures are charged to the
 // link-health breaker, clean announcements credited — and then the
-// outcome is computed as in PropagateTraced (bypassing the outcome
-// cache when noCache is set). Safe for concurrent use; the breaker
-// never influences the returned outcome, so campaign results stay
-// deterministic under any fault profile.
+// outcome is computed as in Propagate, its spans nested under parent
+// (bypassing the outcome cache when noCache is set). Safe for concurrent
+// use; the breaker never influences the returned outcome, so campaign
+// results stay deterministic under any fault profile.
 func (p *Platform) PropagateAttempt(cfg bgp.Config, attempt int, noCache bool, parent *trace.Span) (*bgp.Outcome, error) {
 	if p.hook != nil {
 		flapped, err := p.hook.Deploy(cfg.Key(), attempt)
@@ -372,7 +343,7 @@ func (p *Platform) PropagateAttempt(cfg bgp.Config, attempt int, noCache bool, p
 			return nil, err
 		}
 	}
-	if noCache || p.cache == nil {
+	if noCache {
 		out, err := p.engine.PropagateTraced(cfg, parent)
 		if err != nil {
 			return nil, err
@@ -391,27 +362,20 @@ func containsLink(xs []bgp.LinkID, v bgp.LinkID) bool {
 	return false
 }
 
-// Record accounts for one deployment of the configuration: it advances
-// the simulated clock by the configuration duration, samples a
-// convergence delay from the platform's model, and appends to the
-// deployment history. Callers that propagate concurrently must call
-// Record sequentially, in deployment order.
-func (p *Platform) Record(cfg bgp.Config) {
-	p.RecordTraced(cfg, nil)
-}
-
-// RecordTraced is Record with trace-span parentage: it emits a
-// "peering.settle" span under parent carrying the sampled convergence
-// delay and the configuration slot duration. The convergence sample is
+// Record accounts for one deployment: it advances the simulated clock
+// by the configuration duration and samples a convergence delay from
+// the platform's model. Callers that propagate concurrently must call
+// Record sequentially, in deployment order. It emits a "peering.settle"
+// span under parent (nil for none) carrying the sampled convergence
+// delay and the configuration slot duration; the convergence sample is
 // drawn whether or not tracing is on, so simulated clocks are identical
 // across traced and untraced runs.
-func (p *Platform) RecordTraced(cfg bgp.Config, parent *trace.Span) {
+func (p *Platform) Record(parent *trace.Span) {
 	conv := p.conv.Sample(p.convRNG)
 	sp := trace.StartChild(parent, "peering.settle")
 	p.elapsed += p.constraints.ConfigDuration
 	p.converged += conv
 	p.deployed++
-	p.history = append(p.history, cfg)
 	if sp != nil {
 		sp.Set(
 			trace.Float("sim_convergence_s", conv.Seconds()),
@@ -422,30 +386,15 @@ func (p *Platform) RecordTraced(cfg bgp.Config, parent *trace.Span) {
 	}
 }
 
-// CacheStats returns the outcome cache's cumulative hit and miss counts
-// (zeros when the cache is disabled).
-func (p *Platform) CacheStats() (hits, misses uint64) {
-	if p.cache == nil {
-		return 0, 0
-	}
-	return p.cache.Stats()
-}
-
-// CacheSize returns the number of memoized outcomes (zero when the
-// cache is disabled).
-func (p *Platform) CacheSize() int {
-	if p.cache == nil {
-		return 0
-	}
-	return p.cache.Len()
-}
+// CacheStats returns the outcome cache's cumulative hit and miss counts.
+func (p *Platform) CacheStats() (hits, misses uint64) { return p.cache.Stats() }
 
 // InstrumentCache wires the outcome cache into a metrics registry as
 // bgp_outcome_cache_requests_total{result="hit"|"miss"|"eviction"} plus a
-// bgp_outcome_cache_size gauge. No-op when the cache is disabled or reg
-// is nil. The watchdog's hit-rate SLO reads the labeled family.
+// bgp_outcome_cache_size gauge. No-op when reg is nil. The watchdog's
+// hit-rate SLO reads the labeled family.
 func (p *Platform) InstrumentCache(reg *metrics.Registry) {
-	if p.cache == nil || reg == nil {
+	if reg == nil {
 		return
 	}
 	p.cache.Instrument(reg.CounterVec("bgp_outcome_cache_requests_total", "result"))
@@ -466,16 +415,10 @@ func (p *Platform) Deploy(cfg bgp.Config) (*bgp.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Record(cfg)
+	p.Record(nil)
 	return out, nil
 }
 
 // Elapsed returns the simulated wall-clock time spent deploying
 // configurations so far.
 func (p *Platform) Elapsed() time.Duration { return p.elapsed }
-
-// Deployed returns how many configurations have been deployed.
-func (p *Platform) Deployed() int { return p.deployed }
-
-// History returns the configurations deployed so far, in order.
-func (p *Platform) History() []bgp.Config { return p.history }

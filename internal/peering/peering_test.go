@@ -97,8 +97,8 @@ func TestDeployAdvancesClock(t *testing.T) {
 	if got, want := p.Elapsed(), 140*time.Minute; got != want {
 		t.Fatalf("Elapsed = %v, want %v", got, want)
 	}
-	if p.Deployed() != 2 || len(p.History()) != 2 {
-		t.Fatalf("Deployed = %d, history %d", p.Deployed(), len(p.History()))
+	if p.deployed != 2 {
+		t.Fatalf("deployed = %d, want 2", p.deployed)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestConstraintMaxPoison(t *testing.T) {
 	if _, err := p.Deploy(cfg); err == nil {
 		t.Fatal("Deploy must reject constraint violations")
 	}
-	if p.Deployed() != 0 {
+	if p.deployed != 0 {
 		t.Fatal("rejected deploy must not advance state")
 	}
 }

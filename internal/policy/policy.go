@@ -25,9 +25,6 @@ func (s *Survey) Add(e *bgp.Engine, out *bgp.Outcome) {
 	s.GaoRexford = append(s.GaoRexford, audit.FracGaoRexford())
 }
 
-// Len returns the number of audited configurations.
-func (s *Survey) Len() int { return len(s.BestRel) }
-
 // CDF is the cumulative distribution Fig. 9 plots: for each observed
 // compliance fraction x, the fraction of configurations with compliance
 // at most x. Returned as (x, y) pairs sorted by x.

@@ -32,8 +32,8 @@ func TestSurveyAcrossConfigs(t *testing.T) {
 		}
 		s.Add(plat.Engine(), out)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
+	if len(s.BestRel) != 3 || len(s.GaoRexford) != 3 {
+		t.Fatalf("audited %d/%d configurations, want 3", len(s.BestRel), len(s.GaoRexford))
 	}
 	meanBR, meanGR := s.Summary()
 	if meanBR <= 0.5 || meanBR > 1 {

@@ -341,10 +341,3 @@ func TestKindAndStateStrings(t *testing.T) {
 		t.Fatal("out-of-range values must still render")
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,7 +2,6 @@ package probe
 
 import (
 	"fmt"
-	"net/netip"
 	"sync"
 	"time"
 
@@ -42,11 +41,6 @@ type Config struct {
 	// HopTolerance is the accepted deviation from the control hop
 	// baseline before an answer is discarded as off-path (default 2).
 	HopTolerance int
-	// InboundSrc, when non-nil, supplies the forged-from-target-space
-	// source address an inbound probe claims (e.g. addr.Space.HostAddr).
-	// Nil leaves the address zero; the simulated network keys filtering
-	// off the probe kind either way.
-	InboundSrc func(target int) netip.Addr
 	// Quarantined, when non-nil, skips targets whose ingress link the
 	// health breaker currently holds (peering.LinkHealth.IsQuarantined).
 	Quarantined func(bgp.LinkID) bool
@@ -216,12 +210,9 @@ func (p *Prober) visit(target int, link bgp.LinkID, rep *RoundReport) {
 			seq := p.seq
 			p.seq++
 			pr := Probe{Kind: kind, Target: target, Seq: seq}
-			switch kind {
-			case KindInbound:
-				if p.cfg.InboundSrc != nil {
-					pr.SpoofedSrc = p.cfg.InboundSrc(target)
-				}
-			case KindOutbound:
+			// An inbound probe's forged source stays zero: the simulated
+			// network keys filtering off the probe kind.
+			if kind == KindOutbound {
 				pr.SpoofedSrc = CollectorAddr
 				payload, err := amp.BuildDNSQuery(uint16(seq), "probe.invalid")
 				if err != nil {

@@ -363,20 +363,11 @@ func (l *Ledger) RecordDegrade(d DegradeEvent) {
 	l.append(Event{Kind: KindDegrade, Degrade: &d})
 }
 
-// RecordRow appends a configuration's catchment row. The row is copied.
-func (l *Ledger) RecordRow(r RowEvent) {
-	if l == nil {
-		return
-	}
-	r.Catchment = append([]bgp.LinkID(nil), r.Catchment...)
-	l.append(Event{Kind: KindRow, Row: &r})
-}
-
-// RecordRowShared is RecordRow without the defensive copy: the ledger
-// retains the caller's Catchment slice, so the caller must never
-// mutate it afterwards. The campaign uses this for its catchment
-// matrix — immutable once RunCampaign returns — where copying hundreds
-// of rows would be the ledger's dominant cost.
+// RecordRowShared appends a configuration's catchment row without a
+// defensive copy: the ledger retains the caller's Catchment slice, so
+// the caller must never mutate it afterwards. Every recorder hands it
+// rows of a catchment matrix that is immutable once built, where
+// copying hundreds of rows would be the ledger's dominant cost.
 func (l *Ledger) RecordRowShared(r RowEvent) {
 	if l == nil {
 		return

@@ -35,7 +35,7 @@ func TestNilLedgerNoOps(t *testing.T) {
 	l.RecordDeploy(DeployEvent{Config: 1})
 	l.RecordRetry(RetryEvent{Config: 1})
 	l.RecordDegrade(DegradeEvent{Config: 1})
-	l.RecordRow(RowEvent{Config: 1})
+	l.RecordRowShared(RowEvent{Config: 1})
 	l.RecordQuarantine(QuarantineEvent{Link: 0})
 	l.RecordProbe(ProbeEvent{AS: 3})
 	l.RecordRound(RoundEvent{Round: 1})
@@ -84,22 +84,17 @@ func TestConcurrentAppendExportOrdering(t *testing.T) {
 
 func TestRecordCopiesSlices(t *testing.T) {
 	l := New(Options{})
-	row := []bgp.LinkID{0, 1, 2}
-	l.RecordRow(RowEvent{Config: 0, Catchment: row})
 	vol := []float64{1, 2}
 	l.RecordRound(RoundEvent{Round: 1, Volumes: vol})
 	cand := []int{1, 2}
 	assign := []int32{0, 1, 0}
 	l.RecordVerdict(VerdictEvent{Origin: "stream", Candidates: cand, Assign: assign})
-	row[0], vol[0], cand[0], assign[0] = 9, 9, 9, 9
+	vol[0], cand[0], assign[0] = 9, 9, 9
 	e := l.Export()
-	if e.Events[0].Row.Catchment[0] != 0 {
-		t.Fatal("RecordRow aliased the caller's catchment slice")
-	}
-	if e.Events[1].Round.Volumes[0] != 1 {
+	if e.Events[0].Round.Volumes[0] != 1 {
 		t.Fatal("RecordRound aliased the caller's volume slice")
 	}
-	if e.Events[2].Verdict.Candidates[0] != 1 || e.Events[2].Verdict.Assign[0] != 0 {
+	if e.Events[1].Verdict.Candidates[0] != 1 || e.Events[1].Verdict.Assign[0] != 0 {
 		t.Fatal("RecordVerdict aliased the caller's slices")
 	}
 }
@@ -130,9 +125,9 @@ func testLedger() *Ledger {
 	l.RecordMeta(MetaEvent{Component: "campaign", NumSources: 3, NumConfigs: 2, NumLinks: 2, UseTruth: true})
 	l.RecordRetry(RetryEvent{Config: 0, Phase: "deploy", Attempt: 1, Error: "mux flap"})
 	l.RecordDeploy(DeployEvent{Config: 0, Key: "k0", Attempts: 2, Phase: "isolation"})
-	l.RecordRow(RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
+	l.RecordRowShared(RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
 	l.RecordDegrade(DegradeEvent{Config: 1, Phase: "measure", Error: "gone"})
-	l.RecordRow(RowEvent{Config: 1, Catchment: []bgp.LinkID{-1, -1, -1}, Incomplete: true})
+	l.RecordRowShared(RowEvent{Config: 1, Catchment: []bgp.LinkID{-1, -1, -1}, Incomplete: true})
 	l.RecordQuarantine(QuarantineEvent{Link: 1, From: "closed", To: "open"})
 	l.RecordProbe(ProbeEvent{AS: 7, Source: 2, Link: 1, Signal: "can_spoof", Confidence: 0.97, Round: 1})
 	l.RecordVerdict(VerdictEvent{Origin: "campaign", Assign: []int32{0, 0, 1}, Clusters: 2})
@@ -270,7 +265,7 @@ func TestExplain(t *testing.T) {
 func TestReplayDetectsTamperedVerdict(t *testing.T) {
 	l := New(Options{Clock: fixedClock()})
 	l.RecordMeta(MetaEvent{Component: "campaign", NumSources: 3, NumConfigs: 1, NumLinks: 2})
-	l.RecordRow(RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
+	l.RecordRowShared(RowEvent{Config: 0, Catchment: []bgp.LinkID{0, 0, 1}})
 	// A verdict the rows do not support: sources 0 and 2 together.
 	l.RecordVerdict(VerdictEvent{Origin: "campaign", Assign: []int32{0, 1, 0}, Clusters: 2})
 	res, err := Replay(l.Export())

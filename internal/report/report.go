@@ -8,9 +8,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -140,13 +138,6 @@ func candidateLess(a, b Candidate) bool {
 		return a.ClusterSize < b.ClusterSize
 	}
 	return a.ASN < b.ASN
-}
-
-// WriteJSON emits the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // String renders the report as an operator-readable summary.

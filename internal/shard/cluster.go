@@ -81,7 +81,6 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	active int
-	round  int
 }
 
 // ingestRoute is one immutable routing snapshot: nodes and routed
@@ -239,25 +238,11 @@ func (c *Cluster) AdvanceClock(d time.Duration) {
 	c.clockOff.Add(int64(d))
 }
 
-// Step runs one controller round: roll permanent shard-crash faults,
-// ensure a leader (electing across controllers as needed — the
-// mid-campaign failover path), and step it. Election retries across
-// abdications (split-brain renewals) until a controller both leads and
-// completes the round.
+// Step runs one controller round: ensure a leader (electing across
+// controllers as needed — the mid-campaign failover path), and step it.
+// Election retries across abdications (split-brain renewals) until a
+// controller both leads and completes the round.
 func (c *Cluster) Step(final bool) (StepResult, error) {
-	// Shard-crash rolls are per (node, round): permanent once hit.
-	c.mu.Lock()
-	round := c.round
-	c.round++
-	c.mu.Unlock()
-	if c.cfg.Injector != nil {
-		for _, id := range c.order {
-			n := c.nodes[id]
-			if !n.Crashed() && c.cfg.Injector.ShardCrash(id, round) {
-				n.Crash()
-			}
-		}
-	}
 	var lastErr error
 	for attempt := 0; attempt < 4*(len(c.ctrls)+1); attempt++ {
 		ct := c.leader()

@@ -40,9 +40,6 @@ type ControllerConfig struct {
 	// rounds drain one (default 2).
 	EvictAfter int
 	DrainAfter int
-	// RingReplicas tunes the consistent-hash ring (default
-	// DefaultRingReplicas).
-	RingReplicas int
 	// Blocked / Remeasure are the same per-evaluation callbacks the
 	// single-node controller consults (quarantine mask, probe-conflict
 	// hints).
@@ -189,7 +186,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	ct := &Controller{
 		cfg:      cfg,
 		eval:     stream.NewEvaluator(cfg.Attr, cfg.Eval),
-		ring:     NewRing(members, cfg.RingReplicas),
+		ring:     NewRing(members),
 		members:  members,
 		notReady: make(map[string]int),
 		failed:   make(map[string]int),
@@ -339,7 +336,7 @@ func (ct *Controller) adoptMembersLocked(members []string) {
 	ms := append([]string(nil), members...)
 	sort.Strings(ms)
 	ct.members = ms
-	ct.ring = NewRing(ms, ct.cfg.RingReplicas)
+	ct.ring = NewRing(ms)
 	ct.mMembers.Set(float64(len(ms)))
 }
 

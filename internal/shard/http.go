@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"time"
@@ -21,56 +22,41 @@ import (
 // NodeHandler serves a shard node's RPC surface on an http.ServeMux.
 func NodeHandler(n *Node) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/shard/collect", func(w http.ResponseWriter, r *http.Request) {
-		var req CollectRequest
-		if !decodeRPC(w, r, &req) {
-			return
-		}
-		resp, err := n.HandleCollect(req)
-		writeRPC(w, resp, err)
-	})
-	mux.HandleFunc("/shard/apply", func(w http.ResponseWriter, r *http.Request) {
-		var u EpochUpdate
-		if !decodeRPC(w, r, &u) {
-			return
-		}
-		resp, err := n.HandleApply(u)
-		writeRPC(w, resp, err)
-	})
-	mux.HandleFunc("/shard/hello", func(w http.ResponseWriter, r *http.Request) {
-		var req HelloRequest
-		if !decodeRPC(w, r, &req) {
-			return
-		}
-		resp, err := n.HandleHello(req)
-		writeRPC(w, resp, err)
-	})
+	rpc(mux, "/shard/collect", n.HandleCollect)
+	rpc(mux, "/shard/apply", n.HandleApply)
+	rpc(mux, "/shard/hello", n.HandleHello)
 	return mux
 }
 
-func decodeRPC(w http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeRPC(w http.ResponseWriter, v any, err error) {
-	if err != nil {
-		code := http.StatusServiceUnavailable
-		if errors.Is(err, ErrStaleTerm) {
-			code = http.StatusConflict
+// rpc registers one JSON POST endpoint: decode the request (bounded),
+// handle it, and answer the response as JSON or the error as a status.
+func rpc[Req, Resp any](mux *http.ServeMux, path string, handle func(Req) (Resp, error)) {
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
 		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+		var req Req
+		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := handle(req)
+		if err != nil {
+			code := http.StatusServiceUnavailable
+			if errors.Is(err, ErrStaleTerm) {
+				code = http.StatusConflict
+			}
+			http.Error(w, err.Error(), code)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := json.NewEncoder(w).Encode(resp); err != nil {
+			// The status line is already out; the controller sees a short
+			// body, fails to decode it and retries.
+			slog.Debug("shard rpc response not written", "path", path, "err", err)
+		}
+	})
 }
 
 // HTTPTransport is the controller's client side: shard ids map to base

@@ -35,8 +35,6 @@ type LeaseStore interface {
 	// Release gives the lease up iff holder owns it at term (clean
 	// shutdown hands leadership over without waiting for expiry).
 	Release(holder string, term uint64)
-	// Current returns the lease as last observed.
-	Current() Lease
 }
 
 // MemLease is the in-process lease store used by in-process clusters
@@ -107,13 +105,6 @@ func (m *MemLease) Release(holder string, term uint64) {
 	if m.cur.Holder == holder && m.cur.Term == term {
 		m.cur.Expires = m.now()
 	}
-}
-
-// Current implements LeaseStore.
-func (m *MemLease) Current() Lease {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cur
 }
 
 // FileLease is a lease file shared by cooperating processes on one host
@@ -199,9 +190,6 @@ func (f *FileLease) Release(holder string, term uint64) {
 		_ = f.write(cur)
 	}
 }
-
-// Current implements LeaseStore.
-func (f *FileLease) Current() Lease { return f.read() }
 
 // Dir ensures the lease file's directory exists (demo convenience).
 func (f *FileLease) Dir() error {

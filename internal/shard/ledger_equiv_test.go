@@ -106,7 +106,7 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for len(p.History()) <= r {
+		for p.Status(0).Rounds <= r {
 			if time.Now().After(deadline) {
 				t.Fatalf("pipeline round %d never folded", r)
 			}

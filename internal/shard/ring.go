@@ -38,14 +38,11 @@ type ringPoint struct {
 // survivors instead of dumping it on one neighbor.
 const DefaultRingReplicas = 64
 
-// NewRing builds a ring over the given shard ids. replicas <= 0 uses
-// DefaultRingReplicas. Duplicate ids are rejected by collapsing: the
+// NewRing builds a ring over the given shard ids, DefaultRingReplicas
+// virtual nodes each. Duplicate ids are rejected by collapsing: the
 // ids slice is deduplicated and sorted, so rings built from the same
 // member set are identical regardless of order.
-func NewRing(ids []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultRingReplicas
-	}
+func NewRing(ids []string) *Ring {
 	seen := make(map[string]bool, len(ids))
 	uniq := make([]string, 0, len(ids))
 	for _, id := range ids {
@@ -55,9 +52,9 @@ func NewRing(ids []string, replicas int) *Ring {
 		}
 	}
 	sort.Strings(uniq)
-	r := &Ring{ids: uniq, points: make([]ringPoint, 0, len(uniq)*replicas)}
+	r := &Ring{ids: uniq, points: make([]ringPoint, 0, len(uniq)*DefaultRingReplicas)}
 	for i, id := range uniq {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultRingReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: ringHash(id, uint64(v)), idx: i})
 		}
 	}
@@ -129,17 +126,10 @@ func (r *Ring) Without(id string) *Ring {
 			kept = append(kept, m)
 		}
 	}
-	replicas := 0
-	if len(r.ids) > 0 {
-		replicas = len(r.points) / len(r.ids)
-	}
-	return NewRing(kept, replicas)
+	return NewRing(kept)
 }
 
 // Members returns the shard ids on the ring, sorted.
 func (r *Ring) Members() []string {
 	return append([]string(nil), r.ids...)
 }
-
-// Size returns the number of shards on the ring.
-func (r *Ring) Size() int { return len(r.ids) }

@@ -17,7 +17,7 @@ import (
 // it owned.
 func TestRingDistribution(t *testing.T) {
 	ids := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	r := NewRing(ids, 0)
+	r := NewRing(ids)
 	owned := make(map[string]int)
 	before := make(map[uint32]string)
 	for as := uint32(64000); as < 66000; as++ {
@@ -30,15 +30,15 @@ func TestRingDistribution(t *testing.T) {
 			t.Errorf("%s owns no keys: %v", id, owned)
 		}
 	}
-	r2 := NewRing(ids, 0)
+	r2 := NewRing(ids)
 	for as, o := range before {
 		if r2.Owner(as) != o {
 			t.Fatalf("ring is not deterministic at AS %d", as)
 		}
 	}
 	without := r.Without("shard-2")
-	if without.Size() != 3 {
-		t.Fatalf("Without left %d members", without.Size())
+	if len(without.ids) != 3 {
+		t.Fatalf("Without left %d members", len(without.ids))
 	}
 	for as, o := range before {
 		no := without.Owner(as)

@@ -41,9 +41,6 @@ func NewBCP38FromVector(deployed []bool) *BCP38Model {
 	return &BCP38Model{deployed: append([]bool(nil), deployed...)}
 }
 
-// NumSources returns how many sources the model tracks.
-func (m *BCP38Model) NumSources() int { return len(m.deployed) }
-
 // Deployed reports whether source k filters spoofed traffic.
 func (m *BCP38Model) Deployed(k int) bool { return m.deployed[k] }
 

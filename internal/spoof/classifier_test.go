@@ -223,10 +223,10 @@ func TestFilterCandidatesBySAV(t *testing.T) {
 	// Source positions 0..3 map to dense ASes 10..13.
 	sources := []int{10, 11, 12, 13}
 	signal := make([]SAVSignal, 20)
-	signal[10] = SAVCanSpoof     // corroborated: kept
-	signal[11] = SAVCannotSpoof  // confirmed filtered: conflicted
-	signal[12] = SAVNoData       // unprobed: kept
-	signal[13] = SAVCannotSpoof  // confirmed filtered: conflicted
+	signal[10] = SAVCanSpoof    // corroborated: kept
+	signal[11] = SAVCannotSpoof // confirmed filtered: conflicted
+	signal[12] = SAVNoData      // unprobed: kept
+	signal[13] = SAVCannotSpoof // confirmed filtered: conflicted
 	kept, conflicted := FilterCandidatesBySAV([]int{0, 1, 2, 3}, sources, signal)
 	if !reflect.DeepEqual(kept, []int{0, 2}) {
 		t.Fatalf("kept = %v, want [0 2]", kept)
@@ -244,7 +244,7 @@ func TestFilterCandidatesBySAV(t *testing.T) {
 func TestBCP38FromVector(t *testing.T) {
 	v := []bool{true, false, true}
 	m := NewBCP38FromVector(v)
-	if m.NumSources() != 3 || !m.Deployed(0) || m.Deployed(1) || !m.Deployed(2) {
+	if len(m.deployed) != 3 || !m.Deployed(0) || m.Deployed(1) || !m.Deployed(2) {
 		t.Fatalf("vector model wrong: %+v", m)
 	}
 	v[1] = true // the model must have copied

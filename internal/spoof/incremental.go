@@ -14,7 +14,6 @@ import (
 // materialized.
 type IncrementalLocalizer struct {
 	misses []int
-	rounds int
 }
 
 // NewIncrementalLocalizer tracks nSources sources with no rounds
@@ -41,14 +40,7 @@ func (il *IncrementalLocalizer) AddRound(catchment []bgp.LinkID, volumes []float
 			il.misses[k]++
 		}
 	}
-	il.rounds++
 }
-
-// Rounds returns how many rounds have been folded in.
-func (il *IncrementalLocalizer) Rounds() int { return il.rounds }
-
-// NumSources returns the size of the source universe.
-func (il *IncrementalLocalizer) NumSources() int { return len(il.misses) }
 
 // Candidates returns the sources with at most maxMisses misses, in
 // index order — LocalizeTolerant's answer over all rounds so far
@@ -61,20 +53,4 @@ func (il *IncrementalLocalizer) Candidates(maxMisses int) []int {
 		}
 	}
 	return out
-}
-
-// NumCandidates counts candidates without allocating.
-func (il *IncrementalLocalizer) NumCandidates(maxMisses int) int {
-	n := 0
-	for _, m := range il.misses {
-		if m <= maxMisses {
-			n++
-		}
-	}
-	return n
-}
-
-// IsCandidate reports whether source k survives at the given tolerance.
-func (il *IncrementalLocalizer) IsCandidate(k, maxMisses int) bool {
-	return il.misses[k] <= maxMisses
 }

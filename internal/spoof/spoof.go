@@ -35,17 +35,6 @@ func (p Placement) TotalVolume() float64 {
 	return t
 }
 
-// NumActive returns how many sources have non-zero weight.
-func (p Placement) NumActive() int {
-	n := 0
-	for _, w := range p.Weight {
-		if w > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // PlaceUniform distributes nBots spoofing hosts uniformly at random
 // across the nSources source ASes.
 func PlaceUniform(rng *stats.RNG, nSources, nBots int) Placement {
@@ -102,19 +91,6 @@ func LinkVolumes(catchment []bgp.LinkID, p Placement, numLinks int) []float64 {
 		if l != bgp.NoLink && int(l) < numLinks {
 			out[l] += p.Weight[k]
 		}
-	}
-	return out
-}
-
-// VolumeByCluster attributes placement volume to the clusters of a
-// partition: result[c] is the total weight of sources in cluster c.
-func VolumeByCluster(part *cluster.Partition, p Placement) []float64 {
-	if part.NumSources() != len(p.Weight) {
-		panic(fmt.Sprintf("spoof: %d sources in partition, %d weights", part.NumSources(), len(p.Weight)))
-	}
-	out := make([]float64, part.NumClusters())
-	for k, w := range p.Weight {
-		out[part.ClusterOf(k)] += w
 	}
 	return out
 }
@@ -192,68 +168,24 @@ func evalCurve(curve []TrafficBySizePoint, size int) float64 {
 // source k's catchment. Sources with unknown catchment in a
 // configuration are not eliminated by it.
 func Localize(catchments [][]bgp.LinkID, volumes [][]float64) []int {
-	if len(catchments) == 0 {
-		return nil
-	}
-	n := len(catchments[0])
-	candidate := make([]bool, n)
-	for k := range candidate {
-		candidate[k] = true
-	}
-	const eps = 1e-12
-	for c := range catchments {
-		for k := 0; k < n; k++ {
-			if !candidate[k] {
-				continue
-			}
-			l := catchments[c][k]
-			if l == bgp.NoLink {
-				continue
-			}
-			if int(l) >= len(volumes[c]) || volumes[c][l] <= eps {
-				candidate[k] = false
-			}
-		}
-	}
-	var out []int
-	for k, ok := range candidate {
-		if ok {
-			out = append(out, k)
-		}
-	}
-	return out
+	return LocalizeTolerant(catchments, volumes, 0)
 }
 
 // LocalizeTolerant is Localize with slack for imperfect catchment maps
 // (§V-C's stale-measurement reuse): a source stays a candidate as long
 // as its catchment link carried traffic in all but at most maxMisses of
 // the configurations where its catchment is known. maxMisses = 0 is
-// exactly Localize.
+// exactly Localize. The miss rule itself lives in
+// IncrementalLocalizer.AddRound; this folds every row through it.
 func LocalizeTolerant(catchments [][]bgp.LinkID, volumes [][]float64, maxMisses int) []int {
 	if len(catchments) == 0 {
 		return nil
 	}
-	n := len(catchments[0])
-	misses := make([]int, n)
-	const eps = 1e-12
+	il := NewIncrementalLocalizer(len(catchments[0]))
 	for c := range catchments {
-		for k := 0; k < n; k++ {
-			l := catchments[c][k]
-			if l == bgp.NoLink {
-				continue
-			}
-			if int(l) >= len(volumes[c]) || volumes[c][l] <= eps {
-				misses[k]++
-			}
-		}
+		il.AddRound(catchments[c], volumes[c])
 	}
-	var out []int
-	for k := 0; k < n; k++ {
-		if misses[k] <= maxMisses {
-			out = append(out, k)
-		}
-	}
-	return out
+	return il.Candidates(maxMisses)
 }
 
 // LocalizationReport summarizes how well Localize narrowed down a known

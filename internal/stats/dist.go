@@ -73,18 +73,6 @@ func Mean(samples []float64) float64 {
 	return sum / float64(len(samples))
 }
 
-// MeanInts returns the arithmetic mean of integer samples.
-func MeanInts(samples []int) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, v := range samples {
-		sum += v
-	}
-	return float64(sum) / float64(len(samples))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of the samples
 // using linear interpolation between closest ranks. It panics on an empty
 // slice or out-of-range p.
@@ -169,13 +157,4 @@ func Summarize(samples []float64) Summary {
 		P90:  Percentile(samples, 90),
 		Max:  max,
 	}
-}
-
-// SummarizeInts computes a Summary of integer samples.
-func SummarizeInts(samples []int) Summary {
-	fs := make([]float64, len(samples))
-	for i, v := range samples {
-		fs[i] = float64(v)
-	}
-	return Summarize(fs)
 }

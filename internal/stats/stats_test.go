@@ -167,9 +167,6 @@ func TestMean(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("Mean(nil) = %v, want 0", m)
 	}
-	if m := MeanInts([]int{2, 4}); m != 3 {
-		t.Fatalf("MeanInts = %v, want 3", m)
-	}
 }
 
 func TestPercentile(t *testing.T) {
@@ -246,14 +243,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 {
 		t.Fatalf("Summarize(nil) = %+v, want zero", z)
-	}
-}
-
-func TestSummarizeIntsMatchesFloat(t *testing.T) {
-	a := SummarizeInts([]int{5, 1, 9})
-	b := Summarize([]float64{5, 1, 9})
-	if a != b {
-		t.Fatalf("int and float summaries differ: %+v vs %+v", a, b)
 	}
 }
 

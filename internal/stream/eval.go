@@ -20,10 +20,13 @@ type EvalParams struct {
 	// SplitThreshold: reconfigure while the top volume-ranked candidate
 	// cluster holds more than this many sources (default 1).
 	SplitThreshold int
-	// MaxMisses is the localization tolerance (0 = exact correlation).
+	// MaxMisses is the localization tolerance (spoof.LocalizeTolerant);
+	// 0 is the paper's exact correlation.
 	MaxMisses int
-	// NoiseFloor is the fraction of a round's volume below which a link
-	// counts as silent (default 0.02; negative disables).
+	// NoiseFloor is the fraction of a round's total volume below which
+	// a link counts as silent when folding the round — absorbs packets
+	// straggling across a reconfiguration under the old catchment
+	// table. Default 0.02; negative disables.
 	NoiseFloor float64
 	// MaxOnlineConfigs caps deployments beyond the initial one (0 = no cap).
 	MaxOnlineConfigs int

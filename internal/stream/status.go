@@ -174,13 +174,6 @@ func (p *Pipeline) Deployed() []int {
 	return append([]int(nil), p.eval.deployed...)
 }
 
-// History returns the completed rounds.
-func (p *Pipeline) History() []RoundRecord {
-	p.in.mu.Lock()
-	defer p.in.mu.Unlock()
-	return append([]RoundRecord(nil), p.history...)
-}
-
 // Converged reports whether the top volume-ranked candidate cluster is
 // within the split threshold.
 func (p *Pipeline) Converged() bool {

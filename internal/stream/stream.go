@@ -79,14 +79,6 @@ type Config struct {
 	// controller acts on it (default 50) — acting on a near-empty round
 	// would eliminate every quiet source.
 	MinRoundPackets int64
-	// MaxMisses is the localization tolerance (spoof.LocalizeTolerant);
-	// 0 is the paper's exact correlation.
-	MaxMisses int
-	// NoiseFloor is the fraction of a round's total volume below which
-	// a link counts as silent when folding the round — absorbs packets
-	// straggling across a reconfiguration under the old catchment
-	// table. Default 0.02; negative disables.
-	NoiseFloor float64
 	// MaxOnlineConfigs caps how many configurations the loop may deploy
 	// beyond the initial one (0 = no cap).
 	MaxOnlineConfigs int
@@ -164,9 +156,6 @@ func (c *Config) setDefaults() {
 	if c.MinRoundPackets <= 0 {
 		c.MinRoundPackets = 50
 	}
-	// NoiseFloor is left as-is: EvalParams.setDefaults resolves the
-	// 0-means-default / negative-means-disabled convention, so the
-	// Pipeline and the sharded controller resolve it identically.
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
 	}
@@ -222,8 +211,6 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 		in: in,
 		eval: NewEvaluator(attr, EvalParams{
 			SplitThreshold:   cfg.SplitThreshold,
-			MaxMisses:        cfg.MaxMisses,
-			NoiseFloor:       cfg.NoiseFloor,
 			MaxOnlineConfigs: cfg.MaxOnlineConfigs,
 		}),
 		mRounds:    reg.Counter("stream_rounds_total"),

@@ -107,7 +107,7 @@ func TestClosedLoop(t *testing.T) {
 	if len(deployed) < 2 {
 		t.Fatalf("expected at least one online reconfiguration, deployed = %v", deployed)
 	}
-	hist := p.History()
+	hist := p.Status(0).History
 	if len(hist) < 2 {
 		t.Fatalf("expected at least 2 rounds, got %d", len(hist))
 	}

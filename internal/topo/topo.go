@@ -231,9 +231,6 @@ func (b *Builder) HasLink(a, c ASN) bool {
 	return b.edges[newEdgeKey(a, c)]
 }
 
-// NumASes returns the number of ASes added so far.
-func (b *Builder) NumASes() int { return len(b.links) }
-
 // Freeze produces the immutable Graph. Adjacency lists are sorted by
 // neighbor index for deterministic iteration.
 func (b *Builder) Freeze() *Graph {

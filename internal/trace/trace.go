@@ -8,8 +8,8 @@
 //
 // The package is built around a nil-span fast path: Start returns nil
 // when tracing is disabled, and every Span method is a nil-safe no-op,
-// so instrumented hot paths pay only an atomic pointer load plus an
-// atomic bool load per span site when tracing is off. Instrumentation
+// so instrumented hot paths pay only an atomic pointer load plus a
+// bool load per span site when tracing is off. Instrumentation
 // therefore never needs its own enable/disable plumbing:
 //
 //	sp := trace.Start("bgp.propagate")
@@ -57,7 +57,7 @@ type Options struct {
 // All methods are safe for concurrent use. A nil *Tracer is valid and
 // permanently disabled.
 type Tracer struct {
-	enabled atomic.Bool
+	enabled bool // fixed at New
 	nextID  atomic.Uint64
 	onEnd   func(SpanRecord)
 	onEvict func(SpanRecord)
@@ -83,29 +83,17 @@ func New(opts Options) *Tracer {
 		ns <<= 1
 	}
 	per := (capacity + ns - 1) / ns
-	t := &Tracer{onEnd: opts.OnEnd, onEvict: opts.OnEvict, mask: uint64(ns - 1), shards: make([]journalShard, ns)}
+	t := &Tracer{enabled: opts.Enabled, onEnd: opts.OnEnd, onEvict: opts.OnEvict, mask: uint64(ns - 1), shards: make([]journalShard, ns)}
 	for i := range t.shards {
 		t.shards[i].buf = make([]SpanRecord, 0, per)
 	}
-	t.enabled.Store(opts.Enabled)
 	return t
-}
-
-// Enabled reports whether the tracer hands out live spans.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips tracing on or off. Spans already started keep
-// recording into the journal when they End.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
 }
 
 // Start begins a root span on its own track. It returns nil — a valid
 // no-op span — when the tracer is nil or disabled.
 func (t *Tracer) Start(name string) *Span {
-	if t == nil || !t.enabled.Load() {
+	if t == nil || !t.enabled {
 		return nil
 	}
 	id := t.nextID.Add(1)
@@ -180,21 +168,6 @@ func (t *Tracer) Dropped() uint64 {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Reset discards every journaled span and the dropped count.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		sh.buf = sh.buf[:0]
-		sh.next = 0
-		sh.dropped = 0
-		sh.mu.Unlock()
-	}
 }
 
 // global is the process default tracer, disabled until a main wires one

@@ -40,9 +40,6 @@ func (w *bitWriter) writeBits(v uint64, n uint) {
 	}
 }
 
-// bytes returns the encoded stream (the final partial byte included).
-func (w *bitWriter) bytes() []byte { return w.buf }
-
 // bitReader consumes bits MSB-first from a byte slice.
 type bitReader struct {
 	buf []byte

@@ -1,6 +1,9 @@
 package tsdb
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // chunk is one Gorilla-compressed run of (timestamp, value) samples for
 // a single series, append-only and time-ordered:
@@ -91,11 +94,11 @@ func (c *chunk) writeXOR(vb uint64) {
 		return
 	}
 	c.w.writeBit(true)
-	lead := uint8(leadingZeros64(xor))
+	lead := uint8(bits.LeadingZeros64(xor))
 	if lead > 31 {
 		lead = 31
 	}
-	trail := uint8(trailingZeros64(xor))
+	trail := uint8(bits.TrailingZeros64(xor))
 	if c.leading != leadSentinel && lead >= c.leading && trail >= c.trailing {
 		// Fits the previous window: '0' + meaningful bits.
 		c.w.writeBit(false)
@@ -222,28 +225,4 @@ func readXOR(r *bitReader, prev uint64, leading, trailing uint8) (v uint64, lead
 		return 0, 0, 0, false
 	}
 	return prev ^ (bits << trailing), leading, trailing, true
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-		if n == 64 {
-			break
-		}
-	}
-	return n
-}
-
-func trailingZeros64(x uint64) int {
-	if x == 0 {
-		return 64
-	}
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,7 +117,7 @@ func TestBitWriterReaderRoundtrip(t *testing.T) {
 		items = append(items, item{v, n})
 		w.writeBits(v, n)
 	}
-	r := newBitReader(w.bytes())
+	r := newBitReader(w.buf)
 	for i, it := range items {
 		got, ok := r.readBits(it.n)
 		if !ok {
@@ -125,5 +126,29 @@ func TestBitWriterReaderRoundtrip(t *testing.T) {
 		if got != it.v {
 			t.Fatalf("item %d: got %#x, want %#x (n=%d)", i, got, it.v, it.n)
 		}
+	}
+}
+
+// TestChunkXORWindowEdges drives writeXOR through the XORs its zero
+// counts treat specially — 1<<63 (no leading zeros, 63 trailing), 0
+// (value repeated), 1 (63 leading, clamped to 31), all ones — and pins
+// the encoded bytes, captured while the counts were hand-written loops.
+func TestChunkXORWindowEdges(t *testing.T) {
+	bitsOf := []uint64{0, 1 << 63, 1 << 63, 1<<63 | 1, 1<<63 | 1, ^uint64(0) >> 12, 0, 0, 1 << 63, 1<<62 | 1<<1}
+	c := &chunk{}
+	for i, b := range bitsOf {
+		c.append(int64(1000*i), math.Float64frombits(b))
+	}
+	got := c.decode(nil, math.MinInt64, math.MaxInt64)
+	if len(got) != len(bitsOf) {
+		t.Fatalf("decoded %d points, want %d", len(got), len(bitsOf))
+	}
+	for i, p := range got {
+		if math.Float64bits(p.V) != bitsOf[i] {
+			t.Fatalf("point %d: bits %#x, want %#x", i, math.Float64bits(p.V), bitsOf[i])
+		}
+	}
+	if enc, want := fmt.Sprintf("%x", c.w.buf), "00000000000000000000000000000000ebe7c0047f8000000002307d001ffffffffffffdb33fffffffffffff1800b07d8000000000000004"; enc != want {
+		t.Fatalf("encoded chunk %s, want %s", enc, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"spooftrack/internal/metrics"
 )
 
 // Point is one decoded sample. T is unix milliseconds.
@@ -241,20 +243,10 @@ func (db *DB) Increase(family, child string, from, to time.Time) (delta, dtSecon
 	return delta, float64(spanHi-spanLo) / 1000, true
 }
 
-// RateOver is Increase divided by the covered span — the windowed
-// equivalent of a two-frame rate rule.
-func (db *DB) RateOver(family, child string, from, to time.Time) (float64, bool) {
-	delta, dt, ok := db.Increase(family, child, from, to)
-	if !ok || dt <= 0 {
-		return 0, false
-	}
-	return delta / dt, true
-}
-
 // QuantileOverTime estimates the q-quantile of a histogram family's
 // observations that occurred within [from, to]: each bucket's increase
-// over the window forms the distribution, interpolated exactly like
-// metrics.Histogram.Quantile.
+// over the window forms the distribution, interpolated by
+// metrics.BucketQuantile like every other histogram quantile.
 func (db *DB) QuantileOverTime(family, child string, q float64, from, to time.Time) (float64, bool) {
 	db.mu.RLock()
 	bounds := db.bounds[family]
@@ -271,7 +263,6 @@ func (db *DB) QuantileOverTime(family, child string, q float64, from, to time.Ti
 	idx := boundIndex(bounds)
 	counts := make([]float64, len(bounds)+1)
 	lo, hi := from.UnixMilli(), to.UnixMilli()
-	var any bool
 	for _, s := range buckets {
 		i, ok := idx[s.key.bound]
 		if !ok {
@@ -293,13 +284,9 @@ func (db *DB) QuantileOverTime(family, child string, q float64, from, to time.Ti
 		}
 		if d > 0 {
 			counts[i] += d
-			any = true
 		}
 	}
-	if !any {
-		return 0, false
-	}
-	return quantileFromCounts(bounds, counts, q), true
+	return weightQuantile(bounds, counts, q)
 }
 
 // boundIndex maps formatted bucket-bound keys (as the registry renders
@@ -313,62 +300,26 @@ func boundIndex(bounds []float64) map[string]int {
 	return idx
 }
 
-// quantileFromCounts mirrors metrics.Histogram.Quantile over float
-// bucket weights (windowed increases rather than lifetime counts).
-func quantileFromCounts(bounds []float64, counts []float64, q float64) float64 {
-	var total float64
+// weightQuantile applies metrics.BucketQuantile to positional float
+// bucket weights (len(bounds)+1 slots, overflow last: windowed increases
+// or reassembled counts); ok is false when no bucket carries weight.
+func weightQuantile(bounds, counts []float64, q float64) (v float64, ok bool) {
+	total := 0.0
 	for _, n := range counts {
 		total += n
 	}
 	if total == 0 {
-		return 0
+		return 0, false
 	}
-	rank := q * total
-	acc, lo := 0.0, 0.0
-	for i := range counts {
-		n := counts[i]
-		if n == 0 {
-			if i < len(bounds) {
-				lo = bounds[i]
-			}
-			continue
-		}
-		if acc+n >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1]
-			}
-			frac := (rank - acc) / n
-			return lo + frac*(bounds[i]-lo)
-		}
-		acc += n
-		lo = bounds[i]
-	}
-	return bounds[len(bounds)-1]
+	return metrics.BucketQuantile(q, bounds, func(i int) float64 { return counts[i] }, total, 0), true
 }
 
-// EarliestTime reports the oldest sample instant stored for a family
-// (any child, any tier). Burn-rate rules clamp their windows to it so
+// Earliest reports the oldest sample instant stored anywhere in the DB
+// (any family, any tier). Burn-rate rules clamp their windows to it so
 // a freshly started daemon evaluates over real data.
-func (db *DB) EarliestTime(family string) (time.Time, bool) {
-	return db.earliest(family)
-}
-
-// Earliest reports the oldest sample instant stored anywhere in the DB.
 func (db *DB) Earliest() (time.Time, bool) {
-	return db.earliest("")
-}
-
-func (db *DB) earliest(family string) (time.Time, bool) {
-	db.mu.RLock()
-	var matched []*series
-	for k, s := range db.series {
-		if family == "" || k.family == family {
-			matched = append(matched, s)
-		}
-	}
-	db.mu.RUnlock()
 	var best int64 = math.MaxInt64
-	for _, s := range matched {
+	for _, s := range db.allSeries() {
 		s.mu.Lock()
 		for i := range s.tiers {
 			if cs := s.tiers[i].chunks; len(cs) > 0 && cs[0].tFirst < best {

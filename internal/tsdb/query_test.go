@@ -82,15 +82,12 @@ func TestIncreaseAndCounterReset(t *testing.T) {
 	if !ok || delta != 100 || dt != 20 {
 		t.Fatalf("Increase = (%v, %v, %v), want (100, 20, true)", delta, dt, ok)
 	}
-	if rate, ok := db.RateOver("events_total", "", t0, t0.Add(20*time.Second)); !ok || rate != 5 {
-		t.Fatalf("RateOver = (%v, %v), want (5, true)", rate, ok)
-	}
 
 	// A window reaching before history clamps to real data: the answer
 	// is the honest rate over what exists, not a diluted one.
-	rate, ok := db.RateOver("events_total", "", t0.Add(-time.Hour), t0.Add(20*time.Second))
-	if !ok || rate != 5 {
-		t.Fatalf("clamped RateOver = (%v, %v), want (5, true)", rate, ok)
+	delta, dt, ok = db.Increase("events_total", "", t0.Add(-time.Hour), t0.Add(20*time.Second))
+	if !ok || delta/dt != 5 {
+		t.Fatalf("clamped Increase = (%v, %v, %v), want rate 5", delta, dt, ok)
 	}
 
 	// Counter reset: the drop restarts accumulation from zero.
@@ -133,6 +130,9 @@ func TestQuantileOverTime(t *testing.T) {
 	whole, ok := db.QuantileOverTime("lag_seconds", "", 0.99, t0.Add(-time.Minute), t0.Add(time.Minute))
 	if !ok {
 		t.Fatal("whole-window quantile not ok")
+	}
+	if live, snap := h.Quantile(0.99), h.Snapshot().P99; whole != live || whole != snap {
+		t.Fatalf("p99: scraped series %v, live histogram %v, its snapshot %v — one rule must answer all three", whole, live, snap)
 	}
 	// A window covering only phase 2 must see only slow samples.
 	late, ok := db.QuantileOverTime("lag_seconds", "", 0.5, t0.Add(30*time.Second), t0.Add(time.Minute))

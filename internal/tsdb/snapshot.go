@@ -104,7 +104,7 @@ func cellValue(c *cell, bounds []float64) any {
 
 // rebuildHistogram reassembles a HistogramSnapshot from decomposed
 // series, recomputing the interpolated quantiles from buckets+bounds
-// with the same semantics as metrics.Histogram.Quantile.
+// through the same metrics.BucketQuantile the live histogram uses.
 func rebuildHistogram(count, sum float64, buckets map[string]int64, bounds []float64) metrics.HistogramSnapshot {
 	hs := metrics.HistogramSnapshot{
 		Count:   int64(count),
@@ -120,8 +120,8 @@ func rebuildHistogram(count, sum float64, buckets map[string]int64, bounds []flo
 	}
 	if len(bounds) > 0 && len(buckets) > 0 {
 		counts := bucketCounts(bounds, buckets)
-		hs.P50 = quantileFromCounts(bounds, counts, 0.50)
-		hs.P99 = quantileFromCounts(bounds, counts, 0.99)
+		hs.P50, _ = weightQuantile(bounds, counts, 0.50)
+		hs.P99, _ = weightQuantile(bounds, counts, 0.99)
 	}
 	return hs
 }

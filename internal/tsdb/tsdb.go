@@ -15,7 +15,6 @@
 package tsdb
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,9 +133,6 @@ func New(opts Options) *DB {
 		done:         make(chan struct{}),
 	}
 }
-
-// Interval returns the configured scrape cadence.
-func (db *DB) Interval() time.Duration { return db.interval }
 
 // Start launches the scrape ticker. Stop with Stop.
 func (db *DB) Start() {
@@ -283,22 +279,6 @@ func (s *series) append(now int64, v float64, chunkSamples int) {
 	}
 }
 
-// Families returns the distinct metric families stored, sorted.
-func (db *DB) Families() []string {
-	db.mu.RLock()
-	seen := make(map[string]struct{})
-	for k := range db.series {
-		seen[k.family] = struct{}{}
-	}
-	db.mu.RUnlock()
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stats summarizes storage, for /query introspection and the
 // compression acceptance test.
 type Stats struct {
@@ -310,14 +290,21 @@ type Stats struct {
 	Scrapes    int64 `json:"scrapes"`
 }
 
-// Stats walks every series; cheap (counts, not decodes).
-func (db *DB) Stats() Stats {
+// allSeries snapshots the series set, so a caller can walk it (taking
+// each series' own lock) without holding db.mu.
+func (db *DB) allSeries() []*series {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	all := make([]*series, 0, len(db.series))
 	for _, s := range db.series {
 		all = append(all, s)
 	}
-	db.mu.RUnlock()
+	return all
+}
+
+// Stats walks every series; cheap (counts, not decodes).
+func (db *DB) Stats() Stats {
+	all := db.allSeries()
 	st := Stats{Series: len(all), Scrapes: db.scrapes.Load()}
 	for _, s := range all {
 		s.mu.Lock()

@@ -55,8 +55,12 @@ func TestScrapeFlattensRegistry(t *testing.T) {
 		t.Fatalf("lag_seconds count query = %+v", got)
 	}
 
-	if fams := db.Families(); len(fams) != 5 {
-		t.Fatalf("Families() = %v, want 5 entries", fams)
+	fams := map[string]bool{}
+	for k := range db.series {
+		fams[k.family] = true
+	}
+	if len(fams) != 5 {
+		t.Fatalf("stored families %v, want 5 entries", fams)
 	}
 	st := db.Stats()
 	if st.Scrapes != 2 || st.Series == 0 || st.Bytes == 0 {
@@ -171,8 +175,8 @@ func TestTiersDownsampleAndEvict(t *testing.T) {
 	if st.RawSamples > 50 {
 		t.Fatalf("raw tier holds %d samples after retention, want <= 50", st.RawSamples)
 	}
-	if early, ok := db.EarliestTime("c"); !ok || !early.Equal(t0) {
-		t.Fatalf("EarliestTime = %v %v, want %v", early, ok, t0)
+	if early, ok := db.Earliest(); !ok || !early.Equal(t0) {
+		t.Fatalf("Earliest = %v %v, want %v", early, ok, t0)
 	}
 }
 

@@ -65,15 +65,20 @@ func Series(name, key string) Expr {
 }
 
 // Quantile estimates a quantile of a histogram metric from its bucket
-// snapshot, with the same interpolation semantics as
-// metrics.Histogram.Quantile.
+// snapshot (full bound layout in Bounds, occupied buckets in the sparse
+// Buckets map) through metrics.BucketQuantile, so it answers exactly
+// what the live Histogram.Quantile would. Missing when the histogram is
+// absent or has no observations.
 func Quantile(name string, q float64) Expr {
 	return func(snap map[string]any) (float64, bool) {
 		hs, ok := snap[name].(metrics.HistogramSnapshot)
-		if !ok {
+		if !ok || hs.Count == 0 {
 			return 0, false
 		}
-		return quantileFromBuckets(hs, q)
+		count := func(i int) float64 {
+			return float64(hs.Buckets[strconv.FormatFloat(hs.Bounds[i], 'g', -1, 64)])
+		}
+		return metrics.BucketQuantile(q, hs.Bounds, count, float64(hs.Count), hs.Max), true
 	}
 }
 
@@ -140,47 +145,6 @@ func scalar(v any) (float64, bool) {
 		return float64(x.Count), true
 	}
 	return 0, false
-}
-
-// quantileFromBuckets reconstructs bucket counts from a
-// HistogramSnapshot (full bound layout in Bounds, occupied buckets in
-// the sparse Buckets map) and interpolates with exactly the semantics
-// of metrics.Histogram.Quantile: empty buckets advance the base, and
-// overflow mass clamps to the last bound.
-func quantileFromBuckets(hs metrics.HistogramSnapshot, q float64) (float64, bool) {
-	if hs.Count == 0 {
-		return 0, false
-	}
-	if len(hs.Bounds) == 0 {
-		return hs.Max, true // zero-bounds histogram, mirrors Quantile
-	}
-	rank := q * float64(hs.Count)
-	acc := int64(0)
-	lo := 0.0
-	for i := 0; i <= len(hs.Bounds); i++ {
-		var n int64
-		if i < len(hs.Bounds) {
-			n = hs.Buckets[strconv.FormatFloat(hs.Bounds[i], 'g', -1, 64)]
-		} else {
-			n = hs.Buckets["+inf"]
-		}
-		if n == 0 {
-			if i < len(hs.Bounds) {
-				lo = hs.Bounds[i]
-			}
-			continue
-		}
-		if float64(acc+n) >= rank {
-			if i >= len(hs.Bounds) {
-				return hs.Bounds[len(hs.Bounds)-1], true
-			}
-			frac := (rank - float64(acc)) / float64(n)
-			return lo + frac*(hs.Bounds[i]-lo), true
-		}
-		acc += n
-		lo = hs.Bounds[i]
-	}
-	return hs.Bounds[len(hs.Bounds)-1], true
 }
 
 // Op compares a rule's value to its threshold.
@@ -702,11 +666,4 @@ func sanitizeFile(name string) string {
 		}
 		return '-'
 	}, name)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

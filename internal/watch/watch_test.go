@@ -12,6 +12,7 @@ import (
 
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/trace"
+	"spooftrack/internal/tsdb"
 )
 
 func quietLogger() *slog.Logger {
@@ -165,6 +166,13 @@ func TestQuantileExpr(t *testing.T) {
 	}
 	if got != direct {
 		t.Fatalf("snapshot quantile %v != live quantile %v", got, direct)
+	}
+	// The same expression over the snapshot the tsdb reassembles from
+	// its scraped series answers alike: one interpolation rule.
+	db := tsdb.New(tsdb.Options{Registry: reg})
+	db.ScrapeOnce(time.Unix(100, 0))
+	if got, ok := Quantile("lag_seconds", 0.99)(db.SnapshotAt(time.Unix(100, 0))); !ok || got != direct {
+		t.Fatalf("scraped-series quantile %v (ok=%v) != live quantile %v", got, ok, direct)
 	}
 	// All mass in overflow clamps to the last bound, exactly as the live
 	// histogram answers.

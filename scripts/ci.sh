@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI entry point: vet, build, and test the whole module, then run the
+# CI entry point: vet, check that everything under internal/ is reached
+# by something that ships, build, and test the whole module, then run the
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, the daemon's placements and
@@ -11,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> go vet"
 go vet ./...
+
+echo "==> reachability (nothing under internal/ that no shipped code reaches, bar scripts/reach.allow)"
+go run scripts/reach.go
 
 echo "==> go build"
 go build ./...
