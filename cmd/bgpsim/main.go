@@ -148,11 +148,11 @@ func parseConfig(links, prepend, poison string) (bgp.Config, error) {
 	prepends := map[bgp.LinkID]bool{}
 	if prepend != "" {
 		for _, s := range strings.Split(prepend, ",") {
-			l, err := strconv.Atoi(strings.TrimSpace(s))
+			l, err := parseLink(s)
 			if err != nil {
 				return cfg, fmt.Errorf("bad prepend link %q: %v", s, err)
 			}
-			prepends[bgp.LinkID(l)] = true
+			prepends[l] = true
 		}
 	}
 	poisons := map[bgp.LinkID][]topo.ASN{}
@@ -162,7 +162,7 @@ func parseConfig(links, prepend, poison string) (bgp.Config, error) {
 			if len(parts) != 2 {
 				return cfg, fmt.Errorf("bad poison pair %q (want link:ASN)", pair)
 			}
-			l, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+			l, err := parseLink(parts[0])
 			if err != nil {
 				return cfg, fmt.Errorf("bad poison link %q: %v", parts[0], err)
 			}
@@ -170,15 +170,15 @@ func parseConfig(links, prepend, poison string) (bgp.Config, error) {
 			if err != nil {
 				return cfg, fmt.Errorf("bad poison ASN %q: %v", parts[1], err)
 			}
-			poisons[bgp.LinkID(l)] = append(poisons[bgp.LinkID(l)], topo.ASN(asn))
+			poisons[l] = append(poisons[l], topo.ASN(asn))
 		}
 	}
 	for _, s := range strings.Split(links, ",") {
-		l, err := strconv.Atoi(strings.TrimSpace(s))
+		l, err := parseLink(s)
 		if err != nil {
 			return cfg, fmt.Errorf("bad link %q: %v", s, err)
 		}
-		ann := bgp.Announcement{Link: bgp.LinkID(l)}
+		ann := bgp.Announcement{Link: l}
 		if prepends[ann.Link] {
 			ann.Prepend = 4
 		}
@@ -186,6 +186,19 @@ func parseConfig(links, prepend, poison string) (bgp.Config, error) {
 		cfg.Anns = append(cfg.Anns, ann)
 	}
 	return cfg, nil
+}
+
+// parseLink parses one link number, refusing what a bgp.LinkID cannot
+// hold: converting first would wrap -links 256 to link 0.
+func parseLink(s string) (bgp.LinkID, error) {
+	l, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil {
+		return 0, err
+	}
+	if l < 0 || l >= bgp.MaxLinks {
+		return 0, fmt.Errorf("link %d out of range [0, %d)", l, bgp.MaxLinks)
+	}
+	return bgp.LinkID(l), nil
 }
 
 func fatal(err error) {

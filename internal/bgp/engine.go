@@ -99,6 +99,9 @@ func NewEngine(g *topo.Graph, origin Origin, params Params) (*Engine, error) {
 	if len(origin.Links) == 0 {
 		return nil, fmt.Errorf("bgp: origin has no peering links")
 	}
+	if len(origin.Links) > MaxLinks {
+		return nil, fmt.Errorf("bgp: origin has %d peering links, a LinkID holds at most %d", len(origin.Links), MaxLinks)
+	}
 	if _, ok := g.Index(origin.ASN); ok {
 		return nil, fmt.Errorf("bgp: origin AS%d collides with a topology AS", origin.ASN)
 	}

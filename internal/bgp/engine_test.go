@@ -367,6 +367,20 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(g, bad2, noiseless()); err == nil {
 		t.Error("expected error for out-of-range provider")
 	}
+	// A link id must fit a LinkID: one link too many fails, it does not
+	// wrap.
+	for _, tc := range []struct {
+		links int
+		ok    bool
+	}{{MaxLinks, true}, {MaxLinks + 1, false}, {256, false}} {
+		many := Origin{ASN: 47065, Links: make([]Link, tc.links)}
+		for i := range many.Links {
+			many.Links[i] = o.Links[0]
+		}
+		if _, err := NewEngine(g, many, noiseless()); (err == nil) != tc.ok {
+			t.Errorf("%d links: err = %v, want ok=%v", tc.links, err, tc.ok)
+		}
+	}
 }
 
 func TestAnnouncementHelpers(t *testing.T) {

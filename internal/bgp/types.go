@@ -35,8 +35,17 @@ import (
 )
 
 // LinkID identifies one peering link of the origin AS. IDs are dense
-// indices into Origin.Links.
-type LinkID int
+// indices into Origin.Links. One byte is enough — the paper's origin has
+// 7 links and the amp wire format already carries the link in one — and
+// it keeps a catchment cell, of which a campaign holds sources ×
+// configurations, at a byte (DESIGN.md §5.11).
+type LinkID int8
+
+// MaxLinks is the most peering links an origin can have: every link id
+// must fit a LinkID. Anything that turns an outside number into a
+// LinkID checks it against MaxLinks first, so an id that does not fit
+// fails instead of wrapping.
+const MaxLinks = 127
 
 // NoLink is the LinkID reported for ASes with no route to the prefix.
 const NoLink LinkID = -1

@@ -60,31 +60,18 @@ func (p *Partition) Refine(labels []bgp.LinkID) {
 	if len(labels) != len(p.assign) {
 		panic(fmt.Sprintf("cluster: %d labels for %d sources", len(labels), len(p.assign)))
 	}
-	if len(p.assign) == 0 {
-		return
-	}
-	// Composite keys (old cluster, label) are renumbered through a flat
-	// table instead of a map: labels are small non-negative link ids
-	// (with NoLink mapped to slot 0), so the table has num*(width) cells.
-	// This is the hot loop of greedy scheduling and the random-schedule
-	// ensembles (Fig. 8).
-	width := int(maxLabel(labels)) + 2
-	table := make([]int32, p.num*width)
-	for i := range table {
-		table[i] = -1
-	}
+	width := int32(maxLabel(labels)) + 2
+	t := borrowTable(p.num * int(width))
 	next := int32(0)
-	for k := range p.assign {
-		key := int(p.assign[k])*width + labelSlot(labels[k])
-		id := table[key]
-		if id == -1 {
-			id = next
+	for k, c := range p.assign {
+		id, fresh := t.id(c*width+labelSlot(labels[k]), next)
+		if fresh {
 			next++
-			table[key] = id
 		}
 		p.assign[k] = id
 	}
 	p.num = int(next)
+	t.release()
 }
 
 // maxLabel returns the largest non-negative label.
@@ -100,11 +87,8 @@ func maxLabel(labels []bgp.LinkID) bgp.LinkID {
 
 // labelSlot maps a label to a table column: NoLink (and any negative
 // label) shares slot 0; link l uses slot l+1.
-func labelSlot(l bgp.LinkID) int {
-	if l < 0 {
-		return 0
-	}
-	return int(l) + 1
+func labelSlot(l bgp.LinkID) int32 {
+	return max(int32(l)+1, 0)
 }
 
 // RefinedCopy returns Clone().Refine(labels) without mutating p.
@@ -121,81 +105,20 @@ func (p *Partition) Assignments() []int32 {
 	return append([]int32(nil), p.assign...)
 }
 
-// WeightedMeanSizeAfter returns the volume-weighted mean cluster size
-// that refining by the labels would produce, without modifying the
-// partition and without materializing the refined copy. It equals
-//
-//	refined := p.RefinedCopy(labels)
-//	sum_k volume[k] * size(refined cluster of k) / sum_k volume[k]
-//
-// but runs the refinement once through the same flat (old cluster,
-// label) table Refine uses, accumulating per-refined-cluster volume and
-// size in a single pass — the incremental scoring path of the greedy
-// volume scheduler, which previously cloned the partition per candidate
-// configuration.
-func (p *Partition) WeightedMeanSizeAfter(labels []bgp.LinkID, volume []float64) float64 {
-	if len(labels) != len(p.assign) {
-		panic(fmt.Sprintf("cluster: %d labels for %d sources", len(labels), len(p.assign)))
-	}
-	if len(p.assign) == 0 {
-		return 0
-	}
-	width := int(maxLabel(labels)) + 2
-	table := make([]int32, p.num*width)
-	for i := range table {
-		table[i] = -1
-	}
-	// Pass 1: assign dense refined ids (first-occurrence order, exactly
-	// as Refine) and accumulate per-refined-cluster size and volume.
-	sizes := make([]int32, 0, p.num)
-	vols := make([]float64, 0, p.num)
-	next := int32(0)
-	for k := range p.assign {
-		key := int(p.assign[k])*width + labelSlot(labels[k])
-		id := table[key]
-		if id == -1 {
-			id = next
-			next++
-			table[key] = id
-			sizes = append(sizes, 0)
-			vols = append(vols, 0)
-		}
-		sizes[id]++
-		if k < len(volume) {
-			vols[id] += volume[k]
-		}
-	}
-	// Pass 2: fold sizes into the volume-weighted mean.
-	total, acc := 0.0, 0.0
-	for id := int32(0); id < next; id++ {
-		total += vols[id]
-		acc += vols[id] * float64(sizes[id])
-	}
-	if total == 0 {
-		return 0
-	}
-	return acc / total
-}
-
 // NumClustersAfter returns the number of clusters that refining by the
 // labels would produce, without modifying the partition. This is the
-// inner loop of greedy scheduling, so it avoids allocation beyond one
-// map.
+// inner loop of greedy scheduling, so a warm call allocates nothing.
 func (p *Partition) NumClustersAfter(labels []bgp.LinkID) int {
-	if len(p.assign) == 0 {
-		return 0
-	}
-	width := int(maxLabel(labels)) + 2
-	seen := make([]bool, p.num*width)
-	n := 0
-	for k := range p.assign {
-		key := int(p.assign[k])*width + labelSlot(labels[k])
-		if !seen[key] {
-			seen[key] = true
+	width := int32(maxLabel(labels)) + 2
+	t := borrowTable(p.num * int(width))
+	n := int32(0)
+	for k, c := range p.assign {
+		if _, fresh := t.id(c*width+labelSlot(labels[k]), n); fresh {
 			n++
 		}
 	}
-	return n
+	t.release()
+	return int(n)
 }
 
 // Sizes returns the size of every cluster, indexed by cluster id.

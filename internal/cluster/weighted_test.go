@@ -7,9 +7,16 @@ import (
 	"spooftrack/internal/bgp"
 )
 
-// refWeightedMeanAfter is the reference implementation
-// WeightedMeanSizeAfter must match: materialize the refined copy, then
-// take the volume-weighted mean of each source's cluster size.
+// weightedMeanSizeAfter scores one configuration on a fresh Scorer.
+func weightedMeanSizeAfter(p *Partition, labels []bgp.LinkID, volume []float64) float64 {
+	var s Scorer
+	s.Reset(p, volume)
+	return s.Score(labels)
+}
+
+// refWeightedMeanAfter is the reference implementation Scorer.Score
+// must match: materialize the refined copy, then take the volume-
+// weighted mean of each source's cluster size.
 func refWeightedMeanAfter(p *Partition, labels []bgp.LinkID, volume []float64) float64 {
 	refined := p.RefinedCopy(labels)
 	sizes := refined.Sizes()
@@ -30,6 +37,9 @@ func refWeightedMeanAfter(p *Partition, labels []bgp.LinkID, volume []float64) f
 
 func TestWeightedMeanSizeAfterMatchesRefinedCopy(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	// reused carries whatever the previous trial left in it: a partition
+	// of another size, other volumes, a table grown for other clusters.
+	var reused Scorer
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)
 		p := New(n)
@@ -50,10 +60,16 @@ func TestWeightedMeanSizeAfterMatchesRefinedCopy(t *testing.T) {
 		for k := range volume {
 			volume[k] = float64(rng.Intn(5))
 		}
-		got := p.WeightedMeanSizeAfter(labels, volume)
+		got := weightedMeanSizeAfter(p, labels, volume)
 		want := refWeightedMeanAfter(p, labels, volume)
 		if got != want {
-			t.Fatalf("trial %d (n=%d): WeightedMeanSizeAfter = %v, RefinedCopy reference = %v", trial, n, got, want)
+			t.Fatalf("trial %d (n=%d): Score = %v, RefinedCopy reference = %v", trial, n, got, want)
+		}
+		reused.Reset(p, volume)
+		for pass := 0; pass < 2; pass++ {
+			if got := reused.Score(labels); got != want {
+				t.Fatalf("trial %d (n=%d) pass %d: reused Scorer = %v, fresh = %v", trial, n, pass, got, want)
+			}
 		}
 	}
 }
@@ -64,7 +80,7 @@ func TestWeightedMeanSizeAfterShortVolume(t *testing.T) {
 	p := New(4)
 	labels := []bgp.LinkID{0, 0, 1, 1}
 	volume := []float64{1, 1}
-	got := p.WeightedMeanSizeAfter(labels, volume)
+	got := weightedMeanSizeAfter(p, labels, volume)
 	if want := refWeightedMeanAfter(p, labels, volume); got != want {
 		t.Fatalf("short volume: got %v, want %v", got, want)
 	}
@@ -75,16 +91,28 @@ func TestWeightedMeanSizeAfterShortVolume(t *testing.T) {
 
 func TestWeightedMeanSizeAfterZeroVolume(t *testing.T) {
 	p := New(3)
-	if got := p.WeightedMeanSizeAfter([]bgp.LinkID{0, 1, 0}, []float64{0, 0, 0}); got != 0 {
+	if got := weightedMeanSizeAfter(p, []bgp.LinkID{0, 1, 0}, []float64{0, 0, 0}); got != 0 {
 		t.Fatalf("zero volume: got %v, want 0", got)
 	}
 }
 
 func TestWeightedMeanSizeAfterPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on label/source length mismatch")
-		}
+	p := New(3)
+	p.Refine([]bgp.LinkID{0, 0, 1})
+	volume := []float64{1, 2, 3}
+	var s Scorer
+	s.Reset(p, volume)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("no panic on label/source length mismatch")
+			}
+		}()
+		s.Score([]bgp.LinkID{0})
 	}()
-	New(3).WeightedMeanSizeAfter([]bgp.LinkID{0}, nil)
+	// The scorer that panicked is still clean.
+	labels := []bgp.LinkID{0, 1, 1}
+	if got, want := s.Score(labels), refWeightedMeanAfter(p, labels, volume); got != want {
+		t.Fatalf("Score after a mismatch panic = %v, want %v", got, want)
+	}
 }

@@ -115,6 +115,9 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 	if len(d.Header.Muxes) == 0 {
 		return nil, fmt.Errorf("core: dataset has no muxes")
 	}
+	if len(d.Header.Muxes) > bgp.MaxLinks {
+		return nil, fmt.Errorf("core: dataset has %d muxes, a link id holds at most %d", len(d.Header.Muxes), bgp.MaxLinks)
+	}
 	nSources := len(d.Header.SourceASNs)
 	nLinks := len(d.Header.Muxes)
 	for i := 0; ; i++ {

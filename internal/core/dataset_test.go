@@ -81,6 +81,10 @@ func TestReadDatasetRejectsGarbage(t *testing.T) {
 		"not json\n", // bad header
 		`{"version":99,"muxes":["a"],"source_asns":[1]}` + "\n", // bad version
 		`{"version":1,"muxes":[],"source_asns":[1]}` + "\n",     // no muxes
+		// more muxes than a link id holds (the catchments are fine: the
+		// header itself must be refused):
+		`{"version":1,"muxes":[` + strings.Repeat(`"m",`, bgp.MaxLinks) + `"m"],"source_asns":[1]}` + "\n" +
+			`{"phase":"locations","announcements":[{"link":0}],"catchments":[0]}` + "\n",
 		// catchment length mismatch:
 		`{"version":1,"muxes":["a"],"source_asns":[1,2]}` + "\n" +
 			`{"phase":"locations","announcements":[{"link":0}],"catchments":[0]}` + "\n",
@@ -98,6 +102,16 @@ func TestReadDatasetRejectsGarbage(t *testing.T) {
 		if _, err := ReadDataset(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	// Exactly MaxLinks muxes is the most a dataset may have.
+	most := `{"version":1,"muxes":[` + strings.Repeat(`"m",`, bgp.MaxLinks-1) + `"m"],"source_asns":[1]}` + "\n" +
+		`{"phase":"locations","announcements":[{"link":126}],"catchments":[126]}` + "\n"
+	d, err := ReadDataset(strings.NewReader(most))
+	if err != nil {
+		t.Fatalf("%d muxes rejected: %v", bgp.MaxLinks, err)
+	}
+	if got := d.CatchmentMatrix()[0][0]; got != 126 {
+		t.Fatalf("link 126 read back as %d", got)
 	}
 }
 

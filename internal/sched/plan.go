@@ -90,8 +90,8 @@ func DefaultPlanParams(numLinks int) PlanParams {
 // iterates links then targets. The order matters: Fig. 4 plots cluster
 // sizes in deployment order.
 func GeneratePlan(p PlanParams) ([]PlannedConfig, error) {
-	if p.NumLinks < 1 {
-		return nil, fmt.Errorf("sched: NumLinks=%d", p.NumLinks)
+	if p.NumLinks < 1 || p.NumLinks > bgp.MaxLinks {
+		return nil, fmt.Errorf("sched: NumLinks=%d out of [1,%d]", p.NumLinks, bgp.MaxLinks)
 	}
 	if p.RemoveUpTo < 0 || p.RemoveUpTo >= p.NumLinks {
 		return nil, fmt.Errorf("sched: RemoveUpTo=%d out of [0,%d)", p.RemoveUpTo, p.NumLinks)

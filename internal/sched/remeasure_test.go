@@ -20,11 +20,13 @@ func TestNextGreedyVolumeScoredMatchesMasked(t *testing.T) {
 	if len(scores) != 3 {
 		t.Fatalf("scores cover %d configs, want all 3: %+v", len(scores), scores)
 	}
+	var fresh cluster.Scorer
+	fresh.Reset(p, vol)
 	for i, s := range scores {
 		if s.Config != i {
 			t.Fatalf("scores not in ascending config order: %+v", scores)
 		}
-		if want := p.WeightedMeanSizeAfter(maskCatchments[i], vol); s.Score != want {
+		if want := fresh.Score(maskCatchments[i]); s.Score != want {
 			t.Fatalf("config %d score %v, want %v", i, s.Score, want)
 		}
 		if s.Score < scores[got].Score {
@@ -41,19 +43,6 @@ func TestNextGreedyVolumeScoredMatchesMasked(t *testing.T) {
 	got3, scores3 := NextGreedyVolumeScored(p, maskCatchments, vol, []bool{true, true, true}, nil, true)
 	if got3 != -1 || len(scores3) != 0 {
 		t.Fatalf("exhausted: winner %d scores %+v", got3, scores3)
-	}
-
-	// The unscored path is the same loop minus the score slice: it
-	// allocates only what its WeightedMeanSizeAfter calls allocate.
-	scoring := testing.AllocsPerRun(100, func() {
-		for c := range maskCatchments {
-			p.WeightedMeanSizeAfter(maskCatchments[c], vol)
-		}
-	})
-	if got := testing.AllocsPerRun(100, func() {
-		NextGreedyVolumeMasked(p, maskCatchments, vol, used, nil)
-	}); got != scoring {
-		t.Fatalf("unscored greedy step allocates %v, its %d scoring passes alone %v", got, len(maskCatchments), scoring)
 	}
 }
 

@@ -203,6 +203,9 @@ func TestGeneratePlanErrors(t *testing.T) {
 	if _, err := GeneratePlan(PlanParams{NumLinks: 0}); err == nil {
 		t.Fatal("expected error for zero links")
 	}
+	if _, err := GeneratePlan(PlanParams{NumLinks: bgp.MaxLinks + 1}); err == nil {
+		t.Fatal("expected error for more links than a LinkID holds")
+	}
 	if _, err := GeneratePlan(PlanParams{NumLinks: 3, RemoveUpTo: 3}); err == nil {
 		t.Fatal("expected error for RemoveUpTo >= NumLinks")
 	}

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
@@ -233,17 +235,27 @@ type ConfigScore struct {
 	Score  float64 `json:"score"`
 }
 
+// scorerPool lends each greedy volume step its cluster.Scorer, so the
+// pipeline, the shard controller, a provenance replay and the offline
+// trajectory share warm scratch without any of them carrying a field
+// for it. It is package state on purpose, like measure's scratch pool:
+// the collector frees an idle scorer instead of an Evaluator keeping
+// one resident. A step that panics does not return its scorer.
+var scorerPool = sync.Pool{New: func() any { return new(cluster.Scorer) }}
+
 // NextGreedyVolumeScored is the greedy volume step itself. Candidate
-// scoring rides the incremental path (cluster.WeightedMeanSizeAfter):
-// each candidate is scored through one flat-table pass instead of
-// cloning and refining the partition per configuration. With keep set
-// it also returns the score of every eligible candidate in ascending
-// configuration order — the candidate set the chosen configuration
-// beat, which the provenance ledger records so a replay can re-derive
-// the decision; without it the slice is nil and the step allocates
-// nothing beyond the scoring passes. The winner does not depend on
-// keep.
+// scoring rides the incremental path (cluster.Scorer): the volume-
+// bearing clusters are listed once, then each candidate is scored
+// through one flat-table pass over them instead of cloning and refining
+// the partition per configuration. With keep set it also returns the
+// score of every eligible candidate in ascending configuration order —
+// the candidate set the chosen configuration beat, which the provenance
+// ledger records so a replay can re-derive the decision; without it the
+// slice is nil and a warm step allocates nothing. The winner does not
+// depend on keep.
 func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool, keep bool) (int, []ConfigScore) {
+	scorer := scorerPool.Get().(*cluster.Scorer)
+	scorer.Reset(p, volume)
 	best := -1
 	bestScore := 0.0
 	var scores []ConfigScore
@@ -251,7 +263,7 @@ func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, vol
 		if used[c] || (blocked != nil && blocked[c]) {
 			continue
 		}
-		score := p.WeightedMeanSizeAfter(catchments[c], volume)
+		score := scorer.Score(catchments[c])
 		if keep {
 			scores = append(scores, ConfigScore{Config: c, Score: score})
 		}
@@ -259,6 +271,7 @@ func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, vol
 			best, bestScore = c, score
 		}
 	}
+	scorerPool.Put(scorer)
 	return best, scores
 }
 
@@ -287,22 +300,28 @@ func EstimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []fl
 // estimated volume (ties toward the lowest cluster id) and its size, or
 // (-1, -1) when no candidate carries volume.
 func TopVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) (clusterID, size int) {
-	volByCluster := make(map[int]float64)
+	volByCluster := make([]float64, p.NumClusters())
 	for _, k := range candidates {
 		if estVol[k] > 0 {
 			volByCluster[p.ClusterOf(k)] += estVol[k]
 		}
 	}
+	// Ascending id and a strict comparison are the tie-break.
 	best, bestVol := -1, 0.0
 	for c, v := range volByCluster {
-		if best == -1 || v > bestVol || (v == bestVol && c < best) {
+		if v > bestVol {
 			best, bestVol = c, v
 		}
 	}
 	if best == -1 {
 		return -1, -1
 	}
-	return best, len(p.MembersOf(best))
+	for k := 0; k < p.NumSources(); k++ {
+		if p.ClusterOf(k) == best {
+			size++
+		}
+	}
+	return best, size
 }
 
 // Splittable reports whether any unused configuration maps the given
@@ -348,19 +367,23 @@ func NextRemeasure(catchments [][]bgp.LinkID, hints []int, used, blocked []bool)
 		}
 		row := catchments[c]
 		seen := 0
-		links := map[bgp.LinkID]bool{}
+		var links [(bgp.MaxLinks + 63) / 64]uint64 // one bit per link id
 		for _, k := range hints {
-			if k < 0 || k >= len(row) || row[k] == bgp.NoLink {
+			if k < 0 || k >= len(row) || row[k] < 0 {
 				continue
 			}
 			seen++
-			links[row[k]] = true
+			links[row[k]/64] |= 1 << (row[k] % 64)
 		}
 		if seen == 0 {
 			continue
 		}
-		if seen > bestSeen || (seen == bestSeen && len(links) > bestLinks) {
-			best, bestSeen, bestLinks = c, seen, len(links)
+		numLinks := 0
+		for _, w := range links {
+			numLinks += bits.OnesCount64(w)
+		}
+		if seen > bestSeen || (seen == bestSeen && numLinks > bestLinks) {
+			best, bestSeen, bestLinks = c, seen, numLinks
 		}
 	}
 	return best

@@ -46,7 +46,17 @@ func (il *IncrementalLocalizer) AddRound(catchment []bgp.LinkID, volumes []float
 // index order — LocalizeTolerant's answer over all rounds so far
 // (maxMisses = 0 matches Localize exactly).
 func (il *IncrementalLocalizer) Candidates(maxMisses int) []int {
-	var out []int
+	n := 0
+	for _, m := range il.misses {
+		if m <= maxMisses {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	// A fresh slice each call, sized exactly: callers keep it.
+	out := make([]int, 0, n)
 	for k, m := range il.misses {
 		if m <= maxMisses {
 			out = append(out, k)

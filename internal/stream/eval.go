@@ -145,15 +145,16 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	e.fold(cur, volumes)
 	e.candidates = e.loc.Candidates(e.par.MaxMisses)
 
-	m := e.part.Summarize()
 	out := Outcome{
 		Round:      len(e.rounds),
 		Config:     cur,
 		Volumes:    volumes,
-		Clusters:   m.NumClusters,
-		MeanSize:   m.MeanSize,
+		Clusters:   e.part.NumClusters(),
 		Candidates: len(e.candidates),
 		Deploy:     -1,
+	}
+	if out.Clusters > 0 {
+		out.MeanSize = float64(e.part.NumSources()) / float64(out.Clusters)
 	}
 
 	// Volume-ranked clusters: estimate per-source volume, then find the

@@ -131,6 +131,9 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	if attr.NumLinks <= 0 {
 		return nil, fmt.Errorf("stream: NumLinks must be positive")
 	}
+	if attr.NumLinks > bgp.MaxLinks {
+		return nil, fmt.Errorf("stream: NumLinks %d exceeds the %d a link id can hold", attr.NumLinks, bgp.MaxLinks)
+	}
 	if attr.InitialConfig < 0 || attr.InitialConfig >= len(attr.Catchments) {
 		return nil, fmt.Errorf("stream: initial config %d out of range", attr.InitialConfig)
 	}

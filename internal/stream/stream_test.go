@@ -286,6 +286,7 @@ func TestNewValidation(t *testing.T) {
 		{"no configs", func(a Attribution) Attribution { a.Catchments = nil; return a }},
 		{"asn mismatch", func(a Attribution) Attribution { a.SourceASNs = a.SourceASNs[:3]; return a }},
 		{"no links", func(a Attribution) Attribution { a.NumLinks = 0; return a }},
+		{"more links than a LinkID holds", func(a Attribution) Attribution { a.NumLinks = bgp.MaxLinks + 1; return a }},
 		{"bad initial", func(a Attribution) Attribution { a.InitialConfig = 99; return a }},
 		{"ragged rows", func(a Attribution) Attribution {
 			a.Catchments = append([][]bgp.LinkID{}, a.Catchments...)

@@ -4,7 +4,8 @@
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, the daemon's placements and
-# ticker loops),
+# ticker loops, and the greedy step's pooled scorer and refinement table,
+# which the pipeline, replay and trajectory goroutines share),
 # and smoke-test the benchmark harness so a perf regression in the
 # engine fast path cannot land silently broken.
 set -eu
@@ -22,8 +23,8 @@ go build ./...
 echo "==> go test"
 go test ./...
 
-echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, spooftrackd)"
-go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./cmd/spooftrackd/...
+echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd)"
+go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/...
 
 echo "==> chaos smoke (fixed-seed fault profiles, campaigns must converge)"
 go test ./internal/core/ -run 'Chaos' -count=1
