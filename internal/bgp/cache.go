@@ -28,28 +28,21 @@ const DefaultOutcomeCacheCapacity = 1024
 // configuration is propagated exactly once per engine.
 //
 // The cache is bounded: beyond its capacity the least-recently-used
-// outcome is evicted (hits refresh recency). It also keeps a small
-// window of recently resolved outcomes and hands the closest one
-// (fewest dirty announcements by DiffConfigs) to Engine.PropagateDeltaInfo
-// on a miss, so consumers that replay near-identical configurations —
-// the campaign runner, the scheduler's predictor, the greedy volume
-// scoring loop, which interleaves candidate families rather than
-// stepping through adjacent configs — ride the incremental path without
-// code changes; PropagateDeltaInfo transparently falls back to a full run
-// whenever the seed outcome cannot help.
+// outcome is evicted (hits refresh recency). On a miss it hands
+// Engine.PropagateDeltaInfo the resident outcome that is cheapest to
+// carry into the requested configuration (deltaCost), so consumers that
+// replay related configurations — the campaign runner, the scheduler's
+// predictor, the greedy volume scoring loop, which interleaves
+// candidate families rather than stepping through adjacent configs —
+// ride the incremental path without code changes; PropagateDeltaInfo
+// transparently falls back to a full run whenever the seed outcome
+// cannot help.
 type OutcomeCache struct {
-	mu   sync.Mutex
-	m    map[string]*cacheEntry
-	cap  int
-	head *cacheEntry // most recently used
-	tail *cacheEntry // least recently used
-	// recent is the delta-seed window: the most recently resolved
-	// outcomes, newest first. A miss seeds PropagateDeltaInfo from the
-	// window entry whose configuration is nearest the requested one
-	// (minimum ConfigDiff.NumDirty), not merely the last resolved — the
-	// difference between a full recomputation and a one-link delta when
-	// a scoring loop alternates between configuration families.
-	recent    []*Outcome
+	mu        sync.Mutex
+	m         map[string]*cacheEntry
+	cap       int
+	head      *cacheEntry // most recently used
+	tail      *cacheEntry // least recently used
 	hits      uint64
 	misses    uint64
 	evicts    uint64
@@ -84,13 +77,6 @@ type CacheStats struct {
 	Size             int
 	Capacity         int
 }
-
-// DefaultDeltaSeedWindow is how many recently resolved outcomes the
-// cache keeps as candidate delta seeds. Small by design: each seed
-// pins an Outcome (~16 B/AS) in memory, and the scoring loops the
-// window exists for interleave only a handful of configuration
-// families at a time.
-const DefaultDeltaSeedWindow = 4
 
 // NewOutcomeCache returns an empty cache bounded at
 // DefaultOutcomeCacheCapacity entries.
@@ -131,39 +117,27 @@ func (c *OutcomeCache) touch(e *cacheEntry) {
 	}
 }
 
-// noteResolved pushes an outcome to the front of the delta-seed window
-// (move-to-front on re-resolution, truncated to the window size).
-// Caller holds mu.
-func (c *OutcomeCache) noteResolved(out *Outcome) {
-	for i, r := range c.recent {
-		if r == out {
-			copy(c.recent[1:i+1], c.recent[:i])
-			c.recent[0] = out
-			return
-		}
-	}
-	if len(c.recent) < DefaultDeltaSeedWindow {
-		c.recent = append(c.recent, nil)
-	}
-	copy(c.recent[1:], c.recent)
-	c.recent[0] = out
-}
-
-// pickSeed returns the window outcome whose configuration is nearest
-// cfg by announcement-level diff (minimum NumDirty; ties toward the
-// most recent), or nil when the window is empty. Caller holds mu. The
-// scan is cheap — the window holds at most DefaultDeltaSeedWindow
-// outcomes and DiffConfigs is linear in a configuration's handful of
-// announcements — while the payoff on a hit is the difference between
-// an O(dirty-catchment) delta and a full propagation.
+// pickSeed returns the converged resident outcome cheapest to carry
+// into cfg by deltaCost, ties toward the most recently used, or nil when
+// none can seed. Caller holds mu. It walks the whole LRU list from the
+// head and stops at cost 0: scoring an entry touches only a handful of
+// announcements and allocates nothing, while the payoff is the
+// difference between a delta over one small catchment and a full
+// propagation. Plan order is a poor guide to the cheap base — a prepend
+// is cheapest from the config without the prepended announcement, not
+// from its sibling prepends — so recency alone would miss it.
 func (c *OutcomeCache) pickSeed(cfg Config) *Outcome {
 	var best *Outcome
-	bestDirty := 0
-	for _, r := range c.recent {
-		d := DiffConfigs(r.Config(), cfg)
-		if best == nil || d.NumDirty < bestDirty {
-			best, bestDirty = r, d.NumDirty
-			if bestDirty == 0 {
+	bestCost := 0
+	for e := c.head; e != nil; e = e.next {
+		// An unconverged (dispute-frozen) outcome cannot seed: the delta
+		// path would reject it and run in full.
+		if !e.out.converged {
+			continue
+		}
+		if d := deltaCost(e.out.cfg, cfg); best == nil || d < bestCost {
+			best, bestCost = e.out, d
+			if d == 0 {
 				break
 			}
 		}
@@ -217,19 +191,14 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 			c.hitC.Inc()
 		}
 		c.touch(ent)
-		c.noteResolved(ent.out)
 		size := len(c.m)
 		c.mu.Unlock()
 		c.endSpan(sp, 1, 0, size)
 		return ent.out, nil
 	}
-	// Seed the miss with the nearest outcome in the recent window:
-	// campaign sweeps visit near-identical configs back to back, and
-	// scoring loops interleave a few configuration families — either
-	// way some window entry is usually one announcement away, which is
-	// exactly the delta fast path. Any converged previous outcome
-	// yields the same (byte-identical) result, so racing misses picking
-	// different seeds is harmless.
+	// Seed the miss with the cheapest resident outcome. Any converged
+	// previous outcome yields the same (byte-identical) result, so
+	// racing misses picking different seeds is harmless.
 	seed := c.pickSeed(cfg)
 	c.mu.Unlock()
 	var (
@@ -254,7 +223,6 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 			c.hitC.Inc()
 		}
 		c.touch(prior)
-		c.noteResolved(prior.out)
 		size := len(c.m)
 		c.mu.Unlock()
 		c.endSpan(sp, 1, 0, size)
@@ -279,7 +247,6 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 	if c.tail == nil {
 		c.tail = ent
 	}
-	c.noteResolved(ent.out)
 	c.evictOver()
 	size := len(c.m)
 	c.mu.Unlock()

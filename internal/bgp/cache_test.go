@@ -127,44 +127,95 @@ func TestOutcomeCacheDeltaSeeding(t *testing.T) {
 	}
 }
 
-// TestOutcomeCacheSeedWindow is the white-box contract of the delta-
-// seed window: recently resolved outcomes accumulate newest-first,
-// re-resolution moves to front instead of duplicating, and the window
-// never outgrows DefaultDeltaSeedWindow.
-func TestOutcomeCacheSeedWindow(t *testing.T) {
+// TestOutcomeCacheSeedFromWholeCache is the white-box contract of the
+// seed pick: the seed is the cheapest resident outcome wherever it sits
+// in the LRU list — here the least recently used, behind more entries
+// than any recency window would hold — and among equally cheap seeds
+// the most recently used wins.
+func TestOutcomeCacheSeedFromWholeCache(t *testing.T) {
 	g, o := worldForTest(t, 17, 600)
 	e := newEngine(t, g, o, noiseless())
 	cache := NewOutcomeCache()
-	cfgs := distinctConfigs(DefaultDeltaSeedWindow + 2)
-	var outs []*Outcome
-	for _, cfg := range cfgs {
+	resolve := func(cfg Config) *Outcome {
+		t.Helper()
 		out, err := cache.Propagate(e, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, out)
+		return out
 	}
-	cache.mu.Lock()
-	recent := append([]*Outcome(nil), cache.recent...)
-	cache.mu.Unlock()
-	if len(recent) != DefaultDeltaSeedWindow {
-		t.Fatalf("window holds %d outcomes, want %d", len(recent), DefaultDeltaSeedWindow)
+	pick := func(cfg Config) *Outcome {
+		cache.mu.Lock()
+		defer cache.mu.Unlock()
+		return cache.pickSeed(cfg)
 	}
-	for i := 0; i < DefaultDeltaSeedWindow; i++ {
-		if want := outs[len(outs)-1-i]; recent[i] != want {
-			t.Fatalf("window[%d] is not the %d-th most recent outcome", i, i)
-		}
+
+	oldest := resolve(Config{Anns: []Announcement{{Link: 0}}})
+	for i := 0; i < 8; i++ {
+		resolve(Config{Anns: []Announcement{{Link: 1, Prepend: i}}})
 	}
-	// A hit on an older resident moves it to the front without growing
-	// the window.
-	if _, err := cache.Propagate(e, cfgs[2]); err != nil {
+	x := resolve(Config{Anns: []Announcement{{Link: 0, Prepend: 1}}})
+	y := resolve(Config{Anns: []Announcement{{Link: 0, Prepend: 2}}})
+
+	// Adding link 2 to the oldest entry costs one added announcement;
+	// every other resident would shorten or withdraw one.
+	if seed := pick(Config{Anns: []Announcement{{Link: 0}, {Link: 2}}}); seed != oldest {
+		t.Fatalf("pickSeed chose %v, want the LRU entry %v", seed.Config(), oldest.Config())
+	}
+	// Lengthening link 0 to prepend 3 costs the same from oldest, x and y.
+	longer := Config{Anns: []Announcement{{Link: 0, Prepend: 3}}}
+	if seed := pick(longer); seed != y {
+		t.Fatalf("tie went to %v, want the most recently used %v", seed.Config(), y.Config())
+	}
+	resolve(x.Config()) // a hit makes x the most recently used
+	if seed := pick(longer); seed != x {
+		t.Fatalf("tie went to %v after touching x, want %v", seed.Config(), x.Config())
+	}
+}
+
+// TestOutcomeCachePickSeedSkipsUnconverged: a dispute-frozen outcome is
+// cached like any other but cannot seed a delta (PropagateDeltaInfo
+// would reject it and run in full), so a cache holding only such an
+// outcome offers no seed.
+func TestOutcomeCachePickSeedSkipsUnconverged(t *testing.T) {
+	g, o := worldForTest(t, 21, 600)
+	e := newEngine(t, g, o, noiseless())
+	cache := NewOutcomeCache()
+	frozen, err := cache.Propagate(e, Config{Anns: []Announcement{{Link: 0}}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	cache.mu.Lock()
-	front, size := cache.recent[0], len(cache.recent)
+	frozen.converged = false
+	seed := cache.pickSeed(Config{Anns: []Announcement{{Link: 0, Prepend: 1}}})
 	cache.mu.Unlock()
-	if front != outs[2] || size != DefaultDeltaSeedWindow {
-		t.Fatalf("re-resolution did not move-to-front dedupe (front=%p want=%p size=%d)", front, outs[2], size)
+	if seed != nil {
+		t.Fatalf("pickSeed handed over the unconverged outcome %v", seed.Config())
+	}
+}
+
+// TestOutcomeCachePickSeedAllocs: the pick scores every resident
+// outcome on each miss, so it must not allocate.
+func TestOutcomeCachePickSeedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bound not meaningful")
+	}
+	g, o := worldForTest(t, 23, 600)
+	e := newEngine(t, g, o, noiseless())
+	const n = 32
+	cache := NewOutcomeCacheCap(n)
+	for _, cfg := range distinctConfigs(n) {
+		if _, err := cache.Propagate(e, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// No resident is routing-identical to cfg, so the walk cannot stop
+	// early and scores the whole cache.
+	cfg := Config{Anns: []Announcement{{Link: 0}, {Link: 1}}}
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	if allocs := testing.AllocsPerRun(100, func() { cache.pickSeed(cfg) }); allocs != 0 {
+		t.Fatalf("pickSeed over %d entries allocated %.1f objects per call, want 0", n, allocs)
 	}
 }
 

@@ -7,12 +7,12 @@ import (
 	"spooftrack/internal/topo"
 )
 
-// internetWorldForBench is worldForTest over the internet-scale generator
+// internetWorldForTest is worldForTest over the internet-scale generator
 // tiers (topo.InternetGenParams) instead of the 4k paper-scale defaults.
-func internetWorldForBench(b *testing.B, seed uint64, numASes int) (*topo.Graph, Origin) {
+func internetWorldForTest(t testing.TB, seed uint64, numASes int) (*topo.Graph, Origin) {
 	g, err := topo.Generate(topo.InternetGenParams(seed, numASes))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	transit := g.TransitASes()
 	sort.Slice(transit, func(i, j int) bool {
@@ -32,7 +32,7 @@ func internetWorldForBench(b *testing.B, seed uint64, numASes int) (*topo.Graph,
 		}
 	}
 	if len(provs) < 7 {
-		b.Fatalf("topology too small for 7 providers")
+		t.Fatalf("topology too small for 7 providers")
 	}
 	links := make([]Link, 7)
 	for i, p := range provs {
@@ -125,7 +125,7 @@ func BenchmarkPropagateDeltaPoisonToggle(b *testing.B) {
 // BenchmarkPropagateDelta80k: the internet-scale tier. The issue's bar is
 // < 100ms per one-link-diff config at 80k ASes.
 func BenchmarkPropagateDelta80k(b *testing.B) {
-	g, o := internetWorldForBench(b, 42, 80000)
+	g, o := internetWorldForTest(b, 42, 80000)
 	e, err := NewEngine(g, o, DefaultParams(42))
 	if err != nil {
 		b.Fatal(err)
@@ -139,7 +139,7 @@ func BenchmarkPropagateDelta80k(b *testing.B) {
 // BenchmarkPropagateFull80k is the full-recomputation baseline at the 80k
 // tier, for the speedup ratio in EXPERIMENTS.md.
 func BenchmarkPropagateFull80k(b *testing.B) {
-	g, o := internetWorldForBench(b, 42, 80000)
+	g, o := internetWorldForTest(b, 42, 80000)
 	e, err := NewEngine(g, o, DefaultParams(42))
 	if err != nil {
 		b.Fatal(err)

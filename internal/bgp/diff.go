@@ -173,28 +173,94 @@ func communitiesEqual(a, b []Community) bool {
 	return true
 }
 
+// Delta-seed cost weights (deltaCost). The unit is one poison-toggled
+// AS, which the delta path re-decides alone; the others stand for how
+// much of a catchment a change wakes.
+const (
+	// costAdded: a new announcement grows one catchment outward from its
+	// provider, and only over ASes the new route beats.
+	costAdded = 1
+	// costLonger: lengthening re-decides the members whose runner-up now
+	// wins.
+	costLonger = 4
+	// costRederive: withdrawing, changing communities or shortening
+	// re-derives a whole catchment or re-offers it to every neighbor.
+	costRederive = 8
+)
+
+// deltaCost ranks how expensive PropagateDeltaInfo is from prev's
+// outcome to next, for choosing a delta seed: 0 when the two are
+// routing-identical, otherwise the weighted sum of per-announcement
+// changes. Unlike ConfigDiff.NumDirty it is asymmetric — adding an
+// announcement is cheap, withdrawing one is not — and it allocates
+// nothing, so a cache can score every resident outcome on a miss.
+func deltaCost(prev, next Config) int {
+	cost, matched := 0, 0
+	for pi := range prev.Anns {
+		pa := &prev.Anns[pi]
+		var na *Announcement
+		for ni := range next.Anns {
+			if next.Anns[ni].Link == pa.Link {
+				na = &next.Anns[ni]
+				break
+			}
+		}
+		if na == nil {
+			cost += costRederive
+			continue
+		}
+		matched++
+		switch {
+		case !communitiesEqual(pa.Communities, na.Communities), na.PathLen() < pa.PathLen():
+			cost += costRederive
+		case na.PathLen() > pa.PathLen():
+			cost += costLonger + poisonToggles(pa.Poison, na.Poison)
+		default:
+			cost += poisonToggles(pa.Poison, na.Poison)
+		}
+	}
+	return cost + (len(next.Anns)-matched)*costAdded
+}
+
 // poisonSymmetricDiff returns the ASNs present in exactly one of the two
 // poison lists (duplicates collapse). Poison lists are tiny (the
 // platform allows 2 per announcement), so quadratic scans are fine.
 func poisonSymmetricDiff(a, b []topo.ASN) []topo.ASN {
 	var out []topo.ASN
-	contains := func(xs []topo.ASN, v topo.ASN) bool {
-		for _, x := range xs {
-			if x == v {
-				return true
-			}
-		}
-		return false
-	}
 	for _, v := range a {
-		if !contains(b, v) && !contains(out, v) {
+		if !containsASN(b, v) && !containsASN(out, v) {
 			out = append(out, v)
 		}
 	}
 	for _, v := range b {
-		if !contains(a, v) && !contains(out, v) {
+		if !containsASN(a, v) && !containsASN(out, v) {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// poisonToggles is len(poisonSymmetricDiff(a, b)) without allocating.
+func poisonToggles(a, b []topo.ASN) int {
+	n := 0
+	for i, v := range a {
+		if !containsASN(a[:i], v) && !containsASN(b, v) {
+			n++
+		}
+	}
+	for i, v := range b {
+		if !containsASN(b[:i], v) && !containsASN(a, v) {
+			n++
+		}
+	}
+	return n
+}
+
+func containsASN(xs []topo.ASN, v topo.ASN) bool {
+	for _, x := range xs {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }

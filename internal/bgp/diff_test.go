@@ -26,6 +26,9 @@ func TestDiffConfigs(t *testing.T) {
 		lenShift   []int32
 		touched    [][]topo.ASN
 		numDirty   int
+		// cost is deltaCost: added < lengthened < withdrawn = shortened =
+		// communities changed; a same-length poison swap costs its toggles.
+		cost int
 	}{
 		{
 			name:       "noop",
@@ -61,6 +64,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{0},
 			touched:    [][]topo.ASN{nil},
 			numDirty:   1,
+			cost:       1,
 		},
 		{
 			name:       "announcement_removed",
@@ -72,6 +76,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{0, 0},
 			touched:    [][]topo.ASN{nil, nil},
 			numDirty:   1,
+			cost:       8,
 		},
 		{
 			name:       "prepend_change",
@@ -83,6 +88,19 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{3},
 			touched:    [][]topo.ASN{nil},
 			numDirty:   1,
+			cost:       4,
+		},
+		{
+			name:       "prepend_shortened",
+			prev:       Config{Anns: []Announcement{ann(1, 3, nil, nil)}},
+			next:       Config{Anns: []Announcement{ann(1, 0, nil, nil)}},
+			prevChange: []AnnChange{AnnShifted},
+			newChange:  []AnnChange{AnnShifted},
+			prevToNew:  []int16{0},
+			lenShift:   []int32{-3},
+			touched:    [][]topo.ASN{nil},
+			numDirty:   1,
+			cost:       8,
 		},
 		{
 			name:       "poison_added",
@@ -94,6 +112,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{2}, // a poison stuffs two ASNs (target + origin repeat)
 			touched:    [][]topo.ASN{{42}},
 			numDirty:   1,
+			cost:       5,
 		},
 		{
 			name:       "poison_swapped",
@@ -105,6 +124,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{0},
 			touched:    [][]topo.ASN{{42, 99}},
 			numDirty:   1,
+			cost:       2,
 		},
 		{
 			name:       "poison_reordered",
@@ -127,6 +147,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{0},
 			touched:    [][]topo.ASN{nil},
 			numDirty:   1,
+			cost:       8,
 		},
 		{
 			name:       "mixed_multi_field",
@@ -138,6 +159,7 @@ func TestDiffConfigs(t *testing.T) {
 			lenShift:   []int32{0, 0, 0},
 			touched:    [][]topo.ASN{nil, {7, 8}, nil},
 			numDirty:   4,
+			cost:       19,
 		},
 	}
 	for _, tc := range cases {
@@ -163,6 +185,9 @@ func TestDiffConfigs(t *testing.T) {
 			}
 			if d.NumDirty != tc.numDirty {
 				t.Errorf("NumDirty %d, want %d", d.NumDirty, tc.numDirty)
+			}
+			if c := deltaCost(tc.prev, tc.next); c != tc.cost {
+				t.Errorf("deltaCost %d, want %d", c, tc.cost)
 			}
 
 			// Key() consistency: the diff's Same verdict and canonical key

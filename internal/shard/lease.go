@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"spooftrack/internal/fault"
@@ -108,11 +109,13 @@ func (m *MemLease) Release(holder string, term uint64) {
 }
 
 // FileLease is a lease file shared by cooperating processes on one host
-// — the multi-process demo's election substrate. Writes go through a
-// temp file + atomic rename and are verified by re-reading, which is
-// enough mutual exclusion for processes that poll at lease-TTL
-// granularity (it is not a distributed lock manager and does not
-// pretend to be one).
+// — the multi-process demo's election substrate. Every operation runs
+// its read-decide-write under an exclusive flock on the sidecar file
+// path+".lock", so two contenders that both see an expired term cannot
+// both take the next one; writes go through a temp file + atomic rename
+// so a crash mid-write never leaves a torn lease. It is not a
+// distributed lock manager: the processes must share a host (and a
+// filesystem whose flock is honoured).
 type FileLease struct {
 	path string
 	now  func() time.Time
@@ -151,8 +154,30 @@ func (f *FileLease) write(l Lease) error {
 	return nil
 }
 
+// lock takes an exclusive flock on the sidecar lock file and returns
+// the function that drops it. flock belongs to the open file, so
+// FileLease values in one process exclude each other as separate
+// processes do.
+func (f *FileLease) lock() (unlock func(), err error) {
+	fd, err := os.OpenFile(f.path+".lock", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(fd.Fd()), syscall.LOCK_EX); err != nil {
+		fd.Close()
+		return nil, err
+	}
+	// Closing the file releases the lock.
+	return func() { fd.Close() }, nil
+}
+
 // Acquire implements LeaseStore.
 func (f *FileLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
+	unlock, err := f.lock()
+	if err != nil {
+		return f.read(), false
+	}
+	defer unlock()
 	cur := f.read()
 	now := f.now()
 	if cur.Holder != "" && now.Before(cur.Expires) && cur.Holder != holder {
@@ -162,28 +187,31 @@ func (f *FileLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
 	if err := f.write(want); err != nil {
 		return cur, false
 	}
-	// Verify: another process may have renamed over ours between write
-	// and now; whoever's rename landed last owns the lease.
-	got := f.read()
-	return got, got.Holder == holder && got.Term == want.Term
+	return want, true
 }
 
 // Renew implements LeaseStore.
 func (f *FileLease) Renew(holder string, term uint64, ttl time.Duration) bool {
+	unlock, err := f.lock()
+	if err != nil {
+		return false
+	}
+	defer unlock()
 	cur := f.read()
 	if cur.Holder != holder || cur.Term != term {
 		return false
 	}
 	cur.Expires = f.now().Add(ttl)
-	if f.write(cur) != nil {
-		return false
-	}
-	got := f.read()
-	return got.Holder == holder && got.Term == term
+	return f.write(cur) == nil
 }
 
 // Release implements LeaseStore.
 func (f *FileLease) Release(holder string, term uint64) {
+	unlock, err := f.lock()
+	if err != nil {
+		return
+	}
+	defer unlock()
 	cur := f.read()
 	if cur.Holder == holder && cur.Term == term {
 		cur.Expires = f.now()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,6 +124,43 @@ func TestFileLease(t *testing.T) {
 	lease, ok = f.Acquire("b", time.Hour)
 	if !ok || lease.Holder != "b" || lease.Term != 2 {
 		t.Fatalf("takeover after release: %+v ok=%v", lease, ok)
+	}
+}
+
+// TestFileLeaseOneLeaderPerTerm: eight contenders, each with its own
+// FileLease on one path as separate processes would hold them, race
+// Acquire for a lease that expires the moment it is granted, so every
+// attempt contends for a fresh term. No term may elect two leaders.
+func TestFileLeaseOneLeaderPerTerm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ctrl.lease")
+	const contenders, attempts, minTerms = 8, 100, 200
+	var (
+		mu      sync.Mutex
+		winners = make(map[uint64][]string)
+		wg      sync.WaitGroup
+	)
+	for c := 0; c < contenders; c++ {
+		f, holder := NewFileLease(path), fmt.Sprintf("c%d", c)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < attempts; i++ {
+				if l, ok := f.Acquire(holder, 0); ok {
+					mu.Lock()
+					winners[l.Term] = append(winners[l.Term], holder)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for term, hs := range winners {
+		if len(hs) > 1 {
+			t.Errorf("term %d elected %d leaders: %v", term, len(hs), hs)
+		}
+	}
+	if len(winners) < minTerms {
+		t.Errorf("only %d terms granted over %d attempts, want >= %d", len(winners), contenders*attempts, minTerms)
 	}
 }
 

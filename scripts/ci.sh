@@ -39,7 +39,7 @@ echo "==> sharded-ingest chaos smoke (netsplit profile: sharded localization mus
 go test ./internal/shard/ -run 'TestChaosByteIdentical/netsplit' -count=1
 
 echo "==> delta-propagation equivalence smoke (full-vs-incremental, race detector on)"
-go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling' -count=1
+go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden' -count=1
 
 echo "==> bench smoke (PropagateFullScale + PropagateDeltaSingleLink, 1 iteration)"
 go test ./internal/bgp/ -run '^$' -bench 'PropagateFullScale|PropagateDeltaSingleLink' -benchmem -benchtime 1x
