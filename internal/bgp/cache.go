@@ -8,11 +8,13 @@ import (
 )
 
 // DefaultOutcomeCacheCapacity bounds a cache built by NewOutcomeCache.
-// An Outcome holds one selection per AS (~1.25 MB at 80k ASes), so an
-// unbounded cache walks into multi-gigabyte territory over a
-// 705-configuration campaign sweep; 1024 entries keeps every config of
-// the paper's campaigns resident at small scale while capping worst-case
-// memory at internet scale.
+// A catchment-only entry holds a selection and an export class per AS
+// (17 bytes, ~1.36 MB at 80k ASes); a seed entry also holds the
+// runner-ups (33 bytes, ~2.64 MB). An unbounded cache walks into
+// multi-gigabyte territory over a 705-configuration campaign sweep; 1024
+// entries keeps every config of the paper's campaigns resident at small
+// scale while capping worst-case memory at internet scale: 1.4 GB of
+// catchment-only entries, plus 1.3 MB per seed entry.
 const DefaultOutcomeCacheCapacity = 1024
 
 // OutcomeCache memoizes propagation outcomes by canonical configuration
@@ -37,6 +39,17 @@ const DefaultOutcomeCacheCapacity = 1024
 // ride the incremental path without code changes; PropagateDeltaInfo
 // transparently falls back to a full run whenever the seed outcome
 // cannot help.
+//
+// Only a delta seed reads an outcome's runner-ups (Outcome.second), half
+// of its memory, and on a campaign every seed is a base configuration:
+// one that announces without prepending, poisoning or communities
+// (DESIGN.md §5.13). So an entry keeps its runner-ups when its
+// configuration is a base, or when its miss found no seed (the cache then
+// still offers one, whatever it has seen); every other entry hands them
+// back to the engine on insert, for the next miss to reuse, and holds
+// catchments only. The outcome a cache returns answers every catchment,
+// path and audit query either way; passed to PropagateDeltaInfo as prev,
+// a shed one runs in full.
 type OutcomeCache struct {
 	mu        sync.Mutex
 	m         map[string]*cacheEntry
@@ -130,9 +143,9 @@ func (c *OutcomeCache) pickSeed(cfg Config) *Outcome {
 	var best *Outcome
 	bestCost := 0
 	for e := c.head; e != nil; e = e.next {
-		// An unconverged (dispute-frozen) outcome cannot seed: the delta
-		// path would reject it and run in full.
-		if !e.out.converged {
+		// A shed entry (no runner-ups) or an unconverged, dispute-frozen
+		// one cannot seed: the delta path would reject it and run in full.
+		if e.out.second == nil || !e.out.converged {
 			continue
 		}
 		if d := deltaCost(e.out.cfg, cfg); best == nil || d < bestCost {
@@ -143,6 +156,19 @@ func (c *OutcomeCache) pickSeed(cfg Config) *Outcome {
 		}
 	}
 	return best
+}
+
+// isBase reports whether cfg is a base configuration: no announcement
+// prepends, poisons or carries communities. A campaign's location phase
+// is all bases, and every delta a campaign seeds starts from one.
+func isBase(cfg Config) bool {
+	for i := range cfg.Anns {
+		a := &cfg.Anns[i]
+		if a.Prepend != 0 || len(a.Poison) != 0 || len(a.Communities) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // evictOver drops LRU entries until the size fits the capacity. Caller
@@ -216,6 +242,9 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		sp.End()
 		return nil, err
 	}
+	if seed != nil && !isBase(cfg) {
+		out.shedSecond()
+	}
 	c.mu.Lock()
 	if prior, ok := c.m[key]; ok {
 		c.hits++
@@ -225,6 +254,7 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		c.touch(prior)
 		size := len(c.m)
 		c.mu.Unlock()
+		out.Release() // lost the race; nobody else holds it
 		c.endSpan(sp, 1, 0, size)
 		return prior.out, nil
 	}

@@ -127,6 +127,17 @@ func TestOutcomeCacheDeltaSeeding(t *testing.T) {
 	}
 }
 
+// baseConfig announces plainly — no prepend, poison or community — on
+// each of the given links: a configuration whose cache entry keeps its
+// runner-ups and can seed.
+func baseConfig(links ...LinkID) Config {
+	anns := make([]Announcement, len(links))
+	for i, l := range links {
+		anns[i] = Announcement{Link: l}
+	}
+	return Config{Anns: anns}
+}
+
 // TestOutcomeCacheSeedFromWholeCache is the white-box contract of the
 // seed pick: the seed is the cheapest resident outcome wherever it sits
 // in the LRU list — here the least recently used, behind more entries
@@ -150,25 +161,25 @@ func TestOutcomeCacheSeedFromWholeCache(t *testing.T) {
 		return cache.pickSeed(cfg)
 	}
 
-	oldest := resolve(Config{Anns: []Announcement{{Link: 0}}})
-	for i := 0; i < 8; i++ {
-		resolve(Config{Anns: []Announcement{{Link: 1, Prepend: i}}})
+	oldest := resolve(baseConfig(0, 1, 2))
+	for _, links := range [][]LinkID{{3}, {4}, {5}, {6}, {4, 5}, {4, 6}, {5, 6}, {4, 5, 6}} {
+		resolve(baseConfig(links...))
 	}
-	x := resolve(Config{Anns: []Announcement{{Link: 0, Prepend: 1}}})
-	y := resolve(Config{Anns: []Announcement{{Link: 0, Prepend: 2}}})
+	x := resolve(baseConfig(0, 1))
+	y := resolve(baseConfig(0, 3))
 
-	// Adding link 2 to the oldest entry costs one added announcement;
-	// every other resident would shorten or withdraw one.
-	if seed := pick(Config{Anns: []Announcement{{Link: 0}, {Link: 2}}}); seed != oldest {
+	// Adding link 3 to the oldest entry costs one added announcement;
+	// every other resident would add two or more, or withdraw one.
+	if seed := pick(baseConfig(0, 1, 2, 3)); seed != oldest {
 		t.Fatalf("pickSeed chose %v, want the LRU entry %v", seed.Config(), oldest.Config())
 	}
-	// Lengthening link 0 to prepend 3 costs the same from oldest, x and y.
-	longer := Config{Anns: []Announcement{{Link: 0, Prepend: 3}}}
-	if seed := pick(longer); seed != y {
+	// Links {0, 1, 3} are one added announcement from both x and y.
+	tie := baseConfig(0, 1, 3)
+	if seed := pick(tie); seed != y {
 		t.Fatalf("tie went to %v, want the most recently used %v", seed.Config(), y.Config())
 	}
 	resolve(x.Config()) // a hit makes x the most recently used
-	if seed := pick(longer); seed != x {
+	if seed := pick(tie); seed != x {
 		t.Fatalf("tie went to %v after touching x, want %v", seed.Config(), x.Config())
 	}
 }
@@ -204,14 +215,22 @@ func TestOutcomeCachePickSeedAllocs(t *testing.T) {
 	e := newEngine(t, g, o, noiseless())
 	const n = 32
 	cache := NewOutcomeCacheCap(n)
-	for _, cfg := range distinctConfigs(n) {
-		if _, err := cache.Propagate(e, cfg); err != nil {
+	// The link subsets 1..n as bitmasks: n base configurations, every
+	// one of which keeps its runner-ups and is scored.
+	for mask := 1; mask <= n; mask++ {
+		var links []LinkID
+		for l := 0; l < 7; l++ {
+			if mask&(1<<l) != 0 {
+				links = append(links, LinkID(l))
+			}
+		}
+		if _, err := cache.Propagate(e, baseConfig(links...)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// No resident is routing-identical to cfg, so the walk cannot stop
 	// early and scores the whole cache.
-	cfg := Config{Anns: []Announcement{{Link: 0}, {Link: 1}}}
+	cfg := allLinksConfig(7)
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
 	if allocs := testing.AllocsPerRun(100, func() { cache.pickSeed(cfg) }); allocs != 0 {
@@ -227,8 +246,8 @@ func TestOutcomeCachePickSeedNearest(t *testing.T) {
 	g, o := worldForTest(t, 19, 600)
 	e := newEngine(t, g, o, noiseless())
 	cache := NewOutcomeCache()
-	famA := Config{Anns: []Announcement{{Link: 0, Prepend: 1}}}
-	famB := Config{Anns: []Announcement{{Link: 1, Prepend: 3}, {Link: 2, Prepend: 4}, {Link: 3, Prepend: 5}}}
+	famA := baseConfig(0, 1)
+	famB := baseConfig(2, 3, 4)
 	outA, err := cache.Propagate(e, famA)
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +256,7 @@ func TestOutcomeCachePickSeedNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One announcement away from famA, far from the more recent famB.
-	cfg := Config{Anns: []Announcement{{Link: 0, Prepend: 2}}}
+	cfg := baseConfig(0, 1, 5)
 	cache.mu.Lock()
 	seed := cache.pickSeed(cfg)
 	cache.mu.Unlock()

@@ -3,6 +3,7 @@ package bgp_test
 import (
 	"hash/fnv"
 	"sort"
+	"sync"
 	"testing"
 
 	"spooftrack/internal/bgp"
@@ -32,18 +33,7 @@ const campaignPoisonPerLink = 6
 // the golden, and the cache must resolve nearly every miss on the delta
 // path: the seed it picks is what decides that.
 func TestOutcomeCacheCampaignGolden(t *testing.T) {
-	g, o := bgp.InternetWorldForTest(t, 5, 2000)
-	e, err := bgp.NewEngine(g, o, bgp.DefaultParams(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := sched.DefaultPlanParams(len(o.Links))
-	pp.PoisonTargets = poisonTargets(g, o)
-	plan, err := sched.GeneratePlan(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	e, plan := campaignWorld(t, 2000)
 	cache := bgp.NewOutcomeCache()
 	h := fnv.New64a()
 	for i, pc := range plan {
@@ -63,6 +53,194 @@ func TestOutcomeCacheCampaignGolden(t *testing.T) {
 	if frac > maxFullMissFrac {
 		t.Errorf("%d of %d misses ran in full (%.3f), want <= %.2f",
 			st.DeltaFull, st.Misses, frac, maxFullMissFrac)
+	}
+}
+
+// campaignWorld builds the engine and the three-phase campaign plan the
+// cache tests below deploy, on an internet-shaped graph of numASes.
+func campaignWorld(t *testing.T, numASes int) (*bgp.Engine, []sched.PlannedConfig) {
+	t.Helper()
+	g, o := bgp.InternetWorldForTest(t, 5, numASes)
+	e, err := bgp.NewEngine(g, o, bgp.DefaultParams(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp := sched.DefaultPlanParams(len(o.Links))
+	pp.PoisonTargets = poisonTargets(g, o)
+	plan, err := sched.GeneratePlan(pp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, plan
+}
+
+// digest is HashSelections of one outcome.
+func digest(o *bgp.Outcome) uint64 {
+	h := fnv.New64a()
+	bgp.HashSelections(h, o)
+	return h.Sum64()
+}
+
+// TestOutcomeCacheShedsCatchmentOnly pins the shedding rule over the
+// campaign plan: a resident entry holds runner-ups exactly when its
+// configuration is a base or it is the seedless root (the first miss),
+// a shed outcome still answers every catchment and audit question, and
+// as a delta prev it takes the full fallback with Propagate's result.
+func TestOutcomeCacheShedsCatchmentOnly(t *testing.T) {
+	e, plan := campaignWorld(t, 2000)
+	cache := bgp.NewOutcomeCache()
+	var root *bgp.Outcome
+	for i, pc := range plan {
+		out, err := cache.Propagate(e, pc.Config)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if i == 0 {
+			root = out
+		}
+	}
+	var shed *bgp.Outcome
+	bases, sheds := 0, 0
+	for _, out := range cache.Resident() {
+		base := bgp.IsBase(out.Config())
+		if want := base || out == root; bgp.HoldsRunnerUps(out) != want {
+			t.Fatalf("%v (base %v, root %v): holds runner-ups %v, want %v",
+				out.Config(), base, out == root, bgp.HoldsRunnerUps(out), want)
+		}
+		if base {
+			bases++
+		}
+		if !bgp.HoldsRunnerUps(out) {
+			sheds++
+			shed = out
+		}
+		// Fig. 9 audits every campaign outcome; a shed one must audit as
+		// its fresh propagation does.
+		fresh, err := e.Propagate(out.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := e.Audit(out), e.Audit(&fresh)
+		if got.FracBestRel() != want.FracBestRel() || got.FracGaoRexford() != want.FracGaoRexford() {
+			t.Fatalf("%v: audit %v/%v, fresh propagation %v/%v", out.Config(),
+				got.FracBestRel(), got.FracGaoRexford(), want.FracBestRel(), want.FracGaoRexford())
+		}
+	}
+	t.Logf("%d resident: %d bases, %d shed", cache.Len(), bases, sheds)
+	if bases == 0 || sheds == 0 {
+		t.Fatalf("%d bases and %d shed entries; the plan must exercise both", bases, sheds)
+	}
+
+	next := plan[len(plan)/2].Config
+	want, err := e.Propagate(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := e.PropagateDeltaInfo(shed, shed.Config(), next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode != bgp.DeltaFullNoPrev {
+		t.Fatalf("delta from a shed prev: mode %v, want %v", info.Mode, bgp.DeltaFullNoPrev)
+	}
+	if digest(&got) != digest(&want) {
+		t.Fatal("delta from a shed prev differs from Propagate")
+	}
+	if !bgp.HoldsRunnerUps(&got) {
+		t.Fatal("PropagateDeltaInfo returned an outcome without runner-ups")
+	}
+}
+
+// TestOutcomeCacheReleaseShed releases shed outcomes a small cache has
+// evicted and keeps deploying: the recycled arrays must not leak into
+// later outcomes, which still match Propagate and still carry full
+// state where they should.
+func TestOutcomeCacheReleaseShed(t *testing.T) {
+	e, plan := campaignWorld(t, 1000)
+	cache := bgp.NewOutcomeCacheCap(8)
+	released := 0
+	var held []*bgp.Outcome
+	for i, pc := range plan[:200] {
+		out, err := cache.Propagate(e, pc.Config)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		if want, err := e.Propagate(pc.Config); err != nil {
+			t.Fatal(err)
+		} else if digest(out) != digest(&want) {
+			t.Fatalf("config %d: cached outcome differs from Propagate after %d releases", i, released)
+		}
+		if bgp.IsBase(pc.Config) && !bgp.HoldsRunnerUps(out) {
+			t.Fatalf("config %d: base entry lost its runner-ups", i)
+		}
+		held = append(held, out)
+		// Release what the cache no longer holds.
+		resident := map[*bgp.Outcome]bool{}
+		for _, r := range cache.Resident() {
+			resident[r] = true
+		}
+		kept := held[:0]
+		for _, h := range held {
+			if resident[h] {
+				kept = append(kept, h)
+				continue
+			}
+			if !bgp.HoldsRunnerUps(h) {
+				released++
+			}
+			h.Release()
+		}
+		held = kept
+	}
+	if released == 0 {
+		t.Fatal("no shed outcome was evicted and released")
+	}
+}
+
+// TestOutcomeCacheConcurrentCampaign deploys the campaign from 8
+// goroutines interleaved over one cache: whatever seeds the racing
+// misses pick and whichever copy wins a race, every outcome must equal
+// the sequential run's.
+func TestOutcomeCacheConcurrentCampaign(t *testing.T) {
+	e, plan := campaignWorld(t, 1000)
+	want := make([]uint64, len(plan))
+	seq := bgp.NewOutcomeCache()
+	for i, pc := range plan {
+		out, err := seq.Propagate(e, pc.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = digest(out)
+	}
+
+	const workers = 8
+	cache := bgp.NewOutcomeCache()
+	got := make([]uint64, len(plan))
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(plan); i += workers {
+				out, err := cache.Propagate(e, plan[i].Config)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[i] = digest(out)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for i := range plan {
+		if got[i] != want[i] {
+			t.Fatalf("config %d (%v): concurrent outcome differs from the sequential run", i, plan[i].Config)
+		}
 	}
 }
 

@@ -78,11 +78,17 @@ type DeltaInfo struct {
 // stable state is unique and event-driven processing reaches it from any
 // sound starting state; the rare dispute cases fall back to a full run.
 //
-// prev must be the outcome this engine computed for prevCfg. When prev
-// is unusable, the diff touches too much of the topology, or the
-// incremental pass fails to converge, PropagateDeltaInfo transparently falls
-// back to a full Propagate — callers never need to special-case. The
-// DeltaInfo reports which of those paths ran.
+// prev must be the outcome this engine computed for prevCfg, with its
+// runner-ups: every outcome Propagate and PropagateDeltaInfo return has
+// them, while an OutcomeCache sheds them from the entries that cannot
+// seed (see OutcomeCache). When prev is unusable (nil, shed, released,
+// unconverged, or another engine's), the diff touches too much of the
+// topology, or the incremental pass fails to converge,
+// PropagateDeltaInfo transparently falls back to a full Propagate —
+// callers never need to special-case. The DeltaInfo reports which of
+// those paths ran.
+//
+// A warm call whose previous result was released allocates nothing.
 func (e *Engine) PropagateDeltaInfo(prev *Outcome, prevCfg, cfg Config) (Outcome, DeltaInfo, error) {
 	return e.PropagateDeltaTraced(prev, prevCfg, cfg, nil)
 }
@@ -102,9 +108,9 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 		return out, DeltaInfo{Mode: DeltaFullNoPrev}, err
 	}
 
-	d := DiffConfigs(prev.cfg, cfg)
-	n := e.g.NumASes()
-	if d.Identity {
+	// Same announcements at the same indices (ConfigDiff.Identity): the
+	// previous state carries verbatim.
+	if configsIndexIdentical(prev.cfg, cfg) {
 		out := e.newOutcome(cfg)
 		out.converged = true
 		copy(out.sel, prev.sel)
@@ -119,6 +125,9 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	s := e.getScratch()
 	defer e.putScratch(s, cfg)
 	e.buildCtx(s, cfg)
+	d := &s.diff
+	d.reset(prev.cfg, cfg)
+	n := e.g.NumASes()
 
 	// Seeding strategy per previous announcement. Soundness rests on the
 	// converged-state invariant that every AS already holds its best
@@ -144,7 +153,7 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	// decision, and non-improving offers only move down), while every way
 	// an alternative can *improve or appear* already re-decides i through
 	// another seed: improved offers reach i only via an adjacent member
-	// of a LenShift < 0 ann (seedNbrs), re-validated offers require i in
+	// of a LenShift < 0 ann (annWork.nbrs), re-validated offers require i in
 	// PoisonTouched (seeded directly) or a t1-filter flip (blanket
 	// seeding below), and new or rewired offers arrive as change events
 	// from re-deciding neighbors, which wake i through the normal queue.
@@ -157,11 +166,12 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	// changes, which can invalidate or free routes at unchanged length,
 	// so members and their neighbors are blanket-seeded with no prune.
 	na := len(prev.cfg.Anns)
-	seedMembers := make([]bool, na)
-	pruneShift := make([]bool, na)
-	seedNbrs := make([]bool, na)
+	work := resized(s.work, na+1)
+	s.work = work
+	work[0] = annWork{}
 	anySeedNbrs := false
 	for ai := 0; ai < na; ai++ {
+		w := annWork{shift: d.LenShift[ai]}
 		switch d.PrevChange[ai] {
 		case AnnShifted:
 			t1Touched := false
@@ -173,15 +183,17 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 					}
 				}
 			}
-			seedMembers[ai] = t1Touched
-			pruneShift[ai] = !t1Touched && d.LenShift[ai] != 0
-			if d.LenShift[ai] < 0 || t1Touched {
-				seedNbrs[ai] = true
+			w.blanket = t1Touched
+			w.prune = !t1Touched && w.shift != 0
+			if w.shift < 0 || t1Touched {
+				w.nbrs = true
 				anySeedNbrs = true
 			}
 		case AnnReplaced, AnnRemoved:
-			seedMembers[ai] = true
+			w.blanket = true
 		}
+		w.any = w.shift != 0 || w.blanket || w.prune
+		work[ai+1] = w
 	}
 
 	// Extra seeds outside the member frontier: providers whose direct
@@ -203,7 +215,7 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	prevSel := prev.sel
 	if anySeedNbrs {
 		for i := range prevSel {
-			if prevSel[i].class != classInvalid && seedNbrs[prevSel[i].ann] {
+			if prevSel[i].class != classInvalid && work[prevSel[i].ann+1].nbrs {
 				for _, nb := range e.g.Neighbors(i) {
 					s.deltaSeed[nb.Idx] = true
 				}
@@ -241,20 +253,6 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	}
 	if identityMap {
 		copy(sel, prev.sel)
-		// Per-announcement carry work, indexed by ann+1 so the invalid
-		// sentinel (ann == -1) lands on a zero entry.
-		type annWork struct {
-			shift   int32
-			blanket bool
-			prune   bool
-			any     bool
-		}
-		work := make([]annWork, na+1)
-		for ai := 0; ai < na; ai++ {
-			w := annWork{shift: d.LenShift[ai], blanket: seedMembers[ai], prune: pruneShift[ai]}
-			w.any = w.shift != 0 || w.blanket || w.prune
-			work[ai+1] = w
-		}
 		for i := 0; i < n; i++ {
 			seed := s.deltaSeed[i]
 			if seed {
@@ -289,10 +287,11 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 					cs.ann = ni
 					cs.pathLen += d.LenShift[ai]
 				}
-				seed = seed || seedMembers[ai]
+				w := &work[ai+1]
+				seed = seed || w.blanket
 				// Length-shifted member: re-decide only when the shifted
 				// route no longer strictly beats the runner-up bound.
-				if !seed && pruneShift[ai] && !e.betterFor(i, cs, prevSecond[i]) {
+				if !seed && w.prune && !e.betterFor(i, cs, prevSecond[i]) {
 					seed = true
 				}
 			}

@@ -243,6 +243,60 @@ func TestPropagateDeltaSingleFieldDiffs(t *testing.T) {
 	}
 }
 
+// TestPropagateDeltaWarmAllocs: once the engine's scratch and free list
+// are warm, a delta step whose result is released allocates nothing —
+// the diff and the per-announcement work live in the scratch, the
+// outcome's arrays come back from the free list. Each case is one of the
+// campaign's steps, on the index-identical path (prepend, poison toggle)
+// and the remapping one (added announcement).
+func TestPropagateDeltaWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc bound not meaningful")
+	}
+	g, o := worldForTest(t, 42, 1500)
+	e := newEngine(t, g, o, DefaultParams(42))
+	base := allLinksConfig(7)
+	prepended := cloneConfig(base)
+	prepended.Anns[3].Prepend = 2
+	poisoned := cloneConfig(base)
+	for _, nb := range g.Neighbors(o.Links[2].Provider) {
+		if !g.IsTier1(nb.Idx) {
+			poisoned.Anns[2].Poison = []topo.ASN{g.ASN(nb.Idx)}
+			break
+		}
+	}
+	cases := []struct {
+		name       string
+		prev, next Config
+	}{
+		{"prepend", base, prepended},
+		{"poison_toggle", base, poisoned},
+		{"added", allLinksConfig(6), base},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prev, err := e.Propagate(tc.prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				out, info, err := e.PropagateDeltaInfo(&prev, tc.prev, tc.next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Mode != DeltaApplied {
+					t.Fatalf("mode %v, want %v", info.Mode, DeltaApplied)
+				}
+				out.Release()
+			}
+			step() // warm the scratch's diff, work and seed list
+			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+				t.Fatalf("warm delta step allocated %.1f objects, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestPropagateDeltaGuards pins the defensive fallbacks: no previous
 // outcome, a non-converged previous outcome, a mismatched prevCfg, and
 // a previous outcome from a different engine all take the full path and

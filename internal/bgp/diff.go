@@ -75,14 +75,29 @@ type ConfigDiff struct {
 
 // DiffConfigs computes the structured difference from prev to next.
 // Announcements are matched by peering link; both configurations must be
-// valid for the same origin (at most one announcement per link).
+// valid for the same origin (at most one announcement per link). The
+// returned diff shares no memory with anything else.
 func DiffConfigs(prev, next Config) ConfigDiff {
-	d := ConfigDiff{
-		PrevChange:    make([]AnnChange, len(prev.Anns)),
-		NewChange:     make([]AnnChange, len(next.Anns)),
-		PrevToNew:     make([]int16, len(prev.Anns)),
-		LenShift:      make([]int32, len(prev.Anns)),
-		PoisonTouched: make([][]topo.ASN, len(prev.Anns)),
+	var d ConfigDiff
+	d.reset(prev, next)
+	return d
+}
+
+// reset overwrites d with the difference from prev to next, reusing d's
+// slices where they are large enough: PropagateDeltaInfo keeps one diff
+// in its pooled scratch, so a warm delta step diffs without allocating.
+// A zero d gets fresh slices, which is how DiffConfigs stays a copy.
+func (d *ConfigDiff) reset(prev, next Config) {
+	np := len(prev.Anns)
+	d.PrevChange = resized(d.PrevChange, np)
+	d.NewChange = resized(d.NewChange, len(next.Anns))
+	d.PrevToNew = resized(d.PrevToNew, np)
+	d.LenShift = resized(d.LenShift, np)
+	d.PoisonTouched = resized(d.PoisonTouched, np)
+	d.NumDirty = 0
+	// A new announcement no previous one matches stays AnnAdded.
+	for ni := range d.NewChange {
+		d.NewChange[ni] = AnnAdded
 	}
 	// Configurations carry a handful of announcements (one per platform
 	// link), so a linear link match beats building maps.
@@ -94,11 +109,12 @@ func DiffConfigs(prev, next Config) ConfigDiff {
 		}
 		return -1
 	}
-	matched := make([]bool, len(next.Anns))
-	identity := len(prev.Anns) == len(next.Anns)
+	identity := np == len(next.Anns)
 	same := identity
 	for ai := range prev.Anns {
 		pa := &prev.Anns[ai]
+		d.LenShift[ai] = 0
+		d.PoisonTouched[ai] = d.PoisonTouched[ai][:0]
 		ni := newByLink(pa.Link)
 		if ni < 0 {
 			d.PrevChange[ai] = AnnRemoved
@@ -107,7 +123,6 @@ func DiffConfigs(prev, next Config) ConfigDiff {
 			same, identity = false, false
 			continue
 		}
-		matched[ni] = true
 		if ni != ai {
 			identity = false
 		}
@@ -122,7 +137,7 @@ func DiffConfigs(prev, next Config) ConfigDiff {
 			d.NewChange[ni] = AnnShifted
 			d.PrevToNew[ai] = int16(ni)
 			d.LenShift[ai] = int32(na.PathLen()) - int32(pa.PathLen())
-			d.PoisonTouched[ai] = poisonSymmetricDiff(pa.Poison, na.Poison)
+			d.PoisonTouched[ai] = appendPoisonSymmetricDiff(d.PoisonTouched[ai], pa.Poison, na.Poison)
 			d.NumDirty++
 			same, identity = false, false
 		default:
@@ -133,16 +148,24 @@ func DiffConfigs(prev, next Config) ConfigDiff {
 			same, identity = false, false
 		}
 	}
-	for ni := range next.Anns {
-		if !matched[ni] {
-			d.NewChange[ni] = AnnAdded
+	for _, c := range d.NewChange {
+		if c == AnnAdded {
 			d.NumDirty++
 			same, identity = false, false
 		}
 	}
 	d.Same = same
 	d.Identity = identity
-	return d
+}
+
+// resized returns s with length n, reusing its backing array when it is
+// large enough. The elements are left as they were; callers overwrite
+// them.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // annEqual reports whether two announcements are routing-identical:
@@ -222,11 +245,11 @@ func deltaCost(prev, next Config) int {
 	return cost + (len(next.Anns)-matched)*costAdded
 }
 
-// poisonSymmetricDiff returns the ASNs present in exactly one of the two
-// poison lists (duplicates collapse). Poison lists are tiny (the
-// platform allows 2 per announcement), so quadratic scans are fine.
-func poisonSymmetricDiff(a, b []topo.ASN) []topo.ASN {
-	var out []topo.ASN
+// appendPoisonSymmetricDiff appends to the empty slice out the ASNs
+// present in exactly one of the two poison lists (duplicates collapse).
+// Poison lists are tiny (the platform allows 2 per announcement), so
+// quadratic scans are fine.
+func appendPoisonSymmetricDiff(out, a, b []topo.ASN) []topo.ASN {
 	for _, v := range a {
 		if !containsASN(b, v) && !containsASN(out, v) {
 			out = append(out, v)
@@ -240,7 +263,8 @@ func poisonSymmetricDiff(a, b []topo.ASN) []topo.ASN {
 	return out
 }
 
-// poisonToggles is len(poisonSymmetricDiff(a, b)) without allocating.
+// poisonToggles is len(appendPoisonSymmetricDiff(nil, a, b)) without
+// allocating.
 func poisonToggles(a, b []topo.ASN) int {
 	n := 0
 	for i, v := range a {

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"spooftrack/internal/stats"
@@ -205,6 +206,9 @@ func TestDiffConfigs(t *testing.T) {
 func TestDiffConfigsKeyConsistencyRandomized(t *testing.T) {
 	g, o := worldForTest(t, 33, 600)
 	rng := stats.NewRNG(2024)
+	// reused is diffed over every pair in turn, the way the delta path's
+	// scratch diff is: it must always equal the fresh DiffConfigs.
+	var reused ConfigDiff
 	for trial := 0; trial < 200; trial++ {
 		a := randomConfig(rng, g, o)
 		var b Config
@@ -214,6 +218,10 @@ func TestDiffConfigsKeyConsistencyRandomized(t *testing.T) {
 			b = randomConfig(rng, g, o)
 		}
 		d := DiffConfigs(a, b)
+		reused.reset(a, b)
+		if !sameDiff(d, reused) {
+			t.Fatalf("trial %d: reused diff %+v, fresh %+v", trial, reused, d)
+		}
 		keyEq := a.Key() == b.Key()
 		// Exception: Key preserves poison order (it shapes reported
 		// AS-paths) while the diff treats a pure reorder as routing-
@@ -226,4 +234,21 @@ func TestDiffConfigsKeyConsistencyRandomized(t *testing.T) {
 			t.Fatalf("trial %d: diff.Identity but keys differ (%v vs %v)", trial, a, b)
 		}
 	}
+}
+
+// sameDiff compares two diffs field by field, an empty slice equal to a
+// nil one.
+func sameDiff(x, y ConfigDiff) bool {
+	if x.Same != y.Same || x.Identity != y.Identity || x.NumDirty != y.NumDirty ||
+		!slices.Equal(x.PrevChange, y.PrevChange) || !slices.Equal(x.NewChange, y.NewChange) ||
+		!slices.Equal(x.PrevToNew, y.PrevToNew) || !slices.Equal(x.LenShift, y.LenShift) ||
+		len(x.PoisonTouched) != len(y.PoisonTouched) {
+		return false
+	}
+	for i := range x.PoisonTouched {
+		if !slices.Equal(x.PoisonTouched[i], y.PoisonTouched[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -58,7 +58,7 @@ func DefaultParams(seed uint64) Params {
 // immutable after construction and safe for concurrent Propagate calls;
 // per-propagation working state lives in a pooled scratch (scratch.go),
 // so repeated calls on the same engine allocate only each Outcome's
-// selection array.
+// per-AS arrays, and not those while released or shed arrays are free.
 type Engine struct {
 	g      *topo.Graph
 	origin Origin
@@ -88,8 +88,8 @@ type Engine struct {
 	// across Perturbed clones.
 	rslot [][]int32
 
-	scratch sync.Pool // *propScratch
-	outArrs sync.Pool // *outcomeArrays, fed by Outcome.Release
+	scratch sync.Pool     // *propScratch
+	free    outcomeArrays // fed by Outcome.Release and OutcomeCache's shedding
 }
 
 // NewEngine builds an engine for the origin over the graph. It validates

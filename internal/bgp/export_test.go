@@ -11,6 +11,24 @@ import (
 // InternetWorldForTest is internetWorldForTest for external tests.
 var InternetWorldForTest = internetWorldForTest
 
+// IsBase is isBase for external tests.
+var IsBase = isBase
+
+// HoldsRunnerUps reports whether o still carries its runner-ups, the
+// state a delta seed needs.
+func HoldsRunnerUps(o *Outcome) bool { return o.second != nil }
+
+// Resident lists the cache's outcomes, most recently used first.
+func (c *OutcomeCache) Resident() []*Outcome {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*Outcome
+	for e := c.head; e != nil; e = e.next {
+		out = append(out, e.out)
+	}
+	return out
+}
+
 // HashSelections folds the outcome's converged flag and every AS's
 // selected route — class, announcement index, AS-path length, next hop
 // and tiebreak priority — into h. Runner-ups are left out: they are an

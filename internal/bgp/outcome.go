@@ -1,6 +1,10 @@
 package bgp
 
-import "spooftrack/internal/topo"
+import (
+	"sync"
+
+	"spooftrack/internal/topo"
+)
 
 // Outcome is the routing state after a configuration converges: every
 // AS's selected route toward the origin prefix. Outcomes are immutable
@@ -14,40 +18,64 @@ type Outcome struct {
 	// that lost to sel[i] (noRoute when no alternative existed). It is an
 	// upper bound on every alternative offer at i, which is what lets
 	// PropagateDeltaInfo prune worsened-but-still-winning routes from the
-	// dirty frontier without re-deciding them.
+	// dirty frontier without re-deciding them. Only a delta seed reads it.
+	// Propagate and PropagateDeltaInfo always return it; an OutcomeCache
+	// keeps it only on entries that can seed a later delta and hands the
+	// rest back to the engine, so a cached catchment-only outcome has
+	// second == nil (see OutcomeCache).
 	second []selection
 	// sendCls[i] is the export class of sel[i] (trueClass, resolving
 	// pinned overrides), persisted so PropagateDeltaInfo can carry it with
-	// one copy instead of an O(n) recomputation. Entries are meaningful
-	// only where sel[i] is valid.
+	// one copy instead of an O(n) recomputation, and so Engine.Audit can
+	// read it. Entries are meaningful only where sel[i] is valid.
 	sendCls []int8
 }
 
-// outcomeArrays is the recyclable allocation unit behind an Outcome: the
-// three per-AS arrays are by far the dominant per-propagation allocation
-// (≈33 bytes per AS), so Outcome.Release lets high-throughput loops
-// recycle them through the engine's pool.
+// outcomeArrays is the engine's free list of the per-AS arrays behind
+// Outcomes, by far the dominant per-propagation allocation: selection
+// arrays (sel and second share the shape, 16 bytes per AS each) and
+// export-class arrays (sendCls, 1 byte per AS). Outcome.Release returns
+// all of an outcome's arrays, an OutcomeCache returns the runner-ups it
+// sheds, and newOutcome takes from here before it allocates. Like
+// cluster's free lists, and unlike a sync.Pool, it keeps what it holds
+// across collections, so whether a propagation allocates follows the
+// work, not the collector. It holds only arrays returned and not yet
+// taken again.
 type outcomeArrays struct {
-	sel     []selection
-	second  []selection
-	sendCls []int8
+	mu   sync.Mutex
+	sels [][]selection
+	cls  [][]int8
 }
 
-// newOutcome builds an Outcome whose arrays come from the engine's
-// release pool when one is available. Pooled arrays are NOT zeroed —
-// every propagation path overwrites them in full (Propagate's noRoute
-// init sweep, PropagateDeltaInfo's carry copy) before any read.
-func (e *Engine) newOutcome(cfg Config) Outcome {
-	out := Outcome{engine: e, cfg: cfg}
-	if a, ok := e.outArrs.Get().(*outcomeArrays); ok {
-		out.sel, out.second, out.sendCls = a.sel, a.second, a.sendCls
-		return out
+// take pops the last array off list, or allocates one of length n when
+// the list is empty. Caller holds mu.
+func take[T any](list *[][]T, n int) []T {
+	k := len(*list)
+	if k == 0 {
+		return make([]T, n)
 	}
+	a := (*list)[k-1]
+	(*list)[k-1] = nil
+	*list = (*list)[:k-1]
+	return a
+}
+
+// newOutcome builds an Outcome whose arrays come from the engine's free
+// list when it holds any. Recycled arrays are NOT zeroed — every
+// propagation path overwrites them in full (Propagate's noRoute init
+// sweep, PropagateDeltaInfo's carry copy) before any read.
+func (e *Engine) newOutcome(cfg Config) Outcome {
 	n := e.g.NumASes()
-	out.sel = make([]selection, n)
-	out.second = make([]selection, n)
-	out.sendCls = make([]int8, n)
-	return out
+	f := &e.free
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return Outcome{
+		engine:  e,
+		cfg:     cfg,
+		sel:     take(&f.sels, n),
+		second:  take(&f.sels, n),
+		sendCls: take(&f.cls, n),
+	}
 }
 
 // Release returns the Outcome's arrays to its engine for reuse by later
@@ -59,14 +87,35 @@ func (e *Engine) newOutcome(cfg Config) Outcome {
 // must not be used again — not as a source of route queries, and not as
 // the prev of a PropagateDeltaInfo call. Outcomes held in an OutcomeCache
 // must not be released while cached. Releasing a zero or already
-// released Outcome is a no-op.
+// released Outcome is a no-op; an outcome whose runner-ups a cache shed
+// returns the arrays it still holds.
 func (o *Outcome) Release() {
 	if o.engine == nil || o.sel == nil {
 		return
 	}
-	o.engine.outArrs.Put(&outcomeArrays{sel: o.sel, second: o.second, sendCls: o.sendCls})
+	f := &o.engine.free
+	f.mu.Lock()
+	f.sels = append(f.sels, o.sel)
+	if o.second != nil {
+		f.sels = append(f.sels, o.second)
+	}
+	f.cls = append(f.cls, o.sendCls)
+	f.mu.Unlock()
 	o.sel, o.second, o.sendCls = nil, nil, nil
 	o.converged = false
+}
+
+// shedSecond hands the outcome's runner-up array back to its engine. The
+// outcome keeps its selections and export classes, so every query and
+// Engine.Audit still work; PropagateDeltaInfo treats it as an unusable
+// prev and runs in full. Only an owner no other goroutine can see the
+// outcome through may call it.
+func (o *Outcome) shedSecond() {
+	f := &o.engine.free
+	f.mu.Lock()
+	f.sels = append(f.sels, o.second)
+	f.mu.Unlock()
+	o.second = nil
 }
 
 // Converged reports whether route processing reached a fixpoint. False

@@ -53,6 +53,13 @@ type propScratch struct {
 	// in the pool.
 	deltaSeed []bool
 
+	// diff and work are PropagateDeltaInfo's per-call state: the
+	// configuration diff and what it means for each previous
+	// announcement's members. Kept here so a warm delta step allocates
+	// nothing; both are overwritten in full on every use.
+	diff ConfigDiff
+	work []annWork
+
 	// fresh marks a scratch that has never been through the pool: its
 	// epoch stamps start from zero (an "epoch reset" in trace terms).
 	// Cleared on first release.
@@ -64,6 +71,17 @@ type propScratch struct {
 	poisonRows [][]bool
 
 	ctx propCtx
+}
+
+// annWork is the delta path's carry work for the members of one previous
+// announcement, indexed by announcement index + 1 so that the invalid
+// sentinel (ann == -1) lands on the zero entry.
+type annWork struct {
+	shift   int32 // AS-path length shift carried routes take
+	blanket bool  // re-decide every member, no prune
+	prune   bool  // re-decide a member only if its runner-up now wins
+	nbrs    bool  // re-decide every member's neighbors
+	any     bool  // shift, blanket or prune: the member needs a look
 }
 
 // propCtx carries the per-configuration lookup tables the decision

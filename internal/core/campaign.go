@@ -432,7 +432,7 @@ func (c *Campaign) recordProvenance(led *provenance.Ledger, useTruth bool) {
 		Component:  "campaign",
 		NumSources: len(c.Sources),
 		NumConfigs: len(c.Plan),
-		NumLinks:   c.World.Graph.NumLinks(),
+		NumLinks:   c.World.Platform.NumLinks(),
 		UseTruth:   useTruth,
 	})
 	for i, row := range c.Catchments {

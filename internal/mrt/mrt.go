@@ -134,49 +134,51 @@ func appendBGPUpdate(dst []byte, u *Update) ([]byte, error) {
 	return dst, nil
 }
 
-// parseBGPUpdate decodes an UPDATE message produced by marshalBGPUpdate
+// parseBGPUpdate decodes an UPDATE message produced by appendBGPUpdate
 // (and, more generally, any IPv4-unicast announcement using 4-octet
-// AS_PATH encoding).
-func parseBGPUpdate(msg []byte) (path []topo.ASN, prefix netip.Prefix, err error) {
+// AS_PATH encoding) into u's Path, NextHop and Prefix. The path is a
+// fresh slice: nothing in u aliases msg.
+func parseBGPUpdate(msg []byte, u *Update) error {
 	if len(msg) < bgpHeaderLen {
-		return nil, prefix, fmt.Errorf("mrt: BGP message too short")
+		return fmt.Errorf("mrt: BGP message too short")
 	}
 	for i := 0; i < 16; i++ {
 		if msg[i] != 0xff {
-			return nil, prefix, fmt.Errorf("mrt: bad BGP marker")
+			return fmt.Errorf("mrt: bad BGP marker")
 		}
 	}
 	if int(binary.BigEndian.Uint16(msg[16:])) != len(msg) {
-		return nil, prefix, fmt.Errorf("mrt: BGP length mismatch")
+		return fmt.Errorf("mrt: BGP length mismatch")
 	}
 	if msg[18] != bgpTypeUpdate {
-		return nil, prefix, fmt.Errorf("mrt: not an UPDATE (type %d)", msg[18])
+		return fmt.Errorf("mrt: not an UPDATE (type %d)", msg[18])
 	}
 	body := msg[bgpHeaderLen:]
 	if len(body) < 4 {
-		return nil, prefix, fmt.Errorf("mrt: truncated UPDATE body")
+		return fmt.Errorf("mrt: truncated UPDATE body")
 	}
 	withdrawn := int(binary.BigEndian.Uint16(body))
 	if len(body) < 2+withdrawn+2 {
-		return nil, prefix, fmt.Errorf("mrt: truncated withdrawn routes")
+		return fmt.Errorf("mrt: truncated withdrawn routes")
 	}
 	attrLen := int(binary.BigEndian.Uint16(body[2+withdrawn:]))
 	attrStart := 4 + withdrawn
 	if len(body) < attrStart+attrLen {
-		return nil, prefix, fmt.Errorf("mrt: truncated path attributes")
+		return fmt.Errorf("mrt: truncated path attributes")
 	}
 	attrs := body[attrStart : attrStart+attrLen]
 	nlri := body[attrStart+attrLen:]
 
+	var path []topo.ASN
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
-			return nil, prefix, fmt.Errorf("mrt: truncated attribute header")
+			return fmt.Errorf("mrt: truncated attribute header")
 		}
 		flags, code := attrs[0], attrs[1]
 		var alen, hdr int
 		if flags&0x10 != 0 { // extended length
 			if len(attrs) < 4 {
-				return nil, prefix, fmt.Errorf("mrt: truncated extended attribute")
+				return fmt.Errorf("mrt: truncated extended attribute")
 			}
 			alen = int(binary.BigEndian.Uint16(attrs[2:]))
 			hdr = 4
@@ -185,34 +187,41 @@ func parseBGPUpdate(msg []byte) (path []topo.ASN, prefix netip.Prefix, err error
 			hdr = 3
 		}
 		if len(attrs) < hdr+alen {
-			return nil, prefix, fmt.Errorf("mrt: attribute overruns message")
+			return fmt.Errorf("mrt: attribute overruns message")
 		}
 		val := attrs[hdr : hdr+alen]
-		if code == attrASPath {
+		switch code {
+		case attrASPath:
 			p, err := parseASPath(val)
 			if err != nil {
-				return nil, prefix, err
+				return err
 			}
 			path = p
+		case attrNextHop:
+			if len(val) != 4 {
+				return fmt.Errorf("mrt: NEXT_HOP of %d bytes, want 4", len(val))
+			}
+			u.NextHop = netip.AddrFrom4([4]byte(val))
 		}
 		attrs = attrs[hdr+alen:]
 	}
 	if path == nil {
-		return nil, prefix, fmt.Errorf("mrt: UPDATE has no AS_PATH")
+		return fmt.Errorf("mrt: UPDATE has no AS_PATH")
 	}
 
 	if len(nlri) < 1 {
-		return nil, prefix, fmt.Errorf("mrt: UPDATE has no NLRI")
+		return fmt.Errorf("mrt: UPDATE has no NLRI")
 	}
 	bits := int(nlri[0])
 	nBytes := (bits + 7) / 8
 	if bits > 32 || len(nlri) < 1+nBytes {
-		return nil, prefix, fmt.Errorf("mrt: bad NLRI")
+		return fmt.Errorf("mrt: bad NLRI")
 	}
 	var addr [4]byte
 	copy(addr[:], nlri[1:1+nBytes])
-	prefix = netip.PrefixFrom(netip.AddrFrom4(addr), bits)
-	return path, prefix, nil
+	u.Path = path
+	u.Prefix = netip.PrefixFrom(netip.AddrFrom4(addr), bits)
+	return nil
 }
 
 func parseASPath(val []byte) ([]topo.ASN, error) {
@@ -336,15 +345,13 @@ func (d *decoder) next() (*Update, error) {
 	if afi := binary.BigEndian.Uint16(body[10:]); afi != afiIPv4 {
 		return nil, fmt.Errorf("mrt: unsupported AFI %d", afi)
 	}
-	path, prefix, err := parseBGPUpdate(body[bgp4mpHeaderLen:])
-	if err != nil {
-		return nil, err
-	}
-	return &Update{
+	u := &Update{
 		Timestamp: ts,
 		PeerAS:    topo.ASN(binary.BigEndian.Uint32(body[0:])),
 		LocalAS:   topo.ASN(binary.BigEndian.Uint32(body[4:])),
-		Path:      path,
-		Prefix:    prefix,
-	}, nil
+	}
+	if err := parseBGPUpdate(body[bgp4mpHeaderLen:], u); err != nil {
+		return nil, err
+	}
+	return u, nil
 }

@@ -33,7 +33,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.PeerAS != u.PeerAS || got.Timestamp != u.Timestamp || got.Prefix != u.Prefix {
+	if got.PeerAS != u.PeerAS || got.Timestamp != u.Timestamp || got.Prefix != u.Prefix || got.NextHop != u.NextHop {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, u)
 	}
 	if len(got.Path) != len(u.Path) {

@@ -40,13 +40,121 @@ func (e *Export) WriteJSON(w io.Writer) error {
 	return enc.Encode(e)
 }
 
-// ParseExport reads a timeline previously written by WriteJSON.
+// maxExportBytes bounds what ParseExport reads, as shard's RPC decoder is
+// bounded. The explain-verdict example's ledger (a 378-configuration
+// campaign and a stream run over 1 000 sources, every catchment row
+// recorded by both) writes 10 MB.
+const maxExportBytes = 64 << 20
+
+// ParseExport reads a timeline previously written by WriteJSON. It reads
+// at most maxExportBytes, one event at a time, and rejects an event whose
+// kind does not match its one payload before it reads the next, so an
+// input of empty events cannot decode into many times its size. Replay
+// checks the rest against the export's meta.
 func ParseExport(r io.Reader) (*Export, error) {
-	var e Export
-	if err := json.NewDecoder(r).Decode(&e); err != nil {
+	lr := &io.LimitedReader{R: r, N: maxExportBytes + 1}
+	e, err := decodeExport(json.NewDecoder(lr))
+	if err != nil {
+		if lr.N == 0 {
+			return nil, fmt.Errorf("provenance: export exceeds %d bytes", maxExportBytes)
+		}
 		return nil, fmt.Errorf("provenance: parse export: %w", err)
 	}
-	return &e, nil
+	return e, nil
+}
+
+// decodeExport decodes WriteJSON's {"events": [...]} from dec event by
+// event. Other keys are skipped, and "events": null is an empty export.
+func decodeExport(dec *json.Decoder) (*Export, error) {
+	e := &Export{}
+	if err := expectDelim(dec, '{'); err != nil {
+		return nil, err
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		if key != "events" {
+			var skip json.RawMessage
+			if err := dec.Decode(&skip); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		e.Events = nil
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		if tok == nil {
+			continue
+		}
+		if tok != json.Delim('[') {
+			return nil, fmt.Errorf("events: want an array, got %v", tok)
+		}
+		for dec.More() {
+			var ev Event
+			if err := dec.Decode(&ev); err != nil {
+				return nil, err
+			}
+			if k, ok := ev.payloadKind(); !ok || k != ev.Kind {
+				return nil, fmt.Errorf("event %d (seq %d) of kind %q does not carry exactly one %q payload",
+					len(e.Events), ev.Seq, ev.Kind, ev.Kind)
+			}
+			e.Events = append(e.Events, ev)
+		}
+		if err := expectDelim(dec, ']'); err != nil {
+			return nil, err
+		}
+	}
+	if err := expectDelim(dec, '}'); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// expectDelim reads the next token and errors unless it is d.
+func expectDelim(dec *json.Decoder, d json.Delim) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != d {
+		return fmt.Errorf("want %v, got %v", d, tok)
+	}
+	return nil
+}
+
+// payloadKind returns the kind of the event's payload, and false unless
+// exactly one payload is set.
+func (ev *Event) payloadKind() (Kind, bool) {
+	set := [...]struct {
+		ok   bool
+		kind Kind
+	}{
+		{ev.Meta != nil, KindMeta},
+		{ev.Deploy != nil, KindDeploy},
+		{ev.Retry != nil, KindRetry},
+		{ev.Degrade != nil, KindDegrade},
+		{ev.Row != nil, KindRow},
+		{ev.Quarantine != nil, KindQuarantine},
+		{ev.Probe != nil, KindProbe},
+		{ev.Round != nil, KindRound},
+		{ev.Reconfig != nil, KindReconfig},
+		{ev.Verdict != nil, KindVerdict},
+		{ev.Membership != nil, KindMembership},
+		{ev.Failover != nil, KindFailover},
+	}
+	var kind Kind
+	n := 0
+	for _, s := range set {
+		if s.ok {
+			kind = s.kind
+			n++
+		}
+	}
+	return kind, n == 1
 }
 
 // meta returns the stream meta event if present, else the first meta.

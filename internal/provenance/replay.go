@@ -57,9 +57,16 @@ type replayState struct {
 // recorded verdict and reconfiguration decision is reproduced
 // byte-for-byte. It never consults live state, so a ledger exported
 // from one process replays identically anywhere.
+//
+// An export whose evidence disagrees with its own meta events — see
+// check — is an error, never a panic: a ledger read back from a file is
+// untrusted input.
 func Replay(e *Export) (*ReplayResult, error) {
 	if e == nil || len(e.Events) == 0 {
 		return nil, fmt.Errorf("provenance: replay of empty ledger")
+	}
+	if err := e.check(); err != nil {
+		return nil, err
 	}
 	res := &ReplayResult{}
 	states := map[string]*replayState{}
@@ -85,10 +92,8 @@ func Replay(e *Export) (*ReplayResult, error) {
 				current: m.InitialConfig,
 				topSize: -1,
 			}
-			if m.InitialConfig >= 0 && m.InitialConfig < len(st.used) {
-				st.used[m.InitialConfig] = true
-			}
-			st.rows = rowTable(rows, m.NumConfigs, m.NumSources)
+			st.used[m.InitialConfig] = true
+			st.rows = rowTable(rows, m.NumConfigs)
 			states[m.Component] = st
 
 		case ev.Degrade != nil:
@@ -105,9 +110,7 @@ func Replay(e *Export) (*ReplayResult, error) {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"round %d folded config %d, replay expected %d", r.Round, r.Config, st.current))
 			}
-			// Rebuild the rows table late if the round references a row
-			// recorded after the meta event (stream re-measurement).
-			row := st.rowFor(r.Config, rows)
+			row := st.rows[r.Config]
 			st.loc.AddRound(row, r.Volumes)
 			st.part.Refine(row)
 			st.candidates = st.loc.Candidates(st.meta.MaxMisses)
@@ -155,10 +158,8 @@ func Replay(e *Export) (*ReplayResult, error) {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"reconfig after round %d (%s): chose %d, replay chose %d", rc.Round, rc.Reason, rc.Chosen, next))
 			}
-			if rc.Chosen >= 0 && rc.Chosen < len(st.used) {
-				st.used[rc.Chosen] = true
-				st.current = rc.Chosen
-			}
+			st.used[rc.Chosen] = true
+			st.current = rc.Chosen
 
 		case ev.Verdict != nil:
 			res.Verdicts++
@@ -197,32 +198,95 @@ func Replay(e *Export) (*ReplayResult, error) {
 	return res, nil
 }
 
-// rowFor returns the catchment row for a configuration, preferring the
-// table built at meta time and falling back to the global row map.
-func (st *replayState) rowFor(cfg int, rows map[int][]bgp.LinkID) []bgp.LinkID {
-	if cfg >= 0 && cfg < len(st.rows) && st.rows[cfg] != nil {
-		return st.rows[cfg]
+// check holds the export to its own meta events before Replay sizes or
+// indexes anything by them. Every meta declares at least one
+// configuration, no negative count, and an initial configuration in
+// range. Every configuration id an event names — deployed, retried,
+// degraded, rowed, folded, chosen or blocked — is one each meta declares.
+// Every row has one link per declared source, each NoLink or a declared
+// link, and every declared configuration has a row. The last rule is
+// what keeps Replay's memory proportional to the export: the live loop
+// and the campaign record every row, so only a corrupt or hostile
+// export lacks one.
+func (e *Export) check() error {
+	var metas []*MetaEvent
+	for i := range e.Events {
+		if m := e.Events[i].Meta; m != nil {
+			if m.NumSources < 0 || m.NumConfigs < 1 || m.NumLinks < 0 ||
+				m.InitialConfig < 0 || m.InitialConfig >= m.NumConfigs {
+				return fmt.Errorf("provenance: %s meta declares %d sources, %d configurations, %d links, initial configuration %d",
+					m.Component, m.NumSources, m.NumConfigs, m.NumLinks, m.InitialConfig)
+			}
+			metas = append(metas, m)
+		}
 	}
-	if r, ok := rows[cfg]; ok {
-		return r
+	config := func(seq uint64, what string, c int) error {
+		for _, m := range metas {
+			if c < 0 || c >= m.NumConfigs {
+				return fmt.Errorf("provenance: event %d %s configuration %d, %s meta declares %d",
+					seq, what, c, m.Component, m.NumConfigs)
+			}
+		}
+		return nil
 	}
-	return make([]bgp.LinkID, st.meta.NumSources)
+	rowed := map[int]bool{}
+	for i := range e.Events {
+		ev := &e.Events[i]
+		var err error
+		switch {
+		case ev.Deploy != nil:
+			err = config(ev.Seq, "deploys", ev.Deploy.Config)
+		case ev.Retry != nil:
+			err = config(ev.Seq, "retries", ev.Retry.Config)
+		case ev.Degrade != nil:
+			err = config(ev.Seq, "degrades", ev.Degrade.Config)
+		case ev.Round != nil:
+			err = config(ev.Seq, "folds", ev.Round.Config)
+		case ev.Reconfig != nil:
+			err = config(ev.Seq, "chooses", ev.Reconfig.Chosen)
+			for _, c := range ev.Reconfig.Blocked {
+				if err == nil {
+					err = config(ev.Seq, "blocks", c)
+				}
+			}
+		case ev.Row != nil:
+			err = config(ev.Seq, "rows", ev.Row.Config)
+			for _, m := range metas {
+				if err != nil {
+					break
+				}
+				if len(ev.Row.Catchment) != m.NumSources {
+					err = fmt.Errorf("provenance: event %d rows %d sources, %s meta declares %d",
+						ev.Seq, len(ev.Row.Catchment), m.Component, m.NumSources)
+				}
+				for _, l := range ev.Row.Catchment {
+					if err == nil && (l < bgp.NoLink || int(l) >= m.NumLinks) {
+						err = fmt.Errorf("provenance: event %d rows link %d, %s meta declares %d",
+							ev.Seq, l, m.Component, m.NumLinks)
+					}
+				}
+			}
+			rowed[ev.Row.Config] = true
+		}
+		if err != nil {
+			return err
+		}
+	}
+	for _, m := range metas {
+		if len(rowed) != m.NumConfigs {
+			return fmt.Errorf("provenance: rows for %d configurations, %s meta declares %d",
+				len(rowed), m.Component, m.NumConfigs)
+		}
+	}
+	return nil
 }
 
-// rowTable materializes the dense per-configuration catchment table.
-// Configurations without a recorded row replay as all-unobserved.
-func rowTable(rows map[int][]bgp.LinkID, numConfigs, numSources int) [][]bgp.LinkID {
+// rowTable materializes the dense per-configuration catchment table;
+// check has made sure every configuration has a row.
+func rowTable(rows map[int][]bgp.LinkID, numConfigs int) [][]bgp.LinkID {
 	table := make([][]bgp.LinkID, numConfigs)
 	for c := range table {
-		if r, ok := rows[c]; ok && len(r) == numSources {
-			table[c] = r
-			continue
-		}
-		blank := make([]bgp.LinkID, numSources)
-		for k := range blank {
-			blank[k] = bgp.NoLink
-		}
-		table[c] = blank
+		table[c] = rows[c]
 	}
 	return table
 }

@@ -38,8 +38,11 @@ go test ./internal/provenance/ -run 'Replay' -count=1
 echo "==> sharded-ingest chaos smoke (netsplit profile: sharded localization must stay byte-identical to single-node)"
 go test ./internal/shard/ -run 'TestChaosByteIdentical/netsplit' -count=1
 
-echo "==> delta-propagation equivalence smoke (full-vs-incremental, race detector on)"
-go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden' -count=1
+echo "==> delta-propagation equivalence smoke (full-vs-incremental, runner-up shedding, race detector on)"
+go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden|TestOutcomeCacheShedsCatchmentOnly|TestOutcomeCacheReleaseShed|TestOutcomeCacheConcurrentCampaign|TestPropagateDeltaWarmAllocs' -count=1
+# The race detector makes sync.Pool drop items at random, so the
+# zero-allocation bounds skip under -race; they run here without it.
+go test ./internal/bgp/ -run 'TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs' -count=1
 
 echo "==> bench smoke (PropagateFullScale + PropagateDeltaSingleLink, 1 iteration)"
 go test ./internal/bgp/ -run '^$' -bench 'PropagateFullScale|PropagateDeltaSingleLink' -benchmem -benchtime 1x
