@@ -9,7 +9,10 @@
 // fig8, fig9, fig10, headline, all, or one of the extension studies
 // extpredict (catchment prediction accuracy), extpoison (targeted
 // poisoning of large clusters), extspeed (localization wall-clock time),
-// and export (write the campaign dataset to stdout as JSON lines).
+// extcomm, extstale, extremediate, export (write the campaign dataset to
+// stdout as JSON lines), and ablation (each design knob flipped on its
+// own reduced world, seeds 100-104; the flags do not apply to it, and it
+// builds no lab when run alone).
 //
 // Example:
 //
@@ -39,9 +42,33 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: spooftrack [flags] <table1|fig3..fig10|headline|all|extpredict|extpoison|extspeed|export>...")
+		fmt.Fprintln(os.Stderr, "usage: spooftrack [flags] <table1|fig3..fig10|headline|all|extpredict|extpoison|extspeed|extcomm|extstale|extremediate|export|ablation>...")
 		flag.PrintDefaults()
 		os.Exit(2)
+	}
+
+	want := map[string]bool{}
+	for _, a := range args {
+		if a == "all" {
+			for _, name := range []string{"table1", "headline", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
+				want[name] = true
+			}
+			continue
+		}
+		want[a] = true
+	}
+
+	if want["ablation"] {
+		delete(want, "ablation")
+		res, err := experiments.Ablations()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "spooftrack: ablation: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println(res)
+		if len(want) == 0 {
+			return
+		}
 	}
 
 	params := experiments.LabParams{
@@ -69,17 +96,6 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "campaign ready in %.1fs (%d sources)\n\n",
 			time.Since(start).Seconds(), lab.Campaign.NumSources())
-	}
-
-	want := map[string]bool{}
-	for _, a := range args {
-		if a == "all" {
-			for _, name := range []string{"table1", "headline", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
-				want[name] = true
-			}
-			continue
-		}
-		want[a] = true
 	}
 
 	var fig5 *experiments.Fig5Result

@@ -126,12 +126,12 @@ func NewEngine(g *topo.Graph, origin Origin, params Params) (*Engine, error) {
 		ns := g.Neighbors(i)
 		e.t1f[i] = params.Tier1PoisonFilter && g.IsTier1(i)
 		e.pinned[i] = -1
-		if params.PolicyNoiseFrac > 0 && len(ns) > 0 && rng.Bool(params.PolicyNoiseFrac) {
+		if len(ns) > 0 && rng.Bool(params.PolicyNoiseFrac) {
 			e.pinned[i] = ns[rng.Intn(len(ns))].Idx
 		}
-		e.ignorePoison[i] = params.IgnorePoisonFrac > 0 && rng.Bool(params.IgnorePoisonFrac)
-		e.lengthBlind[i] = params.LengthBlindFrac > 0 && rng.Bool(params.LengthBlindFrac)
-		e.honorsComm[i] = params.CommunitySupportFrac > 0 && rng.Bool(params.CommunitySupportFrac)
+		e.ignorePoison[i] = rng.Bool(params.IgnorePoisonFrac)
+		e.lengthBlind[i] = rng.Bool(params.LengthBlindFrac)
+		e.honorsComm[i] = rng.Bool(params.CommunitySupportFrac)
 		perm := rng.Perm(len(ns))
 		pr := make([]int32, len(ns))
 		for k := range ns {
@@ -216,10 +216,10 @@ func (e *Engine) Perturbed(frac float64, seed uint64) (*Engine, error) {
 		}
 		cp.pri[i] = pr
 		cp.pinned[i] = -1
-		if e.params.PolicyNoiseFrac > 0 && len(ns) > 0 && rng.Bool(e.params.PolicyNoiseFrac) {
+		if len(ns) > 0 && rng.Bool(e.params.PolicyNoiseFrac) {
 			cp.pinned[i] = ns[rng.Intn(len(ns))].Idx
 		}
-		cp.lengthBlind[i] = e.params.LengthBlindFrac > 0 && rng.Bool(e.params.LengthBlindFrac)
+		cp.lengthBlind[i] = rng.Bool(e.params.LengthBlindFrac)
 	}
 	return cp, nil
 }

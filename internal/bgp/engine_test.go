@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
 
 	"spooftrack/internal/topo"
@@ -408,5 +409,45 @@ func TestConfigString(t *testing.T) {
 	s := cfg.String()
 	if s == "" || s == "⟨A={}; P={}; Q={}⟩" {
 		t.Fatalf("unhelpful String: %q", s)
+	}
+}
+
+// TestZeroFractionKeepsOtherDraws pins that switching a realism bit off
+// changes that bit alone: every AS draws each bit whatever its fraction,
+// so the other bits, the pinned neighbors and every tiebreak row stay
+// the default engine's, and an ablation compares one world with one knob
+// flipped. PolicyNoiseFrac is not among them: a pinned AS also draws
+// which neighbor it pins, so zeroing it moves the draws of every AS
+// after the first it would have pinned.
+func TestZeroFractionKeepsOtherDraws(t *testing.T) {
+	g, o := worldForTest(t, 9, 1200)
+	def := newEngine(t, g, o, DefaultParams(9))
+	bits := func(e *Engine) map[string][]bool {
+		return map[string][]bool{
+			"IgnorePoisonFrac":     e.ignorePoison,
+			"LengthBlindFrac":      e.lengthBlind,
+			"CommunitySupportFrac": e.honorsComm,
+		}
+	}
+	for knob, zero := range map[string]func(*Params){
+		"IgnorePoisonFrac":     func(p *Params) { p.IgnorePoisonFrac = 0 },
+		"LengthBlindFrac":      func(p *Params) { p.LengthBlindFrac = 0 },
+		"CommunitySupportFrac": func(p *Params) { p.CommunitySupportFrac = 0 },
+	} {
+		p := DefaultParams(9)
+		zero(&p)
+		e := newEngine(t, g, o, p)
+		for name, got := range bits(e) {
+			want := bits(def)[name]
+			if name == knob {
+				want = make([]bool, len(got))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s = 0 changed the %s draws", knob, name)
+			}
+		}
+		if !slices.Equal(e.pinned, def.pinned) || !slices.EqualFunc(e.pri, def.pri, slices.Equal[[]int32]) {
+			t.Errorf("%s = 0 changed the pinned neighbors or tiebreak rows", knob)
+		}
 	}
 }

@@ -6,26 +6,6 @@ import (
 	"spooftrack/internal/topo"
 )
 
-func BenchmarkPropagateFullScale(b *testing.B) {
-	g, o := worldForTest(b, 42, 4000)
-	e, err := NewEngine(g, o, DefaultParams(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := allLinksConfig(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := e.Propagate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Same outcome-recycling pattern as the delta benchmarks, so the
-		// full-vs-delta comparison isolates the algorithms.
-		out.Release()
-	}
-}
-
 // BenchmarkPropagatePoisonHeavy exercises the dense poison rows and the
 // tier-1 route-leak walk: every link announces with a two-AS poison list,
 // the platform's operational maximum.

@@ -333,9 +333,8 @@ func TestConfigKeyCanonical(t *testing.T) {
 }
 
 // BenchmarkPropagateReference measures the retained pre-optimization
-// implementation on the same workload as BenchmarkPropagateFullScale,
-// for an on-hardware before/after comparison (scripts/bench.sh runs
-// both).
+// implementation on the workload of BenchmarkPropagateDeltaBudget's full
+// side, for an on-hardware before/after comparison.
 func BenchmarkPropagateReference(b *testing.B) {
 	g, o := worldForTest(b, 42, 4000)
 	e, err := NewEngine(g, o, DefaultParams(42))

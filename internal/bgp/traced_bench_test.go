@@ -9,9 +9,9 @@ import (
 // BenchmarkPropagateTraced measures the tracing overhead on the
 // propagation hot path. The "off" variant is the budget that matters:
 // with the global tracer disabled, instrumented Propagate must stay
-// within a few atomic loads of the uninstrumented baseline
-// (BenchmarkPropagateFullScale). The "on" variant shows the full cost
-// of journaling a span per propagation.
+// within a few atomic loads of the uninstrumented baseline (the full
+// side of BenchmarkPropagateDeltaBudget). The "on" variant shows the
+// full cost of journaling a span per propagation.
 func BenchmarkPropagateTraced(b *testing.B) {
 	g, o := worldForTest(b, 42, 4000)
 	e, err := NewEngine(g, o, DefaultParams(42))

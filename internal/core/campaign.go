@@ -438,7 +438,7 @@ func (c *Campaign) recordProvenance(led *provenance.Ledger, useTruth bool) {
 	for i, row := range c.Catchments {
 		// Shared, not copied: the catchment matrix is immutable once the
 		// campaign returns, and copying every row would dominate the
-		// ledger's cost (scripts/bench.sh gates it at 5%).
+		// ledger's cost (BenchmarkCampaignLedgerBudget gates it at 5%).
 		led.RecordRowShared(provenance.RowEvent{Config: i, Catchment: row, Incomplete: c.IsIncomplete(i)})
 	}
 	p := c.FinalPartition()

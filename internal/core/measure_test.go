@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"spooftrack/internal/bgp"
 	"spooftrack/internal/stats"
 	"spooftrack/internal/topo"
 )
@@ -86,20 +87,28 @@ func TestMeasuredCampaignGolden(t *testing.T) {
 	}
 }
 
-// BenchmarkMeasureOutcome times one warm configuration measurement with
-// wire feeds on, the unit the measured campaign repeats per deployed
-// configuration; scripts/bench.sh holds its allocs/op under a ceiling.
-func BenchmarkMeasureOutcome(b *testing.B) {
-	w := measureWorld(b, 1, true)
+// warmOutcome builds the 300-AS measure world and returns it with the
+// outcome of its fourth configuration, the unit a measured campaign
+// measures once per deployed configuration.
+func warmOutcome(t testing.TB, wireFeeds bool) (*World, *bgp.Outcome) {
+	t.Helper()
+	w := measureWorld(t, 1, wireFeeds)
 	plan, err := w.DefaultPlan()
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	c, err := w.RunCampaign(plan[:4], CampaignOptions{UseTruth: true})
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	out := c.Outcomes[3]
+	return w, c.Outcomes[3]
+}
+
+// BenchmarkMeasureOutcome times one warm configuration measurement with
+// wire feeds on; TestMeasureOutcomeAllocs holds its allocations under a
+// ceiling.
+func BenchmarkMeasureOutcome(b *testing.B) {
+	w, out := warmOutcome(b, true)
 	rng := stats.NewRNG(7)
 	b.ReportAllocs()
 	b.ResetTimer()

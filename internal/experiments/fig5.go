@@ -143,7 +143,3 @@ func (r *Fig5Result) Fig6String() string {
 	}
 	return sb.String()
 }
-
-// Fig6 returns the footprint distributions (it shares Fig5's
-// computation, as in the paper).
-func Fig6(lab *Lab) *Fig5Result { return Fig5(lab) }

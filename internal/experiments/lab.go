@@ -2,14 +2,12 @@
 // paper's evaluation (§V). Each driver consumes a Lab — a built world
 // plus a fully deployed and measured default campaign — and returns a
 // result struct that renders the same rows or series the paper reports.
-// The drivers are shared by cmd/spooftrack, the benchmark harness at the
-// repository root, and the integration tests.
+// cmd/spooftrack prints every driver's result; the examples and the
+// integration tests share them.
 package experiments
 
 import (
 	"context"
-	"fmt"
-	"sync"
 
 	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
@@ -74,27 +72,4 @@ func NewLab(p LabParams) (*Lab, error) {
 		return nil, err
 	}
 	return &Lab{World: w, Plan: plan, Campaign: camp}, nil
-}
-
-// DefaultLabParams is the paper-scale configuration used by the
-// benchmark harness and the CLI.
-func DefaultLabParams() LabParams { return LabParams{Seed: 42} }
-
-var (
-	defaultLabOnce sync.Once
-	defaultLab     *Lab
-	defaultLabErr  error
-)
-
-// DefaultLab returns a process-wide shared paper-scale lab, built on
-// first use. Benchmarks reuse it so each figure's bench measures the
-// figure's analysis, not a repeated 705-configuration campaign.
-func DefaultLab() (*Lab, error) {
-	defaultLabOnce.Do(func() {
-		defaultLab, defaultLabErr = NewLab(DefaultLabParams())
-	})
-	if defaultLabErr != nil {
-		return nil, fmt.Errorf("experiments: building default lab: %w", defaultLabErr)
-	}
-	return defaultLab, nil
 }

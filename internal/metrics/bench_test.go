@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
 // BenchmarkPlainCounter is the baseline the labeled-vector budget is
 // measured against (vector observe must stay within 2× of this).
@@ -28,58 +25,4 @@ func BenchmarkVecObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.With("3").Inc()
 	}
-}
-
-// BenchmarkVecObserveTwoLabels pays key assembly on top of the map
-// lookup (two-label child resolution).
-func BenchmarkVecObserveTwoLabels(b *testing.B) {
-	v := NewRegistry().CounterVec("link_packets_total", "link", "outcome")
-	v.With("3", "forwarded").Inc()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.With("3", "forwarded").Inc()
-	}
-}
-
-// BenchmarkVecObserveManyChildren exercises the map lookup with a wider
-// child set (64 links × 2 outcomes), rotating labels per iteration.
-func BenchmarkVecObserveManyChildren(b *testing.B) {
-	v := NewRegistry().CounterVec("link_packets_total", "link", "outcome")
-	links := make([]string, 64)
-	for i := range links {
-		links[i] = strconv.Itoa(i)
-		v.With(links[i], "forwarded").Inc()
-		v.With(links[i], "dropped").Inc()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.With(links[i&63], "forwarded").Inc()
-	}
-}
-
-// BenchmarkVecObserveHistogram is the labeled-histogram flavor (shared
-// bounds, per-link children).
-func BenchmarkVecObserveHistogram(b *testing.B) {
-	v := NewRegistry().HistogramVec("lag_seconds", []string{"shard"}, 1e-3, 1e-2, 0.1, 1)
-	v.With("2").Observe(0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v.With("2").Observe(0.05)
-	}
-}
-
-// BenchmarkVecObserveParallel hammers one child from all procs —
-// the contended shape of per-link counters under a flood.
-func BenchmarkVecObserveParallel(b *testing.B) {
-	v := NewRegistry().CounterVec("link_packets_total", "link")
-	v.With("0").Inc()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			v.With("0").Inc()
-		}
-	})
 }

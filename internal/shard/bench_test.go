@@ -5,76 +5,98 @@ import (
 	"time"
 
 	"spooftrack/internal/amp"
+	"spooftrack/internal/stats"
 	"spooftrack/internal/stream"
 )
 
-// BenchmarkShardIngest compares the per-event cost of the sharded
-// ingest path (deterministic drop roll skipped — no injector — then
-// consistent-hash ring lookup, shard dispatch, relay accumulate) against
-// a bare single-node pipeline Ingest on the same event stream. The
-// worker budget is equal on both sides (4 total). scripts/bench.sh
-// gates the difference at 20 ns/event, min over -count runs, so the
-// sharding tier cannot silently grow a lock or an allocation on the
-// packet path.
-func BenchmarkShardIngest(b *testing.B) {
+// BenchmarkShardIngestBudget gates the sharding tier's tax on the packet
+// path: routing an event through the consistent-hash ring into one of
+// four relay shards may cost at most 20 ns/event more than a bare
+// single-node pipeline Ingest on the same stream, with the same total
+// worker budget (4). The ring lookup is one hash and one table load and
+// the route snapshot is lock-free, so anything beyond that means a lock
+// or an allocation leaked onto the packet path. The budget is absolute:
+// it is what 1.10x allowed while an Ingest cost ~200 ns, and since the
+// intake hands off slabs (~35 ns) the route's fixed few nanoseconds alone
+// read 1.2x.
+func BenchmarkShardIngestBudget(b *testing.B) {
 	attr := chaosAttr()
 	events := benchEvents(attr, 1024)
-
-	b.Run("single-node", func(b *testing.B) {
-		p, err := stream.New(attr, stream.Config{
-			Workers:         4,
-			QueueDepth:      1 << 16,
-			BatchSize:       256,
-			FlushInterval:   10 * time.Millisecond,
-			EvalInterval:    10 * time.Millisecond,
-			MinRoundPackets: 1 << 40,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Ingest(events[i%len(events)])
-		}
-		b.StopTimer()
-		p.Close()
-		if got := p.TotalEvents(); got != int64(b.N) {
-			b.Fatalf("accounted %d of %d events", got, b.N)
-		}
+	p, err := stream.New(attr, stream.Config{
+		Workers:         4,
+		QueueDepth:      1 << 16,
+		BatchSize:       256,
+		FlushInterval:   10 * time.Millisecond,
+		EvalInterval:    10 * time.Millisecond,
+		MinRoundPackets: 1 << 40,
 	})
-
-	b.Run("sharded-4", func(b *testing.B) {
-		cl, err := NewCluster(ClusterConfig{
-			Shards:          4,
-			Attr:            attr,
-			MinRoundPackets: 1 << 40,
-			Pipe: stream.Config{
-				Workers:       1,
-				QueueDepth:    1 << 16,
-				BatchSize:     256,
-				FlushInterval: 10 * time.Millisecond,
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cl.Ingest(events[i%len(events)])
-		}
-		b.StopTimer()
-		if err := cl.Quiesce(10 * time.Second); err != nil {
-			b.Fatal(err)
-		}
-		total := int64(0)
-		for _, id := range cl.Nodes() {
-			total += cl.nodes[id].Intake().TotalEvents()
-		}
-		cl.Close()
-		if total != int64(b.N) {
-			b.Fatalf("accounted %d of %d events", total, b.N)
-		}
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	cl, err := NewCluster(ClusterConfig{
+		Shards:          4,
+		Attr:            attr,
+		MinRoundPackets: 1 << 40,
+		Pipe: stream.Config{
+			Workers:       1,
+			QueueDepth:    1 << 16,
+			BatchSize:     256,
+			FlushInterval: 10 * time.Millisecond,
+		},
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Each sample ingests n events and waits for its side to flush them
+	// off the clock, so neither side's workers run into the other's
+	// sample.
+	const n = 400_000
+	sent := int64(0)
+	sample := func(ingest func(amp.Event) bool, drain func()) float64 {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			ingest(events[i%len(events)])
+		}
+		ns := float64(time.Since(start).Nanoseconds()) / n
+		drain()
+		return ns
+	}
+	single := func() float64 {
+		sent += n
+		return sample(p.Ingest, func() {
+			for p.TotalEvents() < sent {
+				time.Sleep(200 * time.Microsecond)
+			}
+		})
+	}
+	sharded := func() float64 {
+		return sample(cl.Ingest, func() {
+			if err := cl.Quiesce(10 * time.Second); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	var ns []float64
+	for i := 0; i < b.N; i++ {
+		ns = stats.MinOf(7, single, sharded)
+	}
+	total := int64(0)
+	for _, id := range cl.Nodes() {
+		total += cl.nodes[id].Intake().TotalEvents()
+	}
+	if total != sent { // both sides ingest the same samples
+		b.Fatalf("shards accounted %d of %d events", total, sent)
+	}
+	over := ns[1] - ns[0]
+	b.ReportMetric(ns[0], "single-ns/event")
+	b.ReportMetric(ns[1], "sharded-ns/event")
+	b.ReportMetric(over, "routing-ns/event")
+	if over > 20 {
+		b.Fatalf("sharded ingest costs %.1f ns/event over single-node, budget is 20", over)
+	}
 }
 
 // BenchmarkShardMergeRound measures one controller round on a 4-shard

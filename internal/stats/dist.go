@@ -6,6 +6,24 @@ import (
 	"sort"
 )
 
+// MinOf runs the sides in turn, rounds times over, and returns each
+// side's smallest reading. A side times its own fixed-size sample, so
+// its set-up and draining stay off the clock. Alternating spreads a slow
+// stretch of the machine over every side, and the minimum is the sample
+// the rest of the machine disturbed least; the Benchmark…Budget gates
+// compare their two sides this way.
+func MinOf(rounds int, sides ...func() float64) []float64 {
+	best := make([]float64, len(sides))
+	for r := 0; r < rounds; r++ {
+		for i, sample := range sides {
+			if v := sample(); r == 0 || v < best[i] {
+				best[i] = v
+			}
+		}
+	}
+	return best
+}
+
 // CCDFPoint is one point of a complementary cumulative distribution:
 // Frac is the fraction of samples with value strictly greater than or
 // equal to Value (the convention used by the paper's figures, which plot

@@ -1,115 +1,93 @@
 package stream
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/metrics"
+	"spooftrack/internal/stats"
 	"spooftrack/internal/tsdb"
 )
 
-// BenchmarkStreamPipeline measures sustained ingest throughput
-// (events/sec) at different worker counts, with the controller ticking
-// but never reconfiguring so the steady-state hot path dominates.
-func BenchmarkStreamPipeline(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			attr := testAttribution()
-			p, err := New(attr, Config{
-				Workers:         workers,
-				QueueDepth:      4096,
-				BatchSize:       256,
-				FlushInterval:   10 * time.Millisecond,
-				EvalInterval:    10 * time.Millisecond,
-				MinRoundPackets: 1 << 40,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			victims := make([]netip.Addr, 64)
-			for i := range victims {
-				victims[i] = netip.AddrFrom4([4]byte{198, 51, 100, byte(i)})
-			}
-			now := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					p.Ingest(amp.Event{
-						Time:        now,
-						IngressLink: uint8(i % attr.NumLinks),
-						SpoofedSrc:  victims[i%len(victims)],
-						WireLen:     24,
-					})
-					i++
-				}
-			})
-			elapsed := b.Elapsed()
-			b.StopTimer()
-			p.Close()
-			if got := p.TotalEvents(); got != int64(b.N) {
-				b.Fatalf("accounted %d of %d events", got, b.N)
-			}
-			if s := elapsed.Seconds(); s > 0 {
-				b.ReportMetric(float64(b.N)/s, "events/s")
-			}
-		})
+// ingestPipeline builds the pipeline the ingest benchmarks drive: queues
+// deep enough that nothing sheds, and a round threshold no run reaches,
+// so the controller ticks but never reconfigures.
+func ingestPipeline(b *testing.B, shed bool, reg *metrics.Registry) *Pipeline {
+	p, err := New(testAttribution(), Config{
+		Workers:         4,
+		QueueDepth:      1 << 16,
+		BatchSize:       256,
+		FlushInterval:   10 * time.Millisecond,
+		EvalInterval:    10 * time.Millisecond,
+		MinRoundPackets: 1 << 40,
+		Shed:            shed,
+		Metrics:         reg,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
+// ingestN feeds n copies of one event, cycling the ingress link.
+func ingestN(p *Pipeline, n int) {
+	ev := amp.Event{
+		Time:       time.Now(),
+		SpoofedSrc: netip.AddrFrom4([4]byte{198, 51, 100, 7}),
+		WireLen:    24,
+	}
+	links := p.in.attr.NumLinks
+	for i := 0; i < n; i++ {
+		ev.IngressLink = uint8(i % links)
+		p.Ingest(ev)
 	}
 }
 
-// BenchmarkStreamIngestScrape compares the ingest hot path with the
-// metric-history engine off and scraping the pipeline's registry at an
-// aggressive 1ms cadence (1000x the production default, so the 20x CI
-// benchtime still overlaps real scrapes). The pair bounds the history
-// engine's tax on the packet path: scrapes read the same atomics the
-// hot path writes, so anything beyond a few percent means the scraper
-// is contending rather than observing. scripts/bench.sh gates the
-// ratio at 1.05x.
-func BenchmarkStreamIngestScrape(b *testing.B) {
-	for _, scrape := range []bool{false, true} {
-		name := "scrape-off"
+// BenchmarkIngestScrapeBudget gates the metric-history engine's tax on
+// the packet path: ingest while a tsdb scrapes the pipeline's registry at
+// a 1ms cadence (1000x production) may cost at most 1.05x ingest with no
+// scraper. Scrapes only read the atomics the hot path writes, so anything
+// beyond 5% means the scraper is contending rather than observing. Each
+// sample is long enough to overlap a dozen scrapes, and the workers
+// drain it before the other side's sample starts.
+func BenchmarkIngestScrapeBudget(b *testing.B) {
+	reg := metrics.NewRegistry()
+	p := ingestPipeline(b, false, reg)
+	defer p.Close()
+	const n = 400_000
+	ingested := int64(0)
+	sample := func(scrape bool) float64 {
+		var db *tsdb.DB
 		if scrape {
-			name = "scrape-on"
+			db = tsdb.New(tsdb.Options{Registry: reg, Interval: time.Millisecond})
+			db.Start()
 		}
-		b.Run(name, func(b *testing.B) {
-			attr := testAttribution()
-			reg := metrics.NewRegistry()
-			p, err := New(attr, Config{
-				Workers:         4,
-				QueueDepth:      1 << 16,
-				BatchSize:       256,
-				FlushInterval:   10 * time.Millisecond,
-				EvalInterval:    10 * time.Millisecond,
-				MinRoundPackets: 1 << 40,
-				Metrics:         reg,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var db *tsdb.DB
-			if scrape {
-				db = tsdb.New(tsdb.Options{Registry: reg, Interval: time.Millisecond})
-				db.Start()
-			}
-			ev := amp.Event{
-				Time:       time.Now(),
-				SpoofedSrc: netip.AddrFrom4([4]byte{198, 51, 100, 7}),
-				WireLen:    24,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.IngressLink = uint8(i % attr.NumLinks)
-				p.Ingest(ev)
-			}
-			b.StopTimer()
-			if db != nil {
-				db.Stop()
-			}
-			p.Close()
-		})
+		start := time.Now()
+		ingestN(p, n)
+		ns := float64(time.Since(start).Nanoseconds()) / n
+		if db != nil {
+			db.Stop()
+		}
+		ingested += n
+		for p.TotalEvents() < ingested {
+			time.Sleep(200 * time.Microsecond)
+		}
+		return ns
+	}
+	var ns []float64
+	for i := 0; i < b.N; i++ {
+		ns = stats.MinOf(7,
+			func() float64 { return sample(false) },
+			func() float64 { return sample(true) })
+	}
+	ratio := ns[1] / ns[0]
+	b.ReportMetric(ns[0], "off-ns/event")
+	b.ReportMetric(ns[1], "on-ns/event")
+	b.ReportMetric(ratio, "on/off")
+	if ratio > 1.05 {
+		b.Fatalf("ingest with live scraping costs %.3fx the scrape-off baseline, budget is 1.05x", ratio)
 	}
 }
 
@@ -124,29 +102,9 @@ func BenchmarkStreamIngestShed(b *testing.B) {
 			name = "shed-on"
 		}
 		b.Run(name, func(b *testing.B) {
-			attr := testAttribution()
-			p, err := New(attr, Config{
-				Workers:         4,
-				QueueDepth:      1 << 16,
-				BatchSize:       256,
-				FlushInterval:   10 * time.Millisecond,
-				EvalInterval:    10 * time.Millisecond,
-				MinRoundPackets: 1 << 40,
-				Shed:            shed,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ev := amp.Event{
-				Time:       time.Now(),
-				SpoofedSrc: netip.AddrFrom4([4]byte{198, 51, 100, 7}),
-				WireLen:    24,
-			}
+			p := ingestPipeline(b, shed, nil)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ev.IngressLink = uint8(i % attr.NumLinks)
-				p.Ingest(ev)
-			}
+			ingestN(p, b.N)
 			b.StopTimer()
 			p.Close()
 			if p.Dropped() != 0 {

@@ -16,17 +16,3 @@ func BenchmarkStartDisabled(b *testing.B) {
 		sp.End()
 	}
 }
-
-// BenchmarkStartEnabled measures the full span lifecycle with the
-// journal engaged.
-func BenchmarkStartEnabled(b *testing.B) {
-	prev := Global()
-	SetGlobal(New(Options{Enabled: true, JournalCap: 4096}))
-	defer SetGlobal(prev)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sp := Start("bench")
-		sp.Count("n", 1)
-		sp.End()
-	}
-}

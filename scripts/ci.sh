@@ -6,8 +6,9 @@
 # scratch, pooled propagation engine, the daemon's placements and
 # ticker loops, and the greedy step's pooled scorer and refinement table,
 # which the pipeline, replay and trajectory goroutines share),
-# and smoke-test the benchmark harness so a perf regression in the
-# engine fast path cannot land silently broken.
+# and run the five Benchmark…Budget gates (delta propagation, scrape,
+# sharded ingest, probe scan, ledger) one package at a time, so no other
+# test binary shares the CPUs with their timed samples.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,7 +45,7 @@ go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeRel
 # zero-allocation bounds skip under -race; they run here without it.
 go test ./internal/bgp/ -run 'TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs' -count=1
 
-echo "==> bench smoke (PropagateFullScale + PropagateDeltaSingleLink, 1 iteration)"
-go test ./internal/bgp/ -run '^$' -bench 'PropagateFullScale|PropagateDeltaSingleLink' -benchmem -benchtime 1x
+echo "==> budget gates (serial: each compares two timed sides)"
+go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
 
 echo "ci: all checks passed"
