@@ -5,8 +5,11 @@ import (
 	"sync"
 	"testing"
 
+	"spooftrack/internal/bgp"
+	"spooftrack/internal/peering"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/spoof"
+	"spooftrack/internal/topo"
 )
 
 var (
@@ -198,11 +201,56 @@ func TestFig9Shapes(t *testing.T) {
 			t.Fatalf("CDF does not reach 1: %v", pts)
 		}
 	}
+}
+
+func TestSurveyAcrossConfigs(t *testing.T) {
+	p := topo.DefaultGenParams(70)
+	p.NumASes = 800
+	g, err := topo.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plat, err := peering.New(g, peering.Options{EngineParams: bgp.DefaultParams(70)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var outs []*bgp.Outcome
+	for _, cfg := range []bgp.Config{
+		{Anns: []bgp.Announcement{{Link: 0}, {Link: 1}, {Link: 2}}},
+		{Anns: []bgp.Announcement{{Link: 0, Prepend: 4}, {Link: 1}}},
+		{Anns: []bgp.Announcement{{Link: 3}, {Link: 4}}},
+	} {
+		out, err := plat.Deploy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	r := complianceSurvey(plat.Engine(), outs)
+	if len(r.BestRel) != 3 || len(r.GaoRexford) != 3 {
+		t.Fatalf("audited %d/%d configurations, want 3", len(r.BestRel), len(r.GaoRexford))
+	}
+	if r.MeanBestRel <= 0.5 || r.MeanBestRel > 1 {
+		t.Fatalf("mean best-relationship compliance %v implausible", r.MeanBestRel)
+	}
+	if r.MeanGaoRexford > r.MeanBestRel {
+		t.Fatal("Gao-Rexford compliance cannot exceed best-relationship")
+	}
+	// With the default modest policy noise most ASes comply.
+	if r.MeanBestRel < 0.8 {
+		t.Fatalf("compliance %v lower than expected for default noise", r.MeanBestRel)
+	}
+}
+
+func TestCDFWellFormed(t *testing.T) {
 	// One value per distinct sample, each step at its cumulative share.
 	pts := complianceCDF([]float64{0.8, 0.9, 0.9, 1.0})
-	if len(pts) != 3 || pts[0].CumFrac != 0.25 || pts[1].CumFrac != 0.75 {
+	if len(pts) != 3 || pts[0].CumFrac != 0.25 || pts[1].CumFrac != 0.75 || pts[2].CumFrac != 1 {
 		t.Fatalf("CDF of {0.8, 0.9, 0.9, 1} = %v", pts)
 	}
+}
+
+func TestCDFEmpty(t *testing.T) {
 	if complianceCDF(nil) != nil {
 		t.Fatal("empty survey should produce nil CDF")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/bgp"
 	"spooftrack/internal/stats"
 )
 
@@ -23,9 +24,13 @@ type Fig9Result struct {
 
 // Fig9 audits every configuration of the default campaign.
 func Fig9(lab *Lab) *Fig9Result {
+	return complianceSurvey(lab.World.Platform.Engine(), lab.Campaign.Outcomes)
+}
+
+// complianceSurvey audits each outcome of eng's configurations.
+func complianceSurvey(eng *bgp.Engine, outs []*bgp.Outcome) *Fig9Result {
 	res := &Fig9Result{}
-	eng := lab.World.Platform.Engine()
-	for _, out := range lab.Campaign.Outcomes {
+	for _, out := range outs {
 		audit := eng.Audit(out)
 		res.BestRel = append(res.BestRel, audit.FracBestRel())
 		res.GaoRexford = append(res.GaoRexford, audit.FracGaoRexford())

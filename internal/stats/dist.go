@@ -112,8 +112,10 @@ func Percentile(samples []float64, p float64) float64 {
 	if lo == hi {
 		return sorted[lo]
 	}
+	// lo + (hi-lo)*frac, not lo*(1-frac) + hi*frac: the latter can round
+	// above a tie (lo == hi) and so break monotonicity in p.
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo] + (sorted[hi]-sorted[lo])*frac
 }
 
 // PercentileInts is Percentile over integer samples.
