@@ -42,14 +42,20 @@ type queryResult struct {
 }
 
 // queryTime reads a /query time parameter — unix seconds (integer or
-// fractional) or RFC3339 — answering def when it is absent.
+// fractional) or RFC3339 — answering def when it is absent. A number
+// that is not finite, or whose milliseconds overflow an int64, is an
+// error rather than a wrapped instant.
 func queryTime(qs url.Values, key string, def time.Time) (time.Time, error) {
 	s := qs.Get(key)
 	if s == "" {
 		return def, nil
 	}
 	if sec, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.UnixMilli(int64(sec * 1000)), nil
+		// Both bounds are exact float64s; NaN fails the comparison.
+		if ms := sec * 1000; ms >= -(1<<63) && ms < 1<<63 {
+			return time.UnixMilli(int64(ms)), nil
+		}
+		return time.Time{}, fmt.Errorf("bad %s %q: unix seconds not finite or out of range", key, s)
 	}
 	t, err := time.Parse(time.RFC3339, s)
 	if err != nil {
@@ -71,10 +77,6 @@ func queryTime(qs url.Values, key string, def time.Time) (time.Time, error) {
 // with an empty series list, not an error.
 func queryHandler(db *tsdb.DB) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if db == nil {
-			http.Error(w, "no metric history (-scrape-interval 0)", http.StatusNotFound)
-			return
-		}
 		qs := r.URL.Query()
 		q := tsdb.Query{Series: qs.Get("series"), Child: qs.Get("child")}
 		if q.Series == "" {
@@ -100,7 +102,10 @@ func queryHandler(db *tsdb.DB) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if !from.Before(to) {
+		// Compared in the milliseconds the payload echoes: a default from
+		// that wraps below the int64 range, or a sub-millisecond range,
+		// is no range.
+		if from.UnixMilli() >= to.UnixMilli() {
 			http.Error(w, "from must precede to", http.StatusBadRequest)
 			return
 		}

@@ -3,17 +3,23 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"spooftrack"
 	"spooftrack/internal/fault"
+	"spooftrack/internal/metrics"
+	"spooftrack/internal/tsdb"
+	"spooftrack/internal/watch"
 )
 
-// TestFlagSurface pins the daemon's flag names against a golden
-// captured from the pre-skeleton binary's -h: restructuring how flags
-// are parsed must not add, drop or rename one. The -fault-profile help
-// is built from the profile catalogue, so it names every profile.
+// TestFlagSurface pins the daemon's flag names against a golden: a
+// change that adds, drops or renames one updates the golden on purpose.
+// The -fault-profile help is built from the profile catalogue, so it
+// names every profile.
 func TestFlagSurface(t *testing.T) {
 	var usage bytes.Buffer
 	if _, err := parseFlags([]string{"-h"}, &usage); err == nil {
@@ -23,8 +29,8 @@ func TestFlagSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
 		names = append(names, m[1])
 	}
-	if len(names) != 44 {
-		t.Errorf("%d flags, want 44", len(names))
+	if len(names) != 28 {
+		t.Errorf("%d flags, want 28", len(names))
 	}
 	goldenBody(t, "flags.golden", strings.Join(names, "\n")+"\n")
 	for _, profile := range fault.Names() {
@@ -59,4 +65,93 @@ func TestParseFlagsRejects(t *testing.T) {
 	if err != nil || len(cfg.place.peerIDs) != 2 || cfg.place.shards != 0 || cfg.place.shardID != "" {
 		t.Fatalf("valid -controller spec: %+v, %v", cfg.place, err)
 	}
+}
+
+// TestRetiredFlagsKeepDefaults: the flags that were only ever set to
+// their defaults became constants, literals and library defaults with
+// the same values — /slo lists the seven rules at the old thresholds.
+func TestRetiredFlagsKeepDefaults(t *testing.T) {
+	cfg, err := parseFlags(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	dog := newWatchdog(cfg, observability{reg: reg, db: tsdb.New(tsdb.Options{Registry: reg})})
+	var got []watch.RuleStatus
+	for _, st := range dog.Status() {
+		got = append(got, watch.RuleStatus{Name: st.Name, Op: st.Op, Threshold: st.Threshold, For: st.For})
+	}
+	want := []watch.RuleStatus{
+		{Name: "stream-flush-lag-p99", Op: ">", Threshold: 2.0, For: 3},
+		{Name: "border-drop-rate", Op: ">", Threshold: 100, For: 3},
+		{Name: "border-drop-burn", Op: ">", Threshold: 2.0, For: 3},
+		{Name: "stream-shed-rate", Op: ">", Threshold: 50, For: 3},
+		{Name: "outcome-cache-hit-rate", Op: "<", Threshold: 0.10, For: 3},
+		{Name: "probe-coverage", Op: "<", Threshold: 0.05, For: 3},
+		{Name: "probe-loss-rate", Op: ">", Threshold: 0.9, For: 3},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("watchdog rules %+v, want %+v", got, want)
+	}
+	if probeBudget != 200 || demoPPS != 400 || spooftrack.DefaultRetryPolicy().MaxAttempts != 4 {
+		t.Errorf("probe budget %d, demo pps %d, deploy attempts %d; want 200, 400, 4",
+			probeBudget, demoPPS, spooftrack.DefaultRetryPolicy().MaxAttempts)
+	}
+}
+
+// TestDocumentedInvocationsParse: every daemon command line the README
+// and the verify skill show parses, so a doc that still passes a
+// deleted flag fails here instead of at an operator's shell.
+func TestDocumentedInvocationsParse(t *testing.T) {
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := daemonInvocations(string(data))
+		if len(runs) == 0 {
+			t.Errorf("%s: no daemon command lines found", doc)
+		}
+		for _, args := range runs {
+			if _, err := parseFlags(args, io.Discard); err != nil {
+				t.Errorf("%s: spooftrackd %s: %v", doc, strings.Join(args, " "), err)
+			}
+		}
+	}
+}
+
+// daemonInvocations returns the arguments of every command line in doc
+// that runs the daemon — `go run ./cmd/spooftrackd` or the binary built
+// as /tmp/spd — with backslash continuations joined and a trailing
+// comment and `&` dropped.
+func daemonInvocations(doc string) [][]string {
+	var runs [][]string
+	lines := strings.Split(doc, "\n")
+	for i := 0; i < len(lines); i++ {
+		line := strings.TrimSpace(lines[i])
+		for strings.HasSuffix(line, `\`) && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(line, `\`) + " " + strings.TrimSpace(lines[i])
+		}
+		f := strings.Fields(line)
+		switch {
+		case len(f) >= 3 && f[0] == "go" && f[1] == "run" && f[2] == "./cmd/spooftrackd":
+			f = f[3:]
+		case len(f) >= 1 && f[0] == "/tmp/spd":
+			f = f[1:]
+		default:
+			continue
+		}
+		for j, w := range f {
+			if strings.HasPrefix(w, "#") {
+				f = f[:j]
+				break
+			}
+		}
+		if n := len(f); n > 0 && f[n-1] == "&" {
+			f = f[:n-1]
+		}
+		runs = append(runs, f)
+	}
+	return runs
 }

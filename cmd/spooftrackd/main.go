@@ -21,7 +21,6 @@
 //	/query        range queries over the embedded metric history: raw
 //	              samples, counter-reset-aware rate(), sum/max aggregation
 //	              across vector children, quantile-over-time on histograms
-//	              (404 with -scrape-interval 0)
 //	/dash         self-contained live dashboard (inline JS sparklines
 //	              polling /query; no external assets)
 //	/evidence     operator-facing localization evidence for the candidates
@@ -110,9 +109,16 @@ import (
 	"spooftrack/internal/watch"
 )
 
-// degradedRecoveryWindow is how long the shed-drop counter must stay
-// flat (per metric history) before an intake's degraded flag may clear.
-const degradedRecoveryWindow = 30 * time.Second
+const (
+	// degradedRecoveryWindow is how long the shed-drop counter must stay
+	// flat (per metric history) before an intake's degraded flag may
+	// clear.
+	degradedRecoveryWindow = 30 * time.Second
+	// probeBudget is the number of probe targets one scan round visits.
+	probeBudget = 200
+	// demoPPS is each demo attacker's spoofed packets per second.
+	demoPPS = 400
+)
 
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
@@ -177,11 +183,11 @@ func run(ctx context.Context, cfg config) error {
 		s.dog = newWatchdog(cfg, obs)
 		s.dog.Start()
 		defer s.dog.Stop()
-		if cfg.probe.interval > 0 {
+		if cfg.probeInterval > 0 {
 			if s.probe, err = newProbeView(cfg, tracker, obs); err != nil {
 				return err
 			}
-			every(ctx, cfg.probe.interval, func() { s.probe.scan(led) })
+			every(ctx, cfg.probeInterval, func() { s.probe.scan(led) })
 		}
 		w.pipe.Deploy = plane.deploy
 	}
@@ -229,7 +235,7 @@ func run(ctx context.Context, cfg config) error {
 			"honeypot", plane.hp.Addr().String(), "border", plane.border.Addr().String())
 		// Demo traffic: spoofing attackers flooding the border until the
 		// daemon shuts down.
-		attackers := startAttackers(ctx, tracker, plane.border.Addr(), cfg.demo.attackers, cfg.demo.pps)
+		attackers := startAttackers(ctx, tracker, plane.border.Addr(), cfg.attackers)
 		quiesce = func() {
 			<-attackers
 			plane.hp.SetTap(nil)
@@ -260,9 +266,9 @@ func run(ctx context.Context, cfg config) error {
 	return nil
 }
 
-// startObservability brings tracing and metrics up — before the offline
-// phase, so campaign deployment itself is captured — and returns the
-// function that stops the history scraper.
+// startObservability brings tracing, metrics and the metric history up —
+// before the offline phase, so campaign deployment itself is captured —
+// and returns the function that stops the history scraper.
 func startObservability(cfg config) (observability, func()) {
 	o := observability{reg: metrics.NewRegistry()}
 	registerRuntimeGauges(o.reg)
@@ -277,12 +283,7 @@ func startObservability(cfg config) (observability, func()) {
 	cfg.trace.OnEvict = func(rec trace.SpanRecord) { vEvicted.With(rec.Name).Inc() }
 	o.tracer = trace.New(cfg.trace)
 	trace.SetGlobal(o.tracer)
-	if cfg.scrape <= 0 {
-		// No history: the daemon degrades to instantaneous two-frame
-		// semantics.
-		return o, func() {}
-	}
-	o.db = tsdb.New(tsdb.Options{Registry: o.reg, Interval: cfg.scrape})
+	o.db = tsdb.New(tsdb.Options{Registry: o.reg})
 	o.db.Start()
 	return o, o.db.Stop
 }
@@ -290,12 +291,8 @@ func startObservability(cfg config) (observability, func()) {
 // shedQuiet is the history-aware recovery oracle: the degraded flag
 // clears only after a full recovery window with zero shed drops, not
 // merely one quiet control tick — a flapping overload holds the flag
-// instead of strobing /readyz. Without history the intake's own
-// drained-and-quiet check stands alone.
+// instead of strobing /readyz.
 func (o observability) shedQuiet() bool {
-	if o.db == nil {
-		return true
-	}
 	now := time.Now()
 	delta, _, ok := o.db.Increase("stream_dropped_total", "", now.Add(-degradedRecoveryWindow), now)
 	return !ok || delta == 0
@@ -318,13 +315,11 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 		slog.Info("topology loaded from file (-ases ignored)", "path", c.topoFile, "ases", g.NumASes())
 	}
 	params.World.MaxPoisonTargets = c.poison
-	params.World.OutcomeCacheCap = c.cacheCap
 	params.UseTruth = true
 	params.Metrics = reg
 	params.FaultProfile = c.faultProfile
 	params.FaultSeed = c.faultSeed
 	params.Retry = spooftrack.DefaultRetryPolicy()
-	params.Retry.MaxAttempts = c.deployRetries
 	// Decision-provenance ledger: built before the tracker so the
 	// offline campaign's deploys, retries, and degradations are on the
 	// record from the first event. A nil ledger keeps every Record* site
@@ -337,7 +332,7 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 	params.Ledger = led
 	if c.faultProfile != "" {
 		slog.Info("fault injection enabled", "profile", c.faultProfile, "seed", c.faultSeed,
-			"retries", c.deployRetries)
+			"retries", params.Retry.MaxAttempts)
 	}
 	slog.Info("offline: building world and measuring campaign catchments", "ases", c.ases)
 	tracker, err := spooftrack.NewTracker(params)
@@ -441,7 +436,7 @@ func newProbeView(cfg config, tracker *spooftrack.Tracker, obs observability) (*
 		Net:         simnet,
 		TargetLinks: out.CatchmentVector(),
 		LinkNames:   platform.LinkNames(),
-		Budget:      cfg.probe.budget,
+		Budget:      probeBudget,
 		Quarantined: platform.Health().IsQuarantined,
 		Tracer:      obs.tracer,
 	}
@@ -454,7 +449,7 @@ func newProbeView(cfg config, tracker *spooftrack.Tracker, obs observability) (*
 	}
 	prober.Instrument(obs.reg)
 	slog.Info("active SAV probing enabled",
-		"targets", prober.NumTargets(), "budget", cfg.probe.budget, "interval", cfg.probe.interval)
+		"targets", prober.NumTargets(), "budget", probeBudget, "interval", cfg.probeInterval)
 	pv := &probeView{
 		prober:     prober,
 		catchment:  out.CatchmentVector(),
@@ -523,16 +518,15 @@ func (pv *probeView) scan(led *provenance.Ledger) {
 		"discarded", rep.Discarded, "took", rep.Duration.Round(time.Microsecond))
 }
 
-// newWatchdog builds the SLO watchdog: it flight-records registry
-// snapshots and drops a diagnostic bundle when the live loop degrades
-// past its objectives.
+// newWatchdog builds the SLO watchdog: it drops a diagnostic bundle when
+// the live loop degrades past its objectives.
 func newWatchdog(cfg config, o observability) *watch.Watchdog {
-	wc, c := cfg.watch, cfg.slo
+	wc := cfg.watch
 	wc.Registry, wc.Tracer = o.reg, o.tracer
-	// History-backed evaluation: rate rules average over their Window
-	// instead of two adjacent ticks, burn-rate rules compare error
-	// budget consumption across fast and slow windows, and breach
-	// bundles embed the metric history leading into the breach.
+	// History-backed evaluation: rate rules average over their Window,
+	// burn-rate rules compare error budget consumption across fast and
+	// slow windows, and breach bundles embed the metric history leading
+	// into the breach.
 	wc.DB = o.db
 	wc.BundleHistory = []string{
 		"stream_events_total",
@@ -546,7 +540,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Name:      "stream-flush-lag-p99",
 			Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99),
 			Op:        watch.Above,
-			Threshold: c.flushLag,
+			Threshold: 2.0,
 			For:       3,
 		},
 		{
@@ -555,7 +549,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Rate:      true,
 			Window:    time.Minute,
 			Op:        watch.Above,
-			Threshold: c.dropRate,
+			Threshold: 100,
 			For:       3,
 		},
 		// Multi-window burn rate on border delivery: fires only when
@@ -569,10 +563,10 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Name:      "border-drop-burn",
 			ErrorExpr: watch.Series("amp_border_packets_total", "outcome=dropped"),
 			TotalExpr: watch.VecSum("amp_border_packets_total"),
-			Objective: c.dropObjective,
+			Objective: 0.99,
 			Windows:   []time.Duration{5 * time.Minute, time.Hour},
 			Op:        watch.Above,
-			Threshold: c.dropBurn,
+			Threshold: 2.0,
 			For:       3,
 		},
 		{
@@ -581,7 +575,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Rate:      true,
 			Window:    time.Minute,
 			Op:        watch.Above,
-			Threshold: c.shedRate,
+			Threshold: 50,
 			For:       3,
 		},
 		{
@@ -594,7 +588,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 				),
 			),
 			Op:        watch.Below,
-			Threshold: c.cacheHit,
+			Threshold: 0.10,
 			For:       3,
 		},
 		// Probe-channel health. Both rules read metrics the prober
@@ -604,7 +598,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Name:      "probe-coverage",
 			Expr:      watch.Metric("probe_coverage"),
 			Op:        watch.Below,
-			Threshold: c.probeCoverage,
+			Threshold: 0.05,
 			For:       3,
 		},
 		{
@@ -614,7 +608,7 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 				watch.VecSum("probe_sent_total"),
 			),
 			Op:        watch.Above,
-			Threshold: c.probeLoss,
+			Threshold: 0.9,
 			For:       3,
 		},
 	}
@@ -672,7 +666,7 @@ func newLogger(level string) (*slog.Logger, error) {
 // startAttackers launches n demo attackers spoofing from randomly
 // chosen source ASes, flooding the border every 50ms until ctx is done,
 // and returns a channel closed when they have stopped.
-func startAttackers(ctx context.Context, tracker *spooftrack.Tracker, borderAddr net.Addr, n, pps int) <-chan struct{} {
+func startAttackers(ctx context.Context, tracker *spooftrack.Tracker, borderAddr net.Addr, n int) <-chan struct{} {
 	rng := spooftrack.NewRNG(tracker.World.Params.Seed ^ 0x5f)
 	victim := netip.MustParseAddr("192.0.2.66")
 	asns := tracker.SourceASNs()
@@ -690,7 +684,7 @@ func startAttackers(ctx context.Context, tracker *spooftrack.Tracker, borderAddr
 	flooding := every(ctx, 50*time.Millisecond, func() {
 		for _, a := range attackers {
 			// A failed burst is the border going away at shutdown.
-			_, _ = a.Flood(borderAddr, max(pps/20, 1), 8)
+			_, _ = a.Flood(borderAddr, demoPPS/20, 8)
 		}
 	})
 	done := make(chan struct{})

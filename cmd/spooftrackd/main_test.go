@@ -18,6 +18,7 @@ import (
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
 	"spooftrack/internal/trace"
+	"spooftrack/internal/tsdb"
 	"spooftrack/internal/watch"
 )
 
@@ -41,14 +42,16 @@ func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.Ser
 	tr := trace.New(trace.Options{Enabled: true, JournalCap: 64})
 	sp := tr.Start("test.root")
 	sp.End()
+	db := tsdb.New(tsdb.Options{Registry: reg})
 	dog := watch.New(watch.Config{
 		Registry:  reg,
+		DB:        db,
 		Rules:     rules,
 		Tracer:    tr,
 		BundleDir: bundleDir,
 	})
 	return surface{
-		obs:    observability{reg: reg, tracer: tr},
+		obs:    observability{reg: reg, tracer: tr, db: db},
 		dog:    dog,
 		health: peering.NewLinkHealth(2, 0, 0),
 		place:  place,
@@ -437,6 +440,7 @@ func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 	pv := testProbeView(t, reg, true)
 	dog := watch.New(watch.Config{
 		Registry: reg,
+		DB:       tsdb.New(tsdb.Options{Registry: reg}),
 		Rules: []watch.Rule{{
 			Name: "probe-loss-rate",
 			Expr: watch.Ratio(

@@ -17,6 +17,7 @@ import (
 	"spooftrack/internal/peering"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
+	"spooftrack/internal/tsdb"
 	"spooftrack/internal/watch"
 )
 
@@ -234,7 +235,7 @@ func TestStatusPerMode(t *testing.T) {
 func TestReadyzClusterConsultsWatchdog(t *testing.T) {
 	reg := metrics.NewRegistry()
 	place := testPlacement(t, reg, plantedAttr(), "-shards", "2")
-	dog := watch.New(watch.Config{Registry: reg, Rules: []watch.Rule{alwaysBreach()}})
+	dog := watch.New(watch.Config{Registry: reg, DB: tsdb.New(tsdb.Options{Registry: reg}), Rules: []watch.Rule{alwaysBreach()}})
 	mux := componentMux(func(mux *http.ServeMux) { sloRoutes(mux, dog, place.degraded) })
 	if res, body := get(t, mux, "/readyz"); res.StatusCode != http.StatusOK {
 		t.Fatalf("readyz before the breach: status %d\n%s", res.StatusCode, body)

@@ -54,7 +54,7 @@ type wiring struct {
 
 // newPlacement builds and starts the placement the flags select.
 func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, error) {
-	decide := stream.EvalParams{SplitThreshold: w.pipe.SplitThreshold, MaxOnlineConfigs: w.pipe.MaxOnlineConfigs}
+	decide := stream.EvalParams{SplitThreshold: w.pipe.SplitThreshold}
 	switch {
 	case pc.peerIDs != nil:
 		return newController(ctx, pc, w, decide)

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +21,7 @@ var queryBase = time.Unix(1_700_000_000, 0)
 // queryMux builds a mux whose only live surface is the metric history:
 // a counter at 5/s, a two-child vector at 10/s and 30/s, and a latency
 // histogram, scraped once per second for a minute.
-func queryMux(t *testing.T) *http.ServeMux {
+func queryMux(t testing.TB) *http.ServeMux {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	ev := reg.Counter("events_total")
@@ -56,17 +58,6 @@ func getQuery(t *testing.T, mux *http.ServeMux, path string) queryResult {
 		t.Fatalf("%s is not JSON: %v\n%s", path, err, body)
 	}
 	return qr
-}
-
-func TestQueryEndpointNoDB(t *testing.T) {
-	res, body := get(t, testMux(t), "/query?series=events_total")
-	if res.StatusCode != http.StatusNotFound || !strings.Contains(body, "-scrape-interval") {
-		t.Fatalf("query with no history: status %d body %q", res.StatusCode, body)
-	}
-	res, body = get(t, testMux(t), "/dash")
-	if res.StatusCode != http.StatusNotFound || !strings.Contains(body, "-scrape-interval") {
-		t.Fatalf("dash with no history: status %d body %q", res.StatusCode, body)
-	}
 }
 
 func TestQueryRaw(t *testing.T) {
@@ -151,11 +142,65 @@ func TestQueryBadParams(t *testing.T) {
 		"/query?series=events_total&from=soon",          // bad time
 		"/query?series=events_total&from=9&to=1",        // inverted range
 		"/query?series=flush_seconds&func=quantile&q=2", // quantile out of range
+		// Not finite, or milliseconds past int64: no instant at all.
+		"/query?series=events_total&to=NaN",
+		"/query?series=events_total&from=NaN&to=10",
+		"/query?series=events_total&to=Inf",
+		"/query?series=events_total&from=-Inf",
+		"/query?series=events_total&to=1e300",
+		"/query?series=events_total&from=-1e300&to=10",
+		"/query?series=events_total&to=9223372036854776", // 2^63 ms
+		// A default from that wraps past the int64 milliseconds.
+		"/query?series=events_total&to=-9223372036854775",
 	} {
 		if res, body := get(t, mux, path); res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400\n%s", path, res.StatusCode, body)
 		}
 	}
+}
+
+// FuzzQuery drives /query with arbitrary parameters over the fixture
+// history: it must not panic, must answer 200 or 400, and every 200 must
+// decode to a range with from < to.
+func FuzzQuery(f *testing.F) {
+	from, to := fmt.Sprint(queryBase.Unix()), fmt.Sprint(queryBase.Add(time.Minute).Unix())
+	for _, seed := range [][6]string{
+		{"events_total", from, to, "", "", ""},
+		{"events_total", "", "", "5m", "rate", ""},
+		{"link_packets_total", from, to, "", "sum", ""},
+		{"flush_seconds", "", "2023-11-14T22:14:20Z", "1h", "quantile", "0.5"},
+		{"events_total", "", "NaN", "", "", ""},
+		{"events_total", "", "-9223372036854775", "", "max", ""},
+		{"events_total", "1e300", "Inf", "", "", ""},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4], seed[5])
+	}
+	mux := queryMux(f)
+	f.Fuzz(func(t *testing.T, series, from, to, window, fn, q string) {
+		qs := url.Values{}
+		for k, v := range map[string]string{"series": series, "from": from, "to": to, "window": window, "func": fn, "q": q} {
+			if v != "" {
+				qs.Set(k, v)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/query", nil)
+		req.URL.RawQuery = qs.Encode()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusBadRequest:
+		case http.StatusOK:
+			var qr queryResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+				t.Fatalf("%s: 200 body does not decode: %v\n%s", req.URL, err, rec.Body)
+			}
+			if qr.From >= qr.To {
+				t.Fatalf("%s: 200 with from %d >= to %d", req.URL, qr.From, qr.To)
+			}
+		default:
+			t.Fatalf("%s: status %d, want 200 or 400\n%s", req.URL, rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestDashServesSelfContainedPage(t *testing.T) {

@@ -47,9 +47,9 @@ func (s surface) mux() *http.ServeMux {
 }
 
 // observability is the process's instruments: the metric registry, the
-// span journal, and (unless -scrape-interval 0 left it nil) the
-// embedded metric history everything windowed hangs off — /query,
-// /dash, windowed SLO rates, burn-rate rules, breach-bundle context.
+// span journal, and the embedded metric history everything windowed
+// hangs off — /query, /dash, windowed SLO rates, burn-rate rules,
+// breach-bundle frames and context.
 type observability struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer
@@ -60,10 +60,6 @@ func (o observability) routes(mux *http.ServeMux) {
 	mux.Handle("/metrics", o.reg.Handler())
 	mux.HandleFunc("/query", queryHandler(o.db))
 	mux.HandleFunc("/dash", func(w http.ResponseWriter, r *http.Request) {
-		if o.db == nil {
-			http.Error(w, "no metric history (-scrape-interval 0)", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		_, _ = fmt.Fprint(w, dashHTML)
 	})

@@ -54,9 +54,6 @@ type WorldParams struct {
 	// through the MRT/BGP-UPDATE wire codec (package mrt) and back, as
 	// real RouteViews/RIS consumption would.
 	WireFeeds bool
-	// OutcomeCacheCap bounds the platform's outcome cache (LRU past the
-	// bound): 0 = bgp.DefaultOutcomeCacheCapacity, negative = unbounded.
-	OutcomeCacheCap int
 }
 
 // DefaultWorldParams mirrors the paper's experimental scale: a topology
@@ -103,10 +100,7 @@ func BuildWorld(p WorldParams) (*World, error) {
 	if p.Engine != nil {
 		ep = *p.Engine
 	}
-	plat, err := peering.New(g, peering.Options{
-		EngineParams:         ep,
-		OutcomeCacheCapacity: p.OutcomeCacheCap,
-	})
+	plat, err := peering.New(g, peering.Options{EngineParams: ep})
 	if err != nil {
 		return nil, fmt.Errorf("core: platform: %w", err)
 	}

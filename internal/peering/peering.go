@@ -119,11 +119,6 @@ type Options struct {
 	Muxes []MuxSpec
 	// EngineParams configures the routing engine realism knobs.
 	EngineParams bgp.Params
-	// OutcomeCacheCapacity bounds the outcome cache (LRU eviction past
-	// the bound). 0 uses bgp.DefaultOutcomeCacheCapacity; negative means
-	// unbounded. At internet scale an Outcome is ~16 bytes per AS, so
-	// size this to the memory budget.
-	OutcomeCacheCapacity int
 }
 
 // New builds a platform over the topology, binding each mux to a transit
@@ -159,16 +154,9 @@ func New(g *topo.Graph, opts Options) (*Platform, error) {
 		engine:      engine,
 		conv:        DefaultConvergenceModel(),
 		convRNG:     stats.NewRNG(opts.EngineParams.Seed ^ 0xc09e4ce5ead),
+		cache:       bgp.NewOutcomeCache(),
+		health:      NewLinkHealth(len(muxes), 0, 0),
 	}
-	switch {
-	case opts.OutcomeCacheCapacity > 0:
-		p.cache = bgp.NewOutcomeCacheCap(opts.OutcomeCacheCapacity)
-	case opts.OutcomeCacheCapacity < 0:
-		p.cache = bgp.NewOutcomeCacheCap(0)
-	default:
-		p.cache = bgp.NewOutcomeCache()
-	}
-	p.health = NewLinkHealth(len(muxes), 0, 0)
 	return p, nil
 }
 

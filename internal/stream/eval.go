@@ -28,8 +28,6 @@ type EvalParams struct {
 	// straggling across a reconfiguration under the old catchment
 	// table. Default 0.02; negative disables.
 	NoiseFloor float64
-	// MaxOnlineConfigs caps deployments beyond the initial one (0 = no cap).
-	MaxOnlineConfigs int
 }
 
 func (p *EvalParams) setDefaults() {
@@ -168,8 +166,7 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	// burn configurations without refining anything.
 	canSplit := topSize > e.par.SplitThreshold &&
 		sched.Splittable(e.attr.Catchments, e.used, e.part.MembersOf(topID))
-	budgetLeft := e.par.MaxOnlineConfigs == 0 || len(e.deployed)-1 < e.par.MaxOnlineConfigs
-	if !final && budgetLeft {
+	if !final {
 		if canSplit {
 			// Quarantined configurations are routed around, not consumed:
 			// if every useful configuration is blocked the loop simply waits

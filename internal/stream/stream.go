@@ -83,9 +83,6 @@ type Config struct {
 	// controller acts on it (default 50) — acting on a near-empty round
 	// would eliminate every quiet source.
 	MinRoundPackets int64
-	// MaxOnlineConfigs caps how many configurations the loop may deploy
-	// beyond the initial one (0 = no cap).
-	MaxOnlineConfigs int
 	// Settle ignores events observed within this duration after a
 	// reconfiguration for round accounting (they still count toward
 	// totals): packets stamped under the previous catchment table may
@@ -212,11 +209,8 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	}
 	cfg, reg := in.cfg, in.cfg.Metrics
 	p := &Pipeline{
-		in: in,
-		eval: NewEvaluator(attr, EvalParams{
-			SplitThreshold:   cfg.SplitThreshold,
-			MaxOnlineConfigs: cfg.MaxOnlineConfigs,
-		}),
+		in:         in,
+		eval:       NewEvaluator(attr, EvalParams{SplitThreshold: cfg.SplitThreshold}),
 		mRounds:    reg.Counter("stream_rounds_total"),
 		mReconfig:  reg.Counter("stream_reconfigs_total"),
 		mRemeasure: reg.Counter("stream_remeasure_total"),

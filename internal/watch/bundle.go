@@ -46,23 +46,26 @@ const bundleVersion = 1
 // bundleHistorySpan is the minimum history window embedded in bundles.
 const bundleHistorySpan = 10 * time.Minute
 
+// bundleFrames caps a bundle's snapshot frames, the live one included.
+const bundleFrames = 32
+
 // writeBundleLocked captures and atomically writes a diagnostic bundle
-// for the breach, returning its path. Caller holds w.mu (the recorder
-// ring must not rotate mid-capture); profile and trace capture do not
-// touch watchdog state.
-func (w *Watchdog) writeBundleLocked(b Breach) (string, error) {
+// for the breach, whose rules were evaluated on cur, returning its path.
+// Caller holds w.mu (bundle pruning and lastBundle must not interleave);
+// profile and trace capture do not touch watchdog state.
+func (w *Watchdog) writeBundleLocked(b Breach, cur Snapshot) (string, error) {
 	bundle := Bundle{
 		Version:      bundleVersion,
 		Time:         b.Time,
 		Breach:       b,
-		Snapshots:    w.recorderLocked(),
+		Snapshots:    w.frames(cur),
 		NumGoroutine: runtime.NumGoroutine(),
 		GoVersion:    runtime.Version(),
 	}
 	if rule, ok := w.ruleByName(b.Rule); ok {
 		bundle.RuleFor = max(rule.For, 1)
 		bundle.RuleRate = rule.Rate
-		if w.cfg.DB != nil && len(w.cfg.BundleHistory) > 0 {
+		if len(w.cfg.BundleHistory) > 0 {
 			span := bundleHistorySpan
 			if rule.Window > span {
 				span = rule.Window
@@ -110,6 +113,22 @@ func (w *Watchdog) writeBundleLocked(b Breach) (string, error) {
 	}
 	w.pruneBundlesLocked()
 	return path, nil
+}
+
+// frames rebuilds the lead-up to a breach from history, oldest first:
+// one frame per Interval step back from cur, skipping instants before
+// the DB's oldest sample, then cur itself — bundleFrames in all at most.
+func (w *Watchdog) frames(cur Snapshot) []Snapshot {
+	early, ok := w.cfg.DB.Earliest()
+	out := make([]Snapshot, 0, bundleFrames)
+	for k := bundleFrames - 1; k > 0; k-- {
+		t := cur.Time.Add(-time.Duration(k) * w.cfg.Interval)
+		if !ok || t.Before(early) {
+			continue
+		}
+		out = append(out, Snapshot{Time: t, TS: t.Unix(), Metrics: w.cfg.DB.SnapshotAt(t)})
+	}
+	return append(out, cur)
 }
 
 // pruneBundlesLocked keeps the newest MaxBundles bundle files in the

@@ -1,9 +1,9 @@
 // Package watch is the pipeline's SLO watchdog: declarative rules
-// evaluated on a ticker against metrics-registry snapshots, a bounded
-// flight-recorder ring of recent snapshots, and — when a rule stays in
-// breach for its configured number of consecutive evaluations — an
-// atomic diagnostic bundle written to disk carrying the breached rule,
-// the recorder's snapshots, the trace-journal export, and
+// evaluated on a ticker against metrics-registry snapshots and the
+// metric history in a tsdb.DB, and — when a rule stays in breach for its
+// configured number of consecutive evaluations — an atomic diagnostic
+// bundle written to disk carrying the breached rule, snapshot frames
+// rebuilt from history up to the breach, the trace-journal export, and
 // goroutine/heap profiles. The paper's operational posture (an origin
 // AS running localization continuously against live spoofed traffic)
 // needs exactly this layer: when the loop degrades at 3am, the evidence
@@ -20,9 +20,9 @@
 //	}
 //
 // Expressions are pure functions of one snapshot, so a rule's Rate
-// variant (per-second delta between consecutive snapshots) composes
-// with every extractor, and tests can drive Evaluate directly without a
-// ticker or a clock.
+// variant (per-second growth against the snapshot history reconstructs
+// one Window ago) composes with every extractor, and tests can drive
+// Evaluate directly without a ticker or a clock.
 package watch
 
 import (
@@ -174,13 +174,11 @@ type Rule struct {
 	Expr Expr
 	// Rate, when set, watches Expr's per-second growth instead of its
 	// level — the shape counter-derived SLOs (drop rate, error rate)
-	// take. With a history DB wired (Config.DB) the rate is taken over
-	// Window of real history, which a one-tick spike between two
-	// adjacent snapshots cannot fake; without one it falls back to the
-	// delta between consecutive evaluation snapshots.
+	// take. The rate is taken over Window of real history, which a
+	// one-tick spike between two adjacent snapshots cannot fake.
 	Rate bool
-	// Window is the history span Rate rules average over when Config.DB
-	// is set (default 1m). Ignored for level rules.
+	// Window is the history span Rate rules average over (default 1m).
+	// Ignored for level rules.
 	Window time.Duration
 	// Op and Threshold define the breach condition.
 	Op        Op
@@ -190,8 +188,7 @@ type Rule struct {
 	For int
 
 	// Burn-rate SLO fields (Google SRE multi-window form). When
-	// Objective, ErrorExpr, and TotalExpr are all set and Config.DB is
-	// wired, the rule watches
+	// Objective, ErrorExpr, and TotalExpr are all set, the rule watches
 	//
 	//	burn(W) = (increase(error, W) / increase(total, W)) / (1 − Objective)
 	//
@@ -237,10 +234,10 @@ type Breach struct {
 	BundlePath string `json:"bundle_path,omitempty"`
 }
 
-// Snapshot is one flight-recorder frame: a registry snapshot and when
-// it was taken. TS repeats the capture instant as unix seconds so
-// exported frames are self-describing to consumers that don't parse
-// RFC 3339.
+// Snapshot is one bundle frame: a registry snapshot (live, or rebuilt
+// from history) and the instant it describes. TS repeats that instant
+// as unix seconds so exported frames are self-describing to consumers
+// that don't parse RFC 3339.
 type Snapshot struct {
 	Time    time.Time      `json:"time"`
 	TS      int64          `json:"ts"`
@@ -251,21 +248,20 @@ type Snapshot struct {
 type Config struct {
 	// Registry is the metrics registry to watch (required).
 	Registry *metrics.Registry
-	// DB, when non-nil, gives rules metric history: Rate rules average
-	// over their Window instead of two adjacent ticks, burn-rate rules
-	// become possible, and breach bundles embed the relevant query
-	// window. The watchdog never writes to it.
+	// DB is the metric history rules read (required): Rate rules average
+	// over their Window, burn-rate rules compare windows, and breach
+	// bundles take their frames and query window from it. The watchdog
+	// never writes to it.
 	DB *tsdb.DB
 	// BundleHistory names metric families whose recent history (over the
 	// breached rule's longest window, at least 10m) is embedded in
-	// diagnostic bundles when DB is set.
+	// diagnostic bundles.
 	BundleHistory []string
 	// Rules are the SLOs to evaluate each tick.
 	Rules []Rule
-	// Interval is the evaluation cadence for Start (default 5s).
+	// Interval is the evaluation cadence for Start (default 5s), and the
+	// step between a bundle's frames.
 	Interval time.Duration
-	// History bounds the flight-recorder ring (default 32 snapshots).
-	History int
 	// Tracer, when non-nil, has its journal exported into bundles.
 	Tracer *trace.Tracer
 	// BundleDir is where diagnostic bundles are written; empty disables
@@ -287,10 +283,6 @@ type Watchdog struct {
 	cfg Config
 
 	mu         sync.Mutex
-	ring       []Snapshot // flight recorder, oldest first once full
-	ringNext   int
-	ringFull   bool
-	prev       *Snapshot
 	states     []ruleState
 	lastBundle string
 	breaches   uint64
@@ -307,17 +299,18 @@ type ruleState struct {
 	hasData     bool
 }
 
-// New builds a watchdog. It panics without a registry — a watchdog with
-// nothing to watch is a wiring bug.
+// New builds a watchdog. It panics without a registry or a history DB —
+// a watchdog with nothing to watch, or no past to compare against, is a
+// wiring bug.
 func New(cfg Config) *Watchdog {
 	if cfg.Registry == nil {
 		panic("watch: Config.Registry is required")
 	}
+	if cfg.DB == nil {
+		panic("watch: Config.DB is required")
+	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
-	}
-	if cfg.History <= 0 {
-		cfg.History = 32
 	}
 	if cfg.MaxBundles <= 0 {
 		cfg.MaxBundles = 8
@@ -327,7 +320,6 @@ func New(cfg Config) *Watchdog {
 	}
 	return &Watchdog{
 		cfg:    cfg,
-		ring:   make([]Snapshot, cfg.History),
 		states: make([]ruleState, len(cfg.Rules)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -366,28 +358,18 @@ func (w *Watchdog) Stop() {
 	}
 }
 
-// Evaluate runs one tick at the given time: snapshot the registry, push
-// it into the flight recorder, evaluate every rule, and fire breaches
-// whose For streak completes. It returns the breaches fired this tick
+// Evaluate runs one tick at the given time: snapshot the registry,
+// evaluate every rule, and fire breaches whose For streak completes. It returns the breaches fired this tick
 // (usually none). Exported so tests and callers without a ticker can
 // drive the watchdog deterministically.
 func (w *Watchdog) Evaluate(now time.Time) []Breach {
 	cur := Snapshot{Time: now, TS: now.Unix(), Metrics: w.cfg.Registry.Snapshot()}
 
 	w.mu.Lock()
-	prev := w.prev
-	w.ring[w.ringNext] = cur
-	w.ringNext++
-	if w.ringNext == len(w.ring) {
-		w.ringNext = 0
-		w.ringFull = true
-	}
-	w.prev = &cur
-
 	var fired []Breach
 	for i, rule := range w.cfg.Rules {
 		st := &w.states[i]
-		value, ok := w.eval(rule, cur, prev)
+		value, ok := w.eval(rule, cur)
 		st.lastValue, st.hasData = value, ok
 		breachingNow := ok && compare(rule.Op, value, rule.Threshold)
 		if !breachingNow {
@@ -418,7 +400,7 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 			Time:        now,
 		}
 		if w.cfg.BundleDir != "" {
-			path, err := w.writeBundleLocked(b)
+			path, err := w.writeBundleLocked(b, cur)
 			if err != nil {
 				w.cfg.Logger.Warn("diagnostic bundle write failed", "rule", rule.Name, "err", err)
 			} else {
@@ -442,38 +424,21 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 }
 
 // eval computes a rule's value: the expression on the current snapshot;
-// its per-second growth over Window (history-backed) or against the
-// previous snapshot (two-frame fallback) for Rate rules; or the minimum
+// its per-second growth over Window for Rate rules; or the minimum
 // multi-window burn for burn-rate rules.
-func (w *Watchdog) eval(rule Rule, cur Snapshot, prev *Snapshot) (float64, bool) {
+func (w *Watchdog) eval(rule Rule, cur Snapshot) (float64, bool) {
 	if rule.burnRule() {
 		return w.evalBurn(rule, cur)
 	}
 	v, ok := rule.Expr(cur.Metrics)
-	if !rule.Rate {
+	if !rule.Rate || !ok {
 		return v, ok
 	}
-	if !ok {
-		return 0, false
-	}
-	if w.cfg.DB != nil {
-		if rv, rok := w.evalWindowRate(rule, cur, v); rok {
-			return rv, true
-		}
-	}
-	if prev == nil {
-		return 0, false
-	}
-	pv, pok := rule.Expr(prev.Metrics)
-	dt := cur.Time.Sub(prev.Time).Seconds()
-	if !pok || dt <= 0 {
-		return 0, false
-	}
-	return (v - pv) / dt, true
+	return w.evalWindowRate(rule, cur, v)
 }
 
-// evalWindowRate is the history-backed Rate path: Expr now versus Expr
-// over a reconstructed snapshot Window ago, divided by the real span.
+// evalWindowRate is the Rate path: Expr now versus Expr over a
+// reconstructed snapshot Window ago, divided by the real span.
 // The window clamps to the DB's oldest sample so warmup rates are
 // honest rather than silent.
 func (w *Watchdog) evalWindowRate(rule Rule, cur Snapshot, curVal float64) (float64, bool) {
@@ -499,9 +464,6 @@ func (w *Watchdog) evalWindowRate(rule Rule, cur Snapshot, curVal float64) (floa
 // evalBurn computes the minimum burn rate across the rule's windows.
 // "No traffic in a window" is no data, not zero burn.
 func (w *Watchdog) evalBurn(rule Rule, cur Snapshot) (float64, bool) {
-	if w.cfg.DB == nil {
-		return 0, false
-	}
 	eNow, ok1 := rule.ErrorExpr(cur.Metrics)
 	tNow, ok2 := rule.TotalExpr(cur.Metrics)
 	if !ok1 || !ok2 {
@@ -559,26 +521,15 @@ func (w *Watchdog) Healthy() bool {
 	return true
 }
 
-// ReadyFunc returns a readiness gate that ANDs the watchdog's SLO
-// health with extra conditions — the membership signal the
-// sharded-ingest controller consults before keeping a shard in the
-// ring (internal/shard: /readyz + SLO rules gate membership, so a
-// breaching shard is drained rather than silently miscounted). It is
-// callable on a nil *Watchdog, yielding a gate over the extra
-// conditions only, so a shard running without SLO rules is ready
-// whenever its own conditions hold.
-func (w *Watchdog) ReadyFunc(extra ...func() bool) func() bool {
-	return func() bool {
-		if w != nil && !w.Healthy() {
-			return false
-		}
-		for _, f := range extra {
-			if f != nil && !f() {
-				return false
-			}
-		}
-		return true
-	}
+// ReadyFunc returns the watchdog's SLO health as a readiness gate — the
+// membership signal the sharded-ingest controller consults before
+// keeping a shard in the ring (internal/shard: /readyz + SLO rules gate
+// membership, so a breaching shard is drained rather than silently
+// miscounted). It is callable on a nil *Watchdog, yielding a gate that
+// is always ready, so a process without a watchdog (a controller) never
+// reports itself unready for want of one.
+func (w *Watchdog) ReadyFunc() func() bool {
+	return func() bool { return w == nil || w.Healthy() }
 }
 
 // Status returns every rule's current evaluation state.
@@ -628,23 +579,6 @@ func (w *Watchdog) LastBundlePath() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.lastBundle
-}
-
-// Recorder returns the flight recorder's snapshots, oldest first.
-func (w *Watchdog) Recorder() []Snapshot {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.recorderLocked()
-}
-
-func (w *Watchdog) recorderLocked() []Snapshot {
-	if !w.ringFull {
-		return append([]Snapshot(nil), w.ring[:w.ringNext]...)
-	}
-	out := make([]Snapshot, 0, len(w.ring))
-	out = append(out, w.ring[w.ringNext:]...)
-	out = append(out, w.ring[:w.ringNext]...)
-	return out
 }
 
 // ruleByName resolves a rule for bundle metadata.

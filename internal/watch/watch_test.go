@@ -19,11 +19,17 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
+// history is an empty metric history over reg, scraped by hand.
+func history(reg *metrics.Registry) *tsdb.DB {
+	return tsdb.New(tsdb.Options{Registry: reg})
+}
+
 func TestRuleForHysteresisAndRecovery(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := reg.Gauge("queue_depth")
 	w := New(Config{
 		Registry: reg,
+		DB:       history(reg),
 		Logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
@@ -70,31 +76,42 @@ func TestRuleForHysteresisAndRecovery(t *testing.T) {
 	}
 }
 
+// TestRateRule: a Rate rule's value is its expression's growth over
+// Window of history, per second.
 func TestRateRule(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.CounterVec("border_packets_total", "outcome")
+	db := history(reg)
 	w := New(Config{
 		Registry: reg,
+		DB:       db,
 		Logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "drop-rate", Expr: Series("border_packets_total", "outcome=dropped"),
-			Rate: true, Op: Above, Threshold: 50, // packets/sec
+			Rate: true, Window: time.Second, Op: Above, Threshold: 50, // packets/sec
 		}},
 	})
 	now := time.Unix(2000, 0)
+	tick := func(at time.Time) []Breach {
+		db.ScrapeOnce(at)
+		return w.Evaluate(at)
+	}
 	c.With("dropped").Add(0)
-	// First eval has no previous snapshot: no data, no fire.
-	if fired := w.Evaluate(now); len(fired) != 0 {
+	// The first eval has no history before it: no data, no fire.
+	if fired := tick(now); len(fired) != 0 {
 		t.Fatalf("first eval fired %v", fired)
+	}
+	if st := w.Status(); st[0].HasData {
+		t.Fatalf("rate with no history behind it reports data: %+v", st[0])
 	}
 	// +30 drops over 1s = 30/s: under threshold.
 	c.With("dropped").Add(30)
-	if fired := w.Evaluate(now.Add(time.Second)); len(fired) != 0 {
+	if fired := tick(now.Add(time.Second)); len(fired) != 0 {
 		t.Fatalf("30/s fired %v", fired)
 	}
 	// +200 drops over 1s = 200/s: breach (For defaults to 1).
 	c.With("dropped").Add(200)
-	fired := w.Evaluate(now.Add(2 * time.Second))
+	fired := tick(now.Add(2 * time.Second))
 	if len(fired) != 1 || fired[0].Value != 200 {
 		t.Fatalf("200/s: fired = %+v", fired)
 	}
@@ -109,6 +126,7 @@ func TestRatioAndMissingData(t *testing.T) {
 	)
 	w := New(Config{
 		Registry: reg,
+		DB:       history(reg),
 		Logger:   quietLogger(),
 		Rules:    []Rule{{Name: "hit-rate-floor", Expr: hitRate, Op: Below, Threshold: 0.5}},
 	})
@@ -184,32 +202,50 @@ func TestQuantileExpr(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderRing(t *testing.T) {
+// TestBundleFramesFromHistory: a bundle's frames are the history at each
+// Interval step back from the breach, oldest first, capped at 32 with
+// the live snapshot the rule fired on last.
+func TestBundleFramesFromHistory(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := reg.Gauge("x")
-	w := New(Config{Registry: reg, Logger: quietLogger(), History: 4})
-	for i := 0; i < 10; i++ {
+	db := history(reg)
+	w := New(Config{
+		Registry: reg, DB: db, Interval: time.Second, BundleDir: t.TempDir(), Logger: quietLogger(),
+		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 100}},
+	})
+	for i := 0; i < 60; i++ {
 		g.Set(float64(i))
-		w.Evaluate(time.Unix(int64(i), 0))
+		db.ScrapeOnce(time.Unix(int64(i), 0))
 	}
-	recs := w.Recorder()
-	if len(recs) != 4 {
-		t.Fatalf("recorder holds %d snapshots, want 4", len(recs))
+	g.Set(500)
+	fired := w.Evaluate(time.Unix(60, 0))
+	if len(fired) != 1 {
+		t.Fatalf("fired = %+v, want 1 breach", fired)
 	}
-	for i, r := range recs {
-		wantT := time.Unix(int64(6+i), 0)
-		if !r.Time.Equal(wantT) {
-			t.Fatalf("recorder[%d].Time = %v, want %v (oldest-first)", i, r.Time, wantT)
+	b, err := ReadBundle(fired[0].BundlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Snapshots) != 32 {
+		t.Fatalf("bundle holds %d frames, want 32", len(b.Snapshots))
+	}
+	for i, f := range b.Snapshots {
+		at, want := int64(29+i), float64(29+i)
+		if i == len(b.Snapshots)-1 {
+			want = 500 // the live snapshot, not yet scraped
 		}
-		if r.Metrics["x"] != float64(6+i) {
-			t.Fatalf("recorder[%d] x = %v", i, r.Metrics["x"])
+		if f.TS != at || !f.Time.Equal(time.Unix(at, 0)) {
+			t.Fatalf("frame[%d] at %v (ts %d), want unix %d (oldest first)", i, f.Time, f.TS, at)
+		}
+		if f.Metrics["x"] != want {
+			t.Fatalf("frame[%d] x = %v, want %v", i, f.Metrics["x"], want)
 		}
 	}
 }
 
 // TestBreachWritesCompleteBundle forces an SLO breach and verifies the
 // diagnostic bundle lands atomically with every section present: the
-// breached rule, the flight-recorder snapshots, the trace-journal
+// breached rule, the snapshot frames leading into it, the trace-journal
 // export, and both profiles.
 func TestBreachWritesCompleteBundle(t *testing.T) {
 	dir := t.TempDir()
@@ -220,11 +256,13 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	sp.End()
 
 	var hooked []Breach
+	db := history(reg)
 	w := New(Config{
 		Registry:  reg,
+		DB:        db,
+		Interval:  time.Second,
 		Tracer:    tr,
 		BundleDir: dir,
-		History:   8,
 		Logger:    quietLogger(),
 		OnBreach:  func(b Breach) { hooked = append(hooked, b) },
 		Rules: []Rule{{
@@ -234,13 +272,17 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	})
 
 	now := time.Unix(3000, 0)
-	h.Observe(0.05) // healthy tick first, so the recorder has history
-	w.Evaluate(now)
+	tick := func(at time.Time) []Breach {
+		db.ScrapeOnce(at)
+		return w.Evaluate(at)
+	}
+	h.Observe(0.05) // healthy tick first, so history leads into the breach
+	tick(now)
 	for i := 0; i < 100; i++ {
 		h.Observe(8)
 	}
-	w.Evaluate(now.Add(time.Second))
-	fired := w.Evaluate(now.Add(2 * time.Second))
+	tick(now.Add(time.Second))
+	fired := tick(now.Add(2 * time.Second))
 	if len(fired) != 1 {
 		t.Fatalf("fired = %+v, want 1 breach", fired)
 	}
@@ -265,6 +307,8 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	if b.RuleFor != 2 {
 		t.Fatalf("bundle rule_for = %d", b.RuleFor)
 	}
+	// Two frames from history (none before the first scrape) plus the
+	// live one.
 	if len(b.Snapshots) != 3 {
 		t.Fatalf("bundle has %d snapshots, want 3", len(b.Snapshots))
 	}
@@ -311,7 +355,7 @@ func TestBundlePruning(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := reg.Gauge("x")
 	w := New(Config{
-		Registry: reg, BundleDir: dir, MaxBundles: 2, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 2, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	now := time.Unix(4000, 0)
@@ -345,11 +389,20 @@ func TestLatestOnMissingDir(t *testing.T) {
 	}
 }
 
+func TestNewRequiresHistory(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New without a DB did not panic")
+		}
+	}()
+	New(Config{Registry: metrics.NewRegistry()})
+}
+
 func TestStartStopTicker(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Gauge("x").Set(5)
 	w := New(Config{
-		Registry: reg, Interval: 5 * time.Millisecond, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), Interval: 5 * time.Millisecond, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	w.Start()

@@ -124,76 +124,39 @@ func TestBurnRateSlowWindowVetoesSpike(t *testing.T) {
 	}
 }
 
-// TestBurnRateWithoutDBIsNoData: burn rules need history; without a DB
-// they must sit in "no data", never fire, and never mark unhealthy.
-func TestBurnRateWithoutDBIsNoData(t *testing.T) {
+// TestWindowedRateSmoothsSpikes: a Rate rule averages over its window,
+// so a one-tick burst between two adjacent snapshots — 510/s against a
+// 100/s threshold — cannot fire it.
+func TestWindowedRateSmoothsSpikes(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("requests_total").Add(100)
-	reg.Counter("request_errors_total").Add(100) // 100% errors!
+	ctr := reg.Counter("dropped_total")
+	db := tsdb.New(tsdb.Options{Registry: reg})
 	w := New(Config{
 		Registry: reg,
+		DB:       db,
 		Logger:   quietLogger(),
 		Rules: []Rule{{
-			Name:      "burn",
-			ErrorExpr: Metric("request_errors_total"),
-			TotalExpr: Metric("requests_total"),
-			Objective: 0.99,
-			Windows:   []time.Duration{5 * time.Minute},
-			Op:        Above, Threshold: 1,
+			Name: "drop-rate", Expr: Metric("dropped_total"),
+			Rate: true, Window: time.Minute,
+			Op: Above, Threshold: 100,
 		}},
 	})
-	if fired := w.Evaluate(time.Unix(1000, 0)); len(fired) != 0 || !w.Healthy() {
-		t.Fatalf("burn rule without DB fired %v (healthy=%v)", fired, w.Healthy())
+	start := time.Unix(300_000, 0)
+	var now time.Time
+	for i := 0; i <= 120; i++ { // 2 minutes of steady 10/s
+		now = start.Add(time.Duration(i) * time.Second)
+		ctr.Add(10)
+		db.ScrapeOnce(now)
+		w.Evaluate(now)
 	}
-	if st := w.Status(); st[0].HasData {
-		t.Fatalf("burn rule without DB reports data: %+v", st[0])
-	}
-}
-
-// TestWindowedRateSmoothsSpikes: with history wired, a Rate rule
-// averages over its window, so a one-tick burst between two adjacent
-// snapshots cannot fire it — while the legacy two-frame watchdog
-// (no DB) fires on the same sequence.
-func TestWindowedRateSmoothsSpikes(t *testing.T) {
-	mk := func(withDB bool) []Breach {
-		reg := metrics.NewRegistry()
-		ctr := reg.Counter("dropped_total")
-		var db *tsdb.DB
-		if withDB {
-			db = tsdb.New(tsdb.Options{Registry: reg})
-		}
-		w := New(Config{
-			Registry: reg,
-			DB:       db,
-			Logger:   quietLogger(),
-			Rules: []Rule{{
-				Name: "drop-rate", Expr: Metric("dropped_total"),
-				Rate: true, Window: time.Minute,
-				Op: Above, Threshold: 100,
-			}},
-		})
-		start := time.Unix(300_000, 0)
-		var now time.Time
-		for i := 0; i <= 120; i++ { // 2 minutes of steady 10/s
-			now = start.Add(time.Duration(i) * time.Second)
-			ctr.Add(10)
-			if withDB {
-				db.ScrapeOnce(now)
-			}
-			w.Evaluate(now)
-		}
-		ctr.Add(500) // one-tick burst
-		now = now.Add(time.Second)
-		if withDB {
-			db.ScrapeOnce(now)
-		}
-		return w.Evaluate(now)
-	}
-	if fired := mk(false); len(fired) != 1 {
-		t.Fatalf("two-frame watchdog fired %d on the burst, want 1 (control)", len(fired))
-	}
-	if fired := mk(true); len(fired) != 0 {
+	ctr.Add(500) // one-tick burst
+	now = now.Add(time.Second)
+	db.ScrapeOnce(now)
+	if fired := w.Evaluate(now); len(fired) != 0 {
 		t.Fatalf("windowed watchdog fired %+v on a one-tick burst", fired)
+	}
+	if st := w.Status(); !st[0].HasData || st[0].Value > 20 {
+		t.Fatalf("windowed rate = %+v, want ~18/s over the minute", st[0])
 	}
 }
 
@@ -205,6 +168,7 @@ func TestBreachRecoveryRebreach(t *testing.T) {
 	g := reg.Gauge("queue_depth")
 	w := New(Config{
 		Registry: reg,
+		DB:       history(reg),
 		Logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
@@ -251,7 +215,7 @@ func TestBundlePruningOrder(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := reg.Gauge("x")
 	w := New(Config{
-		Registry: reg, BundleDir: dir, MaxBundles: 3, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 3, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	now := time.Unix(6000, 0)
