@@ -59,7 +59,7 @@ func Allocate(g *topo.Graph) *Space {
 	}
 	for i := 0; i < g.NumASes(); i++ {
 		take(i)
-		extra := len(g.Customers(i)) / 8
+		extra := g.NumCustomers(i) / 8
 		if extra > 3 {
 			extra = 3
 		}

@@ -122,7 +122,7 @@ func TestTransitGetsMoreSpace(t *testing.T) {
 	big, bigCust := 0, -1
 	stub := -1
 	for i := 0; i < g.NumASes(); i++ {
-		c := len(g.Customers(i))
+		c := g.NumCustomers(i)
 		if c > bigCust {
 			big, bigCust = i, c
 		}

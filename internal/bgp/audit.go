@@ -72,7 +72,6 @@ func (e *Engine) Audit(out *Outcome) *PolicyAudit {
 			continue
 		}
 		scratch.epoch++
-		t1Filter := e.params.Tier1PoisonFilter && e.g.IsTier1(i)
 		// Gather all valid offers in the converged state, with true
 		// (un-pinned) classes.
 		type offer struct {
@@ -89,17 +88,18 @@ func (e *Engine) Audit(out *Outcome) *PolicyAudit {
 			}
 			offers = append(offers, offer{class: classCustomer, len: int32(cfg.Anns[ai].PathLen())})
 		}
-		for _, nb := range e.g.Neighbors(i) {
-			sn := out.sel[nb.Idx]
+		for _, nb := range e.row(i) {
+			j := int(nb.idx)
+			sn := out.sel[j]
 			if sn.class == classInvalid {
 				continue
 			}
 			// Valley-free export filter (offerFrom's precondition): the
 			// sender only exports non-customer routes to its customers.
-			if scratch.sendClass[nb.Idx] != classCustomer && nb.Rel != topo.RelProvider {
+			if scratch.sendClass[j] != classCustomer && nb.rel != topo.RelProvider {
 				continue
 			}
-			cand, ok := e.offerFrom(out.sel, sn, nb, i, scratch, t1Filter)
+			cand, ok := e.offerFrom(out.sel, sn, j, nb.rel, i, scratch, e.t1f[i])
 			if !ok {
 				continue
 			}

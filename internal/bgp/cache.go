@@ -9,12 +9,12 @@ import (
 
 // DefaultOutcomeCacheCapacity bounds a cache built by NewOutcomeCache.
 // A catchment-only entry holds a selection and an export class per AS
-// (17 bytes, ~1.36 MB at 80k ASes); a seed entry also holds the
-// runner-ups (33 bytes, ~2.64 MB). An unbounded cache walks into
+// (13 bytes, ~1.04 MB at 80k ASes); a seed entry also holds the
+// runner-ups (25 bytes, ~2.0 MB). An unbounded cache walks into
 // multi-gigabyte territory over a 705-configuration campaign sweep; 1024
 // entries keeps every config of the paper's campaigns resident at small
-// scale while capping worst-case memory at internet scale: 1.4 GB of
-// catchment-only entries, plus 1.3 MB per seed entry.
+// scale while capping worst-case memory at internet scale: 1.1 GB of
+// catchment-only entries, plus 0.96 MB per seed entry.
 const DefaultOutcomeCacheCapacity = 1024
 
 // OutcomeCache memoizes propagation outcomes by canonical configuration

@@ -215,9 +215,9 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	prevSel := prev.sel
 	if anySeedNbrs {
 		for i := range prevSel {
-			if prevSel[i].class != classInvalid && work[prevSel[i].ann+1].nbrs {
-				for _, nb := range e.g.Neighbors(i) {
-					s.deltaSeed[nb.Idx] = true
+			if prevSel[i].class != classInvalid && work[int(prevSel[i].ann)+1].nbrs {
+				for _, nb := range e.row(i) {
+					s.deltaSeed[nb.idx] = true
 				}
 			}
 		}
@@ -258,7 +258,7 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 			if seed {
 				s.deltaSeed[i] = false
 			}
-			if w := &work[sel[i].ann+1]; w.any {
+			if w := &work[int(sel[i].ann)+1]; w.any {
 				cs := &sel[i]
 				cs.pathLen += w.shift
 				if !seed {
@@ -284,7 +284,7 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 				ai := int(ps.ann)
 				if ni := d.PrevToNew[ai]; ni >= 0 {
 					cs = ps
-					cs.ann = ni
+					cs.ann = int8(ni)
 					cs.pathLen += d.LenShift[ai]
 				}
 				w := &work[ai+1]

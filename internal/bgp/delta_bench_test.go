@@ -18,7 +18,7 @@ func internetWorldForTest(t testing.TB, seed uint64, numASes int) (*topo.Graph, 
 	}
 	transit := g.TransitASes()
 	sort.Slice(transit, func(i, j int) bool {
-		ci, cj := len(g.Customers(transit[i])), len(g.Customers(transit[j]))
+		ci, cj := g.NumCustomers(transit[i]), g.NumCustomers(transit[j])
 		if ci != cj {
 			return ci > cj
 		}

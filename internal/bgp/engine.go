@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -74,27 +75,45 @@ type Engine struct {
 	lengthBlind []bool
 	// honorsComm[i] marks ASes implementing action communities.
 	honorsComm []bool
-	// pri[i][k] is the tiebreak priority AS i assigns to its k-th
-	// neighbor (lower wins); a seeded stand-in for IGP cost / router-id
-	// tiebreaks.
-	pri [][]int32
 	// t1f[i] folds params.Tier1PoisonFilter && g.IsTier1(i) into one
 	// per-event load.
 	t1f []bool
-	// rslot[i][k] is the slot of AS i inside the adjacency list of its
-	// k-th neighbor, so the wake filter can read the exact tiebreak
-	// priority a neighbor assigns to an offer from i (e.pri[j][rslot])
-	// without searching j's adjacency. Purely graph-determined, shared
-	// across Perturbed clones.
-	rslot [][]int32
+	// off and adj are the engine's own flat adjacency: AS i's neighbors
+	// are adj[off[i]:off[i+1]], in the graph's (index-sorted) order, each
+	// slot carrying the neighbor, its relationship and the tiebreak
+	// priority i assigns it. One 8-byte slot per directed edge replaces a
+	// 16-byte topo.Neighbor plus a separate priority row on the decision
+	// loop's hottest walk.
+	off []int32
+	adj []adjSlot
+	// rsl[k] is, for slot k = the slot of neighbor j in i's row, the slot
+	// of i in j's row, so the wake filter reads the exact tiebreak
+	// priority j assigns to an offer from i (adj[rsl[k]].pri) without
+	// searching j's row. Purely graph-determined, shared across Perturbed
+	// clones, as off is.
+	rsl []int32
 
 	scratch sync.Pool     // *propScratch
 	free    outcomeArrays // fed by Outcome.Release and OutcomeCache's shedding
 }
 
+// adjSlot is one directed edge of the engine's adjacency, 8 bytes. pri
+// is the tiebreak priority the row's AS assigns the neighbor (lower
+// wins): a seeded stand-in for IGP cost / router-id tiebreaks.
+type adjSlot struct {
+	idx int32    // dense index of the neighbor
+	pri int16    // a rank below the row's length
+	rel topo.Rel // the neighbor's relationship to the row's AS
+}
+
+// row returns AS i's adjacency slots.
+func (e *Engine) row(i int) []adjSlot { return e.adj[e.off[i]:e.off[i+1]] }
+
 // NewEngine builds an engine for the origin over the graph. It validates
-// that every link's provider index is in range and that the origin ASN
-// does not collide with a topology AS.
+// that every link's provider index is in range, that the origin ASN
+// does not collide with a topology AS, and that no AS has more than
+// math.MaxInt16 neighbors (a tiebreak priority is a rank below the
+// degree, stored in 16 bits).
 func NewEngine(g *topo.Graph, origin Origin, params Params) (*Engine, error) {
 	if len(origin.Links) == 0 {
 		return nil, fmt.Errorf("bgp: origin has no peering links")
@@ -110,19 +129,28 @@ func NewEngine(g *topo.Graph, origin Origin, params Params) (*Engine, error) {
 			return nil, fmt.Errorf("bgp: link %d provider index %d out of range", i, l.Provider)
 		}
 	}
+	n := g.NumASes()
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		if d := g.Degree(i); d > math.MaxInt16 {
+			return nil, fmt.Errorf("bgp: AS%d has %d neighbors, a tiebreak priority ranks at most %d", g.ASN(i), d, math.MaxInt16)
+		}
+		off[i+1] = off[i] + int32(g.Degree(i))
+	}
 	e := &Engine{
 		g:            g,
 		origin:       origin,
 		params:       params,
-		pinned:       make([]int, g.NumASes()),
-		ignorePoison: make([]bool, g.NumASes()),
-		lengthBlind:  make([]bool, g.NumASes()),
-		honorsComm:   make([]bool, g.NumASes()),
-		pri:          make([][]int32, g.NumASes()),
-		t1f:          make([]bool, g.NumASes()),
+		pinned:       make([]int, n),
+		ignorePoison: make([]bool, n),
+		lengthBlind:  make([]bool, n),
+		honorsComm:   make([]bool, n),
+		t1f:          make([]bool, n),
+		off:          off,
+		adj:          make([]adjSlot, off[n]),
 	}
 	rng := stats.NewRNG(params.Seed ^ 0x5b0ff7acc0ffee)
-	for i := 0; i < g.NumASes(); i++ {
+	for i := 0; i < n; i++ {
 		ns := g.Neighbors(i)
 		e.t1f[i] = params.Tier1PoisonFilter && g.IsTier1(i)
 		e.pinned[i] = -1
@@ -132,49 +160,46 @@ func NewEngine(g *topo.Graph, origin Origin, params Params) (*Engine, error) {
 		e.ignorePoison[i] = rng.Bool(params.IgnorePoisonFrac)
 		e.lengthBlind[i] = rng.Bool(params.LengthBlindFrac)
 		e.honorsComm[i] = rng.Bool(params.CommunitySupportFrac)
-		perm := rng.Perm(len(ns))
-		pr := make([]int32, len(ns))
-		for k := range ns {
-			pr[k] = int32(perm[k])
+		row := e.row(i)
+		for k, nb := range ns {
+			row[k] = adjSlot{idx: int32(nb.Idx), rel: nb.Rel}
 		}
-		e.pri[i] = pr
+		drawPriorities(rng, row)
 	}
-	e.rslot = reverseSlots(g)
+	e.rsl = e.reverseSlots()
 	return e, nil
 }
 
-// reverseSlots builds, for every AS i and neighbor slot k, the slot of i
-// in that neighbor's (index-sorted) adjacency list. One flat backing
-// array keeps it a single allocation per engine.
-func reverseSlots(g *topo.Graph) [][]int32 {
-	n := g.NumASes()
-	total := 0
-	for i := 0; i < n; i++ {
-		total += g.Degree(i)
+// drawPriorities gives the row's neighbors a seeded permutation of the
+// ranks 0..len(row)-1 as tiebreak priorities: the draws of
+// rng.Perm(len(row)), without its allocation.
+func drawPriorities(rng *stats.RNG, row []adjSlot) {
+	for k := range row {
+		row[k].pri = int16(k)
 	}
-	flat := make([]int32, total)
-	rs := make([][]int32, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		ns := g.Neighbors(i)
-		row := flat[off : off+len(ns) : off+len(ns)]
-		off += len(ns)
-		for k, nb := range ns {
-			adj := g.Neighbors(nb.Idx)
-			lo, hi := 0, len(adj)
+	rng.Shuffle(len(row), func(a, b int) { row[a].pri, row[b].pri = row[b].pri, row[a].pri })
+}
+
+// reverseSlots builds rsl: for every slot k of AS i's row naming
+// neighbor j, the slot of i in j's (index-sorted) row.
+func (e *Engine) reverseSlots() []int32 {
+	rsl := make([]int32, len(e.adj))
+	for i := 0; i+1 < len(e.off); i++ {
+		for k := e.off[i]; k < e.off[i+1]; k++ {
+			j := e.adj[k].idx
+			lo, hi := e.off[j], e.off[j+1]
 			for lo < hi {
-				mid := (lo + hi) / 2
-				if adj[mid].Idx < i {
+				mid := int32(uint32(lo+hi) >> 1)
+				if e.adj[mid].idx < int32(i) {
 					lo = mid + 1
 				} else {
 					hi = mid
 				}
 			}
-			row[k] = int32(lo)
+			rsl[k] = lo
 		}
-		rs[i] = row
 	}
-	return rs
+	return rsl
 }
 
 // Graph returns the topology the engine routes over.
@@ -198,26 +223,21 @@ func (e *Engine) Perturbed(frac float64, seed uint64) (*Engine, error) {
 		ignorePoison: append([]bool(nil), e.ignorePoison...),
 		lengthBlind:  append([]bool(nil), e.lengthBlind...),
 		honorsComm:   append([]bool(nil), e.honorsComm...),
-		pri:          make([][]int32, n),
 		t1f:          e.t1f,
-		rslot:        e.rslot,
+		off:          e.off,
+		adj:          append([]adjSlot(nil), e.adj...), // perturbed rows rewritten below
+		rsl:          e.rsl,
 	}
-	copy(cp.pri, e.pri) // shared rows, replaced below for perturbed ASes
 	rng := stats.NewRNG(seed ^ 0xd21f7ed)
 	for i := 0; i < n; i++ {
 		if !rng.Bool(frac) {
 			continue
 		}
-		ns := e.g.Neighbors(i)
-		perm := rng.Perm(len(ns))
-		pr := make([]int32, len(ns))
-		for k := range ns {
-			pr[k] = int32(perm[k])
-		}
-		cp.pri[i] = pr
+		row := cp.row(i)
+		drawPriorities(rng, row)
 		cp.pinned[i] = -1
-		if len(ns) > 0 && rng.Bool(e.params.PolicyNoiseFrac) {
-			cp.pinned[i] = ns[rng.Intn(len(ns))].Idx
+		if len(row) > 0 && rng.Bool(e.params.PolicyNoiseFrac) {
+			cp.pinned[i] = int(row[rng.Intn(len(row))].idx)
 		}
 		cp.lengthBlind[i] = rng.Bool(e.params.LengthBlindFrac)
 	}
@@ -240,16 +260,17 @@ const (
 	classInvalid  int8 = 4
 )
 
-// selection is an AS's currently chosen route.
+// selection is an AS's currently chosen route: 12 bytes, of which an
+// Outcome holds one per AS, and a seed outcome two.
 type selection struct {
 	class   int8
-	ann     int16 // index into cfg.Anns
+	ann     int8  // index into cfg.Anns; a config has at most MaxLinks
+	pri     int16 // tiebreak priority of the next hop at this AS, below its degree
 	pathLen int32 // total AS-path length incl. initial announcement path
 	nextHop int32 // dense index of next-hop AS, or -1 for a direct origin link
-	pri     int32 // tiebreak priority of the next hop at this AS
 }
 
-var noRoute = selection{class: classInvalid, ann: -1, nextHop: -1, pathLen: 1 << 30, pri: 1 << 30}
+var noRoute = selection{class: classInvalid, ann: -1, nextHop: -1, pathLen: 1 << 30, pri: math.MaxInt16}
 
 // betterFor reports whether a beats b in the BGP decision process of AS
 // i. Standard ASes compare (LocalPref class, path length, tiebreak);
@@ -386,7 +407,7 @@ func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, tra
 			// new export could strictly beat j's runner-up bound. The
 			// candidate is exact in class, announcement, length lower
 			// bound (communities only lengthen), and tiebreak priority
-			// (via rslot); the omitted validity checks — poison, loop,
+			// (via rsl); the omitted validity checks — poison, loop,
 			// route-leak — only weaken or kill the real offer. Below the
 			// bound the offer cannot displace sel[j] (which strictly
 			// beats sel2[j] by the decide invariant) and cannot
@@ -394,9 +415,9 @@ func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, tra
 			// preserves both the fixpoint and the prune soundness.
 			exportable := best.class != classInvalid
 			cls := bestTrue
-			rslot := e.rslot[i]
-			for k, nb := range e.g.Neighbors(i) {
-				j := nb.Idx
+			for k, end := e.off[i], e.off[i+1]; k < end; k++ {
+				nb := e.adj[k]
+				j := int(nb.idx)
 				if s.queued[j] {
 					continue
 				}
@@ -406,12 +427,12 @@ func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, tra
 					}
 					// Valley-free export: i sends best to j only when it is
 					// customer-learned or j is i's customer.
-					if cls != classCustomer && nb.Rel != topo.RelCustomer {
+					if cls != classCustomer && nb.rel != topo.RelCustomer {
 						continue
 					}
 					// Class of i's offer from j's point of view.
 					oc := classProvider
-					switch nb.Rel {
+					switch nb.rel {
 					case topo.RelProvider:
 						oc = classCustomer
 					case topo.RelPeer:
@@ -425,7 +446,7 @@ func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, tra
 						ann:     best.ann,
 						pathLen: best.pathLen + 1,
 						nextHop: int32(i),
-						pri:     e.pri[j][rslot[k]],
+						pri:     e.adj[e.rsl[k]].pri,
 					}
 					if !e.betterFor(j, cand, sel2[j]) {
 						continue
@@ -464,7 +485,7 @@ func (e *Engine) decide(i int, cfg Config, s *propScratch, sel []selection) (sel
 			}
 			cand := selection{
 				class:   classCustomer,
-				ann:     int16(ai),
+				ann:     int8(ai),
 				pathLen: s.ctx.annLen[ai],
 				nextHop: -1,
 				pri:     -1, // direct customer routes beat equal-length alternatives
@@ -478,12 +499,11 @@ func (e *Engine) decide(i int, cfg Config, s *propScratch, sel []selection) (sel
 		}
 	}
 	// Offers from neighbors, based on their current selections.
-	ns := e.g.Neighbors(i)
-	pri := e.pri[i]
 	pinned := e.pinned[i]
 	t1Filter := e.t1f[i]
-	for k, nb := range ns {
-		sn := sel[nb.Idx]
+	for _, nb := range e.row(i) {
+		j := int(nb.idx)
+		sn := sel[j]
 		if sn.class == classInvalid {
 			continue
 		}
@@ -491,18 +511,18 @@ func (e *Engine) decide(i int, cfg Config, s *propScratch, sel []selection) (sel
 		// origin) routes go to everyone; peer/provider-learned routes
 		// only to customers. A pinned selection exports according to
 		// the true relationship class of its next hop (cached in
-		// sendClass). nb.Rel is nb's relationship to i from i's view,
-		// so i is nb's customer exactly when nb.Rel is RelProvider.
-		if s.sendClass[nb.Idx] != classCustomer && nb.Rel != topo.RelProvider {
+		// sendClass). nb.rel is j's relationship to i from i's view,
+		// so i is j's customer exactly when nb.rel is RelProvider.
+		if s.sendClass[j] != classCustomer && nb.rel != topo.RelProvider {
 			continue
 		}
-		cand, ok := e.offerFrom(sel, sn, nb, i, s, t1Filter)
+		cand, ok := e.offerFrom(sel, sn, j, nb.rel, i, s, t1Filter)
 		if !ok {
 			continue
 		}
 		tc := cand.class
-		cand.pri = pri[k]
-		if pinned == nb.Idx {
+		cand.pri = nb.pri
+		if pinned == j {
 			cand.class = classPinned
 		}
 		if e.betterFor(i, cand, best) {
@@ -534,23 +554,23 @@ func (e *Engine) endPropagateSpan(sp *trace.Span, out *Outcome, cfg Config, s *p
 	sp.End()
 }
 
-// offerFrom computes the route neighbor nb (as seen from receiver i)
-// currently exports to i, applying loop prevention, poisoning, action
-// communities, and the tier-1 route-leak filter. The caller must already
-// have checked that sn (= sel[nb.Idx]) is a valid selection and that the
-// valley-free export filter admits it toward i; both call sites do so
-// inline because those two rejections dominate and the checks are two
-// array reads. The returned selection has class set from i's point of
-// view and pri unset. recvT1Filter tells whether the receiver applies
-// the route-leak filter.
-func (e *Engine) offerFrom(sel []selection, sn selection, nb topo.Neighbor, i int, s *propScratch, recvT1Filter bool) (selection, bool) {
+// offerFrom computes the route neighbor j, whose relationship to
+// receiver i is rel (from i's view), currently exports to i, applying
+// loop prevention, poisoning, action communities, and the tier-1
+// route-leak filter. The caller must already have checked that sn
+// (= sel[j]) is a valid selection and that the valley-free export filter
+// admits it toward i; both call sites do so inline because those two
+// rejections dominate and the checks are two array reads. The returned
+// selection has class set from i's point of view and pri unset.
+// recvT1Filter tells whether the receiver applies the route-leak filter.
+func (e *Engine) offerFrom(sel []selection, sn selection, j int, rel topo.Rel, i int, s *propScratch, recvT1Filter bool) (selection, bool) {
 	ai := int(sn.ann)
 	// Action communities at the exporting AS: suppress or lengthen the
-	// export toward i if nb honors them.
+	// export toward i if j honors them.
 	remotePrepend := int32(0)
-	if s.ctx.anyComm && e.honorsComm[nb.Idx] {
+	if s.ctx.anyComm && e.honorsComm[j] {
 		iASN := e.g.ASN(i)
-		nbASN := e.g.ASN(nb.Idx)
+		nbASN := e.g.ASN(j)
 		if hasCommunity(s.ctx.comm.noExport, ai, nbASN, iASN) {
 			return selection{}, false
 		}
@@ -567,7 +587,7 @@ func (e *Engine) offerFrom(sel []selection, sn selection, nb topo.Neighbor, i in
 	// Loop prevention on the actual path (reject if i already forwards
 	// for this route) and the tier-1 route-leak scan, in one memoized
 	// walk of the acyclic next-hop chain.
-	onChain, chainT1 := s.chainInfo(sel, e.g, nb.Idx, i)
+	onChain, chainT1 := s.chainInfo(sel, e.g, j, i)
 	if onChain {
 		return selection{}, false
 	}
@@ -575,7 +595,7 @@ func (e *Engine) offerFrom(sel []selection, sn selection, nb topo.Neighbor, i in
 	// whose path contains another tier-1 (natural or poisoned). A
 	// poisoned copy of the receiver's own ASN does not trip the filter —
 	// that is plain loop prevention, handled above.
-	if recvT1Filter && nb.Rel == topo.RelCustomer {
+	if recvT1Filter && rel == topo.RelCustomer {
 		if s.ctx.anyPoison {
 			iASN := e.g.ASN(i)
 			for _, p := range s.ctx.poisonTier1[ai] {
@@ -589,7 +609,7 @@ func (e *Engine) offerFrom(sel []selection, sn selection, nb topo.Neighbor, i in
 		}
 	}
 	class := classProvider
-	switch nb.Rel {
+	switch rel {
 	case topo.RelCustomer:
 		class = classCustomer
 	case topo.RelPeer:
@@ -599,7 +619,7 @@ func (e *Engine) offerFrom(sel []selection, sn selection, nb topo.Neighbor, i in
 		class:   class,
 		ann:     sn.ann,
 		pathLen: sn.pathLen + 1 + remotePrepend,
-		nextHop: int32(nb.Idx),
+		nextHop: int32(j),
 	}, true
 }
 

@@ -446,7 +446,7 @@ func TestZeroFractionKeepsOtherDraws(t *testing.T) {
 				t.Errorf("%s = 0 changed the %s draws", knob, name)
 			}
 		}
-		if !slices.Equal(e.pinned, def.pinned) || !slices.EqualFunc(e.pri, def.pri, slices.Equal[[]int32]) {
+		if !slices.Equal(e.pinned, def.pinned) || !slices.Equal(e.adj, def.adj) {
 			t.Errorf("%s = 0 changed the pinned neighbors or tiebreak rows", knob)
 		}
 	}

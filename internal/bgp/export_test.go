@@ -41,11 +41,17 @@ func HashSelections(h hash.Hash64, o *Outcome) {
 	}
 	h.Write(buf[:1])
 	for _, s := range o.sel {
+		// The goldens were recorded with a 16-byte selection: ann in 16
+		// bits, pri in 32, and noRoute's pri at 1<<30.
+		pri := int32(s.pri)
+		if s.pri == noRoute.pri {
+			pri = 1 << 30
+		}
 		buf[0] = byte(s.class)
 		binary.LittleEndian.PutUint16(buf[1:], uint16(s.ann))
 		binary.LittleEndian.PutUint32(buf[3:], uint32(s.pathLen))
 		binary.LittleEndian.PutUint32(buf[7:], uint32(s.nextHop))
-		binary.LittleEndian.PutUint32(buf[11:], uint32(s.pri))
+		binary.LittleEndian.PutUint32(buf[11:], uint32(pri))
 		h.Write(buf[:])
 	}
 }

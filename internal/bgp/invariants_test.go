@@ -19,7 +19,7 @@ func worldForTest(t testing.TB, seed uint64, numASes int) (*topo.Graph, Origin) 
 	}
 	transit := g.TransitASes()
 	sort.Slice(transit, func(i, j int) bool {
-		ci, cj := len(g.Customers(transit[i])), len(g.Customers(transit[j]))
+		ci, cj := g.NumCustomers(transit[i]), g.NumCustomers(transit[j])
 		if ci != cj {
 			return ci > cj
 		}

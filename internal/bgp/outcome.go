@@ -33,7 +33,7 @@ type Outcome struct {
 
 // outcomeArrays is the engine's free list of the per-AS arrays behind
 // Outcomes, by far the dominant per-propagation allocation: selection
-// arrays (sel and second share the shape, 16 bytes per AS each) and
+// arrays (sel and second share the shape, 12 bytes per AS each) and
 // export-class arrays (sendCls, 1 byte per AS). Outcome.Release returns
 // all of an outcome's arrays, an OutcomeCache returns the runner-ups it
 // sheds, and newOutcome takes from here before it allocates. Like

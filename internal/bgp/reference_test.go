@@ -161,7 +161,7 @@ func refPropagate(e *Engine, cfg Config) (*Outcome, error) {
 			}
 			cand := selection{
 				class:   classCustomer,
-				ann:     int16(ai),
+				ann:     int8(ai),
 				pathLen: int32(a.PathLen()),
 				nextHop: -1,
 				pri:     -1,
@@ -175,7 +175,7 @@ func refPropagate(e *Engine, cfg Config) (*Outcome, error) {
 			if !ok {
 				continue
 			}
-			cand.pri = e.pri[i][k]
+			cand.pri = e.row(i)[k].pri
 			if e.pinned[i] == nb.Idx {
 				cand.class = classPinned
 			}

@@ -14,20 +14,22 @@ import (
 // the ring can never overflow or grow (unlike the reslice-FIFO it
 // replaces, whose backing array crept forward on every pop).
 //
-// The visit/chainTgt/chainT1 arrays memoize next-hop chain walks within
-// one decision event (see chainInfo): stamping with a monotonically
-// increasing epoch makes "reset" free.
+// The visit array memoizes next-hop chain walks within one decision
+// event (see chainInfo) in one word per AS: the event's epoch and the two
+// memoized answers. Stamping with a monotonically increasing epoch makes
+// "reset" free.
 type propScratch struct {
 	queue  []int32 // ring buffer of dense AS indices, capacity NumASes
 	qhead  int
 	qlen   int
 	queued []bool // intrusive membership bitmap for the ring
 
-	epoch    uint64
-	visit    []uint64 // epoch stamp per AS for chain memoization
-	chainTgt []bool   // memo: chain from this AS reaches the current target
-	chainT1  []bool   // memo: chain from this AS contains a tier-1
-	stack    []int32  // chain-walk scratch
+	epoch uint64
+	// visit[h] is epoch<<2 | tgt<<1 | t1 once event epoch has walked h:
+	// tgt tells whether the chain from h reaches the event's target, t1
+	// whether it contains a tier-1.
+	visit []uint64
+	stack []int32 // chain-walk scratch
 
 	seeds []int // initial enqueue order scratch
 
@@ -112,8 +114,6 @@ func newPropScratch(n int) *propScratch {
 		queue:     make([]int32, n),
 		queued:    make([]bool, n),
 		visit:     make([]uint64, n),
-		chainTgt:  make([]bool, n),
-		chainT1:   make([]bool, n),
 		direct:    make([]bool, n),
 		deltaSeed: make([]bool, n),
 		fresh:     true,
@@ -216,17 +216,18 @@ func (s *propScratch) poisonRow(k, n int) []bool {
 func (s *propScratch) chainInfo(sel []selection, g *topo.Graph, start, target int) (hasTarget, hasT1 bool) {
 	st := s.stack[:0]
 	hop := start
+	stamp := s.epoch << 2
+	memo := stamp // this event's stamp and the answers known so far
 	for {
 		if hop == -1 {
 			break
 		}
 		if hop == target {
-			hasTarget = true
+			memo |= 2
 			break
 		}
-		if s.visit[hop] == s.epoch {
-			hasTarget = s.chainTgt[hop]
-			hasT1 = s.chainT1[hop]
+		if v := s.visit[hop]; v&^3 == stamp {
+			memo = v
 			break
 		}
 		st = append(st, int32(hop))
@@ -235,14 +236,12 @@ func (s *propScratch) chainInfo(sel []selection, g *topo.Graph, start, target in
 	for k := len(st) - 1; k >= 0; k-- {
 		h := int(st[k])
 		if g.IsTier1(h) {
-			hasT1 = true
+			memo |= 1
 		}
-		s.visit[h] = s.epoch
-		s.chainTgt[h] = hasTarget
-		s.chainT1[h] = hasT1
+		s.visit[h] = memo
 	}
 	s.stack = st[:0]
-	return hasTarget, hasT1
+	return memo&2 != 0, memo&1 != 0
 }
 
 // getScratch takes a scratch from the engine's pool (or builds one).

@@ -30,7 +30,7 @@ func Table1(lab *Lab) *Table1Result {
 			ProviderName: m.Spec.ProviderName,
 			ProviderASN:  uint32(m.Spec.ProviderASN),
 			BoundASN:     uint32(g.ASN(m.Provider)),
-			Customers:    len(g.Customers(m.Provider)),
+			Customers:    g.NumCustomers(m.Provider),
 		})
 	}
 	return res

@@ -88,7 +88,7 @@ func TestChooseVantagesCollectorBias(t *testing.T) {
 	v := ChooseVantages(g, 9, 100, 100)
 	transit := 0
 	for _, c := range v.Collectors {
-		if len(g.Customers(c)) > 0 {
+		if g.NumCustomers(c) > 0 {
 			transit++
 		}
 	}

@@ -8,6 +8,8 @@
 package measure
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"spooftrack/internal/stats"
@@ -35,15 +37,16 @@ func ChooseVantages(g *topo.Graph, seed uint64, nCollectors, nProbes int) Vantag
 
 	// Rank ASes by customer count for the collector bias.
 	byCone := make([]int, g.NumASes())
+	customers := make([]int, g.NumASes())
 	for i := range byCone {
 		byCone[i] = i
+		customers[i] = g.NumCustomers(i)
 	}
-	sort.Slice(byCone, func(a, b int) bool {
-		ca, cb := len(g.Customers(byCone[a])), len(g.Customers(byCone[b]))
-		if ca != cb {
-			return ca > cb
+	slices.SortFunc(byCone, func(a, b int) int {
+		if ca, cb := customers[a], customers[b]; ca != cb {
+			return cmp.Compare(cb, ca)
 		}
-		return byCone[a] < byCone[b]
+		return cmp.Compare(a, b)
 	})
 
 	v := VantageSet{}
@@ -72,7 +75,7 @@ func ChooseVantages(g *topo.Graph, seed uint64, nCollectors, nProbes int) Vantag
 	// least two upstream choices; the rest are uniform.
 	var connected []int
 	for i := 0; i < g.NumASes(); i++ {
-		if len(g.Providers(i))+len(g.Peers(i)) >= 2 {
+		if g.Degree(i)-customers[i] >= 2 { // providers plus peers
 			connected = append(connected, i)
 		}
 	}

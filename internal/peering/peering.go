@@ -174,7 +174,7 @@ func chooseProviders(g *topo.Graph, n int) ([]int, error) {
 		return nil, fmt.Errorf("peering: topology has only %d candidate providers, need %d", len(cands), n)
 	}
 	sort.Slice(cands, func(a, b int) bool {
-		ca, cb := len(g.Customers(cands[a])), len(g.Customers(cands[b]))
+		ca, cb := g.NumCustomers(cands[a]), g.NumCustomers(cands[b])
 		if ca != cb {
 			return ca > cb
 		}

@@ -45,7 +45,7 @@ func TestNewBindsTableI(t *testing.T) {
 		if p.Graph().IsTier1(m.Provider) {
 			t.Errorf("mux %s bound to a tier-1 provider", m.Spec.Name)
 		}
-		if len(p.Graph().Customers(m.Provider)) == 0 {
+		if p.Graph().NumCustomers(m.Provider) == 0 {
 			t.Errorf("mux %s bound to a non-transit provider", m.Spec.Name)
 		}
 	}

@@ -123,7 +123,7 @@ func TestGenerateHeavyTailDegrees(t *testing.T) {
 	// customer base and many ASes with few customers.
 	maxCust := 0
 	for i := 0; i < g.NumASes(); i++ {
-		if c := len(g.Customers(i)); c > maxCust {
+		if c := g.NumCustomers(i); c > maxCust {
 			maxCust = c
 		}
 	}

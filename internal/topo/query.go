@@ -86,28 +86,16 @@ func (g *Graph) Providers(i int) []int {
 	return out
 }
 
-// Customers returns the dense indices of the customers of the AS at
-// index i.
-func (g *Graph) Customers(i int) []int {
-	var out []int
-	for _, n := range g.adj[i] {
-		if n.Rel == RelCustomer {
-			out = append(out, n.Idx)
+// NumCustomers returns the number of customers of the AS at index i. It
+// allocates nothing, so rankings can call it inside a sort comparator.
+func (g *Graph) NumCustomers(i int) int {
+	n := 0
+	for _, nb := range g.adj[i] {
+		if nb.Rel == RelCustomer {
+			n++
 		}
 	}
-	return out
-}
-
-// Peers returns the dense indices of the settlement-free peers of the AS
-// at index i.
-func (g *Graph) Peers(i int) []int {
-	var out []int
-	for _, n := range g.adj[i] {
-		if n.Rel == RelPeer {
-			out = append(out, n.Idx)
-		}
-	}
-	return out
+	return n
 }
 
 // TransitASes returns the indices of all ASes that have at least one
