@@ -11,7 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 
@@ -23,8 +23,17 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dataset-analysis:", err)
+		os.Exit(1)
+	}
+}
 
+// run exports a campaign, mines the file, and fails unless the file
+// alone reproduces the campaign's clustering.
+func run(ctx context.Context, w io.Writer) error {
 	// Producer side: run a campaign and export it.
 	params := spooftrack.DefaultTrackerParams(33)
 	params.Ctx = ctx
@@ -32,25 +41,25 @@ func main() {
 	tp.NumASes = 1000
 	params.World.Topo = &tp
 	params.World.MaxPoisonTargets = 30
-	fmt.Println("producer: running campaign and exporting dataset...")
+	fmt.Fprintln(w, "producer: running campaign and exporting dataset...")
 	tracker, err := spooftrack.NewTracker(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var file bytes.Buffer
 	if err := core.WriteDataset(&file, tracker.Campaign.Dataset()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("producer: dataset is %d KiB for %d configurations x %d sources\n\n",
+	fmt.Fprintf(w, "producer: dataset is %d KiB for %d configurations x %d sources\n\n",
 		file.Len()/1024, tracker.Campaign.NumConfigs(), tracker.Campaign.NumSources())
 
 	// Consumer side: everything below uses only the file.
 	ds, err := core.ReadDataset(&file)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	matrix := ds.CatchmentMatrix()
-	fmt.Printf("consumer: loaded %d configurations over %d sources\n",
+	fmt.Fprintf(w, "consumer: loaded %d configurations over %d sources\n",
 		len(ds.Configs), len(ds.Header.SourceASNs))
 
 	// Per-phase clustering.
@@ -59,18 +68,22 @@ func main() {
 	for i, cfg := range ds.Configs {
 		if cfg.Phase != lastPhase && lastPhase != "" {
 			m := part.Summarize()
-			fmt.Printf("  after %-11s phase: %4d clusters, mean %.2f ASes\n", lastPhase, m.NumClusters, m.MeanSize)
+			fmt.Fprintf(w, "  after %-11s phase: %4d clusters, mean %.2f ASes\n", lastPhase, m.NumClusters, m.MeanSize)
 		}
 		lastPhase = cfg.Phase
 		part.Refine(matrix[i])
 	}
 	m := part.Summarize()
-	fmt.Printf("  after %-11s phase: %4d clusters, mean %.2f ASes (%.0f%% singletons)\n\n",
+	fmt.Fprintf(w, "  after %-11s phase: %4d clusters, mean %.2f ASes (%.0f%% singletons)\n\n",
 		lastPhase, m.NumClusters, m.MeanSize, m.SingletonFrac*100)
+	if want := tracker.Summary().NumClusters; m.NumClusters != want {
+		return fmt.Errorf("the dataset yields %d clusters, the campaign %d", m.NumClusters, want)
+	}
 
 	// Scheduling study straight from the file.
 	greedy, order := sched.GreedyTrajectory(matrix, 10)
-	fmt.Printf("greedy schedule from the dataset: first pick is config %d (%s)\n",
+	fmt.Fprintf(w, "greedy schedule from the dataset: first pick is config %d (%s)\n",
 		order[0], ds.Configs[order[0]].Phase)
-	fmt.Printf("mean cluster size after 10 greedy configs: %.2f ASes\n", greedy[len(greedy)-1])
+	fmt.Fprintf(w, "mean cluster size after 10 greedy configs: %.2f ASes\n", greedy[len(greedy)-1])
+	return nil
 }

@@ -10,7 +10,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"net"
 	"net/netip"
 	"os"
@@ -26,8 +26,18 @@ const numAttackers = 2
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ddos-localization:", err)
+		os.Exit(1)
+	}
+}
 
+// run floods the honeypot from numAttackers spoofing ASes until the live
+// loop converges, and fails unless every attacker is among the
+// candidates.
+func run(ctx context.Context, w io.Writer) error {
 	// Offline phase: measure catchments for the whole campaign before
 	// any attack (UseTruth keeps the example fast).
 	params := spooftrack.DefaultTrackerParams(11)
@@ -37,10 +47,10 @@ func main() {
 	params.World.MaxPoisonTargets = 20
 	params.UseTruth = true
 	params.Ctx = ctx
-	fmt.Println("offline: deploying campaign and measuring catchments...")
+	fmt.Fprintln(w, "offline: deploying campaign and measuring catchments...")
 	tracker, err := spooftrack.NewTracker(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	camp := tracker.Campaign
 
@@ -48,12 +58,12 @@ func main() {
 	victim := netip.MustParseAddr("192.0.2.66")
 	hp, err := amp.NewHoneypot("127.0.0.1:0", amp.DefaultHoneypotConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer hp.Close()
 	border, err := amp.NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer border.Close()
 
@@ -69,12 +79,13 @@ func main() {
 		Settle:          10 * time.Millisecond,
 		Deploy: func(cfgIdx int, table map[uint32]uint8) {
 			border.SetCatchments(table)
-			fmt.Printf("  deploy: configuration %d\n", cfgIdx)
+			fmt.Fprintf(w, "  deploy: configuration %d\n", cfgIdx)
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer pipe.Close()
 	hp.SetTap(func(ev amp.Event) { pipe.Ingest(ev) })
 
 	// Attack begins: pick attacker ASes.
@@ -86,10 +97,10 @@ func main() {
 		asn := tracker.SourceASNs()[attackers[i]]
 		clients[i], err = amp.NewAttacker(uint32(asn), victim)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer clients[i].Close()
-		fmt.Printf("attacker %d spoofing from AS%d\n", i+1, asn)
+		fmt.Fprintf(w, "attacker %d spoofing from AS%d\n", i+1, asn)
 	}
 
 	// Online phase: flood until the attribution converges — the
@@ -98,7 +109,7 @@ func main() {
 	for !pipe.Converged() && time.Now().Before(deadline) && ctx.Err() == nil {
 		for _, c := range clients {
 			if _, err := c.Flood(border.Addr(), 30, 8); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -107,12 +118,15 @@ func main() {
 	// Graceful shutdown: stop the producer side, then drain.
 	hp.SetTap(nil)
 	pipe.Close()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 
 	st := pipe.Status(5)
-	fmt.Printf("\nprocessed %d spoofed packets over %d rounds, %d online reconfigurations\n",
+	fmt.Fprintf(w, "\nprocessed %d spoofed packets over %d rounds, %d online reconfigurations\n",
 		st.TotalEvents, st.Rounds, st.Reconfigurations)
 	cands := pipe.Candidates()
-	fmt.Printf("after %d deployed configurations, %d of %d sources remain candidates:\n",
+	fmt.Fprintf(w, "after %d deployed configurations, %d of %d sources remain candidates:\n",
 		len(pipe.Deployed()), len(cands), camp.NumSources())
 	isAttacker := map[int]bool{}
 	for _, k := range attackers {
@@ -125,7 +139,11 @@ func main() {
 			marker = "  <-- true attacker"
 			hits++
 		}
-		fmt.Printf("  AS%d%s\n", tracker.SourceASNs()[k], marker)
+		fmt.Fprintf(w, "  AS%d%s\n", tracker.SourceASNs()[k], marker)
 	}
-	fmt.Printf("true attackers among candidates: %d of %d\n", hits, numAttackers)
+	fmt.Fprintf(w, "true attackers among candidates: %d of %d\n", hits, numAttackers)
+	if hits < numAttackers {
+		return fmt.Errorf("true attackers among candidates: %d of %d", hits, numAttackers)
+	}
+	return nil
 }

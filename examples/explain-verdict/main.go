@@ -1,10 +1,10 @@
 // Explain a verdict: the decision-provenance ledger end to end. The
-// example runs the same closed loop as live-attribution — one spoofing
-// attacker flooding an AmpPot-style honeypot through the border router,
-// the streaming pipeline refining localization and deploying greedy
-// configurations online — but with a provenance ledger attached to both
-// the offline campaign and the live controller. After convergence it
-// turns the ledger into the three operator artifacts:
+// example runs the closed loop — one spoofing attacker flooding an
+// AmpPot-style honeypot through the border router, the streaming
+// pipeline refining localization and deploying greedy configurations
+// online — with a provenance ledger attached to both the offline
+// campaign and the live controller. After convergence it turns the
+// ledger into the three operator artifacts:
 //
 //   - a JSON timeline (explain-verdict-ledger.json) and a DOT provenance
 //     graph (explain-verdict-ledger.dot; render with `dot -Tsvg`),
@@ -18,19 +18,19 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/netip"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"spooftrack"
 	"spooftrack/internal/amp"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 )
@@ -43,8 +43,19 @@ func main() {
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	err := run(ctx, os.Stdout, *ledgerPath, *dotPath)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "explain-verdict:", err)
+		os.Exit(1)
+	}
+}
 
+// run localizes one attacker with the ledger recording, writes the
+// timeline to ledgerPath and the graph to dotPath (either may be empty),
+// and fails unless the attacker is a candidate, its cluster is explained
+// and the replay reproduces every verdict.
+func run(ctx context.Context, w io.Writer, ledgerPath, dotPath string) error {
 	// The ledger is built first and handed to the tracker, so the
 	// offline campaign's deployments and catchment rows are evidence
 	// leaves in the same record as the live rounds.
@@ -58,29 +69,27 @@ func main() {
 	params.UseTruth = true
 	params.Ctx = ctx
 	params.Ledger = led
-	fmt.Println("offline: deploying campaign and measuring catchments (ledger recording)...")
+	fmt.Fprintln(w, "offline: deploying campaign and measuring catchments (ledger recording)...")
 	tracker, err := spooftrack.NewTracker(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	camp := tracker.Campaign
 
 	// Packet plane on loopback.
 	hp, err := amp.NewHoneypot("127.0.0.1:0", amp.DefaultHoneypotConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer hp.Close()
 	border, err := amp.NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer border.Close()
 
 	// Streaming pipeline with the same ledger: every round fold,
 	// reconfiguration decision, and per-fold verdict goes on the record.
-	reg := metrics.NewRegistry()
-	led.Instrument(reg)
 	pipe, err := stream.New(stream.Attribution{
 		Catchments: camp.Catchments,
 		SourceASNs: tracker.SourceASNs(),
@@ -89,85 +98,90 @@ func main() {
 		EvalInterval:    50 * time.Millisecond,
 		MinRoundPackets: 40,
 		Settle:          10 * time.Millisecond,
-		Metrics:         reg,
 		Ledger:          led,
 		Deploy: func(cfgIdx int, table map[uint32]uint8) {
 			border.SetCatchments(table)
-			fmt.Printf("  deploy: configuration %d\n", cfgIdx)
+			fmt.Fprintf(w, "  deploy: configuration %d\n", cfgIdx)
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer pipe.Close()
 	hp.SetTap(func(ev amp.Event) { pipe.Ingest(ev) })
 
 	// The attack: one spoofing source, flooding until convergence.
 	rng := spooftrack.NewRNG(7)
 	attackerIdx := rng.Intn(camp.NumSources())
 	attackerASN := tracker.SourceASNs()[attackerIdx]
-	fmt.Printf("attack begins: AS%d (source %d) spoofing 192.0.2.66\n", attackerASN, attackerIdx)
+	fmt.Fprintf(w, "attack begins: AS%d (source %d) spoofing 192.0.2.66\n", attackerASN, attackerIdx)
 	attack, err := amp.NewAttacker(uint32(attackerASN), netip.MustParseAddr("192.0.2.66"))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer attack.Close()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for !pipe.Converged() && time.Now().Before(deadline) && ctx.Err() == nil {
 		if _, err := attack.Flood(border.Addr(), 30, 8); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	hp.SetTap(nil)
 	pipe.Close()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 
 	st := pipe.Status(3)
-	fmt.Printf("\nprocessed %d events over %d rounds (%d online reconfigurations)\n",
+	fmt.Fprintf(w, "\nprocessed %d events over %d rounds (%d online reconfigurations)\n",
 		st.TotalEvents, st.Rounds, st.Reconfigurations)
+	if !slices.Contains(pipe.Candidates(), attackerIdx) {
+		return fmt.Errorf("attacker AS%d is not among the candidates", attackerASN)
+	}
 
 	// 1. Export: the full timeline, as JSON and as a provenance graph.
 	export := led.Export()
-	fmt.Printf("ledger: %d events recorded\n", len(export.Events))
-	for _, v := range export.Verdicts() {
+	fmt.Fprintf(w, "ledger: %d events recorded\n", len(export.Events))
+	verdicts := export.Verdicts()
+	for _, v := range verdicts {
 		tag := ""
 		if v.Final {
 			tag = "  <-- final"
 		}
-		fmt.Printf("  verdict seq=%d origin=%s round=%d clusters=%d converged=%v%s\n",
+		fmt.Fprintf(w, "  verdict seq=%d origin=%s round=%d clusters=%d converged=%v%s\n",
 			v.Seq, v.Origin, v.Round, v.Clusters, v.Converged, tag)
 	}
-	if *ledgerPath != "" {
-		if err := writeTo(*ledgerPath, export.WriteJSON); err != nil {
-			log.Fatal(err)
+	if ledgerPath != "" {
+		if err := writeTo(ledgerPath, export.WriteJSON); err != nil {
+			return err
 		}
-		fmt.Printf("wrote JSON timeline to %s\n", *ledgerPath)
+		fmt.Fprintf(w, "wrote JSON timeline to %s\n", ledgerPath)
 	}
-	if *dotPath != "" {
-		if err := writeTo(*dotPath, export.WriteDOT); err != nil {
-			log.Fatal(err)
+	if dotPath != "" {
+		if err := writeTo(dotPath, export.WriteDOT); err != nil {
+			return err
 		}
-		fmt.Printf("wrote provenance graph to %s (render: dot -Tsvg %s)\n", *dotPath, *dotPath)
+		fmt.Fprintf(w, "wrote provenance graph to %s (render: dot -Tsvg %s)\n", dotPath, dotPath)
 	}
 
 	// 2. Explain: the evidence chain behind the attacker's cluster.
-	verdicts := export.Verdicts()
 	if len(verdicts) == 0 || st.Rounds == 0 {
-		fmt.Println("no rounds folded; nothing to explain")
-		return
+		return errors.New("no rounds folded; nothing to explain")
 	}
 	final := verdicts[len(verdicts)-1]
 	ex, err := export.Explain(attackerCluster(export, attackerIdx))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nexplaining cluster %d of the final verdict (round %d, %d clusters):\n",
+	fmt.Fprintf(w, "\nexplaining cluster %d of the final verdict (round %d, %d clusters):\n",
 		ex.Cluster, final.Round, final.Clusters)
-	fmt.Printf("  members: %d source(s), attacker source %d included\n", len(ex.Members), attackerIdx)
-	fmt.Printf("  evidence: %d configuration chains, %d rounds, %d reconfigurations, %d probe verdicts, %d quarantine transitions\n",
+	fmt.Fprintf(w, "  members: %d source(s), attacker source %d included\n", len(ex.Members), attackerIdx)
+	fmt.Fprintf(w, "  evidence: %d configuration chains, %d rounds, %d reconfigurations, %d probe verdicts, %d quarantine transitions\n",
 		len(ex.Configs), len(ex.Rounds), len(ex.Reconfigs), len(ex.Probes), len(ex.Quarantines))
 	for _, rc := range ex.Reconfigs {
-		fmt.Printf("  round %d: chose configuration %d (%s) over %d candidates\n",
+		fmt.Fprintf(w, "  round %d: chose configuration %d (%s) over %d candidates\n",
 			rc.Round, rc.Chosen, rc.Reason, len(rc.Beaten))
 	}
 
@@ -175,17 +189,18 @@ func main() {
 	// ledger and check the verdicts match byte for byte.
 	res, err := provenance.Replay(export)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nreplay: %d rounds, %d reconfigs, %d verdicts re-derived; reproduced=%v\n",
+	fmt.Fprintf(w, "\nreplay: %d rounds, %d reconfigs, %d verdicts re-derived; reproduced=%v\n",
 		res.Rounds, res.Reconfigs, res.Verdicts, res.Reproduced)
 	for _, m := range res.Mismatches {
-		fmt.Printf("  MISMATCH: %s\n", m)
+		fmt.Fprintf(w, "  MISMATCH: %s\n", m)
 	}
 	if !res.Reproduced {
-		os.Exit(1)
+		return errors.New("the replay did not reproduce the live verdicts")
 	}
-	fmt.Println("the live verdict is fully accounted for by the recorded evidence")
+	fmt.Fprintln(w, "the live verdict is fully accounted for by the recorded evidence")
+	return nil
 }
 
 // attackerCluster returns the final verdict's cluster id for the

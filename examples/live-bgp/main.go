@@ -10,10 +10,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"net/netip"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"spooftrack"
@@ -23,21 +24,29 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	// A small world provides the configurations to announce.
-	world, err := spooftrack.BuildWorld(func() spooftrack.WorldParams {
-		p := spooftrack.DefaultWorldParams(55)
-		tp := spooftrack.DefaultGenParams(55)
-		tp.NumASes = 600
-		p.Topo = &tp
-		return p
-	}())
+	err := run(ctx, os.Stdout)
+	stop()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(os.Stderr, "live-bgp:", err)
+		os.Exit(1)
+	}
+}
+
+// run announces and withdraws four configurations, and fails unless the
+// collector's RIB converges on each announcement and each withdrawal.
+func run(ctx context.Context, w io.Writer) error {
+	// A small world provides the configurations to announce.
+	p := spooftrack.DefaultWorldParams(55)
+	tp := spooftrack.DefaultGenParams(55)
+	tp.NumASes = 600
+	p.Topo = &tp
+	world, err := spooftrack.BuildWorld(p)
+	if err != nil {
+		return err
 	}
 	plan, err := world.DefaultPlan()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	plan = plan[:4]
 
@@ -46,72 +55,69 @@ func main() {
 		LocalAS: 65000, BGPID: 0x7f000001, HoldTime: 9 * time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer rs.Close()
-	fmt.Printf("collector route server on %v\n", rs.Addr())
+	fmt.Fprintf(w, "collector route server on %v\n", rs.Addr())
 
 	// The origin side: one session, like a PEERING mux's BGP speaker.
 	sess, err := bgpwire.Dial(rs.Addr().String(), bgpwire.SessionConfig{
 		LocalAS: spooftrack.PEERINGASN, BGPID: 47065, HoldTime: 9 * time.Second,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sess.Close()
-	fmt.Printf("origin session established: state=%v peer=AS%d hold=%v\n\n",
+	fmt.Fprintf(w, "origin session established: state=%v peer=AS%d hold=%v\n\n",
 		sess.State(), sess.PeerAS(), sess.HoldTime())
 
 	prefix := measure.AnnouncedPrefix
 	nextHop := netip.MustParseAddr("203.0.113.1")
 	for i, pc := range plan {
-		if ctx.Err() != nil {
-			fmt.Println("canceled; withdrawing and closing the session")
-			return
+		if err := ctx.Err(); err != nil {
+			fmt.Fprintln(w, "canceled; withdrawing and closing the session")
+			return err
 		}
-		fmt.Printf("configuration %d (%s): %v\n", i+1, pc.Phase, pc.Config)
+		fmt.Fprintf(w, "configuration %d (%s): %v\n", i+1, pc.Phase, pc.Config)
+		var last []spooftrack.ASN
 		for _, a := range pc.Config.Anns {
-			u := &bgpwire.Update{
-				Path:     a.InitialPath(spooftrack.PEERINGASN),
-				NextHop:  nextHop,
-				Prefixes: []netip.Prefix{prefix},
-			}
+			last = a.InitialPath(spooftrack.PEERINGASN)
+			u := &bgpwire.Update{Path: last, NextHop: nextHop, Prefixes: []netip.Prefix{prefix}}
 			if err := sess.Announce(u); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		// Wait for the collector RIB to converge on this config.
-		waitRIB(rs)
-		path := rs.Routes(spooftrack.PEERINGASN)[prefix]
-		fmt.Printf("  collector sees AS-path %v\n", path)
+		if err := waitRIB(rs, prefix, last); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  collector sees AS-path %v\n", last)
 
 		// Withdraw before the next configuration.
 		if err := sess.Announce(&bgpwire.Update{Withdrawn: []netip.Prefix{prefix}}); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		waitWithdrawn(rs)
+		if err := waitRIB(rs, prefix, nil); err != nil {
+			return err
+		}
 	}
-	fmt.Println("\nall configurations announced and withdrawn over live BGP")
+	fmt.Fprintln(w, "\nall configurations announced and withdrawn over live BGP")
+	return nil
 }
 
-func waitRIB(rs *bgpwire.RouteServer) {
+// waitRIB waits up to three seconds for the collector's route to prefix
+// to read want; nil means withdrawn. The session delivers UPDATEs in
+// order, so the last announcement is the one the RIB settles on.
+func waitRIB(rs *bgpwire.RouteServer, prefix netip.Prefix, want []spooftrack.ASN) error {
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(rs.Routes(spooftrack.PEERINGASN)) > 0 {
-			return
+	for {
+		got := rs.Routes(spooftrack.PEERINGASN)[prefix]
+		if slices.Equal(got, want) {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("collector RIB never converged: AS-path %v, want %v", got, want)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	log.Fatal("collector never saw the announcement")
-}
-
-func waitWithdrawn(rs *bgpwire.RouteServer) {
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(rs.Routes(spooftrack.PEERINGASN)) == 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	log.Fatal("withdrawal never reached the collector")
 }

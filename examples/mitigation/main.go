@@ -11,11 +11,12 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"net"
 	"net/netip"
 	"os"
 	"os/signal"
+	"slices"
 	"time"
 
 	"spooftrack"
@@ -26,8 +27,18 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mitigation:", err)
+		os.Exit(1)
+	}
+}
 
+// run localizes one attacker live, filters the candidates with flowspec
+// rules, and fails unless the attacker is a candidate and no attack
+// packet reaches the honeypot once the filter is installed.
+func run(ctx context.Context, w io.Writer) error {
 	// Offline: campaign and measured catchments.
 	params := spooftrack.DefaultTrackerParams(21)
 	tp := spooftrack.DefaultGenParams(21)
@@ -36,22 +47,22 @@ func main() {
 	params.World.MaxPoisonTargets = 20
 	params.UseTruth = true
 	params.Ctx = ctx
-	fmt.Println("preparing: campaign + catchments...")
+	fmt.Fprintln(w, "preparing: campaign + catchments...")
 	tracker, err := spooftrack.NewTracker(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	camp := tracker.Campaign
 
 	// Packet level: honeypot + border on loopback.
 	hp, err := amp.NewHoneypot("127.0.0.1:0", amp.DefaultHoneypotConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer hp.Close()
 	border, err := amp.NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), camp.CatchmentTable(0))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer border.Close()
 
@@ -59,11 +70,11 @@ func main() {
 	rng := spooftrack.NewRNG(5)
 	attackerIdx := rng.Intn(camp.NumSources())
 	attackerASN := tracker.SourceASNs()[attackerIdx]
-	fmt.Printf("attacker: AS%d\n", attackerASN)
+	fmt.Fprintf(w, "attacker: AS%d\n", attackerASN)
 	victim := netip.MustParseAddr("198.51.100.200")
 	attack, err := amp.NewAttacker(uint32(attackerASN), victim)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer attack.Close()
 
@@ -83,21 +94,28 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer pipe.Close()
 	hp.SetTap(func(ev amp.Event) { pipe.Ingest(ev) })
 	deadline := time.Now().Add(30 * time.Second)
 	for !pipe.Converged() && time.Now().Before(deadline) && ctx.Err() == nil {
 		if _, err := attack.Flood(border.Addr(), 30, 8); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	hp.SetTap(nil)
 	pipe.Close()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	candidates := pipe.Candidates()
-	fmt.Printf("localized to %d candidate network(s) after %d online reconfigurations\n",
+	fmt.Fprintf(w, "localized to %d candidate network(s) after %d online reconfigurations\n",
 		len(candidates), len(pipe.Deployed())-1)
+	if !slices.Contains(candidates, attackerIdx) {
+		return fmt.Errorf("attacker AS%d is not among the %d candidates", attackerASN, len(candidates))
+	}
 
 	// Generate flowspec drop rules for the candidates' prefixes,
 	// protecting the honeypot prefix, scoped to the amplification
@@ -110,20 +128,22 @@ func main() {
 	rules := flowspec.DropRulesForSources(tracker.World.Space, candidateIdx, protect, 17, 11211)
 	wire, err := flowspec.MarshalRules(rules)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("disseminating %d flowspec rules (%d bytes on the wire)\n", len(rules), len(wire))
+	fmt.Fprintf(w, "disseminating %d flowspec rules (%d bytes on the wire)\n", len(rules), len(wire))
 	installed, err := flowspec.UnmarshalRules(wire)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	table := flowspec.NewTable(installed)
 
-	flood := func(n int) int64 {
+	// flood sends n attack packets and returns how many reached the
+	// honeypot once each was delivered or filtered (or two seconds passed).
+	flood := func(n int) (int64, error) {
 		before := totalPackets(hp)
 		filteredBefore := border.Filtered()
 		if _, err := attack.Flood(border.Addr(), n, 8); err != nil {
-			log.Fatal(err)
+			return 0, err
 		}
 		floodDeadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(floodDeadline) && ctx.Err() == nil {
@@ -132,10 +152,14 @@ func main() {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		return totalPackets(hp) - before
+		return totalPackets(hp) - before, ctx.Err()
 	}
 
-	fmt.Printf("\nbefore mitigation: %d of 100 attack packets reached the honeypot\n", flood(100))
+	reached, err := flood(100)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nbefore mitigation: %d of 100 attack packets reached the honeypot\n", reached)
 
 	// Install the filter: match each packet's true source address (the
 	// border sees which wire it came in on; here the attacker's AS maps
@@ -155,8 +179,15 @@ func main() {
 		})
 	})
 
-	fmt.Printf("after mitigation:  %d of 100 attack packets reached the honeypot (%d filtered)\n",
-		flood(100), border.Filtered())
+	if reached, err = flood(100); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "after mitigation:  %d of 100 attack packets reached the honeypot (%d filtered)\n",
+		reached, border.Filtered())
+	if reached > 0 {
+		return fmt.Errorf("%d of 100 attack packets got through the installed filter", reached)
+	}
+	return nil
 }
 
 func totalPackets(hp *amp.Honeypot) int64 {

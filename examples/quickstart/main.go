@@ -6,17 +6,27 @@ package main
 import (
 	"context"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
+	"slices"
 
 	"spooftrack"
 )
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
+}
 
+// run deploys the campaign, localizes one attacker, and fails unless the
+// attacker is among the candidates.
+func run(ctx context.Context, w io.Writer) error {
 	// A reduced-scale world keeps the quickstart fast; drop these
 	// overrides for the paper-scale 4000-AS / 705-configuration setup.
 	params := spooftrack.DefaultTrackerParams(42)
@@ -28,16 +38,16 @@ func main() {
 	params.World.NumCollectors = 100
 	params.World.MaxPoisonTargets = 40
 
-	fmt.Println("deploying announcement campaign (location, prepending, poisoning phases)...")
+	fmt.Fprintln(w, "deploying announcement campaign (location, prepending, poisoning phases)...")
 	tracker, err := spooftrack.NewTracker(params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	summary := tracker.Summary()
-	fmt.Printf("campaign: %d configurations over %d observed source ASes\n",
+	fmt.Fprintf(w, "campaign: %d configurations over %d observed source ASes\n",
 		tracker.Campaign.NumConfigs(), tracker.Campaign.NumSources())
-	fmt.Printf("clusters: %d (mean %.2f ASes, %.0f%% singletons)\n",
+	fmt.Fprintf(w, "clusters: %d (mean %.2f ASes, %.0f%% singletons)\n",
 		summary.NumClusters, summary.MeanSize, summary.SingletonFrac*100)
 
 	// An attacker starts spoofing from one AS. The honeypot measures
@@ -48,23 +58,27 @@ func main() {
 	volumes := tracker.SimulateAttack(placement)
 	report, err := tracker.LocalizeAttack(volumes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var trueASN spooftrack.ASN
-	for k, w := range placement.Weight {
-		if w > 0 {
+	for k, wt := range placement.Weight {
+		if wt > 0 {
 			trueASN = tracker.SourceASNs()[k]
 		}
 	}
-	fmt.Printf("\nattacker placed in AS%d\n", trueASN)
-	fmt.Printf("localization narrowed %d sources down to %d candidate(s): ",
+	fmt.Fprintf(w, "\nattacker placed in AS%d\n", trueASN)
+	fmt.Fprintf(w, "localization narrowed %d sources down to %d candidate(s): ",
 		tracker.Campaign.NumSources(), len(report.CandidateASNs))
 	for i, asn := range report.CandidateASNs {
 		if i > 0 {
-			fmt.Print(", ")
+			fmt.Fprint(w, ", ")
 		}
-		fmt.Printf("AS%d", asn)
+		fmt.Fprintf(w, "AS%d", asn)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	if !slices.Contains(report.CandidateASNs, trueASN) {
+		return fmt.Errorf("attacker AS%d is not among the candidates", trueASN)
+	}
+	return nil
 }

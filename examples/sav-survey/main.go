@@ -9,8 +9,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"os/signal"
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/peering"
@@ -21,15 +24,27 @@ import (
 const seed = 11
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	err := run(ctx, os.Stdout)
+	stop()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sav-survey:", err)
+		os.Exit(1)
+	}
+}
+
+// run surveys every routable AS and fails if any verdict contradicts the
+// seeded ground truth at high confidence.
+func run(ctx context.Context, w io.Writer) error {
 	p := topo.DefaultGenParams(seed)
 	p.NumASes = 600
 	g, err := topo.Generate(p)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	plat, err := peering.New(g, peering.Options{EngineParams: bgp.DefaultParams(seed)})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	anns := make([]bgp.Announcement, plat.NumLinks())
 	for i := range anns {
@@ -37,14 +52,14 @@ func main() {
 	}
 	out, err := plat.Propagate(bgp.Config{Anns: anns})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Seeded ground truth: 40% of ASes filter inbound, 50% outbound.
 	truth := probe.RandomGroundTruth(g.NumASes(), 0.4, 0.5, seed)
 	net, err := probe.NewSimNet(out, truth, 0, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pr, err := probe.NewProber(probe.Config{
 		Net:         net,
@@ -54,58 +69,67 @@ func main() {
 		PerKind:     4,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("surveying %d routable ASes, 200 per round...\n", pr.NumTargets())
+	fmt.Fprintf(w, "surveying %d routable ASes, 200 per round...\n", pr.NumTargets())
 	for pr.Coverage() < 1 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		rep := pr.Round(nil)
-		fmt.Printf("round %d: visited %d, sent %d, answered %d (coverage %.0f%%)\n",
+		fmt.Fprintf(w, "round %d: visited %d, sent %d, answered %d (coverage %.0f%%)\n",
 			rep.Round, rep.Visited, rep.Sent, rep.Answered, 100*pr.Coverage())
 	}
 
-	fmt.Println("\nper-AS SAV report (first 20 of the survey):")
-	fmt.Println("  AS   link        inbound            outbound")
+	fmt.Fprintln(w, "\nper-AS SAV report (first 20 of the survey):")
+	fmt.Fprintln(w, "  AS   link        inbound            outbound")
 	reports := pr.Reports()
 	for _, r := range reports[:20] {
-		fmt.Printf("%4d   %-10s  %-8s (%.3f)   %-8s (%.3f)\n",
+		fmt.Fprintf(w, "%4d   %-10s  %-8s (%.3f)   %-8s (%.3f)\n",
 			r.AS, plat.LinkNames()[r.Link], r.Inbound, r.InConfidence, r.Outbound, r.OutConfidence)
 	}
 
 	// Tally verdicts against the seeded ground truth.
-	var inRight, outRight, confident int
+	verdict := func(deployed bool) probe.SAVState {
+		if deployed {
+			return probe.SAVDeployed
+		}
+		return probe.SAVAbsent
+	}
+	var inRight, outRight, confident, confidentWrong int
 	counts := map[probe.SAVState]int{}
 	for _, r := range reports {
 		counts[r.Outbound]++
-		want := probe.SAVAbsent
-		if truth.InboundSAV[r.AS] {
-			want = probe.SAVDeployed
-		}
-		if r.Inbound == want {
+		inOK := r.Inbound == verdict(truth.InboundSAV[r.AS])
+		outOK := r.Outbound == verdict(truth.OutboundSAV[r.AS])
+		if inOK {
 			inRight++
 		}
-		want = probe.SAVAbsent
-		if truth.OutboundSAV[r.AS] {
-			want = probe.SAVDeployed
-		}
-		if r.Outbound == want {
+		if outOK {
 			outRight++
 		}
 		if r.OutConfidence >= probe.HighConfidence {
 			confident++
 		}
+		if (!inOK && r.InConfidence >= probe.HighConfidence) || (!outOK && r.OutConfidence >= probe.HighConfidence) {
+			confidentWrong++
+		}
 	}
-	fmt.Printf("\nsurveyed %d ASes: outbound verdicts %d deployed / %d absent / %d unknown\n",
+	fmt.Fprintf(w, "\nsurveyed %d ASes: outbound verdicts %d deployed / %d absent / %d unknown\n",
 		len(reports), counts[probe.SAVDeployed], counts[probe.SAVAbsent], counts[probe.SAVUnknown])
-	fmt.Printf("agreement with ground truth: inbound %d/%d, outbound %d/%d (%d high-confidence)\n",
+	fmt.Fprintf(w, "agreement with ground truth: inbound %d/%d, outbound %d/%d (%d high-confidence)\n",
 		inRight, len(reports), outRight, len(reports), confident)
+	if confidentWrong > 0 {
+		return fmt.Errorf("%d ASes got a verdict that is wrong at high confidence", confidentWrong)
+	}
 
 	// The evidence bridge: probe-measured ingress links audited against
 	// the propagation-derived catchment vector, and a BCP38 deployment
 	// model the survey measured instead of assumed.
 	pr.Inference(func(inf *probe.SAVInference) {
 		audit := probe.Audit(probe.BuildChannel(inf, 0), out.CatchmentVector())
-		fmt.Printf("channel audit vs catchments: %d agree, %d conflict, %d probe-only, %d catchment-only\n",
+		fmt.Fprintf(w, "channel audit vs catchments: %d agree, %d conflict, %d probe-only, %d catchment-only\n",
 			audit.Agree, audit.Conflict, audit.ProbeOnly, audit.CatchmentOnly)
 		sources := make([]int, 0, len(reports))
 		for _, r := range reports {
@@ -118,7 +142,8 @@ func main() {
 				deployed++
 			}
 		}
-		fmt.Printf("inferred BCP38 model: %d/%d surveyed sources egress-filter spoofed packets\n",
+		fmt.Fprintf(w, "inferred BCP38 model: %d/%d surveyed sources egress-filter spoofed packets\n",
 			deployed, len(sources))
 	})
+	return nil
 }

@@ -18,15 +18,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"spooftrack/internal/amp"
@@ -46,6 +52,8 @@ const (
 	numLinks    = 2
 	topoName    = "topology.txt"
 	demoTimeout = 60 * time.Second
+	// roleArg starts every child's command line.
+	roleArg = "-role="
 )
 
 // attackers is the fixed per-round traffic mix (source position,
@@ -56,22 +64,44 @@ var attackers = []struct {
 }{{5, 30}, {11, 20}, {2, 10}}
 
 func main() {
-	role := flag.String("role", "", "internal: child role (shard|controller)")
-	id := flag.String("id", "", "internal: child id")
-	dir := flag.String("dir", "", "internal: shared scratch directory")
-	peers := flag.String("peers", "", "internal: controller's shard spec (id=url,...)")
-	flag.Parse()
-
-	switch *role {
-	case "":
-		orchestrate()
-	case "shard":
-		runShard(*id, *dir)
-	case "controller":
-		runCtrl(*id, *dir, *peers)
-	default:
-		fatalf("unknown -role %q", *role)
+	var err error
+	if isChild(os.Args) {
+		err = child(os.Args[1:])
+	} else {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+		err = run(ctx, os.Stdout)
+		stop()
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sharded-ingest:", err)
+		os.Exit(1)
+	}
+}
+
+// isChild reports whether args is a child's command line, as spawned by
+// run.
+func isChild(args []string) bool {
+	return len(args) > 1 && strings.HasPrefix(args[1], roleArg)
+}
+
+// child runs one shard or controller process. It serves until the
+// orchestrator kills it, so it returns only an error.
+func child(args []string) error {
+	fs := flag.NewFlagSet("sharded-ingest", flag.ContinueOnError)
+	role := fs.String("role", "", "internal: child role (shard|controller)")
+	id := fs.String("id", "", "internal: child id")
+	dir := fs.String("dir", "", "internal: shared scratch directory")
+	peers := fs.String("peers", "", "internal: controller's shard spec (id=url,...)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch *role {
+	case "shard":
+		return runShard(*id, *dir)
+	case "controller":
+		return runCtrl(*id, *dir, *peers)
+	}
+	return fmt.Errorf("unknown -role %q", *role)
 }
 
 // attribution derives the shared source/catchment contract from the
@@ -95,17 +125,17 @@ func attribution(g *topo.Graph) stream.Attribution {
 	return stream.Attribution{Catchments: catchments, SourceASNs: asns, NumLinks: numLinks}
 }
 
-func loadAttr(dir string) stream.Attribution {
+func loadAttr(dir string) (stream.Attribution, error) {
 	f, err := os.Open(filepath.Join(dir, topoName))
 	if err != nil {
-		fatalf("open topology: %v", err)
+		return stream.Attribution{}, err
 	}
 	defer f.Close()
 	g, err := topo.ReadCAIDA(f)
 	if err != nil {
-		fatalf("read topology: %v", err)
+		return stream.Attribution{}, fmt.Errorf("read topology: %w", err)
 	}
-	return attribution(g)
+	return attribution(g), nil
 }
 
 // ---- shard role -----------------------------------------------------
@@ -116,15 +146,18 @@ type ingestReq struct {
 	Link uint8  `json:"link"`
 }
 
-func runShard(id, dir string) {
-	attr := loadAttr(dir)
+func runShard(id, dir string) error {
+	attr, err := loadAttr(dir)
+	if err != nil {
+		return err
+	}
 	n, err := shard.NewNode(shard.NodeConfig{
 		ID:   id,
 		Attr: attr,
 		Pipe: stream.Config{Workers: 1, BatchSize: 1, FlushInterval: time.Millisecond},
 	})
 	if err != nil {
-		fatalf("shard %s: %v", id, err)
+		return fmt.Errorf("shard %s: %w", id, err)
 	}
 	victim := netip.MustParseAddr("203.0.113.9")
 
@@ -150,22 +183,25 @@ func runShard(id, dir string) {
 	mux.HandleFunc("/total", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "%d", n.Intake().TotalEvents())
 	})
-	serveChild(id, dir, mux)
+	return serveChild(id, dir, mux)
 }
 
 // ---- controller role ------------------------------------------------
 
-func runCtrl(id, dir, peers string) {
-	attr := loadAttr(dir)
+func runCtrl(id, dir, peers string) error {
+	attr, err := loadAttr(dir)
+	if err != nil {
+		return err
+	}
 	tr := shard.NewHTTPTransport(2 * time.Second)
 	var ids []string
-	for _, kv := range bytes.Split([]byte(peers), []byte(",")) {
-		sid, url, ok := bytes.Cut(kv, []byte("="))
+	for _, kv := range strings.Split(peers, ",") {
+		sid, url, ok := strings.Cut(kv, "=")
 		if !ok {
-			fatalf("controller %s: bad peer %q", id, kv)
+			return fmt.Errorf("controller %s: bad peer %q", id, kv)
 		}
-		tr.Register(string(sid), string(url))
-		ids = append(ids, string(sid))
+		tr.Register(sid, url)
+		ids = append(ids, sid)
 	}
 	lease := shard.NewFileLease(filepath.Join(dir, "lease"))
 	ct, err := shard.NewController(shard.ControllerConfig{
@@ -178,7 +214,7 @@ func runCtrl(id, dir, peers string) {
 		LeaseTTL:        leaseTTL,
 	})
 	if err != nil {
-		fatalf("controller %s: %v", id, err)
+		return fmt.Errorf("controller %s: %w", id, err)
 	}
 
 	// The orchestrator drives rounds over /step (instead of ct.Start's
@@ -203,35 +239,38 @@ func runCtrl(id, dir, peers string) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(ct.Status())
 	})
-	serveChild(id, dir, mux)
+	return serveChild(id, dir, mux)
 }
 
 // serveChild listens on an ephemeral port, publishes the address for
 // the orchestrator (temp-and-rename so a partial file is never read),
 // and serves until the parent kills the process.
-func serveChild(id, dir string, mux *http.ServeMux) {
+func serveChild(id, dir string, mux *http.ServeMux) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fatalf("%s: listen: %v", id, err)
+		return fmt.Errorf("%s: listen: %w", id, err)
 	}
 	addrFile := filepath.Join(dir, id+".addr")
 	tmp := addrFile + ".tmp"
 	if err := os.WriteFile(tmp, []byte("http://"+ln.Addr().String()), 0o644); err != nil {
-		fatalf("%s: %v", id, err)
+		return err
 	}
 	if err := os.Rename(tmp, addrFile); err != nil {
-		fatalf("%s: %v", id, err)
+		return err
 	}
-	fatalf("%s: serve: %v", id, http.Serve(ln, mux))
+	return fmt.Errorf("%s: serve: %w", id, http.Serve(ln, mux))
 }
 
 // ---- orchestrator ---------------------------------------------------
 
-func orchestrate() {
+// run spawns the shard and controller processes, drives the rounds,
+// kills the leading controller after round killAfter, and fails unless
+// the survivor's final state is identical to a single-node fold.
+func run(ctx context.Context, w io.Writer) error {
 	start := time.Now()
 	dir, err := os.MkdirTemp("", "sharded-ingest-")
 	if err != nil {
-		fatalf("mkdtemp: %v", err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
@@ -241,73 +280,77 @@ func orchestrate() {
 	p.NumTier1 = 5
 	g, err := topo.Generate(p)
 	if err != nil {
-		fatalf("generate topology: %v", err)
+		return fmt.Errorf("generate topology: %w", err)
 	}
-	tf, err := os.Create(filepath.Join(dir, topoName))
-	if err != nil {
-		fatalf("create topology: %v", err)
+	var tf bytes.Buffer
+	if err := topo.WriteCAIDA(&tf, g); err != nil {
+		return err
 	}
-	if err := topo.WriteCAIDA(tf, g); err != nil {
-		fatalf("write topology: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, topoName), tf.Bytes(), 0o644); err != nil {
+		return err
 	}
-	tf.Close()
 	attr := attribution(g)
-	fmt.Printf("wrote %s (%d ASes); every process derives the same attribution from it\n",
+	fmt.Fprintf(w, "wrote %s (%d ASes); every process derives the same attribution from it\n",
 		topoName, g.NumASes())
 
 	children := make(map[string]*exec.Cmd)
 	defer func() {
 		for _, cmd := range children {
-			if cmd.Process != nil {
-				cmd.Process.Kill()
-			}
+			cmd.Process.Kill()
 			cmd.Wait()
 		}
 	}()
-	spawn := func(args ...string) {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			fatalf("spawn %v: %v", args, err)
+	addrs := make(map[string]string)
+	// spawn starts one child process per id and waits for their addresses.
+	spawn := func(role string, ids []string, args ...string) error {
+		for _, id := range ids {
+			cmd := exec.Command(os.Args[0], append([]string{roleArg + role, "-id=" + id, "-dir=" + dir}, args...)...)
+			cmd.Stderr = os.Stderr
+			if err := cmd.Start(); err != nil {
+				return fmt.Errorf("spawn %s: %w", id, err)
+			}
+			children[id] = cmd
 		}
-		children[args[1][len("-id="):]] = cmd
+		for _, id := range ids {
+			a, err := waitAddr(dir, id)
+			if err != nil {
+				return err
+			}
+			addrs[id] = a
+		}
+		return nil
 	}
 
 	// Four shard-node processes, then two controllers over their addresses.
-	var shardIDs []string
+	var shardIDs, spec []string
 	for i := 0; i < numShards; i++ {
-		sid := fmt.Sprintf("shard-%d", i)
-		shardIDs = append(shardIDs, sid)
-		spawn("-role=shard", "-id="+sid, "-dir="+dir)
+		shardIDs = append(shardIDs, fmt.Sprintf("shard-%d", i))
 	}
-	addrs := make(map[string]string)
-	for _, sid := range shardIDs {
-		addrs[sid] = waitAddr(dir, sid)
+	if err := spawn("shard", shardIDs); err != nil {
+		return err
 	}
-	peers := ""
 	for _, sid := range shardIDs {
-		if peers != "" {
-			peers += ","
-		}
-		peers += sid + "=" + addrs[sid]
+		spec = append(spec, sid+"="+addrs[sid])
 	}
 	ctrlIDs := []string{"ctrl-a", "ctrl-b"}
-	for _, cid := range ctrlIDs {
-		spawn("-role=controller", "-id="+cid, "-dir="+dir, "-peers="+peers)
-		addrs[cid] = waitAddr(dir, cid)
+	if err := spawn("controller", ctrlIDs, "-peers="+strings.Join(spec, ",")); err != nil {
+		return err
 	}
-	fmt.Printf("spawned %d shard processes and 2 controller processes (file lease: %s)\n",
+	fmt.Fprintf(w, "spawned %d shard processes and 2 controller processes (file lease: %s)\n",
 		numShards, filepath.Join(dir, "lease"))
 
 	// The local reference fold: same attribution, same parameters, same
 	// rounds. The surviving controller's final state must match it
-	// byte-for-byte — that is the tentpole's correctness contract.
+	// byte-for-byte — that is the demo's correctness contract.
 	ref := stream.NewEvaluator(attr, stream.EvalParams{})
 	ring := shard.NewRing(shardIDs)
 	routed := make(map[string]int64)
 	leader := 0
 
 	for r := 1; r <= numRounds; r++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		cfg := ref.Current()
 		pkts := make([]int64, numLinks)
 		batches := make(map[string][]ingestReq)
@@ -324,57 +367,67 @@ func orchestrate() {
 			body, _ := json.Marshal(batch)
 			resp, err := http.Post(addrs[sid]+"/ingest", "application/json", bytes.NewReader(body))
 			if err != nil {
-				fatalf("round %d: ingest to %s: %v", r, sid, err)
+				return fmt.Errorf("round %d: ingest to %s: %w", r, sid, err)
 			}
 			resp.Body.Close()
 			routed[sid] += int64(len(batch))
 		}
-		quiesce(addrs, routed)
+		if err := quiesce(addrs, routed); err != nil {
+			return err
+		}
 
-		res, who := step(addrs, ctrlIDs, &leader, false)
-		fmt.Printf("round %2d: %s folded merged counters (epoch %d, config %d)\n",
+		res, who, err := step(addrs, ctrlIDs, &leader, false)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "round %2d: %s folded merged counters (epoch %d, config %d)\n",
 			r, who, res.Epoch, ref.Current())
 		ref.Step(pkts, false, nil, nil, false)
 
 		if r == killAfter {
 			victim := ctrlIDs[leader]
-			fmt.Printf("\n*** SIGKILL %s (the leading controller) mid-campaign ***\n", victim)
+			fmt.Fprintf(w, "\n*** SIGKILL %s (the leading controller) mid-campaign ***\n", victim)
 			children[victim].Process.Kill()
 			children[victim].Wait()
 			delete(children, victim)
-			fmt.Printf("    waiting out the %s lease TTL; the standby's next acquire is fenced at a higher term\n\n", leaseTTL)
+			fmt.Fprintf(w, "    waiting out the %s lease TTL; the standby's next acquire is fenced at a higher term\n\n", leaseTTL)
 		}
 	}
-	_, who := step(addrs, ctrlIDs, &leader, true)
+	_, who, err := step(addrs, ctrlIDs, &leader, true)
+	if err != nil {
+		return err
+	}
 
 	// Compare the survivor's cluster state against the local fold.
 	resp, err := http.Get(addrs[who] + "/cluster")
 	if err != nil {
-		fatalf("cluster status: %v", err)
+		return fmt.Errorf("cluster status: %w", err)
 	}
 	var cs shard.ClusterStatus
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
-		fatalf("cluster status: %v", err)
-	}
+	err = json.NewDecoder(resp.Body).Decode(&cs)
 	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("cluster status: %w", err)
+	}
 
-	fmt.Printf("final cluster state from %s: term=%d epoch=%d rounds=%d deployed=%v converged=%v clusters=%d\n",
+	fmt.Fprintf(w, "final cluster state from %s: term=%d epoch=%d rounds=%d deployed=%v converged=%v clusters=%d\n",
 		who, cs.Term, cs.Epoch, cs.Rounds, cs.DeployedConfigs, cs.Converged, cs.NumClusters)
 	identical := cs.Converged == ref.Converged() &&
 		cs.CurrentConfig == ref.Current() &&
 		cs.NumClusters == ref.NumClusters() &&
-		equalInts(cs.DeployedConfigs, ref.Deployed())
-	fmt.Printf("single-node reference fold:      deployed=%v converged=%v clusters=%d\n",
+		slices.Equal(cs.DeployedConfigs, ref.Deployed())
+	fmt.Fprintf(w, "single-node reference fold:      deployed=%v converged=%v clusters=%d\n",
 		ref.Deployed(), ref.Converged(), ref.NumClusters())
-	fmt.Printf("byte-identical across failover: %v  (%.1fs)\n", identical, time.Since(start).Seconds())
+	fmt.Fprintf(w, "byte-identical across failover: %v  (%.1fs)\n", identical, time.Since(start).Seconds())
 	if !identical {
-		os.Exit(1)
+		return errors.New("the survivor's final state differs from the single-node fold")
 	}
+	return nil
 }
 
 // step drives one controller round, failing over to the next controller
 // when the current one is dead or cannot (yet) take the lease.
-func step(addrs map[string]string, ctrlIDs []string, leader *int, final bool) (shard.StepResult, string) {
+func step(addrs map[string]string, ctrlIDs []string, leader *int, final bool) (shard.StepResult, string, error) {
 	url := "/step"
 	if final {
 		url = "/step?final=1"
@@ -393,22 +446,22 @@ func step(addrs map[string]string, ctrlIDs []string, leader *int, final bool) (s
 				continue
 			}
 			var res shard.StepResult
-			if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-				fatalf("step via %s: %v", cid, err)
-			}
+			err = json.NewDecoder(resp.Body).Decode(&res)
 			resp.Body.Close()
+			if err != nil {
+				return res, cid, fmt.Errorf("step via %s: %w", cid, err)
+			}
 			*leader = idx
-			return res, cid
+			return res, cid, nil
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	fatalf("no controller could complete the round within %s", demoTimeout)
-	return shard.StepResult{}, ""
+	return shard.StepResult{}, "", fmt.Errorf("no controller could complete the round within %s", demoTimeout)
 }
 
 // quiesce waits until every shard's pipeline has flushed all routed
 // events, so the following collect sees a complete round.
-func quiesce(addrs map[string]string, routed map[string]int64) {
+func quiesce(addrs map[string]string, routed map[string]int64) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for sid, want := range routed {
 		for {
@@ -422,39 +475,22 @@ func quiesce(addrs map[string]string, routed map[string]int64) {
 				break
 			}
 			if time.Now().After(deadline) {
-				fatalf("quiesce: %s flushed %d of %d events", sid, got, want)
+				return fmt.Errorf("quiesce: %s flushed %d of %d events", sid, got, want)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
+	return nil
 }
 
-func waitAddr(dir, id string) string {
+func waitAddr(dir, id string) (string, error) {
 	path := filepath.Join(dir, id+".addr")
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if b, err := os.ReadFile(path); err == nil {
-			return string(b)
+			return string(b), nil
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	fatalf("timed out waiting for %s to publish its address", id)
-	return ""
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sharded-ingest: "+format+"\n", args...)
-	os.Exit(1)
+	return "", fmt.Errorf("timed out waiting for %s to publish its address", id)
 }

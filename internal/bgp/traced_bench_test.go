@@ -19,8 +19,8 @@ func BenchmarkPropagateTraced(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := allLinksConfig(7)
-	prev := trace.Global()
-	defer trace.SetGlobal(prev)
+	// Leave the process default as it starts: disabled.
+	defer trace.SetGlobal(trace.New(trace.Options{}))
 
 	b.Run("off", func(b *testing.B) {
 		trace.SetGlobal(trace.New(trace.Options{}))

@@ -9,7 +9,9 @@ import (
 // evaluate is the closed loop's tick: after the intake's recovery
 // bookkeeping it folds the current round into the attribution state if
 // it carries enough volume, and — unless localization has converged —
-// deploys the configuration the greedy scheduler picks next. With
+// deploys the configuration the greedy scheduler picks next. Once the
+// flushed counters reach MinRoundPackets it cuts the round (Intake.cut)
+// before folding, so no worker's share of it is left behind. With
 // final=true (shutdown) it folds whatever the round holds. Folds emit a
 // "stream.eval" span under parent; ticks that skip (too little volume)
 // emit nothing.
@@ -38,6 +40,14 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	if roundPackets == 0 || (!final && roundPackets < in.cfg.MinRoundPackets) {
 		in.mu.Unlock()
 		return
+	}
+	if !final {
+		// Cut the round: what the other workers still hold of it goes in
+		// too. Shutdown has already flushed everything before a final fold.
+		in.mu.Unlock()
+		in.cut()
+		in.mu.Lock()
+		roundPackets = in.roundPacketsLocked()
 	}
 	esp := trace.StartChild(parent, "stream.eval")
 

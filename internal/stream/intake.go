@@ -369,6 +369,30 @@ func (in *Intake) Accepted() int64 {
 	return n
 }
 
+// cut hands every shard's partly filled slab to its worker and waits, at
+// most one FlushInterval, until the intake has flushed every event it
+// had accepted, so a round folds what every worker holds of it and not
+// only what one worker happened to flush first (the rule Quiesce applies
+// across shard nodes). Call it without in.mu. A closed shard's cur is
+// nil, so nothing is sent on a closed channel.
+func (in *Intake) cut() {
+	want := int64(0)
+	for i := range in.shards {
+		q := &in.shards[i]
+		q.mu.Lock()
+		if len(q.cur) > 0 {
+			q.full <- q.cur
+			q.cur = nil
+		}
+		want += q.accepted
+		q.mu.Unlock()
+	}
+	deadline := time.Now().Add(in.cfg.FlushInterval)
+	for in.TotalEvents() < want && time.Now().Before(deadline) {
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // Degraded reports whether the intake is shedding load: at least one
 // event was dropped since the control goroutine last saw drained queues
 // and a quiet drop counter. Surfaced through spooftrackd's /readyz.
@@ -470,6 +494,11 @@ func (in *Intake) worker(shard int, q *shardQueue) {
 				return
 			}
 			in.drain(q, b, slab, wsp)
+			if len(slab) < cap(slab) {
+				// A short slab is a cut's or shutdown's hand-off: the
+				// producer has nothing more for now, so flush now.
+				in.flush(b, wsp)
+			}
 		case <-ticker.C:
 			// Take the partly filled slab: a quiet producer may not fill
 			// it for a long time.

@@ -46,6 +46,51 @@ func TestPartialSlabFoldsOnTick(t *testing.T) {
 	}
 }
 
+// TestRoundCutCarriesEveryWorker: two flows on different workers, one
+// filling a slab (flushed at once) and one leaving a partial slab (which
+// waits for its worker's FlushInterval tick), with EvalInterval well
+// under FlushInterval and MinRoundPackets equal to the first flow's
+// burst. The evaluation tick crosses the threshold on the first flow
+// alone; the cut must still bring in the second, so every folded round
+// carries both links.
+func TestRoundCutCarriesEveryWorker(t *testing.T) {
+	const (
+		batch = 16
+		quiet = 10
+	)
+	p, err := New(testAttribution(), Config{
+		Workers:         2,
+		BatchSize:       batch,
+		FlushInterval:   time.Second,
+		EvalInterval:    2 * time.Millisecond,
+		MinRoundPackets: batch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	loud, soft := testEvent(0), testEvent(1)
+	if shardOf(&loud, 2) == shardOf(&soft, 2) {
+		t.Fatal("test flows hash to one worker; pick another spoofed source or link")
+	}
+	for r := 1; r <= 3; r++ {
+		// The partial slab first, so it is accepted before the full one
+		// can trigger a fold.
+		for i := 0; i < quiet; i++ {
+			p.Ingest(soft)
+		}
+		for i := 0; i < batch; i++ {
+			p.Ingest(loud)
+		}
+		waitUntil(t, func() bool { return p.Status(0).Rounds >= r })
+		rec := p.Status(0).History[r-1]
+		if rec.Packets != batch+quiet || rec.Volumes[0] == 0 || rec.Volumes[1] == 0 {
+			t.Fatalf("round %d folded %d packets, volumes %v; want %d over both links",
+				r, rec.Packets, rec.Volumes, batch+quiet)
+		}
+	}
+}
+
 // TestCloseWithProducerBlockedOnSlab: Close issued while a producer is
 // blocked waiting for a free slab (the worker wedged behind the state
 // mutex) returns once the worker recovers and accounts every event

@@ -6,7 +6,7 @@ import "testing"
 // hot paths pay when tracing is off: it must stay at a couple of atomic
 // loads with zero allocation.
 func BenchmarkStartDisabled(b *testing.B) {
-	prev := Global()
+	prev := global.Load()
 	SetGlobal(New(Options{}))
 	defer SetGlobal(prev)
 	b.ReportAllocs()

@@ -17,7 +17,7 @@
 //	sp.Count("events", int64(events))
 //	sp.End()
 //
-// A process-wide default tracer (Global/SetGlobal) keeps wiring out of
+// A process-wide default tracer (SetGlobal) keeps wiring out of
 // constructor signatures; components that want span nesting across
 // package boundaries pass a parent *Span explicitly and derive children
 // with StartChild.
@@ -175,9 +175,6 @@ func (t *Tracer) Dropped() uint64 {
 var global atomic.Pointer[Tracer]
 
 func init() { global.Store(New(Options{})) }
-
-// Global returns the process default tracer.
-func Global() *Tracer { return global.Load() }
 
 // SetGlobal replaces the process default tracer. Nil is ignored.
 func SetGlobal(t *Tracer) {

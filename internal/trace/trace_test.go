@@ -157,7 +157,7 @@ func TestOnEndBridge(t *testing.T) {
 }
 
 func TestStartChildFallsBackToGlobal(t *testing.T) {
-	prev := Global()
+	prev := global.Load()
 	defer SetGlobal(prev)
 	tr := enabled(16)
 	SetGlobal(tr)

@@ -5,7 +5,8 @@
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, the daemon's placements and
 # ticker loops, and the greedy step's pooled scorer and refinement table,
-# which the pipeline, replay and trajectory goroutines share),
+# which the pipeline, replay and trajectory goroutines share, and the
+# examples, whose loopback demos run amp, stream and shard together),
 # and run the five Benchmark…Budget gates (delta propagation, scrape,
 # sharded ingest, probe scan, ledger) one package at a time, so no other
 # test binary shares the CPUs with their timed samples.
@@ -24,8 +25,8 @@ go build ./...
 echo "==> go test"
 go test ./...
 
-echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd)"
-go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/...
+echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
+go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
 
 echo "==> chaos smoke (fixed-seed fault profiles, campaigns must converge)"
 go test ./internal/core/ -run 'Chaos' -count=1

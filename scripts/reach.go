@@ -15,7 +15,9 @@
 // Names kept on purpose are listed in scripts/reach.allow, one
 // "import/path.Recv.Name<TAB>reason" per line; they count as roots.
 // Any other unreached name, an allowlist entry that matches no
-// declaration, and one that is reached anyway are failures.
+// declaration, and one that is reached anyway are failures. So is an
+// examples/* package with no _test.go file: an example is a root only
+// because it is a tested program.
 //
 // Run from the module root: go run scripts/reach.go
 package main
@@ -72,7 +74,7 @@ func main() {
 }
 
 func run() error {
-	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}`, "./...").Output()
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{join .GoFiles " "}}{{"\t"}}{{if or .TestGoFiles .XTestGoFiles}}tested{{end}}`, "./...").Output()
 	if err != nil {
 		return fmt.Errorf("go list: %w", err)
 	}
@@ -80,7 +82,7 @@ func run() error {
 	l := &loader{fset: token.NewFileSet(), src: map[string]*pkg{},
 		info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
-	var paths []string
+	var paths, untested []string
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		f := strings.Split(line, "\t")
 		p := &pkg{}
@@ -93,6 +95,9 @@ func run() error {
 		}
 		l.src[f[0]] = p
 		paths = append(paths, f[0])
+		if f[3] == "" {
+			untested = append(untested, f[0])
+		}
 	}
 	module := paths[0] // go list prints the root package first
 	for _, path := range paths {
@@ -266,6 +271,11 @@ func run() error {
 				kind = "type"
 			}
 			bad = append(bad, n+"\tunreached "+kind)
+		}
+	}
+	for _, path := range untested {
+		if strings.HasPrefix(path, module+"/examples/") {
+			bad = append(bad, path+"\texample without a test")
 		}
 	}
 	sort.Strings(bad)
