@@ -171,7 +171,12 @@ func main() {
 		case "fig8":
 			fmt.Println(experiments.Fig8(lab, experiments.DefaultFig8Params()))
 		case "fig9":
-			fmt.Println(experiments.Fig9(lab))
+			res, err := experiments.Fig9(lab)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "spooftrack: fig9: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Println(res)
 		case "fig10":
 			fmt.Println(experiments.Fig10(lab, experiments.DefaultFig10Params()))
 		}

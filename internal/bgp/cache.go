@@ -8,48 +8,44 @@ import (
 )
 
 // DefaultOutcomeCacheCapacity bounds a cache built by NewOutcomeCache.
-// A catchment-only entry holds a selection and an export class per AS
-// (13 bytes, ~1.04 MB at 80k ASes); a seed entry also holds the
-// runner-ups (25 bytes, ~2.0 MB). An unbounded cache walks into
-// multi-gigabyte territory over a 705-configuration campaign sweep; 1024
-// entries keeps every config of the paper's campaigns resident at small
-// scale while capping worst-case memory at internet scale: 1.1 GB of
-// catchment-only entries, plus 0.96 MB per seed entry.
+// It counts seed entries, the only ones a cache keeps: each holds a
+// selection, a runner-up and an export class per AS (25 bytes, ~2.0 MB
+// at 80k ASes). A base is an announcing link subset, so the paper's
+// seven-link platform has at most 127 of them (~250 MB at 80k ASes; a
+// campaign deploys 64), and 1024 entries never evict one there.
 const DefaultOutcomeCacheCapacity = 1024
 
-// OutcomeCache memoizes propagation outcomes by canonical configuration
-// key (Config.Key). Outcomes are immutable, so cache hits return the
-// same *Outcome pointer the first propagation produced — callers get
-// pointer-stable, bit-identical results whether or not the cache is in
-// play. A cache belongs to one engine: keys do not encode engine
-// parameters.
-//
-// The footprint/scheduling experiments and the live reconfiguration loop
-// revisit configurations constantly (SubCampaign emulation, greedy
-// re-ranking, targeted re-deploys); with the cache each distinct
-// configuration is propagated exactly once per engine.
-//
-// The cache is bounded: beyond its capacity the least-recently-used
-// outcome is evicted (hits refresh recency). On a miss it hands
-// Engine.PropagateDeltaInfo the resident outcome that is cheapest to
-// carry into the requested configuration (deltaCost), so consumers that
-// replay related configurations — the campaign runner, the scheduler's
-// predictor, the greedy volume scoring loop, which interleaves
-// candidate families rather than stepping through adjacent configs —
-// ride the incremental path without code changes; PropagateDeltaInfo
-// transparently falls back to a full run whenever the seed outcome
-// cannot help.
+// OutcomeCache memoizes delta seeds by canonical configuration key
+// (Config.Key) and derives every other outcome from them. A cache
+// belongs to one engine: keys do not encode engine parameters.
 //
 // Only a delta seed reads an outcome's runner-ups (Outcome.second), half
 // of its memory, and on a campaign every seed is a base configuration:
 // one that announces without prepending, poisoning or communities
-// (DESIGN.md §5.13). So an entry keeps its runner-ups when its
-// configuration is a base, or when its miss found no seed (the cache then
-// still offers one, whatever it has seen); every other entry hands them
-// back to the engine on insert, for the next miss to reuse, and holds
-// catchments only. The outcome a cache returns answers every catchment,
-// path and audit query either way; passed to PropagateDeltaInfo as prev,
-// a shed one runs in full.
+// (DESIGN.md §5.13). So the cache keeps an outcome, runner-ups and all,
+// when its configuration is a base, or when its miss found no seed (the
+// cache then still offers one, whatever it has seen). Outcomes are
+// immutable, so a hit returns the same *Outcome pointer the first
+// propagation produced: each distinct seed configuration is propagated
+// once per engine, while it stays resident.
+//
+// Every other configuration is derived: one delta step from the resident
+// outcome cheapest to carry into it (deltaCost), its runner-ups handed
+// back to the engine before it is returned. The cache does not keep it,
+// so asking again pays another delta step (about a millisecond at 10k
+// ASes) and returns a new pointer to an equal outcome. A derived outcome
+// belongs to its caller, who may Release it when done; Release on a
+// cached seed is a no-op, so any caller can release whatever the cache
+// returned. Either kind answers every catchment, path and audit query;
+// passed to PropagateDeltaInfo as prev, a derived one runs in full.
+//
+// Consumers that replay related configurations — the campaign runner,
+// the scheduler's predictor, the greedy volume scoring loop, which
+// interleaves candidate families rather than stepping through adjacent
+// configs — ride the incremental path without code changes;
+// PropagateDeltaInfo transparently falls back to a full run whenever the
+// seed outcome cannot help. Beyond its capacity the least-recently-used
+// seed is evicted (hits refresh recency).
 type OutcomeCache struct {
 	mu        sync.Mutex
 	m         map[string]*cacheEntry
@@ -77,7 +73,8 @@ type cacheEntry struct {
 
 // CacheStats is a point-in-time view of a cache's effectiveness:
 // cumulative hit, miss, and eviction counts plus the current number of
-// memoized outcomes and the configured capacity (0 = unbounded).
+// resident seeds and the configured capacity (0 = unbounded). Every
+// derived outcome counts as a miss, however often it is asked for.
 // DeltaIncremental / DeltaFull split the misses by how they resolved:
 // seeded through the incremental delta path versus recomputed in full.
 // Exposed through the metrics registry by cmd/spooftrackd.
@@ -143,9 +140,9 @@ func (c *OutcomeCache) pickSeed(cfg Config) *Outcome {
 	var best *Outcome
 	bestCost := 0
 	for e := c.head; e != nil; e = e.next {
-		// A shed entry (no runner-ups) or an unconverged, dispute-frozen
-		// one cannot seed: the delta path would reject it and run in full.
-		if e.out.second == nil || !e.out.converged {
+		// An unconverged, dispute-frozen entry cannot seed: the delta path
+		// would reject it and run in full.
+		if !e.out.converged {
 			continue
 		}
 		if d := deltaCost(e.out.cfg, cfg); best == nil || d < bestCost {
@@ -173,7 +170,8 @@ func isBase(cfg Config) bool {
 
 // evictOver drops LRU entries until the size fits the capacity. Caller
 // holds mu. Evicted outcomes stay valid for callers still holding them
-// (outcomes are immutable); only the memoization is dropped.
+// (outcomes are immutable, and Release still ignores them); only the
+// memoization is dropped.
 func (c *OutcomeCache) evictOver() {
 	if c.cap <= 0 {
 		return
@@ -194,10 +192,12 @@ func (c *OutcomeCache) evictOver() {
 	}
 }
 
-// Propagate returns the engine's outcome for the configuration, reusing
-// a previously computed outcome when the canonical key matches. Safe for
-// concurrent use; on a race, the first stored outcome wins so pointer
-// identity stays stable.
+// Propagate returns the engine's outcome for the configuration: the
+// resident seed when the canonical key matches one, else a new outcome,
+// kept when it can seed and derived for the caller alone when it cannot.
+// Safe for concurrent use; on a race between two misses of one seed
+// configuration, the first stored outcome wins so pointer identity stays
+// stable.
 func (c *OutcomeCache) Propagate(e *Engine, cfg Config) (*Outcome, error) {
 	return c.PropagateTraced(e, cfg, nil)
 }
@@ -243,7 +243,14 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		return nil, err
 	}
 	if seed != nil && !isBase(cfg) {
+		// Derived: the caller owns it, and it can never seed.
 		out.shedSecond()
+		c.mu.Lock()
+		c.countMiss(info)
+		size := len(c.m)
+		c.mu.Unlock()
+		c.endSpan(sp, 0, 1, size)
+		return &out, nil
 	}
 	c.mu.Lock()
 	if prior, ok := c.m[key]; ok {
@@ -258,15 +265,8 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		c.endSpan(sp, 1, 0, size)
 		return prior.out, nil
 	}
-	c.misses++
-	if c.missC != nil {
-		c.missC.Inc()
-	}
-	if info.Mode.Incremental() {
-		c.deltaInc++
-	} else {
-		c.deltaFull++
-	}
+	c.countMiss(info)
+	out.cached = true
 	ent := &cacheEntry{key: key, out: &out}
 	c.m[key] = ent
 	ent.next = c.head
@@ -282,6 +282,19 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 	c.mu.Unlock()
 	c.endSpan(sp, 0, 1, size)
 	return ent.out, nil
+}
+
+// countMiss counts a resolved miss and how it resolved. Caller holds mu.
+func (c *OutcomeCache) countMiss(info DeltaInfo) {
+	c.misses++
+	if c.missC != nil {
+		c.missC.Inc()
+	}
+	if info.Mode.Incremental() {
+		c.deltaInc++
+	} else {
+		c.deltaFull++
+	}
 }
 
 // endSpan stamps a lookup span with its hit/miss outcome and the cache
@@ -337,7 +350,7 @@ func (c *OutcomeCache) StatsSnapshot() CacheStats {
 	}
 }
 
-// Len returns the number of cached outcomes.
+// Len returns the number of resident seeds.
 func (c *OutcomeCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

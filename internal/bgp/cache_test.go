@@ -6,12 +6,19 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// distinctConfigs returns n routing-distinct configurations (prepend
-// ladder on one link).
+// distinctConfigs returns n routing-distinct base configurations, the
+// only kind a cache keeps: the link subsets 1..n as bitmasks over seven
+// links (n <= 127).
 func distinctConfigs(n int) []Config {
 	cfgs := make([]Config, n)
 	for i := range cfgs {
-		cfgs[i] = Config{Anns: []Announcement{{Link: 0, Prepend: i}}}
+		var links []LinkID
+		for l := 0; l < 7; l++ {
+			if (i+1)&(1<<l) != 0 {
+				links = append(links, LinkID(l))
+			}
+		}
+		cfgs[i] = baseConfig(links...)
 	}
 	return cfgs
 }
@@ -100,14 +107,15 @@ func TestOutcomeCacheLRUTouch(t *testing.T) {
 	}
 }
 
-// TestOutcomeCacheDeltaSeeding checks that consecutive misses ride the
-// delta path off the previous outcome and still produce the same
-// pointer-stable, byte-identical outcomes as direct propagation.
+// TestOutcomeCacheDeltaSeeding checks that misses along a prepend ladder
+// ride the delta path off the unprepended base and still produce
+// outcomes byte-identical to direct propagation.
 func TestOutcomeCacheDeltaSeeding(t *testing.T) {
 	g, o := worldForTest(t, 13, 900)
 	e := newEngine(t, g, o, DefaultParams(13))
 	cache := NewOutcomeCache()
-	for i, cfg := range distinctConfigs(6) {
+	for i := 0; i < 6; i++ {
+		cfg := Config{Anns: []Announcement{{Link: 0, Prepend: i}}}
 		got, err := cache.Propagate(e, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -215,16 +223,9 @@ func TestOutcomeCachePickSeedAllocs(t *testing.T) {
 	e := newEngine(t, g, o, noiseless())
 	const n = 32
 	cache := NewOutcomeCacheCap(n)
-	// The link subsets 1..n as bitmasks: n base configurations, every
-	// one of which keeps its runner-ups and is scored.
-	for mask := 1; mask <= n; mask++ {
-		var links []LinkID
-		for l := 0; l < 7; l++ {
-			if mask&(1<<l) != 0 {
-				links = append(links, LinkID(l))
-			}
-		}
-		if _, err := cache.Propagate(e, baseConfig(links...)); err != nil {
+	// n base configurations, every one of which is kept and scored.
+	for _, cfg := range distinctConfigs(n) {
+		if _, err := cache.Propagate(e, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -29,19 +29,26 @@ const campaignPoisonPerLink = 6
 // TestOutcomeCacheCampaignGolden runs the paper's three-phase campaign
 // (locations, prepending, poisoning) in plan order through one
 // OutcomeCache on a 2 000-AS internet-shaped graph, the way a truth
-// campaign deploys it. Every outcome's full selection state must hash to
-// the golden, and the cache must resolve nearly every miss on the delta
-// path: the seed it picks is what decides that.
+// campaign deploys it: each outcome is read and released, so derived
+// outcomes are built in recycled arrays. Every outcome's full selection
+// state must hash to the golden, the cache must resolve nearly every miss
+// on the delta path (the seed it picks is what decides that), and it must
+// end up holding the plan's bases and nothing else.
 func TestOutcomeCacheCampaignGolden(t *testing.T) {
 	e, plan := campaignWorld(t, 2000)
 	cache := bgp.NewOutcomeCache()
 	h := fnv.New64a()
+	bases := 0
 	for i, pc := range plan {
 		out, err := cache.Propagate(e, pc.Config)
 		if err != nil {
 			t.Fatalf("config %d (%v): %v", i, pc.Config, err)
 		}
 		bgp.HashSelections(h, out)
+		out.Release()
+		if bgp.IsBase(pc.Config) {
+			bases++
+		}
 	}
 	st := cache.StatsSnapshot()
 	frac := float64(st.DeltaFull) / float64(st.Misses)
@@ -53,6 +60,9 @@ func TestOutcomeCacheCampaignGolden(t *testing.T) {
 	if frac > maxFullMissFrac {
 		t.Errorf("%d of %d misses ran in full (%.3f), want <= %.2f",
 			st.DeltaFull, st.Misses, frac, maxFullMissFrac)
+	}
+	if st.Size != bases {
+		t.Errorf("cache holds %d outcomes, want the plan's %d bases", st.Size, bases)
 	}
 }
 
@@ -81,54 +91,52 @@ func digest(o *bgp.Outcome) uint64 {
 	return h.Sum64()
 }
 
-// TestOutcomeCacheShedsCatchmentOnly pins the shedding rule over the
-// campaign plan: a resident entry holds runner-ups exactly when its
-// configuration is a base or it is the seedless root (the first miss),
-// a shed outcome still answers every catchment and audit question, and
-// as a delta prev it takes the full fallback with Propagate's result.
+// TestOutcomeCacheShedsCatchmentOnly pins what the cache keeps over the
+// campaign plan: a base comes back with its runner-ups and stays
+// resident; every other configuration comes back derived, without
+// runner-ups, and is not kept. A derived outcome still answers every
+// catchment and audit question, and as a delta prev it takes the full
+// fallback with Propagate's result.
 func TestOutcomeCacheShedsCatchmentOnly(t *testing.T) {
 	e, plan := campaignWorld(t, 2000)
 	cache := bgp.NewOutcomeCache()
-	var root *bgp.Outcome
+	var derived *bgp.Outcome
+	bases, derivs := 0, 0
 	for i, pc := range plan {
 		out, err := cache.Propagate(e, pc.Config)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
-		if i == 0 {
-			root = out
+		base := bgp.IsBase(pc.Config)
+		resident := false
+		for _, r := range cache.Resident() {
+			resident = resident || r == out
 		}
-	}
-	var shed *bgp.Outcome
-	bases, sheds := 0, 0
-	for _, out := range cache.Resident() {
-		base := bgp.IsBase(out.Config())
-		if want := base || out == root; bgp.HoldsRunnerUps(out) != want {
-			t.Fatalf("%v (base %v, root %v): holds runner-ups %v, want %v",
-				out.Config(), base, out == root, bgp.HoldsRunnerUps(out), want)
+		if bgp.HoldsRunnerUps(out) != base || resident != base {
+			t.Fatalf("config %d (%v, base %v): holds runner-ups %v, resident %v",
+				i, pc.Config, base, bgp.HoldsRunnerUps(out), resident)
 		}
 		if base {
 			bases++
+			continue
 		}
-		if !bgp.HoldsRunnerUps(out) {
-			sheds++
-			shed = out
-		}
-		// Fig. 9 audits every campaign outcome; a shed one must audit as
+		derivs++
+		derived = out
+		// Fig. 9 audits every campaign outcome; a derived one must audit as
 		// its fresh propagation does.
-		fresh, err := e.Propagate(out.Config())
+		fresh, err := e.Propagate(pc.Config)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, want := e.Audit(out), e.Audit(&fresh)
 		if got.FracBestRel() != want.FracBestRel() || got.FracGaoRexford() != want.FracGaoRexford() {
-			t.Fatalf("%v: audit %v/%v, fresh propagation %v/%v", out.Config(),
+			t.Fatalf("config %d: audit %v/%v, fresh propagation %v/%v", i,
 				got.FracBestRel(), got.FracGaoRexford(), want.FracBestRel(), want.FracGaoRexford())
 		}
 	}
-	t.Logf("%d resident: %d bases, %d shed", cache.Len(), bases, sheds)
-	if bases == 0 || sheds == 0 {
-		t.Fatalf("%d bases and %d shed entries; the plan must exercise both", bases, sheds)
+	t.Logf("%d configs: %d bases kept, %d derived", len(plan), bases, derivs)
+	if cache.Len() != bases || derivs == 0 {
+		t.Fatalf("%d resident after %d bases and %d derived configs", cache.Len(), bases, derivs)
 	}
 
 	next := plan[len(plan)/2].Config
@@ -136,30 +144,31 @@ func TestOutcomeCacheShedsCatchmentOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := e.PropagateDeltaInfo(shed, shed.Config(), next)
+	got, info, err := e.PropagateDeltaInfo(derived, derived.Config(), next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Mode != bgp.DeltaFullNoPrev {
-		t.Fatalf("delta from a shed prev: mode %v, want %v", info.Mode, bgp.DeltaFullNoPrev)
+		t.Fatalf("delta from a derived prev: mode %v, want %v", info.Mode, bgp.DeltaFullNoPrev)
 	}
 	if digest(&got) != digest(&want) {
-		t.Fatal("delta from a shed prev differs from Propagate")
+		t.Fatal("delta from a derived prev differs from Propagate")
 	}
 	if !bgp.HoldsRunnerUps(&got) {
 		t.Fatal("PropagateDeltaInfo returned an outcome without runner-ups")
 	}
 }
 
-// TestOutcomeCacheReleaseShed releases shed outcomes a small cache has
-// evicted and keeps deploying: the recycled arrays must not leak into
-// later outcomes, which still match Propagate and still carry full
-// state where they should.
+// TestOutcomeCacheReleaseShed releases every outcome a small cache
+// returns, as a truth campaign does once it has read a catchment row, and
+// keeps deploying. Derived outcomes hand their arrays to later ones, which
+// must still match Propagate. On a seed, resident or evicted, Release is
+// a no-op: the seed keeps its runner-ups, still answers queries as
+// Propagate does, and still seeds a delta.
 func TestOutcomeCacheReleaseShed(t *testing.T) {
 	e, plan := campaignWorld(t, 1000)
 	cache := bgp.NewOutcomeCacheCap(8)
-	released := 0
-	var held []*bgp.Outcome
+	var seeds []*bgp.Outcome
 	for i, pc := range plan[:200] {
 		out, err := cache.Propagate(e, pc.Config)
 		if err != nil {
@@ -168,39 +177,44 @@ func TestOutcomeCacheReleaseShed(t *testing.T) {
 		if want, err := e.Propagate(pc.Config); err != nil {
 			t.Fatal(err)
 		} else if digest(out) != digest(&want) {
-			t.Fatalf("config %d: cached outcome differs from Propagate after %d releases", i, released)
+			t.Fatalf("config %d: cached outcome differs from Propagate", i)
 		}
-		if bgp.IsBase(pc.Config) && !bgp.HoldsRunnerUps(out) {
-			t.Fatalf("config %d: base entry lost its runner-ups", i)
+		if bgp.HoldsRunnerUps(out) {
+			seeds = append(seeds, out)
 		}
-		held = append(held, out)
-		// Release what the cache no longer holds.
-		resident := map[*bgp.Outcome]bool{}
-		for _, r := range cache.Resident() {
-			resident[r] = true
-		}
-		kept := held[:0]
-		for _, h := range held {
-			if resident[h] {
-				kept = append(kept, h)
-				continue
-			}
-			if !bgp.HoldsRunnerUps(h) {
-				released++
-			}
-			h.Release()
-		}
-		held = kept
+		out.Release()
 	}
-	if released == 0 {
-		t.Fatal("no shed outcome was evicted and released")
+	if st := cache.StatsSnapshot(); len(seeds) <= st.Size || st.Evictions == 0 {
+		t.Fatalf("%d seeds, %d resident, %d evicted: the plan must evict released seeds",
+			len(seeds), st.Size, st.Evictions)
+	}
+	for _, seed := range seeds {
+		cfg := seed.Config()
+		want, err := e.Propagate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bgp.HoldsRunnerUps(seed) || digest(seed) != digest(&want) {
+			t.Fatalf("%v: a released seed lost its state", cfg)
+		}
+		// One announcement lengthened: the delta step the seed exists for.
+		next := bgp.Config{Anns: append([]bgp.Announcement(nil), cfg.Anns...)}
+		next.Anns[0].Prepend = 1
+		got, info, err := e.PropagateDeltaInfo(seed, cfg, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode == bgp.DeltaFullNoPrev {
+			t.Fatalf("%v: a released seed no longer seeds", cfg)
+		}
+		got.Release()
 	}
 }
 
 // TestOutcomeCacheConcurrentCampaign deploys the campaign from 8
-// goroutines interleaved over one cache: whatever seeds the racing
-// misses pick and whichever copy wins a race, every outcome must equal
-// the sequential run's.
+// goroutines interleaved over one cache, each releasing what it got back:
+// whatever seeds the racing misses pick and whichever copy wins a race,
+// every outcome must equal the sequential run's.
 func TestOutcomeCacheConcurrentCampaign(t *testing.T) {
 	e, plan := campaignWorld(t, 1000)
 	want := make([]uint64, len(plan))
@@ -229,6 +243,7 @@ func TestOutcomeCacheConcurrentCampaign(t *testing.T) {
 					return
 				}
 				got[i] = digest(out)
+				out.Release()
 			}
 		}(w)
 	}

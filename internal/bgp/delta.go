@@ -80,8 +80,8 @@ type DeltaInfo struct {
 //
 // prev must be the outcome this engine computed for prevCfg, with its
 // runner-ups: every outcome Propagate and PropagateDeltaInfo return has
-// them, while an OutcomeCache sheds them from the entries that cannot
-// seed (see OutcomeCache). When prev is unusable (nil, shed, released,
+// them, while an OutcomeCache sheds them from the derived outcomes it
+// returns (see OutcomeCache). When prev is unusable (nil, shed, released,
 // unconverged, or another engine's), the diff touches too much of the
 // topology, or the incremental pass fails to converge,
 // PropagateDeltaInfo transparently falls back to a full Propagate —

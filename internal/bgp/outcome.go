@@ -20,15 +20,18 @@ type Outcome struct {
 	// PropagateDeltaInfo prune worsened-but-still-winning routes from the
 	// dirty frontier without re-deciding them. Only a delta seed reads it.
 	// Propagate and PropagateDeltaInfo always return it; an OutcomeCache
-	// keeps it only on entries that can seed a later delta and hands the
-	// rest back to the engine, so a cached catchment-only outcome has
-	// second == nil (see OutcomeCache).
+	// keeps only outcomes that can seed a later delta, and hands back every
+	// other outcome it computes with second == nil (see OutcomeCache).
 	second []selection
 	// sendCls[i] is the export class of sel[i] (trueClass, resolving
 	// pinned overrides), persisted so PropagateDeltaInfo can carry it with
 	// one copy instead of an O(n) recomputation, and so Engine.Audit can
 	// read it. Entries are meaningful only where sel[i] is valid.
 	sendCls []int8
+	// cached is set once an OutcomeCache holds the outcome, before any
+	// caller sees it, and never cleared: Release leaves such an outcome
+	// alone, since other callers may hold the same pointer.
+	cached bool
 }
 
 // outcomeArrays is the engine's free list of the per-AS arrays behind
@@ -85,12 +88,15 @@ func (e *Engine) newOutcome(cfg Config) Outcome {
 //
 // The caller must be completely done with the Outcome: after Release it
 // must not be used again — not as a source of route queries, and not as
-// the prev of a PropagateDeltaInfo call. Outcomes held in an OutcomeCache
-// must not be released while cached. Releasing a zero or already
-// released Outcome is a no-op; an outcome whose runner-ups a cache shed
-// returns the arrays it still holds.
+// the prev of a PropagateDeltaInfo call. An outcome an OutcomeCache
+// handed out may always be released: if the cache holds it (a seed),
+// Release is a no-op and the outcome stays valid for every holder; if
+// not (a derived outcome, which only its caller holds), its arrays feed
+// the next propagation. Releasing a zero or already released Outcome is
+// a no-op; an outcome whose runner-ups a cache shed returns the arrays
+// it still holds.
 func (o *Outcome) Release() {
-	if o.engine == nil || o.sel == nil {
+	if o.engine == nil || o.sel == nil || o.cached {
 		return
 	}
 	f := &o.engine.free

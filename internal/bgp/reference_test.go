@@ -279,38 +279,60 @@ func TestPropagateMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCachedPropagateMatches checks that the outcome cache returns
-// pointer-stable, identical outcomes.
+// TestCachedPropagateMatches checks the cache's two kinds of result
+// against direct propagation. A seed (a base configuration) is kept and
+// pointer-stable. A derived outcome (the rest) equals direct propagation
+// by value, comes back without runner-ups and as a new pointer on every
+// lookup, and is not kept.
 func TestCachedPropagateMatches(t *testing.T) {
 	g, o := worldForTest(t, 78, 900)
 	e := newEngine(t, g, o, DefaultParams(78))
 	cache := NewOutcomeCache()
 	rng := stats.NewRNG(99)
+	seeds := map[string]bool{}
+	derived := 0
 	for trial := 0; trial < 20; trial++ {
 		cfg := randomConfig(rng, g, o)
-		first, err := cache.Propagate(e, cfg)
-		if err != nil {
-			t.Fatal(err)
+		links := make([]LinkID, len(cfg.Anns))
+		for i, a := range cfg.Anns {
+			links[i] = a.Link
 		}
-		again, err := cache.Propagate(e, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first != again {
-			t.Fatalf("trial %d: cache returned distinct pointers for identical config", trial)
-		}
-		direct, err := e.Propagate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range direct.sel {
-			if direct.sel[i] != first.sel[i] {
-				t.Fatalf("trial %d: cached outcome differs at AS %d", trial, i)
+		for _, cfg := range []Config{baseConfig(links...), cfg} {
+			first, err := cache.Propagate(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := cache.Propagate(e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := e.Propagate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []*Outcome{first, again} {
+				for i := range direct.sel {
+					if direct.sel[i] != got.sel[i] {
+						t.Fatalf("trial %d (%v): cached outcome differs at AS %d", trial, cfg, i)
+					}
+				}
+			}
+			if isBase(cfg) {
+				seeds[cfg.Key()] = true
+				if first != again {
+					t.Fatalf("trial %d (%v): the cache returned distinct pointers for a seed", trial, cfg)
+				}
+				continue
+			}
+			derived++
+			if first == again || first.second != nil {
+				t.Fatalf("trial %d (%v): a derived outcome was kept, or kept its runner-ups", trial, cfg)
 			}
 		}
 	}
-	if hits, misses := cache.Stats(); hits != 20 || misses == 0 {
-		t.Fatalf("cache stats hits=%d misses=%d, want 20 hits", hits, misses)
+	if cache.Len() != len(seeds) || derived == 0 {
+		t.Fatalf("%d resident after %d seed and %d derived configs, want the %d seeds",
+			cache.Len(), len(seeds), derived, len(seeds))
 	}
 }
 

@@ -22,7 +22,8 @@ import (
 type CampaignOptions struct {
 	// UseTruth skips the measurement pipeline and uses the routing
 	// engine's true catchments for every AS. Useful for isolating
-	// algorithmic behaviour from measurement noise (and much faster).
+	// algorithmic behaviour from measurement noise (and much faster). The
+	// campaign then keeps catchment rows only, not outcomes.
 	UseTruth bool
 	// Progress, if non-nil, is called after each deployed configuration
 	// with the number of configurations completed. Calls never overlap
@@ -81,7 +82,10 @@ type CampaignOptions struct {
 type Campaign struct {
 	World *World
 	Plan  []sched.PlannedConfig
-	// Outcomes[c] is the converged routing state of configuration c.
+	// Outcomes[c] is the converged routing state of configuration c, as
+	// the measurement pipeline read it (nil when the campaign ran with
+	// UseTruth: each outcome is released once its catchment row is taken,
+	// and Platform.Propagate derives it again on demand).
 	Outcomes []*bgp.Outcome
 	// Measurements[c] is the inferred per-AS catchment assignment
 	// (nil when the campaign ran with UseTruth).
@@ -185,7 +189,18 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 			return nil, fmt.Errorf("core: config %d (%v): %w", i, pc.Config, err)
 		}
 	}
-	c.Outcomes = make([]*bgp.Outcome, len(plan))
+	// A truth campaign takes each configuration's catchment row, one byte
+	// per AS, into its slot of rows right in the deploy worker and releases
+	// the outcome there: past the deploy phase only the outcome cache's
+	// seeds stay resident. A measured campaign keeps its outcomes for the
+	// measure phase.
+	n := w.Graph.NumASes()
+	var rows []bgp.LinkID
+	if opts.UseTruth {
+		rows = make([]bgp.LinkID, len(plan)*n)
+	} else {
+		c.Outcomes = make([]*bgp.Outcome, len(plan))
+	}
 	perrs := make([]error, len(plan))
 	deployStart := time.Now()
 	runPoolSpans(csp, "campaign.deploy.worker", workers, len(plan), func(i int, wsp *trace.Span) {
@@ -237,7 +252,17 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				Phase:    plan[i].Phase.String(),
 			})
 		}
-		c.Outcomes[i] = out
+		switch {
+		case err != nil:
+		case rows != nil:
+			row := rows[i*n : (i+1)*n]
+			for a := range row {
+				row[a] = out.CatchmentOf(a)
+			}
+			out.Release() // a no-op on a seed the cache holds
+		default:
+			c.Outcomes[i] = out
+		}
 		perrs[i] = err
 		dsp.End()
 	})
@@ -250,7 +275,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				// Permanently lost: record incomplete and move on. The
 				// config's catchment row stays all-unknown and the simulated
 				// clock does not advance for it (nothing was deployed).
-				c.Outcomes[i] = nil
 				c.Incomplete = append(c.Incomplete, i)
 				if incompleteC != nil {
 					incompleteC.Inc()
@@ -386,24 +410,29 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 
 	if opts.UseTruth {
 		// Sources: every AS routed in the baseline configuration.
-		base := c.Outcomes[0]
-		for i := 0; i < w.Graph.NumASes(); i++ {
-			if base.HasRoute(i) {
-				c.Sources = append(c.Sources, i)
+		for a, l := range rows[:n] {
+			if l != bgp.NoLink {
+				c.Sources = append(c.Sources, a)
 			}
 		}
+		// Compact the rows to the sources in place, in plan order: cell
+		// (cc, k) moves down from rows[cc*n+Sources[k]] to rows[cc*s+k],
+		// and since s <= n and k <= Sources[k], no write lands on a cell
+		// still to be read.
+		s := len(c.Sources)
 		c.Catchments = make([][]bgp.LinkID, len(plan))
-		for cc, out := range c.Outcomes {
-			row := make([]bgp.LinkID, len(c.Sources))
-			if out == nil {
+		for cc := range plan {
+			row := rows[cc*s : (cc+1)*s : (cc+1)*s]
+			if c.IsIncomplete(cc) {
 				// Permanently lost configuration: a uniform all-unknown row,
 				// which cluster.Refine never splits on.
 				for k := range row {
 					row[k] = bgp.NoLink
 				}
 			} else {
+				full := rows[cc*n : (cc+1)*n]
 				for k, src := range c.Sources {
-					row[k] = out.CatchmentOf(src)
+					row[k] = full[src]
 				}
 			}
 			c.Catchments[cc] = row
@@ -560,12 +589,18 @@ func (c *Campaign) CatchmentTable(cfgIdx int) map[uint32]uint8 {
 
 // SubCampaign restricts the campaign to the configurations selected by
 // keep (by index), reusing the already-measured catchments. This is how
-// Fig. 5/6 emulate networks with fewer PoPs without re-deploying.
+// Fig. 5/6 emulate networks with fewer PoPs without re-deploying. A
+// configuration lost to faults stays marked incomplete in the result.
 func (c *Campaign) SubCampaign(keep []int) *Campaign {
 	sub := &Campaign{World: c.World, Sources: c.Sources}
 	for _, i := range keep {
+		if c.IsIncomplete(i) {
+			sub.Incomplete = append(sub.Incomplete, len(sub.Plan))
+		}
 		sub.Plan = append(sub.Plan, c.Plan[i])
-		sub.Outcomes = append(sub.Outcomes, c.Outcomes[i])
+		if c.Outcomes != nil {
+			sub.Outcomes = append(sub.Outcomes, c.Outcomes[i])
+		}
 		if c.Measurements != nil {
 			sub.Measurements = append(sub.Measurements, c.Measurements[i])
 		}

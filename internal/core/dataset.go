@@ -139,9 +139,14 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 		if len(rec.Announcements) == 0 {
 			return nil, fmt.Errorf("core: config %d announces from no links", i)
 		}
-		for _, a := range rec.Announcements {
+		for j, a := range rec.Announcements {
 			if a.Link < 0 || a.Link >= nLinks {
 				return nil, fmt.Errorf("core: config %d announces on unknown link %d", i, a.Link)
+			}
+			if len(a.Poison) == 0 {
+				// "poison":[] poisons nothing, as an absent key does, and
+				// WriteDataset omits both.
+				rec.Announcements[j].Poison = nil
 			}
 		}
 		d.Configs = append(d.Configs, rec)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -134,4 +135,51 @@ func TestDatasetDrivesScheduling(t *testing.T) {
 		t.Fatal("greedy trajectory not improving")
 	}
 	_ = bgp.NoLink
+}
+
+// FuzzReadDataset feeds the §VI dataset import arbitrary bytes. Whatever
+// it accepts must survive a round trip: written back out and read again,
+// it decodes to an equal Dataset. The corpus starts from a small truth
+// campaign's export, one configuration per plan phase, and the rejected
+// shapes of TestReadDatasetRejectsGarbage.
+func FuzzReadDataset(f *testing.F) {
+	w := measureWorld(f, 1, false)
+	plan, err := w.DefaultPlan()
+	if err != nil {
+		f.Fatal(err)
+	}
+	phases := []sched.PlannedConfig{plan[0], plan[sched.PhaseEnd(plan, sched.PhaseLocations)], plan[len(plan)-1]}
+	camp, err := w.RunCampaign(phases, CampaignOptions{UseTruth: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteDataset(&buf, camp.Dataset()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"version":1,"muxes":["a"],"source_asns":[1]}` + "\n" +
+		`{"phase":"poisoning","announcements":[{"link":0,"prepend":2,"poison":[7]}],"catchments":[-1]}` + "\n"))
+	// Found by this target: an empty poison list decoded non-nil and came
+	// back nil, as WriteDataset omits it.
+	f.Add([]byte(`{"version":1,"muxes":["0"],"source_asns":[0]} {"announcements":[{"poison":[]}],"catchments":[0]}`))
+	f.Add([]byte(`{"version":1,"muxes":["a"],"source_asns":[1,2]}` + "\n" +
+		`{"phase":"locations","announcements":[{"link":0}],"catchments":[0]}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ReadDataset(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteDataset(&out, d); err != nil {
+			t.Fatalf("accepted dataset does not encode: %v", err)
+		}
+		again, err := ReadDataset(&out)
+		if err != nil {
+			t.Fatalf("re-encoded dataset rejected: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(d, again) {
+			t.Fatalf("round trip changed the dataset:\n%+v\n%+v", d, again)
+		}
+	})
 }

@@ -97,11 +97,11 @@ func warmOutcome(t testing.TB, wireFeeds bool) (*World, *bgp.Outcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.RunCampaign(plan[:4], CampaignOptions{UseTruth: true})
+	out, err := w.Platform.Propagate(plan[3].Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, c.Outcomes[3]
+	return w, out
 }
 
 // BenchmarkMeasureOutcome times one warm configuration measurement with

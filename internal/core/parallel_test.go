@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"spooftrack/internal/bgp"
 	"spooftrack/internal/sched"
 )
 
@@ -45,14 +46,29 @@ func sameCampaign(t *testing.T, label string, a, b *Campaign) {
 			}
 		}
 	}
-	for c := range a.Outcomes {
-		av, bv := a.Outcomes[c].CatchmentVector(), b.Outcomes[c].CatchmentVector()
+	for c := range a.Plan {
+		av, bv := outcomeOf(t, a, c).CatchmentVector(), outcomeOf(t, b, c).CatchmentVector()
 		for i := range av {
 			if av[i] != bv[i] {
 				t.Fatalf("%s: outcome %d differs at AS %d", label, c, i)
 			}
 		}
 	}
+}
+
+// outcomeOf returns configuration c's outcome: the one a measured
+// campaign kept, or for a truth campaign, which keeps none, the one its
+// platform derives again.
+func outcomeOf(t *testing.T, camp *Campaign, c int) *bgp.Outcome {
+	t.Helper()
+	if camp.Outcomes != nil {
+		return camp.Outcomes[c]
+	}
+	out, err := camp.World.Platform.Propagate(camp.Plan[c].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRunCampaignParallelismInvariant is the acceptance check for the
@@ -97,9 +113,23 @@ func TestOutcomeCacheReusedAcrossConfigs(t *testing.T) {
 	if misses != 2 || hits != 3 {
 		t.Fatalf("cache stats hits=%d misses=%d, want 3/2", hits, misses)
 	}
-	// Cache hits are pointer-stable.
-	if camp.Outcomes[0] != camp.Outcomes[2] || camp.Outcomes[0] != camp.Outcomes[4] {
-		t.Fatal("duplicate configs did not reuse the cached outcome")
+	// Both configurations are location-phase bases, so the cache keeps
+	// them and a later lookup returns the same pointer.
+	for _, pc := range dup[:2] {
+		first, err := w.Platform.Propagate(pc.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := w.Platform.Propagate(pc.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != again {
+			t.Fatalf("%v: the cached seed is not pointer-stable", pc.Config)
+		}
+	}
+	if hits, _ := w.Platform.CacheStats(); hits != 7 {
+		t.Fatalf("%d hits after four lookups of resident seeds, want 7", hits)
 	}
 	// The simulated clock charges every deployment, cached or not.
 	want := 5 * w.Platform.Constraints().ConfigDuration

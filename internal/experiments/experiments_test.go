@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/core"
 	"spooftrack/internal/peering"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/spoof"
@@ -174,7 +175,10 @@ func TestFig8Shapes(t *testing.T) {
 
 func TestFig9Shapes(t *testing.T) {
 	l := lab(t)
-	r := Fig9(l)
+	r, err := Fig9(l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.BestRel) != l.Campaign.NumConfigs() || len(r.GaoRexford) != l.Campaign.NumConfigs() {
 		t.Fatal("survey length mismatch")
 	}
@@ -214,19 +218,18 @@ func TestSurveyAcrossConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var outs []*bgp.Outcome
+	var plan []sched.PlannedConfig
 	for _, cfg := range []bgp.Config{
 		{Anns: []bgp.Announcement{{Link: 0}, {Link: 1}, {Link: 2}}},
 		{Anns: []bgp.Announcement{{Link: 0, Prepend: 4}, {Link: 1}}},
 		{Anns: []bgp.Announcement{{Link: 3}, {Link: 4}}},
 	} {
-		out, err := plat.Deploy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs = append(outs, out)
+		plan = append(plan, sched.PlannedConfig{Config: cfg})
 	}
-	r := complianceSurvey(plat.Engine(), outs)
+	r, err := Fig9(&Lab{World: &core.World{Graph: g, Platform: plat}, Plan: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.BestRel) != 3 || len(r.GaoRexford) != 3 {
 		t.Fatalf("audited %d/%d configurations, want 3", len(r.BestRel), len(r.GaoRexford))
 	}

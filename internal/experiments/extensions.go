@@ -27,15 +27,21 @@ type ExtPredictionResult struct {
 	Mean float64
 }
 
-// ExtPrediction runs the predictor against every campaign configuration.
+// ExtPrediction runs the predictor against every campaign configuration,
+// taking each true outcome from the platform and releasing it once read.
 func ExtPrediction(lab *Lab) (*ExtPredictionResult, error) {
-	pred, err := sched.NewPredictor(lab.World.Graph, lab.World.Platform.Engine().Origin())
+	plat := lab.World.Platform
+	pred, err := sched.NewPredictor(lab.World.Graph, plat.Engine().Origin())
 	if err != nil {
 		return nil, err
 	}
 	res := &ExtPredictionResult{}
-	for i, out := range lab.Campaign.Outcomes {
-		vec, err := pred.Predict(lab.Plan[i].Config)
+	for _, pc := range lab.Plan {
+		vec, err := pred.Predict(pc.Config)
+		if err != nil {
+			return nil, err
+		}
+		out, err := plat.Propagate(pc.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -50,6 +56,7 @@ func ExtPrediction(lab *Lab) (*ExtPredictionResult, error) {
 				match++
 			}
 		}
+		out.Release()
 		if total > 0 {
 			res.AgreementPerConfig = append(res.AgreementPerConfig, float64(match)/float64(total))
 		}
@@ -88,9 +95,15 @@ type ExtTargetedPoisonResult struct {
 // platform, measuring each configuration through the standard pipeline.
 func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error) {
 	camp := lab.Campaign
+	plat := lab.World.Platform
 	part := camp.FinalPartition()
-	baseOut := camp.Outcomes[0] // baseline anycast outcome guides targeting
-	plan := sched.TargetedPoisonPlan(baseOut, part, camp.Sources, threshold, lab.World.Platform.NumLinks())
+	// The baseline anycast outcome guides targeting.
+	baseOut, err := plat.Propagate(camp.Plan[0].Config)
+	if err != nil {
+		return nil, err
+	}
+	plan := sched.TargetedPoisonPlan(baseOut, part, camp.Sources, threshold, plat.NumLinks())
+	baseOut.Release()
 	res := &ExtTargetedPoisonResult{
 		ExtraConfigs: len(plan),
 		Threshold:    threshold,
@@ -106,7 +119,7 @@ func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error
 	refined := part.Clone()
 	rng := stats.NewRNG(lab.World.Params.Seed ^ 0x7a26e7ed)
 	for i, pc := range plan {
-		out, err := lab.World.Platform.Deploy(pc.Config)
+		out, err := plat.Deploy(pc.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -124,6 +137,7 @@ func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error
 				labels[k] = out.CatchmentOf(src)
 			}
 		}
+		out.Release()
 		refined.Refine(labels)
 	}
 	m2 := refined.Summarize()
@@ -212,6 +226,7 @@ func ExtCommunities(lab *Lab) (*ExtCommunitiesResult, error) {
 		for k, src := range camp.Sources {
 			labels[k] = out.CatchmentOf(src)
 		}
+		out.Release()
 		commPart.Refine(labels)
 	}
 	res.CommunityMean = commPart.Summarize().MeanSize

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"spooftrack/internal/bgp"
 	"spooftrack/internal/stats"
 )
 
@@ -22,21 +21,23 @@ type Fig9Result struct {
 	MeanBestRel, MeanGaoRexford float64
 }
 
-// Fig9 audits every configuration of the default campaign.
-func Fig9(lab *Lab) *Fig9Result {
-	return complianceSurvey(lab.World.Platform.Engine(), lab.Campaign.Outcomes)
-}
-
-// complianceSurvey audits each outcome of eng's configurations.
-func complianceSurvey(eng *bgp.Engine, outs []*bgp.Outcome) *Fig9Result {
+// Fig9 audits every configuration of the lab's plan, taking each outcome
+// from the platform and releasing it once audited.
+func Fig9(lab *Lab) (*Fig9Result, error) {
+	plat := lab.World.Platform
 	res := &Fig9Result{}
-	for _, out := range outs {
-		audit := eng.Audit(out)
+	for _, pc := range lab.Plan {
+		out, err := plat.Propagate(pc.Config)
+		if err != nil {
+			return nil, err
+		}
+		audit := plat.Engine().Audit(out)
+		out.Release()
 		res.BestRel = append(res.BestRel, audit.FracBestRel())
 		res.GaoRexford = append(res.GaoRexford, audit.FracGaoRexford())
 	}
 	res.MeanBestRel, res.MeanGaoRexford = stats.Mean(res.BestRel), stats.Mean(res.GaoRexford)
-	return res
+	return res, nil
 }
 
 // compliancePoint is one step of the CDF Fig. 9 plots: the fraction of

@@ -290,7 +290,9 @@ func (p *Platform) CheckConstraints(cfg bgp.Config) error {
 
 // Propagate computes the converged routing outcome for the configuration
 // without touching the platform's clock. It consults the outcome cache
-// and is safe for concurrent use.
+// and is safe for concurrent use. A caller done with the outcome may
+// Release it: a derived one is the caller's alone and feeds the next
+// propagation, a cached seed ignores the call (bgp.OutcomeCache).
 func (p *Platform) Propagate(cfg bgp.Config) (*bgp.Outcome, error) {
 	return p.cache.PropagateTraced(p.engine, cfg, nil)
 }

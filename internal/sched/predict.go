@@ -30,14 +30,16 @@ func NewPredictor(g *topo.Graph, origin bgp.Origin) (*Predictor, error) {
 }
 
 // Predict returns the predicted catchment vector for a configuration.
-// Predictions are memoized: ranking loops re-evaluate the same
-// candidates across rounds, and the model is deterministic.
+// The predictor's outcome cache keeps base configurations and derives
+// every other prediction from the cheapest of them in one delta step.
 func (p *Predictor) Predict(cfg bgp.Config) ([]bgp.LinkID, error) {
 	out, err := p.cache.Propagate(p.engine, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return out.CatchmentVector(), nil
+	vec := out.CatchmentVector()
+	out.Release()
+	return vec, nil
 }
 
 // RankByPredictedGain orders the candidate configurations by how many

@@ -150,8 +150,9 @@ func TestQuantileOverTime(t *testing.T) {
 	}
 }
 
-// TestQueryRangeLatency is the ISSUE acceptance check: a rate() query
-// over a 2h window answers in under 5ms.
+// TestQueryRangeLatency checks the range-query budget: a rate() query
+// over a 2h window answers in under 5ms, and every timed run returns the
+// whole window.
 func TestQueryRangeLatency(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("events_total")
@@ -169,13 +170,18 @@ func TestQueryRangeLatency(t *testing.T) {
 	best := time.Duration(1 << 62)
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		db.Query(q)
+		got := db.Query(q)
 		if d := time.Since(start); d < best {
 			best = d
 		}
-	}
-	if best > 5*time.Millisecond {
-		t.Fatalf("2h rate() query took %v (best of 5), budget 5ms", best)
+		if len(got) != 1 || len(got[0].Points) != n {
+			t.Fatalf("timed query %d returned %d series", i, len(got))
+		}
 	}
 	t.Logf("2h rate() query: %v (best of 5, %d points)", best, n)
+	// The race detector slows the query several-fold; the budget holds
+	// for the uninstrumented build only.
+	if !raceEnabled && best > 5*time.Millisecond {
+		t.Fatalf("2h rate() query took %v (best of 5), budget 5ms", best)
+	}
 }

@@ -44,7 +44,7 @@ echo "==> delta-propagation equivalence smoke (full-vs-incremental, runner-up sh
 go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden|TestOutcomeCacheShedsCatchmentOnly|TestOutcomeCacheReleaseShed|TestOutcomeCacheConcurrentCampaign|TestPropagateDeltaWarmAllocs|TestRoutingStateLayout|TestNewEngineRejectsWideDegree|TestReverseSlots|TestPerturbedDigest' -count=1
 # The race detector makes sync.Pool drop items at random, so the
 # allocation bounds skip under -race; they run here without it.
-go test ./internal/bgp/ ./internal/measure/ -run 'TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs|TestChooseVantagesAllocs' -count=1
+go test ./internal/bgp/ ./internal/measure/ ./internal/core/ -run 'TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs|TestChooseVantagesAllocs|TestTruthCampaignRetainsSeedsOnly' -count=1
 
 echo "==> budget gates (serial: each compares two timed sides)"
 go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
