@@ -101,7 +101,6 @@ import (
 	"spooftrack/internal/probe"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/sched"
-	"spooftrack/internal/spoof"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
 	"spooftrack/internal/trace"
@@ -404,7 +403,7 @@ type probeView struct {
 	catchment []bgp.LinkID
 	// srcOf maps an AS to its campaign source position.
 	srcOf      map[int]int
-	lastSignal map[int]spoof.SAVSignal
+	lastSignal map[int]probe.SAVSignal
 	conflicts  atomic.Pointer[[]int]
 }
 
@@ -450,16 +449,24 @@ func newProbeView(cfg config, tracker *spooftrack.Tracker, obs observability) (*
 	prober.Instrument(obs.reg)
 	slog.Info("active SAV probing enabled",
 		"targets", prober.NumTargets(), "budget", probeBudget, "interval", cfg.probeInterval)
+	return newProbeViewOf(prober, out.CatchmentVector(), tracker.Campaign.Sources), nil
+}
+
+// newProbeViewOf wires a prober to the catchment vector its audit is
+// compared against and to the campaign's source positions (dense AS
+// indices), from which scan maps conflicting ASes to re-measurement
+// hints.
+func newProbeViewOf(prober *probe.Prober, catchment []bgp.LinkID, sources []int) *probeView {
 	pv := &probeView{
 		prober:     prober,
-		catchment:  out.CatchmentVector(),
-		srcOf:      make(map[int]int, tracker.Campaign.NumSources()),
-		lastSignal: make(map[int]spoof.SAVSignal),
+		catchment:  catchment,
+		srcOf:      make(map[int]int, len(sources)),
+		lastSignal: make(map[int]probe.SAVSignal),
 	}
-	for k, as := range tracker.Campaign.Sources {
+	for k, as := range sources {
 		pv.srcOf[as] = k
 	}
-	return pv, nil
+	return pv
 }
 
 // hints are the re-measurement hints the decide half consults: the
@@ -482,10 +489,10 @@ func (pv *probeView) hints() []int {
 func (pv *probeView) scan(led *provenance.Ledger) {
 	rep := pv.prober.Round(nil)
 	pv.prober.Inference(func(inf *probe.SAVInference) {
-		pc := probe.BuildChannel(inf, 0)
+		pc := probe.BuildChannel(inf)
 		if led.Enabled() {
 			for as, sig := range pc.Signal {
-				if sig == spoof.SAVNoData || pv.lastSignal[as] == sig {
+				if sig == probe.SAVNoData || pv.lastSignal[as] == sig {
 					continue
 				}
 				pv.lastSignal[as] = sig

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/peering"
 	"spooftrack/internal/probe"
+	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
 	"spooftrack/internal/trace"
@@ -333,9 +336,11 @@ func TestPprofMounted(t *testing.T) {
 }
 
 // testProbeView builds a live prober over a small converged world, the
-// way main does, optionally afflicted by the probe-storm fault profile.
-// When reg is non-nil the prober is instrumented into it.
-func testProbeView(t *testing.T, reg *metrics.Registry, storm bool) *probeView {
+// way main does, optionally afflicted by the probe-storm fault profile,
+// and returns it with the SAV ground truth it probes. Every other AS is
+// a campaign source. When reg is non-nil the prober is instrumented
+// into it.
+func testProbeView(t *testing.T, reg *metrics.Registry, storm bool) (*probeView, probe.GroundTruth) {
 	t.Helper()
 	p := topo.DefaultGenParams(7)
 	p.NumASes = 200
@@ -381,7 +386,11 @@ func testProbeView(t *testing.T, reg *metrics.Registry, storm bool) *probeView {
 	if reg != nil {
 		pr.Instrument(reg)
 	}
-	return &probeView{prober: pr, catchment: out.CatchmentVector()}
+	var sources []int
+	for as := 0; as < g.NumASes(); as += 2 {
+		sources = append(sources, as)
+	}
+	return newProbeViewOf(pr, out.CatchmentVector(), sources), truth
 }
 
 func getProbeStatus(t *testing.T, mux *http.ServeMux) probeStatus {
@@ -406,7 +415,7 @@ func TestProbeEndpointNoProber(t *testing.T) {
 
 func TestProbeEndpointReportsScanAndAudit(t *testing.T) {
 	reg := metrics.NewRegistry()
-	pv := testProbeView(t, reg, false)
+	pv, _ := testProbeView(t, reg, false)
 	mux := componentMux(pv.routes)
 	for i := 0; i < 2; i++ {
 		pv.prober.Round(nil)
@@ -437,7 +446,7 @@ func TestProbeEndpointReportsScanAndAudit(t *testing.T) {
 // exactly as in main) must breach.
 func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 	reg := metrics.NewRegistry()
-	pv := testProbeView(t, reg, true)
+	pv, _ := testProbeView(t, reg, true)
 	dog := watch.New(watch.Config{
 		Registry: reg,
 		DB:       tsdb.New(tsdb.Options{Registry: reg}),
@@ -472,6 +481,75 @@ func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 	res, body := get(t, mux, "/slo")
 	if res.StatusCode != http.StatusOK || !strings.Contains(body, "probe-loss-rate") {
 		t.Fatalf("slo should list probe-loss-rate: status %d\n%s", res.StatusCode, body)
+	}
+}
+
+// TestProbeScanRecordsConfidentSignals drives probeView.scan, the path
+// that promotes confident probe verdicts into the ledger and publishes
+// the re-measurement hints, fault-free and under probe-storm. The digest
+// covers every recorded probe event and the /probe payload, so any
+// change to what the probe channel records or reports shows up here.
+func TestProbeScanRecordsConfidentSignals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		storm  bool
+		digest uint64
+	}{
+		{"fault-free", false, 0xae13eae4e072f5ef},
+		{"probe-storm", true, 0x4fceffcf3b2e849},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pv, truth := testProbeView(t, nil, tc.storm)
+			led := provenance.New(provenance.Options{})
+			for i := 0; i < 4; i++ {
+				pv.scan(led)
+			}
+			h := fnv.New64a()
+			last := map[int]string{}
+			recorded := 0
+			for _, ev := range led.Export().Events {
+				p := ev.Probe
+				if p == nil {
+					continue
+				}
+				recorded++
+				want := "can_spoof"
+				if truth.OutboundSAV[p.AS] {
+					want = "cannot_spoof"
+				}
+				if p.Signal != want {
+					t.Fatalf("AS %d recorded %q, truth %q", p.AS, p.Signal, want)
+				}
+				if last[p.AS] == p.Signal {
+					t.Fatalf("AS %d: %q recorded twice in a row", p.AS, p.Signal)
+				}
+				last[p.AS] = p.Signal
+				b, err := json.Marshal(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(b)
+			}
+			if recorded == 0 {
+				t.Fatal("scan recorded no probe events")
+			}
+			mux := componentMux(pv.routes)
+			ps := getProbeStatus(t, mux)
+			var hints []int
+			for _, as := range ps.Audit.ConflictASes {
+				if src, ok := pv.srcOf[as]; ok {
+					hints = append(hints, src)
+				}
+			}
+			if got := pv.hints(); !slices.Equal(got, hints) {
+				t.Fatalf("hints = %v, want the audit's conflicts as sources %v", got, hints)
+			}
+			_, body := get(t, mux, "/probe")
+			h.Write([]byte(body))
+			if got := h.Sum64(); got != tc.digest {
+				t.Fatalf("%d probe events + /probe digest %#x, want %#x", recorded, got, tc.digest)
+			}
+		})
 	}
 }
 

@@ -146,7 +146,7 @@ func (pv *probeView) routes(mux *http.ServeMux) {
 		}
 		ps := probeStatus{Status: pv.prober.Status()}
 		pv.prober.Inference(func(inf *probe.SAVInference) {
-			ps.Audit = probe.Audit(probe.BuildChannel(inf, 0), pv.catchment)
+			ps.Audit = probe.Audit(probe.BuildChannel(inf), pv.catchment)
 		})
 		writeJSON(w, ps)
 	})

@@ -128,14 +128,14 @@ func run(ctx context.Context, w io.Writer) error {
 	// the propagation-derived catchment vector, and a BCP38 deployment
 	// model the survey measured instead of assumed.
 	pr.Inference(func(inf *probe.SAVInference) {
-		audit := probe.Audit(probe.BuildChannel(inf, 0), out.CatchmentVector())
+		audit := probe.Audit(probe.BuildChannel(inf), out.CatchmentVector())
 		fmt.Fprintf(w, "channel audit vs catchments: %d agree, %d conflict, %d probe-only, %d catchment-only\n",
 			audit.Agree, audit.Conflict, audit.ProbeOnly, audit.CatchmentOnly)
 		sources := make([]int, 0, len(reports))
 		for _, r := range reports {
 			sources = append(sources, r.AS)
 		}
-		model := probe.InferredBCP38(inf, sources, 0)
+		model := probe.InferredBCP38(inf, sources)
 		deployed := 0
 		for k := range sources {
 			if model.Deployed(k) {

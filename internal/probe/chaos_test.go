@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spooftrack/internal/fault"
-	"spooftrack/internal/spoof"
 )
 
 // The probe-storm chaos suite pins the subsystem's graceful-degradation
@@ -84,15 +83,15 @@ func TestProbeStormDegradesToLowConfidence(t *testing.T) {
 
 	// The evidence bridge must promote none of the shaky verdicts into
 	// wrong attribution signals.
-	var pc *spoof.ProbeChannel
-	p.Inference(func(inf *SAVInference) { pc = BuildChannel(inf, 0) })
+	var pc *ProbeChannel
+	p.Inference(func(inf *SAVInference) { pc = BuildChannel(inf) })
 	for as, sig := range pc.Signal {
-		if sig == spoof.SAVNoData {
+		if sig == SAVNoData {
 			continue
 		}
-		want := spoof.SAVCanSpoof
+		want := SAVCanSpoof
 		if truth.OutboundSAV[as] {
-			want = spoof.SAVCannotSpoof
+			want = SAVCannotSpoof
 		}
 		if sig != want {
 			t.Fatalf("storm promoted wrong signal %v for AS %d (truth %v)", sig, as, want)

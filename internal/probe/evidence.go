@@ -1,30 +1,70 @@
 package probe
 
 import (
+	"fmt"
+
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/spoof"
 )
 
-// This file bridges probe inference into the attribution side: the
-// classifier's second evidence channel, an inferred BCP38 model, and
-// the agreement/conflict audit between the active and passive channels.
+// This file bridges probe inference into the attribution side: the probe
+// channel (measured ingress links and spoofability signals), an inferred
+// BCP38 model, and the agreement/conflict audit between the active and
+// passive channels.
 
-// BuildChannel turns the inference into the classifier's probe channel:
-// per-AS measured ingress links (from control replies — an ingress
-// observation independent of the campaign's catchment measurements) and
-// per-AS spoofability signals. Only outbound verdicts at or above
-// minConfidence are promoted to signals; everything else stays
-// SAVNoData, so a degraded scan (probe-storm) contributes no evidence
-// rather than wrong evidence. Pass minConfidence <= 0 for the
-// HighConfidence default.
-func BuildChannel(inf *SAVInference, minConfidence float64) *spoof.ProbeChannel {
-	if minConfidence <= 0 {
-		minConfidence = HighConfidence
+// SAVSignal is the per-AS spoofability signal an active probing pass
+// derives: whether the network's outbound source-address validation
+// would let it originate spoofed traffic. Only high-confidence probe
+// verdicts are promoted into signals; everything else stays SAVNoData.
+type SAVSignal int8
+
+const (
+	// SAVNoData means the probe channel has no (confident) verdict.
+	SAVNoData SAVSignal = iota
+	// SAVCanSpoof means a spoofed probe escaped the network: it can
+	// originate spoofed traffic (no outbound SAV / BCP38).
+	SAVCanSpoof
+	// SAVCannotSpoof means spoofed probes were filtered while control
+	// probes answered: outbound SAV is deployed.
+	SAVCannotSpoof
+)
+
+// String names the signal as recorded in ledger probe events.
+func (s SAVSignal) String() string {
+	switch s {
+	case SAVNoData:
+		return "no_data"
+	case SAVCanSpoof:
+		return "can_spoof"
+	case SAVCannotSpoof:
+		return "cannot_spoof"
+	default:
+		return fmt.Sprintf("SAVSignal(%d)", int(s))
 	}
+}
+
+// ProbeChannel is the evidence active probing contributes next to the
+// campaign's catchments: an independently measured ingress link per AS
+// (the link a probed network's replies actually arrived on) and a per-AS
+// spoofability signal. Both are indexed by dense topology index, like a
+// catchment vector; bgp.NoLink / SAVNoData mark ASes the probing pass has
+// no evidence for.
+type ProbeChannel struct {
+	Link   []bgp.LinkID
+	Signal []SAVSignal
+}
+
+// BuildChannel turns the inference into the probe channel: per-AS
+// measured ingress links (from control replies — an ingress observation
+// independent of the campaign's catchment measurements) and per-AS
+// spoofability signals. Only outbound verdicts at or above HighConfidence
+// are promoted to signals; everything else stays SAVNoData, so a degraded
+// scan (probe-storm) contributes no evidence rather than wrong evidence.
+func BuildChannel(inf *SAVInference) *ProbeChannel {
 	n := inf.NumASes()
-	pc := &spoof.ProbeChannel{
+	pc := &ProbeChannel{
 		Link:   make([]bgp.LinkID, n),
-		Signal: make([]spoof.SAVSignal, n),
+		Signal: make([]SAVSignal, n),
 	}
 	for as := 0; as < n; as++ {
 		pc.Link[as] = bgp.NoLink
@@ -36,10 +76,10 @@ func BuildChannel(inf *SAVInference, minConfidence float64) *spoof.ProbeChannel 
 			pc.Link[as] = r.Link
 		}
 		switch {
-		case r.Outbound == SAVAbsent && r.OutConfidence >= minConfidence:
-			pc.Signal[as] = spoof.SAVCanSpoof
-		case r.Outbound == SAVDeployed && r.OutConfidence >= minConfidence:
-			pc.Signal[as] = spoof.SAVCannotSpoof
+		case r.Outbound == SAVAbsent && r.OutConfidence >= HighConfidence:
+			pc.Signal[as] = SAVCanSpoof
+		case r.Outbound == SAVDeployed && r.OutConfidence >= HighConfidence:
+			pc.Signal[as] = SAVCannotSpoof
 		}
 	}
 	return pc
@@ -48,21 +88,18 @@ func BuildChannel(inf *SAVInference, minConfidence float64) *spoof.ProbeChannel 
 // InferredBCP38 builds a BCP38 deployment model over source positions
 // from probe verdicts: position k (dense AS sources[k]) is marked
 // deploying iff its outbound verdict is SAVDeployed at or above
-// minConfidence. Unprobed and low-confidence sources are conservatively
+// HighConfidence. Unprobed and low-confidence sources are conservatively
 // non-deploying (they stay candidate spoofers). This is the probed
 // counterpart of the seeded spoof.NewBCP38Model — a deployment map the
 // origin measured instead of assumed.
-func InferredBCP38(inf *SAVInference, sources []int, minConfidence float64) *spoof.BCP38Model {
-	if minConfidence <= 0 {
-		minConfidence = HighConfidence
-	}
+func InferredBCP38(inf *SAVInference, sources []int) *spoof.BCP38Model {
 	deployed := make([]bool, len(sources))
 	for k, as := range sources {
 		if as < 0 || as >= inf.NumASes() || !inf.Probed(as) {
 			continue
 		}
 		r := inf.Report(as)
-		deployed[k] = r.Outbound == SAVDeployed && r.OutConfidence >= minConfidence
+		deployed[k] = r.Outbound == SAVDeployed && r.OutConfidence >= HighConfidence
 	}
 	return spoof.NewBCP38FromVector(deployed)
 }
@@ -86,7 +123,7 @@ type ChannelAudit struct {
 }
 
 // Audit compares the probe channel against a catchment vector.
-func Audit(pc *spoof.ProbeChannel, catchment []bgp.LinkID) ChannelAudit {
+func Audit(pc *ProbeChannel, catchment []bgp.LinkID) ChannelAudit {
 	var a ChannelAudit
 	n := len(catchment)
 	if len(pc.Link) > n {

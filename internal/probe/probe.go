@@ -33,8 +33,9 @@
 // an explicit per-AS vector, so inference quality is measurable against
 // known truth. The Prober (prober.go) schedules rounds, SAVInference
 // (sav.go) turns tallies into verdicts with honest confidences, and the
-// Evidence bridge (evidence.go) feeds them to spoof.Classifier and the
-// BCP38 model as the second channel next to catchment attribution.
+// evidence bridge (evidence.go) promotes confident verdicts into the
+// probe channel, audits its measured ingress links against the campaign
+// catchments, and builds the BCP38 model that gates candidate spoofers.
 package probe
 
 import (

@@ -229,12 +229,12 @@ func TestEvidenceBridge(t *testing.T) {
 	catchment := out.CatchmentVector()
 	truth := net.Truth()
 
-	var pc *spoof.ProbeChannel
+	var pc *ProbeChannel
 	var model *spoof.BCP38Model
 	sources := []int{0, 1, 2, 3, 4, 5}
 	p.Inference(func(inf *SAVInference) {
-		pc = BuildChannel(inf, 0)
-		model = InferredBCP38(inf, sources, 0)
+		pc = BuildChannel(inf)
+		model = InferredBCP38(inf, sources)
 	})
 
 	// The probe channel's measured links must agree with the true
@@ -249,14 +249,14 @@ func TestEvidenceBridge(t *testing.T) {
 	// Signals must match ground truth exactly in the fault-free world.
 	for as, sig := range pc.Signal {
 		if !out.HasRoute(as) {
-			if sig != spoof.SAVNoData {
+			if sig != SAVNoData {
 				t.Fatalf("unrouted AS %d promoted to %v", as, sig)
 			}
 			continue
 		}
-		want := spoof.SAVCanSpoof
+		want := SAVCanSpoof
 		if truth.OutboundSAV[as] {
-			want = spoof.SAVCannotSpoof
+			want = SAVCannotSpoof
 		}
 		if sig != want {
 			t.Fatalf("AS %d signal %v, truth wants %v", as, sig, want)
@@ -337,7 +337,11 @@ func TestKindAndStateStrings(t *testing.T) {
 	if SAVUnknown.String() != "unknown" || SAVDeployed.String() != "deployed" || SAVAbsent.String() != "absent" {
 		t.Fatal("state names wrong")
 	}
-	if Kind(9).String() == "" || SAVState(9).String() == "" {
+	// Signal names are recorded in ledger exports and the /explain goldens.
+	if SAVNoData.String() != "no_data" || SAVCanSpoof.String() != "can_spoof" || SAVCannotSpoof.String() != "cannot_spoof" {
+		t.Fatal("signal names wrong")
+	}
+	if Kind(9).String() == "" || SAVState(9).String() == "" || SAVSignal(9).String() == "" {
 		t.Fatal("out-of-range values must still render")
 	}
 }

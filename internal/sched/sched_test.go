@@ -324,22 +324,6 @@ func TestGreedyVolumePanicsOnMismatch(t *testing.T) {
 	GreedyVolumeTrajectory(toyCatchments(), []float64{1}, 0)
 }
 
-func TestFullTrajectory(t *testing.T) {
-	cs := toyCatchments()
-	mean, p90 := FullTrajectory(cs)
-	if len(mean) != 4 || len(p90) != 4 {
-		t.Fatal("wrong trajectory length")
-	}
-	if mean[3] != 1 {
-		t.Fatalf("final mean %v, want 1", mean[3])
-	}
-	for i := range mean {
-		if p90[i] < mean[i]*0.5 {
-			t.Fatalf("p90 %v implausibly below mean %v", p90[i], mean[i])
-		}
-	}
-}
-
 func TestPredictorMatchesNoiselessEngine(t *testing.T) {
 	p := topo.DefaultGenParams(50)
 	p.NumASes = 500

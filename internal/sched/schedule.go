@@ -395,21 +395,3 @@ func volumeWeightedMeanSize(p *cluster.Partition, volume []float64) float64 {
 	}
 	return acc / total
 }
-
-// FullTrajectory deploys configurations in plan order and reports mean
-// and 90th-percentile cluster size after each (Fig. 4's two lines).
-func FullTrajectory(catchments [][]bgp.LinkID) (mean, p90 Trajectory) {
-	if len(catchments) == 0 {
-		return nil, nil
-	}
-	p := cluster.New(len(catchments[0]))
-	mean = make(Trajectory, 0, len(catchments))
-	p90 = make(Trajectory, 0, len(catchments))
-	for _, c := range catchments {
-		p.Refine(c)
-		m := p.Summarize()
-		mean = append(mean, m.MeanSize)
-		p90 = append(p90, m.P90Size)
-	}
-	return mean, p90
-}

@@ -52,6 +52,22 @@ func TestBCP38Filter(t *testing.T) {
 	}
 }
 
+func TestBCP38FromVector(t *testing.T) {
+	v := []bool{true, false, true}
+	m := NewBCP38FromVector(v)
+	if len(m.deployed) != 3 || !m.Deployed(0) || m.Deployed(1) || !m.Deployed(2) {
+		t.Fatalf("vector model wrong: %+v", m)
+	}
+	v[1] = true // the model must have copied
+	if m.Deployed(1) {
+		t.Fatal("NewBCP38FromVector aliased its input")
+	}
+	p := m.Filter(Placement{Weight: []float64{1, 1, 1}})
+	if p.TotalVolume() != 1 {
+		t.Fatalf("filtered volume %v, want 1 (only source 1 can spoof)", p.TotalVolume())
+	}
+}
+
 func TestRemediateDrivesVolumeToZero(t *testing.T) {
 	// 8 sources fully separable by 3 configurations.
 	catchments := [][]bgp.LinkID{

@@ -13,6 +13,21 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# require_tests PATTERN PKG...: fail unless every name in the -run
+# alternation PATTERN is a test of one of PKGs. go test -run passes
+# having run nothing when a named test was renamed or deleted.
+require_tests() {
+	pattern=$1
+	shift
+	listed=$(go test -list '.*' "$@")
+	for name in $(echo "$pattern" | tr '|' ' '); do
+		if ! echo "$listed" | grep -qx "$name"; then
+			echo "ci: $name is not a test in $*" >&2
+			exit 1
+		fi
+	done
+}
+
 echo "==> go vet"
 go vet ./...
 
@@ -41,10 +56,14 @@ echo "==> sharded-ingest chaos smoke (netsplit profile: sharded localization mus
 go test ./internal/shard/ -run 'TestChaosByteIdentical/netsplit' -count=1
 
 echo "==> delta-propagation equivalence smoke (full-vs-incremental, runner-up shedding, compact layout, race detector on)"
-go test -race ./internal/bgp/ -run 'TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden|TestOutcomeCacheShedsCatchmentOnly|TestOutcomeCacheReleaseShed|TestOutcomeCacheConcurrentCampaign|TestPropagateDeltaWarmAllocs|TestRoutingStateLayout|TestNewEngineRejectsWideDegree|TestReverseSlots|TestPerturbedDigest' -count=1
+delta_tests='TestPropagateDeltaMatchesFull|TestOutcomeReleaseRecycling|TestOutcomeCacheCampaignGolden|TestOutcomeCacheShedsCatchmentOnly|TestOutcomeCacheReleaseShed|TestOutcomeCacheConcurrentCampaign|TestPropagateDeltaWarmAllocs|TestRoutingStateLayout|TestNewEngineRejectsWideDegree|TestReverseSlots|TestPerturbedDigest'
+require_tests "$delta_tests" ./internal/bgp/
+go test -race ./internal/bgp/ -run "$delta_tests" -count=1
 # The race detector makes sync.Pool drop items at random, so the
 # allocation bounds skip under -race; they run here without it.
-go test ./internal/bgp/ ./internal/measure/ ./internal/core/ -run 'TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs|TestChooseVantagesAllocs|TestTruthCampaignRetainsSeedsOnly' -count=1
+alloc_tests='TestPropagateDeltaWarmAllocs|TestOutcomeCachePickSeedAllocs|TestChooseVantagesAllocs|TestTruthCampaignRetainsSeedsOnly'
+require_tests "$alloc_tests" ./internal/bgp/ ./internal/measure/ ./internal/core/
+go test ./internal/bgp/ ./internal/measure/ ./internal/core/ -run "$alloc_tests" -count=1
 
 echo "==> budget gates (serial: each compares two timed sides)"
 go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
