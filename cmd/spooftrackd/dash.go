@@ -182,21 +182,6 @@ const fmtSI = v => {
   return (v*1e6).toFixed(2)+"µ";
 };
 
-// zip joins children of one family by timestamp and maps the values.
-const zip = (series, f) => {
-  const by = new Map();
-  for (const s of series) for (const p of s.points) {
-    if (!by.has(p.t)) by.set(p.t, {});
-    by.get(p.t)[s.child || ""] = p.v;
-  }
-  const out = [];
-  for (const [t, vals] of [...by.entries()].sort((a, b) => a[0]-b[0])) {
-    const v = f(vals);
-    if (v !== null && isFinite(v)) out.push({t, v});
-  }
-  return out;
-};
-
 // Panels: url is the /query request; points(resp) yields the sparkline
 // series; ring panels instead poll one value and keep local history.
 const PANELS = [
@@ -204,11 +189,6 @@ const PANELS = [
     points: r => r.series.length ? r.series[0].points : [] },
   { title: "flush lag p99 (s)", url: "/query?series=stream_flush_lag_seconds&func=quantile&q=0.99&window=5m",
     ring: true, points: r => r.series.length ? r.series[0].points : [] },
-  { title: "cache hit ratio", url: "/query?series=bgp_outcome_cache_requests_total&func=rate&window=10m",
-    points: r => zip(r.series, v => {
-      const h = v["result=hit"] || 0, m = v["result=miss"] || 0;
-      return h + m > 0 ? h / (h + m) : null;
-    }) },
   { title: "probe coverage", url: "/query?series=probe_coverage&window=10m",
     points: r => r.series.length ? r.series[0].points : [] },
   { title: "degraded", url: "/query?series=stream_degraded&window=10m",

@@ -352,11 +352,6 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 		slog.Warn("campaign degraded: some configurations permanently failed; localization proceeds with coarser clusters",
 			"incomplete", camp.Incomplete)
 	}
-
-	// Outcome-cache effectiveness: bgp_outcome_cache_requests_total{result}
-	// and the size gauge, counted at the cache itself; the watchdog's
-	// hit-rate floor reads the family.
-	platform.InstrumentCache(reg)
 	return tracker, led, nil
 }
 
@@ -540,7 +535,6 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 		"stream_dropped_total",
 		"stream_flush_lag_seconds",
 		"amp_border_packets_total",
-		"bgp_outcome_cache_requests_total",
 	}
 	wc.Rules = []watch.Rule{
 		{
@@ -583,19 +577,6 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			Window:    time.Minute,
 			Op:        watch.Above,
 			Threshold: 50,
-			For:       3,
-		},
-		{
-			Name: "outcome-cache-hit-rate",
-			Expr: watch.Ratio(
-				watch.Series("bgp_outcome_cache_requests_total", "result=hit"),
-				watch.Sum(
-					watch.Series("bgp_outcome_cache_requests_total", "result=hit"),
-					watch.Series("bgp_outcome_cache_requests_total", "result=miss"),
-				),
-			),
-			Op:        watch.Below,
-			Threshold: 0.10,
 			For:       3,
 		},
 		// Probe-channel health. Both rules read metrics the prober

@@ -212,8 +212,8 @@ func TestStatusPerMode(t *testing.T) {
 	if got, want := jsonKeys(t, body), []string{
 		"candidates", "converged", "current_config", "degraded", "deployed_configs",
 		"dropped_events", "events_per_sec", "history", "mean_cluster_size", "num_clusters",
-		"num_sources", "per_link", "reconfigurations", "rounds", "top_sources", "top_victims",
-		"total_bytes", "total_events", "uptime_sec", "workers",
+		"num_sources", "per_link", "reconfigurations", "rounds", "top_sources", "total_bytes",
+		"total_events", "uptime_sec", "workers",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("single-node /status keys %v, want %v", got, want)
 	}

@@ -3,7 +3,6 @@ package bgp
 import (
 	"sync"
 
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/trace"
 )
 
@@ -12,12 +11,14 @@ import (
 // selection, a runner-up and an export class per AS (25 bytes, ~2.0 MB
 // at 80k ASes). A base is an announcing link subset, so the paper's
 // seven-link platform has at most 127 of them (~250 MB at 80k ASes; a
-// campaign deploys 64), and 1024 entries never evict one there.
+// campaign deploys 64), and 1024 entries never fill there.
 const DefaultOutcomeCacheCapacity = 1024
 
 // OutcomeCache memoizes delta seeds by canonical configuration key
 // (Config.Key) and derives every other outcome from them. A cache
-// belongs to one engine: keys do not encode engine parameters.
+// belongs to one engine: keys do not encode engine parameters. It serves
+// the offline campaign and whatever replays its configurations; the live
+// loop deploys catchments measured beforehand and never consults it.
 //
 // Only a delta seed reads an outcome's runner-ups (Outcome.second), half
 // of its memory, and on a campaign every seed is a base configuration:
@@ -27,7 +28,7 @@ const DefaultOutcomeCacheCapacity = 1024
 // cache then still offers one, whatever it has seen). Outcomes are
 // immutable, so a hit returns the same *Outcome pointer the first
 // propagation produced: each distinct seed configuration is propagated
-// once per engine, while it stays resident.
+// once per engine.
 //
 // Every other configuration is derived: one delta step from the resident
 // outcome cheapest to carry into it (deltaCost), its runner-ups handed
@@ -44,109 +45,61 @@ const DefaultOutcomeCacheCapacity = 1024
 // interleaves candidate families rather than stepping through adjacent
 // configs — ride the incremental path without code changes;
 // PropagateDeltaInfo transparently falls back to a full run whenever the
-// seed outcome cannot help. Beyond its capacity the least-recently-used
-// seed is evicted (hits refresh recency).
+// seed outcome cannot help. Seeds stay in admission order and are never
+// evicted: a cache holding its capacity admits nothing more, and a
+// further seed configuration comes back like a derived one.
 type OutcomeCache struct {
 	mu        sync.Mutex
-	m         map[string]*cacheEntry
+	m         map[string]*Outcome
+	seeds     []*Outcome // admission order, oldest first
 	cap       int
-	head      *cacheEntry // most recently used
-	tail      *cacheEntry // least recently used
 	hits      uint64
 	misses    uint64
-	evicts    uint64
 	deltaInc  uint64 // misses resolved on the incremental delta path
 	deltaFull uint64 // misses that fell back to full propagation
-	// hitC/missC/evictC, when set via Instrument, are bumped alongside
-	// the internal counters so a registry sees the events as one labeled
-	// family instead of scraped gauges.
-	hitC   *metrics.Counter
-	missC  *metrics.Counter
-	evictC *metrics.Counter
-}
-
-type cacheEntry struct {
-	key        string
-	out        *Outcome
-	prev, next *cacheEntry
 }
 
 // CacheStats is a point-in-time view of a cache's effectiveness:
-// cumulative hit, miss, and eviction counts plus the current number of
-// resident seeds and the configured capacity (0 = unbounded). Every
-// derived outcome counts as a miss, however often it is asked for.
-// DeltaIncremental / DeltaFull split the misses by how they resolved:
-// seeded through the incremental delta path versus recomputed in full.
-// Exposed through the metrics registry by cmd/spooftrackd.
+// cumulative hit and miss counts plus the current number of resident
+// seeds. Every derived outcome counts as a miss, however often it is
+// asked for. DeltaIncremental / DeltaFull split the misses by how they
+// resolved: seeded through the incremental delta path versus recomputed
+// in full.
 type CacheStats struct {
 	Hits             uint64
 	Misses           uint64
-	Evictions        uint64
 	DeltaIncremental uint64
 	DeltaFull        uint64
 	Size             int
-	Capacity         int
 }
 
 // NewOutcomeCache returns an empty cache bounded at
-// DefaultOutcomeCacheCapacity entries.
+// DefaultOutcomeCacheCapacity seeds.
 func NewOutcomeCache() *OutcomeCache {
-	return NewOutcomeCacheCap(DefaultOutcomeCacheCapacity)
-}
-
-// NewOutcomeCacheCap returns an empty cache bounded at capacity entries;
-// capacity <= 0 means unbounded.
-func NewOutcomeCacheCap(capacity int) *OutcomeCache {
-	return &OutcomeCache{m: make(map[string]*cacheEntry), cap: capacity}
-}
-
-// touch moves an entry to the MRU position. Caller holds mu.
-func (c *OutcomeCache) touch(e *cacheEntry) {
-	if c.head == e {
-		return
-	}
-	// unlink
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if c.tail == e {
-		c.tail = e.prev
-	}
-	// push front
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
+	return &OutcomeCache{m: make(map[string]*Outcome), cap: DefaultOutcomeCacheCapacity}
 }
 
 // pickSeed returns the converged resident outcome cheapest to carry
-// into cfg by deltaCost, ties toward the most recently used, or nil when
-// none can seed. Caller holds mu. It walks the whole LRU list from the
-// head and stops at cost 0: scoring an entry touches only a handful of
+// into cfg by deltaCost, ties toward the most recently admitted, or nil
+// when none can seed. Caller holds mu. It walks every seed, newest
+// first, and stops at cost 0: scoring an entry touches only a handful of
 // announcements and allocates nothing, while the payoff is the
 // difference between a delta over one small catchment and a full
 // propagation. Plan order is a poor guide to the cheap base — a prepend
 // is cheapest from the config without the prepended announcement, not
-// from its sibling prepends — so recency alone would miss it.
+// from its sibling prepends — so the newest seed alone would miss it.
 func (c *OutcomeCache) pickSeed(cfg Config) *Outcome {
 	var best *Outcome
 	bestCost := 0
-	for e := c.head; e != nil; e = e.next {
+	for i := len(c.seeds) - 1; i >= 0; i-- {
+		out := c.seeds[i]
 		// An unconverged, dispute-frozen entry cannot seed: the delta path
 		// would reject it and run in full.
-		if !e.out.converged {
+		if !out.converged {
 			continue
 		}
-		if d := deltaCost(e.out.cfg, cfg); best == nil || d < bestCost {
-			best, bestCost = e.out, d
+		if d := deltaCost(out.cfg, cfg); best == nil || d < bestCost {
+			best, bestCost = out, d
 			if d == 0 {
 				break
 			}
@@ -168,30 +121,6 @@ func isBase(cfg Config) bool {
 	return true
 }
 
-// evictOver drops LRU entries until the size fits the capacity. Caller
-// holds mu. Evicted outcomes stay valid for callers still holding them
-// (outcomes are immutable, and Release still ignores them); only the
-// memoization is dropped.
-func (c *OutcomeCache) evictOver() {
-	if c.cap <= 0 {
-		return
-	}
-	for len(c.m) > c.cap && c.tail != nil {
-		victim := c.tail
-		c.tail = victim.prev
-		if c.tail != nil {
-			c.tail.next = nil
-		} else {
-			c.head = nil
-		}
-		delete(c.m, victim.key)
-		c.evicts++
-		if c.evictC != nil {
-			c.evictC.Inc()
-		}
-	}
-}
-
 // Propagate returns the engine's outcome for the configuration: the
 // resident seed when the canonical key matches one, else a new outcome,
 // kept when it can seed and derived for the caller alone when it cannot.
@@ -211,16 +140,12 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 	sp := trace.StartChild(parent, "bgp.cache")
 	key := cfg.Key()
 	c.mu.Lock()
-	if ent, ok := c.m[key]; ok {
+	if prior, ok := c.m[key]; ok {
 		c.hits++
-		if c.hitC != nil {
-			c.hitC.Inc()
-		}
-		c.touch(ent)
-		size := len(c.m)
+		size := len(c.seeds)
 		c.mu.Unlock()
 		c.endSpan(sp, 1, 0, size)
-		return ent.out, nil
+		return prior, nil
 	}
 	// Seed the miss with the cheapest resident outcome. Any converged
 	// previous outcome yields the same (byte-identical) result, so
@@ -242,54 +167,37 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		sp.End()
 		return nil, err
 	}
-	if seed != nil && !isBase(cfg) {
-		// Derived: the caller owns it, and it can never seed.
-		out.shedSecond()
-		c.mu.Lock()
-		c.countMiss(info)
-		size := len(c.m)
-		c.mu.Unlock()
-		c.endSpan(sp, 0, 1, size)
-		return &out, nil
-	}
+	derived := seed != nil && !isBase(cfg)
 	c.mu.Lock()
-	if prior, ok := c.m[key]; ok {
+	if prior, ok := c.m[key]; ok && !derived {
 		c.hits++
-		if c.hitC != nil {
-			c.hitC.Inc()
-		}
-		c.touch(prior)
-		size := len(c.m)
+		size := len(c.seeds)
 		c.mu.Unlock()
 		out.Release() // lost the race; nobody else holds it
 		c.endSpan(sp, 1, 0, size)
-		return prior.out, nil
+		return prior, nil
 	}
 	c.countMiss(info)
-	out.cached = true
-	ent := &cacheEntry{key: key, out: &out}
-	c.m[key] = ent
-	ent.next = c.head
-	if c.head != nil {
-		c.head.prev = ent
+	keep := !derived && len(c.seeds) < c.cap
+	if keep {
+		out.cached = true
+		c.m[key] = &out
+		c.seeds = append(c.seeds, &out)
 	}
-	c.head = ent
-	if c.tail == nil {
-		c.tail = ent
-	}
-	c.evictOver()
-	size := len(c.m)
+	size := len(c.seeds)
 	c.mu.Unlock()
+	if !keep {
+		// Derived, or a seed a full cache cannot admit: the caller owns
+		// it, and it can never seed.
+		out.shedSecond()
+	}
 	c.endSpan(sp, 0, 1, size)
-	return ent.out, nil
+	return &out, nil
 }
 
 // countMiss counts a resolved miss and how it resolved. Caller holds mu.
 func (c *OutcomeCache) countMiss(info DeltaInfo) {
 	c.misses++
-	if c.missC != nil {
-		c.missC.Inc()
-	}
 	if info.Mode.Incremental() {
 		c.deltaInc++
 	} else {
@@ -309,50 +217,16 @@ func (c *OutcomeCache) endSpan(sp *trace.Span, hit, miss int64, size int) {
 	sp.End()
 }
 
-// Instrument attaches a labeled counter vector (conventionally
-// bgp_outcome_cache_requests_total{result}) so hits, misses, and LRU
-// evictions are counted under result="hit" / result="miss" /
-// result="eviction" as they happen. Nil detaches. Counts recorded before
-// Instrument are not replayed.
-func (c *OutcomeCache) Instrument(v *metrics.CounterVec) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v == nil {
-		c.hitC, c.missC, c.evictC = nil, nil, nil
-		return
-	}
-	c.hitC = v.With("hit")
-	c.missC = v.With("miss")
-	c.evictC = v.With("eviction")
-}
-
-// Stats returns the cumulative hit and miss counts.
-func (c *OutcomeCache) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// StatsSnapshot returns hit, miss, eviction, and size counters in one
-// consistent read — the shape the metrics registry's gauge functions
-// consume.
+// StatsSnapshot returns the hit, miss, delta-split and size counters
+// in one consistent read.
 func (c *OutcomeCache) StatsSnapshot() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
 		Hits:             c.hits,
 		Misses:           c.misses,
-		Evictions:        c.evicts,
 		DeltaIncremental: c.deltaInc,
 		DeltaFull:        c.deltaFull,
-		Size:             len(c.m),
-		Capacity:         c.cap,
+		Size:             len(c.seeds),
 	}
-}
-
-// Len returns the number of resident seeds.
-func (c *OutcomeCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

@@ -1,9 +1,8 @@
 package bgp
 
 import (
+	"slices"
 	"testing"
-
-	"spooftrack/internal/metrics"
 )
 
 // distinctConfigs returns n routing-distinct base configurations, the
@@ -23,87 +22,41 @@ func distinctConfigs(n int) []Config {
 	return cfgs
 }
 
-// TestOutcomeCacheCapHolds fills a small-capacity cache past its bound
-// and checks the cap holds, LRU order decides the victims, and the
-// eviction counter (internal and instrumented) advances.
+// TestOutcomeCacheCapHolds feeds ten bases to a cache bounded at four:
+// the first four are admitted and stay resident (later lookups hit and
+// return the same pointer), and the other six come back like derived
+// outcomes — runner-ups shed, owned by the caller, never resident.
 func TestOutcomeCacheCapHolds(t *testing.T) {
 	g, o := worldForTest(t, 9, 600)
 	e := newEngine(t, g, o, noiseless())
 	cache := NewOutcomeCacheCap(4)
-	reg := metrics.NewRegistry()
-	vec := reg.CounterVec("bgp_outcome_cache_requests_total", "result")
-	cache.Instrument(vec)
-
 	cfgs := distinctConfigs(10)
-	for _, cfg := range cfgs {
-		if _, err := cache.Propagate(e, cfg); err != nil {
+	outs := make([]*Outcome, len(cfgs))
+	for i, cfg := range cfgs {
+		out, err := cache.Propagate(e, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if cache.Len() > 4 {
-			t.Fatalf("cache grew to %d entries, cap is 4", cache.Len())
-		}
+		outs[i] = out
 	}
-	st := cache.StatsSnapshot()
-	if st.Size != 4 || st.Capacity != 4 {
-		t.Fatalf("size=%d capacity=%d, want 4/4", st.Size, st.Capacity)
+	if st := cache.StatsSnapshot(); st.Size != 4 || st.Misses != 10 {
+		t.Fatalf("size=%d misses=%d, want 4/10", st.Size, st.Misses)
 	}
-	if st.Evictions != 6 {
-		t.Fatalf("evictions=%d, want 6", st.Evictions)
+	if res := cache.Resident(); !slices.Equal(res, outs[:4]) {
+		t.Fatalf("resident %d seeds, want the first 4 admitted in order", len(res))
 	}
-	if got := vec.With("eviction").Value(); got != 6 {
-		t.Fatalf("instrumented eviction counter=%d, want 6", got)
-	}
-
-	// The last 4 configs must still be resident (hits), the first 6 gone.
-	h0, m0 := cache.Stats()
-	for _, cfg := range cfgs[6:] {
-		if _, err := cache.Propagate(e, cfg); err != nil {
+	for i, cfg := range cfgs {
+		again, err := cache.Propagate(e, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	h1, m1 := cache.Stats()
-	if h1-h0 != 4 || m1 != m0 {
-		t.Fatalf("resident tail: %d hits %d new misses, want 4 hits 0 misses", h1-h0, m1-m0)
-	}
-	if _, err := cache.Propagate(e, cfgs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, m2 := cache.Stats(); m2 != m1+1 {
-		t.Fatal("evicted head config should miss")
-	}
-}
-
-// TestOutcomeCacheLRUTouch checks that a hit refreshes recency: touched
-// entries survive an insert wave that evicts untouched ones.
-func TestOutcomeCacheLRUTouch(t *testing.T) {
-	g, o := worldForTest(t, 9, 600)
-	e := newEngine(t, g, o, noiseless())
-	cache := NewOutcomeCacheCap(3)
-	cfgs := distinctConfigs(5)
-	for _, cfg := range cfgs[:3] {
-		if _, err := cache.Propagate(e, cfg); err != nil {
-			t.Fatal(err)
+		if admitted := i < 4; (again == outs[i]) != admitted || HoldsRunnerUps(outs[i]) != admitted {
+			t.Fatalf("base %d: same pointer %v, runner-ups %v, want both %v",
+				i, again == outs[i], HoldsRunnerUps(outs[i]), admitted)
 		}
 	}
-	// Touch cfg[0], making cfg[1] the LRU victim of the next insert.
-	if _, err := cache.Propagate(e, cfgs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cache.Propagate(e, cfgs[3]); err != nil {
-		t.Fatal(err)
-	}
-	_, m0 := cache.Stats()
-	if _, err := cache.Propagate(e, cfgs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := cache.Stats(); m != m0 {
-		t.Fatal("touched entry was evicted")
-	}
-	if _, err := cache.Propagate(e, cfgs[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := cache.Stats(); m != m0+1 {
-		t.Fatal("untouched entry should have been the eviction victim")
+	if st := cache.StatsSnapshot(); st.Hits != 4 || st.Misses != 16 || st.Size != 4 {
+		t.Fatalf("after replay: %d hits %d misses %d resident, want 4/16/4", st.Hits, st.Misses, st.Size)
 	}
 }
 
@@ -148,9 +101,9 @@ func baseConfig(links ...LinkID) Config {
 
 // TestOutcomeCacheSeedFromWholeCache is the white-box contract of the
 // seed pick: the seed is the cheapest resident outcome wherever it sits
-// in the LRU list — here the least recently used, behind more entries
-// than any recency window would hold — and among equally cheap seeds
-// the most recently used wins.
+// in admission order — here the oldest, behind more entries than any
+// recency window would hold — and among equally cheap seeds the most
+// recently admitted wins, however often the others are asked for.
 func TestOutcomeCacheSeedFromWholeCache(t *testing.T) {
 	g, o := worldForTest(t, 17, 600)
 	e := newEngine(t, g, o, noiseless())
@@ -179,16 +132,18 @@ func TestOutcomeCacheSeedFromWholeCache(t *testing.T) {
 	// Adding link 3 to the oldest entry costs one added announcement;
 	// every other resident would add two or more, or withdraw one.
 	if seed := pick(baseConfig(0, 1, 2, 3)); seed != oldest {
-		t.Fatalf("pickSeed chose %v, want the LRU entry %v", seed.Config(), oldest.Config())
+		t.Fatalf("pickSeed chose %v, want the oldest seed %v", seed.Config(), oldest.Config())
 	}
 	// Links {0, 1, 3} are one added announcement from both x and y.
 	tie := baseConfig(0, 1, 3)
 	if seed := pick(tie); seed != y {
-		t.Fatalf("tie went to %v, want the most recently used %v", seed.Config(), y.Config())
+		t.Fatalf("tie went to %v, want the most recently admitted %v", seed.Config(), y.Config())
 	}
-	resolve(x.Config()) // a hit makes x the most recently used
-	if seed := pick(tie); seed != x {
-		t.Fatalf("tie went to %v after touching x, want %v", seed.Config(), x.Config())
+	if resolve(x.Config()) != x { // a hit moves nothing
+		t.Fatal("a resident seed did not hit")
+	}
+	if seed := pick(tie); seed != y {
+		t.Fatalf("tie went to %v after a hit on x, want %v", seed.Config(), y.Config())
 	}
 }
 

@@ -135,8 +135,8 @@ func TestOutcomeCacheShedsCatchmentOnly(t *testing.T) {
 		}
 	}
 	t.Logf("%d configs: %d bases kept, %d derived", len(plan), bases, derivs)
-	if cache.Len() != bases || derivs == 0 {
-		t.Fatalf("%d resident after %d bases and %d derived configs", cache.Len(), bases, derivs)
+	if size := cache.StatsSnapshot().Size; size != bases || derivs == 0 {
+		t.Fatalf("%d resident after %d bases and %d derived configs", size, bases, derivs)
 	}
 
 	next := plan[len(plan)/2].Config
@@ -161,14 +161,16 @@ func TestOutcomeCacheShedsCatchmentOnly(t *testing.T) {
 
 // TestOutcomeCacheReleaseShed releases every outcome a small cache
 // returns, as a truth campaign does once it has read a catchment row, and
-// keeps deploying. Derived outcomes hand their arrays to later ones, which
-// must still match Propagate. On a seed, resident or evicted, Release is
-// a no-op: the seed keeps its runner-ups, still answers queries as
-// Propagate does, and still seeds a delta.
+// keeps deploying. Derived outcomes, and the bases the full cache did not
+// admit, hand their arrays to later ones, which must still match
+// Propagate. On a resident seed Release is a no-op: the seed keeps its
+// runner-ups, still answers queries as Propagate does, and still seeds a
+// delta.
 func TestOutcomeCacheReleaseShed(t *testing.T) {
 	e, plan := campaignWorld(t, 1000)
 	cache := bgp.NewOutcomeCacheCap(8)
 	var seeds []*bgp.Outcome
+	unadmitted := 0
 	for i, pc := range plan[:200] {
 		out, err := cache.Propagate(e, pc.Config)
 		if err != nil {
@@ -181,12 +183,14 @@ func TestOutcomeCacheReleaseShed(t *testing.T) {
 		}
 		if bgp.HoldsRunnerUps(out) {
 			seeds = append(seeds, out)
+		} else if bgp.IsBase(pc.Config) {
+			unadmitted++
 		}
 		out.Release()
 	}
-	if st := cache.StatsSnapshot(); len(seeds) <= st.Size || st.Evictions == 0 {
-		t.Fatalf("%d seeds, %d resident, %d evicted: the plan must evict released seeds",
-			len(seeds), st.Size, st.Evictions)
+	if st := cache.StatsSnapshot(); len(seeds) != 8 || st.Size != 8 || unadmitted == 0 {
+		t.Fatalf("%d seeds, %d resident, %d bases not admitted: the plan must overfill the cache",
+			len(seeds), st.Size, unadmitted)
 	}
 	for _, seed := range seeds {
 		cfg := seed.Config()

@@ -3,6 +3,7 @@ package bgp
 import (
 	"encoding/binary"
 	"hash"
+	"slices"
 )
 
 // Seams for the external bgp_test package, whose campaign golden needs
@@ -18,15 +19,18 @@ var IsBase = isBase
 // state a delta seed needs.
 func HoldsRunnerUps(o *Outcome) bool { return o.second != nil }
 
-// Resident lists the cache's outcomes, most recently used first.
+// NewOutcomeCacheCap returns an empty cache bounded at capacity seeds.
+func NewOutcomeCacheCap(capacity int) *OutcomeCache {
+	c := NewOutcomeCache()
+	c.cap = capacity
+	return c
+}
+
+// Resident lists the cache's seeds in admission order, oldest first.
 func (c *OutcomeCache) Resident() []*Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*Outcome
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.out)
-	}
-	return out
+	return slices.Clone(c.seeds)
 }
 
 // HashSelections folds the outcome's converged flag and every AS's

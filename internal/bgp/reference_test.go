@@ -330,9 +330,9 @@ func TestCachedPropagateMatches(t *testing.T) {
 			}
 		}
 	}
-	if cache.Len() != len(seeds) || derived == 0 {
+	if size := cache.StatsSnapshot().Size; size != len(seeds) || derived == 0 {
 		t.Fatalf("%d resident after %d seed and %d derived configs, want the %d seeds",
-			cache.Len(), len(seeds), derived, len(seeds))
+			size, len(seeds), derived, len(seeds))
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/stats"
 	"spooftrack/internal/topo"
 	"spooftrack/internal/trace"
@@ -377,18 +376,9 @@ func (p *Platform) Record(parent *trace.Span) {
 }
 
 // CacheStats returns the outcome cache's cumulative hit and miss counts.
-func (p *Platform) CacheStats() (hits, misses uint64) { return p.cache.Stats() }
-
-// InstrumentCache wires the outcome cache into a metrics registry as
-// bgp_outcome_cache_requests_total{result="hit"|"miss"|"eviction"} plus a
-// bgp_outcome_cache_size gauge. No-op when reg is nil. The watchdog's
-// hit-rate SLO reads the labeled family.
-func (p *Platform) InstrumentCache(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	p.cache.Instrument(reg.CounterVec("bgp_outcome_cache_requests_total", "result"))
-	reg.GaugeFunc("bgp_outcome_cache_size", func() float64 { return float64(p.cache.Len()) })
+func (p *Platform) CacheStats() (hits, misses uint64) {
+	st := p.cache.StatsSnapshot()
+	return st.Hits, st.Misses
 }
 
 // ConvergenceTotal returns the cumulative sampled convergence delay

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"spooftrack/internal/bgp"
 )
 
-// Export is a point-in-time snapshot of the ledger, sorted by global
-// sequence number. It is the unit Replay and Explain operate on and the
+// Export is a point-in-time snapshot of the ledger in sequence order. It is the unit Replay and Explain operate on and the
 // payload the /explain endpoint and the JSON/DOT writers serialize.
 type Export struct {
 	Events []Event `json:"events"`
@@ -22,15 +21,9 @@ func (l *Ledger) Export() *Export {
 	if l == nil {
 		return &Export{}
 	}
-	var evs []Event
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		evs = append(evs, sh.events...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
-	return &Export{Events: evs}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return &Export{Events: slices.Clone(l.events)}
 }
 
 // WriteJSON writes the timeline as indented JSON.

@@ -1,5 +1,5 @@
-// Package provenance is the decision-provenance ledger: an append-only,
-// lock-sharded record of every input that shaped a localization verdict
+// Package provenance is the decision-provenance ledger: an append-only
+// record of every input that shaped a localization verdict
 // — deployed configurations and their catchment rows, retry / degrade /
 // quarantine events from the fault substrate, probe-channel verdicts
 // with confidences, each stream round fold, and every greedy
@@ -18,15 +18,14 @@
 //
 //	led.Round(provenance.RoundEvent{...}) // no-op when led == nil
 //
-// Appends are lock-sharded by sequence number so concurrent producers
-// (campaign deploy workers, the stream controller, the probe scan loop)
-// do not serialize on one mutex; Export merges the shards back into
-// global sequence order.
+// Concurrent producers (campaign deploy workers, the stream controller,
+// the probe scan loop) append under one mutex that assigns the sequence
+// number, so the ledger is always a gap-free sequence and every Export —
+// live or final — is a prefix of it.
 package provenance
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spooftrack/internal/bgp"
@@ -266,9 +265,6 @@ type FailoverEvent struct {
 
 // Options configures a Ledger.
 type Options struct {
-	// Shards is the number of append shards (rounded up to a power of
-	// two; default 8).
-	Shards int
 	// Clock overrides the wall-clock source (tests; default time.Now).
 	Clock func() time.Time
 }
@@ -276,50 +272,37 @@ type Options struct {
 // Ledger is the append-only evidence ledger. All methods are safe for
 // concurrent use; a nil *Ledger is valid and drops everything.
 type Ledger struct {
-	seq    atomic.Uint64
-	mask   uint64
-	shards []ledgerShard
-	now    func() time.Time
+	now func() time.Time
 
-	// kindC mirrors appends into a labeled counter family once
+	// mu guards events, whose index is the sequence number less one, and
+	// kindC, which mirrors appends into a labeled counter family once
 	// Instrument attaches one (provenance_events_total{kind}).
-	mu    sync.Mutex
-	kindC map[Kind]*metrics.Counter
-	vec   *metrics.CounterVec
-}
-
-type ledgerShard struct {
 	mu     sync.Mutex
 	events []Event
+	kindC  map[Kind]*metrics.Counter
+	vec    *metrics.CounterVec
 }
 
 // New builds an enabled ledger. To run with provenance off, keep a nil
 // *Ledger instead — every method no-ops.
 func New(opts Options) *Ledger {
-	ns := 1
-	for ns < opts.Shards || (opts.Shards <= 0 && ns < 8) {
-		ns <<= 1
-	}
 	now := opts.Clock
 	if now == nil {
 		now = time.Now
 	}
-	return &Ledger{mask: uint64(ns - 1), shards: make([]ledgerShard, ns), now: now}
+	return &Ledger{now: now}
 }
 
 // Enabled reports whether events are being recorded.
 func (l *Ledger) Enabled() bool { return l != nil }
 
-// append assigns the event a global sequence number and a wall stamp
-// and stores it in the shard the sequence hashes to.
+// append assigns the event the next sequence number and a wall stamp
+// and stores it, all under mu: no export can see event n+1 without n.
 func (l *Ledger) append(ev Event) {
-	ev.Seq = l.seq.Add(1)
-	ev.Wall = l.now()
-	sh := &l.shards[ev.Seq&l.mask]
-	sh.mu.Lock()
-	sh.events = append(sh.events, ev)
-	sh.mu.Unlock()
 	l.mu.Lock()
+	ev.Seq = uint64(len(l.events)) + 1
+	ev.Wall = l.now()
+	l.events = append(l.events, ev)
 	c := l.kindC[ev.Kind]
 	if c == nil && l.vec != nil {
 		c = l.vec.With(string(ev.Kind))
@@ -449,14 +432,9 @@ func (l *Ledger) Len() int {
 	if l == nil {
 		return 0
 	}
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		n += len(sh.events)
-		sh.mu.Unlock()
-	}
-	return n
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.events)
 }
 
 // Instrument mirrors appends into reg as

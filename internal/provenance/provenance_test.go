@@ -51,8 +51,53 @@ func TestNilLedgerNoOps(t *testing.T) {
 	}
 }
 
+// TestExportIsAPrefix exports while 8 goroutines append: every export,
+// live or final, holds sequence numbers 1…len with no gap, so a replay
+// of a live ledger never sees event n+1 without event n.
+func TestExportIsAPrefix(t *testing.T) {
+	l := New(Options{})
+	const workers, per = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				l.RecordRetry(RetryEvent{Config: w, Attempt: i})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	check := func(e *Export) {
+		t.Helper()
+		for i, ev := range e.Events {
+			if ev.Seq != uint64(i+1) {
+				t.Fatalf("export of %d events holds seq %d at position %d", len(e.Events), ev.Seq, i)
+			}
+		}
+	}
+	for exports := 0; ; exports++ {
+		select {
+		case <-done:
+			e := l.Export()
+			check(e)
+			if len(e.Events) != workers*per {
+				t.Fatalf("final export holds %d events, want %d", len(e.Events), workers*per)
+			}
+			t.Logf("%d live exports", exports)
+			return
+		default:
+			check(l.Export())
+		}
+	}
+}
+
 func TestConcurrentAppendExportOrdering(t *testing.T) {
-	l := New(Options{Shards: 4})
+	l := New(Options{})
 	const workers, per = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -18,21 +18,11 @@ var maskCatchments = [][]bgp.LinkID{
 
 func TestNextGreedyMasked(t *testing.T) {
 	p := cluster.New(4)
-	used := make([]bool, 3)
-	if got := NextGreedyMasked(p, maskCatchments, used, nil); got != 0 {
-		t.Fatalf("nil mask: NextGreedyMasked = %d, want 0 (NextGreedy tie-break)", got)
+	if got := NextGreedy(p, maskCatchments, make([]bool, 3)); got != 0 {
+		t.Fatalf("NextGreedy = %d, want 0 (tie toward the lowest index)", got)
 	}
-	if a, b := NextGreedy(p, maskCatchments, used), NextGreedyMasked(p, maskCatchments, used, nil); a != b {
-		t.Fatalf("NextGreedy %d != NextGreedyMasked nil %d", a, b)
-	}
-	// Quarantine config 0: planning routes around it.
-	blocked := []bool{true, false, false}
-	if got := NextGreedyMasked(p, maskCatchments, used, blocked); got != 1 {
-		t.Fatalf("masked: NextGreedyMasked = %d, want 1", got)
-	}
-	// Everything blocked or used → -1.
-	if got := NextGreedyMasked(p, maskCatchments, []bool{false, true, true}, []bool{true, false, false}); got != -1 {
-		t.Fatalf("all unavailable: got %d, want -1", got)
+	if got := NextGreedy(p, maskCatchments, []bool{true, true, true}); got != -1 {
+		t.Fatalf("all used: NextGreedy = %d, want -1", got)
 	}
 }
 

@@ -73,19 +73,9 @@ func RandomEnsemble(catchments [][]bgp.LinkID, nSeq int, seed uint64) (p25, medi
 // live pipeline (internal/stream) asks for between attack rounds;
 // GreedyTrajectory iterates it.
 func NextGreedy(p *cluster.Partition, catchments [][]bgp.LinkID, used []bool) int {
-	return NextGreedyMasked(p, catchments, used, nil)
-}
-
-// NextGreedyMasked is NextGreedy with a routing mask: configurations
-// with blocked[c] set are skipped as if used (their links are
-// quarantined by the platform's health breaker). A nil mask is
-// NextGreedy. The mask only affects which configuration is chosen next,
-// never the catchments themselves, so localization stays correct — just
-// routed around unhealthy links.
-func NextGreedyMasked(p *cluster.Partition, catchments [][]bgp.LinkID, used, blocked []bool) int {
 	best, bestClusters := -1, -1
 	for c := range catchments {
-		if used[c] || (blocked != nil && blocked[c]) {
+		if used[c] {
 			continue
 		}
 		k := p.NumClustersAfter(catchments[c])

@@ -20,24 +20,21 @@ type EvalParams struct {
 	// SplitThreshold: reconfigure while the top volume-ranked candidate
 	// cluster holds more than this many sources (default 1).
 	SplitThreshold int
-	// MaxMisses is the localization tolerance (spoof.LocalizeTolerant);
-	// 0 is the paper's exact correlation.
-	MaxMisses int
-	// NoiseFloor is the fraction of a round's total volume below which
-	// a link counts as silent when folding the round — absorbs packets
-	// straggling across a reconfiguration under the old catchment
-	// table. Default 0.02; negative disables.
-	NoiseFloor float64
 }
+
+const (
+	// maxMisses is the localization tolerance (spoof.LocalizeTolerant):
+	// 0, the paper's exact correlation.
+	maxMisses = 0
+	// noiseFloor is the fraction of a round's total volume below which a
+	// link counts as silent when folding the round — absorbs packets
+	// straggling across a reconfiguration under the old catchment table.
+	noiseFloor = 0.02
+)
 
 func (p *EvalParams) setDefaults() {
 	if p.SplitThreshold <= 0 {
 		p.SplitThreshold = 1
-	}
-	if p.NoiseFloor == 0 {
-		p.NoiseFloor = 0.02
-	} else if p.NoiseFloor < 0 {
-		p.NoiseFloor = 0
 	}
 }
 
@@ -132,7 +129,7 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 	// handful of packets straggling across a reconfiguration (stamped
 	// under the previous catchment table) cannot keep a cluster alive.
 	volumes := make([]float64, len(roundPkts))
-	floor := e.par.NoiseFloor * float64(roundPackets)
+	floor := noiseFloor * float64(roundPackets)
 	for l, n := range roundPkts {
 		if v := float64(n); v > floor {
 			volumes[l] = v
@@ -141,7 +138,7 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 
 	cur := e.current
 	e.fold(cur, volumes)
-	e.candidates = e.loc.Candidates(e.par.MaxMisses)
+	e.candidates = e.loc.Candidates(maxMisses)
 
 	out := Outcome{
 		Round:      len(e.rounds),
@@ -224,9 +221,9 @@ func (e *Evaluator) OpenLedger(led *provenance.Ledger) {
 		NumSources:     len(e.attr.Catchments[0]),
 		NumConfigs:     len(e.attr.Catchments),
 		NumLinks:       e.attr.NumLinks,
-		MaxMisses:      e.par.MaxMisses,
+		MaxMisses:      maxMisses,
 		SplitThreshold: e.par.SplitThreshold,
-		NoiseFloor:     e.par.NoiseFloor,
+		NoiseFloor:     noiseFloor,
 		InitialConfig:  e.attr.InitialConfig,
 	})
 	for c, row := range e.attr.Catchments {
@@ -355,7 +352,7 @@ func RestoreEvaluator(attr Attribution, par EvalParams, s EvalSnapshot) (*Evalua
 		}
 		e.fold(r.Config, append([]float64(nil), r.Volumes...))
 	}
-	e.candidates = e.loc.Candidates(par.MaxMisses)
+	e.candidates = e.loc.Candidates(maxMisses)
 	e.current = s.Current
 	e.converged = s.Converged
 	return e, nil

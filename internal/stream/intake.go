@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -95,7 +94,6 @@ type roundState struct {
 	roundPkts  []int64
 	roundBytes []int64
 	roundStart time.Time
-	bySource   map[netip.Addr]int64
 	total      int64
 	totalBytes int64
 	settled    int64 // events excluded from every round
@@ -176,7 +174,6 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 		roundPkts:  make([]int64, attr.NumLinks),
 		roundBytes: make([]int64, attr.NumLinks),
 		roundStart: time.Now(),
-		bySource:   make(map[netip.Addr]int64),
 	}
 	return in, nil
 }
@@ -429,18 +426,16 @@ func shardOf(ev *amp.Event, n int) int {
 	return int(h % uint32(n))
 }
 
-// batch is a worker's local accumulator: counters batched per link and
-// per victim so the shared mutex is taken once per BatchSize events,
-// not per packet.
+// batch is a worker's local accumulator: counters batched per link so
+// the shared mutex is taken once per BatchSize events, not per packet.
 type batch struct {
-	epoch    int64
-	events   int
-	pkts     []int64
-	bytes    []int64
-	bySource map[netip.Addr]int64
-	settled  int64
-	total    int64
-	totalB   int64
+	epoch   int64
+	events  int
+	pkts    []int64
+	bytes   []int64
+	settled int64
+	total   int64
+	totalB  int64
 	// first/last are the event timestamps bounding the batch: at flush,
 	// now-first is the stage lag (oldest unflushed event's age) and last
 	// is the shard's watermark.
@@ -455,9 +450,8 @@ type batch struct {
 
 func newBatch(links int) *batch {
 	return &batch{
-		pkts:     make([]int64, links),
-		bytes:    make([]int64, links),
-		bySource: make(map[netip.Addr]int64),
+		pkts:  make([]int64, links),
+		bytes: make([]int64, links),
 	}
 }
 
@@ -466,7 +460,6 @@ func (b *batch) reset() {
 	for i := range b.pkts {
 		b.pkts[i], b.bytes[i] = 0, 0
 	}
-	clear(b.bySource)
 	b.settled, b.total, b.totalB = 0, 0, 0
 }
 
@@ -552,7 +545,6 @@ func (in *Intake) accumulate(b *batch, ev *amp.Event, wsp *trace.Span) {
 		b.pkts[ev.IngressLink]++
 		b.bytes[ev.IngressLink] += int64(ev.WireLen)
 	}
-	b.bySource[ev.SpoofedSrc]++
 }
 
 // flush merges a worker batch into the shared round state.
@@ -578,9 +570,6 @@ func (in *Intake) flush(b *batch, wsp *trace.Span) {
 		for _, n := range b.pkts {
 			excluded += n
 		}
-	}
-	for src, n := range b.bySource {
-		st.bySource[src] += n
 	}
 	st.total += b.total
 	st.totalBytes += b.totalB

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"net/netip"
 	"sort"
 	"time"
 
@@ -29,12 +28,6 @@ type AttributedSource struct {
 	VolumeShare float64 `json:"volume_share"`
 }
 
-// VictimStatus is one spoofed (victim) address by request count.
-type VictimStatus struct {
-	Addr    netip.Addr `json:"addr"`
-	Packets int64      `json:"packets"`
-}
-
 // Status is a point-in-time snapshot of the pipeline, shaped for the
 // daemon's JSON status endpoint.
 type Status struct {
@@ -56,12 +49,11 @@ type Status struct {
 	DroppedEvents    int64              `json:"dropped_events"`
 	PerLink          []LinkStatus       `json:"per_link"`
 	TopSources       []AttributedSource `json:"top_sources"`
-	TopVictims       []VictimStatus     `json:"top_victims"`
 	History          []RoundRecord      `json:"history"`
 }
 
 // Status snapshots the pipeline: the intake's counters plus the local
-// verdict. topN caps the TopSources and TopVictims lists (0 means 10).
+// verdict. topN caps the TopSources list (0 means 10).
 func (p *Pipeline) Status(topN int) Status {
 	if topN <= 0 {
 		topN = 10
@@ -142,20 +134,6 @@ func (p *Pipeline) Status(topN int) Status {
 	})
 	if len(s.TopSources) > topN {
 		s.TopSources = s.TopSources[:topN]
-	}
-
-	for addr, n := range st.bySource {
-		s.TopVictims = append(s.TopVictims, VictimStatus{Addr: addr, Packets: n})
-	}
-	sort.Slice(s.TopVictims, func(i, j int) bool {
-		a, b := s.TopVictims[i], s.TopVictims[j]
-		if a.Packets != b.Packets {
-			return a.Packets > b.Packets
-		}
-		return a.Addr.Less(b.Addr)
-	})
-	if len(s.TopVictims) > topN {
-		s.TopVictims = s.TopVictims[:topN]
 	}
 	return s
 }

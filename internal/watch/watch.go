@@ -118,21 +118,6 @@ func VecSum(name string) Expr {
 	}
 }
 
-// Sum adds expressions; missing when any operand is missing.
-func Sum(exprs ...Expr) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		total := 0.0
-		for _, e := range exprs {
-			v, ok := e(snap)
-			if !ok {
-				return 0, false
-			}
-			total += v
-		}
-		return total, true
-	}
-}
-
 // scalar coerces the snapshot value shapes (counter int64, gauge
 // float64, histogram snapshot -> count) to float64.
 func scalar(v any) (float64, bool) {

@@ -119,26 +119,30 @@ func TestRateRule(t *testing.T) {
 
 func TestRatioAndMissingData(t *testing.T) {
 	reg := metrics.NewRegistry()
-	v := reg.CounterVec("cache_requests_total", "result")
-	hitRate := Ratio(
-		Series("cache_requests_total", "result=hit"),
-		Sum(Series("cache_requests_total", "result=hit"), Series("cache_requests_total", "result=miss")),
+	v := reg.CounterVec("requests_total", "result")
+	hitsPerMiss := Ratio(
+		Series("requests_total", "result=hit"),
+		Series("requests_total", "result=miss"),
 	)
 	w := New(Config{
 		Registry: reg,
 		DB:       history(reg),
 		Logger:   quietLogger(),
-		Rules:    []Rule{{Name: "hit-rate-floor", Expr: hitRate, Op: Below, Threshold: 0.5}},
+		Rules:    []Rule{{Name: "hits-per-miss-floor", Expr: hitsPerMiss, Op: Below, Threshold: 0.5}},
 	})
 	// No children yet: missing data must not fire or mark unhealthy.
 	if fired := w.Evaluate(time.Unix(1, 0)); len(fired) != 0 || !w.Healthy() {
 		t.Fatalf("missing data fired or unhealthy")
 	}
+	// One child only: the ratio is still missing.
 	v.With("hit").Add(1)
-	v.With("miss").Add(9)
-	fired := w.Evaluate(time.Unix(2, 0))
-	if len(fired) != 1 || fired[0].Value != 0.1 {
-		t.Fatalf("hit rate 0.1 under floor 0.5: fired = %+v", fired)
+	if fired := w.Evaluate(time.Unix(2, 0)); len(fired) != 0 || !w.Healthy() {
+		t.Fatalf("half-missing ratio fired or unhealthy")
+	}
+	v.With("miss").Add(4)
+	fired := w.Evaluate(time.Unix(3, 0))
+	if len(fired) != 1 || fired[0].Value != 0.25 {
+		t.Fatalf("1 hit per 4 misses under floor 0.5: fired = %+v", fired)
 	}
 }
 
