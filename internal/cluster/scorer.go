@@ -146,9 +146,9 @@ type Scorer struct {
 }
 
 // BorrowScorer lends a warm Scorer from a process-wide free list, so the
-// greedy step's callers — the pipeline, the shard controller, a
-// provenance replay, the offline trajectory — share its scratch without
-// any of them carrying a field for it. Hand it back with Release.
+// greedy step's callers — the pipeline, the shard controller and a
+// provenance replay, each through a sched.Loop — share its scratch
+// without any of them carrying a field for it. Hand it back with Release.
 func BorrowScorer() *Scorer { return scorers.get() }
 
 // Release returns a scorer from BorrowScorer to the free list; it must

@@ -101,9 +101,24 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
+// maxDatasetBytes bounds what ReadDataset reads. A dataset costs about 2
+// bytes per catchment cell (the default 4 000-AS export writes 5.75 MB),
+// so the 80 000-AS tier's 705 configurations come to about 115 MB.
+const maxDatasetBytes = 256 << 20
+
 // ReadDataset parses a dataset written by WriteDataset, validating
-// structural consistency (catchment vector lengths, link ranges).
+// structural consistency (catchment vector lengths, link ranges). It
+// reads at most maxDatasetBytes.
 func ReadDataset(r io.Reader) (*Dataset, error) {
+	lr := &io.LimitedReader{R: r, N: maxDatasetBytes + 1}
+	d, err := readDataset(lr)
+	if lr.N == 0 {
+		return nil, fmt.Errorf("core: dataset exceeds %d bytes", maxDatasetBytes)
+	}
+	return d, err
+}
+
+func readDataset(r io.Reader) (*Dataset, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	d := &Dataset{}
 	if err := dec.Decode(&d.Header); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,6 +115,47 @@ func TestReadDatasetRejectsGarbage(t *testing.T) {
 	if got := d.CatchmentMatrix()[0][0]; got != 126 {
 		t.Fatalf("link 126 read back as %d", got)
 	}
+}
+
+// TestReadDatasetBounded: an endless stream of valid records ends at
+// the bound with the bound's error, before the reader's own failure
+// past it. Each record is padded with insignificant whitespace, so the
+// decoded dataset stays small.
+func TestReadDatasetBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("one goroutine decoding 256 MiB: nothing to race, and 40 s under the detector")
+	}
+	s := &endlessStream{
+		head:  []byte(`{"version":1,"muxes":["a"],"source_asns":[1]}` + "\n"),
+		rec:   []byte(`{"phase":"locations","announcements":[{"link":0}],"catchments":[0]` + strings.Repeat(" ", 64<<10) + "}\n"),
+		limit: maxDatasetBytes + 1<<20,
+	}
+	if _, err := ReadDataset(s); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless dataset: %v", err)
+	}
+}
+
+// endlessStream serves head once, then rec over and over, and fails once
+// it has served limit bytes.
+type endlessStream struct {
+	head, rec     []byte
+	off           int
+	served, limit int64
+}
+
+func (s *endlessStream) Read(p []byte) (int, error) {
+	if s.served >= s.limit {
+		return 0, errors.New("read past the decoder's bound")
+	}
+	n := copy(p, s.head)
+	s.head = s.head[n:]
+	for n < len(p) {
+		c := copy(p[n:], s.rec[s.off:])
+		s.off = (s.off + c) % len(s.rec)
+		n += c
+	}
+	s.served += int64(n)
+	return n, nil
 }
 
 func TestDatasetDrivesScheduling(t *testing.T) {

@@ -173,6 +173,63 @@ func TestReplayRejectsInconsistentExport(t *testing.T) {
 	}
 }
 
+// TestReplayRederivesReason: Replay derives each reconfiguration's
+// reason itself instead of reading it off the ledger to pick a code
+// path, so flipping one recorded "split" to "remeasure", or back, is a
+// mismatch that names the reason. The ledger is the live loop with a
+// standing hint on the sending source and a spare configuration (a copy
+// of configuration 0) that only re-measurement deploys.
+func TestReplayRederivesReason(t *testing.T) {
+	rows := [][]bgp.LinkID{
+		{0, 0, 0, 1, 1, 2},
+		{0, 1, 2, 0, 1, 2},
+		{1, 1, 0, 0, 2, 2},
+		{2, 0, 1, 2, 0, bgp.NoLink},
+		{0, 0, 1, 1, 2, 2},
+		{0, 0, 0, 1, 1, 2},
+	}
+	led := provenance.New(provenance.Options{})
+	ev := stream.NewEvaluator(stream.Attribution{Catchments: rows, NumLinks: 3}, stream.EvalParams{})
+	ev.OpenLedger(led)
+	for round := 0; round < len(rows); round++ {
+		pkts := make([]int64, 3)
+		if l := rows[ev.Current()][4]; l != bgp.NoLink {
+			pkts[l] = 100
+		}
+		ev.StepRecorded(led, pkts, false, nil, []int{4})
+	}
+	flipped := map[string]int{}
+	for i := range led.Export().Events {
+		e := led.Export()
+		if e.Events[i].Reconfig == nil {
+			continue
+		}
+		// The export shares its payloads with the ledger: flip a copy.
+		rc := *e.Events[i].Reconfig
+		e.Events[i].Reconfig = &rc
+		was := rc.Reason
+		rc.Reason = map[string]string{"split": "remeasure", "remeasure": "split"}[was]
+		res, err := provenance.Replay(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := false
+		for _, m := range res.Mismatches {
+			named = named || strings.Contains(m, "reason")
+		}
+		if res.Reproduced || !named {
+			t.Fatalf("%s flipped to %s after round %d: mismatches %q", was, rc.Reason, rc.Round, res.Mismatches)
+		}
+		flipped[was]++
+	}
+	if flipped["split"] == 0 || flipped["remeasure"] == 0 {
+		t.Fatalf("flipped %v; the ledger needs both reasons", flipped)
+	}
+	if res, err := provenance.Replay(led.Export()); err != nil || !res.Reproduced {
+		t.Fatalf("clean ledger: %+v, %v", res, err)
+	}
+}
+
 // TestParseExportRejectsMalformedEvents: an event whose kind and payload
 // disagree is refused at parse time, and so is an export past the size
 // bound.

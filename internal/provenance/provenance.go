@@ -102,9 +102,8 @@ type MetaEvent struct {
 	NumSources int `json:"num_sources"`
 	NumConfigs int `json:"num_configs"`
 	NumLinks   int `json:"num_links"`
-	// MaxMisses, SplitThreshold, NoiseFloor, and InitialConfig are the
-	// stream controller's decision parameters (zero for campaigns).
-	MaxMisses      int     `json:"max_misses,omitempty"`
+	// SplitThreshold, NoiseFloor, and InitialConfig are the stream
+	// controller's decision parameters (zero for campaigns).
 	SplitThreshold int     `json:"split_threshold,omitempty"`
 	NoiseFloor     float64 `json:"noise_floor,omitempty"`
 	InitialConfig  int     `json:"initial_config,omitempty"`

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
 	"spooftrack/internal/sched"
-	"spooftrack/internal/spoof"
 )
 
 // ReplayResult is the outcome of re-running localization from a ledger.
@@ -35,28 +33,18 @@ type ReplayResult struct {
 // replayState is the per-component (campaign or stream) decision state
 // reconstructed from the ledger.
 type replayState struct {
-	meta       *MetaEvent
-	rows       [][]bgp.LinkID
-	part       *cluster.Partition
-	loc        *spoof.IncrementalLocalizer
-	used       []bool
-	current    int
-	candidates []int
-	// Fold-time snapshot consumed by the reconfig/verdict that follow
-	// the round event.
-	estVol    []float64
-	topSize   int
-	canSplit  bool
+	meta      *MetaEvent
+	loop      *sched.Loop
 	lastRound int
 }
 
 // Replay re-runs classification and localization purely from the
-// recorded ledger — the same refinement, localizer, volume-ranking,
-// and greedy scheduling code the live pipeline ran, driven only by
-// recorded catchment rows and round volumes — and asserts that every
-// recorded verdict and reconfiguration decision is reproduced
-// byte-for-byte. It never consults live state, so a ledger exported
-// from one process replays identically anywhere.
+// recorded ledger — the same sched.Loop the live pipeline folded and
+// decided with, driven only by recorded catchment rows and round
+// volumes — and asserts that every recorded verdict and
+// reconfiguration decision is reproduced byte-for-byte. It never
+// consults live state, so a ledger exported from one process replays
+// identically anywhere.
 //
 // An export whose evidence disagrees with its own meta events — see
 // check — is an error, never a panic: a ledger read back from a file is
@@ -72,94 +60,64 @@ func Replay(e *Export) (*ReplayResult, error) {
 	states := map[string]*replayState{}
 	rows := e.rowsByConfig()
 
-	state := func(component string) *replayState {
-		if st := states[component]; st != nil {
-			return st
-		}
-		return nil
-	}
-
 	for i := range e.Events {
 		ev := &e.Events[i]
 		switch {
 		case ev.Meta != nil:
 			m := ev.Meta
-			st := &replayState{
-				meta:    m,
-				part:    cluster.New(m.NumSources),
-				loc:     spoof.NewIncrementalLocalizer(m.NumSources),
-				used:    make([]bool, m.NumConfigs),
-				current: m.InitialConfig,
-				topSize: -1,
+			states[m.Component] = &replayState{
+				meta: m,
+				loop: sched.NewLoop(rowTable(rows, m.NumConfigs), m.InitialConfig, m.SplitThreshold),
 			}
-			st.used[m.InitialConfig] = true
-			st.rows = rowTable(rows, m.NumConfigs)
-			states[m.Component] = st
 
 		case ev.Degrade != nil:
 			res.Degraded++
 
 		case ev.Round != nil:
-			st := state("stream")
+			st := states["stream"]
 			if st == nil {
 				return nil, fmt.Errorf("provenance: round event %d before stream meta", ev.Seq)
 			}
 			res.Rounds++
 			r := ev.Round
-			if r.Config != st.current {
+			if cur := st.loop.Current(); r.Config != cur {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
-					"round %d folded config %d, replay expected %d", r.Round, r.Config, st.current))
+					"round %d folded config %d, replay expected %d", r.Round, r.Config, cur))
 			}
-			row := st.rows[r.Config]
-			st.loc.AddRound(row, r.Volumes)
-			st.part.Refine(row)
-			st.candidates = st.loc.Candidates(st.meta.MaxMisses)
+			st.loop.Fold(r.Config, r.Volumes)
 			st.lastRound = r.Round
-			if got := st.part.NumClusters(); got != r.Clusters {
+			if got := st.loop.Partition().NumClusters(); got != r.Clusters {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"round %d: %d clusters recorded, replay got %d", r.Round, r.Clusters, got))
 			}
-			if got := len(st.candidates); got != r.Candidates {
+			if got := len(st.loop.Candidates()); got != r.Candidates {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"round %d: %d candidates recorded, replay got %d", r.Round, r.Candidates, got))
 			}
-			// Fold-time decision inputs, through the functions the
-			// controller computed them with (before any reconfiguration
-			// marks a configuration used).
-			st.estVol = sched.EstimateVolumes(row, st.candidates, r.Volumes)
-			topID, topSize := sched.TopVolumeCluster(st.part, st.candidates, st.estVol)
-			st.topSize = topSize
-			st.canSplit = topSize > st.meta.SplitThreshold &&
-				sched.Splittable(st.rows, st.used, st.part.MembersOf(topID))
 
 		case ev.Reconfig != nil:
-			st := state("stream")
+			st := states["stream"]
 			if st == nil {
 				return nil, fmt.Errorf("provenance: reconfig event %d before stream meta", ev.Seq)
 			}
 			res.Reconfigs++
 			rc := ev.Reconfig
-			blocked := blockedMask(rc.Blocked, len(st.used))
-			var next int
-			switch rc.Reason {
-			case "remeasure":
-				next = sched.NextRemeasure(st.rows, rc.Hints, st.used, blocked)
-			default:
-				var scores []CandidateScore
-				next, scores = sched.NextGreedyVolumeScored(st.part, st.rows, st.estVol, st.used, blocked, true)
-				if rc.Beaten != nil {
-					if diff := diffScores(rc.Beaten, scores); diff != "" {
-						res.Mismatches = append(res.Mismatches, fmt.Sprintf(
-							"reconfig after round %d: candidate scores diverge: %s", rc.Round, diff))
-					}
-				}
+			// The reason is re-derived, not read off the ledger: a split the
+			// live loop recorded as a re-measurement is a divergence too.
+			next, reason, scores := st.loop.Next(blockedMask(rc.Blocked, st.meta.NumConfigs), rc.Hints, true)
+			if reason != rc.Reason {
+				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
+					"reconfig after round %d: reason %q recorded, replay derived %q", rc.Round, rc.Reason, reason))
 			}
 			if next != rc.Chosen {
 				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
 					"reconfig after round %d (%s): chose %d, replay chose %d", rc.Round, rc.Reason, rc.Chosen, next))
 			}
-			st.used[rc.Chosen] = true
-			st.current = rc.Chosen
+			if diff := diffScores(rc.Beaten, scores); diff != "" {
+				res.Mismatches = append(res.Mismatches, fmt.Sprintf(
+					"reconfig after round %d: candidate scores diverge: %s", rc.Round, diff))
+			}
+			st.loop.Deploy(rc.Chosen)
 
 		case ev.Verdict != nil:
 			res.Verdicts++
@@ -167,23 +125,23 @@ func Replay(e *Export) (*ReplayResult, error) {
 			var recomputed *VerdictEvent
 			switch v.Origin {
 			case "campaign":
-				st := state("campaign")
+				st := states["campaign"]
 				if st == nil {
 					return nil, fmt.Errorf("provenance: campaign verdict %d before campaign meta", ev.Seq)
 				}
 				recomputed = campaignVerdict(st, rows)
 			default:
-				st := state("stream")
+				st := states["stream"]
 				if st == nil {
 					return nil, fmt.Errorf("provenance: stream verdict %d before stream meta", ev.Seq)
 				}
 				recomputed = &VerdictEvent{
 					Origin:     "stream",
 					Round:      st.lastRound,
-					Candidates: st.candidates,
-					Assign:     st.part.Assignments(),
-					Clusters:   st.part.NumClusters(),
-					Converged:  st.topSize >= 0 && !st.canSplit,
+					Candidates: st.loop.Candidates(),
+					Assign:     st.loop.Partition().Assignments(),
+					Clusters:   st.loop.Partition().NumClusters(),
+					Converged:  st.loop.Converged(),
 				}
 			}
 			if diff := diffVerdicts(v, recomputed); diff != "" {
@@ -295,15 +253,8 @@ func rowTable(rows map[int][]bgp.LinkID, numConfigs int) [][]bgp.LinkID {
 // configuration order — exactly Campaign.FinalPartition.
 func campaignVerdict(st *replayState, rows map[int][]bgp.LinkID) *VerdictEvent {
 	p := cluster.New(st.meta.NumSources)
-	cfgs := make([]int, 0, len(rows))
-	for c := range rows {
-		cfgs = append(cfgs, c)
-	}
-	sort.Ints(cfgs)
-	for _, c := range cfgs {
-		if row := rows[c]; len(row) == st.meta.NumSources {
-			p.Refine(row)
-		}
+	for _, row := range rowTable(rows, st.meta.NumConfigs) {
+		p.Refine(row)
 	}
 	return &VerdictEvent{
 		Origin:   "campaign",
@@ -312,16 +263,12 @@ func campaignVerdict(st *replayState, rows map[int][]bgp.LinkID) *VerdictEvent {
 	}
 }
 
-// blockedMask expands a recorded blocked-configuration list to a mask.
+// blockedMask expands a recorded blocked-configuration list to a mask;
+// check has made sure every listed configuration is in range.
 func blockedMask(blocked []int, n int) []bool {
-	if len(blocked) == 0 {
-		return nil
-	}
 	mask := make([]bool, n)
 	for _, c := range blocked {
-		if c >= 0 && c < n {
-			mask[c] = true
-		}
+		mask[c] = true
 	}
 	return mask
 }

@@ -64,13 +64,13 @@ func botnetRound() (p *cluster.Partition, catchments [][]bgp.LinkID, estVol []fl
 		if round == rounds {
 			return p, catchments, estVol, used
 		}
-		cfg = NextGreedyVolume(p, catchments, estVol, used)
+		cfg = NextGreedyVolumeMasked(p, catchments, estVol, used, nil)
 	}
 }
 
 // BenchmarkGreedyStep times one greedy volume decision — every unused
 // configuration scored against a recorded botnet round — which is
-// nearly all of stream.Evaluator.Step:
+// nearly all of Loop.Next:
 //
 //	go test ./internal/sched -run '^$' -bench GreedyStep -benchmem
 func BenchmarkGreedyStep(b *testing.B) {

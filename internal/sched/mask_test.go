@@ -30,11 +30,11 @@ func TestNextGreedyVolumeMasked(t *testing.T) {
 	p := cluster.New(4)
 	vol := []float64{1, 1, 1, 1}
 	used := make([]bool, 3)
-	a := NextGreedyVolume(p, maskCatchments, vol, used)
-	if b := NextGreedyVolumeMasked(p, maskCatchments, vol, used, nil); a != b {
-		t.Fatalf("nil mask diverges: %d vs %d", a, b)
-	}
+	a := NextGreedyVolumeMasked(p, maskCatchments, vol, used, nil)
 	blocked := make([]bool, 3)
+	if b := NextGreedyVolumeMasked(p, maskCatchments, vol, used, blocked); a != b || a == -1 {
+		t.Fatalf("nil mask %d, empty mask %d", a, b)
+	}
 	blocked[a] = true
 	if got := NextGreedyVolumeMasked(p, maskCatchments, vol, used, blocked); got == a || got == -1 {
 		t.Fatalf("masked pick = %d, must avoid blocked %d", got, a)

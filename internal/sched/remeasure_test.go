@@ -64,41 +64,41 @@ func TestTopVolumeCluster(t *testing.T) {
 	p := cluster.New(6)
 	p.Refine([]bgp.LinkID{0, 0, 1, 1, 2, 2}) // clusters {0,1} {2,3} {4,5}
 	all := []int{0, 1, 2, 3, 4, 5}
-	if id, size := TopVolumeCluster(p, nil, make([]float64, 6)); id != -1 || size != -1 {
+	if id, size := topVolumeCluster(p, nil, make([]float64, 6)); id != -1 || size != -1 {
 		t.Fatalf("no candidates: got (%d, %d), want (-1, -1)", id, size)
 	}
-	if id, size := TopVolumeCluster(p, all, make([]float64, 6)); id != -1 || size != -1 {
+	if id, size := topVolumeCluster(p, all, make([]float64, 6)); id != -1 || size != -1 {
 		t.Fatalf("no volume: got (%d, %d), want (-1, -1)", id, size)
 	}
 	// Cluster 1 carries 5, clusters 0 and 2 carry 3 each.
-	if id, size := TopVolumeCluster(p, all, []float64{1, 2, 5, 0, 3, 0}); id != 1 || size != 2 {
+	if id, size := topVolumeCluster(p, all, []float64{1, 2, 5, 0, 3, 0}); id != 1 || size != 2 {
 		t.Fatalf("heaviest: got (%d, %d), want (1, 2)", id, size)
 	}
 	// Equal volumes tie toward the lowest cluster id, whatever order the
 	// candidates come in.
 	for _, cands := range [][]int{{0, 2, 4}, {4, 2, 0}} {
-		if id, _ := TopVolumeCluster(p, cands, []float64{2, 0, 2, 0, 2, 0}); id != 0 {
+		if id, _ := topVolumeCluster(p, cands, []float64{2, 0, 2, 0, 2, 0}); id != 0 {
 			t.Fatalf("tie over candidates %v: got cluster %d, want 0", cands, id)
 		}
 	}
 	// Volume on a non-candidate is not counted.
-	if id, _ := TopVolumeCluster(p, []int{0, 1}, []float64{1, 0, 9, 9, 0, 0}); id != 0 {
+	if id, _ := topVolumeCluster(p, []int{0, 1}, []float64{1, 0, 9, 9, 0, 0}); id != 0 {
 		t.Fatalf("eliminated volume counted: got cluster %d, want 0", id)
 	}
 }
 
 func TestSplittable(t *testing.T) {
 	unused := make([]bool, 3)
-	if Splittable(maskCatchments, unused, nil) || Splittable(maskCatchments, unused, []int{2}) {
+	if splittable(maskCatchments, unused, nil) || splittable(maskCatchments, unused, []int{2}) {
 		t.Fatal("a cluster of fewer than two members cannot be split")
 	}
-	if !Splittable(maskCatchments, unused, []int{2, 3}) {
+	if !splittable(maskCatchments, unused, []int{2, 3}) {
 		t.Fatal("config 1 separates sources 2 and 3")
 	}
-	if Splittable(maskCatchments, []bool{false, true, false}, []int{2, 3}) {
+	if splittable(maskCatchments, []bool{false, true, false}, []int{2, 3}) {
 		t.Fatal("only the used config 1 separates sources 2 and 3")
 	}
-	if Splittable(maskCatchments, []bool{true, true, true}, []int{0, 3}) {
+	if splittable(maskCatchments, []bool{true, true, true}, []int{0, 3}) {
 		t.Fatal("nothing left to deploy")
 	}
 }
@@ -110,7 +110,7 @@ func TestEveryUnusedConfigBlocked(t *testing.T) {
 	p := cluster.New(4)
 	used := []bool{true, false, false}
 	blocked := []bool{false, true, true}
-	if !Splittable(maskCatchments, used, []int{0, 1, 2, 3}) {
+	if !splittable(maskCatchments, used, []int{0, 1, 2, 3}) {
 		t.Fatal("blocked configurations must still count as able to split")
 	}
 	vol := []float64{1, 1, 1, 1}

@@ -309,19 +309,9 @@ func TestGreedyVolumePrioritizesHeavyCluster(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 1, 1},
 	}
 	volume := []float64{10, 10, 10, 10, 0, 0, 0, 0}
-	_, order := GreedyVolumeTrajectory(cs, volume, 0)
-	if order[0] != 0 {
-		t.Fatalf("volume-aware greedy deployed config %d first, want 0", order[0])
+	if got := NextGreedyVolumeMasked(cluster.New(8), cs, volume, make([]bool, 2), nil); got != 0 {
+		t.Fatalf("volume-aware greedy deployed config %d first, want 0", got)
 	}
-}
-
-func TestGreedyVolumePanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GreedyVolumeTrajectory(toyCatchments(), []float64{1}, 0)
 }
 
 func TestPredictorMatchesNoiselessEngine(t *testing.T) {

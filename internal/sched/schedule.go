@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/bits"
 
 	"spooftrack/internal/bgp"
@@ -166,52 +165,9 @@ func GreedyTrajectory(catchments [][]bgp.LinkID, maxSteps int) (Trajectory, []in
 	return traj, order
 }
 
-// GreedyVolumeTrajectory implements the paper's future-work extension
-// (§VIII-(i)): jointly optimize cluster size and spoofed traffic volume
-// by choosing the configuration that minimizes the volume-weighted mean
-// cluster size — splitting clusters inferred to send more spoofed
-// traffic first. volume[k] is the spoofed-traffic weight of source k.
-func GreedyVolumeTrajectory(catchments [][]bgp.LinkID, volume []float64, maxSteps int) (Trajectory, []int) {
-	if len(catchments) == 0 {
-		return nil, nil
-	}
-	n := len(catchments[0])
-	if len(volume) != n {
-		panic(fmt.Sprintf("sched: %d volumes for %d sources", len(volume), n))
-	}
-	steps := len(catchments)
-	if maxSteps > 0 && maxSteps < steps {
-		steps = maxSteps
-	}
-	used := make([]bool, len(catchments))
-	p := cluster.New(n)
-	traj := make(Trajectory, 0, steps)
-	order := make([]int, 0, steps)
-	for len(order) < steps {
-		best := NextGreedyVolume(p, catchments, volume, used)
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		p.Refine(catchments[best])
-		order = append(order, best)
-		traj = append(traj, volumeWeightedMeanSize(p, volume))
-	}
-	return traj, order
-}
-
-// NextGreedyVolume returns the not-yet-used configuration minimizing
-// the volume-weighted mean cluster size after refinement, or -1 if all
-// are used. With live volume estimates from a honeypot, this prefers
-// configurations that split the clusters currently sending the most
-// spoofed traffic (§VIII-(i)).
-func NextGreedyVolume(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used []bool) int {
-	return NextGreedyVolumeMasked(p, catchments, volume, used, nil)
-}
-
-// NextGreedyVolumeMasked is NextGreedyVolume with a quarantine mask:
-// blocked configurations are skipped as if used. A nil mask is
-// NextGreedyVolume.
+// NextGreedyVolumeMasked returns the unused, unblocked configuration
+// minimizing the volume-weighted mean cluster size after refinement
+// (§VIII-(i)), or -1 if there is none. A nil mask blocks nothing.
 func NextGreedyVolumeMasked(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool) int {
 	best, _ := NextGreedyVolumeScored(p, catchments, volume, used, blocked, false)
 	return best
@@ -277,56 +233,6 @@ func EstimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []fl
 	return est
 }
 
-// TopVolumeCluster returns the candidate cluster carrying the most
-// estimated volume (ties toward the lowest cluster id) and its size, or
-// (-1, -1) when no candidate carries volume.
-func TopVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) (clusterID, size int) {
-	volByCluster := make([]float64, p.NumClusters())
-	for _, k := range candidates {
-		if estVol[k] > 0 {
-			volByCluster[p.ClusterOf(k)] += estVol[k]
-		}
-	}
-	// Ascending id and a strict comparison are the tie-break.
-	best, bestVol := -1, 0.0
-	for c, v := range volByCluster {
-		if v > bestVol {
-			best, bestVol = c, v
-		}
-	}
-	if best == -1 {
-		return -1, -1
-	}
-	for k := 0; k < p.NumSources(); k++ {
-		if p.ClusterOf(k) == best {
-			size++
-		}
-	}
-	return best, size
-}
-
-// Splittable reports whether any unused configuration maps the given
-// cluster members to more than one ingress link. Quarantined
-// configurations count: they are routed around, not consumed, so a
-// cluster only they can split is still worth waiting for.
-func Splittable(catchments [][]bgp.LinkID, used []bool, members []int) bool {
-	if len(members) < 2 {
-		return false
-	}
-	for cfg, row := range catchments {
-		if used[cfg] {
-			continue
-		}
-		first := row[members[0]]
-		for _, k := range members[1:] {
-			if row[k] != first {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // NextRemeasure picks the configuration to deploy for probe-conflict
 // re-measurement: among unused, unblocked configurations, the one that
 // re-observes the most hinted sources (catchment known, not
@@ -368,20 +274,4 @@ func NextRemeasure(catchments [][]bgp.LinkID, hints []int, used, blocked []bool)
 		}
 	}
 	return best
-}
-
-// volumeWeightedMeanSize is the expected size of the cluster a unit of
-// spoofed traffic falls into: sum over sources of volume-share times
-// cluster size.
-func volumeWeightedMeanSize(p *cluster.Partition, volume []float64) float64 {
-	sizes := p.Sizes()
-	total, acc := 0.0, 0.0
-	for k, v := range volume {
-		total += v
-		acc += v * float64(sizes[p.ClusterOf(k)])
-	}
-	if total == 0 {
-		return 0
-	}
-	return acc / total
 }

@@ -173,7 +173,7 @@ func TestGreedyStepPanicLeavesPoolClean(t *testing.T) {
 	}
 }
 
-// TestGreedyStepConcurrent: the pipeline, a replay and a trajectory may
+// TestGreedyStepConcurrent: the pipeline, a controller and a replay may
 // all be inside the greedy step at once, sharing the scorer free list. Eight
 // goroutines score different partitions; each must read what a lone
 // caller reads. Run under -race (scripts/ci.sh does).

@@ -66,7 +66,6 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 		Ended:       time.Now(),
 		Packets:     roundPackets,
 		Bytes:       roundBytes,
-		Volumes:     out.Volumes,
 		NumClusters: out.Clusters,
 		MeanSize:    out.MeanSize,
 		Candidates:  out.Candidates,

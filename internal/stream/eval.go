@@ -3,10 +3,8 @@ package stream
 import (
 	"fmt"
 
-	"spooftrack/internal/cluster"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/sched"
-	"spooftrack/internal/spoof"
 )
 
 // EvalParams are the decision-relevant knobs of the attribution loop —
@@ -22,15 +20,10 @@ type EvalParams struct {
 	SplitThreshold int
 }
 
-const (
-	// maxMisses is the localization tolerance (spoof.LocalizeTolerant):
-	// 0, the paper's exact correlation.
-	maxMisses = 0
-	// noiseFloor is the fraction of a round's total volume below which a
-	// link counts as silent when folding the round — absorbs packets
-	// straggling across a reconfiguration under the old catchment table.
-	noiseFloor = 0.02
-)
+// noiseFloor is the fraction of a round's total volume below which a
+// link counts as silent when folding the round — absorbs packets
+// straggling across a reconfiguration under the old catchment table.
+const noiseFloor = 0.02
 
 func (p *EvalParams) setDefaults() {
 	if p.SplitThreshold <= 0 {
@@ -77,45 +70,35 @@ type Outcome struct {
 
 // Evaluator is the attribution loop's fold-and-decide core, extracted
 // from the Pipeline controller so the sharded controller can run the
-// exact same logic over merged per-shard counters. It is not
-// goroutine-safe; callers serialize access (the Pipeline under p.mu,
-// the shard controller from its single round loop).
+// exact same logic over merged per-shard counters. It is the round
+// transcript around a sched.Loop, which holds the decision state and
+// policy. It is not goroutine-safe; callers serialize access (the
+// Pipeline under p.mu, the shard controller from its single round loop).
 type Evaluator struct {
 	attr Attribution
 	par  EvalParams
+	loop *sched.Loop
 
-	current    int
-	deployed   []int
-	used       []bool
-	part       *cluster.Partition
-	loc        *spoof.IncrementalLocalizer
-	candidates []int
-	converged  bool
-	rounds     []EvalRound
+	deployed  []int
+	rounds    []EvalRound
+	converged bool
 }
 
 // NewEvaluator builds an evaluator over the attribution matrix with the
 // initial configuration deployed.
 func NewEvaluator(attr Attribution, par EvalParams) *Evaluator {
 	par.setDefaults()
-	n := len(attr.Catchments[0])
-	e := &Evaluator{
+	return &Evaluator{
 		attr:     attr,
 		par:      par,
-		current:  attr.InitialConfig,
+		loop:     sched.NewLoop(attr.Catchments, attr.InitialConfig, par.SplitThreshold),
 		deployed: []int{attr.InitialConfig},
-		used:     make([]bool, len(attr.Catchments)),
-		part:     cluster.New(n),
-		loc:      spoof.NewIncrementalLocalizer(n),
 	}
-	e.used[attr.InitialConfig] = true
-	e.candidates = allSources(n)
-	return e
 }
 
 // Step folds one round of per-link packet counters into the attribution
-// state and — unless final — decides the next deployment: a greedy
-// volume-ranked split when the top candidate cluster is still too
+// state and — unless final — deploys what sched.Loop.Next picks: a
+// greedy volume-ranked split when the top candidate cluster is still too
 // coarse, else a re-measurement of hinted sources. blocked is the
 // per-configuration quarantine mask (nil = nothing blocked); scored
 // also returns the candidate set the chosen split beat (for
@@ -136,74 +119,35 @@ func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []
 		}
 	}
 
-	cur := e.current
-	e.fold(cur, volumes)
-	e.candidates = e.loc.Candidates(maxMisses)
-
+	cur := e.loop.Current()
+	e.loop.Fold(cur, volumes)
+	e.rounds = append(e.rounds, EvalRound{Config: cur, Volumes: volumes})
+	part := e.loop.Partition()
 	out := Outcome{
 		Round:      len(e.rounds),
 		Config:     cur,
 		Volumes:    volumes,
-		Clusters:   e.part.NumClusters(),
-		Candidates: len(e.candidates),
+		Clusters:   part.NumClusters(),
+		Candidates: len(e.loop.Candidates()),
 		Deploy:     -1,
 	}
 	if out.Clusters > 0 {
-		out.MeanSize = float64(e.part.NumSources()) / float64(out.Clusters)
+		out.MeanSize = float64(part.NumSources()) / float64(out.Clusters)
 	}
-
-	// Volume-ranked clusters: estimate per-source volume, then find the
-	// heaviest candidate cluster still above the split threshold.
-	estVol := sched.EstimateVolumes(e.attr.Catchments[cur], e.candidates, volumes)
-	topID, topSize := sched.TopVolumeCluster(e.part, e.candidates, estVol)
-
-	// The loop is done when the heaviest cluster is small enough, or
-	// when no remaining configuration separates its members — clusters
-	// bound localization precision (§V), so deploying further would
-	// burn configurations without refining anything.
-	canSplit := topSize > e.par.SplitThreshold &&
-		sched.Splittable(e.attr.Catchments, e.used, e.part.MembersOf(topID))
 	if !final {
-		if canSplit {
-			// Quarantined configurations are routed around, not consumed:
-			// if every useful configuration is blocked the loop simply waits
-			// (converged stays false) and retries them once their links heal.
-			next, scores := sched.NextGreedyVolumeScored(e.part, e.attr.Catchments, estVol, e.used, blocked, scored)
-			if next >= 0 {
-				out.Deploy, out.Reason, out.Scores = next, "split", scores
-			}
-		}
-		// Probe-conflict re-measurement: when no split is pending but the
-		// probe channel disagrees with the catchment evidence for some
-		// sources, spend the round re-observing them under the unused
-		// configuration that covers the most conflicted sources.
-		if out.Deploy < 0 && len(hints) > 0 {
-			if next := sched.NextRemeasure(e.attr.Catchments, hints, e.used, blocked); next >= 0 {
-				out.Deploy, out.Reason = next, "remeasure"
-			}
-		}
+		out.Deploy, out.Reason, out.Scores = e.loop.Next(blocked, hints, scored)
 		if out.Deploy >= 0 {
 			e.deploy(out.Deploy)
 		}
 	}
-	e.converged = topSize >= 0 && !canSplit
+	e.converged = e.loop.Converged()
 	out.Converged = e.converged
 	return out
 }
 
-// fold adds one round, measured under configuration cfg, to the
-// localizer, the partition and the transcript. It retains volumes.
-func (e *Evaluator) fold(cfg int, volumes []float64) {
-	row := e.attr.Catchments[cfg]
-	e.loc.AddRound(row, volumes)
-	e.part.Refine(row)
-	e.rounds = append(e.rounds, EvalRound{Config: cfg, Volumes: volumes})
-}
-
 // deploy makes cfg the configuration the next round is measured under.
 func (e *Evaluator) deploy(cfg int) {
-	e.used[cfg] = true
-	e.current = cfg
+	e.loop.Deploy(cfg)
 	e.deployed = append(e.deployed, cfg)
 }
 
@@ -221,7 +165,6 @@ func (e *Evaluator) OpenLedger(led *provenance.Ledger) {
 		NumSources:     len(e.attr.Catchments[0]),
 		NumConfigs:     len(e.attr.Catchments),
 		NumLinks:       e.attr.NumLinks,
-		MaxMisses:      maxMisses,
 		SplitThreshold: e.par.SplitThreshold,
 		NoiseFloor:     noiseFloor,
 		InitialConfig:  e.attr.InitialConfig,
@@ -272,8 +215,8 @@ func (e *Evaluator) StepRecorded(led *provenance.Ledger, roundPkts []int64, fina
 	led.RecordVerdictShared(provenance.VerdictEvent{
 		Origin:     "stream",
 		Round:      out.Round,
-		Candidates: e.candidates,
-		Assign:     e.part.Assignments(),
+		Candidates: e.loop.Candidates(),
+		Assign:     e.loop.Partition().Assignments(),
 		Clusters:   out.Clusters,
 		Converged:  out.Converged,
 	})
@@ -282,13 +225,13 @@ func (e *Evaluator) StepRecorded(led *provenance.Ledger, roundPkts []int64, fina
 
 // Current returns the configuration the evaluator expects the next
 // round to be measured under.
-func (e *Evaluator) Current() int { return e.current }
+func (e *Evaluator) Current() int { return e.loop.Current() }
 
 // Deployed returns the configurations deployed so far, in order.
 func (e *Evaluator) Deployed() []int { return append([]int(nil), e.deployed...) }
 
 // Candidates returns the current candidate source positions.
-func (e *Evaluator) Candidates() []int { return append([]int(nil), e.candidates...) }
+func (e *Evaluator) Candidates() []int { return append([]int(nil), e.loop.Candidates()...) }
 
 // Converged reports whether the loop has refined as far as it can.
 func (e *Evaluator) Converged() bool { return e.converged }
@@ -298,10 +241,10 @@ func (e *Evaluator) Rounds() int { return len(e.rounds) }
 
 // Assignments returns the per-source cluster assignment (the
 // localization verdict at the current refinement).
-func (e *Evaluator) Assignments() []int32 { return e.part.Assignments() }
+func (e *Evaluator) Assignments() []int32 { return e.loop.Partition().Assignments() }
 
 // NumClusters returns the current cluster count.
-func (e *Evaluator) NumClusters() int { return e.part.NumClusters() }
+func (e *Evaluator) NumClusters() int { return e.loop.Partition().NumClusters() }
 
 // EvalSnapshot is the Evaluator's complete serializable state: the
 // deployment transcript plus every folded round. Restoring replays the
@@ -318,7 +261,7 @@ type EvalSnapshot struct {
 // Snapshot captures the evaluator's replayable state.
 func (e *Evaluator) Snapshot() EvalSnapshot {
 	s := EvalSnapshot{
-		Current:   e.current,
+		Current:   e.loop.Current(),
 		Deployed:  append([]int(nil), e.deployed...),
 		Converged: e.converged,
 		Rounds:    make([]EvalRound, len(e.rounds)),
@@ -330,8 +273,8 @@ func (e *Evaluator) Snapshot() EvalSnapshot {
 }
 
 // RestoreEvaluator rebuilds an evaluator from a snapshot by refolding
-// every recorded round — deterministic replay through the same
-// localizer and refinement code, never a structural copy.
+// every recorded round through sched.Loop.Fold — deterministic replay
+// through the same code the live step runs, never a structural copy.
 func RestoreEvaluator(attr Attribution, par EvalParams, s EvalSnapshot) (*Evaluator, error) {
 	e := NewEvaluator(attr, par)
 	if len(s.Deployed) == 0 {
@@ -350,10 +293,13 @@ func RestoreEvaluator(attr Attribution, par EvalParams, s EvalSnapshot) (*Evalua
 		if r.Config < 0 || r.Config >= len(attr.Catchments) {
 			return nil, fmt.Errorf("stream: snapshot round folds config %d out of range", r.Config)
 		}
-		e.fold(r.Config, append([]float64(nil), r.Volumes...))
+		volumes := append([]float64(nil), r.Volumes...)
+		e.loop.Fold(r.Config, volumes)
+		e.rounds = append(e.rounds, EvalRound{Config: r.Config, Volumes: volumes})
 	}
-	e.candidates = e.loc.Candidates(maxMisses)
-	e.current = s.Current
+	if s.Current != e.loop.Current() {
+		return nil, fmt.Errorf("stream: snapshot current config %d, last deployed %d", s.Current, e.loop.Current())
+	}
 	e.converged = s.Converged
 	return e, nil
 }

@@ -84,9 +84,12 @@ func TestRoundCutCarriesEveryWorker(t *testing.T) {
 		}
 		waitUntil(t, func() bool { return p.Status(0).Rounds >= r })
 		rec := p.Status(0).History[r-1]
-		if rec.Packets != batch+quiet || rec.Volumes[0] == 0 || rec.Volumes[1] == 0 {
+		p.in.mu.Lock()
+		vols := p.eval.rounds[r-1].Volumes
+		p.in.mu.Unlock()
+		if rec.Packets != batch+quiet || vols[0] == 0 || vols[1] == 0 {
 			t.Fatalf("round %d folded %d packets, volumes %v; want %d over both links",
-				r, rec.Packets, rec.Volumes, batch+quiet)
+				r, rec.Packets, vols, batch+quiet)
 		}
 	}
 }

@@ -63,20 +63,21 @@ func (p *Pipeline) Status(topN int) Status {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := &in.st
+	part, candidates := e.loop.Partition(), e.loop.Candidates()
 
 	s := Status{
 		UptimeSec:        now.Sub(in.start).Seconds(),
 		Workers:          in.cfg.Workers,
-		CurrentConfig:    e.current,
+		CurrentConfig:    e.loop.Current(),
 		DeployedConfigs:  append([]int(nil), e.deployed...),
 		Reconfigurations: len(e.deployed) - 1,
 		Rounds:           len(p.history),
 		TotalEvents:      st.total,
 		TotalBytes:       st.totalBytes,
-		NumSources:       e.part.NumSources(),
-		NumClusters:      e.part.NumClusters(),
-		MeanClusterSize:  e.part.Summarize().MeanSize,
-		Candidates:       len(e.candidates),
+		NumSources:       part.NumSources(),
+		NumClusters:      part.NumClusters(),
+		MeanClusterSize:  part.Summarize().MeanSize,
+		Candidates:       len(candidates),
 		Converged:        e.converged,
 		Degraded:         in.degraded.Load(),
 		DroppedEvents:    in.droppedN.Load(),
@@ -106,15 +107,15 @@ func (p *Pipeline) Status(topN int) Status {
 	for l, n := range st.roundPkts {
 		volumes[l] = float64(n)
 	}
-	est := sched.EstimateVolumes(in.attr.Catchments[e.current], e.candidates, volumes)
+	est := sched.EstimateVolumes(in.attr.Catchments[e.loop.Current()], candidates, volumes)
 	// One size table per call: this runs under in.mu, where a table per
 	// candidate would stall every worker flush.
-	sizes := e.part.Sizes()
-	for _, k := range e.candidates {
+	sizes := part.Sizes()
+	for _, k := range candidates {
 		if est[k] <= 0 {
 			continue
 		}
-		cl := e.part.ClusterOf(k)
+		cl := part.ClusterOf(k)
 		as := AttributedSource{
 			ASN:         in.attr.SourceASNs[k],
 			Cluster:     cl,
@@ -142,14 +143,14 @@ func (p *Pipeline) Status(topN int) Status {
 func (p *Pipeline) Candidates() []int {
 	p.in.mu.Lock()
 	defer p.in.mu.Unlock()
-	return append([]int(nil), p.eval.candidates...)
+	return p.eval.Candidates()
 }
 
 // Deployed returns the configurations deployed so far, in order.
 func (p *Pipeline) Deployed() []int {
 	p.in.mu.Lock()
 	defer p.in.mu.Unlock()
-	return append([]int(nil), p.eval.deployed...)
+	return p.eval.Deployed()
 }
 
 // Converged reports whether the top volume-ranked candidate cluster is
@@ -157,7 +158,7 @@ func (p *Pipeline) Deployed() []int {
 func (p *Pipeline) Converged() bool {
 	p.in.mu.Lock()
 	defer p.in.mu.Unlock()
-	return p.eval.converged
+	return p.eval.Converged()
 }
 
 // Evidence assembles the operator notification report (internal/report)
@@ -165,9 +166,9 @@ func (p *Pipeline) Converged() bool {
 // corroborating configurations §I's adoption-driving use case needs.
 func (p *Pipeline) Evidence() (*report.Report, error) {
 	p.in.mu.Lock()
-	history := append([]RoundRecord(nil), p.history...)
-	candidates := append([]int(nil), p.eval.candidates...)
-	part := p.eval.part.Clone()
+	rounds := append([]EvalRound(nil), p.eval.rounds...)
+	candidates := p.eval.Candidates()
+	part := p.eval.loop.Partition().Clone()
 	p.in.mu.Unlock()
 	attr := p.in.attr
 
@@ -177,9 +178,9 @@ func (p *Pipeline) Evidence() (*report.Report, error) {
 		Partition:        part,
 		CandidateIndexes: candidates,
 	}
-	for _, rec := range history {
-		in.Catchments = append(in.Catchments, attr.Catchments[rec.Config])
-		in.Volumes = append(in.Volumes, rec.Volumes)
+	for _, r := range rounds {
+		in.Catchments = append(in.Catchments, attr.Catchments[r.Config])
+		in.Volumes = append(in.Volumes, r.Volumes)
 	}
 	return report.Build(in)
 }

@@ -9,15 +9,15 @@
 // BatchSize events and handed off a full slab at a time — one channel
 // operation per slab, not per event; workers accumulate batched per-link
 // and per-victim counters and flush them into shared round state by
-// count or tick, taking a partly filled slab on the tick. Evaluator decides: it folds a round into an incremental
-// localizer (spoof) and cluster partition (cluster), and when the
-// volume-ranked top candidate cluster still exceeds the split threshold
-// it asks the greedy scheduler (sched.NextGreedyVolume) for the next
-// announcement configuration. Pipeline is the two in one process — an
-// Intake whose control goroutine folds each round through an Evaluator
-// and applies the resulting catchment split online through a deploy
-// callback (in cmd/spooftrackd, amp.Border.SetCatchments); internal/shard
-// places them in different processes.
+// count or tick, taking a partly filled slab on the tick. Evaluator
+// decides: it folds a round into a sched.Loop (an incremental localizer
+// and cluster partition), and when the volume-ranked top candidate
+// cluster still exceeds the split threshold the loop's greedy step picks
+// the next announcement configuration. Pipeline is the two in one
+// process — an Intake whose control goroutine folds each round through
+// an Evaluator and applies the resulting catchment split online through
+// a deploy callback (in cmd/spooftrackd, amp.Border.SetCatchments);
+// internal/shard places them in different processes.
 //
 // Backpressure, not loss: Ingest blocks when a shard has no free slab,
 // so a slow consumer stalls the producer instead of silently dropping
@@ -119,7 +119,7 @@ type Config struct {
 	// conflict (probe.Audit's conflict ASes mapped to campaign source
 	// positions). When a round ends without a split-driven deployment,
 	// the controller deploys the unused configuration that re-observes
-	// the most hinted sources (sched.NextRemeasure). Like Blocked, it is
+	// the most hinted sources (sched.Loop.Next). Like Blocked, it is
 	// called from the controller outside the pipeline lock and must not
 	// call back into the pipeline.
 	Remeasure func() []int
@@ -171,7 +171,6 @@ type RoundRecord struct {
 	Ended       time.Time `json:"ended"`
 	Packets     int64     `json:"packets"`
 	Bytes       int64     `json:"bytes"`
-	Volumes     []float64 `json:"-"`
 	NumClusters int       `json:"num_clusters"`
 	MeanSize    float64   `json:"mean_cluster_size"`
 	Candidates  int       `json:"candidates"`

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,4 +53,40 @@ func FuzzReadCAIDA(f *testing.F) {
 			t.Fatalf("round trip changed the graph:\nread:\n%q\nwritten:\n%s", in, buf.String())
 		}
 	})
+}
+
+// TestReadCAIDABounded: an endless stream of valid links ends at the
+// bound with the bound's error, before the reader's own failure past it.
+func TestReadCAIDABounded(t *testing.T) {
+	s := &endlessLinks{limit: maxCAIDABytes + 1<<20}
+	if _, err := ReadCAIDA(s); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("endless relationship file: %v", err)
+	}
+}
+
+// endlessLinks serves provider-customer links 1|2, 2|3, … one per line,
+// each padded with trailing blanks to 64 KiB so the graph stays small,
+// and fails once it has served limit bytes.
+type endlessLinks struct {
+	line          []byte
+	next          uint32
+	served, limit int64
+}
+
+func (s *endlessLinks) Read(p []byte) (int, error) {
+	if s.served >= s.limit {
+		return 0, errors.New("read past the decoder's bound")
+	}
+	n := 0
+	for n < len(p) {
+		if len(s.line) == 0 {
+			s.next++
+			s.line = []byte(fmt.Sprintf("%d|%d|-1%s\n", s.next, s.next+1, strings.Repeat(" ", 64<<10)))
+		}
+		c := copy(p[n:], s.line)
+		s.line = s.line[c:]
+		n += c
+	}
+	s.served += int64(n)
+	return n, nil
 }

@@ -64,8 +64,22 @@ func WriteCAIDA(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadCAIDA parses a graph from CAIDA AS-relationship format.
+// maxCAIDABytes bounds what ReadCAIDA reads; an 80 000-AS topogen graph
+// writes 2.2 MB.
+const maxCAIDABytes = 64 << 20
+
+// ReadCAIDA parses a graph from CAIDA AS-relationship format. It reads
+// at most maxCAIDABytes.
 func ReadCAIDA(r io.Reader) (*Graph, error) {
+	lr := &io.LimitedReader{R: r, N: maxCAIDABytes + 1}
+	g, err := readCAIDA(lr)
+	if lr.N == 0 {
+		return nil, fmt.Errorf("topo: relationship file exceeds %d bytes", maxCAIDABytes)
+	}
+	return g, err
+}
+
+func readCAIDA(r io.Reader) (*Graph, error) {
 	b := NewBuilder()
 	var explicitTier1 []ASN
 	sc := bufio.NewScanner(r)

@@ -1,17 +1,25 @@
 #!/bin/sh
-# CI entry point: vet, check that everything under internal/ is reached
+# CI entry point: check formatting, vet, check that everything under internal/ is reached
 # by something that ships, build, and test the whole module, then run the
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, the daemon's placements and
 # ticker loops, and the greedy step's pooled scorer and refinement table,
-# which the pipeline, replay and trajectory goroutines share, and the
+# which the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp, stream and shard together),
 # and run the five Benchmark…Budget gates (delta propagation, scrape,
 # sharded ingest, probe scan, ledger) one package at a time, so no other
 # test binary shares the CPUs with their timed samples.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w on them):"
+	echo "$unformatted"
+	exit 1
+fi
 
 echo "==> go vet"
 go vet ./...
