@@ -12,7 +12,10 @@
 // extcomm, extstale, extremediate, export (write the campaign dataset to
 // stdout as JSON lines), and ablation (each design knob flipped on its
 // own reduced world, seeds 100-104; the flags do not apply to it, and it
-// builds no lab when run alone).
+// builds no lab when run alone). Results print in one fixed order
+// (ablation, table1, headline, fig3-fig10, then the extension studies),
+// whatever order they are named in; an unknown name is refused before
+// any world is built.
 //
 // Example:
 //
@@ -20,9 +23,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"time"
 
 	"spooftrack/internal/core"
@@ -30,71 +36,115 @@ import (
 )
 
 func main() {
-	var (
-		seed       = flag.Uint64("seed", 42, "world seed (drives topology, policies, noise)")
-		numASes    = flag.Int("ases", 0, "topology size (0 = default 4000)")
-		probes     = flag.Int("probes", 0, "traceroute probe count (0 = default 1600)")
-		collectors = flag.Int("collectors", 0, "BGP collector count (0 = default 250)")
-		poisons    = flag.Int("poisons", 0, "poison-phase size (0 = paper's 347)")
-		truth      = flag.Bool("truth", false, "bypass the measurement pipeline (use true catchments)")
-		quiet      = flag.Bool("q", false, "suppress progress output")
-	)
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: spooftrack [flags] <table1|fig3..fig10|headline|all|extpredict|extpoison|extspeed|extcomm|extstale|extremediate|export|ablation>...")
-		flag.PrintDefaults()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "spooftrack:", err)
+	if errors.As(err, new(usageError)) {
 		os.Exit(2)
 	}
+	os.Exit(1)
+}
 
-	want := map[string]bool{}
-	for _, a := range args {
-		if a == "all" {
-			for _, name := range []string{"table1", "headline", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"} {
-				want[name] = true
-			}
-			continue
-		}
-		want[a] = true
+// usageError is a bad invocation; main exits 2 on it, as flag does.
+type usageError struct{ error }
+
+// labExperiments is every lab experiment in print order; its first ten
+// are what "all" names.
+var labExperiments = []string{
+	"table1", "headline", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+	"extpredict", "extpoison", "extspeed", "extcomm", "extstale", "extremediate", "export",
+}
+
+// options is one parsed invocation.
+type options struct {
+	lab      experiments.LabParams
+	quiet    bool
+	ablation bool
+	want     map[string]bool // lab experiments to print
+}
+
+// parse reads the flags and experiment names. Every error it returns
+// but flag.ErrHelp is a usageError.
+func parse(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("spooftrack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: spooftrack [flags] <table1|fig3..fig10|headline|all|extpredict|extpoison|extspeed|extcomm|extstale|extremediate|export|ablation>...")
+		fs.PrintDefaults()
 	}
+	fs.Uint64Var(&o.lab.Seed, "seed", 42, "world seed (drives topology, policies, noise)")
+	fs.IntVar(&o.lab.NumASes, "ases", 0, "topology size (0 = default 4000)")
+	fs.IntVar(&o.lab.NumProbes, "probes", 0, "traceroute probe count (0 = default 1600)")
+	fs.IntVar(&o.lab.NumCollectors, "collectors", 0, "BGP collector count (0 = default 250)")
+	fs.IntVar(&o.lab.MaxPoisonTargets, "poisons", 0, "poison-phase size (0 = paper's 347)")
+	fs.BoolVar(&o.lab.UseTruth, "truth", false, "bypass the measurement pipeline (use true catchments)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress progress output")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return o, err
+		}
+		return o, usageError{err}
+	}
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return o, usageError{errors.New("no experiment named")}
+	}
+	o.want = map[string]bool{}
+	for _, a := range fs.Args() {
+		switch {
+		case a == "all":
+			for _, name := range labExperiments[:10] {
+				o.want[name] = true
+			}
+		case a == "ablation":
+			o.ablation = true
+		case slices.Contains(labExperiments, a):
+			o.want[a] = true
+		default:
+			return o, usageError{fmt.Errorf("unknown experiment %q", a)}
+		}
+	}
+	return o, nil
+}
 
-	if want["ablation"] {
-		delete(want, "ablation")
+// run parses args, builds the lab the named experiments need, and
+// prints each experiment's result to stdout; progress goes to stderr
+// unless -q.
+func run(args []string, stdout, stderr io.Writer) error {
+	o, err := parse(args, stderr)
+	if err != nil {
+		return err
+	}
+	if o.ablation {
 		res, err := experiments.Ablations()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "spooftrack: ablation: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("ablation: %w", err)
 		}
-		fmt.Println(res)
-		if len(want) == 0 {
-			return
+		fmt.Fprintln(stdout, res)
+		if len(o.want) == 0 {
+			return nil
 		}
 	}
 
-	params := experiments.LabParams{
-		Seed:             *seed,
-		NumASes:          *numASes,
-		NumProbes:        *probes,
-		NumCollectors:    *collectors,
-		MaxPoisonTargets: *poisons,
-		UseTruth:         *truth,
-	}
-	if !*quiet {
+	params := o.lab
+	if !o.quiet {
 		params.Progress = func(done, total int) {
 			if done%100 == 0 || done == total {
-				fmt.Fprintf(os.Stderr, "deployed %d/%d configurations\n", done, total)
+				fmt.Fprintf(stderr, "deployed %d/%d configurations\n", done, total)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "building world and deploying campaign (seed %d)...\n", *seed)
+		fmt.Fprintf(stderr, "building world and deploying campaign (seed %d)...\n", params.Seed)
 	}
 	start := time.Now()
 	lab, err := experiments.NewLab(params)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "spooftrack: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "campaign ready in %.1fs (%d sources)\n\n",
+	if !o.quiet {
+		fmt.Fprintf(stderr, "campaign ready in %.1fs (%d sources)\n\n",
 			time.Since(start).Seconds(), lab.Campaign.NumSources())
 	}
 
@@ -106,83 +156,54 @@ func main() {
 		return fig5
 	}
 
-	for _, name := range []string{"table1", "headline", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "extpredict", "extpoison", "extspeed", "extcomm", "extstale", "extremediate", "export"} {
-		if !want[name] {
+	for _, name := range labExperiments {
+		if !o.want[name] {
 			continue
 		}
-		delete(want, name)
+		var res any
+		var err error
 		switch name {
-		case "extpredict":
-			res, err := experiments.ExtPrediction(lab)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: extpredict: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
-		case "extpoison":
-			res, err := experiments.ExtTargetedPoison(lab, 10)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: extpoison: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
-		case "extspeed":
-			fmt.Println(experiments.ExtSpeed(lab, 5.0, *seed))
-		case "extcomm":
-			res, err := experiments.ExtCommunities(lab)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: extcomm: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
-		case "extstale":
-			res, err := experiments.ExtStaleness(lab, 200, 0.05)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: extstale: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
-		case "extremediate":
-			res, err := experiments.ExtRemediation(lab, 0.5, 100, 10)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: extremediate: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
-		case "export":
-			if err := core.WriteDataset(os.Stdout, lab.Campaign.Dataset()); err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: export: %v\n", err)
-				os.Exit(1)
-			}
 		case "table1":
-			fmt.Println(experiments.Table1(lab))
+			res = experiments.Table1(lab)
 		case "headline":
-			fmt.Println(experiments.Headline(lab))
+			res = experiments.Headline(lab)
 		case "fig3":
-			fmt.Println(experiments.Fig3(lab))
+			res = experiments.Fig3(lab)
 		case "fig4":
-			fmt.Println(experiments.Fig4(lab))
+			res = experiments.Fig4(lab)
 		case "fig5":
-			fmt.Println(getFig5())
+			res = getFig5()
 		case "fig6":
-			fmt.Println(getFig5().Fig6String())
+			res = getFig5().Fig6String()
 		case "fig7":
-			fmt.Println(experiments.Fig7(lab))
+			res = experiments.Fig7(lab)
 		case "fig8":
-			fmt.Println(experiments.Fig8(lab, experiments.DefaultFig8Params()))
+			res = experiments.Fig8(lab, experiments.DefaultFig8Params())
 		case "fig9":
-			res, err := experiments.Fig9(lab)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spooftrack: fig9: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(res)
+			res, err = experiments.Fig9(lab)
 		case "fig10":
-			fmt.Println(experiments.Fig10(lab, experiments.DefaultFig10Params()))
+			res = experiments.Fig10(lab, experiments.DefaultFig10Params())
+		case "extpredict":
+			res, err = experiments.ExtPrediction(lab)
+		case "extpoison":
+			res, err = experiments.ExtTargetedPoison(lab, 10)
+		case "extspeed":
+			res = experiments.ExtSpeed(lab, 5.0, params.Seed)
+		case "extcomm":
+			res, err = experiments.ExtCommunities(lab)
+		case "extstale":
+			res, err = experiments.ExtStaleness(lab, 200, 0.05)
+		case "extremediate":
+			res, err = experiments.ExtRemediation(lab, 0.5, 100, 10)
+		case "export":
+			err = core.WriteDataset(stdout, lab.Campaign.Dataset())
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if res != nil {
+			fmt.Fprintln(stdout, res)
 		}
 	}
-	for name := range want {
-		fmt.Fprintf(os.Stderr, "spooftrack: unknown experiment %q\n", name)
-		os.Exit(2)
-	}
+	return nil
 }

@@ -42,10 +42,10 @@ type config struct {
 // worldConfig sizes the offline phase: the world, the campaign over it
 // and the faults injected into both.
 type worldConfig struct {
-	seed, faultSeed                   uint64
-	ases, poison                      int
-	topoFile, topoWrite, faultProfile string
-	ledger                            bool
+	seed, faultSeed        uint64
+	ases, poison           int
+	topoFile, faultProfile string
+	ledger                 bool
 }
 
 // placeConfig picks where the two halves run: at most one of shards,
@@ -88,7 +88,6 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "active SAV probe scan interval (0 = probing off)")
 	fs.BoolVar(&c.world.ledger, "ledger", true, "record the decision-provenance ledger (serve /explain)")
 	fs.StringVar(&c.world.topoFile, "topo-file", "", "load the AS topology from a CAIDA-serialized file instead of generating one; processes sharing a file and -seed build identical worlds")
-	fs.StringVar(&c.world.topoWrite, "topo-write", "", "serialize the built topology to this file (CAIDA format, loadable with -topo-file) and continue")
 	fs.IntVar(&c.place.shards, "shards", 0, "in-process sharded ingest: N intake shards plus lease-elected failover controllers (0 = single-node pipeline)")
 	fs.StringVar(&c.place.shardID, "shard-id", "", "run as one ingest shard: an intake plus the /shard RPC surface, driven by an external -controller process")
 	fs.StringVar(&peers, "controller", "", "run as the sharded-ingest controller for these shards: comma-separated id=http://host:port pairs")

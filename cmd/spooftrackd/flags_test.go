@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"spooftrack"
 	"spooftrack/internal/fault"
 	"spooftrack/internal/metrics"
+	"spooftrack/internal/topo"
 	"spooftrack/internal/tsdb"
 	"spooftrack/internal/watch"
 )
@@ -29,8 +31,8 @@ func TestFlagSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
 		names = append(names, m[1])
 	}
-	if len(names) != 28 {
-		t.Errorf("%d flags, want 28", len(names))
+	if len(names) != 27 {
+		t.Errorf("%d flags, want 27", len(names))
 	}
 	goldenBody(t, "flags.golden", strings.Join(names, "\n")+"\n")
 	for _, profile := range fault.Names() {
@@ -100,12 +102,19 @@ func TestRetiredFlagsKeepDefaults(t *testing.T) {
 
 // TestDocumentedInvocationsParse: every daemon command line the README
 // and the verify skill show parses, so a doc that still passes a
-// deleted flag fails here instead of at an operator's shell.
+// deleted flag fails here instead of at an operator's shell, and every
+// command or example they name exists. (cmd/spooftrack and cmd/topogen
+// parse their own lines in their own tests.)
 func TestDocumentedInvocationsParse(t *testing.T) {
 	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, dir := range regexp.MustCompile(`\./(?:cmd|examples)/[\w-]+`).FindAllString(string(data), -1) {
+			if _, err := os.Stat(filepath.Join("../..", dir)); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, dir)
+			}
 		}
 		runs := daemonInvocations(string(data))
 		if len(runs) == 0 {
@@ -116,6 +125,48 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 				t.Errorf("%s: spooftrackd %s: %v", doc, strings.Join(args, " "), err)
 			}
 		}
+	}
+}
+
+// TestTopoFileReproducesWorld: a topology written once at -seed 42
+// and loaded with -topo-file builds the campaign the daemon builds for
+// itself from -seed 42 -ases 300, so processes that share the file and
+// the seed agree on one attribution matrix.
+func TestTopoFileReproducesWorld(t *testing.T) {
+	p := topo.DefaultGenParams(42)
+	p.NumASes = 300
+	g, err := topo.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "topo.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := topo.WriteCAIDA(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var camps []*spooftrack.Campaign
+	for _, args := range [][]string{{"-seed", "42", "-ases", "300"}, {"-seed", "42", "-topo-file", path}} {
+		cfg, err := parseFlags(args, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracker, _, err := offline(cfg.world, metrics.NewRegistry())
+		if err != nil {
+			t.Fatalf("%s: %v", strings.Join(args, " "), err)
+		}
+		camps = append(camps, tracker.Campaign)
+	}
+	built, loaded := camps[0], camps[1]
+	if built.NumSources() == 0 || !reflect.DeepEqual(built.Sources, loaded.Sources) ||
+		!reflect.DeepEqual(built.Catchments, loaded.Catchments) {
+		t.Fatalf("-topo-file campaign differs: %d sources / %d configurations built, %d / %d loaded",
+			built.NumSources(), len(built.Catchments), loaded.NumSources(), len(loaded.Catchments))
 	}
 }
 

@@ -72,8 +72,8 @@
 // half: a shard writes none, its controller does.
 //
 // Multi-process deployments must agree on one attribution matrix: give
-// every process the same -seed and the same -topo-file (written with
-// -topo-write or topo.WriteCAIDA), and share -lease-file across
+// every process the same -seed and the same -topo-file (written by
+// cmd/topogen before any of them starts), and share -lease-file across
 // controller replicas so failover is fenced through one lease.
 package main
 
@@ -82,13 +82,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -102,7 +102,6 @@ import (
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/stream"
-	"spooftrack/internal/topo"
 	"spooftrack/internal/trace"
 	"spooftrack/internal/tsdb"
 	"spooftrack/internal/watch"
@@ -341,13 +340,6 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 	camp, platform := tracker.Campaign, tracker.World.Platform
 	slog.Info("offline phase complete",
 		"configs", camp.NumConfigs(), "sources", camp.NumSources(), "links", platform.NumLinks())
-	if c.topoWrite != "" {
-		err := writeFileAtomic(c.topoWrite, func(w io.Writer) error { return topo.WriteCAIDA(w, tracker.World.Graph) })
-		if err != nil {
-			return nil, nil, fmt.Errorf("topology write %s: %w", c.topoWrite, err)
-		}
-		slog.Info("topology written", "path", c.topoWrite)
-	}
 	if len(camp.Incomplete) > 0 {
 		slog.Warn("campaign degraded: some configurations permanently failed; localization proceeds with coarser clusters",
 			"incomplete", camp.Incomplete)
@@ -687,12 +679,27 @@ func startAttackers(ctx context.Context, tracker *spooftrack.Tracker, borderAddr
 }
 
 // writeSnapshot writes the dataset of the configurations deployed so
-// far.
+// far through a temp file and a rename, so a reader of the last
+// snapshot never sees a partial file.
 func writeSnapshot(path string, camp *spooftrack.Campaign, deployed []int) error {
 	if len(deployed) == 0 {
 		return nil
 	}
-	return writeFileAtomic(path, func(w io.Writer) error {
-		return core.WriteDataset(w, camp.SubCampaign(deployed).Dataset())
-	})
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := core.WriteDataset(tmp, camp.SubCampaign(deployed).Dataset()); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -344,27 +342,4 @@ func loadTopo(path string) (*topo.Graph, error) {
 	}
 	defer f.Close()
 	return topo.ReadCAIDA(f)
-}
-
-// writeFileAtomic writes path through a temp file and a rename, so a
-// concurrently starting process (-topo-file) or a reader of the last
-// snapshot never sees a partial file.
-func writeFileAtomic(path string, write func(w io.Writer) error) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -1,6 +1,8 @@
 // Command topogen generates a synthetic AS-level Internet topology and
 // writes it in CAIDA AS-relationship format, or summarizes an existing
-// topology file.
+// topology file. A generated topology is always validated before it is
+// written. The file it writes is what spooftrackd -topo-file loads, so
+// every process of a multi-process deployment builds the same world.
 //
 // Usage:
 //
@@ -9,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -18,63 +22,79 @@ import (
 )
 
 func main() {
-	var (
-		seed     = flag.Uint64("seed", 1, "generator seed")
-		numASes  = flag.Int("ases", 4000, "number of ASes")
-		tier1    = flag.Int("tier1", 12, "number of tier-1 ASes")
-		outPath  = flag.String("out", "", "output path (default stdout)")
-		inPath   = flag.String("in", "", "summarize an existing CAIDA file instead of generating")
-		validate = flag.Bool("validate", true, "validate structural invariants")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "topogen:", err)
+	if errors.As(err, new(usageError)) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
 
-	var g *topo.Graph
-	var err error
+// usageError is a bad invocation; main exits 2 on it, as flag does.
+type usageError struct{ error }
+
+// run generates (or, with -in, reads) one topology. The CAIDA text goes
+// to stdout unless -out names a file; the summary goes to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "generator seed")
+	numASes := fs.Int("ases", 4000, "number of ASes")
+	outPath := fs.String("out", "", "output path (default stdout)")
+	inPath := fs.String("in", "", "summarize an existing CAIDA file instead of generating")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+
 	if *inPath != "" {
 		f, err := os.Open(*inPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
-		g, err = topo.ReadCAIDA(f)
+		g, err := topo.ReadCAIDA(f)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		summarize(g)
-		return
+		summarize(stderr, g)
+		return nil
 	}
 
 	p := topo.DefaultGenParams(*seed)
 	p.NumASes = *numASes
-	p.NumTier1 = *tier1
-	g, err = topo.Generate(p)
+	g, err := topo.Generate(p)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if *validate {
-		if err := g.Validate(); err != nil {
-			fatal(fmt.Errorf("generated topology invalid: %w", err))
-		}
+	if err := g.Validate(); err != nil {
+		return fmt.Errorf("generated topology invalid: %w", err)
 	}
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
+	if *outPath == "" {
+		return topo.WriteCAIDA(stdout, g)
 	}
-	if err := topo.WriteCAIDA(out, g); err != nil {
-		fatal(err)
+	f, err := os.Create(*outPath)
+	if err != nil {
+		return err
 	}
-	if *outPath != "" {
-		fmt.Fprintf(os.Stderr, "wrote %d ASes, %d links to %s\n", g.NumASes(), g.NumLinks(), *outPath)
-		summarize(g)
+	if err := topo.WriteCAIDA(f, g); err != nil {
+		f.Close()
+		return err
 	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "wrote %d ASes, %d links to %s\n", g.NumASes(), g.NumLinks(), *outPath)
+	summarize(stderr, g)
+	return nil
 }
 
-func summarize(g *topo.Graph) {
+func summarize(w io.Writer, g *topo.Graph) {
 	transit := g.TransitASes()
 	var coneSizes []int
 	for _, i := range transit {
@@ -94,18 +114,13 @@ func summarize(g *topo.Graph) {
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ASes: %d  links: %d (%d transit, %d peering)\n",
+	fmt.Fprintf(w, "ASes: %d  links: %d (%d transit, %d peering)\n",
 		g.NumASes(), g.NumLinks(), c2pLinks, peerLinks)
-	fmt.Fprintf(os.Stderr, "tier-1: %d  transit ASes: %d  stubs: %d\n",
+	fmt.Fprintf(w, "tier-1: %d  transit ASes: %d  stubs: %d\n",
 		len(g.Tier1s()), len(transit), g.NumASes()-len(transit))
 	top := coneSizes
 	if len(top) > 10 {
 		top = top[:10]
 	}
-	fmt.Fprintf(os.Stderr, "largest customer cones: %v\n", top)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "topogen: %v\n", err)
-	os.Exit(1)
+	fmt.Fprintf(w, "largest customer cones: %v\n", top)
 }

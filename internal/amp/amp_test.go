@@ -142,35 +142,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 func TestEndToEndPipeline(t *testing.T) {
 	victimAddr := netip.MustParseAddr("192.0.2.99")
-
-	// Victim listener measures reflected traffic.
-	victimConn, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer victimConn.Close()
-	victimUDP := victimConn.LocalAddr().(*net.UDPAddr)
-	victimBytes := make(chan int, 1024)
-	go func() {
-		buf := make([]byte, 2048)
-		for {
-			n, _, err := victimConn.ReadFrom(buf)
-			if err != nil {
-				return
-			}
-			victimBytes <- n
-		}
-	}()
-
-	cfg := DefaultHoneypotConfig()
-	cfg.MaxResponsesPerVictimPerSec = 5
-	cfg.Reflect = func(v netip.Addr) *net.UDPAddr {
-		if v == victimAddr {
-			return victimUDP
-		}
-		return nil
-	}
-	hp, err := NewHoneypot("127.0.0.1:0", cfg)
+	hp, err := NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,18 +177,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		v := hp.VolumeByLink()
 		return v[0].Packets == 20 && v[1].Packets == 10
 	})
-
-	// The rate limiter caps reflection well below the 30 requests.
-	waitFor(t, func() bool { return hp.Reflected() >= 1 })
-	time.Sleep(50 * time.Millisecond)
-	if r := hp.Reflected(); r > 5 {
-		t.Fatalf("reflected %d responses in one window, limit is 5", r)
-	}
-	// Victim actually received amplified responses.
-	n := <-victimBytes
-	if n <= headerLen+8 {
-		t.Fatalf("victim got %d bytes; expected amplification beyond request size", n)
-	}
 }
 
 func TestBorderDropsUnroutedAS(t *testing.T) {
@@ -292,52 +252,6 @@ func TestHoneypotMalformedCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return hp.Malformed() == 1 })
-}
-
-// TestRateWindowBounded: the reflection rate limiter is keyed by the
-// spoofed victim, which the attacker chooses. 100 000 distinct victims
-// pushed across two windows must never leave both windows' victims in
-// the map, and the limit itself must still hold within a window.
-func TestRateWindowBounded(t *testing.T) {
-	h := &Honeypot{cfg: DefaultHoneypotConfig(), rateWindow: make(map[netip.Addr]rateState)}
-	const victims = 100000
-	t0 := time.Unix(1700000000, 0)
-	peak := 0
-	for i := 0; i < victims; i++ {
-		// The first half inside one window, the second half inside
-		// another two windows later.
-		half := i / (victims / 2)
-		now := t0.Add(time.Duration(half)*2*rateWindowLen + time.Duration(i%(victims/2))*rateWindowLen/(victims/2))
-		v := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
-		if !h.allowReflectLocked(v, now) {
-			t.Fatalf("victim %d refused its first reflection", i)
-		}
-		peak = max(peak, len(h.rateWindow))
-	}
-	if peak > victims/2 {
-		t.Fatalf("rate windows peaked at %d entries for %d victims, want ≤ %d", peak, victims, victims/2)
-	}
-
-	limit := h.cfg.MaxResponsesPerVictimPerSec
-	v := netip.MustParseAddr("192.0.2.1")
-	now := t0.Add(10 * rateWindowLen)
-	for i := 0; i < limit; i++ {
-		if !h.allowReflectLocked(v, now) {
-			t.Fatalf("reflection %d of %d refused", i+1, limit)
-		}
-	}
-	if h.allowReflectLocked(v, now) {
-		t.Fatalf("reflection %d allowed within one window, limit is %d", limit+1, limit)
-	}
-	if !h.allowReflectLocked(v, now.Add(rateWindowLen)) {
-		t.Fatal("the next window did not reset the limit")
-	}
-}
-
-func TestNewHoneypotRejectsBadConfig(t *testing.T) {
-	if _, err := NewHoneypot("127.0.0.1:0", HoneypotConfig{AmpFactor: 0}); err == nil {
-		t.Fatal("expected config error")
-	}
 }
 
 func TestAttackerFloodValidation(t *testing.T) {

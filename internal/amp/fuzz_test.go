@@ -62,7 +62,7 @@ func FuzzServices(f *testing.F) {
 		}
 		resp := svc.Respond(payload, 1400)
 		if len(resp) > 1400 {
-			t.Fatalf("%s response of %d bytes exceeds cap", svc.Name(), len(resp))
+			t.Fatalf("%T response of %d bytes exceeds cap", svc, len(resp))
 		}
 	})
 }

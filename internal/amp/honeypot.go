@@ -1,42 +1,19 @@
 package amp
 
 import (
-	"errors"
 	"net"
-	"net/netip"
 	"sync"
 	"time"
 
 	"spooftrack/internal/trace"
 )
 
-// HoneypotConfig tunes the honeypot's emulated amplification service.
-type HoneypotConfig struct {
-	// AmpFactor is the response-to-request size ratio of the emulated
-	// vulnerable service (e.g., NTP monlist reaches dozens).
-	AmpFactor int
-	// MaxResponsesPerVictimPerSec rate-limits reflection per victim, as
-	// AmpPot does so honeypots attract attacks without contributing
-	// meaningful firepower.
-	MaxResponsesPerVictimPerSec int
-	// Reflect resolves a victim (spoofed source) address to the UDP
-	// endpoint its traffic should be reflected to, or nil to drop.
-	// Production honeypots send straight to the spoofed address; tests
-	// map victims onto loopback listeners.
-	Reflect func(victim netip.Addr) *net.UDPAddr
-	// Services, when non-empty, switches the honeypot to protocol
-	// emulation: requests are recognized per protocol (DNS / NTP /
-	// SSDP) and answered with that protocol's amplified response;
-	// unrecognized payloads are accounted but not reflected. Empty
-	// means generic AmpFactor amplification.
-	Services []Service
-}
+// HoneypotConfig configures a honeypot. It has no fields: the
+// honeypot observes and accounts requests and never answers them.
+type HoneypotConfig struct{}
 
-// DefaultHoneypotConfig emulates a monlist-style amplifier with AmpPot's
-// conservative rate limit.
-func DefaultHoneypotConfig() HoneypotConfig {
-	return HoneypotConfig{AmpFactor: 20, MaxResponsesPerVictimPerSec: 10}
-}
+// DefaultHoneypotConfig returns the honeypot's configuration.
+func DefaultHoneypotConfig() HoneypotConfig { return HoneypotConfig{} }
 
 // LinkStats is the honeypot's per-ingress-link accounting — the volume
 // signal §III-C feeds into cluster attribution.
@@ -45,10 +22,11 @@ type LinkStats struct {
 	Bytes   int64
 }
 
-// Honeypot is an AmpPot-style UDP service. Create with NewHoneypot,
-// stop with Close. Safe for concurrent use.
+// Honeypot is an AmpPot-style UDP listener on the observation side:
+// it accounts each spoofed request per ingress link and taps it, and
+// sends nothing back. Create with NewHoneypot, stop with Close. Safe
+// for concurrent use.
 type Honeypot struct {
-	cfg  HoneypotConfig
 	conn *net.UDPConn
 	wg   sync.WaitGroup
 
@@ -57,37 +35,18 @@ type Honeypot struct {
 	metrics   *hpMetrics
 	byLink    map[uint8]*LinkStats
 	malformed int64
-	reflected int64
-	// rateWindow is each victim's reflection count in its current
-	// one-second window. The victim is attacker-chosen, so windows that
-	// have run out are swept, at most once per window (rateSwept).
-	rateWindow map[netip.Addr]rateState
-	rateSwept  time.Time
 }
-
-type rateState struct {
-	windowStart time.Time
-	sent        int
-}
-
-// rateWindowLen is the per-victim reflection rate limit's window.
-const rateWindowLen = time.Second
 
 // NewHoneypot starts a honeypot listening on addr (e.g.,
 // "127.0.0.1:0"). The returned honeypot is already serving.
-func NewHoneypot(addr string, cfg HoneypotConfig) (*Honeypot, error) {
-	if cfg.AmpFactor < 1 {
-		return nil, errors.New("amp: AmpFactor must be at least 1")
-	}
+func NewHoneypot(addr string, _ HoneypotConfig) (*Honeypot, error) {
 	conn, err := listenUDP(addr)
 	if err != nil {
 		return nil, err
 	}
 	h := &Honeypot{
-		cfg:        cfg,
-		conn:       conn,
-		byLink:     make(map[uint8]*LinkStats),
-		rateWindow: make(map[netip.Addr]rateState),
+		conn:   conn,
+		byLink: make(map[uint8]*LinkStats),
 	}
 	h.wg.Add(1)
 	go h.serve()
@@ -107,13 +66,12 @@ func (h *Honeypot) Close() error {
 func (h *Honeypot) serve() {
 	defer h.wg.Done()
 	// One span covers the serve loop's lifetime; per-request outcomes are
-	// its counters (malformed/accepted/reflected and tap fan-out).
+	// its counters (malformed/accepted and tap fan-out).
 	sp := trace.Start("amp.honeypot.serve")
 	defer sp.End()
-	// One packet, one read buffer and one reply buffer for the loop's
-	// lifetime: an accepted request allocates nothing.
+	// One packet and one read buffer for the loop's lifetime: an
+	// accepted request allocates nothing.
 	buf := make([]byte, 2048)
-	out := make([]byte, 0, 2048)
 	var pkt Packet
 	for {
 		n, _, err := h.conn.ReadFromUDPAddrPort(buf)
@@ -131,30 +89,12 @@ func (h *Honeypot) serve() {
 			sp.Count("malformed", 1)
 			continue
 		}
-		out = h.handleRequest(&pkt, n, out, sp)
+		h.handleRequest(&pkt, n, sp)
 	}
 }
 
-// handleRequest accounts one decoded request, taps it, and reflects the
-// amplified reply, encoded into out; it returns out for reuse.
-func (h *Honeypot) handleRequest(pkt *Packet, wireLen int, out []byte, sp *trace.Span) []byte {
-	// Protocol emulation mode: recognize the request first.
-	var svc Service
-	if len(h.cfg.Services) > 0 {
-		var recognized bool
-		svc, recognized = RecognizeService(h.cfg.Services, pkt.Payload)
-		if !recognized {
-			h.mu.Lock()
-			h.malformed++
-			m := h.metrics
-			h.mu.Unlock()
-			if m != nil {
-				m.requests.With("malformed").Inc()
-			}
-			sp.Count("malformed", 1)
-			return out
-		}
-	}
+// handleRequest accounts one decoded request and taps it.
+func (h *Honeypot) handleRequest(pkt *Packet, wireLen int, sp *trace.Span) {
 	sp.Count("accepted", 1)
 
 	h.mu.Lock()
@@ -165,7 +105,6 @@ func (h *Honeypot) handleRequest(pkt *Packet, wireLen int, out []byte, sp *trace
 	}
 	ls.Packets++
 	ls.Bytes += int64(wireLen)
-	allowed := h.allowReflectLocked(pkt.SpoofedSrc, time.Now())
 	tap := h.tap
 	m := h.metrics
 	h.mu.Unlock()
@@ -174,96 +113,17 @@ func (h *Honeypot) handleRequest(pkt *Packet, wireLen int, out []byte, sp *trace
 		m.requests.With("accepted").Inc()
 		m.linkPkts.With(linkLabels[pkt.IngressLink]).Inc()
 		m.linkBytes.With(linkLabels[pkt.IngressLink]).Add(int64(wireLen))
-		if svc != nil {
-			m.service.With(svc.Name()).Inc()
-		}
-		if !allowed {
-			m.requests.With("rate_limited").Inc()
-		}
 	}
 
 	if tap != nil {
-		ev := Event{
+		tap(Event{
 			Time:        time.Now(),
 			IngressLink: pkt.IngressLink,
 			SpoofedSrc:  pkt.SpoofedSrc,
 			WireLen:     wireLen,
-		}
-		if svc != nil {
-			ev.Service = svc.Name()
-		}
-		tap(ev)
+		})
 		sp.Count("tap_events", 1)
 	}
-
-	if !allowed || h.cfg.Reflect == nil {
-		return out
-	}
-	dst := h.cfg.Reflect(pkt.SpoofedSrc)
-	if dst == nil {
-		return out
-	}
-	var respPayload []byte
-	if svc != nil {
-		respPayload = svc.Respond(pkt.Payload, maxPayload)
-	} else {
-		respPayload = zeroPayload[:min(len(pkt.Payload)*h.cfg.AmpFactor, maxPayload)]
-	}
-	resp := Packet{
-		Type:        TypeResponse,
-		IngressLink: pkt.IngressLink,
-		TrueSrcAS:   0, // honeypot does not know the true source
-		SpoofedSrc:  pkt.SpoofedSrc,
-		Payload:     respPayload,
-	}
-	var err error
-	if out, err = resp.AppendMarshal(out[:0]); err == nil {
-		if _, err := h.conn.WriteToUDPAddrPort(out, addrPort(dst)); err == nil {
-			h.mu.Lock()
-			h.reflected++
-			h.mu.Unlock()
-			if m != nil {
-				m.requests.With("reflected").Inc()
-			}
-			sp.Count("reflected", 1)
-		}
-	}
-	return out
-}
-
-// zeroPayload is the generic amplifier's reply body: zeros, shared
-// read-only by every reply.
-var zeroPayload [maxPayload]byte
-
-// allowReflectLocked implements the per-victim rate limit using a fixed
-// one-second window starting at the victim's first request. Once per
-// window it drops every victim whose window has run out, so the map
-// holds at most the victims of the last two windows however many
-// addresses an attacker spoofs. Caller holds h.mu.
-func (h *Honeypot) allowReflectLocked(victim netip.Addr, now time.Time) bool {
-	limit := h.cfg.MaxResponsesPerVictimPerSec
-	if limit <= 0 {
-		return false
-	}
-	if now.Sub(h.rateSwept) >= rateWindowLen {
-		for v, st := range h.rateWindow {
-			if now.Sub(st.windowStart) >= rateWindowLen {
-				delete(h.rateWindow, v)
-			}
-		}
-		h.rateSwept = now
-	}
-	st, ok := h.rateWindow[victim]
-	if !ok || now.Sub(st.windowStart) >= rateWindowLen {
-		h.rateWindow[victim] = rateState{windowStart: now, sent: 1}
-		return true
-	}
-	if st.sent >= limit {
-		return false
-	}
-	st.sent++
-	h.rateWindow[victim] = st
-	return true
 }
 
 // VolumeByLink returns a snapshot of the per-ingress-link accounting.
@@ -282,11 +142,4 @@ func (h *Honeypot) Malformed() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.malformed
-}
-
-// Reflected returns how many amplified responses were sent.
-func (h *Honeypot) Reflected() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.reflected
 }

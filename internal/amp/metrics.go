@@ -23,7 +23,6 @@ type hpMetrics struct {
 	linkPkts  *metrics.CounterVec // amp_honeypot_packets_total{link}
 	linkBytes *metrics.CounterVec // amp_honeypot_bytes_total{link}
 	requests  *metrics.CounterVec // amp_honeypot_requests_total{outcome}
-	service   *metrics.CounterVec // amp_honeypot_service_requests_total{service}
 }
 
 func newHPMetrics(reg *metrics.Registry) *hpMetrics {
@@ -31,15 +30,13 @@ func newHPMetrics(reg *metrics.Registry) *hpMetrics {
 		linkPkts:  reg.CounterVec("amp_honeypot_packets_total", "link"),
 		linkBytes: reg.CounterVec("amp_honeypot_bytes_total", "link"),
 		requests:  reg.CounterVec("amp_honeypot_requests_total", "outcome"),
-		service:   reg.CounterVec("amp_honeypot_service_requests_total", "service"),
 	}
 }
 
 // SetMetrics wires the honeypot's accounting into a metrics registry as
 // labeled vectors: per-ingress-link packet/byte counters (the paper's
 // volume signal, now scrapeable per dimension instead of name-mangled)
-// and per-outcome request counters (accepted, malformed, reflected,
-// rate_limited). Call before traffic arrives; nil detaches.
+// and per-outcome request counters (accepted, malformed). Call before traffic arrives; nil detaches.
 func (h *Honeypot) SetMetrics(reg *metrics.Registry) {
 	var m *hpMetrics
 	if reg != nil {

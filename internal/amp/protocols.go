@@ -11,14 +11,13 @@ import (
 // report DNS, NTP, SSDP, and chargen dominating). This file implements
 // minimal but wire-accurate request parsers and amplified response
 // builders for the three biggest: DNS ANY queries, NTP mode-7 monlist,
-// and SSDP M-SEARCH. The honeypot recognizes requests by payload (as a
-// multi-protocol AmpPot listening on one socket would after port
-// demultiplexing) and answers with realistically amplified responses.
+// and SSDP M-SEARCH. The probe package's simulated reflectors recognize
+// an outbound probe by payload (as a multi-protocol AmpPot listening on
+// one socket would after port demultiplexing) and answer with a
+// realistically amplified response.
 
 // Service is one emulated amplification-vulnerable protocol.
 type Service interface {
-	// Name identifies the protocol.
-	Name() string
 	// Recognize reports whether the payload is a valid request.
 	Recognize(payload []byte) bool
 	// Respond builds the amplified response payload, capped at maxLen.
@@ -45,9 +44,6 @@ func RecognizeService(services []Service, payload []byte) (Service, bool) {
 // DNSService emulates an open resolver answering ANY queries (the
 // classic ~50x amplifier).
 type DNSService struct{}
-
-// Name implements Service.
-func (DNSService) Name() string { return "dns" }
 
 const (
 	dnsHeaderLen = 12
@@ -149,9 +145,6 @@ func buildTXTRecord() []byte {
 // NTP amplification vector of the 2014 attacks, ~500x).
 type NTPService struct{}
 
-// Name implements Service.
-func (NTPService) Name() string { return "ntp" }
-
 const (
 	ntpMode7          = 7
 	ntpImplXNTPD      = 3
@@ -205,9 +198,6 @@ func (NTPService) Respond(payload []byte, maxLen int) []byte {
 // SSDPService emulates a UPnP device answering M-SEARCH discovery
 // (~30x amplification through verbose device descriptions).
 type SSDPService struct{}
-
-// Name implements Service.
-func (SSDPService) Name() string { return "ssdp" }
 
 // BuildMSearch crafts the standard ssdp:all discovery request.
 func BuildMSearch() []byte {

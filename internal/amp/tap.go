@@ -27,9 +27,6 @@ type Event struct {
 	SpoofedSrc netip.Addr
 	// WireLen is the packet's on-the-wire size in bytes.
 	WireLen int
-	// Service is the recognized amplification protocol, when the
-	// honeypot runs protocol emulation ("" otherwise).
-	Service string
 }
 
 // Tap receives per-packet events. Taps run synchronously on the serve

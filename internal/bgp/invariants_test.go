@@ -57,11 +57,14 @@ func TestFullAnycastRoutesEveryone(t *testing.T) {
 	g, o := worldForTest(t, 42, 1200)
 	e := newEngine(t, g, o, noiseless())
 	out := propagate(t, e, allLinksConfig(7))
-	if n := out.NumRouted(); n != g.NumASes() {
+	if n := numRouted(out); n != g.NumASes() {
 		t.Fatalf("only %d of %d ASes routed under full anycast", n, g.NumASes())
 	}
 	// All 7 catchments should be non-empty for well-spread providers.
-	c := out.Catchments()
+	c := map[LinkID]bool{}
+	for _, l := range out.CatchmentVector() {
+		c[l] = true
+	}
 	if len(c) < 5 {
 		t.Errorf("only %d non-empty catchments; providers are poorly spread", len(c))
 	}
@@ -71,17 +74,10 @@ func TestCatchmentsPartitionRoutedASes(t *testing.T) {
 	g, o := worldForTest(t, 43, 1000)
 	e := newEngine(t, g, o, DefaultParams(43))
 	out := propagate(t, e, allLinksConfig(7))
-	seen := make(map[int]bool)
-	for _, members := range out.Catchments() {
-		for _, i := range members {
-			if seen[i] {
-				t.Fatalf("AS%d appears in two catchments", g.ASN(i))
-			}
-			seen[i] = true
+	for i, l := range out.CatchmentVector() {
+		if (l != NoLink) != out.HasRoute(i) {
+			t.Fatalf("AS%d: catchment %d, has route %v", g.ASN(i), l, out.HasRoute(i))
 		}
-	}
-	if len(seen) != out.NumRouted() {
-		t.Fatalf("catchments cover %d ASes, routed %d", len(seen), out.NumRouted())
 	}
 }
 
@@ -201,14 +197,25 @@ func TestPrependShrinksCatchment(t *testing.T) {
 	cfg := allLinksConfig(7)
 	cfg.Anns[0].Prepend = 4
 	prepended := propagate(t, e, cfg)
-	before := len(plain.Catchments()[0])
-	after := len(prepended.Catchments()[0])
+	before := catchmentSize(plain, 0)
+	after := catchmentSize(prepended, 0)
 	if after > before {
 		t.Fatalf("prepending link 0 grew its catchment: %d -> %d", before, after)
 	}
 	if before == 0 {
 		t.Fatal("link 0 catchment empty; vacuous")
 	}
+}
+
+// catchmentSize counts the ASes whose traffic enters on link l.
+func catchmentSize(out *Outcome, l LinkID) int {
+	n := 0
+	for _, c := range out.CatchmentVector() {
+		if c == l {
+			n++
+		}
+	}
+	return n
 }
 
 func TestConcurrentPropagateSafe(t *testing.T) {

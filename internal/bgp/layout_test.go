@@ -60,8 +60,8 @@ func TestNewEngineRejectsWideDegree(t *testing.T) {
 			t.Fatalf("hub priorities are not a permutation of 0..%d: rank %d is %d", len(hub)-1, k, p)
 		}
 	}
-	if out := propagate(t, e, Config{Anns: []Announcement{{Link: 0}}}); out.NumRouted() != g.NumASes() {
-		t.Fatalf("%d of %d ASes routed through the hub", out.NumRouted(), g.NumASes())
+	if n := numRouted(propagate(t, e, Config{Anns: []Announcement{{Link: 0}}})); n != g.NumASes() {
+		t.Fatalf("%d of %d ASes routed through the hub", n, g.NumASes())
 	}
 }
 

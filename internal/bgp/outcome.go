@@ -160,19 +160,6 @@ func (o *Outcome) CatchmentVector() []LinkID {
 	return v
 }
 
-// Catchments groups ASes by peering link: result[l] lists the dense
-// indices of all ASes whose traffic enters on link l. ASes without a
-// route appear in no catchment.
-func (o *Outcome) Catchments() map[LinkID][]int {
-	m := make(map[LinkID][]int)
-	for i := range o.sel {
-		if l := o.CatchmentOf(i); l != NoLink {
-			m[l] = append(m[l], i)
-		}
-	}
-	return m
-}
-
 // NextHop returns the dense index of the next-hop AS on i's route, or -1
 // if the route is a direct origin link (or i has no route).
 func (o *Outcome) NextHop(i int) int {
@@ -281,15 +268,4 @@ func (o *Outcome) ClassOf(i int) RouteClass {
 	default:
 		return RouteProvider
 	}
-}
-
-// NumRouted returns the number of ASes with a route to the prefix.
-func (o *Outcome) NumRouted() int {
-	n := 0
-	for i := range o.sel {
-		if o.sel[i].class != classInvalid {
-			n++
-		}
-	}
-	return n
 }

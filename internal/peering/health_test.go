@@ -111,7 +111,7 @@ func TestPropagateAttemptMatchesPropagate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want.Catchments(), got.Catchments()) {
+		if !reflect.DeepEqual(want.CatchmentVector(), got.CatchmentVector()) {
 			t.Fatalf("PropagateAttempt(noCache=%v) diverged from Propagate", noCache)
 		}
 	}
@@ -121,7 +121,7 @@ func TestPropagateAttemptMatchesPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Catchments(), got.Catchments()) {
+	if !reflect.DeepEqual(want.CatchmentVector(), got.CatchmentVector()) {
 		t.Fatal("PropagateAttempt with clean hook diverged from Propagate")
 	}
 }

@@ -15,9 +15,9 @@
 // Names kept on purpose are listed in scripts/reach.allow, one
 // "import/path.Recv.Name<TAB>reason" per line; they count as roots.
 // Any other unreached name, an allowlist entry that matches no
-// declaration, and one that is reached anyway are failures. So is an
-// examples/* package with no _test.go file: an example is a root only
-// because it is a tested program.
+// declaration, and one that is reached anyway are failures. So is a
+// cmd/* or examples/* package with no _test.go file: a command or an
+// example is a root only because it is a tested program.
 //
 // Run from the module root: go run scripts/reach.go
 package main
@@ -274,7 +274,10 @@ func run() error {
 		}
 	}
 	for _, path := range untested {
-		if strings.HasPrefix(path, module+"/examples/") {
+		switch {
+		case strings.HasPrefix(path, module+"/cmd/"):
+			bad = append(bad, path+"\tcommand without a test")
+		case strings.HasPrefix(path, module+"/examples/"):
 			bad = append(bad, path+"\texample without a test")
 		}
 	}
