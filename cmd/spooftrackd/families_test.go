@@ -28,6 +28,14 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 	}
 	slices.Sort(want)
 	want = slices.Compact(want)
+	// The families the daemon's rules, bundles and panels read: a change
+	// to how rules name families must not drop one out of this check.
+	for _, fam := range []string{"amp_border_packets_total", "probe_coverage", "probe_lost_total", "probe_sent_total",
+		"stream_degraded", "stream_dropped_total", "stream_events_total", "stream_flush_lag_seconds"} {
+		if !slices.Contains(want, fam) {
+			t.Fatalf("%s is no longer among the checked families %v", fam, want)
+		}
+	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -85,8 +93,11 @@ func metricsSnapshot(url string) (map[string]any, bool) {
 }
 
 // watchedFamilies reads newWatchdog's source and returns every metric
-// family it names: the first argument of each watch.Metric, Series,
-// Quantile and VecSum call, and each BundleHistory entry.
+// family it names: the string first argument of each watch.Metric and
+// watch.Quantile call, the Family of each watch.Counter literal, and
+// each BundleHistory entry. It fails on a rule whose expression names
+// no family the walk can read, so a new way of naming one cannot
+// silently drop out of the check.
 func watchedFamilies(t *testing.T) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
@@ -101,22 +112,73 @@ func watchedFamilies(t *testing.T) []string {
 		s, err := strconv.Unquote(lit.Value)
 		return s, err == nil
 	}
+	isWatch := func(e ast.Expr, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "watch" && (name == "" || sel.Sel.Name == name)
+	}
+	field := func(lit *ast.CompositeLit, name string, pos int) (string, bool) {
+		for i, e := range lit.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if k, ok := kv.Key.(*ast.Ident); ok && k.Name == name {
+					return str(kv.Value)
+				}
+			} else if i == pos {
+				return str(e)
+			}
+		}
+		return "", false
+	}
+	families := func(root ast.Node) []string {
+		var fams []string
+		ast.Inspect(root, func(n ast.Node) bool {
+			var s string
+			ok := false
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if isWatch(n.Fun, "") && len(n.Args) > 0 {
+					s, ok = str(n.Args[0])
+				}
+			case *ast.CompositeLit:
+				if isWatch(n.Type, "Counter") {
+					s, ok = field(n, "Family", 0)
+				}
+			}
+			if ok {
+				fams = append(fams, s)
+			}
+			return true
+		})
+		return fams
+	}
 	var fams []string
+	rules := 0
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
 		if !ok || fd.Name.Name != "newWatchdog" {
 			continue
 		}
+		fams = families(fd)
 		ast.Inspect(fd, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || len(n.Args) == 0 {
+			case *ast.CompositeLit:
+				arr, ok := n.Type.(*ast.ArrayType)
+				if !ok || !isWatch(arr.Elt, "Rule") {
 					break
 				}
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "watch" {
-					if s, ok := str(n.Args[0]); ok {
-						fams = append(fams, s)
+				for _, e := range n.Elts {
+					rules++
+					rule, ok := e.(*ast.CompositeLit)
+					if !ok {
+						t.Errorf("newWatchdog rule %d is not a literal this walk can read", rules)
+						continue
+					}
+					if len(families(rule)) == 0 {
+						name, _ := field(rule, "Name", -1)
+						t.Errorf("newWatchdog rule %q names no metric family this walk can read", name)
 					}
 				}
 			case *ast.AssignStmt:
@@ -135,8 +197,8 @@ func watchedFamilies(t *testing.T) []string {
 			return true
 		})
 	}
-	if len(fams) == 0 {
-		t.Fatal("newWatchdog names no metric family")
+	if rules == 0 || len(fams) == 0 {
+		t.Fatal("newWatchdog names no rule or metric family")
 	}
 	return fams
 }

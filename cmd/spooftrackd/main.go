@@ -270,15 +270,6 @@ func run(ctx context.Context, cfg config) error {
 func startObservability(cfg config) (observability, func()) {
 	o := observability{reg: metrics.NewRegistry()}
 	registerRuntimeGauges(o.reg)
-	// The OnEnd bridge feeds every span's duration into a per-span-name
-	// histogram, making trace timings visible on /metrics without
-	// exporting the journal. Journal evictions are span loss: a span
-	// overwritten before anyone exported it, counted per span name so a
-	// hot path flooding the journal is identifiable (and alertable).
-	spanObs := metrics.SpanObserver(o.reg, "trace_span_")
-	vEvicted := o.reg.CounterVec("trace_journal_evicted_total", "track")
-	cfg.trace.OnEnd = func(rec trace.SpanRecord) { spanObs(rec.Name, rec.Duration.Seconds()) }
-	cfg.trace.OnEvict = func(rec trace.SpanRecord) { vEvicted.With(rec.Name).Inc() }
 	o.tracer = trace.New(cfg.trace)
 	trace.SetGlobal(o.tracer)
 	o.db = tsdb.New(tsdb.Options{Registry: o.reg})
@@ -517,10 +508,10 @@ func (pv *probeView) scan(led *provenance.Ledger) {
 func newWatchdog(cfg config, o observability) *watch.Watchdog {
 	wc := cfg.watch
 	wc.Registry, wc.Tracer = o.reg, o.tracer
-	// History-backed evaluation: rate rules average over their Window,
-	// burn-rate rules compare error budget consumption across fast and
-	// slow windows, and breach bundles embed the metric history leading
-	// into the breach.
+	// Every rule but the coverage gauge reads a window of the metric
+	// history, so a breach judges the recent past of an hours-long run,
+	// never its lifetime totals; breach bundles embed the last hour of
+	// these families.
 	wc.DB = o.db
 	wc.BundleHistory = []string{
 		"stream_events_total",
@@ -529,18 +520,17 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 		"amp_border_packets_total",
 	}
 	wc.Rules = []watch.Rule{
+		// Over 5m: the window /dash's flush-lag panel plots.
 		{
 			Name:      "stream-flush-lag-p99",
-			Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99),
+			Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99, 5*time.Minute),
 			Op:        watch.Above,
 			Threshold: 2.0,
 			For:       3,
 		},
 		{
 			Name:      "border-drop-rate",
-			Expr:      watch.Series("amp_border_packets_total", "outcome=dropped"),
-			Rate:      true,
-			Window:    time.Minute,
+			Expr:      watch.Rate(watch.Counter{Family: "amp_border_packets_total", Child: "outcome=dropped"}, time.Minute),
 			Op:        watch.Above,
 			Threshold: 100,
 			For:       3,
@@ -553,20 +543,18 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 		// at low traffic a fixed pps threshold stays silent while the
 		// drop *fraction* can be catastrophic.
 		{
-			Name:      "border-drop-burn",
-			ErrorExpr: watch.Series("amp_border_packets_total", "outcome=dropped"),
-			TotalExpr: watch.VecSum("amp_border_packets_total"),
-			Objective: 0.99,
-			Windows:   []time.Duration{5 * time.Minute, time.Hour},
+			Name: "border-drop-burn",
+			Expr: watch.Burn(
+				watch.Counter{Family: "amp_border_packets_total", Child: "outcome=dropped"},
+				watch.Counter{Family: "amp_border_packets_total"},
+				0.99, 5*time.Minute, time.Hour),
 			Op:        watch.Above,
 			Threshold: 2.0,
 			For:       3,
 		},
 		{
 			Name:      "stream-shed-rate",
-			Expr:      watch.Metric("stream_dropped_total"),
-			Rate:      true,
-			Window:    time.Minute,
+			Expr:      watch.Rate(watch.Counter{Family: "stream_dropped_total"}, time.Minute),
 			Op:        watch.Above,
 			Threshold: 50,
 			For:       3,
@@ -583,10 +571,10 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 		},
 		{
 			Name: "probe-loss-rate",
-			Expr: watch.Ratio(
-				watch.VecSum("probe_lost_total"),
-				watch.VecSum("probe_sent_total"),
-			),
+			Expr: watch.Fraction(
+				watch.Counter{Family: "probe_lost_total"},
+				watch.Counter{Family: "probe_sent_total"},
+				time.Minute),
 			Op:        watch.Above,
 			Threshold: 0.9,
 			For:       3,

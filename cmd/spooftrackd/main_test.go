@@ -191,9 +191,9 @@ func TestDebugBundleServesLatestBundle(t *testing.T) {
 	if bundle.Breach.Rule != "always-breach" {
 		t.Fatalf("bundle breach rule = %q, want always-breach", bundle.Breach.Rule)
 	}
-	if len(bundle.Snapshots) == 0 || bundle.Goroutine == "" {
-		t.Fatalf("bundle incomplete: %d snapshots, goroutine %d bytes",
-			len(bundle.Snapshots), len(bundle.Goroutine))
+	if _, ok := bundle.Snapshot["stream_events_total"]; !ok || bundle.Goroutine == "" {
+		t.Fatalf("bundle incomplete: snapshot %v, goroutine %d bytes",
+			bundle.Snapshot, len(bundle.Goroutine))
 	}
 }
 
@@ -447,15 +447,16 @@ func TestProbeEndpointReportsScanAndAudit(t *testing.T) {
 func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pv, _ := testProbeView(t, reg, true)
+	db := tsdb.New(tsdb.Options{Registry: reg})
 	dog := watch.New(watch.Config{
 		Registry: reg,
-		DB:       tsdb.New(tsdb.Options{Registry: reg}),
+		DB:       db,
 		Rules: []watch.Rule{{
 			Name: "probe-loss-rate",
-			Expr: watch.Ratio(
-				watch.VecSum("probe_lost_total"),
-				watch.VecSum("probe_sent_total"),
-			),
+			Expr: watch.Fraction(
+				watch.Counter{Family: "probe_lost_total"},
+				watch.Counter{Family: "probe_sent_total"},
+				time.Minute),
 			Op:        watch.Above,
 			Threshold: 0.5,
 			For:       1,
@@ -465,8 +466,11 @@ func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 		pv.routes(mux)
 		sloRoutes(mux, dog, func() (bool, int64) { return false, 0 })
 	})
+	// A scrape after each round: the rule reads the second round's loss.
+	now := time.Now()
 	for i := 0; i < 2; i++ {
 		pv.prober.Round(nil)
+		db.ScrapeOnce(now.Add(time.Duration(i) * time.Second))
 	}
 	ps := getProbeStatus(t, mux)
 	if ps.Lost == 0 || float64(ps.Lost)/float64(ps.Sent) < 0.7 {
@@ -475,7 +479,7 @@ func TestProbeEndpointDegradedUnderStorm(t *testing.T) {
 	if ps.LowConfidence == 0 {
 		t.Fatalf("storm produced no low-confidence verdicts: %+v", ps)
 	}
-	if fired := dog.Evaluate(time.Now()); len(fired) != 1 || fired[0].Rule != "probe-loss-rate" {
+	if fired := dog.Evaluate(now.Add(time.Second)); len(fired) != 1 || fired[0].Rule != "probe-loss-rate" {
 		t.Fatalf("probe-loss-rate should breach under the storm, fired %+v", fired)
 	}
 	res, body := get(t, mux, "/slo")

@@ -48,8 +48,8 @@ func (s surface) mux() *http.ServeMux {
 
 // observability is the process's instruments: the metric registry, the
 // span journal, and the embedded metric history everything windowed
-// hangs off — /query, /dash, windowed SLO rates, burn-rate rules,
-// breach-bundle frames and context.
+// hangs off — /query, /dash, the SLO rules' windows and breach-bundle
+// history.
 type observability struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer

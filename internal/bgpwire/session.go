@@ -51,9 +51,12 @@ type SessionConfig struct {
 	// HoldTime is the advertised hold time; keepalives go out at a
 	// third of the negotiated value. Minimum 3s per RFC (tests use 3s).
 	HoldTime time.Duration
-	// UpdateBuffer sizes the received-updates channel (default 64).
-	UpdateBuffer int
 }
+
+// updateBuffer sizes a session's received-updates channel: room for a
+// burst of announcements while the consumer is busy, since a full
+// channel stops the session's reader until the consumer catches up.
+const updateBuffer = 64
 
 // Session is one established BGP session. Create with Dial (active
 // side) or Accept (passive side).
@@ -91,13 +94,10 @@ func handshake(conn net.Conn, cfg SessionConfig) (*Session, error) {
 	if cfg.HoldTime < 3*time.Second {
 		cfg.HoldTime = 90 * time.Second
 	}
-	if cfg.UpdateBuffer <= 0 {
-		cfg.UpdateBuffer = 64
-	}
 	s := &Session{
 		conn:    conn,
 		cfg:     cfg,
-		updates: make(chan *Update, cfg.UpdateBuffer),
+		updates: make(chan *Update, updateBuffer),
 		closed:  make(chan struct{}),
 		state:   StateIdle,
 	}

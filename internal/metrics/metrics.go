@@ -191,9 +191,8 @@ type HistogramSnapshot struct {
 	Buckets map[string]int64 `json:"buckets"`
 	// Bounds is the full bucket-bound layout (Buckets holds only
 	// occupied buckets, keyed by formatted bound). Not serialized, so
-	// the JSON shape is unchanged; in-process consumers (the SLO
-	// watchdog's quantile rules) use it to reconstruct exact
-	// interpolation semantics from a snapshot.
+	// the JSON shape is unchanged; the metric history (tsdb) keeps it
+	// so its windowed quantiles interpolate exactly as the histogram.
 	Bounds []float64 `json:"-"`
 }
 

@@ -294,7 +294,12 @@ func ReadUpdate(r io.Reader) (*Update, error) {
 	return d.next()
 }
 
-// ReadAll parses a whole MRT stream.
+// maxMRTBytes bounds what one decoder reads, as topo.ReadCAIDA bounds a
+// relationship file: a hostile stream of valid records cannot grow
+// ReadAll's result without limit. A campaign's feed is a few MB.
+const maxMRTBytes = 64 << 20
+
+// ReadAll parses a whole MRT stream of at most maxMRTBytes.
 func ReadAll(r io.Reader) ([]*Update, error) {
 	d := decoder{r: r}
 	var out []*Update
@@ -311,11 +316,14 @@ func ReadAll(r io.Reader) ([]*Update, error) {
 }
 
 // decoder reads the records of one stream through a header and a body
-// buffer it keeps between records; an Update references neither.
+// buffer it keeps between records; an Update references neither. It
+// counts the bytes the records take, refusing a record that would take
+// the stream past maxMRTBytes.
 type decoder struct {
 	r    io.Reader
 	hdr  [mrtHeaderLen]byte
 	body []byte
+	read int64
 }
 
 func (d *decoder) next() (*Update, error) {
@@ -334,6 +342,9 @@ func (d *decoder) next() (*Update, error) {
 	}
 	if blen < bgp4mpHeaderLen || blen > 1<<20 {
 		return nil, fmt.Errorf("mrt: implausible record length %d", blen)
+	}
+	if d.read += mrtHeaderLen + int64(blen); d.read > maxMRTBytes {
+		return nil, fmt.Errorf("mrt: stream exceeds %d bytes", maxMRTBytes)
 	}
 	if cap(d.body) < blen {
 		d.body = make([]byte, blen)

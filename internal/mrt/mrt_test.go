@@ -2,10 +2,13 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"hash/fnv"
 	"io"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +235,68 @@ func TestReadAllPropagatesErrors(t *testing.T) {
 	buf.Write([]byte{9, 9, 9})
 	if _, err := ReadAll(&buf); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// bigRecord is one valid MRT record of about 60 KiB: sampleUpdate's
+// announcement with a large optional attribute the parser skips, so a
+// stream of them is large on the wire and small once parsed.
+func bigRecord(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteUpdate(&buf, sampleUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	rec := buf.Bytes()
+	const msgAt = mrtHeaderLen + bgp4mpHeaderLen
+	const attrLenAt = msgAt + bgpHeaderLen + 2 // past the empty withdrawn routes
+	attrEnd := attrLenAt + 2 + int(binary.BigEndian.Uint16(rec[attrLenAt:]))
+	const pad = 60 << 10
+	attr := append([]byte{0xd0, 99, pad >> 8, pad & 0xff}, make([]byte, pad)...) // optional transitive, extended length
+	out := slices.Concat(rec[:attrEnd], attr, rec[attrEnd:])
+	binary.BigEndian.PutUint16(out[attrLenAt:], uint16(attrEnd-attrLenAt-2+len(attr)))
+	binary.BigEndian.PutUint16(out[msgAt+16:], uint16(len(out)-msgAt))
+	binary.BigEndian.PutUint32(out[8:], uint32(len(out)-mrtHeaderLen))
+	return out
+}
+
+// repeatReader serves one record the given number of times, counting
+// the bytes it serves: a long stream no test has to hold.
+type repeatReader struct {
+	rec   []byte
+	times int
+	off   int
+	read  int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.times == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.rec[r.off:])
+	if r.off += n; r.off == len(r.rec) {
+		r.off = 0
+		r.times--
+	}
+	r.read += int64(n)
+	return n, nil
+}
+
+// TestReadAllBounded: a stream of valid records two past maxMRTBytes
+// ends in an error, and ReadAll reads no more of it than the bound and
+// the refused record's header.
+func TestReadAllBounded(t *testing.T) {
+	rec := bigRecord(t)
+	u, err := ReadUpdate(bytes.NewReader(rec))
+	if err != nil || !slices.Equal(u.Path, sampleUpdate().Path) || u.Prefix != sampleUpdate().Prefix {
+		t.Fatalf("padded record parsed as %+v, %v; want sampleUpdate", u, err)
+	}
+	r := &repeatReader{rec: rec, times: maxMRTBytes/len(rec) + 2}
+	if _, err := ReadAll(r); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("stream past the bound: err = %v, want the size bound", err)
+	}
+	if r.read > maxMRTBytes+mrtHeaderLen || r.read <= maxMRTBytes-int64(len(rec)) {
+		t.Fatalf("read %d bytes of an endless stream, want the %d-byte bound", r.read, maxMRTBytes)
 	}
 }
 

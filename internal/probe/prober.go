@@ -38,9 +38,6 @@ type Config struct {
 	Budget int
 	// PerKind is how many probes of each kind a visit sends (default 3).
 	PerKind int
-	// HopTolerance is the accepted deviation from the control hop
-	// baseline before an answer is discarded as off-path (default 2).
-	HopTolerance int
 	// Quarantined, when non-nil, skips targets whose ingress link the
 	// health breaker currently holds (peering.LinkHealth.IsQuarantined).
 	Quarantined func(bgp.LinkID) bool
@@ -88,6 +85,10 @@ type RoundReport struct {
 	Duration time.Duration `json:"duration"`
 }
 
+// hopTolerance is the accepted deviation from the control hop baseline
+// before an answer is discarded as off-path.
+const hopTolerance = 2
+
 // NewProber validates the config and builds a prober.
 func NewProber(cfg Config) (*Prober, error) {
 	if cfg.Net == nil {
@@ -98,9 +99,6 @@ func NewProber(cfg Config) (*Prober, error) {
 	}
 	if cfg.PerKind <= 0 {
 		cfg.PerKind = 3
-	}
-	if cfg.HopTolerance <= 0 {
-		cfg.HopTolerance = 2
 	}
 	targets := cfg.Targets
 	if targets == nil {
@@ -236,7 +234,7 @@ func (p *Prober) visit(target int, link bgp.LinkID, rep *RoundReport) {
 			if !resp.Answered {
 				continue
 			}
-			if p.inf.RecordAnswer(target, kind, resp, p.cfg.HopTolerance) {
+			if p.inf.RecordAnswer(target, kind, resp, hopTolerance) {
 				rep.Answered++
 			} else {
 				rep.Discarded++

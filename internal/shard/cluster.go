@@ -16,7 +16,7 @@ import (
 
 // ClusterConfig builds an in-process sharded-ingest cluster: N intake
 // nodes, a LocalTransport network (with injected faults), a MemLease
-// election substrate on a controllable clock, and 1+Standbys
+// election substrate on a controllable clock, and 1+standbys
 // controllers competing for it. It is both the chaos harness and the
 // single-process deployment mode of cmd/spooftrackd.
 type ClusterConfig struct {
@@ -30,8 +30,6 @@ type ClusterConfig struct {
 	// Pipe is the per-node intake configuration (see NodeConfig.Pipe);
 	// only the controller decides and writes provenance.
 	Pipe stream.Config
-	// Standbys is how many extra controllers wait on the lease (default 1).
-	Standbys int
 	// Injector drives event drops, RPC partitions, shard crashes, and
 	// split-brain lease flaps. Nil = fault-free.
 	Injector *fault.Injector
@@ -89,17 +87,14 @@ type ingestRoute struct {
 	nodes []*Node
 }
 
+// standbys is how many extra controllers wait on the lease.
+const standbys = 1
+
 // NewCluster builds and starts the cluster (nodes running, no leader
 // elected yet — the first Step elects one).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("shard: cluster needs at least one shard")
-	}
-	if cfg.Standbys < 0 {
-		cfg.Standbys = 0
-	}
-	if cfg.Standbys == 0 {
-		cfg.Standbys = 1
 	}
 	c := &Cluster{
 		cfg:       cfg,
@@ -127,7 +122,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.order = append(c.order, id)
 		c.transport.Register(n)
 	}
-	for i := 0; i < 1+cfg.Standbys; i++ {
+	for i := 0; i < 1+standbys; i++ {
 		ct, err := NewController(ControllerConfig{
 			ID:              fmt.Sprintf("ctrl-%d", i),
 			Attr:            cfg.Attr,

@@ -42,15 +42,6 @@ type Options struct {
 	// two; default 8). Sharding keeps concurrent End calls from
 	// serializing on one journal lock.
 	Shards int
-	// OnEnd, if non-nil, is invoked synchronously with every finished
-	// span. This is the bridge hook: cmd/spooftrackd uses it to feed
-	// span durations into the metrics registry's histograms.
-	OnEnd func(SpanRecord)
-	// OnEvict, if non-nil, is invoked synchronously with every span
-	// evicted from the bounded journal (overwritten before anyone
-	// exported it). cmd/spooftrackd counts these per span name, so span
-	// loss under load is alertable instead of silent.
-	OnEvict func(SpanRecord)
 }
 
 // Tracer collects finished spans into a bounded, lock-sharded journal.
@@ -59,8 +50,6 @@ type Options struct {
 type Tracer struct {
 	enabled bool // fixed at New
 	nextID  atomic.Uint64
-	onEnd   func(SpanRecord)
-	onEvict func(SpanRecord)
 	mask    uint64
 	shards  []journalShard
 }
@@ -83,7 +72,7 @@ func New(opts Options) *Tracer {
 		ns <<= 1
 	}
 	per := (capacity + ns - 1) / ns
-	t := &Tracer{enabled: opts.Enabled, onEnd: opts.OnEnd, onEvict: opts.OnEvict, mask: uint64(ns - 1), shards: make([]journalShard, ns)}
+	t := &Tracer{enabled: opts.Enabled, mask: uint64(ns - 1), shards: make([]journalShard, ns)}
 	for i := range t.shards {
 		t.shards[i].buf = make([]SpanRecord, 0, per)
 	}
@@ -104,13 +93,10 @@ func (t *Tracer) Start(name string) *Span {
 // oldest record once the shard ring is full.
 func (t *Tracer) record(rec SpanRecord) {
 	sh := &t.shards[rec.ID&t.mask]
-	var evicted SpanRecord
-	var didEvict bool
 	sh.mu.Lock()
 	if len(sh.buf) < cap(sh.buf) {
 		sh.buf = append(sh.buf, rec)
 	} else if cap(sh.buf) > 0 {
-		evicted, didEvict = sh.buf[sh.next], true
 		sh.buf[sh.next] = rec
 		sh.next++
 		if sh.next == cap(sh.buf) {
@@ -119,12 +105,6 @@ func (t *Tracer) record(rec SpanRecord) {
 		sh.dropped++
 	}
 	sh.mu.Unlock()
-	if didEvict && t.onEvict != nil {
-		t.onEvict(evicted)
-	}
-	if t.onEnd != nil {
-		t.onEnd(rec)
-	}
 }
 
 // Snapshot copies the journal, ordered by span start time (ties broken

@@ -138,24 +138,6 @@ func TestJournalBoundedEviction(t *testing.T) {
 	}
 }
 
-func TestOnEndBridge(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[string]time.Duration{}
-	tr := New(Options{Enabled: true, OnEnd: func(rec SpanRecord) {
-		mu.Lock()
-		seen[rec.Name] = rec.Duration
-		mu.Unlock()
-	}})
-	sp := tr.Start("bridge")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	mu.Lock()
-	defer mu.Unlock()
-	if d, ok := seen["bridge"]; !ok || d <= 0 {
-		t.Fatalf("OnEnd saw %v", seen)
-	}
-}
-
 func TestStartChildFallsBackToGlobal(t *testing.T) {
 	prev := global.Load()
 	defer SetGlobal(prev)
@@ -228,41 +210,5 @@ func TestMonotonicDurations(t *testing.T) {
 	}
 	if strings.TrimSpace(recs[0].Name) == "" {
 		t.Fatal("record lost its name")
-	}
-}
-
-func TestOnEvictHook(t *testing.T) {
-	var mu sync.Mutex
-	var evicted []string
-	tr := New(Options{Enabled: true, JournalCap: 4, Shards: 1,
-		OnEvict: func(rec SpanRecord) {
-			mu.Lock()
-			evicted = append(evicted, rec.Name)
-			mu.Unlock()
-		}})
-	for i := 0; i < 4; i++ {
-		tr.Start("keep").End()
-	}
-	mu.Lock()
-	if len(evicted) != 0 {
-		t.Fatalf("evictions before the ring filled: %v", evicted)
-	}
-	mu.Unlock()
-	for i := 0; i < 3; i++ {
-		tr.Start("push").End()
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(evicted) != 3 {
-		t.Fatalf("OnEvict fired %d times, want 3", len(evicted))
-	}
-	// The overwritten spans are the oldest — the "keep" generation.
-	for _, name := range evicted {
-		if name != "keep" {
-			t.Fatalf("evicted %q, want the oldest generation", name)
-		}
-	}
-	if tr.Dropped() != 3 {
-		t.Fatalf("Dropped() = %d, want 3", tr.Dropped())
 	}
 }

@@ -62,21 +62,3 @@ func BenchmarkTsdbQueryRange(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTsdbSnapshotAt measures historical snapshot reconstruction,
-// which windowed SLO rules perform twice per evaluation.
-func BenchmarkTsdbSnapshotAt(b *testing.B) {
-	db := New(Options{Registry: benchRegistry()})
-	base := time.UnixMilli(1_700_000_000_000)
-	for i := 0; i < 600; i++ {
-		db.ScrapeOnce(base.Add(time.Duration(i) * time.Second))
-	}
-	at := base.Add(300 * time.Second)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if snap := db.SnapshotAt(at); len(snap) == 0 {
-			b.Fatal("empty snapshot")
-		}
-	}
-}

@@ -289,6 +289,28 @@ func (db *DB) QuantileOverTime(family, child string, q float64, from, to time.Ti
 	return weightQuantile(bounds, counts, q)
 }
 
+// valueAt returns the series' latest sample at or before t, preferring
+// the finest tier whose history reaches back that far.
+func (s *series) valueAt(t int64) (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.tiers {
+		chunks := s.tiers[i].chunks
+		for j := len(chunks) - 1; j >= 0; j-- {
+			c := chunks[j]
+			if c.tFirst > t {
+				continue
+			}
+			pts := c.decode(nil, math.MinInt64, t)
+			if len(pts) > 0 {
+				return pts[len(pts)-1].V, true
+			}
+			break
+		}
+	}
+	return 0, false
+}
+
 // boundIndex maps formatted bucket-bound keys (as the registry renders
 // them, "+inf" for overflow) to positional slots.
 func boundIndex(bounds []float64) map[string]int {
@@ -301,8 +323,8 @@ func boundIndex(bounds []float64) map[string]int {
 }
 
 // weightQuantile applies metrics.BucketQuantile to positional float
-// bucket weights (len(bounds)+1 slots, overflow last: windowed increases
-// or reassembled counts); ok is false when no bucket carries weight.
+// bucket weights (len(bounds)+1 slots, overflow last: windowed
+// increases); ok is false when no bucket carries weight.
 func weightQuantile(bounds, counts []float64, q float64) (v float64, ok bool) {
 	total := 0.0
 	for _, n := range counts {
@@ -312,24 +334,4 @@ func weightQuantile(bounds, counts []float64, q float64) (v float64, ok bool) {
 		return 0, false
 	}
 	return metrics.BucketQuantile(q, bounds, func(i int) float64 { return counts[i] }, total, 0), true
-}
-
-// Earliest reports the oldest sample instant stored anywhere in the DB
-// (any family, any tier). Burn-rate rules clamp their windows to it so
-// a freshly started daemon evaluates over real data.
-func (db *DB) Earliest() (time.Time, bool) {
-	var best int64 = math.MaxInt64
-	for _, s := range db.allSeries() {
-		s.mu.Lock()
-		for i := range s.tiers {
-			if cs := s.tiers[i].chunks; len(cs) > 0 && cs[0].tFirst < best {
-				best = cs[0].tFirst
-			}
-		}
-		s.mu.Unlock()
-	}
-	if best == math.MaxInt64 {
-		return time.Time{}, false
-	}
-	return time.UnixMilli(best), true
 }

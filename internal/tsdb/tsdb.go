@@ -4,10 +4,9 @@
 // labeled-vector child, histogram) into flat series, and stores each
 // series in Gorilla-compressed chunks across tiered retention windows
 // (raw for minutes, downsampled for hours). Queries reconstruct ranges,
-// rates, aggregations, quantiles-over-time, and full
-// registry-snapshot-shaped views at a past instant — what the SLO
-// watchdog's burn-rate rules and spooftrackd's /query + /dash surfaces
-// run on.
+// rates, aggregations, windowed increases and quantiles-over-time —
+// what the SLO watchdog's windowed rules and spooftrackd's /query +
+// /dash surfaces run on.
 //
 // Localization campaigns run for hours (the paper's single-prefix runs
 // take 11.7h); a point-in-time /metrics cannot answer "what did flush
@@ -226,8 +225,8 @@ func (db *DB) createSeries(key seriesKey) *series {
 	return s
 }
 
-// noteBounds remembers a histogram family's bucket layout so SnapshotAt
-// can rebuild interpolation-exact HistogramSnapshots.
+// noteBounds remembers a histogram family's bucket layout so
+// QuantileOverTime interpolates exactly as the live histogram does.
 func (db *DB) noteBounds(family string, bounds []float64) {
 	db.mu.RLock()
 	_, ok := db.bounds[family]

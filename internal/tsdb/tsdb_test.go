@@ -68,61 +68,6 @@ func TestScrapeFlattensRegistry(t *testing.T) {
 	}
 }
 
-func TestSnapshotAtReconstruction(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ctr := reg.Counter("events_total")
-	vec := reg.GaugeVec("load", "shard")
-	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1)
-
-	db := New(Options{Registry: reg})
-	ctr.Add(5)
-	vec.With("0").Set(1.5)
-	h.Observe(0.05)
-	h.Observe(0.5)
-	db.ScrapeOnce(t0)
-	ctr.Add(4)
-	vec.With("0").Set(2.5)
-	vec.With("1").Set(9)
-	h.Observe(0.05)
-	db.ScrapeOnce(t0.Add(10 * time.Second))
-
-	past := db.SnapshotAt(t0)
-	if v, _ := past["events_total"].(float64); v != 5 {
-		t.Fatalf("events_total at t0 = %v, want 5", past["events_total"])
-	}
-	loads, _ := past["load"].(map[string]any)
-	if loads == nil || loads["shard=0"] != 1.5 {
-		t.Fatalf("load at t0 = %v", past["load"])
-	}
-	if _, ok := loads["shard=1"]; ok {
-		t.Fatalf("shard=1 should not exist at t0: %v", loads)
-	}
-	hs, ok := past["lag_seconds"].(metrics.HistogramSnapshot)
-	if !ok {
-		t.Fatalf("lag_seconds at t0 is %T", past["lag_seconds"])
-	}
-	live := reg.Histogram("lag_seconds").Snapshot()
-	if hs.Count != 2 || hs.Buckets["0.1"] != 1 || hs.Buckets["1"] != 1 {
-		t.Fatalf("historical histogram = %+v", hs)
-	}
-	if len(hs.Bounds) != len(live.Bounds) {
-		t.Fatalf("bounds not preserved: %v vs %v", hs.Bounds, live.Bounds)
-	}
-
-	now := db.SnapshotAt(t0.Add(10 * time.Second))
-	if v, _ := now["events_total"].(float64); v != 9 {
-		t.Fatalf("events_total at t1 = %v, want 9", now["events_total"])
-	}
-	hs2 := now["lag_seconds"].(metrics.HistogramSnapshot)
-	if hs2.Count != 3 || hs2.P99 != live.P99 {
-		t.Fatalf("historical P99 %v != live P99 %v (count %d)", hs2.P99, live.P99, hs2.Count)
-	}
-
-	if before := db.SnapshotAt(t0.Add(-time.Hour)); len(before) != 0 {
-		t.Fatalf("snapshot before history should be empty, got %v", before)
-	}
-}
-
 func TestTiersDownsampleAndEvict(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("c")
@@ -174,9 +119,6 @@ func TestTiersDownsampleAndEvict(t *testing.T) {
 	st := db.Stats()
 	if st.RawSamples > 50 {
 		t.Fatalf("raw tier holds %d samples after retention, want <= 50", st.RawSamples)
-	}
-	if early, ok := db.Earliest(); !ok || !early.Equal(t0) {
-		t.Fatalf("Earliest = %v %v, want %v", early, ok, t0)
 	}
 }
 
@@ -275,7 +217,9 @@ func TestConcurrentScrapeQuerySnapshot(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			db.SnapshotAt(t0.Add(time.Duration(i) * time.Second))
+			at := t0.Add(time.Duration(i) * time.Second)
+			db.Increase("packets_total", "", t0, at)
+			db.QuantileOverTime("lag_seconds", "", 0.99, t0, at)
 			db.Stats()
 		}
 	}()

@@ -21,16 +21,15 @@ import (
 // are in pprof's debug=1 text form so the bundle stays one readable
 // JSON document.
 type Bundle struct {
-	Version   int        `json:"version"`
-	Time      time.Time  `json:"time"`
-	Breach    Breach     `json:"breach"`
-	RuleFor   int        `json:"rule_for"`
-	RuleRate  bool       `json:"rule_rate"`
-	Snapshots []Snapshot `json:"snapshots"`
+	Version int       `json:"version"`
+	Time    time.Time `json:"time"`
+	Breach  Breach    `json:"breach"`
+	RuleFor int       `json:"rule_for"`
+	// Snapshot is the live registry snapshot the rule fired on.
+	Snapshot map[string]any `json:"snapshot"`
 	// History is the tsdb range for Config.BundleHistory families over
-	// the breached rule's longest window (at least bundleHistorySpan),
-	// ending at breach time — the query an operator would run first,
-	// already answered.
+	// the bundleHistorySpan ending at breach time — the query an
+	// operator would run first, already answered.
 	History      []tsdb.SeriesData `json:"history,omitempty"`
 	HistoryFrom  time.Time         `json:"history_from,omitempty"`
 	Trace        json.RawMessage   `json:"trace,omitempty"`
@@ -41,46 +40,32 @@ type Bundle struct {
 }
 
 // bundleVersion is bumped when the bundle shape changes incompatibly.
-const bundleVersion = 1
+const bundleVersion = 2
 
-// bundleHistorySpan is the minimum history window embedded in bundles.
-const bundleHistorySpan = 10 * time.Minute
-
-// bundleFrames caps a bundle's snapshot frames, the live one included.
-const bundleFrames = 32
+// bundleHistorySpan is the history window embedded in bundles: the
+// longest window a shipped rule reads.
+const bundleHistorySpan = time.Hour
 
 // writeBundleLocked captures and atomically writes a diagnostic bundle
-// for the breach, whose rules were evaluated on cur, returning its path.
-// Caller holds w.mu (bundle pruning and lastBundle must not interleave);
-// profile and trace capture do not touch watchdog state.
-func (w *Watchdog) writeBundleLocked(b Breach, cur Snapshot) (string, error) {
+// for the rule's breach, evaluated on the live snapshot, returning its
+// path. Caller holds w.mu (bundle pruning and lastBundle must not
+// interleave); profile and trace capture do not touch watchdog state.
+func (w *Watchdog) writeBundleLocked(b Breach, rule Rule, live map[string]any) (string, error) {
 	bundle := Bundle{
 		Version:      bundleVersion,
 		Time:         b.Time,
 		Breach:       b,
-		Snapshots:    w.frames(cur),
+		RuleFor:      max(rule.For, 1),
+		Snapshot:     live,
 		NumGoroutine: runtime.NumGoroutine(),
 		GoVersion:    runtime.Version(),
 	}
-	if rule, ok := w.ruleByName(b.Rule); ok {
-		bundle.RuleFor = max(rule.For, 1)
-		bundle.RuleRate = rule.Rate
-		if len(w.cfg.BundleHistory) > 0 {
-			span := bundleHistorySpan
-			if rule.Window > span {
-				span = rule.Window
-			}
-			for _, win := range rule.Windows {
-				if win > span {
-					span = win
-				}
-			}
-			bundle.HistoryFrom = b.Time.Add(-span)
-			for _, family := range w.cfg.BundleHistory {
-				bundle.History = append(bundle.History, w.cfg.DB.Query(tsdb.Query{
-					Series: family, From: bundle.HistoryFrom, To: b.Time,
-				})...)
-			}
+	if len(w.cfg.BundleHistory) > 0 {
+		bundle.HistoryFrom = b.Time.Add(-bundleHistorySpan)
+		for _, family := range w.cfg.BundleHistory {
+			bundle.History = append(bundle.History, w.cfg.DB.Query(tsdb.Query{
+				Series: family, From: bundle.HistoryFrom, To: b.Time,
+			})...)
 		}
 	}
 	if w.cfg.Tracer != nil {
@@ -113,22 +98,6 @@ func (w *Watchdog) writeBundleLocked(b Breach, cur Snapshot) (string, error) {
 	}
 	w.pruneBundlesLocked()
 	return path, nil
-}
-
-// frames rebuilds the lead-up to a breach from history, oldest first:
-// one frame per Interval step back from cur, skipping instants before
-// the DB's oldest sample, then cur itself — bundleFrames in all at most.
-func (w *Watchdog) frames(cur Snapshot) []Snapshot {
-	early, ok := w.cfg.DB.Earliest()
-	out := make([]Snapshot, 0, bundleFrames)
-	for k := bundleFrames - 1; k > 0; k-- {
-		t := cur.Time.Add(-time.Duration(k) * w.cfg.Interval)
-		if !ok || t.Before(early) {
-			continue
-		}
-		out = append(out, Snapshot{Time: t, TS: t.Unix(), Metrics: w.cfg.DB.SnapshotAt(t)})
-	}
-	return append(out, cur)
 }
 
 // pruneBundlesLocked keeps the newest MaxBundles bundle files in the

@@ -1,33 +1,35 @@
 // Package watch is the pipeline's SLO watchdog: declarative rules
-// evaluated on a ticker against metrics-registry snapshots and the
+// evaluated on a ticker against the live metrics registry and the
 // metric history in a tsdb.DB, and — when a rule stays in breach for its
 // configured number of consecutive evaluations — an atomic diagnostic
-// bundle written to disk carrying the breached rule, snapshot frames
-// rebuilt from history up to the breach, the trace-journal export, and
-// goroutine/heap profiles. The paper's operational posture (an origin
-// AS running localization continuously against live spoofed traffic)
-// needs exactly this layer: when the loop degrades at 3am, the evidence
-// of *why* is already on disk before anyone looks.
+// bundle written to disk carrying the breached rule, the registry
+// snapshot it fired on, the recent history of chosen families, the
+// trace-journal export, and goroutine/heap profiles. The paper's
+// operational posture (an origin AS running localization continuously
+// against live spoofed traffic) needs exactly this layer: when the loop
+// degrades at 3am, the evidence of *why* is already on disk before
+// anyone looks.
 //
-// Rules are built from small snapshot-extractor combinators:
+// A rule is an expression compared to a threshold:
 //
 //	watch.Rule{
 //	    Name:      "flush-lag-p99",
-//	    Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99),
+//	    Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99, 5*time.Minute),
 //	    Op:        watch.Above,
 //	    Threshold: 2.0,
 //	    For:       3,
 //	}
 //
-// Expressions are pure functions of one snapshot, so a rule's Rate
-// variant (per-second growth against the snapshot history reconstructs
-// one Window ago) composes with every extractor, and tests can drive
-// Evaluate directly without a ticker or a clock.
+// An expression reads either a live gauge (Metric) or one window of
+// history, through DB.Increase (Rate, Fraction, Burn) or
+// DB.QuantileOverTime (Quantile). So a rule judges the recent past of a
+// run that lasts hours, never its lifetime totals, and tests drive
+// Evaluate directly with a hand-scraped DB and no ticker or clock.
 package watch
 
 import (
 	"log/slog"
-	"strconv"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -37,99 +39,100 @@ import (
 	"spooftrack/internal/tsdb"
 )
 
-// Expr extracts one value from a registry snapshot. The bool reports
-// whether the value exists (metric registered, denominator non-zero);
-// rules treat a missing value as "no data", which resets their breach
-// streak rather than firing.
-type Expr func(snap map[string]any) (float64, bool)
+// View is what an expression reads at one evaluation instant: the live
+// registry snapshot and the metric history up to Now.
+type View struct {
+	Now  time.Time
+	Live map[string]any
+	DB   *tsdb.DB
+}
 
-// Metric reads a scalar metric (counter, gauge, or gauge func) by
-// registry name. For histograms it reads the observation count.
+// Expr extracts one value at an evaluation instant. The bool reports
+// whether the value exists (metric registered, history present,
+// denominator non-zero); rules treat a missing value as "no data",
+// which resets their breach streak rather than firing.
+type Expr func(v View) (float64, bool)
+
+// Counter names a cumulative series in the metric history: one
+// "label=value,.." child of a family, or — with Child empty — every
+// child of it summed.
+type Counter struct {
+	Family string
+	Child  string
+}
+
+// increase is the counter's growth over the last window of history.
+func (c Counter) increase(v View, window time.Duration) (delta, dtSeconds float64, ok bool) {
+	return v.DB.Increase(c.Family, c.Child, v.Now.Add(-window), v.Now)
+}
+
+// Metric reads a live scalar metric (counter, gauge, or gauge func) by
+// registry name.
 func Metric(name string) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		return scalar(snap[name])
+	return func(v View) (float64, bool) {
+		switch x := v.Live[name].(type) {
+		case int64:
+			return float64(x), true
+		case float64:
+			return x, true
+		}
+		return 0, false
 	}
 }
 
-// Series reads one child of a labeled vector. key is the child's
-// "label=value,label=value" identity in label-name order — the same key
-// the registry's JSON export uses.
-func Series(name, key string) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		vec, ok := snap[name].(map[string]any)
+// Rate is the counter's per-second growth over the last window, which
+// a one-tick spike cannot fake. The divisor is the span history covers,
+// so a freshly started daemon measures a real rate over what exists.
+func Rate(c Counter, window time.Duration) Expr {
+	return func(v View) (float64, bool) {
+		delta, dt, ok := c.increase(v, window)
 		if !ok {
 			return 0, false
 		}
-		return scalar(vec[key])
+		return delta / dt, true
 	}
 }
 
-// Quantile estimates a quantile of a histogram metric from its bucket
-// snapshot (full bound layout in Bounds, occupied buckets in the sparse
-// Buckets map) through metrics.BucketQuantile, so it answers exactly
-// what the live Histogram.Quantile would. Missing when the histogram is
-// absent or has no observations.
-func Quantile(name string, q float64) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		hs, ok := snap[name].(metrics.HistogramSnapshot)
-		if !ok || hs.Count == 0 {
-			return 0, false
-		}
-		count := func(i int) float64 {
-			return float64(hs.Buckets[strconv.FormatFloat(hs.Bounds[i], 'g', -1, 64)])
-		}
-		return metrics.BucketQuantile(q, hs.Bounds, count, float64(hs.Count), hs.Max), true
-	}
-}
-
-// Ratio is num/den on one snapshot; missing when either side is missing
-// or the denominator is zero.
-func Ratio(num, den Expr) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		n, ok1 := num(snap)
-		d, ok2 := den(snap)
-		if !ok1 || !ok2 || d == 0 {
-			return 0, false
-		}
-		return n / d, true
-	}
-}
-
-// VecSum adds every child of a labeled vector — the cross-label total
-// Series can't express without enumerating keys (e.g. probe losses
-// summed over all peering links). Missing when the vector is absent or
-// has no children, so rules on a vector that hasn't emitted yet stay in
-// "no data" instead of comparing against zero.
-func VecSum(name string) Expr {
-	return func(snap map[string]any) (float64, bool) {
-		vec, ok := snap[name].(map[string]any)
-		if !ok || len(vec) == 0 {
-			return 0, false
-		}
-		total := 0.0
-		for _, v := range vec {
-			s, ok := scalar(v)
+// Fraction is Δerrors/Δtotal over each window, reporting the smallest:
+// an Above rule then breaches only when every window agrees — a fast
+// window proves it is happening now, a slow one that it is not a blip.
+// A window with no growth in total is no data, not zero.
+func Fraction(errors, total Counter, windows ...time.Duration) Expr {
+	return func(v View) (float64, bool) {
+		best := math.Inf(1)
+		for _, win := range windows {
+			dTot, _, ok := total.increase(v, win)
+			if !ok || dTot <= 0 {
+				return 0, false
+			}
+			dErr, _, ok := errors.increase(v, win)
 			if !ok {
 				return 0, false
 			}
-			total += s
+			best = min(best, dErr/dTot)
 		}
-		return total, true
+		return best, len(windows) > 0
 	}
 }
 
-// scalar coerces the snapshot value shapes (counter int64, gauge
-// float64, histogram snapshot -> count) to float64.
-func scalar(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	case metrics.HistogramSnapshot:
-		return float64(x.Count), true
+// Burn is Fraction in error-budget units (Google SRE multi-window
+// form): the error fraction over 1−objective, so a burn of 1 spends the
+// budget exactly as fast as the objective allows.
+func Burn(errors, total Counter, objective float64, windows ...time.Duration) Expr {
+	frac := Fraction(errors, total, windows...)
+	return func(v View) (float64, bool) {
+		f, ok := frac(v)
+		return f / (1 - objective), ok
 	}
-	return 0, false
+}
+
+// Quantile is the q-quantile of the histogram family's observations in
+// the last window, interpolated by metrics.BucketQuantile like the live
+// Histogram.Quantile. Missing when the window holds no observation.
+func Quantile(family string, q float64, window time.Duration) Expr {
+	return func(v View) (float64, bool) {
+		return v.DB.QuantileOverTime(family, "", q, v.Now.Add(-window), v.Now)
+	}
 }
 
 // Op compares a rule's value to its threshold.
@@ -155,43 +158,14 @@ func (o Op) String() string {
 type Rule struct {
 	// Name identifies the rule in logs, bundles, and /readyz.
 	Name string
-	// Expr extracts the value under watch from a snapshot.
+	// Expr extracts the value under watch.
 	Expr Expr
-	// Rate, when set, watches Expr's per-second growth instead of its
-	// level — the shape counter-derived SLOs (drop rate, error rate)
-	// take. The rate is taken over Window of real history, which a
-	// one-tick spike between two adjacent snapshots cannot fake.
-	Rate bool
-	// Window is the history span Rate rules average over (default 1m).
-	// Ignored for level rules.
-	Window time.Duration
 	// Op and Threshold define the breach condition.
 	Op        Op
 	Threshold float64
 	// For is the number of consecutive breaching evaluations before the
 	// rule fires (default 1 — fire immediately).
 	For int
-
-	// Burn-rate SLO fields (Google SRE multi-window form). When
-	// Objective, ErrorExpr, and TotalExpr are all set, the rule watches
-	//
-	//	burn(W) = (increase(error, W) / increase(total, W)) / (1 − Objective)
-	//
-	// for every window in Windows (e.g. a fast 5m and a slow 1h), and
-	// reports the SMALLEST burn — so an Above rule breaches only when
-	// every window burns hot: the fast window proves it is happening
-	// now, the slow one proves it is not a blip. Windows reaching past
-	// recorded history clamp to the oldest sample, so a freshly started
-	// daemon measures real burn instead of diluting over missing time.
-	ErrorExpr Expr
-	TotalExpr Expr
-	Objective float64 // availability target in (0,1), e.g. 0.999
-	Windows   []time.Duration
-}
-
-// burnRule reports whether the rule is a multi-window burn-rate SLO.
-func (r Rule) burnRule() bool {
-	return r.Objective > 0 && r.Objective < 1 && r.ErrorExpr != nil && r.TotalExpr != nil && len(r.Windows) > 0
 }
 
 // RuleStatus is one rule's current evaluation state.
@@ -219,51 +193,34 @@ type Breach struct {
 	BundlePath string `json:"bundle_path,omitempty"`
 }
 
-// Snapshot is one bundle frame: a registry snapshot (live, or rebuilt
-// from history) and the instant it describes. TS repeats that instant
-// as unix seconds so exported frames are self-describing to consumers
-// that don't parse RFC 3339.
-type Snapshot struct {
-	Time    time.Time      `json:"time"`
-	TS      int64          `json:"ts"`
-	Metrics map[string]any `json:"metrics"`
-}
-
 // Config assembles a Watchdog.
 type Config struct {
 	// Registry is the metrics registry to watch (required).
 	Registry *metrics.Registry
-	// DB is the metric history rules read (required): Rate rules average
-	// over their Window, burn-rate rules compare windows, and breach
-	// bundles take their frames and query window from it. The watchdog
-	// never writes to it.
+	// DB is the metric history windowed expressions read and breach
+	// bundles embed (required). The watchdog never writes to it.
 	DB *tsdb.DB
-	// BundleHistory names metric families whose recent history (over the
-	// breached rule's longest window, at least 10m) is embedded in
-	// diagnostic bundles.
+	// BundleHistory names metric families whose last hour of history is
+	// embedded in diagnostic bundles.
 	BundleHistory []string
 	// Rules are the SLOs to evaluate each tick.
 	Rules []Rule
-	// Interval is the evaluation cadence for Start (default 5s), and the
-	// step between a bundle's frames.
+	// Interval is the evaluation cadence for Start (default 5s).
 	Interval time.Duration
 	// Tracer, when non-nil, has its journal exported into bundles.
 	Tracer *trace.Tracer
 	// BundleDir is where diagnostic bundles are written; empty disables
-	// bundle writing (breaches still log and fire OnBreach).
+	// bundle writing (breaches still log and are returned by Evaluate).
 	BundleDir string
 	// MaxBundles caps bundles kept in BundleDir, oldest pruned (default 8).
 	MaxBundles int
 	// Logger receives breach/recovery messages (default slog.Default()).
 	Logger *slog.Logger
-	// OnBreach, when non-nil, is called synchronously for every fired
-	// breach, after the bundle is written.
-	OnBreach func(Breach)
 }
 
-// Watchdog evaluates SLO rules against registry snapshots and captures
-// diagnostic bundles on breach. Create with New; drive with Start/Stop
-// (ticker) or Evaluate (manual, e.g. tests).
+// Watchdog evaluates SLO rules against the registry and its history
+// and captures diagnostic bundles on breach. Create with New; drive with
+// Start/Stop (ticker) or Evaluate (manual, e.g. tests).
 type Watchdog struct {
 	cfg Config
 
@@ -344,17 +301,18 @@ func (w *Watchdog) Stop() {
 }
 
 // Evaluate runs one tick at the given time: snapshot the registry,
-// evaluate every rule, and fire breaches whose For streak completes. It returns the breaches fired this tick
-// (usually none). Exported so tests and callers without a ticker can
-// drive the watchdog deterministically.
+// evaluate every rule against it and the history up to now, and fire
+// breaches whose For streak completes. It returns the breaches fired
+// this tick (usually none). Exported so tests and callers without a
+// ticker can drive the watchdog deterministically.
 func (w *Watchdog) Evaluate(now time.Time) []Breach {
-	cur := Snapshot{Time: now, TS: now.Unix(), Metrics: w.cfg.Registry.Snapshot()}
+	view := View{Now: now, Live: w.cfg.Registry.Snapshot(), DB: w.cfg.DB}
 
 	w.mu.Lock()
 	var fired []Breach
 	for i, rule := range w.cfg.Rules {
 		st := &w.states[i]
-		value, ok := w.eval(rule, cur)
+		value, ok := rule.Expr(view)
 		st.lastValue, st.hasData = value, ok
 		breachingNow := ok && compare(rule.Op, value, rule.Threshold)
 		if !breachingNow {
@@ -385,7 +343,7 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 			Time:        now,
 		}
 		if w.cfg.BundleDir != "" {
-			path, err := w.writeBundleLocked(b, cur)
+			path, err := w.writeBundleLocked(b, rule, view.Live)
 			if err != nil {
 				w.cfg.Logger.Warn("diagnostic bundle write failed", "rule", rule.Name, "err", err)
 			} else {
@@ -401,89 +359,8 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 		w.cfg.Logger.Warn("slo breach", "rule", b.Rule,
 			"value", b.Value, "op", b.Op, "threshold", b.Threshold,
 			"consecutive", b.Consecutive, "bundle", b.BundlePath)
-		if w.cfg.OnBreach != nil {
-			w.cfg.OnBreach(b)
-		}
 	}
 	return fired
-}
-
-// eval computes a rule's value: the expression on the current snapshot;
-// its per-second growth over Window for Rate rules; or the minimum
-// multi-window burn for burn-rate rules.
-func (w *Watchdog) eval(rule Rule, cur Snapshot) (float64, bool) {
-	if rule.burnRule() {
-		return w.evalBurn(rule, cur)
-	}
-	v, ok := rule.Expr(cur.Metrics)
-	if !rule.Rate || !ok {
-		return v, ok
-	}
-	return w.evalWindowRate(rule, cur, v)
-}
-
-// evalWindowRate is the Rate path: Expr now versus Expr over a
-// reconstructed snapshot Window ago, divided by the real span.
-// The window clamps to the DB's oldest sample so warmup rates are
-// honest rather than silent.
-func (w *Watchdog) evalWindowRate(rule Rule, cur Snapshot, curVal float64) (float64, bool) {
-	win := rule.Window
-	if win <= 0 {
-		win = time.Minute
-	}
-	then := cur.Time.Add(-win)
-	if early, ok := w.cfg.DB.Earliest(); ok && early.After(then) {
-		then = early
-	}
-	dt := cur.Time.Sub(then).Seconds()
-	if dt <= 0 {
-		return 0, false
-	}
-	pv, ok := rule.Expr(w.cfg.DB.SnapshotAt(then))
-	if !ok {
-		return 0, false
-	}
-	return (curVal - pv) / dt, true
-}
-
-// evalBurn computes the minimum burn rate across the rule's windows.
-// "No traffic in a window" is no data, not zero burn.
-func (w *Watchdog) evalBurn(rule Rule, cur Snapshot) (float64, bool) {
-	eNow, ok1 := rule.ErrorExpr(cur.Metrics)
-	tNow, ok2 := rule.TotalExpr(cur.Metrics)
-	if !ok1 || !ok2 {
-		return 0, false
-	}
-	denom := 1 - rule.Objective
-	early, hasEarly := w.cfg.DB.Earliest()
-	best := 0.0
-	for i, win := range rule.Windows {
-		then := cur.Time.Add(-win)
-		if hasEarly && early.After(then) {
-			then = early
-		}
-		if !then.Before(cur.Time) {
-			return 0, false
-		}
-		past := w.cfg.DB.SnapshotAt(then)
-		// A counter absent from the reconstructed past snapshot had not
-		// been incremented yet: its value then was zero.
-		eThen, _ := rule.ErrorExpr(past)
-		tThen, _ := rule.TotalExpr(past)
-		dTot := tNow - tThen
-		if dTot <= 0 {
-			return 0, false
-		}
-		dErr := eNow - eThen
-		if dErr < 0 {
-			dErr = 0
-		}
-		burn := (dErr / dTot) / denom
-		if i == 0 || burn < best {
-			best = burn
-		}
-	}
-	return best, true
 }
 
 func compare(op Op, v, threshold float64) bool {
@@ -564,16 +441,6 @@ func (w *Watchdog) LastBundlePath() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.lastBundle
-}
-
-// ruleByName resolves a rule for bundle metadata.
-func (w *Watchdog) ruleByName(name string) (Rule, bool) {
-	for _, r := range w.cfg.Rules {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Rule{}, false
 }
 
 // sanitizeFile maps a rule name onto a filesystem-safe token.

@@ -76,8 +76,8 @@ func TestRuleForHysteresisAndRecovery(t *testing.T) {
 	}
 }
 
-// TestRateRule: a Rate rule's value is its expression's growth over
-// Window of history, per second.
+// TestRateRule: a Rate rule's value is its counter's growth over its
+// window of history, per second.
 func TestRateRule(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.CounterVec("border_packets_total", "outcome")
@@ -87,8 +87,8 @@ func TestRateRule(t *testing.T) {
 		DB:       db,
 		Logger:   quietLogger(),
 		Rules: []Rule{{
-			Name: "drop-rate", Expr: Series("border_packets_total", "outcome=dropped"),
-			Rate: true, Window: time.Second, Op: Above, Threshold: 50, // packets/sec
+			Name: "drop-rate", Expr: Rate(Counter{"border_packets_total", "outcome=dropped"}, time.Second),
+			Op: Above, Threshold: 50, // packets/sec
 		}},
 	})
 	now := time.Unix(2000, 0)
@@ -117,62 +117,103 @@ func TestRateRule(t *testing.T) {
 	}
 }
 
+// TestRatioAndMissingData: Fraction is Δerrors/Δtotal over its window,
+// a Counter with no child sums every child, and missing data — a vector
+// with no children, children whose total does not grow, a family never
+// registered — neither fires nor marks the watchdog unhealthy.
 func TestRatioAndMissingData(t *testing.T) {
 	reg := metrics.NewRegistry()
 	v := reg.CounterVec("requests_total", "result")
-	hitsPerMiss := Ratio(
-		Series("requests_total", "result=hit"),
-		Series("requests_total", "result=miss"),
-	)
+	db := history(reg)
+	all := Counter{Family: "requests_total"}
 	w := New(Config{
 		Registry: reg,
-		DB:       history(reg),
+		DB:       db,
 		Logger:   quietLogger(),
-		Rules:    []Rule{{Name: "hits-per-miss-floor", Expr: hitsPerMiss, Op: Below, Threshold: 0.5}},
+		Rules: []Rule{
+			{Name: "miss-fraction", Expr: Fraction(Counter{"requests_total", "result=miss"}, all, time.Minute), Op: Above, Threshold: 0.5},
+			{Name: "unregistered", Expr: Fraction(Counter{Family: "no_such_total"}, all, time.Minute), Op: Above, Threshold: -1},
+		},
 	})
-	// No children yet: missing data must not fire or mark unhealthy.
-	if fired := w.Evaluate(time.Unix(1, 0)); len(fired) != 0 || !w.Healthy() {
-		t.Fatalf("missing data fired or unhealthy")
+	tick := func(sec int64) []Breach {
+		db.ScrapeOnce(time.Unix(sec, 0))
+		return w.Evaluate(time.Unix(sec, 0))
 	}
-	// One child only: the ratio is still missing.
+	noData := func(when string) {
+		t.Helper()
+		for _, st := range w.Status() {
+			if st.HasData || st.Breaching {
+				t.Fatalf("%s: %+v, want no data", when, st)
+			}
+		}
+		if !w.Healthy() {
+			t.Fatalf("%s: unhealthy", when)
+		}
+	}
+	tick(1)
+	noData("no children yet")
 	v.With("hit").Add(1)
-	if fired := w.Evaluate(time.Unix(2, 0)); len(fired) != 0 || !w.Healthy() {
-		t.Fatalf("half-missing ratio fired or unhealthy")
-	}
 	v.With("miss").Add(4)
-	fired := w.Evaluate(time.Unix(3, 0))
-	if len(fired) != 1 || fired[0].Value != 0.25 {
-		t.Fatalf("1 hit per 4 misses under floor 0.5: fired = %+v", fired)
+	tick(2)
+	noData("children first scraped")
+	tick(3)
+	noData("no growth in total")
+	v.With("hit").Add(1)
+	v.With("miss").Add(4)
+	fired := tick(4)
+	// 4 misses of 5 requests: the child-less total summed hit and miss.
+	if len(fired) != 1 || fired[0].Rule != "miss-fraction" || fired[0].Value != 0.8 {
+		t.Fatalf("4 misses in 5 requests: fired = %+v, want miss-fraction at 0.8", fired)
+	}
+	if st := w.Status()[1]; st.HasData || st.Breaching {
+		t.Fatalf("fraction over a family never registered = %+v, want no data", st)
 	}
 }
 
+// TestVecSumExpr: a Counter with no Child sums every child of a vector
+// family; an empty vector or an absent family is no data, not zero.
 func TestVecSumExpr(t *testing.T) {
 	reg := metrics.NewRegistry()
-	vec := reg.CounterVec("probe_lost_total", "link")
-	// An empty vector is "no data", not zero — a rule on an idle scan
-	// loop must not compare against 0.
-	if _, ok := VecSum("probe_lost_total")(reg.Snapshot()); ok {
+	lost := reg.CounterVec("probe_lost_total", "link")
+	sent := reg.CounterVec("probe_sent_total", "link")
+	db := history(reg)
+	at := func(sec int64) View {
+		db.ScrapeOnce(time.Unix(sec, 0))
+		return View{Now: time.Unix(sec, 0), Live: reg.Snapshot(), DB: db}
+	}
+	allLost := Counter{Family: "probe_lost_total"}
+	allSent := Counter{Family: "probe_sent_total"}
+	// An idle scan loop has no children yet: a rule on it must not
+	// compare against 0.
+	v := at(1)
+	if _, ok := Rate(allLost, time.Minute)(v); ok {
 		t.Fatal("empty vector produced data")
 	}
-	if _, ok := VecSum("no_such_metric")(reg.Snapshot()); ok {
+	if _, ok := Rate(Counter{Family: "no_such_metric"}, time.Minute)(v); ok {
 		t.Fatal("absent metric produced data")
 	}
-	vec.With("ams01").Add(3)
-	vec.With("sea02").Add(4)
-	v, ok := VecSum("probe_lost_total")(reg.Snapshot())
-	if !ok || v != 7 {
-		t.Fatalf("VecSum = %v, %v, want 7, true", v, ok)
-	}
-	// Composes with Ratio for cross-link loss-rate SLOs.
-	sent := reg.CounterVec("probe_sent_total", "link")
+	lost.With("ams01").Add(1)
+	lost.With("sea02").Add(1)
+	sent.With("ams01").Add(1)
+	sent.With("sea02").Add(1)
+	at(2)
+	lost.With("ams01").Add(3)
+	lost.With("sea02").Add(4)
 	sent.With("ams01").Add(10)
 	sent.With("sea02").Add(4)
-	r, ok := Ratio(VecSum("probe_lost_total"), VecSum("probe_sent_total"))(reg.Snapshot())
-	if !ok || r != 0.5 {
-		t.Fatalf("loss ratio = %v, %v, want 0.5, true", r, ok)
+	v = at(3)
+	if r, ok := Rate(allLost, time.Minute)(v); !ok || r != 7 {
+		t.Fatalf("summed loss rate = %v, %v, want 7/s, true", r, ok)
+	}
+	// Composes with Fraction for cross-link loss-rate SLOs.
+	if f, ok := Fraction(allLost, allSent, time.Minute)(v); !ok || f != 0.5 {
+		t.Fatalf("loss fraction = %v, %v, want 0.5, true", f, ok)
 	}
 }
 
+// TestQuantileExpr: a windowed Quantile answers what the live
+// Histogram.Quantile does when the window holds every observation — one
+// interpolation rule — and has no data once the window holds none.
 func TestQuantileExpr(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := reg.Histogram("lag_seconds", 0.1, 1, 10)
@@ -180,76 +221,31 @@ func TestQuantileExpr(t *testing.T) {
 		h.Observe(0.05)
 	}
 	h.Observe(5) // p99 lands in (1,10]
-	snap := reg.Snapshot()
-	direct := h.Quantile(0.99)
-	got, ok := Quantile("lag_seconds", 0.99)(snap)
-	if !ok {
-		t.Fatal("quantile expr: no data")
-	}
-	if got != direct {
-		t.Fatalf("snapshot quantile %v != live quantile %v", got, direct)
-	}
-	// The same expression over the snapshot the tsdb reassembles from
-	// its scraped series answers alike: one interpolation rule.
-	db := tsdb.New(tsdb.Options{Registry: reg})
-	db.ScrapeOnce(time.Unix(100, 0))
-	if got, ok := Quantile("lag_seconds", 0.99)(db.SnapshotAt(time.Unix(100, 0))); !ok || got != direct {
-		t.Fatalf("scraped-series quantile %v (ok=%v) != live quantile %v", got, ok, direct)
-	}
 	// All mass in overflow clamps to the last bound, exactly as the live
 	// histogram answers.
 	h2 := reg.Histogram("over_seconds", 0.1, 1)
 	h2.Observe(50)
-	got, ok = Quantile("over_seconds", 0.5)(reg.Snapshot())
-	if !ok || got != h2.Quantile(0.5) || got != 1 {
+	db := history(reg)
+	at := func(sec int64) View {
+		db.ScrapeOnce(time.Unix(sec, 0))
+		return View{Now: time.Unix(sec, 0), Live: reg.Snapshot(), DB: db}
+	}
+	now := at(100)
+	direct := h.Quantile(0.99)
+	if got, ok := Quantile("lag_seconds", 0.99, time.Minute)(now); !ok || got != direct {
+		t.Fatalf("windowed quantile %v (ok=%v) != live quantile %v", got, ok, direct)
+	}
+	if got, ok := Quantile("over_seconds", 0.5, time.Minute)(now); !ok || got != h2.Quantile(0.5) || got != 1 {
 		t.Fatalf("overflow quantile = %v ok=%v, want 1", got, ok)
 	}
-}
-
-// TestBundleFramesFromHistory: a bundle's frames are the history at each
-// Interval step back from the breach, oldest first, capped at 32 with
-// the live snapshot the rule fired on last.
-func TestBundleFramesFromHistory(t *testing.T) {
-	reg := metrics.NewRegistry()
-	g := reg.Gauge("x")
-	db := history(reg)
-	w := New(Config{
-		Registry: reg, DB: db, Interval: time.Second, BundleDir: t.TempDir(), Logger: quietLogger(),
-		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 100}},
-	})
-	for i := 0; i < 60; i++ {
-		g.Set(float64(i))
-		db.ScrapeOnce(time.Unix(int64(i), 0))
-	}
-	g.Set(500)
-	fired := w.Evaluate(time.Unix(60, 0))
-	if len(fired) != 1 {
-		t.Fatalf("fired = %+v, want 1 breach", fired)
-	}
-	b, err := ReadBundle(fired[0].BundlePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Snapshots) != 32 {
-		t.Fatalf("bundle holds %d frames, want 32", len(b.Snapshots))
-	}
-	for i, f := range b.Snapshots {
-		at, want := int64(29+i), float64(29+i)
-		if i == len(b.Snapshots)-1 {
-			want = 500 // the live snapshot, not yet scraped
-		}
-		if f.TS != at || !f.Time.Equal(time.Unix(at, 0)) {
-			t.Fatalf("frame[%d] at %v (ts %d), want unix %d (oldest first)", i, f.Time, f.TS, at)
-		}
-		if f.Metrics["x"] != want {
-			t.Fatalf("frame[%d] x = %v, want %v", i, f.Metrics["x"], want)
-		}
+	if got, ok := Quantile("lag_seconds", 0.99, time.Minute)(at(200)); ok {
+		t.Fatalf("window with no observation answered %v", got)
 	}
 }
 
 // TestBreachWritesCompleteBundle forces an SLO breach and verifies the
 // diagnostic bundle lands atomically with every section present: the
-// breached rule, the snapshot frames leading into it, the trace-journal
+// breached rule, the live snapshot it fired on, the trace-journal
 // export, and both profiles.
 func TestBreachWritesCompleteBundle(t *testing.T) {
 	dir := t.TempDir()
@@ -259,7 +255,6 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	sp := tr.Start("pipeline.root")
 	sp.End()
 
-	var hooked []Breach
 	db := history(reg)
 	w := New(Config{
 		Registry:  reg,
@@ -268,9 +263,8 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 		Tracer:    tr,
 		BundleDir: dir,
 		Logger:    quietLogger(),
-		OnBreach:  func(b Breach) { hooked = append(hooked, b) },
 		Rules: []Rule{{
-			Name: "flush-lag-p99", Expr: Quantile("stream_flush_lag_seconds", 0.99),
+			Name: "flush-lag-p99", Expr: Quantile("stream_flush_lag_seconds", 0.99, time.Minute),
 			Op: Above, Threshold: 2, For: 2,
 		}},
 	})
@@ -294,9 +288,6 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	if path == "" || w.LastBundlePath() != path {
 		t.Fatalf("bundle path %q, last %q", path, w.LastBundlePath())
 	}
-	if len(hooked) != 1 || hooked[0].Rule != "flush-lag-p99" {
-		t.Fatalf("OnBreach hook = %+v", hooked)
-	}
 
 	b, err := ReadBundle(path)
 	if err != nil {
@@ -311,13 +302,8 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	if b.RuleFor != 2 {
 		t.Fatalf("bundle rule_for = %d", b.RuleFor)
 	}
-	// Two frames from history (none before the first scrape) plus the
-	// live one.
-	if len(b.Snapshots) != 3 {
-		t.Fatalf("bundle has %d snapshots, want 3", len(b.Snapshots))
-	}
-	if _, ok := b.Snapshots[0].Metrics["stream_flush_lag_seconds"]; !ok {
-		t.Fatal("bundle snapshots missing watched metric")
+	if _, ok := b.Snapshot["stream_flush_lag_seconds"]; !ok {
+		t.Fatal("bundle snapshot missing watched metric")
 	}
 	var traceDoc struct {
 		Spans []struct {

@@ -9,6 +9,12 @@ import (
 	"spooftrack/internal/tsdb"
 )
 
+// requests and reqErrors are the counters the burn-rate tests read.
+var (
+	requests  = Counter{Family: "requests_total"}
+	reqErrors = Counter{Family: "request_errors_total"}
+)
+
 // TestBurnRateFiresWhereSingleWindowStaysSilent is the ISSUE acceptance
 // scenario: a slow 2.5% error ratio burns the 99% objective at 2.5x —
 // an incident by any SRE book — while the absolute error rate (25/s)
@@ -38,18 +44,14 @@ func TestBurnRateFiresWhereSingleWindowStaysSilent(t *testing.T) {
 		Rules: []Rule{
 			{
 				Name:      "error-budget-burn",
-				ErrorExpr: Metric("request_errors_total"),
-				TotalExpr: Metric("requests_total"),
-				Objective: 0.99,
-				Windows:   []time.Duration{5 * time.Minute, time.Hour},
+				Expr:      Burn(reqErrors, requests, 0.99, 5*time.Minute, time.Hour),
 				Op:        Above,
 				Threshold: 2,
 			},
 			{
 				Name: "error-rate",
-				Expr: Metric("request_errors_total"),
-				Rate: true, Window: 5 * time.Minute,
-				Op: Above, Threshold: 100, // errors/s — 25/s is nowhere near
+				Expr: Rate(reqErrors, 5*time.Minute),
+				Op:   Above, Threshold: 100, // errors/s — 25/s is nowhere near
 			},
 		},
 	})
@@ -94,10 +96,7 @@ func TestBurnRateSlowWindowVetoesSpike(t *testing.T) {
 	mk := func(name string, windows ...time.Duration) Rule {
 		return Rule{
 			Name:      name,
-			ErrorExpr: Metric("request_errors_total"),
-			TotalExpr: Metric("requests_total"),
-			Objective: 0.99,
-			Windows:   windows,
+			Expr:      Burn(reqErrors, requests, 0.99, windows...),
 			Op:        Above,
 			Threshold: 10,
 		}
@@ -136,8 +135,7 @@ func TestWindowedRateSmoothsSpikes(t *testing.T) {
 		DB:       db,
 		Logger:   quietLogger(),
 		Rules: []Rule{{
-			Name: "drop-rate", Expr: Metric("dropped_total"),
-			Rate: true, Window: time.Minute,
+			Name: "drop-rate", Expr: Rate(Counter{Family: "dropped_total"}, time.Minute),
 			Op: Above, Threshold: 100,
 		}},
 	})
@@ -244,8 +242,9 @@ func TestBundlePruningOrder(t *testing.T) {
 	}
 }
 
-// TestBundleEmbedsHistory: with a DB and BundleHistory wired, a breach
-// bundle carries the named families' range over the rule's window.
+// TestBundleEmbedsHistory: with BundleHistory wired, a breach bundle
+// carries the named families' last hour of history and the live
+// snapshot the rule fired on.
 func TestBundleEmbedsHistory(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
@@ -268,7 +267,7 @@ func TestBundleEmbedsHistory(t *testing.T) {
 		Logger:        quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
-			Op: Above, Threshold: 100, Window: 30 * time.Minute,
+			Op: Above, Threshold: 100,
 		}},
 	})
 	g.Set(500)
@@ -286,11 +285,11 @@ func TestBundleEmbedsHistory(t *testing.T) {
 	if n := len(b.History[0].Points); n < 100 {
 		t.Fatalf("bundle history has %d points, want the full recorded window", n)
 	}
-	if want := fired[0].Time.Add(-30 * time.Minute); !b.HistoryFrom.Equal(want) {
-		t.Fatalf("HistoryFrom = %v, want %v (rule window wins over the 10m floor)", b.HistoryFrom, want)
+	if want := fired[0].Time.Add(-time.Hour); !b.HistoryFrom.Equal(want) {
+		t.Fatalf("HistoryFrom = %v, want %v", b.HistoryFrom, want)
 	}
-	if b.Snapshots[len(b.Snapshots)-1].TS != now.Unix() {
-		t.Fatalf("frame ts = %d, want %d", b.Snapshots[len(b.Snapshots)-1].TS, now.Unix())
+	if b.Snapshot["queue_depth"] != 500.0 {
+		t.Fatalf("bundle snapshot queue_depth = %v, want the live 500", b.Snapshot["queue_depth"])
 	}
 }
 
@@ -308,16 +307,12 @@ func TestConcurrentEvaluateScrapeQuery(t *testing.T) {
 		Logger:   quietLogger(),
 		Rules: []Rule{
 			{
-				Name:      "burn",
-				ErrorExpr: Metric("request_errors_total"),
-				TotalExpr: Metric("requests_total"),
-				Objective: 0.99,
-				Windows:   []time.Duration{5 * time.Minute, time.Hour},
-				Op:        Above, Threshold: 2,
+				Name: "burn", Expr: Burn(reqErrors, requests, 0.99, 5*time.Minute, time.Hour),
+				Op: Above, Threshold: 2,
 			},
 			{
-				Name: "req-rate", Expr: Metric("requests_total"),
-				Rate: true, Op: Above, Threshold: 1e12,
+				Name: "req-rate", Expr: Rate(requests, time.Minute),
+				Op: Above, Threshold: 1e12,
 			},
 		},
 	})
@@ -348,4 +343,121 @@ func TestConcurrentEvaluateScrapeQuery(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestStormsJudgedOnRecentHistory drives spooftrackd's flush-lag and
+// probe-loss rule literals through hours of scripted history, scraped
+// every second and evaluated every 5 s as the daemon does. A storm after
+// a long healthy run must fire within the window the rule reads and
+// clear once that window has passed it: a rule over lifetime totals
+// fires late or never, and then stays in breach for hours.
+func TestStormsJudgedOnRecentHistory(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		rule   Rule
+		before time.Duration // healthy run ahead of the storm
+		after  time.Duration // healthy run after the 10-minute storm
+		// step records one second of traffic, stormy or not.
+		step       func(reg *metrics.Registry, sec int64, storm bool)
+		fireWithin time.Duration
+		clearAfter time.Duration
+	}{
+		{
+			name: "flush lag 3 s",
+			rule: Rule{
+				Name:      "stream-flush-lag-p99",
+				Expr:      Quantile("stream_flush_lag_seconds", 0.99, 5*time.Minute),
+				Op:        Above,
+				Threshold: 2.0,
+				For:       3,
+			},
+			before: 6 * time.Hour,
+			after:  6 * time.Hour,
+			step: func(reg *metrics.Registry, _ int64, storm bool) {
+				h := reg.Histogram("stream_flush_lag_seconds", 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5)
+				lag := 0.01
+				if storm {
+					lag = 3
+				}
+				for i := 0; i < 10; i++ {
+					h.Observe(lag)
+				}
+			},
+			fireWithin: 30 * time.Second,
+			clearAfter: 6 * time.Minute,
+		},
+		{
+			name: "probe loss 95%",
+			rule: Rule{
+				Name: "probe-loss-rate",
+				Expr: Fraction(
+					Counter{Family: "probe_lost_total"},
+					Counter{Family: "probe_sent_total"},
+					time.Minute),
+				Op:        Above,
+				Threshold: 0.9,
+				For:       3,
+			},
+			before: time.Hour,
+			after:  10 * time.Minute,
+			step: func(reg *metrics.Registry, sec int64, storm bool) {
+				if sec%2 != 0 {
+					return // a probe round every 2 s
+				}
+				lost := int64(3) // of 300 per link: 1%
+				if storm {
+					lost = 285 // 95%
+				}
+				for _, link := range []string{"ams01", "sea02"} {
+					reg.CounterVec("probe_sent_total", "link").With(link).Add(300)
+					reg.CounterVec("probe_lost_total", "link").With(link).Add(lost)
+				}
+			},
+			fireWithin: 90 * time.Second,
+			clearAfter: 90 * time.Second,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			db := tsdb.New(tsdb.Options{Registry: reg})
+			w := New(Config{Registry: reg, DB: db, Logger: quietLogger(), Rules: []Rule{tc.rule}})
+			stormFrom := int64(tc.before / time.Second)
+			stormTo := stormFrom + int64(10*time.Minute/time.Second)
+			end := stormTo + int64(tc.after/time.Second)
+			start := time.Unix(1_000_000, 0)
+			var fired []int64
+			cleared := int64(-1)
+			for sec := int64(0); sec <= end; sec++ {
+				storm := sec >= stormFrom && sec < stormTo
+				tc.step(reg, sec, storm)
+				now := start.Add(time.Duration(sec) * time.Second)
+				db.ScrapeOnce(now)
+				if sec%5 != 0 {
+					continue
+				}
+				if len(w.Evaluate(now)) > 0 {
+					fired = append(fired, sec)
+				}
+				if sec >= stormTo && cleared < 0 && w.Healthy() {
+					cleared = sec
+				}
+			}
+			if len(fired) != 1 {
+				t.Fatalf("fired at seconds %v, want once, in the storm from %d", fired, stormFrom)
+			}
+			if at := time.Duration(fired[0]-stormFrom) * time.Second; at < 0 || at > tc.fireWithin {
+				t.Errorf("fired %v into the storm, want within %v", at, tc.fireWithin)
+			}
+			if cleared < 0 {
+				t.Fatalf("still in breach %v after the storm", tc.after)
+			}
+			if at := time.Duration(cleared-stormTo) * time.Second; at > tc.clearAfter {
+				t.Errorf("cleared %v after the storm, want within %v", at, tc.clearAfter)
+			}
+			if !w.Healthy() {
+				t.Error("in breach at the end of the healthy run")
+			}
+			t.Logf("fired +%ds into the storm, cleared +%ds after it", fired[0]-stormFrom, cleared-stormTo)
+		})
+	}
 }
