@@ -4,34 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"time"
 
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/tsdb"
 )
-
-// registerRuntimeGauges exposes the Go runtime's health as computed
-// gauges, read at scrape time: goroutine count, live heap, and
-// cumulative GC pause time (a counter-shaped gauge — rate() it for
-// pause seconds per second). ReadMemStats stops the world briefly, but
-// at scrape cadence (~1 Hz) the cost is noise.
-func registerRuntimeGauges(reg *metrics.Registry) {
-	reg.GaugeFunc("go_goroutines", func() float64 {
-		return float64(runtime.NumGoroutine())
-	})
-	reg.GaugeFunc("go_heap_alloc_bytes", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	})
-	reg.GaugeFunc("go_gc_pause_seconds_total", func() float64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.PauseTotalNs) / 1e9
-	})
-}
 
 // queryResult is the /query payload: the resolved time range (unix
 // milliseconds, matching the point timestamps) and the matched series.

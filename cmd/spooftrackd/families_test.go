@@ -9,18 +9,25 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestWatchedFamiliesRegistered runs the daemon and checks that every
-// metric family a watchdog rule reads, BundleHistory embeds or a /dash
-// panel queries is on /metrics once its components are up: a rule,
-// bundle entry or panel naming a family nothing registers would sit in
-// "no data" forever.
+// TestWatchedFamiliesRegistered runs the daemon and checks both
+// directions between /metrics and what reads it. Forward: every metric
+// family a watchdog rule reads, BundleHistory embeds or a /dash panel
+// queries is on /metrics once its components are up — a rule, bundle
+// entry or panel naming a family nothing registers would sit in "no
+// data" forever. Reverse: every family on /metrics has a reader (see
+// familyReaders) — one that has none is code to delete. It boots the
+// daemon twice, single-node with probing and the ledger on and as an
+// in-process cluster (-shards 2), since each placement registers its
+// own families.
 func TestWatchedFamiliesRegistered(t *testing.T) {
 	want := watchedFamilies(t)
 	for _, m := range regexp.MustCompile(`series=(\w+)`).FindAllStringSubmatch(dashHTML, -1) {
@@ -36,15 +43,44 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 			t.Fatalf("%s is no longer among the checked families %v", fam, want)
 		}
 	}
+	readers := familyReaders(t, want)
 
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"single", nil},
+		{"shards", []string{"-shards", "2"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			snap := daemonFamilies(t, want, mode.args...)
+			var unread []string
+			for fam := range snap {
+				if !readers[fam] && fam != "ts" {
+					unread = append(unread, fam)
+				}
+			}
+			slices.Sort(unread)
+			if len(unread) > 0 {
+				t.Errorf("families on /metrics that no rule, bundle, /dash panel, bench literal or test seam reads: %v", unread)
+			}
+		})
+	}
+}
+
+// daemonFamilies boots the daemon with args on top of a fast-ticking,
+// probing base, waits until every family in want is on /metrics, and
+// returns that /metrics snapshot.
+func daemonFamilies(t *testing.T, want []string, args ...string) map[string]any {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	cfg, err := parseFlags([]string{"-listen", addr, "-ases", "400", "-eval", "100ms", "-min-round", "40",
-		"-probe-interval", "100ms", "-bundle-dir", t.TempDir(), "-log-level", "error"}, io.Discard)
+	cfg, err := parseFlags(append([]string{"-listen", addr, "-ases", "400", "-eval", "100ms", "-min-round", "40",
+		"-probe-interval", "100ms", "-bundle-dir", t.TempDir(), "-log-level", "error"}, args...), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +107,115 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 			}
 		}
 		if len(missing) == 0 {
-			return
+			return snap
 		}
 	}
 	t.Fatalf("families named by the watchdog or /dash but never registered: %v (of %v)", missing, want)
+	return nil
+}
+
+// testSeams are the families a test reads as its instrument, not as its
+// subject: family → the package directory and test function whose body
+// names it. A test whose only subject is the family's own registration
+// or counting is not a reader, so it earns no entry here.
+var testSeams = map[string]struct{ dir, fn string }{
+	// The recovery test counts control ticks on it, so it can wait out
+	// ticks without sleeping a guessed interval.
+	"stream_evals_total": {"internal/stream", "TestDegradedRecoveryHook"},
+	// The re-measurement test checks through it that the spare
+	// configuration was deployed on a hint, not a split.
+	"stream_remeasure_total": {"internal/stream", "TestRemeasureHints"},
+}
+
+// unreadFamilies are registered with no reader and kept only until the
+// change that deletes their registration: the bench drives the honeypot
+// through Honeypot.SetMetrics, so its families go with HoneypotConfig
+// (ROADMAP item 8).
+var unreadFamilies = []string{"amp_honeypot_bytes_total", "amp_honeypot_packets_total", "amp_honeypot_requests_total"}
+
+// familyReaders is the set of families something reads: the watched
+// families (rules, bundles, /dash panels), every string literal in the
+// bench's non-test source, each testSeams entry whose test function's
+// body names the family, and unreadFamilies. It fails on a seam whose
+// test does not name its family.
+func familyReaders(t *testing.T, watched []string) map[string]bool {
+	t.Helper()
+	readers := map[string]bool{}
+	for _, fam := range watched {
+		readers[fam] = true
+	}
+	files, err := filepath.Glob("../../bench/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("bench sources: %v (%d files)", err, len(files))
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, lit := range stringLiterals(t, parseGo(t, path)) {
+			readers[lit] = true
+		}
+	}
+	for fam, seam := range testSeams {
+		fn := testFunc(t, "../../"+seam.dir, seam.fn)
+		if fn == nil {
+			t.Errorf("test seam %s: no func %s in %s", fam, seam.fn, seam.dir)
+			continue
+		}
+		if !slices.Contains(stringLiterals(t, fn.Body), fam) {
+			t.Errorf("test seam %s: %s in %s does not name it", fam, seam.fn, seam.dir)
+			continue
+		}
+		readers[fam] = true
+	}
+	for _, fam := range unreadFamilies {
+		readers[fam] = true
+	}
+	return readers
+}
+
+// testFunc returns the declaration of the top-level func name in dir's
+// _test.go files, or nil.
+func testFunc(t *testing.T, dir, name string) *ast.FuncDecl {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		for _, d := range parseGo(t, path).Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
+				return fd
+			}
+		}
+	}
+	return nil
+}
+
+func parseGo(t *testing.T, path string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// stringLiterals lists the string literals under root, unquoted.
+func stringLiterals(t *testing.T, root ast.Node) []string {
+	t.Helper()
+	var lits []string
+	ast.Inspect(root, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			s, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatalf("unquote %s: %v", lit.Value, err)
+			}
+			lits = append(lits, s)
+		}
+		return true
+	})
+	return lits
 }
 
 // metricsSnapshot fetches and decodes /metrics, reporting false until the

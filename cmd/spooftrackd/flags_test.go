@@ -156,7 +156,7 @@ func TestTopoFileReproducesWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tracker, _, err := offline(cfg.world, metrics.NewRegistry())
+		tracker, _, err := offline(cfg.world)
 		if err != nil {
 			t.Fatalf("%s: %v", strings.Join(args, " "), err)
 		}

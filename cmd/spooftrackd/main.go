@@ -144,7 +144,7 @@ func run(ctx context.Context, cfg config) error {
 	slog.SetDefault(cfg.logger)
 	obs, stopObs := startObservability(cfg)
 	defer stopObs()
-	tracker, led, err := offline(cfg.world, obs.reg)
+	tracker, led, err := offline(cfg.world)
 	if err != nil {
 		return err
 	}
@@ -269,7 +269,6 @@ func run(ctx context.Context, cfg config) error {
 // and returns the function that stops the history scraper.
 func startObservability(cfg config) (observability, func()) {
 	o := observability{reg: metrics.NewRegistry()}
-	registerRuntimeGauges(o.reg)
 	o.tracer = trace.New(cfg.trace)
 	trace.SetGlobal(o.tracer)
 	o.db = tsdb.New(tsdb.Options{Registry: o.reg})
@@ -290,7 +289,7 @@ func (o observability) shedQuiet() bool {
 // offline is the offline phase: world + campaign + measured catchments.
 // UseTruth keeps startup interactive; a real deployment measures
 // instead.
-func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *provenance.Ledger, error) {
+func offline(c worldConfig) (*spooftrack.Tracker, *provenance.Ledger, error) {
 	params := spooftrack.DefaultTrackerParams(c.seed)
 	tp := spooftrack.DefaultGenParams(c.seed)
 	tp.NumASes = c.ases
@@ -305,7 +304,6 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 	}
 	params.World.MaxPoisonTargets = c.poison
 	params.UseTruth = true
-	params.Metrics = reg
 	params.FaultProfile = c.faultProfile
 	params.FaultSeed = c.faultSeed
 	params.Retry = spooftrack.DefaultRetryPolicy()
@@ -316,7 +314,6 @@ func offline(c worldConfig, reg *metrics.Registry) (*spooftrack.Tracker, *proven
 	var led *provenance.Ledger
 	if c.ledger {
 		led = spooftrack.NewProvenanceLedger()
-		led.Instrument(reg)
 	}
 	params.Ledger = led
 	if c.faultProfile != "" {

@@ -204,7 +204,10 @@ func TestEveryModeLocalizes(t *testing.T) {
 
 // TestStatusPerMode pins what /status says where: the single node's
 // keys are a contract with its consumers, and a shard reports its
-// intake and nothing that reads like a verdict.
+// intake and nothing that reads like a verdict. /cluster's keys are the
+// same contract in both placements that decide over shards: it is the
+// only operator view of the shard tier (epoch, term, rounds, deferred
+// and discarded rounds, members).
 func TestStatusPerMode(t *testing.T) {
 	attr := plantedAttr()
 	_, single := modeSurface(t, attr)
@@ -227,6 +230,23 @@ func TestStatusPerMode(t *testing.T) {
 	}
 	if res, _ := get(t, shard, "/evidence"); res.StatusCode != http.StatusNotFound {
 		t.Errorf("shard /evidence: status %d, want 404 (a shard has no verdict)", res.StatusCode)
+	}
+
+	srv := httptest.NewServer(shard)
+	t.Cleanup(srv.Close)
+	clusterKeys := []string{
+		"candidates", "converged", "current_config", "deferred_rounds", "degraded", "deployed_configs",
+		"discarded_rounds", "epoch", "leader", "leading", "members", "num_clusters", "rounds", "term",
+	}
+	for mode, args := range map[string][]string{
+		"-shards 2":   {"-shards", "2"},
+		"-controller": {"-controller", "s0=" + srv.URL, "-controller-id", "c0"},
+	} {
+		_, mux := modeSurface(t, attr, args...)
+		res, body := get(t, mux, "/cluster")
+		if got := jsonKeys(t, body); res.StatusCode != http.StatusOK || !reflect.DeepEqual(got, clusterKeys) {
+			t.Errorf("%s /cluster: status %d keys %v, want %v", mode, res.StatusCode, got, clusterKeys)
+		}
 	}
 }
 

@@ -85,7 +85,6 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 			Blocked:         w.pipe.Blocked,
 			Remeasure:       w.pipe.Remeasure,
 			Ledger:          w.pipe.Ledger,
-			Metrics:         w.pipe.Metrics,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -260,7 +259,6 @@ func newController(ctx context.Context, pc placeConfig, w wiring, decide stream.
 		Blocked:         w.pipe.Blocked,
 		Remeasure:       w.pipe.Remeasure,
 		Ledger:          w.pipe.Ledger,
-		Metrics:         w.pipe.Metrics,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)

@@ -223,18 +223,3 @@ func TestDashServesSelfContainedPage(t *testing.T) {
 		}
 	}
 }
-
-func TestRuntimeGauges(t *testing.T) {
-	reg := metrics.NewRegistry()
-	registerRuntimeGauges(reg)
-	snap := reg.Snapshot()
-	if g, ok := snap["go_goroutines"].(float64); !ok || g < 1 {
-		t.Fatalf("go_goroutines = %v", snap["go_goroutines"])
-	}
-	if g, ok := snap["go_heap_alloc_bytes"].(float64); !ok || g <= 0 {
-		t.Fatalf("go_heap_alloc_bytes = %v", snap["go_heap_alloc_bytes"])
-	}
-	if _, ok := snap["go_gc_pause_seconds_total"].(float64); !ok {
-		t.Fatalf("go_gc_pause_seconds_total = %v", snap["go_gc_pause_seconds_total"])
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sync"
 
+	"spooftrack/internal/metrics"
 	"spooftrack/internal/trace"
 )
 
@@ -31,9 +32,9 @@ type Border struct {
 	filter func(*Packet) bool
 	// filtered counts packets dropped by the filter.
 	filtered int64
-	// metrics, when set, receives labeled per-outcome and per-link
-	// counters for every packet.
-	metrics *borderMetrics
+	// packets, when set, counts every packet by outcome
+	// (amp_border_packets_total{outcome}).
+	packets *metrics.CounterVec
 }
 
 // NewBorder starts a border router on addr forwarding to the honeypot
@@ -136,10 +137,10 @@ func (b *Border) serve() {
 		}
 		if err := pkt.decode(buf[:n]); err != nil || pkt.Type != TypeRequest {
 			b.mu.Lock()
-			m := b.metrics
+			m := b.packets
 			b.mu.Unlock()
 			if m != nil {
-				m.packets.With("malformed").Inc()
+				m.With("malformed").Inc()
 			}
 			continue
 		}
@@ -149,11 +150,11 @@ func (b *Border) serve() {
 			b.dropped++
 		}
 		filter := b.filter
-		m := b.metrics
+		m := b.packets
 		b.mu.Unlock()
 		if !ok {
 			if m != nil {
-				m.packets.With("dropped").Inc()
+				m.With("dropped").Inc()
 			}
 			sp.Count("dropped", 1)
 			continue
@@ -163,15 +164,14 @@ func (b *Border) serve() {
 			b.filtered++
 			b.mu.Unlock()
 			if m != nil {
-				m.packets.With("filtered").Inc()
+				m.With("filtered").Inc()
 			}
 			sp.Count("filtered", 1)
 			continue
 		}
 		pkt.IngressLink = link
 		if m != nil {
-			m.packets.With("forwarded").Inc()
-			m.linkPkts.With(linkLabels[link]).Inc()
+			m.With("forwarded").Inc()
 		}
 		sp.Count("forwarded", 1)
 		if out, err = pkt.AppendMarshal(out[:0]); err == nil {

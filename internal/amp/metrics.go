@@ -47,29 +47,16 @@ func (h *Honeypot) SetMetrics(reg *metrics.Registry) {
 	h.mu.Unlock()
 }
 
-// borderMetrics is the border router's labeled instrumentation.
-type borderMetrics struct {
-	packets  *metrics.CounterVec // amp_border_packets_total{outcome}
-	linkPkts *metrics.CounterVec // amp_border_link_forwarded_total{link}
-}
-
-func newBorderMetrics(reg *metrics.Registry) *borderMetrics {
-	return &borderMetrics{
-		packets:  reg.CounterVec("amp_border_packets_total", "outcome"),
-		linkPkts: reg.CounterVec("amp_border_link_forwarded_total", "link"),
-	}
-}
-
 // SetMetrics wires the border's packet accounting into a metrics
-// registry: amp_border_packets_total{outcome} (forwarded, dropped,
-// filtered, malformed) and per-link forwarded counters. The watchdog's
-// drop-rate SLO reads the dropped series. Nil detaches.
+// registry as amp_border_packets_total{outcome} (forwarded, dropped,
+// filtered, malformed). The watchdog's drop-rate SLOs read it. Nil
+// detaches.
 func (b *Border) SetMetrics(reg *metrics.Registry) {
-	var m *borderMetrics
+	var m *metrics.CounterVec
 	if reg != nil {
-		m = newBorderMetrics(reg)
+		m = reg.CounterVec("amp_border_packets_total", "outcome")
 	}
 	b.mu.Lock()
-	b.metrics = m
+	b.packets = m
 	b.mu.Unlock()
 }

@@ -50,11 +50,8 @@ type CampaignOptions struct {
 	// measurement stop between configurations and RunCampaign returns
 	// the context's error. Nil means run to completion.
 	Ctx context.Context
-	// Metrics, if non-nil, receives per-phase campaign instrumentation:
-	// core_campaign_phase_seconds{phase="deploy"|"measure"} wall-clock
-	// histograms, core_campaign_configs_total{phase} counters, plus
-	// core_campaign_retries_total{phase} and
-	// core_campaign_incomplete_configs_total under faults.
+	// Metrics, if non-nil, receives the campaign's per-phase wall-clock
+	// histograms, core_campaign_phase_seconds{phase="deploy"|"measure"}.
 	Metrics *metrics.Registry
 	// Retry controls per-configuration retry of faulted deployment and
 	// measurement attempts (exponential backoff + deterministic jitter,
@@ -157,14 +154,9 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 	}
 
 	var phaseH *metrics.HistogramVec
-	var cfgC, retryC *metrics.CounterVec
-	var incompleteC *metrics.Counter
 	if opts.Metrics != nil {
 		phaseH = opts.Metrics.HistogramVec("core_campaign_phase_seconds",
 			[]string{"phase"}, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60, 600)
-		cfgC = opts.Metrics.CounterVec("core_campaign_configs_total", "phase")
-		retryC = opts.Metrics.CounterVec("core_campaign_retries_total", "phase")
-		incompleteC = opts.Metrics.Counter("core_campaign_incomplete_configs_total")
 	}
 	retry := opts.Retry
 	led := opts.Ledger
@@ -235,9 +227,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				}
 				break
 			}
-			if retryC != nil {
-				retryC.With("deploy").Inc()
-			}
 			led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "deploy", Attempt: attempt, Error: err.Error()})
 			if serr := sleepCtx(ctx, retry.Backoff(i, attempt)); serr != nil {
 				err = serr
@@ -276,9 +265,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				// config's catchment row stays all-unknown and the simulated
 				// clock does not advance for it (nothing was deployed).
 				c.Incomplete = append(c.Incomplete, i)
-				if incompleteC != nil {
-					incompleteC.Inc()
-				}
 				led.RecordDegrade(provenance.DegradeEvent{Config: i, Phase: "deploy", Error: err.Error()})
 				continue
 			}
@@ -291,7 +277,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 	}
 	if phaseH != nil {
 		phaseH.With("deploy").Observe(time.Since(deployStart).Seconds())
-		cfgC.With("deploy").Add(int64(len(plan)))
 	}
 
 	if !opts.UseTruth {
@@ -333,9 +318,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 					if err = opts.MeasureFault.Measure(i, attempt); err != nil {
 						if attempt+1 >= retry.attempts() {
 							break
-						}
-						if retryC != nil {
-							retryC.With("measure").Inc()
 						}
 						led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "measure", Attempt: attempt, Error: err.Error()})
 						if serr := sleepCtx(ctx, retry.Backoff(i, attempt)); serr != nil {
@@ -389,15 +371,11 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		for i, l := range lost {
 			if l && !c.IsIncomplete(i) {
 				c.Incomplete = append(c.Incomplete, i)
-				if incompleteC != nil {
-					incompleteC.Inc()
-				}
 			}
 		}
 		sort.Ints(c.Incomplete)
 		if phaseH != nil {
 			phaseH.With("measure").Observe(time.Since(measureStart).Seconds())
-			cfgC.With("measure").Add(int64(len(plan)))
 		}
 	} else if opts.Progress != nil {
 		opts.Progress(len(plan), len(plan))

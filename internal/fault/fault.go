@@ -34,7 +34,6 @@ import (
 	"spooftrack/internal/amp"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/measure"
-	"spooftrack/internal/metrics"
 )
 
 // Kind enumerates the injectable fault classes. roll mixes the kind's
@@ -81,8 +80,8 @@ const (
 	numKinds
 )
 
-// kindNames names each kind as used in metrics labels and /faults
-// output; the unassigned numbers have no name and are skipped there.
+// kindNames names each kind as used in /faults output; the unassigned
+// numbers have no name and are skipped there.
 var kindNames = [numKinds]string{
 	KindDeployFail:  "deploy_fail",
 	KindMeasureFail: "measure_fail",
@@ -95,7 +94,7 @@ var kindNames = [numKinds]string{
 	KindSplitBrain:  "split_brain",
 }
 
-// String names the kind as used in metrics labels and /faults output.
+// String names the kind as used in /faults output.
 func (k Kind) String() string {
 	if k >= 0 && k < numKinds && kindNames[k] != "" {
 		return kindNames[k]
@@ -104,16 +103,14 @@ func (k Kind) String() string {
 }
 
 // Injector injects the faults described by a Profile. All methods are
-// safe for concurrent use; injection counts are kept per kind and
-// optionally mirrored into a metrics registry (Instrument).
+// safe for concurrent use; injection counts are kept per kind (Stats).
 type Injector struct {
 	profile  Profile
 	seed     uint64
 	numLinks int
 
-	counts   [numKinds]atomic.Int64
-	counters atomic.Pointer[[numKinds]*metrics.Counter]
-	tapSeq   atomic.Uint64
+	counts [numKinds]atomic.Int64
+	tapSeq atomic.Uint64
 
 	// sleep is replaceable in tests so latency profiles don't slow the
 	// suite down.
@@ -145,28 +142,7 @@ func (inj *Injector) roll(kind Kind, key string, salt uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-func (inj *Injector) count(k Kind) {
-	inj.counts[k].Add(1)
-	if cs := inj.counters.Load(); cs != nil {
-		cs[k].Inc()
-	}
-}
-
-// Instrument mirrors injection counts into the registry as
-// fault_injected_total{kind=...}. Call once, before injection starts.
-func (inj *Injector) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	vec := reg.CounterVec("fault_injected_total", "kind")
-	var cs [numKinds]*metrics.Counter
-	for k, name := range kindNames {
-		if name != "" {
-			cs[k] = vec.With(name)
-		}
-	}
-	inj.counters.Store(&cs)
-}
+func (inj *Injector) count(k Kind) { inj.counts[k].Add(1) }
 
 // Deploy implements the platform's deployment fault hook: it injects
 // convergence latency, rolls per-link flaps, and decides whether this

@@ -8,7 +8,6 @@ import (
 	"spooftrack/internal/amp"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/measure"
-	"spooftrack/internal/metrics"
 )
 
 func TestDeployDeterministicAcrossInjectors(t *testing.T) {
@@ -229,24 +228,14 @@ func TestProfileRegistry(t *testing.T) {
 	}
 }
 
-func TestInstrumentAndStats(t *testing.T) {
-	reg := metrics.NewRegistry()
+func TestStatsCountsInjections(t *testing.T) {
 	inj := New(Profile{Name: "t", PrDeployFail: 1}, 1, 2)
-	inj.Instrument(reg)
 	if _, err := inj.Deploy("k", 0); err == nil {
 		t.Fatal("PrDeployFail=1 must fail")
 	}
 	st := inj.Stats()
 	if st.Counts["deploy_fail"] != 1 {
 		t.Fatalf("stats = %+v", st.Counts)
-	}
-	snap := reg.Snapshot()
-	vec, ok := snap["fault_injected_total"].(map[string]any)
-	if !ok {
-		t.Fatalf("fault_injected_total not in registry snapshot: %+v", snap)
-	}
-	if v, _ := vec["kind=deploy_fail"].(int64); v != 1 {
-		t.Fatalf("fault_injected_total{kind=deploy_fail} = %v, want 1", vec)
 	}
 }
 

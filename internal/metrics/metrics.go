@@ -32,7 +32,8 @@ func (c *Counter) Inc() { c.n.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// Gauge is an instantaneous float64 value.
+// Gauge is an instantaneous float64 value: a GaugeVec child. A scalar
+// gauge is registered as a GaugeFunc over the state it reads.
 type Gauge struct {
 	bits atomic.Uint64
 }
@@ -223,7 +224,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Registry names and exports a set of metrics. The zero value is not
 // usable; call NewRegistry. All methods are safe for concurrent use;
-// Counter/Gauge/Histogram lookups are get-or-create and cheap enough
+// Counter/Histogram/vector lookups are get-or-create and cheap enough
 // to call once at setup, not per event.
 type Registry struct {
 	mu    sync.RWMutex
@@ -241,11 +242,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return register(r, name, func() *Counter { return &Counter{} })
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return register(r, name, func() *Gauge { return &Gauge{} })
-}
-
 // Histogram returns the named histogram, creating it with the bounds on
 // first use (bounds are ignored on later lookups).
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
@@ -253,8 +249,8 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 }
 
 // GaugeFunc is a gauge whose value is computed on demand — for state
-// owned elsewhere (cache sizes, pool depths) that would be stale as a
-// stored Gauge. fn must be safe for concurrent use.
+// owned elsewhere (coverage, a degraded flag), so it is never stale.
+// fn must be safe for concurrent use.
 type GaugeFunc struct {
 	fn func() float64
 }
@@ -312,8 +308,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for name, v := range vars {
 		switch m := v.(type) {
 		case *Counter:
-			out[name] = m.Value()
-		case *Gauge:
 			out[name] = m.Value()
 		case *GaugeFunc:
 			out[name] = m.Value()

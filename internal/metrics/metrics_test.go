@@ -36,7 +36,7 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestGauge(t *testing.T) {
-	g := NewRegistry().Gauge("depth")
+	var g Gauge
 	g.Set(3.5)
 	if got := g.Value(); got != 3.5 {
 		t.Fatalf("gauge = %v, want 3.5", got)
@@ -45,6 +45,15 @@ func TestGauge(t *testing.T) {
 	if got := g.Value(); got != -1 {
 		t.Fatalf("gauge = %v, want -1", got)
 	}
+}
+
+// settableGauge registers a gauge the test sets by hand: shipped code
+// registers scalar gauges as GaugeFunc over the state they read, so a
+// fixture does the same over a Gauge.
+func settableGauge(r *Registry, name string) *Gauge {
+	g := &Gauge{}
+	r.GaugeFunc(name, g.Value)
+	return g
 }
 
 func TestHistogram(t *testing.T) {
@@ -105,7 +114,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestWriteJSONAndHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ingested").Add(42)
-	r.Gauge("queue_depth").Set(7)
+	settableGauge(r, "queue_depth").Set(7)
 	r.Histogram("flush_size", 1, 10, 100).Observe(5)
 
 	defer func(orig func() time.Time) { timeNow = orig }(timeNow)

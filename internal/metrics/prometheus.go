@@ -15,7 +15,7 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus emits every metric in the registry in Prometheus text
 // exposition format, in registration order. Scalars map directly
-// (Counter -> counter, Gauge/GaugeFunc -> gauge); histograms emit the
+// (Counter -> counter, GaugeFunc -> gauge); histograms emit the
 // conventional cumulative _bucket series (one per bound plus le="+Inf",
 // which always equals _count) and _sum/_count; vectors emit one series
 // per child with its label set. Metric and label names are sanitized to
@@ -36,8 +36,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch m := vars[name].(type) {
 		case *Counter:
 			err = writeScalar(w, pname, "counter", nil, nil, float64(m.Value()))
-		case *Gauge:
-			err = writeScalar(w, pname, "gauge", nil, nil, m.Value())
 		case *GaugeFunc:
 			err = writeScalar(w, pname, "gauge", nil, nil, m.Value())
 		case *Histogram:

@@ -23,7 +23,7 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("events_total").Add(42)
 	r.Counter("weird.name/with-chars").Add(1) // sanitized
-	r.Gauge("queue_depth").Set(7.5)
+	settableGauge(r, "queue_depth").Set(7.5)
 	r.GaugeFunc("computed", func() float64 { return 3 })
 	h := r.Histogram("flush_seconds", 0.01, 0.1, 1)
 	h.Observe(0.005)

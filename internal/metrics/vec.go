@@ -9,7 +9,7 @@ import (
 
 // A metric vector is a family of child metrics sharing one name and one
 // ordered set of label names, keyed by label values — the dimensional
-// model Prometheus scrapes ("stream_link_packets_total{link="3"}").
+// model Prometheus scrapes ("probe_sent_total{link="3"}").
 // Lookups on the observe path are lock-free: the children live in a
 // read-mostly map behind an atomic pointer, and With builds its lookup
 // key in a stack buffer, so resolving an already-seen label set costs a
@@ -34,9 +34,10 @@ type vec[M any] struct {
 	ptr    atomic.Pointer[map[string]*vecChild[M]]
 	// hot caches the most recently resolved single-label child. Observe
 	// paths are usually monotone in their label (a flood arrives on one
-	// link; a worker owns one shard), so checking the cached child's
-	// value — a pointer-equal string compare when the caller passes the
-	// same string each time — skips the map hash entirely. Stale or
+	// link; most border packets share one outcome), so checking the
+	// cached child's value — a pointer-equal string compare when the
+	// caller passes the same string each time — skips the map hash
+	// entirely. Stale or
 	// thrashing caches only cost the compare; the map remains the truth.
 	hot atomic.Pointer[vecChild[M]]
 	mu  sync.Mutex // guards copy-on-write inserts

@@ -297,14 +297,8 @@ func TestInstrumentationAndStatus(t *testing.T) {
 	if total != st.Sent {
 		t.Fatalf("probe_sent_total sums to %d, status says %d", total, st.Sent)
 	}
-	if hs, ok := snap["probe_scan_seconds"].(metrics.HistogramSnapshot); !ok || hs.Count != 2 {
-		t.Fatalf("probe_scan_seconds = %+v, want 2 observations", snap["probe_scan_seconds"])
-	}
 	if cov, ok := snap["probe_coverage"].(float64); !ok || cov != p.Coverage() {
 		t.Fatalf("probe_coverage gauge = %v, want %v", snap["probe_coverage"], p.Coverage())
-	}
-	if _, ok := snap["probe_sav_verdicts_total"].(map[string]any); !ok {
-		t.Fatal("probe_sav_verdicts_total missing from snapshot")
 	}
 }
 

@@ -63,10 +63,8 @@ type Prober struct {
 		sent, lost, answered, discarded, skipped int64
 	}
 
-	sentVec    *metrics.CounterVec
-	lostVec    *metrics.CounterVec
-	verdictVec *metrics.CounterVec
-	scanHist   *metrics.Histogram
+	sentVec *metrics.CounterVec
+	lostVec *metrics.CounterVec
 }
 
 // RoundReport summarizes one probe round.
@@ -124,19 +122,15 @@ func NewProber(cfg Config) (*Prober, error) {
 	}, nil
 }
 
-// Instrument registers the prober's metrics:
+// Instrument registers the prober's metrics, the three the daemon's
+// probe SLO rules read:
 //
-//	probe_sent_total{link}         probes emitted per ingress link
-//	probe_lost_total{link}         probes lost in flight per link
-//	probe_sav_verdicts_total{verdict}  outbound verdicts emitted per scan
-//	probe_scan_seconds             scan-duration histogram
-//	probe_coverage                 fraction of targets with a control answer
+//	probe_sent_total{link}  probes emitted per ingress link
+//	probe_lost_total{link}  probes lost in flight per link
+//	probe_coverage          fraction of targets with a control answer
 func (p *Prober) Instrument(reg *metrics.Registry) {
 	p.sentVec = reg.CounterVec("probe_sent_total", "link")
 	p.lostVec = reg.CounterVec("probe_lost_total", "link")
-	p.verdictVec = reg.CounterVec("probe_sav_verdicts_total", "verdict")
-	p.scanHist = reg.Histogram("probe_scan_seconds",
-		0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 30)
 	reg.GaugeFunc("probe_coverage", p.Coverage)
 }
 
@@ -183,10 +177,6 @@ func (p *Prober) Round(parent *trace.Span) RoundReport {
 	p.tally.answered += int64(rep.Answered)
 	p.tally.discarded += int64(rep.Discarded)
 	p.tally.skipped += int64(rep.Skipped)
-	if p.scanHist != nil {
-		p.scanHist.Observe(rep.Duration.Seconds())
-	}
-	p.emitVerdictsLocked(rep)
 
 	sp.Count("visited", int64(rep.Visited))
 	sp.Count("sent", int64(rep.Sent))
@@ -240,27 +230,6 @@ func (p *Prober) visit(target int, link bgp.LinkID, rep *RoundReport) {
 				rep.Discarded++
 			}
 		}
-	}
-}
-
-// emitVerdictsLocked counts each probed target's current outbound
-// verdict into the verdict counter — one observation per target per
-// round, so the counter's rate tracks scan throughput and its label
-// split tracks the verdict mix.
-func (p *Prober) emitVerdictsLocked(rep RoundReport) {
-	if p.verdictVec == nil {
-		return
-	}
-	counts := map[SAVState]int64{}
-	for _, idx := range sched.RotationWindow(len(p.targets), p.cfg.Budget, rep.Round-1) {
-		target := p.targets[idx]
-		if !p.inf.Probed(target) {
-			continue
-		}
-		counts[p.inf.Report(target).Outbound]++
-	}
-	for st, n := range counts {
-		p.verdictVec.With(st.String()).Add(n)
 	}
 }
 

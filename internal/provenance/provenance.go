@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/sched"
 )
 
@@ -273,13 +272,9 @@ type Options struct {
 type Ledger struct {
 	now func() time.Time
 
-	// mu guards events, whose index is the sequence number less one, and
-	// kindC, which mirrors appends into a labeled counter family once
-	// Instrument attaches one (provenance_events_total{kind}).
+	// mu guards events, whose index is the sequence number less one.
 	mu     sync.Mutex
 	events []Event
-	kindC  map[Kind]*metrics.Counter
-	vec    *metrics.CounterVec
 }
 
 // New builds an enabled ledger. To run with provenance off, keep a nil
@@ -302,15 +297,7 @@ func (l *Ledger) append(ev Event) {
 	ev.Seq = uint64(len(l.events)) + 1
 	ev.Wall = l.now()
 	l.events = append(l.events, ev)
-	c := l.kindC[ev.Kind]
-	if c == nil && l.vec != nil {
-		c = l.vec.With(string(ev.Kind))
-		l.kindC[ev.Kind] = c
-	}
 	l.mu.Unlock()
-	if c != nil {
-		c.Inc()
-	}
 }
 
 // RecordMeta appends a component meta event.
@@ -424,32 +411,4 @@ func (l *Ledger) RecordFailover(f FailoverEvent) {
 		return
 	}
 	l.append(Event{Kind: KindFailover, Failover: &f})
-}
-
-// Len returns the number of recorded events.
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
-// Instrument mirrors appends into reg as
-// provenance_events_total{kind=...} and exposes the ledger size as the
-// provenance_ledger_events gauge. Events recorded before Instrument are
-// not replayed into the counters.
-func (l *Ledger) Instrument(reg *metrics.Registry) {
-	if l == nil || reg == nil {
-		return
-	}
-	vec := reg.CounterVec("provenance_events_total", "kind")
-	l.mu.Lock()
-	l.vec = vec
-	l.kindC = make(map[Kind]*metrics.Counter)
-	l.mu.Unlock()
-	reg.GaugeFunc("provenance_ledger_events", func() float64 {
-		return float64(l.Len())
-	})
 }

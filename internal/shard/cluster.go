@@ -9,7 +9,6 @@ import (
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/fault"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 )
@@ -33,22 +32,18 @@ type ClusterConfig struct {
 	// Injector drives event drops, RPC partitions, shard crashes, and
 	// split-brain lease flaps. Nil = fault-free.
 	Injector *fault.Injector
-	// Retry / EvictAfter / DrainAfter / LeaseTTL pass through to the
-	// controllers.
+	// Retry / EvictAfter / DrainAfter pass through to the controllers.
 	Retry      RetryPolicy
 	EvictAfter int
 	DrainAfter int
-	LeaseTTL   time.Duration
 	// Ready supplies a per-shard readiness gate (nil = always ready).
 	Ready func(id string) func() bool
 	// Blocked / Remeasure pass through to the controllers (quarantine
 	// mask, probe-conflict re-measurement hints).
 	Blocked   func() []bool
 	Remeasure func() []int
-	// Ledger / Metrics wire the active controller's provenance and
-	// instrumentation.
-	Ledger  *provenance.Ledger
-	Metrics *metrics.Registry
+	// Ledger records the active controller's provenance.
+	Ledger *provenance.Ledger
 }
 
 // Cluster wires nodes, transport, lease, and controllers together and
@@ -131,14 +126,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Members:         c.order,
 			Transport:       c.transport,
 			Lease:           c.lease,
-			LeaseTTL:        cfg.LeaseTTL,
 			Retry:           cfg.Retry,
 			EvictAfter:      cfg.EvictAfter,
 			DrainAfter:      cfg.DrainAfter,
 			Blocked:         cfg.Blocked,
 			Remeasure:       cfg.Remeasure,
 			Ledger:          cfg.Ledger,
-			Metrics:         cfg.Metrics,
 			Sleep:           func(time.Duration) {}, // in-process: no real backoff sleeps
 		})
 		if err != nil {
@@ -300,12 +293,9 @@ func (c *Cluster) KillController() string {
 	idx := c.active
 	c.dead[idx] = true
 	c.mu.Unlock()
-	ttl := c.cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = 2 * time.Second
-	}
-	c.AdvanceClock(ttl + time.Second)
-	return c.ctrls[idx].cfg.ID
+	killed := c.ctrls[idx].cfg
+	c.AdvanceClock(killed.LeaseTTL + time.Second)
+	return killed.ID
 }
 
 // KillShard permanently crashes a shard node.

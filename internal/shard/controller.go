@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 )
@@ -48,8 +47,6 @@ type ControllerConfig struct {
 	// Ledger records rounds, reconfigurations, verdicts, membership and
 	// failover transitions. Nil is provenance-off.
 	Ledger *provenance.Ledger
-	// Metrics instruments the controller (nil = private registry).
-	Metrics *metrics.Registry
 	// Sleep overrides backoff sleeping (tests).
 	Sleep func(time.Duration)
 }
@@ -66,9 +63,6 @@ func (c *ControllerConfig) setDefaults() {
 	}
 	if c.DrainAfter <= 0 {
 		c.DrainAfter = 2
-	}
-	if c.Metrics == nil {
-		c.Metrics = metrics.NewRegistry()
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -135,18 +129,6 @@ type ClusterStatus struct {
 type Controller struct {
 	cfg ControllerConfig
 
-	mRounds    *metrics.Counter
-	mDeferred  *metrics.Counter
-	mDiscarded *metrics.Counter
-	mRetries   *metrics.Counter
-	mElections *metrics.Counter
-	mAbdicate  *metrics.Counter
-	mDrained   *metrics.Counter
-	mEvicted   *metrics.Counter
-	mMembers   *metrics.Gauge
-	mEpoch     *metrics.Gauge
-	mDegraded  *metrics.Gauge
-
 	mu        sync.Mutex
 	leading   bool
 	term      uint64
@@ -191,19 +173,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		notReady: make(map[string]int),
 		failed:   make(map[string]int),
 	}
-	reg := cfg.Metrics
-	ct.mRounds = reg.Counter("shard_rounds_total")
-	ct.mDeferred = reg.Counter("shard_rounds_deferred_total")
-	ct.mDiscarded = reg.Counter("shard_rounds_discarded_total")
-	ct.mRetries = reg.Counter("shard_rpc_retries_total")
-	ct.mElections = reg.Counter("shard_elections_total")
-	ct.mAbdicate = reg.Counter("shard_abdications_total")
-	ct.mDrained = reg.Counter("shard_drained_total")
-	ct.mEvicted = reg.Counter("shard_evicted_total")
-	ct.mMembers = reg.Gauge("shard_members")
-	ct.mEpoch = reg.Gauge("shard_epoch")
-	ct.mDegraded = reg.Gauge("shard_degraded")
-	ct.mMembers.Set(float64(len(members)))
 	return ct, nil
 }
 
@@ -261,7 +230,6 @@ func (ct *Controller) TryLead() error {
 	}
 	ct.term = lease.Term
 	ct.leading = true
-	ct.mElections.Inc()
 	led := ct.cfg.Ledger
 	led.RecordFailover(provenance.FailoverEvent{
 		Action: "elect", Leader: ct.cfg.ID, Term: ct.term, Epoch: ct.epoch,
@@ -304,7 +272,6 @@ func (ct *Controller) recoverLocked() {
 			// laggards (shards that missed the dead leader's last apply)
 			// up to the recovered epoch.
 			ct.broadcastLocked(ct.mkUpdateLocked())
-			ct.mEpoch.Set(float64(ct.epoch))
 			return
 		}
 		led.RecordFailover(provenance.FailoverEvent{
@@ -337,7 +304,6 @@ func (ct *Controller) adoptMembersLocked(members []string) {
 	sort.Strings(ms)
 	ct.members = ms
 	ct.ring = NewRing(ms)
-	ct.mMembers.Set(float64(len(ms)))
 }
 
 // abdicateLocked steps down after a refused renewal or a fencing error.
@@ -346,7 +312,6 @@ func (ct *Controller) abdicateLocked(reason string) {
 		return
 	}
 	ct.leading = false
-	ct.mAbdicate.Inc()
 	ct.cfg.Ledger.RecordFailover(provenance.FailoverEvent{
 		Action: "abdicate", Leader: ct.cfg.ID, Term: ct.term,
 		Epoch: ct.epoch, Reason: reason,
@@ -403,7 +368,6 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		// them. Only when a shard exhausts its failure budget is it
 		// evicted, and only then is the partial round discarded.
 		ct.deferred++
-		ct.mDeferred.Inc()
 		res.Deferred = true
 		evictedNow := false
 		for _, m := range failedNodes {
@@ -423,14 +387,11 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 			ct.degraded = true
 			ct.frozen = true
 			ct.discarded++
-			ct.mDiscarded.Inc()
-			ct.mDegraded.Set(1)
 			led.RecordDegrade(provenance.DegradeEvent{
 				Config: ct.eval.Current(), Phase: "shard-round",
 				Error: fmt.Sprintf("round discarded: evicted %v", failedNodes),
 			})
 			ct.epoch++
-			ct.mEpoch.Set(float64(ct.epoch))
 			ct.broadcastLocked(ct.mkUpdateLocked())
 			res.Discarded = true
 			res.Epoch = ct.epoch
@@ -462,7 +423,6 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		hints = ct.cfg.Remeasure()
 	}
 	out := ct.eval.StepRecorded(led, merged, final || ct.frozen, blocked, hints)
-	ct.mRounds.Inc()
 	res.Folded = true
 	res.Outcome = out
 
@@ -470,7 +430,6 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	// and deploys the (possibly new) configuration. A shard that misses
 	// the apply is re-applied at the next collect.
 	ct.epoch++
-	ct.mEpoch.Set(float64(ct.epoch))
 	ct.broadcastLocked(ct.mkUpdateLocked())
 	res.Epoch = ct.epoch
 
@@ -498,7 +457,6 @@ func (ct *Controller) retryLocked(op, m string, call func() error) error {
 	for attempt := 1; attempt <= rp.Attempts; attempt++ {
 		if attempt > 1 {
 			ct.cfg.Sleep(rp.Backoff(attempt - 1))
-			ct.mRetries.Inc()
 		}
 		if err = call(); err == nil || !Retryable(err) {
 			return err
@@ -576,7 +534,6 @@ func (ct *Controller) updateReadyLocked(ready map[string]bool) {
 func (ct *Controller) drainLocked(m string, reason string) {
 	ct.removeMemberLocked(m)
 	ct.drained = append(ct.drained, m)
-	ct.mDrained.Inc()
 	ct.cfg.Ledger.RecordMembership(provenance.MembershipEvent{
 		Node: m, Action: "drain", Epoch: ct.epoch, Term: ct.term, Reason: reason,
 	})
@@ -586,7 +543,6 @@ func (ct *Controller) drainLocked(m string, reason string) {
 func (ct *Controller) evictLocked(m string, reason string) {
 	ct.removeMemberLocked(m)
 	ct.evicted = append(ct.evicted, m)
-	ct.mEvicted.Inc()
 	ct.cfg.Ledger.RecordMembership(provenance.MembershipEvent{
 		Node: m, Action: "evict", Epoch: ct.epoch, Term: ct.term, Reason: reason,
 	})
@@ -603,7 +559,6 @@ func (ct *Controller) removeMemberLocked(m string) {
 	ct.ring = ct.ring.Without(m)
 	delete(ct.notReady, m)
 	delete(ct.failed, m)
-	ct.mMembers.Set(float64(len(kept)))
 }
 
 // Status snapshots the cluster for the daemon's /cluster endpoint.

@@ -16,7 +16,6 @@ import (
 // "stream.eval" span under parent; ticks that skip (too little volume)
 // emit nothing.
 func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
-	t0 := time.Now()
 	in := p.in
 	in.tick()
 
@@ -71,14 +70,7 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 		Candidates:  out.Candidates,
 	}
 	p.history = append(p.history, rec)
-	p.mRounds.Inc()
-	p.mClusters.Set(float64(out.Clusters))
-	p.mMeanSize.Set(out.MeanSize)
-	p.mCands.Set(float64(out.Candidates))
-	switch out.Reason {
-	case "split":
-		p.mReconfig.Inc()
-	case "remeasure":
+	if out.Reason == "remeasure" {
 		p.mRemeasure.Inc()
 	}
 
@@ -89,7 +81,6 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	if out.Deploy >= 0 {
 		in.deploy(out.Deploy)
 	}
-	p.hEval.Observe(time.Since(t0).Seconds())
 	if esp != nil {
 		esp.Count("round_packets", roundPackets)
 		esp.Count("clusters", int64(out.Clusters))

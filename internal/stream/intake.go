@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,6 @@ type Intake struct {
 	attr Attribution
 
 	shards    []shardQueue
-	slabLen   int
 	wg        sync.WaitGroup
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -56,23 +54,11 @@ type Intake struct {
 
 	// metrics (resolved once; hot-path friendly)
 	mEvents  *metrics.Counter
-	mBytes   *metrics.Counter
 	mDropped *metrics.Counter
 	mBatches *metrics.Counter
 	mSettle  *metrics.Counter
 	mEvals   *metrics.Counter
-	mQueue   *metrics.Gauge
-	mWater   *metrics.Gauge
-	hBatch   *metrics.Histogram
 	hLag     *metrics.Histogram
-
-	// labeled vectors: per-link children are resolved once at New into
-	// dense slices (the hot path indexes, never formats or hashes);
-	// per-shard children are resolved once per worker.
-	linkPktC      []*metrics.Counter
-	linkByteC     []*metrics.Counter
-	vShardEvents  *metrics.CounterVec
-	vShardBatches *metrics.CounterVec
 
 	// span is the root trace span (nil when tracing is off at
 	// construction); workers and the control goroutine hang their tracks
@@ -139,26 +125,11 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	in := &Intake{cfg: cfg, attr: attr, stop: make(chan struct{}), start: time.Now(), shed: cfg.Shed}
 	reg := cfg.Metrics
 	in.mEvents = reg.Counter("stream_events_total")
-	in.mBytes = reg.Counter("stream_bytes_total")
 	in.mDropped = reg.Counter("stream_dropped_total")
 	in.mBatches = reg.Counter("stream_batches_total")
 	in.mSettle = reg.Counter("stream_settle_excluded_total")
 	in.mEvals = reg.Counter("stream_evals_total")
-	in.mQueue = reg.Gauge("stream_queue_depth")
-	in.hBatch = reg.Histogram("stream_batch_events", 1, 4, 16, 64, 256, 1024, 4096)
 	in.hLag = reg.Histogram("stream_flush_lag_seconds", 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5)
-	in.mWater = reg.Gauge("stream_watermark_unix_s")
-	vLinkPkts := reg.CounterVec("stream_link_packets_total", "link")
-	vLinkBytes := reg.CounterVec("stream_link_bytes_total", "link")
-	in.vShardEvents = reg.CounterVec("stream_shard_events_total", "shard")
-	in.vShardBatches = reg.CounterVec("stream_shard_batches_total", "shard")
-	in.linkPktC = make([]*metrics.Counter, attr.NumLinks)
-	in.linkByteC = make([]*metrics.Counter, attr.NumLinks)
-	for l := 0; l < attr.NumLinks; l++ {
-		lbl := strconv.Itoa(l)
-		in.linkPktC[l] = vLinkPkts.With(lbl)
-		in.linkByteC[l] = vLinkBytes.With(lbl)
-	}
 
 	in.span = trace.Start("stream.pipeline")
 	if in.span != nil {
@@ -218,7 +189,6 @@ func (q *shardQueue) init(size, count int) {
 func (in *Intake) run(tick func(parent *trace.Span)) {
 	in.deploy(in.attr.InitialConfig)
 	size, count := slabShape(in.cfg.QueueDepth, in.cfg.BatchSize)
-	in.slabLen = size
 	in.shards = make([]shardQueue, in.cfg.Workers)
 	for i := range in.shards {
 		in.shards[i].init(size, count)
@@ -256,9 +226,8 @@ func (in *Intake) tick() {
 	in.mEvals.Inc()
 	queued := 0
 	for i := range in.shards {
-		queued += len(in.shards[i].full) * in.slabLen
+		queued += len(in.shards[i].full)
 	}
-	in.mQueue.Set(float64(queued))
 	if d := in.droppedN.Load(); d != in.lastDropped {
 		in.lastDropped = d
 	} else if queued == 0 && in.degraded.Load() &&
@@ -441,11 +410,6 @@ type batch struct {
 	// is the shard's watermark.
 	first time.Time
 	last  time.Time
-	// shardEvents/shardBatches are the owning worker's pre-resolved
-	// per-shard vector children, bumped once per flush (nil in tests
-	// that build batches directly).
-	shardEvents  *metrics.Counter
-	shardBatches *metrics.Counter
 }
 
 func newBatch(links int) *batch {
@@ -476,9 +440,6 @@ func (in *Intake) worker(shard int, q *shardQueue) {
 	ticker := time.NewTicker(in.cfg.FlushInterval)
 	defer ticker.Stop()
 	b := newBatch(in.attr.NumLinks)
-	shardLbl := strconv.Itoa(shard)
-	b.shardEvents = in.vShardEvents.With(shardLbl)
-	b.shardBatches = in.vShardBatches.With(shardLbl)
 	for {
 		select {
 		case slab, ok := <-q.full:
@@ -577,32 +538,18 @@ func (in *Intake) flush(b *batch, wsp *trace.Span) {
 	in.mu.Unlock()
 
 	in.mEvents.Add(b.total)
-	in.mBytes.Add(b.totalB)
 	in.mSettle.Add(excluded)
 	in.mBatches.Inc()
-	for l, n := range b.pkts {
-		if n != 0 {
-			in.linkPktC[l].Add(n)
-			in.linkByteC[l].Add(b.bytes[l])
-		}
-	}
-	if b.shardEvents != nil {
-		b.shardEvents.Add(b.total)
-		b.shardBatches.Inc()
-	}
-	in.hBatch.Observe(float64(b.events))
 	// Stage lag is the age of the batch's oldest event at flush time; the
 	// watermark is the newest event time this shard has pushed downstream.
 	lag := time.Since(b.first)
-	watermark := float64(b.last.UnixNano()) / 1e9
 	in.hLag.Observe(lag.Seconds())
-	in.mWater.Set(watermark)
 	if fsp != nil {
 		fsp.Count("events", int64(b.events))
 		fsp.Count("excluded", excluded)
 		fsp.Set(
 			trace.Float("lag_s", lag.Seconds()),
-			trace.Float("watermark_unix_s", watermark),
+			trace.Float("watermark_unix_s", float64(b.last.UnixNano())/1e9),
 		)
 		fsp.End()
 	}

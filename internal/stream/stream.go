@@ -190,13 +190,7 @@ type Pipeline struct {
 	eval    *Evaluator
 	history []RoundRecord
 
-	mRounds    *metrics.Counter
-	mReconfig  *metrics.Counter
 	mRemeasure *metrics.Counter
-	mClusters  *metrics.Gauge
-	mCands     *metrics.Gauge
-	mMeanSize  *metrics.Gauge
-	hEval      *metrics.Histogram
 }
 
 // New validates the attribution input, deploys the initial
@@ -206,22 +200,12 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, reg := in.cfg, in.cfg.Metrics
+	cfg = in.cfg
 	p := &Pipeline{
 		in:         in,
 		eval:       NewEvaluator(attr, EvalParams{SplitThreshold: cfg.SplitThreshold}),
-		mRounds:    reg.Counter("stream_rounds_total"),
-		mReconfig:  reg.Counter("stream_reconfigs_total"),
-		mRemeasure: reg.Counter("stream_remeasure_total"),
-		mClusters:  reg.Gauge("stream_clusters"),
-		mCands:     reg.Gauge("stream_candidates"),
-		mMeanSize:  reg.Gauge("stream_mean_cluster_size"),
-		hEval:      reg.Histogram("stream_eval_seconds", 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1),
+		mRemeasure: cfg.Metrics.Counter("stream_remeasure_total"),
 	}
-	n := len(attr.Catchments[0])
-	p.mClusters.Set(1)
-	p.mCands.Set(float64(n))
-	p.mMeanSize.Set(float64(n))
 	p.eval.OpenLedger(cfg.Ledger)
 	in.run(func(parent *trace.Span) { p.evaluate(false, parent) })
 	return p, nil

@@ -14,7 +14,7 @@ func benchRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	reg.Counter("stream_events_total").Add(123456)
 	reg.Counter("stream_dropped_total").Add(17)
-	reg.Gauge("stream_queue_depth").Set(42)
+	settableGauge(reg, "stream_queue_depth").Set(42)
 	links := reg.CounterVec("probe_sent_total", "link")
 	for i := 0; i < 16; i++ {
 		links.With(fmt.Sprint(i)).Add(int64(1000 * (i + 1)))

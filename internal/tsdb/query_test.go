@@ -92,7 +92,7 @@ func TestIncreaseAndCounterReset(t *testing.T) {
 
 	// Counter reset: the drop restarts accumulation from zero.
 	reg2 := metrics.NewRegistry()
-	g := reg2.Gauge("restarting_total") // gauge lets the test force a drop
+	g := settableGauge(reg2, "restarting_total") // gauge lets the test force a drop
 	db2 := New(Options{Registry: reg2})
 	g.Set(1000)
 	db2.ScrapeOnce(t0)

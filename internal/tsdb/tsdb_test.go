@@ -12,10 +12,19 @@ import (
 
 var t0 = time.UnixMilli(1_700_000_000_000)
 
+// settableGauge registers a gauge the test sets by hand: shipped code
+// registers scalar gauges as GaugeFunc over the state they read, so a
+// fixture does the same over a metrics.Gauge.
+func settableGauge(reg *metrics.Registry, name string) *metrics.Gauge {
+	g := &metrics.Gauge{}
+	reg.GaugeFunc(name, g.Value)
+	return g
+}
+
 func TestScrapeFlattensRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("events_total")
-	g := reg.Gauge("depth")
+	g := settableGauge(reg, "depth")
 	reg.GaugeFunc("computed", func() float64 { return 7.5 })
 	vec := reg.CounterVec("packets_total", "outcome")
 	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1)

@@ -24,9 +24,18 @@ func history(reg *metrics.Registry) *tsdb.DB {
 	return tsdb.New(tsdb.Options{Registry: reg})
 }
 
+// settableGauge registers a gauge the test sets by hand: shipped code
+// registers scalar gauges as GaugeFunc over the state they read, so a
+// fixture does the same over a metrics.Gauge.
+func settableGauge(reg *metrics.Registry, name string) *metrics.Gauge {
+	g := &metrics.Gauge{}
+	reg.GaugeFunc(name, g.Value)
+	return g
+}
+
 func TestRuleForHysteresisAndRecovery(t *testing.T) {
 	reg := metrics.NewRegistry()
-	g := reg.Gauge("queue_depth")
+	g := settableGauge(reg, "queue_depth")
 	w := New(Config{
 		Registry: reg,
 		DB:       history(reg),
@@ -343,7 +352,7 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 func TestBundlePruning(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	g := reg.Gauge("x")
+	g := settableGauge(reg, "x")
 	w := New(Config{
 		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 2, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
@@ -390,7 +399,7 @@ func TestNewRequiresHistory(t *testing.T) {
 
 func TestStartStopTicker(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Gauge("x").Set(5)
+	settableGauge(reg, "x").Set(5)
 	w := New(Config{
 		Registry: reg, DB: history(reg), Interval: 5 * time.Millisecond, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},

@@ -163,7 +163,7 @@ func TestWindowedRateSmoothsSpikes(t *testing.T) {
 // must re-fire (with a fresh For streak) and recount in Breaches().
 func TestBreachRecoveryRebreach(t *testing.T) {
 	reg := metrics.NewRegistry()
-	g := reg.Gauge("queue_depth")
+	g := settableGauge(reg, "queue_depth")
 	w := New(Config{
 		Registry: reg,
 		DB:       history(reg),
@@ -211,7 +211,7 @@ func TestBreachRecoveryRebreach(t *testing.T) {
 func TestBundlePruningOrder(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	g := reg.Gauge("x")
+	g := settableGauge(reg, "x")
 	w := New(Config{
 		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 3, Logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
@@ -249,7 +249,7 @@ func TestBundleEmbedsHistory(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("events_total")
-	g := reg.Gauge("queue_depth")
+	g := settableGauge(reg, "queue_depth")
 	db := tsdb.New(tsdb.Options{Registry: reg})
 
 	start := time.Unix(400_000, 0)

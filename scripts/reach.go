@@ -1,11 +1,15 @@
 //go:build ignore
 
-// reach lists the non-test functions, methods and types under internal/
-// that nothing that ships reaches, so dead code cannot silently regrow.
+// reach lists the non-test functions, methods and types under internal/,
+// cmd/* and examples/* that nothing that ships reaches, so dead code
+// cannot silently regrow.
 //
-// Roots: every declaration of cmd/*, examples/*, bench/ and the root
-// package (its exported API), every init, and every package-level var or
-// const declaration. An edge is an identifier a live declaration uses
+// Roots: every declaration of bench/ and the root package (its exported
+// API), each command's and example's main, every init, and every
+// package-level var or const declaration. A command or an example is
+// rooted at main, not at every declaration it holds, so a helper in one
+// that main no longer reaches is a finding like one under internal/. An
+// edge is an identifier a live declaration uses
 // (signature and body), plus, for a live type, each method that
 // satisfies an interface: any method an interface outside the module
 // names (fmt.Stringer, sort.Interface, http.Handler — their callers are
@@ -111,10 +115,14 @@ func run() error {
 	decl := map[types.Object]ast.Node{}
 	name := map[types.Object]string{}
 	var roots []ast.Node
+	// checked holds the packages whose unreached declarations are
+	// findings: internal/ and the programs, which are rooted at main.
+	checked := map[string]bool{}
 	for _, path := range paths {
 		p := l.src[path]
-		whole := path == module || strings.HasPrefix(path, module+"/cmd/") ||
-			strings.HasPrefix(path, module+"/examples/") || path == module+"/bench"
+		whole := path == module || path == module+"/bench"
+		program := strings.HasPrefix(path, module+"/cmd/") || strings.HasPrefix(path, module+"/examples/")
+		checked[path] = program || strings.HasPrefix(path, module+"/internal/")
 		for _, file := range p.files {
 			if whole {
 				roots = append(roots, file)
@@ -122,7 +130,7 @@ func run() error {
 			for _, d := range file.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Recv == nil && d.Name.Name == "init" {
+					if d.Recv == nil && (d.Name.Name == "init" || program && d.Name.Name == "main") {
 						roots = append(roots, d)
 						continue
 					}
@@ -265,7 +273,7 @@ func run() error {
 	}
 	propagate()
 	for obj, n := range name {
-		if !live[obj] && strings.HasPrefix(n, module+"/internal/") {
+		if !live[obj] && checked[obj.Pkg().Path()] {
 			kind := "func"
 			if _, ok := obj.(*types.TypeName); ok {
 				kind = "type"

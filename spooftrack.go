@@ -34,7 +34,6 @@ import (
 	"spooftrack/internal/cluster"
 	"spooftrack/internal/core"
 	"spooftrack/internal/fault"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/peering"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/report"
@@ -154,9 +153,6 @@ type TrackerParams struct {
 	Progress func(done, total int)
 	// Ctx, if non-nil, cancels the campaign deployment early.
 	Ctx context.Context
-	// Metrics, if non-nil, receives campaign instrumentation (per-phase
-	// wall-clock histograms and configuration counters).
-	Metrics *metrics.Registry
 	// Retry governs per-configuration retry and backoff when campaign
 	// deployment or measurement fails transiently. The zero value means
 	// no retries (a single attempt, failures fatal) — the pre-fault
@@ -210,7 +206,6 @@ func NewTracker(p TrackerParams) (*Tracker, error) {
 		UseTruth: p.UseTruth,
 		Progress: p.Progress,
 		Ctx:      p.Ctx,
-		Metrics:  p.Metrics,
 		Retry:    p.Retry,
 		Ledger:   p.Ledger,
 	}
@@ -231,9 +226,6 @@ func NewTracker(p TrackerParams) (*Tracker, error) {
 			opts.Retry = core.DefaultRetryPolicy()
 		}
 		inj = fault.New(prof, p.FaultSeed, w.Platform.NumLinks())
-		if p.Metrics != nil {
-			inj.Instrument(p.Metrics)
-		}
 		w.Platform.SetFaultHook(inj)
 		opts.MeasureFault = inj
 	}
