@@ -69,8 +69,12 @@ func botnetRound() (p *cluster.Partition, catchments [][]bgp.LinkID, estVol []fl
 }
 
 // BenchmarkGreedyStep times one greedy volume decision — every unused
-// configuration scored against a recorded botnet round — which is
-// nearly all of Loop.Next:
+// configuration scored against a synthetic botnet round — which is
+// nearly all of Loop.Next. It is the split-heavy worst case: its rows
+// give every source a random link in 15 % of cells, so nearly every
+// configuration splits nearly every volume-bearing cluster and the
+// scorer counts members per label almost everywhere.
+// BenchmarkGreedyStepRecorded has the shape the live loop sees:
 //
 //	go test ./internal/sched -run '^$' -bench GreedyStep -benchmem
 func BenchmarkGreedyStep(b *testing.B) {

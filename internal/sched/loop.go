@@ -61,7 +61,7 @@ func (l *Loop) Fold(cfg int, volumes []float64) {
 	l.loc.AddRound(row, volumes)
 	l.part.Refine(row)
 	l.candidates = l.loc.Candidates(0)
-	l.estVol = EstimateVolumes(row, l.candidates, volumes)
+	l.estVol = estimateInto(l.estVol, row, l.candidates, volumes)
 	top, size := topVolumeCluster(l.part, l.candidates, l.estVol)
 	l.topSize = size
 	// Clusters bound localization precision (§V): once no remaining

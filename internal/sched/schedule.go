@@ -182,14 +182,14 @@ type ConfigScore struct {
 
 // NextGreedyVolumeScored is the greedy volume step itself. Candidate
 // scoring rides the incremental path (cluster.Scorer): the volume-
-// bearing clusters are listed once, then each candidate is scored
-// through one flat-table pass over them instead of cloning and refining
-// the partition per configuration. With keep set it also returns the
-// score of every eligible candidate in ascending configuration order —
-// the candidate set the chosen configuration beat, which the provenance
-// ledger records so a replay can re-derive the decision; without it the
-// slice is nil and a warm step allocates nothing. The winner does not
-// depend on keep.
+// bearing clusters are listed once with their whole-cluster terms, then
+// each candidate re-counts only the clusters its labels split instead
+// of cloning and refining the partition per configuration. With keep
+// set it also returns the score of every eligible candidate in
+// ascending configuration order — the candidate set the chosen
+// configuration beat, which the provenance ledger records so a replay
+// can re-derive the decision; without it the slice is nil and a warm
+// step allocates nothing. The winner does not depend on keep.
 func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, volume []float64, used, blocked []bool, keep bool) (int, []ConfigScore) {
 	scorer := cluster.BorrowScorer()
 	scorer.Reset(p, volume)
@@ -218,15 +218,25 @@ func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, vol
 // equal share of volumes[l]; eliminated and unobserved sources get
 // zero.
 func EstimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
-	onLink := make([]int, len(volumes))
+	return estimateInto(nil, row, candidates, volumes)
+}
+
+// estimateInto is EstimateVolumes writing into est's array when it is
+// large enough, so a Loop's fold reuses one estimate buffer.
+func estimateInto(est []float64, row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
+	var onLink [bgp.MaxLinks + 1]int
 	for _, k := range candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(onLink) {
+		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) {
 			onLink[l]++
 		}
 	}
-	est := make([]float64, len(row))
+	if cap(est) < len(row) {
+		est = make([]float64, len(row))
+	}
+	est = est[:len(row)]
+	clear(est)
 	for _, k := range candidates {
-		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) && onLink[l] > 0 {
+		if l := row[k]; l != bgp.NoLink && int(l) < len(volumes) {
 			est[k] = volumes[l] / float64(onLink[l])
 		}
 	}

@@ -4,12 +4,14 @@
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, the daemon's placements and
-# ticker loops, and the greedy step's pooled scorer and refinement table,
-# which the pipeline, controller and replay goroutines share, and the
+# ticker loops, and the greedy step's pooled scorer, whose per-group
+# scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp, stream and shard together),
-# and run the five Benchmark…Budget gates (delta propagation, scrape,
-# sharded ingest, probe scan, ledger) one package at a time, so no other
-# test binary shares the CPUs with their timed samples.
+# run the two greedy-step benchmarks once, so the recorded one's world
+# build is exercised, and run the five Benchmark…Budget gates (delta
+# propagation, scrape, sharded ingest, probe scan, ledger) one package at
+# a time, so no other test binary shares the CPUs with their timed
+# samples.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -35,6 +37,9 @@ go test ./...
 
 echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
+
+echo "==> greedy-step benchmarks (one iteration each: the synthetic split-heavy step and a recorded attack)"
+go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
 
 echo "==> budget gates (serial: each compares two timed sides)"
 go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
