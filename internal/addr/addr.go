@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"spooftrack/internal/stats"
 	"spooftrack/internal/topo"
@@ -38,8 +39,9 @@ type Space struct {
 	g *topo.Graph
 	// blocks[i] lists the block numbers owned by AS index i.
 	blocks [][]uint32
-	// owner maps block number -> AS index.
-	owner map[uint32]int
+	// owner[b] is the AS index owning block b. Blocks are numbered from
+	// 0 with no holes, so the table is dense.
+	owner []int32
 }
 
 // Allocate assigns address blocks to every AS in the graph: one block per
@@ -49,13 +51,10 @@ func Allocate(g *topo.Graph) *Space {
 	s := &Space{
 		g:      g,
 		blocks: make([][]uint32, g.NumASes()),
-		owner:  make(map[uint32]int),
 	}
-	next := uint32(0)
 	take := func(i int) {
-		s.blocks[i] = append(s.blocks[i], next)
-		s.owner[next] = i
-		next++
+		s.blocks[i] = append(s.blocks[i], uint32(len(s.owner)))
+		s.owner = append(s.owner, int32(i))
 	}
 	for i := 0; i < g.NumASes(); i++ {
 		take(i)
@@ -82,7 +81,11 @@ func (s *Space) PrefixesOf(i int) []netip.Prefix {
 // ASOf maps an address to the dense index of the owning AS. The second
 // return is false for addresses outside the allocation grid (including
 // IXP segments).
-func (s *Space) ASOf(ip netip.Addr) (int, bool) {
+func (s *Space) ASOf(ip netip.Addr) (int, bool) { return lookup(s.owner, ip) }
+
+// lookup reads the AS of ip's block from a dense block table; ok is
+// false for addresses outside the table's blocks.
+func lookup(table []int32, ip netip.Addr) (int, bool) {
 	if !ip.Is4() {
 		return 0, false
 	}
@@ -91,8 +94,10 @@ func (s *Space) ASOf(ip netip.Addr) (int, bool) {
 		return 0, false
 	}
 	blk := (v - base) / blockSize
-	i, ok := s.owner[blk]
-	return i, ok
+	if blk >= uint32(len(table)) {
+		return 0, false
+	}
+	return int(table[blk]), true
 }
 
 // RouterAddr returns the address of the k-th router interface of the AS
@@ -160,8 +165,8 @@ func (m PerfectMapper) Map(ip netip.Addr) (int, bool) { return m.Space.ASOf(ip) 
 // registry data), so every address in an affected block maps wrongly,
 // which is how real IP-to-AS errors behave.
 type NoisyMapper struct {
-	space *Space
-	wrong map[uint32]int // block -> wrong AS index
+	// owner is the Space's block table with the wrong blocks applied.
+	owner []int32
 }
 
 // NewNoisyMapper builds a mapper where errRate of blocks map to a wrong,
@@ -171,36 +176,22 @@ func NewNoisyMapper(space *Space, errRate float64, seed uint64) (*NoisyMapper, e
 		return nil, fmt.Errorf("addr: error rate %v out of [0,1]", errRate)
 	}
 	rng := stats.NewRNG(seed ^ 0xadd2e55e5)
-	m := &NoisyMapper{space: space, wrong: make(map[uint32]int)}
+	m := &NoisyMapper{owner: slices.Clone(space.owner)}
 	n := space.g.NumASes()
-	// Blocks are allocated sequentially from 0; iterate in order so the
-	// error assignment is deterministic (map iteration order is not).
-	for blk := uint32(0); blk < uint32(len(space.owner)); blk++ {
+	// One draw per block in block order, so the error assignment is
+	// deterministic for a seed.
+	for blk, own := range space.owner {
 		if !rng.Bool(errRate) {
 			continue
 		}
 		w := rng.Intn(n)
-		if w == space.owner[blk] {
+		if w == int(own) {
 			w = (w + 1) % n
 		}
-		m.wrong[blk] = w
+		m.owner[blk] = int32(w)
 	}
 	return m, nil
 }
 
 // Map implements Mapper.
-func (m *NoisyMapper) Map(ip netip.Addr) (int, bool) {
-	if !ip.Is4() {
-		return 0, false
-	}
-	v := addrToU32(ip)
-	if v < base {
-		return 0, false
-	}
-	blk := (v - base) / blockSize
-	if w, bad := m.wrong[blk]; bad {
-		return w, true
-	}
-	i, ok := m.space.owner[blk]
-	return i, ok
-}
+func (m *NoisyMapper) Map(ip netip.Addr) (int, bool) { return lookup(m.owner, ip) }

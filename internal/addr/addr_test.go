@@ -1,10 +1,13 @@
 package addr
 
 import (
+	"fmt"
+	"hash/fnv"
 	"net/netip"
 	"testing"
 	"testing/quick"
 
+	"spooftrack/internal/stats"
 	"spooftrack/internal/topo"
 )
 
@@ -136,6 +139,21 @@ func TestTransitGetsMoreSpace(t *testing.T) {
 	}
 }
 
+// blockAddrs returns the first router address of every allocated block,
+// indexed by block number, with the AS that owns it.
+func blockAddrs(s *Space) (addrs []netip.Addr, owners []int) {
+	for i, blks := range s.blocks {
+		for k, blk := range blks {
+			for int(blk) >= len(addrs) {
+				addrs = append(addrs, netip.Addr{})
+				owners = append(owners, -1)
+			}
+			addrs[blk], owners[blk] = s.RouterAddr(i, k), i
+		}
+	}
+	return addrs, owners
+}
+
 func TestNoisyMapperErrRate(t *testing.T) {
 	g := graphForTest(t, 400)
 	s := Allocate(g)
@@ -143,25 +161,91 @@ func TestNoisyMapperErrRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := len(s.owner)
-	frac := float64(len(m.wrong)) / float64(total)
-	if frac < 0.05 || frac > 0.15 {
-		t.Fatalf("error fraction %.3f, want ~0.1", frac)
-	}
-	// Mis-attributed blocks must map to a different AS, not fail.
+	// Count errors through Map, one address per block: mis-attributed
+	// blocks must map to a different AS, not fail.
+	addrs, owners := blockAddrs(s)
 	errors := 0
-	for i := 0; i < g.NumASes(); i++ {
-		ip := s.RouterAddr(i, 0)
+	for blk, ip := range addrs {
 		got, ok := m.Map(ip)
 		if !ok {
 			t.Fatalf("noisy mapper failed on allocated address %v", ip)
 		}
-		if got != i {
+		if got != owners[blk] {
 			errors++
 		}
 	}
-	if errors == 0 {
-		t.Fatal("no mapping errors observed at 10% block error rate")
+	frac := float64(errors) / float64(len(addrs))
+	if frac < 0.05 || frac > 0.15 {
+		t.Fatalf("error fraction %.3f, want ~0.1", frac)
+	}
+}
+
+// TestMapperEdges pins what both mappers refuse, that a noisy mapper
+// differs from the perfect one on exactly the blocks its seed draws
+// wrong, and which blocks those are for two seeds.
+func TestMapperEdges(t *testing.T) {
+	g := graphForTest(t, 400)
+	s := Allocate(g)
+	addrs, owners := blockAddrs(s)
+	perfect := PerfectMapper{Space: s}
+	for _, tc := range []struct {
+		seed uint64
+		// wrong is an FNV-1a digest of the (block, wrong AS) pairs in
+		// block order, captured on the map-backed mapper.
+		wrong uint64
+		n     int
+	}{
+		{1, 0xa73349baf2a774b5, 46},
+		{7, 0x69b2b17b208a38c, 48},
+	} {
+		noisy, err := NewNoisyMapper(s, 0.1, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Mapper{perfect, noisy} {
+			for _, ip := range []netip.Addr{
+				u32ToAddr(base + uint32(len(addrs))*blockSize), // first address past the last block
+				u32ToAddr(base - 1),                            // last address before the grid
+				IXPAddr(0),
+				IXPAddr(1<<20 - 1),
+				netip.MustParseAddr("::ffff:16.0.0.1"), // the grid's first router, 4-in-6
+				netip.MustParseAddr("2001:db8::1"),
+				{},
+			} {
+				if i, ok := m.Map(ip); ok {
+					t.Errorf("seed %d, %T: %v maps to AS index %d, want no AS", tc.seed, m, ip, i)
+				}
+			}
+		}
+		// Replay the error draws: a drawn block maps to another AS, every
+		// other block to its owner.
+		rng := stats.NewRNG(tc.seed ^ 0xadd2e55e5)
+		h := fnv.New64a()
+		n := 0
+		for blk, ip := range addrs {
+			drawn := rng.Bool(0.1)
+			if drawn {
+				rng.Intn(g.NumASes())
+			}
+			want, ok := perfect.Map(ip)
+			if !ok || want != owners[blk] {
+				t.Fatalf("perfect mapper: block %d maps to %d ok=%v, want %d", blk, want, ok, owners[blk])
+			}
+			got, ok := noisy.Map(ip)
+			if !ok {
+				t.Fatalf("seed %d: noisy mapper failed on block %d", tc.seed, blk)
+			}
+			if drawn != (got != want) {
+				t.Fatalf("seed %d: block %d drawn wrong %v, but maps to %d (owner %d)", tc.seed, blk, drawn, got, want)
+			}
+			if drawn {
+				n++
+				fmt.Fprintf(h, "%d:%d,", blk, got)
+			}
+		}
+		if n != tc.n || h.Sum64() != tc.wrong {
+			t.Errorf("seed %d: %d wrong blocks, digest %#x; want %d, %#x", tc.seed, n, h.Sum64(), tc.n, tc.wrong)
+		}
 	}
 }
 

@@ -54,15 +54,51 @@ func measurementDigest(c *Campaign) uint64 {
 	return h.Sum64()
 }
 
-// TestMeasuredCampaignGolden pins the §IV-b/c pipeline bit for bit: the
-// digests were captured on the map-based implementation (commit 2b97cba)
-// before the scratch-backed one replaced it. A change here means the
-// inference changed, not only its cost.
+// imputedDigest folds a campaign's visibility imputation (§IV-d) into
+// one FNV-1a value: the sources, every filled catchment cell, each
+// source's smax and the imputed-cell count.
+func imputedDigest(c *Campaign) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	r := c.Imputed
+	put(uint64(len(r.Sources)))
+	for _, src := range r.Sources {
+		put(uint64(src))
+	}
+	put(uint64(len(r.Catchments)))
+	for _, row := range r.Catchments {
+		put(uint64(len(row)))
+		for _, l := range row {
+			put(uint64(int64(l)))
+		}
+	}
+	for _, t := range r.Smax {
+		put(uint64(int64(t)))
+	}
+	put(uint64(r.Imputed))
+	return h.Sum64()
+}
+
+// TestMeasuredCampaignGolden pins the §IV-b/c/d pipeline bit for bit.
+// The measurement digests were captured on the map-based implementation
+// (commit 2b97cba) before the scratch-backed one replaced it; the
+// imputation digests on the pairwise smax scorer (commit cb159a1) before
+// the per-link bucketed one replaced it, so a different tie-break shows
+// here. A change here means the inference changed, not only its cost.
 func TestMeasuredCampaignGolden(t *testing.T) {
 	golden := map[uint64]uint64{
 		1: 0x6bb1a4af3597a67,
 		2: 0xb410a69ea674cf9f,
 		3: 0x3b51cb4cabf87082,
+	}
+	imputed := map[uint64]uint64{
+		1: 0x285eb4de03725cb7,
+		2: 0x58c1749bf5dd7521,
+		3: 0xe10c939749d75cef,
 	}
 	for seed := uint64(1); seed <= 3; seed++ {
 		w := measureWorld(t, seed, true)
@@ -83,6 +119,12 @@ func TestMeasuredCampaignGolden(t *testing.T) {
 		}
 		if got := measurementDigest(c); got != golden[seed] {
 			t.Errorf("seed %d: measurement digest %#x, want %#x (%d configs)", seed, got, golden[seed], len(plan))
+		}
+		if c.Imputed == nil || c.Imputed.Imputed == 0 {
+			t.Fatalf("seed %d: no imputed cell; the golden would not cover smax", seed)
+		}
+		if got := imputedDigest(c); got != imputed[seed] {
+			t.Errorf("seed %d: imputation digest %#x, want %#x", seed, got, imputed[seed])
 		}
 	}
 }

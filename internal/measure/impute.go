@@ -10,9 +10,9 @@ import "spooftrack/internal/bgp"
 // observed.
 
 // maxSimilarityConfigs bounds the number of configurations sampled when
-// computing pairwise co-catchment frequencies; beyond this, configs are
-// sampled evenly. This keeps imputation O(S² · maxSimilarityConfigs)
-// instead of O(S² · C) for long campaigns.
+// computing co-catchment frequencies; beyond this, configs are sampled
+// evenly, so a long campaign costs no more per source than a
+// 128-configuration one.
 const maxSimilarityConfigs = 128
 
 // ImputeResult is the output of the visibility-imputation step.
@@ -40,13 +40,21 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		return &ImputeResult{}
 	}
 	base := ms[0]
-	var sources []int
+	s := 0
+	for _, obs := range base.Observed {
+		if obs {
+			s++
+		}
+	}
+	var sources []int // nil when no AS is a source
+	if s > 0 {
+		sources = make([]int, 0, s)
+	}
 	for i, obs := range base.Observed {
 		if obs {
 			sources = append(sources, i)
 		}
 	}
-	s := len(sources)
 	c := len(ms)
 	res := &ImputeResult{
 		Sources:    sources,
@@ -57,54 +65,20 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		res.Smax[k] = -1
 	}
 
-	// sig[k][cc] = observed catchment of source k in config cc, encoded
-	// as link+1 in a byte (0 = unobserved). Catchment ids fit a byte for
-	// any realistic peering footprint.
-	sig := make([][]byte, s)
-	sigCells := make([]byte, s*c)
+	// sig[k*c+cc] = observed catchment of source k in config cc, encoded
+	// as link+1 in a byte (0 = unobserved); a LinkID is below
+	// bgp.MaxLinks, so the code fits.
+	sig := make([]byte, s*c)
 	for k, src := range sources {
-		row := sigCells[k*c : (k+1)*c : (k+1)*c]
-		for cc := 0; cc < c; cc++ {
+		row := sig[k*c : (k+1)*c]
+		for cc := range row {
 			if l := ms[cc].Catchment[src]; l != bgp.NoLink {
 				row[cc] = byte(l) + 1
 			}
 		}
-		sig[k] = row
 	}
 
-	// Sampled config positions for similarity computation.
-	sample := make([]int, 0, maxSimilarityConfigs)
-	if c <= maxSimilarityConfigs {
-		for cc := 0; cc < c; cc++ {
-			sample = append(sample, cc)
-		}
-	} else {
-		for k := 0; k < maxSimilarityConfigs; k++ {
-			sample = append(sample, k*c/maxSimilarityConfigs)
-		}
-	}
-
-	smaxOf := func(k int) int {
-		best, bestScore := -1, -1
-		row := sig[k]
-		for t := 0; t < s; t++ {
-			if t == k {
-				continue
-			}
-			other := sig[t]
-			score := 0
-			for _, cc := range sample {
-				if row[cc] != 0 && row[cc] == other[cc] {
-					score++
-				}
-			}
-			if score > bestScore {
-				best, bestScore = t, score
-			}
-		}
-		return best
-	}
-
+	var sim *similarity
 	cells := make([]bgp.LinkID, c*s)
 	for cc := 0; cc < c; cc++ {
 		filled := cells[cc*s : (cc+1)*s : (cc+1)*s]
@@ -114,11 +88,14 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 				continue
 			}
 			if res.Smax[k] == -1 {
-				res.Smax[k] = smaxOf(k)
+				if sim == nil {
+					sim = newSimilarity(sig, s, c)
+				}
+				res.Smax[k] = sim.smaxOf(k)
 			}
 			t := res.Smax[k]
-			if t >= 0 && sig[t][cc] != 0 {
-				filled[k] = bgp.LinkID(sig[t][cc] - 1)
+			if t >= 0 && sig[t*c+cc] != 0 {
+				filled[k] = bgp.LinkID(sig[t*c+cc] - 1)
 				res.Imputed++
 			} else {
 				filled[k] = bgp.NoLink
@@ -127,4 +104,91 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		res.Catchments[cc] = filled
 	}
 	return res
+}
+
+// similarity finds smax over the sampled configurations. The sources
+// are bucketed per (sample position, catchment code) in one
+// counting-sort layout: bucket b = j*codes + code-1 lists, in ascending
+// source order, the sources whose catchment in sample j has that code,
+// as order[start[b]:start[b+1]]. A source's co-catchment count with every
+// other source is then one pass over its own buckets, not a compare
+// against each of them.
+type similarity struct {
+	// m is the number of sampled configurations, codes the largest
+	// catchment code among them.
+	m, codes int
+	// key[k*m+j] is source k's code in sample j (0 = unobserved).
+	key   []byte
+	start []int32
+	order []int32
+	// score is the count row smaxOf fills, one cell per source.
+	score []int32
+}
+
+// newSimilarity samples the configurations of sig (s sources × c
+// configurations, row-major) and buckets the sources.
+func newSimilarity(sig []byte, s, c int) *similarity {
+	m := min(c, maxSimilarityConfigs)
+	key := make([]byte, s*m)
+	codes := 0
+	for k := 0; k < s; k++ {
+		row := sig[k*c : (k+1)*c]
+		for j := 0; j < m; j++ {
+			// Evenly spaced when c exceeds the sample; every one otherwise.
+			v := row[j*c/m]
+			key[k*m+j] = v
+			codes = max(codes, int(v))
+		}
+	}
+	sim := &similarity{m: m, codes: codes, key: key, score: make([]int32, s)}
+	// Count each bucket, take inclusive prefix sums (start[b] = the end
+	// of bucket b), then fill every bucket back to front visiting the
+	// sources in descending order: each comes out ascending, and start[b]
+	// ends at its first slot.
+	nb := m * codes
+	sim.start = make([]int32, nb+1)
+	for i, v := range key {
+		if v != 0 {
+			sim.start[(i%m)*codes+int(v)-1]++
+		}
+	}
+	for b := 1; b < nb; b++ {
+		sim.start[b] += sim.start[b-1]
+	}
+	if nb > 0 {
+		sim.start[nb] = sim.start[nb-1]
+	}
+	sim.order = make([]int32, sim.start[nb])
+	for k := s - 1; k >= 0; k-- {
+		for j, v := range key[k*m : (k+1)*m] {
+			if v != 0 {
+				b := j*codes + int(v) - 1
+				sim.start[b]--
+				sim.order[sim.start[b]] = int32(k)
+			}
+		}
+	}
+	return sim
+}
+
+// smaxOf returns the source other than k whose catchment matches k's in
+// the most sampled configurations where k was observed, the lowest index
+// among equals; -1 when there is no other source.
+func (sim *similarity) smaxOf(k int) int {
+	clear(sim.score)
+	for j, v := range sim.key[k*sim.m : (k+1)*sim.m] {
+		if v != 0 {
+			b := j*sim.codes + int(v) - 1
+			for _, t := range sim.order[sim.start[b]:sim.start[b+1]] {
+				sim.score[t]++
+			}
+		}
+	}
+	best, bestScore := -1, int32(-1)
+	for t, score := range sim.score {
+		if t != k && score > bestScore {
+			best, bestScore = t, score
+		}
+	}
+	return best
 }

@@ -32,10 +32,10 @@ type gapKey struct{ a, b netip.Addr }
 const maxGapSeq = 3
 
 // gapVal is what has been seen between one pair: the first sequence
-// observed (seq[:n], all responsive hops, so addresses suffice), and
-// whether any later observation differed from it. Once set, conflict
-// stays set — the pair has at least two distinct sequences and repairs
-// nothing.
+// observed (seq[:n], all responsive hops, so addresses suffice; n == 0
+// while nothing has been), and whether any later observation differed
+// from it. Once set, conflict stays set — the pair has at least two
+// distinct sequences and repairs nothing.
 type gapVal struct {
 	seq      [maxGapSeq]netip.Addr
 	n        uint8
@@ -43,15 +43,38 @@ type gapVal struct {
 }
 
 // gapIndex maps a surrounding pair to the responsive sequences observed
-// between its two addresses. One map with fixed-size values: it is
-// cleared and refilled per configuration without allocating.
+// between its two addresses. It holds only the pairs a repair will look
+// up — the responsive hops either side of an unresponsive run — so it
+// stays a few hundred entries however many windows the traceroutes
+// hold. One map with fixed-size values: it is cleared and refilled per
+// configuration without allocating.
 type gapIndex map[gapKey]gapVal
 
-// build refills the index from every run of three to five consecutive
-// responsive hops in trs — a pair and the one to three hops between it —
-// including the traceroutes that will later be repaired against it.
+// build refills the index for trs in two passes. The first registers
+// the pair around every unresponsive run that has a responsive hop on
+// both sides; the second records, for registered pairs only, every run
+// of three to five consecutive responsive hops — a pair and the one to
+// three hops between it — including those of the traceroutes that will
+// later be repaired against it.
 func (idx gapIndex) build(trs []Traceroute) {
 	clear(idx)
+	for _, tr := range trs {
+		hops := tr.Hops
+		for i := 1; i < len(hops); i++ {
+			if hops[i].Responsive || !hops[i-1].Responsive {
+				continue
+			}
+			// hops[i] starts an unresponsive run; find its end.
+			j := i + 1
+			for j < len(hops) && !hops[j].Responsive {
+				j++
+			}
+			if j < len(hops) {
+				idx[gapKey{hops[i-1].Addr, hops[j].Addr}] = gapVal{}
+			}
+			i = j
+		}
+	}
 	for _, tr := range trs {
 		hops := tr.Hops
 		for i := 0; i < len(hops); i++ {
@@ -72,18 +95,18 @@ func (idx gapIndex) build(trs []Traceroute) {
 }
 
 // add records one observation of seq (1..maxGapSeq responsive hops)
-// between the pair.
+// between the pair, if the pair is registered.
 func (idx gapIndex) add(key gapKey, seq []Hop) {
-	v, seen := idx[key]
-	if !seen {
-		v.n = uint8(len(seq))
+	v, queried := idx[key]
+	switch {
+	case !queried || v.conflict:
+	case v.n == 0:
 		for k, h := range seq {
 			v.seq[k] = h.Addr
 		}
+		v.n = uint8(len(seq))
 		idx[key] = v
-		return
-	}
-	if !v.conflict && !slices.EqualFunc(v.seq[:v.n], seq, func(a netip.Addr, h Hop) bool { return a == h.Addr }) {
+	case !slices.EqualFunc(v.seq[:v.n], seq, func(a netip.Addr, h Hop) bool { return a == h.Addr }):
 		v.conflict = true
 		idx[key] = v
 	}
@@ -110,7 +133,7 @@ func (s *scratch) repairOne(hops []Hop) []Hop {
 		// Surrounded by responsive hops?
 		if len(out) > 0 && j < len(hops) {
 			key := gapKey{out[len(out)-1].Addr, hops[j].Addr}
-			if v, ok := s.gaps[key]; ok && !v.conflict {
+			if v := s.gaps[key]; v.n > 0 && !v.conflict {
 				for _, a := range v.seq[:v.n] {
 					out = append(out, Hop{Addr: a, Responsive: true})
 				}

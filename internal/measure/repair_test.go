@@ -2,7 +2,11 @@ package measure
 
 import (
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
+
+	"spooftrack/internal/stats"
 )
 
 func a(s string) netip.Addr { return netip.MustParseAddr(s) }
@@ -72,5 +76,108 @@ func TestRepairPreservesMetadata(t *testing.T) {
 	out := RepairUnresponsive([]Traceroute{tr})
 	if out[0].ProbeAS != 42 || !out[0].Reached {
 		t.Fatal("metadata lost during repair")
+	}
+}
+
+// fullIndexRepair is the reference for RepairUnresponsive: it indexes
+// the sequence between every pair of responsive hops one to three hops
+// apart in a fully responsive window, queried or not, and then repairs
+// each unresponsive run from that full index.
+func fullIndexRepair(trs []Traceroute) []Traceroute {
+	type seen struct {
+		seq      []netip.Addr
+		conflict bool
+	}
+	idx := map[[2]netip.Addr]*seen{}
+	for _, tr := range trs {
+		h := tr.Hops
+		for i := range h {
+			for j := i + 1; j < len(h) && h[i].Responsive && h[j].Responsive && j-i <= maxGapSeq+1; j++ {
+				if j-i < 2 {
+					continue
+				}
+				var seq []netip.Addr
+				for _, m := range h[i+1 : j] {
+					seq = append(seq, m.Addr)
+				}
+				key := [2]netip.Addr{h[i].Addr, h[j].Addr}
+				if v, ok := idx[key]; !ok {
+					idx[key] = &seen{seq: seq}
+				} else if !slices.Equal(v.seq, seq) {
+					v.conflict = true
+				}
+			}
+		}
+	}
+	out := make([]Traceroute, len(trs))
+	for k, tr := range trs {
+		out[k] = tr
+		var hops []Hop
+		h := tr.Hops
+		for i := 0; i < len(h); {
+			if h[i].Responsive {
+				hops = append(hops, h[i])
+				i++
+				continue
+			}
+			j := i
+			for j < len(h) && !h[j].Responsive {
+				j++
+			}
+			if i > 0 && j < len(h) {
+				if v, ok := idx[[2]netip.Addr{h[i-1].Addr, h[j].Addr}]; ok && !v.conflict {
+					for _, a := range v.seq {
+						hops = append(hops, Hop{Addr: a, Responsive: true})
+					}
+					i = j
+					continue
+				}
+			}
+			hops = append(hops, h[i:j]...)
+			i = j
+		}
+		out[k].Hops = hops
+	}
+	return out
+}
+
+// TestRepairMatchesFullIndex compares RepairUnresponsive, whose index
+// holds only the pairs a gap queries, with the full-index reference on
+// seeded random traceroutes: a small router pool, so routers repeat
+// within and across traceroutes and pairs see conflicting sequences,
+// and unresponsive runs of every length, including at either end.
+func TestRepairMatchesFullIndex(t *testing.T) {
+	rng := stats.NewRNG(11)
+	repaired := 0
+	for trial := 0; trial < 300; trial++ {
+		pool := 3 + rng.Intn(20)
+		pDead := 0.05 + 0.5*rng.Float64()
+		trs := make([]Traceroute, 1+rng.Intn(40))
+		for k := range trs {
+			trs[k].ProbeAS = k
+			for n := rng.Intn(14); n > 0; n-- {
+				if rng.Bool(pDead) {
+					trs[k].Hops = append(trs[k].Hops, dead())
+					continue
+				}
+				trs[k].Hops = append(trs[k].Hops, Hop{Addr: netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.Intn(pool))}), Responsive: true})
+			}
+		}
+		got, want := RepairUnresponsive(trs), fullIndexRepair(trs)
+		if !reflect.DeepEqual(got, want) {
+			for k := range got {
+				if !reflect.DeepEqual(got[k], want[k]) {
+					t.Fatalf("trial %d, traceroute %d %v:\n got %v\nwant %v", trial, k, trs[k].Hops, got[k].Hops, want[k].Hops)
+				}
+			}
+		}
+		for k := range want {
+			if !reflect.DeepEqual(want[k].Hops, trs[k].Hops) {
+				repaired++
+			}
+		}
+	}
+	if repaired < 100 {
+		t.Fatalf("only %d traceroutes repaired; the comparison covers too little", repaired)
 	}
 }

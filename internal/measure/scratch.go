@@ -38,9 +38,9 @@ type scratch struct {
 
 // scratchPool hands a scratch to each concurrent measurement. It is
 // package state on purpose: a scratch reachable from a World or a
-// Campaign would stay resident for as long as they do (the gap index
-// alone is megabytes), while the pool lets the collector free it once
-// the measure phase is over.
+// Campaign would stay resident for as long as they do (the hop arena
+// holds every hop of a configuration's traceroutes), while the pool lets
+// the collector free it once the measure phase is over.
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func newScratch() *scratch {

@@ -95,6 +95,10 @@ func TestCollectDoesNotAliasScratch(t *testing.T) {
 	}
 }
 
+// TestGapIndex checks what the index holds for one pair. Each case's
+// traceroutes are followed by a gapped one, a * b, so the pair is one a
+// repair queries; an unqueried case leaves that out and the pair must
+// stay out of the index however often its windows occur.
 func TestGapIndex(t *testing.T) {
 	tr := func(addrs ...string) Traceroute {
 		var out Traceroute
@@ -119,9 +123,11 @@ func TestGapIndex(t *testing.T) {
 		trs  []Traceroute
 		a, b string
 		// want is the unique sequence between a and b; nil with seen
-		// set means the pair conflicts, nil without that it is absent.
-		want []netip.Addr
-		seen bool
+		// set means the pair conflicts, nil without that it was never
+		// observed.
+		want      []netip.Addr
+		seen      bool
+		unqueried bool
 	}{
 		{name: "one hop between",
 			trs: []Traceroute{tr("1.0.0.1", "1.0.0.2", "1.0.0.3")},
@@ -167,17 +173,35 @@ func TestGapIndex(t *testing.T) {
 				tr("1.0.0.1", "1.0.0.2", "1.0.0.3"),
 			},
 			a: "1.0.0.1", b: "1.0.0.3", seen: true},
+		{name: "an unqueried pair stays out",
+			trs: []Traceroute{
+				tr("1.0.0.1", "1.0.0.2", "1.0.0.3", "1.0.0.4"),
+				tr("1.0.0.1", "1.0.0.2", "1.0.0.3"),
+				tr("1.0.0.2", "*", "1.0.0.4"),
+			},
+			a: "1.0.0.1", b: "1.0.0.3", unqueried: true},
 	}
 	idx := make(gapIndex)
 	for _, tc := range cases {
+		trs := tc.trs
+		if !tc.unqueried {
+			trs = append(trs[:len(trs):len(trs)], tr(tc.a, "*", tc.b))
+		}
 		// One index for every case: build must start from empty.
-		idx.build(tc.trs)
-		v, seen := idx[gapKey{a(tc.a), a(tc.b)}]
-		if seen != tc.seen {
+		idx.build(trs)
+		v, queried := idx[gapKey{a(tc.a), a(tc.b)}]
+		if queried == tc.unqueried {
+			t.Errorf("%s: pair in index %v, want %v", tc.name, queried, !tc.unqueried)
+			continue
+		}
+		if tc.unqueried && len(idx) != 1 {
+			t.Errorf("%s: %d pairs indexed, want only the one gap's", tc.name, len(idx))
+		}
+		if seen := v.n > 0; seen != tc.seen {
 			t.Errorf("%s: pair seen=%v, want %v", tc.name, seen, tc.seen)
 			continue
 		}
-		if !seen {
+		if !tc.seen {
 			continue
 		}
 		if v.conflict != (tc.want == nil) {

@@ -8,10 +8,11 @@
 # scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp, stream and shard together),
 # run the two greedy-step benchmarks once, so the recorded one's world
-# build is exercised, and run the five Benchmark…Budget gates (delta
-# propagation, scrape, sharded ingest, probe scan, ledger) one package at
-# a time, so no other test binary shares the CPUs with their timed
-# samples.
+# build is exercised, run the measurement-pass and imputation benchmarks
+# once, so their world and campaign builds are exercised too, and run
+# the five Benchmark…Budget gates (delta propagation, scrape, sharded
+# ingest, probe scan, ledger) one package at a time, so no other test
+# binary shares the CPUs with their timed samples.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -40,6 +41,9 @@ go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./int
 
 echo "==> greedy-step benchmarks (one iteration each: the synthetic split-heavy step and a recorded attack)"
 go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
+
+echo "==> measurement benchmarks (one iteration each: a warm configuration measurement and a campaign's imputation)"
+go test -run '^$' -bench 'MeasureOutcome|Impute' -benchtime 1x ./internal/core/ ./internal/measure/
 
 echo "==> budget gates (serial: each compares two timed sides)"
 go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
