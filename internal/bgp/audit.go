@@ -64,10 +64,18 @@ func (e *Engine) Audit(out *Outcome) *PolicyAudit {
 	e.buildCtx(scratch, cfg)
 	// The export-class checks below read the classes the outcome's
 	// propagation computed and persisted; alias them (read-only — the
-	// outcome is immutable, and putScratch drops the alias).
-	scratch.sendClass = out.sendCls
+	// outcome is immutable, and putScratch drops the alias). A patch
+	// outcome is first written out densely into free-list arrays.
+	sel, cls := out.sel, out.sendCls
+	if sel == nil {
+		dense := e.newOutcome(cfg)
+		defer dense.Release()
+		sel, cls = dense.sel, dense.sendCls
+		out.patch.materialize(sel, cls)
+	}
+	scratch.sendClass = cls
 	for i := 0; i < n; i++ {
-		s := out.sel[i]
+		s := sel[i]
 		if s.class == classInvalid {
 			continue
 		}
@@ -90,7 +98,7 @@ func (e *Engine) Audit(out *Outcome) *PolicyAudit {
 		}
 		for _, nb := range e.row(i) {
 			j := int(nb.idx)
-			sn := out.sel[j]
+			sn := sel[j]
 			if sn.class == classInvalid {
 				continue
 			}
@@ -99,7 +107,7 @@ func (e *Engine) Audit(out *Outcome) *PolicyAudit {
 			if scratch.sendClass[j] != classCustomer && nb.rel != topo.RelProvider {
 				continue
 			}
-			cand, ok := e.offerFrom(out.sel, sn, j, nb.rel, i, scratch, e.t1f[i])
+			cand, ok := e.offerFrom(sel, sn, j, nb.rel, i, scratch, e.t1f[i])
 			if !ok {
 				continue
 			}

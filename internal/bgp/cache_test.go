@@ -81,8 +81,8 @@ func TestOutcomeCacheDeltaSeeding(t *testing.T) {
 			t.Fatalf("config %d: cached outcome not converged", i)
 		}
 		for j := range want.sel {
-			if got.sel[j] != want.sel[j] {
-				t.Fatalf("config %d: AS %d selection %+v, direct %+v", i, j, got.sel[j], want.sel[j])
+			if got.at(j) != want.sel[j] {
+				t.Fatalf("config %d: AS %d selection %+v, direct %+v", i, j, got.at(j), want.sel[j])
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"math/bits"
+
 	"spooftrack/internal/trace"
 )
 
@@ -78,10 +80,11 @@ type DeltaInfo struct {
 // stable state is unique and event-driven processing reaches it from any
 // sound starting state; the rare dispute cases fall back to a full run.
 //
-// prev must be the outcome this engine computed for prevCfg, with its
-// runner-ups: every outcome Propagate and PropagateDeltaInfo return has
-// them, while an OutcomeCache sheds them from the derived outcomes it
-// returns (see OutcomeCache). When prev is unusable (nil, shed, released,
+// prev must be the outcome this engine computed for prevCfg, dense and
+// with its runner-ups: every outcome Propagate and PropagateDeltaInfo
+// return is, while the derived outcomes an OutcomeCache returns are
+// patches over a seed or have shed them (see OutcomeCache). The result
+// is always dense. When prev is unusable (nil, a patch, shed, released,
 // unconverged, or another engine's), the diff touches too much of the
 // topology, or the incremental pass fails to converge,
 // PropagateDeltaInfo transparently falls back to a full Propagate —
@@ -102,8 +105,7 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	// The carried state is only sound when prev is this engine's converged
 	// fixpoint for prevCfg; the prevCfg cross-check is cheap (a handful of
 	// announcements) and guards against callers pairing the wrong config.
-	if prev == nil || prev.engine != e || !prev.converged || prev.second == nil ||
-		prev.sendCls == nil || !configsIndexIdentical(prevCfg, prev.cfg) {
+	if !e.canSeed(prev) || !configsIndexIdentical(prevCfg, prev.cfg) {
 		out, err := e.PropagateTraced(cfg, parent)
 		return out, DeltaInfo{Mode: DeltaFullNoPrev}, err
 	}
@@ -120,10 +122,148 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	}
 
 	sp := trace.StartChild(parent, "bgp.propagate_delta")
-	traced := sp != nil
-
+	out := e.newOutcome(cfg)
 	s := e.getScratch()
-	defer e.putScratch(s, cfg)
+	info := e.deltaRun(s, prev, cfg, out.sel, out.second, out.sendCls, nil, sp != nil)
+	e.putScratch(s, cfg)
+	if info.Mode != DeltaApplied {
+		out.Release() // the carried arrays feed the full run's pool pull
+		full, err := e.PropagateTraced(cfg, sp)
+		e.endDeltaSpan(sp, info, e.g.NumASes(), len(cfg.Anns))
+		return full, info, err
+	}
+	out.converged = true
+	e.endDeltaSpan(sp, info, e.g.NumASes(), len(cfg.Anns))
+	return out, info, nil
+}
+
+// canSeed reports whether prev can seed a delta step on this engine: one
+// of its own converged, dense outcomes that still holds its runner-ups.
+func (e *Engine) canSeed(prev *Outcome) bool {
+	return prev != nil && prev.engine == e && prev.converged && prev.second != nil && prev.sendCls != nil
+}
+
+// derive is PropagateDeltaTraced for an OutcomeCache: it computes cfg's
+// outcome from seed, a converged seed outcome the cache holds, and
+// returns it as a patch over seed. The delta step runs on dense working
+// arrays from the engine's free list, which go back there once the patch
+// holds the ASes whose selection ended up different from the seed's
+// carried one, at most one per decision event. When the step falls back
+// to a full run, or seed cannot seed, derive returns the full run's
+// dense outcome instead.
+func (e *Engine) derive(seed *Outcome, cfg Config, parent *trace.Span) (*Outcome, DeltaInfo, error) {
+	if !e.canSeed(seed) {
+		out, info, err := e.PropagateDeltaTraced(seed, seed.Config(), cfg, parent)
+		if err != nil {
+			return nil, info, err
+		}
+		return &out, info, nil
+	}
+	if err := cfg.Validate(e.origin); err != nil {
+		return nil, DeltaInfo{}, err
+	}
+	sp := trace.StartChild(parent, "bgp.propagate_delta")
+	work := e.newOutcome(cfg)
+	s := e.getScratch()
+	info := e.deltaRun(s, seed, cfg, work.sel, work.second, work.sendCls, s.changed, sp != nil)
+	var out *Outcome
+	if info.Mode == DeltaApplied {
+		out = e.takePatch()
+		out.cfg = cfg
+		out.converged = true
+		out.patch.build(seed, s, work.sel, work.sendCls, cfg.Anns)
+	}
+	e.putScratch(s, cfg)
+	work.Release()
+	if out == nil {
+		full, err := e.PropagateTraced(cfg, sp)
+		e.endDeltaSpan(sp, info, e.g.NumASes(), len(cfg.Anns))
+		if err != nil {
+			return nil, info, err
+		}
+		return &full, info, nil
+	}
+	e.endDeltaSpan(sp, info, e.g.NumASes(), len(cfg.Anns))
+	return out, info, nil
+}
+
+// build fills the patch over seed from a derivation's converged working
+// arrays sel and cls for a configuration announcing anns: the carry table
+// in s.carry, the ASes runQueue marked in s.changed whose selection
+// differs from their carried seed selection (an AS can change and change
+// back), and every AS's catchment. It clears s.changed.
+func (p *outcomePatch) build(seed *Outcome, s *propScratch, sel []selection, cls []int8, anns []Announcement) {
+	p.seed = seed
+	p.seedSel = seed.sel
+	p.carry = append(p.carry[:0], s.carry...)
+	k := 0
+	for w, word := range s.changed {
+		for b := word; b != 0; b &= b - 1 {
+			i := w<<6 | bits.TrailingZeros64(b)
+			if isCarried(&sel[i], &seed.sel[i], p.carry) {
+				word &^= b & -b
+			}
+		}
+		s.changed[w] = word
+		k += bits.OnesCount64(word)
+	}
+	p.words = resized(p.words, len(s.changed))
+	p.sel = regrown(p.sel, k)
+	p.cls = regrown(p.cls, k)
+	k = 0
+	for w, word := range s.changed {
+		p.words[w] = patchWord{bits: word, rank: int32(k)}
+		for b := word; b != 0; b &= b - 1 {
+			i := w<<6 | bits.TrailingZeros64(b)
+			p.sel[k], p.cls[k] = sel[i], cls[i]
+			k++
+		}
+		s.changed[w] = 0
+	}
+	var link [MaxLinks + 1]LinkID // by announcement index + 1, noRoute's -1 at 0
+	link[0] = NoLink
+	for ai := range anns {
+		link[ai+1] = anns[ai].Link
+	}
+	links := resized(p.links, len(sel))
+	for i := range links {
+		links[i] = link[int(sel[i].ann)+1]
+	}
+	p.links = links
+}
+
+// isCarried reports whether w is the seed selection s carried through
+// carry: whether the delta step left the AS as the carry-over had it.
+// It compares field by field; a selection copy goes through memory.
+func isCarried(w, s *selection, carry []annCarry) bool {
+	c := carry[int(s.ann)+1]
+	if c.to < 0 {
+		return w.class == classInvalid
+	}
+	return w.class == s.class && w.ann == c.to && w.pri == s.pri &&
+		w.pathLen == s.pathLen+c.shift && w.nextHop == s.nextHop
+}
+
+// regrown is resized for a patch's touched entries: a new patch gets
+// exactly n, and a recycled one that is too small at least twice what it
+// had, so a derive-and-release loop settles after a few derivations.
+func regrown[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n, max(n, 2*cap(s)))
+}
+
+// deltaRun is the incremental pass behind PropagateDeltaTraced and
+// derive: it carries prev's state into the working arrays sel, second and
+// cls as cfg's starting state, seeds the event queue with the dirty
+// frontier only, and drains it to the fixpoint. It reports DeltaApplied
+// when the arrays hold cfg's outcome, and DeltaFullFrontier or
+// DeltaFullBudget when the caller must run in full instead. It leaves
+// prev's carry table in s.carry, and marks every AS whose selection
+// runQueue rewrote in changed, when that is non-nil (cleared again on a
+// fallback). The caller holds s and releases it.
+func (e *Engine) deltaRun(s *propScratch, prev *Outcome, cfg Config, sel, second []selection, cls []int8, changed []uint64, traced bool) DeltaInfo {
 	e.buildCtx(s, cfg)
 	d := &s.diff
 	d.reset(prev.cfg, cfg)
@@ -230,18 +370,24 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 	// bound still holds, and a carried selection keeps its next hop so
 	// its export class cannot change; re-decided ASes get fresh values
 	// from decide.
-	out := e.newOutcome(cfg)
-	sel := out.sel
-	copy(out.second, prev.second)
-	copy(out.sendCls, prev.sendCls)
-	s.sendClass = out.sendCls
+	carry := resized(s.carry, na+1)
+	s.carry = carry
+	carry[0] = annCarry{to: -1}
+	for ai := 0; ai < na; ai++ {
+		carry[ai+1] = annCarry{to: int8(d.PrevToNew[ai]), shift: d.LenShift[ai]}
+	}
+	copy(second, prev.second)
+	copy(cls, prev.sendCls)
+	s.sendClass = cls
 	prevSecond := prev.second
 	seedList := s.seeds[:0]
 
-	// When every announcement keeps its index (the whole prepend, poison,
-	// and community space of a campaign walk), carried selections need no
-	// remap: bulk-copy the selection state and touch only members of
-	// changed announcements plus the explicitly marked seeds.
+	// The selection state is bulk-copied and then carried in place
+	// (carryOver). When every announcement keeps its index (the whole
+	// prepend, poison, and community space of a campaign walk), carried
+	// selections need no remap: touch only members of changed
+	// announcements plus the explicitly marked seeds.
+	copy(sel, prev.sel)
 	identityMap := len(prev.cfg.Anns) == len(cfg.Anns)
 	if identityMap {
 		for ai, ni := range d.PrevToNew {
@@ -252,7 +398,6 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 		}
 	}
 	if identityMap {
-		copy(sel, prev.sel)
 		for i := 0; i < n; i++ {
 			seed := s.deltaSeed[i]
 			if seed {
@@ -278,24 +423,16 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 		for i := 0; i < n; i++ {
 			seed := s.deltaSeed[i]
 			s.deltaSeed[i] = false
-			ps := prevSel[i]
-			cs := noRoute
-			if ps.class != classInvalid {
-				ai := int(ps.ann)
-				if ni := d.PrevToNew[ai]; ni >= 0 {
-					cs = ps
-					cs.ann = int8(ni)
-					cs.pathLen += d.LenShift[ai]
-				}
-				w := &work[ai+1]
+			if cs := &sel[i]; cs.class != classInvalid {
+				w := &work[int(cs.ann)+1]
+				carryOver(cs, carry)
 				seed = seed || w.blanket
 				// Length-shifted member: re-decide only when the shifted
 				// route no longer strictly beats the runner-up bound.
-				if !seed && w.prune && !e.betterFor(i, cs, prevSecond[i]) {
+				if !seed && w.prune && !e.betterFor(i, *cs, prevSecond[i]) {
 					seed = true
 				}
 			}
-			sel[i] = cs
 			if seed {
 				s.queued[i] = true
 				seedList = append(seedList, i)
@@ -311,31 +448,21 @@ func (e *Engine) PropagateDeltaTraced(prev *Outcome, prevCfg, cfg Config, parent
 		for _, i := range seedList {
 			s.queued[i] = false
 		}
-		out.Release() // the carried arrays feed the full run's pool pull
-		full, err := e.PropagateTraced(cfg, sp)
-		info := DeltaInfo{Mode: DeltaFullFrontier, Seeds: seeds}
-		e.endDeltaSpan(sp, info, n, len(cfg.Anns))
-		return full, info, err
+		return DeltaInfo{Mode: DeltaFullFrontier, Seeds: seeds}
 	}
 
 	// Enqueue shortest-carried-length first: upstream before downstream.
 	s.seedQueueByLen(sel, seedList)
-	events, _, converged := e.runQueue(cfg, s, sel, out.second, traced)
+	events, _, converged := e.runQueue(cfg, s, sel, second, changed, traced)
 	if !converged {
 		// Event budget exhausted (a policy dispute reachable from the
 		// carried state). Propagate freezes disputes deterministically
 		// from *its* start state, so matching it byte-for-byte means
 		// discarding the partial delta state and re-running in full.
-		out.Release()
-		full, err := e.PropagateTraced(cfg, sp)
-		info := DeltaInfo{Mode: DeltaFullBudget, Seeds: seeds, Events: events}
-		e.endDeltaSpan(sp, info, n, len(cfg.Anns))
-		return full, info, err
+		clear(changed)
+		return DeltaInfo{Mode: DeltaFullBudget, Seeds: seeds, Events: events}
 	}
-	out.converged = true
-	info := DeltaInfo{Mode: DeltaApplied, Seeds: seeds, Events: events}
-	e.endDeltaSpan(sp, info, n, len(cfg.Anns))
-	return out, info, nil
+	return DeltaInfo{Mode: DeltaApplied, Seeds: seeds, Events: events}
 }
 
 func (e *Engine) endDeltaSpan(sp *trace.Span, info DeltaInfo, ases, anns int) {

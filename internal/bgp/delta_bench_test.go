@@ -40,16 +40,9 @@ func internetWorldForTest(t testing.TB, seed uint64, numASes int) (*topo.Graph, 
 	for i, p := range provs {
 		links[i] = Link{Name: "mux" + string(rune('A'+i)), Provider: p}
 	}
-	// Internet-scale tiers densely cover the low ASN space; probe upward
-	// for an origin ASN outside the topology.
-	orig := topo.ASN(47065)
-	for {
-		if _, ok := g.Index(orig); !ok {
-			break
-		}
-		orig++
-	}
-	return g, Origin{ASN: orig, Links: links}
+	// The generator never numbers a topology AS with the platform's
+	// origin ASN, at any size.
+	return g, Origin{ASN: 47065, Links: links}
 }
 
 // deltaStep returns one PropagateDeltaInfo step for a fixed prev -> cfg

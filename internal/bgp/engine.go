@@ -59,7 +59,8 @@ func DefaultParams(seed uint64) Params {
 // immutable after construction and safe for concurrent Propagate calls;
 // per-propagation working state lives in a pooled scratch (scratch.go),
 // so repeated calls on the same engine allocate only each Outcome's
-// per-AS arrays, and not those while released or shed arrays are free.
+// per-AS arrays or patch, and not those while released or shed ones are
+// free.
 type Engine struct {
 	g      *topo.Graph
 	origin Origin
@@ -357,7 +358,7 @@ func (e *Engine) PropagateTraced(cfg Config, parent *trace.Span) (Outcome, error
 	}
 	s.seeds = seeds[:0]
 
-	events, highWater, converged := e.runQueue(cfg, s, sel, out.second, traced)
+	events, highWater, converged := e.runQueue(cfg, s, sel, out.second, nil, traced)
 	// Policy dispute wheels can prevent convergence, as in real BGP; the
 	// frozen state is still deterministic and reported as such.
 	out.converged = converged
@@ -380,8 +381,10 @@ func (e *Engine) PropagateTraced(cfg Config, parent *trace.Span) (Outcome, error
 // Both Propagate (empty initial state, seeded with the direct-
 // announcement providers) and PropagateDeltaInfo (carried previous state,
 // seeded with the diff's dirty frontier) converge through this one
-// loop, so the two paths cannot drift apart in decision semantics.
-func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, traced bool) (events, highWater int, converged bool) {
+// loop, so the two paths cannot drift apart in decision semantics. A
+// non-nil changed bitmap gets the bit of every AS whose selection the
+// loop rewrites: what a derivation's patch is built from.
+func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, changed []uint64, traced bool) (events, highWater int, converged bool) {
 	budget := maxEventsPerAS * e.g.NumASes()
 	for s.qlen > 0 {
 		if traced && s.qlen > highWater {
@@ -402,6 +405,9 @@ func (e *Engine) runQueue(cfg Config, s *propScratch, sel, sel2 []selection, tra
 		if best != sel[i] {
 			sel[i] = best
 			s.sendClass[i] = bestTrue
+			if changed != nil {
+				changed[i>>6] |= 1 << (uint(i) & 63)
+			}
 			// Wake filter: a neighbor j only needs to re-decide if it
 			// routes through i, or if the best possible version of i's
 			// new export could strictly beat j's runner-up bound. The

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"slices"
+	"unsafe"
 )
 
 // Seams for the external bgp_test package, whose campaign golden needs
@@ -15,9 +16,24 @@ var InternetWorldForTest = internetWorldForTest
 // IsBase is isBase for external tests.
 var IsBase = isBase
 
+// RaceEnabled is raceEnabled for external tests.
+const RaceEnabled = raceEnabled
+
 // HoldsRunnerUps reports whether o still carries its runner-ups, the
 // state a delta seed needs.
 func HoldsRunnerUps(o *Outcome) bool { return o.second != nil }
+
+// HeldBytes returns the bytes o holds of its own: its header and every
+// array it references but a seed it is a patch over.
+func HeldBytes(o *Outcome) int {
+	b := int(unsafe.Sizeof(*o))
+	b += (cap(o.sel) + cap(o.second)) * int(unsafe.Sizeof(selection{}))
+	b += cap(o.sendCls)
+	p := &o.patch
+	b += cap(p.carry)*int(unsafe.Sizeof(annCarry{})) + cap(p.words)*int(unsafe.Sizeof(patchWord{}))
+	b += cap(p.sel)*int(unsafe.Sizeof(selection{})) + cap(p.cls) + cap(p.links)
+	return b
+}
 
 // NewOutcomeCacheCap returns an empty cache bounded at capacity seeds.
 func NewOutcomeCacheCap(capacity int) *OutcomeCache {
@@ -33,6 +49,19 @@ func (c *OutcomeCache) Resident() []*Outcome {
 	return slices.Clone(c.seeds)
 }
 
+// at returns the selection of the AS at dense index i as a dense outcome
+// stores it, whichever way o holds it.
+func (o *Outcome) at(i int) selection {
+	s, c := o.ref(i)
+	if c.to < 0 {
+		return noRoute
+	}
+	r := *s
+	r.ann = c.to
+	r.pathLen += c.shift
+	return r
+}
+
 // HashSelections folds the outcome's converged flag and every AS's
 // selected route — class, announcement index, AS-path length, next hop
 // and tiebreak priority — into h. Runner-ups are left out: they are an
@@ -44,7 +73,8 @@ func HashSelections(h hash.Hash64, o *Outcome) {
 		buf[0] = 1
 	}
 	h.Write(buf[:1])
-	for _, s := range o.sel {
+	for i := range o.engine.g.NumASes() {
+		s := o.at(i)
 		// The goldens were recorded with a 16-byte selection: ann in 16
 		// bits, pri in 32, and noRoute's pri at 1<<30.
 		pri := int32(s.pri)

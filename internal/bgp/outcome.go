@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math/bits"
 	"sync"
 
 	"spooftrack/internal/topo"
@@ -9,6 +10,17 @@ import (
 // Outcome is the routing state after a configuration converges: every
 // AS's selected route toward the origin prefix. Outcomes are immutable
 // and safe for concurrent reads.
+//
+// An outcome is held one of two ways, and every query answers the same
+// for both. A dense outcome keeps a selection and an export class per AS
+// (sel, sendCls), and while it can seed a delta its runner-ups too
+// (second): Propagate, PropagateDeltaInfo and every outcome an
+// OutcomeCache keeps are dense. A patch outcome (sel == nil) is how an
+// OutcomeCache hands back a configuration it derived from a resident
+// seed: the seed, the carry-over that maps the seed's routes into the
+// configuration, the selections of only the ASes the delta step left
+// different from that carry, and a one-byte catchment per AS
+// (outcomePatch).
 type Outcome struct {
 	engine    *Engine
 	cfg       Config
@@ -21,7 +33,7 @@ type Outcome struct {
 	// dirty frontier without re-deciding them. Only a delta seed reads it.
 	// Propagate and PropagateDeltaInfo always return it; an OutcomeCache
 	// keeps only outcomes that can seed a later delta, and hands back every
-	// other outcome it computes with second == nil (see OutcomeCache).
+	// other outcome it computes without it (see OutcomeCache).
 	second []selection
 	// sendCls[i] is the export class of sel[i] (trueClass, resolving
 	// pinned overrides), persisted so PropagateDeltaInfo can carry it with
@@ -32,22 +44,154 @@ type Outcome struct {
 	// caller sees it, and never cleared: Release leaves such an outcome
 	// alone, since other callers may hold the same pointer.
 	cached bool
+	// patch holds a patch outcome's state; its seed is nil on a dense one.
+	patch outcomePatch
+}
+
+// outcomePatch is a derived outcome as a difference from the seed it was
+// derived from. Reading AS i's selection costs one bitmap word: a touched
+// AS's selection sits in sel at its rank among the touched ASes, and any
+// other AS holds the seed's selection carried over — announcement index
+// remapped and AS-path length shifted as PropagateDeltaInfo's carry-over
+// pass does. A delta step re-decides a small catchment: on a campaign a
+// patch holds about an eighth of the ASes' selections, and with the
+// catchment row about a fifth of a dense outcome's bytes.
+type outcomePatch struct {
+	// seed is a dense, converged outcome an OutcomeCache holds: immutable
+	// and never released.
+	seed    *Outcome
+	seedSel []selection // seed.sel, one load nearer
+	// self is the patch outcome's own address, which Release files on the
+	// engine's free list. Storing a pointer read through the receiver,
+	// rather than the receiver itself, keeps Release from moving every
+	// dense Outcome value it is called on to the heap.
+	self *Outcome
+	// carry maps each of the seed's announcements into the configuration,
+	// announcement ai at carry[ai+1]; carry[0] maps noRoute's index, -1,
+	// to itself.
+	carry []annCarry
+	// words is the touched bitmap, 64 ASes per word.
+	words []patchWord
+	// sel and cls are the touched ASes' selections and export classes, in
+	// ascending AS index.
+	sel []selection
+	cls []int8
+	// links is every AS's catchment, one byte per AS. A truth campaign
+	// reads the catchment of every AS of every derived outcome, and
+	// through the bitmap and the carry that read costs about three times
+	// a dense outcome's; written out once per derivation it costs less.
+	links []LinkID
+}
+
+// annCarry is where the routes of one of a seed's announcements go in a
+// derived configuration.
+type annCarry struct {
+	to    int8  // the announcement's index there, -1 if its routes are withdrawn
+	shift int32 // the AS-path length shift its routes take
+}
+
+// patchWord is one word of a patch's touched bitmap and the number of
+// touched ASes in the words before it.
+type patchWord struct {
+	bits uint64
+	rank int32
+}
+
+// carryOver moves a seed AS's selection, in place, into a derived
+// configuration (carry as in outcomePatch): what the AS selects there
+// unless the delta step re-decides it. It works on the stored selection
+// because assigning whole selections one by one stalls on every store.
+func carryOver(s *selection, carry []annCarry) {
+	c := carry[int(s.ann)+1]
+	if c.to < 0 {
+		*s = noRoute
+		return
+	}
+	s.ann = c.to
+	s.pathLen += c.shift
+}
+
+// entry returns where AS i's selection is stored: its own patch entry
+// when the delta step changed it, and then touched is set, or the seed's
+// entry, which reads through the carry of its announcement.
+func (p *outcomePatch) entry(i int) (s *selection, touched bool) {
+	w := p.words[i>>6]
+	if bit := uint64(1) << (uint(i) & 63); w.bits&bit != 0 {
+		return &p.sel[int(w.rank)+bits.OnesCount64(w.bits&(bit-1))], true
+	}
+	return &p.seedSel[i], false
+}
+
+// ref is Outcome.ref for a patch.
+func (p *outcomePatch) ref(i int) (*selection, annCarry) {
+	s, touched := p.entry(i)
+	if touched {
+		return s, annCarry{to: s.ann}
+	}
+	return s, p.carry[int(s.ann)+1]
+}
+
+// materialize writes the patch out densely: every AS's selection into
+// sel and its export class into cls.
+func (p *outcomePatch) materialize(sel []selection, cls []int8) {
+	copy(sel, p.seedSel)
+	for i := range sel {
+		carryOver(&sel[i], p.carry)
+	}
+	copy(cls, p.seed.sendCls)
+	k := 0
+	for w, word := range p.words {
+		for b := word.bits; b != 0; b &= b - 1 {
+			i := w<<6 | bits.TrailingZeros64(b)
+			sel[i], cls[i] = p.sel[k], p.cls[k]
+			k++
+		}
+	}
+}
+
+// ref returns where the selection of the AS at dense index i is stored
+// and the carry to read it through: its announcement's index in the
+// outcome's configuration (c.to, negative when i has no route) and the
+// AS-path length shift (c.shift). An AS without a route holds noRoute,
+// whose ann is -1. The accessors read single fields through it rather
+// than copy a selection, which is five fields and so always goes through
+// memory. The hot reads, CatchmentOf and a path walk's hop, do not go
+// through it: they test for a dense outcome themselves and inline.
+func (o *Outcome) ref(i int) (s *selection, c annCarry) {
+	if o.sel != nil {
+		s = &o.sel[i]
+		return s, annCarry{to: s.ann}
+	}
+	return o.patch.ref(i)
+}
+
+// hop returns the next hop on the route of the AS at dense index i, which
+// must have one: a path walk's step. The carry-over leaves next hops as
+// the seed had them.
+func (o *Outcome) hop(i int) int {
+	if o.sel != nil {
+		return int(o.sel[i].nextHop)
+	}
+	s, _ := o.patch.entry(i)
+	return int(s.nextHop)
 }
 
 // outcomeArrays is the engine's free list of the per-AS arrays behind
-// Outcomes, by far the dominant per-propagation allocation: selection
-// arrays (sel and second share the shape, 12 bytes per AS each) and
-// export-class arrays (sendCls, 1 byte per AS). Outcome.Release returns
-// all of an outcome's arrays, an OutcomeCache returns the runner-ups it
-// sheds, and newOutcome takes from here before it allocates. Like
-// cluster's free lists, and unlike a sync.Pool, it keeps what it holds
-// across collections, so whether a propagation allocates follows the
-// work, not the collector. It holds only arrays returned and not yet
-// taken again.
+// dense Outcomes, by far the dominant per-propagation allocation:
+// selection arrays (sel and second share the shape, 12 bytes per AS
+// each) and export-class arrays (sendCls, 1 byte per AS). Outcome.Release
+// returns all of an outcome's arrays, an OutcomeCache returns the
+// runner-ups it sheds, and newOutcome takes from here before it
+// allocates. Released patch outcomes come back whole, with their patch
+// buffers, for takePatch. Like cluster's free lists, and unlike a
+// sync.Pool, it keeps what it holds across collections, so whether a
+// propagation allocates follows the work, not the collector. It holds
+// only what was returned and not yet taken again.
 type outcomeArrays struct {
-	mu   sync.Mutex
-	sels [][]selection
-	cls  [][]int8
+	mu      sync.Mutex
+	sels    [][]selection
+	cls     [][]int8
+	patches []*Outcome
 }
 
 // take pops the last array off list, or allocates one of length n when
@@ -81,6 +225,24 @@ func (e *Engine) newOutcome(cfg Config) Outcome {
 	}
 }
 
+// takePatch returns a released patch outcome to reuse, its buffers
+// intact, or a new one when the engine holds none.
+func (e *Engine) takePatch() *Outcome {
+	f := &e.free
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k := len(f.patches)
+	if k == 0 {
+		o := &Outcome{engine: e}
+		o.patch.self = o
+		return o
+	}
+	o := f.patches[k-1]
+	f.patches[k-1] = nil
+	f.patches = f.patches[:k-1]
+	return o
+}
+
 // Release returns the Outcome's arrays to its engine for reuse by later
 // propagations. It is optional and purely a performance hint: campaign
 // loops that inspect each outcome and move on can cut the dominant
@@ -91,15 +253,29 @@ func (e *Engine) newOutcome(cfg Config) Outcome {
 // the prev of a PropagateDeltaInfo call. An outcome an OutcomeCache
 // handed out may always be released: if the cache holds it (a seed),
 // Release is a no-op and the outcome stays valid for every holder; if
-// not (a derived outcome, which only its caller holds), its arrays feed
-// the next propagation. Releasing a zero or already released Outcome is
-// a no-op; an outcome whose runner-ups a cache shed returns the arrays
-// it still holds.
+// not (a derived outcome, which only its caller holds), its arrays or
+// its patch feed the next propagation — a released patch outcome is
+// handed out again, at the same address, by a later derivation. Releasing
+// a zero or already released Outcome is a no-op; an outcome whose
+// runner-ups a cache shed returns the arrays it still holds.
 func (o *Outcome) Release() {
-	if o.engine == nil || o.sel == nil || o.cached {
+	if o.engine == nil || o.cached {
 		return
 	}
 	f := &o.engine.free
+	if o.patch.seed != nil {
+		// The patch's buffers stay with the outcome, which takePatch hands
+		// to the next derivation whole.
+		o.patch.seed, o.patch.seedSel = nil, nil
+		o.converged = false
+		f.mu.Lock()
+		f.patches = append(f.patches, o.patch.self)
+		f.mu.Unlock()
+		return
+	}
+	if o.sel == nil {
+		return
+	}
 	f.mu.Lock()
 	f.sels = append(f.sels, o.sel)
 	if o.second != nil {
@@ -138,23 +314,25 @@ func (o *Outcome) Graph() *topo.Graph { return o.engine.g }
 
 // HasRoute reports whether the AS at dense index i has any route to the
 // prefix.
-func (o *Outcome) HasRoute(i int) bool { return o.sel[i].class != classInvalid }
+func (o *Outcome) HasRoute(i int) bool { return o.CatchmentOf(i) != NoLink }
 
 // CatchmentOf returns the peering link whose catchment contains the AS at
 // dense index i, or NoLink if i has no route.
 func (o *Outcome) CatchmentOf(i int) LinkID {
-	s := o.sel[i]
-	if s.class == classInvalid {
-		return NoLink
+	if o.sel == nil {
+		return o.patch.links[i]
 	}
-	return o.cfg.Anns[s.ann].Link
+	if a := o.sel[i].ann; a >= 0 {
+		return o.cfg.Anns[a].Link
+	}
+	return NoLink
 }
 
 // CatchmentVector returns, for every AS, the link of its catchment
 // (NoLink for ASes with no route). The slice is freshly allocated.
 func (o *Outcome) CatchmentVector() []LinkID {
-	v := make([]LinkID, len(o.sel))
-	for i := range o.sel {
+	v := make([]LinkID, o.engine.g.NumASes())
+	for i := range v {
 		v[i] = o.CatchmentOf(i)
 	}
 	return v
@@ -163,8 +341,8 @@ func (o *Outcome) CatchmentVector() []LinkID {
 // NextHop returns the dense index of the next-hop AS on i's route, or -1
 // if the route is a direct origin link (or i has no route).
 func (o *Outcome) NextHop(i int) int {
-	s := o.sel[i]
-	if s.class == classInvalid {
+	s, c := o.ref(i)
+	if c.to < 0 {
 		return -1
 	}
 	return int(s.nextHop)
@@ -180,9 +358,10 @@ func (o *Outcome) ASPath(i int) []topo.ASN {
 	if hops == 0 {
 		return nil
 	}
-	ann := o.cfg.Anns[o.sel[i].ann]
+	_, c := o.ref(i)
+	ann := o.cfg.Anns[c.to]
 	path := make([]topo.ASN, 0, hops+ann.PathLen())
-	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
+	for hop := i; hop != -1; hop = o.hop(hop) {
 		path = append(path, o.engine.g.ASN(hop))
 	}
 	return ann.appendInitialPath(path, o.engine.origin.ASN)
@@ -202,10 +381,10 @@ func (o *Outcome) DataPath(i int) []int {
 // slice, so a caller walking many paths can reuse one buffer. dst comes
 // back unchanged if i has no route.
 func (o *Outcome) AppendDataPath(dst []int, i int) []int {
-	if o.sel[i].class == classInvalid {
+	if !o.HasRoute(i) {
 		return dst
 	}
-	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
+	for hop := i; hop != -1; hop = o.hop(hop) {
 		dst = append(dst, hop)
 	}
 	return dst
@@ -215,11 +394,11 @@ func (o *Outcome) AppendDataPath(dst []int, i int) []int {
 // number of topology ASes a packet from i traverses, i included, and 0
 // if i has no route.
 func (o *Outcome) DataPathLen(i int) int {
-	if o.sel[i].class == classInvalid {
+	if !o.HasRoute(i) {
 		return 0
 	}
 	n := 0
-	for hop := i; hop != -1; hop = int(o.sel[hop].nextHop) {
+	for hop := i; hop != -1; hop = o.hop(hop) {
 		n++
 	}
 	return n
@@ -231,11 +410,11 @@ func (o *Outcome) DataPathLen(i int) int {
 // prepends its own ASN only when re-exporting). It returns -1 if i has
 // no route.
 func (o *Outcome) PathLen(i int) int {
-	s := o.sel[i]
-	if s.class == classInvalid {
+	s, c := o.ref(i)
+	if c.to < 0 {
 		return -1
 	}
-	return int(s.pathLen)
+	return int(s.pathLen + c.shift)
 }
 
 // RouteClass describes how an AS learned its selected route.
@@ -256,11 +435,11 @@ const (
 // ClassOf returns how the AS at dense index i learned its route, based
 // on the true relationship to its next hop (pinned overrides resolved).
 func (o *Outcome) ClassOf(i int) RouteClass {
-	s := o.sel[i]
-	if s.class == classInvalid {
+	s, c := o.ref(i)
+	if c.to < 0 {
 		return RouteNone
 	}
-	switch o.engine.trueClass(i, s) {
+	switch o.engine.trueClass(i, *s) {
 	case classCustomer:
 		return RouteCustomer
 	case classPeer:

@@ -312,7 +312,7 @@ func TestCachedPropagateMatches(t *testing.T) {
 			}
 			for _, got := range []*Outcome{first, again} {
 				for i := range direct.sel {
-					if direct.sel[i] != got.sel[i] {
+					if direct.sel[i] != got.at(i) {
 						t.Fatalf("trial %d (%v): cached outcome differs at AS %d", trial, cfg, i)
 					}
 				}

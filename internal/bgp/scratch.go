@@ -7,7 +7,7 @@ import (
 // propScratch is the per-propagation working state. Everything in it is
 // sized once for the engine's topology and recycled through the engine's
 // sync.Pool, so a steady stream of Propagate calls allocates nothing
-// beyond each Outcome's selection array.
+// beyond each Outcome's per-AS arrays.
 //
 // The queue is a fixed-capacity ring buffer: the queued bitmap
 // deduplicates enqueues, so at most NumASes entries are ever pending and
@@ -55,12 +55,19 @@ type propScratch struct {
 	// in the pool.
 	deltaSeed []bool
 
-	// diff and work are PropagateDeltaInfo's per-call state: the
-	// configuration diff and what it means for each previous
-	// announcement's members. Kept here so a warm delta step allocates
-	// nothing; both are overwritten in full on every use.
-	diff ConfigDiff
-	work []annWork
+	// diff, work and carry are the delta path's per-call state: the
+	// configuration diff, what it means for each previous announcement's
+	// members, and where each previous announcement's routes carry to.
+	// Kept here so a warm delta step allocates nothing; all three are
+	// overwritten in full on every use.
+	diff  ConfigDiff
+	work  []annWork
+	carry []annCarry
+
+	// changed has one bit per AS, set by runQueue for every AS whose
+	// selection a derivation rewrites (Engine.derive); derive clears every
+	// word as it builds the patch, so the bitmap is all-zero in the pool.
+	changed []uint64
 
 	// fresh marks a scratch that has never been through the pool: its
 	// epoch stamps start from zero (an "epoch reset" in trace terms).
@@ -116,6 +123,7 @@ func newPropScratch(n int) *propScratch {
 		visit:     make([]uint64, n),
 		direct:    make([]bool, n),
 		deltaSeed: make([]bool, n),
+		changed:   make([]uint64, (n+63)/64),
 		fresh:     true,
 	}
 }

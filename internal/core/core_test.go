@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/peering"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/topo"
 )
@@ -36,6 +37,28 @@ func TestBuildWorldDefaults(t *testing.T) {
 	}
 	if len(w.Vantages.Collectors) != 80 || len(w.Vantages.Probes) != 300 {
 		t.Fatal("vantage sizes wrong")
+	}
+}
+
+// TestBuildWorld80k: the internet-scale generator tier builds a whole
+// world. Its graphs run past AS47065, the platform's origin ASN, which
+// the generator skips so the routing engine accepts the origin.
+func TestBuildWorld80k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("80k world skipped in -short")
+	}
+	p := DefaultWorldParams(11)
+	tp := topo.InternetGenParams(11, 80000)
+	p.Topo = &tp
+	w, err := BuildWorld(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Graph.NumASes(); n != 80000 {
+		t.Fatalf("NumASes = %d, want 80000", n)
+	}
+	if _, ok := w.Graph.Index(peering.PEERINGASN); ok {
+		t.Fatalf("AS%d, the origin, is a topology AS", peering.PEERINGASN)
 	}
 }
 

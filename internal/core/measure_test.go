@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"spooftrack/internal/bgp"
@@ -129,6 +130,45 @@ func TestMeasuredCampaignGolden(t *testing.T) {
 	}
 }
 
+// BenchmarkCampaignOutcomeHeap reports, as B/config, the heap a measured
+// campaign's Outcomes hold per configuration on the 1 200-AS small world:
+// HeapAlloc after a collection with the outcomes referenced, minus
+// HeapAlloc after one with them dropped. The platform cache's seeds stay
+// resident either way, so the figure is what the derived outcomes and the
+// outcome headers cost. A derived outcome kept dense would add 13 bytes
+// per AS.
+func BenchmarkCampaignOutcomeHeap(b *testing.B) {
+	held := 0.0
+	for i := 0; i < b.N; i++ {
+		w := smallWorld(b, 1)
+		plan, err := w.DefaultPlan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		camp, err := w.RunCampaign(plan, CampaignOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		held += outcomeHeap(camp) / float64(len(plan))
+	}
+	b.ReportMetric(held/float64(b.N), "B/config")
+}
+
+// outcomeHeap drops the campaign's Outcomes and returns how much live
+// heap that frees. The first two collections empty the sync.Pools, whose
+// contents a collection drops only on its second pass.
+func outcomeHeap(camp *Campaign) float64 {
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&with)
+	camp.Outcomes = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(camp)
+	return float64(with.HeapAlloc) - float64(without.HeapAlloc)
+}
+
 // warmOutcome builds the 300-AS measure world and returns it with the
 // outcome of its fourth configuration, the unit a measured campaign
 // measures once per deployed configuration.
@@ -157,6 +197,57 @@ func BenchmarkMeasureOutcome(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := w.MeasureOutcome(out, 3, rng); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestMeasuredCampaignOutcomesDigest pins what a measured campaign's
+// Outcomes answer, AS by AS: catchment, path length, next hop and route
+// class of every AS in every configuration, and the AS-path of every
+// seventh AS. Most of these outcomes are derived by the platform's
+// outcome cache, and the measure phase and the bench trace probes read
+// them through exactly these accessors. The digests were captured on the
+// dense-outcome implementation before derived outcomes became patches
+// over their seed.
+func TestMeasuredCampaignOutcomesDigest(t *testing.T) {
+	golden := map[uint64]uint64{
+		1: 0x137b0f1c00df71f1,
+		2: 0x4e982be28ac42344,
+		3: 0x321eda5e8a94fff6,
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		w := measureWorld(t, seed, false)
+		plan, err := w.DefaultPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := w.RunCampaign(plan, CampaignOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v int64) {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+		for _, out := range c.Outcomes {
+			for i := 0; i < w.Graph.NumASes(); i++ {
+				put(int64(out.CatchmentOf(i)))
+				put(int64(out.PathLen(i)))
+				put(int64(out.NextHop(i)))
+				put(int64(out.ClassOf(i)))
+				if i%7 == 0 {
+					p := out.ASPath(i)
+					put(int64(len(p)))
+					for _, asn := range p {
+						put(int64(asn))
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != golden[seed] {
+			t.Errorf("seed %d: outcome accessor digest %#x, want %#x (%d outcomes)", seed, got, golden[seed], len(c.Outcomes))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"spooftrack/internal/bgp"
@@ -84,6 +85,36 @@ func TestRunCampaignParallelismInvariant(t *testing.T) {
 	sameCampaign(t, "no-cache sequential", base, nocacheSeq)
 	nocacheWide := runVariant(t, seed, n, CampaignOptions{NoOutcomeCache: true})
 	sameCampaign(t, "no-cache parallel", base, nocacheWide)
+}
+
+// TestMeasuredCampaignPatchedOutcomes deploys a measured campaign — the
+// plan's 64 location bases and 56 derived configurations after them —
+// from four workers through the outcome cache, which hands back most outcomes
+// as patches over its seeds while the workers derive concurrently, and
+// again without the cache, where every outcome is a dense propagation.
+// Every outcome must answer every query the same, AS by AS. Run under
+// -race this also covers the engine's shared free list of patches.
+func TestMeasuredCampaignPatchedOutcomes(t *testing.T) {
+	const seed, n = 15, 120
+	cached := runVariant(t, seed, n, CampaignOptions{Parallelism: 4})
+	dense := runVariant(t, seed, n, CampaignOptions{Parallelism: 4, NoOutcomeCache: true})
+	g := cached.World.Graph
+	var gp, dp []int
+	for c := range cached.Plan {
+		got, want := cached.Outcomes[c], dense.Outcomes[c]
+		for i := 0; i < g.NumASes(); i++ {
+			if got.CatchmentOf(i) != want.CatchmentOf(i) || got.NextHop(i) != want.NextHop(i) ||
+				got.PathLen(i) != want.PathLen(i) || got.ClassOf(i) != want.ClassOf(i) ||
+				got.DataPathLen(i) != want.DataPathLen(i) || !slices.Equal(got.ASPath(i), want.ASPath(i)) {
+				t.Fatalf("config %d (%v), AS %d: the cached outcome answers differently", c, cached.Plan[c].Config, i)
+			}
+			gp, dp = got.AppendDataPath(gp[:0], i), want.AppendDataPath(dp[:0], i)
+			if !slices.Equal(gp, dp) {
+				t.Fatalf("config %d, AS %d: data path %v, want %v", c, i, gp, dp)
+			}
+		}
+	}
+	sameCampaign(t, "measured", cached, dense)
 }
 
 // TestRunCampaignTruthParallelismInvariant covers the truth path (no

@@ -110,15 +110,14 @@ func Generate(p GenParams) (*Graph, error) {
 	rng := stats.NewRNG(p.Seed)
 	b := NewBuilder()
 
-	// ASNs are assigned sequentially from 1. Indices into the weight
-	// arrays below are ASN-1.
+	// ASNs are assigned sequentially from 1, skipping originASN (genASN).
 	numTransit := int(float64(p.NumASes-p.NumTier1) * p.TransitFrac)
 	numStub := p.NumASes - p.NumTier1 - numTransit
 
 	// Tier-1 clique.
 	tier1 := make([]ASN, p.NumTier1)
 	for i := range tier1 {
-		tier1[i] = ASN(i + 1)
+		tier1[i] = genASN(i + 1)
 		b.MarkTier1(tier1[i])
 	}
 	for i := 0; i < len(tier1); i++ {
@@ -144,7 +143,7 @@ func Generate(p GenParams) (*Graph, error) {
 		providerPool.add(t1, 1)
 	}
 	for i := range transit {
-		asn := ASN(p.NumTier1 + i + 1)
+		asn := genASN(p.NumTier1 + i + 1)
 		transit[i] = asn
 		// 1 + geometric-ish number of providers around the mean.
 		nProv := 1
@@ -177,7 +176,7 @@ func Generate(p GenParams) (*Graph, error) {
 		tier1Pool.add(asn, providerPool.weightOf(asn))
 	}
 	for i := 0; i < numStub; i++ {
-		asn := ASN(p.NumTier1 + numTransit + i + 1)
+		asn := genASN(p.NumTier1 + numTransit + i + 1)
 		nProv := 1
 		if rng.Bool(p.StubMultihomeProb) {
 			nProv = 2
@@ -217,6 +216,23 @@ func Generate(p GenParams) (*Graph, error) {
 	}
 
 	return b.Freeze(), nil
+}
+
+// originASN is the measurement platform's origin AS number
+// (peering.PEERINGASN, which imports this package; core's
+// TestBuildWorld80k fails if the two drift apart). Generate never gives
+// it to a topology AS: a routing engine rejects an origin that collides
+// with one.
+const originASN ASN = 47065
+
+// genASN is the ASN of the k-th generated AS (k from 1): k itself below
+// originASN, k+1 from there on. Graphs with fewer than 47 065 ASes are
+// numbered exactly 1…N.
+func genASN(k int) ASN {
+	if k >= int(originASN) {
+		return ASN(k + 1)
+	}
+	return ASN(k)
 }
 
 // sampleASNs returns k distinct elements of pool (partial Fisher-Yates).

@@ -195,6 +195,12 @@ func TestInternetGenParams80k(t *testing.T) {
 	if g.NumLinks() < 2*p.NumASes {
 		t.Errorf("NumLinks = %d, implausibly sparse for %d ASes", g.NumLinks(), p.NumASes)
 	}
+	if _, ok := g.Index(originASN); ok {
+		t.Errorf("AS%d, the platform's origin, numbers a topology AS", originASN)
+	}
+	if last := g.ASN(g.NumASes() - 1); last != ASN(p.NumASes+1) {
+		t.Errorf("highest ASN %d, want %d: numbering skips exactly the origin", last, p.NumASes+1)
+	}
 }
 
 // TestInternetGenParamsDeterministic: same seed, same graph, at the 10k
