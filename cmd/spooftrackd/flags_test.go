@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"spooftrack"
+	"spooftrack/internal/core"
 	"spooftrack/internal/fault"
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/topo"
@@ -94,9 +95,9 @@ func TestRetiredFlagsKeepDefaults(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("watchdog rules %+v, want %+v", got, want)
 	}
-	if probeBudget != 200 || demoPPS != 400 || spooftrack.DefaultRetryPolicy().MaxAttempts != 4 {
+	if probeBudget != 200 || demoPPS != 400 || core.DefaultRetryPolicy().MaxAttempts != 4 {
 		t.Errorf("probe budget %d, demo pps %d, deploy attempts %d; want 200, 400, 4",
-			probeBudget, demoPPS, spooftrack.DefaultRetryPolicy().MaxAttempts)
+			probeBudget, demoPPS, core.DefaultRetryPolicy().MaxAttempts)
 	}
 }
 

@@ -306,7 +306,6 @@ func offline(c worldConfig) (*spooftrack.Tracker, *provenance.Ledger, error) {
 	params.UseTruth = true
 	params.FaultProfile = c.faultProfile
 	params.FaultSeed = c.faultSeed
-	params.Retry = spooftrack.DefaultRetryPolicy()
 	// Decision-provenance ledger: built before the tracker so the
 	// offline campaign's deploys, retries, and degradations are on the
 	// record from the first event. A nil ledger keeps every Record* site
@@ -317,8 +316,7 @@ func offline(c worldConfig) (*spooftrack.Tracker, *provenance.Ledger, error) {
 	}
 	params.Ledger = led
 	if c.faultProfile != "" {
-		slog.Info("fault injection enabled", "profile", c.faultProfile, "seed", c.faultSeed,
-			"retries", params.Retry.MaxAttempts)
+		slog.Info("fault injection enabled", "profile", c.faultProfile, "seed", c.faultSeed)
 	}
 	slog.Info("offline: building world and measuring campaign catchments", "ases", c.ases)
 	tracker, err := spooftrack.NewTracker(params)

@@ -46,7 +46,6 @@ const (
 	numShards   = 4
 	numRounds   = 10
 	killAfter   = 5 // SIGKILL the leading controller after this round
-	leaseTTL    = 1 * time.Second
 	numSources  = 16
 	numConfigs  = 4
 	numLinks    = 2
@@ -211,7 +210,6 @@ func runCtrl(id, dir, peers string) error {
 		Members:         ids,
 		Transport:       tr,
 		Lease:           lease,
-		LeaseTTL:        leaseTTL,
 	})
 	if err != nil {
 		return fmt.Errorf("controller %s: %w", id, err)
@@ -390,7 +388,7 @@ func run(ctx context.Context, w io.Writer) error {
 			children[victim].Process.Kill()
 			children[victim].Wait()
 			delete(children, victim)
-			fmt.Fprintf(w, "    waiting out the %s lease TTL; the standby's next acquire is fenced at a higher term\n\n", leaseTTL)
+			fmt.Fprintf(w, "    waiting out the %s lease TTL; the standby's next acquire is fenced at a higher term\n\n", shard.LeaseTTL)
 		}
 	}
 	_, who, err := step(addrs, ctrlIDs, &leader, true)

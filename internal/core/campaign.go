@@ -10,6 +10,7 @@ import (
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
+	"spooftrack/internal/fault"
 	"spooftrack/internal/measure"
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
@@ -29,13 +30,6 @@ type CampaignOptions struct {
 	// with the number of configurations completed. Calls never overlap
 	// and done rises by one from each to the next, whatever Parallelism.
 	Progress func(done, total int)
-	// ConcurrentPrefixes deploys the plan over this many dedicated
-	// prefixes in parallel time slots (§V-C's first speedup: "use
-	// multiple prefixes and deploy multiple configurations
-	// concurrently"). Prefixes route independently, so catchments are
-	// unchanged; the campaign's simulated duration divides by this
-	// factor. Zero or one means a single prefix.
-	ConcurrentPrefixes int
 	// Parallelism bounds the worker pool that runs route propagation and
 	// the measurement pipeline across configurations (host CPU
 	// parallelism, not a simulation parameter; results are bit-identical
@@ -53,13 +47,17 @@ type CampaignOptions struct {
 	// Metrics, if non-nil, receives the campaign's per-phase wall-clock
 	// histograms, core_campaign_phase_seconds{phase="deploy"|"measure"}.
 	Metrics *metrics.Registry
-	// Retry controls per-configuration retry of faulted deployment and
-	// measurement attempts (exponential backoff + deterministic jitter,
-	// honoring Ctx). The zero policy makes every fault fatal, which is
-	// the fault-free behaviour. Deployment faults come from the
-	// platform's fault hook (peering.Platform.SetFaultHook); measurement
-	// faults from MeasureFault.
-	Retry RetryPolicy
+	// Retry is the schedule each configuration's deployment and
+	// measurement are retried on (the jitter site is the plan index;
+	// Ctx cuts waits short). A campaign that retries (MaxAttempts > 1)
+	// also degrades: a configuration whose tries are all lost is recorded
+	// Incomplete and the run goes on, except for the baseline (index 0),
+	// whose loss is fatal because sources are derived from it. The zero
+	// schedule tries once and fails the campaign on any error, the
+	// fault-free behaviour. Deployment faults come from the platform's
+	// fault hook (peering.Platform.SetFaultHook); measurement faults from
+	// MeasureFault.
+	Retry fault.Retry
 	// MeasureFault, if non-nil, injects measurement-attempt faults
 	// (and, when it also implements MeasureMasker, partial catchment
 	// visibility on successful measurements). fault.Injector implements
@@ -96,7 +94,7 @@ type Campaign struct {
 	// Imputed is the imputation report (nil with UseTruth).
 	Imputed *measure.ImputeResult
 	// Incomplete lists the plan indices of configurations permanently
-	// lost to faults (retries exhausted under a degrading RetryPolicy),
+	// lost to faults (every try of a retrying campaign failed),
 	// ascending. Their catchment rows are all-unknown (bgp.NoLink), so
 	// clustering never splits on them: the final partition is provably a
 	// coarsening of the fault-free partition. Empty on a clean run.
@@ -159,6 +157,7 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 			[]string{"phase"}, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60, 600)
 	}
 	retry := opts.Retry
+	degrade := retry.MaxAttempts > 1 // a campaign that retries also degrades
 	led := opts.Ledger
 
 	// Per-config RNGs split in plan order up front, so downstream results
@@ -209,29 +208,19 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 			dsp.Count("queue_wait_ns", time.Since(deployStart).Nanoseconds())
 			dsp.Set(trace.String("config", plan[i].Config.Key()))
 		}
-		// Retry loop: each attempt goes through the platform's fault hook
-		// (if any). After CheckConstraints, propagation itself cannot fail,
-		// so every retryable error here is an injected deployment fault.
+		// Each attempt goes through the platform's fault hook (if any).
+		// After CheckConstraints, propagation itself cannot fail, so every
+		// error here is an injected deployment fault or cancellation.
 		var out *bgp.Outcome
-		var err error
-		attempts := 0
-		for attempt := 0; ; attempt++ {
-			if err = ctx.Err(); err != nil {
-				break
-			}
+		attempts, err := retry.Do(ctx, i, nil, func(attempt int) (err error) {
 			out, err = w.Platform.PropagateAttempt(plan[i].Config, attempt, opts.NoOutcomeCache, dsp)
-			attempts = attempt + 1
-			if err == nil || attempt+1 >= retry.attempts() {
-				if dsp != nil {
-					dsp.Count("attempts", int64(attempt+1))
-				}
-				break
-			}
+			return err
+		}, func(attempt int, err error) bool {
 			led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "deploy", Attempt: attempt, Error: err.Error()})
-			if serr := sleepCtx(ctx, retry.Backoff(i, attempt)); serr != nil {
-				err = serr
-				break
-			}
+			return true
+		})
+		if dsp != nil {
+			dsp.Count("attempts", int64(attempts))
 		}
 		if err == nil && led.Enabled() {
 			led.RecordDeploy(provenance.DeployEvent{
@@ -255,25 +244,15 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		perrs[i] = err
 		dsp.End()
 	})
-	for i := range plan {
-		if err := perrs[i]; err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: campaign canceled at config %d: %w", i, err)
-			}
-			if retry.DegradeOnExhaust && i != 0 {
-				// Permanently lost: record incomplete and move on. The
-				// config's catchment row stays all-unknown and the simulated
-				// clock does not advance for it (nothing was deployed).
-				c.Incomplete = append(c.Incomplete, i)
-				led.RecordDegrade(provenance.DegradeEvent{Config: i, Phase: "deploy", Error: err.Error()})
-				continue
-			}
-			if i == 0 && retry.DegradeOnExhaust {
-				return nil, fmt.Errorf("core: baseline config permanently lost (sources are derived from it): %w", err)
-			}
-			return nil, fmt.Errorf("core: config %d (%v): %w", i, plan[i].Config, err)
+	// A configuration lost here keeps an all-unknown catchment row, and
+	// the simulated clock does not advance for it (nothing was deployed).
+	if err := c.settle(ctx, "deploy", perrs, degrade, led); err != nil {
+		return nil, err
+	}
+	for _, err := range perrs {
+		if err == nil {
+			w.Platform.Record(csp)
 		}
-		w.Platform.Record(csp)
 	}
 	if phaseH != nil {
 		phaseH.With("deploy").Observe(time.Since(deployStart).Seconds())
@@ -283,14 +262,13 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		// Measurement is independent per configuration: fan out.
 		c.Measurements = make([]*measure.CatchmentMeasurement, len(plan))
 		errs := make([]error, len(plan))
-		lost := make([]bool, len(plan))
 		masker, _ := opts.MeasureFault.(MeasureMasker)
 		var progressMu sync.Mutex // serializes Progress across workers
 		done := 0
 		measureStart := time.Now()
 		runPoolSpans(csp, "campaign.measure.worker", workers, len(plan), func(i int, wsp *trace.Span) {
-			if ctx.Err() != nil {
-				errs[i] = ctx.Err()
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
 				return
 			}
 			var msp *trace.Span
@@ -299,48 +277,34 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				msp.Set(trace.Int("config", int64(i)))
 			}
 			if c.Outcomes[i] == nil {
-				// Deployment was permanently lost; nothing to measure.
-				c.Measurements[i] = measure.Unobserved(w.Graph.NumASes())
-				msp.End()
+				msp.End() // deployment lost: nothing to measure
 				return
 			}
-			// Retry loop over injected measurement faults. Each attempt
-			// consumes a pristine copy of the config's pre-split RNG, so a
-			// successful retry yields the byte-identical measurement a
-			// fault-free run would have produced.
+			// Only injected faults are retried: a measurement that ran and
+			// failed would fail again. Each attempt consumes a pristine copy
+			// of the config's pre-split RNG, so a successful retry yields the
+			// byte-identical measurement a fault-free run would have produced.
 			var m *measure.CatchmentMeasurement
-			var err error
-			for attempt := 0; ; attempt++ {
-				if err = ctx.Err(); err != nil {
-					break
-				}
+			measured := false
+			attempts, err := retry.Do(ctx, i, nil, func(attempt int) (err error) {
 				if opts.MeasureFault != nil {
-					if err = opts.MeasureFault.Measure(i, attempt); err != nil {
-						if attempt+1 >= retry.attempts() {
-							break
-						}
-						led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "measure", Attempt: attempt, Error: err.Error()})
-						if serr := sleepCtx(ctx, retry.Backoff(i, attempt)); serr != nil {
-							err = serr
-						} else {
-							continue
-						}
-						break
+					if err := opts.MeasureFault.Measure(i, attempt); err != nil {
+						return err
 					}
 				}
+				measured = true
 				r := *rngs[i]
 				m, err = w.MeasureOutcome(c.Outcomes[i], i, &r)
-				if msp != nil {
-					msp.Count("attempts", int64(attempt+1))
+				return err
+			}, func(attempt int, err error) bool {
+				if measured {
+					return false
 				}
-				break
-			}
-			if err != nil && ctx.Err() == nil && retry.DegradeOnExhaust && i != 0 {
-				// Capture window permanently lost: keep an all-unknown
-				// measurement so imputation and clustering degrade instead of
-				// aborting.
-				led.RecordDegrade(provenance.DegradeEvent{Config: i, Phase: "measure", Error: err.Error()})
-				m, err, lost[i] = measure.Unobserved(w.Graph.NumASes()), nil, true
+				led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "measure", Attempt: attempt, Error: err.Error()})
+				return true
+			})
+			if measured && msp != nil {
+				msp.Count("attempts", int64(attempts))
 			}
 			if m != nil && masker != nil {
 				if hidden := masker.Mask(i, m); hidden > 0 && msp != nil {
@@ -357,20 +321,20 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 				progressMu.Unlock()
 			}
 		})
+		// Unlike deploy, a canceled measure phase fails even if it lost
+		// nothing: the campaign is cut off before imputation.
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: campaign canceled during measurement: %w", err)
+			return nil, fmt.Errorf("core: campaign canceled during measure: %w", err)
 		}
-		for i, err := range errs {
-			if err != nil {
-				if i == 0 && retry.DegradeOnExhaust {
-					return nil, fmt.Errorf("core: baseline measurement permanently lost (sources are derived from it): %w", err)
-				}
-				return nil, fmt.Errorf("core: config %d: %w", i, err)
-			}
+		if err := c.settle(ctx, "measure", errs, degrade, led); err != nil {
+			return nil, err
 		}
-		for i, l := range lost {
-			if l && !c.IsIncomplete(i) {
-				c.Incomplete = append(c.Incomplete, i)
+		// A configuration lost in either phase keeps an all-unknown
+		// measurement, so imputation and clustering degrade instead of
+		// aborting.
+		for i, m := range c.Measurements {
+			if m == nil {
+				c.Measurements[i] = measure.Unobserved(w.Graph.NumASes())
 			}
 		}
 		sort.Ints(c.Incomplete)
@@ -381,10 +345,6 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		opts.Progress(len(plan), len(plan))
 	}
 	c.Elapsed = w.Platform.Elapsed()
-	if k := opts.ConcurrentPrefixes; k > 1 {
-		slots := (len(plan) + k - 1) / k
-		c.Elapsed = time.Duration(slots) * w.Platform.Constraints().ConfigDuration
-	}
 
 	if opts.UseTruth {
 		// Sources: every AS routed in the baseline configuration.
@@ -424,6 +384,30 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 	c.Catchments = c.Imputed.Catchments
 	c.recordProvenance(led, false)
 	return c, nil
+}
+
+// settle folds one phase's per-configuration errors into the campaign,
+// in plan order. A lost configuration fails it if the context is
+// canceled by then; otherwise, with degrade set, a lost configuration
+// other than the baseline is recorded Incomplete and degraded in the
+// ledger, and any other error fails it. A phase that lost nothing
+// settles even under a canceled context.
+func (c *Campaign) settle(ctx context.Context, phase string, errs []error, degrade bool, led *provenance.Ledger) error {
+	for i, err := range errs {
+		switch {
+		case err == nil:
+		case ctx.Err() != nil:
+			return fmt.Errorf("core: campaign canceled during %s: %w", phase, ctx.Err())
+		case !degrade:
+			return fmt.Errorf("core: config %d (%v): %w", i, c.Plan[i].Config, err)
+		case i == 0:
+			return fmt.Errorf("core: baseline config lost in %s (sources are derived from it): %w", phase, err)
+		default:
+			c.Incomplete = append(c.Incomplete, i)
+			led.RecordDegrade(provenance.DegradeEvent{Config: i, Phase: phase, Error: err.Error()})
+		}
+	}
+	return nil
 }
 
 // recordProvenance closes the campaign's provenance chain: dimensions,

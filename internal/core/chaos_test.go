@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -13,11 +14,11 @@ import (
 	"spooftrack/internal/sched"
 )
 
-// chaosRetry is the retry policy chaos tests run under: a generous
-// attempt budget with zero backoff so the suite stays fast, degrading
-// on exhaustion as the daemon does.
-func chaosRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 8, DegradeOnExhaust: true}
+// chaosRetry is the retry schedule chaos tests run under: a generous
+// attempt budget with zero backoff so the suite stays fast (a retrying
+// campaign degrades on exhaustion, as the daemon's does).
+func chaosRetry() fault.Retry {
+	return fault.Retry{MaxAttempts: 8}
 }
 
 // truthBaseline runs a fault-free UseTruth campaign on a fresh world.
@@ -233,7 +234,7 @@ func TestChaosMeasuredPathByteIdentical(t *testing.T) {
 			inj := fault.New(prof, 13, w.Platform.NumLinks())
 			w.Platform.SetFaultHook(inj)
 			opts.MeasureFault = inj
-			opts.Retry = RetryPolicy{MaxAttempts: 12, DegradeOnExhaust: true}
+			opts.Retry = fault.Retry{MaxAttempts: 12}
 		}
 		c, err := w.RunCampaign(plan, opts)
 		if err != nil {
@@ -292,35 +293,76 @@ func TestChaosMeasuredPathDegrades(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyBackoff: the default campaign schedule doubles from
+// 100ms to its 2s cap, and spreads each wait by a deterministic ±25%
+// that differs from configuration to configuration.
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: 400 * time.Millisecond}
-	if d := p.Backoff(0, 0); d != 100*time.Millisecond {
-		t.Fatalf("attempt 0 backoff = %v", d)
-	}
-	if d := p.Backoff(0, 1); d != 200*time.Millisecond {
-		t.Fatalf("attempt 1 backoff = %v", d)
-	}
-	if d := p.Backoff(0, 5); d != 400*time.Millisecond {
-		t.Fatalf("attempt 5 backoff = %v, want cap", d)
-	}
-	j := RetryPolicy{BaseBackoff: 100 * time.Millisecond, Jitter: 0.25}
-	a, b := j.Backoff(1, 0), j.Backoff(2, 0)
-	if a == b {
-		t.Fatal("jitter should vary across configs")
-	}
-	for _, d := range []time.Duration{a, b} {
-		if d < 75*time.Millisecond || d > 125*time.Millisecond {
-			t.Fatalf("jittered backoff %v outside ±25%%", d)
+	p := DefaultRetryPolicy()
+	for attempt, base := range []time.Duration{100, 200, 400, 800, 1600, 2000, 2000} {
+		base *= time.Millisecond
+		for cfg := 0; cfg < 16; cfg++ {
+			d := p.Backoff(cfg, attempt)
+			if d < base*3/4 || d > base*5/4 {
+				t.Fatalf("Backoff(%d, %d) = %v, want %v ±25%%", cfg, attempt, d, base)
+			}
+			if p.Backoff(cfg, attempt) != d {
+				t.Fatal("jitter must be deterministic")
+			}
 		}
 	}
-	if j.Backoff(1, 0) != a {
-		t.Fatal("jitter must be deterministic")
+	if p.Backoff(1, 0) == p.Backoff(2, 0) {
+		t.Fatal("jitter should vary across configs")
 	}
-	if (RetryPolicy{}).Backoff(0, 3) != 0 {
-		t.Fatal("zero policy must not wait")
+	p.Jitter = 0
+	if d := p.Backoff(0, 5); d != 2*time.Second {
+		t.Fatalf("attempt 5 backoff = %v, want the 2s cap", d)
 	}
-	if (RetryPolicy{}).attempts() != 1 || (RetryPolicy{MaxAttempts: 5}).attempts() != 5 {
-		t.Fatal("attempts() wrong")
+	if (fault.Retry{}).Backoff(0, 3) != 0 {
+		t.Fatal("zero schedule must not wait")
+	}
+}
+
+// cancelHook cancels the campaign context during the n-th deployment,
+// which itself succeeds.
+type cancelHook struct {
+	n, calls int
+	cancel   context.CancelFunc
+}
+
+func (h *cancelHook) Deploy(string, int) ([]bgp.LinkID, error) {
+	if h.calls++; h.calls == h.n {
+		h.cancel()
+	}
+	return nil, nil
+}
+
+// TestCancelAfterLastDeploy: a context canceled once every deployment
+// has succeeded does not fail a truth campaign, which has nothing left
+// to do, but fails a measured one, whose measurements it cuts off.
+func TestCancelAfterLastDeploy(t *testing.T) {
+	for _, useTruth := range []bool{true, false} {
+		w := smallWorld(t, 9)
+		plan, err := w.DefaultPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		w.Platform.SetFaultHook(&cancelHook{n: len(plan), cancel: cancel})
+		c, err := w.RunCampaign(plan, CampaignOptions{
+			UseTruth:    useTruth,
+			Ctx:         ctx,
+			Parallelism: 1,
+			Retry:       fault.Retry{MaxAttempts: 2},
+		})
+		cancel()
+		switch {
+		case useTruth && err != nil:
+			t.Errorf("truth campaign: %v; want the finished campaign", err)
+		case useTruth && len(c.Incomplete) > 0:
+			t.Errorf("truth campaign: configurations %v incomplete", c.Incomplete)
+		case !useTruth && !errors.Is(err, context.Canceled):
+			t.Errorf("measured campaign: err %v, want context.Canceled", err)
+		}
 	}
 }
 
@@ -337,7 +379,7 @@ func TestRetryRespectsContextDeadline(t *testing.T) {
 	_, err = w.RunCampaign(plan, CampaignOptions{
 		UseTruth: true,
 		Ctx:      ctx,
-		Retry:    RetryPolicy{MaxAttempts: 100, BaseBackoff: time.Second, MaxBackoff: time.Minute},
+		Retry:    fault.Retry{MaxAttempts: 100, BaseBackoff: time.Second, MaxBackoff: time.Minute},
 	})
 	if err == nil {
 		t.Fatal("campaign should fail when the deadline cuts retries short")

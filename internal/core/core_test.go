@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/peering"
@@ -225,39 +224,6 @@ func TestRunCampaignWireFeeds(t *testing.T) {
 		for k := range c1.Catchments[cc] {
 			if c1.Catchments[cc][k] != c2.Catchments[cc][k] {
 				t.Fatalf("wire feeds changed catchment [%d][%d]", cc, k)
-			}
-		}
-	}
-}
-
-func TestRunCampaignConcurrentPrefixes(t *testing.T) {
-	w := smallWorld(t, 9)
-	plan, err := w.DefaultPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan = plan[:10]
-	camp, err := w.RunCampaign(plan, CampaignOptions{UseTruth: true, ConcurrentPrefixes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10 configs over 4 prefixes = 3 slots of 70 minutes.
-	if got, want := camp.Elapsed, 3*70*time.Minute; got != want {
-		t.Fatalf("Elapsed = %v, want %v", got, want)
-	}
-	// Catchments are unaffected by concurrency.
-	w2 := smallWorld(t, 9)
-	seq, err := w2.RunCampaign(plan, CampaignOptions{UseTruth: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Elapsed != 10*70*time.Minute {
-		t.Fatalf("sequential Elapsed = %v", seq.Elapsed)
-	}
-	for c := range camp.Catchments {
-		for k := range camp.Catchments[c] {
-			if camp.Catchments[c][k] != seq.Catchments[c][k] {
-				t.Fatal("concurrency changed catchments")
 			}
 		}
 	}

@@ -1,99 +1,21 @@
 package core
 
 import (
-	"context"
 	"time"
 
+	"spooftrack/internal/fault"
 	"spooftrack/internal/measure"
 )
 
-// RetryPolicy controls per-configuration retry of faulted deployment
-// and measurement attempts in RunCampaign. The zero policy retries
-// nothing (one attempt, fail the campaign on error), which is the
-// pre-fault behaviour.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of attempts per configuration per
-	// phase (deploy, measure). Values ≤ 1 mean a single attempt.
-	MaxAttempts int
-	// BaseBackoff is the wait before the first retry; each further retry
-	// doubles it (exponential backoff), capped at MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the per-retry wait. Zero means no cap.
-	MaxBackoff time.Duration
-	// Jitter spreads each backoff by ±Jitter fraction. The jitter is a
-	// deterministic hash of (config index, attempt), not a random draw,
-	// so retried campaigns stay bit-reproducible.
-	Jitter float64
-	// DegradeOnExhaust records a configuration whose retries are
-	// exhausted as incomplete (all-unknown catchments) and lets the
-	// campaign proceed with partial intersections, instead of failing
-	// the whole run. The baseline configuration (index 0) is always
-	// fatal when permanently lost: sources are derived from it.
-	DegradeOnExhaust bool
-}
-
-// DefaultRetryPolicy is the policy spooftrackd runs chaos campaigns
-// under: 4 attempts, 100ms→2s exponential backoff with ±25% jitter,
-// degrading on exhaustion.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:      4,
-		BaseBackoff:      100 * time.Millisecond,
-		MaxBackoff:       2 * time.Second,
-		Jitter:           0.25,
-		DegradeOnExhaust: true,
-	}
-}
-
-// attempts returns the effective attempt budget (always ≥ 1).
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Backoff returns the wait before retrying configuration cfgIdx after
-// failed attempt number attempt (0-based): exponential in the attempt,
-// capped, with deterministic ±Jitter derived from (cfgIdx, attempt).
-func (p RetryPolicy) Backoff(cfgIdx, attempt int) time.Duration {
-	d := p.BaseBackoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 0; i < attempt && (p.MaxBackoff <= 0 || d < p.MaxBackoff); i++ {
-		d *= 2
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 {
-		// SplitMix64 over the site identity: same campaign, same waits.
-		h := uint64(cfgIdx)<<32 | uint64(attempt)
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-		u := float64(h>>11) / (1 << 53) // [0,1)
-		d = time.Duration(float64(d) * (1 - p.Jitter + 2*p.Jitter*u))
-	}
-	return d
-}
-
-// sleepCtx waits d or until the context is canceled, whichever first,
-// returning the context error on cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+// DefaultRetryPolicy is the schedule a campaign under a fault profile
+// runs: 4 attempts per configuration and phase, 100ms→2s exponential
+// backoff with ±25% jitter.
+func DefaultRetryPolicy() fault.Retry {
+	return fault.Retry{
+		MaxAttempts: 4,
+		BaseBackoff: 100 * time.Millisecond,
+		MaxBackoff:  2 * time.Second,
+		Jitter:      0.25,
 	}
 }
 

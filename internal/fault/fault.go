@@ -2,7 +2,8 @@
 // campaign and streaming paths: probabilistic deploy and measurement
 // errors, injected deployment latency, peering-link flaps, lost active
 // probes, partial catchment visibility, event-tap drops, and ingest-tier
-// partitions and lease loss.
+// partitions and lease loss. Retry is the other half: the one retry
+// schedule and loop (Retry.Do) every faulted step recovers through.
 //
 // The paper's method only works if the origin AS keeps deploying
 // configurations and measuring catchments while the real Internet

@@ -18,41 +18,66 @@ import (
 
 	"spooftrack"
 	"spooftrack/internal/amp"
+	"spooftrack/internal/bgp"
+	"spooftrack/internal/core"
+	"spooftrack/internal/fault"
+	"spooftrack/internal/peering"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
+	"spooftrack/internal/topo"
 )
 
 // chaosLoop runs the closed loop under the named fault profile with a
 // ledger attached and returns the export alongside the live pipeline's
-// final status.
+// final status. The campaign is wired as spooftrack.NewTracker wires a
+// fault profile, except that it tries each configuration twice, not
+// four times, with no backoff: at chaos's deployment-fault rate that
+// leaves configurations lost, so the degraded path is in the chain.
 func chaosLoop(t *testing.T, profile string, seed uint64) (*provenance.Export, stream.Status) {
 	t.Helper()
 	led := spooftrack.NewProvenanceLedger()
 
-	params := spooftrack.DefaultTrackerParams(seed)
-	tp := spooftrack.DefaultGenParams(seed)
+	wp := core.DefaultWorldParams(seed)
+	tp := topo.DefaultGenParams(seed)
 	tp.NumASes = 300
-	params.World.Topo = &tp
-	params.World.MaxPoisonTargets = 10
-	params.UseTruth = true
-	params.FaultProfile = profile
-	params.FaultSeed = seed
-	retry := spooftrack.DefaultRetryPolicy()
-	retry.MaxAttempts = 2
-	retry.DegradeOnExhaust = true
-	params.Retry = retry
-	params.Ledger = led
-	tracker, err := spooftrack.NewTracker(params)
+	wp.Topo = &tp
+	wp.MaxPoisonTargets = 10
+	w, err := core.BuildWorld(wp)
 	if err != nil {
-		t.Fatalf("tracker under %s: %v", profile, err)
+		t.Fatal(err)
 	}
-	camp := tracker.Campaign
+	plan, err := w.DefaultPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := fault.ProfileByName(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Platform.Health().SetTransitionHook(func(link bgp.LinkID, from, to peering.BreakerState) {
+		led.RecordQuarantine(provenance.QuarantineEvent{Link: int(link), From: from.String(), To: to.String()})
+	})
+	inj := fault.New(prof, seed, w.Platform.NumLinks())
+	w.Platform.SetFaultHook(inj)
+	camp, err := w.RunCampaign(plan, core.CampaignOptions{
+		UseTruth:     true,
+		Retry:        fault.Retry{MaxAttempts: 2},
+		MeasureFault: inj,
+		Ledger:       led,
+	})
+	if err != nil {
+		t.Fatalf("campaign under %s: %v", profile, err)
+	}
+	asns := make([]topo.ASN, len(camp.Sources))
+	for k, src := range camp.Sources {
+		asns[k] = w.Graph.ASN(src)
+	}
 
 	var current atomic.Int32
 	pipe, err := stream.New(stream.Attribution{
 		Catchments: camp.Catchments,
-		SourceASNs: tracker.SourceASNs(),
-		NumLinks:   tracker.World.Platform.NumLinks(),
+		SourceASNs: asns,
+		NumLinks:   w.Platform.NumLinks(),
 	}, stream.Config{
 		Workers:         2,
 		EvalInterval:    5 * time.Millisecond,
@@ -155,7 +180,7 @@ func TestReplayReproducesUnderFaultProfiles(t *testing.T) {
 				t.Fatalf("export has %d degrade events, replay saw %d", degrades, res.Degraded)
 			}
 			if profile == "chaos" && degrades == 0 {
-				t.Fatal("chaos profile with MaxAttempts=2 produced no degradations; the chain cannot exercise the degraded path")
+				t.Fatal("chaos profile with two tries produced no degradations; the chain cannot exercise the degraded path")
 			}
 			if degrades > 0 {
 				ex, err := export.Explain(0)

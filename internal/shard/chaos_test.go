@@ -104,7 +104,7 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 		Injector: fault.New(prof, seed, attr.NumLinks),
 		// A generous budget: transient partitions at netsplit's rate
 		// exhaust 20 attempts with probability ~0.35^20.
-		Retry: RetryPolicy{Attempts: 20, Base: time.Microsecond, Max: time.Microsecond},
+		RetryAttempts: 20,
 	}
 	if cfgHook != nil {
 		cfgHook(&cc)
@@ -291,7 +291,7 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 		MinRoundPackets: 1,
 		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond},
 		Injector:        fault.New(fault.Profile{Name: "clean"}, seed, attr.NumLinks),
-		Retry:           RetryPolicy{Attempts: 3, Base: time.Microsecond, Max: time.Microsecond},
+		RetryAttempts:   3,
 		EvictAfter:      2,
 		Ledger:          led,
 	})
@@ -391,7 +391,6 @@ func TestDrainByteIdentical(t *testing.T) {
 	var sick atomic.Bool
 	cl := runCluster(t, fault.Profile{Name: "clean"}, seed, 4, chaosRounds,
 		func(cc *ClusterConfig) {
-			cc.DrainAfter = 2
 			cc.Ready = func(id string) func() bool {
 				if id != "shard-3" {
 					return nil

@@ -32,10 +32,9 @@ type ClusterConfig struct {
 	// Injector drives event drops, RPC partitions, shard crashes, and
 	// split-brain lease flaps. Nil = fault-free.
 	Injector *fault.Injector
-	// Retry / EvictAfter / DrainAfter pass through to the controllers.
-	Retry      RetryPolicy
-	EvictAfter int
-	DrainAfter int
+	// RetryAttempts / EvictAfter pass through to the controllers.
+	RetryAttempts int
+	EvictAfter    int
 	// Ready supplies a per-shard readiness gate (nil = always ready).
 	Ready func(id string) func() bool
 	// Blocked / Remeasure pass through to the controllers (quarantine
@@ -126,9 +125,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Members:         c.order,
 			Transport:       c.transport,
 			Lease:           c.lease,
-			Retry:           cfg.Retry,
+			RetryAttempts:   cfg.RetryAttempts,
 			EvictAfter:      cfg.EvictAfter,
-			DrainAfter:      cfg.DrainAfter,
 			Blocked:         cfg.Blocked,
 			Remeasure:       cfg.Remeasure,
 			Ledger:          cfg.Ledger,
@@ -293,9 +291,8 @@ func (c *Cluster) KillController() string {
 	idx := c.active
 	c.dead[idx] = true
 	c.mu.Unlock()
-	killed := c.ctrls[idx].cfg
-	c.AdvanceClock(killed.LeaseTTL + time.Second)
-	return killed.ID
+	c.AdvanceClock(LeaseTTL + time.Second)
+	return c.ctrls[idx].cfg.ID
 }
 
 // KillShard permanently crashes a shard node.

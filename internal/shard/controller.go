@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
+	"spooftrack/internal/fault"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 )
@@ -29,16 +31,12 @@ type ControllerConfig struct {
 	// Transport carries the RPCs; Lease elects the leader.
 	Transport Transport
 	Lease     LeaseStore
-	// LeaseTTL is the leadership lease duration (default 2s); a Step
-	// renews it, and a refused renewal abdicates.
-	LeaseTTL time.Duration
-	// Retry is the per-RPC retry/backoff schedule.
-	Retry RetryPolicy
+	// RetryAttempts is how many times an RPC is tried (default 8); the
+	// waits between tries follow rpcRetry's fixed schedule.
+	RetryAttempts int
 	// EvictAfter is how many consecutive failed-collect rounds evict a
-	// shard (default 3); DrainAfter is how many consecutive not-ready
-	// rounds drain one (default 2).
+	// shard (default 3).
 	EvictAfter int
-	DrainAfter int
 	// Blocked / Remeasure are the same per-evaluation callbacks the
 	// single-node controller consults (quarantine mask, probe-conflict
 	// hints).
@@ -51,23 +49,35 @@ type ControllerConfig struct {
 	Sleep func(time.Duration)
 }
 
+// LeaseTTL is the leadership lease duration: a Step renews it, a
+// refused renewal abdicates, and a crashed leader's standby acquires it
+// once it lapses.
+const LeaseTTL = 2 * time.Second
+
+// drainAfter is how many consecutive not-ready rounds drain a shard.
+const drainAfter = 2
+
 func (c *ControllerConfig) setDefaults() {
 	if c.MinRoundPackets <= 0 {
 		c.MinRoundPackets = 50
 	}
-	if c.LeaseTTL <= 0 {
-		c.LeaseTTL = 2 * time.Second
-	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 3
-	}
-	if c.DrainAfter <= 0 {
-		c.DrainAfter = 2
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
 	}
-	c.Retry.setDefaults()
+	if c.RetryAttempts <= 0 {
+		c.RetryAttempts = 8
+	}
+}
+
+// rpcRetry is the schedule every RPC is retried on: RetryAttempts tries,
+// 1ms doubling to 100ms between them. It has no jitter: the fault
+// injector's per-attempt rolls decorrelate retries, and a chaos run's
+// RPC timeline stays reproducible.
+func (c *ControllerConfig) rpcRetry() fault.Retry {
+	return fault.Retry{MaxAttempts: c.RetryAttempts, BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond}
 }
 
 // StepResult reports what one controller round did.
@@ -224,7 +234,7 @@ func (ct *Controller) TryLead() error {
 	if ct.leading {
 		return nil
 	}
-	lease, ok := ct.cfg.Lease.Acquire(ct.cfg.ID, ct.cfg.LeaseTTL)
+	lease, ok := ct.cfg.Lease.Acquire(ct.cfg.ID, LeaseTTL)
 	if !ok {
 		return fmt.Errorf("%w: lease held by %s at term %d", ErrNotLeader, lease.Holder, lease.Term)
 	}
@@ -332,7 +342,7 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	if !ct.leading {
 		return StepResult{}, ErrNotLeader
 	}
-	if !ct.cfg.Lease.Renew(ct.cfg.ID, ct.term, ct.cfg.LeaseTTL) {
+	if !ct.cfg.Lease.Renew(ct.cfg.ID, ct.term, LeaseTTL) {
 		ct.abdicateLocked("lease renewal refused")
 		return StepResult{}, ErrNotLeader
 	}
@@ -437,7 +447,7 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	// counters were just folded and reset, so re-hashing its range to
 	// the survivors loses nothing.
 	for _, m := range append([]string(nil), ct.members...) {
-		if ct.notReady[m] >= ct.cfg.DrainAfter {
+		if ct.notReady[m] >= drainAfter {
 			ct.drainLocked(m, "readiness gate breached")
 		}
 	}
@@ -448,21 +458,17 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 // controller's epoch: retryable, the shard was just re-applied.
 var errLagging = errors.New("shard: lagging epoch")
 
-// retryLocked runs one RPC to shard m under the retry/backoff schedule:
-// call is tried until it succeeds, fails with a non-retryable error
-// (returned as is), or the attempt budget is spent.
+// retryLocked runs one RPC to shard m on the retry schedule: call is
+// tried until it succeeds, fails with a non-retryable error (returned as
+// is), or the attempt budget is spent.
 func (ct *Controller) retryLocked(op, m string, call func() error) error {
-	rp := ct.cfg.Retry
-	var err error
-	for attempt := 1; attempt <= rp.Attempts; attempt++ {
-		if attempt > 1 {
-			ct.cfg.Sleep(rp.Backoff(attempt - 1))
-		}
-		if err = call(); err == nil || !Retryable(err) {
-			return err
-		}
+	tries, err := ct.cfg.rpcRetry().Do(context.TODO(), 0, ct.cfg.Sleep,
+		func(int) error { return call() },
+		func(_ int, err error) bool { return Retryable(err) })
+	if err == nil || !Retryable(err) {
+		return err
 	}
-	return fmt.Errorf("shard: %s %s exhausted %d attempts: %w", op, m, rp.Attempts, err)
+	return fmt.Errorf("shard: %s %s exhausted %d attempts: %w", op, m, tries, err)
 }
 
 // collectLocked runs one shard's collect with the full retry budget.

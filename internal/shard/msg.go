@@ -31,7 +31,7 @@
 //     latches a degraded flag, freezes further reconfiguration, and the
 //     surviving partition is provably a coarsening (a refinement
 //     prefix) of the fault-free run — the same contract
-//     core.DegradeOnExhaust gives the offline campaign.
+//     a retrying core.RunCampaign gives the offline campaign.
 package shard
 
 import (

@@ -164,17 +164,23 @@ func TestFileLeaseOneLeaderPerTerm(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyBackoff: exponential doubling from Base, capped at Max.
+// TestRetryPolicyBackoff: the controller's default schedule doubles
+// from 1ms to its 100ms cap, the same at every site (no jitter).
 func TestRetryPolicyBackoff(t *testing.T) {
-	rp := RetryPolicy{Attempts: 8, Base: time.Millisecond, Max: 10 * time.Millisecond}
+	var cfg ControllerConfig
+	cfg.setDefaults()
+	rp := cfg.rpcRetry()
 	want := []time.Duration{
-		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-		8 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond,
+		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
+		16 * time.Millisecond, 32 * time.Millisecond, 64 * time.Millisecond, 100 * time.Millisecond,
 	}
 	for i, w := range want {
-		if got := rp.Backoff(i + 1); got != w {
-			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w)
+		if got := rp.Backoff(i, i); got != w {
+			t.Errorf("Backoff(%d) = %v, want %v", i, got, w)
 		}
+	}
+	if rp.MaxAttempts != 8 {
+		t.Errorf("default attempts %d, want 8", rp.MaxAttempts)
 	}
 	if Retryable(ErrStaleTerm) {
 		t.Error("stale term must not be retryable")
@@ -263,7 +269,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 		Members:         []string{"shard-0", "shard-1"},
 		Transport:       tr,
 		Lease:           NewMemLease(),
-		Retry:           RetryPolicy{Attempts: 3, Base: time.Microsecond, Max: time.Microsecond},
+		RetryAttempts:   3,
 		Sleep:           func(time.Duration) {},
 	})
 	if err != nil {

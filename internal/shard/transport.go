@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"spooftrack/internal/fault"
 )
@@ -17,46 +16,6 @@ type Transport interface {
 	Collect(node string, req CollectRequest) (CollectResponse, error)
 	Apply(node string, u EpochUpdate) (ApplyResponse, error)
 	Hello(node string, req HelloRequest) (HelloResponse, error)
-}
-
-// RetryPolicy is the deterministic retry/backoff schedule applied to
-// every controller RPC: Attempts tries, exponential backoff from Base
-// doubling up to Max. The schedule is a pure function of the attempt
-// number — no randomized jitter — so a chaos run's RPC timeline is
-// reproducible; the fault injector's per-attempt rolls provide the
-// decorrelation jitter would.
-type RetryPolicy struct {
-	Attempts int
-	Base     time.Duration
-	Max      time.Duration
-}
-
-func (rp *RetryPolicy) setDefaults() {
-	if rp.Attempts <= 0 {
-		rp.Attempts = 8
-	}
-	if rp.Base <= 0 {
-		rp.Base = time.Millisecond
-	}
-	if rp.Max <= 0 {
-		rp.Max = 100 * time.Millisecond
-	}
-}
-
-// Backoff returns the sleep before the given retry (attempt 1 is the
-// first retry).
-func (rp RetryPolicy) Backoff(attempt int) time.Duration {
-	d := rp.Base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= rp.Max {
-			return rp.Max
-		}
-	}
-	if d > rp.Max {
-		return rp.Max
-	}
-	return d
 }
 
 // Retryable reports whether an RPC error is worth another attempt: term

@@ -15,9 +15,8 @@ import (
 // Intake is the count half of the loop (§III-B): it turns tapped events
 // into per-link round counters under the deployed configuration and
 // decides nothing. Events are sharded across worker goroutines, handed
-// off a slab of BatchSize at a time; workers batch per-link and
-// per-victim counters and flush them into the shared round by count or
-// tick; a control goroutine ticks the overload-recovery bookkeeping.
+// off a slab of BatchSize at a time; workers batch per-link counters
+// and flush them into the shared round by count or tick; a control goroutine ticks the overload-recovery bookkeeping.
 // Whoever owns the decision reads the round and starts the next one: a
 // Pipeline folds it locally under the same lock, a sharded-ingest
 // controller (internal/shard) collects it with HarvestRound and answers

@@ -8,10 +8,10 @@
 // goroutines, appended under a per-shard lock into fixed slabs of
 // BatchSize events and handed off a full slab at a time — one channel
 // operation per slab, not per event; workers accumulate batched per-link
-// and per-victim counters and flush them into shared round state by
-// count or tick, taking a partly filled slab on the tick. Evaluator
-// decides: it folds a round into a sched.Loop (an incremental localizer
-// and cluster partition), and when the volume-ranked top candidate
+// counters and flush them into shared round state by count or tick,
+// taking a partly filled slab on the tick. Evaluator decides: it folds a
+// round into a sched.Loop (an incremental localizer and cluster
+// partition), and when the volume-ranked top candidate
 // cluster still exceeds the split threshold the loop's greedy step picks
 // the next announcement configuration. Pipeline is the two in one
 // process — an Intake whose control goroutine folds each round through

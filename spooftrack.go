@@ -85,9 +85,6 @@ type (
 	// EvidenceReport documents per-candidate localization evidence for
 	// operator notification (§I).
 	EvidenceReport = report.Report
-	// RetryPolicy governs per-configuration retry and backoff during
-	// campaign deployment and measurement.
-	RetryPolicy = core.RetryPolicy
 	// FaultProfile is a named fault-injection scenario.
 	FaultProfile = fault.Profile
 	// FaultInjector is the deterministic, seed-driven fault injector.
@@ -133,10 +130,6 @@ func GenerateTopology(p GenParams) (*Graph, error) { return topo.Generate(p) }
 // DefaultGenParams returns default topology generator parameters.
 func DefaultGenParams(seed uint64) GenParams { return topo.DefaultGenParams(seed) }
 
-// DefaultRetryPolicy returns the retry/backoff defaults used when a
-// fault profile is active.
-func DefaultRetryPolicy() RetryPolicy { return core.DefaultRetryPolicy() }
-
 // FaultProfileNames lists the built-in fault scenario names.
 func FaultProfileNames() []string { return fault.Names() }
 
@@ -153,13 +146,11 @@ type TrackerParams struct {
 	Progress func(done, total int)
 	// Ctx, if non-nil, cancels the campaign deployment early.
 	Ctx context.Context
-	// Retry governs per-configuration retry and backoff when campaign
-	// deployment or measurement fails transiently. The zero value means
-	// no retries (a single attempt, failures fatal) — the pre-fault
-	// behaviour.
-	Retry RetryPolicy
 	// FaultProfile names a fault-injection scenario (see
-	// FaultProfileNames); "" or "none" disables injection.
+	// FaultProfileNames); "" or "none" disables injection. With one set,
+	// the campaign retries faulted deployments and measurements on
+	// core.DefaultRetryPolicy's schedule and degrades what stays lost;
+	// without, nothing faults and nothing is retried.
 	FaultProfile string
 	// FaultSeed seeds the deterministic injector; the same
 	// (profile, seed) pair yields the same fault schedule.
@@ -206,7 +197,6 @@ func NewTracker(p TrackerParams) (*Tracker, error) {
 		UseTruth: p.UseTruth,
 		Progress: p.Progress,
 		Ctx:      p.Ctx,
-		Retry:    p.Retry,
 		Ledger:   p.Ledger,
 	}
 	if led := p.Ledger; led.Enabled() {
@@ -220,11 +210,8 @@ func NewTracker(p TrackerParams) (*Tracker, error) {
 	var inj *fault.Injector
 	if prof.Name != "" && prof.Name != "none" {
 		// Injecting faults without retries would make every transient
-		// error fatal; default to the standard policy unless the caller
-		// tuned one.
-		if opts.Retry.MaxAttempts == 0 {
-			opts.Retry = core.DefaultRetryPolicy()
-		}
+		// error fatal.
+		opts.Retry = core.DefaultRetryPolicy()
 		inj = fault.New(prof, p.FaultSeed, w.Platform.NumLinks())
 		w.Platform.SetFaultHook(inj)
 		opts.MeasureFault = inj

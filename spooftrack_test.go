@@ -3,6 +3,7 @@ package spooftrack
 import (
 	"testing"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/topo"
 )
 
@@ -23,6 +24,52 @@ func testTracker(t testing.TB, seed uint64, useTruth bool) *Tracker {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// TestTrackerUnderFaultProfile: with a fault profile set, NewTracker
+// installs the injector and retries on core.DefaultRetryPolicy's
+// schedule, so chaos's transient deployment faults are retried and what
+// stays lost degrades instead of failing the campaign.
+func TestTrackerUnderFaultProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real retry backoff; skipped in -short")
+	}
+	t.Parallel()
+	p := DefaultTrackerParams(42)
+	tp := topo.DefaultGenParams(42)
+	tp.NumASes = 300
+	p.World.Topo = &tp
+	p.World.MaxPoisonTargets = 10
+	p.UseTruth = true
+	p.FaultProfile = "chaos"
+	p.FaultSeed = 42
+	p.Ledger = NewProvenanceLedger()
+	tr, err := NewTracker(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Fault == nil {
+		t.Fatal("no injector installed")
+	}
+	retries, degrades := 0, 0
+	for _, ev := range p.Ledger.Export().Events {
+		switch {
+		case ev.Retry != nil:
+			retries++
+			if last := core.DefaultRetryPolicy().MaxAttempts - 1; ev.Retry.Attempt >= last {
+				t.Errorf("retry recorded after attempt %d; the schedule's last is %d", ev.Retry.Attempt, last)
+			}
+		case ev.Degrade != nil:
+			degrades++
+		}
+	}
+	if retries == 0 {
+		t.Error("chaos deployed without a single retry")
+	}
+	if degrades != len(tr.Campaign.Incomplete) {
+		t.Errorf("%d degrade events, %d incomplete configurations", degrades, len(tr.Campaign.Incomplete))
+	}
+	t.Logf("%d retries, %d degraded", retries, degrades)
 }
 
 func TestTrackerEndToEnd(t *testing.T) {
