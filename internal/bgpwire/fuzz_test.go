@@ -3,13 +3,17 @@ package bgpwire
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"spooftrack/internal/topo"
 )
 
-// FuzzReadMessage exercises the BGP message parser: never panic;
-// accepted messages of known types re-encode parseably.
+// FuzzReadMessage exercises the BGP message parser: never panic, and
+// an accepted message that re-encodes decodes back to equal values — for
+// an UPDATE the same Prefixes and Withdrawn, and the same Path and
+// NextHop when it announces anything (a withdraw-only UPDATE encodes no
+// attributes).
 func FuzzReadMessage(f *testing.F) {
 	open, _ := MarshalOpen(&Open{AS: 4200000001, HoldTime: 90, BGPID: 7})
 	f.Add(open)
@@ -44,8 +48,27 @@ func FuzzReadMessage(f *testing.F) {
 		if err != nil {
 			return // parsed but unencodable corner (e.g., empty path)
 		}
-		if _, err := ReadMessage(bytes.NewReader(re)); err != nil {
+		back, err := ReadMessage(bytes.NewReader(re))
+		if err != nil {
 			t.Fatalf("re-encoded message unparseable: %v", err)
 		}
+		if !equalMessages(msg, back) {
+			t.Fatalf("message %+v re-encoded and decoded as %+v", msg, back)
+		}
 	})
+}
+
+func equalMessages(a, b any) bool {
+	switch a := a.(type) {
+	case *Open:
+		return *a == *b.(*Open)
+	case *Update:
+		b := b.(*Update)
+		return slices.Equal(a.Prefixes, b.Prefixes) && slices.Equal(a.Withdrawn, b.Withdrawn) &&
+			(len(a.Prefixes) == 0 || slices.Equal(a.Path, b.Path) && a.NextHop == b.NextHop)
+	case *Notification:
+		b := b.(*Notification)
+		return a.Code == b.Code && a.Subcode == b.Subcode && bytes.Equal(a.Data, b.Data)
+	}
+	return a == b
 }

@@ -3,12 +3,15 @@
 // collectors need: OPEN with the four-octet-AS capability (RFC 6793),
 // UPDATE carrying IPv4 unicast announcements with ORIGIN / AS_PATH /
 // NEXT_HOP attributes, KEEPALIVE, NOTIFICATION, and a session state
-// machine over TCP (session.go). cmd/bgpsim can serve a simulated
-// configuration's routes over real BGP sessions with it.
+// machine over TCP (session.go). examples/live-bgp serves a simulated
+// configuration's routes over real BGP sessions with it. Its UPDATE
+// codec, AppendUpdate and ParseUpdate, is the only one: the mrt package
+// frames the same messages for collector feeds.
 package bgpwire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/netip"
@@ -69,51 +72,51 @@ const (
 	NotifMsgHeaderErr = 1
 	NotifUpdateMsgErr = 3
 	NotifFSMError     = 5
+
+	// subcodeBadHoldTime is the OPEN Message Error subcode for an
+	// Unacceptable Hold Time (RFC 4271 §6.2).
+	subcodeBadHoldTime = 6
 )
 
 // Keepalive has no body.
 type Keepalive struct{}
 
-var marker = func() [16]byte {
-	var m [16]byte
-	for i := range m {
-		m[i] = 0xff
-	}
-	return m
-}()
+// marker is the all-ones field every message starts with.
+const marker = "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"
 
-// frame wraps a message body with the BGP header.
-func frame(msgType byte, body []byte) ([]byte, error) {
-	total := headerLen + len(body)
-	if total > maxMsgLen {
-		return nil, fmt.Errorf("bgpwire: message of %d bytes exceeds maximum", total)
+// appendHeader appends a message header whose length finish patches.
+func appendHeader(dst []byte, msgType byte) []byte {
+	dst = append(dst, marker...)
+	return append(dst, 0, 0, msgType)
+}
+
+// finish patches the length of the message that starts at dst[start:],
+// refusing one past the maximum.
+func finish(dst []byte, start int) ([]byte, error) {
+	n := len(dst) - start
+	if n > maxMsgLen {
+		return nil, fmt.Errorf("bgpwire: message of %d bytes exceeds maximum", n)
 	}
-	out := make([]byte, 0, total)
-	out = append(out, marker[:]...)
-	out = binary.BigEndian.AppendUint16(out, uint16(total))
-	out = append(out, msgType)
-	return append(out, body...), nil
+	binary.BigEndian.PutUint16(dst[start+16:], uint16(n))
+	return dst, nil
 }
 
 // MarshalOpen encodes an OPEN with the four-octet-AS capability.
 func MarshalOpen(o *Open) ([]byte, error) {
-	body := make([]byte, 0, 10+8)
-	body = append(body, bgpVersion)
+	msg := appendHeader(make([]byte, 0, headerLen+18), MsgOpen)
+	msg = append(msg, bgpVersion)
 	as2 := uint16(o.AS)
 	if o.AS > 0xffff {
 		as2 = asTrans
 	}
-	body = binary.BigEndian.AppendUint16(body, as2)
-	body = binary.BigEndian.AppendUint16(body, o.HoldTime)
-	body = binary.BigEndian.AppendUint32(body, o.BGPID)
-	// Optional parameters: one capabilities parameter (type 2)
-	// containing the four-octet-AS capability (code 65, length 4).
-	cap := []byte{65, 4}
-	cap = binary.BigEndian.AppendUint32(cap, uint32(o.AS))
-	param := append([]byte{2, byte(len(cap))}, cap...)
-	body = append(body, byte(len(param)))
-	body = append(body, param...)
-	return frame(MsgOpen, body)
+	msg = binary.BigEndian.AppendUint16(msg, as2)
+	msg = binary.BigEndian.AppendUint16(msg, o.HoldTime)
+	msg = binary.BigEndian.AppendUint32(msg, o.BGPID)
+	// Optional parameters (8 bytes): one capabilities parameter (type 2,
+	// length 6) holding the four-octet-AS capability (code 65, length 4).
+	msg = append(msg, 8, 2, 6, 65, 4)
+	msg = binary.BigEndian.AppendUint32(msg, uint32(o.AS))
+	return finish(msg, 0)
 }
 
 // parseOpen decodes an OPEN body.
@@ -159,198 +162,229 @@ func parseOpen(body []byte) (*Open, error) {
 	return o, nil
 }
 
-// MarshalUpdate encodes an UPDATE with 4-byte AS_PATH encoding.
-func MarshalUpdate(u *Update) ([]byte, error) {
-	var body []byte
-	// Withdrawn routes.
-	var withdrawn []byte
-	for _, p := range u.Withdrawn {
-		enc, err := encodePrefix(p)
-		if err != nil {
-			return nil, err
-		}
-		withdrawn = append(withdrawn, enc...)
-	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(withdrawn)))
-	body = append(body, withdrawn...)
+// Path attribute type codes and the one AS_PATH segment type this
+// subset speaks (RFC 4271 §4.3).
+const (
+	attrOrigin  = 1
+	attrASPath  = 2
+	attrNextHop = 3
+	asSequence  = 2
+)
 
-	var attrs []byte
+// MarshalUpdate encodes an UPDATE with 4-byte AS_PATH encoding.
+func MarshalUpdate(u *Update) ([]byte, error) { return AppendUpdate(nil, u) }
+
+// AppendUpdate appends u as an UPDATE message (RFC 4271 §4.3) with
+// four-octet ASNs in AS_PATH (RFC 6793) to dst. An UPDATE that announces
+// carries ORIGIN IGP, one AS_SEQUENCE and NEXT_HOP; a withdraw-only one
+// carries no attributes.
+func AppendUpdate(dst []byte, u *Update) ([]byte, error) {
+	start := len(dst)
+	dst = appendHeader(dst, MsgUpdate)
+	dst = append(dst, 0, 0) // withdrawn routes length, patched below
+	dst, err := appendPrefixes(dst, u.Withdrawn)
+	if err != nil {
+		return nil, err
+	}
+	attrsAt := len(dst)
+	binary.BigEndian.PutUint16(dst[start+headerLen:], uint16(attrsAt-start-headerLen-2))
+	dst = append(dst, 0, 0) // path attributes length, patched below
 	if len(u.Prefixes) > 0 {
 		if len(u.Path) == 0 || len(u.Path) > 255 {
 			return nil, fmt.Errorf("bgpwire: AS path length %d invalid", len(u.Path))
 		}
 		if !u.NextHop.Is4() {
-			return nil, fmt.Errorf("bgpwire: next hop %v is not IPv4", u.NextHop)
+			return nil, errors.New("bgpwire: next hop is not IPv4")
 		}
-		attrs = append(attrs, 0x40, 1, 1, 0) // ORIGIN IGP
-		pathLen := 2 + 4*len(u.Path)
-		if pathLen > 255 {
-			attrs = append(attrs, 0x50, 2, byte(pathLen>>8), byte(pathLen))
+		dst = append(dst, 0x40, attrOrigin, 1, 0) // well-known transitive, IGP
+		if pathLen := 2 + 4*len(u.Path); pathLen > 255 {
+			dst = append(dst, 0x50, attrASPath, byte(pathLen>>8), byte(pathLen)) // extended length
 		} else {
-			attrs = append(attrs, 0x40, 2, byte(pathLen))
+			dst = append(dst, 0x40, attrASPath, byte(pathLen))
 		}
-		attrs = append(attrs, 2, byte(len(u.Path))) // AS_SEQUENCE
+		dst = append(dst, asSequence, byte(len(u.Path)))
 		for _, asn := range u.Path {
-			attrs = binary.BigEndian.AppendUint32(attrs, uint32(asn))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(asn))
 		}
 		nh := u.NextHop.As4()
-		attrs = append(attrs, 0x40, 3, 4)
-		attrs = append(attrs, nh[:]...)
+		dst = append(dst, 0x40, attrNextHop, 4, nh[0], nh[1], nh[2], nh[3])
 	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
-	body = append(body, attrs...)
-	for _, p := range u.Prefixes {
-		enc, err := encodePrefix(p)
-		if err != nil {
-			return nil, err
+	binary.BigEndian.PutUint16(dst[attrsAt:], uint16(len(dst)-attrsAt-2))
+	if dst, err = appendPrefixes(dst, u.Prefixes); err != nil {
+		return nil, err
+	}
+	return finish(dst, start)
+}
+
+// appendPrefixes appends each prefix as its length in bits and the
+// octets that length covers.
+func appendPrefixes(dst []byte, ps []netip.Prefix) ([]byte, error) {
+	for _, p := range ps {
+		if !p.Addr().Is4() {
+			// Formatting p here would move every caller's prefixes to the heap.
+			return nil, errors.New("bgpwire: prefix is not IPv4")
 		}
-		body = append(body, enc...)
+		addr := p.Addr().As4()
+		dst = append(dst, byte(p.Bits()))
+		dst = append(dst, addr[:(p.Bits()+7)/8]...)
 	}
-	return frame(MsgUpdate, body)
+	return dst, nil
 }
 
-func encodePrefix(p netip.Prefix) ([]byte, error) {
-	if !p.Addr().Is4() {
-		return nil, fmt.Errorf("bgpwire: prefix %v is not IPv4", p)
-	}
-	addr := p.Addr().As4()
-	return append([]byte{byte(p.Bits())}, addr[:(p.Bits()+7)/8]...), nil
-}
-
-func decodePrefixes(data []byte) ([]netip.Prefix, error) {
-	var out []netip.Prefix
+// parsePrefixes appends the prefixes encoded in data to dst.
+func parsePrefixes(dst []netip.Prefix, data []byte) ([]netip.Prefix, error) {
 	for len(data) > 0 {
 		bits := int(data[0])
-		nBytes := (bits + 7) / 8
-		if bits > 32 || len(data) < 1+nBytes {
-			return nil, fmt.Errorf("bgpwire: bad prefix encoding")
+		n := 1 + (bits+7)/8
+		if bits > 32 || len(data) < n {
+			return nil, errors.New("bgpwire: bad prefix encoding")
 		}
 		var a [4]byte
-		copy(a[:], data[1:1+nBytes])
-		out = append(out, netip.PrefixFrom(netip.AddrFrom4(a), bits))
-		data = data[1+nBytes:]
+		copy(a[:], data[1:n])
+		dst = append(dst, netip.PrefixFrom(netip.AddrFrom4(a), bits))
+		data = data[n:]
 	}
-	return out, nil
+	return dst, nil
 }
 
-// parseUpdate decodes an UPDATE body.
-func parseUpdate(body []byte) (*Update, error) {
+// ParseUpdate decodes the UPDATE message msg, header included, into u:
+// the AS_SEQUENCE segments of its AS_PATH as one path, its NEXT_HOP, its
+// NLRI and its withdrawn routes; other attributes are skipped. u.Path
+// gets a fresh slice of exactly the path's length, and u.Prefixes and
+// u.Withdrawn reuse their capacity, so nothing in u aliases msg.
+func ParseUpdate(msg []byte, u *Update) error {
+	if len(msg) < headerLen || string(msg[:16]) != marker {
+		return errors.New("bgpwire: bad marker")
+	}
+	if int(binary.BigEndian.Uint16(msg[16:])) != len(msg) {
+		return errors.New("bgpwire: length field does not match the message")
+	}
+	if msg[18] != MsgUpdate {
+		return fmt.Errorf("bgpwire: not an UPDATE (type %d)", msg[18])
+	}
+	*u = Update{Prefixes: u.Prefixes[:0], Withdrawn: u.Withdrawn[:0]}
+	body := msg[headerLen:]
 	if len(body) < 4 {
-		return nil, fmt.Errorf("bgpwire: UPDATE too short")
+		return errors.New("bgpwire: UPDATE too short")
 	}
 	wLen := int(binary.BigEndian.Uint16(body))
 	if len(body) < 2+wLen+2 {
-		return nil, fmt.Errorf("bgpwire: truncated withdrawn routes")
+		return errors.New("bgpwire: truncated withdrawn routes")
 	}
-	u := &Update{}
 	var err error
-	if wLen > 0 {
-		u.Withdrawn, err = decodePrefixes(body[2 : 2+wLen])
-		if err != nil {
-			return nil, err
-		}
+	if u.Withdrawn, err = parsePrefixes(u.Withdrawn, body[2:2+wLen]); err != nil {
+		return err
 	}
 	aLen := int(binary.BigEndian.Uint16(body[2+wLen:]))
 	attrStart := 4 + wLen
 	if len(body) < attrStart+aLen {
-		return nil, fmt.Errorf("bgpwire: truncated attributes")
+		return errors.New("bgpwire: truncated attributes")
 	}
-	attrs := body[attrStart : attrStart+aLen]
-	for len(attrs) > 0 {
+	for attrs := body[attrStart : attrStart+aLen]; len(attrs) > 0; {
 		if len(attrs) < 3 {
-			return nil, fmt.Errorf("bgpwire: truncated attribute")
+			return errors.New("bgpwire: truncated attribute")
 		}
 		flags, code := attrs[0], attrs[1]
-		var vLen, hdr int
-		if flags&0x10 != 0 {
+		vLen, hdr := int(attrs[2]), 3
+		if flags&0x10 != 0 { // extended length
 			if len(attrs) < 4 {
-				return nil, fmt.Errorf("bgpwire: truncated extended attribute")
+				return errors.New("bgpwire: truncated extended attribute")
 			}
 			vLen, hdr = int(binary.BigEndian.Uint16(attrs[2:])), 4
-		} else {
-			vLen, hdr = int(attrs[2]), 3
 		}
 		if len(attrs) < hdr+vLen {
-			return nil, fmt.Errorf("bgpwire: attribute overrun")
+			return errors.New("bgpwire: attribute overrun")
 		}
 		val := attrs[hdr : hdr+vLen]
 		switch code {
-		case 2: // AS_PATH
-			for len(val) > 0 {
-				if len(val) < 2 || val[0] != 2 {
-					return nil, fmt.Errorf("bgpwire: unsupported AS_PATH segment")
-				}
-				n := int(val[1])
-				if len(val) < 2+4*n {
-					return nil, fmt.Errorf("bgpwire: truncated AS_PATH")
-				}
-				for i := 0; i < n; i++ {
-					u.Path = append(u.Path, topo.ASN(binary.BigEndian.Uint32(val[2+4*i:])))
-				}
-				val = val[2+4*n:]
+		case attrASPath:
+			if u.Path, err = appendPath(u.Path, val); err != nil {
+				return err
 			}
-		case 3: // NEXT_HOP
+		case attrNextHop:
 			if vLen != 4 {
-				return nil, fmt.Errorf("bgpwire: bad NEXT_HOP length")
+				return errors.New("bgpwire: bad NEXT_HOP length")
 			}
-			var a [4]byte
-			copy(a[:], val)
-			u.NextHop = netip.AddrFrom4(a)
+			u.NextHop = netip.AddrFrom4([4]byte(val))
 		}
 		attrs = attrs[hdr+vLen:]
 	}
-	u.Prefixes, err = decodePrefixes(body[attrStart+aLen:])
-	if err != nil {
-		return nil, err
+	u.Prefixes, err = parsePrefixes(u.Prefixes, body[attrStart+aLen:])
+	return err
+}
+
+// appendPath returns a new slice holding path followed by the ASNs of
+// the AS_SEQUENCE segments in an AS_PATH value.
+func appendPath(path []topo.ASN, val []byte) ([]topo.ASN, error) {
+	n := len(path)
+	for seg := val; len(seg) > 0; seg = seg[2+4*int(seg[1]):] {
+		if len(seg) < 2 || seg[0] != asSequence {
+			return nil, errors.New("bgpwire: unsupported AS_PATH segment")
+		}
+		if len(seg) < 2+4*int(seg[1]) {
+			return nil, errors.New("bgpwire: truncated AS_PATH")
+		}
+		n += int(seg[1])
 	}
-	return u, nil
+	out := append(make([]topo.ASN, 0, n), path...)
+	for seg := val; len(seg) > 0; seg = seg[2+4*int(seg[1]):] {
+		for i := range int(seg[1]) {
+			out = append(out, topo.ASN(binary.BigEndian.Uint32(seg[2+4*i:])))
+		}
+	}
+	return out, nil
 }
 
 // MarshalKeepalive encodes a KEEPALIVE.
 func MarshalKeepalive() []byte {
-	out, _ := frame(MsgKeepalive, nil)
-	return out
+	msg, _ := finish(appendHeader(make([]byte, 0, headerLen), MsgKeepalive), 0)
+	return msg
 }
 
 // MarshalNotification encodes a NOTIFICATION.
 func MarshalNotification(n *Notification) ([]byte, error) {
-	body := append([]byte{n.Code, n.Subcode}, n.Data...)
-	return frame(MsgNotification, body)
+	msg := appendHeader(make([]byte, 0, headerLen+2+len(n.Data)), MsgNotification)
+	msg = append(msg, n.Code, n.Subcode)
+	return finish(append(msg, n.Data...), 0)
 }
 
-// ReadMessage reads one framed message from the stream and decodes it
-// into *Open, *Update, *Notification, or Keepalive.
+// ReadMessage reads one message of at most 4096 bytes from the stream
+// and decodes it into *Open, *Update, *Notification, or Keepalive.
 func ReadMessage(r io.Reader) (any, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	for i := 0; i < 16; i++ {
-		if hdr[i] != 0xff {
-			return nil, fmt.Errorf("bgpwire: bad marker")
-		}
+	if string(hdr[:16]) != marker {
+		return nil, errors.New("bgpwire: bad marker")
 	}
 	total := int(binary.BigEndian.Uint16(hdr[16:]))
 	if total < headerLen || total > maxMsgLen {
 		return nil, fmt.Errorf("bgpwire: bad message length %d", total)
 	}
-	body := make([]byte, total-headerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	msg := make([]byte, total)
+	copy(msg, hdr[:])
+	if _, err := io.ReadFull(r, msg[headerLen:]); err != nil {
 		return nil, err
 	}
+	body := msg[headerLen:]
 	switch hdr[18] {
 	case MsgOpen:
 		return parseOpen(body)
 	case MsgUpdate:
-		return parseUpdate(body)
+		u := new(Update)
+		if err := ParseUpdate(msg, u); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgNotification:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("bgpwire: NOTIFICATION too short")
+			return nil, errors.New("bgpwire: NOTIFICATION too short")
 		}
 		return &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}, nil
 	case MsgKeepalive:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("bgpwire: KEEPALIVE with body")
+			return nil, errors.New("bgpwire: KEEPALIVE with body")
 		}
 		return Keepalive{}, nil
 	default:

@@ -129,6 +129,10 @@ func handshake(conn net.Conn, cfg SessionConfig) (*Session, error) {
 		s.notifyAndClose(NotifFSMError, 0)
 		return nil, fmt.Errorf("bgpwire: expected OPEN, got %T", msg)
 	}
+	if peer.HoldTime == 1 || peer.HoldTime == 2 { // RFC 4271 §6.2: zero or at least three seconds
+		s.notifyAndClose(NotifOpenError, subcodeBadHoldTime)
+		return nil, fmt.Errorf("bgpwire: peer OPEN with unacceptable hold time %ds", peer.HoldTime)
+	}
 	if peer.HoldTime != 0 && time.Duration(peer.HoldTime)*time.Second < s.cfg.HoldTime {
 		s.cfg.HoldTime = time.Duration(peer.HoldTime) * time.Second
 	}

@@ -117,3 +117,55 @@ func TestAcceptGarbageHandshake(t *testing.T) {
 		t.Fatal("garbage handshake accepted")
 	}
 }
+
+// TestAcceptRefusesShortHoldTime: a peer OPEN with a hold time of 1 s
+// gets an OPEN Message Error NOTIFICATION (Unacceptable Hold Time) after
+// our OPEN, and no session.
+func TestAcceptRefusesShortHoldTime(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	errCh := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			errCh <- err
+			return
+		}
+		s, err := Accept(conn, SessionConfig{LocalAS: 2, BGPID: 2, HoldTime: 3 * time.Second})
+		if err == nil {
+			s.Close()
+		}
+		errCh <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	open, err := MarshalOpen(&Open{AS: 1, HoldTime: 1, BGPID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(open); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err == nil {
+		t.Fatal("OPEN with a 1 s hold time accepted")
+	}
+	if msg, err := ReadMessage(conn); err != nil {
+		t.Fatalf("reading the speaker's OPEN: %v", err)
+	} else if _, ok := msg.(*Open); !ok {
+		t.Fatalf("first message %T, want *Open", msg)
+	}
+	msg, err := ReadMessage(conn)
+	if err != nil {
+		t.Fatalf("reading the NOTIFICATION: %v", err)
+	}
+	if n, ok := msg.(*Notification); !ok || n.Code != NotifOpenError || n.Subcode != subcodeBadHoldTime {
+		t.Fatalf("got %+v, want NOTIFICATION %d/%d", msg, NotifOpenError, subcodeBadHoldTime)
+	}
+}

@@ -1,7 +1,9 @@
-// Package mrt implements the wire formats route collectors speak: a
-// subset of the BGP-4 UPDATE message (RFC 4271, with four-octet AS
-// numbers per RFC 6793) and of the MRT BGP4MP_MESSAGE_AS4 framing
-// (RFC 6396) that RouteViews and RIPE RIS use to publish feeds.
+// Package mrt frames BGP-4 UPDATE messages in the MRT
+// BGP4MP_MESSAGE_AS4 records (RFC 6396) that RouteViews and RIPE RIS
+// use to publish feeds. The UPDATE itself — IPv4 unicast, with ORIGIN,
+// a four-octet AS_SEQUENCE (RFC 6793) and NEXT_HOP — is bgpwire's: one
+// codec encodes what the platform announces and decodes what the
+// collectors record.
 //
 // The paper's inference pipeline consumes AS-paths "observed on BGP
 // update messages towards PEERING prefixes collected from public feeds"
@@ -9,9 +11,9 @@
 // feeds as actual MRT byte streams and the measurement pipeline parse
 // them back, exercising the real encode/decode path.
 //
-// Scope: IPv4 unicast announcements with ORIGIN, AS_PATH (AS_SEQUENCE)
-// and NEXT_HOP attributes. Withdrawals, communities, and multiprotocol
-// attributes are out of scope for the feeds the simulation produces.
+// Scope: one record announces one prefix with a non-empty AS_PATH.
+// Withdrawals, communities, and multiprotocol attributes are out of
+// scope for the feeds the simulation produces.
 package mrt
 
 import (
@@ -21,22 +23,8 @@ import (
 	"net/netip"
 	"sync"
 
+	"spooftrack/internal/bgpwire"
 	"spooftrack/internal/topo"
-)
-
-// BGP message constants (RFC 4271).
-const (
-	bgpHeaderLen  = 19
-	bgpMaxMsgLen  = 4096
-	bgpTypeUpdate = 2
-
-	attrOrigin  = 1
-	attrASPath  = 2
-	attrNextHop = 3
-
-	asSequence = 2
-
-	originIGP = 0
 )
 
 // MRT constants (RFC 6396).
@@ -66,186 +54,6 @@ type Update struct {
 	NextHop netip.Addr
 	// Prefix is the announced NLRI.
 	Prefix netip.Prefix
-}
-
-var bgpMarker = func() [16]byte {
-	var m [16]byte
-	for i := range m {
-		m[i] = 0xff
-	}
-	return m
-}()
-
-// appendBGPUpdate appends the BGP UPDATE message (RFC 4271 §4.3) with
-// four-octet ASNs in AS_PATH to dst.
-func appendBGPUpdate(dst []byte, u *Update) ([]byte, error) {
-	if len(u.Path) == 0 {
-		return nil, fmt.Errorf("mrt: empty AS path")
-	}
-	if len(u.Path) > 255 {
-		return nil, fmt.Errorf("mrt: AS path longer than 255 segments")
-	}
-	if !u.NextHop.Is4() {
-		return nil, fmt.Errorf("mrt: next hop %v is not IPv4", u.NextHop)
-	}
-	if !u.Prefix.Addr().Is4() {
-		return nil, fmt.Errorf("mrt: prefix %v is not IPv4", u.Prefix)
-	}
-
-	start := len(dst)
-	dst = append(dst, bgpMarker[:]...)
-	dst = append(dst, 0, 0) // message length, patched below
-	dst = append(dst, bgpTypeUpdate)
-	dst = append(dst, 0, 0) // withdrawn routes length
-	dst = append(dst, 0, 0) // path attributes length, patched below
-	attrStart := len(dst)
-
-	// ORIGIN: flags 0x40 (well-known transitive), len 1.
-	dst = append(dst, 0x40, attrOrigin, 1, originIGP)
-	// AS_PATH: one AS_SEQUENCE segment of 4-byte ASNs.
-	pathLen := 2 + 4*len(u.Path)
-	if pathLen > 255 {
-		// Extended length attribute.
-		dst = append(dst, 0x50, attrASPath, byte(pathLen>>8), byte(pathLen))
-	} else {
-		dst = append(dst, 0x40, attrASPath, byte(pathLen))
-	}
-	dst = append(dst, asSequence, byte(len(u.Path)))
-	for _, asn := range u.Path {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(asn))
-	}
-	// NEXT_HOP.
-	nh := u.NextHop.As4()
-	dst = append(dst, 0x40, attrNextHop, 4)
-	dst = append(dst, nh[:]...)
-	binary.BigEndian.PutUint16(dst[attrStart-2:], uint16(len(dst)-attrStart))
-
-	// NLRI: one prefix.
-	bits := u.Prefix.Bits()
-	addr := u.Prefix.Addr().As4()
-	dst = append(dst, byte(bits))
-	dst = append(dst, addr[:(bits+7)/8]...)
-
-	msgLen := len(dst) - start
-	if msgLen > bgpMaxMsgLen {
-		return nil, fmt.Errorf("mrt: UPDATE of %d bytes exceeds maximum", msgLen)
-	}
-	binary.BigEndian.PutUint16(dst[start+16:], uint16(msgLen))
-	return dst, nil
-}
-
-// parseBGPUpdate decodes an UPDATE message produced by appendBGPUpdate
-// (and, more generally, any IPv4-unicast announcement using 4-octet
-// AS_PATH encoding) into u's Path, NextHop and Prefix. The path is a
-// fresh slice: nothing in u aliases msg.
-func parseBGPUpdate(msg []byte, u *Update) error {
-	if len(msg) < bgpHeaderLen {
-		return fmt.Errorf("mrt: BGP message too short")
-	}
-	for i := 0; i < 16; i++ {
-		if msg[i] != 0xff {
-			return fmt.Errorf("mrt: bad BGP marker")
-		}
-	}
-	if int(binary.BigEndian.Uint16(msg[16:])) != len(msg) {
-		return fmt.Errorf("mrt: BGP length mismatch")
-	}
-	if msg[18] != bgpTypeUpdate {
-		return fmt.Errorf("mrt: not an UPDATE (type %d)", msg[18])
-	}
-	body := msg[bgpHeaderLen:]
-	if len(body) < 4 {
-		return fmt.Errorf("mrt: truncated UPDATE body")
-	}
-	withdrawn := int(binary.BigEndian.Uint16(body))
-	if len(body) < 2+withdrawn+2 {
-		return fmt.Errorf("mrt: truncated withdrawn routes")
-	}
-	attrLen := int(binary.BigEndian.Uint16(body[2+withdrawn:]))
-	attrStart := 4 + withdrawn
-	if len(body) < attrStart+attrLen {
-		return fmt.Errorf("mrt: truncated path attributes")
-	}
-	attrs := body[attrStart : attrStart+attrLen]
-	nlri := body[attrStart+attrLen:]
-
-	var path []topo.ASN
-	for len(attrs) > 0 {
-		if len(attrs) < 3 {
-			return fmt.Errorf("mrt: truncated attribute header")
-		}
-		flags, code := attrs[0], attrs[1]
-		var alen, hdr int
-		if flags&0x10 != 0 { // extended length
-			if len(attrs) < 4 {
-				return fmt.Errorf("mrt: truncated extended attribute")
-			}
-			alen = int(binary.BigEndian.Uint16(attrs[2:]))
-			hdr = 4
-		} else {
-			alen = int(attrs[2])
-			hdr = 3
-		}
-		if len(attrs) < hdr+alen {
-			return fmt.Errorf("mrt: attribute overruns message")
-		}
-		val := attrs[hdr : hdr+alen]
-		switch code {
-		case attrASPath:
-			p, err := parseASPath(val)
-			if err != nil {
-				return err
-			}
-			path = p
-		case attrNextHop:
-			if len(val) != 4 {
-				return fmt.Errorf("mrt: NEXT_HOP of %d bytes, want 4", len(val))
-			}
-			u.NextHop = netip.AddrFrom4([4]byte(val))
-		}
-		attrs = attrs[hdr+alen:]
-	}
-	if path == nil {
-		return fmt.Errorf("mrt: UPDATE has no AS_PATH")
-	}
-
-	if len(nlri) < 1 {
-		return fmt.Errorf("mrt: UPDATE has no NLRI")
-	}
-	bits := int(nlri[0])
-	nBytes := (bits + 7) / 8
-	if bits > 32 || len(nlri) < 1+nBytes {
-		return fmt.Errorf("mrt: bad NLRI")
-	}
-	var addr [4]byte
-	copy(addr[:], nlri[1:1+nBytes])
-	u.Path = path
-	u.Prefix = netip.PrefixFrom(netip.AddrFrom4(addr), bits)
-	return nil
-}
-
-func parseASPath(val []byte) ([]topo.ASN, error) {
-	var path []topo.ASN
-	for len(val) > 0 {
-		if len(val) < 2 {
-			return nil, fmt.Errorf("mrt: truncated AS_PATH segment")
-		}
-		segType, n := val[0], int(val[1])
-		if segType != asSequence {
-			return nil, fmt.Errorf("mrt: unsupported AS_PATH segment type %d", segType)
-		}
-		if len(val) < 2+4*n {
-			return nil, fmt.Errorf("mrt: truncated AS_PATH")
-		}
-		if path == nil && n > 0 {
-			path = make([]topo.ASN, 0, n)
-		}
-		for i := 0; i < n; i++ {
-			path = append(path, topo.ASN(binary.BigEndian.Uint32(val[2+4*i:])))
-		}
-		val = val[2+4*n:]
-	}
-	return path, nil
 }
 
 // recordBufs recycles the buffer WriteUpdate assembles a record in.
@@ -279,7 +87,8 @@ func appendRecord(dst []byte, u *Update) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint16(dst, afiIPv4)
 	dst = append(dst, 0, 0, 0, 0) // peer IP (unused in simulation)
 	dst = append(dst, 0, 0, 0, 0) // local IP
-	dst, err := appendBGPUpdate(dst, u)
+	one := [1]netip.Prefix{u.Prefix}
+	dst, err := bgpwire.AppendUpdate(dst, &bgpwire.Update{Path: u.Path, NextHop: u.NextHop, Prefixes: one[:]})
 	if err != nil {
 		return nil, err
 	}
@@ -315,15 +124,18 @@ func ReadAll(r io.Reader) ([]*Update, error) {
 	}
 }
 
-// decoder reads the records of one stream through a header and a body
-// buffer it keeps between records; an Update references neither. It
-// counts the bytes the records take, refusing a record that would take
-// the stream past maxMRTBytes.
+// decoder reads the records of one stream through a header array, a
+// body buffer and a bgpwire.Update whose prefix list starts in one, all
+// kept between records; of them an Update takes only the path, which
+// ParseUpdate allocates afresh. It counts the bytes the records take,
+// refusing a record that would take the stream past maxMRTBytes.
 type decoder struct {
 	r    io.Reader
 	hdr  [mrtHeaderLen]byte
 	body []byte
 	read int64
+	msg  bgpwire.Update
+	one  [1]netip.Prefix
 }
 
 func (d *decoder) next() (*Update, error) {
@@ -356,13 +168,20 @@ func (d *decoder) next() (*Update, error) {
 	if afi := binary.BigEndian.Uint16(body[10:]); afi != afiIPv4 {
 		return nil, fmt.Errorf("mrt: unsupported AFI %d", afi)
 	}
-	u := &Update{
+	d.msg.Prefixes = d.one[:0]
+	if err := bgpwire.ParseUpdate(body[bgp4mpHeaderLen:], &d.msg); err != nil {
+		return nil, fmt.Errorf("mrt: decoding UPDATE: %w", err)
+	}
+	if len(d.msg.Path) == 0 || len(d.msg.Prefixes) != 1 {
+		return nil, fmt.Errorf("mrt: UPDATE with a %d-hop AS path and %d prefixes, want a path and one prefix",
+			len(d.msg.Path), len(d.msg.Prefixes))
+	}
+	return &Update{
 		Timestamp: ts,
 		PeerAS:    topo.ASN(binary.BigEndian.Uint32(body[0:])),
 		LocalAS:   topo.ASN(binary.BigEndian.Uint32(body[4:])),
-	}
-	if err := parseBGPUpdate(body[bgp4mpHeaderLen:], u); err != nil {
-		return nil, err
-	}
-	return u, nil
+		Path:      d.msg.Path,
+		NextHop:   d.msg.NextHop,
+		Prefix:    d.msg.Prefixes[0],
+	}, nil
 }

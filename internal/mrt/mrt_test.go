@@ -187,7 +187,7 @@ func TestReadUpdateRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestParseBGPUpdateErrors(t *testing.T) {
+func TestReadUpdateRejectsBadBGPMessage(t *testing.T) {
 	// Build a valid record, then surgically corrupt the inner BGP
 	// message in ways the parser must reject.
 	var buf bytes.Buffer
@@ -211,6 +211,24 @@ func TestParseBGPUpdateErrors(t *testing.T) {
 	}
 	if err := corrupt(func(m []byte) { m[19], m[20] = 0xff, 0xff }); err == nil { // withdrawn overrun
 		t.Error("withdrawn overrun accepted")
+	}
+	// Three UPDATEs from TestDecoderVerdictDigest's corpus that bgpwire
+	// refuses or reads as other than one announcement.
+	for _, tc := range []struct{ name, msg string }{
+		{"two announced prefixes", "ffffffffffffffffffffffffffffffff003802000000184001010040020a02020000" +
+			"0d1c0000b7d9400304cb00710118c633c719c0000280"},
+		{"malformed withdrawn route", "ffffffffffffffffffffffffffffffff00310200022e0a001440010100400206020100" +
+			"00b7d9400304cb00710118c63364"},
+		{"malformed NLRI after the first prefix", "ffffffffffffffffffffffffffffffff003502000000184001010040020a020200" +
+			"000d1c0000b7d9400304cb00710118c6336419bc"},
+	} {
+		msg, err := hex.DecodeString(tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadUpdate(bytes.NewReader(mrtRecord(msg))); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -249,7 +267,7 @@ func bigRecord(t *testing.T) []byte {
 	}
 	rec := buf.Bytes()
 	const msgAt = mrtHeaderLen + bgp4mpHeaderLen
-	const attrLenAt = msgAt + bgpHeaderLen + 2 // past the empty withdrawn routes
+	const attrLenAt = msgAt + 19 + 2 // past the BGP header and the empty withdrawn routes
 	attrEnd := attrLenAt + 2 + int(binary.BigEndian.Uint16(rec[attrLenAt:]))
 	const pad = 60 << 10
 	attr := append([]byte{0xd0, 99, pad >> 8, pad & 0xff}, make([]byte, pad)...) // optional transitive, extended length

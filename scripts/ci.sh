@@ -5,7 +5,9 @@
 # a simplification's line claim one command to check), and test the whole module, then run the
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
-# scratch, pooled propagation engine, the daemon's placements and
+# scratch, pooled propagation engine, BGP sessions (a reader and a
+# keepalive ticker each, and the route server's accept loop) and the MRT
+# framing over their UPDATE codec, the daemon's placements and
 # ticker loops, and the greedy step's pooled scorer, whose per-group
 # scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp, stream and shard together),
@@ -45,8 +47,8 @@ echo "non-test: $(find $src -name '*.go' ! -name '*_test.go' -exec cat {} + | wc
 echo "==> go test"
 go test ./...
 
-echo "==> go test -race (stream, amp, core, measure, bgp, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
-go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
+echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
+go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
 
 echo "==> greedy-step benchmarks (one iteration each: the synthetic split-heavy step and a recorded attack)"
 go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
