@@ -179,6 +179,37 @@ func TestEndToEndPipeline(t *testing.T) {
 	})
 }
 
+// TestBorderOnDualStackSocket runs the border on a wildcard address,
+// which the net package opens as a dual-stack IPv6 socket, and forwards
+// to an IPv4 and to an IPv6 honeypot. The attacker reaches the border
+// over IPv4.
+func TestBorderOnDualStackSocket(t *testing.T) {
+	for _, hpAddr := range []string{"127.0.0.1:0", "[::1]:0"} {
+		t.Run(hpAddr, func(t *testing.T) {
+			hp, err := NewHoneypot(hpAddr, DefaultHoneypotConfig())
+			if err != nil {
+				t.Skipf("no socket on %s: %v", hpAddr, err)
+			}
+			defer hp.Close()
+			border, err := NewBorder(":0", hp.Addr().(*net.UDPAddr), map[uint32]uint8{100: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer border.Close()
+			a, err := NewAttacker(100, netip.MustParseAddr("192.0.2.1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			to := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: border.Addr().(*net.UDPAddr).Port}
+			if _, err := a.Flood(to, 3, 8); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return hp.VolumeByLink()[2].Packets == 3 })
+		})
+	}
+}
+
 func TestBorderDropsUnroutedAS(t *testing.T) {
 	hp, err := NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig())
 	if err != nil {

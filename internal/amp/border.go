@@ -45,9 +45,14 @@ func NewBorder(addr string, upstream *net.UDPAddr, linkOf map[uint32]uint8) (*Bo
 	if err != nil {
 		return nil, err
 	}
+	d, err := newDatagrams(conn)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	b := &Border{conn: conn, upstream: addrPort(upstream), linkOf: copyTable(linkOf)}
 	b.wg.Add(1)
-	go b.serve()
+	go b.serve(d)
 	return b, nil
 }
 
@@ -60,7 +65,7 @@ func listenUDP(addr string) (*net.UDPConn, error) {
 	return conn.(*net.UDPConn), nil
 }
 
-// addrPort converts a UDP address for WriteToUDPAddrPort. An IPv4
+// addrPort converts a UDP address to the border's upstream. An IPv4
 // address held in 16 bytes is unmapped: an IPv4 socket rejects the
 // mapped form.
 func addrPort(a *net.UDPAddr) netip.AddrPort {
@@ -119,63 +124,75 @@ func (b *Border) Close() error {
 	return err
 }
 
-func (b *Border) serve() {
+func (b *Border) serve(d *datagrams) {
 	defer b.wg.Done()
 	// One span covers the serve loop's lifetime; per-packet outcomes are
-	// its counters (drop/filter/forward).
+	// its counters (malformed/drop/filter/forward).
 	sp := trace.Start("amp.border.serve")
 	defer sp.End()
-	// One packet, one read buffer and one write buffer for the loop's
-	// lifetime: a forwarded packet allocates nothing.
-	buf := make([]byte, 2048)
-	out := make([]byte, 0, 2048)
+	// One packet and one arena of datagrams for the loop's lifetime: a
+	// forwarded packet allocates nothing.
 	var pkt Packet
 	for {
-		n, _, err := b.conn.ReadFromUDPAddrPort(buf)
+		n, err := d.read()
 		if err != nil {
 			return
 		}
-		if err := pkt.decode(buf[:n]); err != nil || pkt.Type != TypeRequest {
-			b.mu.Lock()
-			m := b.packets
-			b.mu.Unlock()
-			if m != nil {
-				m.With("malformed").Inc()
+		for i := 0; i < n; i++ {
+			if b.admit(&pkt, d.datagram(i), sp) {
+				d.forward(i)
 			}
-			continue
 		}
+		d.flush(b.upstream)
+	}
+}
+
+// admit decodes one datagram into pkt and accounts its outcome. For a
+// packet the border forwards it stamps the ingress link into the
+// datagram in place and returns true.
+func (b *Border) admit(pkt *Packet, buf []byte, sp *trace.Span) bool {
+	if err := pkt.decode(buf); err != nil || pkt.Type != TypeRequest {
 		b.mu.Lock()
-		link, ok := b.linkOf[pkt.TrueSrcAS]
-		if !ok {
-			b.dropped++
-		}
-		filter := b.filter
 		m := b.packets
 		b.mu.Unlock()
-		if !ok {
-			if m != nil {
-				m.With("dropped").Inc()
-			}
-			sp.Count("dropped", 1)
-			continue
-		}
-		if filter != nil && filter(&pkt) {
-			b.mu.Lock()
-			b.filtered++
-			b.mu.Unlock()
-			if m != nil {
-				m.With("filtered").Inc()
-			}
-			sp.Count("filtered", 1)
-			continue
-		}
-		pkt.IngressLink = link
 		if m != nil {
-			m.With("forwarded").Inc()
+			m.With("malformed").Inc()
 		}
-		sp.Count("forwarded", 1)
-		if out, err = pkt.AppendMarshal(out[:0]); err == nil {
-			_, _ = b.conn.WriteToUDPAddrPort(out, b.upstream)
-		}
+		sp.Count("malformed", 1)
+		return false
 	}
+	b.mu.Lock()
+	link, ok := b.linkOf[pkt.TrueSrcAS]
+	if !ok {
+		b.dropped++
+	}
+	filter := b.filter
+	m := b.packets
+	b.mu.Unlock()
+	if !ok {
+		if m != nil {
+			m.With("dropped").Inc()
+		}
+		sp.Count("dropped", 1)
+		return false
+	}
+	if filter != nil && filter(pkt) {
+		b.mu.Lock()
+		b.filtered++
+		b.mu.Unlock()
+		if m != nil {
+			m.With("filtered").Inc()
+		}
+		sp.Count("filtered", 1)
+		return false
+	}
+	if m != nil {
+		m.With("forwarded").Inc()
+	}
+	sp.Count("forwarded", 1)
+	// decode accepted exactly headerLen+len(Payload) bytes with an IPv4
+	// source, so the datagram is Marshal's encoding of pkt: stamping the
+	// link byte in place is the re-encode.
+	buf[5] = link
+	return true
 }

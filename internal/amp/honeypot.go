@@ -44,12 +44,17 @@ func NewHoneypot(addr string, _ HoneypotConfig) (*Honeypot, error) {
 	if err != nil {
 		return nil, err
 	}
+	d, err := newDatagrams(conn)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	h := &Honeypot{
 		conn:   conn,
 		byLink: make(map[uint8]*LinkStats),
 	}
 	h.wg.Add(1)
-	go h.serve()
+	go h.serve(d)
 	return h, nil
 }
 
@@ -63,33 +68,35 @@ func (h *Honeypot) Close() error {
 	return err
 }
 
-func (h *Honeypot) serve() {
+func (h *Honeypot) serve(d *datagrams) {
 	defer h.wg.Done()
 	// One span covers the serve loop's lifetime; per-request outcomes are
 	// its counters (malformed/accepted and tap fan-out).
 	sp := trace.Start("amp.honeypot.serve")
 	defer sp.End()
-	// One packet and one read buffer for the loop's lifetime: an
+	// One packet and one arena of datagrams for the loop's lifetime: an
 	// accepted request allocates nothing.
-	buf := make([]byte, 2048)
 	var pkt Packet
 	for {
-		n, _, err := h.conn.ReadFromUDPAddrPort(buf)
+		n, err := d.read()
 		if err != nil {
 			return // closed
 		}
-		if err := pkt.decode(buf[:n]); err != nil || pkt.Type != TypeRequest {
-			h.mu.Lock()
-			h.malformed++
-			m := h.metrics
-			h.mu.Unlock()
-			if m != nil {
-				m.requests.With("malformed").Inc()
+		for i := 0; i < n; i++ {
+			buf := d.datagram(i)
+			if err := pkt.decode(buf); err != nil || pkt.Type != TypeRequest {
+				h.mu.Lock()
+				h.malformed++
+				m := h.metrics
+				h.mu.Unlock()
+				if m != nil {
+					m.requests.With("malformed").Inc()
+				}
+				sp.Count("malformed", 1)
+				continue
 			}
-			sp.Count("malformed", 1)
-			continue
+			h.handleRequest(&pkt, len(buf), sp)
 		}
-		h.handleRequest(&pkt, n, sp)
 	}
 }
 

@@ -10,9 +10,8 @@
 // source AS; the border router (the origin's edge) resolves the true AS
 // to the peering link its traffic arrives on under the current routing
 // outcome, stamps the link, and forwards to the honeypot. The honeypot
-// counts per-link volume and reflects rate-limited amplified responses
-// toward the victim, as AmpPot does. All packet formats use fixed-size
-// big-endian encoding.
+// counts per-link volume and taps each request; unlike AmpPot it never
+// answers. All packet formats use fixed-size big-endian encoding.
 package amp
 
 import (
@@ -31,7 +30,10 @@ const (
 	// TypeRequest is an amplification query (attacker -> border ->
 	// honeypot).
 	TypeRequest PacketType = 1
-	// TypeResponse is an amplified answer (honeypot -> victim).
+	// TypeResponse is an amplified answer. No component sends one:
+	// the honeypot never answers, and probe's SimNet models a
+	// reflector's answer with Service.Respond, not with an overlay
+	// packet. The border and honeypot count one as malformed.
 	TypeResponse PacketType = 2
 )
 
@@ -41,6 +43,11 @@ const maxPayload = 1400
 // headerLen is the fixed overlay header size: magic(4) type(1) link(1)
 // srcAS(4) spoofedSrc(4) payloadLen(2).
 const headerLen = 16
+
+// slotLen is a serve loop's receive slot: the longest packet plus one
+// byte, so a longer datagram is cut to slotLen bytes and still fails
+// decode's length check as the malformed packet it is.
+const slotLen = headerLen + maxPayload + 1
 
 // Packet is one overlay message.
 type Packet struct {
@@ -63,30 +70,20 @@ const LinkUnset uint8 = 0xff
 
 // Marshal encodes the packet into a new buffer.
 func (p *Packet) Marshal() ([]byte, error) {
-	buf, err := p.AppendMarshal(make([]byte, 0, headerLen+len(p.Payload)))
-	if err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// AppendMarshal appends the packet's encoding to dst and returns the
-// extended buffer; on error dst comes back unchanged. The serve loops
-// encode into one reused buffer this way, allocating nothing.
-func (p *Packet) AppendMarshal(dst []byte) ([]byte, error) {
 	if len(p.Payload) > maxPayload {
-		return dst, fmt.Errorf("amp: payload %d exceeds %d bytes", len(p.Payload), maxPayload)
+		return nil, fmt.Errorf("amp: payload %d exceeds %d bytes", len(p.Payload), maxPayload)
 	}
 	if !p.SpoofedSrc.Is4() {
-		return dst, fmt.Errorf("amp: spoofed source %v is not IPv4", p.SpoofedSrc)
+		return nil, fmt.Errorf("amp: spoofed source %v is not IPv4", p.SpoofedSrc)
 	}
-	dst = binary.BigEndian.AppendUint32(dst, Magic)
-	dst = append(dst, byte(p.Type), p.IngressLink)
-	dst = binary.BigEndian.AppendUint32(dst, p.TrueSrcAS)
+	buf := make([]byte, 0, headerLen+len(p.Payload))
+	buf = binary.BigEndian.AppendUint32(buf, Magic)
+	buf = append(buf, byte(p.Type), p.IngressLink)
+	buf = binary.BigEndian.AppendUint32(buf, p.TrueSrcAS)
 	src := p.SpoofedSrc.As4()
-	dst = append(dst, src[:]...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(p.Payload)))
-	return append(dst, p.Payload...), nil
+	buf = append(buf, src[:]...)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Payload)))
+	return append(buf, p.Payload...), nil
 }
 
 // Unmarshal decodes a packet, validating magic, type, and length fields.

@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI entry point: check formatting, vet, check that everything under internal/, cmd/ and
+# CI entry point: check formatting, vet (and vet internal/amp for darwin and linux/arm64,
+# whose datagram I/O builds from other files than linux/amd64's), check that everything under internal/, cmd/ and
 # examples/ is reached by something that ships, build, print the non-test and test Go line
 # counts under internal cmd examples spooftrack.go (informational: they gate nothing, and make
 # a simplification's line claim one command to check), and test the whole module, then run the
@@ -32,6 +33,10 @@ fi
 
 echo "==> go vet"
 go vet ./...
+
+echo "==> go vet ./internal/amp/ for darwin and linux/arm64 (the portable datagram file and the arm64 syscall numbers)"
+GOOS=darwin go vet ./internal/amp/
+GOOS=linux GOARCH=arm64 go vet ./internal/amp/
 
 echo "==> reachability (nothing under internal/, cmd/ or examples/ that no shipped code reaches, bar scripts/reach.allow)"
 go run scripts/reach.go
