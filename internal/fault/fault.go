@@ -35,6 +35,7 @@ import (
 	"spooftrack/internal/amp"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/measure"
+	"spooftrack/internal/stats"
 )
 
 // Kind enumerates the injectable fault classes. roll mixes the kind's
@@ -134,13 +135,8 @@ func (inj *Injector) roll(kind Kind, key string, salt uint64) float64 {
 	h ^= inj.seed
 	h ^= (uint64(kind) + 1) * 0x9e3779b97f4a7c15
 	h ^= salt * 0xd6e8feb86659fd93
-	// SplitMix64 finalizer: decorrelates nearby sites and salts.
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return float64(h>>11) / (1 << 53)
+	// The finalizer decorrelates nearby sites and salts.
+	return float64(stats.Mix64(h)>>11) / (1 << 53)
 }
 
 func (inj *Injector) count(k Kind) { inj.counts[k].Add(1) }

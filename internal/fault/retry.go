@@ -3,6 +3,8 @@ package fault
 import (
 	"context"
 	"time"
+
+	"spooftrack/internal/stats"
 )
 
 // Retry is the one retry schedule every faulted step runs under:
@@ -37,12 +39,7 @@ func (r Retry) Backoff(site, attempt int) time.Duration {
 	}
 	if r.Jitter > 0 {
 		// SplitMix64 over the site identity: same run, same waits.
-		h := uint64(site)<<32 | uint64(attempt)
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
+		h := stats.Mix64(uint64(site)<<32 | uint64(attempt))
 		u := float64(h>>11) / (1 << 53) // [0,1)
 		d = time.Duration(float64(d) * (1 - r.Jitter + 2*r.Jitter*u))
 	}

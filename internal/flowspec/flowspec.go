@@ -148,7 +148,9 @@ func (r *Rule) Marshal() ([]byte, error) {
 	if len(nlri) == 0 {
 		return nil, fmt.Errorf("flowspec: rule matches everything; refusing to encode")
 	}
-	if len(nlri) > 0xf0 {
+	// RFC 5575 §4: a one-octet length covers only NLRIs below 0xf0;
+	// longer ones take the two-octet 0xfnnn form.
+	if len(nlri) >= 0xf0 {
 		return nil, fmt.Errorf("flowspec: NLRI of %d bytes needs extended length (unsupported)", len(nlri))
 	}
 	out := make([]byte, 0, 1+len(nlri)+8)
@@ -166,6 +168,9 @@ func (r *Rule) Marshal() ([]byte, error) {
 func Unmarshal(data []byte) (*Rule, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("flowspec: empty rule")
+	}
+	if data[0] >= 0xf0 {
+		return nil, fmt.Errorf("flowspec: extended NLRI length 0x%02x (unsupported)", data[0])
 	}
 	nlriLen := int(data[0])
 	if len(data) < 1+nlriLen+8 {

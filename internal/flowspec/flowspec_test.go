@@ -1,6 +1,7 @@
 package flowspec
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -115,11 +116,57 @@ func TestMarshalRejectsEmptyRule(t *testing.T) {
 	}
 }
 
+// longRule has an NLRI of exactly 240 bytes: two /32 prefixes (12),
+// two protocols (5) and 74 destination ports (223).
+func longRule() Rule {
+	r := Rule{
+		DstPrefix: pfx("198.51.100.1/32"),
+		SrcPrefix: pfx("16.0.32.9/32"),
+		Protos:    []uint8{6, 17},
+	}
+	for p := range 74 {
+		r.DstPorts = append(r.DstPorts, uint16(1000+p))
+	}
+	return r
+}
+
+// TestMarshalRejectsExtendedLength: RFC 5575 §4 reads a lead byte of
+// 0xf0 or more as the first of a two-octet length, so a 240-byte NLRI
+// cannot be sent with a one-octet one.
+func TestMarshalRejectsExtendedLength(t *testing.T) {
+	r := longRule()
+	if data, err := r.Marshal(); err == nil {
+		t.Fatalf("240-byte NLRI encoded with a one-octet length (%d bytes, lead 0x%02x)", len(data), data[0])
+	}
+	r.DstPorts = r.DstPorts[:73]
+	if _, err := r.Marshal(); err != nil {
+		t.Fatalf("237-byte NLRI refused: %v", err)
+	}
+}
+
+// longRuleWire is longRule as an encoder that ignores the extended
+// form writes it: lead byte 0xf0, the 240 NLRI bytes, the action.
+func longRuleWire(tb testing.TB) []byte {
+	r := longRule()
+	last := r.DstPorts[73]
+	r.DstPorts = r.DstPorts[:73]
+	data, err := r.Marshal() // 237-byte NLRI
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nlri, action := data[1:1+237], data[1+237:]
+	nlri[len(nlri)-3] &^= 0x80 // the 73rd port no longer ends the list
+	out := append([]byte{0xf0}, nlri...)
+	out = binary.BigEndian.AppendUint16(append(out, 0x91), last)
+	return append(out, action...)
+}
+
 func TestUnmarshalRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{5, 1, 2},                          // truncated
 		{2, 99, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown component
+		longRuleWire(t),                    // extended (two-octet) length
 	}
 	for i, data := range cases {
 		if _, err := Unmarshal(data); err == nil {

@@ -26,6 +26,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(mut)
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
+	f.Add(longRuleWire(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Unmarshal(data)

@@ -231,10 +231,5 @@ func (s *SimNet) replyHops(target, trueHops int) int {
 // mix hashes (seed, v) through SplitMix64 for a uniform deterministic
 // site value, mirroring the fault injector's site-hash discipline.
 func mix(seed, v uint64) uint64 {
-	z := seed ^ 0x9e3779b97f4a7c15 ^ (v * 0xbf58476d1ce4e5b9)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.Mix64(seed ^ 0x9e3779b97f4a7c15 ^ (v * 0xbf58476d1ce4e5b9))
 }

@@ -34,9 +34,9 @@ func (e *Export) WriteJSON(w io.Writer) error {
 }
 
 // maxExportBytes bounds what ParseExport reads, as shard's RPC decoder is
-// bounded. The explain-verdict example's ledger (a 378-configuration
+// bounded. The ddos-localization example's ledger (a 378-configuration
 // campaign and a stream run over 1 000 sources, every catchment row
-// recorded by both) writes 10 MB.
+// recorded by both) writes 10.3 MB.
 const maxExportBytes = 64 << 20
 
 // ParseExport reads a timeline previously written by WriteJSON. It reads

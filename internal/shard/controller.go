@@ -417,7 +417,9 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	for _, n := range merged {
 		total += n
 	}
-	if total == 0 || (!final && total < ct.cfg.MinRoundPackets) {
+	// The final (shutdown) round passes the same gate: a tail too small
+	// to fold would eliminate every source it did not happen to carry.
+	if total < ct.cfg.MinRoundPackets {
 		res.Skipped = true
 		return res, nil
 	}

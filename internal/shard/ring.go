@@ -2,6 +2,8 @@ package shard
 
 import (
 	"sort"
+
+	"spooftrack/internal/stats"
 )
 
 // Ring is an immutable consistent-hash ring mapping true source ASNs to
@@ -86,13 +88,7 @@ func ringHash(id string, salt uint64) uint64 {
 	for i := 0; i < len(id); i++ {
 		h = (h ^ uint64(id[i])) * 1099511628211
 	}
-	h ^= salt * 0x9e3779b97f4a7c15
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	return stats.Mix64(h ^ salt*0x9e3779b97f4a7c15)
 }
 
 // Owner returns the shard owning the true source AS, or "" on an empty

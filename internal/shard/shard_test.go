@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -310,5 +311,56 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	// A deposed controller's term is rejected through the 409 mapping.
 	if _, err := tr.Collect("shard-0", CollectRequest{Term: 0, Epoch: 1}); !errors.Is(err, ErrStaleTerm) {
 		t.Fatalf("stale term over HTTP: err=%v, want ErrStaleTerm", err)
+	}
+}
+
+// TestFinalStepBelowGateKeepsSources: Step(true) merges the shutdown
+// round under the MinRoundPackets gate like any step. Sources 0 and 14
+// share link 0 under configuration 0 and split under the one deployed
+// next; a final round of 8 packets from source 0 alone must not
+// eliminate source 14.
+func TestFinalStepBelowGateKeepsSources(t *testing.T) {
+	attr := chaosAttr()
+	cl, err := NewCluster(ClusterConfig{
+		Shards:          2,
+		Attr:            attr,
+		MinRoundPackets: 50,
+		Pipe:            stream.Config{Workers: 1, BatchSize: 1, FlushInterval: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	send := func(src, n int) {
+		cfg := cl.Controller().Status().CurrentConfig
+		for range n {
+			cl.Ingest(chaosEvent(attr, src, cfg))
+		}
+	}
+	step := func(final bool) StepResult {
+		t.Helper()
+		if err := cl.Quiesce(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Step(final)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	send(0, 30)
+	send(14, 30)
+	if res := step(false); !res.Folded || res.Outcome.Deploy <= 0 {
+		t.Fatalf("full round: %+v, want a fold that deploys a split of the even sources", res)
+	}
+	send(0, 8)
+	if res := step(true); res.Folded {
+		t.Fatalf("an 8-packet final round was folded: %+v", res)
+	}
+	got := cl.Controller().Evaluator().Candidates()
+	for _, src := range []int{0, 14} {
+		if !slices.Contains(got, src) {
+			t.Fatalf("source %d eliminated by the final round: candidates %v", src, got)
+		}
 	}
 }

@@ -25,12 +25,17 @@ func NewRNG(seed uint64) *RNG {
 	sm := seed
 	for i := range r.s {
 		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = Mix64(sm)
 	}
 	return r
+}
+
+// Mix64 is the SplitMix64 finalizer: a bijective avalanche of z, so
+// nearby inputs (seeds, site keys, salts) map to decorrelated outputs.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Split derives a statistically independent generator from r, advancing r.

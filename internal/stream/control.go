@@ -12,7 +12,9 @@ import (
 // deploys the configuration the greedy scheduler picks next. Once the
 // flushed counters reach MinRoundPackets it cuts the round (Intake.cut)
 // before folding, so no worker's share of it is left behind. With
-// final=true (shutdown) it folds whatever the round holds. Folds emit a
+// final=true (shutdown) it folds the flushed round under the same gate
+// and deploys nothing: a shutdown tail below MinRoundPackets would
+// eliminate every source it did not happen to carry. Folds emit a
 // "stream.eval" span under parent; ticks that skip (too little volume)
 // emit nothing.
 func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
@@ -36,7 +38,7 @@ func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	in.mu.Lock()
 	st := &in.st
 	roundPackets := in.roundPacketsLocked()
-	if roundPackets == 0 || (!final && roundPackets < in.cfg.MinRoundPackets) {
+	if roundPackets < in.cfg.MinRoundPackets {
 		in.mu.Unlock()
 		return
 	}

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,5 +296,34 @@ func TestBlockedConfigRouting(t *testing.T) {
 			t.Fatal("unblocked configuration was never deployed")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestShutdownTailBelowGateKeepsSources: Close folds the final round
+// under the MinRoundPackets gate like any tick. Sources 0 and 6 share
+// link 0 under configuration 0 and split under the one deployed next;
+// a shutdown tail of 8 packets from source 0 alone must not eliminate
+// source 6.
+func TestShutdownTailBelowGateKeepsSources(t *testing.T) {
+	p, err := New(testAttribution(), Config{
+		Workers:         1,
+		EvalInterval:    time.Hour, // only the explicit evaluate below ticks
+		MinRoundPackets: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushEvents(p.in, bytes.Repeat([]byte{0}, 60)...) // 30 from each source
+	p.evaluate(false, nil)
+	if d := p.Deployed(); len(d) != 2 || d[1] == 0 {
+		t.Fatalf("deployed %v after the full round, want a split of {0,2,4,6}", d)
+	}
+	flushEvents(p.in, bytes.Repeat([]byte{0}, 8)...) // source 0 only
+	p.Close()
+	got := p.Candidates()
+	for _, src := range []int{0, 6} {
+		if !slices.Contains(got, src) {
+			t.Fatalf("source %d eliminated by an 8-packet shutdown round: candidates %v", src, got)
+		}
 	}
 }

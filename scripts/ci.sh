@@ -12,7 +12,10 @@
 # ticker loops, and the greedy step's pooled scorer, whose per-group
 # scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp, stream and shard together),
-# run the two greedy-step benchmarks once, so the recorded one's world
+# run the live-loop example twenty times (the regression check for the
+# round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
+# lost attacker in a small share of runs), run the two greedy-step
+# benchmarks once, so the recorded one's world
 # build is exercised, run the measurement-pass, imputation and
 # campaign-outcome-heap benchmarks once, so their world and campaign
 # builds are exercised too (the last reports the heap a measured
@@ -54,6 +57,9 @@ go test ./...
 
 echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
+
+echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
+go test -count=20 ./examples/ddos-localization/
 
 echo "==> greedy-step benchmarks (one iteration each: the synthetic split-heavy step and a recorded attack)"
 go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
