@@ -73,20 +73,10 @@ type ConfigDiff struct {
 	NumDirty int
 }
 
-// DiffConfigs computes the structured difference from prev to next.
-// Announcements are matched by peering link; both configurations must be
-// valid for the same origin (at most one announcement per link). The
-// returned diff shares no memory with anything else.
-func DiffConfigs(prev, next Config) ConfigDiff {
-	var d ConfigDiff
-	d.reset(prev, next)
-	return d
-}
-
 // reset overwrites d with the difference from prev to next, reusing d's
 // slices where they are large enough: PropagateDeltaInfo keeps one diff
 // in its pooled scratch, so a warm delta step diffs without allocating.
-// A zero d gets fresh slices, which is how DiffConfigs stays a copy.
+// A zero d gets fresh slices, so a diff into one shares no memory.
 func (d *ConfigDiff) reset(prev, next Config) {
 	np := len(prev.Anns)
 	d.PrevChange = resized(d.PrevChange, np)

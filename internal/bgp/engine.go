@@ -248,10 +248,6 @@ func (e *Engine) Perturbed(frac float64, seed uint64) (*Engine, error) {
 // Origin returns the origin AS definition.
 func (e *Engine) Origin() Origin { return e.origin }
 
-// PinnedNeighbor returns the dense index of the neighbor AS i pins its
-// LocalPref to, or -1 if i follows Gao-Rexford preferences.
-func (e *Engine) PinnedNeighbor(i int) int { return e.pinned[i] }
-
 // route classes, ordered by decreasing LocalPref.
 const (
 	classPinned   int8 = 0 // policy-noise override

@@ -89,3 +89,25 @@ func HashSelections(h hash.Hash64, o *Outcome) {
 		h.Write(buf[:])
 	}
 }
+
+// Seams only package bgp's own tests read.
+
+// DiffConfigs computes the structured difference from prev to next.
+// Announcements are matched by peering link; both configurations must be
+// valid for the same origin (at most one announcement per link). The
+// returned diff shares no memory with anything else.
+func DiffConfigs(prev, next Config) ConfigDiff {
+	var d ConfigDiff
+	d.reset(prev, next)
+	return d
+}
+
+// PinnedNeighbor returns the dense index of the neighbor AS i pins its
+// LocalPref to, or -1 if i follows Gao-Rexford preferences.
+func (e *Engine) PinnedNeighbor(i int) int { return e.pinned[i] }
+
+// Converged reports whether route processing reached a fixpoint. False
+// indicates a policy dispute froze mid-oscillation (rare; the state is
+// still deterministic and usable, mirroring persistently oscillating
+// real-world configurations).
+func (o *Outcome) Converged() bool { return o.converged }

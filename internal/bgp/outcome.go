@@ -300,12 +300,6 @@ func (o *Outcome) shedSecond() {
 	o.second = nil
 }
 
-// Converged reports whether route processing reached a fixpoint. False
-// indicates a policy dispute froze mid-oscillation (rare; the state is
-// still deterministic and usable, mirroring persistently oscillating
-// real-world configurations).
-func (o *Outcome) Converged() bool { return o.converged }
-
 // Config returns the configuration that produced this outcome.
 func (o *Outcome) Config() Config { return o.cfg }
 

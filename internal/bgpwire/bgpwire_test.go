@@ -340,4 +340,24 @@ func TestRouteServerCollectsRoutes(t *testing.T) {
 	if !known || peers != 1 {
 		t.Fatalf("route server tracks %d peers (47065 known: %v), want just 47065", peers, known)
 	}
+	// Closing the session deallocates its Adj-RIB-In (RFC 4271 §6): a
+	// route from a session that no longer exists is not a route.
+	if err := sess.Announce(u); err != nil {
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for len(rs.Routes(47065)) == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if len(rs.Routes(47065)) == 0 {
+		t.Fatal("re-announced route not collected")
+	}
+	sess.Close()
+	deadline = time.Now().Add(3 * time.Second)
+	for len(rs.Routes(47065)) > 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := len(rs.Routes(47065)); n > 0 {
+		t.Fatalf("route server still holds %d routes from a closed session", n)
+	}
 }

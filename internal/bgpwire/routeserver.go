@@ -10,15 +10,24 @@ import (
 
 // RouteServer is a collector-style passive speaker: it accepts BGP
 // sessions and records every announced route per peer, like a
-// RouteViews collector does. It never announces anything itself.
+// RouteViews collector does, until the peer's session ends. It never
+// announces anything itself.
 type RouteServer struct {
 	cfg      SessionConfig
 	listener net.Listener
 	wg       sync.WaitGroup
 
 	mu     sync.Mutex
-	ribs   map[topo.ASN]map[netip.Prefix][]topo.ASN // peer -> prefix -> AS path
+	ribs   map[topo.ASN]adjRIBIn // peer -> its current session's routes
 	closed bool
+}
+
+// adjRIBIn holds the routes one session received, prefix -> AS path. It
+// lives only as long as that session (RFC 4271 §6); sess tells a
+// reconnected peer's entry from the one its old session leaves behind.
+type adjRIBIn struct {
+	sess   *Session
+	routes map[netip.Prefix][]topo.ASN
 }
 
 // NewRouteServer starts a route server listening on addr
@@ -31,7 +40,7 @@ func NewRouteServer(addr string, cfg SessionConfig) (*RouteServer, error) {
 	rs := &RouteServer{
 		cfg:      cfg,
 		listener: ln,
-		ribs:     make(map[topo.ASN]map[netip.Prefix][]topo.ASN),
+		ribs:     make(map[topo.ASN]adjRIBIn),
 	}
 	rs.wg.Add(1)
 	go rs.acceptLoop()
@@ -73,31 +82,36 @@ func (rs *RouteServer) handle(conn net.Conn) {
 	}
 	defer sess.Close()
 	peer := sess.PeerAS()
+	rib := adjRIBIn{sess: sess, routes: make(map[netip.Prefix][]topo.ASN)}
+	rs.mu.Lock()
+	rs.ribs[peer] = rib
+	rs.mu.Unlock()
+	defer func() {
+		rs.mu.Lock()
+		if rs.ribs[peer].sess == sess {
+			delete(rs.ribs, peer)
+		}
+		rs.mu.Unlock()
+	}()
 	for u := range sess.Updates() {
 		rs.mu.Lock()
-		rib, ok := rs.ribs[peer]
-		if !ok {
-			rib = make(map[netip.Prefix][]topo.ASN)
-			rs.ribs[peer] = rib
-		}
 		for _, p := range u.Withdrawn {
-			delete(rib, p)
+			delete(rib.routes, p)
 		}
-		if len(u.Prefixes) > 0 {
-			for _, p := range u.Prefixes {
-				rib[p] = append([]topo.ASN(nil), u.Path...)
-			}
+		for _, p := range u.Prefixes {
+			rib.routes[p] = append([]topo.ASN(nil), u.Path...)
 		}
 		rs.mu.Unlock()
 	}
 }
 
-// Routes returns a snapshot of the paths announced by the peer.
+// Routes returns a snapshot of the paths the peer announced over its
+// current session.
 func (rs *RouteServer) Routes(peer topo.ASN) map[netip.Prefix][]topo.ASN {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	out := make(map[netip.Prefix][]topo.ASN)
-	for p, path := range rs.ribs[peer] {
+	for p, path := range rs.ribs[peer].routes {
 		out[p] = append([]topo.ASN(nil), path...)
 	}
 	return out

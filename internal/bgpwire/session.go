@@ -187,13 +187,6 @@ func (s *Session) HoldTime() time.Duration { return s.cfg.HoldTime }
 // Updates delivers received route announcements until the session ends.
 func (s *Session) Updates() <-chan *Update { return s.updates }
 
-// Err returns the error that terminated the session, if any.
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
-}
-
 // Announce sends an UPDATE.
 func (s *Session) Announce(u *Update) error {
 	if s.State() != StateEstablished {

@@ -191,20 +191,6 @@ func (p *Partition) Summarize() Metrics {
 	}
 }
 
-// MeanSizeWeighted returns the mean cluster size experienced by a
-// source (size-weighted mean, as in Fig. 7's per-AS averages).
-func (p *Partition) MeanSizeWeighted() float64 {
-	if len(p.assign) == 0 {
-		return 0
-	}
-	sizes := p.Sizes()
-	total := 0
-	for _, c := range p.assign {
-		total += int(sizes[c])
-	}
-	return float64(total) / float64(len(p.assign))
-}
-
 // SizeCCDF returns the complementary CDF of cluster sizes (Fig. 3 and
 // Fig. 6).
 func (p *Partition) SizeCCDF() []stats.CCDFPoint {

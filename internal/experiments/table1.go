@@ -47,16 +47,3 @@ func (r *Table1Result) String() string {
 	}
 	return sb.String()
 }
-
-// HijackScenarios quantifies the §VI observation that a configuration
-// announcing from n locations covers 2^n prefix-hijack scenarios (every
-// location can be a legitimate origin or a hijacker): it returns the
-// total number of hijack scenarios the campaign's location-phase
-// configurations cover.
-func HijackScenarios(lab *Lab) int {
-	total := 0
-	for _, pc := range lab.Plan {
-		total += 1 << len(pc.Config.Anns)
-	}
-	return total
-}

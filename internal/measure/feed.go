@@ -51,7 +51,7 @@ func ExportMRT(w io.Writer, obs Observation, g *topo.Graph, timestamp uint32) er
 }
 
 // ImportMRT parses an MRT stream back into the per-collector path map
-// Infer consumes. Records for other prefixes are skipped; records from
+// inference consumes. Records for other prefixes are skipped; records from
 // peers not in the topology are rejected.
 func ImportMRT(r io.Reader, g *topo.Graph) (map[int][]topo.ASN, error) {
 	updates, err := mrt.ReadAll(r)

@@ -61,16 +61,6 @@ type InferInput struct {
 	LinkOf func(provider int) (bgp.LinkID, bool)
 }
 
-// Infer runs the full §IV-b/c pipeline on one observation: repairs
-// traceroutes, maps them to AS-level paths, extracts catchment evidence
-// from BGP paths (high priority) and traceroutes (low priority), and
-// resolves conflicts by priority then majority vote.
-func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return s.infer(obs.BGPPaths, obs.Traceroutes, in)
-}
-
 // vote is one observation of an AS behind a link.
 type vote struct {
 	as   int32
@@ -79,6 +69,10 @@ type vote struct {
 	bgp bool
 }
 
+// infer runs the full §IV-b/c pipeline on one observation: repairs
+// traceroutes, maps them to AS-level paths, extracts catchment evidence
+// from BGP paths (high priority) and traceroutes (low priority), and
+// resolves conflicts by priority then majority vote.
 func (s *scratch) infer(paths map[int][]topo.ASN, trs []Traceroute, in InferInput) *CatchmentMeasurement {
 	n := in.Graph.NumASes()
 	m := Unobserved(n)
@@ -220,12 +214,6 @@ type asSeqVal struct {
 // intermediate AS sequence between them (repair stage 3 of §IV-b).
 type asSeqIndex map[[2]topo.ASN]asSeqVal
 
-func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) asSeqIndex {
-	idx := make(asSeqIndex)
-	idx.build(paths, origin)
-	return idx
-}
-
 // build refills the index from the collector paths.
 func (idx asSeqIndex) build(paths map[int][]topo.ASN, origin topo.ASN) {
 	clear(idx)
@@ -265,19 +253,12 @@ func (idx asSeqIndex) lookup(a, b topo.ASN) (v asSeqVal, ok bool) {
 	return v, ok && !v.conflict
 }
 
-// ASLevelPath maps a traceroute to an AS-level path of dense indices,
-// applying repair stages 2 and 3 of §IV-b: unmapped hops surrounded by a
-// single AS collapse into it; unmapped hops between two different ASes
-// are bridged by the unique BGP AS sequence when one exists; remaining
-// unmapped hops are dropped. Consecutive duplicate ASes collapse.
-func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	return append([]int(nil), s.asLevelPath(tr.Hops, g, mapper, seqIdx)...)
-}
-
-// asLevelPath is ASLevelPath on the scratch; the result is valid until
-// the next call.
+// asLevelPath maps a traceroute's hops to an AS-level path of dense
+// indices, applying repair stages 2 and 3 of §IV-b: unmapped hops
+// surrounded by a single AS collapse into it; unmapped hops between two
+// different ASes are bridged by the unique BGP AS sequence when one
+// exists; remaining unmapped hops are dropped. Consecutive duplicate
+// ASes collapse. The result is valid until the next call.
 func (s *scratch) asLevelPath(hops []Hop, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
 	// First map every hop: >=0 AS index, -1 unmapped, -2 destination.
 	mapped := s.mapped[:0]

@@ -443,3 +443,23 @@ func TestObservedCount(t *testing.T) {
 		t.Fatal("ObservedCount wrong")
 	}
 }
+
+func TestCollectMultipleRounds(t *testing.T) {
+	w := newMeasureWorld(t, 65, 600, 20, 50)
+	out, err := w.platform.Deploy(anycastAll(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noise := NoiseParams{RoutersPerAS: 2, Rounds: 3}
+	obs := Collect(out, w.vantages, w.space, noise, stats.NewRNG(4))
+	// With no probe loss, exactly 3 traceroutes per probe with a route.
+	routedProbes := 0
+	for _, p := range w.vantages.Probes {
+		if out.HasRoute(p) {
+			routedProbes++
+		}
+	}
+	if len(obs.Traceroutes) != 3*routedProbes {
+		t.Fatalf("got %d traceroutes for %d routed probes x 3 rounds", len(obs.Traceroutes), routedProbes)
+	}
+}

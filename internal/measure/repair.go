@@ -5,23 +5,6 @@ import (
 	"slices"
 )
 
-// RepairUnresponsive implements the first repair stage of §IV-b: for each
-// run of unresponsive hops surrounded by responsive hops (a ... b), look
-// across all traceroutes for responsive hop sequences observed between a
-// and b; if exactly one distinct sequence exists, substitute it. Returns
-// repaired copies; inputs are not modified.
-func RepairUnresponsive(trs []Traceroute) []Traceroute {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.gaps.build(trs)
-	out := make([]Traceroute, len(trs))
-	for i, tr := range trs {
-		out[i] = tr
-		out[i].Hops = append([]Hop(nil), s.repairOne(tr.Hops)...)
-	}
-	return out
-}
-
 // gapKey identifies a pair of responsive hop addresses that surround a
 // gap.
 type gapKey struct{ a, b netip.Addr }

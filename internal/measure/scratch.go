@@ -27,7 +27,7 @@ type scratch struct {
 
 	// repaired is the traceroute being mapped, after gap repair.
 	repaired []Hop
-	// mapped, collapsed and asPath are ASLevelPath's three stages.
+	// mapped, collapsed and asPath are asLevelPath's three stages.
 	mapped, collapsed, asPath []int
 
 	// evidence lists the (AS, link) observations in arrival order;
@@ -49,8 +49,9 @@ func newScratch() *scratch {
 
 // Measure runs one configuration's whole §IV-b/c measurement on a single
 // scratch: Collect, then — with wireFeeds — the collector paths' round
-// trip through the MRT codec stamped feedTime, then Infer. It returns
-// exactly what the three exported steps chained would.
+// trip through the MRT codec stamped feedTime, then inference. It
+// returns exactly what Collect, the feed round trip and inference
+// chained step by step would.
 func Measure(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG, in InferInput, wireFeeds bool, feedTime uint32) (*CatchmentMeasurement, error) {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)

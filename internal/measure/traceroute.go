@@ -64,26 +64,6 @@ func DefaultNoise() NoiseParams {
 	}
 }
 
-// SynthesizeTraceroute builds the traceroute a probe in AS probe would
-// observe under the routing outcome: two interface hops per transit AS
-// (ingress and egress routers), IXP segments at some AS boundaries, and
-// unresponsive hops. Returns ok=false when the probe measurement is lost
-// entirely or the probe has no route.
-func SynthesizeTraceroute(out *bgp.Outcome, space *addr.Space, probe int, noise NoiseParams, rng *stats.RNG) (Traceroute, bool) {
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	s.hops = s.hops[:0]
-	reached, ok := s.synthesize(out, space, probe, noise, rng)
-	if !ok {
-		return Traceroute{}, false
-	}
-	tr := Traceroute{ProbeAS: probe, Reached: reached}
-	if reached {
-		tr.Hops = append([]Hop(nil), s.hops...)
-	}
-	return tr, true
-}
-
 // synthesize appends one traceroute's hops to the arena. ok=false means
 // the measurement was lost; reached=false that the probe has no route
 // (nothing appended in either case). The rng is drawn from in a fixed

@@ -1,7 +1,7 @@
 // Package metrics is a dependency-free instrumentation kit for the
-// live attribution pipeline: lock-free counters and gauges, fixed-bucket
-// histograms, and an expvar-style JSON export that cmd/spooftrackd
-// serves over HTTP. Hot-path operations (Counter.Add, Gauge.Set,
+// live attribution pipeline: lock-free counters, gauges computed on
+// demand, fixed-bucket histograms, and an expvar-style JSON export that
+// cmd/spooftrackd serves over HTTP. Hot-path operations (Counter.Add,
 // Histogram.Observe) are single atomic ops — safe to call from every
 // packet-processing goroutine.
 package metrics
@@ -31,18 +31,6 @@ func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
-
-// Gauge is an instantaneous float64 value: a GaugeVec child. A scalar
-// gauge is registered as a GaugeFunc over the state it reads.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the gauge's value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates observations into fixed buckets. Buckets are
 // defined by their inclusive upper bounds; one implicit overflow bucket
@@ -314,8 +302,6 @@ func (r *Registry) Snapshot() map[string]any {
 		case *Histogram:
 			out[name] = m.Snapshot()
 		case *CounterVec:
-			out[name] = m.Snapshot()
-		case *GaugeVec:
 			out[name] = m.Snapshot()
 		case *HistogramVec:
 			out[name] = m.Snapshot()

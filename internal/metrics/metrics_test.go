@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -35,23 +36,17 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3.5)
-	if got := g.Value(); got != 3.5 {
-		t.Fatalf("gauge = %v, want 3.5", got)
-	}
-	g.Set(-1)
-	if got := g.Value(); got != -1 {
-		t.Fatalf("gauge = %v, want -1", got)
-	}
-}
+// testGauge is a gauge the test sets by hand: shipped code registers
+// scalar gauges as GaugeFunc over the state they read, so a fixture does
+// the same over an atomic float.
+type testGauge struct{ bits atomic.Uint64 }
 
-// settableGauge registers a gauge the test sets by hand: shipped code
-// registers scalar gauges as GaugeFunc over the state they read, so a
-// fixture does the same over a Gauge.
-func settableGauge(r *Registry, name string) *Gauge {
-	g := &Gauge{}
+func (g *testGauge) Set(v float64)  { g.bits.Store(math.Float64bits(v)) }
+func (g *testGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// settableGauge registers a testGauge under name.
+func settableGauge(r *Registry, name string) *testGauge {
+	g := &testGauge{}
 	r.GaugeFunc(name, g.Value)
 	return g
 }

@@ -49,15 +49,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					}
 				}
 			}
-		case *GaugeVec:
-			if _, err = fmt.Fprintf(w, "# TYPE %s gauge\n", pname); err == nil {
-				labels := sanitizeLabelNames(m.labels)
-				for _, c := range m.children() {
-					if err = writeSeries(w, pname, labels, c.values, c.metric.Value()); err != nil {
-						break
-					}
-				}
-			}
 		case *HistogramVec:
 			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", pname); err == nil {
 				labels := sanitizeLabelNames(m.labels)

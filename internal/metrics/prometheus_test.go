@@ -34,8 +34,6 @@ func goldenRegistry() *Registry {
 	cv.With("0", "forwarded").Add(10)
 	cv.With("1", "dropped").Add(2)
 	cv.With("1", `esc"ape\me`+"\n").Add(1) // label escaping
-	gv := r.GaugeVec("shard_depth", "shard")
-	gv.With("0").Set(3)
 	hv := r.HistogramVec("eval_seconds", []string{"config"}, 0.1, 1)
 	hv.With("4").Observe(0.5)
 	hv.With("4").Observe(2)

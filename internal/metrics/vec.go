@@ -25,8 +25,7 @@ type vecChild[M any] struct {
 	metric M
 }
 
-// vec is the label-indexing core shared by CounterVec, GaugeVec, and
-// HistogramVec.
+// vec is the label-indexing core shared by CounterVec and HistogramVec.
 type vec[M any] struct {
 	name   string
 	labels []string
@@ -175,23 +174,6 @@ func (v *CounterVec) Snapshot() map[string]any {
 	return out
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	*vec[*Gauge]
-}
-
-// With returns the gauge for the label values, creating it on first use.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.with(values) }
-
-// Snapshot returns current child values keyed by "label=value,..".
-func (v *GaugeVec) Snapshot() map[string]any {
-	out := make(map[string]any)
-	for _, c := range v.children() {
-		out[childKey(v.labels, c.values)] = c.metric.Value()
-	}
-	return out
-}
-
 // HistogramVec is a family of histograms sharing one bucket layout,
 // keyed by label values.
 type HistogramVec struct {
@@ -218,14 +200,6 @@ func (v *HistogramVec) Snapshot() map[string]any {
 func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	return register(r, name, func() *CounterVec {
 		return &CounterVec{newVec(name, labels, func() *Counter { return &Counter{} })}
-	})
-}
-
-// GaugeVec returns the named gauge vector, creating it with the label
-// names on first use.
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	return register(r, name, func() *GaugeVec {
-		return &GaugeVec{newVec(name, labels, func() *Gauge { return &Gauge{} })}
 	})
 }
 

@@ -49,15 +49,8 @@ func TestVecWrongArity(t *testing.T) {
 	NewRegistry().CounterVec("x", "a", "b").With("only-one")
 }
 
-func TestGaugeVecAndHistogramVec(t *testing.T) {
+func TestHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	g := r.GaugeVec("depth", "shard")
-	g.With("0").Set(4)
-	g.With("1").Set(2.5)
-	if g.With("1").Value() != 2.5 {
-		t.Fatalf("gauge child = %v", g.With("1").Value())
-	}
-
 	h := r.HistogramVec("lat", []string{"link"}, 1, 10)
 	h.With("7").Observe(3)
 	h.With("7").Observe(0.5)

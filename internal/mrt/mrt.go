@@ -96,13 +96,6 @@ func appendRecord(dst []byte, u *Update) ([]byte, error) {
 	return dst, nil
 }
 
-// ReadUpdate reads one MRT record. It returns io.EOF at a clean end of
-// stream.
-func ReadUpdate(r io.Reader) (*Update, error) {
-	d := decoder{r: r}
-	return d.next()
-}
-
 // maxMRTBytes bounds what one decoder reads, as topo.ReadCAIDA bounds a
 // relationship file: a hostile stream of valid records cannot grow
 // ReadAll's result without limit. A campaign's feed is a few MB.

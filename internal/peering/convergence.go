@@ -48,20 +48,3 @@ func gaussian(rng *stats.RNG) float64 {
 	u2 := rng.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
-
-// RoundsAfterConvergence returns how many periodic measurement rounds
-// fit in a configuration slot after routes converge: rounds fire at
-// period, 2*period, ... within the slot, and only those strictly after
-// the convergence delay count.
-func RoundsAfterConvergence(slot, period, convergence time.Duration) int {
-	if period <= 0 {
-		return 0
-	}
-	rounds := 0
-	for t := period; t <= slot; t += period {
-		if t > convergence {
-			rounds++
-		}
-	}
-	return rounds
-}

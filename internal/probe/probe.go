@@ -173,9 +173,6 @@ func NewSimNet(out *bgp.Outcome, truth GroundTruth, offPathFrac float64, seed ui
 	}, nil
 }
 
-// Truth returns the ground truth the network enforces (for grading).
-func (s *SimNet) Truth() GroundTruth { return s.truth }
-
 // Send implements Network.
 func (s *SimNet) Send(p Probe) Response {
 	t := p.Target

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sort"
-
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/cluster"
 	"spooftrack/internal/topo"
@@ -40,36 +38,6 @@ func (p *Predictor) Predict(cfg bgp.Config) ([]bgp.LinkID, error) {
 	vec := out.CatchmentVector()
 	out.Release()
 	return vec, nil
-}
-
-// RankByPredictedGain orders the candidate configurations by how many
-// clusters the predictor expects each to produce when refining the
-// current partition restricted to the given sources (descending gain).
-// Configurations predicted to provide no additional information sort
-// last, matching §V-C's proposal to postpone them.
-func (p *Predictor) RankByPredictedGain(part *cluster.Partition, sources []int, cands []bgp.Config) ([]int, error) {
-	type scored struct {
-		idx  int
-		gain int
-	}
-	scoredList := make([]scored, len(cands))
-	for i, cfg := range cands {
-		vec, err := p.Predict(cfg)
-		if err != nil {
-			return nil, err
-		}
-		labels := make([]bgp.LinkID, len(sources))
-		for k, src := range sources {
-			labels[k] = vec[src]
-		}
-		scoredList[i] = scored{idx: i, gain: part.NumClustersAfter(labels)}
-	}
-	sort.SliceStable(scoredList, func(a, b int) bool { return scoredList[a].gain > scoredList[b].gain })
-	order := make([]int, len(cands))
-	for i, s := range scoredList {
-		order[i] = s.idx
-	}
-	return order, nil
 }
 
 // TargetedPoisonPlan implements the paper's future-work idea of

@@ -356,44 +356,3 @@ func TestPredictorMatchesNoiselessEngine(t *testing.T) {
 		t.Fatalf("predictor routed %d of %d", routed, g.NumASes())
 	}
 }
-
-func TestRankByPredictedGain(t *testing.T) {
-	p := topo.DefaultGenParams(51)
-	p.NumASes = 500
-	g, err := topo.Generate(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var provs []int
-	for _, i := range g.TransitASes() {
-		if !g.IsTier1(i) {
-			provs = append(provs, i)
-		}
-		if len(provs) == 3 {
-			break
-		}
-	}
-	origin := bgp.Origin{ASN: 47065, Links: []bgp.Link{
-		{Name: "a", Provider: provs[0]}, {Name: "b", Provider: provs[1]}, {Name: "c", Provider: provs[2]},
-	}}
-	pred, err := NewPredictor(g, origin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := make([]int, g.NumASes())
-	for i := range sources {
-		sources[i] = i
-	}
-	part := cluster.New(len(sources))
-	cands := []bgp.Config{
-		{Anns: []bgp.Announcement{{Link: 0}}},                       // single link: no split
-		{Anns: []bgp.Announcement{{Link: 0}, {Link: 1}, {Link: 2}}}, // full anycast: splits
-	}
-	order, err := pred.RankByPredictedGain(part, sources, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if order[0] != 1 {
-		t.Fatalf("rank order %v, want the anycast config first", order)
-	}
-}

@@ -160,9 +160,6 @@ func (c *Cluster) Controller() *Controller {
 	return c.ctrls[c.active]
 }
 
-// Nodes returns the shard ids in order.
-func (c *Cluster) Nodes() []string { return append([]string(nil), c.order...) }
-
 // Ingest routes one event: the injector's drop roll first (so the drop
 // schedule is identical at every shard count), then consistent-hash by
 // true source AS through the live ring. The path is lock-free.
@@ -293,13 +290,6 @@ func (c *Cluster) KillController() string {
 	c.mu.Unlock()
 	c.AdvanceClock(LeaseTTL + time.Second)
 	return c.ctrls[idx].cfg.ID
-}
-
-// KillShard permanently crashes a shard node.
-func (c *Cluster) KillShard(id string) {
-	if n := c.nodes[id]; n != nil {
-		n.Crash()
-	}
 }
 
 // Isolate switches a permanent network partition for a shard on or off.

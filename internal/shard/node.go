@@ -67,11 +67,6 @@ func (n *Node) Ingest(ev amp.Event) bool {
 	return n.intake.Ingest(ev)
 }
 
-// Crash simulates a permanent shard death: RPCs stop answering and
-// ingest stops accepting. The chaos harness's shard-crash and the
-// KillShard test hook land here.
-func (n *Node) Crash() { n.crashed.Store(true) }
-
 // Crashed reports whether the node has been crashed.
 func (n *Node) Crashed() bool { return n.crashed.Load() }
 

@@ -113,9 +113,6 @@ func (c *chunk) writeXOR(vb uint64) {
 	c.w.writeBits(xor>>trail, uint(meaningful))
 }
 
-// bytes returns the encoded size so far.
-func (c *chunk) bytes() int { return len(c.w.buf) }
-
 // decode appends the chunk's samples with t in [from, to] to dst. Pass
 // math.MinInt64/MaxInt64 to take everything. Decoding reads the live
 // buffer, so the caller must hold the owning series lock.

@@ -277,48 +277,3 @@ func (s *series) append(now int64, v float64, chunkSamples int) {
 		}
 	}
 }
-
-// Stats summarizes storage, for /query introspection and the
-// compression acceptance test.
-type Stats struct {
-	Series     int   `json:"series"`
-	Samples    int64 `json:"samples"`     // across all tiers
-	Bytes      int64 `json:"bytes"`       // compressed payload across all tiers
-	RawSamples int64 `json:"raw_samples"` // tier-0 only
-	RawBytes   int64 `json:"raw_bytes"`
-	Scrapes    int64 `json:"scrapes"`
-}
-
-// allSeries snapshots the series set, so a caller can walk it (taking
-// each series' own lock) without holding db.mu.
-func (db *DB) allSeries() []*series {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	all := make([]*series, 0, len(db.series))
-	for _, s := range db.series {
-		all = append(all, s)
-	}
-	return all
-}
-
-// Stats walks every series; cheap (counts, not decodes).
-func (db *DB) Stats() Stats {
-	all := db.allSeries()
-	st := Stats{Series: len(all), Scrapes: db.scrapes.Load()}
-	for _, s := range all {
-		s.mu.Lock()
-		for i := range s.tiers {
-			t := &s.tiers[i]
-			for _, c := range t.chunks {
-				st.Samples += int64(c.n)
-				st.Bytes += int64(c.bytes())
-				if t.res == 0 {
-					st.RawSamples += int64(c.n)
-					st.RawBytes += int64(c.bytes())
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return st
-}

@@ -2,8 +2,10 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,11 +14,17 @@ import (
 
 var t0 = time.UnixMilli(1_700_000_000_000)
 
-// settableGauge registers a gauge the test sets by hand: shipped code
-// registers scalar gauges as GaugeFunc over the state they read, so a
-// fixture does the same over a metrics.Gauge.
-func settableGauge(reg *metrics.Registry, name string) *metrics.Gauge {
-	g := &metrics.Gauge{}
+// testGauge is a gauge the test sets by hand: shipped code registers
+// scalar gauges as GaugeFunc over the state they read, so a fixture does
+// the same over an atomic float.
+type testGauge struct{ bits atomic.Uint64 }
+
+func (g *testGauge) Set(v float64)  { g.bits.Store(math.Float64bits(v)) }
+func (g *testGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// settableGauge registers a testGauge under name.
+func settableGauge(reg *metrics.Registry, name string) *testGauge {
+	g := &testGauge{}
 	reg.GaugeFunc(name, g.Value)
 	return g
 }
@@ -141,7 +149,6 @@ func TestCompressionBudget(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	counters := reg.CounterVec("flows_total", "link")
-	gauges := reg.GaugeVec("depth", "shard")
 	const (
 		nCounters = 60
 		nGauges   = 40
@@ -157,9 +164,9 @@ func TestCompressionBudget(t *testing.T) {
 	for i := range links {
 		links[i] = fmt.Sprint(i)
 	}
-	shards := make([]string, nGauges)
-	for i := range shards {
-		shards[i] = fmt.Sprint(i)
+	gauges := make([]*testGauge, nGauges)
+	for i := range gauges {
+		gauges[i] = settableGauge(reg, fmt.Sprintf("depth_%d", i))
 	}
 	for sec := 0; sec < seconds; sec++ {
 		for i, l := range links {
@@ -172,8 +179,8 @@ func TestCompressionBudget(t *testing.T) {
 			counters.With(l).Add(d)
 		}
 		if sec%5 == 0 {
-			for i, s := range shards {
-				gauges.With(s).Set(float64(rng.Intn(64)) + float64(i))
+			for i, g := range gauges {
+				g.Set(float64(rng.Intn(64)) + float64(i))
 			}
 		}
 		db.ScrapeOnce(t0.Add(time.Duration(sec) * time.Second))

@@ -428,13 +428,6 @@ func (w *Watchdog) BreachingRules() []string {
 	return out
 }
 
-// Breaches returns how many breaches have fired since construction.
-func (w *Watchdog) Breaches() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.breaches
-}
-
 // LastBundlePath returns the most recently written bundle's path ("" if
 // none yet).
 func (w *Watchdog) LastBundlePath() string {

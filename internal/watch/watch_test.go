@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,11 +26,17 @@ func history(reg *metrics.Registry) *tsdb.DB {
 	return tsdb.New(tsdb.Options{Registry: reg})
 }
 
-// settableGauge registers a gauge the test sets by hand: shipped code
-// registers scalar gauges as GaugeFunc over the state they read, so a
-// fixture does the same over a metrics.Gauge.
-func settableGauge(reg *metrics.Registry, name string) *metrics.Gauge {
-	g := &metrics.Gauge{}
+// testGauge is a gauge the test sets by hand: shipped code registers
+// scalar gauges as GaugeFunc over the state they read, so a fixture does
+// the same over an atomic float.
+type testGauge struct{ bits atomic.Uint64 }
+
+func (g *testGauge) Set(v float64)  { g.bits.Store(math.Float64bits(v)) }
+func (g *testGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+
+// settableGauge registers a testGauge under name.
+func settableGauge(reg *metrics.Registry, name string) *testGauge {
+	g := &testGauge{}
 	reg.GaugeFunc(name, g.Value)
 	return g
 }

@@ -2,8 +2,9 @@
 # CI entry point: check formatting, vet (and vet internal/amp for darwin and linux/arm64,
 # whose datagram I/O builds from other files than linux/amd64's), check that everything under internal/, cmd/ and
 # examples/ is reached by something that ships, build, print the non-test and test Go line
-# counts under internal cmd examples spooftrack.go (informational: they gate nothing, and make
-# a simplification's line claim one command to check), and test the whole module, then run the
+# counts under internal cmd examples spooftrack.go and the number of scripts/reach.allow
+# entries (informational: they gate nothing, and make a simplification's line and allow-list
+# claims one command to check), and test the whole module, then run the
 # race detector over the concurrency-heavy packages (streaming pipeline,
 # honeypot, parallel campaign deployment and its pooled measurement
 # scratch, pooled propagation engine, BGP sessions (a reader and a
@@ -47,10 +48,10 @@ go run scripts/reach.go
 echo "==> go build"
 go build ./...
 
-echo "==> Go line counts under internal cmd examples spooftrack.go (informational)"
+echo "==> Go line counts under internal cmd examples spooftrack.go, and reach.allow entries (informational)"
 src="internal cmd examples spooftrack.go"
 # shellcheck disable=SC2086 # word-split the path list on purpose
-echo "non-test: $(find $src -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l), test: $(find $src -name '*_test.go' -exec cat {} + | wc -l)"
+echo "non-test: $(find $src -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l), test: $(find $src -name '*_test.go' -exec cat {} + | wc -l), reach.allow: $(grep -c . scripts/reach.allow)"
 
 echo "==> go test"
 go test ./...

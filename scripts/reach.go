@@ -17,7 +17,9 @@
 // methods live code calls through them. _test.go files are not roots.
 //
 // Names kept on purpose are listed in scripts/reach.allow, one
-// "import/path.Recv.Name<TAB>reason" per line; they count as roots.
+// "import/path.Recv.Name<TAB>reason" per line; they count as roots. The
+// list is for names a test in another package reads: a seam only its
+// own package's tests read lives in that package's export_test.go.
 // Any other unreached name, an allowlist entry that matches no
 // declaration, and one that is reached anyway are failures. So is a
 // cmd/* or examples/* package with no _test.go file: a command or an
