@@ -62,7 +62,7 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 			}
 			slices.Sort(unread)
 			if len(unread) > 0 {
-				t.Errorf("families on /metrics that no rule, bundle, /dash panel, bench literal or test seam reads: %v", unread)
+				t.Errorf("families on /metrics that no rule, bundle, /dash panel, bench literal or named exception reads: %v", unread)
 			}
 		})
 	}
@@ -114,19 +114,6 @@ func daemonFamilies(t *testing.T, want []string, args ...string) map[string]any 
 	return nil
 }
 
-// testSeams are the families a test reads as its instrument, not as its
-// subject: family → the package directory and test function whose body
-// names it. A test whose only subject is the family's own registration
-// or counting is not a reader, so it earns no entry here.
-var testSeams = map[string]struct{ dir, fn string }{
-	// The recovery test counts control ticks on it, so it can wait out
-	// ticks without sleeping a guessed interval.
-	"stream_evals_total": {"internal/stream", "TestDegradedRecoveryHook"},
-	// The re-measurement test checks through it that the spare
-	// configuration was deployed on a hint, not a split.
-	"stream_remeasure_total": {"internal/stream", "TestRemeasureHints"},
-}
-
 // unreadFamilies are registered with no reader and kept only until the
 // change that deletes their registration: the bench drives the honeypot
 // through Honeypot.SetMetrics, so its families go with HoneypotConfig
@@ -135,9 +122,7 @@ var unreadFamilies = []string{"amp_honeypot_bytes_total", "amp_honeypot_packets_
 
 // familyReaders is the set of families something reads: the watched
 // families (rules, bundles, /dash panels), every string literal in the
-// bench's non-test source, each testSeams entry whose test function's
-// body names the family, and unreadFamilies. It fails on a seam whose
-// test does not name its family.
+// bench's non-test source, and unreadFamilies.
 func familyReaders(t *testing.T, watched []string) map[string]bool {
 	t.Helper()
 	readers := map[string]bool{}
@@ -156,40 +141,10 @@ func familyReaders(t *testing.T, watched []string) map[string]bool {
 			readers[lit] = true
 		}
 	}
-	for fam, seam := range testSeams {
-		fn := testFunc(t, "../../"+seam.dir, seam.fn)
-		if fn == nil {
-			t.Errorf("test seam %s: no func %s in %s", fam, seam.fn, seam.dir)
-			continue
-		}
-		if !slices.Contains(stringLiterals(t, fn.Body), fam) {
-			t.Errorf("test seam %s: %s in %s does not name it", fam, seam.fn, seam.dir)
-			continue
-		}
-		readers[fam] = true
-	}
 	for _, fam := range unreadFamilies {
 		readers[fam] = true
 	}
 	return readers
-}
-
-// testFunc returns the declaration of the top-level func name in dir's
-// _test.go files, or nil.
-func testFunc(t *testing.T, dir, name string) *ast.FuncDecl {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range files {
-		for _, d := range parseGo(t, path).Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == name {
-				return fd
-			}
-		}
-	}
-	return nil
 }
 
 func parseGo(t *testing.T, path string) *ast.File {

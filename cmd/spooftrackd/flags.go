@@ -71,7 +71,7 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.IntVar(&c.world.ases, "ases", 1000, "synthetic topology size (ASes)")
 	fs.IntVar(&c.world.poison, "poison", 20, "max poisoning-phase targets")
 	fs.IntVar(&c.pipe.Workers, "workers", 0, "pipeline worker goroutines (0 = auto)")
-	fs.IntVar(&c.pipe.SplitThreshold, "threshold", 1, "stop refining when the top cluster is this small")
+	fs.IntVar(&c.pipe.Eval.SplitThreshold, "threshold", 1, "stop refining when the top cluster is this small")
 	fs.Int64Var(&c.pipe.MinRoundPackets, "min-round", 60, "minimum packets before a round is evaluated")
 	fs.DurationVar(&c.pipe.EvalInterval, "eval", 200*time.Millisecond, "round evaluation interval")
 	fs.DurationVar(&c.pipe.Settle, "settle", 50*time.Millisecond, "settle window after a reconfiguration")

@@ -24,7 +24,7 @@
 //	/dash         self-contained live dashboard (inline JS sparklines
 //	              polling /query; no external assets)
 //	/evidence     operator-facing localization evidence for the candidates
-//	              (single-node mode only)
+//	              (409 before the first fold; 404 on a shard, which decides nothing)
 //	/explain      decision-provenance: verdict list (JSON), full ledger
 //	              timeline (?format=ledger) or DOT provenance graph
 //	              (?format=dot); /explain/{cluster} renders the complete
@@ -60,9 +60,9 @@
 //
 //	mode             counts         decides        owns
 //	(default)        here           here           /status /evidence
-//	-shards N        here, N ways   here (leased)  /cluster
+//	-shards N        here, N ways   here (leased)  /cluster /evidence
 //	-shard-id ID     here           a -controller  /status /shard/*
-//	-controller ...  the shards     here (leased)  /cluster
+//	-controller ...  the shards     here (leased)  /cluster /evidence
 //
 // Every other endpoint is registered by the component that owns it
 // (routes.go) and is the same in every mode. That includes /readyz: an
@@ -165,7 +165,7 @@ func run(ctx context.Context, cfg config) error {
 	w.pipe.Metrics, w.pipe.Ledger, w.pipe.DegradedRecovery = obs.reg, led, obs.shedQuiet
 	// Configurations whose links are quarantined by the circuit breaker
 	// are routed around until the breaker cools down.
-	w.pipe.Blocked = func() []bool {
+	w.pipe.Eval.Blocked = func() []bool {
 		return sched.QuarantineMask(tracker.Plan, platform.Health().IsQuarantined)
 	}
 
@@ -189,7 +189,7 @@ func run(ctx context.Context, cfg config) error {
 		}
 		w.pipe.Deploy = plane.deploy
 	}
-	w.pipe.Remeasure = s.probe.hints
+	w.pipe.Eval.Remeasure = s.probe.hints
 	w.ready = s.dog.ReadyFunc()
 
 	if s.place, err = newPlacement(ctx, cfg.place, w); err != nil {

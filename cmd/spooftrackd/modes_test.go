@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/peering"
+	"spooftrack/internal/report"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
 	"spooftrack/internal/tsdb"
@@ -111,7 +113,7 @@ func jsonKeys(t *testing.T, body string) []string {
 // built by the constructor run uses: fixed rounds from the planted
 // source go through the tap, one per fold, and every mode must converge
 // on that source with exactly the deployments a bare Evaluator makes of
-// the same rounds.
+// the same rounds, and name it as a candidate on /evidence.
 func TestEveryModeLocalizes(t *testing.T) {
 	attr := plantedAttr()
 	for _, tc := range []struct {
@@ -136,7 +138,7 @@ func TestEveryModeLocalizes(t *testing.T) {
 				p, mux := modeSurface(t, attr, "-shards", "2")
 				return p, mux, "/cluster", map[string]*http.ServeMux{"shards": mux}
 			},
-			owns: map[string][]string{"shards": {"/cluster"}},
+			owns: map[string][]string{"shards": {"/cluster", "/evidence"}},
 		},
 		{
 			name: "shard-id+controller",
@@ -147,7 +149,7 @@ func TestEveryModeLocalizes(t *testing.T) {
 				_, ctrlMux := modeSurface(t, attr, "-controller", "s0="+srv.URL, "-controller-id", "c0")
 				return node, ctrlMux, "/cluster", map[string]*http.ServeMux{"shard-id": nodeMux, "controller": ctrlMux}
 			},
-			owns: map[string][]string{"shard-id": {"/status", "/shard/"}, "controller": {"/cluster"}},
+			owns: map[string][]string{"shard-id": {"/status", "/shard/"}, "controller": {"/cluster", "/evidence"}},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,6 +191,15 @@ func TestEveryModeLocalizes(t *testing.T) {
 			}
 			if !reflect.DeepEqual(v.DeployedConfigs, ref.Deployed()) {
 				t.Fatalf("deployed %v, bare Evaluator refold deploys %v", v.DeployedConfigs, ref.Deployed())
+			}
+			res, body := get(t, viewMux, "/evidence")
+			var rep report.Report
+			if err := json.Unmarshal([]byte(body), &rep); res.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("/evidence: status %d, %v\n%s", res.StatusCode, err, body)
+			}
+			planted := attr.SourceASNs[plantedSource]
+			if !slices.ContainsFunc(rep.Candidates, func(c report.Candidate) bool { return c.ASN == planted }) {
+				t.Fatalf("/evidence candidates %+v do not include the planted AS%d", rep.Candidates, planted)
 			}
 
 			for mode, mux := range muxes {

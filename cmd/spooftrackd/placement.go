@@ -13,6 +13,7 @@ import (
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/fault"
+	"spooftrack/internal/report"
 	"spooftrack/internal/shard"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
@@ -52,10 +53,9 @@ type wiring struct {
 
 // newPlacement builds and starts the placement the flags select.
 func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, error) {
-	decide := stream.EvalParams{SplitThreshold: w.pipe.SplitThreshold}
 	switch {
 	case pc.peerIDs != nil:
-		return newController(ctx, pc, w, decide)
+		return newController(ctx, pc, w)
 	case pc.shardID != "":
 		// The external controller owns evaluation and provenance; this
 		// process accumulates counters, serves /shard/*, and deploys
@@ -78,13 +78,9 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 		cl, err := shard.NewCluster(shard.ClusterConfig{
 			Shards:          pc.shards,
 			Attr:            w.attr,
-			Eval:            decide,
 			MinRoundPackets: w.pipe.MinRoundPackets,
 			Pipe:            w.pipe,
 			Injector:        w.inj,
-			Blocked:         w.pipe.Blocked,
-			Remeasure:       w.pipe.Remeasure,
-			Ledger:          w.pipe.Ledger,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
@@ -135,7 +131,7 @@ func (s *single) drain(time.Duration) {
 	st := s.Status(5)
 	slog.Info("final state", "events", st.TotalEvents, "rounds", st.Rounds,
 		"reconfigs", st.Reconfigurations, "converged", st.Converged)
-	if rep, err := s.Evidence(); err == nil && st.Rounds > 0 {
+	if rep, err := s.Evidence(); err == nil {
 		const maxPrint = 10
 		for i, c := range rep.Candidates {
 			if i == maxPrint {
@@ -151,17 +147,22 @@ func (s *single) drain(time.Duration) {
 
 func (s *single) routes(mux *http.ServeMux) {
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, s.Status(10)) })
+	evidenceRoute(mux, s.Evidence)
+}
+
+// evidenceRoute serves the decide half's verdict as an operator report;
+// every placement that decides registers it.
+func evidenceRoute(mux *http.ServeMux, evidence func() (*report.Report, error)) {
 	mux.HandleFunc("/evidence", func(w http.ResponseWriter, r *http.Request) {
-		if s.Status(0).Rounds == 0 {
-			http.Error(w, "no rounds folded yet: evidence would list every source as a candidate", http.StatusConflict)
-			return
-		}
-		rep, err := s.Evidence()
-		if err != nil {
+		rep, err := evidence()
+		switch {
+		case errors.Is(err, stream.ErrNoRounds):
+			http.Error(w, err.Error(), http.StatusConflict)
+		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		default:
+			writeJSON(w, rep)
 		}
-		writeJSON(w, rep)
 	})
 }
 
@@ -220,6 +221,7 @@ func (c *cluster) drain(timeout time.Duration) {
 
 func (c *cluster) routes(mux *http.ServeMux) {
 	clusterRoutes(mux, func() shard.ClusterStatus { return c.Controller().Status() })
+	evidenceRoute(mux, func() (*report.Report, error) { return c.Controller().Evidence() })
 }
 
 // controller decides here over intakes in other processes: it collects
@@ -233,7 +235,7 @@ type controller struct {
 	rounds <-chan struct{} // closed when the round ticker has stopped
 }
 
-func newController(ctx context.Context, pc placeConfig, w wiring, decide stream.EvalParams) (*controller, error) {
+func newController(ctx context.Context, pc placeConfig, w wiring) (*controller, error) {
 	var lease shard.LeaseStore = shard.NewMemLease()
 	if pc.leaseFile != "" {
 		fl := shard.NewFileLease(pc.leaseFile)
@@ -251,13 +253,11 @@ func newController(ctx context.Context, pc placeConfig, w wiring, decide stream.
 	ct, err := shard.NewController(shard.ControllerConfig{
 		ID:              id,
 		Attr:            w.attr,
-		Eval:            decide,
+		Eval:            w.pipe.Eval,
 		MinRoundPackets: w.pipe.MinRoundPackets,
 		Members:         pc.peerIDs,
 		Transport:       pc.peers,
 		Lease:           lease,
-		Blocked:         w.pipe.Blocked,
-		Remeasure:       w.pipe.Remeasure,
 		Ledger:          w.pipe.Ledger,
 	})
 	if err != nil {
@@ -294,7 +294,10 @@ func (c *controller) drain(time.Duration) {
 	logClusterState(c.Status())
 }
 
-func (c *controller) routes(mux *http.ServeMux) { clusterRoutes(mux, c.Status) }
+func (c *controller) routes(mux *http.ServeMux) {
+	clusterRoutes(mux, c.Status)
+	evidenceRoute(mux, c.Evidence)
+}
 
 func clusterRoutes(mux *http.ServeMux, status func() shard.ClusterStatus) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, status()) })

@@ -140,9 +140,8 @@ func clusterLines(t *testing.T, name string) []string {
 		Shards:          4,
 		Attr:            attr,
 		MinRoundPackets: 1,
-		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond},
+		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond, Ledger: led},
 		Injector:        fault.New(prof, 0xD16E50, attr.NumLinks),
-		Ledger:          led,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,6 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 	cc := ClusterConfig{
 		Shards:          shards,
 		Attr:            attr,
-		Eval:            stream.EvalParams{},
 		MinRoundPackets: 1,
 		Pipe: stream.Config{
 			Workers:       2,
@@ -209,7 +208,7 @@ func TestControllerFailoverMidCampaign(t *testing.T) {
 	want := runBaseline(fault.Profile{Name: "clean"}, seed, chaosRounds, true)
 	var killed string
 	cl := runCluster(t, fault.Profile{Name: "clean"}, seed, 4, chaosRounds,
-		func(cc *ClusterConfig) { cc.Ledger = led },
+		func(cc *ClusterConfig) { cc.Pipe.Ledger = led },
 		func(r int, c *Cluster) {
 			if r == chaosRounds/2 {
 				killed = c.KillController()
@@ -287,13 +286,11 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 	cl, err := NewCluster(ClusterConfig{
 		Shards:          4,
 		Attr:            attr,
-		Eval:            stream.EvalParams{},
 		MinRoundPackets: 1,
-		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond},
+		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond, Ledger: led},
 		Injector:        fault.New(fault.Profile{Name: "clean"}, seed, attr.NumLinks),
 		RetryAttempts:   3,
 		EvictAfter:      2,
-		Ledger:          led,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/fault"
-	"spooftrack/internal/provenance"
 	"spooftrack/internal/stream"
 )
 
@@ -21,13 +20,16 @@ import (
 type ClusterConfig struct {
 	// Shards is the node count (>= 1).
 	Shards int
-	// Attr / Eval / MinRoundPackets are the shared attribution contract —
-	// identical to what a single-node pipeline would run.
-	Attr            stream.Attribution
-	Eval            stream.EvalParams
+	// Attr is the shared attribution matrix.
+	Attr stream.Attribution
+	// MinRoundPackets gates the controllers' folds (see
+	// ControllerConfig.MinRoundPackets); Pipe.MinRoundPackets is not
+	// consulted.
 	MinRoundPackets int64
-	// Pipe is the per-node intake configuration (see NodeConfig.Pipe);
-	// only the controller decides and writes provenance.
+	// Pipe is the loop's configuration, as a single-node pipeline would
+	// take it: the nodes count with its intake half (see
+	// NodeConfig.Pipe), and the controllers decide with Pipe.Eval and
+	// record to Pipe.Ledger.
 	Pipe stream.Config
 	// Injector drives event drops, RPC partitions, shard crashes, and
 	// split-brain lease flaps. Nil = fault-free.
@@ -37,17 +39,11 @@ type ClusterConfig struct {
 	EvictAfter    int
 	// Ready supplies a per-shard readiness gate (nil = always ready).
 	Ready func(id string) func() bool
-	// Blocked / Remeasure pass through to the controllers (quarantine
-	// mask, probe-conflict re-measurement hints).
-	Blocked   func() []bool
-	Remeasure func() []int
-	// Ledger records the active controller's provenance.
-	Ledger *provenance.Ledger
 }
 
 // Cluster wires nodes, transport, lease, and controllers together and
 // drives them in rounds: Ingest routes events through the live ring,
-// Quiesce drains the intakes, Step runs one controller round
+// Quiesce completes the intakes' rounds, Step runs one controller round
 // (electing a leader as needed), and the Kill*/Isolate hooks inject the
 // permanent failures the chaos suite asserts against.
 type Cluster struct {
@@ -120,16 +116,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		ct, err := NewController(ControllerConfig{
 			ID:              fmt.Sprintf("ctrl-%d", i),
 			Attr:            cfg.Attr,
-			Eval:            cfg.Eval,
+			Eval:            cfg.Pipe.Eval,
 			MinRoundPackets: cfg.MinRoundPackets,
 			Members:         c.order,
 			Transport:       c.transport,
 			Lease:           c.lease,
 			RetryAttempts:   cfg.RetryAttempts,
 			EvictAfter:      cfg.EvictAfter,
-			Blocked:         cfg.Blocked,
-			Remeasure:       cfg.Remeasure,
-			Ledger:          cfg.Ledger,
+			Ledger:          cfg.Pipe.Ledger,
 			Sleep:           func(time.Duration) {}, // in-process: no real backoff sleeps
 		})
 		if err != nil {
@@ -177,34 +171,19 @@ func (c *Cluster) Ingest(ev amp.Event) bool {
 	return n != nil && n.Ingest(ev)
 }
 
-// Quiesce waits until every live shard has flushed all the events its
-// intake accepted into its shared round state, so a following Step
-// collects a complete, deterministic round. Crashed shards are skipped
-// (their uncollected events are the explicit loss the eviction path
-// accounts).
+// Quiesce completes every live shard's round (stream.Intake.Cut, the
+// call a single-node pipeline completes its rounds with), so a
+// following Step collects a complete, deterministic round. Crashed
+// shards are skipped (their uncollected events are the explicit loss
+// the eviction path accounts).
 func (c *Cluster) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
-		lagging := ""
-		for _, id := range c.order {
-			n := c.nodes[id]
-			if n.Crashed() {
-				continue
-			}
-			in := n.Intake()
-			if want := in.Accepted(); in.TotalEvents() < want {
-				lagging = id
-				break
-			}
+	for _, id := range c.order {
+		if n := c.nodes[id]; !n.Crashed() && !n.Intake().Cut(time.Until(deadline)) {
+			return fmt.Errorf("shard: quiesce timed out waiting for %s", id)
 		}
-		if lagging == "" {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shard: quiesce timed out waiting for %s", lagging)
-		}
-		time.Sleep(200 * time.Microsecond)
 	}
+	return nil
 }
 
 // AdvanceClock moves the lease clock forward (expiring leases when d

@@ -10,6 +10,7 @@ import (
 
 	"spooftrack/internal/fault"
 	"spooftrack/internal/provenance"
+	"spooftrack/internal/report"
 	"spooftrack/internal/stream"
 )
 
@@ -19,12 +20,12 @@ type ControllerConfig struct {
 	ID string
 	// Attr is the shared attribution matrix (identical on every node).
 	Attr stream.Attribution
-	// Eval are the decision parameters — the same EvalParams a
-	// single-node pipeline would run, which is the byte-identical
-	// contract.
+	// Eval is the decide half — the same EvalParams a single-node
+	// pipeline folds with, callbacks included, which is the
+	// byte-identical contract.
 	Eval stream.EvalParams
-	// MinRoundPackets gates folding a merged round (default 50, matching
-	// stream.Config).
+	// MinRoundPackets gates folding a merged round (default
+	// stream.DefaultMinRoundPackets, as for a pipeline).
 	MinRoundPackets int64
 	// Members are the initial shard ids.
 	Members []string
@@ -37,11 +38,6 @@ type ControllerConfig struct {
 	// EvictAfter is how many consecutive failed-collect rounds evict a
 	// shard (default 3).
 	EvictAfter int
-	// Blocked / Remeasure are the same per-evaluation callbacks the
-	// single-node controller consults (quarantine mask, probe-conflict
-	// hints).
-	Blocked   func() []bool
-	Remeasure func() []int
 	// Ledger records rounds, reconfigurations, verdicts, membership and
 	// failover transitions. Nil is provenance-off.
 	Ledger *provenance.Ledger
@@ -59,7 +55,7 @@ const drainAfter = 2
 
 func (c *ControllerConfig) setDefaults() {
 	if c.MinRoundPackets <= 0 {
-		c.MinRoundPackets = 50
+		c.MinRoundPackets = stream.DefaultMinRoundPackets
 	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 3
@@ -214,6 +210,14 @@ func (ct *Controller) Evaluator() *stream.Evaluator {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	return ct.eval
+}
+
+// Evidence is the controller's verdict as an operator report
+// (stream.Evaluator.Evidence).
+func (ct *Controller) Evidence() (*report.Report, error) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return ct.eval.Evidence()
 }
 
 // Ring returns the current consistent-hash ring (ingest routing).
@@ -426,15 +430,7 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 
 	// Fold, decide and record through the shared evaluator — the same
 	// call, with the same inputs, a single-node pipeline makes.
-	var blocked []bool
-	if ct.cfg.Blocked != nil {
-		blocked = ct.cfg.Blocked()
-	}
-	var hints []int
-	if ct.cfg.Remeasure != nil {
-		hints = ct.cfg.Remeasure()
-	}
-	out := ct.eval.StepRecorded(led, merged, final || ct.frozen, blocked, hints)
+	out := ct.eval.Fold(led, merged, final || ct.frozen)
 	res.Folded = true
 	res.Outcome = out
 

@@ -90,8 +90,7 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 		EvalInterval:    2 * time.Millisecond,
 		MinRoundPackets: roundPkts,
 		Ledger:          pled,
-		Blocked:         pcb.blocked,
-		Remeasure:       pcb.remeasure,
+		Eval:            stream.EvalParams{Blocked: pcb.blocked, Remeasure: pcb.remeasure},
 		Deploy:          pcb.deploy,
 	})
 	if err != nil {
@@ -120,9 +119,8 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 	cl := runCluster(t, fault.Profile{Name: "clean"}, 1, 1, equivRounds, func(cc *ClusterConfig) {
 		cc.Attr = attr
 		cc.MinRoundPackets = roundPkts
-		cc.Ledger = cled
-		cc.Blocked = ccb.blocked
-		cc.Remeasure = ccb.remeasure
+		cc.Pipe.Ledger = cled
+		cc.Pipe.Eval = stream.EvalParams{Blocked: ccb.blocked, Remeasure: ccb.remeasure}
 		cc.Pipe.Deploy = ccb.deploy
 	}, nil)
 	cl.Close()
@@ -157,5 +155,26 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 		if !res.Reproduced {
 			t.Errorf("%s ledger did not replay: %v", name, res.Mismatches)
 		}
+	}
+}
+
+// TestClusterRecordsThroughPipeLedger: the ledger a cluster's
+// controllers write is the one its intake configuration carries, so a
+// Cluster configured only through Pipe.Ledger records every round it
+// folds.
+func TestClusterRecordsThroughPipeLedger(t *testing.T) {
+	led := provenance.New(provenance.Options{})
+	cl := runCluster(t, fault.Profile{Name: "clean"}, 1, 2, 3, func(cc *ClusterConfig) {
+		cc.Pipe.Ledger = led
+	}, nil)
+	cl.Close()
+	rounds := 0
+	for _, ev := range led.Export().Events {
+		if ev.Kind == provenance.KindRound {
+			rounds++
+		}
+	}
+	if folded := cl.Controller().Status().Rounds; folded != 3 || rounds != folded {
+		t.Fatalf("ledger holds %d round events for %d folded rounds, want 3", rounds, folded)
 	}
 }

@@ -18,7 +18,9 @@ type NodeConfig struct {
 	Attr stream.Attribution
 	// Pipe tunes the wrapped intake: Workers, QueueDepth, BatchSize, the
 	// intervals, Settle, Deploy, Shed, DegradedRecovery and Metrics. A
-	// shard never folds, so the decide-side fields are not consulted.
+	// shard never folds, so the decide-side fields (Eval,
+	// MinRoundPackets, Ledger) are not consulted: the controller that
+	// folds its rounds takes them (ClusterConfig hands it Pipe's).
 	Pipe stream.Config
 	// Ready is the membership gate the controller polls on every
 	// collect: false asks to be drained. Wire it to

@@ -1,24 +1,51 @@
 package stream
 
 import (
+	"errors"
 	"fmt"
 
 	"spooftrack/internal/provenance"
+	"spooftrack/internal/report"
 	"spooftrack/internal/sched"
+	"spooftrack/internal/topo"
 )
 
-// EvalParams are the decision-relevant knobs of the attribution loop —
-// the subset of Config that determines, byte for byte, what the
-// controller folds and deploys. The single-node Pipeline and the
-// sharded controller (internal/shard) both run an Evaluator built from
-// the same params, which is what makes "byte-identical localization
-// versus single-node" a property of shared code rather than of two
-// implementations agreeing.
+// EvalParams are the decide half of the loop: what determines, byte for
+// byte, what a fold records and deploys. Config.Eval carries them, and
+// the single-node Pipeline and the sharded controller (internal/shard)
+// both build their Evaluator from that one value, which is what makes
+// "byte-identical localization versus single-node" a property of shared
+// code rather than of two implementations agreeing.
 type EvalParams struct {
 	// SplitThreshold: reconfigure while the top volume-ranked candidate
-	// cluster holds more than this many sources (default 1).
+	// cluster holds more than this many sources (default 1 — drive to
+	// singletons).
 	SplitThreshold int
+	// Blocked, if non-nil, is asked at each fold for the
+	// per-configuration quarantine mask (nil = nothing blocked): blocked
+	// configurations are routed around when picking the next deployment,
+	// as if used, but become eligible again once unblocked. Wire it to
+	// sched.QuarantineMask over the platform's link health.
+	Blocked func() []bool
+	// Remeasure, if non-nil, is asked at each fold for re-measurement
+	// hints: source positions whose evidence channels conflict
+	// (probe.Audit's conflict ASes mapped to campaign source positions).
+	// When a round ends without a split-driven deployment, the fold
+	// deploys the unused configuration that re-observes the most hinted
+	// sources (sched.Loop.Next). Both callbacks run under the lock of
+	// whoever owns the Evaluator and must not call back into it.
+	Remeasure func() []int
 }
+
+// DefaultMinRoundPackets is the volume a round must carry before a fold
+// acts on it when Config.MinRoundPackets (or the shard controller's) is
+// unset — acting on a near-empty round would eliminate every quiet
+// source.
+const DefaultMinRoundPackets = 50
+
+// ErrNoRounds is Evidence's answer before the first fold: with no
+// round folded every source is still a candidate.
+var ErrNoRounds = errors.New("stream: no rounds folded yet: evidence would list every source as a candidate")
 
 // noiseFloor is the fraction of a round's total volume below which a
 // link counts as silent when folding the round — absorbs packets
@@ -68,12 +95,13 @@ type Outcome struct {
 	Converged bool
 }
 
-// Evaluator is the attribution loop's fold-and-decide core, extracted
-// from the Pipeline controller so the sharded controller can run the
-// exact same logic over merged per-shard counters. It is the round
-// transcript around a sched.Loop, which holds the decision state and
-// policy. It is not goroutine-safe; callers serialize access (the
-// Pipeline under p.mu, the shard controller from its single round loop).
+// Evaluator is the attribution loop's fold-and-decide core: the
+// single-node Pipeline folds its intake's rounds through it and the
+// sharded controller folds merged per-shard counters through it, with
+// the same Fold. It is the round transcript around a sched.Loop, which
+// holds the decision state and policy. It is not goroutine-safe; callers
+// serialize access (the Pipeline and the shard controller each under
+// their own mutex).
 type Evaluator struct {
 	attr Attribution
 	par  EvalParams
@@ -104,15 +132,11 @@ func NewEvaluator(attr Attribution, par EvalParams) *Evaluator {
 // also returns the candidate set the chosen split beat (for
 // provenance).
 func (e *Evaluator) Step(roundPkts []int64, final bool, blocked []bool, hints []int, scored bool) Outcome {
-	roundPackets := int64(0)
-	for _, n := range roundPkts {
-		roundPackets += n
-	}
 	// Links below the noise floor are treated as silent so that a
 	// handful of packets straggling across a reconfiguration (stamped
 	// under the previous catchment table) cannot keep a cluster alive.
 	volumes := make([]float64, len(roundPkts))
-	floor := noiseFloor * float64(roundPackets)
+	floor := noiseFloor * float64(sum(roundPkts))
 	for l, n := range roundPkts {
 		if v := float64(n); v > floor {
 			volumes[l] = v
@@ -175,6 +199,22 @@ func (e *Evaluator) OpenLedger(led *provenance.Ledger) {
 	led.RecordDeploy(provenance.DeployEvent{Config: e.attr.InitialConfig, Attempts: 1, Phase: "initial"})
 }
 
+// Fold is one round of the loop's decide half: it asks the Blocked and
+// Remeasure callbacks, folds roundPkts, decides the next deployment
+// unless final, and records all of it to led (StepRecorded). Both
+// control loops fold through it.
+func (e *Evaluator) Fold(led *provenance.Ledger, roundPkts []int64, final bool) Outcome {
+	var blocked []bool
+	if e.par.Blocked != nil {
+		blocked = e.par.Blocked()
+	}
+	var hints []int
+	if e.par.Remeasure != nil {
+		hints = e.par.Remeasure()
+	}
+	return e.StepRecorded(led, roundPkts, final, blocked, hints)
+}
+
 // StepRecorded is Step plus its provenance record: the round fold, the
 // reconfiguration decision (with the candidate set it beat, the
 // configurations quarantine routed around and the hints that drove a
@@ -186,14 +226,10 @@ func (e *Evaluator) StepRecorded(led *provenance.Ledger, roundPkts []int64, fina
 	if !led.Enabled() {
 		return out
 	}
-	packets := int64(0)
-	for _, n := range roundPkts {
-		packets += n
-	}
 	led.RecordRound(provenance.RoundEvent{
 		Round:      out.Round,
 		Config:     out.Config,
-		Packets:    packets,
+		Packets:    sum(roundPkts),
 		Volumes:    out.Volumes,
 		Clusters:   out.Clusters,
 		Candidates: out.Candidates,
@@ -245,6 +281,31 @@ func (e *Evaluator) Assignments() []int32 { return e.loop.Partition().Assignment
 
 // NumClusters returns the current cluster count.
 func (e *Evaluator) NumClusters() int { return e.loop.Partition().NumClusters() }
+
+// Evidence assembles the operator notification report (internal/report)
+// from every folded round — the per-candidate volume shares and
+// corroborating configurations §I's adoption-driving use case needs. It
+// returns ErrNoRounds before the first fold.
+func (e *Evaluator) Evidence() (*report.Report, error) {
+	if len(e.rounds) == 0 {
+		return nil, ErrNoRounds
+	}
+	part := e.loop.Partition()
+	in := report.Input{
+		Sources:          make([]int, part.NumSources()),
+		ASNOf:            func(i int) topo.ASN { return e.attr.SourceASNs[i] },
+		Partition:        part,
+		CandidateIndexes: e.loop.Candidates(),
+	}
+	for i := range in.Sources {
+		in.Sources[i] = i
+	}
+	for _, r := range e.rounds {
+		in.Catchments = append(in.Catchments, e.attr.Catchments[r.Config])
+		in.Volumes = append(in.Volumes, r.Volumes)
+	}
+	return report.Build(in)
+}
 
 // EvalSnapshot is the Evaluator's complete serializable state: the
 // deployment transcript plus every folded round. Restoring replays the

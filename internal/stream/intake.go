@@ -16,11 +16,12 @@ import (
 // into per-link round counters under the deployed configuration and
 // decides nothing. Events are sharded across worker goroutines, handed
 // off a slab of BatchSize at a time; workers batch per-link counters
-// and flush them into the shared round by count or tick; a control goroutine ticks the overload-recovery bookkeeping.
-// Whoever owns the decision reads the round and starts the next one: a
-// Pipeline folds it locally under the same lock, a sharded-ingest
-// controller (internal/shard) collects it with HarvestRound and answers
-// with AdvanceEpoch.
+// and flush them into the shared round by count or tick; a control
+// goroutine ticks the overload-recovery bookkeeping. Whoever owns the
+// decision drives one round protocol, whether it runs in this process
+// (a Pipeline) or across the network (a sharded-ingest controller,
+// internal/shard): Cut completes the round, HarvestRound reads it, and
+// AdvanceEpoch — the only call that ends a round — starts the next.
 type Intake struct {
 	cfg  Config
 	attr Attribution
@@ -56,7 +57,6 @@ type Intake struct {
 	mDropped *metrics.Counter
 	mBatches *metrics.Counter
 	mSettle  *metrics.Counter
-	mEvals   *metrics.Counter
 	hLag     *metrics.Histogram
 
 	// span is the root trace span (nil when tracing is off at
@@ -73,12 +73,11 @@ type roundState struct {
 	epoch int64
 	// config is the configuration the round is measured under.
 	config int
-	// harvested is how many of the round's packets the last HarvestRound
-	// of this epoch saw; what arrives after it can reach no fold.
+	// harvested is how many of the round's packets the last harvest of
+	// this epoch saw; what arrives after it can reach no fold.
 	harvested  int64
 	roundPkts  []int64
 	roundBytes []int64
-	roundStart time.Time
 	total      int64
 	totalBytes int64
 	settled    int64 // events excluded from every round
@@ -86,8 +85,8 @@ type roundState struct {
 
 // NewIntake validates the attribution input, deploys the initial
 // configuration, and starts the workers and the recovery tick. The
-// decide-side fields of cfg (SplitThreshold, MinRoundPackets, Blocked,
-// Remeasure, Ledger, …) are not consulted.
+// decide-side fields of cfg (Eval, MinRoundPackets, Ledger) are not
+// consulted.
 func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
 	in, err := newIntake(attr, cfg)
 	if err != nil {
@@ -127,7 +126,6 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	in.mDropped = reg.Counter("stream_dropped_total")
 	in.mBatches = reg.Counter("stream_batches_total")
 	in.mSettle = reg.Counter("stream_settle_excluded_total")
-	in.mEvals = reg.Counter("stream_evals_total")
 	in.hLag = reg.Histogram("stream_flush_lag_seconds", 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5)
 
 	in.span = trace.Start("stream.pipeline")
@@ -143,7 +141,6 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 		config:     attr.InitialConfig,
 		roundPkts:  make([]int64, attr.NumLinks),
 		roundBytes: make([]int64, attr.NumLinks),
-		roundStart: time.Now(),
 	}
 	return in, nil
 }
@@ -159,7 +156,7 @@ type shardQueue struct {
 	mu  sync.Mutex
 	cur []amp.Event // the slab being filled; nil until an event needs one
 	// closed rejects Ingest once shutdown has begun; accepted counts the
-	// events appended (shed ones are not), for Accepted.
+	// events appended (shed ones are not), for Cut.
 	closed   bool
 	accepted int64
 
@@ -222,7 +219,6 @@ func (in *Intake) run(tick func(parent *trace.Span)) {
 // its own locks, so it is asked last, only while degraded, with nothing
 // held.
 func (in *Intake) tick() {
-	in.mEvals.Inc()
 	queued := 0
 	for i := range in.shards {
 		queued += len(in.shards[i].full)
@@ -320,27 +316,14 @@ func (in *Intake) takeSlab(q *shardQueue) bool {
 	return true
 }
 
-// Accepted returns how many events Ingest has queued for accounting —
-// every accepted event but the shed ones. Once ingest stops, the intake
-// has flushed them all when TotalEvents reaches it.
-func (in *Intake) Accepted() int64 {
-	n := int64(0)
-	for i := range in.shards {
-		q := &in.shards[i]
-		q.mu.Lock()
-		n += q.accepted
-		q.mu.Unlock()
-	}
-	return n
-}
-
-// cut hands every shard's partly filled slab to its worker and waits, at
-// most one FlushInterval, until the intake has flushed every event it
-// had accepted, so a round folds what every worker holds of it and not
-// only what one worker happened to flush first (the rule Quiesce applies
-// across shard nodes). Call it without in.mu. A closed shard's cur is
-// nil, so nothing is sent on a closed channel.
-func (in *Intake) cut() {
+// Cut completes the current round: it hands every shard's partly
+// filled slab to its worker and waits, at most timeout, until the
+// intake has flushed every event Ingest accepted (shed ones are not), so
+// a round folds what every worker holds of it and not only what one
+// worker happened to flush first. It reports whether everything was
+// flushed in time. A closed shard's cur is nil, so nothing is sent on a
+// closed channel.
+func (in *Intake) Cut(timeout time.Duration) bool {
 	want := int64(0)
 	for i := range in.shards {
 		q := &in.shards[i]
@@ -352,10 +335,14 @@ func (in *Intake) cut() {
 		want += q.accepted
 		q.mu.Unlock()
 	}
-	deadline := time.Now().Add(in.cfg.FlushInterval)
-	for in.TotalEvents() < want && time.Now().Before(deadline) {
+	deadline := time.Now().Add(timeout)
+	for in.TotalEvents() < want {
+		if !time.Now().Before(deadline) {
+			return false
+		}
 		time.Sleep(200 * time.Microsecond)
 	}
+	return true
 }
 
 // Degraded reports whether the intake is shedding load: at least one
@@ -555,40 +542,6 @@ func (in *Intake) flush(b *batch, wsp *trace.Span) {
 	b.reset()
 }
 
-// roundPacketsLocked sums the current round's per-link packet counters.
-func (in *Intake) roundPacketsLocked() int64 {
-	total := int64(0)
-	for _, n := range in.st.roundPkts {
-		total += n
-	}
-	return total
-}
-
-// advanceLocked starts the round accumulated under the given epoch:
-// zero the round counters, publish the epoch, and — when deploy >= 0, a
-// new configuration about to be deployed — arm the settle window. The
-// epoch bump invalidates worker batches accumulated before it — flushed
-// late, they would otherwise leak the old round's per-link counts into
-// the new one. The settle deadline is published before the caller drops
-// in.mu so no event produced under the old configuration can observe a
-// stale value; the caller calls in.deploy(deploy) after dropping it.
-func (in *Intake) advanceLocked(epoch int64, deploy int) {
-	st := &in.st
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
-	}
-	st.harvested = 0
-	st.epoch = epoch
-	in.epoch.Store(epoch)
-	st.roundStart = time.Now()
-	if deploy >= 0 {
-		st.config = deploy
-		if in.cfg.Settle > 0 {
-			in.settleUntil.Store(time.Now().Add(in.cfg.Settle).UnixNano())
-		}
-	}
-}
-
 // Harvest is one intake's round-counter snapshot: the per-link
 // packet/byte counters accumulated since the last epoch advance, tagged
 // with the epoch and configuration they accumulated under. Harvesting
@@ -609,13 +562,14 @@ type Harvest struct {
 	Dropped    int64   `json:"dropped"`
 }
 
-func (in *Intake) harvestLocked() Harvest {
+// snapshotLocked copies the round state into h, reusing its slices.
+func (in *Intake) snapshotLocked(h *Harvest) {
 	st := &in.st
-	return Harvest{
+	*h = Harvest{
 		Epoch:      st.epoch,
 		Config:     st.config,
-		Pkts:       append([]int64(nil), st.roundPkts...),
-		Bytes:      append([]int64(nil), st.roundBytes...),
+		Pkts:       append(h.Pkts[:0], st.roundPkts...),
+		Bytes:      append(h.Bytes[:0], st.roundBytes...),
 		Total:      st.total,
 		TotalBytes: st.totalBytes,
 		Settled:    st.settled,
@@ -627,33 +581,47 @@ func (in *Intake) harvestLocked() Harvest {
 // Status snapshots the current round's counters without marking them
 // collected.
 func (in *Intake) Status() Harvest {
+	var h Harvest
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.harvestLocked()
+	in.snapshotLocked(&h)
+	return h
 }
 
 // HarvestRound snapshots the current round's counters for a controller
 // that may fold them (the sharded-ingest Collect RPC lands here), and
 // remembers how much of the round has now been seen.
 func (in *Intake) HarvestRound() Harvest {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.st.harvested = in.roundPacketsLocked()
-	return in.harvestLocked()
+	var h Harvest
+	in.harvest(&h)
+	return h
 }
 
-// AdvanceEpoch adopts a controller-decided epoch and configuration (the
-// sharded-ingest controller's Apply RPC lands here). It resets the
-// round counters, bumps the epoch — invalidating worker batches
-// accumulated under the old one — arms the settle window, and deploys
-// the configuration when it changed. Packets flushed into the round
-// after its last harvest (collect→apply latency, RPC backoff, a round
-// never collected at all) can reach no fold, so they are counted as
-// settle-excluded rather than vanishing: total = folded + excluded
-// holds on every shard. Re-applying the current (epoch, config) is an
-// idempotent no-op, so a controller recovering from failover can
-// re-broadcast its snapshot safely; an epoch older than the intake's is
-// rejected (a stale controller must not rewind the shard).
+// harvest is HarvestRound into h's slices: a Pipeline's control
+// goroutine harvests every tick into buffers it owns.
+func (in *Intake) harvest(h *Harvest) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.st.harvested = sum(in.st.roundPkts)
+	in.snapshotLocked(h)
+}
+
+// AdvanceEpoch ends the current round and starts the one the decide
+// half chose (a Pipeline's fold, or the sharded-ingest controller's
+// Apply RPC). It zeroes the round counters and bumps the epoch, which
+// invalidates worker batches accumulated under the old one — flushed
+// late, they would otherwise leak the old round's per-link counts into
+// the new one. When the configuration changed it arms the settle window
+// before releasing the lock, so no event produced under the old
+// configuration can observe a stale deadline, and then deploys it.
+// Packets flushed into the round after its last harvest (collect→apply
+// latency, RPC backoff, a round never collected at all) can reach no
+// fold, so they are counted as settle-excluded rather than vanishing:
+// total = folded + excluded holds on every intake. Re-applying the
+// current (epoch, config) is an idempotent no-op, so a controller
+// recovering from failover can re-broadcast its snapshot safely; an
+// epoch older than the intake's is rejected (a stale controller must
+// not rewind the shard).
 func (in *Intake) AdvanceEpoch(epoch int64, cfgIdx int) error {
 	if cfgIdx < 0 || cfgIdx >= len(in.attr.Catchments) {
 		return fmt.Errorf("stream: advance to config %d out of range", cfgIdx)
@@ -669,17 +637,25 @@ func (in *Intake) AdvanceEpoch(epoch int64, cfgIdx int) error {
 		in.mu.Unlock()
 		return nil
 	}
-	residue := in.roundPacketsLocked() - st.harvested
+	residue := sum(st.roundPkts) - st.harvested
 	st.settled += residue
-	deploy := -1
-	if cfgIdx != st.config {
-		deploy = cfgIdx
+	for l := range st.roundPkts {
+		st.roundPkts[l], st.roundBytes[l] = 0, 0
 	}
-	in.advanceLocked(epoch, deploy)
+	st.harvested = 0
+	st.epoch = epoch
+	in.epoch.Store(epoch)
+	changed := cfgIdx != st.config
+	if changed {
+		st.config = cfgIdx
+		if in.cfg.Settle > 0 {
+			in.settleUntil.Store(time.Now().Add(in.cfg.Settle).UnixNano())
+		}
+	}
 	in.mu.Unlock()
 	in.mSettle.Add(residue)
-	if deploy >= 0 {
-		in.deploy(deploy)
+	if changed {
+		in.deploy(cfgIdx)
 	}
 	return nil
 }

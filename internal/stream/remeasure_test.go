@@ -9,7 +9,6 @@ import (
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/bgp"
-	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 )
 
@@ -17,9 +16,8 @@ import (
 // on the attacker and one spare configuration the greedy splitter never
 // needs (a duplicate of config 0). Once localization can no longer
 // split, the controller must spend the spare configuration re-observing
-// the hinted source, count it under stream_remeasure_total, and record
-// the decision in the provenance ledger with the hint set that drove
-// it.
+// the hinted source and record the decision in the provenance ledger
+// with the hint set that drove it.
 func TestRemeasureHints(t *testing.T) {
 	attr := testAttribution()
 	// Config 3 duplicates config 0: it can never increase the cluster
@@ -30,7 +28,6 @@ func TestRemeasureHints(t *testing.T) {
 	victim := netip.MustParseAddr("192.0.2.66")
 
 	led := provenance.New(provenance.Options{})
-	reg := metrics.NewRegistry()
 	var current atomic.Int32
 	p, err := New(attr, Config{
 		Workers:         2,
@@ -40,8 +37,7 @@ func TestRemeasureHints(t *testing.T) {
 		MinRoundPackets: 100,
 		Settle:          3 * time.Millisecond,
 		Ledger:          led,
-		Metrics:         reg,
-		Remeasure:       func() []int { return []int{attacker} },
+		Eval:            EvalParams{Remeasure: func() []int { return []int{attacker} }},
 		Deploy: func(cfgIdx int, table map[uint32]uint8) {
 			current.Store(int32(cfgIdx))
 		},
@@ -84,9 +80,6 @@ func TestRemeasureHints(t *testing.T) {
 	gen.Wait()
 	p.Close()
 
-	if got := reg.Counter("stream_remeasure_total").Value(); got < 1 {
-		t.Fatalf("stream_remeasure_total = %d, want >= 1", got)
-	}
 	// The duplicate configuration only enters the deployment sequence
 	// through the re-measurement path.
 	sawSpare := false

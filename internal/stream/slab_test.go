@@ -84,9 +84,9 @@ func TestRoundCutCarriesEveryWorker(t *testing.T) {
 		}
 		waitUntil(t, func() bool { return p.Status(0).Rounds >= r })
 		rec := p.Status(0).History[r-1]
-		p.in.mu.Lock()
+		p.mu.Lock()
 		vols := p.eval.rounds[r-1].Volumes
-		p.in.mu.Unlock()
+		p.mu.Unlock()
 		if rec.Packets != batch+quiet || vols[0] == 0 || vols[1] == 0 {
 			t.Fatalf("round %d folded %d packets, volumes %v; want %d over both links",
 				r, rec.Packets, vols, batch+quiet)

@@ -60,56 +60,54 @@ func (p *Pipeline) Status(topN int) Status {
 	}
 	now := time.Now()
 	in, e := p.in, p.eval
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	st := &in.st
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := in.Status()
 	part, candidates := e.loop.Partition(), e.loop.Candidates()
 
 	s := Status{
 		UptimeSec:        now.Sub(in.start).Seconds(),
 		Workers:          in.cfg.Workers,
 		CurrentConfig:    e.loop.Current(),
-		DeployedConfigs:  append([]int(nil), e.deployed...),
+		DeployedConfigs:  e.Deployed(),
 		Reconfigurations: len(e.deployed) - 1,
 		Rounds:           len(p.history),
-		TotalEvents:      st.total,
-		TotalBytes:       st.totalBytes,
+		TotalEvents:      h.Total,
+		TotalBytes:       h.TotalBytes,
 		NumSources:       part.NumSources(),
 		NumClusters:      part.NumClusters(),
 		MeanClusterSize:  part.Summarize().MeanSize,
 		Candidates:       len(candidates),
 		Converged:        e.converged,
-		Degraded:         in.degraded.Load(),
-		DroppedEvents:    in.droppedN.Load(),
+		Degraded:         h.Degraded,
+		DroppedEvents:    h.Dropped,
 		History:          append([]RoundRecord(nil), p.history...),
 	}
 	if s.UptimeSec > 0 {
-		s.EventsPerSec = float64(st.total) / s.UptimeSec
+		s.EventsPerSec = float64(h.Total) / s.UptimeSec
 	}
 
-	roundDur := now.Sub(st.roundStart).Seconds()
+	roundDur := now.Sub(p.started).Seconds()
 	totalRound := 0.0
-	for l := range st.roundPkts {
-		if st.roundPkts[l] == 0 && st.roundBytes[l] == 0 {
+	volumes := make([]float64, len(h.Pkts))
+	for l, n := range h.Pkts {
+		volumes[l] = float64(n)
+		if n == 0 && h.Bytes[l] == 0 {
 			continue
 		}
-		ls := LinkStatus{Link: l, RoundPackets: st.roundPkts[l], RoundBytes: st.roundBytes[l]}
+		ls := LinkStatus{Link: l, RoundPackets: n, RoundBytes: h.Bytes[l]}
 		if roundDur > 0 {
-			ls.PacketsPerSec = float64(st.roundPkts[l]) / roundDur
+			ls.PacketsPerSec = float64(n) / roundDur
 		}
-		totalRound += float64(st.roundPkts[l])
+		totalRound += float64(n)
 		s.PerLink = append(s.PerLink, ls)
 	}
 
 	// Top attributed sources: candidates ranked by current-round
 	// volume share.
-	volumes := make([]float64, len(st.roundPkts))
-	for l, n := range st.roundPkts {
-		volumes[l] = float64(n)
-	}
 	est := sched.EstimateVolumes(in.attr.Catchments[e.loop.Current()], candidates, volumes)
-	// One size table per call: this runs under in.mu, where a table per
-	// candidate would stall every worker flush.
+	// One size table per call: this runs under p.mu, which a fold waits
+	// on.
 	sizes := part.Sizes()
 	for _, k := range candidates {
 		if est[k] <= 0 {
@@ -141,46 +139,29 @@ func (p *Pipeline) Status(topN int) Status {
 
 // Candidates returns the current candidate source positions.
 func (p *Pipeline) Candidates() []int {
-	p.in.mu.Lock()
-	defer p.in.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.eval.Candidates()
 }
 
 // Deployed returns the configurations deployed so far, in order.
 func (p *Pipeline) Deployed() []int {
-	p.in.mu.Lock()
-	defer p.in.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.eval.Deployed()
 }
 
 // Converged reports whether the top volume-ranked candidate cluster is
 // within the split threshold.
 func (p *Pipeline) Converged() bool {
-	p.in.mu.Lock()
-	defer p.in.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return p.eval.Converged()
 }
 
-// Evidence assembles the operator notification report (internal/report)
-// from every completed round — the per-candidate volume shares and
-// corroborating configurations §I's adoption-driving use case needs.
+// Evidence is the local verdict's operator report (Evaluator.Evidence).
 func (p *Pipeline) Evidence() (*report.Report, error) {
-	p.in.mu.Lock()
-	rounds := append([]EvalRound(nil), p.eval.rounds...)
-	candidates := p.eval.Candidates()
-	part := p.eval.loop.Partition().Clone()
-	p.in.mu.Unlock()
-	attr := p.in.attr
-
-	in := report.Input{
-		Sources:          allSources(part.NumSources()),
-		ASNOf:            func(i int) topo.ASN { return attr.SourceASNs[i] },
-		Partition:        part,
-		CandidateIndexes: candidates,
-	}
-	for _, r := range rounds {
-		in.Catchments = append(in.Catchments, attr.Catchments[r.Config])
-		in.Volumes = append(in.Volumes, r.Volumes)
-	}
-	return report.Build(in)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.eval.Evidence()
 }

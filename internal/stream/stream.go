@@ -13,11 +13,13 @@
 // round into a sched.Loop (an incremental localizer and cluster
 // partition), and when the volume-ranked top candidate
 // cluster still exceeds the split threshold the loop's greedy step picks
-// the next announcement configuration. Pipeline is the two in one
-// process — an Intake whose control goroutine folds each round through
-// an Evaluator and applies the resulting catchment split online through
-// a deploy callback (in cmd/spooftrackd, amp.Border.SetCatchments);
-// internal/shard places them in different processes.
+// the next announcement configuration. One round protocol joins them
+// wherever they run: the decide side completes a round with Intake.Cut,
+// reads it with Intake.HarvestRound, folds it with Evaluator.Fold and
+// starts the next with Intake.AdvanceEpoch, which deploys the chosen
+// configuration through a callback (in cmd/spooftrackd,
+// amp.Border.SetCatchments). Pipeline runs that protocol in one process;
+// internal/shard's controller runs it over shard nodes in others.
 //
 // Backpressure, not loss: Ingest blocks when a shard has no free slab,
 // so a slow consumer stalls the producer instead of silently dropping
@@ -27,6 +29,7 @@ package stream
 
 import (
 	"runtime"
+	"sync"
 	"time"
 
 	"spooftrack/internal/amp"
@@ -55,8 +58,9 @@ type Attribution struct {
 
 // DeployFunc applies configuration cfgIdx: table maps each true source
 // ASN to the ingress link its traffic enters on under the new
-// announcement. It is called from the controller goroutine (and once
-// from New) and must not call back into the pipeline.
+// announcement. It is called from whichever goroutine ends a round
+// (Intake.AdvanceEpoch; once from New), in a Pipeline with the lock its
+// readers take held, so it must not call back into the pipeline.
 type DeployFunc func(cfgIdx int, table map[uint32]uint8)
 
 // Config tunes the pipeline.
@@ -75,13 +79,8 @@ type Config struct {
 	// EvalInterval is the controller's evaluation cadence (default
 	// 2×FlushInterval).
 	EvalInterval time.Duration
-	// SplitThreshold: reconfigure while the top volume-ranked candidate
-	// cluster holds more than this many sources (default 1 — drive to
-	// singletons).
-	SplitThreshold int
 	// MinRoundPackets is the volume a round must accumulate before the
-	// controller acts on it (default 50) — acting on a near-empty round
-	// would eliminate every quiet source.
+	// controller acts on it (default DefaultMinRoundPackets).
 	MinRoundPackets int64
 	// Settle ignores events observed within this duration after a
 	// reconfiguration for round accounting (they still count toward
@@ -108,21 +107,9 @@ type Config struct {
 	// the flag instead of strobing it. Called from the controller outside
 	// the pipeline lock; must not call back into the pipeline.
 	DegradedRecovery func() bool
-	// Blocked, if non-nil, is consulted at each evaluation for the
-	// per-configuration quarantine mask (nil = nothing blocked): blocked
-	// configurations are routed around when picking the next deployment,
-	// as if used, but become eligible again once unblocked. Wire it to
-	// sched.QuarantineMask over the platform's link health.
-	Blocked func() []bool
-	// Remeasure, if non-nil, is consulted at each evaluation for
-	// re-measurement hints: source positions whose evidence channels
-	// conflict (probe.Audit's conflict ASes mapped to campaign source
-	// positions). When a round ends without a split-driven deployment,
-	// the controller deploys the unused configuration that re-observes
-	// the most hinted sources (sched.Loop.Next). Like Blocked, it is
-	// called from the controller outside the pipeline lock and must not
-	// call back into the pipeline.
-	Remeasure func() []int
+	// Eval is the decide half: split threshold, quarantine mask and
+	// re-measurement hints, for whichever Evaluator folds the rounds.
+	Eval EvalParams
 	// Ledger, if non-nil, records every round fold, reconfiguration
 	// decision (with the candidate set it beat), and verdict into the
 	// decision-provenance ledger. A nil ledger is provenance-off and
@@ -151,11 +138,8 @@ func (c *Config) setDefaults() {
 	if c.EvalInterval <= 0 {
 		c.EvalInterval = 2 * c.FlushInterval
 	}
-	if c.SplitThreshold <= 0 {
-		c.SplitThreshold = 1
-	}
 	if c.MinRoundPackets <= 0 {
-		c.MinRoundPackets = 50
+		c.MinRoundPackets = DefaultMinRoundPackets
 	}
 	if c.Metrics == nil {
 		c.Metrics = metrics.NewRegistry()
@@ -178,19 +162,29 @@ type RoundRecord struct {
 
 // Pipeline is the running live-attribution loop on one node: an Intake
 // plus the local decide loop over it. Create with New, feed with Ingest
-// (wire it as an amp tap), stop with Close. It does not expose the
-// intake's HarvestRound/AdvanceEpoch: only the local fold may take a
-// Pipeline's round.
+// (wire it as an amp tap), stop with Close. Its control goroutine is a
+// client of the intake's round protocol, as a shard controller is: it
+// completes a round with Intake.Cut, copies it out with the harvest
+// behind HarvestRound, folds it with Evaluator.Fold and starts the next
+// one with Intake.AdvanceEpoch. It does not expose those calls: only the
+// local fold may take a Pipeline's round.
 type Pipeline struct {
 	in *Intake
 
-	// Guarded by in.mu: a fold takes and resets the round in the critical
-	// section the workers flush under, so no event falls between a round
-	// and the next.
+	// round is the control goroutine's copy of the intake's round; only
+	// it, and Close's final fold after it has stopped, harvest into it.
+	round Harvest
+
+	// mu guards the decide half. A fold holds it from the Evaluator step
+	// to the AdvanceEpoch that ends the round, so whoever reads the fold
+	// finds the intake already counting the next round; the Eval
+	// callbacks and Deploy therefore run under it, as they run under the
+	// shard controller's lock, and must not call back into the pipeline.
+	// Worker flushes never take it.
+	mu      sync.Mutex
 	eval    *Evaluator
 	history []RoundRecord
-
-	mRemeasure *metrics.Counter
+	started time.Time // when the current round started
 }
 
 // New validates the attribution input, deploys the initial
@@ -200,23 +194,17 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = in.cfg
+	n := attr.NumLinks
+	counts := make([]int64, 2*n)
 	p := &Pipeline{
-		in:         in,
-		eval:       NewEvaluator(attr, EvalParams{SplitThreshold: cfg.SplitThreshold}),
-		mRemeasure: cfg.Metrics.Counter("stream_remeasure_total"),
+		in:      in,
+		round:   Harvest{Pkts: counts[:n:n], Bytes: counts[n:]},
+		eval:    NewEvaluator(attr, cfg.Eval),
+		started: in.start,
 	}
 	p.eval.OpenLedger(cfg.Ledger)
 	in.run(func(parent *trace.Span) { p.evaluate(false, parent) })
 	return p, nil
-}
-
-func allSources(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // Ingest feeds one per-packet event into the pipeline (Intake.Ingest).

@@ -15,7 +15,10 @@
 # examples, whose loopback demos run amp, stream and shard together),
 # run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
-# lost attacker in a small share of runs), run the two greedy-step
+# lost attacker in a small share of runs), run the single-node versus
+# cluster ledger equivalence test and the single-node transcript digest
+# twenty times (the two loops share one round lifecycle, DESIGN §5.9, and
+# these are what guard that they fold the same rounds), run the two greedy-step
 # benchmarks once, so the recorded one's world
 # build is exercised, run the measurement-pass, imputation and
 # campaign-outcome-heap benchmarks once, so their world and campaign
@@ -61,6 +64,9 @@ go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./int
 
 echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
+
+echo "==> round lifecycle x20 (both loops fold the same rounds: ledger equivalence and the single-node transcript digest)"
+go test -count=20 -run '^(TestLedgerEquivalentToSingleNode|TestPipelineTranscriptDigest)$' ./internal/shard/ ./internal/stream/
 
 echo "==> greedy-step benchmarks (one iteration each: the synthetic split-heavy step and a recorded attack)"
 go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
