@@ -78,10 +78,10 @@ func (s *Space) PrefixesOf(i int) []netip.Prefix {
 	return out
 }
 
-// ASOf maps an address to the dense index of the owning AS. The second
-// return is false for addresses outside the allocation grid (including
-// IXP segments).
-func (s *Space) ASOf(ip netip.Addr) (int, bool) { return lookup(s.owner, ip) }
+// Map implements Mapper with no errors: it maps an address to the dense
+// index of the owning AS. The second return is false for addresses
+// outside the allocation grid (including IXP segments).
+func (s *Space) Map(ip netip.Addr) (int, bool) { return lookup(s.owner, ip) }
 
 // lookup reads the AS of ip's block from a dense block table; ok is
 // false for addresses outside the table's blocks.
@@ -146,19 +146,13 @@ func addrToU32(ip netip.Addr) uint32 {
 }
 
 // Mapper resolves addresses to AS indices, possibly with errors. It is
-// the interface the measurement pipeline consumes, so tests can swap a
-// perfect mapper for a noisy one.
+// the interface the measurement pipeline consumes, so tests can swap the
+// perfect mapper (the *Space itself) for a noisy one.
 type Mapper interface {
 	// Map returns the dense AS index for the address; ok is false when
 	// the address cannot be mapped (IXP segments, unallocated space).
 	Map(ip netip.Addr) (idx int, ok bool)
 }
-
-// PerfectMapper maps through the allocation with no errors.
-type PerfectMapper struct{ Space *Space }
-
-// Map implements Mapper.
-func (m PerfectMapper) Map(ip netip.Addr) (int, bool) { return m.Space.ASOf(ip) }
 
 // NoisyMapper wraps a Space with a deterministic per-block error model:
 // a fraction of blocks are mis-attributed to a different AS (stale

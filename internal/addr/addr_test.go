@@ -58,12 +58,12 @@ func TestASOfRoundTrip(t *testing.T) {
 	for i := 0; i < g.NumASes(); i += 7 {
 		for k := 0; k < 5; k++ {
 			ip := s.RouterAddr(i, k)
-			got, ok := s.ASOf(ip)
+			got, ok := s.Map(ip)
 			if !ok || got != i {
 				t.Fatalf("RouterAddr(%d,%d)=%v maps to %d ok=%v", i, k, ip, got, ok)
 			}
 			host := s.HostAddr(i, k)
-			got, ok = s.ASOf(host)
+			got, ok = s.Map(host)
 			if !ok || got != i {
 				t.Fatalf("HostAddr(%d,%d)=%v maps to %d ok=%v", i, k, host, got, ok)
 			}
@@ -99,7 +99,7 @@ func TestASOfUnknownAddresses(t *testing.T) {
 		IXPAddr(3),                             // IXP segment
 		netip.MustParseAddr("255.255.255.255"), // far beyond grid
 	} {
-		if _, ok := s.ASOf(ip); ok {
+		if _, ok := s.Map(ip); ok {
 			t.Errorf("address %v should not map to an AS", ip)
 		}
 	}
@@ -187,7 +187,7 @@ func TestMapperEdges(t *testing.T) {
 	g := graphForTest(t, 400)
 	s := Allocate(g)
 	addrs, owners := blockAddrs(s)
-	perfect := PerfectMapper{Space: s}
+	perfect := s
 	for _, tc := range []struct {
 		seed uint64
 		// wrong is an FNV-1a digest of the (block, wrong AS) pairs in
@@ -292,7 +292,7 @@ func TestNoisyMapperRejectsBadRate(t *testing.T) {
 func TestPerfectMapper(t *testing.T) {
 	g := graphForTest(t, 100)
 	s := Allocate(g)
-	m := PerfectMapper{Space: s}
+	m := s
 	if got, ok := m.Map(s.RouterAddr(3, 0)); !ok || got != 3 {
 		t.Fatal("perfect mapper wrong")
 	}

@@ -75,9 +75,7 @@ func campaignWorld(t *testing.T, numASes int) (*bgp.Engine, []sched.PlannedConfi
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := sched.DefaultPlanParams(len(o.Links))
-	pp.PoisonTargets = poisonTargets(g, o)
-	plan, err := sched.GeneratePlan(pp)
+	plan, err := sched.GeneratePlan(sched.PlanParams{NumLinks: len(o.Links), PoisonTargets: poisonTargets(g, o)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,9 +44,6 @@ type WorldParams struct {
 	NumProbes int
 	// Noise configures traceroute imperfections.
 	Noise measure.NoiseParams
-	// MapperErrRate is the fraction of address blocks with wrong
-	// IP-to-AS data.
-	MapperErrRate float64
 	// MaxPoisonTargets caps the poisoning phase of the default plan
 	// (the paper identified 347 provider neighbors).
 	MaxPoisonTargets int
@@ -55,6 +52,10 @@ type WorldParams struct {
 	// real RouteViews/RIS consumption would.
 	WireFeeds bool
 }
+
+// mapperErrRate is the fraction of address blocks whose IP-to-AS data
+// is wrong.
+const mapperErrRate = 0.02
 
 // DefaultWorldParams mirrors the paper's experimental scale: a topology
 // big enough that the measurement dataset covers on the order of the
@@ -66,7 +67,6 @@ func DefaultWorldParams(seed uint64) WorldParams {
 		NumCollectors:    250,
 		NumProbes:        1600,
 		Noise:            measure.DefaultNoise(),
-		MapperErrRate:    0.02,
 		MaxPoisonTargets: 347,
 	}
 }
@@ -105,13 +105,9 @@ func BuildWorld(p WorldParams) (*World, error) {
 		return nil, fmt.Errorf("core: platform: %w", err)
 	}
 	space := addr.Allocate(g)
-	var mapper addr.Mapper = addr.PerfectMapper{Space: space}
-	if p.MapperErrRate > 0 {
-		nm, err := addr.NewNoisyMapper(space, p.MapperErrRate, p.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("core: mapper: %w", err)
-		}
-		mapper = nm
+	mapper, err := addr.NewNoisyMapper(space, mapperErrRate, p.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("core: mapper: %w", err)
 	}
 	v := measure.ChooseVantages(g, p.Seed, p.NumCollectors, p.NumProbes)
 	w := &World{
@@ -140,9 +136,7 @@ func BuildWorld(p WorldParams) (*World, error) {
 // preferring well-connected neighbors (which §III-A-c argues move the
 // most sources).
 func (w *World) DefaultPlan() ([]sched.PlannedConfig, error) {
-	pp := sched.DefaultPlanParams(w.Platform.NumLinks())
-	pp.PoisonTargets = w.poisonTargets()
-	return sched.GeneratePlan(pp)
+	return sched.GeneratePlan(sched.PlanParams{NumLinks: w.Platform.NumLinks(), PoisonTargets: w.poisonTargets()})
 }
 
 // poisonTargets selects provider-neighbor poison targets per link.

@@ -67,7 +67,7 @@ var ablationKnobs = []struct {
 // collectors, 400 probes, a 40-target poisoning phase), each knob on its
 // own seed, once as the default world has it and once flipped, and
 // reports both campaigns' final mean cluster sizes and source counts. It
-// builds no paper-scale lab.
+// builds no paper-scale campaign.
 func Ablations() (*AblationResult, error) {
 	res := &AblationResult{}
 	for k, knob := range ablationKnobs {

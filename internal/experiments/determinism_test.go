@@ -3,36 +3,29 @@ package experiments
 import "testing"
 
 // TestCampaignDeterminism verifies the repository's reproducibility
-// claim end-to-end: two labs built from the same seed produce
+// claim end-to-end: two campaigns built from the same seed produce
 // bit-identical catchment matrices, partitions, and figure outputs.
 func TestCampaignDeterminism(t *testing.T) {
-	params := LabParams{
-		Seed:             99,
-		NumASes:          1000,
-		NumProbes:        300,
-		NumCollectors:    80,
-		MaxPoisonTargets: 20,
-	}
-	a, err := NewLab(params)
+	a, err := measuredCampaign(99, 1000, 300, 80, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewLab(params)
+	b, err := measuredCampaign(99, 1000, 300, 80, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Campaign.NumSources() != b.Campaign.NumSources() {
-		t.Fatalf("source counts differ: %d vs %d", a.Campaign.NumSources(), b.Campaign.NumSources())
+	if a.NumSources() != b.NumSources() {
+		t.Fatalf("source counts differ: %d vs %d", a.NumSources(), b.NumSources())
 	}
-	for c := range a.Campaign.Catchments {
-		for k := range a.Campaign.Catchments[c] {
-			if a.Campaign.Catchments[c][k] != b.Campaign.Catchments[c][k] {
+	for c := range a.Catchments {
+		for k := range a.Catchments[c] {
+			if a.Catchments[c][k] != b.Catchments[c][k] {
 				t.Fatalf("catchment [%d][%d] differs", c, k)
 			}
 		}
 	}
-	ma := a.Campaign.FinalPartition().Summarize()
-	mb := b.Campaign.FinalPartition().Summarize()
+	ma := a.FinalPartition().Summarize()
+	mb := b.FinalPartition().Summarize()
 	if ma != mb {
 		t.Fatalf("partitions differ: %+v vs %+v", ma, mb)
 	}
@@ -43,8 +36,8 @@ func TestCampaignDeterminism(t *testing.T) {
 	if Headline(a).String() != Headline(b).String() {
 		t.Fatal("headline output differs")
 	}
-	fa := Fig8(a, Fig8Params{NumRandomSequences: 20, GreedySteps: 8, Seed: 1})
-	fb := Fig8(b, Fig8Params{NumRandomSequences: 20, GreedySteps: 8, Seed: 1})
+	fa := fig8(a, 20, 8, 1)
+	fb := fig8(b, 20, 8, 1)
 	if fa.String() != fb.String() {
 		t.Fatal("Fig8 output differs")
 	}

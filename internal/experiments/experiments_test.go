@@ -14,48 +14,61 @@ import (
 )
 
 var (
-	testLabOnce sync.Once
-	testLab     *Lab
-	testLabErr  error
+	testCampOnce sync.Once
+	testCamp     *core.Campaign
+	testCampErr  error
 )
 
-// lab returns a shared reduced-scale measured lab for the experiment
-// tests (building it once keeps the suite fast).
-func lab(t *testing.T) *Lab {
-	t.Helper()
-	testLabOnce.Do(func() {
-		testLab, testLabErr = NewLab(LabParams{
-			Seed:             7,
-			NumASes:          1500,
-			NumProbes:        500,
-			NumCollectors:    120,
-			MaxPoisonTargets: 60,
-		})
-	})
-	if testLabErr != nil {
-		t.Fatal(testLabErr)
+// measuredCampaign builds a world of the given sizes and deploys and
+// measures its default campaign.
+func measuredCampaign(seed uint64, ases, probes, collectors, poisons int) (*core.Campaign, error) {
+	wp := core.DefaultWorldParams(seed)
+	tp := topo.DefaultGenParams(seed)
+	tp.NumASes = ases
+	wp.Topo = &tp
+	wp.NumProbes, wp.NumCollectors, wp.MaxPoisonTargets = probes, collectors, poisons
+	w, err := core.BuildWorld(wp)
+	if err != nil {
+		return nil, err
 	}
-	return testLab
+	plan, err := w.DefaultPlan()
+	if err != nil {
+		return nil, err
+	}
+	return w.RunCampaign(plan, core.CampaignOptions{})
 }
 
-func TestLabShape(t *testing.T) {
-	l := lab(t)
-	counts := sched.PhaseCounts(l.Plan)
+// campaign returns a shared reduced-scale measured campaign for the
+// experiment tests (building it once keeps the suite fast).
+func campaign(t *testing.T) *core.Campaign {
+	t.Helper()
+	testCampOnce.Do(func() {
+		testCamp, testCampErr = measuredCampaign(7, 1500, 500, 120, 60)
+	})
+	if testCampErr != nil {
+		t.Fatal(testCampErr)
+	}
+	return testCamp
+}
+
+func TestCampaignShape(t *testing.T) {
+	camp := campaign(t)
+	counts := sched.PhaseCounts(camp.Plan)
 	if counts[sched.PhaseLocations] != 64 || counts[sched.PhasePrepending] != 294 || counts[sched.PhasePoisoning] != 60 {
 		t.Fatalf("plan counts %v", counts)
 	}
-	if l.Campaign.NumSources() == 0 {
+	if camp.NumSources() == 0 {
 		t.Fatal("no sources")
 	}
 }
 
 func TestFig3Shapes(t *testing.T) {
-	l := lab(t)
-	r := Fig3(l)
+	camp := campaign(t)
+	r := Fig3(camp)
 	// Each successive phase must not increase the mean cluster size
 	// (refinement only splits). Note the singleton *fraction* can dip
 	// when a split turns one big cluster into several medium ones.
-	parts := l.Campaign.PhasePartitions()
+	parts := camp.PhasePartitions()
 	if parts[sched.PhasePrepending].Summarize().MeanSize > parts[sched.PhaseLocations].Summarize().MeanSize+1e-9 {
 		t.Fatal("prepending phase grew mean cluster size")
 	}
@@ -78,9 +91,9 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig4Shapes(t *testing.T) {
-	l := lab(t)
-	r := Fig4(l)
-	if len(r.Mean) != l.Campaign.NumConfigs() {
+	camp := campaign(t)
+	r := Fig4(camp)
+	if len(r.Mean) != camp.NumConfigs() {
 		t.Fatal("trajectory length mismatch")
 	}
 	// Mean cluster size never increases.
@@ -103,7 +116,7 @@ func TestFig4Shapes(t *testing.T) {
 }
 
 func TestFig5Shapes(t *testing.T) {
-	r := Fig5(lab(t))
+	r := Fig5(campaign(t))
 	if len(r.Scenarios) != 3 {
 		t.Fatalf("got %d scenarios, want 3", len(r.Scenarios))
 	}
@@ -136,7 +149,7 @@ func TestFig5Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	r := Fig7(lab(t))
+	r := Fig7(campaign(t))
 	if r.MeanNear <= 0 || r.MeanFar <= 0 {
 		t.Fatal("distance groups empty")
 	}
@@ -157,10 +170,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	p := DefaultFig8Params()
-	p.NumRandomSequences = 40
-	p.GreedySteps = 24
-	r := Fig8(lab(t), p)
+	r := fig8(campaign(t), 40, 24, fig8Seed)
 	if len(r.Greedy) != 24 {
 		t.Fatalf("greedy trajectory %d steps, want 24", len(r.Greedy))
 	}
@@ -174,12 +184,12 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	l := lab(t)
-	r, err := Fig9(l)
+	camp := campaign(t)
+	r, err := Fig9(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.BestRel) != l.Campaign.NumConfigs() || len(r.GaoRexford) != l.Campaign.NumConfigs() {
+	if len(r.BestRel) != camp.NumConfigs() || len(r.GaoRexford) != camp.NumConfigs() {
 		t.Fatal("survey length mismatch")
 	}
 	if r.MeanGaoRexford > r.MeanBestRel {
@@ -226,7 +236,7 @@ func TestSurveyAcrossConfigs(t *testing.T) {
 	} {
 		plan = append(plan, sched.PlannedConfig{Config: cfg})
 	}
-	r, err := Fig9(&Lab{World: &core.World{Graph: g, Platform: plat}, Plan: plan})
+	r, err := Fig9(&core.Campaign{World: &core.World{Graph: g, Platform: plat}, Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,14 +270,12 @@ func TestCDFEmpty(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
-	p := DefaultFig10Params()
-	p.NumPlacements = 100
-	r := Fig10(lab(t), p)
+	r := fig10(campaign(t), 100)
 	for name, c := range map[string][]spoof.TrafficBySizePoint{
 		"uniform": r.Uniform, "pareto": r.Pareto, "single": r.Single,
 	} {
-		if len(c) != p.MaxSize {
-			t.Fatalf("%s: curve length %d, want %d", name, len(c), p.MaxSize)
+		if len(c) != fig10MaxSize {
+			t.Fatalf("%s: curve length %d, want %d", name, len(c), fig10MaxSize)
 		}
 		for i := 1; i < len(c); i++ {
 			if c[i].CumFrac < c[i-1].CumFrac-1e-9 {
@@ -285,7 +293,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
-	r := Headline(lab(t))
+	r := Headline(campaign(t))
 	if r.NumConfigs != 418 {
 		t.Fatalf("NumConfigs = %d, want 64+294+60", r.NumConfigs)
 	}
@@ -304,7 +312,7 @@ func TestHeadline(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	r := Table1(lab(t))
+	r := Table1(campaign(t))
 	if len(r.Rows) != 7 {
 		t.Fatalf("got %d rows, want 7", len(r.Rows))
 	}
@@ -324,10 +332,10 @@ func TestTable1(t *testing.T) {
 }
 
 func TestHijackScenarios(t *testing.T) {
-	l := lab(t)
-	n := HijackScenarios(l)
+	camp := campaign(t)
+	n := HijackScenarios(camp)
 	// Every configuration contributes 2^|A| >= 2^4 scenarios.
-	if n < len(l.Plan)*16 {
+	if n < len(camp.Plan)*16 {
 		t.Fatalf("scenario count %d too low", n)
 	}
 }

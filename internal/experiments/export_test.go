@@ -1,5 +1,7 @@
 package experiments
 
+import "spooftrack/internal/core"
+
 // Test seams: declarations only this package's tests read, kept out of
 // the shipped build.
 
@@ -8,9 +10,9 @@ package experiments
 // location can be a legitimate origin or a hijacker): it returns the
 // total number of hijack scenarios the campaign's location-phase
 // configurations cover.
-func HijackScenarios(lab *Lab) int {
+func HijackScenarios(camp *core.Campaign) int {
 	total := 0
-	for _, pc := range lab.Plan {
+	for _, pc := range camp.Plan {
 		total += 1 << len(pc.Config.Anns)
 	}
 	return total

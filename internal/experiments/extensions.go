@@ -1,7 +1,7 @@
 package experiments
 
 // Extension experiments: the paper's future-work directions (§V-B, §V-C,
-// §VIII) implemented and evaluated on the same lab as the main figures.
+// §VIII) implemented and evaluated on the same campaign as the main figures.
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/spoof"
 	"spooftrack/internal/stats"
@@ -29,14 +30,14 @@ type ExtPredictionResult struct {
 
 // ExtPrediction runs the predictor against every campaign configuration,
 // taking each true outcome from the platform and releasing it once read.
-func ExtPrediction(lab *Lab) (*ExtPredictionResult, error) {
-	plat := lab.World.Platform
-	pred, err := sched.NewPredictor(lab.World.Graph, plat.Engine().Origin())
+func ExtPrediction(camp *core.Campaign) (*ExtPredictionResult, error) {
+	plat := camp.World.Platform
+	pred, err := sched.NewPredictor(camp.World.Graph, plat.Engine().Origin())
 	if err != nil {
 		return nil, err
 	}
 	res := &ExtPredictionResult{}
-	for _, pc := range lab.Plan {
+	for _, pc := range camp.Plan {
 		vec, err := pred.Predict(pc.Config)
 		if err != nil {
 			return nil, err
@@ -46,7 +47,7 @@ func ExtPrediction(lab *Lab) (*ExtPredictionResult, error) {
 			return nil, err
 		}
 		match, total := 0, 0
-		for as := 0; as < lab.World.Graph.NumASes(); as++ {
+		for as := 0; as < camp.World.Graph.NumASes(); as++ {
 			truth := out.CatchmentOf(as)
 			if truth == bgp.NoLink {
 				continue
@@ -91,11 +92,10 @@ type ExtTargetedPoisonResult struct {
 	LargeBefore, LargeAfter int
 }
 
-// ExtTargetedPoison generates and deploys the targeted plan on the lab's
+// ExtTargetedPoison generates and deploys the targeted plan on the
 // platform, measuring each configuration through the standard pipeline.
-func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error) {
-	camp := lab.Campaign
-	plat := lab.World.Platform
+func ExtTargetedPoison(camp *core.Campaign, threshold int) (*ExtTargetedPoisonResult, error) {
+	plat := camp.World.Platform
 	part := camp.FinalPartition()
 	// The baseline anycast outcome guides targeting.
 	baseOut, err := plat.Propagate(camp.Plan[0].Config)
@@ -117,7 +117,7 @@ func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error
 	}
 
 	refined := part.Clone()
-	rng := stats.NewRNG(lab.World.Params.Seed ^ 0x7a26e7ed)
+	rng := stats.NewRNG(camp.World.Params.Seed ^ 0x7a26e7ed)
 	for i, pc := range plan {
 		out, err := plat.Deploy(pc.Config)
 		if err != nil {
@@ -125,7 +125,7 @@ func ExtTargetedPoison(lab *Lab, threshold int) (*ExtTargetedPoisonResult, error
 		}
 		labels := make([]bgp.LinkID, len(camp.Sources))
 		if camp.Measurements != nil {
-			mm, err := lab.World.MeasureOutcome(out, camp.NumConfigs()+i, rng.Split())
+			mm, err := camp.World.MeasureOutcome(out, camp.NumConfigs()+i, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -181,9 +181,8 @@ type ExtCommunitiesResult struct {
 // techniques refine from the end-of-prepending partition; catchments are
 // read from the routing engine (technique comparison, not measurement
 // evaluation).
-func ExtCommunities(lab *Lab) (*ExtCommunitiesResult, error) {
-	camp := lab.Campaign
-	prependEnd := sched.PhaseEnd(lab.Plan, sched.PhasePrepending)
+func ExtCommunities(camp *core.Campaign) (*ExtCommunitiesResult, error) {
+	prependEnd := sched.PhaseEnd(camp.Plan, sched.PhasePrepending)
 	base := camp.PartitionAfter(prependEnd)
 	res := &ExtCommunitiesResult{BaseMean: base.Summarize().MeanSize}
 
@@ -197,9 +196,9 @@ func ExtCommunities(lab *Lab) (*ExtCommunitiesResult, error) {
 
 	// Community branch: same (link, neighbor) targets, expressed as
 	// no-export communities at the providers.
-	g := lab.World.Graph
+	g := camp.World.Graph
 	providerOf := make(map[bgp.LinkID]topo.ASN)
-	for l, m := range lab.World.Platform.Muxes() {
+	for l, m := range camp.World.Platform.Muxes() {
 		providerOf[bgp.LinkID(l)] = g.ASN(m.Provider)
 	}
 	targets := make(map[bgp.LinkID][]topo.ASN)
@@ -215,10 +214,10 @@ func ExtCommunities(lab *Lab) (*ExtCommunitiesResult, error) {
 	if count == 0 {
 		return res, nil
 	}
-	plan := sched.CommunityPlan(lab.World.Platform.NumLinks(), providerOf, targets)
+	plan := sched.CommunityPlan(camp.World.Platform.NumLinks(), providerOf, targets)
 	commPart := base.Clone()
 	for _, pc := range plan {
-		out, err := lab.World.Platform.Deploy(pc.Config)
+		out, err := camp.World.Platform.Deploy(pc.Config)
 		if err != nil {
 			return nil, err
 		}
@@ -259,10 +258,10 @@ type ExtRemediationResult struct {
 
 // ExtRemediation runs the loop over the campaign's catchments with a
 // Pareto-placed botnet restricted to non-filtering networks.
-func ExtRemediation(lab *Lab, deployFrac float64, nBots, maxRounds int) (*ExtRemediationResult, error) {
+func ExtRemediation(camp *core.Campaign, deployFrac float64, nBots, maxRounds int) (*ExtRemediationResult, error) {
 	const notifyPerRound = 25 // realistic per-round outreach budget
-	n := lab.Campaign.NumSources()
-	seed := lab.World.Params.Seed
+	n := camp.NumSources()
+	seed := camp.World.Params.Seed
 	model, err := spoof.NewBCP38Model(n, deployFrac, seed)
 	if err != nil {
 		return nil, err
@@ -270,8 +269,8 @@ func ExtRemediation(lab *Lab, deployFrac float64, nBots, maxRounds int) (*ExtRem
 	rng := stats.NewRNG(seed ^ 0x2e3ed1a7e)
 	placement := spoof.PlacePareto(rng, n, nBots)
 	res := &ExtRemediationResult{InitialDeployedFrac: model.DeployedFrac()}
-	res.Steps = spoof.Remediate(lab.Campaign.Catchments, placement, model,
-		lab.World.Platform.NumLinks(), maxRounds, notifyPerRound)
+	res.Steps = spoof.Remediate(camp.Catchments, placement, model,
+		camp.World.Platform.NumLinks(), maxRounds, notifyPerRound)
 	for _, s := range res.Steps {
 		res.TotalNotified += s.NotifiedASCount
 	}
@@ -305,11 +304,11 @@ type ExtSpeedResult struct {
 	TimeRandomSingle time.Duration
 }
 
-// ExtSpeed computes time-to-target localization for the lab's campaign.
-func ExtSpeed(lab *Lab, targetMean float64, seed uint64) *ExtSpeedResult {
-	catchments := lab.Campaign.Catchments
+// ExtSpeed computes time-to-target localization for the campaign.
+func ExtSpeed(camp *core.Campaign, targetMean float64, seed uint64) *ExtSpeedResult {
+	catchments := camp.Catchments
 	res := &ExtSpeedResult{TargetMean: targetMean, Times: map[int]time.Duration{}}
-	slot := lab.World.Platform.Constraints().ConfigDuration
+	slot := camp.World.Platform.Constraints().ConfigDuration
 
 	greedy, _ := sched.GreedyTrajectory(catchments, 0)
 	res.ConfigsGreedy = firstBelow(greedy, targetMean)

@@ -7,11 +7,11 @@ import (
 )
 
 func TestExtPrediction(t *testing.T) {
-	r, err := ExtPrediction(lab(t))
+	r, err := ExtPrediction(campaign(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.AgreementPerConfig) != lab(t).Campaign.NumConfigs() {
+	if len(r.AgreementPerConfig) != campaign(t).NumConfigs() {
 		t.Fatal("missing per-config agreement")
 	}
 	// The predictor shares the engine's decision structure minus the
@@ -25,13 +25,13 @@ func TestExtPrediction(t *testing.T) {
 }
 
 func TestExtTargetedPoison(t *testing.T) {
-	l := lab(t)
-	r, err := ExtTargetedPoison(l, 10)
+	camp := campaign(t)
+	r, err := ExtTargetedPoison(camp, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.ExtraConfigs == 0 {
-		t.Skip("no clusters above threshold in this lab")
+		t.Skip("no clusters above threshold in this campaign")
 	}
 	// Refinement can only shrink or keep cluster sizes.
 	if r.AfterMean > r.BeforeMean+1e-9 {
@@ -46,8 +46,8 @@ func TestExtTargetedPoison(t *testing.T) {
 }
 
 func TestExtCommunities(t *testing.T) {
-	l := lab(t)
-	r, err := ExtCommunities(l)
+	camp := campaign(t)
+	r, err := ExtCommunities(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestExtCommunities(t *testing.T) {
 }
 
 func TestExtRemediation(t *testing.T) {
-	l := lab(t)
-	r, err := ExtRemediation(l, 0.5, 100, 8)
+	camp := campaign(t)
+	r, err := ExtRemediation(camp, 0.5, 100, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestExtRemediation(t *testing.T) {
 	if last.ResidualVolume != 0 {
 		t.Fatalf("residual volume %.2f after %d rounds", last.ResidualVolume, last.Round)
 	}
-	if r.TotalNotified == 0 || r.TotalNotified > l.Campaign.NumSources() {
+	if r.TotalNotified == 0 || r.TotalNotified > camp.NumSources() {
 		t.Fatalf("notified %d networks", r.TotalNotified)
 	}
 	if !strings.Contains(r.String(), "notification campaign") {
@@ -91,8 +91,8 @@ func TestExtRemediation(t *testing.T) {
 }
 
 func TestExtStaleness(t *testing.T) {
-	l := lab(t)
-	r, err := ExtStaleness(l, 40, 0.05)
+	camp := campaign(t)
+	r, err := ExtStaleness(camp, 40, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +125,8 @@ func TestExtStaleness(t *testing.T) {
 }
 
 func TestExtSpeed(t *testing.T) {
-	l := lab(t)
-	r := ExtSpeed(l, 5.0, 3)
+	camp := campaign(t)
+	r := ExtSpeed(camp, 5.0, 3)
 	if r.ConfigsGreedy == 0 {
 		t.Fatal("greedy never reached target mean 5.0")
 	}

@@ -4,27 +4,20 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/spoof"
 	"spooftrack/internal/stats"
 )
 
-// Fig10Params tunes the spoofed-traffic study.
-type Fig10Params struct {
-	// NumPlacements is how many random placements each distribution is
-	// averaged over (the paper uses 1000).
-	NumPlacements int
-	// NumBots is the number of spoofing hosts placed per trial for the
-	// uniform and Pareto distributions.
-	NumBots int
-	// MaxSize is the largest cluster size reported on the x-axis.
-	MaxSize int
-	Seed    uint64
-}
-
-// DefaultFig10Params mirrors the paper's study.
-func DefaultFig10Params() Fig10Params {
-	return Fig10Params{NumPlacements: 1000, NumBots: 100, MaxSize: 16, Seed: 42}
-}
+// The spoofed-traffic study's sizes, the paper's: each distribution is
+// averaged over fig10Placements random placements of fig10Bots spoofing
+// hosts (uniform and Pareto), and the x-axis ends at fig10MaxSize.
+const (
+	fig10Placements = 1000
+	fig10Bots       = 100
+	fig10MaxSize    = 16
+	fig10Seed       = 42
+)
 
 // Fig10Result is the cumulative fraction of spoofed-traffic volume in
 // clusters up to each size, averaged over placements, for the three
@@ -36,22 +29,25 @@ type Fig10Result struct {
 	Single  []spoof.TrafficBySizePoint
 }
 
-// Fig10 runs the placement simulations over the default campaign's
-// final partition.
-func Fig10(lab *Lab, p Fig10Params) *Fig10Result {
-	part := lab.Campaign.FinalPartition()
+// Fig10 runs the placement simulations over the campaign's final
+// partition.
+func Fig10(camp *core.Campaign) *Fig10Result { return fig10(camp, fig10Placements) }
+
+// fig10 is Fig10 averaged over the given number of placements.
+func fig10(camp *core.Campaign, placements int) *Fig10Result {
+	part := camp.FinalPartition()
 	n := part.NumSources()
-	rng := stats.NewRNG(p.Seed ^ 0xf16a10)
+	rng := stats.NewRNG(fig10Seed ^ 0xf16a10)
 	run := func(place func(r *stats.RNG) spoof.Placement) []spoof.TrafficBySizePoint {
-		curves := make([][]spoof.TrafficBySizePoint, 0, p.NumPlacements)
-		for t := 0; t < p.NumPlacements; t++ {
+		curves := make([][]spoof.TrafficBySizePoint, 0, placements)
+		for t := 0; t < placements; t++ {
 			curves = append(curves, spoof.TrafficBySize(part, place(rng.Split())))
 		}
-		return spoof.AverageTrafficBySize(curves, p.MaxSize)
+		return spoof.AverageTrafficBySize(curves, fig10MaxSize)
 	}
 	return &Fig10Result{
-		Uniform: run(func(r *stats.RNG) spoof.Placement { return spoof.PlaceUniform(r, n, p.NumBots) }),
-		Pareto:  run(func(r *stats.RNG) spoof.Placement { return spoof.PlacePareto(r, n, p.NumBots) }),
+		Uniform: run(func(r *stats.RNG) spoof.Placement { return spoof.PlaceUniform(r, n, fig10Bots) }),
+		Pareto:  run(func(r *stats.RNG) spoof.Placement { return spoof.PlacePareto(r, n, fig10Bots) }),
 		Single:  run(func(r *stats.RNG) spoof.Placement { return spoof.PlaceSingle(r, n) }),
 	}
 }

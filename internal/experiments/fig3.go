@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/stats"
 )
@@ -26,17 +27,17 @@ type Fig3Result struct {
 }
 
 // Fig3 computes the phase-by-phase cluster-size distributions.
-func Fig3(lab *Lab) *Fig3Result {
+func Fig3(camp *core.Campaign) *Fig3Result {
 	res := &Fig3Result{
 		CCDF:          make(map[sched.Phase][]stats.CCDFPoint, 3),
 		SingletonFrac: make(map[sched.Phase]float64, 3),
 	}
-	parts := lab.Campaign.PhasePartitions()
+	parts := camp.PhasePartitions()
 	for ph, part := range parts {
 		res.CCDF[ph] = part.SizeCCDF()
 		res.SingletonFrac[ph] = part.Summarize().SingletonFrac
 	}
-	final := lab.Campaign.FinalPartition()
+	final := camp.FinalPartition()
 	large, largeASes := 0, 0
 	for _, s := range final.Sizes() {
 		if s > 5 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 )
 
@@ -20,8 +21,8 @@ type Fig4Result struct {
 }
 
 // Fig4 computes the cluster-size trajectory of the default campaign.
-func Fig4(lab *Lab) *Fig4Result {
-	traj := lab.Campaign.MetricsTrajectory()
+func Fig4(camp *core.Campaign) *Fig4Result {
+	traj := camp.MetricsTrajectory()
 	res := &Fig4Result{
 		Mean:      make([]float64, len(traj)),
 		P90:       make([]float64, len(traj)),
@@ -32,7 +33,7 @@ func Fig4(lab *Lab) *Fig4Result {
 		res.P90[i] = m.P90Size
 	}
 	for _, ph := range []sched.Phase{sched.PhaseLocations, sched.PhasePrepending, sched.PhasePoisoning} {
-		res.PhaseEnds[ph] = sched.PhaseEnd(lab.Plan, ph)
+		res.PhaseEnds[ph] = sched.PhaseEnd(camp.Plan, ph)
 	}
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 	"spooftrack/internal/stats"
 )
@@ -39,10 +40,9 @@ type Fig5Result struct {
 // default campaign to configurations using only the retained links,
 // exactly as the paper discards PoPs from its dataset. Only location and
 // prepending configurations participate (the paper's 358/118/31 counts).
-func Fig5(lab *Lab) *Fig5Result {
-	camp := lab.Campaign
-	numLinks := lab.World.Platform.NumLinks()
-	prependEnd := sched.PhaseEnd(lab.Plan, sched.PhasePrepending)
+func Fig5(camp *core.Campaign) *Fig5Result {
+	numLinks := camp.World.Platform.NumLinks()
+	prependEnd := sched.PhaseEnd(camp.Plan, sched.PhasePrepending)
 	res := &Fig5Result{}
 	for _, drop := range []int{0, 1, 2} {
 		scenario := FootprintScenario{Locations: numLinks - drop}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"spooftrack/internal/core"
 )
 
 // Fig7Result breaks cluster sizes down by the AS-hop distance between
@@ -32,11 +34,10 @@ type Fig7Point struct {
 }
 
 // Fig7 computes the distance breakdown for the default campaign.
-func Fig7(lab *Lab) *Fig7Result {
-	camp := lab.Campaign
-	g := lab.World.Graph
+func Fig7(camp *core.Campaign) *Fig7Result {
+	g := camp.World.Graph
 	var provs []int
-	for _, m := range lab.World.Platform.Muxes() {
+	for _, m := range camp.World.Platform.Muxes() {
 		provs = append(provs, m.Provider)
 	}
 	dist := g.HopDistances(provs)

@@ -4,25 +4,19 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 )
 
-// Fig8Params tunes the scheduling comparison.
-type Fig8Params struct {
-	// NumRandomSequences is the size of the random-order ensemble
-	// (the paper used 30,000; the default trades that for runtime while
-	// keeping stable quartiles).
-	NumRandomSequences int
-	// GreedySteps bounds the greedy trajectory; 0 means all
-	// configurations (the interesting region is the first tens).
-	GreedySteps int
-	Seed        uint64
-}
-
-// DefaultFig8Params returns the harness defaults.
-func DefaultFig8Params() Fig8Params {
-	return Fig8Params{NumRandomSequences: 200, GreedySteps: 64, Seed: 42}
-}
+// The scheduling comparison's sizes. fig8Sequences is the size of the
+// random-order ensemble: the paper used 30,000, and 200 trades that for
+// runtime while keeping stable quartiles. fig8GreedySteps bounds the
+// greedy trajectory (the interesting region is the first tens).
+const (
+	fig8Sequences   = 200
+	fig8GreedySteps = 64
+	fig8Seed        = 42
+)
 
 // Fig8Result compares random and greedy deployment schedules over
 // precomputed catchments (Fig. 8). The paper reports a mean cluster size
@@ -37,13 +31,18 @@ type Fig8Result struct {
 	RandomAt10, GreedyAt10 float64
 }
 
-// Fig8 runs the scheduling comparison on the default campaign's
-// catchment matrix.
-func Fig8(lab *Lab, p Fig8Params) *Fig8Result {
-	catchments := lab.Campaign.Catchments
+// Fig8 runs the scheduling comparison on the campaign's catchment
+// matrix.
+func Fig8(camp *core.Campaign) *Fig8Result {
+	return fig8(camp, fig8Sequences, fig8GreedySteps, fig8Seed)
+}
+
+// fig8 is Fig8 over a random ensemble of the given size and a greedy
+// trajectory of at most greedySteps configurations (0 means all).
+func fig8(camp *core.Campaign, sequences, greedySteps int, seed uint64) *Fig8Result {
 	res := &Fig8Result{}
-	res.RandomP25, res.RandomMedian, res.RandomP75 = sched.RandomEnsemble(catchments, p.NumRandomSequences, p.Seed)
-	res.Greedy, res.GreedyOrder = sched.GreedyTrajectory(catchments, p.GreedySteps)
+	res.RandomP25, res.RandomMedian, res.RandomP75 = sched.RandomEnsemble(camp.Catchments, sequences, seed)
+	res.Greedy, res.GreedyOrder = sched.GreedyTrajectory(camp.Catchments, greedySteps)
 	if len(res.RandomMedian) >= 10 {
 		res.RandomAt10 = res.RandomMedian[9]
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/stats"
 )
 
@@ -21,12 +22,12 @@ type Fig9Result struct {
 	MeanBestRel, MeanGaoRexford float64
 }
 
-// Fig9 audits every configuration of the lab's plan, taking each outcome
+// Fig9 audits every configuration of the campaign's plan, taking each outcome
 // from the platform and releasing it once audited.
-func Fig9(lab *Lab) (*Fig9Result, error) {
-	plat := lab.World.Platform
+func Fig9(camp *core.Campaign) (*Fig9Result, error) {
+	plat := camp.World.Platform
 	res := &Fig9Result{}
-	for _, pc := range lab.Plan {
+	for _, pc := range camp.Plan {
 		out, err := plat.Propagate(pc.Config)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"spooftrack/internal/core"
 	"spooftrack/internal/sched"
 )
 
@@ -32,12 +33,11 @@ type HeadlineResult struct {
 }
 
 // Headline computes the campaign summary.
-func Headline(lab *Lab) *HeadlineResult {
-	camp := lab.Campaign
+func Headline(camp *core.Campaign) *HeadlineResult {
 	m := camp.FinalPartition().Summarize()
 	res := &HeadlineResult{
 		NumConfigs:    camp.NumConfigs(),
-		PhaseCounts:   sched.PhaseCounts(lab.Plan),
+		PhaseCounts:   sched.PhaseCounts(camp.Plan),
 		NumSources:    camp.NumSources(),
 		MeanSize:      m.MeanSize,
 		SingletonFrac: m.SingletonFrac,

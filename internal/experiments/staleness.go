@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/core"
 	"spooftrack/internal/spoof"
 	"spooftrack/internal/stats"
 )
@@ -47,27 +48,27 @@ type ExtStalenessResult struct {
 	Stale []StalenessPoint
 }
 
-// ExtStaleness runs the study on the lab's campaign with the given AS
+// ExtStaleness runs the study on the campaign with the given AS
 // drift fraction.
-func ExtStaleness(lab *Lab, trials int, driftFrac float64) (*ExtStalenessResult, error) {
-	w := lab.World
+func ExtStaleness(camp *core.Campaign, trials int, driftFrac float64) (*ExtStalenessResult, error) {
+	w := camp.World
 	driftEngine, err := w.Platform.Engine().Perturbed(driftFrac, w.Params.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-	fresh := make([][]bgp.LinkID, len(lab.Plan))
-	for i, pc := range lab.Plan {
+	fresh := make([][]bgp.LinkID, len(camp.Plan))
+	for i, pc := range camp.Plan {
 		out, err := driftEngine.Propagate(pc.Config)
 		if err != nil {
 			return nil, err
 		}
-		row := make([]bgp.LinkID, len(lab.Campaign.Sources))
-		for k, src := range lab.Campaign.Sources {
+		row := make([]bgp.LinkID, len(camp.Sources))
+		for k, src := range camp.Sources {
 			row[k] = out.CatchmentOf(src)
 		}
 		fresh[i] = row
 	}
-	stale := lab.Campaign.Catchments
+	stale := camp.Catchments
 
 	res := &ExtStalenessResult{DriftFrac: driftFrac, Trials: trials}
 	changed, total := 0, 0
@@ -86,7 +87,7 @@ func ExtStaleness(lab *Lab, trials int, driftFrac float64) (*ExtStalenessResult,
 	tolerances := []float64{0, 0.02, 0.10, 0.25}
 	rng := stats.NewRNG(w.Params.Seed ^ 0x57a1e)
 	numLinks := w.Platform.NumLinks()
-	n := lab.Campaign.NumSources()
+	n := camp.NumSources()
 	numConfigs := len(stale)
 	staleHits := make([]int, len(tolerances))
 	staleCands := make([]int, len(tolerances))

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"spooftrack/internal/core"
 )
 
 // Table1Row is one PoP binding: the paper's mux/provider names and the
@@ -21,10 +23,10 @@ type Table1Result struct {
 }
 
 // Table1 reads the platform bindings.
-func Table1(lab *Lab) *Table1Result {
-	g := lab.World.Graph
+func Table1(camp *core.Campaign) *Table1Result {
+	g := camp.World.Graph
 	res := &Table1Result{}
-	for _, m := range lab.World.Platform.Muxes() {
+	for _, m := range camp.World.Platform.Muxes() {
 		res.Rows = append(res.Rows, Table1Row{
 			Mux:          m.Spec.Name,
 			ProviderName: m.Spec.ProviderName,

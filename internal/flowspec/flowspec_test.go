@@ -229,7 +229,7 @@ func TestDropRulesForSources(t *testing.T) {
 		if r.RateBytesPerSec != 0 || r.DstPrefix != protect {
 			t.Fatalf("bad rule %+v", r)
 		}
-		as, ok := space.ASOf(r.SrcPrefix.Addr())
+		as, ok := space.Map(r.SrcPrefix.Addr())
 		if !ok || (as != 5 && as != 9) {
 			t.Fatalf("rule source %v not from a candidate", r.SrcPrefix)
 		}

@@ -43,7 +43,7 @@ func newMeasureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 		vantages: v,
 		input: InferInput{
 			Graph:     g,
-			Mapper:    addr.PerfectMapper{Space: space},
+			Mapper:    space,
 			OriginASN: peering.PEERINGASN,
 			LinkOf:    linkOf,
 		},
@@ -121,7 +121,7 @@ func TestSynthesizeTracerouteClean(t *testing.T) {
 		onPath[idx] = true
 	}
 	for _, h := range tr.Hops[:len(tr.Hops)-1] {
-		as, ok := w.space.ASOf(h.Addr)
+		as, ok := w.space.Map(h.Addr)
 		if !ok || !onPath[as] {
 			t.Fatalf("hop %v maps to AS off the data path", h.Addr)
 		}

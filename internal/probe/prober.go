@@ -25,11 +25,9 @@ type Config struct {
 	Net Network
 	// TargetLinks is the expected ingress link per dense AS index
 	// (bgp.NoLink for unroutable ASes). Required; it sizes the
-	// inference, selects the probe targets, and labels metrics.
+	// inference, labels metrics, and selects the probe targets: every
+	// AS with a link.
 	TargetLinks []bgp.LinkID
-	// Targets restricts probing to these dense indices. Nil probes
-	// every AS with a link in TargetLinks.
-	Targets []int
 	// LinkNames label metrics per link; indices missing from it render
 	// as "link<N>".
 	LinkNames []string
@@ -98,18 +96,10 @@ func NewProber(cfg Config) (*Prober, error) {
 	if cfg.PerKind <= 0 {
 		cfg.PerKind = 3
 	}
-	targets := cfg.Targets
-	if targets == nil {
-		for as, l := range cfg.TargetLinks {
-			if l != bgp.NoLink {
-				targets = append(targets, as)
-			}
-		}
-	} else {
-		for _, as := range targets {
-			if as < 0 || as >= len(cfg.TargetLinks) {
-				return nil, fmt.Errorf("probe: target %d outside the %d-AS link vector", as, len(cfg.TargetLinks))
-			}
+	var targets []int
+	for as, l := range cfg.TargetLinks {
+		if l != bgp.NoLink {
+			targets = append(targets, as)
 		}
 	}
 	if len(targets) == 0 {

@@ -61,26 +61,25 @@ type PlannedConfig struct {
 	Phase  Phase
 }
 
-// PlanParams controls plan generation.
+// removeUpTo is the most links the location phase withdraws: the
+// paper's r-1 = 3, which leaves every source at least r = 4 routes.
+const removeUpTo = 3
+
+// prependDepth is how many times a prepending announcement repeats the
+// origin (paper: 4).
+const prependDepth = 4
+
+// PlanParams controls plan generation. The location phase withdraws up
+// to removeUpTo links and the prepending phase prepends prependDepth
+// times, as the paper's campaign does.
 type PlanParams struct {
-	// NumLinks is the number of peering links L of the origin.
+	// NumLinks is the number of peering links L of the origin; it must
+	// exceed removeUpTo.
 	NumLinks int
-	// RemoveUpTo is the maximum number of links withdrawn in the
-	// location phase (the paper's r-1 = 3, guaranteeing at least r = 4
-	// routes per source).
-	RemoveUpTo int
-	// PrependDepth is how many times announcements prepend (paper: 4).
-	PrependDepth int
 	// PoisonTargets lists, per link, the ASNs to poison one at a time
 	// on that link while announcing from all locations (neighbors of the
 	// link's provider).
 	PoisonTargets map[bgp.LinkID][]topo.ASN
-}
-
-// DefaultPlanParams mirrors the paper's campaign shape for a given
-// number of links.
-func DefaultPlanParams(numLinks int) PlanParams {
-	return PlanParams{NumLinks: numLinks, RemoveUpTo: 3, PrependDepth: 4}
 }
 
 // GeneratePlan produces the full three-phase plan. Within the location
@@ -90,17 +89,23 @@ func DefaultPlanParams(numLinks int) PlanParams {
 // iterates links then targets. The order matters: Fig. 4 plots cluster
 // sizes in deployment order.
 func GeneratePlan(p PlanParams) ([]PlannedConfig, error) {
+	return generatePlan(p, removeUpTo, prependDepth)
+}
+
+// generatePlan is GeneratePlan withdrawing up to remove links and
+// prepending depth times.
+func generatePlan(p PlanParams, remove, depth int) ([]PlannedConfig, error) {
 	if p.NumLinks < 1 || p.NumLinks > bgp.MaxLinks {
 		return nil, fmt.Errorf("sched: NumLinks=%d out of [1,%d]", p.NumLinks, bgp.MaxLinks)
 	}
-	if p.RemoveUpTo < 0 || p.RemoveUpTo >= p.NumLinks {
-		return nil, fmt.Errorf("sched: RemoveUpTo=%d out of [0,%d)", p.RemoveUpTo, p.NumLinks)
+	if remove < 0 || remove >= p.NumLinks {
+		return nil, fmt.Errorf("sched: withdrawing up to %d of NumLinks=%d links leaves none", remove, p.NumLinks)
 	}
 	var plan []PlannedConfig
 
 	// Phase a: subsets of links in decreasing size order.
 	var subsets [][]bgp.LinkID
-	for removed := 0; removed <= p.RemoveUpTo; removed++ {
+	for removed := 0; removed <= remove; removed++ {
 		size := p.NumLinks - removed
 		for _, s := range combinations(p.NumLinks, size) {
 			subsets = append(subsets, s)
@@ -113,7 +118,7 @@ func GeneratePlan(p PlanParams) ([]PlannedConfig, error) {
 	for _, s := range subsets {
 		for _, prependAt := range s {
 			plan = append(plan, PlannedConfig{
-				Config: configFromLinks(s, []bgp.LinkID{prependAt}, p.PrependDepth),
+				Config: configFromLinks(s, []bgp.LinkID{prependAt}, depth),
 				Phase:  PhasePrepending,
 			})
 		}

@@ -24,9 +24,7 @@ func TestGeneratePlanPaperCounts(t *testing.T) {
 			asn++
 		}
 	}
-	p := DefaultPlanParams(7)
-	p.PoisonTargets = targets
-	plan, err := GeneratePlan(p)
+	plan, err := GeneratePlan(PlanParams{NumLinks: 7, PoisonTargets: targets})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +44,7 @@ func TestGeneratePlanPaperCounts(t *testing.T) {
 }
 
 func TestGeneratePlanOrdering(t *testing.T) {
-	p := DefaultPlanParams(4)
-	p.RemoveUpTo = 2
-	p.PoisonTargets = map[bgp.LinkID][]topo.ASN{0: {100, 101}}
-	plan, err := GeneratePlan(p)
+	plan, err := generatePlan(PlanParams{NumLinks: 4, PoisonTargets: map[bgp.LinkID][]topo.ASN{0: {100, 101}}}, 2, prependDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +91,7 @@ func TestGeneratePlanOrdering(t *testing.T) {
 }
 
 func TestGeneratePlanPrependsSingletons(t *testing.T) {
-	p := DefaultPlanParams(3)
-	p.RemoveUpTo = 1
-	plan, err := GeneratePlan(p)
+	plan, err := generatePlan(PlanParams{NumLinks: 3}, 1, prependDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +102,8 @@ func TestGeneratePlanPrependsSingletons(t *testing.T) {
 		prepended := 0
 		for _, a := range pc.Config.Anns {
 			if a.Prepend > 0 {
-				if a.Prepend != p.PrependDepth {
-					t.Fatalf("prepend depth %d, want %d", a.Prepend, p.PrependDepth)
+				if a.Prepend != prependDepth {
+					t.Fatalf("prepend depth %d, want %d", a.Prepend, prependDepth)
 				}
 				prepended++
 			}
@@ -122,10 +115,7 @@ func TestGeneratePlanPrependsSingletons(t *testing.T) {
 }
 
 func TestGeneratePlanPoisonConfigs(t *testing.T) {
-	p := DefaultPlanParams(3)
-	p.RemoveUpTo = 0
-	p.PoisonTargets = map[bgp.LinkID][]topo.ASN{1: {200}, 0: {100}}
-	plan, err := GeneratePlan(p)
+	plan, err := generatePlan(PlanParams{NumLinks: 3, PoisonTargets: map[bgp.LinkID][]topo.ASN{1: {200}, 0: {100}}}, 0, prependDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +196,11 @@ func TestGeneratePlanErrors(t *testing.T) {
 	if _, err := GeneratePlan(PlanParams{NumLinks: bgp.MaxLinks + 1}); err == nil {
 		t.Fatal("expected error for more links than a LinkID holds")
 	}
-	if _, err := GeneratePlan(PlanParams{NumLinks: 3, RemoveUpTo: 3}); err == nil {
-		t.Fatal("expected error for RemoveUpTo >= NumLinks")
+	if _, err := GeneratePlan(PlanParams{NumLinks: removeUpTo}); err == nil {
+		t.Fatal("expected error for NumLinks <= removeUpTo")
 	}
-	if _, err := GeneratePlan(PlanParams{NumLinks: 3, RemoveUpTo: -1}); err == nil {
-		t.Fatal("expected error for negative RemoveUpTo")
+	if _, err := generatePlan(PlanParams{NumLinks: 3}, -1, prependDepth); err == nil {
+		t.Fatal("expected error for a negative withdrawal count")
 	}
 }
 

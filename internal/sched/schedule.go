@@ -68,9 +68,10 @@ func RandomEnsemble(catchments [][]bgp.LinkID, nSeq int, seed uint64) (p25, medi
 // NextGreedy returns the index of the not-yet-used configuration whose
 // refinement of p yields the most clusters (equivalently, the smallest
 // mean cluster size), or -1 if every configuration is used. Ties break
-// toward the lowest index for determinism. This is the single step the
-// live pipeline (internal/stream) asks for between attack rounds;
-// GreedyTrajectory iterates it.
+// toward the lowest index for determinism. GreedyTrajectory iterates it
+// for the offline studies (Fig. 8, the extspeed study and
+// examples/dataset-analysis); the live loop picks through Loop.Next,
+// which asks NextGreedyVolumeScored.
 func NextGreedy(p *cluster.Partition, catchments [][]bgp.LinkID, used []bool) int {
 	best, bestClusters := -1, -1
 	for c := range catchments {

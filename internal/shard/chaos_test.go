@@ -101,9 +101,6 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 			FlushInterval: time.Millisecond,
 		},
 		Injector: fault.New(prof, seed, attr.NumLinks),
-		// A generous budget: transient partitions at netsplit's rate
-		// exhaust 20 attempts with probability ~0.35^20.
-		RetryAttempts: 20,
 	}
 	if cfgHook != nil {
 		cfgHook(&cc)
@@ -113,6 +110,9 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 	if err != nil {
 		t.Fatalf("NewCluster(%d shards): %v", shards, err)
 	}
+	// A generous budget: transient partitions at netsplit's rate
+	// exhaust 20 attempts with probability ~0.35^20.
+	cl.SetRetryAttempts(20)
 	for r := 0; r < rounds; r++ {
 		cfg := cl.Controller().Status().CurrentConfig
 		for _, a := range chaosAttackers {
@@ -289,13 +289,13 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 		MinRoundPackets: 1,
 		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond, Ledger: led},
 		Injector:        fault.New(fault.Profile{Name: "clean"}, seed, attr.NumLinks),
-		RetryAttempts:   3,
-		EvictAfter:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.SetRetryAttempts(3)
+	cl.SetEvictAfter(2)
 	for r := 0; r < chaosRounds; r++ {
 		cfg := cl.Controller().Status().CurrentConfig
 		for _, a := range chaosAttackers {
@@ -386,17 +386,12 @@ func TestDrainByteIdentical(t *testing.T) {
 	const seed = 33
 	want := runBaseline(fault.Profile{Name: "clean"}, seed, chaosRounds, false)
 	var sick atomic.Bool
-	cl := runCluster(t, fault.Profile{Name: "clean"}, seed, 4, chaosRounds,
-		func(cc *ClusterConfig) {
-			cc.Ready = func(id string) func() bool {
-				if id != "shard-3" {
-					return nil
-				}
-				return func() bool { return !sick.Load() }
-			}
-		},
+	cl := runCluster(t, fault.Profile{Name: "clean"}, seed, 4, chaosRounds, nil,
 		func(r int, c *Cluster) {
-			if r == 3 {
+			switch r {
+			case 0: // before the first Step
+				c.SetReady("shard-3", func() bool { return !sick.Load() })
+			case 3:
 				sick.Store(true)
 			}
 		})

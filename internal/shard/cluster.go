@@ -16,7 +16,9 @@ import (
 // nodes, a LocalTransport network (with injected faults), a MemLease
 // election substrate on a controllable clock, and 1+standbys
 // controllers competing for it. It is both the chaos harness and the
-// single-process deployment mode of cmd/spooftrackd.
+// single-process deployment mode of cmd/spooftrackd. Its nodes have no
+// readiness gate, and its controllers retry and evict on the fixed
+// rpcAttempts and evictAfter budgets.
 type ClusterConfig struct {
 	// Shards is the node count (>= 1).
 	Shards int
@@ -31,14 +33,9 @@ type ClusterConfig struct {
 	// NodeConfig.Pipe), and the controllers decide with Pipe.Eval and
 	// record to Pipe.Ledger.
 	Pipe stream.Config
-	// Injector drives event drops, RPC partitions, shard crashes, and
-	// split-brain lease flaps. Nil = fault-free.
+	// Injector drives event drops, RPC partitions and split-brain lease
+	// flaps. Nil = fault-free.
 	Injector *fault.Injector
-	// RetryAttempts / EvictAfter pass through to the controllers.
-	RetryAttempts int
-	EvictAfter    int
-	// Ready supplies a per-shard readiness gate (nil = always ready).
-	Ready func(id string) func() bool
 }
 
 // Cluster wires nodes, transport, lease, and controllers together and
@@ -99,11 +96,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		var ready func() bool
-		if cfg.Ready != nil {
-			ready = cfg.Ready(id)
-		}
-		n, err := NewNode(NodeConfig{ID: id, Attr: cfg.Attr, Pipe: cfg.Pipe, Ready: ready})
+		n, err := NewNode(NodeConfig{ID: id, Attr: cfg.Attr, Pipe: cfg.Pipe})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -121,8 +114,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Members:         c.order,
 			Transport:       c.transport,
 			Lease:           c.lease,
-			RetryAttempts:   cfg.RetryAttempts,
-			EvictAfter:      cfg.EvictAfter,
 			Ledger:          cfg.Pipe.Ledger,
 			Sleep:           func(time.Duration) {}, // in-process: no real backoff sleeps
 		})
@@ -171,15 +162,15 @@ func (c *Cluster) Ingest(ev amp.Event) bool {
 	return n != nil && n.Ingest(ev)
 }
 
-// Quiesce completes every live shard's round (stream.Intake.Cut, the
-// call a single-node pipeline completes its rounds with), so a
-// following Step collects a complete, deterministic round. Crashed
-// shards are skipped (their uncollected events are the explicit loss
-// the eviction path accounts).
+// Quiesce completes every shard's round (stream.Intake.Cut, the call a
+// single-node pipeline completes its rounds with), so a following Step
+// collects a complete, deterministic round. A closed shard's Cut returns
+// at once: what it had flushed and was not collected is the explicit
+// loss the eviction path accounts.
 func (c *Cluster) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, id := range c.order {
-		if n := c.nodes[id]; !n.Crashed() && !n.Intake().Cut(time.Until(deadline)) {
+		if !c.nodes[id].Intake().Cut(time.Until(deadline)) {
 			return fmt.Errorf("shard: quiesce timed out waiting for %s", id)
 		}
 	}

@@ -32,12 +32,6 @@ type ControllerConfig struct {
 	// Transport carries the RPCs; Lease elects the leader.
 	Transport Transport
 	Lease     LeaseStore
-	// RetryAttempts is how many times an RPC is tried (default 8); the
-	// waits between tries follow rpcRetry's fixed schedule.
-	RetryAttempts int
-	// EvictAfter is how many consecutive failed-collect rounds evict a
-	// shard (default 3).
-	EvictAfter int
 	// Ledger records rounds, reconfigurations, verdicts, membership and
 	// failover transitions. Nil is provenance-off.
 	Ledger *provenance.Ledger
@@ -53,27 +47,29 @@ const LeaseTTL = 2 * time.Second
 // drainAfter is how many consecutive not-ready rounds drain a shard.
 const drainAfter = 2
 
+// evictAfter is how many consecutive failed-collect rounds evict a
+// shard.
+const evictAfter = 3
+
+// rpcAttempts is how many times an RPC is tried; the waits between tries
+// follow rpcRetry's fixed schedule.
+const rpcAttempts = 8
+
 func (c *ControllerConfig) setDefaults() {
 	if c.MinRoundPackets <= 0 {
 		c.MinRoundPackets = stream.DefaultMinRoundPackets
 	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = 3
-	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
 	}
-	if c.RetryAttempts <= 0 {
-		c.RetryAttempts = 8
-	}
 }
 
-// rpcRetry is the schedule every RPC is retried on: RetryAttempts tries,
+// rpcRetry is the schedule every RPC is retried on: ct.attempts tries,
 // 1ms doubling to 100ms between them. It has no jitter: the fault
 // injector's per-attempt rolls decorrelate retries, and a chaos run's
 // RPC timeline stays reproducible.
-func (c *ControllerConfig) rpcRetry() fault.Retry {
-	return fault.Retry{MaxAttempts: c.RetryAttempts, BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond}
+func (ct *Controller) rpcRetry() fault.Retry {
+	return fault.Retry{MaxAttempts: ct.attempts, BaseBackoff: time.Millisecond, MaxBackoff: 100 * time.Millisecond}
 }
 
 // StepResult reports what one controller round did.
@@ -134,6 +130,9 @@ type ClusterStatus struct {
 // transition fenced by the lease term and recorded in the ledger.
 type Controller struct {
 	cfg ControllerConfig
+	// attempts and evictAt are rpcAttempts and evictAfter; this
+	// package's tests lower or raise them before the first RPC.
+	attempts, evictAt int
 
 	mu        sync.Mutex
 	leading   bool
@@ -173,6 +172,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	sort.Strings(members)
 	ct := &Controller{
 		cfg:      cfg,
+		attempts: rpcAttempts,
+		evictAt:  evictAfter,
 		eval:     stream.NewEvaluator(cfg.Attr, cfg.Eval),
 		ring:     NewRing(members),
 		members:  members,
@@ -386,7 +387,7 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		evictedNow := false
 		for _, m := range failedNodes {
 			ct.failed[m]++
-			if ct.failed[m] >= ct.cfg.EvictAfter {
+			if ct.failed[m] >= ct.evictAt {
 				ct.evictLocked(m, "collect retries exhausted")
 				evictedNow = true
 			}
@@ -460,7 +461,7 @@ var errLagging = errors.New("shard: lagging epoch")
 // tried until it succeeds, fails with a non-retryable error (returned as
 // is), or the attempt budget is spent.
 func (ct *Controller) retryLocked(op, m string, call func() error) error {
-	tries, err := ct.cfg.rpcRetry().Do(context.TODO(), 0, ct.cfg.Sleep,
+	tries, err := ct.rpcRetry().Do(context.TODO(), 0, ct.cfg.Sleep,
 		func(int) error { return call() },
 		func(_ int, err error) bool { return Retryable(err) })
 	if err == nil || !Retryable(err) {

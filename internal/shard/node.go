@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"spooftrack/internal/amp"
 	"spooftrack/internal/stream"
@@ -39,8 +38,6 @@ type Node struct {
 	mu   sync.Mutex
 	term uint64 // highest lease term seen; lower terms are rejected
 	last *EpochUpdate
-
-	crashed atomic.Bool
 }
 
 // NewNode builds a shard node and starts its intake.
@@ -61,37 +58,24 @@ func (n *Node) ID() string { return n.id }
 // Intake exposes the wrapped intake (accounting, status).
 func (n *Node) Intake() *stream.Intake { return n.intake }
 
-// Ingest feeds one event into the shard's intake.
-func (n *Node) Ingest(ev amp.Event) bool {
-	if n.crashed.Load() {
-		return false
-	}
-	return n.intake.Ingest(ev)
-}
-
-// Crashed reports whether the node has been crashed.
-func (n *Node) Crashed() bool { return n.crashed.Load() }
+// Ingest feeds one event into the shard's intake; it reports false once
+// the node is closed.
+func (n *Node) Ingest(ev amp.Event) bool { return n.intake.Ingest(ev) }
 
 // Close drains and stops the intake.
 func (n *Node) Close() { n.intake.Close() }
 
 // isReady evaluates the membership gate.
 func (n *Node) isReady() bool {
-	if n.crashed.Load() {
-		return false
-	}
 	if n.ready == nil {
 		return true
 	}
 	return n.ready()
 }
 
-// fence admits an RPC: a crashed node answers nothing, terms below the
-// highest seen are rejected and higher ones adopted.
+// fence admits an RPC: terms below the highest seen are rejected and
+// higher ones adopted.
 func (n *Node) fence(term uint64) error {
-	if n.crashed.Load() {
-		return fmt.Errorf("%w: node %s crashed", ErrUnavailable, n.id)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if term < n.term {

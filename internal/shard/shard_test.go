@@ -168,9 +168,12 @@ func TestFileLeaseOneLeaderPerTerm(t *testing.T) {
 // TestRetryPolicyBackoff: the controller's default schedule doubles
 // from 1ms to its 100ms cap, the same at every site (no jitter).
 func TestRetryPolicyBackoff(t *testing.T) {
-	var cfg ControllerConfig
-	cfg.setDefaults()
-	rp := cfg.rpcRetry()
+	ct, err := NewController(ControllerConfig{ID: "c", Attr: chaosAttr(), Members: []string{"s0"},
+		Transport: NewLocalTransport(nil), Lease: NewMemLease()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := ct.rpcRetry()
 	want := []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 8 * time.Millisecond,
 		16 * time.Millisecond, 32 * time.Millisecond, 64 * time.Millisecond, 100 * time.Millisecond,
@@ -211,9 +214,35 @@ func TestNodeTermFencing(t *testing.T) {
 	if _, err := n.HandleHello(HelloRequest{Term: 0}); !errors.Is(err, ErrStaleTerm) {
 		t.Fatalf("hello at stale term 0: err=%v, want ErrStaleTerm", err)
 	}
-	n.Crash()
-	if _, err := n.HandleCollect(CollectRequest{Term: 9}); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("collect on crashed node: err=%v, want ErrUnavailable", err)
+}
+
+// TestKilledShardUnavailable: a killed shard answers no RPC through the
+// transport, accepts no event, and does not hold up Quiesce.
+func TestKilledShardUnavailable(t *testing.T) {
+	attr := chaosAttr()
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Attr: attr, Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.KillShard("shard-1")
+	if _, err := cl.transport.Collect("shard-1", CollectRequest{Term: 9}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("collect on killed shard: err=%v, want ErrUnavailable", err)
+	}
+	if _, err := cl.transport.Apply("shard-1", EpochUpdate{Term: 9}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("apply on killed shard: err=%v, want ErrUnavailable", err)
+	}
+	if _, err := cl.transport.Hello("shard-1", HelloRequest{Term: 9}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("hello on killed shard: err=%v, want ErrUnavailable", err)
+	}
+	if _, err := cl.transport.Collect("shard-0", CollectRequest{Term: 9}); err != nil {
+		t.Fatalf("collect on live shard: %v", err)
+	}
+	if cl.nodes["shard-1"].Ingest(chaosEvent(attr, 0, 0)) {
+		t.Fatal("killed shard accepted an event")
+	}
+	if err := cl.Quiesce(time.Second); err != nil {
+		t.Fatalf("quiesce with a killed shard: %v", err)
 	}
 }
 
@@ -270,12 +299,12 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 		Members:         []string{"shard-0", "shard-1"},
 		Transport:       tr,
 		Lease:           NewMemLease(),
-		RetryAttempts:   3,
 		Sleep:           func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ct.SetRetryAttempts(3)
 	if err := ct.TryLead(); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,8 @@ import (
 	"time"
 )
 
-// Options configures a Tracer.
+// Options configures a Tracer. Its journal always splits into
+// journalShards (8) lock shards.
 type Options struct {
 	// Enabled starts the tracer enabled. Disabled tracers hand out nil
 	// spans and record nothing.
@@ -38,11 +39,12 @@ type Options struct {
 	// JournalCap bounds the number of finished spans retained across all
 	// shards; older spans are evicted ring-buffer style. Default 16384.
 	JournalCap int
-	// Shards is the number of journal shards (rounded up to a power of
-	// two; default 8). Sharding keeps concurrent End calls from
-	// serializing on one journal lock.
-	Shards int
 }
+
+// journalShards is how many shards the journal splits into, a power of
+// two: sharding keeps concurrent End calls from serializing on one
+// journal lock.
+const journalShards = 8
 
 // Tracer collects finished spans into a bounded, lock-sharded journal.
 // All methods are safe for concurrent use. A nil *Tracer is valid and
@@ -67,12 +69,8 @@ func New(opts Options) *Tracer {
 	if capacity <= 0 {
 		capacity = 16384
 	}
-	ns := 1
-	for ns < opts.Shards || (opts.Shards <= 0 && ns < 8) {
-		ns <<= 1
-	}
-	per := (capacity + ns - 1) / ns
-	t := &Tracer{enabled: opts.Enabled, mask: uint64(ns - 1), shards: make([]journalShard, ns)}
+	per := (capacity + journalShards - 1) / journalShards
+	t := &Tracer{enabled: opts.Enabled, mask: journalShards - 1, shards: make([]journalShard, journalShards)}
 	for i := range t.shards {
 		t.shards[i].buf = make([]SpanRecord, 0, per)
 	}

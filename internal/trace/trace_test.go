@@ -116,16 +116,17 @@ func TestEndIsIdempotentAndSealsSpan(t *testing.T) {
 }
 
 func TestJournalBoundedEviction(t *testing.T) {
-	tr := New(Options{Enabled: true, JournalCap: 8, Shards: 1})
-	for i := 0; i < 20; i++ {
+	// Two records per journal shard: each shard's ring wraps twice.
+	tr := New(Options{Enabled: true, JournalCap: 2 * journalShards})
+	for i := 0; i < 5*journalShards; i++ {
 		tr.Start("s").End()
 	}
 	recs := tr.Snapshot()
-	if len(recs) != 8 {
-		t.Fatalf("journal holds %d records, want cap 8", len(recs))
+	if len(recs) != 2*journalShards {
+		t.Fatalf("journal holds %d records, want cap %d", len(recs), 2*journalShards)
 	}
-	if tr.Dropped() != 12 {
-		t.Fatalf("dropped = %d, want 12", tr.Dropped())
+	if tr.Dropped() != 3*journalShards {
+		t.Fatalf("dropped = %d, want %d", tr.Dropped(), 3*journalShards)
 	}
 	// Eviction keeps the newest records, in order.
 	for i := 1; i < len(recs); i++ {
@@ -133,8 +134,8 @@ func TestJournalBoundedEviction(t *testing.T) {
 			t.Fatalf("snapshot out of order: %d after %d", recs[i].ID, recs[i-1].ID)
 		}
 	}
-	if recs[0].ID != 13 {
-		t.Fatalf("oldest surviving span ID = %d, want 13", recs[0].ID)
+	if recs[0].ID != 3*journalShards+1 {
+		t.Fatalf("oldest surviving span ID = %d, want %d", recs[0].ID, 3*journalShards+1)
 	}
 }
 
@@ -165,7 +166,7 @@ func TestStartChildFallsBackToGlobal(t *testing.T) {
 }
 
 func TestConcurrentSpansRace(t *testing.T) {
-	tr := New(Options{Enabled: true, JournalCap: 1024, Shards: 4})
+	tr := New(Options{Enabled: true, JournalCap: 1024})
 	root := tr.Start("root")
 	var wg sync.WaitGroup
 	for k := 0; k < 8; k++ {

@@ -46,7 +46,7 @@ func BenchmarkTsdbScrape(b *testing.B) {
 func BenchmarkTsdbQueryRange(b *testing.B) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("stream_events_total")
-	db := New(Options{Registry: reg, Tiers: []Tier{{Resolution: 0, Retention: 3 * time.Hour}}})
+	db := New(Options{Registry: reg, tiers: []tier{{resolution: 0, retention: 3 * time.Hour}}})
 	base := time.UnixMilli(1_700_000_000_000)
 	const n = 7200
 	for i := 0; i <= n; i++ {

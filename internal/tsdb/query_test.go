@@ -156,7 +156,7 @@ func TestQuantileOverTime(t *testing.T) {
 func TestQueryRangeLatency(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("events_total")
-	db := New(Options{Registry: reg, Tiers: []Tier{{Resolution: 0, Retention: 3 * time.Hour}}})
+	db := New(Options{Registry: reg, tiers: []tier{{resolution: 0, retention: 3 * time.Hour}}})
 	const n = 7200 // 2h at 1s cadence
 	for i := 0; i <= n; i++ {
 		ctr.Add(1000)

@@ -21,35 +21,40 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// Tier is one retention level. Resolution 0 means "every scrape" (the
-// raw tier); otherwise at most one sample per Resolution is kept. Older
-// samples are evicted past Retention, whole chunks at a time.
-type Tier struct {
-	Resolution time.Duration
-	Retention  time.Duration
+// tier is one retention level. resolution 0 means "every scrape" (the
+// raw tier); otherwise at most one sample per resolution is kept. Older
+// samples are evicted past retention, whole chunks at a time.
+type tier struct {
+	resolution time.Duration
+	retention  time.Duration
 }
 
-// DefaultTiers is the standard three-level layout: full-resolution
+// defaultTiers is the three-level layout every DB keeps: full-resolution
 // recent history for incident triage, 15s for the watchdog's slow
 // burn-rate windows, 5m for day-scale campaign review.
-func DefaultTiers() []Tier {
-	return []Tier{
-		{Resolution: 0, Retention: 10 * time.Minute},
-		{Resolution: 15 * time.Second, Retention: 2 * time.Hour},
-		{Resolution: 5 * time.Minute, Retention: 24 * time.Hour},
+func defaultTiers() []tier {
+	return []tier{
+		{resolution: 0, retention: 10 * time.Minute},
+		{resolution: 15 * time.Second, retention: 2 * time.Hour},
+		{resolution: 5 * time.Minute, retention: 24 * time.Hour},
 	}
 }
 
-// Options configures a DB. Zero-value fields take defaults.
+// sealSamples caps samples per chunk before sealing; smaller chunks
+// evict more precisely, larger ones compress better. 120 is Gorilla's
+// two-hour block at typical cadences, and ~2 minutes of raw 1s data:
+// fine-grained enough for a 10m raw retention.
+const sealSamples = 120
+
+// Options configures a DB. Every DB keeps defaultTiers and seals a
+// chunk at sealSamples samples; the unexported fields let this
+// package's tests change both.
 type Options struct {
 	Registry *metrics.Registry
 	Interval time.Duration // scrape cadence; default 1s
-	Tiers    []Tier        // default DefaultTiers()
-	// ChunkSamples caps samples per chunk before sealing; smaller chunks
-	// evict more precisely, larger ones compress better. Default 120
-	// (Gorilla's two-hour block at typical cadences, and ~2 minutes of
-	// raw 1s data — fine-grained enough for a 10m raw retention).
-	ChunkSamples int
+
+	tiers        []tier // default defaultTiers()
+	chunkSamples int    // default sealSamples
 }
 
 // seriesKey identifies one flat series. Histograms decompose into a
@@ -92,7 +97,7 @@ type series struct {
 type DB struct {
 	reg          *metrics.Registry
 	interval     time.Duration
-	tiers        []Tier
+	tiers        []tier
 	chunkSamples int
 
 	mu     sync.RWMutex
@@ -115,17 +120,17 @@ func New(opts Options) *DB {
 	if opts.Interval <= 0 {
 		opts.Interval = time.Second
 	}
-	if len(opts.Tiers) == 0 {
-		opts.Tiers = DefaultTiers()
+	if len(opts.tiers) == 0 {
+		opts.tiers = defaultTiers()
 	}
-	if opts.ChunkSamples <= 0 {
-		opts.ChunkSamples = 120
+	if opts.chunkSamples <= 0 {
+		opts.chunkSamples = sealSamples
 	}
 	return &DB{
 		reg:          opts.Registry,
 		interval:     opts.Interval,
-		tiers:        opts.Tiers,
-		chunkSamples: opts.ChunkSamples,
+		tiers:        opts.tiers,
+		chunkSamples: opts.chunkSamples,
 		series:       make(map[seriesKey]*series),
 		bounds:       make(map[string][]float64),
 		stop:         make(chan struct{}),
@@ -219,7 +224,7 @@ func (db *DB) createSeries(key seriesKey) *series {
 	}
 	s := &series{key: key, tiers: make([]tierStore, len(db.tiers))}
 	for i, t := range db.tiers {
-		s.tiers[i] = tierStore{res: t.Resolution.Milliseconds(), retention: t.Retention.Milliseconds()}
+		s.tiers[i] = tierStore{res: t.resolution.Milliseconds(), retention: t.retention.Milliseconds()}
 	}
 	db.series[key] = s
 	return s

@@ -90,11 +90,11 @@ func TestTiersDownsampleAndEvict(t *testing.T) {
 	ctr := reg.Counter("c")
 	db := New(Options{
 		Registry: reg,
-		Tiers: []Tier{
-			{Resolution: 0, Retention: 30 * time.Second},
-			{Resolution: 10 * time.Second, Retention: 10 * time.Minute},
+		tiers: []tier{
+			{resolution: 0, retention: 30 * time.Second},
+			{resolution: 10 * time.Second, retention: 10 * time.Minute},
 		},
-		ChunkSamples: 8, // small chunks so eviction is visible
+		chunkSamples: 8, // small chunks so eviction is visible
 	})
 	// Two minutes of 1s scrapes.
 	for i := 0; i <= 120; i++ {
@@ -154,7 +154,7 @@ func TestCompressionBudget(t *testing.T) {
 		nGauges   = 40
 		seconds   = 86_400
 	)
-	db := New(Options{Registry: reg}) // DefaultTiers: the shipped layout
+	db := New(Options{Registry: reg}) // defaultTiers: the shipped layout
 	rng := rand.New(rand.NewSource(1))
 	rates := make([]int64, nCounters)
 	for i := range rates {

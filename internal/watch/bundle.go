@@ -100,14 +100,14 @@ func (w *Watchdog) writeBundleLocked(b Breach, rule Rule, live map[string]any) (
 	return path, nil
 }
 
-// pruneBundlesLocked keeps the newest MaxBundles bundle files in the
+// pruneBundlesLocked keeps the newest maxBundles bundle files in the
 // bundle directory.
 func (w *Watchdog) pruneBundlesLocked() {
 	paths, err := listBundles(w.cfg.BundleDir)
-	if err != nil || len(paths) <= w.cfg.MaxBundles {
+	if err != nil || len(paths) <= w.cfg.maxBundles {
 		return
 	}
-	for _, p := range paths[:len(paths)-w.cfg.MaxBundles] {
+	for _, p := range paths[:len(paths)-w.cfg.maxBundles] {
 		os.Remove(p)
 	}
 }

@@ -193,7 +193,17 @@ type Breach struct {
 	BundlePath string `json:"bundle_path,omitempty"`
 }
 
-// Config assembles a Watchdog.
+// evalInterval is the evaluation cadence of Start.
+const evalInterval = 5 * time.Second
+
+// keepBundles caps the bundles kept in Config.BundleDir; older ones are
+// pruned.
+const keepBundles = 8
+
+// Config assembles a Watchdog. Start evaluates every evalInterval (5s),
+// at most keepBundles (8) bundles are kept, and breaches and recoveries
+// log to slog.Default(); the unexported fields let this package's tests
+// change all three.
 type Config struct {
 	// Registry is the metrics registry to watch (required).
 	Registry *metrics.Registry
@@ -205,17 +215,15 @@ type Config struct {
 	BundleHistory []string
 	// Rules are the SLOs to evaluate each tick.
 	Rules []Rule
-	// Interval is the evaluation cadence for Start (default 5s).
-	Interval time.Duration
 	// Tracer, when non-nil, has its journal exported into bundles.
 	Tracer *trace.Tracer
 	// BundleDir is where diagnostic bundles are written; empty disables
 	// bundle writing (breaches still log and are returned by Evaluate).
 	BundleDir string
-	// MaxBundles caps bundles kept in BundleDir, oldest pruned (default 8).
-	MaxBundles int
-	// Logger receives breach/recovery messages (default slog.Default()).
-	Logger *slog.Logger
+
+	interval   time.Duration // default evalInterval
+	maxBundles int           // default keepBundles
+	logger     *slog.Logger  // default slog.Default()
 }
 
 // Watchdog evaluates SLO rules against the registry and its history
@@ -251,14 +259,14 @@ func New(cfg Config) *Watchdog {
 	if cfg.DB == nil {
 		panic("watch: Config.DB is required")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * time.Second
+	if cfg.interval <= 0 {
+		cfg.interval = evalInterval
 	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = 8
+	if cfg.maxBundles <= 0 {
+		cfg.maxBundles = keepBundles
 	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.Default()
+	if cfg.logger == nil {
+		cfg.logger = slog.Default()
 	}
 	return &Watchdog{
 		cfg:    cfg,
@@ -272,7 +280,7 @@ func New(cfg Config) *Watchdog {
 func (w *Watchdog) Start() {
 	go func() {
 		defer close(w.done)
-		t := time.NewTicker(w.cfg.Interval)
+		t := time.NewTicker(w.cfg.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -317,7 +325,7 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 		breachingNow := ok && compare(rule.Op, value, rule.Threshold)
 		if !breachingNow {
 			if st.breaching {
-				w.cfg.Logger.Info("slo recovered", "rule", rule.Name,
+				w.cfg.logger.Info("slo recovered", "rule", rule.Name,
 					"value", value, "threshold", rule.Threshold)
 			}
 			st.consecutive = 0
@@ -345,7 +353,7 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 		if w.cfg.BundleDir != "" {
 			path, err := w.writeBundleLocked(b, rule, view.Live)
 			if err != nil {
-				w.cfg.Logger.Warn("diagnostic bundle write failed", "rule", rule.Name, "err", err)
+				w.cfg.logger.Warn("diagnostic bundle write failed", "rule", rule.Name, "err", err)
 			} else {
 				b.BundlePath = path
 				w.lastBundle = path
@@ -356,7 +364,7 @@ func (w *Watchdog) Evaluate(now time.Time) []Breach {
 	w.mu.Unlock()
 
 	for _, b := range fired {
-		w.cfg.Logger.Warn("slo breach", "rule", b.Rule,
+		w.cfg.logger.Warn("slo breach", "rule", b.Rule,
 			"value", b.Value, "op", b.Op, "threshold", b.Threshold,
 			"consecutive", b.Consecutive, "bundle", b.BundlePath)
 	}

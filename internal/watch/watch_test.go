@@ -47,7 +47,7 @@ func TestRuleForHysteresisAndRecovery(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       history(reg),
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
 			Op: Above, Threshold: 100, For: 3,
@@ -102,7 +102,7 @@ func TestRateRule(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "drop-rate", Expr: Rate(Counter{"border_packets_total", "outcome=dropped"}, time.Second),
 			Op: Above, Threshold: 50, // packets/sec
@@ -146,7 +146,7 @@ func TestRatioAndMissingData(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{
 			{Name: "miss-fraction", Expr: Fraction(Counter{"requests_total", "result=miss"}, all, time.Minute), Op: Above, Threshold: 0.5},
 			{Name: "unregistered", Expr: Fraction(Counter{Family: "no_such_total"}, all, time.Minute), Op: Above, Threshold: -1},
@@ -276,10 +276,9 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	w := New(Config{
 		Registry:  reg,
 		DB:        db,
-		Interval:  time.Second,
 		Tracer:    tr,
 		BundleDir: dir,
-		Logger:    quietLogger(),
+		logger:    quietLogger(),
 		Rules: []Rule{{
 			Name: "flush-lag-p99", Expr: Quantile("stream_flush_lag_seconds", 0.99, time.Minute),
 			Op: Above, Threshold: 2, For: 2,
@@ -362,7 +361,7 @@ func TestBundlePruning(t *testing.T) {
 	reg := metrics.NewRegistry()
 	g := settableGauge(reg, "x")
 	w := New(Config{
-		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 2, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), BundleDir: dir, maxBundles: 2, logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	now := time.Unix(4000, 0)
@@ -409,7 +408,7 @@ func TestStartStopTicker(t *testing.T) {
 	reg := metrics.NewRegistry()
 	settableGauge(reg, "x").Set(5)
 	w := New(Config{
-		Registry: reg, DB: history(reg), Interval: 5 * time.Millisecond, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), interval: 5 * time.Millisecond, logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	w.Start()

@@ -40,7 +40,7 @@ func TestBurnRateFiresWhereSingleWindowStaysSilent(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{
 			{
 				Name:      "error-budget-burn",
@@ -104,7 +104,7 @@ func TestBurnRateSlowWindowVetoesSpike(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{
 			mk("burn-both", 5*time.Minute, time.Hour),
 			mk("burn-fast-only", 5*time.Minute),
@@ -133,7 +133,7 @@ func TestWindowedRateSmoothsSpikes(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "drop-rate", Expr: Rate(Counter{Family: "dropped_total"}, time.Minute),
 			Op: Above, Threshold: 100,
@@ -167,7 +167,7 @@ func TestBreachRecoveryRebreach(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       history(reg),
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
 			Op: Above, Threshold: 100, For: 2,
@@ -206,14 +206,14 @@ func TestBreachRecoveryRebreach(t *testing.T) {
 	}
 }
 
-// TestBundlePruningOrder verifies MaxBundles keeps the NEWEST bundles:
+// TestBundlePruningOrder verifies maxBundles keeps the NEWEST bundles:
 // the survivors must be exactly the last written, in age order.
 func TestBundlePruningOrder(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	g := settableGauge(reg, "x")
 	w := New(Config{
-		Registry: reg, DB: history(reg), BundleDir: dir, MaxBundles: 3, Logger: quietLogger(),
+		Registry: reg, DB: history(reg), BundleDir: dir, maxBundles: 3, logger: quietLogger(),
 		Rules: []Rule{{Name: "x-high", Expr: Metric("x"), Op: Above, Threshold: 1}},
 	})
 	now := time.Unix(6000, 0)
@@ -264,7 +264,7 @@ func TestBundleEmbedsHistory(t *testing.T) {
 		DB:            db,
 		BundleHistory: []string{"events_total"},
 		BundleDir:     dir,
-		Logger:        quietLogger(),
+		logger:        quietLogger(),
 		Rules: []Rule{{
 			Name: "queue-depth", Expr: Metric("queue_depth"),
 			Op: Above, Threshold: 100,
@@ -304,7 +304,7 @@ func TestConcurrentEvaluateScrapeQuery(t *testing.T) {
 	w := New(Config{
 		Registry: reg,
 		DB:       db,
-		Logger:   quietLogger(),
+		logger:   quietLogger(),
 		Rules: []Rule{
 			{
 				Name: "burn", Expr: Burn(reqErrors, requests, 0.99, 5*time.Minute, time.Hour),
@@ -420,7 +420,7 @@ func TestStormsJudgedOnRecentHistory(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := metrics.NewRegistry()
 			db := tsdb.New(tsdb.Options{Registry: reg})
-			w := New(Config{Registry: reg, DB: db, Logger: quietLogger(), Rules: []Rule{tc.rule}})
+			w := New(Config{Registry: reg, DB: db, logger: quietLogger(), Rules: []Rule{tc.rule}})
 			stormFrom := int64(tc.before / time.Second)
 			stormTo := stormFrom + int64(10*time.Minute/time.Second)
 			end := stormTo + int64(tc.after/time.Second)

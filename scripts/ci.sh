@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI entry point: check formatting, vet (and vet internal/amp for darwin and linux/arm64,
 # whose datagram I/O builds from other files than linux/amd64's), check that everything under internal/, cmd/ and
-# examples/ is reached by something that ships, build, print the non-test and test Go line
+# examples/ is reached by something that ships (that step ends by printing "config fields: N in T
+# types", the exported fields of the …Config/…Options/…Params/…Constraints structs under internal/:
+# informational, it gates nothing), build, print the non-test and test Go line
 # counts under internal cmd examples spooftrack.go and the number of scripts/reach.allow
 # entries (informational: they gate nothing, and make a simplification's line and allow-list
 # claims one command to check), and test the whole module, then run the

@@ -25,6 +25,9 @@
 // cmd/* or examples/* package with no _test.go file: a command or an
 // example is a root only because it is a tested program.
 //
+// Last it prints "config fields: N in T types", the settings surface
+// configFields counts; that line is informational and gates nothing.
+//
 // Run from the module root: go run scripts/reach.go
 package main
 
@@ -295,10 +298,48 @@ func run() error {
 	for _, line := range bad {
 		fmt.Println(line)
 	}
+	fields, structs := configFields(l, paths, module)
+	fmt.Printf("config fields: %d in %d types\n", fields, structs)
 	if len(bad) > 0 {
 		return fmt.Errorf("%d findings (delete the code, or add it to %s with a reason)", len(bad), allowFile)
 	}
 	return nil
+}
+
+// configRecords are the exported structs whose names end like a
+// settings type's but which are data, not settings.
+var configRecords = map[string]bool{"bgp.Config": true, "core.DatasetConfig": true, "sched.PlannedConfig": true}
+
+// configFields counts the exported fields of the exported
+// …Config/…Options/…Params/…Constraints structs under internal/, bar
+// configRecords: the settings surface a caller can vary. It is
+// informational, like the line counts scripts/ci.sh prints.
+func configFields(l *loader, paths []string, module string) (fields, structs int) {
+	for _, path := range paths {
+		if !strings.HasPrefix(path, module+"/internal/") {
+			continue
+		}
+		scope := l.src[path].types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || configRecords[tn.Pkg().Name()+"."+name] ||
+				!strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") &&
+					!strings.HasSuffix(name, "Params") && !strings.HasSuffix(name, "Constraints") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			structs++
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Exported() {
+					fields++
+				}
+			}
+		}
+	}
+	return fields, structs
 }
 
 // readAllow parses the allowlist; a missing file is an empty list.
