@@ -58,6 +58,7 @@ func TestParseFlagsRejects(t *testing.T) {
 		{"controller without url", []string{"-controller", "s0"}, "want id=http://host:port"},
 		{"controller without id", []string{"-controller", "=http://h:1"}, "want id=http://host:port"},
 		{"controller empty", []string{"-controller", ","}, "no shards"},
+		{"controller repeats a shard", []string{"-controller", "s0=http://h:1,s0=http://h:2"}, `shard "s0" listed twice`},
 		{"unknown flag", []string{"-relay"}, "not defined"},
 	} {
 		if _, err := parseFlags(tc.args, io.Discard); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -42,7 +42,7 @@ func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.Ser
 		SourceASNs: []topo.ASN{64500, 64501},
 		NumLinks:   2,
 	}, "-workers", "1")
-	tr := trace.New(trace.Options{Enabled: true, JournalCap: 64})
+	tr := trace.New(trace.Options{Enabled: true})
 	sp := tr.Start("test.root")
 	sp.End()
 	db := tsdb.New(tsdb.Options{Registry: reg})

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -312,8 +313,8 @@ func logClusterState(cs shard.ClusterStatus) {
 }
 
 // parseShardPeers parses the -controller spec: comma-separated
-// id=http://host:port pairs, returning the sorted-insensitive id list
-// and a registered HTTP transport.
+// id=http://host:port pairs, each id once, returning the ids in spec
+// order and an HTTP transport with every pair registered.
 func parseShardPeers(spec string) ([]string, *shard.HTTPTransport, error) {
 	tr := shard.NewHTTPTransport(0)
 	var ids []string
@@ -325,6 +326,9 @@ func parseShardPeers(spec string) ([]string, *shard.HTTPTransport, error) {
 		id, baseURL, ok := strings.Cut(part, "=")
 		if !ok || id == "" || baseURL == "" {
 			return nil, nil, fmt.Errorf("want id=http://host:port, got %q", part)
+		}
+		if slices.Contains(ids, id) {
+			return nil, nil, fmt.Errorf("shard %q listed twice", id)
 		}
 		tr.Register(id, baseURL)
 		ids = append(ids, id)

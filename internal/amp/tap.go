@@ -19,9 +19,9 @@ type Event struct {
 	// truth. No tap in the program sets it: the honeypot tap reports 0,
 	// because the honeypot never learns true sources, which is the whole
 	// reason the paper's technique exists. Only code that builds events
-	// by hand from the attacker wire format does (bench/, tests, the
-	// sharded-ingest demo's ingest API), and shard routing still keys on
-	// it; fencing it off the attribution path is ROADMAP aim 3(a).
+	// by hand from the attacker wire format does (bench/ and tests), and
+	// shard routing still keys on it; fencing it off the attribution
+	// path is ROADMAP aim 3(a).
 	TrueSrcAS uint32
 	// SpoofedSrc is the forged source (victim) address.
 	SpoofedSrc netip.Addr

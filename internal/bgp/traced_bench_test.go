@@ -33,7 +33,7 @@ func BenchmarkPropagateTraced(b *testing.B) {
 		}
 	})
 	b.Run("on", func(b *testing.B) {
-		trace.SetGlobal(trace.New(trace.Options{Enabled: true, JournalCap: 4096}))
+		trace.SetGlobal(trace.New(trace.Options{Enabled: true}))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -35,11 +35,6 @@ type CampaignOptions struct {
 	// parallelism, not a simulation parameter; results are bit-identical
 	// at any setting). Zero means GOMAXPROCS.
 	Parallelism int
-	// NoOutcomeCache bypasses the platform's outcome cache for this
-	// campaign: every configuration is propagated from scratch even if
-	// seen before. Outcomes are identical either way; this exists for
-	// benchmarking and memory-bounded runs.
-	NoOutcomeCache bool
 	// Ctx, if non-nil, cancels the campaign early: deployment and
 	// measurement stop between configurations and RunCampaign returns
 	// the context's error. Nil means run to completion.
@@ -69,6 +64,11 @@ type CampaignOptions struct {
 	// provenance-off and costs the hot path one nil check per event
 	// site.
 	Ledger *provenance.Ledger
+	// noOutcomeCache bypasses the platform's outcome cache: every
+	// configuration is propagated from scratch. Outcomes are identical
+	// either way; this package's tests set it (uncached, export_test.go)
+	// to compare the two paths and to time the real propagation cost.
+	noOutcomeCache bool
 }
 
 // Campaign is the result of deploying a plan: per-configuration routing
@@ -213,7 +213,7 @@ func (w *World) RunCampaign(plan []sched.PlannedConfig, opts CampaignOptions) (*
 		// error here is an injected deployment fault or cancellation.
 		var out *bgp.Outcome
 		attempts, err := retry.Do(ctx, i, nil, func(attempt int) (err error) {
-			out, err = w.Platform.PropagateAttempt(plan[i].Config, attempt, opts.NoOutcomeCache, dsp)
+			out, err = w.Platform.PropagateAttempt(plan[i].Config, attempt, opts.noOutcomeCache, dsp)
 			return err
 		}, func(attempt int, err error) bool {
 			led.RecordRetry(provenance.RetryEvent{Config: i, Phase: "deploy", Attempt: attempt, Error: err.Error()})

@@ -28,12 +28,12 @@ func BenchmarkCampaignLedgerBudget(b *testing.B) {
 		}
 		runtime.GC() // neither side pays for the other's garbage
 		start := time.Now()
-		// NoOutcomeCache: every campaign pays the real propagation cost (a
+		// Uncached: every campaign pays the real propagation cost (a
 		// warm cache would shrink the denominator to cache lookups and
 		// make the fixed ledger cost look relatively huge). One deploy
 		// worker: on two CPUs a parallel pool's scheduling spreads the
 		// samples wider than the budget is.
-		c, err := w.RunCampaign(plan, CampaignOptions{UseTruth: true, NoOutcomeCache: true, Parallelism: 1, Ledger: led})
+		c, err := w.RunCampaign(plan, uncached(CampaignOptions{UseTruth: true, Parallelism: 1, Ledger: led}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,9 +81,9 @@ func TestRunCampaignParallelismInvariant(t *testing.T) {
 	base := runVariant(t, seed, n, CampaignOptions{Parallelism: 1})
 	wide := runVariant(t, seed, n, CampaignOptions{Parallelism: runtime.GOMAXPROCS(0)})
 	sameCampaign(t, "parallelism", base, wide)
-	nocacheSeq := runVariant(t, seed, n, CampaignOptions{Parallelism: 1, NoOutcomeCache: true})
+	nocacheSeq := runVariant(t, seed, n, uncached(CampaignOptions{Parallelism: 1}))
 	sameCampaign(t, "no-cache sequential", base, nocacheSeq)
-	nocacheWide := runVariant(t, seed, n, CampaignOptions{NoOutcomeCache: true})
+	nocacheWide := runVariant(t, seed, n, uncached(CampaignOptions{}))
 	sameCampaign(t, "no-cache parallel", base, nocacheWide)
 }
 
@@ -97,7 +97,7 @@ func TestRunCampaignParallelismInvariant(t *testing.T) {
 func TestMeasuredCampaignPatchedOutcomes(t *testing.T) {
 	const seed, n = 15, 120
 	cached := runVariant(t, seed, n, CampaignOptions{Parallelism: 4})
-	dense := runVariant(t, seed, n, CampaignOptions{Parallelism: 4, NoOutcomeCache: true})
+	dense := runVariant(t, seed, n, uncached(CampaignOptions{Parallelism: 4}))
 	g := cached.World.Graph
 	var gp, dp []int
 	for c := range cached.Plan {

@@ -170,6 +170,11 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	cfg.setDefaults()
 	members := append([]string(nil), cfg.Members...)
 	sort.Strings(members)
+	for i := 1; i < len(members); i++ {
+		if members[i] == members[i-1] {
+			return nil, fmt.Errorf("shard: member %q listed twice", members[i])
+		}
+	}
 	ct := &Controller{
 		cfg:      cfg,
 		attempts: rpcAttempts,
@@ -189,13 +194,6 @@ func (ct *Controller) Leading() bool {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	return ct.leading
-}
-
-// Term returns the lease term this controller last led at.
-func (ct *Controller) Term() uint64 {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
-	return ct.term
 }
 
 // Degraded reports the explicit coarsening latch: true once any round

@@ -40,3 +40,20 @@ func (c *Cluster) SetReady(id string, ready func() bool) { c.nodes[id].ready = r
 // SetRetryAttempts sets how many times the controller tries an RPC
 // (rpcAttempts otherwise). Call it before the controller's first RPC.
 func (ct *Controller) SetRetryAttempts(n int) { ct.attempts = n }
+
+// Owner returns the shard owning the true source AS, or "" on an empty
+// ring.
+func (r *Ring) Owner(as uint32) string {
+	i := r.OwnerIndex(as)
+	if i < 0 {
+		return ""
+	}
+	return r.ids[i]
+}
+
+// Term returns the lease term this controller last led at.
+func (ct *Controller) Term() uint64 {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return ct.term
+}

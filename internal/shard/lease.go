@@ -109,13 +109,13 @@ func (m *MemLease) Release(holder string, term uint64) {
 }
 
 // FileLease is a lease file shared by cooperating processes on one host
-// — the multi-process demo's election substrate. Every operation runs
-// its read-decide-write under an exclusive flock on the sidecar file
-// path+".lock", so two contenders that both see an expired term cannot
-// both take the next one; writes go through a temp file + atomic rename
-// so a crash mid-write never leaves a torn lease. It is not a
-// distributed lock manager: the processes must share a host (and a
-// filesystem whose flock is honoured).
+// — spooftrackd's -lease-file, which controller replicas elect through.
+// Every operation runs its read-decide-write under an exclusive flock
+// on the sidecar file path+".lock", so two contenders that both see an
+// expired term cannot both take the next one; writes go through a temp
+// file + atomic rename so a crash mid-write never leaves a torn lease.
+// It is not a distributed lock manager: the processes must share a
+// host (and a filesystem whose flock is honoured).
 type FileLease struct {
 	path string
 	now  func() time.Time
@@ -219,7 +219,8 @@ func (f *FileLease) Release(holder string, term uint64) {
 	}
 }
 
-// Dir ensures the lease file's directory exists (demo convenience).
+// Dir ensures the lease file's directory exists, so a -lease-file in a
+// directory not yet made still elects.
 func (f *FileLease) Dir() error {
 	return os.MkdirAll(filepath.Dir(f.path), 0o755)
 }

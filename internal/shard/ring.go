@@ -91,16 +91,6 @@ func ringHash(id string, salt uint64) uint64 {
 	return stats.Mix64(h ^ salt*0x9e3779b97f4a7c15)
 }
 
-// Owner returns the shard owning the true source AS, or "" on an empty
-// ring.
-func (r *Ring) Owner(as uint32) string {
-	i := r.OwnerIndex(as)
-	if i < 0 {
-		return ""
-	}
-	return r.ids[i]
-}
-
 // OwnerIndex returns the owning shard's index into Members() order
 // (sorted ids), or -1 on an empty ring. This is the ingest fast path:
 // one hash, one table load, no string handling.

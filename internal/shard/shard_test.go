@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +192,16 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 	if !Retryable(ErrPartitioned) || !Retryable(ErrUnavailable) {
 		t.Error("partition and unavailability must be retryable")
+	}
+}
+
+// TestControllerRejectsDuplicateMembers: a shard listed twice would be
+// collected twice per round and its counters folded twice.
+func TestControllerRejectsDuplicateMembers(t *testing.T) {
+	_, err := NewController(ControllerConfig{ID: "c", Attr: chaosAttr(), Members: []string{"s0", "s1", "s0"},
+		Transport: NewLocalTransport(nil), Lease: NewMemLease()})
+	if err == nil || !strings.Contains(err.Error(), `member "s0" listed twice`) {
+		t.Fatalf("NewController with s0 twice: %v, want an error naming s0", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Transport carries the controller's three RPCs to a shard node by id.
 // Implementations: LocalTransport (in-process, with injected partition
 // faults — the chaos harness), HTTPTransport (multi-process, JSON over
-// HTTP — cmd/spooftrackd and examples/sharded-ingest).
+// HTTP — spooftrackd's -controller).
 type Transport interface {
 	Collect(node string, req CollectRequest) (CollectResponse, error)
 	Apply(node string, u EpochUpdate) (ApplyResponse, error)

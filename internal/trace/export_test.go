@@ -9,7 +9,7 @@ import (
 
 // traceFixture journals a small nested campaign-shaped trace.
 func traceFixture() *Tracer {
-	tr := New(Options{Enabled: true, JournalCap: 64})
+	tr := New(Options{Enabled: true})
 	root := tr.Start("campaign")
 	root.Set(Int("configs", 2))
 	w := root.ChildTrack("worker")

@@ -30,16 +30,17 @@ import (
 	"time"
 )
 
-// Options configures a Tracer. Its journal always splits into
-// journalShards (8) lock shards.
+// Options configures a Tracer. Its journal always holds journalCap
+// spans in journalShards lock shards.
 type Options struct {
 	// Enabled starts the tracer enabled. Disabled tracers hand out nil
 	// spans and record nothing.
 	Enabled bool
-	// JournalCap bounds the number of finished spans retained across all
-	// shards; older spans are evicted ring-buffer style. Default 16384.
-	JournalCap int
 }
+
+// journalCap bounds the number of finished spans retained across all
+// shards; older spans are evicted ring-buffer style.
+const journalCap = 16384
 
 // journalShards is how many shards the journal splits into, a power of
 // two: sharding keeps concurrent End calls from serializing on one
@@ -64,11 +65,11 @@ type journalShard struct {
 }
 
 // New builds a tracer.
-func New(opts Options) *Tracer {
-	capacity := opts.JournalCap
-	if capacity <= 0 {
-		capacity = 16384
-	}
+func New(opts Options) *Tracer { return newTracer(opts, journalCap) }
+
+// newTracer builds a tracer whose journal holds capacity spans; this
+// package's eviction tests pass a small one.
+func newTracer(opts Options, capacity int) *Tracer {
 	per := (capacity + journalShards - 1) / journalShards
 	t := &Tracer{enabled: opts.Enabled, mask: journalShards - 1, shards: make([]journalShard, journalShards)}
 	for i := range t.shards {

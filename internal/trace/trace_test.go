@@ -8,7 +8,7 @@ import (
 )
 
 func enabled(capacity int) *Tracer {
-	return New(Options{Enabled: true, JournalCap: capacity})
+	return newTracer(Options{Enabled: true}, capacity)
 }
 
 func TestDisabledTracerHandsOutNilSpans(t *testing.T) {
@@ -117,7 +117,7 @@ func TestEndIsIdempotentAndSealsSpan(t *testing.T) {
 
 func TestJournalBoundedEviction(t *testing.T) {
 	// Two records per journal shard: each shard's ring wraps twice.
-	tr := New(Options{Enabled: true, JournalCap: 2 * journalShards})
+	tr := enabled(2 * journalShards)
 	for i := 0; i < 5*journalShards; i++ {
 		tr.Start("s").End()
 	}
@@ -166,7 +166,7 @@ func TestStartChildFallsBackToGlobal(t *testing.T) {
 }
 
 func TestConcurrentSpansRace(t *testing.T) {
-	tr := New(Options{Enabled: true, JournalCap: 1024})
+	tr := enabled(1024)
 	root := tr.Start("root")
 	var wg sync.WaitGroup
 	for k := 0; k < 8; k++ {

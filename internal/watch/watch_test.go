@@ -268,7 +268,7 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
 	h := reg.Histogram("stream_flush_lag_seconds", 0.1, 1, 10)
-	tr := trace.New(trace.Options{Enabled: true, JournalCap: 128})
+	tr := trace.New(trace.Options{Enabled: true})
 	sp := tr.Start("pipeline.root")
 	sp.End()
 

@@ -12,12 +12,15 @@
 # scratch, pooled propagation engine, BGP sessions (a reader and a
 # keepalive ticker each, and the route server's accept loop) and the MRT
 # framing over their UPDATE codec, the daemon's placements and
-# ticker loops, and the greedy step's pooled scorer, whose per-group
+# ticker loops, its shard and controller processes in the multi-process
+# failover test, the greedy step's pooled scorer, whose per-group
 # scratch the pipeline, controller and replay goroutines share, and the
-# examples, whose loopback demos run amp, stream and shard together),
+# examples, whose loopback demos run amp and stream together),
 # run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
-# lost attacker in a small share of runs), run the single-node versus
+# lost attacker in a small share of runs), run the daemon's
+# multi-process controller failover test five times (election timing
+# varies from run to run), run the single-node versus
 # cluster ledger equivalence test and the single-node transcript digest
 # twenty times (the two loops share one round lifecycle, DESIGN §5.9, and
 # these are what guard that they fold the same rounds), run the two greedy-step
@@ -66,6 +69,9 @@ go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./int
 
 echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
+
+echo "==> multi-process controller failover x5 (shard and controller processes on one lease file, the leader SIGKILLed)"
+go test -count=5 -run '^TestControllerFailoverAcrossProcesses$' ./cmd/spooftrackd/
 
 echo "==> round lifecycle x20 (both loops fold the same rounds: ledger equivalence and the single-node transcript digest)"
 go test -count=20 -run '^(TestLedgerEquivalentToSingleNode|TestPipelineTranscriptDigest)$' ./internal/shard/ ./internal/stream/
