@@ -55,36 +55,19 @@ func TestControllerFailoverAcrossProcesses(t *testing.T) {
 	if d, ok := t.Deadline(); ok && d.Add(-5*time.Second).Before(deadline) {
 		deadline = d.Add(-5 * time.Second)
 	}
-	dir := t.TempDir()
-	topoFile := filepath.Join(dir, "topo.txt")
-	writeTopology(t, topoFile, 42, 1000)
-	common := []string{"-topo-file", topoFile, "-seed", "42", "-eval", "100ms", "-min-round", "40",
-		"-probe-interval", "0", "-bundle-dir", filepath.Join(dir, "bundles")}
-
+	dir, common := daemonWorld(t)
 	var shards []*daemonProc
 	var peers []string
 	for _, id := range []string{"s0", "s1"} {
-		p := startDaemon(t, dir, id, append([]string{"-shard-id", id}, common...)...)
+		p := startDaemon(t, dir, id, freeAddr(t), append([]string{"-shard-id", id}, common...)...)
 		shards = append(shards, p)
 		peers = append(peers, id+"="+p.url)
-	}
-	// A controller that elects before its shards serve evicts them for
-	// good, so the controllers start once the shards serve.
-	for _, p := range shards {
-		waitFor(t, deadline, p.name+" serving", func() bool {
-			res, err := http.Get(p.url + "/healthz")
-			if err != nil {
-				return false
-			}
-			res.Body.Close()
-			return res.StatusCode == http.StatusOK
-		})
 	}
 	attacker := demoAttacker(t, deadline, shards)
 
 	var ctrls []*daemonProc
 	for _, id := range []string{"c0", "c1"} {
-		ctrls = append(ctrls, startDaemon(t, dir, id, append([]string{"-controller", strings.Join(peers, ","),
+		ctrls = append(ctrls, startDaemon(t, dir, id, freeAddr(t), append([]string{"-controller", strings.Join(peers, ","),
 			"-controller-id", id, "-lease-file", filepath.Join(dir, "lease")}, common...)...))
 	}
 
@@ -142,6 +125,64 @@ func TestControllerFailoverAcrossProcesses(t *testing.T) {
 	}
 }
 
+// TestControllerStartedBeforeShards starts a -controller, and its two
+// -shard-id processes only once it serves and shardsLate later, as a
+// supervisor that starts all three at once on a busy host may. The
+// controller must wait for the shards instead of evicting them: it
+// leads with both as live members, folds rounds, and is not degraded.
+func TestControllerStartedBeforeShards(t *testing.T) {
+	// shardsLate is past the 1.2 s in which a controller that elects at
+	// once evicts two unreachable shards, and short enough that shards
+	// started then answer within its wait of shard.LeaseTTL (2 s; under
+	// -race, where a shard takes 0.6 s to serve, before the rounds after
+	// the wait evict them).
+	const shardsLate = 1500 * time.Millisecond
+	deadline := time.Now().Add(30 * time.Second)
+	dir, common := daemonWorld(t)
+	ids := []string{"s0", "s1"}
+	var addrs, peers []string
+	for _, id := range ids {
+		addrs = append(addrs, freeAddr(t))
+		peers = append(peers, id+"=http://"+addrs[len(addrs)-1])
+	}
+	ctrl := startDaemon(t, dir, "c0", freeAddr(t), append([]string{"-controller", strings.Join(peers, ","),
+		"-controller-id", "c0", "-lease-file", filepath.Join(dir, "lease")}, common...)...)
+	waitServing(t, deadline, ctrl)
+	time.Sleep(shardsLate)
+	for i, id := range ids {
+		startDaemon(t, dir, id, addrs[i], append([]string{"-shard-id", id}, common...)...)
+	}
+
+	var cs shard.ClusterStatus
+	waitFor(t, deadline, "c0 leading with a round folded or a shard evicted", func() bool {
+		var ok bool
+		cs, ok = clusterStatus(ctrl)
+		return ok && cs.Leading && (cs.Rounds > 0 || cs.Degraded)
+	})
+	var live []string
+	for _, m := range cs.Members {
+		if m.State == "live" {
+			live = append(live, m.ID)
+		}
+	}
+	if !slices.Equal(live, ids) || cs.Degraded || cs.DiscardedRounds != 0 {
+		t.Fatalf("c0 leads with live members %v (want %v), degraded %v, discarded rounds %d: %+v",
+			live, ids, cs.Degraded, cs.DiscardedRounds, cs.Members)
+	}
+}
+
+// daemonWorld writes the daemon's -seed 42 world of 1 000 ASes as a
+// -topo-file in a new directory, and returns the directory and the
+// flags every daemon process of a test shares.
+func daemonWorld(t *testing.T) (string, []string) {
+	t.Helper()
+	dir := t.TempDir()
+	topoFile := filepath.Join(dir, "topo.txt")
+	writeTopology(t, topoFile, 42, 1000)
+	return dir, []string{"-topo-file", topoFile, "-seed", "42", "-eval", "100ms", "-min-round", "40",
+		"-probe-interval", "0", "-bundle-dir", filepath.Join(dir, "bundles")}
+}
+
 // daemonProc is one daemon process the test started.
 type daemonProc struct {
 	name, url string
@@ -149,17 +190,22 @@ type daemonProc struct {
 	log       *syncBuffer
 }
 
-// startDaemon runs this test binary as the daemon with args, listening
-// on a free loopback port and working in dir. Cleanup kills it, and
-// fails the test if its log reports a data race.
-func startDaemon(t *testing.T, dir, name string, args ...string) *daemonProc {
+// freeAddr returns a loopback address whose port no listener holds.
+func freeAddr(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// startDaemon runs this test binary as the daemon with args, listening
+// on addr and working in dir. Cleanup kills it, and fails the test if
+// its log reports a data race.
+func startDaemon(t *testing.T, dir, name, addr string, args ...string) *daemonProc {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +254,19 @@ func demoAttacker(t *testing.T, deadline time.Time, shards []*daemonProc) topo.A
 		t.Fatalf("shards name demo attackers %v", asns)
 	}
 	return topo.ASN(asn)
+}
+
+// waitServing waits until p answers /healthz.
+func waitServing(t *testing.T, deadline time.Time, p *daemonProc) {
+	t.Helper()
+	waitFor(t, deadline, p.name+" serving", func() bool {
+		res, err := http.Get(p.url + "/healthz")
+		if err != nil {
+			return false
+		}
+		res.Body.Close()
+		return res.StatusCode == http.StatusOK
+	})
 }
 
 // clusterStatus reads a controller's /cluster.

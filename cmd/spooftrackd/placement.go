@@ -266,15 +266,47 @@ func newController(ctx context.Context, pc placeConfig, w wiring) (*controller, 
 	}
 	slog.Info("running as sharded-ingest controller", "id", id, "shards", pc.peerIDs,
 		"lease", pc.leaseFile, "interval", w.pipe.EvalInterval)
-	// Each tick acquires (or re-acquires) the lease when not leading,
+	// Until every listed shard has answered once, for at most LeaseTTL,
+	// a tick only asks the ones still silent: a leader evicts for good a
+	// shard whose collects fail a few rounds running, and a shard process
+	// started beside this one may not be serving yet. After that each
+	// tick acquires (or re-acquires) the lease when not leading,
 	// otherwise steps a round.
+	waiting, giveUp, logged := pc.peerIDs, time.Now().Add(shard.LeaseTTL), false
 	return &controller{ct, every(ctx, w.pipe.EvalInterval, func() {
+		if waiting != nil {
+			silent := unanswered(pc.peers, id, waiting)
+			if len(silent) > 0 && time.Now().Before(giveUp) {
+				if !logged || len(silent) < len(waiting) {
+					slog.Info("waiting for shards to answer before electing", "shards", silent)
+				}
+				waiting, logged = silent, true
+				return
+			}
+			if len(silent) > 0 {
+				slog.Warn("electing without every shard answering", "silent", silent, "waited", shard.LeaseTTL)
+			}
+			waiting = nil
+		}
 		if !ct.Leading() {
 			_ = ct.TryLead() // refused while another replica holds the lease
 		} else if _, err := ct.Step(false); err != nil && !errors.Is(err, shard.ErrNotLeader) {
 			slog.Warn("controller round failed", "err", err)
 		}
 	})}, nil
+}
+
+// unanswered returns the shards of ids that do not answer a Hello. The
+// Hello carries term 0, which fences nothing; a shard that refuses it
+// as stale has answered.
+func unanswered(tr shard.Transport, leader string, ids []string) []string {
+	var silent []string
+	for _, m := range ids {
+		if _, err := tr.Hello(m, shard.HelloRequest{Leader: leader}); err != nil && !errors.Is(err, shard.ErrStaleTerm) {
+			silent = append(silent, m)
+		}
+	}
+	return silent
 }
 
 func (c *controller) ingest(amp.Event) {}

@@ -39,7 +39,8 @@ type Border struct {
 
 // NewBorder starts a border router on addr forwarding to the honeypot
 // at upstream. linkOf is the initial catchment table (true source ASN ->
-// peering link).
+// peering link); the border takes it over, so the caller must not
+// change it afterwards. A nil table routes nothing.
 func NewBorder(addr string, upstream *net.UDPAddr, linkOf map[uint32]uint8) (*Border, error) {
 	conn, err := listenUDP(addr)
 	if err != nil {
@@ -50,7 +51,7 @@ func NewBorder(addr string, upstream *net.UDPAddr, linkOf map[uint32]uint8) (*Bo
 		conn.Close()
 		return nil, err
 	}
-	b := &Border{conn: conn, upstream: addrPort(upstream), linkOf: copyTable(linkOf)}
+	b := &Border{conn: conn, upstream: addrPort(upstream), linkOf: linkOf}
 	b.wg.Add(1)
 	go b.serve(d)
 	return b, nil
@@ -73,22 +74,16 @@ func addrPort(a *net.UDPAddr) netip.AddrPort {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
-func copyTable(t map[uint32]uint8) map[uint32]uint8 {
-	out := make(map[uint32]uint8, len(t))
-	for k, v := range t {
-		out[k] = v
-	}
-	return out
-}
-
 // Addr returns the border's listening address.
 func (b *Border) Addr() net.Addr { return b.conn.LocalAddr() }
 
 // SetCatchments atomically replaces the catchment table — the runtime
-// equivalent of a new announcement configuration converging.
+// equivalent of a new announcement configuration converging. The border
+// takes linkOf over, as NewBorder does: the caller hands it a table of
+// its own and must not change it afterwards.
 func (b *Border) SetCatchments(linkOf map[uint32]uint8) {
 	b.mu.Lock()
-	b.linkOf = copyTable(linkOf)
+	b.linkOf = linkOf
 	b.mu.Unlock()
 }
 

@@ -270,3 +270,155 @@ func TestServeSpansCountEveryPacket(t *testing.T) {
 		t.Errorf("no %s span recorded", name)
 	}
 }
+
+// gateAS marks gatedPlane's gate packets: the border maps it to link
+// gateLink, so gate events split the honeypot's tap into batches.
+const (
+	gateAS   = 4242
+	gateLink = 9
+)
+
+// gatedPlane is a border and a honeypot whose border filter holds the
+// serve loop on each gate packet until the batch after it has been
+// sent, so that batch waits in the border's socket and reaches the loop
+// in one read.
+type gatedPlane struct {
+	border  *Border
+	hp      *Honeypot
+	conn    net.PacketConn
+	entered chan struct{}
+	release chan struct{}
+
+	mu     sync.Mutex
+	events []Event
+}
+
+// newGatedPlane starts a gated border and honeypot, which map TrueSrcAS
+// 100 to link 1; the test's cleanup closes them.
+func newGatedPlane(t *testing.T) *gatedPlane {
+	t.Helper()
+	g := &gatedPlane{entered: make(chan struct{}), release: make(chan struct{})}
+	var err error
+	if g.hp, err = NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.hp.Close() })
+	g.hp.SetTap(func(e Event) {
+		g.mu.Lock()
+		g.events = append(g.events, e)
+		g.mu.Unlock()
+	})
+	if g.border, err = NewBorder("127.0.0.1:0", g.hp.Addr().(*net.UDPAddr),
+		map[uint32]uint8{100: 1, gateAS: gateLink}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.border.Close() })
+	g.border.SetFilter(func(p *Packet) bool {
+		if p.TrueSrcAS == gateAS {
+			g.entered <- struct{}{}
+			<-g.release
+		}
+		return false
+	})
+	if g.conn, err = net.ListenPacket("udp", "127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.conn.Close() })
+	return g
+}
+
+// send writes each batch to the border behind a gate packet of its own,
+// then returns the events each batch delivered: the honeypot's tap
+// between one gate event and the next, in order.
+func (g *gatedPlane) send(t *testing.T, batches ...[][]byte) [][]Event {
+	t.Helper()
+	gate := mustMarshal(t, &Packet{Type: TypeRequest, IngressLink: LinkUnset, TrueSrcAS: gateAS,
+		SpoofedSrc: netip.MustParseAddr("203.0.113.1")})
+	write := func(d []byte) {
+		if _, err := g.conn.WriteTo(d, g.border.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ds := range append(batches, nil) {
+		write(gate)
+		<-g.entered
+		for _, d := range ds {
+			write(d)
+		}
+		g.release <- struct{}{}
+	}
+	gates := func() (n int) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for _, e := range g.events {
+			if e.IngressLink == gateLink {
+				n++
+			}
+		}
+		return n
+	}
+	waitFor(t, func() bool { return gates() == len(batches)+1 })
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	var out [][]Event
+	for _, e := range g.events {
+		if e.IngressLink == gateLink {
+			out = append(out, nil)
+		} else if len(out) > 0 {
+			out[len(out)-1] = append(out[len(out)-1], e)
+		}
+	}
+	g.events = nil
+	return out[:len(batches)]
+}
+
+// request is a request from TrueSrcAS as with the given payload length;
+// its spoofed source 192.0.2.<id> names it in the tap.
+func request(t *testing.T, as uint32, id byte, plen int) []byte {
+	return mustMarshal(t, &Packet{Type: TypeRequest, IngressLink: LinkUnset, TrueSrcAS: as,
+		SpoofedSrc: netip.AddrFrom4([4]byte{192, 0, 2, id}), Payload: make([]byte, plen)})
+}
+
+// checkDelivered fails unless events are the requests of want, whole and
+// in order, each once, stamped with link 1.
+func checkDelivered(t *testing.T, events []Event, want [][]byte) {
+	t.Helper()
+	var got, exp []string
+	for _, e := range events {
+		got = append(got, fmt.Sprintf("%v/%d/link%d", e.SpoofedSrc, e.WireLen, e.IngressLink))
+	}
+	for _, d := range want {
+		var p Packet
+		if err := p.decode(d); err != nil {
+			t.Fatal(err)
+		}
+		exp = append(exp, fmt.Sprintf("%v/%d/link1", p.SpoofedSrc, len(d)))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(exp) {
+		t.Fatalf("delivered %v, want %v", got, exp)
+	}
+}
+
+// TestForwardMixedLengthsInOrder hands the border one read of requests
+// whose lengths run 24, 24, 1 416, 24, 16 (an empty payload) and on,
+// with a malformed datagram and an unmapped AS between runs of one
+// length: every request reaches the honeypot once, in arrival order.
+func TestForwardMixedLengthsInOrder(t *testing.T) {
+	g := newGatedPlane(t)
+	var batch, want [][]byte
+	for i, plen := range []int{8, 8, 1400, 8, 0, 0, 1400, 1400, 8, -1, 8, 8, -2, 8, 0, 1400} {
+		id := byte(i + 1)
+		switch plen {
+		case -1:
+			batch = append(batch, []byte("garbage"))
+		case -2:
+			batch = append(batch, request(t, 999, id, 8))
+		default:
+			d := request(t, 100, id, plen)
+			batch, want = append(batch, d), append(want, d)
+		}
+	}
+	got := g.send(t, batch, batch)
+	checkDelivered(t, got[0], want)
+	checkDelivered(t, got[1], want)
+}

@@ -537,7 +537,8 @@ func (c *Campaign) PhasePartitions() map[sched.Phase]*cluster.Partition {
 // true-source-ASN -> ingress-link table an amp.Border consumes. Sources
 // without a known catchment under the configuration are omitted (the
 // border drops their traffic, as a network with no route would never
-// receive it).
+// receive it). Each call builds a new table, which the caller may hand
+// to the border to keep.
 func (c *Campaign) CatchmentTable(cfgIdx int) map[uint32]uint8 {
 	g := c.World.Graph
 	table := make(map[uint32]uint8, len(c.Sources))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -546,6 +547,7 @@ func (ct *Controller) drainLocked(m string, reason string) {
 func (ct *Controller) evictLocked(m string, reason string) {
 	ct.removeMemberLocked(m)
 	ct.evicted = append(ct.evicted, m)
+	slog.Info("shard evicted", "member", m, "term", ct.term, "epoch", ct.epoch, "reason", reason)
 	ct.cfg.Ledger.RecordMembership(provenance.MembershipEvent{
 		Node: m, Action: "evict", Epoch: ct.epoch, Term: ct.term, Reason: reason,
 	})

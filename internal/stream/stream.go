@@ -58,9 +58,11 @@ type Attribution struct {
 
 // DeployFunc applies configuration cfgIdx: table maps each true source
 // ASN to the ingress link its traffic enters on under the new
-// announcement. It is called from whichever goroutine ends a round
-// (Intake.AdvanceEpoch; once from New), in a Pipeline with the lock its
-// readers take held, so it must not call back into the pipeline.
+// announcement. Every call gets a new table that nothing else holds, so
+// the callee may keep it (amp.Border.SetCatchments does). It is called
+// from whichever goroutine ends a round (Intake.AdvanceEpoch; once from
+// New), in a Pipeline with the lock its readers take held, so it must
+// not call back into the pipeline.
 type DeployFunc func(cfgIdx int, table map[uint32]uint8)
 
 // Config tunes the pipeline.

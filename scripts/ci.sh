@@ -1,6 +1,8 @@
 #!/bin/sh
-# CI entry point: check formatting, vet (and vet internal/amp for darwin and linux/arm64,
-# whose datagram I/O builds from other files than linux/amd64's), check that everything under internal/, cmd/ and
+# CI entry point: check formatting, vet (and vet internal/amp for darwin, linux/arm64 and
+# linux/386, whose datagram I/O builds from other files than linux/amd64's or, on arm64,
+# with other syscall numbers; linux/386 is Linux on the portable file, with 32-bit
+# message-header fields), check that everything under internal/, cmd/ and
 # examples/ is reached by something that ships (that step ends by printing "config fields: N in T
 # types", the exported fields of the …Config/…Options/…Params/…Constraints structs under internal/:
 # informational, it gates nothing), build, print the non-test and test Go line
@@ -46,9 +48,10 @@ fi
 echo "==> go vet"
 go vet ./...
 
-echo "==> go vet ./internal/amp/ for darwin and linux/arm64 (the portable datagram file and the arm64 syscall numbers)"
+echo "==> go vet ./internal/amp/ for darwin, linux/arm64 and linux/386 (the portable datagram file, the arm64 syscall numbers, Linux on the portable file)"
 GOOS=darwin go vet ./internal/amp/
 GOOS=linux GOARCH=arm64 go vet ./internal/amp/
+GOOS=linux GOARCH=386 go vet ./internal/amp/
 
 echo "==> reachability (nothing under internal/, cmd/ or examples/ that no shipped code reaches, bar scripts/reach.allow)"
 go run scripts/reach.go
