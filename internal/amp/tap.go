@@ -21,7 +21,7 @@ type Event struct {
 	// reason the paper's technique exists. Only code that builds events
 	// by hand from the attacker wire format does (bench/ and tests), and
 	// shard routing still keys on it; fencing it off the attribution
-	// path is ROADMAP aim 3(a).
+	// path is ROADMAP item 25.
 	TrueSrcAS uint32
 	// SpoofedSrc is the forged source (victim) address.
 	SpoofedSrc netip.Addr

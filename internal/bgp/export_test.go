@@ -5,10 +5,16 @@ import (
 	"hash"
 	"slices"
 	"unsafe"
+
+	"spooftrack/internal/topo"
 )
 
 // Seams for the external bgp_test package, whose campaign golden needs
 // sched (which imports bgp) and so cannot live in package bgp.
+
+// ASPath returns the AS-path the AS at dense index i selects in a fresh
+// slice, or nil if i has no route.
+func (o *Outcome) ASPath(i int) []topo.ASN { return o.AppendASPath(nil, i) }
 
 // InternetWorldForTest is internetWorldForTest for external tests.
 var InternetWorldForTest = internetWorldForTest

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,8 +254,9 @@ func TestConcurrentPropagateSafe(t *testing.T) {
 // TestDataPathVariantsAgree ties the allocation-free walks to DataPath:
 // DataPathLen is its length, AppendDataPath extends a caller's buffer by
 // exactly it (and leaves the buffer alone for an unrouted AS), and
-// ASPath ends in the announcement's initial path, built in one
-// allocation.
+// AppendASPath does the same with the AS-path, which ends in the
+// announcement's initial path, and allocates nothing into a buffer with
+// room.
 func TestDataPathVariantsAgree(t *testing.T) {
 	g, o := worldForTest(t, 46, 600)
 	e := newEngine(t, g, o, noiseless())
@@ -262,6 +264,7 @@ func TestDataPathVariantsAgree(t *testing.T) {
 	cfg := Config{Anns: []Announcement{{Link: 0, Prepend: 2, Poison: poison}, {Link: 1, Poison: poison}}}
 	out := propagate(t, e, cfg)
 	buf := []int{-7}
+	abuf := []topo.ASN{7}
 	routed := 0
 	for i := 0; i < g.NumASes(); i++ {
 		dp := out.DataPath(i)
@@ -277,11 +280,14 @@ func TestDataPathVariantsAgree(t *testing.T) {
 				t.Fatalf("AS%d: AppendDataPath gave %v for path %v", g.ASN(i), buf, dp)
 			}
 		}
+		ap := out.ASPath(i)
+		if abuf = out.AppendASPath(abuf[:1], i); abuf[0] != 7 || !slices.Equal(abuf[1:], ap) {
+			t.Fatalf("AS%d: AppendASPath gave %v for path %v", g.ASN(i), abuf, ap)
+		}
 		if dp == nil {
 			continue
 		}
 		routed++
-		ap := out.ASPath(i)
 		stuffing := cfg.Anns[out.CatchmentOf(i)].InitialPath(o.ASN)
 		tail := ap[len(dp):]
 		if len(tail) != len(stuffing) {
@@ -297,7 +303,7 @@ func TestDataPathVariantsAgree(t *testing.T) {
 		t.Fatalf("%d of %d ASes routed; want both routed and unrouted ASes covered", routed, g.NumASes())
 	}
 	last := g.NumASes() - 1
-	if n := testing.AllocsPerRun(10, func() { out.ASPath(last) }); out.HasRoute(last) && n != 1 {
-		t.Fatalf("ASPath: %.0f allocs, want 1", n)
+	if n := testing.AllocsPerRun(10, func() { abuf = out.AppendASPath(abuf[:1], last) }); n != 0 {
+		t.Fatalf("AppendASPath into a buffer with room: %.0f allocs, want 0", n)
 	}
 }

@@ -342,31 +342,30 @@ func (o *Outcome) NextHop(i int) int {
 	return int(s.nextHop)
 }
 
-// ASPath returns the control-plane AS-path the AS at dense index i
-// selects, as a BGP collector peering with i would observe it: i's own
-// ASN first, then the ASNs along the forwarding chain, then the
-// announcement's initial path (origin prepends and poison sentinels).
-// It returns nil if i has no route.
-func (o *Outcome) ASPath(i int) []topo.ASN {
-	hops := o.DataPathLen(i)
-	if hops == 0 {
-		return nil
+// AppendASPath appends the control-plane AS-path the AS at dense index i
+// selects to dst and returns the extended slice, so a caller collecting
+// many paths can reuse one buffer. The path is what a BGP collector
+// peering with i would observe: i's own ASN first, then the ASNs along
+// the forwarding chain, then the announcement's initial path (origin
+// prepends and poison sentinels). dst comes back unchanged if i has no
+// route.
+func (o *Outcome) AppendASPath(dst []topo.ASN, i int) []topo.ASN {
+	if !o.HasRoute(i) {
+		return dst
 	}
 	_, c := o.ref(i)
-	ann := o.cfg.Anns[c.to]
-	path := make([]topo.ASN, 0, hops+ann.PathLen())
 	for hop := i; hop != -1; hop = o.hop(hop) {
-		path = append(path, o.engine.g.ASN(hop))
+		dst = append(dst, o.engine.g.ASN(hop))
 	}
-	return ann.appendInitialPath(path, o.engine.origin.ASN)
+	return o.cfg.Anns[c.to].appendInitialPath(dst, o.engine.origin.ASN)
 }
 
 // DataPath returns the AS-level data-plane path from the AS at dense
 // index i to the origin as the dense indices of the traversed topology
-// ASes (starting with i itself). Unlike ASPath it contains no prepend or
-// poison stuffing — the data plane does not see those. The origin AS
-// (external to the topology) is implicitly the final hop. It returns nil
-// if i has no route.
+// ASes (starting with i itself). Unlike the AS-path it contains no
+// prepend or poison stuffing — the data plane does not see those. The
+// origin AS (external to the topology) is implicitly the final hop. It
+// returns nil if i has no route.
 func (o *Outcome) DataPath(i int) []int {
 	return o.AppendDataPath(nil, i)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -86,6 +87,41 @@ func TestUpdateWithdrawRoundTrip(t *testing.T) {
 	}
 	if len(got.Prefixes) != 0 {
 		t.Fatal("unexpected announcements")
+	}
+}
+
+// TestParseUpdateReusesPath decodes messages of growing and shrinking
+// path length into one Update: the path is decoded in place once it has
+// room, and a path ReadMessage returned earlier is its own and stays
+// intact.
+func TestParseUpdateReusesPath(t *testing.T) {
+	marshal := func(path ...topo.ASN) []byte {
+		data, err := MarshalUpdate(&Update{Path: path, NextHop: netip.MustParseAddr("203.0.113.9"),
+			Prefixes: []netip.Prefix{experimentPrefix()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	short, long := marshal(64500, 47065), marshal(3356, 1299, 174, 64500, 47065)
+	first := mustRead(t, short).(*Update)
+	var u Update
+	for k, msg := range [][]byte{long, short, long, short} {
+		if err := ParseUpdate(msg, &u); err != nil {
+			t.Fatal(err)
+		}
+		if want := mustRead(t, msg).(*Update).Path; !slices.Equal(u.Path, want) {
+			t.Fatalf("message %d: path %v, want %v", k, u.Path, want)
+		}
+		if k == 0 {
+			continue
+		}
+		if n := testing.AllocsPerRun(10, func() { ParseUpdate(msg, &u) }); n != 0 {
+			t.Fatalf("message %d into an Update with room: %.0f allocs, want 0", k, n)
+		}
+	}
+	if !slices.Equal(first.Path, []topo.ASN{64500, 47065}) {
+		t.Fatalf("path from ReadMessage changed to %v", first.Path)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 
 	"spooftrack/internal/topo"
 )
@@ -249,9 +250,11 @@ func parsePrefixes(dst []netip.Prefix, data []byte) ([]netip.Prefix, error) {
 
 // ParseUpdate decodes the UPDATE message msg, header included, into u:
 // the AS_SEQUENCE segments of its AS_PATH as one path, its NEXT_HOP, its
-// NLRI and its withdrawn routes; other attributes are skipped. u.Path
-// gets a fresh slice of exactly the path's length, and u.Prefixes and
-// u.Withdrawn reuse their capacity, so nothing in u aliases msg.
+// NLRI and its withdrawn routes; other attributes are skipped. u.Path,
+// u.Prefixes and u.Withdrawn reuse their capacity, so nothing in u
+// aliases msg, and a caller decoding many messages into one Update
+// allocates only while those slices grow; a slice kept past the next
+// call into the same u must be copied first.
 func ParseUpdate(msg []byte, u *Update) error {
 	if len(msg) < headerLen || string(msg[:16]) != marker {
 		return errors.New("bgpwire: bad marker")
@@ -262,7 +265,7 @@ func ParseUpdate(msg []byte, u *Update) error {
 	if msg[18] != MsgUpdate {
 		return fmt.Errorf("bgpwire: not an UPDATE (type %d)", msg[18])
 	}
-	*u = Update{Prefixes: u.Prefixes[:0], Withdrawn: u.Withdrawn[:0]}
+	*u = Update{Path: u.Path[:0], Prefixes: u.Prefixes[:0], Withdrawn: u.Withdrawn[:0]}
 	body := msg[headerLen:]
 	if len(body) < 4 {
 		return errors.New("bgpwire: UPDATE too short")
@@ -313,26 +316,27 @@ func ParseUpdate(msg []byte, u *Update) error {
 	return err
 }
 
-// appendPath returns a new slice holding path followed by the ASNs of
-// the AS_SEQUENCE segments in an AS_PATH value.
+// appendPath appends the ASNs of the AS_SEQUENCE segments in an AS_PATH
+// value to path, growing it at most once. On error path comes back
+// unchanged.
 func appendPath(path []topo.ASN, val []byte) ([]topo.ASN, error) {
-	n := len(path)
+	n := 0
 	for seg := val; len(seg) > 0; seg = seg[2+4*int(seg[1]):] {
 		if len(seg) < 2 || seg[0] != asSequence {
-			return nil, errors.New("bgpwire: unsupported AS_PATH segment")
+			return path, errors.New("bgpwire: unsupported AS_PATH segment")
 		}
 		if len(seg) < 2+4*int(seg[1]) {
-			return nil, errors.New("bgpwire: truncated AS_PATH")
+			return path, errors.New("bgpwire: truncated AS_PATH")
 		}
 		n += int(seg[1])
 	}
-	out := append(make([]topo.ASN, 0, n), path...)
+	path = slices.Grow(path, n)
 	for seg := val; len(seg) > 0; seg = seg[2+4*int(seg[1]):] {
 		for i := range int(seg[1]) {
-			out = append(out, topo.ASN(binary.BigEndian.Uint32(seg[2+4*i:])))
+			path = append(path, topo.ASN(binary.BigEndian.Uint32(seg[2+4*i:])))
 		}
 	}
-	return out, nil
+	return path, nil
 }
 
 // MarshalKeepalive encodes a KEEPALIVE.

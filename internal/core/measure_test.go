@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/measure"
 	"spooftrack/internal/stats"
 	"spooftrack/internal/topo"
 )
@@ -32,7 +34,9 @@ func measureWorld(t testing.TB, seed uint64, wireFeeds bool) *World {
 }
 
 // measurementDigest folds every field of every CatchmentMeasurement of a
-// campaign into one FNV-1a value.
+// campaign into one FNV-1a value, and after each catchment whether it
+// was observed: a bit a field of its own once held, kept in the hash so
+// the digests captured then still apply.
 func measurementDigest(c *Campaign) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -42,9 +46,9 @@ func measurementDigest(c *Campaign) uint64 {
 	}
 	for _, m := range c.Measurements {
 		put(uint64(len(m.Catchment)))
-		for i, l := range m.Catchment {
+		for _, l := range m.Catchment {
 			put(uint64(int64(l)))
-			if m.Observed[i] {
+			if l != bgp.NoLink {
 				put(1)
 			} else {
 				put(0)
@@ -130,6 +134,67 @@ func TestMeasuredCampaignGolden(t *testing.T) {
 	}
 }
 
+// TestCollectorFeedDigest pins what the collector feeds decode to: for
+// every configuration of the default plan, the (collector, AS path)
+// pairs that come back from the paths' round trip through the MRT codec,
+// in ascending collector order. The paths do not depend on the
+// traceroute rng, so Collect and RoundTripMRT reproduce exactly what a
+// measured campaign's pass decodes. The digests were captured on the
+// implementation that decoded every record into a fresh Update and path,
+// before the round trip moved onto the measurement's reused scratch.
+func TestCollectorFeedDigest(t *testing.T) {
+	golden := map[uint64]uint64{
+		1: 0xd18fdf19595eaaa5,
+		2: 0xc5146758e887491,
+		3: 0x57e5560cfc5aa355,
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		w := measureWorld(t, seed, true)
+		plan, err := w.DefaultPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		pairs := 0
+		for k, pc := range plan {
+			out, err := w.Platform.Propagate(pc.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := measure.Collect(out, w.Vantages, w.Space, w.Params.Noise, stats.NewRNG(uint64(k)))
+			if err := measure.RoundTripMRT(&obs, w.Graph, uint32(k)*70*60); err != nil {
+				t.Fatal(err)
+			}
+			collectors := make([]int, 0, len(obs.BGPPaths))
+			for c := range obs.BGPPaths {
+				collectors = append(collectors, c)
+			}
+			slices.Sort(collectors)
+			put(uint64(len(collectors)))
+			for _, c := range collectors {
+				p := obs.BGPPaths[c]
+				put(uint64(c))
+				put(uint64(len(p)))
+				for _, asn := range p {
+					put(uint64(asn))
+				}
+			}
+			pairs += len(collectors)
+		}
+		if pairs == 0 {
+			t.Fatalf("seed %d: no collector path in %d configs", seed, len(plan))
+		}
+		if got := h.Sum64(); got != golden[seed] {
+			t.Errorf("seed %d: collector feed digest %#x, want %#x (%d configs, %d paths)", seed, got, golden[seed], len(plan), pairs)
+		}
+	}
+}
+
 // BenchmarkCampaignOutcomeHeap reports, as B/config, the heap a measured
 // campaign's Outcomes hold per configuration on the 1 200-AS small world:
 // HeapAlloc after a collection with the outcomes referenced, minus
@@ -188,10 +253,14 @@ func warmOutcome(t testing.TB, wireFeeds bool) (*World, *bgp.Outcome) {
 
 // BenchmarkMeasureOutcome times one warm configuration measurement with
 // wire feeds on; TestMeasureOutcomeAllocs holds its allocations under a
-// ceiling.
+// ceiling. One measurement before the timer warms the scratch, so even a
+// single iteration (-benchtime 1x) reports the warm allocations.
 func BenchmarkMeasureOutcome(b *testing.B) {
 	w, out := warmOutcome(b, true)
 	rng := stats.NewRNG(7)
+	if _, err := w.MeasureOutcome(out, 3, rng); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -238,7 +307,7 @@ func TestMeasuredCampaignOutcomesDigest(t *testing.T) {
 				put(int64(out.NextHop(i)))
 				put(int64(out.ClassOf(i)))
 				if i%7 == 0 {
-					p := out.ASPath(i)
+					p := out.AppendASPath(nil, i)
 					put(int64(len(p)))
 					for _, asn := range p {
 						put(int64(asn))

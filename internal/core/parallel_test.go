@@ -105,7 +105,7 @@ func TestMeasuredCampaignPatchedOutcomes(t *testing.T) {
 		for i := 0; i < g.NumASes(); i++ {
 			if got.CatchmentOf(i) != want.CatchmentOf(i) || got.NextHop(i) != want.NextHop(i) ||
 				got.PathLen(i) != want.PathLen(i) || got.ClassOf(i) != want.ClassOf(i) ||
-				got.DataPathLen(i) != want.DataPathLen(i) || !slices.Equal(got.ASPath(i), want.ASPath(i)) {
+				got.DataPathLen(i) != want.DataPathLen(i) || !slices.Equal(got.AppendASPath(nil, i), want.AppendASPath(nil, i)) {
 				t.Fatalf("config %d (%v), AS %d: the cached outcome answers differently", c, cached.Plan[c].Config, i)
 			}
 			gp, dp = got.AppendDataPath(gp[:0], i), want.AppendDataPath(dp[:0], i)

@@ -253,9 +253,8 @@ func (inj *Injector) Mask(cfgIdx int, m *measure.CatchmentMeasurement) int {
 		return 0
 	}
 	hidden := 0
-	for i, obs := range m.Observed {
-		if obs && inj.HideSource(cfgIdx, i) {
-			m.Observed[i] = false
+	for i, l := range m.Catchment {
+		if l != bgp.NoLink && inj.HideSource(cfgIdx, i) {
 			m.Catchment[i] = bgp.NoLink
 			hidden++
 		}

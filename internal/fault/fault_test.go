@@ -130,13 +130,9 @@ func TestMaskHidesObservedSourcesOnly(t *testing.T) {
 	prof := Profile{Name: "t", HideVisibility: 0.5}
 	inj := New(prof, 17, 7)
 	n := 1000
-	m := &measure.CatchmentMeasurement{
-		Catchment: make([]bgp.LinkID, n),
-		Observed:  make([]bool, n),
-	}
+	m := &measure.CatchmentMeasurement{Catchment: make([]bgp.LinkID, n)}
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
-			m.Observed[i] = true
 			m.Catchment[i] = bgp.LinkID(i % 7)
 		} else {
 			m.Catchment[i] = bgp.NoLink
@@ -146,13 +142,19 @@ func TestMaskHidesObservedSourcesOnly(t *testing.T) {
 	if frac := float64(hidden) / 500; frac < 0.4 || frac > 0.6 {
 		t.Fatalf("hid %.3f of observed, want ~0.5", frac)
 	}
+	gone := 0
 	for i := 0; i < n; i++ {
-		if m.Observed[i] && m.Catchment[i] == bgp.NoLink {
-			t.Fatal("observed source with NoLink catchment after mask")
+		switch l := m.Catchment[i]; {
+		case i%2 == 1 && l != bgp.NoLink:
+			t.Fatalf("unobserved AS %d gained catchment %d", i, l)
+		case i%2 == 0 && l == bgp.NoLink:
+			gone++
+		case i%2 == 0 && l != bgp.LinkID(i%7):
+			t.Fatalf("observed AS %d changed catchment to %d", i, l)
 		}
-		if !m.Observed[i] && m.Catchment[i] != bgp.NoLink {
-			t.Fatal("hidden source kept its catchment")
-		}
+	}
+	if gone != hidden {
+		t.Fatalf("%d observed ASes lost their catchment, Mask reported %d", gone, hidden)
 	}
 }
 

@@ -4,6 +4,8 @@ package measure
 // the shipped build.
 
 import (
+	"io"
+
 	"spooftrack/internal/addr"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/stats"
@@ -14,13 +16,13 @@ import (
 func Infer(obs Observation, in InferInput) *CatchmentMeasurement {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	return s.infer(obs.BGPPaths, obs.Traceroutes, in)
+	return s.infer(sortedPaths(obs.BGPPaths), obs.Traceroutes, in)
 }
 
 // newASSeqIndex builds an index over the collector paths.
 func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) asSeqIndex {
 	idx := make(asSeqIndex)
-	idx.build(paths, origin)
+	idx.build(sortedPaths(paths), origin)
 	return idx
 }
 
@@ -66,4 +68,22 @@ func SynthesizeTraceroute(out *bgp.Outcome, space *addr.Space, probe int, noise 
 		tr.Hops = append([]Hop(nil), s.hops...)
 	}
 	return tr, true
+}
+
+// ExportMRT is exportPaths over the observation's collector paths in
+// ascending collector order (deterministic output).
+func ExportMRT(w io.Writer, obs Observation, g *topo.Graph, timestamp uint32) error {
+	return exportPaths(w, sortedPaths(obs.BGPPaths), g, timestamp)
+}
+
+// ImportMRT is scratch.importPaths on a pooled scratch, copied out into
+// a per-collector path map.
+func ImportMRT(r io.Reader, g *topo.Graph) (map[int][]topo.ASN, error) {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	paths, err := s.importPaths(r, g)
+	if err != nil {
+		return nil, err
+	}
+	return pathMap(paths), nil
 }

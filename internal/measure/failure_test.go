@@ -82,7 +82,7 @@ func wrongFraction(m *measure.CatchmentMeasurement, out *bgp.Outcome) float64 {
 	}
 	wrong := 0
 	for i := range m.Catchment {
-		if m.Observed[i] && m.Catchment[i] != out.CatchmentOf(i) {
+		if m.Catchment[i] != bgp.NoLink && m.Catchment[i] != out.CatchmentOf(i) {
 			wrong++
 		}
 	}
@@ -220,7 +220,7 @@ func TestFeedGapStableAcrossRetries(t *testing.T) {
 		t.Fatal("hidden sources differ across retries of the same configuration")
 	}
 	// A different configuration draws a different schedule.
-	if reflect.DeepEqual(a.Observed, masked(4).Observed) {
+	if reflect.DeepEqual(a.Catchment, masked(4).Catchment) {
 		t.Fatal("different configurations drew identical fault schedules")
 	}
 }
@@ -238,18 +238,15 @@ func TestInferEmptyObservation(t *testing.T) {
 // blind there, so every cell stays unknown and clustering by that
 // configuration cannot split anything.
 func TestBlackoutMaskThenImpute(t *testing.T) {
-	mk := func(links []bgp.LinkID, observed []bool) *measure.CatchmentMeasurement {
-		return &measure.CatchmentMeasurement{Catchment: links, Observed: observed}
-	}
-	baseline := mk([]bgp.LinkID{0, 0, 1, 1}, []bool{true, true, true, true})
-	blackout := mk([]bgp.LinkID{0, 1, 0, 1}, []bool{true, true, true, true})
+	baseline := &measure.CatchmentMeasurement{Catchment: []bgp.LinkID{0, 0, 1, 1}}
+	blackout := &measure.CatchmentMeasurement{Catchment: []bgp.LinkID{0, 1, 0, 1}}
 	inj := fault.New(fault.Profile{Name: "blackout", HideVisibility: 1.0}, 5, 2)
 	if hidden := inj.Mask(1, blackout); hidden != 4 {
 		t.Fatalf("full-visibility mask hid %d of 4", hidden)
 	}
 	for i := range blackout.Catchment {
-		if blackout.Observed[i] || blackout.Catchment[i] != bgp.NoLink {
-			t.Fatal("masked cells must be unobserved and unrouted")
+		if blackout.Catchment[i] != bgp.NoLink {
+			t.Fatal("masked cells must be unobserved")
 		}
 	}
 	res := measure.Impute([]*measure.CatchmentMeasurement{baseline, blackout})
@@ -272,13 +269,9 @@ func TestBlackoutMaskThenImpute(t *testing.T) {
 func TestPartialMaskIsDeterministic(t *testing.T) {
 	const n = 200
 	mk := func() *measure.CatchmentMeasurement {
-		m := &measure.CatchmentMeasurement{
-			Catchment: make([]bgp.LinkID, n),
-			Observed:  make([]bool, n),
-		}
-		for i := range m.Observed {
+		m := &measure.CatchmentMeasurement{Catchment: make([]bgp.LinkID, n)}
+		for i := range m.Catchment {
 			m.Catchment[i] = bgp.LinkID(i % 3)
-			m.Observed[i] = true
 		}
 		return m
 	}
@@ -292,8 +285,8 @@ func TestPartialMaskIsDeterministic(t *testing.T) {
 	if ha != hb || !reflect.DeepEqual(a, b) {
 		t.Fatal("mask differs across retries of the same configuration")
 	}
-	for i := range a.Observed {
-		if a.Observed[i] && a.Catchment[i] != bgp.LinkID(i%3) {
+	for i, l := range a.Catchment {
+		if l != bgp.NoLink && l != bgp.LinkID(i%3) {
 			t.Fatal("mask corrupted a surviving cell")
 		}
 	}

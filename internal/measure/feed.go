@@ -1,11 +1,11 @@
 package measure
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"spooftrack/internal/mrt"
 	"spooftrack/internal/topo"
@@ -19,47 +19,85 @@ var AnnouncedPrefix = netip.PrefixFrom(netip.MustParseAddr("198.51.100.0"), 24)
 // records; collectors in the simulation do not model next-hop IPs.
 var feedNextHop = netip.MustParseAddr("203.0.113.1")
 
-// feedRecordOverhead bounds what one exported record takes on top of
-// four bytes per path ASN (MRT, BGP4MP and UPDATE framing, the other
-// attributes and the /24 NLRI come to 75); it only sizes a buffer.
-const feedRecordOverhead = 80
+// collectorPath is the AS path one collector selected.
+type collectorPath struct {
+	collector int
+	path      []topo.ASN
+}
 
-// ExportMRT serializes the observation's collector paths as an MRT
-// BGP4MP stream, one UPDATE per collector, in ascending collector order
-// (deterministic output). This is the wire format RouteViews and RIS
-// publish, so downstream tooling can consume simulated feeds directly.
-func ExportMRT(w io.Writer, obs Observation, g *topo.Graph, timestamp uint32) error {
-	collectors := make([]int, 0, len(obs.BGPPaths))
-	for c := range obs.BGPPaths {
-		collectors = append(collectors, c)
+// slicePaths re-points paths[k].path, keeping each length, at
+// consecutive runs of arena.
+func slicePaths(paths []collectorPath, arena []topo.ASN) {
+	off := 0
+	for k := range paths {
+		end := off + len(paths[k].path)
+		paths[k].path = arena[off:end:end]
+		off = end
 	}
-	sort.Ints(collectors)
-	for _, c := range collectors {
-		u := &mrt.Update{
-			PeerAS:    g.ASN(c),
-			LocalAS:   g.ASN(c),
+}
+
+// sortedPaths lists a collector-path map in ascending collector order;
+// the paths alias the map's.
+func sortedPaths(m map[int][]topo.ASN) []collectorPath {
+	paths := make([]collectorPath, 0, len(m))
+	for c, p := range m {
+		paths = append(paths, collectorPath{collector: c, path: p})
+	}
+	slices.SortFunc(paths, func(a, b collectorPath) int { return cmp.Compare(a.collector, b.collector) })
+	return paths
+}
+
+// pathMap copies paths into a map the caller owns, all of them in one
+// array; a collector listed twice keeps its later path.
+func pathMap(paths []collectorPath) map[int][]topo.ASN {
+	n := 0
+	for _, p := range paths {
+		n += len(p.path)
+	}
+	arena := make([]topo.ASN, n)
+	m := make(map[int][]topo.ASN, len(paths))
+	for _, p := range paths {
+		k := copy(arena, p.path)
+		m[p.collector], arena = arena[:k:k], arena[k:]
+	}
+	return m
+}
+
+// exportPaths writes the paths as an MRT BGP4MP stream, one UPDATE per
+// collector in the order given. This is the wire format RouteViews and
+// RIS publish.
+func exportPaths(w io.Writer, paths []collectorPath, g *topo.Graph, timestamp uint32) error {
+	for _, p := range paths {
+		u := mrt.Update{
+			PeerAS:    g.ASN(p.collector),
+			LocalAS:   g.ASN(p.collector),
 			Timestamp: timestamp,
-			Path:      obs.BGPPaths[c],
+			Path:      p.path,
 			NextHop:   feedNextHop,
 			Prefix:    AnnouncedPrefix,
 		}
-		if err := mrt.WriteUpdate(w, u); err != nil {
-			return fmt.Errorf("measure: exporting feed for AS%d: %w", g.ASN(c), err)
+		if err := mrt.WriteUpdate(w, &u); err != nil {
+			return fmt.Errorf("measure: exporting feed for AS%d: %w", g.ASN(p.collector), err)
 		}
 	}
 	return nil
 }
 
-// ImportMRT parses an MRT stream back into the per-collector path map
-// inference consumes. Records for other prefixes are skipped; records from
-// peers not in the topology are rejected.
-func ImportMRT(r io.Reader, g *topo.Graph) (map[int][]topo.ASN, error) {
-	updates, err := mrt.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int][]topo.ASN, len(updates))
-	for _, u := range updates {
+// importPaths parses an MRT stream back into collector paths: the
+// paths, in stream order, land in s.feedPaths and their ASNs in
+// s.feedASNs. Records for other prefixes are skipped; records from peers
+// not in the topology are rejected. It returns s.feedPaths.
+func (s *scratch) importPaths(r io.Reader, g *topo.Graph) ([]collectorPath, error) {
+	s.reader.Reset(r)
+	s.feedASNs, s.feedPaths = s.feedASNs[:0], s.feedPaths[:0]
+	for {
+		u, err := s.reader.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
 		if u.Prefix != AnnouncedPrefix {
 			continue
 		}
@@ -67,34 +105,37 @@ func ImportMRT(r io.Reader, g *topo.Graph) (map[int][]topo.ASN, error) {
 		if !ok {
 			return nil, fmt.Errorf("measure: feed peer AS%d not in topology", u.PeerAS)
 		}
-		out[idx] = u.Path
+		start := len(s.feedASNs)
+		s.feedASNs = append(s.feedASNs, u.Path...)
+		s.feedPaths = append(s.feedPaths, collectorPath{collector: idx, path: s.feedASNs[start:]})
 	}
-	return out, nil
+	slicePaths(s.feedPaths, s.feedASNs)
+	return s.feedPaths, nil
 }
 
 // RoundTripMRT pushes the observation's BGP paths through the MRT wire
-// format and back, replacing them in place. Enabled by the world's
-// WireFeeds option so campaigns exercise the real encode/decode path.
+// format and back, replacing them with paths the caller owns. It is the
+// round trip Measure runs under the world's WireFeeds option, so
+// campaigns exercise the real encode/decode path.
 func RoundTripMRT(obs *Observation, g *topo.Graph, timestamp uint32) error {
-	paths, err := roundTripPaths(obs.BGPPaths, g, timestamp)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	paths, err := s.roundTrip(sortedPaths(obs.BGPPaths), g, timestamp)
 	if err != nil {
 		return err
 	}
-	obs.BGPPaths = paths
+	obs.BGPPaths = pathMap(paths)
 	return nil
 }
 
-// roundTripPaths returns paths as decoded from their own MRT export.
-func roundTripPaths(paths map[int][]topo.ASN, g *topo.Graph, timestamp uint32) (map[int][]topo.ASN, error) {
-	size := 0
-	for _, p := range paths {
-		size += feedRecordOverhead + 4*len(p)
-	}
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	if err := ExportMRT(buf, Observation{BGPPaths: paths}, g, timestamp); err != nil {
+// roundTrip returns paths as decoded from their own MRT export, in
+// s.feedPaths.
+func (s *scratch) roundTrip(paths []collectorPath, g *topo.Graph, timestamp uint32) ([]collectorPath, error) {
+	s.feed.Reset()
+	if err := exportPaths(&s.feed, paths, g, timestamp); err != nil {
 		return nil, err
 	}
-	decoded, err := ImportMRT(buf, g)
+	decoded, err := s.importPaths(&s.feed, g)
 	if err != nil {
 		return nil, err
 	}

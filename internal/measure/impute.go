@@ -40,18 +40,13 @@ func Impute(ms []*CatchmentMeasurement) *ImputeResult {
 		return &ImputeResult{}
 	}
 	base := ms[0]
-	s := 0
-	for _, obs := range base.Observed {
-		if obs {
-			s++
-		}
-	}
+	s := base.ObservedCount()
 	var sources []int // nil when no AS is a source
 	if s > 0 {
 		sources = make([]int, 0, s)
 	}
-	for i, obs := range base.Observed {
-		if obs {
+	for i, l := range base.Catchment {
+		if l != bgp.NoLink {
 			sources = append(sources, i)
 		}
 	}

@@ -18,8 +18,8 @@ func pairwiseImpute(ms []*CatchmentMeasurement) *ImputeResult {
 		return &ImputeResult{}
 	}
 	var sources []int
-	for i, obs := range ms[0].Observed {
-		if obs {
+	for i, l := range ms[0].Catchment {
+		if l != bgp.NoLink {
 			sources = append(sources, i)
 		}
 	}
@@ -126,7 +126,7 @@ func (ic imputeCase) campaign(seed uint64) []*CatchmentMeasurement {
 			// Not a source: observed now and then, never in the baseline.
 			for cc := 1; cc < ic.c; cc++ {
 				if rng.Bool(ic.pObs) {
-					ms[cc].Catchment[i], ms[cc].Observed[i] = link(), true
+					ms[cc].Catchment[i] = link()
 				}
 			}
 			continue
@@ -145,7 +145,7 @@ func (ic imputeCase) campaign(seed uint64) []*CatchmentMeasurement {
 			if ic.sameRow {
 				l = shared[cc]
 			}
-			ms[cc].Catchment[i], ms[cc].Observed[i] = l, true
+			ms[cc].Catchment[i] = l
 		}
 		src++
 	}

@@ -12,10 +12,8 @@ import (
 // deployed configuration.
 type CatchmentMeasurement struct {
 	// Catchment[i] is the link whose catchment AS i was inferred to be
-	// in, or bgp.NoLink when i was not observed.
+	// in, or bgp.NoLink when no evidence covered i (i was not observed).
 	Catchment []bgp.LinkID
-	// Observed[i] reports whether any evidence covered AS i.
-	Observed []bool
 	// MultiCatchment is the number of ASes with conflicting evidence
 	// (observed in more than one catchment, §IV-c reports 2.28% on
 	// average).
@@ -28,10 +26,7 @@ type CatchmentMeasurement struct {
 // exhausted); Impute leaves its unknown cells unknown, so localization
 // proceeds with partial intersections instead of aborting.
 func Unobserved(n int) *CatchmentMeasurement {
-	m := &CatchmentMeasurement{
-		Catchment: make([]bgp.LinkID, n),
-		Observed:  make([]bool, n),
-	}
+	m := &CatchmentMeasurement{Catchment: make([]bgp.LinkID, n)}
 	for i := range m.Catchment {
 		m.Catchment[i] = bgp.NoLink
 	}
@@ -41,8 +36,8 @@ func Unobserved(n int) *CatchmentMeasurement {
 // ObservedCount returns the number of ASes with any evidence.
 func (m *CatchmentMeasurement) ObservedCount() int {
 	n := 0
-	for _, o := range m.Observed {
-		if o {
+	for _, l := range m.Catchment {
+		if l != bgp.NoLink {
 			n++
 		}
 	}
@@ -73,7 +68,7 @@ type vote struct {
 // traceroutes, maps them to AS-level paths, extracts catchment evidence
 // from BGP paths (high priority) and traceroutes (low priority), and
 // resolves conflicts by priority then majority vote.
-func (s *scratch) infer(paths map[int][]topo.ASN, trs []Traceroute, in InferInput) *CatchmentMeasurement {
+func (s *scratch) infer(paths []collectorPath, trs []Traceroute, in InferInput) *CatchmentMeasurement {
 	n := in.Graph.NumASes()
 	m := Unobserved(n)
 
@@ -92,12 +87,12 @@ func (s *scratch) infer(paths map[int][]topo.ASN, trs []Traceroute, in InferInpu
 	// BGP evidence: every AS on a collector's path up to the provider is
 	// routed via that path's link.
 	s.seqs.build(paths, in.OriginASN)
-	for _, path := range paths {
-		cut, link, ok := splitPath(path, in.OriginASN, in.Graph, in.LinkOf)
+	for _, p := range paths {
+		cut, link, ok := splitPath(p.path, in.OriginASN, in.Graph, in.LinkOf)
 		if !ok {
 			continue
 		}
-		for _, asn := range path[:cut] {
+		for _, asn := range p.path[:cut] {
 			if as, ok := in.Graph.Index(asn); ok {
 				add(as, link, true)
 			}
@@ -159,7 +154,6 @@ func (s *scratch) infer(paths map[int][]topo.ASN, trs []Traceroute, in InferInpu
 		if links == 0 {
 			continue
 		}
-		m.Observed[i] = true
 		if bestBN > 0 {
 			m.Catchment[i] = bestB
 		} else {
@@ -214,19 +208,21 @@ type asSeqVal struct {
 // intermediate AS sequence between them (repair stage 3 of §IV-b).
 type asSeqIndex map[[2]topo.ASN]asSeqVal
 
-// build refills the index from the collector paths.
-func (idx asSeqIndex) build(paths map[int][]topo.ASN, origin topo.ASN) {
+// build refills the index from the collector paths. What it holds does
+// not depend on their order: a pair's sequence is kept only while every
+// path agrees on it.
+func (idx asSeqIndex) build(paths []collectorPath, origin topo.ASN) {
 	clear(idx)
-	for _, path := range paths {
+	for _, cp := range paths {
 		// Only the part before announcement stuffing is a real AS chain.
-		end := len(path)
-		for k, asn := range path {
+		end := len(cp.path)
+		for k, asn := range cp.path {
 			if asn == origin {
 				end = k
 				break
 			}
 		}
-		p := path[:end]
+		p := cp.path[:end]
 		for i := 0; i < len(p); i++ {
 			for j := i + 2; j < len(p) && j-i <= maxASSeq+1; j++ {
 				key := [2]topo.ASN{p[i], p[j]}

@@ -269,7 +269,7 @@ func TestInferMatchesTruthCleanWorld(t *testing.T) {
 	}
 	wrong := 0
 	for i := 0; i < w.g.NumASes(); i++ {
-		if !m.Observed[i] {
+		if m.Catchment[i] == bgp.NoLink {
 			continue
 		}
 		if m.Catchment[i] != out.CatchmentOf(i) {
@@ -304,7 +304,7 @@ func TestInferAccurateUnderNoise(t *testing.T) {
 	}
 	wrong := 0
 	for i := 0; i < w.g.NumASes(); i++ {
-		if m.Observed[i] && m.Catchment[i] != out.CatchmentOf(i) {
+		if m.Catchment[i] != bgp.NoLink && m.Catchment[i] != out.CatchmentOf(i) {
 			wrong++
 		}
 	}
@@ -372,16 +372,9 @@ func TestInferMajorityVote(t *testing.T) {
 
 func TestImputeFillsMissing(t *testing.T) {
 	mk := func(catchments map[int]bgp.LinkID, n int) *CatchmentMeasurement {
-		m := &CatchmentMeasurement{
-			Catchment: make([]bgp.LinkID, n),
-			Observed:  make([]bool, n),
-		}
-		for i := range m.Catchment {
-			m.Catchment[i] = bgp.NoLink
-		}
+		m := Unobserved(n)
 		for i, l := range catchments {
 			m.Catchment[i] = l
-			m.Observed[i] = true
 		}
 		return m
 	}
@@ -424,10 +417,7 @@ func TestImputeEmpty(t *testing.T) {
 }
 
 func TestImputeNoMissingNoImputation(t *testing.T) {
-	m := &CatchmentMeasurement{
-		Catchment: []bgp.LinkID{0, 1, bgp.NoLink},
-		Observed:  []bool{true, true, false},
-	}
+	m := &CatchmentMeasurement{Catchment: []bgp.LinkID{0, 1, bgp.NoLink}}
 	res := Impute([]*CatchmentMeasurement{m})
 	if res.Imputed != 0 {
 		t.Fatalf("Imputed = %d, want 0", res.Imputed)
@@ -438,7 +428,7 @@ func TestImputeNoMissingNoImputation(t *testing.T) {
 }
 
 func TestObservedCount(t *testing.T) {
-	m := &CatchmentMeasurement{Observed: []bool{true, false, true}}
+	m := &CatchmentMeasurement{Catchment: []bgp.LinkID{3, bgp.NoLink, 0}}
 	if m.ObservedCount() != 2 {
 		t.Fatal("ObservedCount wrong")
 	}

@@ -1,20 +1,35 @@
 package measure
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
 	"spooftrack/internal/addr"
 	"spooftrack/internal/bgp"
+	"spooftrack/internal/mrt"
 	"spooftrack/internal/stats"
+	"spooftrack/internal/topo"
 )
 
-// scratch is the working memory of one configuration's collect → repair
-// → infer pass (DESIGN.md §5.10). Everything the pass builds on the way
-// to its result lives here and is reused by the next configuration, so a
-// warm pass allocates only what it returns. Every field is reset by the
-// step that fills it; nothing is read across configurations.
+// scratch is the working memory of one configuration's collect → feed
+// round trip → repair → infer pass (DESIGN.md §5.10). Everything the pass
+// builds on the way to its result lives here and is reused by the next
+// configuration, so a warm pass allocates only what it returns. Every
+// field is reset by the step that fills it; nothing is read across
+// configurations.
 type scratch struct {
+	// asns is the arena holding every collector path of the
+	// configuration back to back; paths[k].path slices into it.
+	asns  []topo.ASN
+	paths []collectorPath
+	// feed is the collector paths' MRT export, reader decodes it, and
+	// feedASNs and feedPaths hold what it decodes as asns and paths do.
+	feed      bytes.Buffer
+	reader    mrt.Reader
+	feedASNs  []topo.ASN
+	feedPaths []collectorPath
+
 	// hops is the arena holding every hop of the configuration's
 	// traceroutes back to back; trs[k].Hops slices into it.
 	hops []Hop
@@ -62,7 +77,7 @@ func (s *scratch) measure(out *bgp.Outcome, v VantageSet, space *addr.Space, noi
 	paths := s.collect(out, v, space, noise, rng)
 	if wireFeeds {
 		var err error
-		if paths, err = roundTripPaths(paths, in.Graph, feedTime); err != nil {
+		if paths, err = s.roundTrip(paths, in.Graph, feedTime); err != nil {
 			return nil, fmt.Errorf("feed round-trip: %w", err)
 		}
 	}

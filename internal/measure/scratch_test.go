@@ -9,6 +9,7 @@ import (
 	"spooftrack/internal/addr"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/stats"
+	"spooftrack/internal/topo"
 )
 
 // scratchWorld is a 300-AS world with a noisy IP-to-AS mapper, so all
@@ -37,9 +38,9 @@ func scratchWorld(t *testing.T) (w *measureWorld, cfgA, cfgB *bgp.Outcome) {
 
 // TestDirtyScratchMatchesFresh measures configuration A and then B on
 // one scratch and requires B to come out as it does on a scratch that
-// never saw A — gap index, sequence index, vote rows and hop arena all
-// carry A's contents when B starts — and as the exported steps chained
-// produce it.
+// never saw A — gap index, sequence index, vote rows, hop arena and the
+// collector-path, feed and decoded-path buffers all carry A's contents
+// when B starts — and as the exported steps chained produce it.
 func TestDirtyScratchMatchesFresh(t *testing.T) {
 	w, cfgA, cfgB := scratchWorld(t)
 	noise := DefaultNoise()
@@ -73,26 +74,57 @@ func TestDirtyScratchMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestCollectDoesNotAliasScratch checks that an Observation survives the
-// pool's scratch being reused by later collections.
+// TestCollectDoesNotAliasScratch checks that an Observation — its
+// traceroutes and its collector paths, as Collect returns them and as
+// RoundTripMRT replaces them — survives the pool's scratch being reused
+// by later collections and round trips.
 func TestCollectDoesNotAliasScratch(t *testing.T) {
 	w, cfgA, cfgB := scratchWorld(t)
 	obs := Collect(cfgA, w.vantages, w.space, DefaultNoise(), stats.NewRNG(1))
-	if len(obs.Traceroutes) == 0 {
-		t.Fatal("no traceroutes collected")
+	if len(obs.Traceroutes) == 0 || len(obs.BGPPaths) == 0 {
+		t.Fatal("no traceroutes or no collector paths collected")
 	}
 	want := make([][]Hop, len(obs.Traceroutes))
 	for k, tr := range obs.Traceroutes {
 		want[k] = append([]Hop(nil), tr.Hops...)
 	}
+	collected := clonePaths(obs.BGPPaths)
+	tripped := Observation{BGPPaths: clonePaths(obs.BGPPaths)}
+	if err := RoundTripMRT(&tripped, w.g, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tripped.BGPPaths, collected) {
+		t.Fatal("RoundTripMRT changed the collector paths")
+	}
 	for i := 0; i < 3; i++ {
-		Collect(cfgB, w.vantages, w.space, DefaultNoise(), stats.NewRNG(uint64(i)+2))
+		other := Collect(cfgB, w.vantages, w.space, DefaultNoise(), stats.NewRNG(uint64(i)+2))
+		if err := RoundTripMRT(&other, w.g, 2); err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(other.BGPPaths, collected) {
+			t.Fatal("configurations A and B give the same collector paths; the test would not see a leak")
+		}
 	}
 	for k, tr := range obs.Traceroutes {
 		if !reflect.DeepEqual(tr.Hops, want[k]) {
 			t.Fatalf("traceroute %d changed after later collections", k)
 		}
 	}
+	if !reflect.DeepEqual(obs.BGPPaths, collected) {
+		t.Fatal("Collect's collector paths changed after later collections")
+	}
+	if !reflect.DeepEqual(tripped.BGPPaths, collected) {
+		t.Fatal("RoundTripMRT's collector paths changed after later round trips")
+	}
+}
+
+// clonePaths deep-copies a collector-path map.
+func clonePaths(m map[int][]topo.ASN) map[int][]topo.ASN {
+	out := make(map[int][]topo.ASN, len(m))
+	for c, p := range m {
+		out[c] = append([]topo.ASN(nil), p...)
+	}
+	return out
 }
 
 // TestGapIndex checks what the index holds for one pair. Each case's

@@ -130,7 +130,7 @@ type Observation struct {
 func Collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG) Observation {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	obs := Observation{BGPPaths: s.collect(out, v, space, noise, rng)}
+	obs := Observation{BGPPaths: pathMap(s.collect(out, v, space, noise, rng))}
 	if len(s.trs) > 0 {
 		obs.Traceroutes = append([]Traceroute(nil), s.trs...)
 		sliceHops(obs.Traceroutes, append([]Hop(nil), s.hops...))
@@ -138,15 +138,18 @@ func Collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParam
 	return obs
 }
 
-// collect is Collect into the scratch: the traceroutes land in s.trs,
-// their hops in s.hops; only the collector-path map is allocated.
-func (s *scratch) collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG) map[int][]topo.ASN {
-	paths := make(map[int][]topo.ASN, len(v.Collectors))
+// collect is Collect into the scratch: the collector paths land in
+// s.paths in v.Collectors' order, their ASNs in s.asns, the traceroutes
+// in s.trs and their hops in s.hops. It returns s.paths.
+func (s *scratch) collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noise NoiseParams, rng *stats.RNG) []collectorPath {
+	s.asns, s.paths = s.asns[:0], s.paths[:0]
 	for _, c := range v.Collectors {
-		if p := out.ASPath(c); p != nil {
-			paths[c] = p
+		start := len(s.asns)
+		if s.asns = out.AppendASPath(s.asns, c); len(s.asns) > start {
+			s.paths = append(s.paths, collectorPath{collector: c, path: s.asns[start:]})
 		}
 	}
+	slicePaths(s.paths, s.asns)
 	rounds := noise.Rounds
 	if rounds < 1 {
 		rounds = 1
@@ -163,7 +166,7 @@ func (s *scratch) collect(out *bgp.Outcome, v VantageSet, space *addr.Space, noi
 	// The arena may have moved while it grew; point every traceroute at
 	// its final position.
 	sliceHops(s.trs, s.hops)
-	return paths
+	return s.paths
 }
 
 // sliceHops re-points trs[k].Hops, keeping each length, at consecutive

@@ -22,7 +22,7 @@ import (
 // announced prefix.
 type VantageSet struct {
 	// Collectors are dense indices of ASes peering with route
-	// collectors.
+	// collectors, each once, in ascending order.
 	Collectors []int
 	// Probes are dense indices of ASes hosting traceroute probes.
 	Probes []int

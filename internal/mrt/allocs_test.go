@@ -11,8 +11,9 @@ import (
 // is put back, so WriteUpdate's buffer is new at random.
 
 // TestCodecAllocs keeps the per-record allocation count where the
-// reused buffers put it: none to write, and to read only what the
-// caller keeps — the Update and its path — plus the decoder itself.
+// reused buffers put it: none to write, none to read through a warm
+// Reader, and for ReadAll only what the caller keeps — the Update and its
+// path — plus the Reader itself.
 func TestCodecAllocs(t *testing.T) {
 	u := sampleUpdate()
 	var buf bytes.Buffer
@@ -34,7 +35,7 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	stream := buf.Bytes()
 	r := bytes.NewReader(stream)
-	// Per stream: the decoder, its body buffer, the result slice's
+	// Per stream: the Reader, its body buffer, the result slice's
 	// growth (1, 2, 4, 8, 16).
 	const perStream = 2 + 5
 	if n := testing.AllocsPerRun(100, func() {
@@ -44,5 +45,17 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); n > 2*records+perStream {
 		t.Errorf("ReadAll: %.0f allocs for %d records, want at most %d", n, records, 2*records+perStream)
+	}
+	rd := NewReader(r)
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(stream)
+		rd.Reset(r)
+		for i := 0; i < records; i++ {
+			if _, err := rd.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n > 0 {
+		t.Errorf("warm Reader: %.0f allocs for %d records, want 0", n, records)
 	}
 }

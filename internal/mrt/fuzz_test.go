@@ -12,9 +12,9 @@ import (
 // FuzzReadUpdate exercises the MRT/BGP parser against arbitrary input:
 // it must never panic, anything it accepts must re-encode to a record
 // that parses back to the same update, and no state may leak across
-// records through the body buffer one decoder reuses — a second record
-// read through the same decoder must leave the first one's Path, NextHop
-// and Prefix as they were.
+// records or streams through the buffers one Reader reuses — a Reader
+// that has already decoded another record and been reset must make of
+// the input exactly what a fresh one does.
 func FuzzReadUpdate(f *testing.F) {
 	// Seed corpus: valid records and near-miss corruptions.
 	u := &Update{
@@ -39,8 +39,8 @@ func FuzzReadUpdate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
-	// The record every input is followed by: a different path, next hop
-	// and prefix, written over the same body buffer.
+	// The record a reused Reader decodes before each input: a different
+	// path, next hop and prefix, written over the same buffers.
 	other := &Update{
 		PeerAS:  64999,
 		Path:    []topo.ASN{4200000000, 3356, 1299, 174, 64999},
@@ -53,17 +53,22 @@ func FuzzReadUpdate(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := decoder{r: bytes.NewReader(append(append([]byte(nil), data...), tail.Bytes()...))}
-		got, err := d.next()
+		got, err := ReadUpdate(bytes.NewReader(data))
+		rd := NewReader(bytes.NewReader(tail.Bytes()))
+		if _, err := rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+		rd.Reset(bytes.NewReader(data))
+		again, againErr := rd.Next()
+		if (err == nil) != (againErr == nil) {
+			t.Fatalf("reused Reader: error %v, a fresh one %v", againErr, err)
+		}
 		if err != nil {
 			return
 		}
-		path := slices.Clone(got.Path)
-		nextHop, prefix := got.NextHop, got.Prefix
-		d.next() // whatever follows, it lands in the same body buffer
-		if !slices.Equal(got.Path, path) || got.NextHop != nextHop || got.Prefix != prefix {
-			t.Fatalf("second read changed the first record: path %v next hop %v prefix %v, was %v %v %v",
-				got.Path, got.NextHop, got.Prefix, path, nextHop, prefix)
+		if again.PeerAS != got.PeerAS || again.LocalAS != got.LocalAS || again.Timestamp != got.Timestamp ||
+			!slices.Equal(again.Path, got.Path) || again.NextHop != got.NextHop || again.Prefix != got.Prefix {
+			t.Fatalf("reused Reader decoded %+v, a fresh one %+v", again, got)
 		}
 
 		// Round-trip whatever parsed.

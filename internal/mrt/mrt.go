@@ -96,42 +96,36 @@ func appendRecord(dst []byte, u *Update) ([]byte, error) {
 	return dst, nil
 }
 
-// maxMRTBytes bounds what one decoder reads, as topo.ReadCAIDA bounds a
-// relationship file: a hostile stream of valid records cannot grow
-// ReadAll's result without limit. A campaign's feed is a few MB.
+// maxMRTBytes bounds what one stream may take, as topo.ReadCAIDA bounds
+// a relationship file: a hostile stream of valid records cannot keep a
+// Reader's caller collecting without limit. A campaign's feed is a few
+// MB.
 const maxMRTBytes = 64 << 20
 
-// ReadAll parses a whole MRT stream of at most maxMRTBytes.
-func ReadAll(r io.Reader) ([]*Update, error) {
-	d := decoder{r: r}
-	var out []*Update
-	for {
-		u, err := d.next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, u)
-	}
-}
-
-// decoder reads the records of one stream through a header array, a
-// body buffer and a bgpwire.Update whose prefix list starts in one, all
-// kept between records; of them an Update takes only the path, which
-// ParseUpdate allocates afresh. It counts the bytes the records take,
-// refusing a record that would take the stream past maxMRTBytes.
-type decoder struct {
+// Reader decodes the records of MRT streams through a header array, a
+// body buffer, a bgpwire.Update whose prefix list starts in one and the
+// Update it returns, all kept between records and between streams, so a
+// warm Reader allocates nothing per record. It counts the bytes the
+// records of its stream take, refusing a record that would take the
+// stream past maxMRTBytes. The zero Reader is ready for Reset.
+type Reader struct {
 	r    io.Reader
 	hdr  [mrtHeaderLen]byte
 	body []byte
 	read int64
 	msg  bgpwire.Update
 	one  [1]netip.Prefix
+	u    Update
 }
 
-func (d *decoder) next() (*Update, error) {
+// Reset makes the Reader read r from its start, keeping its buffers.
+func (d *Reader) Reset(r io.Reader) { d.r, d.read = r, 0 }
+
+// Next decodes the stream's next record. It returns io.EOF at a clean
+// end of stream. The Update and its Path belong to the Reader: they stay
+// valid until the next call to Next or Reset, and a caller that keeps
+// either copies it.
+func (d *Reader) Next() (*Update, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -169,12 +163,13 @@ func (d *decoder) next() (*Update, error) {
 		return nil, fmt.Errorf("mrt: UPDATE with a %d-hop AS path and %d prefixes, want a path and one prefix",
 			len(d.msg.Path), len(d.msg.Prefixes))
 	}
-	return &Update{
+	d.u = Update{
 		Timestamp: ts,
 		PeerAS:    topo.ASN(binary.BigEndian.Uint32(body[0:])),
 		LocalAS:   topo.ASN(binary.BigEndian.Uint32(body[4:])),
 		Path:      d.msg.Path,
 		NextHop:   d.msg.NextHop,
 		Prefix:    d.msg.Prefixes[0],
-	}, nil
+	}
+	return &d.u, nil
 }

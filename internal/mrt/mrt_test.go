@@ -111,6 +111,70 @@ func TestStreamOfUpdates(t *testing.T) {
 	}
 }
 
+// TestReaderAcrossStreams runs one Reader over two streams and requires
+// it to yield exactly what a fresh ReadAll makes of each, and the
+// updates ReadAll returned for the first stream to survive the Reader
+// decoding the second, whose paths are longer and so land in the same
+// buffers.
+func TestReaderAcrossStreams(t *testing.T) {
+	stream := func(peers int, hops int) []byte {
+		var buf bytes.Buffer
+		for i := 0; i < peers; i++ {
+			u := sampleUpdate()
+			u.PeerAS = topo.ASN(100*hops + i)
+			u.Timestamp = uint32(i)
+			u.Path = nil
+			for k := 0; k < hops; k++ {
+				u.Path = append(u.Path, u.PeerAS+topo.ASN(k))
+			}
+			if err := WriteUpdate(&buf, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	streams := [][]byte{stream(4, 2), stream(3, 6)}
+	var want [][]*Update
+	for _, st := range streams {
+		us, err := ReadAll(bytes.NewReader(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, us)
+	}
+	kept := make([]Update, len(want[0]))
+	for k, u := range want[0] {
+		kept[k] = *u
+		kept[k].Path = slices.Clone(u.Path)
+	}
+	rd := NewReader(nil)
+	for s, st := range streams {
+		rd.Reset(bytes.NewReader(st))
+		for k := 0; ; k++ {
+			u, err := rd.Next()
+			if err == io.EOF {
+				if k != len(want[s]) {
+					t.Fatalf("stream %d: %d records, ReadAll returned %d", s, k, len(want[s]))
+				}
+				break
+			}
+			if err != nil || k >= len(want[s]) {
+				t.Fatalf("stream %d record %d: %v past ReadAll's %d records", s, k, err, len(want[s]))
+			}
+			w := want[s][k]
+			if u.PeerAS != w.PeerAS || u.LocalAS != w.LocalAS || u.Timestamp != w.Timestamp ||
+				!slices.Equal(u.Path, w.Path) || u.NextHop != w.NextHop || u.Prefix != w.Prefix {
+				t.Fatalf("stream %d record %d: Reader decoded %+v, ReadAll %+v", s, k, u, w)
+			}
+		}
+	}
+	for k, u := range want[0] {
+		if u.PeerAS != kept[k].PeerAS || !slices.Equal(u.Path, kept[k].Path) {
+			t.Fatalf("ReadAll's update %d changed under the Reader's second stream: %+v, was %+v", k, u, kept[k])
+		}
+	}
+}
+
 func TestWriteUpdateValidation(t *testing.T) {
 	var buf bytes.Buffer
 	empty := sampleUpdate()
