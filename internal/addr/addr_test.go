@@ -1,6 +1,7 @@
 package addr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"net/netip"
@@ -58,12 +59,12 @@ func TestASOfRoundTrip(t *testing.T) {
 	for i := 0; i < g.NumASes(); i += 7 {
 		for k := 0; k < 5; k++ {
 			ip := s.RouterAddr(i, k)
-			got, ok := s.Map(ip)
+			got, ok := s.Mapper().Map(ip)
 			if !ok || got != i {
 				t.Fatalf("RouterAddr(%d,%d)=%v maps to %d ok=%v", i, k, ip, got, ok)
 			}
 			host := s.HostAddr(i, k)
-			got, ok = s.Map(host)
+			got, ok = s.Mapper().Map(addrToU32(host))
 			if !ok || got != i {
 				t.Fatalf("HostAddr(%d,%d)=%v maps to %d ok=%v", i, k, host, got, ok)
 			}
@@ -76,7 +77,7 @@ func TestRouterAndHostAddrsDistinct(t *testing.T) {
 	s := Allocate(g)
 	seen := map[netip.Addr]bool{}
 	for k := 0; k < 20; k++ {
-		r := s.RouterAddr(5, k)
+		r := u32ToAddr(s.RouterAddr(5, k))
 		if seen[r] {
 			t.Fatalf("router address %v repeats within first 20", r)
 		}
@@ -93,14 +94,14 @@ func TestRouterAndHostAddrsDistinct(t *testing.T) {
 func TestASOfUnknownAddresses(t *testing.T) {
 	g := graphForTest(t, 100)
 	s := Allocate(g)
-	for _, ip := range []netip.Addr{
-		netip.MustParseAddr("8.8.8.8"),         // below grid
-		netip.MustParseAddr("2001:db8::1"),     // v6
-		IXPAddr(3),                             // IXP segment
-		netip.MustParseAddr("255.255.255.255"), // far beyond grid
+	for _, ip := range []uint32{
+		addrToU32(netip.MustParseAddr("8.8.8.8")), // below grid
+		0,          // no address
+		IXPAddr(3), // IXP segment
+		addrToU32(netip.MustParseAddr("255.255.255.255")), // far beyond grid
 	} {
-		if _, ok := s.Map(ip); ok {
-			t.Errorf("address %v should not map to an AS", ip)
+		if _, ok := s.Mapper().Map(ip); ok {
+			t.Errorf("address %v should not map to an AS", u32ToAddr(ip))
 		}
 	}
 }
@@ -109,11 +110,11 @@ func TestIXPAddrs(t *testing.T) {
 	if !IsIXP(IXPAddr(0)) || !IsIXP(IXPAddr(999999)) {
 		t.Fatal("IXP addresses not recognized")
 	}
-	if IsIXP(netip.MustParseAddr("16.0.0.1")) {
+	if IsIXP(addrToU32(netip.MustParseAddr("16.0.0.1"))) {
 		t.Fatal("grid address misidentified as IXP")
 	}
-	if IsIXP(netip.MustParseAddr("2001:db8::1")) {
-		t.Fatal("v6 address misidentified as IXP")
+	if IsIXP(0) {
+		t.Fatal("no address misidentified as IXP")
 	}
 }
 
@@ -141,11 +142,12 @@ func TestTransitGetsMoreSpace(t *testing.T) {
 
 // blockAddrs returns the first router address of every allocated block,
 // indexed by block number, with the AS that owns it.
-func blockAddrs(s *Space) (addrs []netip.Addr, owners []int) {
-	for i, blks := range s.blocks {
-		for k, blk := range blks {
+func blockAddrs(s *Space) (addrs []uint32, owners []int) {
+	for i := range s.first[:len(s.first)-1] {
+		for k := range int(s.first[i+1] - s.first[i]) {
+			blk := s.first[i] + uint32(k)
 			for int(blk) >= len(addrs) {
-				addrs = append(addrs, netip.Addr{})
+				addrs = append(addrs, 0)
 				owners = append(owners, -1)
 			}
 			addrs[blk], owners[blk] = s.RouterAddr(i, k), i
@@ -168,7 +170,7 @@ func TestNoisyMapperErrRate(t *testing.T) {
 	for blk, ip := range addrs {
 		got, ok := m.Map(ip)
 		if !ok {
-			t.Fatalf("noisy mapper failed on allocated address %v", ip)
+			t.Fatalf("noisy mapper failed on allocated address %v", u32ToAddr(ip))
 		}
 		if got != owners[blk] {
 			errors++
@@ -187,7 +189,7 @@ func TestMapperEdges(t *testing.T) {
 	g := graphForTest(t, 400)
 	s := Allocate(g)
 	addrs, owners := blockAddrs(s)
-	perfect := s
+	perfect := s.Mapper()
 	for _, tc := range []struct {
 		seed uint64
 		// wrong is an FNV-1a digest of the (block, wrong AS) pairs in
@@ -202,18 +204,17 @@ func TestMapperEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range []Mapper{perfect, noisy} {
-			for _, ip := range []netip.Addr{
-				u32ToAddr(base + uint32(len(addrs))*blockSize), // first address past the last block
-				u32ToAddr(base - 1),                            // last address before the grid
+		for name, m := range map[string]Mapper{"perfect": perfect, "noisy": noisy} {
+			for _, ip := range []uint32{
+				base + uint32(len(addrs))*blockSize, // first address past the last block
+				base - 1,                            // last address before the grid
 				IXPAddr(0),
 				IXPAddr(1<<20 - 1),
-				netip.MustParseAddr("::ffff:16.0.0.1"), // the grid's first router, 4-in-6
-				netip.MustParseAddr("2001:db8::1"),
-				{},
+				0,         // no address
+				1<<32 - 1, // the last word
 			} {
 				if i, ok := m.Map(ip); ok {
-					t.Errorf("seed %d, %T: %v maps to AS index %d, want no AS", tc.seed, m, ip, i)
+					t.Errorf("seed %d, %s: %v maps to AS index %d, want no AS", tc.seed, name, u32ToAddr(ip), i)
 				}
 			}
 		}
@@ -273,7 +274,7 @@ func TestNoisyMapperDeterministic(t *testing.T) {
 		a, aok := m1.Map(ip)
 		b, bok := m2.Map(ip)
 		if a != b || aok != bok {
-			t.Fatalf("same-seed mappers disagree on %v", ip)
+			t.Fatalf("same-seed mappers disagree on %v", u32ToAddr(ip))
 		}
 	}
 }
@@ -292,7 +293,7 @@ func TestNoisyMapperRejectsBadRate(t *testing.T) {
 func TestPerfectMapper(t *testing.T) {
 	g := graphForTest(t, 100)
 	s := Allocate(g)
-	m := s
+	m := s.Mapper()
 	if got, ok := m.Map(s.RouterAddr(3, 0)); !ok || got != 3 {
 		t.Fatal("perfect mapper wrong")
 	}
@@ -307,5 +308,36 @@ func TestAddrConversionRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func addrToU32(ip netip.Addr) uint32 {
+	b := ip.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+// TestAddrsNeverZero checks that neither RouterAddr nor IXPAddr ever
+// returns 0, the word a traceroute reserves for "no answer": every
+// interface of every AS, through the offset's wrap within a block.
+func TestAddrsNeverZero(t *testing.T) {
+	g := graphForTest(t, 400)
+	s := Allocate(g)
+	m := s.Mapper()
+	for i := 0; i < g.NumASes(); i++ {
+		n := int(s.first[i+1] - s.first[i])
+		for k := 0; k < n*blockSize; k++ {
+			got := s.RouterAddr(i, k)
+			if got == 0 {
+				t.Fatalf("RouterAddr(%d, %d) = 0", i, k)
+			}
+			if as, ok := m.Map(got); !ok || as != i {
+				t.Fatalf("RouterAddr(%d, %d) = %v maps to %d ok=%v", i, k, u32ToAddr(got), as, ok)
+			}
+		}
+	}
+	for _, k := range []int{0, 1, 1<<20 - 1, 1 << 20, 1<<31 - 1} {
+		if IXPAddr(k) == 0 {
+			t.Fatalf("IXPAddr(%d) = 0", k)
+		}
 	}
 }

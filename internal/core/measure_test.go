@@ -195,6 +195,68 @@ func TestCollectorFeedDigest(t *testing.T) {
 	}
 }
 
+// TestCollectTracerouteDigest pins what synthesis emits: for every
+// configuration of the default plan, every traceroute Collect returns,
+// as its probe AS, its hop count and each hop's IPv4 address as a
+// big-endian word (0 for an unresponsive hop). The catchment goldens see
+// the traceroutes only through inference; this one pins the router and
+// IXP addresses and the rng's draw order bit for bit. The digests were
+// captured on the implementation whose hops were netip.Addr values with
+// a separate responsive flag.
+func TestCollectTracerouteDigest(t *testing.T) {
+	golden := map[uint64]uint64{
+		1: 0xf2cd04496eab7688,
+		2: 0x2fac41502bb2bb39,
+		3: 0x665d525e166ad263,
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		w := measureWorld(t, seed, true)
+		plan, err := w.DefaultPlan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		hops := 0
+		for k, pc := range plan {
+			out, err := w.Platform.Propagate(pc.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := measure.Collect(out, w.Vantages, w.Space, w.Params.Noise, stats.NewRNG(uint64(k)))
+			put(uint64(len(obs.Traceroutes)))
+			for _, tr := range obs.Traceroutes {
+				put(uint64(tr.ProbeAS))
+				put(uint64(len(tr.Hops)))
+				for _, hop := range tr.Hops {
+					put(uint64(hopWord(hop)))
+				}
+				hops += len(tr.Hops)
+			}
+		}
+		if hops == 0 {
+			t.Fatalf("seed %d: no traceroute hop in %d configs", seed, len(plan))
+		}
+		if got := h.Sum64(); got != golden[seed] {
+			t.Errorf("seed %d: traceroute digest %#x, want %#x (%d configs, %d hops)", seed, got, golden[seed], len(plan), hops)
+		}
+	}
+}
+
+// hopWord is a hop's IPv4 address as a big-endian word, 0 when the hop
+// did not answer.
+func hopWord(h measure.Hop) uint32 {
+	if !h.Responsive() {
+		return 0
+	}
+	b := h.Addr().As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
 // BenchmarkCampaignOutcomeHeap reports, as B/config, the heap a measured
 // campaign's Outcomes hold per configuration on the 1 200-AS small world:
 // HeapAlloc after a collection with the outcomes referenced, minus

@@ -229,7 +229,8 @@ func TestDropRulesForSources(t *testing.T) {
 		if r.RateBytesPerSec != 0 || r.DstPrefix != protect {
 			t.Fatalf("bad rule %+v", r)
 		}
-		as, ok := space.Map(r.SrcPrefix.Addr())
+		src := r.SrcPrefix.Addr().As4()
+		as, ok := space.Mapper().Map(binary.BigEndian.Uint32(src[:]))
 		if !ok || (as != 5 && as != 9) {
 			t.Fatalf("rule source %v not from a candidate", r.SrcPrefix)
 		}

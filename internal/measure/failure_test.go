@@ -48,7 +48,7 @@ func newFailureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 		vantages: measure.ChooseVantages(g, seed, nCollectors, nProbes),
 		input: measure.InferInput{
 			Graph:     g,
-			Mapper:    space,
+			Mapper:    space.Mapper(),
 			OriginASN: peering.PEERINGASN,
 			LinkOf: func(prov int) (bgp.LinkID, bool) {
 				return plat.LinkByProvider(g.ASN(prov))

@@ -260,12 +260,12 @@ func (s *scratch) asLevelPath(hops []Hop, g *topo.Graph, mapper addr.Mapper, seq
 	mapped := s.mapped[:0]
 	for _, h := range hops {
 		switch {
-		case !h.Responsive:
+		case !h.Responsive():
 			mapped = append(mapped, -1)
-		case h.Addr == TargetAddr:
+		case h == targetHop:
 			mapped = append(mapped, -2)
 		default:
-			if i, ok := mapper.Map(h.Addr); ok {
+			if i, ok := mapper.Map(uint32(h)); ok {
 				mapped = append(mapped, i)
 			} else {
 				mapped = append(mapped, -1)

@@ -43,7 +43,7 @@ func newMeasureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 		vantages: v,
 		input: InferInput{
 			Graph:     g,
-			Mapper:    space,
+			Mapper:    space.Mapper(),
 			OriginASN: peering.PEERINGASN,
 			LinkOf:    linkOf,
 		},
@@ -111,8 +111,8 @@ func TestSynthesizeTracerouteClean(t *testing.T) {
 		t.Fatal("clean traceroute failed")
 	}
 	last := tr.Hops[len(tr.Hops)-1]
-	if last.Addr != TargetAddr {
-		t.Fatalf("last hop %v, want target", last.Addr)
+	if last.Addr() != TargetAddr {
+		t.Fatalf("last hop %v, want target", last)
 	}
 	// Every hop except the target maps to an AS on the data path.
 	dp := out.DataPath(probe)
@@ -121,9 +121,9 @@ func TestSynthesizeTracerouteClean(t *testing.T) {
 		onPath[idx] = true
 	}
 	for _, h := range tr.Hops[:len(tr.Hops)-1] {
-		as, ok := w.space.Map(h.Addr)
+		as, ok := w.space.Mapper().Map(uint32(h))
 		if !ok || !onPath[as] {
-			t.Fatalf("hop %v maps to AS off the data path", h.Addr)
+			t.Fatalf("hop %v maps to AS off the data path", h)
 		}
 	}
 }
@@ -143,9 +143,9 @@ func TestSynthesizeTracerouteNoiseInjects(t *testing.T) {
 			continue
 		}
 		for _, h := range tr.Hops {
-			if !h.Responsive {
+			if !h.Responsive() {
 				unresp++
-			} else if addr.IsIXP(h.Addr) {
+			} else if addr.IsIXP(uint32(h)) {
 				ixp++
 			}
 		}
@@ -196,10 +196,10 @@ func TestASLevelPathStage2SameAS(t *testing.T) {
 	// Hand-build: AS x router, dead hop, another AS x router, AS y router.
 	x, y := 10, 20
 	tr := Traceroute{Hops: []Hop{
-		{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-		{},
-		{Addr: w.space.RouterAddr(x, 1), Responsive: true},
-		{Addr: w.space.RouterAddr(y, 0), Responsive: true},
+		Hop(w.space.RouterAddr(x, 0)),
+		0,
+		Hop(w.space.RouterAddr(x, 1)),
+		Hop(w.space.RouterAddr(y, 0)),
 	}}
 	got := ASLevelPath(tr, w.g, w.input.Mapper, newASSeqIndex(nil, peering.PEERINGASN))
 	if len(got) != 2 || got[0] != x || got[1] != y {
@@ -217,9 +217,9 @@ func TestASLevelPathStage3BGPBridge(t *testing.T) {
 	}
 	seqIdx := newASSeqIndex(paths, peering.PEERINGASN)
 	tr := Traceroute{Hops: []Hop{
-		{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-		{},
-		{Addr: w.space.RouterAddr(y, 0), Responsive: true},
+		Hop(w.space.RouterAddr(x, 0)),
+		0,
+		Hop(w.space.RouterAddr(y, 0)),
 	}}
 	got := ASLevelPath(tr, w.g, w.input.Mapper, seqIdx)
 	if len(got) != 3 || got[0] != x || got[1] != mid || got[2] != y {
@@ -231,9 +231,9 @@ func TestASLevelPathDropsUnbridgeable(t *testing.T) {
 	w := newMeasureWorld(t, 37, 400, 10, 10)
 	x, y := 10, 20
 	tr := Traceroute{Hops: []Hop{
-		{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-		{},
-		{Addr: w.space.RouterAddr(y, 0), Responsive: true},
+		Hop(w.space.RouterAddr(x, 0)),
+		0,
+		Hop(w.space.RouterAddr(y, 0)),
 	}}
 	got := ASLevelPath(tr, w.g, w.input.Mapper, newASSeqIndex(nil, peering.PEERINGASN))
 	if len(got) != 2 || got[0] != x || got[1] != y {
@@ -245,9 +245,9 @@ func TestASLevelPathIXPHopsDropped(t *testing.T) {
 	w := newMeasureWorld(t, 38, 400, 10, 10)
 	x, y := 10, 20
 	tr := Traceroute{Hops: []Hop{
-		{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-		{Addr: addr.IXPAddr(5), Responsive: true},
-		{Addr: w.space.RouterAddr(y, 0), Responsive: true},
+		Hop(w.space.RouterAddr(x, 0)),
+		Hop(addr.IXPAddr(5)),
+		Hop(w.space.RouterAddr(y, 0)),
 	}}
 	got := ASLevelPath(tr, w.g, w.input.Mapper, newASSeqIndex(nil, peering.PEERINGASN))
 	if len(got) != 2 || got[0] != x || got[1] != y {
@@ -328,9 +328,9 @@ func TestInferBGPPriorityOverTraceroute(t *testing.T) {
 			ProbeAS: x,
 			Reached: true,
 			Hops: []Hop{
-				{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-				{Addr: w.space.RouterAddr(provB, 0), Responsive: true},
-				{Addr: TargetAddr, Responsive: true},
+				Hop(w.space.RouterAddr(x, 0)),
+				Hop(w.space.RouterAddr(provB, 0)),
+				hopOf(TargetAddr),
 			},
 		}},
 	}
@@ -353,9 +353,9 @@ func TestInferMajorityVote(t *testing.T) {
 		return Traceroute{
 			ProbeAS: x, Reached: true,
 			Hops: []Hop{
-				{Addr: w.space.RouterAddr(x, 0), Responsive: true},
-				{Addr: w.space.RouterAddr(prov, 0), Responsive: true},
-				{Addr: TargetAddr, Responsive: true},
+				Hop(w.space.RouterAddr(x, 0)),
+				Hop(w.space.RouterAddr(prov, 0)),
+				hopOf(TargetAddr),
 			},
 		}
 	}

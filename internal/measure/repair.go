@@ -1,13 +1,10 @@
 package measure
 
-import (
-	"net/netip"
-	"slices"
-)
+import "slices"
 
-// gapKey identifies a pair of responsive hop addresses that surround a
-// gap.
-type gapKey struct{ a, b netip.Addr }
+// gapKey packs the pair of responsive hops around a gap into one word,
+// the left hop in the high half.
+func gapKey(left, right Hop) uint64 { return uint64(left)<<32 | uint64(right) }
 
 // maxGapSeq is the longest responsive sequence the index records between
 // a pair: windows span at most four hops end to end, which leaves one to
@@ -15,23 +12,23 @@ type gapKey struct{ a, b netip.Addr }
 const maxGapSeq = 3
 
 // gapVal is what has been seen between one pair: the first sequence
-// observed (seq[:n], all responsive hops, so addresses suffice; n == 0
-// while nothing has been), and whether any later observation differed
-// from it. Once set, conflict stays set — the pair has at least two
-// distinct sequences and repairs nothing.
+// observed (seq[:n], all responsive hops; n == 0 while nothing has
+// been), and whether any later observation differed from it. Once set,
+// conflict stays set — the pair has at least two distinct sequences and
+// repairs nothing.
 type gapVal struct {
-	seq      [maxGapSeq]netip.Addr
+	seq      [maxGapSeq]Hop
 	n        uint8
 	conflict bool
 }
 
 // gapIndex maps a surrounding pair to the responsive sequences observed
-// between its two addresses. It holds only the pairs a repair will look
-// up — the responsive hops either side of an unresponsive run — so it
-// stays a few hundred entries however many windows the traceroutes
-// hold. One map with fixed-size values: it is cleared and refilled per
+// between its two hops. It holds only the pairs a repair will look up —
+// the responsive hops either side of an unresponsive run — so it stays a
+// few hundred entries however many windows the traceroutes hold. One map
+// with fixed-size keys and values: it is cleared and refilled per
 // configuration without allocating.
-type gapIndex map[gapKey]gapVal
+type gapIndex map[uint64]gapVal
 
 // build refills the index for trs in two passes. The first registers
 // the pair around every unresponsive run that has a responsive hop on
@@ -44,33 +41,33 @@ func (idx gapIndex) build(trs []Traceroute) {
 	for _, tr := range trs {
 		hops := tr.Hops
 		for i := 1; i < len(hops); i++ {
-			if hops[i].Responsive || !hops[i-1].Responsive {
+			if hops[i].Responsive() || !hops[i-1].Responsive() {
 				continue
 			}
 			// hops[i] starts an unresponsive run; find its end.
 			j := i + 1
-			for j < len(hops) && !hops[j].Responsive {
+			for j < len(hops) && !hops[j].Responsive() {
 				j++
 			}
 			if j < len(hops) {
-				idx[gapKey{hops[i-1].Addr, hops[j].Addr}] = gapVal{}
+				idx[gapKey(hops[i-1], hops[j])] = gapVal{}
 			}
 			i = j
 		}
 	}
 	for _, tr := range trs {
 		hops := tr.Hops
-		for i := 0; i < len(hops); i++ {
-			if !hops[i].Responsive {
+		for i, h := range hops {
+			if !h.Responsive() {
 				continue
 			}
 			// Extend a window of fully responsive hops after i.
 			for j := i + 1; j < len(hops) && j-i <= maxGapSeq+1; j++ {
-				if !hops[j].Responsive {
+				if !hops[j].Responsive() {
 					break
 				}
 				if j-i >= 2 { // at least one intermediate hop
-					idx.add(gapKey{hops[i].Addr, hops[j].Addr}, hops[i+1:j])
+					idx.add(gapKey(h, hops[j]), hops[i+1:j])
 				}
 			}
 		}
@@ -79,17 +76,14 @@ func (idx gapIndex) build(trs []Traceroute) {
 
 // add records one observation of seq (1..maxGapSeq responsive hops)
 // between the pair, if the pair is registered.
-func (idx gapIndex) add(key gapKey, seq []Hop) {
+func (idx gapIndex) add(key uint64, seq []Hop) {
 	v, queried := idx[key]
 	switch {
 	case !queried || v.conflict:
 	case v.n == 0:
-		for k, h := range seq {
-			v.seq[k] = h.Addr
-		}
-		v.n = uint8(len(seq))
+		v.n = uint8(copy(v.seq[:], seq))
 		idx[key] = v
-	case !slices.EqualFunc(v.seq[:v.n], seq, func(a netip.Addr, h Hop) bool { return a == h.Addr }):
+	case !slices.Equal(v.seq[:v.n], seq):
 		v.conflict = true
 		idx[key] = v
 	}
@@ -103,23 +97,20 @@ func (s *scratch) repairOne(hops []Hop) []Hop {
 	i := 0
 	for i < len(hops) {
 		h := hops[i]
-		if h.Responsive {
+		if h.Responsive() {
 			out = append(out, h)
 			i++
 			continue
 		}
 		// Start of an unresponsive run [i, j).
 		j := i
-		for j < len(hops) && !hops[j].Responsive {
+		for j < len(hops) && !hops[j].Responsive() {
 			j++
 		}
 		// Surrounded by responsive hops?
 		if len(out) > 0 && j < len(hops) {
-			key := gapKey{out[len(out)-1].Addr, hops[j].Addr}
-			if v := s.gaps[key]; v.n > 0 && !v.conflict {
-				for _, a := range v.seq[:v.n] {
-					out = append(out, Hop{Addr: a, Responsive: true})
-				}
+			if v := s.gaps[gapKey(out[len(out)-1], hops[j])]; v.n > 0 && !v.conflict {
+				out = append(out, v.seq[:v.n]...)
 				i = j
 				continue
 			}

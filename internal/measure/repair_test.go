@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"reflect"
 	"slices"
@@ -11,8 +12,14 @@ import (
 
 func a(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func resp(s string) Hop { return Hop{Addr: a(s), Responsive: true} }
-func dead() Hop         { return Hop{} }
+// hopOf is the hop that answers from ip.
+func hopOf(ip netip.Addr) Hop {
+	b := ip.As4()
+	return Hop(binary.BigEndian.Uint32(b[:]))
+}
+
+func resp(s string) Hop { return hopOf(a(s)) }
+func dead() Hop         { return 0 }
 
 func TestRepairSubstitutesUniqueSequence(t *testing.T) {
 	// Reference traceroute shows 1.1.1.1 -> 2.2.2.2 -> 3.3.3.3; the
@@ -21,11 +28,11 @@ func TestRepairSubstitutesUniqueSequence(t *testing.T) {
 	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3")}}
 	out := RepairUnresponsive([]Traceroute{ref, broken})
 	got := out[1].Hops
-	if len(got) != 3 || !got[1].Responsive || got[1].Addr != a("2.2.2.2") {
+	if len(got) != 3 || !got[1].Responsive() || got[1].Addr() != a("2.2.2.2") {
 		t.Fatalf("repair failed: %v", out[1].Hops)
 	}
 	// Reference must be untouched.
-	if len(out[0].Hops) != 3 || out[0].Hops[1].Addr != a("2.2.2.2") {
+	if len(out[0].Hops) != 3 || out[0].Hops[1].Addr() != a("2.2.2.2") {
 		t.Fatal("reference traceroute modified")
 	}
 }
@@ -38,7 +45,7 @@ func TestRepairSkipsConflictingSequences(t *testing.T) {
 	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3")}}
 	out := RepairUnresponsive([]Traceroute{ref1, ref2, broken})
 	got := out[2].Hops
-	if len(got) != 3 || got[1].Responsive {
+	if len(got) != 3 || got[1].Responsive() {
 		t.Fatalf("conflicting repair applied: %v", out[2].Hops)
 	}
 }
@@ -48,7 +55,7 @@ func TestRepairMultiHopGap(t *testing.T) {
 	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), dead(), resp("3.3.3.3")}}
 	out := RepairUnresponsive([]Traceroute{ref, broken})
 	got := out[1].Hops
-	if len(got) != 4 || got[1].Addr != a("2.2.2.2") || got[2].Addr != a("4.4.4.4") {
+	if len(got) != 4 || got[1].Addr() != a("2.2.2.2") || got[2].Addr() != a("4.4.4.4") {
 		t.Fatalf("multi-hop repair failed: %v", out[1].Hops)
 	}
 }
@@ -58,7 +65,7 @@ func TestRepairLeavesEdgeGaps(t *testing.T) {
 	tr := Traceroute{Hops: []Hop{dead(), resp("1.1.1.1"), resp("2.2.2.2"), dead()}}
 	out := RepairUnresponsive([]Traceroute{tr})
 	got := out[0].Hops
-	if len(got) != 4 || got[0].Responsive || got[3].Responsive {
+	if len(got) != 4 || got[0].Responsive() || got[3].Responsive() {
 		t.Fatalf("edge gaps modified: %v", out[0].Hops)
 	}
 }
@@ -66,7 +73,7 @@ func TestRepairLeavesEdgeGaps(t *testing.T) {
 func TestRepairNoReferenceKeepsGap(t *testing.T) {
 	broken := Traceroute{Hops: []Hop{resp("1.1.1.1"), dead(), resp("3.3.3.3")}}
 	out := RepairUnresponsive([]Traceroute{broken})
-	if out[0].Hops[1].Responsive {
+	if out[0].Hops[1].Responsive() {
 		t.Fatal("gap filled without any reference")
 	}
 }
@@ -85,22 +92,19 @@ func TestRepairPreservesMetadata(t *testing.T) {
 // each unresponsive run from that full index.
 func fullIndexRepair(trs []Traceroute) []Traceroute {
 	type seen struct {
-		seq      []netip.Addr
+		seq      []Hop
 		conflict bool
 	}
-	idx := map[[2]netip.Addr]*seen{}
+	idx := map[[2]Hop]*seen{}
 	for _, tr := range trs {
 		h := tr.Hops
 		for i := range h {
-			for j := i + 1; j < len(h) && h[i].Responsive && h[j].Responsive && j-i <= maxGapSeq+1; j++ {
+			for j := i + 1; j < len(h) && h[i].Responsive() && h[j].Responsive() && j-i <= maxGapSeq+1; j++ {
 				if j-i < 2 {
 					continue
 				}
-				var seq []netip.Addr
-				for _, m := range h[i+1 : j] {
-					seq = append(seq, m.Addr)
-				}
-				key := [2]netip.Addr{h[i].Addr, h[j].Addr}
+				seq := slices.Clone(h[i+1 : j])
+				key := [2]Hop{h[i], h[j]}
 				if v, ok := idx[key]; !ok {
 					idx[key] = &seen{seq: seq}
 				} else if !slices.Equal(v.seq, seq) {
@@ -115,20 +119,18 @@ func fullIndexRepair(trs []Traceroute) []Traceroute {
 		var hops []Hop
 		h := tr.Hops
 		for i := 0; i < len(h); {
-			if h[i].Responsive {
+			if h[i].Responsive() {
 				hops = append(hops, h[i])
 				i++
 				continue
 			}
 			j := i
-			for j < len(h) && !h[j].Responsive {
+			for j < len(h) && !h[j].Responsive() {
 				j++
 			}
 			if i > 0 && j < len(h) {
-				if v, ok := idx[[2]netip.Addr{h[i-1].Addr, h[j].Addr}]; ok && !v.conflict {
-					for _, a := range v.seq {
-						hops = append(hops, Hop{Addr: a, Responsive: true})
-					}
+				if v, ok := idx[[2]Hop{h[i-1], h[j]}]; ok && !v.conflict {
+					hops = append(hops, v.seq...)
 					i = j
 					continue
 				}
@@ -160,7 +162,7 @@ func TestRepairMatchesFullIndex(t *testing.T) {
 					trs[k].Hops = append(trs[k].Hops, dead())
 					continue
 				}
-				trs[k].Hops = append(trs[k].Hops, Hop{Addr: netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.Intn(pool))}), Responsive: true})
+				trs[k].Hops = append(trs[k].Hops, hopOf(netip.AddrFrom4([4]byte{10, 0, 0, byte(rng.Intn(pool))})))
 			}
 		}
 		got, want := RepairUnresponsive(trs), fullIndexRepair(trs)

@@ -1,10 +1,10 @@
 package measure
 
 import (
-	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spooftrack/internal/addr"
 	"spooftrack/internal/bgp"
@@ -143,10 +143,10 @@ func TestGapIndex(t *testing.T) {
 		}
 		return out
 	}
-	seq := func(addrs ...string) []netip.Addr {
-		out := make([]netip.Addr, len(addrs))
+	seq := func(addrs ...string) []Hop {
+		out := make([]Hop, len(addrs))
 		for i, s := range addrs {
-			out[i] = a(s)
+			out[i] = resp(s)
 		}
 		return out
 	}
@@ -157,7 +157,7 @@ func TestGapIndex(t *testing.T) {
 		// want is the unique sequence between a and b; nil with seen
 		// set means the pair conflicts, nil without that it was never
 		// observed.
-		want      []netip.Addr
+		want      []Hop
 		seen      bool
 		unqueried bool
 	}{
@@ -221,7 +221,7 @@ func TestGapIndex(t *testing.T) {
 		}
 		// One index for every case: build must start from empty.
 		idx.build(trs)
-		v, queried := idx[gapKey{a(tc.a), a(tc.b)}]
+		v, queried := idx[gapKey(resp(tc.a), resp(tc.b))]
 		if queried == tc.unqueried {
 			t.Errorf("%s: pair in index %v, want %v", tc.name, queried, !tc.unqueried)
 			continue
@@ -255,7 +255,7 @@ func TestRepairUsesOwnHops(t *testing.T) {
 		resp("1.0.0.1"), dead(), resp("1.0.0.3"),
 	}}
 	got := RepairUnresponsive([]Traceroute{loop})[0].Hops
-	if len(got) != 7 || !got[5].Responsive || got[5].Addr != a("1.0.0.2") {
+	if len(got) != 7 || got[5] != resp("1.0.0.2") {
 		t.Fatalf("gap not repaired from the traceroute's own hops: %v", got)
 	}
 }
@@ -295,4 +295,22 @@ func TestMeasureConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestHopLayout pins a hop at one IPv4 word: the hop arena holds every
+// hop of a configuration's traceroutes, and the gap index's values hold
+// three.
+func TestHopLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Hop(0)); got != 4 {
+		t.Errorf("Hop is %d bytes, want 4", got)
+	}
+	if got := unsafe.Sizeof(gapVal{}); got != 16 {
+		t.Errorf("gapVal is %d bytes, want 16", got)
+	}
+	if targetHop.Addr() != TargetAddr || hopOf(TargetAddr) != targetHop {
+		t.Errorf("targetHop is %v, want TargetAddr %v", targetHop, TargetAddr)
+	}
+	if h := Hop(0); h.Responsive() || h.Addr().IsValid() || h.String() != "*" {
+		t.Errorf("the zero hop reads responsive=%v addr=%v %q, want an unresponsive hop", h.Responsive(), h.Addr(), h)
+	}
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"net/netip"
 
 	"spooftrack/internal/addr"
@@ -14,10 +15,34 @@ import (
 // the topology address grid so it maps to no topology AS).
 var TargetAddr = netip.MustParseAddr("198.51.100.1")
 
-// Hop is one traceroute hop. Unresponsive hops have a zero Addr.
-type Hop struct {
-	Addr       netip.Addr
-	Responsive bool
+// targetHop is TargetAddr as the hop that answers for it.
+const targetHop Hop = 198<<24 | 51<<16 | 100<<8 | 1
+
+// Hop is one traceroute hop: the answering interface's IPv4 address as a
+// big-endian word, or 0 when the hop timed out ("* * *"). Every address
+// the simulated plan hands out is IPv4 and none is 0.0.0.0 (package
+// addr), so one word holds both (DESIGN.md §5.10).
+type Hop uint32
+
+// Responsive reports whether the hop answered.
+func (h Hop) Responsive() bool { return h != 0 }
+
+// Addr returns the hop's address; the zero Addr when it did not answer.
+func (h Hop) Addr() netip.Addr {
+	if h == 0 {
+		return netip.Addr{}
+	}
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(h))
+	return netip.AddrFrom4(b)
+}
+
+// String returns the hop's address, or "*" when it did not answer.
+func (h Hop) String() string {
+	if h == 0 {
+		return "*"
+	}
+	return h.Addr().String()
 }
 
 // Traceroute is one measurement from a probe AS toward the announced
@@ -83,12 +108,11 @@ func (s *scratch) synthesize(out *bgp.Outcome, space *addr.Space, probe int, noi
 	if routers < 1 {
 		routers = 1
 	}
-	emit := func(a netip.Addr) {
+	emit := func(a uint32) {
 		if rng.Bool(noise.PrUnresponsive) {
-			s.hops = append(s.hops, Hop{})
-			return
+			a = 0
 		}
-		s.hops = append(s.hops, Hop{Addr: a, Responsive: true})
+		s.hops = append(s.hops, Hop(a))
 	}
 	for k, asIdx := range dp {
 		if k == 0 {
@@ -107,7 +131,7 @@ func (s *scratch) synthesize(out *bgp.Outcome, space *addr.Space, probe int, noi
 		}
 	}
 	// Destination inside the announced prefix.
-	s.hops = append(s.hops, Hop{Addr: TargetAddr, Responsive: true})
+	s.hops = append(s.hops, targetHop)
 	return true, true
 }
 

@@ -11,6 +11,7 @@ import (
 // its set-up and draining stay off the clock. Alternating spreads a slow
 // stretch of the machine over every side, and the minimum is the sample
 // the rest of the machine disturbed least; the Benchmark…Budget gates
+// but core's ledger gate, which takes the median of paired ratios,
 // compare their two sides this way.
 func MinOf(rounds int, sides ...func() float64) []float64 {
 	best := make([]float64, len(sides))
