@@ -126,20 +126,38 @@ func TestControllerFailoverAcrossProcesses(t *testing.T) {
 }
 
 // TestControllerStartedBeforeShards starts a -controller, and its two
-// -shard-id processes only once it serves and shardsLate later, as a
-// supervisor that starts all three at once on a busy host may. The
-// controller must wait for the shards instead of evicting them: it
-// leads with both as live members, folds rounds, and is not degraded.
+// -shard-id processes only once it serves, timed so that the shards
+// first answer about shardsAnswer after it, as a supervisor that starts
+// all three at once on a busy host may see. The controller must wait for
+// the shards instead of evicting them: it leads with both as live
+// members, folds rounds, and is not degraded.
 func TestControllerStartedBeforeShards(t *testing.T) {
-	// shardsLate is past the 1.2 s in which a controller that elects at
-	// once evicts two unreachable shards, and short enough that shards
-	// started then answer within its wait of shard.LeaseTTL (2 s; under
-	// -race, where a shard takes 0.6 s to serve, before the rounds after
-	// the wait evict them).
-	const shardsLate = 1500 * time.Millisecond
+	// shardsAnswer is past the 1.2 s in which a controller that elects at
+	// once evicts two unreachable shards, and inside its wait of
+	// shard.LeaseTTL (2 s). A shard's start-to-serving time varies with
+	// the build (0.6 s under -race, unloaded) and with what else runs, so
+	// two throwaway shards are timed first, on this host as it is now,
+	// and the real ones launched that much earlier.
+	const shardsAnswer = 1600 * time.Millisecond
 	deadline := time.Now().Add(30 * time.Second)
 	dir, common := daemonWorld(t)
 	ids := []string{"s0", "s1"}
+
+	t0 := time.Now()
+	var probes []*daemonProc
+	for _, id := range ids {
+		probes = append(probes, startDaemon(t, dir, "probe-"+id, freeAddr(t), append([]string{"-shard-id", id}, common...)...))
+	}
+	for _, p := range probes {
+		waitServing(t, deadline, p)
+	}
+	startup := time.Since(t0)
+	for _, p := range probes {
+		_ = p.cmd.Process.Kill()
+		_ = p.cmd.Wait()
+	}
+	launch := max(0, shardsAnswer-startup)
+
 	var addrs, peers []string
 	for _, id := range ids {
 		addrs = append(addrs, freeAddr(t))
@@ -148,10 +166,18 @@ func TestControllerStartedBeforeShards(t *testing.T) {
 	ctrl := startDaemon(t, dir, "c0", freeAddr(t), append([]string{"-controller", strings.Join(peers, ","),
 		"-controller-id", "c0", "-lease-file", filepath.Join(dir, "lease")}, common...)...)
 	waitServing(t, deadline, ctrl)
-	time.Sleep(shardsLate)
+	serving := time.Now()
+	time.Sleep(launch)
+	var shards []*daemonProc
 	for i, id := range ids {
-		startDaemon(t, dir, id, addrs[i], append([]string{"-shard-id", id}, common...)...)
+		shards = append(shards, startDaemon(t, dir, id, addrs[i], append([]string{"-shard-id", id}, common...)...))
 	}
+	for _, p := range shards {
+		waitServing(t, deadline, p)
+	}
+	t.Logf("two shards served %v after start; launched %v and served %v after the controller (aim %v, wait %v)",
+		startup.Round(time.Millisecond), launch.Round(time.Millisecond),
+		time.Since(serving).Round(time.Millisecond), shardsAnswer, shard.LeaseTTL)
 
 	var cs shard.ClusterStatus
 	waitFor(t, deadline, "c0 leading with a round folded or a shard evicted", func() bool {

@@ -70,7 +70,7 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.Uint64Var(&c.world.seed, "seed", 42, "world seed")
 	fs.IntVar(&c.world.ases, "ases", 1000, "synthetic topology size (ASes)")
 	fs.IntVar(&c.world.poison, "poison", 20, "max poisoning-phase targets")
-	fs.IntVar(&c.pipe.Workers, "workers", 0, "pipeline worker goroutines (0 = auto)")
+	fs.IntVar(&c.pipe.Workers, "workers", 0, "pipeline counter shards (0 = auto)")
 	fs.IntVar(&c.pipe.Eval.SplitThreshold, "threshold", 1, "stop refining when the top cluster is this small")
 	fs.Int64Var(&c.pipe.MinRoundPackets, "min-round", 60, "minimum packets before a round is evaluated")
 	fs.DurationVar(&c.pipe.EvalInterval, "eval", 200*time.Millisecond, "round evaluation interval")
@@ -84,7 +84,6 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.StringVar(&c.watch.BundleDir, "bundle-dir", "spooftrackd-bundles", "diagnostic bundle directory (empty = no bundles on breach)")
 	fs.StringVar(&c.world.faultProfile, "fault-profile", "", "fault-injection scenario ("+strings.Join(spooftrack.FaultProfileNames(), ", ")+"; empty = off)")
 	fs.Uint64Var(&c.world.faultSeed, "fault-seed", 1, "deterministic fault-injection seed")
-	fs.BoolVar(&c.pipe.Shed, "shed", false, "shed events when ingest queues overflow instead of applying backpressure")
 	fs.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "active SAV probe scan interval (0 = probing off)")
 	fs.BoolVar(&c.world.ledger, "ledger", true, "record the decision-provenance ledger (serve /explain)")
 	fs.StringVar(&c.world.topoFile, "topo-file", "", "load the AS topology from a CAIDA-serialized file instead of generating one; processes sharing a file and -seed build identical worlds")

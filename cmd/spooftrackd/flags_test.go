@@ -32,8 +32,8 @@ func TestFlagSurface(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
 		names = append(names, m[1])
 	}
-	if len(names) != 27 {
-		t.Errorf("%d flags, want 27", len(names))
+	if len(names) != 26 {
+		t.Errorf("%d flags, want 26", len(names))
 	}
 	goldenBody(t, "flags.golden", strings.Join(names, "\n")+"\n")
 	for _, profile := range fault.Names() {
@@ -89,7 +89,6 @@ func TestRetiredFlagsKeepDefaults(t *testing.T) {
 		{Name: "stream-flush-lag-p99", Op: ">", Threshold: 2.0, For: 3},
 		{Name: "border-drop-rate", Op: ">", Threshold: 100, For: 3},
 		{Name: "border-drop-burn", Op: ">", Threshold: 2.0, For: 3},
-		{Name: "stream-shed-rate", Op: ">", Threshold: 50, For: 3},
 		{Name: "probe-coverage", Op: "<", Threshold: 0.05, For: 3},
 		{Name: "probe-loss-rate", Op: ">", Threshold: 0.9, For: 3},
 	}

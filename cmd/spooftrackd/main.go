@@ -108,10 +108,6 @@ import (
 )
 
 const (
-	// degradedRecoveryWindow is how long the shed-drop counter must stay
-	// flat (per metric history) before an intake's degraded flag may
-	// clear.
-	degradedRecoveryWindow = 30 * time.Second
 	// probeBudget is the number of probe targets one scan round visits.
 	probeBudget = 200
 	// demoPPS is each demo attacker's spoofed packets per second.
@@ -162,7 +158,7 @@ func run(ctx context.Context, cfg config) error {
 		pipe: cfg.pipe,
 		inj:  tracker.Fault,
 	}
-	w.pipe.Metrics, w.pipe.Ledger, w.pipe.DegradedRecovery = obs.reg, led, obs.shedQuiet
+	w.pipe.Metrics, w.pipe.Ledger = obs.reg, led
 	// Configurations whose links are quarantined by the circuit breaker
 	// are routed around until the breaker cools down.
 	w.pipe.Eval.Blocked = func() []bool {
@@ -274,16 +270,6 @@ func startObservability(cfg config) (observability, func()) {
 	o.db = tsdb.New(tsdb.Options{Registry: o.reg})
 	o.db.Start()
 	return o, o.db.Stop
-}
-
-// shedQuiet is the history-aware recovery oracle: the degraded flag
-// clears only after a full recovery window with zero shed drops, not
-// merely one quiet control tick — a flapping overload holds the flag
-// instead of strobing /readyz.
-func (o observability) shedQuiet() bool {
-	now := time.Now()
-	delta, _, ok := o.db.Increase("stream_dropped_total", "", now.Add(-degradedRecoveryWindow), now)
-	return !ok || delta == 0
 }
 
 // offline is the offline phase: world + campaign + measured catchments.
@@ -510,7 +496,6 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 	wc.DB = o.db
 	wc.BundleHistory = []string{
 		"stream_events_total",
-		"stream_dropped_total",
 		"stream_flush_lag_seconds",
 		"amp_border_packets_total",
 	}
@@ -545,13 +530,6 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 				0.99, 5*time.Minute, time.Hour),
 			Op:        watch.Above,
 			Threshold: 2.0,
-			For:       3,
-		},
-		{
-			Name:      "stream-shed-rate",
-			Expr:      watch.Rate(watch.Counter{Family: "stream_dropped_total"}, time.Minute),
-			Op:        watch.Above,
-			Threshold: 50,
 			For:       3,
 		},
 		// Probe-channel health. Both rules read metrics the prober

@@ -224,10 +224,10 @@ func TestStatusPerMode(t *testing.T) {
 	_, single := modeSurface(t, attr)
 	_, body := get(t, single, "/status")
 	if got, want := jsonKeys(t, body), []string{
-		"candidates", "converged", "current_config", "degraded", "deployed_configs",
-		"dropped_events", "events_per_sec", "history", "mean_cluster_size", "num_clusters",
-		"num_sources", "per_link", "reconfigurations", "rounds", "top_sources", "total_bytes",
-		"total_events", "uptime_sec", "workers",
+		"candidates", "converged", "current_config", "deployed_configs", "events_per_sec",
+		"history", "mean_cluster_size", "num_clusters", "num_sources", "per_link",
+		"reconfigurations", "rounds", "top_sources", "total_bytes", "total_events",
+		"uptime_sec", "workers",
 	}; !reflect.DeepEqual(got, want) {
 		t.Errorf("single-node /status keys %v, want %v", got, want)
 	}
@@ -235,7 +235,7 @@ func TestStatusPerMode(t *testing.T) {
 	_, shard := modeSurface(t, attr, "-shard-id", "s0")
 	res, body := get(t, shard, "/status")
 	if got, want := jsonKeys(t, body), []string{
-		"bytes", "config", "degraded", "dropped", "epoch", "pkts", "settled", "total", "total_bytes",
+		"bytes", "config", "epoch", "pkts", "settled", "total", "total_bytes",
 	}; res.StatusCode != http.StatusOK || !reflect.DeepEqual(got, want) {
 		t.Errorf("shard /status: status %d keys %v, want %v", res.StatusCode, got, want)
 	}

@@ -41,10 +41,9 @@ type placement interface {
 
 // wiring is what a placement's halves are closed onto: the shared
 // attribution contract, the loop configuration with its callbacks
-// filled in (the count half reads Workers, the intervals, Settle, Shed,
-// Deploy, DegradedRecovery and Metrics; the decide half the rest), the
-// fault injector (nil = none) and the SLO gate a shard reports to its
-// controller.
+// filled in (the count half reads Workers, FlushInterval, Settle, Deploy
+// and Metrics; the decide half the rest), the fault injector (nil =
+// none) and the SLO gate a shard reports to its controller.
 type wiring struct {
 	attr  stream.Attribution
 	pipe  stream.Config
@@ -61,12 +60,11 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 		// The external controller owns evaluation and provenance; this
 		// process accumulates counters, serves /shard/*, and deploys
 		// whatever epoch updates arrive.
-		var node *shard.Node
 		node, err := shard.NewNode(shard.NodeConfig{
 			ID: pc.shardID, Attr: w.attr, Pipe: w.pipe,
 			// The membership gate the controller polls on every collect:
-			// an SLO breach or shed-degradation asks to be drained.
-			Ready: func() bool { return w.ready() && !node.Intake().Degraded() },
+			// an SLO breach asks to be drained.
+			Ready: w.ready,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("shard node: %w", err)
@@ -125,7 +123,7 @@ type single struct {
 
 func (s *single) ingest(ev amp.Event)     { s.tap(ev) }
 func (s *single) deployed() []int         { return s.Deployed() }
-func (s *single) degraded() (bool, int64) { return s.Degraded(), s.Dropped() }
+func (s *single) degraded() (bool, int64) { return false, 0 }
 
 func (s *single) drain(time.Duration) {
 	s.Close()
@@ -177,15 +175,13 @@ type shardNode struct {
 func (n *shardNode) ingest(ev amp.Event) { n.tap(ev) }
 func (n *shardNode) deployed() []int     { return nil }
 
-func (n *shardNode) degraded() (bool, int64) {
-	return n.Intake().Degraded(), n.Intake().Dropped()
-}
+func (n *shardNode) degraded() (bool, int64) { return false, 0 }
 
 func (n *shardNode) drain(time.Duration) {
 	n.Close()
 	st := n.Intake().Status()
 	slog.Info("final intake state", "events", st.Total, "epoch", st.Epoch,
-		"settle_excluded", st.Settled, "dropped", st.Dropped)
+		"settle_excluded", st.Settled)
 }
 
 func (n *shardNode) routes(mux *http.ServeMux) {

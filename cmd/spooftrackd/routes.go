@@ -196,8 +196,8 @@ func sloRoutes(mux *http.ServeMux, dog *watch.Watchdog, degraded func() (bool, i
 			unready(w, map[string]any{"breaches": dog.BreachingRules()})
 			return
 		}
-		// Shedding, or a round lost with an evicted shard: the placement
-		// is up but its evidence is incomplete.
+		// A round lost with an evicted shard: the placement is up but its
+		// evidence is incomplete.
 		if deg, lost := degraded(); deg {
 			unready(w, map[string]any{"degraded": true, "dropped_events": lost})
 			return

@@ -140,7 +140,7 @@ func clusterLines(t *testing.T, name string) []string {
 		Shards:          4,
 		Attr:            attr,
 		MinRoundPackets: 1,
-		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond, Ledger: led},
+		Pipe:            stream.Config{Workers: 2, FlushInterval: time.Millisecond, Ledger: led},
 		Injector:        fault.New(prof, 0xD16E50, attr.NumLinks),
 	})
 	if err != nil {

@@ -13,19 +13,17 @@ import (
 // path: routing an event through the consistent-hash ring into one of
 // four relay shards may cost at most 20 ns/event more than a bare
 // single-node pipeline Ingest on the same stream, with the same total
-// worker budget (4). The ring lookup is one hash and one table load and
-// the route snapshot is lock-free, so anything beyond that means a lock
-// or an allocation leaked onto the packet path. The budget is absolute:
-// it is what 1.10x allowed while an Ingest cost ~200 ns, and since the
-// intake hands off slabs (~35 ns) the route's fixed few nanoseconds alone
-// read 1.2x.
+// counter-shard budget (4). The ring lookup is one hash and one table
+// load and the route snapshot is lock-free, so anything beyond that means
+// a lock or an allocation leaked onto the packet path. The budget is
+// absolute: it is what 1.10x allowed while an Ingest cost ~200 ns, and
+// since the intake counts events in place (tens of ns) the route's fixed
+// few nanoseconds alone read over 1.2x.
 func BenchmarkShardIngestBudget(b *testing.B) {
 	attr := chaosAttr()
 	events := benchEvents(attr, 1024)
 	p, err := stream.New(attr, stream.Config{
 		Workers:         4,
-		QueueDepth:      1 << 16,
-		BatchSize:       256,
 		FlushInterval:   10 * time.Millisecond,
 		EvalInterval:    10 * time.Millisecond,
 		MinRoundPackets: 1 << 40,
@@ -40,8 +38,6 @@ func BenchmarkShardIngestBudget(b *testing.B) {
 		MinRoundPackets: 1 << 40,
 		Pipe: stream.Config{
 			Workers:       1,
-			QueueDepth:    1 << 16,
-			BatchSize:     256,
 			FlushInterval: 10 * time.Millisecond,
 		},
 	})
@@ -50,8 +46,8 @@ func BenchmarkShardIngestBudget(b *testing.B) {
 	}
 	defer cl.Close()
 
-	// Each sample ingests n events and waits for its side to flush them
-	// off the clock, so neither side's workers run into the other's
+	// Each sample ingests n events and merges its side's counter shards
+	// off the clock, so neither side's merges run into the other's
 	// sample.
 	const n = 400_000
 	sent := int64(0)
@@ -109,7 +105,7 @@ func BenchmarkShardMergeRound(b *testing.B) {
 		Shards:          4,
 		Attr:            attr,
 		MinRoundPackets: 1 << 40,
-		Pipe:            stream.Config{Workers: 1, BatchSize: 1, FlushInterval: time.Millisecond},
+		Pipe:            stream.Config{Workers: 1, FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -97,7 +97,6 @@ func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds in
 		MinRoundPackets: 1,
 		Pipe: stream.Config{
 			Workers:       2,
-			BatchSize:     1,
 			FlushInterval: time.Millisecond,
 		},
 		Injector: fault.New(prof, seed, attr.NumLinks),
@@ -287,7 +286,7 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 		Shards:          4,
 		Attr:            attr,
 		MinRoundPackets: 1,
-		Pipe:            stream.Config{Workers: 2, BatchSize: 1, FlushInterval: time.Millisecond, Ledger: led},
+		Pipe:            stream.Config{Workers: 2, FlushInterval: time.Millisecond, Ledger: led},
 		Injector:        fault.New(fault.Profile{Name: "clean"}, seed, attr.NumLinks),
 	})
 	if err != nil {

@@ -58,8 +58,8 @@ type Cluster struct {
 	// Ingest fast path: an immutable route snapshot (ring plus node
 	// slice in ring-member order, refreshed after every controller step,
 	// when membership can change) keeps the sharded ingest path lock-free
-	// and string-free. It keeps no count of its own: Quiesce compares
-	// each intake's Accepted, counted under the intake's shard lock.
+	// and string-free. It keeps no count of its own: each intake counts
+	// what it accepts under its own shard lock.
 	route   atomic.Pointer[ingestRoute]
 	dropped atomic.Int64
 
@@ -162,17 +162,14 @@ func (c *Cluster) Ingest(ev amp.Event) bool {
 	return n != nil && n.Ingest(ev)
 }
 
-// Quiesce completes every shard's round (stream.Intake.Cut, the call a
-// single-node pipeline completes its rounds with), so a following Step
-// collects a complete, deterministic round. A closed shard's Cut returns
-// at once: what it had flushed and was not collected is the explicit
-// loss the eviction path accounts.
-func (c *Cluster) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+// Quiesce completes every shard's round (stream.Intake.Cut, a
+// synchronous merge of its counter shards), so a following Step collects
+// a complete, deterministic round. The timeout is unused: a cut waits on
+// no goroutine. A closed shard has nothing left to merge: what it held
+// and was not collected is the explicit loss the eviction path accounts.
+func (c *Cluster) Quiesce(time.Duration) error {
 	for _, id := range c.order {
-		if !c.nodes[id].Intake().Cut(time.Until(deadline)) {
-			return fmt.Errorf("shard: quiesce timed out waiting for %s", id)
-		}
+		c.nodes[id].Intake().Cut()
 	}
 	return nil
 }

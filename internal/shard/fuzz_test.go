@@ -34,7 +34,7 @@ func FuzzNodeRPC(f *testing.F) {
 	}
 	paths := []string{"/shard/collect", "/shard/apply", "/shard/hello"}
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
-		n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+		n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,7 +85,6 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 	pled := provenance.New(provenance.Options{})
 	p, err := stream.New(attr, stream.Config{
 		Workers:         2,
-		BatchSize:       8,
 		FlushInterval:   time.Millisecond,
 		EvalInterval:    2 * time.Millisecond,
 		MinRoundPackets: roundPkts,

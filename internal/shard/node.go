@@ -15,8 +15,8 @@ type NodeConfig struct {
 	// Attr is the shared attribution matrix — identical on every node
 	// and on the controller.
 	Attr stream.Attribution
-	// Pipe tunes the wrapped intake: Workers, QueueDepth, BatchSize, the
-	// intervals, Settle, Deploy, Shed, DegradedRecovery and Metrics. A
+	// Pipe tunes the wrapped intake: Workers, FlushInterval, Settle,
+	// Deploy and Metrics. A
 	// shard never folds, so the decide-side fields (Eval,
 	// MinRoundPackets, Ledger) are not consulted: the controller that
 	// folds its rounds takes them (ClusterConfig hands it Pipe's).
@@ -98,7 +98,7 @@ func (n *Node) HandleCollect(req CollectRequest) (CollectResponse, error) {
 }
 
 // HandleApply adopts a controller epoch update: reset round counters,
-// bump the epoch (invalidating in-flight worker batches), deploy the
+// bump the epoch (invalidating unmerged shard batches), deploy the
 // configuration, and remember the update for failover recovery.
 func (n *Node) HandleApply(u EpochUpdate) (ApplyResponse, error) {
 	if err := n.fence(u.Term); err != nil {

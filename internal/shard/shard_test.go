@@ -208,7 +208,7 @@ func TestControllerRejectsDuplicateMembers(t *testing.T) {
 // TestNodeTermFencing: a node that has seen term T rejects every RPC at
 // a lower term — the deposed-controller fence.
 func TestNodeTermFencing(t *testing.T) {
-	n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+	n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestNodeTermFencing(t *testing.T) {
 // transport, accepts no event, and does not hold up Quiesce.
 func TestKilledShardUnavailable(t *testing.T) {
 	attr := chaosAttr()
-	cl, err := NewCluster(ClusterConfig{Shards: 2, Attr: attr, Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Attr: attr, Pipe: stream.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestKilledShardUnavailable(t *testing.T) {
 // ErrPartitioned until the isolation lifts.
 func TestLocalTransportIsolation(t *testing.T) {
 	tr := NewLocalTransport(nil)
-	n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1, BatchSize: 1}})
+	n, err := NewNode(NodeConfig{ID: "s0", Attr: chaosAttr(), Pipe: stream.Config{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	nodes := make(map[string]*Node)
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("shard-%d", i)
-		n, err := NewNode(NodeConfig{ID: id, Attr: attr, Pipe: stream.Config{Workers: 1, BatchSize: 1, FlushInterval: time.Millisecond}})
+		n, err := NewNode(NodeConfig{ID: id, Attr: attr, Pipe: stream.Config{Workers: 1, FlushInterval: time.Millisecond}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +365,7 @@ func TestFinalStepBelowGateKeepsSources(t *testing.T) {
 		Shards:          2,
 		Attr:            attr,
 		MinRoundPackets: 50,
-		Pipe:            stream.Config{Workers: 1, BatchSize: 1, FlushInterval: time.Millisecond},
+		Pipe:            stream.Config{Workers: 1, FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,14 +9,11 @@ import (
 	"time"
 )
 
-// TestWarmIngestAllocatesNothing: once the queues are warm, handing an
-// event off — and the worker accumulating and flushing it — allocates
-// nothing. Behind !race, whose instrumentation allocates on its own.
+// TestWarmIngestAllocatesNothing: once the intake is warm, counting an
+// event — and merging its shard into the round — allocates nothing. Behind !race, whose instrumentation allocates on its own.
 func TestWarmIngestAllocatesNothing(t *testing.T) {
 	p, err := New(testAttribution(), Config{
 		Workers:         2,
-		QueueDepth:      1024,
-		BatchSize:       64,
 		FlushInterval:   time.Millisecond,
 		MinRoundPackets: 1 << 40,
 	})
@@ -40,8 +37,6 @@ func TestDistinctVictimsKeepHeapFlat(t *testing.T) {
 	const victims = 100_000
 	p, err := New(testAttribution(), Config{
 		Workers:         2,
-		QueueDepth:      1024,
-		BatchSize:       256,
 		FlushInterval:   time.Millisecond,
 		MinRoundPackets: 1 << 40,
 	})

@@ -6,15 +6,14 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// TestEpochBoundaryBatchFlush pins the worker-side epoch boundary: a
-// batch accumulated under epoch E must be flushed before an event from
+// TestEpochBoundaryBatchFlush pins the shard-side epoch boundary: a
+// batch accumulated under epoch E must be merged before an event from
 // epoch E+1 is admitted into it (the b.epoch != e path in accumulate),
-// and the flushed stale batch's per-link counts must be excluded from
+// and the merged stale batch's per-link counts must be excluded from
 // the new round's counters while still reaching the totals.
 func TestEpochBoundaryBatchFlush(t *testing.T) {
 	p, err := New(testAttribution(), Config{
 		Workers:         1,
-		BatchSize:       1024,
 		MinRoundPackets: 1 << 40, // suppress controller folds
 	})
 	if err != nil {
@@ -25,8 +24,8 @@ func TestEpochBoundaryBatchFlush(t *testing.T) {
 
 	b := newBatch(in.attr.NumLinks)
 	ev0, ev1 := testEvent(0), testEvent(1)
-	in.accumulate(b, &ev0, nil)
-	in.accumulate(b, &ev0, nil)
+	in.accumulate(&b, &ev0)
+	in.accumulate(&b, &ev0)
 	if b.epoch != 0 || b.events != 2 {
 		t.Fatalf("batch under epoch %d with %d events, want epoch 0 with 2", b.epoch, b.events)
 	}
@@ -38,11 +37,11 @@ func TestEpochBoundaryBatchFlush(t *testing.T) {
 	in.epoch.Store(in.st.epoch)
 	in.mu.Unlock()
 
-	// Admitting an epoch-1 event must flush the stale batch first and
+	// Admitting an epoch-1 event must merge the stale batch first and
 	// start a fresh batch under the new epoch.
-	in.accumulate(b, &ev1, nil)
+	in.accumulate(&b, &ev1)
 	if b.events != 1 {
-		t.Fatalf("stale batch not flushed before admitting an epoch-1 event (%d events)", b.events)
+		t.Fatalf("stale batch not merged before admitting an epoch-1 event (%d events)", b.events)
 	}
 	if b.epoch != 1 {
 		t.Fatalf("new batch under epoch %d, want 1", b.epoch)
@@ -63,8 +62,8 @@ func TestEpochBoundaryBatchFlush(t *testing.T) {
 		t.Fatalf("stale batch excluded count = %d, want 2", settled)
 	}
 
-	// The live epoch-1 batch flushes into the new round normally.
-	in.flush(b, nil)
+	// The live epoch-1 batch merges into the new round normally.
+	in.merge(&b, nil)
 	in.mu.Lock()
 	inRound := in.st.roundPkts[1]
 	total = in.st.total
@@ -73,19 +72,19 @@ func TestEpochBoundaryBatchFlush(t *testing.T) {
 		t.Fatalf("epoch-1 event missing from the new round: roundPkts[1] = %d", inRound)
 	}
 	if total != 3 {
-		t.Fatalf("total = %d after live flush, want 3", total)
+		t.Fatalf("total = %d after live merge, want 3", total)
 	}
 }
 
-// flushEvents pushes one single-event batch per link straight into the
-// intake's round, bypassing the worker queues.
+// flushEvents merges one batch of an event per link straight into the
+// intake's round, bypassing the counter shards.
 func flushEvents(in *Intake, links ...uint8) {
 	b := newBatch(in.attr.NumLinks)
 	for _, l := range links {
 		ev := testEvent(l)
-		in.accumulate(b, &ev, nil)
+		in.accumulate(&b, &ev)
 	}
-	in.flush(b, nil)
+	in.merge(&b, nil)
 }
 
 // TestRelayHarvestAdvance pins the Intake contract a sharded-ingest
@@ -96,9 +95,8 @@ func flushEvents(in *Intake, links ...uint8) {
 func TestRelayHarvestAdvance(t *testing.T) {
 	var deploys []int
 	in, err := NewIntake(testAttribution(), Config{
-		Workers:   1,
-		BatchSize: 1,
-		Deploy:    func(cfgIdx int, table map[uint32]uint8) { deploys = append(deploys, cfgIdx) },
+		Workers: 1,
+		Deploy:  func(cfgIdx int, table map[uint32]uint8) { deploys = append(deploys, cfgIdx) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,39 +14,33 @@ import (
 
 // Intake is the count half of the loop (§III-B): it turns tapped events
 // into per-link round counters under the deployed configuration and
-// decides nothing. Events are sharded across worker goroutines, handed
-// off a slab of BatchSize at a time; workers batch per-link counters
-// and flush them into the shared round by count or tick; a control
-// goroutine ticks the overload-recovery bookkeeping. Whoever owns the
-// decision drives one round protocol, whether it runs in this process
-// (a Pipeline) or across the network (a sharded-ingest controller,
-// internal/shard): Cut completes the round, HarvestRound reads it, and
-// AdvanceEpoch — the only call that ends a round — starts the next.
+// decides nothing. Each event is counted on the goroutine that calls
+// Ingest, into the per-link batch of its counter shard (Config.Workers
+// of them), under that shard's lock; a shard's batch goes into the
+// shared round when the round is read (HarvestRound, Status,
+// TotalEvents, Cut, Close) and on every FlushInterval tick of the
+// control goroutine. Locks are always taken shard first, then round.
+// Whoever owns the decision drives one round protocol, whether it runs
+// in this process (a Pipeline) or across the network (a sharded-ingest
+// controller, internal/shard): Cut completes the round, HarvestRound
+// reads it, and AdvanceEpoch — the only call that ends a round — starts
+// the next.
 type Intake struct {
 	cfg  Config
 	attr Attribution
 
-	shards    []shardQueue
+	shards    []counterShard
 	wg        sync.WaitGroup
 	stop      chan struct{}
 	closeOnce sync.Once
-
-	// shed is Config.Shed, copied for the hot path (one branch when off).
-	// droppedN counts shed events; degraded is raised on any drop and
-	// cleared by the control goroutine once queues drain with no new
-	// drops; lastDropped is that goroutine's view of droppedN one tick ago.
-	shed        bool
-	droppedN    atomic.Int64
-	degraded    atomic.Bool
-	lastDropped int64
 
 	// settleUntil is the unix-nano time before which events are
 	// excluded from round accounting (read on the hot path).
 	settleUntil atomic.Int64
 	// epoch mirrors roundState.epoch for lock-free reads on the hot
-	// path: it changes whenever a round is taken, and a worker batch
-	// flushed under a different epoch than it was accumulated in is
-	// excluded from round counters (its round no longer exists).
+	// path: it changes whenever a round is taken, and a shard batch
+	// merged under a different epoch than it was counted in is excluded
+	// from round counters (its round no longer exists).
 	epoch atomic.Int64
 
 	mu sync.Mutex
@@ -54,20 +48,18 @@ type Intake struct {
 
 	// metrics (resolved once; hot-path friendly)
 	mEvents  *metrics.Counter
-	mDropped *metrics.Counter
 	mBatches *metrics.Counter
 	mSettle  *metrics.Counter
 	hLag     *metrics.Histogram
 
 	// span is the root trace span (nil when tracing is off at
-	// construction); workers and the control goroutine hang their tracks
-	// off it.
+	// construction); the control goroutine hangs its track off it.
 	span *trace.Span
 
 	start time.Time
 }
 
-// roundState is the shared accounting the workers flush into, guarded
+// roundState is the shared accounting shard batches merge into, guarded
 // by Intake.mu.
 type roundState struct {
 	epoch int64
@@ -83,8 +75,17 @@ type roundState struct {
 	settled    int64 // events excluded from every round
 }
 
+// counterShard is one share of the intake's counting: the batch the
+// producers Ingest routes here add to, under mu. closed rejects Ingest
+// once shutdown has begun.
+type counterShard struct {
+	mu     sync.Mutex
+	closed bool
+	b      batch
+}
+
 // NewIntake validates the attribution input, deploys the initial
-// configuration, and starts the workers and the recovery tick. The
+// configuration, and starts the control goroutine's merge tick. The
 // decide-side fields of cfg (Eval, MinRoundPackets, Ledger) are not
 // consulted.
 func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
@@ -92,7 +93,7 @@ func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
 	if err != nil {
 		return nil, err
 	}
-	in.run(func(*trace.Span) { in.tick() })
+	in.run(nil)
 	return in, nil
 }
 
@@ -120,10 +121,9 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	}
 	cfg.setDefaults()
 
-	in := &Intake{cfg: cfg, attr: attr, stop: make(chan struct{}), start: time.Now(), shed: cfg.Shed}
+	in := &Intake{cfg: cfg, attr: attr, stop: make(chan struct{}), start: time.Now()}
 	reg := cfg.Metrics
 	in.mEvents = reg.Counter("stream_events_total")
-	in.mDropped = reg.Counter("stream_dropped_total")
 	in.mBatches = reg.Counter("stream_batches_total")
 	in.mSettle = reg.Counter("stream_settle_excluded_total")
 	in.hLag = reg.Histogram("stream_flush_lag_seconds", 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5)
@@ -142,55 +142,20 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 		roundPkts:  make([]int64, attr.NumLinks),
 		roundBytes: make([]int64, attr.NumLinks),
 	}
+	in.shards = make([]counterShard, cfg.Workers)
+	for i := range in.shards {
+		in.shards[i].b = newBatch(attr.NumLinks)
+	}
 	return in, nil
 }
 
-// shardQueue is one worker's queue: QueueDepth events of storage, cut
-// once into equal slabs. Producers append to cur under mu and send a
-// slab on full when it fills — one channel operation per slab, not per
-// event; the worker accumulates each slab and returns it on free, and
-// takes a partly filled cur on its flush tick. Both channels have room
-// for every slab, so no send blocks; the only wait is a producer's
-// receive from free, made with mu released (takeSlab).
-type shardQueue struct {
-	mu  sync.Mutex
-	cur []amp.Event // the slab being filled; nil until an event needs one
-	// closed rejects Ingest once shutdown has begun; accepted counts the
-	// events appended (shed ones are not), for Cut.
-	closed   bool
-	accepted int64
-
-	full chan []amp.Event
-	free chan []amp.Event
-}
-
-// slabShape splits a shard's QueueDepth events into count slabs of
-// size: BatchSize each, smaller when that would leave fewer than two.
-func slabShape(depth, batch int) (size, count int) {
-	size = max(1, min(batch, depth/2))
-	return size, max(2, depth/size)
-}
-
-func (q *shardQueue) init(size, count int) {
-	q.full = make(chan []amp.Event, count)
-	q.free = make(chan []amp.Event, count)
-	store := make([]amp.Event, size*count)
-	for i := 0; i < count; i++ {
-		q.free <- store[i*size : i*size : (i+1)*size]
-	}
-}
-
-// run deploys the initial configuration and starts the workers and the
-// control goroutine, which calls tick every EvalInterval until Close.
-func (in *Intake) run(tick func(parent *trace.Span)) {
+// run deploys the initial configuration and starts the control
+// goroutine: it merges every shard into the round each FlushInterval,
+// and, when eval is non-nil, calls it every EvalInterval until Close.
+// eval reads the round, which merges the shards too, so the merge tick
+// runs only when it is the faster of the two.
+func (in *Intake) run(eval func(parent *trace.Span)) {
 	in.deploy(in.attr.InitialConfig)
-	size, count := slabShape(in.cfg.QueueDepth, in.cfg.BatchSize)
-	in.shards = make([]shardQueue, in.cfg.Workers)
-	for i := range in.shards {
-		in.shards[i].init(size, count)
-		in.wg.Add(1)
-		go in.worker(i, &in.shards[i])
-	}
 	in.wg.Add(1)
 	go func() {
 		defer in.wg.Done()
@@ -199,36 +164,28 @@ func (in *Intake) run(tick func(parent *trace.Span)) {
 			csp = in.span.ChildTrack("stream.controller")
 			defer csp.End()
 		}
-		ticker := time.NewTicker(in.cfg.EvalInterval)
-		defer ticker.Stop()
+		var flushC, evalC <-chan time.Time
+		if eval != nil {
+			t := time.NewTicker(in.cfg.EvalInterval)
+			defer t.Stop()
+			evalC = t.C
+		}
+		if eval == nil || in.cfg.FlushInterval < in.cfg.EvalInterval {
+			t := time.NewTicker(in.cfg.FlushInterval)
+			defer t.Stop()
+			flushC = t.C
+		}
 		for {
 			select {
 			case <-in.stop:
 				return
-			case <-ticker.C:
-				tick(csp)
+			case <-flushC:
+				in.mergeAll(csp)
+			case <-evalC:
+				eval(csp)
 			}
 		}
 	}()
-}
-
-// tick is the overload-recovery bookkeeping: the degraded flag clears
-// when no event was shed since the last tick, no full slab awaits a
-// worker, and the recovery oracle (when configured) agrees the overload
-// has passed. The oracle typically queries metric history and may take
-// its own locks, so it is asked last, only while degraded, with nothing
-// held.
-func (in *Intake) tick() {
-	queued := 0
-	for i := range in.shards {
-		queued += len(in.shards[i].full)
-	}
-	if d := in.droppedN.Load(); d != in.lastDropped {
-		in.lastDropped = d
-	} else if queued == 0 && in.degraded.Load() &&
-		(in.cfg.DegradedRecovery == nil || in.cfg.DegradedRecovery()) {
-		in.degraded.Store(false)
-	}
 }
 
 // deploy materializes configuration cfgIdx through the Deploy callback,
@@ -247,125 +204,59 @@ func (in *Intake) deploy(cfgIdx int) {
 	in.cfg.Deploy(cfgIdx, t)
 }
 
-// Ingest feeds one per-packet event into the intake: it appends the
-// event to its shard's current slab and hands the slab to the worker
-// when it fills. By default a shard with no free slab blocks the caller
-// (backpressure instead of loss); with Config.Shed the event is dropped
-// instead, counted, and the intake marked degraded. It returns false
-// once the intake is closed. Wire it as an amp tap:
+// Ingest counts one per-packet event: it adds the event to its counter
+// shard's batch under that shard's lock, and copies it nowhere. It never
+// waits on a reader for longer than one merge of one shard. It returns
+// false once the intake is closed. Wire it as an amp tap:
 //
 //	hp.SetTap(func(ev amp.Event) { in.Ingest(ev) })
 func (in *Intake) Ingest(ev amp.Event) bool { return in.ingest(&ev) }
 
 // ingest is Ingest by reference. Ingest stays small enough to inline, so
-// a caller's event is copied once, into the slab, however many wrappers
-// (Pipeline, shard.Node) it passed through.
+// a caller's event is not copied again however many wrappers (Pipeline,
+// shard.Node) it passed through.
 func (in *Intake) ingest(ev *amp.Event) bool {
-	q := &in.shards[shardOf(ev, len(in.shards))]
-	q.mu.Lock()
-	if q.cur == nil && !in.takeSlab(q) {
-		q.mu.Unlock()
-		// Overload: shed rather than stall the packet path. The event is
-		// acknowledged (the intake is open) but unaccounted.
-		in.droppedN.Add(1)
-		in.mDropped.Inc()
-		in.degraded.Store(true)
-		return true
-	}
-	if q.closed {
-		q.mu.Unlock()
+	s := &in.shards[shardOf(ev, len(in.shards))]
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return false
 	}
-	q.cur = append(q.cur, *ev)
-	q.accepted++
-	if len(q.cur) == cap(q.cur) {
-		q.full <- q.cur
-		q.cur = nil
-	}
-	q.mu.Unlock()
+	in.accumulate(&s.b, ev)
+	s.mu.Unlock()
 	return true
 }
 
-// takeSlab makes a free slab q's current one; q.mu is held on entry and
-// on return. A producer waits for the worker to return a slab with the
-// lock released, so neither the worker's flush tick nor Close, which
-// both take it, waits on a producer that waits on the worker. With Shed
-// on it never waits, and reports false when no slab is free. Once the
-// shard is closed it gives up, leaving cur as it is.
-func (in *Intake) takeSlab(q *shardQueue) bool {
-	for q.cur == nil && !q.closed {
-		select {
-		case q.cur = <-q.free:
-		default:
-			if in.shed {
-				return false
-			}
-			q.mu.Unlock()
-			slab := <-q.free
-			q.mu.Lock()
-			if q.cur == nil && !q.closed {
-				q.cur = slab
-			} else {
-				// Another producer took one meanwhile, or the shard
-				// closed. free has room for every slab, so this send
-				// does not block.
-				q.free <- slab
-			}
-		}
-	}
-	return true
-}
+// Cut completes the current round: it merges every shard's batch into
+// it, so a round folds everything Ingest has accepted so far. Readers of
+// the round (HarvestRound, Status, TotalEvents) merge the same way
+// before they read.
+func (in *Intake) Cut() { in.mergeAll(nil) }
 
-// Cut completes the current round: it hands every shard's partly
-// filled slab to its worker and waits, at most timeout, until the
-// intake has flushed every event Ingest accepted (shed ones are not), so
-// a round folds what every worker holds of it and not only what one
-// worker happened to flush first. It reports whether everything was
-// flushed in time. A closed shard's cur is nil, so nothing is sent on a
-// closed channel.
-func (in *Intake) Cut(timeout time.Duration) bool {
-	want := int64(0)
+// mergeAll merges every shard's batch into the round, taking each
+// shard's lock in turn. Merges hang a "stream.flush" span off parent.
+func (in *Intake) mergeAll(parent *trace.Span) {
 	for i := range in.shards {
-		q := &in.shards[i]
-		q.mu.Lock()
-		if len(q.cur) > 0 {
-			q.full <- q.cur
-			q.cur = nil
-		}
-		want += q.accepted
-		q.mu.Unlock()
+		s := &in.shards[i]
+		s.mu.Lock()
+		in.merge(&s.b, parent)
+		s.mu.Unlock()
 	}
-	deadline := time.Now().Add(timeout)
-	for in.TotalEvents() < want {
-		if !time.Now().Before(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return true
 }
-
-// Degraded reports whether the intake is shedding load: at least one
-// event was dropped since the control goroutine last saw drained queues
-// and a quiet drop counter. Surfaced through spooftrackd's /readyz.
-func (in *Intake) Degraded() bool { return in.degraded.Load() }
-
-// Dropped returns how many events overload shedding has discarded.
-func (in *Intake) Dropped() int64 { return in.droppedN.Load() }
 
 // Epoch returns the epoch the intake is currently accumulating under.
 func (in *Intake) Epoch() int64 { return in.epoch.Load() }
 
-// TotalEvents returns how many events have been flushed into the shared
-// state so far.
+// TotalEvents returns how many events the intake has counted so far.
 func (in *Intake) TotalEvents() int64 {
+	in.mergeAll(nil)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.st.total
 }
 
-// shardOf spreads events across workers by FNV-1a over the spoofed
-// source and ingress link, keeping any one flow on one worker.
+// shardOf spreads events across counter shards by FNV-1a over the
+// spoofed source and ingress link, keeping any one flow on one shard.
 func shardOf(ev *amp.Event, n int) int {
 	if n == 1 {
 		return 0
@@ -381,8 +272,9 @@ func shardOf(ev *amp.Event, n int) int {
 	return int(h % uint32(n))
 }
 
-// batch is a worker's local accumulator: counters batched per link so
-// the shared mutex is taken once per BatchSize events, not per packet.
+// batch is a counter shard's accumulator: counters per link, merged into
+// the shared round as a whole, so the round's lock is taken once per
+// merge, not per packet.
 type batch struct {
 	epoch   int64
 	events  int
@@ -391,15 +283,13 @@ type batch struct {
 	settled int64
 	total   int64
 	totalB  int64
-	// first/last are the event timestamps bounding the batch: at flush,
-	// now-first is the stage lag (oldest unflushed event's age) and last
-	// is the shard's watermark.
+	// first is the oldest unmerged event's timestamp: at merge,
+	// now-first is the stage lag.
 	first time.Time
-	last  time.Time
 }
 
-func newBatch(links int) *batch {
-	return &batch{
+func newBatch(links int) batch {
+	return batch{
 		pkts:  make([]int64, links),
 		bytes: make([]int64, links),
 	}
@@ -407,81 +297,24 @@ func newBatch(links int) *batch {
 
 func (b *batch) reset() {
 	b.events = 0
-	for i := range b.pkts {
-		b.pkts[i], b.bytes[i] = 0, 0
-	}
+	clear(b.pkts)
+	clear(b.bytes)
 	b.settled, b.total, b.totalB = 0, 0, 0
 }
 
-func (in *Intake) worker(shard int, q *shardQueue) {
-	defer in.wg.Done()
-	var wsp *trace.Span
-	if in.span != nil {
-		// Each worker gets its own track so concurrent flush spans render
-		// as parallel flame-chart rows.
-		wsp = in.span.ChildTrack("stream.worker")
-		wsp.Set(trace.Int("shard", int64(shard)))
-		defer wsp.End()
-	}
-	ticker := time.NewTicker(in.cfg.FlushInterval)
-	defer ticker.Stop()
-	b := newBatch(in.attr.NumLinks)
-	for {
-		select {
-		case slab, ok := <-q.full:
-			if !ok {
-				in.flush(b, wsp)
-				return
-			}
-			in.drain(q, b, slab, wsp)
-			if len(slab) < cap(slab) {
-				// A short slab is a cut's or shutdown's hand-off: the
-				// producer has nothing more for now, so flush now.
-				in.flush(b, wsp)
-			}
-		case <-ticker.C:
-			// Take the partly filled slab: a quiet producer may not fill
-			// it for a long time.
-			q.mu.Lock()
-			slab := q.cur
-			q.cur = nil
-			q.mu.Unlock()
-			if slab != nil {
-				in.drain(q, b, slab, wsp)
-			}
-			if b.events > 0 {
-				in.flush(b, wsp)
-			}
-		}
-	}
-}
-
-// drain accumulates a slab's events, flushing every BatchSize, and
-// returns the slab to the free list.
-func (in *Intake) drain(q *shardQueue, b *batch, slab []amp.Event, wsp *trace.Span) {
-	for i := range slab {
-		in.accumulate(b, &slab[i], wsp)
-		if b.events >= in.cfg.BatchSize {
-			in.flush(b, wsp)
-		}
-	}
-	q.free <- slab[:0]
-}
-
-func (in *Intake) accumulate(b *batch, ev *amp.Event, wsp *trace.Span) {
+// accumulate adds ev to b; b's shard lock is held. A batch counted under
+// an epoch that has since ended is merged first, settle-excluded: its
+// events were stamped under the old configuration.
+func (in *Intake) accumulate(b *batch, ev *amp.Event) {
 	if e := in.epoch.Load(); b.events == 0 {
 		b.epoch = e
+		b.first = ev.Time
 	} else if b.epoch != e {
-		// The round this batch belongs to has been taken; hand the
-		// batch over before starting one in the new epoch.
-		in.flush(b, wsp)
+		in.merge(b, nil)
 		b.epoch = e
-	}
-	b.events++
-	if b.events == 1 {
 		b.first = ev.Time
 	}
-	b.last = ev.Time
+	b.events++
 	b.total++
 	b.totalB += int64(ev.WireLen)
 	if su := in.settleUntil.Load(); su != 0 && ev.Time.UnixNano() < su {
@@ -494,14 +327,16 @@ func (in *Intake) accumulate(b *batch, ev *amp.Event, wsp *trace.Span) {
 	}
 }
 
-// flush merges a worker batch into the shared round state.
-func (in *Intake) flush(b *batch, wsp *trace.Span) {
+// merge adds a shard batch to the shared round state and empties it; the
+// batch's shard lock is held (lock order: shard, then round). A non-nil
+// parent gets a "stream.flush" span carrying the batch's lag.
+func (in *Intake) merge(b *batch, parent *trace.Span) {
 	if b.events == 0 {
 		return
 	}
 	var fsp *trace.Span
-	if wsp != nil {
-		fsp = wsp.Child("stream.flush")
+	if parent != nil {
+		fsp = parent.Child("stream.flush")
 	}
 	excluded := b.settled
 	in.mu.Lock()
@@ -512,8 +347,8 @@ func (in *Intake) flush(b *batch, wsp *trace.Span) {
 			st.roundBytes[l] += b.bytes[l]
 		}
 	} else {
-		// Stale batch: accumulated before the last advance, so its round
-		// no longer exists. Keep it out of the new round's counters.
+		// Stale batch: counted before the last advance, so its round no
+		// longer exists. Keep it out of the new round's counters.
 		for _, n := range b.pkts {
 			excluded += n
 		}
@@ -526,17 +361,13 @@ func (in *Intake) flush(b *batch, wsp *trace.Span) {
 	in.mEvents.Add(b.total)
 	in.mSettle.Add(excluded)
 	in.mBatches.Inc()
-	// Stage lag is the age of the batch's oldest event at flush time; the
-	// watermark is the newest event time this shard has pushed downstream.
+	// Stage lag is the age of the batch's oldest event at merge time.
 	lag := time.Since(b.first)
 	in.hLag.Observe(lag.Seconds())
 	if fsp != nil {
 		fsp.Count("events", int64(b.events))
 		fsp.Count("excluded", excluded)
-		fsp.Set(
-			trace.Float("lag_s", lag.Seconds()),
-			trace.Float("watermark_unix_s", float64(b.last.UnixNano())/1e9),
-		)
+		fsp.Set(trace.Float("lag_s", lag.Seconds()))
 		fsp.End()
 	}
 	b.reset()
@@ -558,8 +389,6 @@ type Harvest struct {
 	Total      int64   `json:"total"`
 	TotalBytes int64   `json:"total_bytes"`
 	Settled    int64   `json:"settled"`
-	Degraded   bool    `json:"degraded"`
-	Dropped    int64   `json:"dropped"`
 }
 
 // snapshotLocked copies the round state into h, reusing its slices.
@@ -573,33 +402,34 @@ func (in *Intake) snapshotLocked(h *Harvest) {
 		Total:      st.total,
 		TotalBytes: st.totalBytes,
 		Settled:    st.settled,
-		Degraded:   in.degraded.Load(),
-		Dropped:    in.droppedN.Load(),
 	}
 }
 
-// Status snapshots the current round's counters without marking them
-// collected.
+// Status merges every shard and snapshots the current round's counters
+// without marking them collected.
 func (in *Intake) Status() Harvest {
 	var h Harvest
+	in.mergeAll(nil)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.snapshotLocked(&h)
 	return h
 }
 
-// HarvestRound snapshots the current round's counters for a controller
-// that may fold them (the sharded-ingest Collect RPC lands here), and
+// HarvestRound merges every shard and snapshots the current round's
+// counters for a controller that may fold them (the sharded-ingest Collect RPC lands here), and
 // remembers how much of the round has now been seen.
 func (in *Intake) HarvestRound() Harvest {
 	var h Harvest
-	in.harvest(&h)
+	in.harvest(&h, nil)
 	return h
 }
 
 // harvest is HarvestRound into h's slices: a Pipeline's control
-// goroutine harvests every tick into buffers it owns.
-func (in *Intake) harvest(h *Harvest) {
+// goroutine harvests every tick into buffers it owns. Merges hang their
+// spans off parent.
+func (in *Intake) harvest(h *Harvest, parent *trace.Span) {
+	in.mergeAll(parent)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.st.harvested = sum(in.st.roundPkts)
@@ -609,12 +439,12 @@ func (in *Intake) harvest(h *Harvest) {
 // AdvanceEpoch ends the current round and starts the one the decide
 // half chose (a Pipeline's fold, or the sharded-ingest controller's
 // Apply RPC). It zeroes the round counters and bumps the epoch, which
-// invalidates worker batches accumulated under the old one — flushed
-// late, they would otherwise leak the old round's per-link counts into
-// the new one. When the configuration changed it arms the settle window
+// invalidates shard batches counted under the old one — merged late,
+// they are settle-excluded rather than leak the old round's per-link
+// counts into the new one. When the configuration changed it arms the settle window
 // before releasing the lock, so no event produced under the old
 // configuration can observe a stale deadline, and then deploys it.
-// Packets flushed into the round after its last harvest (collect→apply
+// Packets merged into the round after its last harvest (collect→apply
 // latency, RPC backoff, a round never collected at all) can reach no
 // fold, so they are counted as settle-excluded rather than vanishing:
 // total = folded + excluded holds on every intake. Re-applying the
@@ -660,24 +490,18 @@ func (in *Intake) AdvanceEpoch(epoch int64, cfgIdx int) error {
 	return nil
 }
 
-// shutdown stops intake, then drains and flushes every shard and stops
-// the control goroutine. It runs once; concurrent callers wait. Every
-// event Ingest accepted sits in a slab on full or in cur, which shutdown
-// sends on full before closing it; a producer still waiting for a free
-// slab gets one from the draining worker, finds the shard closed and
-// returns false.
+// shutdown stops intake, merges every shard into the round and stops
+// the control goroutine. It runs once; concurrent callers wait. A shard
+// is closed and merged under its lock, so every event Ingest accepted is
+// in the round and every later one is refused.
 func (in *Intake) shutdown(after func()) {
 	in.closeOnce.Do(func() {
 		for i := range in.shards {
-			q := &in.shards[i]
-			q.mu.Lock()
-			q.closed = true
-			if q.cur != nil {
-				q.full <- q.cur
-				q.cur = nil
-			}
-			q.mu.Unlock()
-			close(q.full)
+			s := &in.shards[i]
+			s.mu.Lock()
+			s.closed = true
+			in.merge(&s.b, nil)
+			s.mu.Unlock()
 		}
 		close(in.stop)
 		in.wg.Wait()
@@ -686,8 +510,8 @@ func (in *Intake) shutdown(after func()) {
 	})
 }
 
-// Close stops intake and drains and flushes every shard. Stop producing
-// events (close the honeypot or detach the tap) before calling it. Close
-// is idempotent and safe for concurrent callers: exactly one caller runs
-// the shutdown, the rest wait for it to finish.
+// Close stops intake and merges every shard into the round. Stop
+// producing events (close the honeypot or detach the tap) before calling
+// it. Close is idempotent and safe for concurrent callers: exactly one
+// caller runs the shutdown, the rest wait for it to finish.
 func (in *Intake) Close() { in.shutdown(func() {}) }

@@ -31,7 +31,6 @@ func TestRemeasureHints(t *testing.T) {
 	var current atomic.Int32
 	p, err := New(attr, Config{
 		Workers:         2,
-		BatchSize:       8,
 		FlushInterval:   2 * time.Millisecond,
 		EvalInterval:    10 * time.Millisecond,
 		MinRoundPackets: 100,

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"spooftrack/internal/amp"
-	"spooftrack/internal/metrics"
 )
 
 func testEvent(link uint8) amp.Event {
@@ -37,30 +36,12 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestConcurrentCloseAndIngest races many closers against many
-// producers: every Close must return (no double-close panic, no
-// deadlock) and every event accepted before the close wins must be
-// accounted. The second input's queue holds fewer than two batches, so
-// its slabs are smaller than BatchSize and producers are routinely
-// blocked waiting for a free slab when Close lands.
+// producers on two counter shards: every Close must return (no
+// double-close panic, no deadlock) and every event accepted before the
+// close wins must be accounted.
 func TestConcurrentCloseAndIngest(t *testing.T) {
-	for _, tc := range []struct {
-		name                  string
-		queueDepth, batchSize int
-	}{
-		{"single-event-batches", 4, 1},
-		{"queue-under-two-batches", 6, 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			concurrentCloseAndIngest(t, tc.queueDepth, tc.batchSize)
-		})
-	}
-}
-
-func concurrentCloseAndIngest(t *testing.T, queueDepth, batchSize int) {
 	p, err := New(testAttribution(), Config{
 		Workers:         2,
-		QueueDepth:      queueDepth,
-		BatchSize:       batchSize,
 		FlushInterval:   time.Millisecond,
 		MinRoundPackets: 1 << 40,
 	})
@@ -95,128 +76,6 @@ func concurrentCloseAndIngest(t *testing.T, queueDepth, batchSize int) {
 	}
 }
 
-// TestShedOverload: with Shed on and the single worker wedged behind the
-// state mutex, full queues drop (with accounting and a degraded flag)
-// instead of blocking the producer; once the consumer recovers, the
-// controller clears the flag.
-func TestShedOverload(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p, err := New(testAttribution(), Config{
-		Workers:         1,
-		QueueDepth:      2,
-		BatchSize:       1,
-		FlushInterval:   time.Millisecond,
-		EvalInterval:    2 * time.Millisecond,
-		MinRoundPackets: 1 << 40,
-		Shed:            true,
-		Metrics:         reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Wedge the worker: it needs in.mu to flush its single-event batches,
-	// so holding the mutex backs the shard queue up.
-	p.in.mu.Lock()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Dropped() == 0 {
-		if time.Now().After(deadline) {
-			p.in.mu.Unlock()
-			t.Fatal("no drops despite a wedged consumer")
-		}
-		p.Ingest(testEvent(0))
-	}
-	dropped := p.Dropped()
-	p.in.mu.Unlock()
-
-	if !p.Degraded() {
-		t.Fatal("drops must raise the degraded flag")
-	}
-	if got := reg.Counter("stream_dropped_total").Value(); got < dropped {
-		t.Fatalf("stream_dropped_total = %d, want ≥ %d", got, dropped)
-	}
-	if !p.Status(3).Degraded || p.Status(3).DroppedEvents < dropped {
-		t.Fatalf("status does not surface degradation: %+v", p.Status(3))
-	}
-	// Consumer recovered: queues drain, drops stop, the controller
-	// clears the flag.
-	deadline = time.Now().Add(5 * time.Second)
-	for p.Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("degraded flag never cleared after recovery")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if p.Ingest(testEvent(0)) != true {
-		t.Fatal("pipeline must stay open throughout shedding")
-	}
-}
-
-// TestDegradedRecoveryHook: with a DegradedRecovery oracle configured,
-// drained queues and a quiet drop counter are necessary but not
-// sufficient — the flag stays raised until the oracle agrees, and
-// clears promptly once it does.
-func TestDegradedRecoveryHook(t *testing.T) {
-	var recovered atomic.Bool // oracle answer; starts false
-	// asked counts the oracle's calls: the control goroutine asks it on
-	// every tick while degraded with drained queues.
-	var asked atomic.Int64
-	p, err := New(testAttribution(), Config{
-		Workers:          1,
-		QueueDepth:       2,
-		BatchSize:        1,
-		FlushInterval:    time.Millisecond,
-		EvalInterval:     2 * time.Millisecond,
-		MinRoundPackets:  1 << 40,
-		Shed:             true,
-		DegradedRecovery: func() bool { asked.Add(1); return recovered.Load() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	// Force drops the same way TestShedOverload does: wedge the worker
-	// behind the state mutex until the tiny shard queue overflows.
-	p.in.mu.Lock()
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Dropped() == 0 {
-		if time.Now().After(deadline) {
-			p.in.mu.Unlock()
-			t.Fatal("no drops despite a wedged consumer")
-		}
-		p.Ingest(testEvent(0))
-	}
-	p.in.mu.Unlock()
-	if !p.Degraded() {
-		t.Fatal("drops must raise the degraded flag")
-	}
-
-	// Queues drain and drops stop, but the oracle still says no: the
-	// flag must hold across many times of asking.
-	deadline = time.Now().Add(5 * time.Second)
-	for asked.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatal("recovery oracle no longer asked")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !p.Degraded() {
-		t.Fatal("degraded flag cleared while the recovery oracle said no")
-	}
-
-	// Oracle flips: the next evaluation with drained queues clears it.
-	recovered.Store(true)
-	deadline = time.Now().Add(5 * time.Second)
-	for p.Degraded() {
-		if time.Now().After(deadline) {
-			t.Fatal("degraded flag never cleared after the oracle agreed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestBlockedConfigRouting: the controller routes around quarantined
 // configurations and deploys them once unblocked.
 func TestBlockedConfigRouting(t *testing.T) {
@@ -227,7 +86,6 @@ func TestBlockedConfigRouting(t *testing.T) {
 	var deployedOrder []int
 	p, err := New(attr, Config{
 		Workers:         1,
-		BatchSize:       4,
 		FlushInterval:   time.Millisecond,
 		EvalInterval:    5 * time.Millisecond,
 		MinRoundPackets: 20,

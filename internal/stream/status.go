@@ -45,8 +45,6 @@ type Status struct {
 	MeanClusterSize  float64            `json:"mean_cluster_size"`
 	Candidates       int                `json:"candidates"`
 	Converged        bool               `json:"converged"`
-	Degraded         bool               `json:"degraded"`
-	DroppedEvents    int64              `json:"dropped_events"`
 	PerLink          []LinkStatus       `json:"per_link"`
 	TopSources       []AttributedSource `json:"top_sources"`
 	History          []RoundRecord      `json:"history"`
@@ -79,8 +77,6 @@ func (p *Pipeline) Status(topN int) Status {
 		MeanClusterSize:  part.Summarize().MeanSize,
 		Candidates:       len(candidates),
 		Converged:        e.converged,
-		Degraded:         h.Degraded,
-		DroppedEvents:    h.Dropped,
 		History:          append([]RoundRecord(nil), p.history...),
 	}
 	if s.UptimeSec > 0 {

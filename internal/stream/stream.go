@@ -3,28 +3,27 @@
 // the closed loop the paper's operational story describes (§I, §V-C) —
 // an origin AS localizing spoofers *while an attack is in progress*.
 //
-// The loop has two halves and each is a type. Intake counts: per-packet
-// events tapped from the amp honeypot are sharded across N worker
-// goroutines, appended under a per-shard lock into fixed slabs of
-// BatchSize events and handed off a full slab at a time — one channel
-// operation per slab, not per event; workers accumulate batched per-link
-// counters and flush them into shared round state by count or tick,
-// taking a partly filled slab on the tick. Evaluator decides: it folds a
+// The loop has two halves and each is a type. Intake counts: each
+// per-packet event tapped from the amp honeypot is added, on the
+// goroutine that taps it, to the per-link counters of one of N counter
+// shards under that shard's lock, and shard counters are merged into the
+// shared round when the round is read and on a flush tick — the event
+// itself is copied nowhere. Evaluator decides: it folds a
 // round into a sched.Loop (an incremental localizer and cluster
 // partition), and when the volume-ranked top candidate
 // cluster still exceeds the split threshold the loop's greedy step picks
 // the next announcement configuration. One round protocol joins them
-// wherever they run: the decide side completes a round with Intake.Cut,
-// reads it with Intake.HarvestRound, folds it with Evaluator.Fold and
-// starts the next with Intake.AdvanceEpoch, which deploys the chosen
+// wherever they run: the decide side reads a round with
+// Intake.HarvestRound, which completes it first (merges every shard, as
+// Intake.Cut does alone), folds it with Evaluator.Fold and starts the next with Intake.AdvanceEpoch, which deploys the chosen
 // configuration through a callback (in cmd/spooftrackd,
 // amp.Border.SetCatchments). Pipeline runs that protocol in one process;
 // internal/shard's controller runs it over shard nodes in others.
 //
-// Backpressure, not loss: Ingest blocks when a shard has no free slab,
-// so a slow consumer stalls the producer instead of silently dropping
-// events. Close drains every slab, flushes outstanding batches, folds
-// the final round, and only then returns.
+// No queue, no loss: Ingest counts in place, so there is nothing to
+// overflow and no event to drop; the longest it waits is one merge of
+// its shard. Close merges every shard, folds the final round, and only
+// then returns.
 package stream
 
 import (
@@ -67,16 +66,13 @@ type DeployFunc func(cfgIdx int, table map[uint32]uint8)
 
 // Config tunes the pipeline.
 type Config struct {
-	// Workers is the number of shard goroutines (default min(GOMAXPROCS, 8)).
+	// Workers is the number of counter shards concurrent producers are
+	// spread across (default min(GOMAXPROCS, 8)); no goroutine runs per
+	// shard.
 	Workers int
-	// QueueDepth is the queued events per shard, in BatchSize slabs, at
-	// least two (smaller slabs when QueueDepth < 2×BatchSize); default
-	// 1024. The slabs are allocated once, when the intake starts.
-	QueueDepth int
-	// BatchSize flushes a worker's local counters after this many
-	// events (default 256).
-	BatchSize int
-	// FlushInterval flushes idle workers' partial batches (default 100ms).
+	// FlushInterval is how often the control goroutine merges the
+	// counter shards into the round, keeping metrics and the flush-lag
+	// histogram fresh between reads (default 100ms).
 	FlushInterval time.Duration
 	// EvalInterval is the controller's evaluation cadence (default
 	// 2×FlushInterval).
@@ -93,22 +89,6 @@ type Config struct {
 	// tracked but not materialized (useful in tests feeding Ingest
 	// directly).
 	Deploy DeployFunc
-	// Shed switches intake from backpressure to overload shedding: when
-	// a shard's queue is full, Ingest drops the event instead of
-	// blocking, counts it (stream_dropped_total), and raises the
-	// pipeline's degraded flag. The controller clears the flag once
-	// queues drain and no further drops occur. Use when the tap must
-	// never stall the packet path (spooftrackd -shed).
-	Shed bool
-	// DegradedRecovery, if non-nil, is an extra gate on clearing the
-	// degraded flag: the controller still requires drained queues and a
-	// quiet drop counter, but additionally asks this callback before
-	// declaring the overload over. Wire it to metric history (the tsdb
-	// engine) so recovery means "no shedding for a whole window", not
-	// "no shedding since the last tick" — a flapping overload then holds
-	// the flag instead of strobing it. Called from the controller outside
-	// the pipeline lock; must not call back into the pipeline.
-	DegradedRecovery func() bool
 	// Eval is the decide half: split threshold, quarantine mask and
 	// re-measurement hints, for whichever Evaluator folds the rounds.
 	Eval EvalParams
@@ -127,12 +107,6 @@ func (c *Config) setDefaults() {
 		if c.Workers > 8 {
 			c.Workers = 8
 		}
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
 	}
 	if c.FlushInterval <= 0 {
 		c.FlushInterval = 100 * time.Millisecond
@@ -166,9 +140,9 @@ type RoundRecord struct {
 // plus the local decide loop over it. Create with New, feed with Ingest
 // (wire it as an amp tap), stop with Close. Its control goroutine is a
 // client of the intake's round protocol, as a shard controller is: it
-// completes a round with Intake.Cut, copies it out with the harvest
-// behind HarvestRound, folds it with Evaluator.Fold and starts the next
-// one with Intake.AdvanceEpoch. It does not expose those calls: only the
+// completes and copies out a round with the harvest behind HarvestRound,
+// folds it with Evaluator.Fold and starts the next one with
+// Intake.AdvanceEpoch. It does not expose those calls: only the
 // local fold may take a Pipeline's round.
 type Pipeline struct {
 	in *Intake
@@ -182,7 +156,7 @@ type Pipeline struct {
 	// finds the intake already counting the next round; the Eval
 	// callbacks and Deploy therefore run under it, as they run under the
 	// shard controller's lock, and must not call back into the pipeline.
-	// Worker flushes never take it.
+	// Ingest and shard merges never take it.
 	mu      sync.Mutex
 	eval    *Evaluator
 	history []RoundRecord
@@ -190,7 +164,7 @@ type Pipeline struct {
 }
 
 // New validates the attribution input, deploys the initial
-// configuration, and starts the workers and the control loop.
+// configuration, and starts the control loop.
 func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	in, err := newIntake(attr, cfg)
 	if err != nil {
@@ -212,18 +186,15 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 // Ingest feeds one per-packet event into the pipeline (Intake.Ingest).
 func (p *Pipeline) Ingest(ev amp.Event) bool { return p.in.Ingest(ev) }
 
-// Degraded reports whether the pipeline is shedding load (Intake.Degraded).
-func (p *Pipeline) Degraded() bool { return p.in.Degraded() }
+// Dropped is always 0: the intake counts every event it accepts. It
+// stays for the benchmark's drop check, its only reader.
+func (p *Pipeline) Dropped() int64 { return 0 }
 
-// Dropped returns how many events overload shedding has discarded.
-func (p *Pipeline) Dropped() int64 { return p.in.Dropped() }
-
-// TotalEvents returns how many events have been flushed into the shared
-// state so far.
+// TotalEvents returns how many events the pipeline has counted so far.
 func (p *Pipeline) TotalEvents() int64 { return p.in.TotalEvents() }
 
-// Close stops intake, drains and flushes every shard, folds the final
-// round into the localizer, and shuts the control loop down. It is the
+// Close stops intake, merges every shard, folds the final round into
+// the localizer, and shuts the control loop down. It is the
 // drain-then-flush half of graceful shutdown: stop producing events
 // (close the honeypot or detach the tap) before calling it. Close is
 // idempotent and safe for concurrent callers: exactly one caller runs

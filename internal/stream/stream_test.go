@@ -49,7 +49,6 @@ func TestClosedLoop(t *testing.T) {
 	// convergence delay after a reconfiguration.
 	p, err := New(attr, Config{
 		Workers:         4,
-		BatchSize:       8,
 		FlushInterval:   2 * time.Millisecond,
 		EvalInterval:    10 * time.Millisecond,
 		MinRoundPackets: 100,
@@ -149,7 +148,6 @@ func TestLoopbackIntegration(t *testing.T) {
 
 	p, err := New(attr, Config{
 		Workers:         2,
-		BatchSize:       16,
 		FlushInterval:   2 * time.Millisecond,
 		EvalInterval:    10 * time.Millisecond,
 		MinRoundPackets: 60,
@@ -193,17 +191,15 @@ func TestLoopbackIntegration(t *testing.T) {
 	}
 }
 
-// TestBackpressureNoLoss asserts the bounded queues shed load by
-// blocking producers, never by dropping: with single-event queues,
-// single-event batches, and heavy mutex contention from a status
-// poller, every ingested event must still be accounted after Close.
+// TestBackpressureNoLoss asserts the intake never drops: with eight
+// producers on two counter shards and heavy lock contention from a
+// status poller that merges on every read, every ingested event must
+// still be accounted after Close.
 func TestBackpressureNoLoss(t *testing.T) {
 	attr := testAttribution()
 	reg := metrics.NewRegistry()
 	p, err := New(attr, Config{
 		Workers:         2,
-		QueueDepth:      1,
-		BatchSize:       1,
 		FlushInterval:   time.Millisecond,
 		EvalInterval:    time.Millisecond,
 		MinRoundPackets: 1 << 40, // never reconfigure mid-test
@@ -213,7 +209,7 @@ func TestBackpressureNoLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Slow consumer: hammer the shared state so flushes contend.
+	// Hammer the shared state so merges contend with producers.
 	pollStop := make(chan struct{})
 	var pollWG sync.WaitGroup
 	pollWG.Add(1)

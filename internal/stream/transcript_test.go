@@ -46,7 +46,6 @@ func TestPipelineTranscriptDigest(t *testing.T) {
 	led := provenance.New(provenance.Options{})
 	p, err := New(attr, Config{
 		Workers:         2,
-		BatchSize:       8,
 		FlushInterval:   time.Millisecond,
 		EvalInterval:    2 * time.Millisecond,
 		MinRoundPackets: roundPkts,

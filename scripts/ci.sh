@@ -18,7 +18,10 @@
 # failover test, the greedy step's pooled scorer, whose per-group
 # scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp and stream together),
-# run the live-loop example twenty times (the regression check for the
+# run the intake's concurrent round-protocol test ten times under the
+# race detector (four producers counting into shared counter shards
+# while harvests, cuts and epoch advances merge them: every event folded
+# or settle-excluded exactly once), run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
 # lost attacker in a small share of runs), run the daemon's
 # multi-process controller failover test five times (election timing
@@ -70,6 +73,9 @@ go test ./...
 
 echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
+
+echo "==> intake round protocol under -race x10 (producers, harvests, cuts and advances interleaved: every event counted once)"
+go test -race -count=10 -run '^TestConcurrentRoundProtocolAccountsOnce$' ./internal/stream/
 
 echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
