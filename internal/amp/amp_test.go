@@ -37,7 +37,7 @@ func TestPacketRoundTripProperty(t *testing.T) {
 			payload = payload[:maxPayload]
 		}
 		p := &Packet{
-			Type:        TypeResponse,
+			Type:        TypeRequest,
 			IngressLink: link,
 			TrueSrcAS:   asn,
 			SpoofedSrc:  netip.AddrFrom4(ip),

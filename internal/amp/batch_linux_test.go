@@ -3,18 +3,25 @@
 package amp
 
 import (
+	"fmt"
+	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"unsafe"
 )
 
-// sendLog is the messages the serve loops handed to the kernel, in
-// order, each as the number of datagrams it carried.
+// sendLog is the messages the senders handed to the kernel, in order,
+// each as the number of datagrams it carried and its segment size (0
+// without a UDP_SEGMENT control message), and the number of messages
+// each sendmmsg call handed over.
 type sendLog struct {
-	mu   sync.Mutex
-	msgs []int
+	mu    sync.Mutex
+	msgs  []int
+	segs  []int
+	calls []int
 }
 
 func (l *sendLog) snapshot() []int {
@@ -23,11 +30,12 @@ func (l *sendLog) snapshot() []int {
 	return append([]int(nil), l.msgs...)
 }
 
-// interceptSends puts refuse in front of every sendmmsg the serve loops
+// interceptSends puts refuse in front of every sendmmsg the senders
 // make until the test ends. As the kernel does with a message it
 // refuses, a call sends the messages before the first one refuse
 // answers with a nonzero errno, and the next call fails with that errno.
-// Start the border after the call and close it before the test returns.
+// Start the border or attacker after the call, and close a border before
+// the test returns.
 func interceptSends(t *testing.T, refuse func(m *mmsghdr) syscall.Errno) *sendLog {
 	l := &sendLog{}
 	kernel := callSendmmsg
@@ -54,7 +62,15 @@ func interceptSends(t *testing.T, refuse func(m *mmsghdr) syscall.Errno) *sendLo
 		}
 		l.mu.Lock()
 		for i := range msgs[:n] {
+			seg := 0
+			if c := msgs[i].hdr.Control; c != nil {
+				seg = int((*segmentCmsg)(unsafe.Pointer(c)).size)
+			}
 			l.msgs = append(l.msgs, int(msgs[i].hdr.Iovlen))
+			l.segs = append(l.segs, seg)
+		}
+		if n > 0 {
+			l.calls = append(l.calls, n)
 		}
 		l.mu.Unlock()
 		return n, e
@@ -137,5 +153,123 @@ func TestRefusedDatagramInRunCostsOnlyItself(t *testing.T) {
 	msgs := log.snapshot()
 	if last := msgs[len(msgs)-3:]; last[0] != 3 || last[1] != 2 || last[2] != 1 {
 		t.Fatalf("messages %v: want the second batch as runs of 3 and 2, then the closing gate", msgs)
+	}
+}
+
+// floodTarget is a plain UDP socket that counts the datagrams it
+// receives until the test ends.
+func floodTarget(t *testing.T) (*net.UDPAddr, func() int64) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, slotLen)
+		for {
+			if _, _, err := conn.ReadFromUDPAddrPort(buf); err != nil {
+				return
+			}
+			n.Add(1)
+		}
+	}()
+	t.Cleanup(func() {
+		conn.Close()
+		<-done
+	})
+	return conn.LocalAddr().(*net.UDPAddr), n.Load
+}
+
+// loggedAttacker starts an attacker under interceptSends(refuse) and a
+// floodTarget for it. It returns the send log, the attacker, the
+// target's address and its count of datagrams received.
+func loggedAttacker(t *testing.T, refuse func(m *mmsghdr) syscall.Errno) (*sendLog, *Attacker, *net.UDPAddr, func() int64) {
+	t.Helper()
+	log := interceptSends(t, refuse)
+	to, received := floodTarget(t)
+	a, err := NewAttacker(100, netip.MustParseAddr("192.0.2.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	return log, a, to, received
+}
+
+// accept refuses no message.
+func accept(*mmsghdr) syscall.Errno { return 0 }
+
+// TestAttackerBurstIsOneGSOMessage floods one batch: one sendmmsg call
+// hands over one message of 32 datagrams whose segment size is the
+// datagram's length, and the target receives all 32.
+func TestAttackerBurstIsOneGSOMessage(t *testing.T) {
+	log, a, to, received := loggedAttacker(t, accept)
+	if sent, err := a.FloodPayload(to, batchSize, make([]byte, 8)); err != nil || sent != batchSize {
+		t.Fatalf("sent %d of %d: %v", sent, batchSize, err)
+	}
+	waitFor(t, func() bool { return received() == batchSize })
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if fmt.Sprint(log.calls, log.msgs, log.segs) != fmt.Sprint([]int{1}, []int{batchSize}, []int{headerLen + 8}) {
+		t.Fatalf("calls %v, messages %v, segment sizes %v: want one call of one message of %d datagrams of %d bytes",
+			log.calls, log.msgs, log.segs, batchSize, headerLen+8)
+	}
+}
+
+// TestAttackerFloodsInBatches floods 70 requests: three flushes, one
+// GSO message each, of 32, 32 and 6 datagrams.
+func TestAttackerFloodsInBatches(t *testing.T) {
+	log, a, to, received := loggedAttacker(t, accept)
+	if sent, err := a.FloodPayload(to, 70, make([]byte, maxPayload)); err != nil || sent != 70 {
+		t.Fatalf("sent %d of 70: %v", sent, err)
+	}
+	waitFor(t, func() bool { return received() == 70 })
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if fmt.Sprint(log.calls, log.msgs) != fmt.Sprint([]int{1, 1, 1}, []int{32, 32, 6}) {
+		t.Fatalf("calls %v, messages %v: want three calls of one message of 32, 32 and 6 datagrams", log.calls, log.msgs)
+	}
+}
+
+// TestAttackerRefusedRunResendsEach refuses the attacker's first run
+// with EPERM and then the fifth datagram sent on its own: the other 31
+// go one message each and arrive, FloodPayload counts 31 and reports
+// the refusal, and the next flood goes as one run again.
+func TestAttackerRefusedRunResendsEach(t *testing.T) {
+	refusedRun, singles := false, 0
+	log, a, to, received := loggedAttacker(t, func(m *mmsghdr) syscall.Errno {
+		if m.hdr.Iovlen > 1 {
+			if refusedRun {
+				return 0
+			}
+			refusedRun = true
+			return syscall.EPERM
+		}
+		if singles++; singles == 5 {
+			return syscall.EPERM
+		}
+		return 0
+	})
+	sent, err := a.FloodPayload(to, batchSize, make([]byte, 8))
+	if sent != batchSize-1 || err != syscall.EPERM {
+		t.Fatalf("FloodPayload = %d, %v; want %d, EPERM", sent, err, batchSize-1)
+	}
+	waitFor(t, func() bool { return received() == batchSize-1 })
+	msgs := log.snapshot()
+	if len(msgs) != batchSize-1 {
+		t.Fatalf("messages %v: want %d of one datagram", msgs, batchSize-1)
+	}
+	for _, k := range msgs {
+		if k != 1 {
+			t.Fatalf("messages %v: a message after the refused run carried %d datagrams", msgs, k)
+		}
+	}
+	if sent, err := a.FloodPayload(to, batchSize, make([]byte, 8)); err != nil || sent != batchSize {
+		t.Fatalf("second flood sent %d of %d: %v", sent, batchSize, err)
+	}
+	waitFor(t, func() bool { return received() == 2*batchSize-1 })
+	if msgs := log.snapshot(); msgs[len(msgs)-1] != batchSize {
+		t.Fatalf("messages %v: want the second flood as one run of %d", msgs, batchSize)
 	}
 }

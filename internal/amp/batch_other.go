@@ -7,18 +7,62 @@ import (
 	"net/netip"
 )
 
-// datagrams is one serve loop's receive buffer and the socket calls that
-// fill it and forward from it. Here a batch is one datagram: read is one
-// ReadFromUDPAddrPort and flush at most one WriteToUDPAddrPort.
-type datagrams struct {
+// sender queues datagrams and sends them on flush, here with one
+// WriteToUDPAddrPort each. It is the border's forward path and the
+// attacker's flood path.
+type sender struct {
 	conn   *net.UDPConn
-	buf    [slotLen]byte
-	n      int
-	queued bool
+	bufs   [batchSize][]byte
+	queued int
+}
+
+// init readies s to send on conn.
+func (s *sender) init(conn *net.UDPConn) error {
+	s.conn = conn
+	return nil
+}
+
+// queue adds b to the next flush. b must stay unchanged until then, and
+// at most batchSize datagrams are queued between flushes.
+func (s *sender) queue(b []byte) {
+	s.bufs[s.queued] = b
+	s.queued++
+}
+
+// flush sends every queued datagram to to and returns how many were
+// written, with the first error. A datagram the kernel refuses is
+// dropped; the rest of the flush is still sent.
+func (s *sender) flush(to netip.AddrPort) (int, error) {
+	var first error
+	sent := 0
+	for i, b := range s.bufs[:s.queued] {
+		if _, err := s.conn.WriteToUDPAddrPort(b, to); err != nil {
+			if first == nil {
+				first = err
+			}
+		} else {
+			sent++
+		}
+		s.bufs[i] = nil
+	}
+	s.queued = 0
+	return sent, first
+}
+
+// datagrams is one serve loop's receive buffer and the socket calls that
+// fill it and forward from it. Here a read is one ReadFromUDPAddrPort.
+type datagrams struct {
+	sender
+	buf [slotLen]byte
+	n   int
 }
 
 func newDatagrams(conn *net.UDPConn) (*datagrams, error) {
-	return &datagrams{conn: conn}, nil
+	d := &datagrams{}
+	if err := d.sender.init(conn); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // read waits for one datagram and reads it. A datagram longer than
@@ -36,13 +80,4 @@ func (d *datagrams) datagram(int) []byte { return d.buf[:d.n] }
 
 // forward queues the last read's datagram, as it now stands, for the
 // next flush.
-func (d *datagrams) forward(int) { d.queued = true }
-
-// flush sends the queued datagram to to, if there is one. A datagram
-// the kernel refuses is dropped.
-func (d *datagrams) flush(to netip.AddrPort) {
-	if d.queued {
-		_, _ = d.conn.WriteToUDPAddrPort(d.buf[:d.n], to)
-		d.queued = false
-	}
-}
+func (d *datagrams) forward(int) { d.queue(d.buf[:d.n]) }

@@ -138,7 +138,9 @@ func (b *Border) serve(d *datagrams) {
 				d.forward(i)
 			}
 		}
-		d.flush(b.upstream)
+		// A datagram the kernel refuses is lost, as on a lossy link to
+		// the honeypot; the rest of the batch still goes.
+		_, _ = d.flush(b.upstream)
 	}
 }
 
@@ -146,7 +148,7 @@ func (b *Border) serve(d *datagrams) {
 // packet the border forwards it stamps the ingress link into the
 // datagram in place and returns true.
 func (b *Border) admit(pkt *Packet, buf []byte, sp *trace.Span) bool {
-	if err := pkt.decode(buf); err != nil || pkt.Type != TypeRequest {
+	if err := pkt.decode(buf); err != nil {
 		b.mu.Lock()
 		m := b.packets
 		b.mu.Unlock()

@@ -84,7 +84,7 @@ func (h *Honeypot) serve(d *datagrams) {
 		}
 		for i := 0; i < n; i++ {
 			buf := d.datagram(i)
-			if err := pkt.decode(buf); err != nil || pkt.Type != TypeRequest {
+			if err := pkt.decode(buf); err != nil {
 				h.mu.Lock()
 				h.malformed++
 				m := h.metrics

@@ -28,7 +28,7 @@ const planeDigest = "c6eed1f20dc50f2ce0ab3061060b1bf7a6b2dfc9ec9d983b5485b4fdd62
 // honeypot's Malformed and every amp_border_packets_total{outcome}
 // child. The stream mixes valid requests from mapped and unmapped ASes,
 // payloads from 0 to maxPayload bytes, a filtered request, a
-// TypeResponse, a short header, a length mismatch and datagrams of
+// type-2 packet, a short header, a length mismatch and datagrams of
 // headerLen+maxPayload+1 and 2 049 bytes; a catchment change falls
 // between two windows, and undecodable datagrams also go straight to
 // the honeypot.
@@ -125,7 +125,7 @@ func TestPacketPlaneDigest(t *testing.T) {
 		case 1:
 			ds = append(ds[:20:20], append([][]byte{req(200, filteredSrc.String(), 16)}, ds[20:]...)...)
 		case 2:
-			resp := &Packet{Type: TypeResponse, IngressLink: LinkUnset, TrueSrcAS: 100,
+			resp := &Packet{Type: PacketType(2), IngressLink: LinkUnset, TrueSrcAS: 100,
 				SpoofedSrc: netip.MustParseAddr("192.0.2.9"), Payload: []byte("answer")}
 			ds = append([][]byte{mustMarshal(t, resp)}, ds...)
 		case 3:

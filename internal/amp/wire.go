@@ -26,16 +26,11 @@ const Magic uint32 = 0x53504f46 // "SPOF"
 // PacketType distinguishes overlay messages.
 type PacketType uint8
 
-const (
-	// TypeRequest is an amplification query (attacker -> border ->
-	// honeypot).
-	TypeRequest PacketType = 1
-	// TypeResponse is an amplified answer. No component sends one:
-	// the honeypot never answers, and probe's SimNet models a
-	// reflector's answer with Service.Respond, not with an overlay
-	// packet. The border and honeypot count one as malformed.
-	TypeResponse PacketType = 2
-)
+// TypeRequest is an amplification query (attacker -> border ->
+// honeypot), the one type decode accepts. Nothing answers one: the
+// honeypot never does, and probe's SimNet models a reflector's answer
+// with Service.Respond, not with an overlay packet.
+const TypeRequest PacketType = 1
 
 // maxPayload bounds the variable part of a packet.
 const maxPayload = 1400
@@ -48,6 +43,9 @@ const headerLen = 16
 // byte, so a longer datagram is cut to slotLen bytes and still fails
 // decode's length check as the malformed packet it is.
 const slotLen = headerLen + maxPayload + 1
+
+// batchSize bounds the datagrams one read takes and one flush sends.
+const batchSize = 32
 
 // Packet is one overlay message.
 type Packet struct {
@@ -70,13 +68,17 @@ const LinkUnset uint8 = 0xff
 
 // Marshal encodes the packet into a new buffer.
 func (p *Packet) Marshal() ([]byte, error) {
+	return p.appendTo(make([]byte, 0, headerLen+min(len(p.Payload), maxPayload)))
+}
+
+// appendTo appends the packet's encoding to buf.
+func (p *Packet) appendTo(buf []byte) ([]byte, error) {
 	if len(p.Payload) > maxPayload {
 		return nil, fmt.Errorf("amp: payload %d exceeds %d bytes", len(p.Payload), maxPayload)
 	}
 	if !p.SpoofedSrc.Is4() {
 		return nil, fmt.Errorf("amp: spoofed source %v is not IPv4", p.SpoofedSrc)
 	}
-	buf := make([]byte, 0, headerLen+len(p.Payload))
 	buf = binary.BigEndian.AppendUint32(buf, Magic)
 	buf = append(buf, byte(p.Type), p.IngressLink)
 	buf = binary.BigEndian.AppendUint32(buf, p.TrueSrcAS)
@@ -107,7 +109,7 @@ func (p *Packet) decode(buf []byte) error {
 		return fmt.Errorf("amp: bad magic %#x", got)
 	}
 	t := PacketType(buf[4])
-	if t != TypeRequest && t != TypeResponse {
+	if t != TypeRequest {
 		return fmt.Errorf("amp: unknown packet type %d", t)
 	}
 	plen := int(binary.BigEndian.Uint16(buf[14:]))

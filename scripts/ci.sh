@@ -21,7 +21,10 @@
 # run the intake's concurrent round-protocol test ten times under the
 # race detector (four producers counting into shared counter shards
 # while harvests, cuts and epoch advances merge them: every event folded
-# or settle-excluded exactly once), run the live-loop example twenty times (the regression check for the
+# or settle-excluded exactly once), run the packet plane's real-kernel
+# delivery tests ten times (the plane's digest, the border's
+# mixed-length forward and the attacker's wire digest: a UDP GSO message
+# that lost or reordered a datagram shows there first), run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
 # lost attacker in a small share of runs), run the daemon's
 # multi-process controller failover test five times (election timing
@@ -76,6 +79,9 @@ go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./int
 
 echo "==> intake round protocol under -race x10 (producers, harvests, cuts and advances interleaved: every event counted once)"
 go test -race -count=10 -run '^TestConcurrentRoundProtocolAccountsOnce$' ./internal/stream/
+
+echo "==> packet-plane delivery x10 (border and attacker GSO sends: every datagram once, in order, byte for byte)"
+go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest)$' ./internal/amp/
 
 echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
