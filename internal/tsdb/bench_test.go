@@ -8,13 +8,14 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// benchRegistry builds a registry shaped like spooftrackd's: a few
-// plain counters/gauges, labeled vectors, and histograms.
+// benchRegistry builds a registry shaped like spooftrackd's, from
+// families the daemon registers: plain counters and a gauge, labeled
+// vectors, and a histogram.
 func benchRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	reg.Counter("stream_events_total").Add(123456)
-	reg.Counter("stream_dropped_total").Add(17)
-	settableGauge(reg, "stream_queue_depth").Set(42)
+	reg.Counter("stream_batches_total").Add(17)
+	settableGauge(reg, "stream_degraded").Set(1)
 	links := reg.CounterVec("probe_sent_total", "link")
 	for i := 0; i < 16; i++ {
 		links.With(fmt.Sprint(i)).Add(int64(1000 * (i + 1)))

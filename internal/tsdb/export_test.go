@@ -3,14 +3,14 @@ package tsdb
 // Test seams: declarations only this package's tests read, kept out of
 // the shipped build.
 
-// Stats summarizes storage for the compression-budget and retention
-// tests.
+import "unsafe"
+
+// Stats summarizes storage for the storage-budget and retention tests.
 type Stats struct {
 	Series     int
 	Samples    int64 // across all tiers
-	Bytes      int64 // compressed payload across all tiers
+	Bytes      int64 // capacity held across all tiers, 16 B a sample
 	RawSamples int64 // tier-0 only
-	RawBytes   int64
 	Scrapes    int64
 }
 
@@ -26,7 +26,7 @@ func (db *DB) allSeries() []*series {
 	return all
 }
 
-// Stats walks every series; cheap (counts, not decodes).
+// Stats walks every series; cheap (lengths and capacities).
 func (db *DB) Stats() Stats {
 	all := db.allSeries()
 	st := Stats{Series: len(all), Scrapes: db.scrapes.Load()}
@@ -34,19 +34,13 @@ func (db *DB) Stats() Stats {
 		s.mu.Lock()
 		for i := range s.tiers {
 			t := &s.tiers[i]
-			for _, c := range t.chunks {
-				st.Samples += int64(c.n)
-				st.Bytes += int64(c.bytes())
-				if t.res == 0 {
-					st.RawSamples += int64(c.n)
-					st.RawBytes += int64(c.bytes())
-				}
+			st.Samples += int64(len(t.pts))
+			st.Bytes += int64(cap(t.pts)) * int64(unsafe.Sizeof(Point{}))
+			if t.res == 0 {
+				st.RawSamples += int64(len(t.pts))
 			}
 		}
 		s.mu.Unlock()
 	}
 	return st
 }
-
-// bytes returns the encoded size so far.
-func (c *chunk) bytes() int { return len(c.w.buf) }

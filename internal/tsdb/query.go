@@ -9,7 +9,7 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// Point is one decoded sample. T is unix milliseconds.
+// Point is one sample. T is unix milliseconds.
 type Point struct {
 	T int64   `json:"t"`
 	V float64 `json:"v"`
@@ -120,44 +120,44 @@ func kindName(k kind) string {
 	return ""
 }
 
-// rangePoints decodes the series over [from, to], stitched across
+// rangePoints copies the series over [from, to], stitched across
 // tiers: each tier contributes only the span older than the earliest
 // sample of any finer tier, so results use the best resolution
 // available at every age.
 func (s *series) rangePoints(from, to int64) []Point {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := len(s.tiers)
-	earliest := make([]int64, n)
-	for i := range s.tiers {
-		if len(s.tiers[i].chunks) == 0 {
-			earliest[i] = math.MaxInt64
-		} else {
-			earliest[i] = s.tiers[i].chunks[0].tFirst
+	spans := make([][]Point, 0, len(s.tiers))
+	total := 0
+	hi := to
+	for i := range s.tiers { // finest first: each caps the coarser ones
+		pts := s.tiers[i].pts
+		if len(pts) == 0 {
+			continue
+		}
+		if seg := window(pts, from, hi); len(seg) > 0 {
+			spans = append(spans, seg)
+			total += len(seg)
+		}
+		if pts[0].T-1 < hi {
+			hi = pts[0].T - 1
 		}
 	}
-	var out []Point
-	for i := n - 1; i >= 0; i-- { // coarsest first: segments ascend in time
-		if earliest[i] == math.MaxInt64 {
-			continue
-		}
-		lo, hi := from, to
-		if earliest[i] > lo {
-			lo = earliest[i]
-		}
-		for j := 0; j < i; j++ { // stop where a finer tier takes over
-			if earliest[j] != math.MaxInt64 && earliest[j]-1 < hi {
-				hi = earliest[j] - 1
-			}
-		}
-		if lo > hi {
-			continue
-		}
-		for _, c := range s.tiers[i].chunks {
-			out = c.decode(out, lo, hi)
-		}
+	out := make([]Point, 0, total)
+	for i := len(spans) - 1; i >= 0; i-- { // coarsest first: segments ascend in time
+		out = append(out, spans[i]...)
 	}
 	return out
+}
+
+// window returns the samples of pts (ascending) with from <= T <= to.
+func window(pts []Point, from, to int64) []Point {
+	lo := sort.Search(len(pts), func(i int) bool { return pts[i].T >= from })
+	hi := sort.Search(len(pts), func(i int) bool { return pts[i].T > to })
+	if lo >= hi {
+		return nil
+	}
+	return pts[lo:hi]
 }
 
 // ratePoints converts a cumulative series to a per-second derivative.
@@ -295,17 +295,9 @@ func (s *series) valueAt(t int64) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.tiers {
-		chunks := s.tiers[i].chunks
-		for j := len(chunks) - 1; j >= 0; j-- {
-			c := chunks[j]
-			if c.tFirst > t {
-				continue
-			}
-			pts := c.decode(nil, math.MinInt64, t)
-			if len(pts) > 0 {
-				return pts[len(pts)-1].V, true
-			}
-			break
+		pts := s.tiers[i].pts
+		if j := sort.Search(len(pts), func(j int) bool { return pts[j].T > t }); j > 0 {
+			return pts[j-1].V, true
 		}
 	}
 	return 0, false

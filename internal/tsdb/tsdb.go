@@ -2,15 +2,17 @@
 // the attribution pipeline's own telemetry. It scrapes a
 // metrics.Registry on a ticker, decomposes every metric (plain,
 // labeled-vector child, histogram) into flat series, and stores each
-// series in Gorilla-compressed chunks across tiered retention windows
-// (raw for minutes, downsampled for hours). Queries reconstruct ranges,
-// rates, aggregations, windowed increases and quantiles-over-time —
-// what the SLO watchdog's windowed rules and spooftrackd's /query +
-// /dash surfaces run on.
+// series as plain timestamped samples across tiered retention windows
+// (raw for minutes, downsampled for hours and a day). Queries read
+// ranges, rates, aggregations, windowed increases and
+// quantiles-over-time — what the SLO watchdog's windowed rules and
+// spooftrackd's /query + /dash surfaces run on.
 //
 // Localization campaigns run for hours (the paper's single-prefix runs
 // take 11.7h); a point-in-time /metrics cannot answer "what did flush
-// lag do over the campaign?". This package can, in a few MiB.
+// lag do over the campaign?". This package can: at a 1s scrape a
+// series' full history is about 1 370 samples of 16 bytes, ~22 KB, so a
+// daemon's few dozen series need about a MiB and no compression.
 package tsdb
 
 import (
@@ -22,8 +24,8 @@ import (
 )
 
 // tier is one retention level. resolution 0 means "every scrape" (the
-// raw tier); otherwise at most one sample per resolution is kept. Older
-// samples are evicted past retention, whole chunks at a time.
+// raw tier); otherwise at most one sample per resolution is kept. A
+// sample older than retention is evicted on the next append.
 type tier struct {
 	resolution time.Duration
 	retention  time.Duration
@@ -40,21 +42,13 @@ func defaultTiers() []tier {
 	}
 }
 
-// sealSamples caps samples per chunk before sealing; smaller chunks
-// evict more precisely, larger ones compress better. 120 is Gorilla's
-// two-hour block at typical cadences, and ~2 minutes of raw 1s data:
-// fine-grained enough for a 10m raw retention.
-const sealSamples = 120
-
-// Options configures a DB. Every DB keeps defaultTiers and seals a
-// chunk at sealSamples samples; the unexported fields let this
-// package's tests change both.
+// Options configures a DB. Every DB keeps defaultTiers; the unexported
+// field lets this package's tests change them.
 type Options struct {
 	Registry *metrics.Registry
 	Interval time.Duration // scrape cadence; default 1s
 
-	tiers        []tier // default defaultTiers()
-	chunkSamples int    // default sealSamples
+	tiers []tier // default defaultTiers()
 }
 
 // seriesKey identifies one flat series. Histograms decompose into a
@@ -76,16 +70,15 @@ const (
 	kindHistBucket
 )
 
-// tierStore is one tier's chunk list for one series, oldest first.
+// tierStore is one tier's samples for one series, oldest first.
 type tierStore struct {
-	res        int64 // ms between kept samples; 0 = every scrape
-	retention  int64 // ms
-	lastAppend int64 // unix ms of the newest kept sample
-	chunks     []*chunk
+	res       int64 // ms between kept samples; 0 = every scrape
+	retention int64 // ms
+	pts       []Point
 }
 
 // series is the storage for one flat series across all tiers. Its
-// mutex covers both appends and decodes; contention is per-series, so
+// mutex covers both appends and reads; contention is per-series, so
 // concurrent queries of different series never serialize.
 type series struct {
 	key   seriesKey
@@ -95,10 +88,9 @@ type series struct {
 
 // DB is the engine. All methods are safe for concurrent use.
 type DB struct {
-	reg          *metrics.Registry
-	interval     time.Duration
-	tiers        []tier
-	chunkSamples int
+	reg      *metrics.Registry
+	interval time.Duration
+	tiers    []tier
 
 	mu     sync.RWMutex
 	series map[seriesKey]*series
@@ -106,6 +98,7 @@ type DB struct {
 
 	scrapes atomic.Int64
 
+	started  atomic.Bool
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -123,23 +116,20 @@ func New(opts Options) *DB {
 	if len(opts.tiers) == 0 {
 		opts.tiers = defaultTiers()
 	}
-	if opts.chunkSamples <= 0 {
-		opts.chunkSamples = sealSamples
-	}
 	return &DB{
-		reg:          opts.Registry,
-		interval:     opts.Interval,
-		tiers:        opts.tiers,
-		chunkSamples: opts.chunkSamples,
-		series:       make(map[seriesKey]*series),
-		bounds:       make(map[string][]float64),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
+		reg:      opts.Registry,
+		interval: opts.Interval,
+		tiers:    opts.tiers,
+		series:   make(map[seriesKey]*series),
+		bounds:   make(map[string][]float64),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 }
 
 // Start launches the scrape ticker. Stop with Stop.
 func (db *DB) Start() {
+	db.started.Store(true)
 	go func() {
 		defer close(db.done)
 		tick := time.NewTicker(db.interval)
@@ -155,17 +145,12 @@ func (db *DB) Start() {
 	}()
 }
 
-// Stop halts the scrape loop and waits for it to exit. Idempotent;
-// safe even if Start was never called.
+// Stop halts the scrape loop and waits for it to exit, a scrape in
+// progress included. Idempotent; safe even if Start was never called.
 func (db *DB) Stop() {
 	db.stopOnce.Do(func() { close(db.stop) })
-	select {
-	case <-db.done:
-	default:
-		select {
-		case <-db.done:
-		case <-time.After(2 * db.interval):
-		}
+	if db.started.Load() {
+		<-db.done
 	}
 }
 
@@ -213,7 +198,7 @@ func (db *DB) append(ms int64, key seriesKey, v float64) {
 	if s == nil {
 		s = db.createSeries(key)
 	}
-	s.append(ms, v, db.chunkSamples)
+	s.append(ms, v)
 }
 
 func (db *DB) createSeries(key seriesKey) *series {
@@ -247,38 +232,28 @@ func (db *DB) noteBounds(family string, bounds []float64) {
 }
 
 // append adds the sample to every tier whose cadence is due, then
-// evicts whole chunks past each tier's retention.
-func (s *series) append(now int64, v float64, chunkSamples int) {
+// evicts that tier's samples older than its retention. Reslicing past
+// the evicted head keeps an append amortised O(1): the backing array is
+// copied only when append outgrows it.
+func (s *series) append(now int64, v float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range s.tiers {
 		t := &s.tiers[i]
-		if t.res > 0 && t.lastAppend != 0 && now-t.lastAppend < t.res {
-			continue
+		if n := len(t.pts); n > 0 {
+			last := t.pts[n-1].T
+			if now <= last {
+				continue // ignore clock retreat; ordering is per-tier monotone
+			}
+			if t.res > 0 && now-last < t.res {
+				continue
+			}
 		}
-		if now <= t.lastAppend && t.lastAppend != 0 {
-			continue // ignore clock retreat; ordering is per-tier monotone
-		}
-		t.lastAppend = now
-		var c *chunk
-		if n := len(t.chunks); n > 0 && t.chunks[n-1].n < chunkSamples {
-			c = t.chunks[n-1]
-		} else {
-			c = &chunk{}
-			t.chunks = append(t.chunks, c)
-		}
-		c.append(now, v)
 		cutoff := now - t.retention
 		drop := 0
-		for drop < len(t.chunks) && t.chunks[drop].tLast < cutoff {
+		for drop < len(t.pts) && t.pts[drop].T < cutoff {
 			drop++
 		}
-		if drop > 0 {
-			n := copy(t.chunks, t.chunks[drop:])
-			for j := n; j < len(t.chunks); j++ {
-				t.chunks[j] = nil
-			}
-			t.chunks = t.chunks[:n]
-		}
+		t.pts = append(t.pts[drop:], Point{T: now, V: v})
 	}
 }

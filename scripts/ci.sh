@@ -37,7 +37,12 @@
 # campaign-outcome-heap benchmarks once with -benchmem, so their world and
 # campaign builds are exercised too and every log shows a warm
 # configuration measurement's B/op and allocs/op (the last reports the
-# heap a measured campaign's outcomes hold, in B/config), and run
+# heap a measured campaign's outcomes hold, in B/config), run the
+# metric-history engine's scrape and 2h range-query benchmarks once at
+# the default benchtime with -benchmem (a second of benchmark time runs
+# about 100 000 scrapes a simulated second apart, over a day of history,
+# so the scrape row is the full-tier steady state), so every
+# log shows its per-scrape and per-query cost and allocations, and run
 # the five Benchmark…Budget gates (delta propagation, scrape, sharded
 # ingest, probe scan, ledger) one package at a time, so no other test
 # binary shares the CPUs with their timed samples.
@@ -97,6 +102,9 @@ go test -run '^$' -bench GreedyStep -benchtime 1x ./internal/sched/
 
 echo "==> measurement benchmarks (one iteration each: a warm configuration measurement, a campaign's imputation, and the heap a measured campaign's outcomes hold; with B/op and allocs/op)"
 go test -run '^$' -bench 'MeasureOutcome|Impute|CampaignOutcomeHeap' -benchtime 1x -benchmem ./internal/core/ ./internal/measure/
+
+echo "==> metric-history benchmarks (one run each at the default benchtime: a daemon-shaped scrape and a 2h rate() range query; with B/op and allocs/op)"
+go test -run '^$' -bench '^(BenchmarkTsdbScrape|BenchmarkTsdbQueryRange)$' -benchmem ./internal/tsdb/
 
 echo "==> budget gates (serial: each compares two timed sides)"
 go test -p 1 -run '^$' -bench 'Budget$' -benchtime 1x ./...
