@@ -173,7 +173,6 @@ func TestEveryModeLocalizes(t *testing.T) {
 					feed.ingest(amp.Event{
 						Time:        time.Now(),
 						IngressLink: uint8(link),
-						TrueSrcAS:   uint32(attr.SourceASNs[plantedSource]),
 						SpoofedSrc:  netip.MustParseAddr("192.0.2.66"),
 						WireLen:     24,
 					})

@@ -16,17 +16,28 @@ type Event struct {
 	// (LinkUnset if the border had not stamped it).
 	IngressLink uint8
 	// TrueSrcAS is the packet's actual origin AS — simulator ground
-	// truth. No tap in the program sets it: the honeypot tap reports 0,
-	// because the honeypot never learns true sources, which is the whole
-	// reason the paper's technique exists. Only code that builds events
-	// by hand from the attacker wire format does (bench/ and tests), and
-	// shard routing still keys on it; fencing it off the attribution
-	// path is ROADMAP item 25.
+	// truth. Nothing on the origin side reads it: no tap sets it (the
+	// honeypot reports 0, because it never learns true sources, which is
+	// the whole reason the paper's technique exists), and shards route on
+	// FlowKey. It stays only because bench/ writes it (ROADMAP item 29).
 	TrueSrcAS uint32
 	// SpoofedSrc is the forged source (victim) address.
 	SpoofedSrc netip.Addr
 	// WireLen is the packet's on-the-wire size in bytes.
 	WireLen int
+}
+
+// FlowKey is FNV-1a over what the border sees of the packet: the spoofed
+// (victim) address and the ingress link. Shard routing and an intake's
+// counter-shard pick both key on it, so one flow is counted in one place.
+func (e *Event) FlowKey() uint32 {
+	h := uint32(2166136261)
+	if e.SpoofedSrc.Is4() {
+		for _, c := range e.SpoofedSrc.As4() {
+			h = (h ^ uint32(c)) * 16777619
+		}
+	}
+	return (h ^ uint32(e.IngressLink)) * 16777619
 }
 
 // Tap receives per-packet events. Taps run synchronously on the serve

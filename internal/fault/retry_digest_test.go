@@ -157,7 +157,6 @@ func clusterLines(t *testing.T, name string) []string {
 				cl.Ingest(amp.Event{
 					Time:        time.Now(),
 					IngressLink: uint8(attr.Catchments[cfg][a.src]),
-					TrueSrcAS:   uint32(attr.SourceASNs[a.src]),
 					SpoofedSrc:  netip.MustParseAddr("192.0.2.66"),
 					WireLen:     64,
 				})

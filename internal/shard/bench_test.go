@@ -10,15 +10,15 @@ import (
 )
 
 // BenchmarkShardIngestBudget gates the sharding tier's tax on the packet
-// path: routing an event through the consistent-hash ring into one of
-// four relay shards may cost at most 20 ns/event more than a bare
-// single-node pipeline Ingest on the same stream, with the same total
-// counter-shard budget (4). The ring lookup is one hash and one table
-// load and the route snapshot is lock-free, so anything beyond that means
-// a lock or an allocation leaked onto the packet path. The budget is
-// absolute: it is what 1.10x allowed while an Ingest cost ~200 ns, and
-// since the intake counts events in place (tens of ns) the route's fixed
-// few nanoseconds alone read over 1.2x.
+// path: routing an event by its flow key into one of four relay shards
+// may cost at most 20 ns/event more than a bare single-node pipeline
+// Ingest on the same stream, with the same total counter-shard budget
+// (4). The route is one flow-key hash, one remix and one multiply-shift
+// over a lock-free snapshot of the live nodes, so anything beyond that
+// means a lock or an allocation leaked onto the packet path. The budget
+// is absolute: it is what 1.10x allowed while an Ingest cost ~200 ns,
+// and since the intake counts events in place (tens of ns) the route's
+// fixed few nanoseconds alone read over 1.2x.
 func BenchmarkShardIngestBudget(b *testing.B) {
 	attr := chaosAttr()
 	events := benchEvents(attr, 1024)
@@ -124,7 +124,8 @@ func BenchmarkShardMergeRound(b *testing.B) {
 }
 
 // benchEvents pre-builds a cycling event stream spread across every
-// source AS so the ring lookup sees realistic key diversity.
+// source, each flooding its own victim, so the route sees realistic flow
+// key diversity.
 func benchEvents(attr stream.Attribution, n int) []amp.Event {
 	events := make([]amp.Event, n)
 	for i := range events {

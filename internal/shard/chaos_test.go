@@ -42,12 +42,13 @@ var chaosAttackers = []struct {
 	pkts int
 }{{5, 30}, {11, 20}, {2, 10}}
 
+// chaosEvent is one packet from source src under configuration cfg, as
+// the border sees it: each source floods its own victim.
 func chaosEvent(attr stream.Attribution, src, cfg int) amp.Event {
 	return amp.Event{
 		Time:        time.Now(),
 		IngressLink: uint8(attr.Catchments[cfg][src]),
-		TrueSrcAS:   uint32(attr.SourceASNs[src]),
-		SpoofedSrc:  netip.MustParseAddr("192.0.2.66"),
+		SpoofedSrc:  netip.AddrFrom4([4]byte{192, 0, 2, byte(src)}),
 		WireLen:     64,
 	}
 }
@@ -84,7 +85,7 @@ func runBaseline(prof fault.Profile, seed uint64, rounds int, scored bool) *stre
 }
 
 // runCluster drives a sharded campaign: per round, route the traffic
-// mix through the live ring, quiesce, optionally run the hook (kills,
+// mix through the cluster, quiesce, optionally run the hook (kills,
 // isolation), then step the controller. Returns the cluster for final
 // assertions; the caller closes it.
 func runCluster(t *testing.T, prof fault.Profile, seed uint64, shards, rounds int,
@@ -270,12 +271,14 @@ func assertCoarsening(t *testing.T, base, degraded []int32) {
 	}
 }
 
-// runDegraded drives a campaign with a permanent failure injected by
-// fail(), then asserts the graceful-coarsening contract: explicit
+// runDegraded drives a campaign with a permanent failure of shard id
+// injected by fail(), which must hold counts of the round it fails in
+// (else the loss would be vacuous), then asserts the
+// graceful-coarsening contract: explicit
 // eviction and degraded latch, frozen reconfiguration (the deployment
 // sequence is a prefix of the fault-free run), a coarser — never wrong
 // — partition, and the loss written to the ledger.
-func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
+func runDegraded(t *testing.T, id string, fail func(*Cluster, string), wantState string) {
 	const seed = 21
 	led := provenance.New(provenance.Options{})
 	want := runBaseline(fault.Profile{Name: "clean"}, seed, chaosRounds, true)
@@ -309,7 +312,10 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 		// deploy — the freeze must visibly cut the deployment sequence
 		// short.
 		if r == 2 {
-			fail(cl)
+			if h := cl.nodes[id].Intake().Status(); h.Pkts[0]+h.Pkts[1] == 0 {
+				t.Fatalf("%s holds no counts of the round it fails in", id)
+			}
+			fail(cl, id)
 		}
 		res, err := cl.Step(r == chaosRounds-1)
 		if err != nil {
@@ -368,13 +374,13 @@ func runDegraded(t *testing.T, fail func(*Cluster), wantState string) {
 
 // TestPermanentShardCrashCoarsens: a shard dies for good mid-campaign.
 func TestPermanentShardCrashCoarsens(t *testing.T) {
-	runDegraded(t, func(c *Cluster) { c.KillShard("shard-2") }, "evicted")
+	runDegraded(t, "shard-2", (*Cluster).KillShard, "evicted")
 }
 
 // TestPermanentNetsplitCoarsens: a shard is partitioned away for good —
 // the same eviction path via the transport instead of the node.
 func TestPermanentNetsplitCoarsens(t *testing.T) {
-	runDegraded(t, func(c *Cluster) { c.Isolate("shard-1", true) }, "evicted")
+	runDegraded(t, "shard-3", func(c *Cluster, id string) { c.Isolate(id, true) }, "evicted")
 }
 
 // TestDrainByteIdentical: a shard that breaches its readiness gate is

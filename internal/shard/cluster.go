@@ -39,7 +39,8 @@ type ClusterConfig struct {
 }
 
 // Cluster wires nodes, transport, lease, and controllers together and
-// drives them in rounds: Ingest routes events through the live ring,
+// drives them in rounds: Ingest routes each event by what the border
+// sees of it (amp.Event.FlowKey) to one live member,
 // Quiesce completes the intakes' rounds, Step runs one controller round
 // (electing a leader as needed), and the Kill*/Isolate hooks inject the
 // permanent failures the chaos suite asserts against.
@@ -55,23 +56,16 @@ type Cluster struct {
 	clockBase time.Time
 	clockOff  atomic.Int64
 
-	// Ingest fast path: an immutable route snapshot (ring plus node
-	// slice in ring-member order, refreshed after every controller step,
-	// when membership can change) keeps the sharded ingest path lock-free
-	// and string-free. It keeps no count of its own: each intake counts
-	// what it accepts under its own shard lock.
-	route   atomic.Pointer[ingestRoute]
+	// Ingest fast path: an immutable route snapshot (the live nodes in
+	// member order, refreshed after every controller step, when
+	// membership can change) keeps the sharded ingest path lock-free and
+	// string-free. Each intake counts what it accepts under its own
+	// shard lock; dropped counts what no intake took.
+	route   atomic.Pointer[[]*Node]
 	dropped atomic.Int64
 
 	mu     sync.Mutex
 	active int
-}
-
-// ingestRoute is one immutable routing snapshot: nodes are indexed by
-// Ring.OwnerIndex.
-type ingestRoute struct {
-	ring  *Ring
-	nodes []*Node
 }
 
 // standbys is how many extra controllers wait on the lease.
@@ -128,13 +122,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// setRoute publishes a new routing snapshot for the given ring.
+// setRoute publishes the live nodes of ring as the routing snapshot.
 func (c *Cluster) setRoute(ring *Ring) {
-	rt := &ingestRoute{ring: ring}
-	for _, id := range ring.Members() {
-		rt.nodes = append(rt.nodes, c.nodes[id])
+	nodes := make([]*Node, len(ring.ids))
+	for i, id := range ring.ids {
+		nodes[i] = c.nodes[id]
 	}
-	c.route.Store(rt)
+	c.route.Store(&nodes)
 }
 
 // Controller returns the currently active (or most recently active)
@@ -146,20 +140,19 @@ func (c *Cluster) Controller() *Controller {
 }
 
 // Ingest routes one event: the injector's drop roll first (so the drop
-// schedule is identical at every shard count), then consistent-hash by
-// true source AS through the live ring. The path is lock-free.
+// schedule is identical at every shard count), then to the live member
+// its flow key picks (Ring.OwnerIndex). The path is lock-free. An event
+// no intake takes, because the injector dropped it, every member was
+// evicted or its owner is closed, counts in Dropped.
 func (c *Cluster) Ingest(ev amp.Event) bool {
-	if c.cfg.Injector != nil && c.cfg.Injector.DropEvent() {
-		c.dropped.Add(1)
-		return false
+	if c.cfg.Injector == nil || !c.cfg.Injector.DropEvent() {
+		nodes := *c.route.Load()
+		if i := ownerOf(ev.FlowKey(), len(nodes)); i >= 0 && nodes[i].Ingest(ev) {
+			return true
+		}
 	}
-	rt := c.route.Load()
-	i := rt.ring.OwnerIndex(ev.TrueSrcAS)
-	if i < 0 {
-		return false
-	}
-	n := rt.nodes[i]
-	return n != nil && n.Ingest(ev)
+	c.dropped.Add(1)
+	return false
 }
 
 // Quiesce completes every shard's round (stream.Intake.Cut, a
@@ -264,7 +257,9 @@ func (c *Cluster) Isolate(id string, on bool) {
 	c.transport.Isolate(id, on)
 }
 
-// Dropped returns how many events the injector dropped before routing.
+// Dropped returns how many offered events no intake counted: dropped by
+// the injector, offered with no live member, or refused by a closed
+// owner.
 func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
 
 // Close stops every controller and node.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -140,8 +141,7 @@ type Controller struct {
 	term      uint64
 	epoch     int64
 	eval      *stream.Evaluator
-	ring      *Ring
-	members   []string // live, sorted
+	members   *Ring // live; replaced, never mutated
 	drained   []string
 	evicted   []string
 	notReady  map[string]int
@@ -169,7 +169,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		return nil, fmt.Errorf("shard: controller needs a populated attribution matrix")
 	}
 	cfg.setDefaults()
-	members := append([]string(nil), cfg.Members...)
+	members := slices.Clone(cfg.Members)
 	sort.Strings(members)
 	for i := 1; i < len(members); i++ {
 		if members[i] == members[i-1] {
@@ -181,8 +181,7 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		attempts: rpcAttempts,
 		evictAt:  evictAfter,
 		eval:     stream.NewEvaluator(cfg.Attr, cfg.Eval),
-		ring:     NewRing(members),
-		members:  members,
+		members:  &Ring{ids: members},
 		notReady: make(map[string]int),
 		failed:   make(map[string]int),
 	}
@@ -220,11 +219,11 @@ func (ct *Controller) Evidence() (*report.Report, error) {
 	return ct.eval.Evidence()
 }
 
-// Ring returns the current consistent-hash ring (ingest routing).
+// Ring returns the live membership (ingest routing).
 func (ct *Controller) Ring() *Ring {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.ring
+	return ct.members
 }
 
 // TryLead attempts to acquire the leadership lease and, on success,
@@ -256,7 +255,7 @@ func (ct *Controller) TryLead() error {
 func (ct *Controller) recoverLocked() {
 	led := ct.cfg.Ledger
 	var best *EpochUpdate
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		var resp HelloResponse
 		err := ct.retryLocked("hello", m, func() (err error) {
 			resp, err = ct.cfg.Transport.Hello(m, HelloRequest{Term: ct.term, Leader: ct.cfg.ID})
@@ -298,7 +297,7 @@ func (ct *Controller) recoverLocked() {
 	// merged loop's ledger replays with provenance.Replay unchanged.
 	if !ct.opened && led.Enabled() {
 		ct.eval.OpenLedger(led)
-		for _, m := range ct.members {
+		for _, m := range ct.members.ids {
 			led.RecordMembership(provenance.MembershipEvent{
 				Node: m, Action: "join", Epoch: ct.epoch, Term: ct.term,
 			})
@@ -314,10 +313,9 @@ func (ct *Controller) adoptMembersLocked(members []string) {
 	if len(members) == 0 {
 		return
 	}
-	ms := append([]string(nil), members...)
+	ms := slices.Clone(members)
 	sort.Strings(ms)
-	ct.members = ms
-	ct.ring = NewRing(ms)
+	ct.members = &Ring{ids: ms}
 }
 
 // abdicateLocked steps down after a refused renewal or a fencing error.
@@ -356,9 +354,9 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	// Collect phase: deterministic member order, full retry budget per
 	// shard, lagging shards re-applied and re-collected.
 	merged := make([]int64, ct.cfg.Attr.NumLinks)
-	ready := make(map[string]bool, len(ct.members))
+	ready := make(map[string]bool, len(ct.members.ids))
 	var failedNodes []string
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		resp, err := ct.collectLocked(m)
 		if err != nil {
 			if errors.Is(err, ErrStaleTerm) {
@@ -412,7 +410,7 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 		}
 		return res, nil
 	}
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		ct.failed[m] = 0
 	}
 	ct.updateReadyLocked(ready)
@@ -442,9 +440,9 @@ func (ct *Controller) stepLocked(final bool) (StepResult, error) {
 	res.Epoch = ct.epoch
 
 	// Drains execute only at fold boundaries: the drained shard's
-	// counters were just folded and reset, so re-hashing its range to
-	// the survivors loses nothing.
-	for _, m := range append([]string(nil), ct.members...) {
+	// counters were just folded and reset, so routing its events to the
+	// survivors loses nothing.
+	for _, m := range ct.members.ids {
 		if ct.notReady[m] >= drainAfter {
 			ct.drainLocked(m, "readiness gate breached")
 		}
@@ -501,7 +499,7 @@ func (ct *Controller) collectLocked(m string) (CollectResponse, error) {
 // retries; failures are tolerated (the shard is re-applied at its next
 // collect, or eventually evicted).
 func (ct *Controller) broadcastLocked(u EpochUpdate) {
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		_ = ct.retryLocked("apply", m, func() error {
 			_, err := ct.cfg.Transport.Apply(m, u)
 			return err
@@ -515,7 +513,7 @@ func (ct *Controller) mkUpdateLocked() EpochUpdate {
 		Term:     ct.term,
 		Epoch:    ct.epoch,
 		Config:   ct.eval.Current(),
-		Members:  append([]string(nil), ct.members...),
+		Members:  slices.Clone(ct.members.ids),
 		Snapshot: ct.eval.Snapshot(),
 		Degraded: ct.degraded,
 	}
@@ -523,7 +521,7 @@ func (ct *Controller) mkUpdateLocked() EpochUpdate {
 
 // updateReadyLocked advances the consecutive not-ready streaks.
 func (ct *Controller) updateReadyLocked(ready map[string]bool) {
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		if ok, seen := ready[m]; seen && !ok {
 			ct.notReady[m]++
 		} else {
@@ -533,8 +531,8 @@ func (ct *Controller) updateReadyLocked(ready map[string]bool) {
 }
 
 // drainLocked removes an SLO-breaching but reachable shard: its final
-// round was already folded, so re-hashing its AS range onto the
-// survivors loses no data.
+// round was already folded, so routing its events to the survivors
+// loses no data.
 func (ct *Controller) drainLocked(m string, reason string) {
 	ct.removeMemberLocked(m)
 	ct.drained = append(ct.drained, m)
@@ -554,14 +552,8 @@ func (ct *Controller) evictLocked(m string, reason string) {
 }
 
 func (ct *Controller) removeMemberLocked(m string) {
-	kept := ct.members[:0]
-	for _, x := range ct.members {
-		if x != m {
-			kept = append(kept, x)
-		}
-	}
-	ct.members = kept
-	ct.ring = ct.ring.Without(m)
+	kept := slices.DeleteFunc(slices.Clone(ct.members.ids), func(x string) bool { return x == m })
+	ct.members = &Ring{ids: kept}
 	delete(ct.notReady, m)
 	delete(ct.failed, m)
 }
@@ -585,7 +577,7 @@ func (ct *Controller) Status() ClusterStatus {
 		NumClusters:     ct.eval.NumClusters(),
 		Candidates:      len(ct.eval.Candidates()),
 	}
-	for _, m := range ct.members {
+	for _, m := range ct.members.ids {
 		s.Members = append(s.Members, MemberStatus{
 			ID: m, State: "live", NotReady: ct.notReady[m], Failed: ct.failed[m],
 		})

@@ -41,10 +41,10 @@ func (c *Cluster) SetReady(id string, ready func() bool) { c.nodes[id].ready = r
 // (rpcAttempts otherwise). Call it before the controller's first RPC.
 func (ct *Controller) SetRetryAttempts(n int) { ct.attempts = n }
 
-// Owner returns the shard owning the true source AS, or "" on an empty
-// ring.
-func (r *Ring) Owner(as uint32) string {
-	i := r.OwnerIndex(as)
+// Owner returns the shard owning the flow key, or "" for an empty
+// membership.
+func (r *Ring) Owner(key uint32) string {
+	i := r.OwnerIndex(key)
 	if i < 0 {
 		return ""
 	}

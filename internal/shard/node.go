@@ -10,7 +10,8 @@ import (
 
 // NodeConfig builds one ingest shard.
 type NodeConfig struct {
-	// ID is the shard's cluster-unique id (ring membership key).
+	// ID is the shard's cluster-unique id, its key in the controller's
+	// membership (Ring).
 	ID string
 	// Attr is the shared attribution matrix — identical on every node
 	// and on the controller.

@@ -4,54 +4,187 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"net/netip"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"spooftrack/internal/amp"
 	"spooftrack/internal/fault"
 	"spooftrack/internal/stream"
 )
 
-// TestRingDistribution: every member owns a share of the keyspace, the
-// mapping is deterministic, and removing a member only moves the keys
-// it owned.
+// TestRingDistribution: every member owns a share of the keyspace and
+// the mapping is deterministic.
 func TestRingDistribution(t *testing.T) {
 	ids := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	r := NewRing(ids)
+	r := &Ring{ids: ids}
 	owned := make(map[string]int)
 	before := make(map[uint32]string)
-	for as := uint32(64000); as < 66000; as++ {
-		o := r.Owner(as)
+	for key := uint32(64000); key < 66000; key++ {
+		o := r.Owner(key)
 		owned[o]++
-		before[as] = o
+		before[key] = o
 	}
 	for _, id := range ids {
 		if owned[id] == 0 {
 			t.Errorf("%s owns no keys: %v", id, owned)
 		}
 	}
-	r2 := NewRing(ids)
-	for as, o := range before {
-		if r2.Owner(as) != o {
-			t.Fatalf("ring is not deterministic at AS %d", as)
+	r2 := &Ring{ids: append([]string(nil), ids...)}
+	for key, o := range before {
+		if r2.Owner(key) != o {
+			t.Fatalf("ring is not deterministic at key %d", key)
 		}
 	}
-	without := r.Without("shard-2")
-	if len(without.ids) != 3 {
-		t.Fatalf("Without left %d members", len(without.ids))
+}
+
+// TestHoneypotEventsSpreadAcrossShards: the honeypot tap never learns
+// an event's true source AS and leaves it 0, so a route keyed on it
+// would put every event on one shard. Several victims over every link
+// must reach more than one shard's intake.
+func TestHoneypotEventsSpreadAcrossShards(t *testing.T) {
+	attr := chaosAttr()
+	cl, err := NewCluster(ClusterConfig{
+		Shards: 4,
+		Attr:   attr,
+		Pipe:   stream.Config{Workers: 1, FlushInterval: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for as, o := range before {
-		no := without.Owner(as)
-		if o != "shard-2" && no != o {
-			t.Errorf("AS %d moved from %s to %s though its owner survived", as, o, no)
-		}
-		if o == "shard-2" && no == "shard-2" {
-			t.Errorf("AS %d still owned by the removed shard", as)
+	defer cl.Close()
+	for v := 0; v < 8; v++ {
+		for l := 0; l < attr.NumLinks; l++ {
+			cl.Ingest(amp.Event{
+				Time:        time.Now(),
+				IngressLink: uint8(l),
+				SpoofedSrc:  netip.AddrFrom4([4]byte{198, 51, 100, byte(v)}),
+				WireLen:     64,
+			})
 		}
 	}
+	var counts []int64
+	busy := 0
+	for _, id := range cl.Nodes() {
+		n := cl.nodes[id].Intake().TotalEvents()
+		counts = append(counts, n)
+		if n > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("honeypot events reached %d of 4 shards: %v", busy, counts)
+	}
+}
+
+// TestRoutingIndependence: the controller sums per-link counters, so
+// which shard counts an event cannot change a decision. The same rounds
+// fed to the nodes round-robin by hand must reach the deploys and
+// evaluator state the cluster's own route and a bare evaluator reach.
+func TestRoutingIndependence(t *testing.T) {
+	const seed = 5
+	clean := fault.Profile{Name: "clean"}
+	want := runBaseline(clean, seed, chaosRounds, false)
+	cl := runCluster(t, clean, seed, 4, chaosRounds, nil, nil)
+	defer cl.Close()
+
+	attr := chaosAttr()
+	tr := NewLocalTransport(nil)
+	var nodes []*Node
+	for _, id := range cl.Nodes() {
+		n, err := NewNode(NodeConfig{ID: id, Attr: attr, Pipe: stream.Config{Workers: 2, FlushInterval: time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		tr.Register(n)
+		nodes = append(nodes, n)
+	}
+	ct, err := NewController(ControllerConfig{
+		ID:              "ctrl-0",
+		Attr:            attr,
+		MinRoundPackets: 1,
+		Members:         cl.Nodes(),
+		Transport:       tr,
+		Lease:           NewMemLease(),
+		Sleep:           func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ct.TryLead(); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for r := 0; r < chaosRounds; r++ {
+		cfg := ct.Status().CurrentConfig
+		for _, a := range chaosAttackers {
+			for i := 0; i < a.pkts; i++ {
+				nodes[sent%len(nodes)].Ingest(chaosEvent(attr, a.src, cfg))
+				sent++
+			}
+		}
+		if _, err := ct.Step(r == chaosRounds-1); err != nil {
+			t.Fatalf("round %d: Step: %v", r, err)
+		}
+	}
+	for name, got := range map[string]*stream.Evaluator{
+		"cluster route": cl.Controller().Evaluator(),
+		"round-robin":   ct.Evaluator(),
+	} {
+		if !eqInts(got.Deployed(), want.Deployed()) {
+			t.Errorf("%s: deployed %v, bare evaluator %v", name, got.Deployed(), want.Deployed())
+		}
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Errorf("%s: evaluator snapshot differs from the bare evaluator's:\n%+v\nwant\n%+v", name, got.Snapshot(), want.Snapshot())
+		}
+	}
+}
+
+// TestUnroutableEventsCountAsDropped: an event no intake can count is
+// counted in Dropped, not lost — offered to a closed owner, or offered
+// after the only member was evicted.
+func TestUnroutableEventsCountAsDropped(t *testing.T) {
+	attr := chaosAttr()
+	cl, err := NewCluster(ClusterConfig{
+		Shards:          1,
+		Attr:            attr,
+		MinRoundPackets: 1,
+		Pipe:            stream.Config{Workers: 1, FlushInterval: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetRetryAttempts(1)
+	cl.SetEvictAfter(1)
+	const n = 25
+	offer := func(want int64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if cl.Ingest(chaosEvent(attr, 5, 0)) {
+				t.Fatal("an event was counted with no live shard to count it")
+			}
+		}
+		if got := cl.Dropped(); got != want {
+			t.Fatalf("Dropped = %d, want %d", got, want)
+		}
+	}
+	cl.KillShard("shard-0")
+	offer(n)
+	res, err := cl.Step(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cl.Controller().Status(); !res.Discarded || len(st.Members) != 1 || st.Members[0].State != "evicted" {
+		t.Fatalf("the dead shard was not evicted: %+v, members %+v", res, st.Members)
+	}
+	offer(2 * n)
 }
 
 // TestMemLease: acquire, refused second acquire, renew, expiry, and the
@@ -324,7 +457,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	for _, a := range chaosAttackers {
 		for i := 0; i < a.pkts; i++ {
 			ev := chaosEvent(attr, a.src, cfg)
-			nodes[ring.Owner(ev.TrueSrcAS)].Ingest(ev)
+			nodes[ring.Owner(ev.FlowKey())].Ingest(ev)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

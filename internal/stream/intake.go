@@ -262,21 +262,13 @@ func (in *Intake) TotalEvents() int64 {
 	return in.st.total
 }
 
-// shardOf spreads events across counter shards by FNV-1a over the
-// spoofed source and ingress link, keeping any one flow on one shard.
+// shardOf spreads events across counter shards by their flow key
+// (amp.Event.FlowKey), keeping any one flow on one shard.
 func shardOf(ev *amp.Event, n int) int {
 	if n == 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	if ev.SpoofedSrc.Is4() {
-		b := ev.SpoofedSrc.As4()
-		for _, c := range b {
-			h = (h ^ uint32(c)) * 16777619
-		}
-	}
-	h = (h ^ uint32(ev.IngressLink)) * 16777619
-	return int(h % uint32(n))
+	return int(ev.FlowKey() % uint32(n))
 }
 
 // batch is a counter shard's accumulator: counters per link, merged into

@@ -5,7 +5,11 @@
 # message-header fields), check that everything under internal/, cmd/ and
 # examples/ is reached by something that ships (that step ends by printing "config fields: N in T
 # types", the exported fields of the …Config/…Options/…Params/…Constraints structs under internal/:
-# informational, it gates nothing), build, print the non-test and test Go line
+# informational, it gates nothing), check that no non-test Go file under internal/, cmd/ or
+# examples/ names the simulator's ground-truth source AS (amp.Event.TrueSrcAS, amp.Packet.TrueSrcAS)
+# outside the two places that still carry it until ROADMAP item 29 removes the field: internal/amp's
+# wire format, attacker, border and the Event field itself, and the live-loop example's scoring
+# of its own attackers, build, print the non-test and test Go line
 # counts under internal cmd examples spooftrack.go and the number of scripts/reach.allow
 # entries (informational: they gate nothing, and make a simplification's line and allow-list
 # claims one command to check), and test the whole module, then run the
@@ -67,6 +71,16 @@ GOOS=linux GOARCH=386 go vet ./internal/amp/
 
 echo "==> reachability (nothing under internal/, cmd/ or examples/ that no shipped code reaches, bar scripts/reach.allow)"
 go run scripts/reach.go
+
+echo "==> no origin-side code reads ground truth (TrueSrcAS only in internal/amp's wire format, attacker, border and Event, and in examples/ddos-localization; both go with ROADMAP item 29)"
+truth=$(grep -rl --include='*.go' TrueSrcAS internal cmd examples | grep -v '_test\.go$' |
+	grep -vx -e internal/amp/wire.go -e internal/amp/attacker.go -e internal/amp/border.go -e internal/amp/tap.go \
+		-e examples/ddos-localization/main.go || true)
+if [ -n "$truth" ]; then
+	echo "these files name TrueSrcAS, which a real origin AS never learns:"
+	echo "$truth"
+	exit 1
+fi
 
 echo "==> go build"
 go build ./...
