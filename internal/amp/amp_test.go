@@ -182,7 +182,8 @@ func TestEndToEndPipeline(t *testing.T) {
 // TestBorderOnDualStackSocket runs the border on a wildcard address,
 // which the net package opens as a dual-stack IPv6 socket, and forwards
 // to an IPv4 and to an IPv6 honeypot. The attacker reaches the border
-// over IPv4.
+// over IPv4 with 3 requests and then a flood of 32, which the border
+// forwards as one GSO run for the honeypot to split.
 func TestBorderOnDualStackSocket(t *testing.T) {
 	for _, hpAddr := range []string{"127.0.0.1:0", "[::1]:0"} {
 		t.Run(hpAddr, func(t *testing.T) {
@@ -206,6 +207,10 @@ func TestBorderOnDualStackSocket(t *testing.T) {
 				t.Fatal(err)
 			}
 			waitFor(t, func() bool { return hp.VolumeByLink()[2].Packets == 3 })
+			if _, err := a.Flood(to, batchSize, 8); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, func() bool { return hp.VolumeByLink()[2].Packets == 3+batchSize })
 		})
 	}
 }

@@ -31,7 +31,8 @@ type mmsghdr struct {
 // UDP generic segmentation offload (udp(7)): one message whose iovecs
 // carry several datagrams of one length, with a UDP_SEGMENT control
 // message giving that length, goes through IP and the device as one
-// buffer and reaches the receiver as those datagrams.
+// buffer and reaches a receiver as those datagrams, or as the one
+// buffer if the receiver has UDP_GRO on.
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT
@@ -220,13 +221,15 @@ func (s *sender) refused(e syscall.Errno) {
 	s.pack(false)
 }
 
-// datagrams is one serve loop's receive arena and the socket calls that
+// datagrams is the border's receive arena and the socket calls that
 // fill it and forward from it: read takes up to batchSize datagrams with
 // one recvmmsg, forward queues a received slot on the loop's sender, and
 // flush sends the queued slots. The read goes through the socket's
 // RawConn as the sender's write does, so Close ends a parked read.
 // Nothing allocates after newDatagrams: the headers point into the
-// arena once, and the callbacks are built once.
+// arena once, and the callbacks are built once. The border's socket
+// reads without UDP_GRO, so the kernel splits what arrives as one GSO
+// message into datagrams of a slot each.
 type datagrams struct {
 	sender
 	slots [batchSize][slotLen]byte
@@ -291,3 +294,107 @@ func (d *datagrams) datagram(i int) []byte { return d.slots[i][:d.recv[i].len] }
 // forward queues the i-th datagram of the last read, as it now stands
 // in its slot, for the next flush.
 func (d *datagrams) forward(i int) { d.queue(d.datagram(i)) }
+
+// udpGRO is UDP_GRO (udp(7)): with it on, a socket is handed a run of
+// datagrams that arrived as one GSO message (or that a NIC's GRO
+// coalesced) as one buffer, with a UDP_GRO control message giving the
+// segment size. Linux 5.0 on.
+const udpGRO = 104
+
+// groCmsg is room for a UDP_GRO control message: the header and the
+// segment size, an int, padded to CMSG_SPACE(4).
+type groCmsg struct {
+	hdr  syscall.Cmsghdr
+	size int32
+	_    [4]byte
+}
+
+// receiver is the honeypot's read: one recvmsg(2) per wakeup into one
+// buffer that holds any datagram whole, on a socket with UDP_GRO on. A
+// run the border forwarded as one GSO message arrives as one buffer and
+// is split at its segment size, so a burst of 32 is one read and one
+// copy. A buffer without a UDP_GRO control message, an empty one
+// included, or flagged MSG_TRUNC is one datagram; a kernel that refuses
+// the option (before 5.0) reads one datagram per call through the same
+// loop. The read goes through the socket's RawConn with MSG_DONTWAIT,
+// as the border's does, so Close ends a parked read. Nothing allocates
+// after newReceiver.
+type receiver struct {
+	rc    syscall.RawConn
+	buf   [readLen]byte
+	msg   syscall.Msghdr
+	iov   syscall.Iovec
+	ctl   groCmsg
+	n     int           // bytes the last read filled
+	seg   int           // the last read's segment size; 0 when it is one datagram
+	errno syscall.Errno // the last read's error other than EAGAIN
+
+	readFn func(fd uintptr) bool
+}
+
+func newReceiver(conn *net.UDPConn) (*receiver, error) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return nil, err
+	}
+	r := &receiver{rc: rc}
+	r.iov.Base = &r.buf[0]
+	r.iov.SetLen(len(r.buf))
+	r.msg.Iov, r.msg.Iovlen = &r.iov, 1
+	r.msg.Control = (*byte)(unsafe.Pointer(&r.ctl))
+	if err := rc.Control(func(fd uintptr) {
+		// A refusal leaves every read one datagram, which is still right.
+		_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	}); err != nil {
+		return nil, err
+	}
+	r.readFn = r.recvmsg
+	return r, nil
+}
+
+// read waits for a buffer and reads it, returning how many datagrams it
+// holds.
+func (r *receiver) read() (int, error) {
+	r.errno = 0
+	if err := r.rc.Read(r.readFn); err != nil {
+		return 0, err
+	}
+	if r.errno != 0 {
+		return 0, r.errno
+	}
+	if r.seg == 0 {
+		return 1, nil
+	}
+	return (r.n + r.seg - 1) / r.seg, nil
+}
+
+func (r *receiver) recvmsg(fd uintptr) bool {
+	for {
+		r.msg.SetControllen(int(unsafe.Sizeof(r.ctl)))
+		n, _, e := syscall.Syscall(syscall.SYS_RECVMSG, fd, uintptr(unsafe.Pointer(&r.msg)), syscall.MSG_DONTWAIT)
+		switch e {
+		case 0:
+			r.n, r.seg = int(n), 0
+			if r.msg.Flags&syscall.MSG_TRUNC == 0 && int(r.msg.Controllen) >= syscall.CmsgLen(4) &&
+				r.ctl.hdr.Level == solUDP && r.ctl.hdr.Type == udpGRO && r.ctl.size > 0 {
+				r.seg = int(r.ctl.size)
+			}
+			return true
+		case syscall.EINTR:
+		case syscall.EAGAIN:
+			return false
+		default:
+			r.errno = e
+			return true
+		}
+	}
+}
+
+// datagram returns the i-th datagram of the last read: its i-th segment,
+// the last one possibly shorter.
+func (r *receiver) datagram(i int) []byte {
+	if r.seg == 0 {
+		return r.buf[:r.n]
+	}
+	return r.buf[i*r.seg : min((i+1)*r.seg, r.n)]
+}

@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"spooftrack/internal/trace"
 )
 
 // sendLog is the messages the senders handed to the kernel, in order,
@@ -271,5 +273,36 @@ func TestAttackerRefusedRunResendsEach(t *testing.T) {
 	waitFor(t, func() bool { return received() == 2*batchSize-1 })
 	if msgs := log.snapshot(); msgs[len(msgs)-1] != batchSize {
 		t.Fatalf("messages %v: want the second flood as one run of %d", msgs, batchSize)
+	}
+}
+
+// TestForwardedRunIsOneRead has the border read 32 requests of one
+// length at once and forward them as one GSO run: the honeypot, whose
+// socket has UDP_GRO on, reads the run whole. Its serve span counts
+// three reads, the run's and the two gates', for the 34 requests.
+func TestForwardedRunIsOneRead(t *testing.T) {
+	tr := trace.New(trace.Options{Enabled: true})
+	trace.SetGlobal(tr)
+	defer trace.SetGlobal(trace.New(trace.Options{}))
+	g := newGatedPlane(t)
+	plens := make([]int, batchSize)
+	for i := range plens {
+		plens[i] = 8
+	}
+	run := runBatch(t, 1, plens...)
+	checkDelivered(t, g.send(t, run)[0], run)
+	g.border.Close()
+	g.hp.Close()
+	got := map[string]int64{}
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "amp.honeypot.serve" {
+			for _, c := range rec.Counters {
+				got[c.Name] = c.Value
+			}
+		}
+	}
+	if got["reads"] != 3 || got["accepted"] != batchSize+2 {
+		t.Fatalf("honeypot span counts %v: want %d accepted in 3 reads, the run of %d in one",
+			got, batchSize+2, batchSize)
 	}
 }

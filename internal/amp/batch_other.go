@@ -49,7 +49,7 @@ func (s *sender) flush(to netip.AddrPort) (int, error) {
 	return sent, first
 }
 
-// datagrams is one serve loop's receive buffer and the socket calls that
+// datagrams is the border's receive buffer and the socket calls that
 // fill it and forward from it. Here a read is one ReadFromUDPAddrPort.
 type datagrams struct {
 	sender
@@ -81,3 +81,25 @@ func (d *datagrams) datagram(int) []byte { return d.buf[:d.n] }
 // forward queues the last read's datagram, as it now stands, for the
 // next flush.
 func (d *datagrams) forward(int) { d.queue(d.buf[:d.n]) }
+
+// receiver is the honeypot's read: one ReadFromUDPAddrPort per datagram
+// into one buffer that holds any datagram whole.
+type receiver struct {
+	conn *net.UDPConn
+	buf  [readLen]byte
+	n    int
+}
+
+func newReceiver(conn *net.UDPConn) (*receiver, error) { return &receiver{conn: conn}, nil }
+
+// read waits for one datagram and reads it.
+func (r *receiver) read() (int, error) {
+	var err error
+	if r.n, _, err = r.conn.ReadFromUDPAddrPort(r.buf[:]); err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// datagram returns the datagram of the last read.
+func (r *receiver) datagram(int) []byte { return r.buf[:r.n] }

@@ -44,7 +44,7 @@ func NewHoneypot(addr string, _ HoneypotConfig) (*Honeypot, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := newDatagrams(conn)
+	r, err := newReceiver(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -54,7 +54,7 @@ func NewHoneypot(addr string, _ HoneypotConfig) (*Honeypot, error) {
 		byLink: make(map[uint8]*LinkStats),
 	}
 	h.wg.Add(1)
-	go h.serve(d)
+	go h.serve(r)
 	return h, nil
 }
 
@@ -68,22 +68,24 @@ func (h *Honeypot) Close() error {
 	return err
 }
 
-func (h *Honeypot) serve(d *datagrams) {
+func (h *Honeypot) serve(r *receiver) {
 	defer h.wg.Done()
-	// One span covers the serve loop's lifetime; per-request outcomes are
-	// its counters (malformed/accepted and tap fan-out).
+	// One span covers the serve loop's lifetime; its counters are the
+	// reads and each request's outcome (malformed/accepted and tap
+	// fan-out).
 	sp := trace.Start("amp.honeypot.serve")
 	defer sp.End()
-	// One packet and one arena of datagrams for the loop's lifetime: an
+	// One packet and one read buffer for the loop's lifetime: an
 	// accepted request allocates nothing.
 	var pkt Packet
 	for {
-		n, err := d.read()
+		n, err := r.read()
 		if err != nil {
 			return // closed
 		}
+		sp.Count("reads", 1)
 		for i := 0; i < n; i++ {
-			buf := d.datagram(i)
+			buf := r.datagram(i)
 			if err := pkt.decode(buf); err != nil {
 				h.mu.Lock()
 				h.malformed++

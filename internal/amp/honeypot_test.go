@@ -161,8 +161,14 @@ func BenchmarkHoneypotRead(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer hp.Close()
-			var tapped atomic.Int64
-			hp.SetTap(func(Event) { tapped.Add(1) })
+			// The tap wakes the sender when the burst's last packet is in.
+			var tapped, want atomic.Int64
+			delivered := make(chan struct{}, 1)
+			hp.SetTap(func(Event) {
+				if tapped.Add(1) == want.Load() {
+					delivered <- struct{}{}
+				}
+			})
 			border, err := NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), map[uint32]uint8{100: 1})
 			if err != nil {
 				b.Fatal(err)
@@ -188,19 +194,17 @@ func BenchmarkHoneypotRead(b *testing.B) {
 			}
 			to := addrPort(border.Addr().(*net.UDPAddr))
 			send := func() {
-				want := tapped.Load() + batchSize
+				want.Add(batchSize)
 				for _, d := range burst {
 					out.queue(d)
 				}
 				if n, err := out.flush(to); err != nil || n != batchSize {
 					b.Fatalf("sent %d of %d: %v", n, batchSize, err)
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for tapped.Load() < want {
-					if time.Now().After(deadline) {
-						b.Fatalf("%d of %d packets of a burst delivered", batchSize-(want-tapped.Load()), batchSize)
-					}
-					time.Sleep(20 * time.Microsecond)
+				select {
+				case <-delivered:
+				case <-time.After(5 * time.Second):
+					b.Fatalf("%d of %d packets of a burst delivered", batchSize-(want.Load()-tapped.Load()), batchSize)
 				}
 			}
 			for range 4 {

@@ -39,12 +39,18 @@ const maxPayload = 1400
 // srcAS(4) spoofedSrc(4) payloadLen(2).
 const headerLen = 16
 
-// slotLen is a serve loop's receive slot: the longest packet plus one
+// slotLen is the border's receive slot: the longest packet plus one
 // byte, so a longer datagram is cut to slotLen bytes and still fails
-// decode's length check as the malformed packet it is.
+// decode's length check as the malformed packet it is. The honeypot
+// reads whole datagrams into one readLen buffer instead.
 const slotLen = headerLen + maxPayload + 1
 
-// batchSize bounds the datagrams one read takes and one flush sends.
+// readLen is the honeypot's read buffer: longer than any UDP datagram,
+// and than any run UDP GRO coalesces, so no read is cut.
+const readLen = 1 << 16
+
+// batchSize bounds the datagrams one border read takes and one flush
+// sends.
 const batchSize = 32
 
 // Packet is one overlay message.

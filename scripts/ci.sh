@@ -27,8 +27,12 @@
 # while harvests, cuts and epoch advances merge them: every event folded
 # or settle-excluded exactly once), run the packet plane's real-kernel
 # delivery tests ten times (the plane's digest, the border's
-# mixed-length forward and the attacker's wire digest: a UDP GSO message
-# that lost or reordered a datagram shows there first), run the live-loop example twenty times (the regression check for the
+# mixed-length forward, the attacker's wire digest, the honeypot's read
+# digest and the one-read-per-run test: a UDP GSO message that lost or
+# reordered a datagram, or a UDP_GRO read the honeypot split wrong,
+# shows there first), run the honeypot-read benchmark once (GSO runs
+# and runs of one through a border: CPU per packet and datagrams per
+# honeypot read), run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
 # lost attacker in a small share of runs), run the daemon's
 # multi-process controller failover test five times (election timing
@@ -99,8 +103,11 @@ go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./int
 echo "==> intake round protocol under -race x10 (producers, harvests, cuts and advances interleaved: every event counted once)"
 go test -race -count=10 -run '^TestConcurrentRoundProtocolAccountsOnce$' ./internal/stream/
 
-echo "==> packet-plane delivery x10 (border and attacker GSO sends: every datagram once, in order, byte for byte)"
-go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest)$' ./internal/amp/
+echo "==> packet-plane delivery x10 (border and attacker GSO sends, the honeypot's GRO read: every datagram once, in order, byte for byte)"
+go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest|TestHoneypotReadDigest|TestForwardedRunIsOneRead)$' ./internal/amp/
+
+echo "==> honeypot-read benchmark (one iteration each: GSO runs and runs of one through a border; CPU per packet, datagrams per read)"
+go test -run '^$' -bench HoneypotRead -benchtime 1x ./internal/amp/
 
 echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
