@@ -229,7 +229,7 @@ func (s *sender) refused(e syscall.Errno) {
 // Nothing allocates after newDatagrams: the headers point into the
 // arena once, and the callbacks are built once. The border's socket
 // reads without UDP_GRO, so the kernel splits what arrives as one GSO
-// message into datagrams of a slot each.
+// message back into its datagrams, one to a slot.
 type datagrams struct {
 	sender
 	slots [batchSize][slotLen]byte
