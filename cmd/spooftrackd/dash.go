@@ -120,9 +120,8 @@ func queryHandler(db *tsdb.DB) http.HandlerFunc {
 
 // dashHTML is the /dash page: a self-contained live dashboard (inline
 // CSS and JS, no external assets) drawing canvas sparklines from /query
-// polls. Panels whose query yields a full range (rates, gauges) draw
-// the server-side history; single-value panels (quantile-over-time,
-// derived ratios) accumulate a client-side ring across polls.
+// polls. Every panel's query yields a full range (rates, gauges), so
+// each draws the server-side history.
 const dashHTML = `<!doctype html>
 <html lang="en">
 <head>
@@ -160,12 +159,10 @@ const fmtSI = v => {
 };
 
 // Panels: url is the /query request; points(resp) yields the sparkline
-// series; ring panels instead poll one value and keep local history.
+// series.
 const PANELS = [
   { title: "events / s", url: "/query?series=stream_events_total&func=rate&window=10m",
     points: r => r.series.length ? r.series[0].points : [] },
-  { title: "flush lag p99 (s)", url: "/query?series=stream_flush_lag_seconds&func=quantile&q=0.99&window=5m",
-    ring: true, points: r => r.series.length ? r.series[0].points : [] },
   { title: "probe coverage", url: "/query?series=probe_coverage&window=10m",
     points: r => r.series.length ? r.series[0].points : [] },
   { title: "degraded", url: "/query?series=stream_degraded&window=10m",
@@ -182,7 +179,6 @@ for (const p of PANELS) {
   grid.appendChild(el);
   p.valEl = el.querySelector(".val");
   p.canvas = el.querySelector("canvas");
-  p.hist = [];
 }
 
 function draw(canvas, pts) {
@@ -210,13 +206,7 @@ async function tick() {
   for (const p of PANELS) {
     try {
       const r = await (await fetch(p.url)).json();
-      let pts = p.points(r);
-      if (p.ring) {
-        // Single-value query: accumulate a client-side ring.
-        if (pts.length) p.hist.push(pts[pts.length-1]);
-        if (p.hist.length > 150) p.hist.shift();
-        pts = p.hist;
-      }
+      const pts = p.points(r);
       const last = pts.length ? pts[pts.length-1].v : NaN;
       p.valEl.textContent = isFinite(last) ? (p.text ? p.text(last) : fmtSI(last)) : "no data";
       p.valEl.className = "val " + (p.cls && isFinite(last) ? p.cls(last) : "");

@@ -38,7 +38,7 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 	// The families the daemon's rules, bundles and panels read: a change
 	// to how rules name families must not drop one out of this check.
 	for _, fam := range []string{"amp_border_packets_total", "probe_coverage", "probe_lost_total", "probe_sent_total",
-		"stream_degraded", "stream_events_total", "stream_flush_lag_seconds"} {
+		"stream_degraded", "stream_events_total"} {
 		if !slices.Contains(want, fam) {
 			t.Fatalf("%s is no longer among the checked families %v", fam, want)
 		}

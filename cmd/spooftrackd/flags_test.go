@@ -73,7 +73,7 @@ func TestParseFlagsRejects(t *testing.T) {
 
 // TestRetiredFlagsKeepDefaults: the flags that were only ever set to
 // their defaults became constants, literals and library defaults with
-// the same values — /slo lists the six rules at the old thresholds.
+// the same values — /slo lists the four rules at the old thresholds.
 func TestRetiredFlagsKeepDefaults(t *testing.T) {
 	cfg, err := parseFlags(nil, io.Discard)
 	if err != nil {
@@ -86,7 +86,6 @@ func TestRetiredFlagsKeepDefaults(t *testing.T) {
 		got = append(got, watch.RuleStatus{Name: st.Name, Op: st.Op, Threshold: st.Threshold, For: st.For})
 	}
 	want := []watch.RuleStatus{
-		{Name: "stream-flush-lag-p99", Op: ">", Threshold: 2.0, For: 3},
 		{Name: "border-drop-rate", Op: ">", Threshold: 100, For: 3},
 		{Name: "border-drop-burn", Op: ">", Threshold: 2.0, For: 3},
 		{Name: "probe-coverage", Op: "<", Threshold: 0.05, For: 3},

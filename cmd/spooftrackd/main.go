@@ -496,18 +496,9 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 	wc.DB = o.db
 	wc.BundleHistory = []string{
 		"stream_events_total",
-		"stream_flush_lag_seconds",
 		"amp_border_packets_total",
 	}
 	wc.Rules = []watch.Rule{
-		// Over 5m: the window /dash's flush-lag panel plots.
-		{
-			Name:      "stream-flush-lag-p99",
-			Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99, 5*time.Minute),
-			Op:        watch.Above,
-			Threshold: 2.0,
-			For:       3,
-		},
 		{
 			Name:      "border-drop-rate",
 			Expr:      watch.Rate(watch.Counter{Family: "amp_border_packets_total", Child: "outcome=dropped"}, time.Minute),

@@ -41,9 +41,9 @@ type placement interface {
 
 // wiring is what a placement's halves are closed onto: the shared
 // attribution contract, the loop configuration with its callbacks
-// filled in (the count half reads Workers, FlushInterval, Settle, Deploy
-// and Metrics; the decide half the rest), the fault injector (nil =
-// none) and the SLO gate a shard reports to its controller.
+// filled in (the count half reads Workers, Settle, Deploy and Metrics;
+// the decide half the rest), the fault injector (nil = none) and the SLO
+// gate a shard reports to its controller.
 type wiring struct {
 	attr  stream.Attribution
 	pipe  stream.Config
@@ -202,13 +202,10 @@ func (c *cluster) degraded() (bool, int64) {
 	return c.Controller().Degraded(), c.Dropped()
 }
 
-// drain waits for every shard to flush its routed events, folds the
-// final merged round, then stops.
-func (c *cluster) drain(timeout time.Duration) {
+// drain waits for the round ticker to stop, folds the final round over
+// every shard, then stops.
+func (c *cluster) drain(time.Duration) {
 	<-c.rounds
-	if err := c.Quiesce(timeout / 2); err != nil {
-		slog.Warn("cluster quiesce incomplete", "err", err)
-	}
 	if _, err := c.Step(true); err != nil {
 		slog.Warn("final cluster round failed", "err", err)
 	}

@@ -40,10 +40,9 @@ type ClusterConfig struct {
 
 // Cluster wires nodes, transport, lease, and controllers together and
 // drives them in rounds: Ingest routes each event by what the border
-// sees of it (amp.Event.FlowKey) to one live member,
-// Quiesce completes the intakes' rounds, Step runs one controller round
-// (electing a leader as needed), and the Kill*/Isolate hooks inject the
-// permanent failures the chaos suite asserts against.
+// sees of it (amp.Event.FlowKey) to one live member, Step runs one
+// controller round (electing a leader as needed), and the Kill*/Isolate
+// hooks inject the permanent failures the chaos suite asserts against.
 type Cluster struct {
 	cfg       ClusterConfig
 	nodes     map[string]*Node
@@ -155,17 +154,11 @@ func (c *Cluster) Ingest(ev amp.Event) bool {
 	return false
 }
 
-// Quiesce completes every shard's round (stream.Intake.Cut, a
-// synchronous merge of its counter shards), so a following Step collects
-// a complete, deterministic round. The timeout is unused: a cut waits on
-// no goroutine. A closed shard has nothing left to merge: what it held
-// and was not collected is the explicit loss the eviction path accounts.
-func (c *Cluster) Quiesce(time.Duration) error {
-	for _, id := range c.order {
-		c.nodes[id].Intake().Cut()
-	}
-	return nil
-}
+// Quiesce does nothing and returns nil: an intake's round holds every
+// event Ingest accepted as soon as Ingest returns, so a following Step
+// collects a complete, deterministic round without it. It stays for the
+// benchmark's round driver, its only caller outside tests.
+func (c *Cluster) Quiesce(time.Duration) error { return nil }
 
 // AdvanceClock moves the lease clock forward (expiring leases when d
 // exceeds the remaining TTL).

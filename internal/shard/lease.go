@@ -2,7 +2,10 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -115,7 +118,11 @@ func (m *MemLease) Release(holder string, term uint64) {
 // expired term cannot both take the next one; writes go through a temp
 // file + atomic rename so a crash mid-write never leaves a torn lease.
 // It is not a distributed lock manager: the processes must share a
-// host (and a filesystem whose flock is honoured).
+// host (and a filesystem whose flock is honoured). A file that exists
+// but cannot be read or parsed is never taken for a fresh lease: every
+// operation refuses it (and logs why) rather than restart the terms at 1,
+// below a term the shards have already seen. A missing file is a fresh
+// lease at term 0.
 type FileLease struct {
 	path string
 	now  func() time.Time
@@ -126,16 +133,23 @@ func NewFileLease(path string) *FileLease {
 	return &FileLease{path: path, now: time.Now}
 }
 
-func (f *FileLease) read() Lease {
+// read returns the lease in the file, or a fresh one when there is no
+// file. Any other read or parse error is logged with the path and
+// returned.
+func (f *FileLease) read() (Lease, error) {
 	var l Lease
 	b, err := os.ReadFile(f.path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return Lease{}, nil
+	}
+	if err == nil {
+		err = json.Unmarshal(b, &l)
+	}
 	if err != nil {
-		return Lease{}
+		slog.Warn("lease file unreadable; refusing it", "path", f.path, "err", err)
+		return Lease{}, err
 	}
-	if json.Unmarshal(b, &l) != nil {
-		return Lease{}
-	}
-	return l
+	return l, nil
 }
 
 func (f *FileLease) write(l Lease) error {
@@ -175,12 +189,13 @@ func (f *FileLease) lock() (unlock func(), err error) {
 func (f *FileLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
 	unlock, err := f.lock()
 	if err != nil {
-		return f.read(), false
+		cur, _ := f.read()
+		return cur, false
 	}
 	defer unlock()
-	cur := f.read()
+	cur, err := f.read()
 	now := f.now()
-	if cur.Holder != "" && now.Before(cur.Expires) && cur.Holder != holder {
+	if err != nil || cur.Holder != "" && now.Before(cur.Expires) && cur.Holder != holder {
 		return cur, false
 	}
 	want := Lease{Holder: holder, Term: cur.Term + 1, Expires: now.Add(ttl)}
@@ -197,8 +212,8 @@ func (f *FileLease) Renew(holder string, term uint64, ttl time.Duration) bool {
 		return false
 	}
 	defer unlock()
-	cur := f.read()
-	if cur.Holder != holder || cur.Term != term {
+	cur, err := f.read()
+	if err != nil || cur.Holder != holder || cur.Term != term {
 		return false
 	}
 	cur.Expires = f.now().Add(ttl)
@@ -212,8 +227,7 @@ func (f *FileLease) Release(holder string, term uint64) {
 		return
 	}
 	defer unlock()
-	cur := f.read()
-	if cur.Holder == holder && cur.Term == term {
+	if cur, err := f.read(); err == nil && cur.Holder == holder && cur.Term == term {
 		cur.Expires = f.now()
 		_ = f.write(cur)
 	}

@@ -16,9 +16,8 @@ type NodeConfig struct {
 	// Attr is the shared attribution matrix — identical on every node
 	// and on the controller.
 	Attr stream.Attribution
-	// Pipe tunes the wrapped intake: Workers, FlushInterval, Settle,
-	// Deploy and Metrics. A
-	// shard never folds, so the decide-side fields (Eval,
+	// Pipe tunes the wrapped intake: Workers, Settle, Deploy and
+	// Metrics. A shard never folds, so the decide-side fields (Eval,
 	// MinRoundPackets, Ledger) are not consulted: the controller that
 	// folds its rounds takes them (ClusterConfig hands it Pipe's).
 	Pipe stream.Config
@@ -41,7 +40,8 @@ type Node struct {
 	last *EpochUpdate
 }
 
-// NewNode builds a shard node and starts its intake.
+// NewNode builds a shard node around a new intake; it starts no
+// goroutine.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("shard: node needs an ID")
@@ -99,8 +99,8 @@ func (n *Node) HandleCollect(req CollectRequest) (CollectResponse, error) {
 }
 
 // HandleApply adopts a controller epoch update: reset round counters,
-// bump the epoch (invalidating unmerged shard batches), deploy the
-// configuration, and remember the update for failover recovery.
+// bump the epoch, deploy the configuration, and remember the update for
+// failover recovery.
 func (n *Node) HandleApply(u EpochUpdate) (ApplyResponse, error) {
 	if err := n.fence(u.Term); err != nil {
 		return ApplyResponse{}, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -259,6 +260,44 @@ func TestFileLease(t *testing.T) {
 	lease, ok = f.Acquire("b", time.Hour)
 	if !ok || lease.Holder != "b" || lease.Term != 2 {
 		t.Fatalf("takeover after release: %+v ok=%v", lease, ok)
+	}
+}
+
+// TestFileLeaseUnreadableNeverLowersTerm: a lease file that exists but
+// does not parse is refused, not read as a fresh lease, so no Acquire
+// hands out a term below one already granted. A deleted file still
+// restarts at term 1.
+func TestFileLeaseUnreadableNeverLowersTerm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ctrl.lease")
+	f := NewFileLease(path)
+	var lease Lease
+	for i := 0; i < 4; i++ {
+		var ok bool
+		if lease, ok = f.Acquire("a", 0); !ok {
+			t.Fatalf("acquire %d refused", i+1)
+		}
+	}
+	if lease.Term != 4 {
+		t.Fatalf("term %d after four acquisitions, want 4", lease.Term)
+	}
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, ok := f.Acquire("b", time.Hour); ok {
+		t.Fatalf("acquired %+v over an unparsable lease file that held term 4", l)
+	}
+	if f.Renew("a", 4, time.Hour) {
+		t.Fatal("renewed over an unparsable lease file")
+	}
+	f.Release("a", 4)
+	if b, err := os.ReadFile(path); err != nil || string(b) != "{" {
+		t.Fatalf("lease file now %q (%v), want it left as it was", b, err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if l, ok := f.Acquire("b", time.Hour); !ok || l.Term != 1 {
+		t.Fatalf("acquire after the file was deleted: %+v ok=%v, want term 1", l, ok)
 	}
 }
 

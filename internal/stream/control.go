@@ -9,18 +9,17 @@ import (
 // evaluate is the closed loop's tick: it folds the current round into
 // the attribution state if it carries enough volume, and — unless
 // localization has converged — deploys the configuration the greedy
-// scheduler picks next. The harvest merges every counter shard before it
-// reads, so it sees everything Ingest accepted before it; once that
-// reaches MinRoundPackets it folds the round (Evaluator.Fold) and starts
-// the next one (Intake.AdvanceEpoch), which deploys the new
-// configuration. With final=true (shutdown) it folds the round under the
-// same gate and deploys nothing: a shutdown tail below MinRoundPackets
-// would eliminate every source it did not happen to carry. Folds emit a
-// "stream.eval" span under parent; ticks that skip (too little volume)
-// emit nothing.
+// scheduler picks next. The harvest sums every counter shard, so it sees
+// everything Ingest accepted before it; once that reaches
+// MinRoundPackets it folds the round (Evaluator.Fold) and starts the
+// next one (Intake.AdvanceEpoch), which deploys the new configuration.
+// With final=true (shutdown) it folds the round under the same gate and
+// deploys nothing: a shutdown tail below MinRoundPackets would eliminate
+// every source it did not happen to carry. Folds emit a "stream.eval"
+// span under parent; ticks that skip (too little volume) emit nothing.
 func (p *Pipeline) evaluate(final bool, parent *trace.Span) {
 	in, h := p.in, &p.round
-	in.harvest(h, parent)
+	in.harvest(h)
 	if sum(h.Pkts) < in.cfg.MinRoundPackets {
 		return
 	}

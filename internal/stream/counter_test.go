@@ -106,7 +106,7 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 // TestConcurrentRoundProtocolAccountsOnce: four producers ingest on two
-// counter shards while a controller loop harvests, cuts and advances the
+// counter shards while a controller loop harvests and advances the
 // epoch (switching configuration, so settle windows open too) and a
 // reader polls Status. Every accepted event must end up exactly once in
 // a folded round (the last harvest before each advance, and the final
@@ -165,9 +165,6 @@ func TestConcurrentRoundProtocolAccountsOnce(t *testing.T) {
 			case <-done:
 				return
 			default:
-			}
-			if e%3 == 0 {
-				in.Cut()
 			}
 			h := in.HarvestRound()
 			folded += sum(h.Pkts)
@@ -232,9 +229,9 @@ func TestStaleShardBatchIsSettleExcluded(t *testing.T) {
 	}
 }
 
-// TestCloseMergesShardsAndRejects: events sit in their counter shards
-// until something reads the round; Close merges them all and refuses
-// every later event.
+// TestCloseMergesShardsAndRejects: after Close the round holds every
+// event Ingest accepted on either counter shard, and every later event
+// is refused.
 func TestCloseMergesShardsAndRejects(t *testing.T) {
 	in, err := NewIntake(testAttribution(), Config{Workers: 2, FlushInterval: time.Hour})
 	if err != nil {
@@ -246,16 +243,8 @@ func TestCloseMergesShardsAndRejects(t *testing.T) {
 		in.Ingest(loud)
 		in.Ingest(soft)
 	}
-	merged := func() int64 {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		return in.st.total
-	}
-	if got := merged(); got != 0 {
-		t.Fatalf("%d events in the round before any read, want 0", got)
-	}
 	in.Close()
-	if got := merged(); got != n {
+	if got := in.TotalEvents(); got != n {
 		t.Fatalf("Close merged %d of %d events", got, n)
 	}
 	if in.Ingest(loud) {

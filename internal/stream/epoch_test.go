@@ -6,85 +6,11 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// TestEpochBoundaryBatchFlush pins the shard-side epoch boundary: a
-// batch accumulated under epoch E must be merged before an event from
-// epoch E+1 is admitted into it (the b.epoch != e path in accumulate),
-// and the merged stale batch's per-link counts must be excluded from
-// the new round's counters while still reaching the totals.
-func TestEpochBoundaryBatchFlush(t *testing.T) {
-	p, err := New(testAttribution(), Config{
-		Workers:         1,
-		MinRoundPackets: 1 << 40, // suppress controller folds
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	in := p.in
-
-	b := newBatch(in.attr.NumLinks)
-	ev0, ev1 := testEvent(0), testEvent(1)
-	in.accumulate(&b, &ev0)
-	in.accumulate(&b, &ev0)
-	if b.epoch != 0 || b.events != 2 {
-		t.Fatalf("batch under epoch %d with %d events, want epoch 0 with 2", b.epoch, b.events)
-	}
-
-	// Fold the round the way the controller does: bump the epoch. The
-	// batch in hand is now stale — its round no longer exists.
-	in.mu.Lock()
-	in.st.epoch++
-	in.epoch.Store(in.st.epoch)
-	in.mu.Unlock()
-
-	// Admitting an epoch-1 event must merge the stale batch first and
-	// start a fresh batch under the new epoch.
-	in.accumulate(&b, &ev1)
-	if b.events != 1 {
-		t.Fatalf("stale batch not merged before admitting an epoch-1 event (%d events)", b.events)
-	}
-	if b.epoch != 1 {
-		t.Fatalf("new batch under epoch %d, want 1", b.epoch)
-	}
-
-	in.mu.Lock()
-	leaked := in.st.roundPkts[0]
-	total := in.st.total
-	settled := in.st.settled
-	in.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("stale epoch-0 packets leaked into the new round: roundPkts[0] = %d", leaked)
-	}
-	if total != 2 {
-		t.Fatalf("stale batch total = %d, want 2 (stale events still count toward totals)", total)
-	}
-	if settled != 2 {
-		t.Fatalf("stale batch excluded count = %d, want 2", settled)
-	}
-
-	// The live epoch-1 batch merges into the new round normally.
-	in.merge(&b, nil)
-	in.mu.Lock()
-	inRound := in.st.roundPkts[1]
-	total = in.st.total
-	in.mu.Unlock()
-	if inRound != 1 {
-		t.Fatalf("epoch-1 event missing from the new round: roundPkts[1] = %d", inRound)
-	}
-	if total != 3 {
-		t.Fatalf("total = %d after live merge, want 3", total)
-	}
-}
-
-// flushEvents merges one batch of an event per link straight into the
-// intake's round, bypassing the counter shards.
+// flushEvents ingests one event per link, in order.
 func flushEvents(in *Intake, links ...uint8) {
-	b := newBatch(in.attr.NumLinks)
 	for _, l := range links {
-		ev := testEvent(l)
-		in.accumulate(&b, &ev)
+		in.Ingest(testEvent(l))
 	}
-	in.merge(&b, nil)
 }
 
 // TestRelayHarvestAdvance pins the Intake contract a sharded-ingest

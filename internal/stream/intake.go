@@ -3,7 +3,6 @@ package stream
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spooftrack/internal/amp"
@@ -14,97 +13,68 @@ import (
 
 // Intake is the count half of the loop (§III-B): it turns tapped events
 // into per-link round counters under the deployed configuration and
-// decides nothing. Each event is counted on the goroutine that calls
-// Ingest, into the per-link batch of its counter shard (Config.Workers
-// of them), under that shard's lock; a shard's batch goes into the
-// shared round when the round is read (HarvestRound, Status,
-// TotalEvents, Cut, Close) and on every FlushInterval tick of the
-// control goroutine. Locks are always taken shard first, then round.
-// Whoever owns the decision drives one round protocol, whether it runs
-// in this process (a Pipeline) or across the network (a sharded-ingest
-// controller, internal/shard): Cut completes the round, HarvestRound
-// reads it, and AdvanceEpoch — the only call that ends a round — starts
-// the next.
+// decides nothing. The round lives in its Config.Workers counter shards:
+// each event is counted on the goroutine that calls Ingest, into its
+// shard's per-link counters, under that shard's lock, and readers
+// (HarvestRound, Status, TotalEvents) sum the shards. Locks are always
+// taken Intake.mu first, then the shards in index order. An Intake runs
+// no goroutine. Whoever owns the decision drives one round protocol,
+// whether it runs in this process (a Pipeline) or across the network (a
+// sharded-ingest controller, internal/shard): HarvestRound reads the
+// round, and AdvanceEpoch — the only call that ends a round — starts the
+// next.
 type Intake struct {
 	cfg  Config
 	attr Attribution
 
 	shards    []counterShard
-	wg        sync.WaitGroup
-	stop      chan struct{}
 	closeOnce sync.Once
 
-	// settleUntil is the unix-nano time before which events are
-	// excluded from round accounting (read on the hot path).
-	settleUntil atomic.Int64
-	// epoch mirrors roundState.epoch for lock-free reads on the hot
-	// path: it changes whenever a round is taken, and a shard batch
-	// merged under a different epoch than it was counted in is excluded
-	// from round counters (its round no longer exists).
-	epoch atomic.Int64
-
-	mu sync.Mutex
-	st roundState
-
-	// metrics (resolved once; hot-path friendly)
-	mEvents  *metrics.Counter
-	mBatches *metrics.Counter
-	mSettle  *metrics.Counter
-	hLag     *metrics.Histogram
-
-	// span is the root trace span (nil when tracing is off at
-	// construction); the control goroutine hangs its track off it.
-	span *trace.Span
-
-	start time.Time
-}
-
-// flushLagBounds are stream_flush_lag_seconds' bucket edges. A batch
-// merges about one tick after its first event, so with the default
-// 100 ms tick most lags sit just under or just past 0.1 s: the
-// edges at 0.15, 0.2 and 0.3 keep a p99 among those few just past the
-// tick from interpolating across all of (0.1, 0.5].
-var flushLagBounds = []float64{1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1, 5}
-
-// roundState is the shared accounting shard batches merge into, guarded
-// by Intake.mu.
-type roundState struct {
+	// mu serializes the readers and AdvanceEpoch, and guards the fields
+	// below it.
+	mu    sync.Mutex
 	epoch int64
 	// config is the configuration the round is measured under.
 	config int
 	// harvested is how many of the round's packets the last harvest of
 	// this epoch saw; what arrives after it can reach no fold.
-	harvested  int64
-	roundPkts  []int64
-	roundBytes []int64
-	total      int64
-	totalBytes int64
-	settled    int64 // events excluded from every round
+	harvested int64
+	// excluded is the unharvested residue of every ended round.
+	excluded int64
+	// published are the event and settle-excluded totals the metric
+	// counters already hold.
+	publishedEvents, publishedSettled int64
+	// settleUntil is the unix-nano time before which events are excluded
+	// from round accounting. It is written with every shard lock held
+	// too, so Ingest reads it under its own shard's lock.
+	settleUntil int64
+
+	mEvents *metrics.Counter
+	mSettle *metrics.Counter
+
+	// span is the root trace span (nil when tracing is off at
+	// construction); a Pipeline's control goroutine hangs its track off
+	// it.
+	span *trace.Span
+
+	start time.Time
 }
 
-// counterShard is one share of the intake's counting: the batch the
-// producers Ingest routes here add to, under mu. closed rejects Ingest
-// once shutdown has begun.
+// counterShard is one share of the current round: what the producers
+// Ingest routes here counted, under mu. pkts and bytes are per link and
+// zeroed when the round ends; total, totalBytes and settled run for the
+// intake's life. closed rejects Ingest once shutdown has begun.
 type counterShard struct {
-	mu     sync.Mutex
-	closed bool
-	b      batch
+	mu                         sync.Mutex
+	closed                     bool
+	pkts, bytes                []int64
+	total, totalBytes, settled int64
 }
 
-// NewIntake validates the attribution input, deploys the initial
-// configuration, and starts the control goroutine's merge tick. The
-// decide-side fields of cfg (Eval, MinRoundPackets, Ledger) are not
-// consulted.
+// NewIntake validates the attribution input and deploys the initial
+// configuration. The decide-side fields of cfg (EvalInterval, Eval,
+// MinRoundPackets, Ledger) are not consulted.
 func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
-	in, err := newIntake(attr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	in.run(nil)
-	return in, nil
-}
-
-func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	if len(attr.Catchments) == 0 {
 		return nil, fmt.Errorf("stream: no configurations")
 	}
@@ -128,12 +98,9 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 	}
 	cfg.setDefaults()
 
-	in := &Intake{cfg: cfg, attr: attr, stop: make(chan struct{}), start: time.Now()}
-	reg := cfg.Metrics
-	in.mEvents = reg.Counter("stream_events_total")
-	in.mBatches = reg.Counter("stream_batches_total")
-	in.mSettle = reg.Counter("stream_settle_excluded_total")
-	in.hLag = reg.Histogram("stream_flush_lag_seconds", flushLagBounds...)
+	in := &Intake{cfg: cfg, attr: attr, config: attr.InitialConfig, start: time.Now()}
+	in.mEvents = cfg.Metrics.Counter("stream_events_total")
+	in.mSettle = cfg.Metrics.Counter("stream_settle_excluded_total")
 
 	in.span = trace.Start("stream.pipeline")
 	if in.span != nil {
@@ -144,55 +111,13 @@ func newIntake(attr Attribution, cfg Config) (*Intake, error) {
 		)
 	}
 
-	in.st = roundState{
-		config:     attr.InitialConfig,
-		roundPkts:  make([]int64, attr.NumLinks),
-		roundBytes: make([]int64, attr.NumLinks),
-	}
 	in.shards = make([]counterShard, cfg.Workers)
 	for i := range in.shards {
-		in.shards[i].b = newBatch(attr.NumLinks)
+		in.shards[i].pkts = make([]int64, attr.NumLinks)
+		in.shards[i].bytes = make([]int64, attr.NumLinks)
 	}
+	in.deploy(attr.InitialConfig)
 	return in, nil
-}
-
-// run deploys the initial configuration and starts the control
-// goroutine: it merges every shard into the round each FlushInterval,
-// and, when eval is non-nil, calls it every EvalInterval until Close.
-// eval reads the round, which merges the shards too, so the merge tick
-// runs only when it is the faster of the two.
-func (in *Intake) run(eval func(parent *trace.Span)) {
-	in.deploy(in.attr.InitialConfig)
-	in.wg.Add(1)
-	go func() {
-		defer in.wg.Done()
-		var csp *trace.Span
-		if in.span != nil {
-			csp = in.span.ChildTrack("stream.controller")
-			defer csp.End()
-		}
-		var flushC, evalC <-chan time.Time
-		if eval != nil {
-			t := time.NewTicker(in.cfg.EvalInterval)
-			defer t.Stop()
-			evalC = t.C
-		}
-		if eval == nil || in.cfg.FlushInterval < in.cfg.EvalInterval {
-			t := time.NewTicker(in.cfg.FlushInterval)
-			defer t.Stop()
-			flushC = t.C
-		}
-		for {
-			select {
-			case <-in.stop:
-				return
-			case <-flushC:
-				in.mergeAll(csp)
-			case <-evalC:
-				eval(csp)
-			}
-		}
-	}()
 }
 
 // deploy materializes configuration cfgIdx through the Deploy callback,
@@ -211,10 +136,10 @@ func (in *Intake) deploy(cfgIdx int) {
 	in.cfg.Deploy(cfgIdx, t)
 }
 
-// Ingest counts one per-packet event: it adds the event to its counter
-// shard's batch under that shard's lock, and copies it nowhere. It never
-// waits on a reader for longer than one merge of one shard. It returns
-// false once the intake is closed. Wire it as an amp tap:
+// Ingest counts one per-packet event into its counter shard under that
+// shard's lock, and copies it nowhere. It never waits on a reader for
+// longer than one read of one shard. It returns false once the intake is
+// closed. Wire it as an amp tap:
 //
 //	hp.SetTap(func(ev amp.Event) { in.Ingest(ev) })
 func (in *Intake) Ingest(ev amp.Event) bool { return in.ingest(&ev) }
@@ -229,37 +154,16 @@ func (in *Intake) ingest(ev *amp.Event) bool {
 		s.mu.Unlock()
 		return false
 	}
-	in.accumulate(&s.b, ev)
+	s.total++
+	s.totalBytes += int64(ev.WireLen)
+	if su := in.settleUntil; su != 0 && ev.Time.UnixNano() < su {
+		s.settled++
+	} else if int(ev.IngressLink) < len(s.pkts) {
+		s.pkts[ev.IngressLink]++
+		s.bytes[ev.IngressLink] += int64(ev.WireLen)
+	}
 	s.mu.Unlock()
 	return true
-}
-
-// Cut completes the current round: it merges every shard's batch into
-// it, so a round folds everything Ingest has accepted so far. Readers of
-// the round (HarvestRound, Status, TotalEvents) merge the same way
-// before they read.
-func (in *Intake) Cut() { in.mergeAll(nil) }
-
-// mergeAll merges every shard's batch into the round, taking each
-// shard's lock in turn. Merges hang a "stream.flush" span off parent.
-func (in *Intake) mergeAll(parent *trace.Span) {
-	for i := range in.shards {
-		s := &in.shards[i]
-		s.mu.Lock()
-		in.merge(&s.b, parent)
-		s.mu.Unlock()
-	}
-}
-
-// Epoch returns the epoch the intake is currently accumulating under.
-func (in *Intake) Epoch() int64 { return in.epoch.Load() }
-
-// TotalEvents returns how many events the intake has counted so far.
-func (in *Intake) TotalEvents() int64 {
-	in.mergeAll(nil)
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.st.total
 }
 
 // shardOf spreads events across counter shards by their flow key
@@ -271,105 +175,55 @@ func shardOf(ev *amp.Event, n int) int {
 	return int(ev.FlowKey() % uint32(n))
 }
 
-// batch is a counter shard's accumulator: counters per link, merged into
-// the shared round as a whole, so the round's lock is taken once per
-// merge, not per packet.
-type batch struct {
-	epoch   int64
-	events  int
-	pkts    []int64
-	bytes   []int64
-	settled int64
-	total   int64
-	totalB  int64
-	// first is the oldest unmerged event's timestamp: at merge,
-	// now-first is the stage lag.
-	first time.Time
-}
-
-func newBatch(links int) batch {
-	return batch{
-		pkts:  make([]int64, links),
-		bytes: make([]int64, links),
-	}
-}
-
-func (b *batch) reset() {
-	b.events = 0
-	clear(b.pkts)
-	clear(b.bytes)
-	b.settled, b.total, b.totalB = 0, 0, 0
-}
-
-// accumulate adds ev to b; b's shard lock is held. A batch counted under
-// an epoch that has since ended is merged first, settle-excluded: its
-// events were stamped under the old configuration.
-func (in *Intake) accumulate(b *batch, ev *amp.Event) {
-	if e := in.epoch.Load(); b.events == 0 {
-		b.epoch = e
-		b.first = ev.Time
-	} else if b.epoch != e {
-		in.merge(b, nil)
-		b.epoch = e
-		b.first = ev.Time
-	}
-	b.events++
-	b.total++
-	b.totalB += int64(ev.WireLen)
-	if su := in.settleUntil.Load(); su != 0 && ev.Time.UnixNano() < su {
-		b.settled++
-		return
-	}
-	if int(ev.IngressLink) < len(b.pkts) {
-		b.pkts[ev.IngressLink]++
-		b.bytes[ev.IngressLink] += int64(ev.WireLen)
-	}
-}
-
-// merge adds a shard batch to the shared round state and empties it; the
-// batch's shard lock is held (lock order: shard, then round). A non-nil
-// parent gets a "stream.flush" span carrying the batch's lag.
-func (in *Intake) merge(b *batch, parent *trace.Span) {
-	if b.events == 0 {
-		return
-	}
-	var fsp *trace.Span
-	if parent != nil {
-		fsp = parent.Child("stream.flush")
-	}
-	excluded := b.settled
+// Epoch returns the epoch the intake is currently counting under.
+func (in *Intake) Epoch() int64 {
 	in.mu.Lock()
-	st := &in.st
-	if b.epoch == st.epoch {
-		for l := range b.pkts {
-			st.roundPkts[l] += b.pkts[l]
-			st.roundBytes[l] += b.bytes[l]
-		}
-	} else {
-		// Stale batch: counted before the last advance, so its round no
-		// longer exists. Keep it out of the new round's counters.
-		for _, n := range b.pkts {
-			excluded += n
-		}
-	}
-	st.total += b.total
-	st.totalBytes += b.totalB
-	st.settled += excluded
-	in.mu.Unlock()
+	defer in.mu.Unlock()
+	return in.epoch
+}
 
-	in.mEvents.Add(b.total)
-	in.mSettle.Add(excluded)
-	in.mBatches.Inc()
-	// Stage lag is the age of the batch's oldest event at merge time.
-	lag := time.Since(b.first)
-	in.hLag.Observe(lag.Seconds())
-	if fsp != nil {
-		fsp.Count("events", int64(b.events))
-		fsp.Count("excluded", excluded)
-		fsp.Set(trace.Float("lag_s", lag.Seconds()))
-		fsp.End()
+// TotalEvents returns how many events the intake has counted so far.
+func (in *Intake) TotalEvents() int64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.read(nil)
+}
+
+// read sums the counter shards, taking each one's lock in turn; in.mu is
+// held, so no round ends under it. A non-nil h receives the round,
+// reusing its slices. It returns the event total, and brings the event
+// and settle-excluded counters up to the totals: publishing on reads,
+// not per event, keeps a shared atomic off the Ingest path.
+func (in *Intake) read(h *Harvest) int64 {
+	var total, totalBytes, settled int64
+	if h != nil {
+		n := in.attr.NumLinks
+		h.Pkts = append(h.Pkts[:0], make([]int64, n)...)
+		h.Bytes = append(h.Bytes[:0], make([]int64, n)...)
 	}
-	b.reset()
+	for i := range in.shards {
+		s := &in.shards[i]
+		s.mu.Lock()
+		if h != nil {
+			for l, n := range s.pkts {
+				h.Pkts[l] += n
+				h.Bytes[l] += s.bytes[l]
+			}
+		}
+		total += s.total
+		totalBytes += s.totalBytes
+		settled += s.settled
+		s.mu.Unlock()
+	}
+	settled += in.excluded
+	if h != nil {
+		h.Epoch, h.Config = in.epoch, in.config
+		h.Total, h.TotalBytes, h.Settled = total, totalBytes, settled
+	}
+	in.mEvents.Add(total - in.publishedEvents)
+	in.mSettle.Add(settled - in.publishedSettled)
+	in.publishedEvents, in.publishedSettled = total, settled
+	return total
 }
 
 // Harvest is one intake's round-counter snapshot: the per-link
@@ -390,127 +244,112 @@ type Harvest struct {
 	Settled    int64   `json:"settled"`
 }
 
-// snapshotLocked copies the round state into h, reusing its slices.
-func (in *Intake) snapshotLocked(h *Harvest) {
-	st := &in.st
-	*h = Harvest{
-		Epoch:      st.epoch,
-		Config:     st.config,
-		Pkts:       append(h.Pkts[:0], st.roundPkts...),
-		Bytes:      append(h.Bytes[:0], st.roundBytes...),
-		Total:      st.total,
-		TotalBytes: st.totalBytes,
-		Settled:    st.settled,
-	}
-}
-
-// Status merges every shard and snapshots the current round's counters
-// without marking them collected.
+// Status snapshots the current round's counters without marking them
+// collected.
 func (in *Intake) Status() Harvest {
 	var h Harvest
-	in.mergeAll(nil)
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.snapshotLocked(&h)
+	in.read(&h)
 	return h
 }
 
-// HarvestRound merges every shard and snapshots the current round's
-// counters for a controller that may fold them (the sharded-ingest Collect RPC lands here), and
+// HarvestRound snapshots the current round's counters for a controller
+// that may fold them (the sharded-ingest Collect RPC lands here), and
 // remembers how much of the round has now been seen.
 func (in *Intake) HarvestRound() Harvest {
 	var h Harvest
-	in.harvest(&h, nil)
+	in.harvest(&h)
 	return h
 }
 
 // harvest is HarvestRound into h's slices: a Pipeline's control
-// goroutine harvests every tick into buffers it owns. Merges hang their
-// spans off parent.
-func (in *Intake) harvest(h *Harvest, parent *trace.Span) {
-	in.mergeAll(parent)
+// goroutine harvests every tick into buffers it owns.
+func (in *Intake) harvest(h *Harvest) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.st.harvested = sum(in.st.roundPkts)
-	in.snapshotLocked(h)
+	in.read(h)
+	in.harvested = sum(h.Pkts)
 }
 
 // AdvanceEpoch ends the current round and starts the one the decide
 // half chose (a Pipeline's fold, or the sharded-ingest controller's
-// Apply RPC). It zeroes the round counters and bumps the epoch, which
-// invalidates shard batches counted under the old one — merged late,
-// they are settle-excluded rather than leak the old round's per-link
-// counts into the new one. When the configuration changed it arms the settle window
-// before releasing the lock, so no event produced under the old
-// configuration can observe a stale deadline, and then deploys it.
-// Packets merged into the round after its last harvest (collect→apply
-// latency, RPC backoff, a round never collected at all) can reach no
-// fold, so they are counted as settle-excluded rather than vanishing:
-// total = folded + excluded holds on every intake. Re-applying the
-// current (epoch, config) is an idempotent no-op, so a controller
-// recovering from failover can re-broadcast its snapshot safely; an
-// epoch older than the intake's is rejected (a stale controller must
-// not rewind the shard).
+// Apply RPC). With every shard lock held it zeroes the round counters
+// and, when the configuration changed, arms the settle window, so no
+// event counted after the advance can observe a stale deadline; it
+// deploys the new configuration after releasing them. Packets counted
+// after the round's last harvest (collect→apply latency, RPC backoff, a
+// round never collected at all) can reach no fold, so they are counted
+// as settle-excluded rather than vanishing: total = folded + excluded
+// holds on every intake. Re-applying the current (epoch, config) is an
+// idempotent no-op, so a controller recovering from failover can
+// re-broadcast its snapshot safely; an epoch older than the intake's is
+// rejected (a stale controller must not rewind the shard).
 func (in *Intake) AdvanceEpoch(epoch int64, cfgIdx int) error {
 	if cfgIdx < 0 || cfgIdx >= len(in.attr.Catchments) {
 		return fmt.Errorf("stream: advance to config %d out of range", cfgIdx)
 	}
 	in.mu.Lock()
-	st := &in.st
-	if epoch < st.epoch {
-		cur := st.epoch
+	if epoch < in.epoch {
+		cur := in.epoch
 		in.mu.Unlock()
 		return fmt.Errorf("stream: stale epoch %d (intake at %d)", epoch, cur)
 	}
-	if epoch == st.epoch && cfgIdx == st.config {
+	if epoch == in.epoch && cfgIdx == in.config {
 		in.mu.Unlock()
 		return nil
 	}
-	residue := sum(st.roundPkts) - st.harvested
-	st.settled += residue
-	for l := range st.roundPkts {
-		st.roundPkts[l], st.roundBytes[l] = 0, 0
+	held := int64(0)
+	for i := range in.shards {
+		s := &in.shards[i]
+		s.mu.Lock()
+		held += sum(s.pkts)
+		clear(s.pkts)
+		clear(s.bytes)
 	}
-	st.harvested = 0
-	st.epoch = epoch
-	in.epoch.Store(epoch)
-	changed := cfgIdx != st.config
+	in.excluded += held - in.harvested
+	in.harvested = 0
+	in.epoch = epoch
+	changed := cfgIdx != in.config
 	if changed {
-		st.config = cfgIdx
+		in.config = cfgIdx
 		if in.cfg.Settle > 0 {
-			in.settleUntil.Store(time.Now().Add(in.cfg.Settle).UnixNano())
+			in.settleUntil = time.Now().Add(in.cfg.Settle).UnixNano()
 		}
 	}
+	for i := range in.shards {
+		in.shards[i].mu.Unlock()
+	}
+	in.read(nil)
 	in.mu.Unlock()
-	in.mSettle.Add(residue)
 	if changed {
 		in.deploy(cfgIdx)
 	}
 	return nil
 }
 
-// shutdown stops intake, merges every shard into the round and stops
-// the control goroutine. It runs once; concurrent callers wait. A shard
-// is closed and merged under its lock, so every event Ingest accepted is
-// in the round and every later one is refused.
+// shutdown closes every counter shard, so every later Ingest is refused,
+// publishes the final totals and then runs after. It runs once;
+// concurrent callers wait.
 func (in *Intake) shutdown(after func()) {
 	in.closeOnce.Do(func() {
+		in.mu.Lock()
 		for i := range in.shards {
 			s := &in.shards[i]
 			s.mu.Lock()
 			s.closed = true
-			in.merge(&s.b, nil)
 			s.mu.Unlock()
 		}
-		close(in.stop)
-		in.wg.Wait()
+		in.read(nil)
+		in.mu.Unlock()
 		after()
 		in.span.End()
 	})
 }
 
-// Close stops intake and merges every shard into the round. Stop
-// producing events (close the honeypot or detach the tap) before calling
-// it. Close is idempotent and safe for concurrent callers: exactly one
-// caller runs the shutdown, the rest wait for it to finish.
+// Close stops intake: every event Ingest accepted is in the round, and
+// every later one is refused. Stop producing events (close the honeypot
+// or detach the tap) before calling it. Close is idempotent and safe for
+// concurrent callers: exactly one caller runs the shutdown, the rest
+// wait for it to finish.
 func (in *Intake) Close() { in.shutdown(func() {}) }

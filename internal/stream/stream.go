@@ -5,25 +5,23 @@
 //
 // The loop has two halves and each is a type. Intake counts: each
 // per-packet event tapped from the amp honeypot is added, on the
-// goroutine that taps it, to the per-link counters of one of N counter
-// shards under that shard's lock, and shard counters are merged into the
-// shared round when the round is read and on a flush tick — the event
-// itself is copied nowhere. Evaluator decides: it folds a
-// round into a sched.Loop (an incremental localizer and cluster
-// partition), and when the volume-ranked top candidate
-// cluster still exceeds the split threshold the loop's greedy step picks
-// the next announcement configuration. One round protocol joins them
-// wherever they run: the decide side reads a round with
-// Intake.HarvestRound, which completes it first (merges every shard, as
-// Intake.Cut does alone), folds it with Evaluator.Fold and starts the next with Intake.AdvanceEpoch, which deploys the chosen
-// configuration through a callback (in cmd/spooftrackd,
-// amp.Border.SetCatchments). Pipeline runs that protocol in one process;
-// internal/shard's controller runs it over shard nodes in others.
+// goroutine that taps it, to the per-link round counters of one of N
+// counter shards under that shard's lock, and readers of the round sum
+// the shards — the event itself is copied nowhere. Evaluator decides: it
+// folds a round into a sched.Loop (an incremental localizer and cluster
+// partition), and when the volume-ranked top candidate cluster still
+// exceeds the split threshold the loop's greedy step picks the next
+// announcement configuration. One round protocol joins them wherever
+// they run: the decide side reads a round with Intake.HarvestRound,
+// folds it with Evaluator.Fold and starts the next with
+// Intake.AdvanceEpoch, which deploys the chosen configuration through a
+// callback (in cmd/spooftrackd, amp.Border.SetCatchments). Pipeline runs
+// that protocol in one process; internal/shard's controller runs it over
+// shard nodes in others.
 //
 // No queue, no loss: Ingest counts in place, so there is nothing to
-// overflow and no event to drop; the longest it waits is one merge of
-// its shard. Close merges every shard, folds the final round, and only
-// then returns.
+// overflow and no event to drop; the longest it waits is one read of
+// its shard. Close folds the final round, and only then returns.
 package stream
 
 import (
@@ -36,7 +34,6 @@ import (
 	"spooftrack/internal/metrics"
 	"spooftrack/internal/provenance"
 	"spooftrack/internal/topo"
-	"spooftrack/internal/trace"
 )
 
 // Attribution is the precomputed offline knowledge the live loop runs
@@ -70,11 +67,10 @@ type Config struct {
 	// spread across (default min(GOMAXPROCS, 8)); no goroutine runs per
 	// shard.
 	Workers int
-	// FlushInterval is how often the control goroutine merges the
-	// counter shards into the round, keeping metrics and the flush-lag
-	// histogram fresh between reads (default 100ms).
+	// FlushInterval is only the base of EvalInterval's default (default
+	// 100ms).
 	FlushInterval time.Duration
-	// EvalInterval is the controller's evaluation cadence (default
+	// EvalInterval is a Pipeline's evaluation cadence (default
 	// 2×FlushInterval).
 	EvalInterval time.Duration
 	// MinRoundPackets is the volume a round must accumulate before the
@@ -138,11 +134,11 @@ type RoundRecord struct {
 
 // Pipeline is the running live-attribution loop on one node: an Intake
 // plus the local decide loop over it. Create with New, feed with Ingest
-// (wire it as an amp tap), stop with Close. Its control goroutine is a
-// client of the intake's round protocol, as a shard controller is: it
-// completes and copies out a round with the harvest behind HarvestRound,
-// folds it with Evaluator.Fold and starts the next one with
-// Intake.AdvanceEpoch. It does not expose those calls: only the
+// (wire it as an amp tap), stop with Close. Its control goroutine ticks
+// every EvalInterval and is a client of the intake's round protocol, as
+// a shard controller is: it copies out a round with the harvest behind
+// HarvestRound, folds it with Evaluator.Fold and starts the next one
+// with Intake.AdvanceEpoch. It does not expose those calls: only the
 // local fold may take a Pipeline's round.
 type Pipeline struct {
 	in *Intake
@@ -156,17 +152,20 @@ type Pipeline struct {
 	// finds the intake already counting the next round; the Eval
 	// callbacks and Deploy therefore run under it, as they run under the
 	// shard controller's lock, and must not call back into the pipeline.
-	// Ingest and shard merges never take it.
+	// Ingest never takes it.
 	mu      sync.Mutex
 	eval    *Evaluator
 	history []RoundRecord
 	started time.Time // when the current round started
+
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // New validates the attribution input, deploys the initial
 // configuration, and starts the control loop.
 func New(attr Attribution, cfg Config) (*Pipeline, error) {
-	in, err := newIntake(attr, cfg)
+	in, err := NewIntake(attr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -177,10 +176,30 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 		round:   Harvest{Pkts: counts[:n:n], Bytes: counts[n:]},
 		eval:    NewEvaluator(attr, cfg.Eval),
 		started: in.start,
+		stop:    make(chan struct{}),
 	}
 	p.eval.OpenLedger(cfg.Ledger)
-	in.run(func(parent *trace.Span) { p.evaluate(false, parent) })
+	p.wg.Add(1)
+	go p.run()
 	return p, nil
+}
+
+// run is the control goroutine: it evaluates every EvalInterval until
+// Close.
+func (p *Pipeline) run() {
+	defer p.wg.Done()
+	csp := p.in.span.ChildTrack("stream.controller")
+	defer csp.End()
+	t := time.NewTicker(p.in.cfg.EvalInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-p.stop:
+			return
+		case <-t.C:
+			p.evaluate(false, csp)
+		}
+	}
 }
 
 // Ingest feeds one per-packet event into the pipeline (Intake.Ingest).
@@ -193,12 +212,16 @@ func (p *Pipeline) Dropped() int64 { return 0 }
 // TotalEvents returns how many events the pipeline has counted so far.
 func (p *Pipeline) TotalEvents() int64 { return p.in.TotalEvents() }
 
-// Close stops intake, merges every shard, folds the final round into
-// the localizer, and shuts the control loop down. It is the
-// drain-then-flush half of graceful shutdown: stop producing events
-// (close the honeypot or detach the tap) before calling it. Close is
-// idempotent and safe for concurrent callers: exactly one caller runs
-// the shutdown, the rest wait for it to finish.
+// Close stops intake, shuts the control loop down, and folds the final
+// round into the localizer. It is the drain-then-flush half of graceful
+// shutdown: stop producing events (close the honeypot or detach the tap)
+// before calling it. Close is idempotent and safe for concurrent
+// callers: exactly one caller runs the shutdown, the rest wait for it to
+// finish.
 func (p *Pipeline) Close() {
-	p.in.shutdown(func() { p.evaluate(true, p.in.span) })
+	p.in.shutdown(func() {
+		close(p.stop)
+		p.wg.Wait()
+		p.evaluate(true, p.in.span)
+	})
 }

@@ -7,7 +7,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"time"
 )
+
+// Quantile is the q-quantile of the histogram family's observations in
+// the last window, interpolated by metrics.BucketQuantile like the live
+// Histogram.Quantile. Missing when the window holds no observation.
+func Quantile(family string, q float64, window time.Duration) Expr {
+	return func(v View) (float64, bool) {
+		return v.DB.QuantileOverTime(family, "", q, v.Now.Add(-window), v.Now)
+	}
+}
 
 // Latest returns the path of the newest diagnostic bundle in dir, or
 // "" when none exist.

@@ -13,18 +13,18 @@
 // A rule is an expression compared to a threshold:
 //
 //	watch.Rule{
-//	    Name:      "flush-lag-p99",
-//	    Expr:      watch.Quantile("stream_flush_lag_seconds", 0.99, 5*time.Minute),
+//	    Name:      "border-drop-rate",
+//	    Expr:      watch.Rate(watch.Counter{Family: "amp_border_packets_total", Child: "outcome=dropped"}, time.Minute),
 //	    Op:        watch.Above,
-//	    Threshold: 2.0,
+//	    Threshold: 100,
 //	    For:       3,
 //	}
 //
 // An expression reads either a live gauge (Metric) or one window of
-// history, through DB.Increase (Rate, Fraction, Burn) or
-// DB.QuantileOverTime (Quantile). So a rule judges the recent past of a
-// run that lasts hours, never its lifetime totals, and tests drive
-// Evaluate directly with a hand-scraped DB and no ticker or clock.
+// history through DB.Increase (Rate, Fraction, Burn). So a rule judges
+// the recent past of a run that lasts hours, never its lifetime totals,
+// and tests drive Evaluate directly with a hand-scraped DB and no ticker
+// or clock.
 package watch
 
 import (
@@ -123,15 +123,6 @@ func Burn(errors, total Counter, objective float64, windows ...time.Duration) Ex
 	return func(v View) (float64, bool) {
 		f, ok := frac(v)
 		return f / (1 - objective), ok
-	}
-}
-
-// Quantile is the q-quantile of the histogram family's observations in
-// the last window, interpolated by metrics.BucketQuantile like the live
-// Histogram.Quantile. Missing when the window holds no observation.
-func Quantile(family string, q float64, window time.Duration) Expr {
-	return func(v View) (float64, bool) {
-		return v.DB.QuantileOverTime(family, "", q, v.Now.Add(-window), v.Now)
 	}
 }
 

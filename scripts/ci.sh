@@ -22,10 +22,12 @@
 # failover test, the greedy step's pooled scorer, whose per-group
 # scratch the pipeline, controller and replay goroutines share, and the
 # examples, whose loopback demos run amp and stream together),
-# run the intake's concurrent round-protocol test ten times under the
-# race detector (four producers counting into shared counter shards
-# while harvests, cuts and epoch advances merge them: every event folded
-# or settle-excluded exactly once), run the packet plane's real-kernel
+# run the intake's tests ten times under the race detector (the
+# concurrent round-protocol test: four producers count into the counter
+# shards that hold the round while harvests sum them and epoch advances
+# zero them, and every event is folded or settle-excluded exactly once;
+# the accounting digest at one and three shards; and the check that
+# neither an intake nor a shard node starts a goroutine), run the packet plane's real-kernel
 # delivery tests ten times (the plane's digest, the border's
 # mixed-length forward, the attacker's wire digest, the honeypot's read
 # digest and the one-read-per-run test: a UDP GSO message that lost or
@@ -100,8 +102,8 @@ go test ./...
 echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
 
-echo "==> intake round protocol under -race x10 (producers, harvests, cuts and advances interleaved: every event counted once)"
-go test -race -count=10 -run '^TestConcurrentRoundProtocolAccountsOnce$' ./internal/stream/
+echo "==> intake under -race x10 (producers, harvests and advances interleaved: every event counted once; the accounting digest; no intake goroutine)"
+go test -race -count=10 -run '^(TestConcurrentRoundProtocolAccountsOnce|TestIntakeAccountingDigest|TestIntakeStartsNoGoroutine)$' ./internal/stream/ ./internal/shard/
 
 echo "==> packet-plane delivery x10 (border and attacker GSO sends, the honeypot's GRO read: every datagram once, in order, byte for byte)"
 go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest|TestHoneypotReadDigest|TestForwardedRunIsOneRead)$' ./internal/amp/
