@@ -25,9 +25,9 @@ import (
 // entry or panel naming a family nothing registers would sit in "no
 // data" forever. Reverse: every family on /metrics has a reader (see
 // familyReaders) — one that has none is code to delete. It boots the
-// daemon twice, single-node with probing and the ledger on and as an
-// in-process cluster (-shards 2), since each placement registers its
-// own families.
+// daemon twice with probing and the ledger on: in its default placement
+// (one intake shard) and with -shards 2, where two intakes register on
+// one registry.
 func TestWatchedFamiliesRegistered(t *testing.T) {
 	want := watchedFamilies(t)
 	for _, m := range regexp.MustCompile(`series=(\w+)`).FindAllStringSubmatch(dashHTML, -1) {
@@ -49,7 +49,7 @@ func TestWatchedFamiliesRegistered(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"single", nil},
+		{"default", nil},
 		{"shards", []string{"-shards", "2"}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

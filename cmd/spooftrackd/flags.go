@@ -87,7 +87,7 @@ func parseFlags(args []string, usage io.Writer) (config, error) {
 	fs.DurationVar(&c.probeInterval, "probe-interval", 2*time.Second, "active SAV probe scan interval (0 = probing off)")
 	fs.BoolVar(&c.world.ledger, "ledger", true, "record the decision-provenance ledger (serve /explain)")
 	fs.StringVar(&c.world.topoFile, "topo-file", "", "load the AS topology from a CAIDA-serialized file instead of generating one; processes sharing a file and -seed build identical worlds")
-	fs.IntVar(&c.place.shards, "shards", 0, "in-process sharded ingest: N intake shards plus lease-elected failover controllers (0 = single-node pipeline)")
+	fs.IntVar(&c.place.shards, "shards", 0, "in-process sharded ingest: N intake shards plus lease-elected failover controllers (0 = one)")
 	fs.StringVar(&c.place.shardID, "shard-id", "", "run as one ingest shard: an intake plus the /shard RPC surface, driven by an external -controller process")
 	fs.StringVar(&peers, "controller", "", "run as the sharded-ingest controller for these shards: comma-separated id=http://host:port pairs")
 	fs.StringVar(&c.place.controllerID, "controller-id", "", "controller identity for lease election (default ctrl-<pid>)")

@@ -10,8 +10,7 @@
 //
 // HTTP endpoints (on -listen):
 //
-//	/status       pipeline snapshot: clusters, per-link rates, top sources
-//	              (a shard: intake counters only; 404 where nothing is counted)
+//	/status       a shard's intake counters (-shard-id mode only)
 //	/faults       fault-injection stats and per-link circuit-breaker health
 //	/probe        active SAV probing: scan status, per-verdict counts, and the
 //	              probe-vs-catchment channel audit (404 with -probe-interval 0)
@@ -35,8 +34,9 @@
 //	/debug/pprof/ standard Go profiling endpoints
 //	/debug/bundle latest SLO-breach diagnostic bundle (404 until one fires)
 //	/slo          watchdog rule states (value, threshold, breach streak)
-//	/cluster      sharded-ingest state: leader, term, epoch, member states,
-//	              deferred/discarded rounds (404 in single-node mode)
+//	/cluster      the decide half: rounds, convergence, deployed configurations,
+//	              clusters, candidates, and the shard tier's leader, term, epoch,
+//	              member states, deferred/discarded rounds (404 on a shard)
 //	/shard/*      shard RPC surface: collect/apply/hello (-shard-id mode only)
 //	/healthz      liveness probe (process up)
 //	/readyz       readiness probe (no SLO in breach and the mode not degraded)
@@ -47,26 +47,25 @@
 //	spooftrackd
 //
 // demonstrates the full loop: attack traffic -> streaming attribution
-// -> online reconfiguration -> convergence, observable via /status.
-// Shut down with SIGINT/SIGTERM; the daemon drains the pipeline (bounded
-// by -shutdown-timeout), writes a final snapshot, and logs the
-// localization outcome.
+// -> online reconfiguration -> convergence, observable via /cluster and
+// /evidence. Shut down with SIGINT/SIGTERM; the daemon drains the
+// pipeline (bounded by -shutdown-timeout), writes a final snapshot, and
+// logs the localization outcome and its candidate ASes.
 //
 // The loop has two halves — count spoofed volume per ingress link under
 // the deployed announcement (stream.Intake), decide the next
-// announcement (stream.Evaluator) — and the daemon's four mutually
+// announcement (stream.Evaluator) — and the daemon's three mutually
 // exclusive modes are those two halves placed in one process or several
 // (placement.go):
 //
-//	mode             counts         decides        owns
-//	(default)        here           here           /status /evidence
-//	-shards N        here, N ways   here (leased)  /cluster /evidence
-//	-shard-id ID     here           a -controller  /status /shard/*
-//	-controller ...  the shards     here (leased)  /cluster /evidence
+//	mode                   counts             decides        owns
+//	(default), -shards N   here, 1 or N ways  here (leased)  /cluster /evidence
+//	-shard-id ID           here               a -controller  /status /shard/*
+//	-controller ...        the shards         here (leased)  /cluster /evidence
 //
 // Every other endpoint is registered by the component that owns it
 // (routes.go) and is the same in every mode. That includes /readyz: an
-// SLO breach pulls a -shards N daemon out of rotation like any other. A
+// SLO breach pulls an in-process cluster out of rotation like any other. A
 // shard's /status is its intake's counters (stream.Harvest) — it has no
 // verdict, so it registers no /evidence. -snapshot follows the decide
 // half: a shard writes none, its controller does.
@@ -249,7 +248,7 @@ func run(ctx context.Context, cfg config) error {
 	go func() {
 		defer close(drained)
 		quiesce()
-		s.place.drain(cfg.shutdownTimeout)
+		s.place.drain()
 	}()
 	select {
 	case <-drained:

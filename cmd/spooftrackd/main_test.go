@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ import (
 )
 
 // testMux builds the daemon's HTTP surface over a tiny two-source
-// single-node placement, without a packet plane.
+// default (one-shard) placement, without a packet plane.
 func testMux(t *testing.T) *http.ServeMux {
 	mux, _ := testMuxWatch(t, nil, "")
 	return mux
@@ -65,6 +66,16 @@ func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.Ser
 // daemon's own constructor, and drains it when the test ends.
 func testPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) placement {
 	t.Helper()
+	place, _ := startPlacement(t, reg, attr, args...)
+	return place
+}
+
+// startPlacement is testPlacement returning stop, which cancels the
+// placement's context and drains it, as run does at shutdown, before the
+// test ends. Only the first call, this or the test's cleanup, does
+// anything.
+func startPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) (placement, func()) {
+	t.Helper()
 	cfg, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatalf("parseFlags(%q): %v", args, err)
@@ -77,11 +88,12 @@ func testPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution,
 		cancel()
 		t.Fatalf("newPlacement(%q): %v", args, err)
 	}
-	t.Cleanup(func() {
+	stop := sync.OnceFunc(func() {
 		cancel()
-		place.drain(time.Second)
+		place.drain()
 	})
-	return place
+	t.Cleanup(stop)
+	return place, stop
 }
 
 // componentMux serves only the routes register adds.
@@ -223,15 +235,15 @@ func TestFaultsEndpointNoInjector(t *testing.T) {
 }
 
 func TestStatusDecodes(t *testing.T) {
-	res, body := get(t, testMux(t), "/status")
+	res, body := get(t, testMux(t), "/cluster")
 	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status: %d", res.StatusCode)
+		t.Fatalf("cluster: %d", res.StatusCode)
 	}
 	var st struct {
 		Candidates int `json:"candidates"`
 	}
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatalf("status is not JSON: %v\n%s", err, body)
+		t.Fatalf("cluster is not JSON: %v\n%s", err, body)
 	}
 	if st.Candidates != 2 {
 		t.Fatalf("candidates = %d, want 2 (no rounds folded)", st.Candidates)

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"log"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -44,8 +48,7 @@ const (
 	roundPackets  = 20
 )
 
-// loopView is what /status (single node) and /cluster (sharded) both
-// say about the decide half.
+// loopView is what /cluster says about the decide half.
 type loopView struct {
 	Rounds          int   `json:"rounds"`
 	Converged       bool  `json:"converged"`
@@ -53,17 +56,25 @@ type loopView struct {
 	DeployedConfigs []int `json:"deployed_configs"`
 }
 
-// modeSurface is a placement behind the daemon's assembled mux.
+// modeSurface is a placement behind the daemon's assembled mux, drained
+// when the test ends.
 func modeSurface(t *testing.T, attr stream.Attribution, args ...string) (placement, *http.ServeMux) {
+	t.Helper()
+	place, mux, _ := stoppableSurface(t, attr, args...)
+	return place, mux
+}
+
+// stoppableSurface is modeSurface returning startPlacement's stop.
+func stoppableSurface(t *testing.T, attr stream.Attribution, args ...string) (placement, *http.ServeMux, func()) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	args = append([]string{"-workers", "1", "-eval", "5ms", "-settle", "0", "-min-round", "20"}, args...)
-	place := testPlacement(t, reg, attr, args...)
+	place, stop := startPlacement(t, reg, attr, args...)
 	return place, surface{
 		obs:    observability{reg: reg},
 		health: peering.NewLinkHealth(attr.NumLinks, 0, 0),
 		place:  place,
-	}.mux()
+	}.mux(), stop
 }
 
 // registered lists the patterns of mux that the daemon's known paths
@@ -109,7 +120,7 @@ func jsonKeys(t *testing.T, body string) []string {
 	return keys
 }
 
-// TestEveryModeLocalizes runs each of the four placements in-process,
+// TestEveryModeLocalizes runs each of the three placements in-process,
 // built by the constructor run uses: fixed rounds from the planted
 // source go through the tap, one per fold, and every mode must converge
 // on that source with exactly the deployments a bare Evaluator makes of
@@ -125,12 +136,12 @@ func TestEveryModeLocalizes(t *testing.T) {
 		owns  map[string][]string
 	}{
 		{
-			name: "single",
+			name: "default",
 			build: func(t *testing.T) (placement, *http.ServeMux, string, map[string]*http.ServeMux) {
 				p, mux := modeSurface(t, attr)
-				return p, mux, "/status", map[string]*http.ServeMux{"single": mux}
+				return p, mux, "/cluster", map[string]*http.ServeMux{"default": mux}
 			},
-			owns: map[string][]string{"single": {"/status", "/evidence"}},
+			owns: map[string][]string{"default": {"/cluster", "/evidence"}},
 		},
 		{
 			name: "shards",
@@ -212,25 +223,79 @@ func TestEveryModeLocalizes(t *testing.T) {
 	}
 }
 
-// TestStatusPerMode pins what /status says where: the single node's
-// keys are a contract with its consumers, and a shard reports its
-// intake and nothing that reads like a verdict. /cluster's keys are the
-// same contract in both placements that decide over shards: it is the
-// only operator view of the shard tier (epoch, term, rounds, deferred
-// and discarded rounds, members).
+// TestEveryModeLogsVerdictAtDrain: every placement that decides logs
+// the candidates it localized when it drains, so a run's verdict is in
+// its log after the process and its /evidence are gone. Each mode is
+// built as TestEveryModeLocalizes builds it and fed the planted source's
+// rounds until /cluster says it converged; the decider is then drained
+// with slog's default logger writing to a buffer.
+func TestEveryModeLogsVerdictAtDrain(t *testing.T) {
+	attr := plantedAttr()
+	for _, tc := range []struct {
+		name string
+		// build returns the placement events are fed to, the mux whose
+		// /cluster shows the decide half, and the decider's stop.
+		build func(t *testing.T) (feed placement, view *http.ServeMux, stop func())
+	}{
+		{"default", func(t *testing.T) (placement, *http.ServeMux, func()) {
+			return stoppableSurface(t, attr)
+		}},
+		{"shards", func(t *testing.T) (placement, *http.ServeMux, func()) {
+			return stoppableSurface(t, attr, "-shards", "2")
+		}},
+		{"shard-id+controller", func(t *testing.T) (placement, *http.ServeMux, func()) {
+			node, nodeMux := modeSurface(t, attr, "-shard-id", "s0")
+			srv := httptest.NewServer(nodeMux)
+			t.Cleanup(srv.Close)
+			_, ctrlMux, stop := stoppableSurface(t, attr, "-controller", "s0="+srv.URL, "-controller-id", "c0")
+			return node, ctrlMux, stop
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			feed, mux, stop := tc.build(t)
+			view := func() (v loopView) {
+				if _, body := get(t, mux, "/cluster"); json.Unmarshal([]byte(body), &v) != nil {
+					t.Fatalf("/cluster is not JSON:\n%s", body)
+				}
+				return v
+			}
+			v := view()
+			for deadline := time.Now().Add(10 * time.Second); !v.Converged; {
+				link := attr.Catchments[v.CurrentConfig][plantedSource]
+				for i := 0; i < roundPackets; i++ {
+					feed.ingest(amp.Event{Time: time.Now(), IngressLink: uint8(link), WireLen: 24})
+				}
+				for folded := v.Rounds + 1; v.Rounds < folded; v = view() {
+					if time.Now().After(deadline) {
+						t.Fatalf("round %d never folded: %+v", folded, v)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+
+			var logs bytes.Buffer
+			prev, out, flags := slog.Default(), log.Writer(), log.Flags()
+			slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+			stop()
+			slog.SetDefault(prev)
+			log.SetOutput(out)
+			log.SetFlags(flags)
+
+			want := fmt.Sprintf("msg=candidate asn=%d ", attr.SourceASNs[plantedSource])
+			if !strings.Contains(logs.String(), want) {
+				t.Fatalf("drain logged no %q line:\n%s", want, logs.String())
+			}
+		})
+	}
+}
+
+// TestStatusPerMode pins what /status and /cluster say where: a shard
+// reports its intake on /status and nothing that reads like a verdict.
+// /cluster's keys are the same contract in every placement that
+// decides: it is the operator view of the loop and of the shard tier
+// (epoch, term, rounds, deferred and discarded rounds, members).
 func TestStatusPerMode(t *testing.T) {
 	attr := plantedAttr()
-	_, single := modeSurface(t, attr)
-	_, body := get(t, single, "/status")
-	if got, want := jsonKeys(t, body), []string{
-		"candidates", "converged", "current_config", "deployed_configs", "events_per_sec",
-		"history", "mean_cluster_size", "num_clusters", "num_sources", "per_link",
-		"reconfigurations", "rounds", "top_sources", "total_bytes", "total_events",
-		"uptime_sec", "workers",
-	}; !reflect.DeepEqual(got, want) {
-		t.Errorf("single-node /status keys %v, want %v", got, want)
-	}
-
 	_, shard := modeSurface(t, attr, "-shard-id", "s0")
 	res, body := get(t, shard, "/status")
 	if got, want := jsonKeys(t, body), []string{
@@ -249,6 +314,7 @@ func TestStatusPerMode(t *testing.T) {
 		"discarded_rounds", "epoch", "leader", "leading", "members", "num_clusters", "rounds", "term",
 	}
 	for mode, args := range map[string][]string{
+		"default":     nil,
 		"-shards 2":   {"-shards", "2"},
 		"-controller": {"-controller", "s0=" + srv.URL, "-controller-id", "c0"},
 	} {

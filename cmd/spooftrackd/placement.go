@@ -28,8 +28,9 @@ type placement interface {
 	// ingest is the honeypot tap.
 	ingest(ev amp.Event)
 	// drain folds what is still in flight, stops the placement's
-	// goroutines and logs the outcome; timeout bounds the waits inside.
-	drain(timeout time.Duration)
+	// goroutines and logs the outcome; run bounds it with
+	// -shutdown-timeout.
+	drain()
 	// deployed lists the configurations deployed so far, in order.
 	deployed() []int
 	// degraded is the placement's own readiness gate and the count of
@@ -71,11 +72,13 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 		}
 		slog.Info("running as ingest shard", "id", pc.shardID)
 		return &shardNode{node, lossy(w.inj, func(ev amp.Event) { node.Ingest(ev) })}, nil
-	case pc.shards > 0:
-		// Sharded semantics (epochs, terms, drain/evict, provable
-		// coarsening) without the fleet.
+	default:
+		// Both halves here: one intake shard unless -shards asks for
+		// more, with the sharded semantics (epochs, terms, drain/evict,
+		// provable coarsening) and no fleet.
+		shards := max(pc.shards, 1)
 		cl, err := shard.NewCluster(shard.ClusterConfig{
-			Shards:          pc.shards,
+			Shards:          shards,
 			Attr:            w.attr,
 			MinRoundPackets: w.pipe.MinRoundPackets,
 			Pipe:            w.pipe,
@@ -84,7 +87,7 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		slog.Info("in-process sharded ingest", "shards", pc.shards)
+		slog.Info("in-process ingest", "shards", shards)
 		// One controller round per tick, election included: the first
 		// tick elects, and a crashed controller's standby takes over on
 		// lease expiry.
@@ -94,59 +97,19 @@ func newPlacement(ctx context.Context, pc placeConfig, w wiring) (placement, err
 			}
 		})
 		return &cluster{cl, rounds}, nil
-	default:
-		pipe, err := stream.New(w.attr, w.pipe)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		return &single{pipe, lossy(w.inj, func(ev amp.Event) { pipe.Ingest(ev) })}, nil
 	}
 }
 
 // lossy puts the daemon's injector, when there is one, in front of a
-// tap: the placement sees a lossy feed, exercising the degradation path
-// end to end. The cluster rolls the same fault inside Ingest (keeping
-// the drop schedule identical at every shard count), so wrapping its
-// tap too would double-roll it.
+// shard node's tap: the node sees a lossy feed, exercising the
+// degradation path end to end. The cluster rolls the same fault inside
+// Ingest (keeping the drop schedule identical at every shard count), so
+// wrapping its tap too would double-roll it.
 func lossy(inj *fault.Injector, tap amp.Tap) amp.Tap {
 	if inj == nil {
 		return tap
 	}
 	return inj.WrapTap(tap)
-}
-
-// single is both halves in one stream.Pipeline.
-type single struct {
-	*stream.Pipeline
-	tap amp.Tap
-}
-
-func (s *single) ingest(ev amp.Event)     { s.tap(ev) }
-func (s *single) deployed() []int         { return s.Deployed() }
-func (s *single) degraded() (bool, int64) { return false, 0 }
-
-func (s *single) drain(time.Duration) {
-	s.Close()
-	st := s.Status(5)
-	slog.Info("final state", "events", st.TotalEvents, "rounds", st.Rounds,
-		"reconfigs", st.Reconfigurations, "converged", st.Converged)
-	if rep, err := s.Evidence(); err == nil {
-		const maxPrint = 10
-		for i, c := range rep.Candidates {
-			if i == maxPrint {
-				slog.Info("more candidates elided; see /evidence", "remaining", len(rep.Candidates)-maxPrint)
-				break
-			}
-			slog.Info("candidate", "asn", c.ASN, "mean_volume_share", c.MeanVolumeShare,
-				"configs_with_traffic", c.ConfigsWithTraffic, "configs_observed", c.ConfigsObserved,
-				"cluster_size", c.ClusterSize)
-		}
-	}
-}
-
-func (s *single) routes(mux *http.ServeMux) {
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, s.Status(10)) })
-	evidenceRoute(mux, s.Evidence)
 }
 
 // evidenceRoute serves the decide half's verdict as an operator report;
@@ -177,7 +140,7 @@ func (n *shardNode) deployed() []int     { return nil }
 
 func (n *shardNode) degraded() (bool, int64) { return false, 0 }
 
-func (n *shardNode) drain(time.Duration) {
+func (n *shardNode) drain() {
 	n.Close()
 	st := n.Intake().Status()
 	slog.Info("final intake state", "events", st.Total, "epoch", st.Epoch,
@@ -189,7 +152,8 @@ func (n *shardNode) routes(mux *http.ServeMux) {
 	mux.Handle("/shard/", shard.NodeHandler(n.Node))
 }
 
-// cluster is N intakes plus lease-elected controllers in this process.
+// cluster is N intakes (one by default) plus lease-elected controllers
+// in this process.
 type cluster struct {
 	*shard.Cluster
 	rounds <-chan struct{} // closed when the round ticker has stopped
@@ -204,13 +168,14 @@ func (c *cluster) degraded() (bool, int64) {
 
 // drain waits for the round ticker to stop, folds the final round over
 // every shard, then stops.
-func (c *cluster) drain(time.Duration) {
+func (c *cluster) drain() {
 	<-c.rounds
 	if _, err := c.Step(true); err != nil {
 		slog.Warn("final cluster round failed", "err", err)
 	}
 	c.Close()
 	logClusterState(c.Controller().Status())
+	logCandidates(c.Controller().Evidence)
 }
 
 func (c *cluster) routes(mux *http.ServeMux) {
@@ -309,7 +274,7 @@ func (c *controller) degraded() (bool, int64) { return c.Degraded(), 0 }
 
 // drain folds whatever the shards still hold, then releases the lease
 // so a replacement elects immediately instead of waiting out the TTL.
-func (c *controller) drain(time.Duration) {
+func (c *controller) drain() {
 	<-c.rounds
 	if c.Leading() {
 		if _, err := c.Step(true); err != nil && !errors.Is(err, shard.ErrNotLeader) {
@@ -318,6 +283,7 @@ func (c *controller) drain(time.Duration) {
 	}
 	c.Stop()
 	logClusterState(c.Status())
+	logCandidates(c.Evidence)
 }
 
 func (c *controller) routes(mux *http.ServeMux) {
@@ -329,12 +295,31 @@ func clusterRoutes(mux *http.ServeMux, status func() shard.ClusterStatus) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, status()) })
 }
 
-// logClusterState is the sharded placements' shutdown summary.
+// logClusterState is the deciding placements' shutdown summary.
 func logClusterState(cs shard.ClusterStatus) {
 	slog.Info("final cluster state", "leader", cs.Leader, "term", cs.Term,
 		"epoch", cs.Epoch, "rounds", cs.Rounds, "deferred", cs.DeferredRounds,
 		"discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
 		"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates)
+}
+
+// logCandidates logs the verdict at shutdown: the candidate ASes the
+// decide half localized, if it folded any round.
+func logCandidates(evidence func() (*report.Report, error)) {
+	rep, err := evidence()
+	if err != nil {
+		return
+	}
+	const maxPrint = 10
+	for i, c := range rep.Candidates {
+		if i == maxPrint {
+			slog.Info("more candidates elided; see /evidence", "remaining", len(rep.Candidates)-maxPrint)
+			break
+		}
+		slog.Info("candidate", "asn", c.ASN, "mean_volume_share", c.MeanVolumeShare,
+			"configs_with_traffic", c.ConfigsWithTraffic, "configs_observed", c.ConfigsObserved,
+			"cluster_size", c.ClusterSize)
+	}
 }
 
 // parseShardPeers parses the -controller spec: comma-separated

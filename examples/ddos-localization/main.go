@@ -159,7 +159,7 @@ func run(ctx context.Context, w io.Writer, ledgerPath, dotPath string) error {
 	}
 
 	// 1. Localize: every attacker must be a candidate.
-	st := pipe.Status(5)
+	st := pipe.Status()
 	fmt.Fprintf(w, "\nprocessed %d spoofed packets over %d rounds, %d online reconfigurations\n",
 		st.TotalEvents, st.Rounds, st.Reconfigurations)
 	cands := pipe.Candidates()

@@ -135,7 +135,7 @@ done:
 	close(stop)
 	gen.Wait()
 	pipe.Close()
-	return led.Export(), pipe.Status(0)
+	return led.Export(), pipe.Status()
 }
 
 // TestReplayReproducesUnderFaultProfiles is the acceptance criterion:

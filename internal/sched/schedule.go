@@ -213,17 +213,12 @@ func NextGreedyVolumeScored(p *cluster.Partition, catchments [][]bgp.LinkID, vol
 	return best, scores
 }
 
-// EstimateVolumes attributes a round's per-link volumes to sources
+// estimateInto attributes a round's per-link volumes to sources
 // (§III-C attribution at round granularity): each candidate whose
 // catchment under the folded configuration (row) is link l gets an
 // equal share of volumes[l]; eliminated and unobserved sources get
-// zero.
-func EstimateVolumes(row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
-	return estimateInto(nil, row, candidates, volumes)
-}
-
-// estimateInto is EstimateVolumes writing into est's array when it is
-// large enough, so a Loop's fold reuses one estimate buffer.
+// zero. It writes into est's array when it is large enough, so a Loop's
+// fold reuses one estimate buffer.
 func estimateInto(est []float64, row []bgp.LinkID, candidates []int, volumes []float64) []float64 {
 	var onLink [bgp.MaxLinks + 1]int
 	for _, k := range candidates {

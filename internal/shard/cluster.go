@@ -15,10 +15,10 @@ import (
 // ClusterConfig builds an in-process sharded-ingest cluster: N intake
 // nodes, a LocalTransport network (with injected faults), a MemLease
 // election substrate on a controllable clock, and 1+standbys
-// controllers competing for it. It is both the chaos harness and the
-// single-process deployment mode of cmd/spooftrackd. Its nodes have no
-// readiness gate, and its controllers retry and evict on the fixed
-// rpcAttempts and evictAfter budgets.
+// controllers competing for it. It is both the chaos harness and
+// cmd/spooftrackd's default placement (one shard unless -shards asks for
+// more). Its nodes have no readiness gate, and its controllers retry and
+// evict on the fixed rpcAttempts and evictAfter budgets.
 type ClusterConfig struct {
 	// Shards is the node count (>= 1).
 	Shards int
@@ -140,9 +140,9 @@ func (c *Cluster) Controller() *Controller {
 
 // Ingest routes one event: the injector's drop roll first (so the drop
 // schedule is identical at every shard count), then to the live member
-// its flow key picks (Ring.OwnerIndex). The path is lock-free. An event
-// no intake takes, because the injector dropped it, every member was
-// evicted or its owner is closed, counts in Dropped.
+// its flow key picks (ownerOf over the route snapshot). The path is
+// lock-free. An event no intake takes, because the injector dropped it,
+// every member was evicted or its owner is closed, counts in Dropped.
 func (c *Cluster) Ingest(ev amp.Event) bool {
 	if c.cfg.Injector == nil || !c.cfg.Injector.DropEvent() {
 		nodes := *c.route.Load()

@@ -104,7 +104,7 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for p.Status(0).Rounds <= r {
+		for p.Status().Rounds <= r {
 			if time.Now().After(deadline) {
 				t.Fatalf("pipeline round %d never folded", r)
 			}

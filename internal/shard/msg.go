@@ -1,9 +1,10 @@
 // Package shard is the horizontally sharded ingest tier: N shard nodes
-// — each wrapping a stream.Intake, the count half of the loop,
-// consistent-hashed by true source AS — feed one lease-elected
-// controller that merges per-shard link counters into the same greedy
-// reconfiguration loop the single-node pipeline runs (stream.Evaluator,
-// the decide half) and broadcasts catchment-table epochs back out.
+// — each wrapping a stream.Intake, the count half of the loop, and each
+// owning the events whose flow key (amp.Event.FlowKey, what the border
+// sees of a packet) hashes to it — feed one lease-elected controller
+// that merges per-shard link counters into the same greedy
+// reconfiguration loop a stream.Pipeline runs (stream.Evaluator, the
+// decide half) and broadcasts catchment-table epochs back out.
 //
 // The design leans on three invariants:
 //
@@ -16,12 +17,14 @@
 //     admitted — which is what makes localization byte-identical to a
 //     single-node run at any shard count.
 //
-//  2. Epochs gate everything and terms fence everyone. A worker batch
-//     flushed under a stale epoch is excluded (the intake's snapshot
-//     protocol); a shard collected at the wrong epoch is
-//     re-applied and re-collected; an RPC from a controller whose lease
-//     term is below the highest a shard has seen is rejected outright
-//     (ErrStaleTerm), so a deposed controller cannot rewind the tier.
+//  2. Epochs gate everything and terms fence everyone. An intake's
+//     counter shards hold only the current epoch's round: AdvanceEpoch
+//     zeroes them and books what the round held past its last harvest
+//     as settle-excluded, so no count crosses an epoch; a shard
+//     collected at the wrong epoch is re-applied and re-collected; an
+//     RPC from a controller whose lease term is below the highest a
+//     shard has seen is rejected outright (ErrStaleTerm), so a deposed
+//     controller cannot rewind the tier.
 //
 //  3. Failure is explicit, never silent. A round the controller cannot
 //     collect completely is deferred, not folded partially — events

@@ -35,13 +35,13 @@ func TestPartialSlabFoldsOnTick(t *testing.T) {
 		}
 	}
 	last := time.Now()
-	for p.Status(0).Rounds == 0 {
+	for p.Status().Rounds == 0 {
 		if time.Since(last) > 2*flush {
 			t.Fatalf("a round of %d events not folded within 2×FlushInterval; %d accounted", n, p.TotalEvents())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := p.Status(0).History[0].Packets; got != n {
+	if got := p.Status().History[0].Packets; got != n {
 		t.Fatalf("folded round holds %d packets, want %d", got, n)
 	}
 }
@@ -78,7 +78,7 @@ func TestRoundCutCarriesEveryWorker(t *testing.T) {
 			p.Ingest(loud)
 		}
 		p.evaluate(false, nil)
-		st := p.Status(0)
+		st := p.Status()
 		if st.Rounds != r {
 			t.Fatalf("%d rounds folded after evaluation %d", st.Rounds, r)
 		}

@@ -71,7 +71,7 @@ func TestRemeasureHints(t *testing.T) {
 	for !p.Converged() {
 		select {
 		case <-deadline:
-			t.Fatalf("did not converge; status: %+v", p.Status(5))
+			t.Fatalf("did not converge; status: %+v", p.Status())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

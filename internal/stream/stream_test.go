@@ -90,7 +90,7 @@ func TestClosedLoop(t *testing.T) {
 	for !p.Converged() {
 		select {
 		case <-deadline:
-			t.Fatalf("did not converge; status: %+v", p.Status(5))
+			t.Fatalf("did not converge; status: %+v", p.Status())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -106,7 +106,7 @@ func TestClosedLoop(t *testing.T) {
 	if len(deployed) < 2 {
 		t.Fatalf("expected at least one online reconfiguration, deployed = %v", deployed)
 	}
-	hist := p.Status(0).History
+	hist := p.Status().History
 	if len(hist) < 2 {
 		t.Fatalf("expected at least 2 rounds, got %d", len(hist))
 	}
@@ -114,11 +114,11 @@ func TestClosedLoop(t *testing.T) {
 	if last.MeanSize >= float64(len(attr.SourceASNs)) || last.NumClusters <= first.NumClusters {
 		t.Fatalf("clusters did not shrink: first %+v last %+v", first, last)
 	}
-	st := p.Status(5)
+	st := p.Status()
 	if !st.Converged || st.Candidates != 1 || st.Reconfigurations < 1 {
 		t.Fatalf("status inconsistent: %+v", st)
 	}
-	rep, err := p.Evidence()
+	rep, err := p.eval.Evidence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLoopbackIntegration(t *testing.T) {
 	p.Close()
 
 	if !p.Converged() {
-		t.Fatalf("did not converge; status %+v", p.Status(5))
+		t.Fatalf("did not converge; status %+v", p.Status())
 	}
 	cands := p.Candidates()
 	if len(cands) != 1 || cands[0] != attacker {
@@ -220,7 +220,7 @@ func TestBackpressureNoLoss(t *testing.T) {
 			case <-pollStop:
 				return
 			default:
-				p.Status(3)
+				p.Status()
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

@@ -77,13 +77,13 @@ func TestPipelineTranscriptDigest(t *testing.T) {
 				})
 			}
 		}
-		waitUntil(t, func() bool { return p.Status(0).Rounds > r })
+		waitUntil(t, func() bool { return p.Status().Rounds > r })
 	}
 	p.Close()
 
 	h := fnv.New64a()
 	fmt.Fprintf(h, "deployed %v\n", p.Deployed())
-	st := p.Status(0)
+	st := p.Status()
 	for _, rec := range st.History {
 		fmt.Fprintf(h, "round config=%d packets=%d bytes=%d clusters=%d candidates=%d\n",
 			rec.Config, rec.Packets, rec.Bytes, rec.NumClusters, rec.Candidates)
