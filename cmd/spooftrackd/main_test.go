@@ -38,7 +38,7 @@ func testMux(t *testing.T) *http.ServeMux {
 func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.ServeMux, *watch.Watchdog) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	place := testPlacement(t, reg, stream.Attribution{
+	place, _, _ := testPlacement(t, reg, stream.Attribution{
 		Catchments: [][]bgp.LinkID{{0, 1}, {0, bgp.NoLink}},
 		SourceASNs: []topo.ASN{64500, 64501},
 		NumLinks:   2,
@@ -63,37 +63,37 @@ func testMuxWatch(t *testing.T, rules []watch.Rule, bundleDir string) (*http.Ser
 }
 
 // testPlacement builds the placement args select over attr through the
-// daemon's own constructor, and drains it when the test ends.
-func testPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) placement {
-	t.Helper()
-	place, _ := startPlacement(t, reg, attr, args...)
-	return place
-}
-
-// startPlacement is testPlacement returning stop, which cancels the
-// placement's context and drains it, as run does at shutdown, before the
-// test ends. Only the first call, this or the test's cleanup, does
-// anything.
-func startPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) (placement, func()) {
+// daemon's own constructor, with the injector -fault-profile names (nil
+// when it names none). stop cancels the placement's context and drains
+// it, as run does at shutdown; the test's cleanup calls it unless the
+// test has.
+func testPlacement(t *testing.T, reg *metrics.Registry, attr stream.Attribution, args ...string) (place placement, inj *fault.Injector, stop func()) {
 	t.Helper()
 	cfg, err := parseFlags(args, io.Discard)
 	if err != nil {
 		t.Fatalf("parseFlags(%q): %v", args, err)
 	}
-	w := wiring{attr: attr, pipe: cfg.pipe, ready: func() bool { return true }}
+	if cfg.world.faultProfile != "" {
+		prof, err := fault.ProfileByName(cfg.world.faultProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj = fault.New(prof, cfg.world.faultSeed, attr.NumLinks)
+	}
+	w := wiring{attr: attr, pipe: cfg.pipe, inj: inj, ready: func() bool { return true }}
 	w.pipe.Metrics = reg
 	ctx, cancel := context.WithCancel(context.Background())
-	place, err := newPlacement(ctx, cfg.place, w)
+	place, err = newPlacement(ctx, cfg.place, w)
 	if err != nil {
 		cancel()
 		t.Fatalf("newPlacement(%q): %v", args, err)
 	}
-	stop := sync.OnceFunc(func() {
+	stop = sync.OnceFunc(func() {
 		cancel()
 		place.drain()
 	})
 	t.Cleanup(stop)
-	return place, stop
+	return place, inj, stop
 }
 
 // componentMux serves only the routes register adds.

@@ -56,22 +56,16 @@ type loopView struct {
 	DeployedConfigs []int `json:"deployed_configs"`
 }
 
-// modeSurface is a placement behind the daemon's assembled mux, drained
-// when the test ends.
-func modeSurface(t *testing.T, attr stream.Attribution, args ...string) (placement, *http.ServeMux) {
-	t.Helper()
-	place, mux, _ := stoppableSurface(t, attr, args...)
-	return place, mux
-}
-
-// stoppableSurface is modeSurface returning startPlacement's stop.
-func stoppableSurface(t *testing.T, attr stream.Attribution, args ...string) (placement, *http.ServeMux, func()) {
+// modeSurface is a placement behind the daemon's assembled mux, with
+// testPlacement's stop.
+func modeSurface(t *testing.T, attr stream.Attribution, args ...string) (placement, *http.ServeMux, func()) {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	args = append([]string{"-workers", "1", "-eval", "5ms", "-settle", "0", "-min-round", "20"}, args...)
-	place, stop := startPlacement(t, reg, attr, args...)
+	place, inj, stop := testPlacement(t, reg, attr, args...)
 	return place, surface{
 		obs:    observability{reg: reg},
+		inj:    inj,
 		health: peering.NewLinkHealth(attr.NumLinks, 0, 0),
 		place:  place,
 	}.mux(), stop
@@ -121,55 +115,74 @@ func jsonKeys(t *testing.T, body string) []string {
 }
 
 // TestEveryModeLocalizes runs each of the three placements in-process,
-// built by the constructor run uses: fixed rounds from the planted
-// source go through the tap, one per fold, and every mode must converge
-// on that source with exactly the deployments a bare Evaluator makes of
-// the same rounds, and name it as a candidate on /evidence.
+// built by the constructor run uses, and the default one again under
+// the netsplit fault profile: fixed rounds from the planted source go
+// through the tap, one per fold, and every mode must converge on that
+// source with exactly the deployments a bare Evaluator makes of the same
+// rounds, name it as a candidate on /evidence, report no loss on
+// /faults, and log it as a candidate when the decider drains.
 func TestEveryModeLocalizes(t *testing.T) {
 	attr := plantedAttr()
 	for _, tc := range []struct {
 		name string
-		// build returns the placement events are fed to, the mux and
-		// path that show the decide half, and the muxes whose paths are
-		// pinned, by mode.
-		build func(t *testing.T) (feed placement, view *http.ServeMux, viewPath string, muxes map[string]*http.ServeMux)
+		// build returns the placement events are fed to, the mux whose
+		// /cluster shows the decide half and the decider's stop, and the
+		// muxes whose paths are pinned, by mode.
+		build func(t *testing.T) (feed placement, view *http.ServeMux, stop func(), muxes map[string]*http.ServeMux)
 		owns  map[string][]string
+		// faults is the profile /faults reports.
+		faults string
 	}{
 		{
 			name: "default",
-			build: func(t *testing.T) (placement, *http.ServeMux, string, map[string]*http.ServeMux) {
-				p, mux := modeSurface(t, attr)
-				return p, mux, "/cluster", map[string]*http.ServeMux{"default": mux}
+			build: func(t *testing.T) (placement, *http.ServeMux, func(), map[string]*http.ServeMux) {
+				p, mux, stop := modeSurface(t, attr)
+				return p, mux, stop, map[string]*http.ServeMux{"default": mux}
 			},
-			owns: map[string][]string{"default": {"/cluster", "/evidence"}},
+			owns:   map[string][]string{"default": {"/cluster", "/evidence"}},
+			faults: "none",
+		},
+		{
+			// The default placement takes the ingest-tier faults as
+			// -shards N does: its one shard's collects and applies are
+			// partitioned and its controllers' lease flaps.
+			name: "default-netsplit",
+			build: func(t *testing.T) (placement, *http.ServeMux, func(), map[string]*http.ServeMux) {
+				p, mux, stop := modeSurface(t, attr, "-fault-profile", "netsplit")
+				return p, mux, stop, map[string]*http.ServeMux{"default": mux}
+			},
+			owns:   map[string][]string{"default": {"/cluster", "/evidence"}},
+			faults: "netsplit",
 		},
 		{
 			name: "shards",
-			build: func(t *testing.T) (placement, *http.ServeMux, string, map[string]*http.ServeMux) {
-				p, mux := modeSurface(t, attr, "-shards", "2")
-				return p, mux, "/cluster", map[string]*http.ServeMux{"shards": mux}
+			build: func(t *testing.T) (placement, *http.ServeMux, func(), map[string]*http.ServeMux) {
+				p, mux, stop := modeSurface(t, attr, "-shards", "2")
+				return p, mux, stop, map[string]*http.ServeMux{"shards": mux}
 			},
-			owns: map[string][]string{"shards": {"/cluster", "/evidence"}},
+			owns:   map[string][]string{"shards": {"/cluster", "/evidence"}},
+			faults: "none",
 		},
 		{
 			name: "shard-id+controller",
-			build: func(t *testing.T) (placement, *http.ServeMux, string, map[string]*http.ServeMux) {
-				node, nodeMux := modeSurface(t, attr, "-shard-id", "s0")
+			build: func(t *testing.T) (placement, *http.ServeMux, func(), map[string]*http.ServeMux) {
+				node, nodeMux, _ := modeSurface(t, attr, "-shard-id", "s0")
 				srv := httptest.NewServer(nodeMux)
 				t.Cleanup(srv.Close)
-				_, ctrlMux := modeSurface(t, attr, "-controller", "s0="+srv.URL, "-controller-id", "c0")
-				return node, ctrlMux, "/cluster", map[string]*http.ServeMux{"shard-id": nodeMux, "controller": ctrlMux}
+				_, ctrlMux, stop := modeSurface(t, attr, "-controller", "s0="+srv.URL, "-controller-id", "c0")
+				return node, ctrlMux, stop, map[string]*http.ServeMux{"shard-id": nodeMux, "controller": ctrlMux}
 			},
-			owns: map[string][]string{"shard-id": {"/status", "/shard/"}, "controller": {"/cluster", "/evidence"}},
+			owns:   map[string][]string{"shard-id": {"/status", "/shard/"}, "controller": {"/cluster", "/evidence"}},
+			faults: "none",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			feed, viewMux, viewPath, muxes := tc.build(t)
+			feed, viewMux, stop, muxes := tc.build(t)
 			view := func() loopView {
-				res, body := get(t, viewMux, viewPath)
+				res, body := get(t, viewMux, "/cluster")
 				var v loopView
 				if err := json.Unmarshal([]byte(body), &v); res.StatusCode != http.StatusOK || err != nil {
-					t.Fatalf("%s: status %d, %v\n%s", viewPath, res.StatusCode, err, body)
+					t.Fatalf("/cluster: status %d, %v\n%s", res.StatusCode, err, body)
 				}
 				return v
 			}
@@ -211,6 +224,14 @@ func TestEveryModeLocalizes(t *testing.T) {
 			if !slices.ContainsFunc(rep.Candidates, func(c report.Candidate) bool { return c.ASN == planted }) {
 				t.Fatalf("/evidence candidates %+v do not include the planted AS%d", rep.Candidates, planted)
 			}
+			var fs faultsStatus
+			if _, body := get(t, viewMux, "/faults"); json.Unmarshal([]byte(body), &fs) != nil ||
+				fs.Profile != tc.faults || fs.Degraded || fs.DroppedEvents != 0 {
+				t.Fatalf("/faults after localizing: want profile %s, not degraded, nothing dropped\n%s", tc.faults, body)
+			}
+			if tc.faults == "netsplit" && fs.Injected["partition"] == 0 {
+				t.Fatalf("netsplit partitioned no RPC: the row ran fault-free\n%+v", fs)
+			}
 
 			for mode, mux := range muxes {
 				want := append(append([]string(nil), sharedPaths...), tc.owns[mode]...)
@@ -219,60 +240,10 @@ func TestEveryModeLocalizes(t *testing.T) {
 					t.Errorf("%s registers %v, want %v", mode, got, want)
 				}
 			}
-		})
-	}
-}
 
-// TestEveryModeLogsVerdictAtDrain: every placement that decides logs
-// the candidates it localized when it drains, so a run's verdict is in
-// its log after the process and its /evidence are gone. Each mode is
-// built as TestEveryModeLocalizes builds it and fed the planted source's
-// rounds until /cluster says it converged; the decider is then drained
-// with slog's default logger writing to a buffer.
-func TestEveryModeLogsVerdictAtDrain(t *testing.T) {
-	attr := plantedAttr()
-	for _, tc := range []struct {
-		name string
-		// build returns the placement events are fed to, the mux whose
-		// /cluster shows the decide half, and the decider's stop.
-		build func(t *testing.T) (feed placement, view *http.ServeMux, stop func())
-	}{
-		{"default", func(t *testing.T) (placement, *http.ServeMux, func()) {
-			return stoppableSurface(t, attr)
-		}},
-		{"shards", func(t *testing.T) (placement, *http.ServeMux, func()) {
-			return stoppableSurface(t, attr, "-shards", "2")
-		}},
-		{"shard-id+controller", func(t *testing.T) (placement, *http.ServeMux, func()) {
-			node, nodeMux := modeSurface(t, attr, "-shard-id", "s0")
-			srv := httptest.NewServer(nodeMux)
-			t.Cleanup(srv.Close)
-			_, ctrlMux, stop := stoppableSurface(t, attr, "-controller", "s0="+srv.URL, "-controller-id", "c0")
-			return node, ctrlMux, stop
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			feed, mux, stop := tc.build(t)
-			view := func() (v loopView) {
-				if _, body := get(t, mux, "/cluster"); json.Unmarshal([]byte(body), &v) != nil {
-					t.Fatalf("/cluster is not JSON:\n%s", body)
-				}
-				return v
-			}
-			v := view()
-			for deadline := time.Now().Add(10 * time.Second); !v.Converged; {
-				link := attr.Catchments[v.CurrentConfig][plantedSource]
-				for i := 0; i < roundPackets; i++ {
-					feed.ingest(amp.Event{Time: time.Now(), IngressLink: uint8(link), WireLen: 24})
-				}
-				for folded := v.Rounds + 1; v.Rounds < folded; v = view() {
-					if time.Now().After(deadline) {
-						t.Fatalf("round %d never folded: %+v", folded, v)
-					}
-					time.Sleep(time.Millisecond)
-				}
-			}
-
+			// The verdict outlives the process: draining the decider with
+			// slog's default logger writing to a buffer must log the
+			// planted AS as a candidate.
 			var logs bytes.Buffer
 			prev, out, flags := slog.Default(), log.Writer(), log.Flags()
 			slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
@@ -280,9 +251,7 @@ func TestEveryModeLogsVerdictAtDrain(t *testing.T) {
 			slog.SetDefault(prev)
 			log.SetOutput(out)
 			log.SetFlags(flags)
-
-			want := fmt.Sprintf("msg=candidate asn=%d ", attr.SourceASNs[plantedSource])
-			if !strings.Contains(logs.String(), want) {
+			if want := fmt.Sprintf("msg=candidate asn=%d ", planted); !strings.Contains(logs.String(), want) {
 				t.Fatalf("drain logged no %q line:\n%s", want, logs.String())
 			}
 		})
@@ -296,7 +265,7 @@ func TestEveryModeLogsVerdictAtDrain(t *testing.T) {
 // (epoch, term, rounds, deferred and discarded rounds, members).
 func TestStatusPerMode(t *testing.T) {
 	attr := plantedAttr()
-	_, shard := modeSurface(t, attr, "-shard-id", "s0")
+	_, shard, _ := modeSurface(t, attr, "-shard-id", "s0")
 	res, body := get(t, shard, "/status")
 	if got, want := jsonKeys(t, body), []string{
 		"bytes", "config", "epoch", "pkts", "settled", "total", "total_bytes",
@@ -318,7 +287,7 @@ func TestStatusPerMode(t *testing.T) {
 		"-shards 2":   {"-shards", "2"},
 		"-controller": {"-controller", "s0=" + srv.URL, "-controller-id", "c0"},
 	} {
-		_, mux := modeSurface(t, attr, args...)
+		_, mux, _ := modeSurface(t, attr, args...)
 		res, body := get(t, mux, "/cluster")
 		if got := jsonKeys(t, body); res.StatusCode != http.StatusOK || !reflect.DeepEqual(got, clusterKeys) {
 			t.Errorf("%s /cluster: status %d keys %v, want %v", mode, res.StatusCode, got, clusterKeys)
@@ -330,7 +299,7 @@ func TestStatusPerMode(t *testing.T) {
 // cluster out of rotation like every other mode.
 func TestReadyzClusterConsultsWatchdog(t *testing.T) {
 	reg := metrics.NewRegistry()
-	place := testPlacement(t, reg, plantedAttr(), "-shards", "2")
+	place, _, _ := testPlacement(t, reg, plantedAttr(), "-shards", "2")
 	dog := watch.New(watch.Config{Registry: reg, DB: tsdb.New(tsdb.Options{Registry: reg}), Rules: []watch.Rule{alwaysBreach()}})
 	mux := componentMux(func(mux *http.ServeMux) { sloRoutes(mux, dog, place.degraded) })
 	if res, body := get(t, mux, "/readyz"); res.StatusCode != http.StatusOK {

@@ -174,7 +174,7 @@ func (c *cluster) drain() {
 		slog.Warn("final cluster round failed", "err", err)
 	}
 	c.Close()
-	logClusterState(c.Controller().Status())
+	logClusterState(c.Controller().Status(), "events", c.TotalEvents(), "dropped", c.Dropped())
 	logCandidates(c.Controller().Evidence)
 }
 
@@ -295,12 +295,14 @@ func clusterRoutes(mux *http.ServeMux, status func() shard.ClusterStatus) {
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, status()) })
 }
 
-// logClusterState is the deciding placements' shutdown summary.
-func logClusterState(cs shard.ClusterStatus) {
-	slog.Info("final cluster state", "leader", cs.Leader, "term", cs.Term,
-		"epoch", cs.Epoch, "rounds", cs.Rounds, "deferred", cs.DeferredRounds,
-		"discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
-		"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates)
+// logClusterState is the deciding placements' shutdown summary; attrs
+// add what only the placement knows, such as the events its own intakes
+// counted.
+func logClusterState(cs shard.ClusterStatus, attrs ...any) {
+	slog.Info("final cluster state", append([]any{"leader", cs.Leader, "term", cs.Term,
+		"epoch", cs.Epoch, "rounds", cs.Rounds, "reconfigs", max(len(cs.DeployedConfigs)-1, 0),
+		"deferred", cs.DeferredRounds, "discarded", cs.DiscardedRounds, "degraded", cs.Degraded,
+		"converged", cs.Converged, "clusters", cs.NumClusters, "candidates", cs.Candidates}, attrs...)...)
 }
 
 // logCandidates logs the verdict at shutdown: the candidate ASes the

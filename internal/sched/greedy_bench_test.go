@@ -60,7 +60,7 @@ func botnetRound() (p *cluster.Partition, catchments [][]bgp.LinkID, estVol []fl
 		}
 		loc.AddRound(row, volumes)
 		p.Refine(row)
-		estVol = EstimateVolumes(row, loc.Candidates(0), volumes)
+		estVol = estimateInto(nil, row, loc.Candidates(0), volumes)
 		if round == rounds {
 			return p, catchments, estVol, used
 		}

@@ -50,13 +50,13 @@ func TestEstimateVolumes(t *testing.T) {
 	row := []bgp.LinkID{0, 0, 1, bgp.NoLink, 2, 1}
 	// Source 1 is eliminated; link 2 has no volume entry (index >=
 	// len(volumes)); source 3 is unobserved.
-	got := EstimateVolumes(row, []int{0, 2, 3, 4, 5}, []float64{6, 8})
+	got := estimateInto(nil, row, []int{0, 2, 3, 4, 5}, []float64{6, 8})
 	want := []float64{6, 0, 4, 0, 0, 4}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("EstimateVolumes = %v, want %v", got, want)
+		t.Fatalf("estimateInto = %v, want %v", got, want)
 	}
-	if got := EstimateVolumes(row, nil, []float64{6, 8}); !reflect.DeepEqual(got, make([]float64, len(row))) {
-		t.Fatalf("no candidates: EstimateVolumes = %v, want all zero", got)
+	if got := estimateInto(nil, row, nil, []float64{6, 8}); !reflect.DeepEqual(got, make([]float64, len(row))) {
+		t.Fatalf("no candidates: estimateInto = %v, want all zero", got)
 	}
 }
 

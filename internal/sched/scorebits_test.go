@@ -71,7 +71,7 @@ func newScoreCase(i int) scoreCase {
 			}
 		}
 	case 4: // no volume at all: every score is 0
-	case 5: // equal shares on one link's candidates, as EstimateVolumes does
+	case 5: // equal shares on one link's candidates, as estimateInto does
 		row := scoreCaseRow(rng, n, nLinks)
 		cands := make([]int, 0, n)
 		for k := range row {
@@ -81,7 +81,7 @@ func newScoreCase(i int) scoreCase {
 		}
 		vols := make([]float64, nLinks)
 		vols[rng.Intn(nLinks)] = float64(1 + rng.Intn(5000))
-		volume = EstimateVolumes(row, cands, vols)
+		volume = estimateInto(nil, row, cands, vols)
 	case 6: // integer volumes with many zeros
 		for k := range volume {
 			volume[k] = float64(rng.Intn(4))

@@ -140,13 +140,19 @@ func (c *Cluster) Controller() *Controller {
 
 // Ingest routes one event: the injector's drop roll first (so the drop
 // schedule is identical at every shard count), then to the live member
-// its flow key picks (ownerOf over the route snapshot). The path is
-// lock-free. An event no intake takes, because the injector dropped it,
-// every member was evicted or its owner is closed, counts in Dropped.
+// its flow key picks (ownerOf over the route snapshot). A lone member
+// takes every event without the hash, as ownerOf would give it every
+// key. The path is lock-free. An event no intake takes, because the
+// injector dropped it, every member was evicted or its owner is closed,
+// counts in Dropped.
 func (c *Cluster) Ingest(ev amp.Event) bool {
 	if c.cfg.Injector == nil || !c.cfg.Injector.DropEvent() {
 		nodes := *c.route.Load()
-		if i := ownerOf(ev.FlowKey(), len(nodes)); i >= 0 && nodes[i].Ingest(ev) {
+		i := len(nodes) - 1 // -1 with no member, 0 with one
+		if i > 0 {
+			i = ownerOf(ev.FlowKey(), len(nodes))
+		}
+		if i >= 0 && nodes[i].Ingest(ev) {
 			return true
 		}
 	}
@@ -254,6 +260,16 @@ func (c *Cluster) Isolate(id string, on bool) {
 // the injector, offered with no live member, or refused by a closed
 // owner.
 func (c *Cluster) Dropped() int64 { return c.dropped.Load() }
+
+// TotalEvents returns how many events the cluster's intakes have counted
+// so far, evicted members' included.
+func (c *Cluster) TotalEvents() int64 {
+	var n int64
+	for _, node := range c.nodes {
+		n += node.Intake().TotalEvents()
+	}
+	return n
+}
 
 // Close stops every controller and node.
 func (c *Cluster) Close() {

@@ -39,8 +39,9 @@
 # lost attacker in a small share of runs), run the daemon's
 # multi-process controller failover test five times (election timing
 # varies from run to run), run the daemon's in-process modes five times
-# under the race detector (each placement localizes the planted source
-# and logs its verdict at drain; every default daemon runs this code:
+# under the race detector (each placement, and the default one under the
+# netsplit faults, localizes the planted source and logs its verdict at
+# drain; every default daemon runs this code:
 # the round ticker, then the drain's wait for it and the final Step,
 # all beside a standby controller), run the single-node versus
 # cluster ledger equivalence test and the single-node transcript digest
@@ -122,7 +123,7 @@ echo "==> multi-process controller failover x5 (shard and controller processes o
 go test -count=5 -run '^TestControllerFailoverAcrossProcesses$' ./cmd/spooftrackd/
 
 echo "==> daemon modes under -race x5 (every placement localizes and logs its verdict at drain: round ticker, drain, final Step beside a standby controller)"
-go test -race -count=5 -run '^(TestEveryModeLocalizes|TestEveryModeLogsVerdictAtDrain)$' ./cmd/spooftrackd/
+go test -race -count=5 -run '^TestEveryModeLocalizes$' ./cmd/spooftrackd/
 
 echo "==> round lifecycle x20 (both loops fold the same rounds: ledger equivalence and the single-node transcript digest)"
 go test -count=20 -run '^(TestLedgerEquivalentToSingleNode|TestPipelineTranscriptDigest)$' ./internal/shard/ ./internal/stream/
