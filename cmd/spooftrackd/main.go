@@ -88,6 +88,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -324,6 +325,11 @@ func offline(c worldConfig) (*spooftrack.Tracker, *provenance.Ledger, error) {
 type packetPlane struct {
 	hp     *amp.Honeypot
 	border *amp.Border
+
+	// mu serializes deploys and guards applied, the configuration the
+	// border routes by (-1 before the first deploy).
+	mu      sync.Mutex
+	applied int
 }
 
 func newPacketPlane(reg *metrics.Registry) (*packetPlane, error) {
@@ -338,12 +344,22 @@ func newPacketPlane(reg *metrics.Registry) (*packetPlane, error) {
 		return nil, fmt.Errorf("border: %w", err)
 	}
 	border.SetMetrics(reg)
-	return &packetPlane{hp: hp, border: border}, nil
+	return &packetPlane{hp: hp, border: border, applied: -1}, nil
 }
 
 // deploy closes the loop onto the border: deploying a configuration
-// means swapping the live catchment table.
+// means swapping the live catchment table. Every intake of the placement
+// deploys through it, and an intake deploys only when its configuration
+// changes, so with -shards N the N deploys of one broadcast hand over
+// the same configuration back to back: only the first is applied and
+// logged.
 func (p *packetPlane) deploy(cfgIdx int, table map[uint32]uint8) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cfgIdx == p.applied {
+		return
+	}
+	p.applied = cfgIdx
 	p.border.SetCatchments(table)
 	slog.Info("deploy", "config", cfgIdx, "routed_sources", len(table))
 }

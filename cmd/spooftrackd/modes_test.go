@@ -2,16 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -312,4 +317,69 @@ func TestReadyzClusterConsultsWatchdog(t *testing.T) {
 	if res.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, "always-breach") {
 		t.Fatalf("readyz in breach: status %d, want 503 naming the rule\n%s", res.StatusCode, body)
 	}
+}
+
+// TestShardsDeployEachConfigOnce: every intake of a -shards 2 daemon
+// deploys each configuration the controller broadcasts, and the packet
+// plane applies and logs it once, so the daemon logs the deploy
+// sequence the default (one-shard) daemon logs, each configuration once.
+func TestShardsDeployEachConfigOnce(t *testing.T) {
+	def := daemonDeploys(t)
+	shards := daemonDeploys(t, "-shards", "2")
+	if len(def) < 2 || def[0] != 0 {
+		t.Fatalf("default daemon logged deploys %v, want configuration 0 and at least one reconfiguration", def)
+	}
+	if !reflect.DeepEqual(shards, def) {
+		t.Fatalf("-shards 2 logged deploys %v, the default daemon %v", shards, def)
+	}
+}
+
+// daemonDeploys boots the daemon in-process on a 400-AS world with its
+// demo attacker, waits until /cluster reports convergence, shuts it
+// down and returns the configurations its msg=deploy lines name, in
+// order.
+func daemonDeploys(t *testing.T, args ...string) []int {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	cfg, err := parseFlags(append([]string{"-listen", addr, "-ases", "400", "-eval", "100ms", "-min-round", "40",
+		"-bundle-dir", t.TempDir()}, args...), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	cfg.logger = slog.New(slog.NewTextHandler(&logs, nil))
+	prev := slog.Default()
+	defer slog.SetDefault(prev)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, cfg) }()
+	converged := false
+	for deadline := time.Now().Add(30 * time.Second); !converged && time.Now().Before(deadline); time.Sleep(50 * time.Millisecond) {
+		res, err := http.Get("http://" + addr + "/cluster")
+		if err != nil {
+			continue
+		}
+		var v loopView
+		err = json.NewDecoder(res.Body).Decode(&v)
+		res.Body.Close()
+		converged = err == nil && v.Converged
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if !converged {
+		t.Fatalf("daemon %q never converged:\n%s", args, logs.String())
+	}
+	var deploys []int
+	for _, m := range regexp.MustCompile(`msg=deploy config=(\d+) `).FindAllStringSubmatch(logs.String(), -1) {
+		c, _ := strconv.Atoi(m[1])
+		deploys = append(deploys, c)
+	}
+	return deploys
 }

@@ -72,3 +72,34 @@ func TestPacketPlaneAllocatesNothing(t *testing.T) {
 		t.Fatalf("packet plane allocates %.3f times per packet, want ≤ 0.01", per)
 	}
 }
+
+// TestWarmSetCatchmentsAllocatesNothing: the border copies each table
+// into the spare the previous swap retired, so after two replacements a
+// third allocates nothing.
+func TestWarmSetCatchmentsAllocatesNothing(t *testing.T) {
+	hp, err := NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hp.Close()
+	border, err := NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer border.Close()
+	table := make(map[uint32]uint8, 1000)
+	for asn := uint32(0); asn < 1000; asn++ {
+		table[64000+asn] = uint8(asn % 7)
+	}
+	link := uint8(0)
+	set := func() {
+		link++
+		table[64000] = link
+		border.SetCatchments(table)
+	}
+	set()
+	set()
+	if got := testing.AllocsPerRun(100, set); got != 0 {
+		t.Fatalf("a warm SetCatchments allocates %v, want 0", got)
+	}
+}

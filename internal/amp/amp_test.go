@@ -3,6 +3,7 @@ package amp
 import (
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -270,6 +271,113 @@ func TestBorderSetCatchments(t *testing.T) {
 	waitFor(t, func() bool { return hp.VolumeByLink()[4].Packets == 2 })
 	if hp.VolumeByLink()[0].Packets != 3 {
 		t.Fatal("old link accounting changed")
+	}
+}
+
+// TestBorderCopiesCatchments: the border routes by what each
+// SetCatchments was handed, whatever the caller does to its map after
+// the call returns — as an intake does, which refreshes one table in
+// place for every deploy.
+func TestBorderCopiesCatchments(t *testing.T) {
+	hp, err := NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hp.Close()
+	border, err := NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer border.Close()
+	a100, err := NewAttacker(100, netip.MustParseAddr("192.0.2.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a100.Close()
+	a200, err := NewAttacker(200, netip.MustParseAddr("192.0.2.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a200.Close()
+
+	// Three deploys of one map, changed after each: the last fills the
+	// table the first one's swap retired.
+	table := make(map[uint32]uint8)
+	for _, link := range []uint8{4, 2, 3} {
+		delete(table, 200)
+		table[100] = link
+		border.SetCatchments(table)
+		table[100] = 1
+		table[200] = 1
+	}
+	if _, err := a100.Flood(border.Addr(), 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return hp.VolumeByLink()[3].Packets == 3 })
+	if _, err := a200.Flood(border.Addr(), 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return border.Dropped() == 2 })
+
+	clear(table)
+	if _, err := a100.Flood(border.Addr(), 5, 8); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return hp.VolumeByLink()[3].Packets == 8 })
+	if v := hp.VolumeByLink(); v[1].Packets != 0 || border.Dropped() != 2 {
+		t.Fatalf("link 1 carried %d packets and the border dropped %d: it routed by the caller's changed map", v[1].Packets, border.Dropped())
+	}
+}
+
+// TestConcurrentSetCatchments: replacements from several goroutines
+// (one per intake of a sharded daemon) while packets flow through the
+// border each install a whole table: every packet is routed on one of
+// the links some table gave its AS, none is dropped.
+func TestConcurrentSetCatchments(t *testing.T) {
+	hp, err := NewHoneypot("127.0.0.1:0", DefaultHoneypotConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hp.Close()
+	border, err := NewBorder("127.0.0.1:0", hp.Addr().(*net.UDPAddr), map[uint32]uint8{100: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer border.Close()
+	a, err := NewAttacker(100, netip.MustParseAddr("192.0.2.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var wg sync.WaitGroup
+	for g := uint8(1); g <= 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			table := map[uint32]uint8{}
+			for i := 0; i < 200; i++ {
+				table[100] = g
+				border.SetCatchments(table)
+				delete(table, 100)
+			}
+		}()
+	}
+	const floods, per = 20, 5
+	for i := 0; i < floods; i++ {
+		if _, err := a.Flood(border.Addr(), per, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	waitFor(t, func() bool {
+		n := int64(0)
+		for l := uint8(1); l <= 4; l++ {
+			n += hp.VolumeByLink()[l].Packets
+		}
+		return n == floods*per
+	})
+	if d := border.Dropped(); d != 0 {
+		t.Fatalf("the border dropped %d packets of an AS every table routes", d)
 	}
 }
 

@@ -20,6 +20,11 @@ type Border struct {
 	upstream netip.AddrPort
 	wg       sync.WaitGroup
 
+	// setMu serializes SetCatchments and guards spare, the table the
+	// next call copies into: the one the last call swapped out.
+	setMu sync.Mutex
+	spare map[uint32]uint8
+
 	mu sync.Mutex
 	// linkOf maps a true source AS number to its current ingress link.
 	linkOf map[uint32]uint8
@@ -39,8 +44,9 @@ type Border struct {
 
 // NewBorder starts a border router on addr forwarding to the honeypot
 // at upstream. linkOf is the initial catchment table (true source ASN ->
-// peering link); the border takes it over, so the caller must not
-// change it afterwards. A nil table routes nothing.
+// peering link); the border takes it over, and refills it as its spare
+// once SetCatchments replaces it, so the caller must neither change nor
+// read it afterwards. A nil table routes nothing.
 func NewBorder(addr string, upstream *net.UDPAddr, linkOf map[uint32]uint8) (*Border, error) {
 	conn, err := listenUDP(addr)
 	if err != nil {
@@ -79,11 +85,26 @@ func (b *Border) Addr() net.Addr { return b.conn.LocalAddr() }
 
 // SetCatchments atomically replaces the catchment table — the runtime
 // equivalent of a new announcement configuration converging. The border
-// takes linkOf over, as NewBorder does: the caller hands it a table of
-// its own and must not change it afterwards.
+// copies linkOf into a table of its own, so the caller may change or
+// reuse it once the call returns. It keeps two tables and swaps them:
+// the copy fills the spare, outside the lock the serve loop reads the
+// live one under, and the swap retires the live one as the next spare.
+// No lookup holds a table past that lock, so after two calls a
+// replacement allocates nothing.
 func (b *Border) SetCatchments(linkOf map[uint32]uint8) {
+	b.setMu.Lock()
+	defer b.setMu.Unlock()
+	next := b.spare
+	if next == nil {
+		next = make(map[uint32]uint8, len(linkOf))
+	} else {
+		clear(next)
+	}
+	for asn, l := range linkOf {
+		next[asn] = l
+	}
 	b.mu.Lock()
-	b.linkOf = linkOf
+	b.spare, b.linkOf = b.linkOf, next
 	b.mu.Unlock()
 }
 

@@ -139,17 +139,17 @@ func (p *Partition) Members() [][]int {
 	return out
 }
 
-// MembersOf returns the sources of one cluster, in index order, without
-// materializing the full per-cluster membership lists — what a live
-// status endpoint wants when reporting only the top few clusters.
-func (p *Partition) MembersOf(id int) []int {
-	var out []int
+// AppendMembers appends the sources of one cluster to dst, in index
+// order, and returns the extended slice, without materializing the full
+// per-cluster membership lists: a caller that passes its own scratch
+// (dst[:0]) gets the members without allocating once it is large enough.
+func (p *Partition) AppendMembers(dst []int, id int) []int {
 	for k, c := range p.assign {
 		if int(c) == id {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	return out
+	return dst
 }
 
 // Metrics summarizes a partition the way the paper's figures do.

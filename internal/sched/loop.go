@@ -27,6 +27,10 @@ type Loop struct {
 	estVol   []float64
 	topSize  int
 	canSplit bool
+
+	// Fold's scratch: per-cluster volume and the top cluster's members.
+	volByCluster []float64
+	members      []int
 }
 
 // NewLoop starts a loop over the catchment rows (rows[c][k] is source
@@ -62,12 +66,17 @@ func (l *Loop) Fold(cfg int, volumes []float64) {
 	l.part.Refine(row)
 	l.candidates = l.loc.Candidates(0)
 	l.estVol = estimateInto(l.estVol, row, l.candidates, volumes)
-	top, size := topVolumeCluster(l.part, l.candidates, l.estVol)
+	var top, size int
+	l.volByCluster, top, size = topVolumeCluster(l.volByCluster, l.part, l.candidates, l.estVol)
 	l.topSize = size
 	// Clusters bound localization precision (§V): once no remaining
 	// configuration separates the heaviest cluster's members, deploying
 	// further would burn configurations without refining anything.
-	l.canSplit = size > l.threshold && splittable(l.rows, l.used, l.part.MembersOf(top))
+	l.canSplit = false
+	if size > l.threshold {
+		l.members = l.part.AppendMembers(l.members[:0], top)
+		l.canSplit = splittable(l.rows, l.used, l.members)
+	}
 }
 
 // Next picks the deployment after the last fold without making it: the
@@ -116,9 +125,10 @@ func (l *Loop) Partition() *cluster.Partition { return l.part }
 
 // topVolumeCluster returns the candidate cluster carrying the most
 // estimated volume (ties toward the lowest cluster id) and its size, or
-// (-1, -1) when no candidate carries volume.
-func topVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) (clusterID, size int) {
-	volByCluster := make([]float64, p.NumClusters())
+// (-1, -1) when no candidate carries volume. It sums per-cluster volume
+// into vol's storage and returns it for reuse.
+func topVolumeCluster(vol []float64, p *cluster.Partition, candidates []int, estVol []float64) (volByCluster []float64, clusterID, size int) {
+	volByCluster = append(vol[:0], make([]float64, p.NumClusters())...)
 	for _, k := range candidates {
 		if estVol[k] > 0 {
 			volByCluster[p.ClusterOf(k)] += estVol[k]
@@ -132,14 +142,14 @@ func topVolumeCluster(p *cluster.Partition, candidates []int, estVol []float64) 
 		}
 	}
 	if best == -1 {
-		return -1, -1
+		return volByCluster, -1, -1
 	}
 	for k := 0; k < p.NumSources(); k++ {
 		if p.ClusterOf(k) == best {
 			size++
 		}
 	}
-	return best, size
+	return volByCluster, best, size
 }
 
 // splittable reports whether any unused configuration maps the given

@@ -64,25 +64,25 @@ func TestTopVolumeCluster(t *testing.T) {
 	p := cluster.New(6)
 	p.Refine([]bgp.LinkID{0, 0, 1, 1, 2, 2}) // clusters {0,1} {2,3} {4,5}
 	all := []int{0, 1, 2, 3, 4, 5}
-	if id, size := topVolumeCluster(p, nil, make([]float64, 6)); id != -1 || size != -1 {
+	if _, id, size := topVolumeCluster(nil, p, nil, make([]float64, 6)); id != -1 || size != -1 {
 		t.Fatalf("no candidates: got (%d, %d), want (-1, -1)", id, size)
 	}
-	if id, size := topVolumeCluster(p, all, make([]float64, 6)); id != -1 || size != -1 {
+	if _, id, size := topVolumeCluster(nil, p, all, make([]float64, 6)); id != -1 || size != -1 {
 		t.Fatalf("no volume: got (%d, %d), want (-1, -1)", id, size)
 	}
 	// Cluster 1 carries 5, clusters 0 and 2 carry 3 each.
-	if id, size := topVolumeCluster(p, all, []float64{1, 2, 5, 0, 3, 0}); id != 1 || size != 2 {
+	if _, id, size := topVolumeCluster(nil, p, all, []float64{1, 2, 5, 0, 3, 0}); id != 1 || size != 2 {
 		t.Fatalf("heaviest: got (%d, %d), want (1, 2)", id, size)
 	}
 	// Equal volumes tie toward the lowest cluster id, whatever order the
 	// candidates come in.
 	for _, cands := range [][]int{{0, 2, 4}, {4, 2, 0}} {
-		if id, _ := topVolumeCluster(p, cands, []float64{2, 0, 2, 0, 2, 0}); id != 0 {
+		if _, id, _ := topVolumeCluster(nil, p, cands, []float64{2, 0, 2, 0, 2, 0}); id != 0 {
 			t.Fatalf("tie over candidates %v: got cluster %d, want 0", cands, id)
 		}
 	}
 	// Volume on a non-candidate is not counted.
-	if id, _ := topVolumeCluster(p, []int{0, 1}, []float64{1, 0, 9, 9, 0, 0}); id != 0 {
+	if _, id, _ := topVolumeCluster(nil, p, []int{0, 1}, []float64{1, 0, 9, 9, 0, 0}); id != 0 {
 		t.Fatalf("eliminated volume counted: got cluster %d, want 0", id)
 	}
 }

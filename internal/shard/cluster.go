@@ -65,6 +65,10 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	active int
+	// routed is the ring the route snapshot was built from. A ring is
+	// replaced, never changed, on every membership change, so a step
+	// that hands back the same ring changed no route.
+	routed *Ring
 }
 
 // standbys is how many extra controllers wait on the lease.
@@ -121,13 +125,20 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// setRoute publishes the live nodes of ring as the routing snapshot.
+// setRoute publishes the live nodes of ring as the routing snapshot,
+// unless it already routes by ring.
 func (c *Cluster) setRoute(ring *Ring) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ring == c.routed {
+		return
+	}
 	nodes := make([]*Node, len(ring.ids))
 	for i, id := range ring.ids {
 		nodes[i] = c.nodes[id]
 	}
 	c.route.Store(&nodes)
+	c.routed = ring
 }
 
 // Controller returns the currently active (or most recently active)

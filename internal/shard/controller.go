@@ -575,7 +575,7 @@ func (ct *Controller) Status() ClusterStatus {
 		CurrentConfig:   ct.eval.Current(),
 		DeployedConfigs: ct.eval.Deployed(),
 		NumClusters:     ct.eval.NumClusters(),
-		Candidates:      len(ct.eval.Candidates()),
+		Candidates:      ct.eval.NumCandidates(),
 	}
 	for _, m := range ct.members.ids {
 		s.Members = append(s.Members, MemberStatus{

@@ -429,6 +429,42 @@ func TestKilledShardUnavailable(t *testing.T) {
 	}
 }
 
+// TestStepKeepsRouteWhileMembershipHolds: a Step that leaves the
+// membership as it was publishes no new route snapshot; one that evicts
+// a member publishes one without it.
+func TestStepKeepsRouteWhileMembershipHolds(t *testing.T) {
+	attr := chaosAttr()
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Attr: attr, Pipe: stream.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.SetRetryAttempts(1)
+	cl.SetEvictAfter(1)
+	step := func() {
+		t.Helper()
+		cfg := cl.Controller().Status().CurrentConfig
+		for src := range attr.SourceASNs {
+			cl.Ingest(chaosEvent(attr, src, cfg))
+		}
+		if _, err := cl.Step(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	route := cl.route.Load()
+	for i := range 4 {
+		step()
+		if cl.route.Load() != route {
+			t.Fatalf("step %d published a new route with the membership unchanged", i)
+		}
+	}
+	cl.KillShard("shard-1")
+	step()
+	if got := *cl.route.Load(); len(got) != 1 || got[0] != cl.nodes["shard-0"] {
+		t.Fatalf("after shard-1's eviction the route holds %d nodes, want shard-0 alone", len(got))
+	}
+}
+
 // TestLocalTransportIsolation: an isolated node fails with
 // ErrPartitioned until the isolation lifts.
 func TestLocalTransportIsolation(t *testing.T) {

@@ -254,3 +254,42 @@ func TestCloseMergesShardsAndRejects(t *testing.T) {
 		t.Fatalf("status after Close = %+v, want %d packets per link", h, n/2)
 	}
 }
+
+// TestConcurrentDeploysNeverOverlap: advances from several goroutines
+// deploy one at a time, so each Deploy callback reads the table whole
+// while no other deploy refreshes it. Under -race an overlapping
+// refresh is also a reported map race.
+func TestConcurrentDeploysNeverOverlap(t *testing.T) {
+	attr := testAttribution()
+	var inside atomic.Bool
+	in, err := NewIntake(attr, Config{Workers: 1, Deploy: func(cfgIdx int, table map[uint32]uint8) {
+		if !inside.CompareAndSwap(false, true) {
+			t.Error("two deploys of one intake overlapped")
+		}
+		for k, asn := range attr.SourceASNs {
+			if got, want := table[uint32(asn)], uint8(attr.Catchments[cfgIdx][k]); got != want {
+				t.Errorf("config %d: source %d routed on link %d, want %d", cfgIdx, k, got, want)
+			}
+		}
+		inside.Store(false)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	var epoch atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				e := epoch.Add(1)
+				// A later epoch may have advanced first: that advance is
+				// refused as stale, which is not what this test checks.
+				_ = in.AdvanceEpoch(e, int(e%int64(len(attr.Catchments))))
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -269,6 +269,10 @@ func (e *Evaluator) Deployed() []int { return append([]int(nil), e.deployed...) 
 // Candidates returns the current candidate source positions.
 func (e *Evaluator) Candidates() []int { return append([]int(nil), e.loop.Candidates()...) }
 
+// NumCandidates returns how many candidates Candidates would return,
+// without the copy.
+func (e *Evaluator) NumCandidates() int { return len(e.loop.Candidates()) }
+
 // Converged reports whether the loop has refined as far as it can.
 func (e *Evaluator) Converged() bool { return e.converged }
 

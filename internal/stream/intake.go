@@ -30,6 +30,14 @@ type Intake struct {
 	shards    []counterShard
 	closeOnce sync.Once
 
+	// deployMu serializes deploys and guards the catchment table they
+	// refresh in place and hand the Deploy callback. refill is set when
+	// SourceASNs repeat an ASN, where only clearing and refilling the
+	// table gives the last routed source of an ASN its entry.
+	deployMu sync.Mutex
+	table    map[uint32]uint8
+	refill   bool
+
 	// mu serializes the readers and AdvanceEpoch, and guards the fields
 	// below it.
 	mu    sync.Mutex
@@ -121,19 +129,38 @@ func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
 }
 
 // deploy materializes configuration cfgIdx through the Deploy callback,
-// rendered as a border catchment table. Call it outside in.mu.
+// rendered as a border catchment table. The intake keeps one table and
+// refreshes it in place: each source's ASN is set to its link, or
+// deleted when the source is unrouted. Every ASN is inserted on the
+// first deploy, so the table never grows after it and a warm deploy
+// allocates nothing. Call it outside in.mu.
 func (in *Intake) deploy(cfgIdx int) {
 	if in.cfg.Deploy == nil {
 		return
 	}
+	in.deployMu.Lock()
+	defer in.deployMu.Unlock()
 	row := in.attr.Catchments[cfgIdx]
-	t := make(map[uint32]uint8, len(row))
+	if in.table == nil {
+		in.table = make(map[uint32]uint8, len(row))
+		for _, asn := range in.attr.SourceASNs {
+			in.table[uint32(asn)] = 0
+		}
+		in.refill = len(in.table) < len(row)
+	}
+	if in.refill {
+		clear(in.table)
+	}
 	for k, l := range row {
-		if l != bgp.NoLink {
-			t[uint32(in.attr.SourceASNs[k])] = uint8(l)
+		asn := uint32(in.attr.SourceASNs[k])
+		switch {
+		case l != bgp.NoLink:
+			in.table[asn] = uint8(l)
+		case !in.refill:
+			delete(in.table, asn)
 		}
 	}
-	in.cfg.Deploy(cfgIdx, t)
+	in.cfg.Deploy(cfgIdx, in.table)
 }
 
 // Ingest counts one per-packet event into its counter shard under that

@@ -54,11 +54,15 @@ type Attribution struct {
 
 // DeployFunc applies configuration cfgIdx: table maps each true source
 // ASN to the ingress link its traffic enters on under the new
-// announcement. Every call gets a new table that nothing else holds, so
-// the callee may keep it (amp.Border.SetCatchments does). It is called
-// from whichever goroutine ends a round (Intake.AdvanceEpoch; once from
-// New), in a Pipeline with the lock its readers take held, so it must
-// not call back into the pipeline.
+// announcement. The table belongs to the intake, which refreshes it in
+// place for its next deploy, so it is valid only during the call and
+// the callee must not change it; one that keeps it must copy it
+// (amp.Border.SetCatchments does). It
+// is called from whichever goroutine ends a round (Intake.AdvanceEpoch;
+// once from New), with the intake's deploy lock held, so one intake's
+// deploys never overlap, and in a Pipeline with the lock its readers
+// take held too, so it must not call back into the intake or the
+// pipeline.
 type DeployFunc func(cfgIdx int, table map[uint32]uint8)
 
 // Config tunes the pipeline.

@@ -26,13 +26,17 @@
 # concurrent round-protocol test: four producers count into the counter
 # shards that hold the round while harvests sum them and epoch advances
 # zero them, and every event is folded or settle-excluded exactly once;
-# the accounting digest at one and three shards; and the check that
+# the accounting digest at one and three shards; the digest of every
+# catchment table an intake hands its Deploy callback, one table it
+# refreshes in place for its life; and the check that
 # neither an intake nor a shard node starts a goroutine), run the packet plane's real-kernel
 # delivery tests ten times (the plane's digest, the border's
 # mixed-length forward, the attacker's wire digest, the honeypot's read
 # digest and the one-read-per-run test: a UDP GSO message that lost or
 # reordered a datagram, or a UDP_GRO read the honeypot split wrong,
-# shows there first), run the honeypot-read benchmark once (GSO runs
+# shows there first; and the check that the border routes by its own
+# copy of each table it is handed, whatever the caller does to its map
+# afterwards), run the honeypot-read benchmark once (GSO runs
 # and runs of one through a border: CPU per packet and datagrams per
 # honeypot read), run the live-loop example twenty times (the regression check for the
 # round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
@@ -107,11 +111,11 @@ go test ./...
 echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
 
-echo "==> intake under -race x10 (producers, harvests and advances interleaved: every event counted once; the accounting digest; no intake goroutine)"
-go test -race -count=10 -run '^(TestConcurrentRoundProtocolAccountsOnce|TestIntakeAccountingDigest|TestIntakeStartsNoGoroutine)$' ./internal/stream/ ./internal/shard/
+echo "==> intake under -race x10 (producers, harvests and advances interleaved: every event counted once; the accounting digest; the deploy-table digest; no intake goroutine)"
+go test -race -count=10 -run '^(TestConcurrentRoundProtocolAccountsOnce|TestIntakeAccountingDigest|TestDeployTableDigest|TestIntakeStartsNoGoroutine)$' ./internal/stream/ ./internal/shard/
 
-echo "==> packet-plane delivery x10 (border and attacker GSO sends, the honeypot's GRO read: every datagram once, in order, byte for byte)"
-go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest|TestHoneypotReadDigest|TestForwardedRunIsOneRead)$' ./internal/amp/
+echo "==> packet-plane delivery x10 (border and attacker GSO sends, the honeypot's GRO read: every datagram once, in order, byte for byte; the border routes by a copy of each table)"
+go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest|TestHoneypotReadDigest|TestForwardedRunIsOneRead|TestBorderCopiesCatchments)$' ./internal/amp/
 
 echo "==> honeypot-read benchmark (one iteration each: GSO runs and runs of one through a border; CPU per packet, datagrams per read)"
 go test -run '^$' -bench HoneypotRead -benchtime 1x ./internal/amp/
