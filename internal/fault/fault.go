@@ -285,16 +285,18 @@ func (inj *Injector) Partitioned(from, to string, attempt int) bool {
 }
 
 // SplitBrain reports whether the lease holder spuriously loses its
-// leadership lease when renewing at the given term — the injected
-// moment where the controller's belief and the lease store diverge.
+// leadership lease at the given renewal (0 for the first) of the given
+// term — the injected moment where the controller's belief and the
+// lease store diverge. Every renewal rolls on its own, so a holder whose
+// early renewals survive can still lose the lease later in the term.
 // Fenced terms turn this into a clean abdication + re-election instead
 // of two live controllers.
-func (inj *Injector) SplitBrain(holder string, term uint64) bool {
+func (inj *Injector) SplitBrain(holder string, term, renewal uint64) bool {
 	p := inj.profile.PrSplitBrain
 	if p <= 0 {
 		return false
 	}
-	if inj.roll(KindSplitBrain, holder, term) < p {
+	if inj.roll(KindSplitBrain, holder, term+renewal<<32) < p {
 		inj.count(KindSplitBrain)
 		return true
 	}

@@ -265,7 +265,7 @@ func TestScheduleSurvivesRetiredKinds(t *testing.T) {
 		bit(inj.Probe(1, i, 3))
 		bit(inj.HideSource(2, i))
 		bit(inj.Partitioned("ctl", "s0", i))
-		bit(inj.SplitBrain("ctl", uint64(i)))
+		bit(inj.SplitBrain("ctl", uint64(i), 0))
 	}
 	if want := "1010100111011001110101010101001000001000011001011001111111111110"; string(got) != want {
 		t.Fatalf("schedule %s, want %s", got, want)

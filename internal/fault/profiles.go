@@ -43,8 +43,8 @@ type Profile struct {
 	// sharded-ingest nodes is blackholed (retries re-roll and heal
 	// transient partitions).
 	PrPartition float64 `json:"pr_partition,omitempty"`
-	// PrSplitBrain is the per-term probability the controller spuriously
-	// loses its leadership lease at renewal, forcing abdication and a
+	// PrSplitBrain is the per-renewal probability the controller
+	// spuriously loses its leadership lease, forcing abdication and a
 	// fenced re-election.
 	PrSplitBrain float64 `json:"pr_split_brain,omitempty"`
 }

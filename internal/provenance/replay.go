@@ -135,10 +135,12 @@ func Replay(e *Export) (*ReplayResult, error) {
 				if st == nil {
 					return nil, fmt.Errorf("provenance: stream verdict %d before stream meta", ev.Seq)
 				}
+				// A copy: the next fold refills the loop's candidate
+				// list, and res.Final keeps this verdict.
 				recomputed = &VerdictEvent{
 					Origin:     "stream",
 					Round:      st.lastRound,
-					Candidates: st.loop.Candidates(),
+					Candidates: append([]int(nil), st.loop.Candidates()...),
 					Assign:     st.loop.Partition().Assignments(),
 					Clusters:   st.loop.Partition().NumClusters(),
 					Converged:  st.loop.Converged(),

@@ -49,7 +49,9 @@ func NewLoop(rows [][]bgp.LinkID, initial, threshold int) *Loop {
 		topSize:   -1,
 	}
 	l.used[initial] = true
-	l.candidates = l.loc.Candidates(0) // no round folded: every source
+	// The candidate set only shrinks, so one buffer of every source holds
+	// it for the loop's life. No round folded: every source.
+	l.candidates = l.loc.AppendCandidates(make([]int, 0, n), 0)
 	return l
 }
 
@@ -64,7 +66,7 @@ func (l *Loop) Fold(cfg int, volumes []float64) {
 	row := l.rows[cfg]
 	l.loc.AddRound(row, volumes)
 	l.part.Refine(row)
-	l.candidates = l.loc.Candidates(0)
+	l.candidates = l.loc.AppendCandidates(l.candidates[:0], 0)
 	l.estVol = estimateInto(l.estVol, row, l.candidates, volumes)
 	var top, size int
 	l.volByCluster, top, size = topVolumeCluster(l.volByCluster, l.part, l.candidates, l.estVol)
@@ -116,8 +118,9 @@ func (l *Loop) Converged() bool { return l.topSize >= 0 && !l.canSplit }
 func (l *Loop) Current() int { return l.current }
 
 // Candidates returns the surviving candidate sources in index order.
-// Each fold replaces the slice and never edits it, so callers may keep
-// it but must not modify it.
+// The slice is the loop's own buffer, which the next Fold refills:
+// it is valid until then, and callers must not modify it. A caller that
+// keeps the list past the next Fold copies it.
 func (l *Loop) Candidates() []int { return l.candidates }
 
 // Partition returns the cluster partition; callers must not refine it.

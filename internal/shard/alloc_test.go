@@ -3,9 +3,12 @@
 package shard
 
 import (
+	"net/netip"
 	"runtime"
 	"testing"
+	"time"
 
+	"spooftrack/internal/amp"
 	"spooftrack/internal/bgp"
 	"spooftrack/internal/stream"
 	"spooftrack/internal/topo"
@@ -46,5 +49,89 @@ func TestStatusCostIndependentOfCandidates(t *testing.T) {
 	if manyAllocs != fewAllocs || manyBytes > fewBytes+512 {
 		t.Fatalf("Status allocates %v times, %d B, with 1000 candidates and %v times, %d B, with 2",
 			manyAllocs, manyBytes, fewAllocs, fewBytes)
+	}
+}
+
+// TestStepAllocsIndependentOfRounds: a controller round allocates as
+// often after 200 folded rounds as after 5: its broadcast shares the
+// evaluator's append-only history and the live member list. Behind
+// !race, whose instrumentation allocates on its own.
+func TestStepAllocsIndependentOfRounds(t *testing.T) {
+	attr := broadcastAttr()
+	cl, err := NewCluster(ClusterConfig{Shards: 2, Attr: attr, MinRoundPackets: 1,
+		Pipe: stream.Config{Workers: 2, Deploy: func(int, map[uint32]uint8) {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Step(false); err != nil { // elects a leader
+		t.Fatal(err)
+	}
+	ct := cl.Controller()
+	step := func() {
+		ingestBots(cl, attr, ct.eval.Current())
+		if res, err := ct.Step(false); err != nil || !res.Folded {
+			t.Fatalf("step: %+v, %v", res, err)
+		}
+	}
+	for ct.Evaluator().Rounds() < 5 {
+		step()
+	}
+	early := testing.AllocsPerRun(20, step)
+	for ct.Evaluator().Rounds() < 200 {
+		step()
+	}
+	late := testing.AllocsPerRun(20, step)
+	if early != late {
+		t.Fatalf("a round allocates %v times after 5 folded rounds and %v after 200", early, late)
+	}
+}
+
+// TestWarmHandleApplyAllocatesNothing: a node applying an update keeps
+// it by value, so once its intake has made its catchment table an apply
+// allocates nothing, however long the update's history.
+func TestWarmHandleApplyAllocatesNothing(t *testing.T) {
+	attr := broadcastAttr()
+	n, err := NewNode(NodeConfig{ID: "s0", Attr: attr,
+		Pipe: stream.Config{Workers: 2, Deploy: func(int, map[uint32]uint8) {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	eval := stream.NewEvaluator(attr, stream.EvalParams{})
+	for r := 0; r < 10; r++ {
+		eval.Step([]int64{30, 0, 12, 5}, false, nil, nil, false)
+	}
+	u := EpochUpdate{Term: 1, Members: []string{"s0"}, Snapshot: eval.Snapshot()}
+	apply := func() {
+		u.Epoch++
+		u.Config = int(u.Epoch) % 2
+		if _, err := n.HandleApply(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	apply()
+	if got := testing.AllocsPerRun(100, apply); got != 0 {
+		t.Fatalf("a warm HandleApply allocates %v times, want 0", got)
+	}
+}
+
+// ingestBots offers the cluster one round of packets from every bot in
+// broadcastBots, as the border sees them under configuration cfg.
+func ingestBots(cl *Cluster, attr stream.Attribution, cfg int) {
+	for _, b := range broadcastBots {
+		l := attr.Catchments[cfg][b.src]
+		if l == bgp.NoLink {
+			continue
+		}
+		for i := 0; i < b.pkts; i++ {
+			cl.Ingest(amp.Event{
+				Time:        time.Now(),
+				IngressLink: uint8(l),
+				SpoofedSrc:  netip.AddrFrom4([4]byte{198, 51, 100, byte(b.src)}),
+				WireLen:     64,
+			})
+		}
 	}
 }

@@ -507,13 +507,16 @@ func (ct *Controller) broadcastLocked(u EpochUpdate) {
 	}
 }
 
-// mkUpdateLocked snapshots the controller into an EpochUpdate.
+// mkUpdateLocked snapshots the controller into an EpochUpdate. It
+// copies nothing: the member list is the live Ring's, which a membership
+// change replaces and never edits, and the evaluator's snapshot shares
+// its append-only history.
 func (ct *Controller) mkUpdateLocked() EpochUpdate {
 	return EpochUpdate{
 		Term:     ct.term,
 		Epoch:    ct.epoch,
 		Config:   ct.eval.Current(),
-		Members:  slices.Clone(ct.members.ids),
+		Members:  ct.members.ids,
 		Snapshot: ct.eval.Snapshot(),
 		Degraded: ct.degraded,
 	}

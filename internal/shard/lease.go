@@ -49,8 +49,11 @@ type LeaseStore interface {
 type MemLease struct {
 	mu  sync.Mutex
 	cur Lease
-	now func() time.Time
-	inj *fault.Injector
+	// renewals counts the renewals of cur's holder at cur's term: the
+	// split-brain fault rolls once per renewal.
+	renewals uint64
+	now      func() time.Time
+	inj      *fault.Injector
 }
 
 // NewMemLease builds an in-memory lease store on the wall clock.
@@ -80,6 +83,7 @@ func (m *MemLease) Acquire(holder string, ttl time.Duration) (Lease, bool) {
 	now := m.now()
 	if m.cur.Holder == "" || !now.Before(m.cur.Expires) || m.cur.Holder == holder {
 		m.cur = Lease{Holder: holder, Term: m.cur.Term + 1, Expires: now.Add(ttl)}
+		m.renewals = 0
 		return m.cur, true
 	}
 	return m.cur, false
@@ -94,7 +98,9 @@ func (m *MemLease) Renew(holder string, term uint64, ttl time.Duration) bool {
 	if m.cur.Holder != holder || m.cur.Term != term {
 		return false
 	}
-	if m.inj != nil && m.inj.SplitBrain(holder, term) {
+	renewal := m.renewals
+	m.renewals++
+	if m.inj != nil && m.inj.SplitBrain(holder, term, renewal) {
 		m.cur.Expires = m.now()
 		return false
 	}

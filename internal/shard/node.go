@@ -37,7 +37,10 @@ type Node struct {
 
 	mu   sync.Mutex
 	term uint64 // highest lease term seen; lower terms are rejected
-	last *EpochUpdate
+	// last is the last update applied, valid when hasLast. Its slices
+	// are the controller's append-only history, shared, never edited.
+	last    EpochUpdate
+	hasLast bool
 }
 
 // NewNode builds a shard node around a new intake; it starts no
@@ -109,8 +112,7 @@ func (n *Node) HandleApply(u EpochUpdate) (ApplyResponse, error) {
 		return ApplyResponse{}, fmt.Errorf("shard: node %s: %w", n.id, err)
 	}
 	n.mu.Lock()
-	cp := u
-	n.last = &cp
+	n.last, n.hasLast = u, true
 	n.mu.Unlock()
 	return ApplyResponse{Node: n.id, Epoch: u.Epoch}, nil
 }
@@ -122,10 +124,7 @@ func (n *Node) HandleHello(req HelloRequest) (HelloResponse, error) {
 	}
 	resp := HelloResponse{Node: n.id, Ready: n.isReady(), Epoch: n.intake.Epoch()}
 	n.mu.Lock()
-	if n.last != nil {
-		resp.HasUpdate = true
-		resp.Update = *n.last
-	}
+	resp.HasUpdate, resp.Update = n.hasLast, n.last
 	n.mu.Unlock()
 	return resp, nil
 }

@@ -238,6 +238,28 @@ func TestMemLeaseSplitBrain(t *testing.T) {
 	}
 }
 
+// TestMemLeaseSplitBrainRollsPerRenewal: every renewal rolls the
+// split-brain fault on its own, so at even odds some renewal within 64
+// at one term fails after one that survived.
+func TestMemLeaseSplitBrainRollsPerRenewal(t *testing.T) {
+	l := NewMemLease()
+	l.SetClock(func() time.Time { return time.Unix(1000, 0) })
+	l.SetInjector(fault.New(fault.Profile{PrSplitBrain: 0.5}, 1, 2))
+	lease, ok := l.Acquire("a", time.Hour)
+	if !ok {
+		t.Fatal("acquire failed")
+	}
+	survived := false
+	for i := 0; i < 64; i++ {
+		if l.Renew("a", lease.Term, time.Hour) {
+			survived = true
+		} else if survived {
+			return
+		}
+	}
+	t.Fatalf("64 renewals at term %d: no split-brain after a surviving renewal (any survived: %v)", lease.Term, survived)
+}
+
 // TestFileLease: the on-disk lease store round-trips and excludes a
 // second holder until expiry.
 func TestFileLease(t *testing.T) {

@@ -44,7 +44,8 @@ func (il *IncrementalLocalizer) AddRound(catchment []bgp.LinkID, volumes []float
 
 // Candidates returns the sources with at most maxMisses misses, in
 // index order — LocalizeTolerant's answer over all rounds so far
-// (maxMisses = 0 matches Localize exactly).
+// (maxMisses = 0 matches Localize exactly). It is a fresh slice, sized
+// exactly, and nil when no source qualifies.
 func (il *IncrementalLocalizer) Candidates(maxMisses int) []int {
 	n := 0
 	for _, m := range il.misses {
@@ -55,12 +56,17 @@ func (il *IncrementalLocalizer) Candidates(maxMisses int) []int {
 	if n == 0 {
 		return nil
 	}
-	// A fresh slice each call, sized exactly: callers keep it.
-	out := make([]int, 0, n)
+	return il.AppendCandidates(make([]int, 0, n), maxMisses)
+}
+
+// AppendCandidates appends Candidates(maxMisses) to dst and returns the
+// extended slice, so a caller that refolds every round can refill one
+// buffer instead of allocating a list per round.
+func (il *IncrementalLocalizer) AppendCandidates(dst []int, maxMisses int) []int {
 	for k, m := range il.misses {
 		if m <= maxMisses {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	return out
+	return dst
 }

@@ -107,9 +107,13 @@ type Evaluator struct {
 	par  EvalParams
 	loop *sched.Loop
 
+	// deployed and rounds only grow by appending, and no element is
+	// written after it is appended, so a Snapshot shares them.
 	deployed  []int
 	rounds    []EvalRound
 	converged bool
+	// verdictCands is the candidate list the last ledger verdict holds.
+	verdictCands []int
 }
 
 // NewEvaluator builds an evaluator over the attribution matrix with the
@@ -246,12 +250,17 @@ func (e *Evaluator) StepRecorded(led *provenance.Ledger, roundPkts []int64, fina
 		}
 		led.RecordReconfig(rc)
 	}
-	// The candidate list is replaced, never edited, by the next fold and
-	// Assignments is already a copy, so the ledger can keep both.
+	// The loop refills its candidate list at the next fold, so the ledger
+	// keeps a copy. The set only shrinks, so a verdict with as many
+	// candidates as the last names the same set and shares its copy.
+	// Assignments is already a copy.
+	if c := e.loop.Candidates(); len(c) != len(e.verdictCands) {
+		e.verdictCands = append([]int(nil), c...)
+	}
 	led.RecordVerdictShared(provenance.VerdictEvent{
 		Origin:     "stream",
 		Round:      out.Round,
-		Candidates: e.loop.Candidates(),
+		Candidates: e.verdictCands,
 		Assign:     e.loop.Partition().Assignments(),
 		Clusters:   out.Clusters,
 		Converged:  out.Converged,
@@ -323,18 +332,18 @@ type EvalSnapshot struct {
 	Rounds    []EvalRound `json:"rounds"`
 }
 
-// Snapshot captures the evaluator's replayable state.
+// Snapshot captures the evaluator's replayable state without copying
+// it: Deployed and Rounds share the evaluator's history. That history
+// only grows by appending and each round's Volumes is never written
+// after its fold, so later folds write past the snapshot's capacity and
+// leave it as it was. Callers must not modify it.
 func (e *Evaluator) Snapshot() EvalSnapshot {
-	s := EvalSnapshot{
+	return EvalSnapshot{
 		Current:   e.loop.Current(),
-		Deployed:  append([]int(nil), e.deployed...),
+		Deployed:  e.deployed[:len(e.deployed):len(e.deployed)],
 		Converged: e.converged,
-		Rounds:    make([]EvalRound, len(e.rounds)),
+		Rounds:    e.rounds[:len(e.rounds):len(e.rounds)],
 	}
-	for i, r := range e.rounds {
-		s.Rounds[i] = EvalRound{Config: r.Config, Volumes: append([]float64(nil), r.Volumes...)}
-	}
-	return s
 }
 
 // RestoreEvaluator rebuilds an evaluator from a snapshot by refolding

@@ -28,8 +28,11 @@
 # zero them, and every event is folded or settle-excluded exactly once;
 # the accounting digest at one and three shards; the digest of every
 # catchment table an intake hands its Deploy callback, one table it
-# refreshes in place for its life; and the check that
-# neither an intake nor a shard node starts a goroutine), run the packet plane's real-kernel
+# refreshes in place for its life; the check that
+# neither an intake nor a shard node starts a goroutine; and the check
+# that an update, a ledger verdict's candidates and a snapshot held from
+# one round stay as they were while the shard tier folds 20 more, though
+# all three share the controller's append-only history), run the packet plane's real-kernel
 # delivery tests ten times (the plane's digest, the border's
 # mixed-length forward, the attacker's wire digest, the honeypot's read
 # digest and the one-read-per-run test: a UDP GSO message that lost or
@@ -111,8 +114,8 @@ go test ./...
 echo "==> go test -race (stream, amp, core, measure, bgp, bgpwire, mrt, trace, metrics, watch, tsdb, fault, peering, probe, provenance, shard, sched, cluster, spoof, spooftrackd, examples)"
 go test -race ./internal/stream/... ./internal/amp/... ./internal/core/... ./internal/measure/... ./internal/bgp/... ./internal/bgpwire/... ./internal/mrt/... ./internal/trace/... ./internal/metrics/... ./internal/watch/... ./internal/tsdb/... ./internal/fault/... ./internal/peering/... ./internal/probe/... ./internal/provenance/... ./internal/shard/... ./internal/sched/... ./internal/cluster/... ./internal/spoof/... ./cmd/spooftrackd/... ./examples/...
 
-echo "==> intake under -race x10 (producers, harvests and advances interleaved: every event counted once; the accounting digest; the deploy-table digest; no intake goroutine)"
-go test -race -count=10 -run '^(TestConcurrentRoundProtocolAccountsOnce|TestIntakeAccountingDigest|TestDeployTableDigest|TestIntakeStartsNoGoroutine)$' ./internal/stream/ ./internal/shard/
+echo "==> intake under -race x10 (producers, harvests and advances interleaved: every event counted once; the accounting digest; the deploy-table digest; no intake goroutine; held updates, verdicts and snapshots never change)"
+go test -race -count=10 -run '^(TestConcurrentRoundProtocolAccountsOnce|TestIntakeAccountingDigest|TestDeployTableDigest|TestIntakeStartsNoGoroutine|TestHeldStateNeverChanges)$' ./internal/stream/ ./internal/shard/
 
 echo "==> packet-plane delivery x10 (border and attacker GSO sends, the honeypot's GRO read: every datagram once, in order, byte for byte; the border routes by a copy of each table)"
 go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|TestAttackerWireDigest|TestHoneypotReadDigest|TestForwardedRunIsOneRead|TestBorderCopiesCatchments)$' ./internal/amp/
