@@ -13,22 +13,20 @@ import (
 
 // historyDigest is the FNV-64a digest of every answer TestHistoryDigest
 // hashes. It pins what the shipped readers get back from the store — the
-// watchdog's 5m/1h Increase and QuantileOverTime windows, and /query's
-// raw, rate, sum and max modes over the dashboard's windows — across a
-// day of history, so a change to how samples are kept cannot move one.
-const historyDigest = 0x7e8927687309117e
+// watchdog's 5m/1h Increase windows, and /query's raw, rate, sum and max
+// modes over the dashboard's windows — across a day of history, so a
+// change to how samples are kept cannot move one.
+const historyDigest = 0x47a205a131777617
 
-// TestHistoryDigest scripts 26h of 1s scrapes over a counter that resets,
-// a two-child counter vector and a histogram, and every 17 minutes hashes
-// the answers the shipped readers depend on. Every window here lies
-// inside the tiers' retention: the raw tier serves the ≤10m range reads
-// whole, and a monotone counter's increase and a histogram's windowed
-// quantile read only each window's two ends.
+// TestHistoryDigest scripts 26h of 1s scrapes over a counter that resets
+// and a two-child counter vector, and every 17 minutes hashes the answers
+// the shipped readers depend on. Every window here lies inside the tiers'
+// retention: the raw tier serves the ≤10m range reads whole, and a
+// monotone counter's increase reads only each window's two ends.
 func TestHistoryDigest(t *testing.T) {
 	reg := metrics.NewRegistry()
 	restarts := settableGauge(reg, "restarts_total") // a gauge lets the script force resets
 	vec := reg.CounterVec("packets_total", "link")
-	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1, 10)
 	db := New(Options{Registry: reg})
 
 	const (
@@ -60,19 +58,13 @@ func TestHistoryDigest(t *testing.T) {
 		restarts.Set(restartValue)
 		vec.With("a").Add(int64(100 + rng.Intn(20)))
 		vec.With("b").Add(int64(rng.Intn(5)))
-		// The lag distribution drifts by the hour, so windowed quantiles
-		// move across the day.
-		slow := (sec / 3600) % 4
-		for i := rng.Intn(4); i > 0; i-- {
-			h.Observe(rng.ExpFloat64() * 0.01 * math.Pow(10, float64(slow)))
-		}
 		now := t0.Add(time.Duration(sec) * time.Second)
 		db.ScrapeOnce(now)
 		if sec%checkEvery != 0 {
 			continue
 		}
 		for _, w := range []time.Duration{time.Minute, 5 * time.Minute, 10 * time.Minute} {
-			for _, family := range []string{"restarts_total", "packets_total", "lag_seconds"} {
+			for _, family := range []string{"restarts_total", "packets_total"} {
 				for _, q := range []Query{
 					{Series: family},
 					{Series: family, Rate: true},
@@ -83,7 +75,7 @@ func TestHistoryDigest(t *testing.T) {
 					got := db.Query(q)
 					put(uint64(len(got)))
 					for _, sd := range got {
-						sum.Write([]byte(sd.Family + "\x00" + sd.Child + "\x00" + sd.Kind + "\x00" + sd.Bound + "\x00"))
+						sum.Write([]byte(sd.Family + "\x00" + sd.Child + "\x00" + sd.Kind + "\x00"))
 						put(uint64(len(sd.Points)))
 						for _, p := range sd.Points {
 							put(uint64(p.T))
@@ -99,11 +91,6 @@ func TestHistoryDigest(t *testing.T) {
 			putF(delta)
 			putF(dt)
 			putOK(ok)
-			for _, q := range []float64{0.5, 0.99} {
-				v, ok := db.QuantileOverTime("lag_seconds", "", q, now.Add(-w), now)
-				putF(v)
-				putOK(ok)
-			}
 			answers++
 		}
 	}
