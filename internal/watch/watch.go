@@ -32,6 +32,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spooftrack/internal/metrics"
@@ -228,6 +229,7 @@ type Watchdog struct {
 	lastBundle string
 	breaches   uint64
 
+	started  atomic.Bool
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
@@ -269,6 +271,7 @@ func New(cfg Config) *Watchdog {
 
 // Start runs the evaluation ticker until Stop.
 func (w *Watchdog) Start() {
+	w.started.Store(true)
 	go func() {
 		defer close(w.done)
 		t := time.NewTicker(w.cfg.interval)
@@ -284,18 +287,13 @@ func (w *Watchdog) Start() {
 	}()
 }
 
-// Stop halts the ticker and waits for the evaluation loop to exit. Safe
-// to call more than once, and without a prior Start.
+// Stop halts the ticker and waits for the evaluation loop to exit, an
+// evaluation in progress included. Safe to call more than once, and
+// without a prior Start.
 func (w *Watchdog) Stop() {
 	w.stopOnce.Do(func() { close(w.stop) })
-	select {
-	case <-w.done:
-	default:
-		// Start never ran; don't block on its goroutine.
-		select {
-		case <-w.done:
-		case <-time.After(10 * time.Millisecond):
-		}
+	if w.started.Load() {
+		<-w.done
 	}
 }
 

@@ -423,3 +423,29 @@ func TestStartStopTicker(t *testing.T) {
 	w.Stop()
 	w.Stop() // idempotent
 }
+
+// TestStopWaitsForEvaluation: Stop returns only once an evaluation in
+// flight has finished, so a bundle being written (profiles, a trace
+// export) is never cut off by the caller tearing down after Stop.
+func TestStopWaitsForEvaluation(t *testing.T) {
+	reg := metrics.NewRegistry()
+	entered := make(chan struct{})
+	var calls, finished atomic.Int32
+	w := New(Config{
+		Registry: reg, DB: history(reg), interval: time.Millisecond, logger: quietLogger(),
+		Rules: []Rule{{Name: "slow", Expr: func(View) (float64, bool) {
+			if calls.Add(1) == 1 {
+				close(entered)
+				time.Sleep(100 * time.Millisecond)
+				finished.Store(1)
+			}
+			return 0, true
+		}}},
+	})
+	w.Start()
+	<-entered
+	w.Stop()
+	if finished.Load() == 0 {
+		t.Fatal("Stop returned while an evaluation was still running")
+	}
+}
