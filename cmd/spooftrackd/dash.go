@@ -44,13 +44,12 @@ func queryTime(qs url.Values, key string, def time.Time) (time.Time, error) {
 // queryHandler serves range queries over the embedded metric history:
 //
 //	/query?series=<family>[&child=k=v][&from=..][&to=..][&window=5m]
-//	      [&func=raw|rate|sum|max|quantile][&q=0.99][&rate=1]
+//	      [&func=raw|rate|sum|max][&rate=1]
 //
 // from/to are unix seconds or RFC3339; to defaults to now and from to
 // to−window (window defaults to 15m). func=rate plots the per-second,
 // counter-reset-aware derivative; sum/max collapse a vector's children
-// (combine with rate=1 for an aggregated rate); quantile computes a
-// quantile-over-time on a histogram family. Unknown families answer
+// (combine with rate=1 for an aggregated rate). Unknown families answer
 // with an empty series list, not an error.
 func queryHandler(db *tsdb.DB) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -92,18 +91,8 @@ func queryHandler(db *tsdb.DB) http.HandlerFunc {
 			q.Rate = true
 		case "sum", "max":
 			q.Agg = fn
-		case "quantile":
-			q.Quantile = 0.99
-			if s := qs.Get("q"); s != "" {
-				v, err := strconv.ParseFloat(s, 64)
-				if err != nil || v <= 0 || v >= 1 {
-					http.Error(w, fmt.Sprintf("bad q %q: want a quantile in (0,1)", s), http.StatusBadRequest)
-					return
-				}
-				q.Quantile = v
-			}
 		default:
-			http.Error(w, fmt.Sprintf("unknown func %q (want raw, rate, sum, max, or quantile)", fn), http.StatusBadRequest)
+			http.Error(w, fmt.Sprintf("unknown func %q (want raw, rate, sum, or max)", fn), http.StatusBadRequest)
 			return
 		}
 		if qs.Get("rate") == "1" {

@@ -188,10 +188,10 @@ func metricsSnapshot(url string) (map[string]any, bool) {
 	return snap, true
 }
 
-// watchedFamilies reads newWatchdog's source and returns every metric
-// family it names: the string first argument of each watch.Metric and
-// watch.Quantile call, the Family of each watch.Counter literal, and
-// each BundleHistory entry. It fails on a rule whose expression names
+// watchedFamilies reads newWatchdog's and watchRules' source and returns
+// every metric family they name: the string first argument of each
+// watch.Metric call, the Family of each watch.Counter literal, and each
+// BundleHistory entry. It fails on a rule whose expression names
 // no family the walk can read, so a new way of naming one cannot
 // silently drop out of the check.
 func watchedFamilies(t *testing.T) []string {
@@ -254,10 +254,10 @@ func watchedFamilies(t *testing.T) []string {
 	rules := 0
 	for _, d := range f.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "newWatchdog" {
+		if !ok || fd.Name.Name != "newWatchdog" && fd.Name.Name != "watchRules" {
 			continue
 		}
-		fams = families(fd)
+		fams = append(fams, families(fd)...)
 		ast.Inspect(fd, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CompositeLit:
@@ -269,12 +269,12 @@ func watchedFamilies(t *testing.T) []string {
 					rules++
 					rule, ok := e.(*ast.CompositeLit)
 					if !ok {
-						t.Errorf("newWatchdog rule %d is not a literal this walk can read", rules)
+						t.Errorf("watch rule %d is not a literal this walk can read", rules)
 						continue
 					}
 					if len(families(rule)) == 0 {
 						name, _ := field(rule, "Name", -1)
-						t.Errorf("newWatchdog rule %q names no metric family this walk can read", name)
+						t.Errorf("watch rule %q names no metric family this walk can read", name)
 					}
 				}
 			case *ast.AssignStmt:
@@ -294,7 +294,7 @@ func watchedFamilies(t *testing.T) []string {
 		})
 	}
 	if rules == 0 || len(fams) == 0 {
-		t.Fatal("newWatchdog names no rule or metric family")
+		t.Fatal("newWatchdog and watchRules name no rule or metric family")
 	}
 	return fams
 }

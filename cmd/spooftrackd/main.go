@@ -503,17 +503,21 @@ func (pv *probeView) scan(led *provenance.Ledger) {
 // the live loop degrades past its objectives.
 func newWatchdog(cfg config, o observability) *watch.Watchdog {
 	wc := cfg.watch
-	wc.Registry, wc.Tracer = o.reg, o.tracer
-	// Every rule but the coverage gauge reads a window of the metric
-	// history, so a breach judges the recent past of an hours-long run,
-	// never its lifetime totals; breach bundles embed the last hour of
-	// these families.
-	wc.DB = o.db
+	wc.Registry, wc.Tracer, wc.DB = o.reg, o.tracer, o.db
+	// Breach bundles embed the last hour of these families.
 	wc.BundleHistory = []string{
 		"stream_events_total",
 		"amp_border_packets_total",
 	}
-	wc.Rules = []watch.Rule{
+	wc.Rules = watchRules()
+	return watch.New(wc)
+}
+
+// watchRules is the daemon's SLO rule set. Every rule but the coverage
+// gauge reads a window of the metric history, so a breach judges the
+// recent past of an hours-long run, never its lifetime totals.
+func watchRules() []watch.Rule {
+	return []watch.Rule{
 		{
 			Name:      "border-drop-rate",
 			Expr:      watch.Rate(watch.Counter{Family: "amp_border_packets_total", Child: "outcome=dropped"}, time.Minute),
@@ -559,7 +563,6 @@ func newWatchdog(cfg config, o observability) *watch.Watchdog {
 			For:       3,
 		},
 	}
-	return watch.New(wc)
 }
 
 // every runs fn on a ticker until ctx is done; the returned channel is

@@ -19,20 +19,18 @@ import (
 var queryBase = time.Unix(1_700_000_000, 0)
 
 // queryMux builds a mux whose only live surface is the metric history:
-// a counter at 5/s, a two-child vector at 10/s and 30/s, and a latency
-// histogram, scraped once per second for a minute.
+// a counter at 5/s and a two-child vector at 10/s and 30/s, scraped once
+// per second for a minute.
 func queryMux(t testing.TB) *http.ServeMux {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	ev := reg.Counter("events_total")
 	cv := reg.CounterVec("link_packets_total", "link")
-	h := reg.Histogram("flush_seconds", 0.01, 0.1, 1)
 	db := tsdb.New(tsdb.Options{Registry: reg})
 	for i := 0; i <= 60; i++ {
 		ev.Add(5)
 		cv.With("0").Add(10)
 		cv.With("1").Add(30)
-		h.Observe(0.05)
 		db.ScrapeOnce(queryBase.Add(time.Duration(i) * time.Second))
 	}
 	return componentMux(observability{reg: reg, db: db}.routes)
@@ -114,18 +112,6 @@ func TestQueryVectorSumAndChild(t *testing.T) {
 	}
 }
 
-func TestQueryQuantile(t *testing.T) {
-	qr := getQuery(t, queryMux(t), "/query?series=flush_seconds&func=quantile&q=0.5&"+rangeParams())
-	if len(qr.Series) != 1 || qr.Series[0].Kind != "quantile" || len(qr.Series[0].Points) != 1 {
-		t.Fatalf("quantile query = %+v", qr.Series)
-	}
-	// Every observation is 0.05, interpolated within the (0.01, 0.1]
-	// bucket; the median must land inside it.
-	if v := qr.Series[0].Points[0].V; v <= 0.01 || v > 0.1 {
-		t.Fatalf("median = %v, want within (0.01, 0.1]", v)
-	}
-}
-
 func TestQueryUnknownSeriesIsEmpty(t *testing.T) {
 	qr := getQuery(t, queryMux(t), "/query?series=no_such_series&"+rangeParams())
 	if qr.Series == nil || len(qr.Series) != 0 {
@@ -136,12 +122,12 @@ func TestQueryUnknownSeriesIsEmpty(t *testing.T) {
 func TestQueryBadParams(t *testing.T) {
 	mux := queryMux(t)
 	for _, path := range []string{
-		"/query",                                        // no series
-		"/query?series=events_total&func=median",        // unknown func
-		"/query?series=events_total&window=huge",        // bad window
-		"/query?series=events_total&from=soon",          // bad time
-		"/query?series=events_total&from=9&to=1",        // inverted range
-		"/query?series=flush_seconds&func=quantile&q=2", // quantile out of range
+		"/query",                                   // no series
+		"/query?series=events_total&func=median",   // unknown func
+		"/query?series=events_total&window=huge",   // bad window
+		"/query?series=events_total&from=soon",     // bad time
+		"/query?series=events_total&from=9&to=1",   // inverted range
+		"/query?series=events_total&func=quantile", // no quantile function
 		// Not finite, or milliseconds past int64: no instant at all.
 		"/query?series=events_total&to=NaN",
 		"/query?series=events_total&from=NaN&to=10",

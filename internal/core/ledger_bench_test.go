@@ -13,7 +13,7 @@ import (
 // full UseTruth campaign — including the final-partition verdict every
 // consumer derives — recorded into a ledger may cost at most 1.05x the
 // CPU time of the same campaign with the ledger nil. The ledger is a nil
-// check per event site when off and lock-sharded appends when on, so
+// check per event site when off and appends under one mutex when on, so
 // anything beyond 5% means an allocation leaked onto the hot path.
 func BenchmarkCampaignLedgerBudget(b *testing.B) {
 	w := smallWorld(b, 3)

@@ -127,16 +127,14 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile estimates the q-quantile (0..1) of the observations so far;
-// see BucketQuantile for the interpolation rule.
+// see bucketQuantile for the interpolation rule.
 func (h *Histogram) Quantile(q float64) float64 {
-	return BucketQuantile(q, h.bounds, func(i int) float64 { return float64(h.counts[i].Load()) },
+	return bucketQuantile(q, h.bounds, func(i int) float64 { return float64(h.counts[i].Load()) },
 		float64(h.Count()), h.Max())
 }
 
-// BucketQuantile estimates the q-quantile (0..1) of a bucketed
-// distribution by linear interpolation within the containing bucket —
-// exported so quantiles taken from a snapshot or from scraped bucket
-// series (watch, tsdb) answer exactly what the live histogram does.
+// bucketQuantile estimates the q-quantile (0..1) of a bucketed
+// distribution by linear interpolation within the containing bucket.
 // bounds are the finite buckets' ascending upper bounds and count(i)
 // the weight of the bucket ending at bounds[i]; total is the weight the
 // rank is taken over, overflow (+inf) bucket included. Empty buckets
@@ -146,7 +144,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // constructing a zero Histogram directly — NewHistogram substitutes
 // DefBuckets) answers max, the largest observation, rather than
 // indexing an empty bounds slice.
-func BucketQuantile(q float64, bounds []float64, count func(i int) float64, total, max float64) float64 {
+func bucketQuantile(q float64, bounds []float64, count func(i int) float64, total, max float64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -178,11 +176,6 @@ type HistogramSnapshot struct {
 	P50     float64          `json:"p50"`
 	P99     float64          `json:"p99"`
 	Buckets map[string]int64 `json:"buckets"`
-	// Bounds is the full bucket-bound layout (Buckets holds only
-	// occupied buckets, keyed by formatted bound). Not serialized, so
-	// the JSON shape is unchanged; the metric history (tsdb) keeps it
-	// so its windowed quantiles interpolate exactly as the histogram.
-	Bounds []float64 `json:"-"`
 }
 
 // Snapshot captures the histogram's current state.
@@ -206,13 +199,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		P50:     h.Quantile(0.50),
 		P99:     h.Quantile(0.99),
 		Buckets: buckets,
-		Bounds:  h.bounds,
 	}
 }
 
 // Registry names and exports a set of metrics. The zero value is not
 // usable; call NewRegistry. All methods are safe for concurrent use;
-// Counter/Histogram/vector lookups are get-or-create and cheap enough
+// Counter and vector lookups are get-or-create and cheap enough
 // to call once at setup, not per event.
 type Registry struct {
 	mu    sync.RWMutex
@@ -228,12 +220,6 @@ func NewRegistry() *Registry {
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	return register(r, name, func() *Counter { return &Counter{} })
-}
-
-// Histogram returns the named histogram, creating it with the bounds on
-// first use (bounds are ignored on later lookups).
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	return register(r, name, func() *Histogram { return NewHistogram(bounds) })
 }
 
 // GaugeFunc is a gauge whose value is computed on demand — for state

@@ -104,10 +104,9 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBucketQuantile pins the shared interpolation rule on bucket
-// weights directly — the form the tsdb (float windowed increases) and
-// the watchdog (snapshot bucket maps) feed it — and checks each
-// integer-weight row against a live Histogram holding the same counts.
+// TestBucketQuantile pins the interpolation rule on bucket weights
+// directly, fractional weights included, and checks each integer-weight
+// row against a live Histogram holding the same counts.
 func TestBucketQuantile(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -149,8 +148,8 @@ func TestBucketQuantile(t *testing.T) {
 				h.maxBig.Store(math.Float64bits(tc.max))
 			}
 			for q, want := range tc.want {
-				if got := BucketQuantile(q, tc.bounds, count, total, tc.max); got != want {
-					t.Errorf("BucketQuantile(%v) = %v, want %v", q, got, want)
+				if got := bucketQuantile(q, tc.bounds, count, total, tc.max); got != want {
+					t.Errorf("bucketQuantile(%v) = %v, want %v", q, got, want)
 				}
 				if h != nil {
 					if got := h.Quantile(q); got != want {

@@ -8,25 +8,28 @@ import (
 	"spooftrack/internal/metrics"
 )
 
-// benchRegistry builds a registry shaped like spooftrackd's, from
-// families the daemon registers: plain counters and a gauge, labeled
-// vectors, and a histogram.
+// benchRegistry builds a registry shaped like spooftrackd's: the ten
+// families the daemon registers, with the 23 series its /metrics shows
+// 10 s into the seed-42 demo (no probe lost yet, no border drop).
 func benchRegistry() *metrics.Registry {
 	reg := metrics.NewRegistry()
 	reg.Counter("stream_events_total").Add(123456)
-	reg.Counter("stream_batches_total").Add(17)
+	reg.Counter("stream_settle_excluded_total").Add(251)
 	settableGauge(reg, "stream_degraded").Set(1)
-	links := reg.CounterVec("probe_sent_total", "link")
-	for i := 0; i < 16; i++ {
-		links.With(fmt.Sprint(i)).Add(int64(1000 * (i + 1)))
+	pkts := reg.CounterVec("amp_honeypot_packets_total", "link")
+	bytes := reg.CounterVec("amp_honeypot_bytes_total", "link")
+	for i := 1; i <= 5; i++ {
+		pkts.With(fmt.Sprint(i)).Add(int64(100 * i))
+		bytes.With(fmt.Sprint(i)).Add(int64(2400 * i))
 	}
-	out := reg.CounterVec("amp_border_packets_total", "outcome")
-	out.With("pass").Add(90000)
-	out.With("drop").Add(1200)
-	h := reg.Histogram("stream_flush_lag_seconds")
-	for i := 0; i < 64; i++ {
-		h.Observe(float64(i%17) * 0.003)
+	reg.CounterVec("amp_honeypot_requests_total", "outcome").With("accepted").Add(3960)
+	reg.CounterVec("amp_border_packets_total", "outcome").With("forwarded").Add(3960)
+	sent := reg.CounterVec("probe_sent_total", "link")
+	for i := 0; i < 7; i++ {
+		sent.With(fmt.Sprint(i)).Add(int64(1000 * (i + 1)))
 	}
+	reg.CounterVec("probe_lost_total", "link")
+	settableGauge(reg, "probe_coverage").Set(0.8)
 	return reg
 }
 

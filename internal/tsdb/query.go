@@ -1,12 +1,9 @@
 package tsdb
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
-
-	"spooftrack/internal/metrics"
 )
 
 // Point is one sample. T is unix milliseconds.
@@ -19,8 +16,7 @@ type Point struct {
 type SeriesData struct {
 	Family string  `json:"family"`
 	Child  string  `json:"child,omitempty"`
-	Kind   string  `json:"kind,omitempty"` // "" scalar, "count"/"sum"/"bucket" for histogram parts
-	Bound  string  `json:"bound,omitempty"`
+	Kind   string  `json:"kind,omitempty"` // "" per series, "sum"/"max" for an aggregate
 	Points []Point `json:"points"`
 }
 
@@ -31,7 +27,6 @@ type Query struct {
 	From, To time.Time // inclusive range
 	Rate     bool      // per-second derivative (counter-reset aware)
 	Agg      string    // "", "sum", "max" — collapse matched children
-	Quantile float64   // >0: quantile-over-time on a histogram family
 }
 
 // Query runs q and returns the matched series, children sorted by key.
@@ -40,16 +35,6 @@ type Query struct {
 // "no such series" identically.
 func (db *DB) Query(q Query) []SeriesData {
 	from, to := q.From.UnixMilli(), q.To.UnixMilli()
-	if q.Quantile > 0 {
-		v, ok := db.QuantileOverTime(q.Series, q.Child, q.Quantile, q.From, q.To)
-		if !ok {
-			return nil
-		}
-		return []SeriesData{{
-			Family: q.Series, Child: q.Child, Kind: "quantile",
-			Points: []Point{{T: to, V: v}},
-		}}
-	}
 	matched := db.match(q.Series, q.Child)
 	out := make([]SeriesData, 0, len(matched))
 	for _, s := range matched {
@@ -60,64 +45,27 @@ func (db *DB) Query(q Query) []SeriesData {
 		if len(pts) == 0 {
 			continue
 		}
-		out = append(out, SeriesData{
-			Family: s.key.family,
-			Child:  s.key.child,
-			Kind:   kindName(s.key.kind),
-			Bound:  s.key.bound,
-			Points: pts,
-		})
+		out = append(out, SeriesData{Family: s.key.family, Child: s.key.child, Points: pts})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Child != out[j].Child {
-			return out[i].Child < out[j].Child
-		}
-		return out[i].Bound < out[j].Bound
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Child < out[j].Child })
 	if q.Agg != "" && len(out) > 0 {
 		return []SeriesData{aggregate(q.Series, q.Agg, out)}
 	}
 	return out
 }
 
-// match selects scalar-valued series of a family: plain scalars (and
-// every vector child when child == ""). For histogram families, which
-// have no scalar series, the count series stands in so rate queries
-// answer "observations per second".
+// match selects a family's series: the plain metric, or its vector
+// children (every one when child == "").
 func (db *DB) match(family, child string) []*series {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var scalars, counts []*series
+	var out []*series
 	for k, s := range db.series {
-		if k.family != family {
-			continue
-		}
-		if child != "" && k.child != child {
-			continue
-		}
-		switch k.kind {
-		case kindScalar:
-			scalars = append(scalars, s)
-		case kindHistCount:
-			counts = append(counts, s)
+		if k.family == family && (child == "" || k.child == child) {
+			out = append(out, s)
 		}
 	}
-	if len(scalars) > 0 {
-		return scalars
-	}
-	return counts
-}
-
-func kindName(k kind) string {
-	switch k {
-	case kindHistCount:
-		return "count"
-	case kindHistSum:
-		return "sum"
-	case kindHistBucket:
-		return "bucket"
-	}
-	return ""
+	return out
 }
 
 // rangePoints copies the series over [from, to], stitched across
@@ -241,89 +189,4 @@ func (db *DB) Increase(family, child string, from, to time.Time) (delta, dtSecon
 		return 0, 0, false
 	}
 	return delta, float64(spanHi-spanLo) / 1000, true
-}
-
-// QuantileOverTime estimates the q-quantile of a histogram family's
-// observations that occurred within [from, to]: each bucket's increase
-// over the window forms the distribution, interpolated by
-// metrics.BucketQuantile like every other histogram quantile.
-func (db *DB) QuantileOverTime(family, child string, q float64, from, to time.Time) (float64, bool) {
-	db.mu.RLock()
-	bounds := db.bounds[family]
-	var buckets []*series
-	for k, s := range db.series {
-		if k.family == family && k.kind == kindHistBucket && (child == "" || k.child == child) {
-			buckets = append(buckets, s)
-		}
-	}
-	db.mu.RUnlock()
-	if len(bounds) == 0 || len(buckets) == 0 {
-		return 0, false
-	}
-	idx := boundIndex(bounds)
-	counts := make([]float64, len(bounds)+1)
-	lo, hi := from.UnixMilli(), to.UnixMilli()
-	for _, s := range buckets {
-		i, ok := idx[s.key.bound]
-		if !ok {
-			continue
-		}
-		last, ok := s.valueAt(hi)
-		if !ok {
-			continue // series born after the window
-		}
-		// Baseline: the bucket's value just before the window opened. A
-		// series first occupied inside the window baselines at zero.
-		base, ok := s.valueAt(lo)
-		if !ok {
-			base = 0
-		}
-		d := last - base
-		if d < 0 {
-			d = last // counter reset inside the window: recount from zero
-		}
-		if d > 0 {
-			counts[i] += d
-		}
-	}
-	return weightQuantile(bounds, counts, q)
-}
-
-// valueAt returns the series' latest sample at or before t, preferring
-// the finest tier whose history reaches back that far.
-func (s *series) valueAt(t int64) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.tiers {
-		pts := s.tiers[i].pts
-		if j := sort.Search(len(pts), func(j int) bool { return pts[j].T > t }); j > 0 {
-			return pts[j-1].V, true
-		}
-	}
-	return 0, false
-}
-
-// boundIndex maps formatted bucket-bound keys (as the registry renders
-// them, "+inf" for overflow) to positional slots.
-func boundIndex(bounds []float64) map[string]int {
-	idx := make(map[string]int, len(bounds)+1)
-	for i, b := range bounds {
-		idx[fmt.Sprintf("%g", b)] = i
-	}
-	idx["+inf"] = len(bounds)
-	return idx
-}
-
-// weightQuantile applies metrics.BucketQuantile to positional float
-// bucket weights (len(bounds)+1 slots, overflow last: windowed
-// increases); ok is false when no bucket carries weight.
-func weightQuantile(bounds, counts []float64, q float64) (v float64, ok bool) {
-	total := 0.0
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return metrics.BucketQuantile(q, bounds, func(i int) float64 { return counts[i] }, total, 0), true
 }

@@ -110,46 +110,6 @@ func TestIncreaseAndCounterReset(t *testing.T) {
 	}
 }
 
-func TestQuantileOverTime(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1, 10)
-	db := New(Options{Registry: reg})
-
-	// Phase 1: all observations fast.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.005)
-	}
-	db.ScrapeOnce(t0)
-	// Phase 2: all slow.
-	for i := 0; i < 100; i++ {
-		h.Observe(5)
-	}
-	db.ScrapeOnce(t0.Add(time.Minute))
-
-	// Whole window mixes both phases; live P99 agrees.
-	whole, ok := db.QuantileOverTime("lag_seconds", "", 0.99, t0.Add(-time.Minute), t0.Add(time.Minute))
-	if !ok {
-		t.Fatal("whole-window quantile not ok")
-	}
-	if live, snap := h.Quantile(0.99), h.Snapshot().P99; whole != live || whole != snap {
-		t.Fatalf("p99: scraped series %v, live histogram %v, its snapshot %v — one rule must answer all three", whole, live, snap)
-	}
-	// A window covering only phase 2 must see only slow samples.
-	late, ok := db.QuantileOverTime("lag_seconds", "", 0.5, t0.Add(30*time.Second), t0.Add(time.Minute))
-	if !ok {
-		t.Fatal("late-window quantile not ok")
-	}
-	if late <= 1 {
-		t.Fatalf("late-window median %v should reflect only slow samples (>1s)", late)
-	}
-	if whole <= 1 {
-		t.Fatalf("whole-window p99 %v should land in the slow bucket", whole)
-	}
-	if _, ok := db.QuantileOverTime("lag_seconds", "", 0.5, t0.Add(2*time.Minute), t0.Add(3*time.Minute)); ok {
-		t.Fatal("quantile over an empty window reported ok")
-	}
-}
-
 // TestQueryRangeLatency checks the range-query budget: a rate() query
 // over a 2h window answers in under 5ms, and every timed run returns the
 // whole window.

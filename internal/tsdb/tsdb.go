@@ -1,16 +1,16 @@
 // Package tsdb is an in-process, dependency-free time-series engine for
 // the attribution pipeline's own telemetry. It scrapes a
-// metrics.Registry on a ticker, decomposes every metric (plain,
-// labeled-vector child, histogram) into flat series, and stores each
-// series as plain timestamped samples across tiered retention windows
-// (raw for minutes, downsampled for hours and a day). Queries read
-// ranges, rates, aggregations, windowed increases and
-// quantiles-over-time — what the SLO watchdog's windowed rules and
-// spooftrackd's /query + /dash surfaces run on.
+// metrics.Registry on a ticker, keeps one flat series per scalar metric
+// (a counter, a gauge, or one child of a labeled vector), and stores
+// each series as plain timestamped samples across tiered retention
+// windows (raw for minutes, downsampled for hours and a day). Histogram
+// families are not kept: no daemon family is one. Queries read ranges,
+// rates, aggregations and windowed increases — what the SLO watchdog's
+// windowed rules and spooftrackd's /query + /dash surfaces run on.
 //
 // Localization campaigns run for hours (the paper's single-prefix runs
-// take 11.7h); a point-in-time /metrics cannot answer "what did flush
-// lag do over the campaign?". This package can: at a 1s scrape a
+// take 11.7h); a point-in-time /metrics cannot answer "what did border
+// drops do over the campaign?". This package can: at a 1s scrape a
 // series' full history is about 1 370 samples of 16 bytes, ~22 KB, so a
 // daemon's few dozen series need about a MiB and no compression.
 package tsdb
@@ -51,24 +51,12 @@ type Options struct {
 	tiers []tier // default defaultTiers()
 }
 
-// seriesKey identifies one flat series. Histograms decompose into a
-// count series, a sum series, and one series per occupied bucket;
-// vector children carry their "label=value,.." child key.
+// seriesKey identifies one flat series: a registry family and, for a
+// vector child, its "label=value,.." child key.
 type seriesKey struct {
 	family string // registry metric name
 	child  string // "" for plain metrics, else "label=value,.."
-	kind   kind
-	bound  string // bucket bound ("+inf" or %g-formatted) for kindHistBucket
 }
-
-type kind uint8
-
-const (
-	kindScalar kind = iota
-	kindHistCount
-	kindHistSum
-	kindHistBucket
-)
 
 // tierStore is one tier's samples for one series, oldest first.
 type tierStore struct {
@@ -94,7 +82,6 @@ type DB struct {
 
 	mu     sync.RWMutex
 	series map[seriesKey]*series
-	bounds map[string][]float64 // histogram bucket layout per family
 
 	scrapes atomic.Int64
 
@@ -121,7 +108,6 @@ func New(opts Options) *DB {
 		interval: opts.Interval,
 		tiers:    opts.tiers,
 		series:   make(map[seriesKey]*series),
-		bounds:   make(map[string][]float64),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -166,20 +152,14 @@ func (db *DB) ScrapeOnce(now time.Time) {
 	db.scrapes.Add(1)
 }
 
-// ingest flattens one snapshot entry into series appends.
+// ingest flattens one snapshot entry into series appends; a histogram
+// is skipped.
 func (db *DB) ingest(ms int64, family, child string, v any) {
 	switch x := v.(type) {
 	case int64:
-		db.append(ms, seriesKey{family: family, child: child, kind: kindScalar}, float64(x))
+		db.append(ms, seriesKey{family: family, child: child}, float64(x))
 	case float64:
-		db.append(ms, seriesKey{family: family, child: child, kind: kindScalar}, x)
-	case metrics.HistogramSnapshot:
-		db.noteBounds(family, x.Bounds)
-		db.append(ms, seriesKey{family: family, child: child, kind: kindHistCount}, float64(x.Count))
-		db.append(ms, seriesKey{family: family, child: child, kind: kindHistSum}, x.Sum)
-		for bound, n := range x.Buckets {
-			db.append(ms, seriesKey{family: family, child: child, kind: kindHistBucket, bound: bound}, float64(n))
-		}
+		db.append(ms, seriesKey{family: family, child: child}, x)
 	case map[string]any:
 		// Labeled vector: one nested entry per child.
 		for ck, cv := range x {
@@ -189,8 +169,7 @@ func (db *DB) ingest(ms int64, family, child string, v any) {
 }
 
 // append routes one sample to its series, creating storage on first
-// sight (new vector children and freshly occupied histogram buckets
-// appear mid-flight).
+// sight (new vector children appear mid-flight).
 func (db *DB) append(ms int64, key seriesKey, v float64) {
 	db.mu.RLock()
 	s := db.series[key]
@@ -213,22 +192,6 @@ func (db *DB) createSeries(key seriesKey) *series {
 	}
 	db.series[key] = s
 	return s
-}
-
-// noteBounds remembers a histogram family's bucket layout so
-// QuantileOverTime interpolates exactly as the live histogram does.
-func (db *DB) noteBounds(family string, bounds []float64) {
-	db.mu.RLock()
-	_, ok := db.bounds[family]
-	db.mu.RUnlock()
-	if ok {
-		return
-	}
-	db.mu.Lock()
-	if _, ok := db.bounds[family]; !ok {
-		db.bounds[family] = append([]float64(nil), bounds...)
-	}
-	db.mu.Unlock()
 }
 
 // append adds the sample to every tier whose cadence is due, then

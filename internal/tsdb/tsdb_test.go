@@ -35,16 +35,12 @@ func TestScrapeFlattensRegistry(t *testing.T) {
 	g := settableGauge(reg, "depth")
 	reg.GaugeFunc("computed", func() float64 { return 7.5 })
 	vec := reg.CounterVec("packets_total", "outcome")
-	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1)
 
 	db := New(Options{Registry: reg})
 	ctr.Add(10)
 	g.Set(3)
 	vec.With("pass").Add(4)
 	vec.With("drop").Add(1)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(2)
 	db.ScrapeOnce(t0)
 	ctr.Add(5)
 	vec.With("pass").Add(6)
@@ -66,18 +62,12 @@ func TestScrapeFlattensRegistry(t *testing.T) {
 		t.Fatalf("children out of order: %q, %q", got[0].Child, got[1].Child)
 	}
 
-	// Histogram families answer rate/raw queries via their count series.
-	got = db.Query(Query{Series: "lag_seconds", From: t0, To: t0.Add(time.Minute)})
-	if len(got) != 1 || got[0].Kind != "count" || got[0].Points[0].V != 3 {
-		t.Fatalf("lag_seconds count query = %+v", got)
-	}
-
 	fams := map[string]bool{}
 	for k := range db.series {
 		fams[k.family] = true
 	}
-	if len(fams) != 5 {
-		t.Fatalf("stored families %v, want 5 entries", fams)
+	if len(fams) != 4 {
+		t.Fatalf("stored families %v, want 4 entries", fams)
 	}
 	st := db.Stats()
 	if st.Scrapes != 2 || st.Series == 0 || st.Bytes == 0 {
@@ -205,7 +195,6 @@ func TestConcurrentScrapeQuerySnapshot(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctr := reg.Counter("events_total")
 	vec := reg.CounterVec("packets_total", "outcome")
-	h := reg.Histogram("lag_seconds", 0.01, 0.1, 1)
 
 	db := New(Options{Registry: reg})
 	const iters = 400
@@ -216,7 +205,6 @@ func TestConcurrentScrapeQuerySnapshot(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			ctr.Inc()
 			vec.With("pass").Add(2)
-			h.Observe(0.05)
 			db.ScrapeOnce(t0.Add(time.Duration(i) * time.Second))
 		}
 	}()
@@ -224,7 +212,6 @@ func TestConcurrentScrapeQuerySnapshot(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			db.Query(Query{Series: "packets_total", From: t0, To: t0.Add(time.Hour), Rate: true, Agg: "sum"})
-			db.Query(Query{Series: "lag_seconds", From: t0, To: t0.Add(time.Hour), Quantile: 0.99})
 		}
 	}()
 	go func() {
@@ -232,7 +219,6 @@ func TestConcurrentScrapeQuerySnapshot(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			at := t0.Add(time.Duration(i) * time.Second)
 			db.Increase("packets_total", "", t0, at)
-			db.QuantileOverTime("lag_seconds", "", 0.99, t0, at)
 			db.Stats()
 		}
 	}()

@@ -228,38 +228,6 @@ func TestVecSumExpr(t *testing.T) {
 	}
 }
 
-// TestQuantileExpr: a windowed Quantile answers what the live
-// Histogram.Quantile does when the window holds every observation — one
-// interpolation rule — and has no data once the window holds none.
-func TestQuantileExpr(t *testing.T) {
-	reg := metrics.NewRegistry()
-	h := reg.Histogram("lag_seconds", 0.1, 1, 10)
-	for i := 0; i < 99; i++ {
-		h.Observe(0.05)
-	}
-	h.Observe(5) // p99 lands in (1,10]
-	// All mass in overflow clamps to the last bound, exactly as the live
-	// histogram answers.
-	h2 := reg.Histogram("over_seconds", 0.1, 1)
-	h2.Observe(50)
-	db := history(reg)
-	at := func(sec int64) View {
-		db.ScrapeOnce(time.Unix(sec, 0))
-		return View{Now: time.Unix(sec, 0), Live: reg.Snapshot(), DB: db}
-	}
-	now := at(100)
-	direct := h.Quantile(0.99)
-	if got, ok := Quantile("lag_seconds", 0.99, time.Minute)(now); !ok || got != direct {
-		t.Fatalf("windowed quantile %v (ok=%v) != live quantile %v", got, ok, direct)
-	}
-	if got, ok := Quantile("over_seconds", 0.5, time.Minute)(now); !ok || got != h2.Quantile(0.5) || got != 1 {
-		t.Fatalf("overflow quantile = %v ok=%v, want 1", got, ok)
-	}
-	if got, ok := Quantile("lag_seconds", 0.99, time.Minute)(at(200)); ok {
-		t.Fatalf("window with no observation answered %v", got)
-	}
-}
-
 // TestBreachWritesCompleteBundle forces an SLO breach and verifies the
 // diagnostic bundle lands atomically with every section present: the
 // breached rule, the live snapshot it fired on, the trace-journal
@@ -267,7 +235,7 @@ func TestQuantileExpr(t *testing.T) {
 func TestBreachWritesCompleteBundle(t *testing.T) {
 	dir := t.TempDir()
 	reg := metrics.NewRegistry()
-	h := reg.Histogram("stream_flush_lag_seconds", 0.1, 1, 10)
+	ctr := reg.Counter("stream_events_total")
 	tr := trace.New(trace.Options{Enabled: true})
 	sp := tr.Start("pipeline.root")
 	sp.End()
@@ -280,7 +248,7 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 		BundleDir: dir,
 		logger:    quietLogger(),
 		Rules: []Rule{{
-			Name: "flush-lag-p99", Expr: Quantile("stream_flush_lag_seconds", 0.99, time.Minute),
+			Name: "events-rate", Expr: Rate(Counter{Family: "stream_events_total"}, time.Minute),
 			Op: Above, Threshold: 2, For: 2,
 		}},
 	})
@@ -290,11 +258,9 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 		db.ScrapeOnce(at)
 		return w.Evaluate(at)
 	}
-	h.Observe(0.05) // healthy tick first, so history leads into the breach
+	ctr.Inc() // healthy tick first, so history leads into the breach
 	tick(now)
-	for i := 0; i < 100; i++ {
-		h.Observe(8)
-	}
+	ctr.Add(100)
 	tick(now.Add(time.Second))
 	fired := tick(now.Add(2 * time.Second))
 	if len(fired) != 1 {
@@ -309,7 +275,7 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Version != bundleVersion || b.Breach.Rule != "flush-lag-p99" || b.Breach.Op != ">" {
+	if b.Version != bundleVersion || b.Breach.Rule != "events-rate" || b.Breach.Op != ">" {
 		t.Fatalf("bundle header = %+v", b)
 	}
 	if b.Breach.Value <= 2 {
@@ -318,7 +284,7 @@ func TestBreachWritesCompleteBundle(t *testing.T) {
 	if b.RuleFor != 2 {
 		t.Fatalf("bundle rule_for = %d", b.RuleFor)
 	}
-	if _, ok := b.Snapshot["stream_flush_lag_seconds"]; !ok {
+	if _, ok := b.Snapshot["stream_events_total"]; !ok {
 		t.Fatal("bundle snapshot missing watched metric")
 	}
 	var traceDoc struct {

@@ -50,7 +50,9 @@
 # netsplit faults, localizes the planted source and logs its verdict at
 # drain; every default daemon runs this code:
 # the round ticker, then the drain's wait for it and the final Step,
-# all beside a standby controller), run the single-node versus
+# all beside a standby controller), fuzz the daemon's /query handler for
+# 10 s (arbitrary series, range, window and func parameters: no panic,
+# only 200 or 400, and every 200 a range with from < to), run the single-node versus
 # cluster ledger equivalence test and the single-node transcript digest
 # twenty times (the two loops share one round lifecycle, DESIGN §5.9, and
 # these are what guard that they fold the same rounds), run the two greedy-step
@@ -131,6 +133,9 @@ go test -count=5 -run '^TestControllerFailoverAcrossProcesses$' ./cmd/spooftrack
 
 echo "==> daemon modes under -race x5 (every placement localizes and logs its verdict at drain: round ticker, drain, final Step beside a standby controller)"
 go test -race -count=5 -run '^TestEveryModeLocalizes$' ./cmd/spooftrackd/
+
+echo "==> /query fuzz (10 s: no panic, 200 or 400 only, every 200 a range with from < to)"
+go test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./cmd/spooftrackd/
 
 echo "==> round lifecycle x20 (both loops fold the same rounds: ledger equivalence and the single-node transcript digest)"
 go test -count=20 -run '^(TestLedgerEquivalentToSingleNode|TestPipelineTranscriptDigest)$' ./internal/shard/ ./internal/stream/
