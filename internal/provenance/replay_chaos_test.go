@@ -28,12 +28,12 @@ import (
 )
 
 // chaosLoop runs the closed loop under the named fault profile with a
-// ledger attached and returns the export alongside the live pipeline's
-// final status. The campaign is wired as spooftrack.NewTracker wires a
+// ledger attached and returns the export alongside the configurations
+// the live pipeline deployed. The campaign is wired as spooftrack.NewTracker wires a
 // fault profile, except that it tries each configuration twice, not
 // four times, with no backoff: at chaos's deployment-fault rate that
 // leaves configurations lost, so the degraded path is in the chain.
-func chaosLoop(t *testing.T, profile string, seed uint64) (*provenance.Export, stream.Status) {
+func chaosLoop(t *testing.T, profile string, seed uint64) (*provenance.Export, []int) {
 	t.Helper()
 	led := spooftrack.NewProvenanceLedger()
 
@@ -135,7 +135,7 @@ done:
 	close(stop)
 	gen.Wait()
 	pipe.Close()
-	return led.Export(), pipe.Status()
+	return led.Export(), pipe.Deployed()
 }
 
 // TestReplayReproducesUnderFaultProfiles is the acceptance criterion:
@@ -149,7 +149,7 @@ func TestReplayReproducesUnderFaultProfiles(t *testing.T) {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
 			t.Parallel()
-			export, st := chaosLoop(t, profile, 42)
+			export, deployed := chaosLoop(t, profile, 42)
 			res, err := provenance.Replay(export)
 			if err != nil {
 				t.Fatal(err)
@@ -157,8 +157,8 @@ func TestReplayReproducesUnderFaultProfiles(t *testing.T) {
 			if res.Verdicts == 0 {
 				t.Fatal("no verdicts recorded")
 			}
-			if st.Rounds > 0 && res.Rounds == 0 {
-				t.Fatalf("live run folded %d rounds but the ledger replayed none", st.Rounds)
+			if res.Reconfigs != len(deployed)-1 {
+				t.Fatalf("ledger replayed %d reconfigurations, the live run deployed %v", res.Reconfigs, deployed)
 			}
 			if !res.Reproduced {
 				t.Fatalf("replay diverged from the live run: %v", res.Mismatches)

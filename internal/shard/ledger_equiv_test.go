@@ -104,11 +104,17 @@ func TestLedgerEquivalentToSingleNode(t *testing.T) {
 			}
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for p.Status().Rounds <= r {
+		for folded := 0; folded <= r; {
 			if time.Now().After(deadline) {
 				t.Fatalf("pipeline round %d never folded", r)
 			}
 			time.Sleep(200 * time.Microsecond)
+			folded = 0
+			for _, ev := range pled.Export().Events {
+				if ev.Kind == provenance.KindRound {
+					folded++
+				}
+			}
 		}
 	}
 	p.Close()

@@ -35,14 +35,23 @@ func TestPartialSlabFoldsOnTick(t *testing.T) {
 		}
 	}
 	last := time.Now()
-	for p.Status().Rounds == 0 {
+	for {
+		p.mu.Lock()
+		var vols []float64
+		if len(p.eval.rounds) > 0 {
+			vols = p.eval.rounds[0].Volumes
+		}
+		p.mu.Unlock()
+		if vols != nil {
+			if got := vols[0] + vols[1]; got != n {
+				t.Fatalf("folded round holds %v packets, want %d", got, n)
+			}
+			return
+		}
 		if time.Since(last) > 2*flush {
 			t.Fatalf("a round of %d events not folded within 2×FlushInterval; %d accounted", n, p.TotalEvents())
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if got := p.Status().History[0].Packets; got != n {
-		t.Fatalf("folded round holds %d packets, want %d", got, n)
 	}
 }
 
@@ -78,17 +87,15 @@ func TestRoundCutCarriesEveryWorker(t *testing.T) {
 			p.Ingest(loud)
 		}
 		p.evaluate(false, nil)
-		st := p.Status()
-		if st.Rounds != r {
-			t.Fatalf("%d rounds folded after evaluation %d", st.Rounds, r)
-		}
-		rec := st.History[r-1]
 		p.mu.Lock()
-		vols := p.eval.rounds[r-1].Volumes
+		rounds := p.eval.rounds
 		p.mu.Unlock()
-		if rec.Packets != loudN+quietN || vols[0] == 0 || vols[1] == 0 {
-			t.Fatalf("round %d folded %d packets, volumes %v; want %d over both links",
-				r, rec.Packets, vols, loudN+quietN)
+		if len(rounds) != r {
+			t.Fatalf("%d rounds folded after evaluation %d", len(rounds), r)
+		}
+		if vols := rounds[r-1].Volumes; vols[0] != loudN || vols[1] != quietN {
+			t.Fatalf("round %d folded volumes %v; want %d on link 0 and %d on link 1",
+				r, vols, loudN, quietN)
 		}
 	}
 }

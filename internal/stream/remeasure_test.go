@@ -71,7 +71,7 @@ func TestRemeasureHints(t *testing.T) {
 	for !p.Converged() {
 		select {
 		case <-deadline:
-			t.Fatalf("did not converge; status: %+v", p.Status())
+			t.Fatalf("did not converge; deployed %v", p.Deployed())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

@@ -90,7 +90,7 @@ func TestClosedLoop(t *testing.T) {
 	for !p.Converged() {
 		select {
 		case <-deadline:
-			t.Fatalf("did not converge; status: %+v", p.Status())
+			t.Fatalf("did not converge; deployed %v", p.Deployed())
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -106,17 +106,24 @@ func TestClosedLoop(t *testing.T) {
 	if len(deployed) < 2 {
 		t.Fatalf("expected at least one online reconfiguration, deployed = %v", deployed)
 	}
-	hist := p.Status().History
-	if len(hist) < 2 {
-		t.Fatalf("expected at least 2 rounds, got %d", len(hist))
+	if n := p.eval.Rounds(); n < 2 {
+		t.Fatalf("expected at least 2 rounds, got %d", n)
 	}
-	first, last := hist[0], hist[len(hist)-1]
-	if last.MeanSize >= float64(len(attr.SourceASNs)) || last.NumClusters <= first.NumClusters {
-		t.Fatalf("clusters did not shrink: first %+v last %+v", first, last)
+	// The clusters after the first round alone, refolded from the
+	// evaluator's own transcript.
+	first, err := RestoreEvaluator(attr, EvalParams{}, EvalSnapshot{
+		Current:  attr.InitialConfig,
+		Deployed: deployed[:1],
+		Rounds:   p.eval.rounds[:1],
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := p.Status()
-	if !st.Converged || st.Candidates != 1 || st.Reconfigurations < 1 {
-		t.Fatalf("status inconsistent: %+v", st)
+	if last := p.eval.NumClusters(); last <= first.NumClusters() {
+		t.Fatalf("clusters did not shrink: %d after the first round, %d after the last", first.NumClusters(), last)
+	}
+	if !p.eval.Converged() {
+		t.Fatal("Converged reported true but the evaluator has not converged")
 	}
 	rep, err := p.eval.Evidence()
 	if err != nil {
@@ -180,7 +187,7 @@ func TestLoopbackIntegration(t *testing.T) {
 	p.Close()
 
 	if !p.Converged() {
-		t.Fatalf("did not converge; status %+v", p.Status())
+		t.Fatalf("did not converge; deployed %v", p.Deployed())
 	}
 	cands := p.Candidates()
 	if len(cands) != 1 || cands[0] != attacker {
@@ -193,8 +200,8 @@ func TestLoopbackIntegration(t *testing.T) {
 
 // TestBackpressureNoLoss asserts the intake never drops: with eight
 // producers on two counter shards and heavy lock contention from a
-// status poller that merges on every read, every ingested event must
-// still be accounted after Close.
+// poller that sums every counter shard on each read, every ingested
+// event must still be accounted after Close.
 func TestBackpressureNoLoss(t *testing.T) {
 	attr := testAttribution()
 	reg := metrics.NewRegistry()
@@ -220,7 +227,7 @@ func TestBackpressureNoLoss(t *testing.T) {
 			case <-pollStop:
 				return
 			default:
-				p.Status()
+				p.TotalEvents()
 				time.Sleep(100 * time.Microsecond)
 			}
 		}

@@ -77,20 +77,30 @@ func TestPipelineTranscriptDigest(t *testing.T) {
 				})
 			}
 		}
-		waitUntil(t, func() bool { return p.Status().Rounds > r })
+		waitUntil(t, func() bool {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			return p.eval.Rounds() > r
+		})
 	}
 	p.Close()
 
+	// Every fixture event is 24 bytes on the wire, so a round's bytes are
+	// 24 per packet (TestIntakeAccountingDigest pins the byte counting).
 	h := fnv.New64a()
 	fmt.Fprintf(h, "deployed %v\n", p.Deployed())
-	st := p.Status()
-	for _, rec := range st.History {
-		fmt.Fprintf(h, "round config=%d packets=%d bytes=%d clusters=%d candidates=%d\n",
-			rec.Config, rec.Packets, rec.Bytes, rec.NumClusters, rec.Candidates)
+	events := led.Export().Events
+	var rounds []*provenance.RoundEvent
+	for _, ev := range events {
+		if rd := ev.Round; ev.Kind == provenance.KindRound && rd != nil {
+			rounds = append(rounds, rd)
+			fmt.Fprintf(h, "round config=%d packets=%d bytes=%d clusters=%d candidates=%d\n",
+				rd.Config, rd.Packets, 24*rd.Packets, rd.Clusters, rd.Candidates)
+		}
 	}
 	fmt.Fprintf(h, "events %d settled %d\n", p.TotalEvents(), p.in.Status().Settled)
 	sawBlocked, sawRemeasure := false, false
-	for _, ev := range led.Export().Events {
+	for _, ev := range events {
 		if rc := ev.Reconfig; rc != nil {
 			sawBlocked = sawBlocked || len(rc.Blocked) > 0
 			sawRemeasure = sawRemeasure || rc.Reason == "remeasure"
@@ -106,6 +116,6 @@ func TestPipelineTranscriptDigest(t *testing.T) {
 		t.Fatalf("fixture did not exercise both paths: blocked=%v remeasure=%v", sawBlocked, sawRemeasure)
 	}
 	if got := h.Sum64(); got != transcriptGolden {
-		t.Fatalf("transcript digest = %#x, want %#x: deployed %v, history %+v", got, uint64(transcriptGolden), p.Deployed(), st.History)
+		t.Fatalf("transcript digest = %#x, want %#x: deployed %v, rounds %+v", got, uint64(transcriptGolden), p.Deployed(), rounds)
 	}
 }
