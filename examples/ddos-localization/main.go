@@ -1,12 +1,13 @@
 // DDoS localization: the full pipeline at packet level, closed-loop,
 // from the attack to the operator's answer. An AmpPot-style honeypot
 // and a border router run over loopback UDP; spoofing attackers flood
-// the honeypot while the streaming attribution pipeline consumes every
-// packet through the honeypot's event tap, refines the localization,
-// and deploys the next greedy configuration online (§V-C) by swapping
-// the border's live catchment table. A provenance ledger records the
-// offline campaign and every live decision. After convergence the
-// example checks, in order, that
+// the honeypot while the daemon's loop, a one-shard shard.Cluster,
+// counts every packet through the honeypot's event tap. Each step the
+// flood loop takes folds a round, refines the localization, and deploys
+// the next greedy configuration online (§V-C) by swapping the border's
+// live catchment table. A provenance ledger records the offline
+// campaign and every live decision. After convergence the example
+// checks, in order, that
 //
 //  1. every attacker is among the candidates;
 //  2. the ledger, written as a JSON timeline and a DOT provenance graph
@@ -33,6 +34,7 @@ import (
 	"spooftrack/internal/amp"
 	"spooftrack/internal/flowspec"
 	"spooftrack/internal/provenance"
+	"spooftrack/internal/shard"
 	"spooftrack/internal/stream"
 )
 
@@ -101,28 +103,31 @@ func run(ctx context.Context, w io.Writer, ledgerPath, dotPath string) error {
 	}
 	defer border.Close()
 
-	// Streaming attribution: the honeypot tap feeds the pipeline, the
-	// pipeline's Deploy callback reconfigures the border online, and
+	// Streaming attribution: the honeypot tap feeds the cluster's one
+	// intake, its Deploy callback reconfigures the border online, and
 	// every round fold, reconfiguration and verdict goes on the record.
-	pipe, err := stream.New(stream.Attribution{
-		Catchments: camp.Catchments,
-		SourceASNs: tracker.SourceASNs(),
-		NumLinks:   tracker.World.Platform.NumLinks(),
-	}, stream.Config{
-		EvalInterval:    50 * time.Millisecond,
+	cl, err := shard.NewCluster(shard.ClusterConfig{
+		Shards: 1,
+		Attr: stream.Attribution{
+			Catchments: camp.Catchments,
+			SourceASNs: tracker.SourceASNs(),
+			NumLinks:   tracker.World.Platform.NumLinks(),
+		},
 		MinRoundPackets: 60,
-		Settle:          10 * time.Millisecond,
-		Ledger:          led,
-		Deploy: func(cfgIdx int, table map[uint32]uint8) {
-			border.SetCatchments(table)
-			fmt.Fprintf(w, "  deploy: configuration %d\n", cfgIdx)
+		Pipe: stream.Config{
+			Settle: 10 * time.Millisecond,
+			Ledger: led,
+			Deploy: func(cfgIdx int, table map[uint32]uint8) {
+				border.SetCatchments(table)
+				fmt.Fprintf(w, "  deploy: configuration %d\n", cfgIdx)
+			},
 		},
 	})
 	if err != nil {
 		return err
 	}
-	defer pipe.Close()
-	hp.SetTap(func(ev amp.Event) { pipe.Ingest(ev) })
+	defer cl.Close()
+	hp.SetTap(func(ev amp.Event) { cl.Ingest(ev) })
 
 	// Attack begins: pick attacker ASes.
 	rng := spooftrack.NewRNG(3)
@@ -139,32 +144,38 @@ func run(ctx context.Context, w io.Writer, ledgerPath, dotPath string) error {
 		fmt.Fprintf(w, "attacker %d spoofing from AS%d\n", i+1, asn)
 	}
 
-	// Online phase: flood until the attribution converges — the
-	// pipeline reconfigures the border by itself along the way.
+	// Online phase: flood until the attribution converges, stepping the
+	// cluster after each burst (the first step elects its controller).
 	deadline := time.Now().Add(30 * time.Second)
-	for !pipe.Converged() && time.Now().Before(deadline) && ctx.Err() == nil {
+	for !cl.Controller().Status().Converged && time.Now().Before(deadline) && ctx.Err() == nil {
 		for _, c := range clients {
 			if _, err := c.Flood(border.Addr(), 30, 8); err != nil {
 				return err
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
+		if _, err := cl.Step(false); err != nil {
+			return err
+		}
 	}
 
-	// Graceful shutdown: stop the producer side, then drain.
+	// Graceful shutdown: stop the producer side, then fold the final
+	// round under the same MinRoundPackets gate, deploying nothing.
 	hp.SetTap(nil)
-	pipe.Close()
+	if _, err := cl.Step(true); err != nil {
+		return err
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
 	// 1. Localize: every attacker must be a candidate.
-	st := pipe.Status()
+	st := cl.Controller().Status()
 	fmt.Fprintf(w, "\nprocessed %d spoofed packets over %d rounds, %d online reconfigurations\n",
-		st.TotalEvents, st.Rounds, st.Reconfigurations)
-	cands := pipe.Candidates()
+		cl.TotalEvents(), st.Rounds, len(st.DeployedConfigs)-1)
+	cands := cl.Controller().Evaluator().Candidates()
 	fmt.Fprintf(w, "after %d deployed configurations, %d of %d sources remain candidates:\n",
-		len(pipe.Deployed()), len(cands), camp.NumSources())
+		len(st.DeployedConfigs), len(cands), camp.NumSources())
 	isAttacker := map[int]bool{}
 	for _, k := range attackers {
 		isAttacker[k] = true

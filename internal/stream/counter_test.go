@@ -86,7 +86,7 @@ func TestRoundCutCarriesEveryWorker(t *testing.T) {
 		for i := 0; i < loudN; i++ {
 			p.Ingest(loud)
 		}
-		p.evaluate(false, nil)
+		p.evaluate(false)
 		p.mu.Lock()
 		rounds := p.eval.rounds
 		p.mu.Unlock()

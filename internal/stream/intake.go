@@ -19,10 +19,10 @@ import (
 // (HarvestRound, Status, TotalEvents) sum the shards. Locks are always
 // taken Intake.mu first, then the shards in index order. An Intake runs
 // no goroutine. Whoever owns the decision drives one round protocol,
-// whether it runs in this process (a Pipeline) or across the network (a
-// sharded-ingest controller, internal/shard): HarvestRound reads the
-// round, and AdvanceEpoch — the only call that ends a round — starts the
-// next.
+// whether it is a shard controller (internal/shard), in this process or
+// across the network, or the benchmark's Pipeline: HarvestRound reads
+// the round, and AdvanceEpoch — the only call that ends a round —
+// starts the next.
 type Intake struct {
 	cfg  Config
 	attr Attribution
@@ -61,11 +61,8 @@ type Intake struct {
 	mSettle *metrics.Counter
 
 	// span is the root trace span (nil when tracing is off at
-	// construction); a Pipeline's control goroutine hangs its track off
-	// it.
+	// construction).
 	span *trace.Span
-
-	start time.Time
 }
 
 // counterShard is one share of the current round: what the producers
@@ -106,7 +103,7 @@ func NewIntake(attr Attribution, cfg Config) (*Intake, error) {
 	}
 	cfg.setDefaults()
 
-	in := &Intake{cfg: cfg, attr: attr, config: attr.InitialConfig, start: time.Now()}
+	in := &Intake{cfg: cfg, attr: attr, config: attr.InitialConfig}
 	in.mEvents = cfg.Metrics.Counter("stream_events_total")
 	in.mSettle = cfg.Metrics.Counter("stream_settle_excluded_total")
 

@@ -173,7 +173,7 @@ func TestShutdownTailBelowGateKeepsSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushEvents(p.in, bytes.Repeat([]byte{0}, 60)...) // 30 from each source
-	p.evaluate(false, nil)
+	p.evaluate(false)
 	if d := p.Deployed(); len(d) != 2 || d[1] == 0 {
 		t.Fatalf("deployed %v after the full round, want a split of {0,2,4,6}", d)
 	}

@@ -15,13 +15,14 @@
 // they run: the decide side reads a round with Intake.HarvestRound,
 // folds it with Evaluator.Fold and starts the next with
 // Intake.AdvanceEpoch, which deploys the chosen configuration through a
-// callback (in cmd/spooftrackd, amp.Border.SetCatchments). Pipeline runs
-// that protocol in one process; internal/shard's controller runs it over
-// shard nodes in others.
+// callback (in cmd/spooftrackd, amp.Border.SetCatchments).
+// internal/shard's controller runs that protocol over shard nodes (the
+// daemon and examples/ddos-localization run one); Pipeline runs it on a
+// ticker in one process, as bench's harness until ROADMAP item 21.
 //
 // No queue, no loss: Ingest counts in place, so there is nothing to
 // overflow and no event to drop; the longest it waits is one read of
-// its shard. Close folds the final round, and only then returns.
+// its shard.
 package stream
 
 import (
@@ -57,12 +58,12 @@ type Attribution struct {
 // announcement. The table belongs to the intake, which refreshes it in
 // place for its next deploy, so it is valid only during the call and
 // the callee must not change it; one that keeps it must copy it
-// (amp.Border.SetCatchments does). It
-// is called from whichever goroutine ends a round (Intake.AdvanceEpoch;
-// once from New), with the intake's deploy lock held, so one intake's
-// deploys never overlap, and in a Pipeline with the lock its readers
-// take held too, so it must not call back into the intake or the
-// pipeline.
+// (amp.Border.SetCatchments does). It is called from whichever
+// goroutine ends a round (Intake.AdvanceEpoch; once from NewIntake),
+// with the intake's deploy lock held, so one intake's deploys never
+// overlap, and under the lock of whoever folds the round (a shard
+// controller's, or a Pipeline's), so it must not call back into the
+// intake or its owner.
 type DeployFunc func(cfgIdx int, table map[uint32]uint8)
 
 // Config tunes the pipeline.
@@ -74,8 +75,8 @@ type Config struct {
 	// FlushInterval is only the base of EvalInterval's default (default
 	// 100ms).
 	FlushInterval time.Duration
-	// EvalInterval is a Pipeline's evaluation cadence (default
-	// 2×FlushInterval).
+	// EvalInterval is the evaluation cadence: the daemon's controller
+	// rounds and a Pipeline's tick (default 2×FlushInterval).
 	EvalInterval time.Duration
 	// MinRoundPackets is the volume a round must accumulate before the
 	// controller acts on it (default DefaultMinRoundPackets).
@@ -122,28 +123,14 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// RoundRecord is one completed round: the configuration that was
-// deployed, what the honeypot measured under it, and the attribution
-// state after folding it in.
-type RoundRecord struct {
-	Config      int       `json:"config"`
-	Started     time.Time `json:"started"`
-	Ended       time.Time `json:"ended"`
-	Packets     int64     `json:"packets"`
-	Bytes       int64     `json:"bytes"`
-	NumClusters int       `json:"num_clusters"`
-	MeanSize    float64   `json:"mean_cluster_size"`
-	Candidates  int       `json:"candidates"`
-}
-
-// Pipeline is the running live-attribution loop on one node: an Intake
-// plus the local decide loop over it. Create with New, feed with Ingest
-// (wire it as an amp tap), stop with Close. Its control goroutine ticks
-// every EvalInterval and is a client of the intake's round protocol, as
-// a shard controller is: it copies out a round with the harvest behind
-// HarvestRound, folds it with Evaluator.Fold and starts the next one
-// with Intake.AdvanceEpoch. It does not expose those calls: only the
-// local fold may take a Pipeline's round.
+// Pipeline is the benchmark's live-attribution loop on one node: an
+// Intake plus a ticking decide loop over it. Create with New, feed with
+// Ingest (wire it as an amp tap), stop with Close. Its control
+// goroutine ticks every EvalInterval and is a client of the intake's
+// round protocol, as a shard controller is: it copies out a round with
+// the harvest behind HarvestRound, folds it with Evaluator.Fold and
+// starts the next one with Intake.AdvanceEpoch. It does not expose
+// those calls: only the local fold may take a Pipeline's round.
 type Pipeline struct {
 	in *Intake
 
@@ -157,10 +144,8 @@ type Pipeline struct {
 	// callbacks and Deploy therefore run under it, as they run under the
 	// shard controller's lock, and must not call back into the pipeline.
 	// Ingest never takes it.
-	mu      sync.Mutex
-	eval    *Evaluator
-	history []RoundRecord
-	started time.Time // when the current round started
+	mu   sync.Mutex
+	eval *Evaluator
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -176,11 +161,10 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 	n := attr.NumLinks
 	counts := make([]int64, 2*n)
 	p := &Pipeline{
-		in:      in,
-		round:   Harvest{Pkts: counts[:n:n], Bytes: counts[n:]},
-		eval:    NewEvaluator(attr, cfg.Eval),
-		started: in.start,
-		stop:    make(chan struct{}),
+		in:    in,
+		round: Harvest{Pkts: counts[:n:n], Bytes: counts[n:]},
+		eval:  NewEvaluator(attr, cfg.Eval),
+		stop:  make(chan struct{}),
 	}
 	p.eval.OpenLedger(cfg.Ledger)
 	p.wg.Add(1)
@@ -192,8 +176,6 @@ func New(attr Attribution, cfg Config) (*Pipeline, error) {
 // Close.
 func (p *Pipeline) run() {
 	defer p.wg.Done()
-	csp := p.in.span.ChildTrack("stream.controller")
-	defer csp.End()
 	t := time.NewTicker(p.in.cfg.EvalInterval)
 	defer t.Stop()
 	for {
@@ -201,7 +183,7 @@ func (p *Pipeline) run() {
 		case <-p.stop:
 			return
 		case <-t.C:
-			p.evaluate(false, csp)
+			p.evaluate(false)
 		}
 	}
 }
@@ -226,6 +208,6 @@ func (p *Pipeline) Close() {
 	p.in.shutdown(func() {
 		close(p.stop)
 		p.wg.Wait()
-		p.evaluate(true, p.in.span)
+		p.evaluate(true)
 	})
 }

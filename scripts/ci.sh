@@ -9,7 +9,9 @@
 # examples/ names the simulator's ground-truth source AS (amp.Event.TrueSrcAS, amp.Packet.TrueSrcAS)
 # outside the two places that still carry it until ROADMAP item 29 removes the field: internal/amp's
 # wire format, attacker, border and the Event field itself, and the live-loop example's scoring
-# of its own attackers, build, print the non-test and test Go line
+# of its own attackers, check that no non-test Go file under internal/, cmd/ or examples/ calls
+# stream.New (every shipped loop is a shard.Cluster; the single-node Pipeline stays only as
+# bench's harness until ROADMAP item 21 ports bench's drivers), build, print the non-test and test Go line
 # counts under internal cmd examples spooftrack.go and the number of scripts/reach.allow
 # entries (informational: they gate nothing, and make a simplification's line and allow-list
 # claims one command to check), and test the whole module, then run the
@@ -42,8 +44,10 @@
 # afterwards), run the honeypot-read benchmark once (GSO runs
 # and runs of one through a border: CPU per packet and datagrams per
 # honeypot read), run the live-loop example twenty times (the regression check for the
-# round cut and the gated shutdown fold, DESIGN §5.12: both showed as a
-# lost attacker in a small share of runs), run the daemon's
+# one-shard cluster's round cut, made where the example's flood loop
+# steps it, and its gated shutdown Step(true), DESIGN §5.12: a round cut
+# and a shutdown fold have each shown as a lost attacker in a small
+# share of runs), run the daemon's
 # multi-process controller failover test five times (election timing
 # varies from run to run), run the daemon's in-process modes five times
 # under the race detector (each placement, and the default one under the
@@ -102,6 +106,14 @@ if [ -n "$truth" ]; then
 	exit 1
 fi
 
+echo "==> one control loop (no non-test Go file under internal/, cmd/ or examples/ calls stream.New; bench's drivers keep the Pipeline until ROADMAP item 21)"
+pipelines=$(grep -rl --include='*.go' 'stream\.New(' internal cmd examples | grep -v '_test\.go$' || true)
+if [ -n "$pipelines" ]; then
+	echo "these files build a stream.Pipeline; run the loop as a one-shard shard.Cluster instead:"
+	echo "$pipelines"
+	exit 1
+fi
+
 echo "==> go build"
 go build ./...
 
@@ -125,7 +137,7 @@ go test -count=10 -run '^(TestPacketPlaneDigest|TestForwardMixedLengthsInOrder|T
 echo "==> honeypot-read benchmark (one iteration each: GSO runs and runs of one through a border; CPU per packet, datagrams per read)"
 go test -run '^$' -bench HoneypotRead -benchtime 1x ./internal/amp/
 
-echo "==> live-loop example x20 (round cut and shutdown fold: every attacker stays a candidate)"
+echo "==> live-loop example x20 (the one-shard cluster's round cut and shutdown Step(true): every attacker stays a candidate)"
 go test -count=20 ./examples/ddos-localization/
 
 echo "==> multi-process controller failover x5 (shard and controller processes on one lease file, the leader SIGKILLed)"
