@@ -266,11 +266,12 @@ func register[T any](r *Registry, name string, mk func() T) T {
 }
 
 // Snapshot returns every metric's current value, keyed by name:
-// counters as int64, gauges as float64, histograms as HistogramSnapshot
-// values. The registry lock is held only to copy the variable table;
-// values (including histogram traversal and GaugeFunc evaluation) are
-// read afterwards, so a slow gauge function or a wide histogram cannot
-// stall registrations.
+// counters as int64, gauges as float64, vectors as their children's
+// values keyed by label set (a histogram child as a HistogramSnapshot).
+// The registry lock is held only to copy the variable table; values
+// (including histogram traversal and GaugeFunc evaluation) are read
+// afterwards, so a slow gauge function or a wide histogram cannot stall
+// registrations.
 func (r *Registry) Snapshot() map[string]any {
 	r.mu.RLock()
 	vars := make(map[string]any, len(r.vars))
@@ -285,8 +286,6 @@ func (r *Registry) Snapshot() map[string]any {
 			out[name] = m.Value()
 		case *GaugeFunc:
 			out[name] = m.Value()
-		case *Histogram:
-			out[name] = m.Snapshot()
 		case *CounterVec:
 			out[name] = m.Snapshot()
 		case *HistogramVec:

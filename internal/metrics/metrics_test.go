@@ -110,7 +110,7 @@ func TestWriteJSONAndHandler(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ingested").Add(42)
 	settableGauge(r, "queue_depth").Set(7)
-	r.Histogram("flush_size", 1, 10, 100).Observe(5)
+	r.HistogramVec("flush_size", []string{"shard"}, 1, 10, 100).With("0").Observe(5)
 
 	defer func(orig func() time.Time) { timeNow = orig }(timeNow)
 	timeNow = func() time.Time { return time.Unix(1_700_000_000, 0) }
@@ -137,7 +137,7 @@ func TestWriteJSONAndHandler(t *testing.T) {
 	if decoded["queue_depth"] != float64(7) {
 		t.Fatalf("queue_depth = %v", decoded["queue_depth"])
 	}
-	hist, ok := decoded["flush_size"].(map[string]any)
+	hist, ok := decoded["flush_size"].(map[string]any)["shard=0"].(map[string]any)
 	if !ok || hist["count"] != float64(1) {
 		t.Fatalf("flush_size = %v", decoded["flush_size"])
 	}

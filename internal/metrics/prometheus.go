@@ -15,10 +15,10 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus emits every metric in the registry in Prometheus text
 // exposition format, in registration order. Scalars map directly
-// (Counter -> counter, GaugeFunc -> gauge); histograms emit the
+// (Counter -> counter, GaugeFunc -> gauge); vectors emit one series per
+// child with its label set, and a histogram vector's children the
 // conventional cumulative _bucket series (one per bound plus le="+Inf",
-// which always equals _count) and _sum/_count; vectors emit one series
-// per child with its label set. Metric and label names are sanitized to
+// which always equals _count) and _sum/_count. Metric and label names are sanitized to
 // the Prometheus grammar and label values are escaped, so arbitrary
 // registry names cannot produce an unscrapable page.
 func (r *Registry) WritePrometheus(w io.Writer) error {
@@ -38,8 +38,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			err = writeScalar(w, pname, "counter", nil, nil, float64(m.Value()))
 		case *GaugeFunc:
 			err = writeScalar(w, pname, "gauge", nil, nil, m.Value())
-		case *Histogram:
-			err = writeHistogram(w, pname, nil, nil, m, true)
 		case *CounterVec:
 			if _, err = fmt.Fprintf(w, "# TYPE %s counter\n", pname); err == nil {
 				labels := sanitizeLabelNames(m.labels)
@@ -53,7 +51,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if _, err = fmt.Fprintf(w, "# TYPE %s histogram\n", pname); err == nil {
 				labels := sanitizeLabelNames(m.labels)
 				for _, c := range m.children() {
-					if err = writeHistogram(w, pname, labels, c.values, c.metric, false); err != nil {
+					if err = writeHistogram(w, pname, labels, c.values, c.metric); err != nil {
 						break
 					}
 				}
@@ -81,14 +79,8 @@ func writeSeries(w io.Writer, name string, labels, values []string, v float64) e
 }
 
 // writeHistogram emits the cumulative _bucket/_sum/_count triple for one
-// histogram, with the child's label set (if any) plus the le label on
-// buckets. withType emits the TYPE header (once per family).
-func writeHistogram(w io.Writer, name string, labels, values []string, h *Histogram, withType bool) error {
-	if withType {
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-	}
+// vector child, with its label set plus the le label on buckets.
+func writeHistogram(w io.Writer, name string, labels, values []string, h *Histogram) error {
 	cum := int64(0)
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()

@@ -25,11 +25,6 @@ func goldenRegistry() *Registry {
 	r.Counter("weird.name/with-chars").Add(1) // sanitized
 	settableGauge(r, "queue_depth").Set(7.5)
 	r.GaugeFunc("computed", func() float64 { return 3 })
-	h := r.Histogram("flush_seconds", 0.01, 0.1, 1)
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(0.05)
-	h.Observe(5) // overflow: only in +Inf
 	cv := r.CounterVec("link_packets_total", "link", "outcome")
 	cv.With("0", "forwarded").Add(10)
 	cv.With("1", "dropped").Add(2)
