@@ -14,12 +14,12 @@
 //	/faults       fault-injection stats and per-link circuit-breaker health
 //	/probe        active SAV probing: scan status, per-verdict counts, and the
 //	              probe-vs-catchment channel audit (404 with -probe-interval 0)
-//	/metrics      counters, gauges, histograms and labeled vectors; JSON by
+//	/metrics      counters, gauges and labeled counter vectors; JSON by
 //	              default, Prometheus text format via Accept: text/plain or
 //	              ?format=prometheus
-//	/query        range queries over the embedded metric history: raw
-//	              samples, counter-reset-aware rate(), sum/max aggregation
-//	              across vector children, quantile-over-time on histograms
+//	/query        range queries over the embedded metric history of scalar
+//	              series: raw samples, counter-reset-aware rate(), and
+//	              sum/max aggregation across vector children
 //	/dash         self-contained live dashboard (inline JS sparklines
 //	              polling /query; no external assets)
 //	/evidence     operator-facing localization evidence for the candidates

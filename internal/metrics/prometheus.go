@@ -18,9 +18,9 @@ const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 // (Counter -> counter, GaugeFunc -> gauge); vectors emit one series per
 // child with its label set, and a histogram vector's children the
 // conventional cumulative _bucket series (one per bound plus le="+Inf",
-// which always equals _count) and _sum/_count. Metric and label names are sanitized to
-// the Prometheus grammar and label values are escaped, so arbitrary
-// registry names cannot produce an unscrapable page.
+// which always equals _count) and _sum/_count. Metric and label names
+// are sanitized to the Prometheus grammar and label values are escaped,
+// so arbitrary registry names cannot produce an unscrapable page.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	names := append([]string(nil), r.order...)
