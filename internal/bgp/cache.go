@@ -144,9 +144,10 @@ func (c *OutcomeCache) Propagate(e *Engine, cfg Config) (*Outcome, error) {
 // loads over Propagate.
 func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span) (*Outcome, error) {
 	sp := trace.StartChild(parent, "bgp.cache")
-	key := cfg.Key()
+	var kb [128]byte
+	key := cfg.appendKey(kb[:0])
 	c.mu.Lock()
-	if prior, ok := c.m[key]; ok {
+	if prior, ok := c.m[string(key)]; ok {
 		c.hits++
 		size := len(c.seeds)
 		c.mu.Unlock()
@@ -177,7 +178,7 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 		return nil, err
 	}
 	c.mu.Lock()
-	if prior, ok := c.m[key]; ok {
+	if prior, ok := c.m[string(key)]; ok {
 		c.hits++
 		size := len(c.seeds)
 		c.mu.Unlock()
@@ -189,7 +190,7 @@ func (c *OutcomeCache) PropagateTraced(e *Engine, cfg Config, parent *trace.Span
 	keep := len(c.seeds) < c.cap
 	if keep {
 		out.cached = true
-		c.m[key] = &out
+		c.m[string(key)] = &out
 		c.seeds = append(c.seeds, &out)
 	}
 	size := len(c.seeds)

@@ -28,8 +28,7 @@ package bgp
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"strconv"
 
 	"spooftrack/internal/topo"
 )
@@ -163,25 +162,47 @@ func (c Config) Validate(o Origin) error {
 // preserved because it shapes reported AS-paths). Outcome caches key on
 // this.
 func (c Config) Key() string {
-	idx := make([]int, len(c.Anns))
-	for i := range idx {
-		idx[i] = i
+	var buf [128]byte
+	return string(c.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's text to buf. A lookup that only reads a map
+// keyed by Key indexes it with string(c.appendKey(buf)), which does not
+// allocate.
+func (c Config) appendKey(buf []byte) []byte {
+	// Insertion sort of the announcements by link: there are at most
+	// MaxLinks of them, and it keeps equal links in their given order.
+	var small [16]int
+	order := small[:0]
+	for i := range c.Anns {
+		order = append(order, i)
+		j := len(order) - 1
+		for j > 0 && c.Anns[order[j-1]].Link > c.Anns[i].Link {
+			order[j] = order[j-1]
+			j--
+		}
+		order[j] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return c.Anns[idx[a]].Link < c.Anns[idx[b]].Link })
-	var sb strings.Builder
-	sb.Grow(16 * len(c.Anns))
-	for _, i := range idx {
-		a := c.Anns[i]
-		fmt.Fprintf(&sb, "%d:%d", int(a.Link), a.Prepend)
+	for _, i := range order {
+		a := &c.Anns[i]
+		buf = strconv.AppendInt(buf, int64(a.Link), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, int64(a.Prepend), 10)
 		for _, p := range a.Poison {
-			fmt.Fprintf(&sb, ",q%d", uint32(p))
+			buf = append(buf, ",q"...)
+			buf = strconv.AppendUint(buf, uint64(uint32(p)), 10)
 		}
 		for _, cm := range a.Communities {
-			fmt.Fprintf(&sb, ",c%d.%d.%d", uint32(cm.Operator), uint8(cm.Action), uint32(cm.Target))
+			buf = append(buf, ",c"...)
+			buf = strconv.AppendUint(buf, uint64(uint32(cm.Operator)), 10)
+			buf = append(buf, '.')
+			buf = strconv.AppendUint(buf, uint64(uint8(cm.Action)), 10)
+			buf = append(buf, '.')
+			buf = strconv.AppendUint(buf, uint64(uint32(cm.Target)), 10)
 		}
-		sb.WriteByte(';')
+		buf = append(buf, ';')
 	}
-	return sb.String()
+	return buf
 }
 
 // String renders the configuration compactly, e.g.
