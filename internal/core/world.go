@@ -122,9 +122,7 @@ func BuildWorld(p WorldParams) (*World, error) {
 		Graph:     g,
 		Mapper:    mapper,
 		OriginASN: peering.PEERINGASN,
-		LinkOf: func(prov int) (bgp.LinkID, bool) {
-			return plat.LinkByProvider(g.ASN(prov))
-		},
+		LinkOf:    plat.ProviderLinks(),
 	}
 	return w, nil
 }

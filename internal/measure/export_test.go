@@ -26,10 +26,12 @@ func newASSeqIndex(paths map[int][]topo.ASN, origin topo.ASN) asSeqIndex {
 	return idx
 }
 
-// ASLevelPath is scratch.asLevelPath on a pooled scratch, copied out.
+// ASLevelPath is scratch.asLevelPath on a pooled scratch, with the gap
+// index built from tr alone, copied out.
 func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
+	s.gaps.build([]Traceroute{tr})
 	return append([]int(nil), s.asLevelPath(tr.Hops, g, mapper, seqIdx)...)
 }
 
@@ -37,17 +39,48 @@ func ASLevelPath(tr Traceroute, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqI
 // run of unresponsive hops surrounded by responsive hops (a ... b), look
 // across all traceroutes for responsive hop sequences observed between a
 // and b; if exactly one distinct sequence exists, substitute it. Returns
-// repaired copies; inputs are not modified.
+// repaired copies; inputs are not modified. It emits the hops asLevelPath
+// maps: the runs gapIndex.fill repairs, every other hop as it was.
 func RepairUnresponsive(trs []Traceroute) []Traceroute {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	s.gaps.build(trs)
 	out := make([]Traceroute, len(trs))
-	for i, tr := range trs {
-		out[i] = tr
-		out[i].Hops = append([]Hop(nil), s.repairOne(tr.Hops)...)
+	for k, tr := range trs {
+		out[k] = tr
+		var hops []Hop
+		h := tr.Hops
+		for i := 0; i < len(h); {
+			if h[i].Responsive() {
+				hops = append(hops, h[i])
+				i++
+				continue
+			}
+			j := i + 1
+			for j < len(h) && !h[j].Responsive() {
+				j++
+			}
+			if v, ok := s.gaps.fill(h, i, j); ok {
+				hops = append(hops, v.seq[:v.n]...)
+			} else {
+				hops = append(hops, h[i:j]...)
+			}
+			i = j
+		}
+		out[k].Hops = hops
 	}
 	return out
+}
+
+// pairCount returns the number of pairs registered in the index.
+func (idx *gapIndex) pairCount() int {
+	n := 0
+	for _, key := range idx.keys {
+		if key != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // SynthesizeTraceroute builds the traceroute a probe in AS probe would

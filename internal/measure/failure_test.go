@@ -50,9 +50,7 @@ func newFailureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 			Graph:     g,
 			Mapper:    space.Mapper(),
 			OriginASN: peering.PEERINGASN,
-			LinkOf: func(prov int) (bgp.LinkID, bool) {
-				return plat.LinkByProvider(g.ASN(prov))
-			},
+			LinkOf:    plat.ProviderLinks(),
 		},
 	}
 }

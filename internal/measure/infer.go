@@ -51,9 +51,10 @@ type InferInput struct {
 	// OriginASN terminates AS-paths (announcement stuffing starts at its
 	// first occurrence).
 	OriginASN topo.ASN
-	// LinkOf resolves a provider AS (dense index) to its peering link;
-	// ok=false if the AS is not a platform provider.
-	LinkOf func(provider int) (bgp.LinkID, bool)
+	// LinkOf[i] is the peering link whose provider is AS i (dense
+	// index), bgp.NoLink when AS i provides none; one entry per AS
+	// (peering.Platform.ProviderLinks).
+	LinkOf []bgp.LinkID
 }
 
 // vote is one observation of an AS behind a link.
@@ -69,20 +70,11 @@ type vote struct {
 // from BGP paths (high priority) and traceroutes (low priority), and
 // resolves conflicts by priority then majority vote.
 func (s *scratch) infer(paths []collectorPath, trs []Traceroute, in InferInput) *CatchmentMeasurement {
-	n := in.Graph.NumASes()
-	m := Unobserved(n)
-
-	// Evidence is listed first and tallied after: the tally table is
-	// dense per AS and per link, and the number of links is only known
-	// once every provider has been resolved.
+	// Evidence is listed first and tallied after: a tally row has a cell
+	// per link, and the number of links is only known once every
+	// provider has been resolved.
 	s.evidence = s.evidence[:0]
 	numLinks := 0
-	add := func(as int, l bgp.LinkID, fromBGP bool) {
-		s.evidence = append(s.evidence, vote{as: int32(as), link: int32(l), bgp: fromBGP})
-		if int(l) >= numLinks {
-			numLinks = int(l) + 1
-		}
-	}
 
 	// BGP evidence: every AS on a collector's path up to the provider is
 	// routed via that path's link.
@@ -92,54 +84,92 @@ func (s *scratch) infer(paths []collectorPath, trs []Traceroute, in InferInput) 
 		if !ok {
 			continue
 		}
+		numLinks = max(numLinks, int(link)+1)
 		for _, asn := range p.path[:cut] {
 			if as, ok := in.Graph.Index(asn); ok {
-				add(as, link, true)
+				s.evidence = append(s.evidence, vote{as: int32(as), link: int32(link), bgp: true})
 			}
 		}
 	}
 
-	// Traceroute evidence, after the three repair stages.
+	// Traceroute evidence, repaired and mapped in one pass each.
 	s.gaps.build(trs)
 	for _, tr := range trs {
-		asPath := s.asLevelPath(s.repairOne(tr.Hops), in.Graph, in.Mapper, s.seqs)
+		asPath := s.asLevelPath(tr.Hops, in.Graph, in.Mapper, s.seqs)
 		if len(asPath) == 0 {
 			continue
 		}
-		provider := asPath[len(asPath)-1]
-		link, ok := in.LinkOf(provider)
-		if !ok {
+		link := in.LinkOf[asPath[len(asPath)-1]]
+		if link == bgp.NoLink {
 			continue // mapping noise garbled the provider; unattributable
 		}
+		numLinks = max(numLinks, int(link)+1)
 		for _, as := range asPath {
-			add(as, link, false)
+			s.evidence = append(s.evidence, vote{as: int32(as), link: int32(link)})
 		}
 	}
+	return s.resolve(in.Graph.NumASes(), numLinks)
+}
 
-	// counts holds, per AS, a row of BGP tallies then a row of
-	// traceroute tallies, one cell per link.
-	row := 2 * numLinks
-	if need := n * row; cap(s.counts) < need {
-		s.counts = make([]int32, need)
-	} else {
-		s.counts = s.counts[:need]
-		clear(s.counts)
+// resolve tallies s.evidence, whose links are all below numLinks, and
+// returns the n-AS measurement it supports. Its cost follows the
+// evidence, not the world: an AS gets a state word on its first vote
+// and a tally row only once its votes name a second link.
+//
+// Resolution: BGP beats traceroute; within a type, majority vote with
+// deterministic tie-breaking toward the lowest link id. An AS whose
+// votes all name one link resolves to it whatever their types; only a
+// conflicting AS needs its tallies.
+func (s *scratch) resolve(n, numLinks int) *CatchmentMeasurement {
+	m := Unobserved(n)
+	if len(s.state) < n {
+		s.state = make([]int32, max(n, 2*len(s.state)))
 	}
+	// state[as] is 0 before as's first vote, 1+link while every vote
+	// names that link, and -1-row once a second link gives it a row.
+	s.touched = s.touched[:0]
+	rows := 0
 	for _, v := range s.evidence {
-		cell := int(v.as)*row + int(v.link)
-		if !v.bgp {
-			cell += numLinks
+		switch st := s.state[v.as]; {
+		case st == 0:
+			s.touched = append(s.touched, v.as)
+			s.state[v.as] = v.link + 1
+		case st > 0 && st != v.link+1:
+			s.state[v.as] = int32(-1 - rows)
+			rows++
 		}
-		s.counts[cell]++
 	}
-
-	// Resolution: BGP beats traceroute; within a type, majority vote
-	// with deterministic tie-breaking toward the lowest link id (the
-	// scan is ascending and only a strictly larger tally displaces).
-	for i := 0; i < n; i++ {
-		bv, tv := s.counts[i*row:i*row+numLinks], s.counts[i*row+numLinks:(i+1)*row]
+	// A row holds the AS's BGP tallies then its traceroute tallies, one
+	// cell per link: a conflicting AS's votes, all of them, from the top.
+	stride := 2 * numLinks
+	if need := rows * stride; cap(s.counts) < need {
+		s.counts = make([]int32, max(need, 2*cap(s.counts)))
+	}
+	s.counts = s.counts[:rows*stride]
+	clear(s.counts)
+	if rows > 0 {
+		for _, v := range s.evidence {
+			if st := s.state[v.as]; st < 0 {
+				cell := int(-1-st)*stride + int(v.link)
+				if !v.bgp {
+					cell += numLinks
+				}
+				s.counts[cell]++
+			}
+		}
+	}
+	for _, as := range s.touched {
+		st := s.state[as]
+		s.state[as] = 0 // every entry is zero again once the pass ends
+		if st > 0 {
+			m.Catchment[as] = bgp.LinkID(st - 1)
+			continue
+		}
+		// The scan is ascending and only a strictly larger tally
+		// displaces, so ties go to the lowest link id.
+		row := s.counts[int(-1-st)*stride:][:stride]
+		bv, tv := row[:numLinks], row[numLinks:]
 		bestB, bestBN, bestT, bestTN := bgp.NoLink, int32(0), bgp.NoLink, int32(0)
-		links := 0
 		for l := 0; l < numLinks; l++ {
 			if bv[l] > bestBN {
 				bestB, bestBN = bgp.LinkID(l), bv[l]
@@ -147,22 +177,15 @@ func (s *scratch) infer(paths []collectorPath, trs []Traceroute, in InferInput) 
 			if tv[l] > bestTN {
 				bestT, bestTN = bgp.LinkID(l), tv[l]
 			}
-			if bv[l] > 0 || tv[l] > 0 {
-				links++
-			}
-		}
-		if links == 0 {
-			continue
 		}
 		if bestBN > 0 {
-			m.Catchment[i] = bestB
+			m.Catchment[as] = bestB
 		} else {
-			m.Catchment[i] = bestT
+			m.Catchment[as] = bestT
 		}
-		// Conflict accounting across all evidence.
-		if links > 1 {
-			m.MultiCatchment++
-		}
+		// Conflict accounting across all evidence: the AS was observed
+		// in more than one catchment.
+		m.MultiCatchment++
 	}
 	return m
 }
@@ -170,7 +193,7 @@ func (s *scratch) infer(paths []collectorPath, trs []Traceroute, in InferInput) 
 // splitPath cuts an AS-path at the first occurrence of the origin ASN
 // and resolves the provider (last topology AS before it) to a link.
 // path[:cut] are the ASNs before the origin.
-func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int) (bgp.LinkID, bool)) (cut int, link bgp.LinkID, ok bool) {
+func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf []bgp.LinkID) (cut int, link bgp.LinkID, ok bool) {
 	cut = -1
 	for k, asn := range path {
 		if asn == origin {
@@ -182,14 +205,10 @@ func splitPath(path []topo.ASN, origin topo.ASN, g *topo.Graph, linkOf func(int)
 		return 0, bgp.NoLink, false
 	}
 	provIdx, ok := g.Index(path[cut-1])
-	if !ok {
+	if !ok || linkOf[provIdx] == bgp.NoLink {
 		return 0, bgp.NoLink, false
 	}
-	link, ok = linkOf(provIdx)
-	if !ok {
-		return 0, bgp.NoLink, false
-	}
-	return cut, link, true
+	return cut, linkOf[provIdx], true
 }
 
 // maxASSeq is the longest intermediate AS sequence indexed between a
@@ -205,8 +224,12 @@ type asSeqVal struct {
 }
 
 // asSeqIndex indexes, for pairs of ASNs seen on BGP paths, the unique
-// intermediate AS sequence between them (repair stage 3 of §IV-b).
-type asSeqIndex map[[2]topo.ASN]asSeqVal
+// intermediate AS sequence between them (repair stage 3 of §IV-b),
+// keyed by seqKey.
+type asSeqIndex map[uint64]asSeqVal
+
+// seqKey packs a pair of ASNs into one word, the first in the high half.
+func seqKey(a, b topo.ASN) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // build refills the index from the collector paths. What it holds does
 // not depend on their order: a pair's sequence is kept only while every
@@ -225,7 +248,7 @@ func (idx asSeqIndex) build(paths []collectorPath, origin topo.ASN) {
 		p := cp.path[:end]
 		for i := 0; i < len(p); i++ {
 			for j := i + 2; j < len(p) && j-i <= maxASSeq+1; j++ {
-				key := [2]topo.ASN{p[i], p[j]}
+				key := seqKey(p[i], p[j])
 				seq := p[i+1 : j]
 				v, seen := idx[key]
 				if !seen {
@@ -245,85 +268,89 @@ func (idx asSeqIndex) build(paths []collectorPath, origin topo.ASN) {
 // lookup returns the unique sequence between a and b (v.seq[:v.n]);
 // ok=false when the pair was never seen or conflicts.
 func (idx asSeqIndex) lookup(a, b topo.ASN) (v asSeqVal, ok bool) {
-	v, ok = idx[[2]topo.ASN{a, b}]
+	v, ok = idx[seqKey(a, b)]
 	return v, ok && !v.conflict
 }
 
-// asLevelPath maps a traceroute's hops to an AS-level path of dense
-// indices, applying repair stages 2 and 3 of §IV-b: unmapped hops
+// asLevelPath repairs a traceroute's hops and maps them to an AS-level
+// path of dense indices in one pass, emitting each hop as the repair
+// produces it (stage 1 of §IV-b: an unresponsive run between two
+// responsive hops becomes its pair's unique sequence when the gap index
+// has one) and applying stages 2 and 3 as it goes: unmapped hops
 // surrounded by a single AS collapse into it; unmapped hops between two
 // different ASes are bridged by the unique BGP AS sequence when one
 // exists; remaining unmapped hops are dropped. Consecutive duplicate
-// ASes collapse. The result is valid until the next call.
+// ASes collapse, and the destination ends the path. The result is valid
+// until the next call.
 func (s *scratch) asLevelPath(hops []Hop, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) []int {
-	// First map every hop: >=0 AS index, -1 unmapped, -2 destination.
-	mapped := s.mapped[:0]
+	s.asPath, s.gap = s.asPath[:0], false
+	for i := 0; i < len(hops); {
+		// A responsive stretch [i, j), then an unresponsive run [j, k).
+		j := i
+		for j < len(hops) && hops[j].Responsive() {
+			j++
+		}
+		if !s.emit(hops[i:j], g, mapper, seqIdx) || j == len(hops) {
+			break
+		}
+		k := j + 1
+		for k < len(hops) && !hops[k].Responsive() {
+			k++
+		}
+		if v, ok := s.gaps.fill(hops, j, k); ok {
+			if !s.emit(v.seq[:v.n], g, mapper, seqIdx) {
+				break
+			}
+		} else {
+			s.gap = true // unrepaired: the run is one unmapped marker
+		}
+		i = k
+	}
+	return s.asPath
+}
+
+// emit adds responsive hops to the AS-level path and reports false once
+// the destination is reached.
+func (s *scratch) emit(hops []Hop, g *topo.Graph, mapper addr.Mapper, seqIdx asSeqIndex) bool {
 	for _, h := range hops {
-		switch {
-		case !h.Responsive():
-			mapped = append(mapped, -1)
-		case h == targetHop:
-			mapped = append(mapped, -2)
-		default:
-			if i, ok := mapper.Map(uint32(h)); ok {
-				mapped = append(mapped, i)
-			} else {
-				mapped = append(mapped, -1)
-			}
+		if h == targetHop {
+			return false // destination reached; stuffing after is impossible
 		}
-	}
-	s.mapped = mapped
-	// Collapse consecutive duplicates, keeping unmapped markers.
-	seq := s.collapsed[:0]
-	for _, v := range mapped {
-		if v == -2 {
-			break // destination reached; stuffing after is impossible
-		}
-		if len(seq) > 0 && seq[len(seq)-1] == v && v >= 0 {
+		as, ok := mapper.Map(uint32(h))
+		if !ok {
+			s.gap = true
 			continue
 		}
-		// Merge consecutive unmapped markers too.
-		if len(seq) > 0 && seq[len(seq)-1] == -1 && v == -1 {
-			continue
+		if s.gap {
+			s.gap = false
+			s.bridge(as, g, seqIdx)
 		}
-		seq = append(seq, v)
-	}
-	s.collapsed = seq
-	// Stage 2 + 3: resolve unmapped runs using surrounding ASes.
-	out := s.asPath[:0]
-	for i := 0; i < len(seq); i++ {
-		v := seq[i]
-		if v >= 0 {
-			if len(out) == 0 || out[len(out)-1] != v {
-				out = append(out, v)
-			}
-			continue
-		}
-		prev := -1
-		if len(out) > 0 {
-			prev = out[len(out)-1]
-		}
-		next := -1
-		if i+1 < len(seq) && seq[i+1] >= 0 {
-			next = seq[i+1]
-		}
-		switch {
-		case prev >= 0 && prev == next:
-			// Same AS on both sides: the gap is inside it; drop marker.
-		case prev >= 0 && next >= 0:
-			// Different ASes: bridge via unique BGP sequence if known.
-			if bridge, ok := seqIdx.lookup(g.ASN(prev), g.ASN(next)); ok {
-				for _, asn := range bridge.seq[:bridge.n] {
-					if bi, ok := g.Index(asn); ok && (len(out) == 0 || out[len(out)-1] != bi) {
-						out = append(out, bi)
-					}
-				}
-			}
-			// Otherwise: drop the hop (ignored on the AS-level path).
-		default:
-			// Gap at the edges: drop.
+		if out := s.asPath; len(out) == 0 || out[len(out)-1] != as {
+			s.asPath = append(out, as)
 		}
 	}
-	s.asPath = out
-	return out
+	return true
+}
+
+// bridge resolves the unmapped gap before next. The same AS on both
+// sides means the gap is inside it; different ASes are bridged via their
+// unique BGP sequence if one is known; otherwise, and at the edges, the
+// gap is dropped.
+func (s *scratch) bridge(next int, g *topo.Graph, seqIdx asSeqIndex) {
+	if len(s.asPath) == 0 {
+		return
+	}
+	prev := s.asPath[len(s.asPath)-1]
+	if prev == next {
+		return
+	}
+	v, ok := seqIdx.lookup(g.ASN(prev), g.ASN(next))
+	if !ok {
+		return
+	}
+	for _, asn := range v.seq[:v.n] {
+		if bi, ok := g.Index(asn); ok && s.asPath[len(s.asPath)-1] != bi {
+			s.asPath = append(s.asPath, bi)
+		}
+	}
 }

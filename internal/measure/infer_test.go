@@ -33,9 +33,6 @@ func newMeasureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 	}
 	space := addr.Allocate(g)
 	v := ChooseVantages(g, seed, nCollectors, nProbes)
-	linkOf := func(prov int) (bgp.LinkID, bool) {
-		return plat.LinkByProvider(g.ASN(prov))
-	}
 	return &measureWorld{
 		g:        g,
 		platform: plat,
@@ -45,7 +42,7 @@ func newMeasureWorld(t testing.TB, seed uint64, numASes, nCollectors, nProbes in
 			Graph:     g,
 			Mapper:    space.Mapper(),
 			OriginASN: peering.PEERINGASN,
-			LinkOf:    linkOf,
+			LinkOf:    plat.ProviderLinks(),
 		},
 	}
 }
@@ -335,7 +332,7 @@ func TestInferBGPPriorityOverTraceroute(t *testing.T) {
 		}},
 	}
 	m := Infer(obs, w.input)
-	wantLink, _ := w.platform.LinkByProvider(w.g.ASN(provA))
+	wantLink := w.input.LinkOf[provA]
 	if m.Catchment[x] != wantLink {
 		t.Fatalf("catchment %d, want BGP-derived %d", m.Catchment[x], wantLink)
 	}
@@ -364,7 +361,7 @@ func TestInferMajorityVote(t *testing.T) {
 		Traceroutes: []Traceroute{mk(provA), mk(provB), mk(provB)},
 	}
 	m := Infer(obs, w.input)
-	wantLink, _ := w.platform.LinkByProvider(w.g.ASN(provB))
+	wantLink := w.input.LinkOf[provB]
 	if m.Catchment[x] != wantLink {
 		t.Fatalf("catchment %d, want majority %d", m.Catchment[x], wantLink)
 	}

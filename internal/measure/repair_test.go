@@ -86,16 +86,17 @@ func TestRepairPreservesMetadata(t *testing.T) {
 	}
 }
 
-// fullIndexRepair is the reference for RepairUnresponsive: it indexes
-// the sequence between every pair of responsive hops one to three hops
-// apart in a fully responsive window, queried or not, and then repairs
-// each unresponsive run from that full index.
-func fullIndexRepair(trs []Traceroute) []Traceroute {
-	type seen struct {
-		seq      []Hop
-		conflict bool
-	}
-	idx := map[[2]Hop]*seen{}
+// fullSeen is what the full index holds for one pair: the first
+// sequence seen between it, and whether another one was seen too.
+type fullSeen struct {
+	seq      []Hop
+	conflict bool
+}
+
+// fullIndex indexes the sequence between every pair of responsive hops
+// one to three hops apart in a fully responsive window, queried or not.
+func fullIndex(trs []Traceroute) map[[2]Hop]*fullSeen {
+	idx := map[[2]Hop]*fullSeen{}
 	for _, tr := range trs {
 		h := tr.Hops
 		for i := range h {
@@ -106,13 +107,20 @@ func fullIndexRepair(trs []Traceroute) []Traceroute {
 				seq := slices.Clone(h[i+1 : j])
 				key := [2]Hop{h[i], h[j]}
 				if v, ok := idx[key]; !ok {
-					idx[key] = &seen{seq: seq}
+					idx[key] = &fullSeen{seq: seq}
 				} else if !slices.Equal(v.seq, seq) {
 					v.conflict = true
 				}
 			}
 		}
 	}
+	return idx
+}
+
+// fullIndexRepair is the reference for RepairUnresponsive: it repairs
+// each unresponsive run from the full index.
+func fullIndexRepair(trs []Traceroute) []Traceroute {
+	idx := fullIndex(trs)
 	out := make([]Traceroute, len(trs))
 	for k, tr := range trs {
 		out[k] = tr
@@ -181,5 +189,80 @@ func TestRepairMatchesFullIndex(t *testing.T) {
 	}
 	if repaired < 100 {
 		t.Fatalf("only %d traceroutes repaired; the comparison covers too little", repaired)
+	}
+	checkFilterCollisions(t)
+}
+
+// checkFilterCollisions is TestRepairMatchesFullIndex on hops picked to
+// defeat the gap index's filters: unregistered pairs whose left hop
+// shares a filter bit with a registered pair's left hop, unregistered
+// pairs that share a pair bit with a registered one, (l2, r4) and
+// (l, r2) sharing both and so reaching the table, and two registered
+// pairs that share a pair bit and so a home slot in the table. The
+// index must hold exactly the full index's entry for every registered
+// pair and nothing for the others, and every repaired hop must match.
+func checkFilterCollisions(t *testing.T) {
+	t.Helper()
+	// next returns the first hop after from whose slot is want's.
+	next := func(from Hop, slot func(Hop) uint32, want uint32) Hop {
+		for h := from + 1; ; h++ {
+			if h != 0 && slot(h) == want {
+				return h
+			}
+		}
+	}
+	leftSlot := func(h Hop) uint32 { return filterSlot(uint64(h)) }
+	l, r := resp("10.0.0.1"), resp("10.0.1.1")
+	pairSlot := func(right Hop) func(Hop) uint32 {
+		return func(left Hop) uint32 { return filterSlot(gapKey(left, right)) }
+	}
+	rightSlot := func(left Hop) func(Hop) uint32 {
+		return func(right Hop) uint32 { return filterSlot(gapKey(left, right)) }
+	}
+	l2 := next(l, leftSlot, leftSlot(l))                   // shares l's left bit
+	r2 := next(r, rightSlot(l), filterSlot(gapKey(l, r)))  // (l, r2) shares (l, r)'s pair bit
+	r3 := next(r2, rightSlot(l), filterSlot(gapKey(l, r))) // so does (l, r3)
+	l3 := next(l2, pairSlot(r), filterSlot(gapKey(l, r)))  // and (l3, r)
+	r4 := next(r, rightSlot(l2), filterSlot(gapKey(l, r))) // and (l2, r4), whose left shares l's bit
+	a, b, c, d := resp("11.0.0.1"), resp("11.0.0.2"), resp("11.0.0.3"), resp("11.0.0.4")
+	trs := []Traceroute{
+		// Registered: (l, r) and (l, r3), which share a pair bit.
+		{Hops: []Hop{l, 0, r}},
+		{Hops: []Hop{l, 0, 0, r3}},
+		// Windows of the registered pairs: (l, r) unique, (l, r3)
+		// conflicting.
+		{Hops: []Hop{l, a, r, d}},
+		{Hops: []Hop{c, l, a, b, r3}},
+		{Hops: []Hop{l, a, c, r3}},
+		// Windows of unregistered pairs that pass one filter or both.
+		{Hops: []Hop{l, b, r2}},
+		{Hops: []Hop{l2, c, r}},
+		{Hops: []Hop{l3, d, r}},
+		{Hops: []Hop{l2, a, b, c, r4}},
+		{Hops: []Hop{d, l2, b, r4, a}},
+	}
+	var idx gapIndex
+	idx.build(trs)
+	full := fullIndex(trs)
+	registered := map[[2]Hop]bool{{l, r}: true, {l, r3}: true}
+	for _, p := range [][2]Hop{{l, r}, {l, r3}, {l, r2}, {l2, r}, {l3, r}, {l2, r4}} {
+		v, ok := idx.lookup(gapKey(p[0], p[1]))
+		if ok != registered[p] {
+			t.Errorf("pair %v registered %v, want %v", p, ok, registered[p])
+			continue
+		}
+		want, seen := full[p]
+		if !ok || (!seen && v.n == 0) {
+			continue
+		}
+		if !seen || v.conflict != want.conflict || (!v.conflict && !slices.Equal(v.seq[:v.n], want.seq)) {
+			t.Errorf("pair %v: index holds %v (conflict %v), full index %+v", p, v.seq[:v.n], v.conflict, want)
+		}
+	}
+	if n := idx.pairCount(); n != len(registered) {
+		t.Errorf("%d pairs registered, want %d", n, len(registered))
+	}
+	if got, want := RepairUnresponsive(trs), fullIndexRepair(trs); !reflect.DeepEqual(got, want) {
+		t.Errorf("filter collisions: repaired\n %v\nwant\n %v", got, want)
 	}
 }

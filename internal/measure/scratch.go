@@ -16,8 +16,8 @@ import (
 // round trip → repair → infer pass (DESIGN.md §5.10). Everything the pass
 // builds on the way to its result lives here and is reused by the next
 // configuration, so a warm pass allocates only what it returns. Every
-// field is reset by the step that fills it; nothing is read across
-// configurations.
+// field is reset by the step that fills it, bar resolve's state words,
+// which it leaves all zero; nothing is read across configurations.
 type scratch struct {
 	// asns is the arena holding every collector path of the
 	// configuration back to back; paths[k].path slices into it.
@@ -40,14 +40,19 @@ type scratch struct {
 	gaps gapIndex
 	seqs asSeqIndex
 
-	// repaired is the traceroute being mapped, after gap repair.
-	repaired []Hop
-	// mapped, collapsed and asPath are asLevelPath's three stages.
-	mapped, collapsed, asPath []int
+	// asPath is the AS-level path of the traceroute being mapped; gap is
+	// set while unmapped hops have followed its last AS.
+	asPath []int
+	gap    bool
 
 	// evidence lists the (AS, link) observations in arrival order;
-	// counts is the dense table they are tallied into.
+	// resolve keeps a state word per AS (state, all zero outside a
+	// pass, one entry per AS of the largest world measured), the ASes
+	// with evidence (touched) and a tally row per AS with conflicting
+	// evidence (counts).
 	evidence []vote
+	state    []int32
+	touched  []int32
 	counts   []int32
 }
 
@@ -59,7 +64,7 @@ type scratch struct {
 var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func newScratch() *scratch {
-	return &scratch{gaps: make(gapIndex), seqs: make(asSeqIndex)}
+	return &scratch{seqs: make(asSeqIndex)}
 }
 
 // Measure runs one configuration's whole §IV-b/c measurement on a single

@@ -213,7 +213,7 @@ func TestGapIndex(t *testing.T) {
 			},
 			a: "1.0.0.1", b: "1.0.0.3", unqueried: true},
 	}
-	idx := make(gapIndex)
+	var idx gapIndex
 	for _, tc := range cases {
 		trs := tc.trs
 		if !tc.unqueried {
@@ -221,13 +221,13 @@ func TestGapIndex(t *testing.T) {
 		}
 		// One index for every case: build must start from empty.
 		idx.build(trs)
-		v, queried := idx[gapKey(resp(tc.a), resp(tc.b))]
+		v, queried := idx.lookup(gapKey(resp(tc.a), resp(tc.b)))
 		if queried == tc.unqueried {
 			t.Errorf("%s: pair in index %v, want %v", tc.name, queried, !tc.unqueried)
 			continue
 		}
-		if tc.unqueried && len(idx) != 1 {
-			t.Errorf("%s: %d pairs indexed, want only the one gap's", tc.name, len(idx))
+		if n := idx.pairCount(); tc.unqueried && n != 1 {
+			t.Errorf("%s: %d pairs indexed, want only the one gap's", tc.name, n)
 		}
 		if seen := v.n > 0; seen != tc.seen {
 			t.Errorf("%s: pair seen=%v, want %v", tc.name, seen, tc.seen)

@@ -241,14 +241,20 @@ func (p *Platform) LinkNames() []string {
 	return names
 }
 
-// LinkByProvider maps a provider ASN to its peering link.
-func (p *Platform) LinkByProvider(asn topo.ASN) (bgp.LinkID, bool) {
-	for i, m := range p.muxes {
-		if p.Graph().ASN(m.Provider) == asn {
-			return bgp.LinkID(i), true
-		}
+// ProviderLinks returns a table indexed by dense AS index: entry i is
+// the peering link whose provider is AS i, bgp.NoLink for an AS that
+// provides no link. When two muxes share a provider, the lower link id
+// wins. Inference resolves every provider it sees through this table,
+// so callers build it once per platform.
+func (p *Platform) ProviderLinks() []bgp.LinkID {
+	links := make([]bgp.LinkID, p.Graph().NumASes())
+	for i := range links {
+		links[i] = bgp.NoLink
 	}
-	return bgp.NoLink, false
+	for i := len(p.muxes) - 1; i >= 0; i-- {
+		links[p.muxes[i].Provider] = bgp.LinkID(i)
+	}
+	return links
 }
 
 // ProviderNeighbors returns, for each mux, the dense indices of the

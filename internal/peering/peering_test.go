@@ -153,17 +153,30 @@ func TestDeployPropagates(t *testing.T) {
 	}
 }
 
-func TestLinkByProvider(t *testing.T) {
+func TestProviderLinks(t *testing.T) {
 	p := platformForTest(t, 800)
-	g := p.Graph()
-	for l, m := range p.Muxes() {
-		got, ok := p.LinkByProvider(g.ASN(m.Provider))
-		if !ok || got != bgp.LinkID(l) {
-			t.Fatalf("LinkByProvider(%d) = %d ok=%v, want %d", g.ASN(m.Provider), got, ok, l)
+	links := p.ProviderLinks()
+	if len(links) != p.Graph().NumASes() {
+		t.Fatalf("table has %d entries, want one per AS (%d)", len(links), p.Graph().NumASes())
+	}
+	providers := 0
+	for as, got := range links {
+		want := bgp.NoLink
+		for l, m := range p.Muxes() {
+			if m.Provider == as {
+				want = bgp.LinkID(l)
+				break
+			}
+		}
+		if got != want {
+			t.Fatalf("ProviderLinks()[%d] = %d, want %d", as, got, want)
+		}
+		if got != bgp.NoLink {
+			providers++
 		}
 	}
-	if _, ok := p.LinkByProvider(4294967295); ok {
-		t.Fatal("unknown provider should not resolve")
+	if providers == 0 {
+		t.Fatal("no AS provides a link")
 	}
 }
 
