@@ -56,7 +56,10 @@
 # the round ticker, then the drain's wait for it and the final Step,
 # all beside a standby controller), fuzz the daemon's /query handler for
 # 10 s (arbitrary series, range, window and func parameters: no panic,
-# only 200 or 400, and every 200 a range with from < to), run the single-node versus
+# only 200 or 400, and every 200 a range with from < to), fuzz the
+# measurement pass's sparse tally and resolve for 10 s (arbitrary
+# evidence lists: the same catchments and multi-catchment count as the
+# dense per-AS reference table), run the single-node versus
 # cluster ledger equivalence test and the single-node transcript digest
 # twenty times (the two loops share one round lifecycle, DESIGN §5.9, and
 # these are what guard that they fold the same rounds), run the two greedy-step
@@ -148,6 +151,9 @@ go test -race -count=5 -run '^TestEveryModeLocalizes$' ./cmd/spooftrackd/
 
 echo "==> /query fuzz (10 s: no panic, 200 or 400 only, every 200 a range with from < to)"
 go test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 10s ./cmd/spooftrackd/
+
+echo "==> resolve fuzz (10 s: the sparse tally and resolve match the dense reference on arbitrary evidence)"
+go test -run '^$' -fuzz '^FuzzInferResolve$' -fuzztime 10s ./internal/measure/
 
 echo "==> round lifecycle x20 (both loops fold the same rounds: ledger equivalence and the single-node transcript digest)"
 go test -count=20 -run '^(TestLedgerEquivalentToSingleNode|TestPipelineTranscriptDigest)$' ./internal/shard/ ./internal/stream/
