@@ -40,10 +40,8 @@ type scratch struct {
 	gaps gapIndex
 	seqs asSeqIndex
 
-	// asPath is the AS-level path of the traceroute being mapped; gap is
-	// set while unmapped hops have followed its last AS.
+	// asPath is the AS-level path of the traceroute being mapped.
 	asPath []int
-	gap    bool
 
 	// evidence lists the (AS, link) observations in arrival order;
 	// resolve keeps a state word per AS (state, all zero outside a
